@@ -4,7 +4,7 @@ GO ?= go
 # (BENCH_<pr>.json) doesn't overwrite the last.
 BENCH ?= BENCH_10.json
 
-.PHONY: build test vet race verify bench bench-json serve loadsmoke load shardsmoke feedbacksmoke
+.PHONY: build test vet fmt-check race verify bench bench-json serve loadsmoke load shardsmoke feedbacksmoke
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,10 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt-check fails, naming the files, if anything is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
+
 # Race-check the packages with concurrency-sensitive surfaces: the
 # metrics registry, the sharded solver kernel, the parallel corpus
 # front-end, the analysis cache, the HTTP service (worker pool,
@@ -24,11 +28,11 @@ vet:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/fpcache/... ./internal/service/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/...
 
-# verify = tier-1 (build + full tests) plus vet, the race checks, the
+# verify = tier-1 (build + full tests) plus gofmt, vet, the race checks, the
 # end-to-end load smoke (real seldond + seldonload over loopback), the
 # distributed-learning smoke (real worker subprocesses + coordinator),
 # and the continuous-learning smoke (feedback loop under -race).
-verify: vet race build test loadsmoke shardsmoke feedbacksmoke
+verify: fmt-check vet race build test loadsmoke shardsmoke feedbacksmoke
 	@echo "verify OK"
 
 # loadsmoke boots the service in-process on a free port, drives two

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"seldon/internal/constraints"
 	"seldon/internal/corpus"
 	"seldon/internal/fpcache"
+	"seldon/internal/lp"
+	"seldon/internal/propgraph"
 )
 
 // BenchmarkLearnFromSources measures the full pipeline over a generated
@@ -70,4 +73,24 @@ func BenchmarkAnalyzeFilesCache(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMinimizeCorpus times the solver alone on a system the pipeline
+// actually emits — built once from a 1500-file generated corpus, so it
+// carries big code's row duplication, which the synthetic
+// lp.BenchmarkMinimize* problems lack entirely. cons/row is that
+// duplication; ns/cons-epoch is comparable with the harness's
+// lp.ns_per_constraint_epoch.
+func BenchmarkMinimizeCorpus(b *testing.B) {
+	files := corpus.Generate(corpus.Config{Files: 1500}).FileMap()
+	fe := AnalyzeFiles(files, Config{})
+	sys := constraints.Build(propgraph.Union(fe.Graphs...), corpus.ExperimentSeed(), constraints.Options{})
+	var sol *lp.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol = lp.Minimize(sys.Problem, lp.Options{})
+	}
+	nCons := len(sys.Problem.Constraints)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nCons*sol.Iterations), "ns/cons-epoch")
+	b.ReportMetric(float64(nCons)/float64(sol.Rows), "cons/row")
 }

@@ -211,14 +211,17 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 	cfg.Metrics.Set(obs.GaugeInternBytesSaved, float64(res.InternBytesSaved))
 
 	solverOpts := cfg.Solver
+	lastActive := 0
 	if cfg.Metrics != nil {
 		user := solverOpts.OnEpoch
 		reg := cfg.Metrics
 		solverOpts.OnEpoch = func(s lp.EpochStats) {
+			lastActive = s.Active
 			reg.AppendTrace(obs.TraceSolver, int64(s.Epoch), map[string]float64{
 				"objective": s.Objective,
 				"best":      s.Best,
 				"violation": s.Violation,
+				"active":    float64(s.Active),
 				"l1":        s.L1,
 				"grad_norm": s.GradNorm,
 				"step_size": s.StepSize,
@@ -236,15 +239,18 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 	res.Solution = sol.X
 	res.SolverEpochs = sol.Iterations
 	cfg.Metrics.Set(obs.GaugeSolverEpochs, float64(sol.Iterations))
-	cfg.Metrics.Set("solver.objective", sol.Objective)
-	cfg.Metrics.Set("solver.violation", sol.Violation)
+	cfg.Metrics.Set(obs.GaugeSolverObjective, sol.Objective)
+	cfg.Metrics.Set(obs.GaugeSolverViolation, sol.Violation)
+	cfg.Metrics.Set(obs.GaugeSolverConstraints, float64(len(res.System.Problem.Constraints)))
+	cfg.Metrics.Set(obs.GaugeSolverRows, float64(sol.Rows))
+	cfg.Metrics.Set(obs.GaugeSolverActive, float64(lastActive))
 	cfg.Log.Log("solver.done", "epochs", sol.Iterations,
 		"objective", sol.Objective, "violation", sol.Violation)
 
 	res.runStage(cfg, obs.StageSelect, func() {
 		res.selectRoles(cfg)
 	})
-	cfg.Metrics.Set("select.predictions", float64(len(res.Predictions)))
+	cfg.Metrics.Set(obs.GaugeSelectPredictions, float64(len(res.Predictions)))
 	res.InferenceTime = time.Since(start)
 }
 

@@ -74,6 +74,19 @@ func TestLearnFromSourcesRecordsAllStages(t *testing.T) {
 		if _, ok := p.Values["objective"]; !ok {
 			t.Fatalf("trace point missing objective: %+v", p)
 		}
+		if _, ok := p.Values["active"]; !ok {
+			t.Fatalf("trace point missing active: %+v", p)
+		}
+	}
+	nCons := float64(len(res.System.Problem.Constraints))
+	if got := s.Gauges[obs.GaugeSolverConstraints]; got != nCons {
+		t.Errorf("%s = %v, want %v", obs.GaugeSolverConstraints, got, nCons)
+	}
+	if got := s.Gauges[obs.GaugeSolverRows]; got < 1 || got > nCons {
+		t.Errorf("%s = %v, want within [1, %v]", obs.GaugeSolverRows, got, nCons)
+	}
+	if got, want := s.Gauges[obs.GaugeSolverActive], trace[len(trace)-1].Values["active"]; got != want {
+		t.Errorf("%s = %v, want the final epoch's active count %v", obs.GaugeSolverActive, got, want)
 	}
 	if _, ok := s.Gauges["constraints.vars"]; !ok {
 		t.Errorf("constraint gauges not recorded")

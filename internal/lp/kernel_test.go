@@ -3,19 +3,197 @@ package lp
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
 // kernelProblems are the shapes the equivalence and determinism tests run
-// over: tiny, multi-chunk (forcing the sharded pass), and heavily pinned.
+// over: tiny, multi-chunk (more than three chunks of distinct rows,
+// forcing the sharded pass), unpinned, and the two built to exercise row
+// folding. randomishProblem only ever repeats a row as a whole block
+// (constraint i equals constraint i+nVars), with two coefficients and no
+// near misses, so on its own it says little about the row table.
 func kernelProblems() map[string]*Problem {
 	return map[string]*Problem{
 		"small":      randomishProblem(60, 300),
-		"multichunk": randomishProblem(400, 3*kernelChunk+17),
+		"multichunk": randomishProblem(3*kernelChunk+17, 4*kernelChunk),
 		"nopin": {
 			NumVars: 50, C: 0.75, Lambda: 0.1, Known: map[int]float64{},
 			Constraints: randomishProblem(50, 200).Constraints,
 		},
+		"dupheavy": dupHeavyProblem(),
+		"neardup":  nearDupProblem(),
+	}
+}
+
+// backoffCoefs are the coefficients averaged backoff representations
+// produce; ⅓ makes repeated gradient sums inexact, so a reordered or
+// coalesced scatter would show.
+var backoffCoefs = []float64{1, 1.0 / 2, 1.0 / 3}
+
+// randTerms draws n terms over the first nVars variables.
+func randTerms(rng *rand.Rand, n, nVars int) []Term {
+	ts := make([]Term, n)
+	for i := range ts {
+		ts[i] = Term{Var: rng.Intn(nVars), Coef: backoffCoefs[rng.Intn(len(backoffCoefs))]}
+	}
+	return ts
+}
+
+// dupHeavyProblem has the duplication a learned system has: 2600 distinct
+// rows (more than one kernel chunk), each repeated 1–9× and the copies
+// shuffled apart, coefficients from {1, ½, ⅓}, a third of the variables
+// pinned (so about a third of all terms sit on pinned variables) and
+// forty rows over pinned variables only.
+func dupHeavyProblem() *Problem {
+	const nVars, nPinned, nRows = 120, 40, 2600
+	p := &Problem{NumVars: nVars, C: 0.75, Lambda: 0.1, Known: map[int]float64{}}
+	for v := 0; v < nPinned; v++ {
+		p.Known[v] = float64(v % 2)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var cons []Constraint
+	for r := 0; r < nRows; r++ {
+		span := nVars
+		if r%65 == 0 {
+			span = nPinned // all-pinned row
+		}
+		row := Constraint{LHS: randTerms(rng, 1+rng.Intn(2), span), RHS: randTerms(rng, 1+rng.Intn(4), span)}
+		for n := 1 + rng.Intn(9); n > 0; n-- {
+			// Each copy owns its term slices, as pipeline-built constraints do.
+			cons = append(cons, Constraint{
+				LHS: append([]Term(nil), row.LHS...),
+				RHS: append([]Term(nil), row.RHS...),
+			})
+		}
+	}
+	rng.Shuffle(len(cons), func(i, j int) { cons[i], cons[j] = cons[j], cons[i] })
+	p.Constraints = cons
+	return p
+}
+
+// nearDupProblem is rows that look alike but must not merge: every base
+// row comes with an exact copy (which must merge) and three variants —
+// last coefficient changed, one variable changed, LHS and RHS swapped —
+// laid out so that a row and its variants are far apart.
+func nearDupProblem() *Problem {
+	const nVars, nBase = 80, 300
+	p := &Problem{NumVars: nVars, C: 0.75, Lambda: 0.1, Known: map[int]float64{}}
+	for v := 0; v < 16; v++ {
+		p.Known[v*5] = float64(v % 2)
+	}
+	rng := rand.New(rand.NewSource(2))
+	base := make([]Constraint, nBase)
+	for i := range base {
+		base[i] = Constraint{LHS: randTerms(rng, 1+rng.Intn(2), nVars), RHS: randTerms(rng, 1+rng.Intn(3), nVars)}
+	}
+	variants := []func(Constraint) Constraint{
+		func(c Constraint) Constraint { return c },
+		func(c Constraint) Constraint { return c },
+		func(c Constraint) Constraint { // last coefficient
+			rhs := append([]Term(nil), c.RHS...)
+			rhs[len(rhs)-1].Coef = 1.5 - rhs[len(rhs)-1].Coef
+			return Constraint{LHS: c.LHS, RHS: rhs}
+		},
+		func(c Constraint) Constraint { // one variable
+			lhs := append([]Term(nil), c.LHS...)
+			lhs[0].Var = (lhs[0].Var + 1) % nVars
+			return Constraint{LHS: lhs, RHS: c.RHS}
+		},
+		func(c Constraint) Constraint { return Constraint{LHS: c.RHS, RHS: c.LHS} },
+	}
+	for _, variant := range variants {
+		for _, c := range base {
+			p.Constraints = append(p.Constraints, variant(c))
+		}
+	}
+	return p
+}
+
+// flatRow renders a constraint the way compile flattens it (RHS negated),
+// coefficients by bit pattern: the independent notion of "same row".
+func flatRow(c *Constraint) string {
+	var b strings.Builder
+	for _, t := range c.LHS {
+		fmt.Fprintf(&b, "%d:%x ", t.Var, math.Float64bits(t.Coef))
+	}
+	for _, t := range c.RHS {
+		fmt.Fprintf(&b, "%d:%x ", t.Var, math.Float64bits(-t.Coef))
+	}
+	return b.String()
+}
+
+// TestCompileFoldsExactDuplicatesOnly checks the row table itself against
+// a map-based oracle: as many rows as there are distinct flattened
+// constraints (so every exact duplicate merged and no near-duplicate
+// did), each constraint mapped to a row holding exactly its terms, and
+// the free-term list equal to that row minus its pinned variables.
+func TestCompileFoldsExactDuplicatesOnly(t *testing.T) {
+	for name, p := range kernelProblems() {
+		t.Run(name, func(t *testing.T) {
+			k := compile(p)
+			distinct := map[string]bool{}
+			for i := range p.Constraints {
+				distinct[flatRow(&p.Constraints[i])] = true
+			}
+			if k.rows() != len(distinct) {
+				t.Fatalf("compile kept %d rows for %d constraints, want %d distinct",
+					k.rows(), len(p.Constraints), len(distinct))
+			}
+			for i := range p.Constraints {
+				r := k.rowOf[i]
+				var row, freeRow Constraint
+				for j := k.rowStart[r]; j < k.rowStart[r+1]; j++ {
+					row.LHS = append(row.LHS, Term{int(k.termVar[j]), k.termCoef[j]})
+					if _, pinned := p.Known[int(k.termVar[j])]; !pinned {
+						freeRow.LHS = append(freeRow.LHS, Term{int(k.termVar[j]), k.termCoef[j]})
+					}
+				}
+				var gotFree Constraint
+				for j := k.freeStart[r]; j < k.freeStart[r+1]; j++ {
+					gotFree.LHS = append(gotFree.LHS, Term{int(k.freeVar[j]), k.freeCoef[j]})
+				}
+				if flatRow(&row) != flatRow(&p.Constraints[i]) {
+					t.Fatalf("constraint %d mapped to row %d with different terms", i, r)
+				}
+				if flatRow(&gotFree) != flatRow(&freeRow) {
+					t.Fatalf("row %d: free terms %v, want %v", r, gotFree.LHS, freeRow.LHS)
+				}
+			}
+		})
+	}
+}
+
+// TestFoldingShapesAreWhatTheyClaim keeps the two folding fixtures honest:
+// if an edit to the builders lost the duplication, the pinned share or the
+// all-pinned rows, the oracles above would silently stop covering them.
+func TestFoldingShapesAreWhatTheyClaim(t *testing.T) {
+	p := dupHeavyProblem()
+	k := compile(p)
+	if ratio := float64(len(p.Constraints)) / float64(k.rows()); ratio < 4 || k.rows() <= kernelChunk {
+		t.Errorf("dupheavy: %d constraints over %d rows (%.1f×), want ≥4× and more than one chunk of rows",
+			len(p.Constraints), k.rows(), ratio)
+	}
+	if pinned := len(k.termVar) - len(k.freeVar); 4*pinned < len(k.termVar) {
+		t.Errorf("dupheavy: %d of %d terms on pinned variables, want ≥ 25%%", pinned, len(k.termVar))
+	}
+	allPinned := 0
+	for r := 0; r < k.rows(); r++ {
+		if k.freeStart[r] == k.freeStart[r+1] {
+			allPinned++
+		}
+	}
+	if allPinned < 10 {
+		t.Errorf("dupheavy: %d all-pinned rows, want ≥ 10", allPinned)
+	}
+	if res := Minimize(p, Options{Iterations: 5}); res.Rows != k.rows() {
+		t.Errorf("Result.Rows = %d, want %d", res.Rows, k.rows())
+	}
+
+	q := nearDupProblem()
+	if rows, n := compile(q).rows(), len(q.Constraints); rows < 4*n/5-8 || rows > 4*n/5 {
+		t.Errorf("neardup: %d rows for %d constraints, want the 1-in-5 exact copies folded and nothing else", rows, n)
 	}
 }
 
@@ -80,29 +258,38 @@ func TestKernelMatchesReference(t *testing.T) {
 // bookkeeping still emits one EpochStats per epoch with the same
 // convergence story as the reference solver.
 func TestKernelTelemetryMatchesReference(t *testing.T) {
-	p := randomishProblem(80, 500)
-	collect := func(run func(*Problem, Options) *Result) []EpochStats {
-		var out []EpochStats
-		opts := Options{Iterations: 60, OnEpoch: func(s EpochStats) { out = append(out, s) }}
-		run(p, opts)
-		return out
-	}
-	ref := collect(minimizeReference)
-	ker := collect(Minimize)
-	if len(ker) != len(ref) {
-		t.Fatalf("kernel emitted %d epochs, reference %d", len(ker), len(ref))
-	}
-	for i := range ref {
-		if ker[i].Epoch != ref[i].Epoch {
-			t.Fatalf("epoch[%d] = %d, want %d", i, ker[i].Epoch, ref[i].Epoch)
-		}
-		if math.Abs(ker[i].Objective-ref[i].Objective) > 1e-9 ||
-			math.Abs(ker[i].Violation-ref[i].Violation) > 1e-9 ||
-			math.Abs(ker[i].GradNorm-ref[i].GradNorm) > 1e-9 ||
-			math.Abs(ker[i].StepSize-ref[i].StepSize) > 1e-9 {
-			t.Errorf("epoch %d stats diverge: kernel %+v reference %+v",
-				ref[i].Epoch, ker[i], ref[i])
-		}
+	problems := kernelProblems()
+	problems["midsize"] = randomishProblem(80, 500)
+	for name, p := range problems {
+		t.Run(name, func(t *testing.T) {
+			collect := func(run func(*Problem, Options) *Result) []EpochStats {
+				var out []EpochStats
+				opts := Options{Iterations: 60, OnEpoch: func(s EpochStats) { out = append(out, s) }}
+				run(p, opts)
+				return out
+			}
+			ref := collect(minimizeReference)
+			ker := collect(Minimize)
+			if len(ker) != len(ref) {
+				t.Fatalf("kernel emitted %d epochs, reference %d", len(ker), len(ref))
+			}
+			for i := range ref {
+				if ker[i].Epoch != ref[i].Epoch {
+					t.Fatalf("epoch[%d] = %d, want %d", i, ker[i].Epoch, ref[i].Epoch)
+				}
+				if ker[i].Active != ref[i].Active {
+					t.Errorf("epoch %d: kernel active list holds %d constraints, reference counts %d violated",
+						ref[i].Epoch, ker[i].Active, ref[i].Active)
+				}
+				if math.Abs(ker[i].Objective-ref[i].Objective) > 1e-9 ||
+					math.Abs(ker[i].Violation-ref[i].Violation) > 1e-9 ||
+					math.Abs(ker[i].GradNorm-ref[i].GradNorm) > 1e-9 ||
+					math.Abs(ker[i].StepSize-ref[i].StepSize) > 1e-9 {
+					t.Errorf("epoch %d stats diverge: kernel %+v reference %+v",
+						ref[i].Epoch, ker[i], ref[i])
+				}
+			}
+		})
 	}
 }
 

@@ -220,15 +220,19 @@ type Result struct {
 	Objective  float64
 	Violation  float64
 	Iterations int
+	// Rows is the number of distinct constraint rows the compiled kernel
+	// solved over; len(Problem.Constraints)/Rows is the corpus's constraint
+	// duplication. MinimizeWith's interpreted methods leave it 0.
+	Rows int
 }
 
 // Minimize runs projected Adam on the problem and returns the best
 // assignment found. The start point is all zeros with known variables
 // pinned (so an empty seed yields the trivial all-zero optimum, matching
 // the paper's Q6 observation). The solve runs on the compiled kernel of
-// kernel.go — constraints flattened into CSR arrays, violation, gradient,
-// and objective fused into one sharded pass per epoch — and is
-// bit-for-bit reproducible at any Options.Shards value.
+// kernel.go — duplicate constraints folded into distinct CSR rows,
+// violation, gradient, and objective fused into one sharded pass per
+// epoch — and is bit-for-bit reproducible at any Options.Shards value.
 func Minimize(p *Problem, opts Options) *Result {
 	return minimizeKernel(p, opts.withDefaults())
 }

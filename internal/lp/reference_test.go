@@ -2,17 +2,30 @@ package lp
 
 import "math"
 
-// minimizeReference is the pre-kernel solver loop, retained verbatim as
-// the behavioural baseline: the equivalence tests check that the compiled
-// kernel of kernel.go walks the identical iterate sequence, and the
-// benchmarks report the kernel's per-epoch speedup against it. It walks
-// every constraint's term lists twice per epoch (gradient pass plus a
-// full objective recomputation) and pays a map lookup per variable for
-// pinning — exactly the costs compile() removes.
+// minimizeReference is the pre-kernel solver loop, kept as the test
+// oracle: the equivalence tests check that the compiled kernel of
+// kernel.go walks the identical iterate sequence, and the benchmarks
+// report the kernel's per-epoch speedup against it. It interprets
+// Problem.Constraints directly — no row folding, no active list, every
+// term list walked twice per epoch (gradient pass plus a full objective
+// recomputation), a map lookup per variable for pinning — so it shares
+// none of the code it checks. WarmStart is honoured the way Minimize
+// documents it (clamp, then pin), which lets the warm re-solve be held
+// to the same oracle as the cold one.
 func minimizeReference(p *Problem, opts Options) *Result {
 	opts = opts.withDefaults()
 	n := p.NumVars
 	x := make([]float64, n)
+	if len(opts.WarmStart) == n {
+		for i, v := range opts.WarmStart {
+			if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+			x[i] = v
+		}
+	}
 	pin := func(xs []float64) {
 		for v, val := range p.Known {
 			if v >= 0 && v < n {

@@ -13,6 +13,7 @@ type EpochStats struct {
 	Objective float64       // hinge violation + L1 term at x
 	Best      float64       // best objective seen so far
 	Violation float64       // total hinge violation at x
+	Active    int           // constraints violated at x (the kernel's compacted list)
 	L1        float64       // λ-weighted L1 term over free variables
 	GradNorm  float64       // L2 norm of the subgradient over free variables
 	StepSize  float64       // L2 norm of the projected update Δx
@@ -28,6 +29,9 @@ type epochTelemetry struct {
 	prevX []float64
 }
 
+// newEpochTelemetry returns nil when no hook is set. x is the start
+// iterate emit measures the first step against; the kernel solve, which
+// accumulates its own step norm for emitPrecomputed, passes nil.
 func newEpochTelemetry(opts Options, x []float64) *epochTelemetry {
 	if opts.OnEpoch == nil {
 		return nil
@@ -41,9 +45,9 @@ func newEpochTelemetry(opts Options, x []float64) *epochTelemetry {
 
 // emitPrecomputed invokes the hook with quantities the kernel solve
 // already has in hand — the fused pass yields the hinge total and the
-// update loop accumulates the squared gradient and step norms — so the
-// telemetry path re-walks nothing.
-func (et *epochTelemetry) emitPrecomputed(epoch int, obj, best, hinge, gradSq, stepSq float64) {
+// active count, and the update loop accumulates the squared gradient and
+// step norms — so the telemetry path re-walks nothing.
+func (et *epochTelemetry) emitPrecomputed(epoch int, obj, best, hinge float64, active int, gradSq, stepSq float64) {
 	if et == nil {
 		return
 	}
@@ -52,6 +56,7 @@ func (et *epochTelemetry) emitPrecomputed(epoch int, obj, best, hinge, gradSq, s
 		Objective: obj,
 		Best:      best,
 		Violation: hinge,
+		Active:    active,
 		L1:        obj - hinge,
 		GradNorm:  math.Sqrt(gradSq),
 		StepSize:  math.Sqrt(stepSq),
@@ -66,7 +71,13 @@ func (et *epochTelemetry) emit(p *Problem, epoch int, x, grad []float64, free []
 	if et == nil {
 		return
 	}
-	hinge := p.TotalViolation(x)
+	hinge, active := 0.0, 0
+	for i := range p.Constraints {
+		if v := p.Constraints[i].Violation(x, p.C); v > 0 {
+			hinge += v
+			active++
+		}
+	}
 	gradSq, stepSq := 0.0, 0.0
 	for i := range x {
 		if free != nil && !free[i] {
@@ -82,6 +93,7 @@ func (et *epochTelemetry) emit(p *Problem, epoch int, x, grad []float64, free []
 		Objective: obj,
 		Best:      best,
 		Violation: hinge,
+		Active:    active,
 		L1:        obj - hinge,
 		GradNorm:  math.Sqrt(gradSq),
 		StepSize:  math.Sqrt(stepSq),

@@ -106,3 +106,33 @@ func TestPinInvalidatesMask(t *testing.T) {
 		t.Fatalf("new pin not applied: x[1] = %g", res.X[1])
 	}
 }
+
+// TestWarmStartMatchesReference holds the warm re-solve — previous
+// solution in, plateau stop on — to the same oracle as the cold one, on
+// every kernel shape including the two with folded rows: same epoch count
+// and bit-identical iterate as the interpreted loop, at two shard counts.
+func TestWarmStartMatchesReference(t *testing.T) {
+	for name, p := range kernelProblems() {
+		t.Run(name, func(t *testing.T) {
+			cold := Minimize(p, Options{Iterations: 100})
+			opts := Options{Iterations: 100, WarmStart: cold.X, Patience: 25}
+			ref := minimizeReference(p, opts)
+			for _, shards := range []int{1, 3} {
+				opts.Shards = shards
+				warm := Minimize(p, opts)
+				if warm.Iterations != ref.Iterations {
+					t.Fatalf("shards=%d: warm solve ran %d epochs, reference %d", shards, warm.Iterations, ref.Iterations)
+				}
+				for i := range ref.X {
+					if warm.X[i] != ref.X[i] {
+						t.Fatalf("shards=%d: x[%d] = %v, reference %v", shards, i, warm.X[i], ref.X[i])
+					}
+				}
+				if warm.Objective > cold.Objective+1e-9 {
+					t.Errorf("shards=%d: warm objective %g worse than the cold one it started from (%g)",
+						shards, warm.Objective, cold.Objective)
+				}
+			}
+		})
+	}
+}

@@ -153,6 +153,19 @@ const (
 	// corpus shape (clamped at zero).
 	GaugeSolverEpochs    = "solver.epochs"
 	GaugeWarmEpochsSaved = "solver.warm_epochs_saved"
+	// The last solve's result (core.solveAndSelect): best objective and
+	// its hinge part; the size of the system as handed over
+	// (solver.constraints) and as the lp kernel folded it (solver.rows,
+	// distinct rows — their ratio is the corpus's constraint duplication);
+	// solver.active is how many constraints were still violated at the
+	// final epoch, the length of the list the kernel's gradient walks.
+	// select.predictions counts the (event, role) pairs selection kept.
+	GaugeSolverObjective   = "solver.objective"
+	GaugeSolverViolation   = "solver.violation"
+	GaugeSolverConstraints = "solver.constraints"
+	GaugeSolverRows        = "solver.rows"
+	GaugeSolverActive      = "solver.active"
+	GaugeSelectPredictions = "select.predictions"
 
 	// The continuous-learning feedback loop (seldond /v1/feedback).
 	// Counters split verdicts by direction; feedback.resolves counts the
