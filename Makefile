@@ -4,7 +4,7 @@ GO ?= go
 # (BENCH_<pr>.json) doesn't overwrite the last.
 BENCH ?= BENCH_10.json
 
-.PHONY: build test vet fmt-check race verify bench bench-json serve loadsmoke load shardsmoke feedbacksmoke
+.PHONY: build test vet fmt-check race fuzzsmoke verify bench bench-json serve loadsmoke load shardsmoke feedbacksmoke
 
 build:
 	$(GO) build ./...
@@ -21,18 +21,26 @@ fmt-check:
 
 # Race-check the packages with concurrency-sensitive surfaces: the
 # metrics registry, the sharded solver kernel, the parallel corpus
-# front-end, the analysis cache, the HTTP service (worker pool,
-# backpressure, drain, hot reload), the symbol interner, the sharded
-# constraint build, and the shard worker/coordinator (subprocess
-# fan-out, concurrent artifact decode).
+# front-end and the lexer, parser, analyzer and arenas its workers run
+# with per-goroutine scratch state, the analysis cache, the HTTP service
+# (worker pool, backpressure, drain, hot reload), the symbol interner,
+# the sharded constraint build, and the shard worker/coordinator
+# (subprocess fan-out, concurrent artifact decode).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/fpcache/... ./internal/service/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/...
+	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/...
+
+# fuzzsmoke runs the front-end's fuzz target for ten seconds on top of its
+# committed seed corpus (internal/core/testdata/fuzz): arbitrary bytes as
+# a source file must not panic and must analyze to the same graph and
+# parse error with a recycled scratch as without one.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz FuzzFrontEndScratchEquivalence -fuzztime=10s ./internal/core
 
 # verify = tier-1 (build + full tests) plus gofmt, vet, the race checks, the
-# end-to-end load smoke (real seldond + seldonload over loopback), the
+# ten-second fuzz smoke, the end-to-end load smoke (real seldond + seldonload over loopback), the
 # distributed-learning smoke (real worker subprocesses + coordinator),
 # and the continuous-learning smoke (feedback loop under -race).
-verify: fmt-check vet race build test loadsmoke shardsmoke feedbacksmoke
+verify: fmt-check vet race build test fuzzsmoke loadsmoke shardsmoke feedbacksmoke
 	@echo "verify OK"
 
 # loadsmoke boots the service in-process on a free port, drives two

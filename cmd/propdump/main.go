@@ -20,12 +20,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
-	"seldon/internal/dataflow"
+	"seldon/internal/core"
 	"seldon/internal/propgraph"
-	"seldon/internal/pyparse"
 )
 
 func main() {
@@ -53,20 +53,21 @@ func main() {
 		os.Exit(2)
 	}
 	sort.Strings(paths)
+	paths = slices.Compact(paths) // a file named twice is one file
 
-	var graphs []*propgraph.Graph
+	files := make(map[string]string, len(paths))
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			fatal(err)
 		}
-		mod, perr := pyparse.Parse(path, string(data))
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "propdump: %v (continuing)\n", perr)
-		}
-		graphs = append(graphs, dataflow.AnalyzeModule(mod, dataflow.Options{}))
+		files[path] = string(data)
 	}
-	union := propgraph.Union(graphs...)
+	fe := core.AnalyzeFiles(files, core.Config{})
+	for _, perr := range fe.ParseErrs {
+		fmt.Fprintf(os.Stderr, "propdump: %v (continuing)\n", perr)
+	}
+	union := propgraph.Union(fe.Graphs...)
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"seldon/internal/constraints"
@@ -10,6 +11,22 @@ import (
 	"seldon/internal/lp"
 	"seldon/internal/propgraph"
 )
+
+// reportPerFile adds allocs/file, B/file and source MB/s to a benchmark
+// whose iterations each process files once; call it after the loop with
+// the memory statistics read just before it.
+func reportPerFile(b *testing.B, files map[string]string, before *runtime.MemStats) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	srcBytes := 0
+	for _, src := range files {
+		srcBytes += len(src)
+	}
+	n := float64(b.N * len(files))
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/file")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/file")
+	b.ReportMetric(float64(b.N*srcBytes)/1e6/b.Elapsed().Seconds(), "MB/s")
+}
 
 // BenchmarkLearnFromSources measures the full pipeline over a generated
 // corpus at several front-end worker counts. The solver budget is kept
@@ -22,9 +39,12 @@ func BenchmarkLearnFromSources(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := Config{Workers: workers}
 			cfg.Solver.Iterations = 20
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				LearnFromSources(files, seed, cfg)
 			}
+			reportPerFile(b, files, &before)
 		})
 	}
 }
@@ -35,9 +55,12 @@ func BenchmarkAnalyzeFiles(b *testing.B) {
 	files := corpus.Generate(corpus.Config{Files: 120}).FileMap()
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				AnalyzeFiles(files, Config{Workers: workers})
 			}
+			reportPerFile(b, files, &before)
 		})
 	}
 }

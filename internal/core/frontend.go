@@ -62,20 +62,28 @@ type FrontEnd struct {
 }
 
 // Scratch bundles the reusable per-file front-end state behind one
-// Reset seam: the parser's token buffer and the dataflow analyzer's
-// tables. One Scratch serves one goroutine at a time; pool them
-// (sync.Pool) to cut steady-state allocations on paths that analyze a
-// file per request.
+// Reset seam: what a parse allocates (tokens, AST nodes, node lists) and
+// what a dataflow analysis allocates besides its graph. AnalyzeFiles
+// gives every worker one for the length of a batch; callers that analyze
+// a file per request keep them across calls (sync.Pool) and donate one
+// through Config.Scratch. One Scratch serves one goroutine at a time.
+// Nothing AnalyzeFiles returns points into a Scratch.
 type Scratch struct {
 	parse pyparse.Scratch
 	flow  dataflow.Scratch
 }
 
-// Reset scrubs retained references while keeping grown capacity.
-func (s *Scratch) Reset() {
-	s.parse.Reset()
-	s.flow.Reset()
+// Reset scrubs retained references while keeping grown capacity up to a
+// fixed cap per buffer (half a MiB in all after a sixteen-file request,
+// under 4 MiB whatever the inputs), so one huge input does not pin its
+// buffers for the life of a pool. It returns the
+// number of buffers let go for exceeding the cap.
+func (s *Scratch) Reset() (dropped int) {
+	return s.parse.Reset() + s.flow.Reset()
 }
+
+// Retained returns the bytes of buffer capacity the scratch holds.
+func (s *Scratch) Retained() int { return s.parse.Retained() + s.flow.Retained() }
 
 // fileOutcome is one worker's result for one file.
 type fileOutcome struct {
@@ -90,8 +98,9 @@ type fileOutcome struct {
 	cacheWall  time.Duration // time spent in Get/Put for this file
 }
 
-// workerCount resolves Config.Workers: 0 selects GOMAXPROCS, 1 is the
-// sequential path, and the pool never exceeds the number of files.
+// workerCount resolves Config.Workers: 0 selects GOMAXPROCS, 1 runs
+// everything on the caller's goroutine, and the pool never exceeds the
+// number of files.
 func (c Config) workerCount(files int) int {
 	w := c.Workers
 	if w <= 0 {
@@ -124,16 +133,8 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 		Workers: cfg.workerCount(len(names)),
 	}
 	cfg.Metrics.Add(obs.CounterParseErrors, 0) // materialize the counter
-	dopts := dataflow.Options{Metrics: cfg.Metrics}
-	// The donated scratch is single-goroutine state: only the sequential
-	// path may thread it through parse+dataflow.
-	var scratch *Scratch
-	if fe.Workers <= 1 && cfg.Scratch != nil {
-		scratch = cfg.Scratch
-		dopts.Scratch = &scratch.flow
-	}
 	outcomes := make([]fileOutcome, len(names))
-	process := func(i int) {
+	process := func(i int, sc *Scratch) {
 		name := names[i]
 		var o fileOutcome
 		if cfg.Cache != nil {
@@ -154,11 +155,9 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 			}
 		}
 		t0 := time.Now()
-		var psc *pyparse.Scratch
-		if scratch != nil {
-			psc = &scratch.parse
-		}
-		mod, err := pyparse.ParseWith(psc, name, files[name])
+		// mod lives in sc.parse until the next parse on sc; it is dropped
+		// at the end of this call, and the graph never points into it.
+		mod, err := pyparse.ParseWith(&sc.parse, name, files[name])
 		o.parse = time.Since(t0)
 		o.err = err
 		cfg.Metrics.ObserveDuration(obs.FileParse, o.parse)
@@ -166,7 +165,7 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 			cfg.Metrics.Add(obs.CounterParseErrors, 1)
 		}
 		t0 = time.Now()
-		o.graph = dataflow.AnalyzeModule(mod, dopts)
+		o.graph = dataflow.AnalyzeModule(mod, dataflow.Options{Metrics: cfg.Metrics, Scratch: &sc.flow})
 		o.analyze = time.Since(t0)
 		cfg.Metrics.ObserveDuration(obs.FileAnalyze, o.analyze)
 		if cfg.Cache != nil {
@@ -189,30 +188,34 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 		outcomes[i] = o
 	}
 
+	// Every worker owns one Scratch for the whole batch. The caller is
+	// worker 0 and uses the donated Config.Scratch when there is one.
 	t0 := time.Now()
-	if fe.Workers <= 1 {
-		for i := range names {
-			process(i)
+	var next atomic.Int64
+	next.Store(-1)
+	work := func(sc *Scratch) {
+		for {
+			i := int(next.Add(1))
+			if i >= len(names) {
+				return
+			}
+			process(i, sc)
 		}
-	} else {
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < fe.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= len(names) {
-						return
-					}
-					process(i)
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < fe.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(new(Scratch))
+		}()
+	}
+	sc := cfg.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	work(sc)
+	wg.Wait()
 	fe.Wall = time.Since(t0)
 
 	fe.Graphs = make([]*propgraph.Graph, len(names))

@@ -31,20 +31,20 @@ type Config struct {
 	BackoffDecay float64
 	// Workers bounds the goroutines the corpus front-end uses for
 	// per-file parse + dataflow; 0 selects runtime.GOMAXPROCS(0) and 1
-	// keeps the sequential path. Results are byte-identical at every
-	// worker count (see AnalyzeFiles).
+	// runs them on the caller's goroutine. Results are byte-identical at
+	// every worker count (see AnalyzeFiles).
 	Workers int
 	// Cache, when non-nil, is the persistent per-file analysis cache
 	// (internal/fpcache): each front-end worker consults it before
 	// parse+dataflow and writes back on miss. Results are byte-identical
 	// with or without it, from any mix of hits and misses.
 	Cache *fpcache.Cache
-	// Scratch, when non-nil, donates reusable per-file parse+dataflow
-	// buffers (token slice, analyzer tables) to the front-end. It is
-	// consulted only on the sequential path (one worker) — callers that
-	// run one file per request (the serving hot path) pool these across
-	// requests; the parallel corpus path allocates per worker as before.
-	// Results are byte-identical with or without it.
+	// Scratch, when non-nil, is the reusable per-file parse+dataflow
+	// state of the front-end's first worker (the others make their own
+	// for the batch). Callers that run one file per call — the serving
+	// hot path — pool these across calls so the steady state allocates
+	// little beyond the graphs. Results are byte-identical with or
+	// without it.
 	Scratch *Scratch
 	// Metrics, when non-nil, receives stage timers, per-file timings,
 	// parse-error counters, and the solver convergence trace. Nil keeps

@@ -21,27 +21,11 @@ type Options struct {
 	// Metrics, when non-nil, receives per-module analysis counters
 	// (modules, functions, graph events).
 	Metrics *obs.Registry
-	// Scratch, when non-nil, donates reusable analyzer state (the import
-	// table and function-order list) so hot loops re-analyzing many
-	// modules stop reallocating it. Not safe for concurrent use; the
-	// produced graph never aliases the scratch.
+	// Scratch, when non-nil, is where the analysis allocates its working
+	// state (see Scratch), recycled from the previous module instead of
+	// allocated afresh. Not safe for concurrent use; the produced graph
+	// never aliases the scratch and is identical with or without one.
 	Scratch *Scratch
-}
-
-// Scratch holds the analyzer allocations that are reusable across
-// modules. The zero value is ready to use; AnalyzeModule resets it on
-// entry, so between calls it may retain references from the previous
-// module — call Reset to scrub a pooled scratch on release.
-type Scratch struct {
-	imports map[string][]string
-	order   []*funcDef
-}
-
-// Reset clears the retained contents while keeping capacity.
-func (s *Scratch) Reset() {
-	clear(s.imports)
-	clear(s.order)
-	s.order = s.order[:0]
 }
 
 func (o Options) withDefaults() Options {
@@ -64,55 +48,65 @@ func AnalyzeSource(file, src string) (*propgraph.Graph, error) {
 
 // AnalyzeModule builds the propagation graph of a parsed module.
 func AnalyzeModule(mod *pyast.Module, opts Options) *propgraph.Graph {
+	sc := opts.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	} else {
+		sc.Reset()
+	}
+	if sc.imports == nil {
+		sc.imports = make(map[string][]string)
+	}
 	a := &analyzer{
 		g:    propgraph.New(),
 		file: mod.File,
 		opts: opts.withDefaults(),
-	}
-	if sc := a.opts.Scratch; sc != nil {
-		sc.Reset()
-		if sc.imports == nil {
-			sc.imports = make(map[string][]string)
-		}
-		a.imports = sc.imports
-		a.order = sc.order
-	} else {
-		a.imports = make(map[string][]string)
+		sc:   sc,
 	}
 	root := a.newFuncEnv(propgraph.RepContext{}, nil, nil)
 	a.analyzeBody(root, mod.Body)
-	// Analyze any registered functions that were never called.
-	for _, fd := range a.order {
-		a.ensureAnalyzed(fd)
-	}
-	if sc := a.opts.Scratch; sc != nil {
-		sc.order = a.order // keep the grown list for the next module
+	// Analyze the functions registered so far that were never called
+	// (the ones this registers in turn are analyzed only if called).
+	for i, n := 0, len(sc.order); i < n; i++ {
+		a.ensureAnalyzed(sc.order[i])
 	}
 	a.opts.Metrics.Add("dataflow.modules", 1)
-	a.opts.Metrics.Add("dataflow.functions", int64(len(a.order)))
+	a.opts.Metrics.Add("dataflow.functions", int64(len(sc.order)))
 	a.opts.Metrics.Add("dataflow.events", int64(len(a.g.Events)))
 	return a.g
 }
 
 type analyzer struct {
-	g       *propgraph.Graph
-	file    string
-	opts    Options
-	imports map[string][]string // local alias -> qualified path segments
-	order   []*funcDef          // all registered functions, in source order
+	g    *propgraph.Graph
+	file string
+	opts Options
+	sc   *Scratch // every allocation but the graph; never nil
 }
 
 // funcDef is a locally defined function (module-level, nested, or method)
 // together with its analysis summary.
 type funcDef struct {
-	def         *pyast.FunctionDef
-	ctx         propgraph.RepContext
-	paramEvents map[string]int // param name -> event ID (self/cls excluded)
+	def *pyast.FunctionDef
+	ctx propgraph.RepContext
+	// paramOrder lists the parameter names; paramEvents is aligned with it
+	// and holds each parameter's event ID, or -1 (receivers have none).
 	paramOrder  []string
+	paramEvents []int
 	returns     []*object
 	state       int // 0 = pending, 1 = analyzing, 2 = done
 	outer       *funcEnv
 	class       *classDef // receiver class for methods, or nil
+}
+
+// paramEvent returns the event of the parameter called name: with a
+// duplicated name, the last one's.
+func (fd *funcDef) paramEvent(name string) (int, bool) {
+	for i := len(fd.paramOrder) - 1; i >= 0; i-- {
+		if fd.paramOrder[i] == name && fd.paramEvents[i] >= 0 {
+			return fd.paramEvents[i], true
+		}
+	}
+	return 0, false
 }
 
 // classDef records a locally defined class and its methods. The shared
@@ -126,37 +120,45 @@ type classDef struct {
 }
 
 // receiver returns the class's shared self object, creating it on demand.
-func (cd *classDef) receiver() *object {
+func (a *analyzer) receiver(cd *classDef) *object {
 	if cd.self == nil {
-		cd.self = newObject(-1)
+		cd.self = a.sc.newObject(-1)
 		cd.self.class = cd
 	}
 	return cd.self
 }
 
-// funcEnv is the per-scope analysis state.
+// Name-binding flags of a scope.
+const (
+	isParam      uint8 = 1 << iota // a formal parameter of the scope's function
+	isReassigned                   // assigned somewhere in the scope
+)
+
+// funcEnv is the per-scope analysis state. Its maps are created on first
+// write.
 type funcEnv struct {
-	env        *env
-	ctx        propgraph.RepContext
-	params     map[string]bool
-	reassigned map[string]bool
-	locals     map[string]*funcDef  // nested defs visible in this scope
-	classes    map[string]*classDef // visible local classes
-	cur        *funcDef             // function being analyzed (returns sink)
-	curClass   *classDef
-	outer      *funcEnv
+	env      *env
+	ctx      propgraph.RepContext
+	bound    map[string]uint8     // isParam | isReassigned per name
+	locals   map[string]*funcDef  // nested defs visible in this scope
+	classes  map[string]*classDef // visible local classes
+	cur      *funcDef             // function being analyzed (returns sink)
+	curClass *classDef
+	outer    *funcEnv
 }
 
 func (a *analyzer) newFuncEnv(ctx propgraph.RepContext, cur *funcDef, outer *funcEnv) *funcEnv {
-	return &funcEnv{
-		env: newEnv(), ctx: ctx,
-		params:     make(map[string]bool),
-		reassigned: make(map[string]bool),
-		locals:     make(map[string]*funcDef),
-		classes:    make(map[string]*classDef),
-		cur:        cur,
-		outer:      outer,
+	fe := a.sc.funcEnvs.New()
+	*fe = funcEnv{env: a.sc.newEnv(), ctx: ctx, cur: cur, outer: outer}
+	return fe
+}
+
+// bind records that name is a parameter of, or reassigned in, the scope.
+func (a *analyzer) bind(fe *funcEnv, name string, flag uint8) {
+	if fe.bound == nil {
+		fe.bound = a.sc.bound.get()
 	}
+	fe.bound[name] |= flag
 }
 
 // lookupFunc resolves a locally defined function by name through the scope
@@ -166,7 +168,7 @@ func (fe *funcEnv) lookupFunc(name string) *funcDef {
 		if fd, ok := e.locals[name]; ok {
 			return fd
 		}
-		if e.reassigned[name] || e.params[name] {
+		if e.bound[name] != 0 {
 			return nil // shadowed by a binding we cannot resolve
 		}
 	}
@@ -187,23 +189,27 @@ func (fe *funcEnv) lookupClass(name string) *classDef {
 
 // sympath is a symbolic description of how a value was reached; it drives
 // representation building. Either param is set (value rooted at a formal
-// parameter of the enclosing function) or segs[0] is the (possibly
-// import-qualified) root.
+// parameter of the function whose context ctx points at) or segs[0] is
+// the (possibly import-qualified) root. A sympath and its segs are
+// immutable once built, so paths share segment runs freely.
 type sympath struct {
 	param string
-	ctx   propgraph.RepContext
+	ctx   *propgraph.RepContext
 	segs  []string
 	pure  bool // import-rooted chain of plain names (a module path)
 }
 
-func (p *sympath) reps() []string {
+// reps builds the representations of an event reached by p, most to
+// least specific. The result is valid until the next call.
+func (a *analyzer) reps(p *sympath) []string {
 	if p == nil {
 		return nil
 	}
 	if p.param != "" {
 		return p.ctx.ParamRootedReps(p.param, p.segs)
 	}
-	return propgraph.SuffixReps(p.segs)
+	a.sc.reps = propgraph.AppendSuffixReps(a.sc.reps[:0], p.segs)
+	return a.sc.reps
 }
 
 // extend returns a copy of p with one more segment, or nil when the path
@@ -215,50 +221,47 @@ func (a *analyzer) extend(p *sympath, seg string) *sympath {
 	if len(p.segs)+1 > a.opts.MaxPathSegments {
 		return nil
 	}
-	np := &sympath{param: p.param, ctx: p.ctx, segs: make([]string, 0, len(p.segs)+1), pure: false}
-	np.segs = append(np.segs, p.segs...)
-	np.segs = append(np.segs, seg)
-	return np
+	segs := a.sc.strs.Alloc(len(p.segs) + 1)
+	segs[copy(segs, p.segs)] = seg
+	return a.sc.newPath(p.param, p.ctx, segs, false)
 }
 
-// extendLast rewrites the final segment (used for `seg` -> `seg()` and
-// subscript suffixes). p must be non-nil with at least one segment, or a
-// param-only root.
-func (a *analyzer) extendLast(p *sympath, rewrite func(string) string) *sympath {
-	if p == nil {
+// extendLast returns a copy of p with suffix appended to its final
+// segment (used for `seg` -> `seg()` and subscript suffixes), or nil when
+// p is nil or a bare parameter: the suffix would apply to the parameter
+// position, which representations cannot express.
+func (a *analyzer) extendLast(p *sympath, suffix string) *sympath {
+	if p == nil || len(p.segs) == 0 {
 		return nil
 	}
-	np := &sympath{param: p.param, ctx: p.ctx, segs: append([]string(nil), p.segs...), pure: false}
-	if len(np.segs) == 0 {
-		// A bare parameter: the rewrite applies to the parameter position,
-		// which representations cannot express; drop the path.
-		return nil
-	}
-	np.segs[len(np.segs)-1] = rewrite(np.segs[len(np.segs)-1])
-	return np
+	segs := a.sc.strs.Copy(p.segs)
+	segs[len(segs)-1] += suffix
+	return a.sc.newPath(p.param, p.ctx, segs, false)
 }
 
 // rootPath resolves the symbolic root for a bare name: enclosing-function
 // parameter, the symbolic path of the variable's defining expression,
 // import alias, or plain variable name.
 func (a *analyzer) rootPath(fe *funcEnv, name string) *sympath {
-	if fe.params[name] && !fe.reassigned[name] {
-		return &sympath{param: name, ctx: fe.ctx}
+	if fe.bound[name] == isParam {
+		return a.sc.newPath(name, &fe.ctx, nil, false)
 	}
 	for e := fe; e != nil; e = e.outer {
-		if p, ok := e.env.paths[name]; ok {
+		if p := e.env.path(name); p != nil {
 			return p
 		}
 	}
-	if segs, ok := a.imports[name]; ok && !fe.isBound(name) {
-		return &sympath{segs: append([]string(nil), segs...), pure: true}
+	if segs, ok := a.sc.imports[name]; ok && !fe.isBound(name) {
+		return a.sc.newPath("", nil, segs, true)
 	}
-	return &sympath{segs: []string{name}}
+	segs := a.sc.strs.Alloc(1)
+	segs[0] = name
+	return a.sc.newPath("", nil, segs, false)
 }
 
 func (fe *funcEnv) isBound(name string) bool {
 	for e := fe; e != nil; e = e.outer {
-		if e.reassigned[name] || e.params[name] {
+		if e.bound[name] != 0 {
 			return true
 		}
 	}
@@ -270,7 +273,7 @@ func (fe *funcEnv) isBound(name string) bool {
 func (a *analyzer) qualifyExpr(e pyast.Expr) string {
 	switch x := e.(type) {
 	case *pyast.Name:
-		if segs, ok := a.imports[x.Ident]; ok {
+		if segs, ok := a.sc.imports[x.Ident]; ok {
 			return strings.Join(segs, ".")
 		}
 		return x.Ident

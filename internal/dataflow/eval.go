@@ -19,21 +19,21 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 		path := a.rootPath(fe, x.Ident)
 		objs := fe.lookupVar(x.Ident)
 		if len(objs) == 0 {
-			objs = []*object{newObject(-1)}
+			objs = a.sc.opaque()
 		}
 		return objs, path
 	case *pyast.Num, *pyast.Str, *pyast.NameConst, *pyast.EllipsisLit:
-		return []*object{newObject(-1)}, nil
+		return a.sc.opaque(), nil
 	case *pyast.JoinedStr:
 		// f-string: information flows from every interpolated expression
 		// into the resulting string.
 		var out []*object
 		for _, v := range x.Values {
 			o, _ := a.eval(fe, v)
-			out = unionObjects(out, o)
+			out = a.sc.union(out, o)
 		}
 		if len(out) == 0 {
-			out = []*object{newObject(-1)}
+			out = a.sc.opaque()
 		}
 		return out, nil
 
@@ -45,8 +45,7 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 		base, basePath := a.eval(fe, x.Value)
 		idxObjs, _ := a.eval(fe, x.Index)
 		_ = idxObjs
-		seg := subscriptSuffix(x.Index)
-		path := a.extendLast(basePath, func(last string) string { return last + seg })
+		path := a.extendLast(basePath, subscriptSuffix(x.Index))
 		return a.newReadEvent(fe, base, path, x.Pos(), elemKey)
 
 	case *pyast.Call:
@@ -55,12 +54,12 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 	case *pyast.BinOp:
 		l, _ := a.eval(fe, x.Left)
 		r, _ := a.eval(fe, x.Right)
-		return unionObjects(l, r), nil
+		return a.sc.union(l, r), nil
 	case *pyast.BoolOp:
 		var out []*object
 		for _, v := range x.Values {
 			o, _ := a.eval(fe, v)
-			out = unionObjects(out, o)
+			out = a.sc.union(out, o)
 		}
 		return out, nil
 	case *pyast.UnaryOp:
@@ -71,12 +70,12 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 		for _, c := range x.Comparators {
 			a.eval(fe, c)
 		}
-		return []*object{newObject(-1)}, nil
+		return a.sc.opaque(), nil
 	case *pyast.IfExp:
 		a.eval(fe, x.Cond)
 		t, _ := a.eval(fe, x.Then)
 		f, _ := a.eval(fe, x.Else)
-		return unionObjects(t, f), nil
+		return a.sc.union(t, f), nil
 
 	case *pyast.Tuple:
 		return a.container(fe, x.Elts), nil
@@ -85,16 +84,16 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 	case *pyast.Set:
 		return a.container(fe, x.Elts), nil
 	case *pyast.Dict:
-		o := newObject(-1)
+		o := a.sc.newObject(-1)
 		for i := range x.Keys {
 			if x.Keys[i] != nil {
 				k, _ := a.eval(fe, x.Keys[i])
-				o.addField(elemKey, k)
+				o.addField(a.sc, elemKey, k)
 			}
 			v, _ := a.eval(fe, x.Values[i])
-			o.addField(elemKey, v)
+			o.addField(a.sc, elemKey, v)
 		}
-		return []*object{o}, nil
+		return a.sc.one(o), nil
 
 	case *pyast.Comp:
 		return a.evalComp(fe, x)
@@ -104,11 +103,11 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 		sub := fe.env.clone()
 		a.withEnv(fe, sub, func() {
 			for _, p := range x.Params {
-				fe.env.set(p.Name, []*object{newObject(-1)})
+				fe.env.set(p.Name, a.sc.opaque())
 			}
 			a.eval(fe, x.Body)
 		})
-		return []*object{newObject(-1)}, nil
+		return a.sc.opaque(), nil
 
 	case *pyast.Starred:
 		return a.eval(fe, x.Value)
@@ -118,10 +117,10 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 		if x.Value != nil {
 			objs, _ := a.eval(fe, x.Value)
 			if fe.cur != nil {
-				fe.cur.returns = unionObjects(fe.cur.returns, objs)
+				fe.cur.returns = a.sc.union(fe.cur.returns, objs)
 			}
 		}
-		return []*object{newObject(-1)}, nil
+		return a.sc.opaque(), nil
 	case *pyast.NamedExpr:
 		objs, path := a.eval(fe, x.Value)
 		a.assignTo(fe, x.Target, objs)
@@ -130,9 +129,9 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 		a.eval(fe, x.Lo)
 		a.eval(fe, x.Hi)
 		a.eval(fe, x.Step)
-		return []*object{newObject(-1)}, nil
+		return a.sc.opaque(), nil
 	}
-	return []*object{newObject(-1)}, nil
+	return a.sc.opaque(), nil
 }
 
 // lookupVar resolves a variable through the scope chain.
@@ -146,33 +145,33 @@ func (fe *funcEnv) lookupVar(name string) []*object {
 }
 
 func (a *analyzer) container(fe *funcEnv, elts []pyast.Expr) []*object {
-	o := newObject(-1)
+	o := a.sc.newObject(-1)
 	for _, el := range elts {
 		v, _ := a.eval(fe, el)
-		o.addField(elemKey, v)
+		o.addField(a.sc, elemKey, v)
 	}
-	return []*object{o}
+	return a.sc.one(o)
 }
 
 func (a *analyzer) evalComp(fe *funcEnv, x *pyast.Comp) ([]*object, *sympath) {
 	sub := fe.env.clone()
-	o := newObject(-1)
+	o := a.sc.newObject(-1)
 	a.withEnv(fe, sub, func() {
 		for _, c := range x.Clauses {
 			iterObjs, _ := a.eval(fe, c.Iter)
-			a.assignTo(fe, c.Target, elementsOf(iterObjs))
+			a.assignTo(fe, c.Target, a.elementsOf(iterObjs))
 			for _, cond := range c.Ifs {
 				a.eval(fe, cond)
 			}
 		}
 		elt, _ := a.eval(fe, x.Elt)
-		o.addField(elemKey, elt)
+		o.addField(a.sc, elemKey, elt)
 		if x.Value != nil {
 			v, _ := a.eval(fe, x.Value)
-			o.addField(elemKey, v)
+			o.addField(a.sc, elemKey, v)
 		}
 	})
-	return []*object{o}, nil
+	return a.sc.one(o), nil
 }
 
 // evalAttrLoad handles `base.attr` in load position. Attribute steps on a
@@ -184,7 +183,7 @@ func (a *analyzer) evalAttrLoad(fe *funcEnv, base []*object, basePath *sympath, 
 		if path != nil {
 			path.pure = true
 		}
-		return []*object{newObject(-1)}, path
+		return a.sc.opaque(), path
 	}
 	return a.newReadEvent(fe, base, path, pos, attr)
 }
@@ -192,20 +191,18 @@ func (a *analyzer) evalAttrLoad(fe *funcEnv, base []*object, basePath *sympath, 
 // newReadEvent creates a Read event fed by the base objects and by the
 // values previously stored under fieldName in those objects.
 func (a *analyzer) newReadEvent(fe *funcEnv, base []*object, path *sympath, pos pytoken.Pos, fieldName string) ([]*object, *sympath) {
-	ev := a.g.AddEvent(propgraph.KindRead, a.file, pos, path.reps())
-	for _, src := range collectEvents(base, a.opts.FieldDepth) {
+	ev := a.g.AddEvent(propgraph.KindRead, a.file, pos, a.reps(path))
+	for _, src := range a.sc.collectEvents(base, a.opts.FieldDepth) {
 		a.g.AddEdge(src, ev.ID)
 	}
 	var stored []*object
 	for _, o := range base {
-		stored = unionObjects(stored, o.field(fieldName))
+		stored = a.sc.union(stored, o.field(fieldName))
 	}
-	for _, src := range collectEvents(stored, a.opts.FieldDepth) {
+	for _, src := range a.sc.collectEvents(stored, a.opts.FieldDepth) {
 		a.g.AddEdge(src, ev.ID)
 	}
-	result := []*object{newObject(ev.ID)}
-	result = unionObjects(result, stored)
-	return result, path
+	return a.sc.union(a.sc.one(a.sc.newObject(ev.ID)), stored), path
 }
 
 // subscriptSuffix renders the index of a subscript for a path segment:
@@ -225,16 +222,18 @@ func subscriptSuffix(idx pyast.Expr) string {
 // ---------------------------------------------------------------------------
 // Calls
 
+var localsReps = []string{"locals()"}
+
 func (a *analyzer) evalCall(fe *funcEnv, call *pyast.Call) ([]*object, *sympath) {
 	switch f := call.Func.(type) {
 	case *pyast.Name:
 		// locals() exposes every local variable (§5.2).
 		if f.Ident == "locals" && len(call.Args) == 0 {
-			ev := a.g.AddEvent(propgraph.KindCall, a.file, call.Pos(), []string{"locals()"})
-			for _, src := range collectEvents(fe.env.allObjects(), a.opts.FieldDepth) {
+			ev := a.g.AddEvent(propgraph.KindCall, a.file, call.Pos(), localsReps)
+			for _, src := range a.sc.collectEvents(fe.env.allObjects(), a.opts.FieldDepth) {
 				a.g.AddEdge(src, ev.ID)
 			}
-			return []*object{newObject(ev.ID)}, nil
+			return a.sc.one(a.sc.newObject(ev.ID)), nil
 		}
 		// Call of a function defined in this file: link through its
 		// summary instead of creating a call event (§5.2 inlining).
@@ -244,30 +243,25 @@ func (a *analyzer) evalCall(fe *funcEnv, call *pyast.Call) ([]*object, *sympath)
 		// Instantiation of a locally defined class: link the constructor
 		// and return an instance that resolves later method calls.
 		if cd := fe.lookupClass(f.Ident); cd != nil {
-			inst := cd.receiver()
+			inst := a.receiver(cd)
 			if init, ok := cd.methods["__init__"]; ok {
-				a.linkLocalCall(fe, init, call, []*object{inst}, true)
+				a.linkLocalCall(fe, init, call, a.sc.one(inst), true)
 			} else {
 				for _, arg := range call.Args {
 					objs, _ := a.eval(fe, arg)
-					inst.addField(elemKey, objs)
+					inst.addField(a.sc, elemKey, objs)
 				}
 				for _, kw := range call.Keywords {
 					objs, _ := a.eval(fe, kw.Value)
-					inst.addField(kw.Name, objs)
+					inst.addField(a.sc, kw.Name, objs)
 				}
 			}
-			return []*object{inst}, nil
+			return a.sc.one(inst), nil
 		}
 		path := a.rootPath(fe, f.Ident)
-		callPath := a.extendLast(path, func(last string) string { return last + "()" })
-		if callPath == nil && path != nil && path.param != "" {
-			// Call of a bare parameter: representation is the param root
-			// itself with call parens, e.g. f(param cb)... not expressible;
-			// fall through with nil path.
-			callPath = nil
-		}
-		return a.unknownCall(fe, call, nil, callPath)
+		// (A call of a bare parameter has no expressible representation:
+		// extendLast yields a nil path for it.)
+		return a.unknownCall(fe, call, nil, a.extendLast(path, "()"))
 
 	case *pyast.Attribute:
 		base, basePath := a.eval(fe, f.Value)
@@ -303,17 +297,17 @@ func (a *analyzer) evalCall(fe *funcEnv, call *pyast.Call) ([]*object, *sympath)
 // and from the receiver into the event, and the event's value is returned
 // (a call propagates information from arguments to its return value, §5.2).
 func (a *analyzer) unknownCall(fe *funcEnv, call *pyast.Call, receiver []*object, path *sympath) ([]*object, *sympath) {
-	ev := a.g.AddEvent(propgraph.KindCall, a.file, call.Pos(), path.reps())
+	ev := a.g.AddEvent(propgraph.KindCall, a.file, call.Pos(), a.reps(path))
 	// Edges are labeled with the argument position the flow enters
 	// through, enabling argument-sensitive sink specifications (§3.3's
 	// future-work differentiation).
 	feedArg := func(objs []*object, argPos int) {
-		for _, src := range collectEvents(objs, a.opts.FieldDepth) {
+		for _, src := range a.sc.collectEvents(objs, a.opts.FieldDepth) {
 			a.g.AddEdgeArg(src, ev.ID, argPos)
 		}
 	}
 	feedAny := func(objs []*object) {
-		for _, src := range collectEvents(objs, a.opts.FieldDepth) {
+		for _, src := range a.sc.collectEvents(objs, a.opts.FieldDepth) {
 			a.g.AddEdge(src, ev.ID)
 		}
 	}
@@ -321,7 +315,7 @@ func (a *analyzer) unknownCall(fe *funcEnv, call *pyast.Call, receiver []*object
 	// Arguments flow INTO the call event only; the result carries the
 	// event itself, never the argument objects directly — otherwise flows
 	// through sanitizing calls would bypass the sanitizer vertex.
-	result := newObject(ev.ID)
+	result := a.sc.one(a.sc.newObject(ev.ID))
 	for i, arg := range call.Args {
 		objs, _ := a.eval(fe, arg)
 		if _, starred := arg.(*pyast.Starred); starred {
@@ -335,7 +329,7 @@ func (a *analyzer) unknownCall(fe *funcEnv, call *pyast.Call, receiver []*object
 		objs, _ := a.eval(fe, kw.Value)
 		feedArg(objs, propgraph.ArgKeyword)
 	}
-	return []*object{result}, path
+	return result, path
 }
 
 // linkLocalCall wires a call to a function defined in this file: argument
@@ -352,8 +346,8 @@ func (a *analyzer) linkLocalCall(fe *funcEnv, fd *funcDef, call *pyast.Call, rec
 		if i < 0 || i >= len(params) {
 			return
 		}
-		if evID, ok := fd.paramEvents[params[i]]; ok {
-			for _, src := range collectEvents(objs, a.opts.FieldDepth) {
+		if evID, ok := fd.paramEvent(params[i]); ok {
+			for _, src := range a.sc.collectEvents(objs, a.opts.FieldDepth) {
 				a.g.AddEdge(src, evID)
 			}
 		}
@@ -373,7 +367,7 @@ func (a *analyzer) linkLocalCall(fe *funcEnv, fd *funcDef, call *pyast.Call, rec
 	_ = receiver
 	result := fd.returns
 	if len(result) == 0 {
-		result = []*object{newObject(-1)}
+		result = a.sc.opaque()
 	}
 	return result, nil
 }

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"strings"
+
 	"seldon/internal/propgraph"
 	"seldon/internal/pyast"
 )
@@ -16,26 +18,28 @@ func (a *analyzer) analyzeStmt(fe *funcEnv, s pyast.Stmt) {
 	switch st := s.(type) {
 	case *pyast.Import:
 		for _, al := range st.Names {
-			segs := splitDotted(al.Name)
+			segs := a.splitDotted(al.Name)
 			if al.AsName != "" {
-				a.imports[al.AsName] = segs
+				a.sc.imports[al.AsName] = segs
 			} else {
 				// `import a.b` binds `a`.
-				a.imports[segs[0]] = segs[:1]
+				a.sc.imports[segs[0]] = segs[:1]
 			}
 		}
 	case *pyast.ImportFrom:
-		prefix := splitDotted(st.Module)
+		prefix := a.splitDotted(st.Module)
 		for _, al := range st.Names {
 			if al.Name == "*" {
 				continue // wildcard imports cannot be resolved statically
 			}
-			segs := append(append([]string(nil), prefix...), splitDotted(al.Name)...)
+			name := a.splitDotted(al.Name)
+			segs := a.sc.strs.Alloc(len(prefix) + len(name))
+			copy(segs[copy(segs, prefix):], name)
 			local := al.AsName
 			if local == "" {
 				local = al.Name
 			}
-			a.imports[local] = segs
+			a.sc.imports[local] = segs
 		}
 
 	case *pyast.Assign:
@@ -45,7 +49,7 @@ func (a *analyzer) analyzeStmt(fe *funcEnv, s pyast.Stmt) {
 				// Remember the defining expression's path so later uses of
 				// the variable produce chained representations.
 				fe.env.setWithPath(nm.Ident, objs, path)
-				fe.reassigned[nm.Ident] = true
+				a.bind(fe, nm.Ident, isReassigned)
 				continue
 			}
 			a.assignTo(fe, tgt, objs)
@@ -55,7 +59,7 @@ func (a *analyzer) analyzeStmt(fe *funcEnv, s pyast.Stmt) {
 		// The target keeps its previous values and gains the new ones.
 		if nm, ok := st.Target.(*pyast.Name); ok {
 			fe.env.add(nm.Ident, objs)
-			fe.reassigned[nm.Ident] = true
+			a.bind(fe, nm.Ident, isReassigned)
 		} else {
 			a.assignTo(fe, st.Target, objs)
 		}
@@ -71,7 +75,7 @@ func (a *analyzer) analyzeStmt(fe *funcEnv, s pyast.Stmt) {
 		if st.Value != nil {
 			objs, _ := a.eval(fe, st.Value)
 			if fe.cur != nil {
-				fe.cur.returns = unionObjects(fe.cur.returns, objs)
+				fe.cur.returns = a.sc.union(fe.cur.returns, objs)
 			}
 		}
 	case *pyast.Delete:
@@ -115,7 +119,7 @@ func (a *analyzer) analyzeStmt(fe *funcEnv, s pyast.Stmt) {
 		fe.env.merge(body)
 	case *pyast.For:
 		iterObjs, _ := a.eval(fe, st.Iter)
-		elems := elementsOf(iterObjs)
+		elems := a.elementsOf(iterObjs)
 		body := fe.env.clone()
 		a.withEnv(fe, body, func() {
 			a.assignTo(fe, st.Target, elems)
@@ -141,8 +145,8 @@ func (a *analyzer) analyzeStmt(fe *funcEnv, s pyast.Stmt) {
 					a.eval(fe, h.Type)
 				}
 				if h.Name != "" {
-					fe.env.set(h.Name, []*object{newObject(-1)})
-					fe.reassigned[h.Name] = true
+					fe.env.set(h.Name, a.sc.opaque())
+					a.bind(fe, h.Name, isReassigned)
 				}
 				a.analyzeBody(fe, h.Body)
 			})
@@ -172,15 +176,15 @@ func (a *analyzer) withEnv(fe *funcEnv, e *env, f func()) {
 // elementsOf extracts container elements of objs, falling back to the
 // containers themselves when no element information exists (so iteration
 // over an unknown value still propagates its taint).
-func elementsOf(objs []*object) []*object {
+func (a *analyzer) elementsOf(objs []*object) []*object {
 	var elems []*object
 	for _, o := range objs {
-		elems = unionObjects(elems, o.field(elemKey))
+		elems = a.sc.union(elems, o.field(elemKey))
 	}
 	if len(elems) == 0 {
 		return objs
 	}
-	return unionObjects(elems, objs)
+	return a.sc.union(elems, objs)
 }
 
 // assignTo binds objs to an assignment target.
@@ -188,17 +192,17 @@ func (a *analyzer) assignTo(fe *funcEnv, target pyast.Expr, objs []*object) {
 	switch t := target.(type) {
 	case *pyast.Name:
 		fe.env.set(t.Ident, objs)
-		fe.reassigned[t.Ident] = true
+		a.bind(fe, t.Ident, isReassigned)
 	case *pyast.Attribute:
 		base, _ := a.eval(fe, t.Value)
 		for _, o := range base {
-			o.addField(t.Attr, objs)
+			o.addField(a.sc, t.Attr, objs)
 		}
 	case *pyast.Subscript:
 		base, _ := a.eval(fe, t.Value)
 		a.eval(fe, t.Index)
 		for _, o := range base {
-			o.addField(elemKey, objs)
+			o.addField(a.sc, elemKey, objs)
 		}
 	case *pyast.Tuple:
 		a.assignToEach(fe, t.Elts, objs)
@@ -210,7 +214,7 @@ func (a *analyzer) assignTo(fe *funcEnv, target pyast.Expr, objs []*object) {
 }
 
 func (a *analyzer) assignToEach(fe *funcEnv, targets []pyast.Expr, objs []*object) {
-	elems := elementsOf(objs)
+	elems := a.elementsOf(objs)
 	for _, tgt := range targets {
 		a.assignTo(fe, tgt, elems)
 	}
@@ -228,26 +232,32 @@ func (a *analyzer) registerFunc(fe *funcEnv, def *pyast.FunctionDef, class *clas
 		ctx.Class = class.name
 		ctx.ClassBases = class.bases
 	}
-	fd := &funcDef{def: def, ctx: ctx, outer: fe, class: class,
-		paramEvents: make(map[string]int)}
+	fd := a.sc.funcDefs.New()
+	*fd = funcDef{def: def, ctx: ctx, outer: fe, class: class,
+		paramOrder:  a.sc.strs.Alloc(len(def.Params)),
+		paramEvents: a.sc.ints.Alloc(len(def.Params))}
 	for _, dec := range def.Decorators {
 		a.eval(fe, dec)
 	}
-	for _, p := range def.Params {
+	for i, p := range def.Params {
 		if p.Default != nil {
 			a.eval(fe, p.Default)
 		}
-		fd.paramOrder = append(fd.paramOrder, p.Name)
+		fd.paramOrder[i] = p.Name
+		fd.paramEvents[i] = -1
 	}
 	if class == nil {
+		if fe.locals == nil {
+			fe.locals = a.sc.funcs.get()
+		}
 		fe.locals[def.Name] = fd
 	}
-	a.order = append(a.order, fd)
+	a.sc.order = append(a.sc.order, fd)
 	return fd
 }
 
 func (a *analyzer) registerClass(fe *funcEnv, def *pyast.ClassDef) {
-	cd := &classDef{name: def.Name, methods: make(map[string]*funcDef)}
+	cd := &classDef{name: def.Name, methods: a.sc.funcs.get()}
 	for _, dec := range def.Decorators {
 		a.eval(fe, dec)
 	}
@@ -259,6 +269,9 @@ func (a *analyzer) registerClass(fe *funcEnv, def *pyast.ClassDef) {
 	}
 	for _, kw := range def.Keywords {
 		a.eval(fe, kw.Value)
+	}
+	if fe.classes == nil {
+		fe.classes = make(map[string]*classDef)
 	}
 	fe.classes[def.Name] = cd
 	// Class bodies execute at definition time: analyze non-def statements,
@@ -282,23 +295,23 @@ func (a *analyzer) ensureAnalyzed(fd *funcDef) {
 	fd.state = 1
 	fe := a.newFuncEnv(fd.ctx, fd, fd.outer)
 	fe.curClass = fd.class
-	for _, p := range fd.def.Params {
-		fe.params[p.Name] = true
+	for i, p := range fd.def.Params {
+		a.bind(fe, p.Name, isParam)
 		var objs []*object
 		if isReceiverName(p.Name) {
 			if fd.class != nil {
 				// All methods share the class's receiver so instance
 				// state flows across them.
-				objs = []*object{fd.class.receiver()}
+				objs = a.sc.one(a.receiver(fd.class))
 			} else {
-				objs = []*object{newObject(-1)}
+				objs = a.sc.opaque()
 			}
 		} else {
 			ev := a.g.AddEvent(propgraph.KindParam, a.file, p.NamePos, fd.ctx.ParamEventReps(p.Name))
-			fd.paramEvents[p.Name] = ev.ID
-			objs = []*object{newObject(ev.ID)}
+			fd.paramEvents[i] = ev.ID
+			objs = a.sc.one(a.sc.newObject(ev.ID))
 		}
-		fe.env.vars[p.Name] = objs
+		fe.env.set(p.Name, objs)
 	}
 	a.analyzeBody(fe, fd.def.Body)
 	fd.state = 2
@@ -309,21 +322,19 @@ func (a *analyzer) ensureAnalyzed(fd *funcDef) {
 // the object itself).
 func isReceiverName(s string) bool { return s == "self" || s == "cls" }
 
-func splitDotted(s string) []string {
+// splitDotted splits a dotted name into its segments.
+func (a *analyzer) splitDotted(s string) []string {
 	if s == "" {
 		return nil
 	}
-	var segs []string
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != '.' {
-			i++
-		}
-		segs = append(segs, s[:i])
-		if i == len(s) {
-			break
-		}
-		s = s[i+1:]
+	n := strings.Count(s, ".") + 1
+	if strings.HasSuffix(s, ".") {
+		n-- // a trailing dot ends the name, it does not start an empty segment
+	}
+	segs := a.sc.strs.Alloc(n)
+	for i := range segs {
+		seg, rest, _ := strings.Cut(s, ".")
+		segs[i], s = seg, rest
 	}
 	return segs
 }

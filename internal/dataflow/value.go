@@ -6,6 +6,10 @@
 // sets, §5.2). Loops are analyzed as a single iteration, calls to unknown
 // functions are allocation sites, and functions defined in the same file
 // are linked through parameter/return summaries (the paper's inlining).
+//
+// Everything the interpreter allocates while it runs — objects, object
+// sets, symbolic paths, environments — comes from a Scratch (scratch.go)
+// and dies with the analysis; only the graph survives it.
 package dataflow
 
 import "sort"
@@ -22,130 +26,158 @@ type object struct {
 	event  int // ID of the event that produced it, or -1
 	fields map[string][]*object
 	class  *classDef // non-nil for instances of local classes
+	mark   uint32    // last Scratch.stamp that visited it (set dedup)
 }
-
-func newObject(event int) *object { return &object{event: event} }
 
 func (o *object) field(name string) []*object { return o.fields[name] }
 
-func (o *object) addField(name string, vals []*object) {
+func (o *object) addField(sc *Scratch, name string, vals []*object) {
 	if len(vals) == 0 {
 		return
 	}
 	if o.fields == nil {
-		o.fields = make(map[string][]*object)
+		o.fields = sc.fieldMaps.get()
 	}
-	o.fields[name] = unionObjects(o.fields[name], vals)
+	o.fields[name] = sc.union(o.fields[name], vals)
 }
 
-// unionObjects merges two object sets without duplicates, preserving order.
-func unionObjects(a, b []*object) []*object {
-	if len(b) == 0 {
-		return a
+// Object sets are immutable once built: union returns x itself or a new
+// run, never writes into x's backing array, so sets can be shared between
+// variables, environments and fields without copying.
+
+// smallSet is the combined size up to which union dedups by scanning; a
+// larger union stamps the objects instead. Neither allocates.
+const smallSet = 16
+
+// union merges two object sets without duplicates, preserving order: x,
+// then the objects of y not already present.
+func (sc *Scratch) union(x, y []*object) []*object {
+	if len(y) == 0 {
+		return x
 	}
-	seen := make(map[*object]bool, len(a))
-	for _, o := range a {
-		seen[o] = true
-	}
-	out := a
-	for _, o := range b {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
+	fresh := sc.tmp[:0]
+	if len(x)+len(y) <= smallSet {
+		for _, o := range y {
+			if !contains(x, o) && !contains(fresh, o) {
+				fresh = append(fresh, o)
+			}
+		}
+	} else {
+		st := sc.nextStamp()
+		for _, o := range x {
+			o.mark = st
+		}
+		for _, o := range y {
+			if o.mark != st {
+				o.mark = st
+				fresh = append(fresh, o)
+			}
 		}
 	}
+	sc.tmp = fresh
+	if len(fresh) == 0 {
+		return x
+	}
+	out := sc.sets.Alloc(len(x) + len(fresh))
+	copy(out[copy(out, x):], fresh)
 	return out
+}
+
+func contains(set []*object, o *object) bool {
+	for _, p := range set {
+		if p == o {
+			return true
+		}
+	}
+	return false
 }
 
 // collectEvents gathers the events carried by objs: their own creating
 // events plus events reachable through fields, to a bounded depth. This is
-// what flows into an event when the objects are used as arguments.
-func collectEvents(objs []*object, depth int) []int {
-	seenObj := make(map[*object]bool)
-	seenEv := make(map[int]bool)
-	var out []int
-	var walk func(os []*object, d int)
-	walk = func(os []*object, d int) {
-		for _, o := range os {
-			if seenObj[o] {
-				continue
+// what flows into an event when the objects are used as arguments. The
+// result is valid until the next collectEvents call.
+func (sc *Scratch) collectEvents(objs []*object, depth int) []int {
+	sc.events = sc.events[:0]
+	sc.collect(objs, depth, sc.nextStamp())
+	return sc.events
+}
+
+func (sc *Scratch) collect(objs []*object, depth int, st uint32) {
+	for _, o := range objs {
+		if o.mark == st {
+			continue
+		}
+		o.mark = st
+		if o.event >= 0 {
+			for o.event >= len(sc.eventMark) {
+				sc.eventMark = append(sc.eventMark, 0)
 			}
-			seenObj[o] = true
-			if o.event >= 0 && !seenEv[o.event] {
-				seenEv[o.event] = true
-				out = append(out, o.event)
-			}
-			if d > 0 {
-				for _, name := range sortedFieldNames(o) {
-					walk(o.fields[name], d-1)
-				}
+			if sc.eventMark[o.event] != st {
+				sc.eventMark[o.event] = st
+				sc.events = append(sc.events, o.event)
 			}
 		}
+		if depth > 0 && len(o.fields) > 0 {
+			// Field names in sorted order, on a stack shared by the
+			// recursion; index it afresh each round, it may have moved.
+			lo := len(sc.names)
+			for n := range o.fields {
+				sc.names = append(sc.names, n)
+			}
+			hi := len(sc.names)
+			sort.Strings(sc.names[lo:hi])
+			for i := lo; i < hi; i++ {
+				sc.collect(o.fields[sc.names[i]], depth-1, st)
+			}
+			clear(sc.names[lo:hi]) // they are substrings of the source text
+			sc.names = sc.names[:lo]
+		}
 	}
-	walk(objs, depth)
-	return out
 }
 
-func sortedFieldNames(o *object) []string {
-	if len(o.fields) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(o.fields))
-	for n := range o.fields {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+// binding is what an environment knows about one variable: its abstract
+// value and, optionally, the symbolic path of its defining expression (so
+// `cur = conn.cursor()` followed by `cur.execute(q)` yields the chained
+// representation MySQLdb.connect().cursor().execute()).
+type binding struct {
+	objs []*object
+	path *sympath
 }
 
-// env maps local variable names to abstract values, and optionally to the
-// symbolic path of their defining expression (so `cur = conn.cursor()`
-// followed by `cur.execute(q)` yields the chained representation
-// MySQLdb.connect().cursor().execute()). Environments are cloned at
+// env maps local variable names to bindings. Environments are cloned at
 // branches and merged (pointwise union; conflicting paths are dropped) at
-// join points.
+// join points. The map is created on first write.
 type env struct {
-	vars  map[string][]*object
-	paths map[string]*sympath
+	sc   *Scratch
+	vars map[string]binding
 }
 
-func newEnv() *env {
-	return &env{vars: make(map[string][]*object), paths: make(map[string]*sympath)}
-}
+func (e *env) get(name string) []*object { return e.vars[name].objs }
 
-func (e *env) get(name string) []*object { return e.vars[name] }
+func (e *env) path(name string) *sympath { return e.vars[name].path }
 
-func (e *env) set(name string, objs []*object) {
-	e.vars[name] = objs
-	delete(e.paths, name)
-}
+func (e *env) set(name string, objs []*object) { e.setWithPath(name, objs, nil) }
 
 func (e *env) setWithPath(name string, objs []*object, p *sympath) {
-	e.vars[name] = objs
-	if p != nil {
-		e.paths[name] = p
-	} else {
-		delete(e.paths, name)
+	if e.vars == nil {
+		e.vars = e.sc.vars.get()
 	}
+	e.vars[name] = binding{objs, p}
 }
 
 func (e *env) add(name string, objs []*object) {
-	e.vars[name] = unionObjects(e.vars[name], objs)
-	delete(e.paths, name)
+	e.set(name, e.sc.union(e.get(name), objs))
 }
 
-func (e *env) delete(name string) {
-	delete(e.vars, name)
-	delete(e.paths, name)
-}
+func (e *env) delete(name string) { delete(e.vars, name) }
 
 func (e *env) clone() *env {
-	c := newEnv()
-	for k, v := range e.vars {
-		c.vars[k] = append([]*object(nil), v...)
-	}
-	for k, p := range e.paths {
-		c.paths[k] = p
+	c := e.sc.newEnv()
+	if len(e.vars) > 0 {
+		c.vars = e.sc.vars.get()
+		for k, b := range e.vars {
+			c.vars[k] = b
+		}
 	}
 	return c
 }
@@ -153,12 +185,13 @@ func (e *env) clone() *env {
 // merge joins another environment into e (pointwise union). A variable
 // keeps its symbolic path only when both branches agree on it.
 func (e *env) merge(other *env) {
-	for k, v := range other.vars {
-		e.vars[k] = unionObjects(e.vars[k], v)
+	for k, ob := range other.vars {
+		b := e.vars[k]
+		e.setWithPath(k, e.sc.union(b.objs, ob.objs), b.path)
 	}
-	for k := range e.paths {
-		if other.paths[k] != e.paths[k] {
-			delete(e.paths, k)
+	for k, b := range e.vars {
+		if b.path != nil && other.vars[k].path != b.path {
+			e.vars[k] = binding{objs: b.objs}
 		}
 	}
 }
@@ -173,7 +206,7 @@ func (e *env) allObjects() []*object {
 	sort.Strings(names)
 	var out []*object
 	for _, n := range names {
-		out = unionObjects(out, e.vars[n])
+		out = e.sc.union(out, e.vars[n].objs)
 	}
 	return out
 }

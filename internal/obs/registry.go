@@ -89,9 +89,12 @@ const (
 
 	// Scratch-pool traffic on the serving hot path: pool.gets counts
 	// acquisitions, pool.news the subset that had to allocate a fresh
-	// scratch — their ratio is the pool's reuse rate.
-	CounterPoolGets = "pool.gets"
-	CounterPoolNews = "pool.news"
+	// scratch — their ratio is the pool's reuse rate. pool.oversize_drops
+	// counts the buffers a returned scratch let go because an unusually
+	// large request had grown them past the retention cap.
+	CounterPoolGets          = "pool.gets"
+	CounterPoolNews          = "pool.news"
+	CounterPoolOversizeDrops = "pool.oversize_drops"
 
 	// Distributed corpus learning (internal/shard). The worker times its
 	// slice analysis and artifact encode; the coordinator times artifact

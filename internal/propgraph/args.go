@@ -35,8 +35,9 @@ func (g *Graph) AddEdgeArg(src, dst, arg int) {
 			return
 		}
 	}
-	g.edgeArgs[key] = append(g.edgeArgs[key], arg)
-	sort.Ints(g.edgeArgs[key])
+	args := g.push(g.edgeArgs[key], arg)
+	sort.Ints(args)
+	g.edgeArgs[key] = args
 }
 
 // EdgeArgs returns the argument positions labeling the edge src→dst, or

@@ -153,32 +153,82 @@ type Graph struct {
 	// edgeArgs labels edges with the argument positions the flow enters
 	// through (see args.go); unlabeled edges match any position.
 	edgeArgs map[int64][]int
+
+	// A graph built event by event (AddEvent, AddEdge) carves its events,
+	// their RepIDs and its adjacency and label lists from chunks instead
+	// of allocating each one. These are the uncarved tails of the current
+	// chunks; the chunks belong to the graph and live as long as it does.
+	eventChunk []Event
+	symChunk   []Sym
+	intChunk   []int
 }
 
+// typicalFile is the event count the tables of an incrementally built
+// graph are first sized for, and roughly its symbol count: a corpus
+// file's graph has 19 events and 20 symbols on average, 30 and 39 at
+// most, so one allocation per table serves almost every file.
+const typicalFile = 32
+
 // New returns an empty propagation graph with a fresh symbol table.
-func New() *Graph { return &Graph{Syms: NewInterner()} }
+func New() *Graph { return &Graph{Syms: newInterner(typicalFile * 3 / 4)} }
+
+// chunkLen is the length of the next chunk of a graph that has n events
+// and needs room for at least need elements: chunks grow with the graph.
+func chunkLen(n, need int) int { return max(min(max(n, typicalFile/2), 512), need) }
 
 // AddEvent appends an event, interning its representations, and assigns
 // and returns its ID.
 func (g *Graph) AddEvent(kind EventKind, file string, pos pytoken.Pos, reps []string) *Event {
+	n := len(g.Events)
 	var ids []Sym
 	if len(reps) > 0 {
 		if g.Syms == nil {
 			g.Syms = NewInterner()
 		}
-		ids = make([]Sym, len(reps))
+		if len(g.symChunk) < len(reps) {
+			g.symChunk = make([]Sym, chunkLen(2*n, len(reps)))
+		}
+		ids = g.symChunk[:len(reps):len(reps)]
+		g.symChunk = g.symChunk[len(reps):]
 		for i, r := range reps {
 			ids[i] = g.Syms.Intern(r)
 		}
 	}
-	e := &Event{
-		ID: len(g.Events), Kind: kind, File: file, Pos: pos,
+	if len(g.eventChunk) == 0 {
+		g.eventChunk = make([]Event, chunkLen(n, 1))
+	}
+	e := &g.eventChunk[0]
+	g.eventChunk = g.eventChunk[1:]
+	*e = Event{
+		ID: n, Kind: kind, File: file, Pos: pos,
 		RepIDs: ids, Roles: CandidateRoles(kind), syms: g.Syms,
+	}
+	if g.Events == nil {
+		g.Events = make([]*Event, 0, typicalFile)
+		g.succs = make([][]int, 0, typicalFile)
+		g.preds = make([][]int, 0, typicalFile)
 	}
 	g.Events = append(g.Events, e)
 	g.succs = append(g.succs, nil)
 	g.preds = append(g.preds, nil)
 	return e
+}
+
+// push appends v to an adjacency or label list of the graph. A full list
+// moves to a run of twice its length carved from the graph's chunk, the
+// growth append would give it, without an allocation per list.
+func (g *Graph) push(list []int, v int) []int {
+	if len(list) == cap(list) {
+		n := max(2*len(list), 1)
+		if len(g.intChunk) < n {
+			g.intChunk = make([]int, chunkLen(2*len(g.Events), n))
+		}
+		run := g.intChunk[:len(list):n]
+		g.intChunk = g.intChunk[n:]
+		copy(run, list)
+		list = run
+	}
+	return append(list, v)
 }
 
 // AddEdge records information flow from src to dst. Self-loops and
@@ -215,8 +265,8 @@ func (g *Graph) AddEdge(src, dst int) {
 		}
 		set[dst] = struct{}{}
 	}
-	g.succs[src] = append(ss, dst)
-	g.preds[dst] = append(g.preds[dst], src)
+	g.succs[src] = g.push(ss, dst)
+	g.preds[dst] = g.push(g.preds[dst], src)
 }
 
 // Succs returns the IDs of events receiving flow from id.

@@ -24,8 +24,11 @@ type Interner struct {
 }
 
 // NewInterner returns an empty symbol table.
-func NewInterner() *Interner {
-	return &Interner{index: make(map[string]Sym)}
+func NewInterner() *Interner { return newInterner(0) }
+
+// newInterner returns an empty symbol table with room for n symbols.
+func newInterner(n int) *Interner {
+	return &Interner{index: make(map[string]Sym, n), strs: make([]string, 0, n)}
 }
 
 // Intern returns the symbol for s, assigning the next dense ID on first

@@ -23,16 +23,16 @@ type RepContext struct {
 // for call/read chains, but not for the parameter event itself, whose bare
 // name would carry no information).
 func (c RepContext) paramRoots(param string, includeBare bool) []string {
-	var roots []string
-	suffix := "(param " + param + ")"
+	roots := make([]string, 0, len(c.ClassBases)+3)
 	if c.Function != "" {
+		fn := c.Function + "(param " + param + ")"
 		if c.Class != "" {
-			roots = append(roots, c.Class+"::"+c.Function+suffix)
+			roots = append(roots, c.Class+"::"+fn)
 			for _, base := range c.ClassBases {
-				roots = append(roots, base+"::"+c.Function+suffix)
+				roots = append(roots, base+"::"+fn)
 			}
 		}
-		roots = append(roots, c.Function+suffix)
+		roots = append(roots, fn)
 	}
 	if includeBare {
 		roots = append(roots, param)
@@ -74,17 +74,23 @@ func (c RepContext) ParamRootedReps(param string, rest []string) []string {
 // target of a longer chain; a path that is itself a single segment yields
 // that one representation.
 func SuffixReps(path []string) []string {
-	if len(path) == 0 {
-		return nil
+	return AppendSuffixReps(nil, path)
+}
+
+// AppendSuffixReps is SuffixReps appending to dst. The chain costs one
+// string: every shorter representation is a suffix of the first and is
+// returned as a substring of it.
+func AppendSuffixReps(dst, path []string) []string {
+	if len(path) <= 1 {
+		return append(dst, path...)
 	}
-	if len(path) == 1 {
-		return []string{path[0]}
+	full := strings.Join(path, ".")
+	off := 0
+	for _, seg := range path[:len(path)-1] {
+		dst = append(dst, full[off:])
+		off += len(seg) + 1
 	}
-	reps := make([]string, 0, len(path)-1)
-	for i := 0; i+2 <= len(path); i++ {
-		reps = append(reps, strings.Join(path[i:], "."))
-	}
-	return reps
+	return dst
 }
 
 // SubscriptSegment renders an indexing step for inclusion in a path

@@ -43,11 +43,12 @@ func (p *parser) parseOr() pyast.Expr {
 	if !p.at(pytoken.KwOr) {
 		return e
 	}
-	op := &pyast.BoolOp{Op: pytoken.KwOr, Values: []pyast.Expr{e}}
+	mark := p.sc.exprs.mark()
+	p.sc.exprs.push(e)
 	for p.accept(pytoken.KwOr) {
-		op.Values = append(op.Values, p.parseAnd())
+		p.sc.exprs.push(p.parseAnd())
 	}
-	return op
+	return &pyast.BoolOp{Op: pytoken.KwOr, Values: p.sc.exprs.carve(mark)}
 }
 
 func (p *parser) parseAnd() pyast.Expr {
@@ -55,11 +56,12 @@ func (p *parser) parseAnd() pyast.Expr {
 	if !p.at(pytoken.KwAnd) {
 		return e
 	}
-	op := &pyast.BoolOp{Op: pytoken.KwAnd, Values: []pyast.Expr{e}}
+	mark := p.sc.exprs.mark()
+	p.sc.exprs.push(e)
 	for p.accept(pytoken.KwAnd) {
-		op.Values = append(op.Values, p.parseNot())
+		p.sc.exprs.push(p.parseNot())
 	}
-	return op
+	return &pyast.BoolOp{Op: pytoken.KwAnd, Values: p.sc.exprs.carve(mark)}
 }
 
 func (p *parser) parseNot() pyast.Expr {
@@ -73,7 +75,7 @@ func (p *parser) parseNot() pyast.Expr {
 func (p *parser) parseComparison() pyast.Expr {
 	left := p.parseBitOr()
 	var ops []pyast.CompareOp
-	var comparators []pyast.Expr
+	mark := p.sc.exprs.mark()
 	for {
 		var op pyast.CompareOp
 		switch p.cur().Kind {
@@ -100,10 +102,10 @@ func (p *parser) parseComparison() pyast.Expr {
 			if len(ops) == 0 {
 				return left
 			}
-			return &pyast.Compare{Left: left, Ops: ops, Comparators: comparators}
+			return &pyast.Compare{Left: left, Ops: ops, Comparators: p.sc.exprs.carve(mark)}
 		}
 		ops = append(ops, op)
-		comparators = append(comparators, p.parseBitOr())
+		p.sc.exprs.push(p.parseBitOr())
 	}
 }
 
@@ -178,11 +180,11 @@ func (p *parser) parsePostfix(e pyast.Expr) pyast.Expr {
 			p.next()
 			args, kws := p.parseCallArgs()
 			p.expect(pytoken.RPAREN)
-			e = &pyast.Call{Func: e, Args: args, Keywords: kws}
+			e = node(&p.sc.calls, pyast.Call{Func: e, Args: args, Keywords: kws})
 		case pytoken.DOT:
 			p.next()
 			nm := p.expectNameLike()
-			e = &pyast.Attribute{Value: e, Attr: nm.Lit, AttrPos: nm.Pos}
+			e = node(&p.sc.attrs, pyast.Attribute{Value: e, Attr: nm.Lit, AttrPos: nm.Pos})
 		case pytoken.LBRACKET:
 			p.next()
 			idx := p.parseSubscriptIndex()
@@ -210,14 +212,15 @@ func (p *parser) parseSubscriptIndex() pyast.Expr {
 	if !p.at(pytoken.COMMA) {
 		return first
 	}
-	tup := &pyast.Tuple{TuplePos: first.Pos(), Elts: []pyast.Expr{first}}
+	mark := p.sc.exprs.mark()
+	p.sc.exprs.push(first)
 	for p.accept(pytoken.COMMA) {
 		if p.at(pytoken.RBRACKET) {
 			break
 		}
-		tup.Elts = append(tup.Elts, p.parseSliceItem())
+		p.sc.exprs.push(p.parseSliceItem())
 	}
-	return tup
+	return &pyast.Tuple{TuplePos: first.Pos(), Elts: p.sc.exprs.carve(mark)}
 }
 
 func (p *parser) parseSliceItem() pyast.Expr {
@@ -245,20 +248,19 @@ func (p *parser) parseSliceItem() pyast.Expr {
 // paren (not consumed). `*x` becomes a Starred positional; `**x` becomes a
 // Keyword with empty name.
 func (p *parser) parseCallArgs() ([]pyast.Expr, []*pyast.Keyword) {
-	var args []pyast.Expr
-	var kws []*pyast.Keyword
+	args, kws := p.sc.exprs.mark(), p.sc.keywordPtrs.mark()
 	for !p.at(pytoken.RPAREN) && !p.at(pytoken.EOF) {
 		switch {
 		case p.at(pytoken.DOUBLESTAR):
 			pos := p.next().Pos
-			kws = append(kws, &pyast.Keyword{NamePos: pos, Value: p.parseExpr()})
+			p.sc.keywordPtrs.push(node(&p.sc.keywords, pyast.Keyword{NamePos: pos, Value: p.parseExpr()}))
 		case p.at(pytoken.STAR):
 			pos := p.next().Pos
-			args = append(args, &pyast.Starred{StarPos: pos, Value: p.parseExpr()})
+			p.sc.exprs.push(&pyast.Starred{StarPos: pos, Value: p.parseExpr()})
 		case p.at(pytoken.NAME) && p.peekKind(1) == pytoken.ASSIGN:
 			nm := p.next()
 			p.next() // =
-			kws = append(kws, &pyast.Keyword{NamePos: nm.Pos, Name: nm.Lit, Value: p.parseExpr()})
+			p.sc.keywordPtrs.push(node(&p.sc.keywords, pyast.Keyword{NamePos: nm.Pos, Name: nm.Lit, Value: p.parseExpr()}))
 		default:
 			arg := p.parseNamedExprOrExpr()
 			// Generator expression as sole argument: f(x for x in y)
@@ -267,13 +269,13 @@ func (p *parser) parseCallArgs() ([]pyast.Expr, []*pyast.Keyword) {
 				comp.Clauses = p.parseCompClauses()
 				arg = comp
 			}
-			args = append(args, arg)
+			p.sc.exprs.push(arg)
 		}
 		if !p.accept(pytoken.COMMA) {
 			break
 		}
 	}
-	return args, kws
+	return p.sc.exprs.carve(args), p.sc.keywordPtrs.carve(kws)
 }
 
 func (p *parser) parseYield() pyast.Expr {
@@ -299,15 +301,15 @@ func (p *parser) parseAtom() pyast.Expr {
 	switch tok.Kind {
 	case pytoken.NAME:
 		p.next()
-		return &pyast.Name{NamePos: tok.Pos, Ident: tok.Lit}
+		return node(&p.sc.names, pyast.Name{NamePos: tok.Pos, Ident: tok.Lit})
 	case pytoken.NUMBER:
 		p.next()
-		return &pyast.Num{NumPos: tok.Pos, Lit: tok.Lit}
+		return node(&p.sc.nums, pyast.Num{NumPos: tok.Pos, Lit: tok.Lit})
 	case pytoken.STRING:
 		return p.parseStringConcat()
 	case pytoken.KwTrue, pytoken.KwFalse, pytoken.KwNone:
 		p.next()
-		return &pyast.NameConst{ConstPos: tok.Pos, Value: tok.Kind.String()}
+		return node(&p.sc.consts, pyast.NameConst{ConstPos: tok.Pos, Value: tok.Kind.String()})
 	case pytoken.ELLIPSIS:
 		p.next()
 		return &pyast.EllipsisLit{DotsPos: tok.Pos}
@@ -337,24 +339,20 @@ func (p *parser) parseAtom() pyast.Expr {
 // f-string interpolation: if any part is an f-string with {…} values, the
 // result is a JoinedStr carrying the parsed interpolations.
 func (p *parser) parseStringConcat() pyast.Expr {
+	start := p.pos
 	first := p.next()
-	toks := []pytoken.Token{first}
 	lit := first.Lit
 	for p.at(pytoken.STRING) {
-		tok := p.next()
-		toks = append(toks, tok)
-		lit += tok.Lit
+		lit += p.next().Lit
 	}
-	var values []pyast.Expr
-	for _, tok := range toks {
-		if js, ok := parseFString(tok).(*pyast.JoinedStr); ok {
-			values = append(values, js.Values...)
-		}
+	mark := p.sc.exprs.mark()
+	for _, tok := range p.toks[start:p.pos] {
+		p.parseFString(tok)
 	}
-	if len(values) > 0 {
+	if values := p.sc.exprs.carve(mark); len(values) > 0 {
 		return &pyast.JoinedStr{StrPos: first.Pos, Lit: lit, Values: values}
 	}
-	return &pyast.Str{StrPos: first.Pos, Lit: lit}
+	return node(&p.sc.strs, pyast.Str{StrPos: first.Pos, Lit: lit})
 }
 
 // parseParenForm parses `()`, a parenthesized expression, a tuple, a
@@ -378,15 +376,16 @@ func (p *parser) parseParenForm() pyast.Expr {
 		p.expect(pytoken.RPAREN)
 		return comp
 	case p.at(pytoken.COMMA):
-		tup := &pyast.Tuple{TuplePos: open.Pos, Elts: []pyast.Expr{first}}
+		mark := p.sc.exprs.mark()
+		p.sc.exprs.push(first)
 		for p.accept(pytoken.COMMA) {
 			if p.at(pytoken.RPAREN) {
 				break
 			}
-			tup.Elts = append(tup.Elts, p.parseStarOrNamedExpr())
+			p.sc.exprs.push(p.parseStarOrNamedExpr())
 		}
 		p.expect(pytoken.RPAREN)
-		return tup
+		return &pyast.Tuple{TuplePos: open.Pos, Elts: p.sc.exprs.carve(mark)}
 	default:
 		p.expect(pytoken.RPAREN)
 		return first
@@ -405,7 +404,7 @@ func (p *parser) parseListForm() pyast.Expr {
 	open := p.expect(pytoken.LBRACKET)
 	if p.at(pytoken.RBRACKET) {
 		p.next()
-		return &pyast.List{ListPos: open.Pos}
+		return node(&p.sc.lists, pyast.List{ListPos: open.Pos})
 	}
 	first := p.parseStarOrNamedExpr()
 	if p.at(pytoken.KwFor) || p.at(pytoken.KwAsync) {
@@ -414,15 +413,16 @@ func (p *parser) parseListForm() pyast.Expr {
 		p.expect(pytoken.RBRACKET)
 		return comp
 	}
-	lst := &pyast.List{ListPos: open.Pos, Elts: []pyast.Expr{first}}
+	mark := p.sc.exprs.mark()
+	p.sc.exprs.push(first)
 	for p.accept(pytoken.COMMA) {
 		if p.at(pytoken.RBRACKET) {
 			break
 		}
-		lst.Elts = append(lst.Elts, p.parseStarOrNamedExpr())
+		p.sc.exprs.push(p.parseStarOrNamedExpr())
 	}
 	p.expect(pytoken.RBRACKET)
-	return lst
+	return node(&p.sc.lists, pyast.List{ListPos: open.Pos, Elts: p.sc.exprs.carve(mark)})
 }
 
 // parseBraceForm parses dict and set displays and comprehensions.
@@ -461,15 +461,16 @@ func (p *parser) parseBraceForm() pyast.Expr {
 		p.expect(pytoken.RBRACE)
 		return comp
 	}
-	set := &pyast.Set{SetPos: open.Pos, Elts: []pyast.Expr{first}}
+	mark := p.sc.exprs.mark()
+	p.sc.exprs.push(first)
 	for p.accept(pytoken.COMMA) {
 		if p.at(pytoken.RBRACE) {
 			break
 		}
-		set.Elts = append(set.Elts, p.parseStarOrNamedExpr())
+		p.sc.exprs.push(p.parseStarOrNamedExpr())
 	}
 	p.expect(pytoken.RBRACE)
-	return set
+	return &pyast.Set{SetPos: open.Pos, Elts: p.sc.exprs.carve(mark)}
 }
 
 func (p *parser) parseDictItems(d *pyast.Dict) {

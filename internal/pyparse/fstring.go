@@ -7,37 +7,31 @@ import (
 	"seldon/internal/pytoken"
 )
 
-// parseFString turns an f-string token literal into a JoinedStr whose
-// Values are the parsed {…} interpolations, so information flows from the
-// interpolated expressions into the string (the f"SELECT {term}" idiom).
-// Literals without interpolations, and fragments that fail to parse,
+// parseFString pushes the parsed {…} interpolations of an f-string token
+// on the expression stack, so information flows from the interpolated
+// expressions into the string (the f"SELECT {term}" idiom). Literals
+// without interpolations push nothing, and fragments that fail to parse
 // degrade gracefully.
-func parseFString(tok pytoken.Token) pyast.Expr {
-	fragments := fstringFragments(tok.Lit)
-	if len(fragments) == 0 {
-		return &pyast.Str{StrPos: tok.Pos, Lit: tok.Lit}
-	}
-	js := &pyast.JoinedStr{StrPos: tok.Pos, Lit: tok.Lit}
-	for _, frag := range fragments {
-		sub := &parser{file: "<f-string>", toks: mustScan(frag)}
-		expr := sub.parseFragment()
-		if expr != nil {
-			js.Values = append(js.Values, expr)
+func (p *parser) parseFString(tok pytoken.Token) {
+	for _, frag := range fstringFragments(tok.Lit) {
+		// The fragment's nodes join the enclosing module, so they come
+		// from the same scratch; its tokens are its own.
+		sub := &parser{file: "<f-string>", toks: mustScan(frag), sc: p.sc}
+		if expr := sub.parseFragment(); expr != nil {
+			p.sc.exprs.push(expr)
 		}
 	}
-	if len(js.Values) == 0 {
-		return &pyast.Str{StrPos: tok.Pos, Lit: tok.Lit}
-	}
-	return js
 }
 
 // parseFragment parses a single expression, returning nil on any error.
 func (p *parser) parseFragment() (expr pyast.Expr) {
+	m := p.marks()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(bailout); !ok {
 				panic(r)
 			}
+			p.unwind(m)
 			expr = nil
 		}
 	}()

@@ -38,23 +38,7 @@ type parser struct {
 	toks []pytoken.Token
 	pos  int
 	errs []error
-}
-
-// Scratch holds the parser's reusable buffers — today the token slice,
-// the dominant per-parse allocation. A Scratch is not safe for
-// concurrent use; callers pool them (sync.Pool) and hand one to
-// ParseWith per parse. The zero value is ready to use.
-type Scratch struct {
-	toks []pytoken.Token
-}
-
-// Reset drops the buffered contents but keeps the grown capacity, so a
-// pooled Scratch never retains token literals between uses longer than
-// necessary. ParseWith resets implicitly; Reset exists for pools that
-// want to scrub on release.
-func (s *Scratch) Reset() {
-	clear(s.toks)
-	s.toks = s.toks[:0]
+	sc   *Scratch // where nodes and lists come from; never nil
 }
 
 // Parse parses src into a module. The returned module contains every
@@ -63,21 +47,22 @@ func Parse(file, src string) (*pyast.Module, error) {
 	return ParseWith(nil, file, src)
 }
 
-// ParseWith is Parse with a reusable Scratch: the token buffer from
-// earlier parses is reused instead of reallocated. The resulting module
-// is independent of the scratch (AST nodes copy what they keep), so the
-// scratch can be reused immediately. A nil scratch falls back to fresh
-// allocation; output is identical either way.
+// ParseWith is Parse with a reusable Scratch: tokens, AST nodes and list
+// backings are carved from the scratch's buffers instead of allocated,
+// so the returned module is valid only until the next ParseWith or Reset
+// on the same scratch. A nil scratch parses into fresh buffers that the
+// module then owns. The module and the error text are identical either
+// way, and the error never refers to the scratch.
 func ParseWith(sc *Scratch, file, src string) (*pyast.Module, error) {
-	var buf []pytoken.Token
-	if sc != nil {
-		buf = sc.toks
+	if sc == nil {
+		sc = new(Scratch)
+	} else {
+		sc.Reset()
 	}
-	toks, scanErr := pytoken.ScanAllInto(file, src, buf)
-	if sc != nil {
-		sc.toks = toks // keep the (possibly grown) buffer for the next parse
-	}
-	p := &parser{file: file, toks: toks}
+	sc.scan.Init(file, src)
+	toks, scanErr := sc.scan.ScanAllInto(sc.toks)
+	sc.toks = toks
+	p := &parser{file: file, toks: toks, sc: sc}
 	if scanErr != nil {
 		p.errs = append(p.errs, scanErr)
 	}
@@ -156,11 +141,10 @@ func (p *parser) sync() {
 // parseSuiteUntil parses statements until the terminator kind, recovering
 // from per-statement errors.
 func (p *parser) parseSuiteUntil(end pytoken.Kind) []pyast.Stmt {
-	var body []pyast.Stmt
+	mark := p.sc.stmts.mark()
 	for !p.at(end) && !p.at(pytoken.EOF) {
 		before := p.pos
-		stmts := p.parseStatementRecover()
-		body = append(body, stmts...)
+		p.parseStatementRecover()
 		if p.pos == before {
 			// Guarantee progress on malformed input (e.g. a stray DEDENT
 			// at top level that error recovery refuses to consume).
@@ -170,49 +154,75 @@ func (p *parser) parseSuiteUntil(end pytoken.Kind) []pyast.Stmt {
 	if p.at(end) && end != pytoken.EOF {
 		p.next()
 	}
-	return body
+	return p.sc.stmts.carve(mark)
 }
 
-func (p *parser) parseStatementRecover() (stmts []pyast.Stmt) {
+// marks records the depth of every list-building stack, so an error
+// bailout can pop what the abandoned statement had pushed.
+type marks struct{ exprs, stmts, params, aliases, keywords int }
+
+func (p *parser) marks() marks {
+	sc := p.sc
+	return marks{sc.exprs.mark(), sc.stmts.mark(), sc.paramPtrs.mark(), sc.aliasPtrs.mark(), sc.keywordPtrs.mark()}
+}
+
+func (p *parser) unwind(m marks) {
+	sc := p.sc
+	sc.exprs.truncate(m.exprs)
+	sc.stmts.truncate(m.stmts)
+	sc.paramPtrs.truncate(m.params)
+	sc.aliasPtrs.truncate(m.aliases)
+	sc.keywordPtrs.truncate(m.keywords)
+}
+
+// parseStatementRecover parses one statement onto the statement stack; a
+// statement that fails to parse contributes nothing.
+func (p *parser) parseStatementRecover() {
+	m := p.marks()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(bailout); !ok {
 				panic(r)
 			}
+			p.unwind(m)
 			p.sync()
 		}
 	}()
-	return p.parseStatement()
+	p.parseStatement()
 }
 
 // parseStatement parses one logical line (possibly several simple
-// statements separated by semicolons) or one compound statement.
-func (p *parser) parseStatement() []pyast.Stmt {
+// statements separated by semicolons) or one compound statement, pushing
+// the result on the statement stack.
+func (p *parser) parseStatement() {
+	var st pyast.Stmt
 	switch p.cur().Kind {
 	case pytoken.NEWLINE:
 		p.next()
-		return nil
+		return
 	case pytoken.KwIf:
-		return []pyast.Stmt{p.parseIf()}
+		st = p.parseIf()
 	case pytoken.KwWhile:
-		return []pyast.Stmt{p.parseWhile()}
+		st = p.parseWhile()
 	case pytoken.KwFor:
-		return []pyast.Stmt{p.parseFor(false)}
+		st = p.parseFor(false)
 	case pytoken.KwTry:
-		return []pyast.Stmt{p.parseTry()}
+		st = p.parseTry()
 	case pytoken.KwWith:
-		return []pyast.Stmt{p.parseWith(false)}
+		st = p.parseWith(false)
 	case pytoken.KwDef:
-		return []pyast.Stmt{p.parseFunctionDef(nil, false)}
+		st = p.parseFunctionDef(nil, false)
 	case pytoken.KwClass:
-		return []pyast.Stmt{p.parseClassDef(nil)}
+		st = p.parseClassDef(nil)
 	case pytoken.AT:
-		return []pyast.Stmt{p.parseDecorated()}
+		st = p.parseDecorated()
 	case pytoken.KwAsync:
-		return []pyast.Stmt{p.parseAsync()}
+		st = p.parseAsync()
 	default:
-		return p.parseSimpleLine()
+		p.parseSimpleLine()
+		return
 	}
+	p.sc.stmts.push(st)
 }
 
 func (p *parser) parseAsync() pyast.Stmt {
@@ -230,12 +240,13 @@ func (p *parser) parseAsync() pyast.Stmt {
 }
 
 func (p *parser) parseDecorated() pyast.Stmt {
-	var decorators []pyast.Expr
+	mark := p.sc.exprs.mark()
 	for p.at(pytoken.AT) {
 		p.next()
-		decorators = append(decorators, p.parseExpr())
+		p.sc.exprs.push(p.parseExpr())
 		p.expect(pytoken.NEWLINE)
 	}
+	decorators := p.sc.exprs.carve(mark)
 	switch p.cur().Kind {
 	case pytoken.KwDef:
 		return p.parseFunctionDef(decorators, false)
@@ -262,10 +273,10 @@ func (p *parser) parseFunctionDef(decorators []pyast.Expr, async bool) pyast.Stm
 		returns = p.parseExpr()
 	}
 	body := p.parseBlock()
-	return &pyast.FunctionDef{
+	return node(&p.sc.funcs, pyast.FunctionDef{
 		DefPos: defTok.Pos, Name: name.Lit, Params: params,
 		Decorators: decorators, Returns: returns, Body: body, Async: async,
-	}
+	})
 }
 
 // parseParams parses a parameter list up to (not including) end.
@@ -273,7 +284,12 @@ func (p *parser) parseFunctionDef(decorators []pyast.Expr, async bool) pyast.Stm
 // since `:` ends the lambda's parameter list), *args, **kwargs, and the
 // bare `*` and `/` separators (recorded only for their effect on parsing).
 func (p *parser) parseParams(end pytoken.Kind, allowAnn bool) []*pyast.Param {
-	var params []*pyast.Param
+	mark := p.sc.paramPtrs.mark()
+	param := func(v pyast.Param) {
+		prm := node(&p.sc.params, v)
+		p.parseParamTail(prm, allowAnn)
+		p.sc.paramPtrs.push(prm)
+	}
 	for !p.at(end) && !p.at(pytoken.EOF) {
 		switch {
 		case p.accept(pytoken.SLASH):
@@ -281,22 +297,16 @@ func (p *parser) parseParams(end pytoken.Kind, allowAnn bool) []*pyast.Param {
 		case p.at(pytoken.STAR):
 			starPos := p.next().Pos
 			if p.at(pytoken.NAME) {
-				prm := &pyast.Param{NamePos: starPos, Name: p.next().Lit, Star: true}
-				p.parseParamTail(prm, allowAnn)
-				params = append(params, prm)
+				param(pyast.Param{NamePos: starPos, Name: p.next().Lit, Star: true})
 			}
 			// bare `*` (keyword-only marker): nothing to record
 		case p.at(pytoken.DOUBLESTAR):
 			pos := p.next().Pos
 			nm := p.expect(pytoken.NAME)
-			prm := &pyast.Param{NamePos: pos, Name: nm.Lit, DoubleStar: true}
-			p.parseParamTail(prm, allowAnn)
-			params = append(params, prm)
+			param(pyast.Param{NamePos: pos, Name: nm.Lit, DoubleStar: true})
 		case p.at(pytoken.NAME):
 			nm := p.next()
-			prm := &pyast.Param{NamePos: nm.Pos, Name: nm.Lit}
-			p.parseParamTail(prm, allowAnn)
-			params = append(params, prm)
+			param(pyast.Param{NamePos: nm.Pos, Name: nm.Lit})
 		default:
 			p.errorf("unexpected %s in parameter list", p.cur())
 		}
@@ -304,7 +314,7 @@ func (p *parser) parseParams(end pytoken.Kind, allowAnn bool) []*pyast.Param {
 			break
 		}
 	}
-	return params
+	return p.sc.paramPtrs.carve(mark)
 }
 
 func (p *parser) parseParamTail(prm *pyast.Param, allowAnn bool) {
@@ -340,8 +350,9 @@ func (p *parser) parseBlock() []pyast.Stmt {
 		return p.parseSuiteUntil(pytoken.DEDENT)
 	}
 	// Inline suite: `if x: y = 1; z = 2`
-	stmts := p.parseSimpleLine()
-	return stmts
+	mark := p.sc.stmts.mark()
+	p.parseSimpleLine()
+	return p.sc.stmts.carve(mark)
 }
 
 func (p *parser) parseIf() pyast.Stmt {
@@ -351,12 +362,13 @@ func (p *parser) parseIf() pyast.Stmt {
 	var els []pyast.Stmt
 	switch p.cur().Kind {
 	case pytoken.KwElif:
-		els = []pyast.Stmt{p.parseIf()} // KwElif parses like KwIf
+		els = p.sc.stmts.arena.Alloc(1)
+		els[0] = p.parseIf() // KwElif parses like KwIf
 	case pytoken.KwElse:
 		p.next()
 		els = p.parseBlock()
 	}
-	return &pyast.If{IfPos: ifTok.Pos, Cond: cond, Body: body, Else: els}
+	return node(&p.sc.ifs, pyast.If{IfPos: ifTok.Pos, Cond: cond, Body: body, Else: els})
 }
 
 func (p *parser) parseWhile() pyast.Stmt {
@@ -428,11 +440,11 @@ func (p *parser) parseWith(async bool) pyast.Stmt {
 	return w
 }
 
-// parseSimpleLine parses semicolon-separated simple statements up to NEWLINE.
-func (p *parser) parseSimpleLine() []pyast.Stmt {
-	var stmts []pyast.Stmt
+// parseSimpleLine parses semicolon-separated simple statements up to
+// NEWLINE onto the statement stack.
+func (p *parser) parseSimpleLine() {
 	for {
-		stmts = append(stmts, p.parseSimpleStatement())
+		p.sc.stmts.push(p.parseSimpleStatement())
 		if !p.accept(pytoken.SEMI) {
 			break
 		}
@@ -443,7 +455,6 @@ func (p *parser) parseSimpleLine() []pyast.Stmt {
 	if !p.accept(pytoken.NEWLINE) && !p.at(pytoken.EOF) && !p.at(pytoken.DEDENT) {
 		p.errorf("expected end of statement, found %s", p.cur())
 	}
-	return stmts
 }
 
 func (p *parser) parseSimpleStatement() pyast.Stmt {
@@ -454,7 +465,7 @@ func (p *parser) parseSimpleStatement() pyast.Stmt {
 		if !p.at(pytoken.NEWLINE) && !p.at(pytoken.SEMI) && !p.at(pytoken.EOF) && !p.at(pytoken.DEDENT) {
 			val = p.parseExprList()
 		}
-		return &pyast.Return{ReturnPos: tok.Pos, Value: val}
+		return node(&p.sc.returns, pyast.Return{ReturnPos: tok.Pos, Value: val})
 	case pytoken.KwPass:
 		return &pyast.Pass{PassPos: p.next().Pos}
 	case pytoken.KwBreak:
@@ -463,14 +474,14 @@ func (p *parser) parseSimpleStatement() pyast.Stmt {
 		return &pyast.Continue{ContinuePos: p.next().Pos}
 	case pytoken.KwDel:
 		tok := p.next()
-		d := &pyast.Delete{DelPos: tok.Pos}
+		mark := p.sc.exprs.mark()
 		for {
-			d.Targets = append(d.Targets, p.parsePrimaryTarget())
+			p.sc.exprs.push(p.parsePrimaryTarget())
 			if !p.accept(pytoken.COMMA) {
 				break
 			}
 		}
-		return d
+		return &pyast.Delete{DelPos: tok.Pos, Targets: p.sc.exprs.carve(mark)}
 	case pytoken.KwRaise:
 		tok := p.next()
 		r := &pyast.Raise{RaisePos: tok.Pos}
@@ -516,14 +527,14 @@ func (p *parser) parseNameList() []string {
 
 func (p *parser) parseImport() pyast.Stmt {
 	tok := p.next()
-	imp := &pyast.Import{ImportPos: tok.Pos}
+	mark := p.sc.aliasPtrs.mark()
 	for {
-		imp.Names = append(imp.Names, p.parseAlias(true))
+		p.sc.aliasPtrs.push(p.parseAlias(true))
 		if !p.accept(pytoken.COMMA) {
 			break
 		}
 	}
-	return imp
+	return node(&p.sc.imports, pyast.Import{ImportPos: tok.Pos, Names: p.sc.aliasPtrs.carve(mark)})
 }
 
 func (p *parser) parseImportFrom() pyast.Stmt {
@@ -543,14 +554,16 @@ func (p *parser) parseImportFrom() pyast.Stmt {
 		module = p.parseDottedName()
 	}
 	p.expect(pytoken.KwImport)
-	imp := &pyast.ImportFrom{FromPos: tok.Pos, Module: module, Level: level}
+	imp := node(&p.sc.froms, pyast.ImportFrom{FromPos: tok.Pos, Module: module, Level: level})
+	mark := p.sc.aliasPtrs.mark()
 	if p.accept(pytoken.STAR) {
-		imp.Names = append(imp.Names, &pyast.Alias{Name: "*"})
+		p.sc.aliasPtrs.push(node(&p.sc.aliases, pyast.Alias{Name: "*"}))
+		imp.Names = p.sc.aliasPtrs.carve(mark)
 		return imp
 	}
 	paren := p.accept(pytoken.LPAREN)
 	for {
-		imp.Names = append(imp.Names, p.parseAlias(false))
+		p.sc.aliasPtrs.push(p.parseAlias(false))
 		if !p.accept(pytoken.COMMA) {
 			break
 		}
@@ -561,6 +574,7 @@ func (p *parser) parseImportFrom() pyast.Stmt {
 	if paren {
 		p.expect(pytoken.RPAREN)
 	}
+	imp.Names = p.sc.aliasPtrs.carve(mark)
 	return imp
 }
 
@@ -571,7 +585,7 @@ func (p *parser) parseAlias(dotted bool) *pyast.Alias {
 	} else {
 		name = p.expect(pytoken.NAME).Lit
 	}
-	a := &pyast.Alias{Name: name}
+	a := node(&p.sc.aliases, pyast.Alias{Name: name})
 	if p.accept(pytoken.KwAs) {
 		a.AsName = p.expect(pytoken.NAME).Lit
 	}
@@ -579,8 +593,12 @@ func (p *parser) parseAlias(dotted bool) *pyast.Alias {
 }
 
 func (p *parser) parseDottedName() string {
+	first := p.expect(pytoken.NAME).Lit
+	if !p.at(pytoken.DOT) || p.peekKind(1) != pytoken.NAME {
+		return first
+	}
 	var b strings.Builder
-	b.WriteString(p.expect(pytoken.NAME).Lit)
+	b.WriteString(first)
 	for p.at(pytoken.DOT) && p.peekKind(1) == pytoken.NAME {
 		p.next()
 		b.WriteByte('.')
@@ -595,15 +613,16 @@ func (p *parser) parseExprOrAssign() pyast.Stmt {
 	first := p.parseExprList()
 	switch {
 	case p.at(pytoken.ASSIGN):
-		targets := []pyast.Expr{first}
+		mark := p.sc.exprs.mark()
+		p.sc.exprs.push(first)
 		var value pyast.Expr
 		for p.accept(pytoken.ASSIGN) {
 			value = p.parseExprListOrYield()
 			if p.at(pytoken.ASSIGN) {
-				targets = append(targets, value)
+				p.sc.exprs.push(value)
 			}
 		}
-		return &pyast.Assign{Targets: targets, Value: value}
+		return node(&p.sc.assigns, pyast.Assign{Targets: p.sc.exprs.carve(mark), Value: value})
 	case p.at(pytoken.COLON):
 		p.next()
 		ann := p.parseExpr()
@@ -616,7 +635,7 @@ func (p *parser) parseExprOrAssign() pyast.Stmt {
 		op := p.next().Kind
 		return &pyast.AugAssign{Target: first, Op: op, Value: p.parseExprListOrYield()}
 	default:
-		return &pyast.ExprStmt{Value: first}
+		return node(&p.sc.exprStmts, pyast.ExprStmt{Value: first})
 	}
 }
 
@@ -645,14 +664,15 @@ func (p *parser) parseExprList() pyast.Expr {
 	if !p.at(pytoken.COMMA) {
 		return first
 	}
-	tup := &pyast.Tuple{TuplePos: first.Pos(), Elts: []pyast.Expr{first}}
+	mark := p.sc.exprs.mark()
+	p.sc.exprs.push(first)
 	for p.accept(pytoken.COMMA) {
 		if p.exprListEnds() {
 			break
 		}
-		tup.Elts = append(tup.Elts, p.parseStarOrExpr())
+		p.sc.exprs.push(p.parseStarOrExpr())
 	}
-	return tup
+	return &pyast.Tuple{TuplePos: first.Pos(), Elts: p.sc.exprs.carve(mark)}
 }
 
 func (p *parser) exprListEnds() bool {
@@ -679,14 +699,15 @@ func (p *parser) parseTargetList() pyast.Expr {
 	if !p.at(pytoken.COMMA) {
 		return first
 	}
-	tup := &pyast.Tuple{TuplePos: first.Pos(), Elts: []pyast.Expr{first}}
+	mark := p.sc.exprs.mark()
+	p.sc.exprs.push(first)
 	for p.accept(pytoken.COMMA) {
 		if p.at(pytoken.KwIn) {
 			break
 		}
-		tup.Elts = append(tup.Elts, p.parseStarOrTarget())
+		p.sc.exprs.push(p.parseStarOrTarget())
 	}
-	return tup
+	return &pyast.Tuple{TuplePos: first.Pos(), Elts: p.sc.exprs.carve(mark)}
 }
 
 func (p *parser) parseStarOrTarget() pyast.Expr {

@@ -1,6 +1,9 @@
 package pytoken
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTripleQuotedWithEmbeddedQuotes(t *testing.T) {
 	src := `s = """she said "hi" to me"""` + "\n"
@@ -138,6 +141,76 @@ func TestMixedOperatorsNoSpaces(t *testing.T) {
 	for i := range want {
 		if kinds[i] != want[i] {
 			t.Errorf("kind[%d] = %v, want %v", i, kinds[i], want[i])
+		}
+	}
+}
+
+// Line endings are normalized only when the input has a carriage return.
+// Every CR flavour must yield exactly the tokens, literals and positions
+// of the same text with LF endings — the input the scanner never rewrites.
+func TestCarriageReturnNormalization(t *testing.T) {
+	const lf = "def f(a):\n    s = 'x'\n    if a:\n        return \"\"\"doc\nmore\"\"\"\n\n    return s  # done\ny = [1,\n     2]\n"
+	cases := map[string]string{
+		"crlf":           strings.ReplaceAll(lf, "\n", "\r\n"),
+		"lone cr":        strings.ReplaceAll(lf, "\n", "\r"),
+		"mixed":          strings.Replace(strings.Replace(lf, "\n", "\r\n", 2), "\n    if", "\r    if", 1),
+		"cr at eof only": strings.TrimSuffix(lf, "\n") + "\r",
+		"no newline":     "x = 1",
+		"crlf crlf":      "x = 1\r\n\r\ny = 2\r\n",
+	}
+	for name, src := range cases {
+		normalized := strings.ReplaceAll(strings.ReplaceAll(src, "\r\n", "\n"), "\r", "\n")
+		want, wantErr := ScanAll("t.py", normalized)
+		got, gotErr := ScanAll("t.py", src)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("%s: error %v, want %v", name, gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d tokens, want %d", name, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: token %d = %v at %v, want %v at %v", name, i, got[i], got[i].Pos, want[i], want[i].Pos)
+			}
+		}
+		for _, tok := range got {
+			if strings.ContainsRune(tok.Lit, '\r') {
+				t.Errorf("%s: literal %q keeps a carriage return", name, tok.Lit)
+			}
+		}
+	}
+}
+
+// A Scanner re-initialized over new input behaves like a new one, and
+// tokens it returned earlier are unaffected.
+func TestScannerInitReuse(t *testing.T) {
+	inputs := []string{
+		"if a:\n    if b:\n        c = 'lit'\n",
+		"x = (\n", // ends inside a bracket, indentation stack untouched
+		"def f():\n\treturn 1\n  bad_dedent\n",
+		"",
+		"s = f'{a}' \"unterminated\n",
+	}
+	var sc Scanner
+	var buf []Token
+	for round := 0; round < 2; round++ {
+		for _, src := range inputs {
+			want, wantErr := ScanAll("t.py", src)
+			sc.Init("t.py", src)
+			var gotErr error
+			buf, gotErr = sc.ScanAllInto(buf)
+			if len(buf) != len(want) {
+				t.Fatalf("%q: %d tokens from a reused scanner, want %d", src, len(buf), len(want))
+			}
+			for i := range want {
+				if buf[i] != want[i] {
+					t.Errorf("%q: token %d = %v, want %v", src, i, buf[i], want[i])
+				}
+			}
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Errorf("%q: error %v, want %v", src, gotErr, wantErr)
+			}
 		}
 	}
 }

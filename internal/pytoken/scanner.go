@@ -18,9 +18,9 @@ func (e *ScanError) Error() string {
 
 // Scanner converts Python source text into a stream of tokens.
 //
-// A zero Scanner is not usable; call NewScanner. Scan returns EOF forever
-// once the input is exhausted. Lexical errors are reported both via an
-// ILLEGAL token and through Err, and the scanner recovers by skipping the
+// A zero Scanner is not usable; call NewScanner or Init. Scan returns EOF
+// forever once the input is exhausted. Lexical errors are reported both via
+// an ILLEGAL token and through Err, and the scanner recovers by skipping the
 // offending byte so a parse can proceed for error reporting.
 type Scanner struct {
 	file string
@@ -32,22 +32,37 @@ type Scanner struct {
 	paren int // depth of open (, [, {
 
 	indents     []int   // indentation stack; always starts with 0
-	pending     []Token // queued INDENT/DEDENT/NEWLINE tokens
-	atLineStart bool    // true when the next scan must measure indentation
+	pending     []Token // queued INDENT/DEDENT tokens; pending[head:] are undelivered
+	head        int
+	atLineStart bool // true when the next scan must measure indentation
 	errs        []error
 	sawToken    bool // a non-NEWLINE token was produced on the current logical line
 }
 
 // NewScanner returns a Scanner over src. file is used in error messages only.
 func NewScanner(file, src string) *Scanner {
-	// Normalize CRLF so column bookkeeping stays simple.
-	src = strings.ReplaceAll(src, "\r\n", "\n")
-	src = strings.ReplaceAll(src, "\r", "\n")
-	return &Scanner{
+	s := new(Scanner)
+	s.Init(file, src)
+	return s
+}
+
+// Init points s at a new input, keeping the capacity of its indentation
+// and pending-token stacks so one Scanner can lex many files without
+// reallocating them. Tokens and errors already returned stay valid: they
+// reference the source text and file name, never the scanner.
+func (s *Scanner) Init(file, src string) {
+	// Normalize CRLF and lone CR so column bookkeeping stays simple; the
+	// two rewriting passes run only for the rare input that has a CR.
+	if strings.IndexByte(src, '\r') >= 0 {
+		src = strings.ReplaceAll(src, "\r\n", "\n")
+		src = strings.ReplaceAll(src, "\r", "\n")
+	}
+	*s = Scanner{
 		file:        file,
 		src:         src,
 		line:        1,
-		indents:     []int{0},
+		indents:     append(s.indents[:0], 0),
+		pending:     s.pending[:0],
 		atLineStart: true,
 	}
 }
@@ -98,9 +113,11 @@ func (s *Scanner) advance() byte {
 // DEDENTs (and a final NEWLINE if the last line lacked one), then returns EOF.
 func (s *Scanner) Scan() Token {
 	for {
-		if len(s.pending) > 0 {
-			t := s.pending[0]
-			s.pending = s.pending[1:]
+		if s.head < len(s.pending) {
+			t := s.pending[s.head]
+			if s.head++; s.head == len(s.pending) {
+				s.pending, s.head = s.pending[:0], 0
+			}
 			return t
 		}
 		if s.atLineStart && s.paren == 0 {
@@ -266,10 +283,13 @@ func isStringPrefix(w string) bool {
 }
 
 // scanString scans a single- or triple-quoted string literal. The returned
-// Lit includes the prefix and quotes verbatim.
+// Lit includes the prefix and quotes verbatim: the prefix sits directly
+// before the opening quote, so a terminated literal is one substring of
+// the source.
 func (s *Scanner) scanString(prefix string) Token {
 	pos := s.pos()
 	pos.Col -= len(prefix)
+	begin := s.off - len(prefix)
 	s.sawToken = true
 	quote := s.advance()
 	triple := false
@@ -297,24 +317,20 @@ func (s *Scanner) scanString(prefix string) Token {
 		if c == quote {
 			if !triple {
 				s.advance()
-				lit := prefix + string(quote) + s.src[start:s.off-1] + string(quote)
-				return Token{Kind: STRING, Lit: lit, Pos: pos}
+				return Token{Kind: STRING, Lit: s.src[begin:s.off], Pos: pos}
 			}
 			if s.peekAt(1) == quote && s.peekAt(2) == quote {
-				body := s.src[start:s.off]
 				s.advance()
 				s.advance()
 				s.advance()
-				q3 := strings.Repeat(string(quote), 3)
-				return Token{Kind: STRING, Lit: prefix + q3 + body + q3, Pos: pos}
+				return Token{Kind: STRING, Lit: s.src[begin:s.off], Pos: pos}
 			}
 			s.advance()
 			continue
 		}
 		if c == '\n' && !triple {
 			s.errorf(pos, "unterminated string literal")
-			lit := prefix + string(quote) + s.src[start:s.off]
-			return Token{Kind: STRING, Lit: lit, Pos: pos}
+			return Token{Kind: STRING, Lit: s.src[begin:s.off], Pos: pos}
 		}
 		s.advance()
 	}
@@ -426,21 +442,26 @@ func (s *Scanner) scanOperator() Token {
 // ScanAll tokenizes the entire input and returns the tokens up to and
 // including EOF, plus any lexical errors encountered.
 func ScanAll(file, src string) ([]Token, error) {
-	return ScanAllInto(file, src, nil)
+	return NewScanner(file, src).ScanAllInto(nil)
 }
 
-// ScanAllInto is ScanAll appending into buf[:0], reusing its capacity —
-// the pooled-scratch path of callers that tokenize in a hot loop. The
-// returned slice aliases buf when it fits; tokens from a previous scan
-// into the same buffer are overwritten.
-func ScanAllInto(file, src string, buf []Token) ([]Token, error) {
-	sc := NewScanner(file, src)
+// ScanAllInto scans the rest of the input, appending the tokens up to and
+// including EOF into buf[:0] — the path of callers that tokenize in a hot
+// loop with a reused Scanner and buffer. The returned slice aliases buf
+// when it fits; tokens from a previous scan into the same buffer are
+// overwritten. A buffer too small for a typical token density (one token
+// per three to four source bytes) is replaced by one sized for the input
+// rather than grown by doubling.
+func (s *Scanner) ScanAllInto(buf []Token) ([]Token, error) {
 	toks := buf[:0]
+	if want := len(s.src)/3 + 16; cap(toks) < want {
+		toks = make([]Token, 0, want)
+	}
 	for {
-		t := sc.Scan()
+		t := s.Scan()
 		toks = append(toks, t)
 		if t.Kind == EOF {
-			return toks, sc.Err()
+			return toks, s.Err()
 		}
 	}
 }

@@ -13,9 +13,7 @@ import (
 
 	"seldon/internal/core"
 	"seldon/internal/corpus"
-	"seldon/internal/dataflow"
 	"seldon/internal/propgraph"
-	"seldon/internal/pyparse"
 	"seldon/internal/spec"
 	"seldon/internal/taint"
 )
@@ -61,10 +59,10 @@ func (e *Experiments) Seed() *spec.Spec {
 // Graphs returns per-file propagation graphs.
 func (e *Experiments) Graphs() map[string]*propgraph.Graph {
 	if e.graphs == nil {
-		e.graphs = make(map[string]*propgraph.Graph)
-		for _, f := range e.Corpus().Files {
-			mod, _ := pyparse.Parse(f.Name, f.Source)
-			e.graphs[f.Name] = dataflow.AnalyzeModule(mod, dataflow.Options{})
+		fe := core.AnalyzeFiles(e.Corpus().FileMap(), e.LearnCfg)
+		e.graphs = make(map[string]*propgraph.Graph, len(fe.Names))
+		for i, name := range fe.Names {
+			e.graphs[name] = fe.Graphs[i]
 		}
 	}
 	return e.graphs

@@ -2,16 +2,13 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
 	"seldon/internal/core"
 	"seldon/internal/corpus"
-	"seldon/internal/dataflow"
 	"seldon/internal/merlin"
 	"seldon/internal/propgraph"
-	"seldon/internal/pyparse"
 )
 
 // MerlinSweepPoint measures Merlin and Seldon on the same application
@@ -62,18 +59,7 @@ func (e *Experiments) RunMerlinSweep(sizes []int, collapsed bool) MerlinSweep {
 }
 
 func unionOfCorpus(c *corpus.Corpus) *propgraph.Graph {
-	files := c.FileMap()
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var graphs []*propgraph.Graph
-	for _, n := range names {
-		mod, _ := pyparse.Parse(n, files[n])
-		graphs = append(graphs, dataflow.AnalyzeModule(mod, dataflow.Options{}))
-	}
-	return propgraph.Union(graphs...)
+	return propgraph.Union(core.AnalyzeFiles(c.FileMap(), core.Config{}).Graphs...)
 }
 
 func (m MerlinSweep) Render() string {

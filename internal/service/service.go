@@ -329,7 +329,9 @@ func (s *Server) getScratch() *core.Scratch {
 }
 
 func (s *Server) putScratch(sc *core.Scratch) {
-	sc.Reset()
+	if dropped := sc.Reset(); dropped > 0 {
+		s.cfg.Metrics.Add(obs.CounterPoolOversizeDrops, int64(dropped))
+	}
 	s.scratchPool.Put(sc)
 }
 
