@@ -23,11 +23,12 @@ fmt-check:
 # metrics registry, the sharded solver kernel, the parallel corpus
 # front-end and the lexer, parser, analyzer and arenas its workers run
 # with per-goroutine scratch state, the analysis cache, the HTTP service
-# (worker pool, backpressure, drain, hot reload), the symbol interner,
-# the sharded constraint build, and the shard worker/coordinator
-# (subprocess fan-out, concurrent artifact decode).
+# (worker pool, backpressure, drain, hot reload), the symbol interner
+# and the fanned-out union copy, the sharded constraint build, the shard
+# worker/coordinator (subprocess fan-out, concurrent artifact decode),
+# and the incremental session that hands union and build their spans.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/...
+	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
 
 # fuzzsmoke runs the front-end's fuzz target for ten seconds on top of its
 # committed seed corpus (internal/core/testdata/fuzz): arbitrary bytes as

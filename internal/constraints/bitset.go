@@ -39,13 +39,13 @@ func (b bitset) setChanged(i int) bool {
 	return true
 }
 
-// forEach calls f with every set bit index, ascending.
-func (b bitset) forEach(f func(i int)) {
+// appendTo appends every set bit index to dst, ascending.
+func (b bitset) appendTo(dst []int) []int {
 	for w, word := range b {
 		for word != 0 {
-			bit := word & (-word)
-			f(w*64 + bits.TrailingZeros64(bit))
-			word ^= bit
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
+			word &= word - 1
 		}
 	}
+	return dst
 }

@@ -3,10 +3,8 @@ package constraints
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"time"
 
-	"seldon/internal/lp"
 	"seldon/internal/obs"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
@@ -14,10 +12,8 @@ import (
 
 // Delta-aware constraint building. A disjoint union assigns each corpus
 // file a contiguous event-ID range, and edges never cross files, so
-// weakly connected components — the unit pass 4 generates constraints
-// over — never cross file spans either. weakComponents discovers
-// components in ascending event-ID order, which means the global flow
-// pass is exactly the concatenation of per-file flow passes in span
+// every file span is a closed range in the sense of flow.go: the global
+// flow pass is exactly the concatenation of per-file flow passes in span
 // order. BuildIncremental exploits that: passes 1–3 (linear, cheap) run
 // from scratch every time, but the superlinear pass 4 reuses a cached
 // constraint block for every file whose support set is unchanged.
@@ -41,18 +37,6 @@ type Span struct {
 	File   string
 	Lo, Hi int // event IDs [Lo, Hi)
 	Hash   [32]byte
-}
-
-// flowBlock is the cached pass-4 output for one file span: the
-// constraints (terms carry global variable IDs), the per-pattern counts,
-// and the support fingerprint they are valid under.
-type flowBlock struct {
-	fp      [32]byte
-	cons    []lp.Constraint
-	countA  int
-	countB  int
-	countC  int
-	skipped int
 }
 
 // FlowCache holds per-file flow-constraint blocks across incremental
@@ -105,40 +89,37 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	st := DeltaStats{Spans: len(spans)}
 
 	t0 := time.Now()
-	if cache == nil || !spansClosed(g, spans) {
+	cut := closedCuts(g)
+	if cache == nil || !spansClosed(cut, spans) {
 		st.FellBack = true
-		s.buildFlowConstraints(g)
+		s.assemble(s.flowBlocks(g, flowRanges(cut), workers))
 	} else {
-		localOf := make([]int32, len(g.Events))
-		var sc flowScratch
-		sc.localOf = localOf
-		h := sha256.New()
+		// Decide reuse for every span before building anything, so that
+		// the stale ones can be rebuilt side by side and the constraint
+		// slice allocated once.
+		fps := s.spanFingerprints(spans, workers)
+		blocks := make([]*flowBlock, len(spans))
+		var stale []int
+		var ranges []shardRange
 		for i := range spans {
 			sp := &spans[i]
-			fp := s.spanFingerprint(h, g, sp)
-			if b := cache.blocks[sp.File]; b != nil && b.fp == fp {
-				s.Problem.Constraints = append(s.Problem.Constraints, b.cons...)
-				s.CountA += b.countA
-				s.CountB += b.countB
-				s.CountC += b.countC
-				s.SkippedComponents += b.skipped
-				st.SpansReused++
+			if b := cache.blocks[sp.File]; b != nil && b.fp == fps[i] {
+				blocks[i] = b
 				st.ConstraintsReused += len(b.cons)
 				continue
 			}
-			start := len(s.Problem.Constraints)
-			a0, b0, c0, k0 := s.CountA, s.CountB, s.CountC, s.SkippedComponents
-			s.buildFlowRange(g, sp.Lo, sp.Hi, &sc)
-			cache.blocks[sp.File] = &flowBlock{
-				fp:      fp,
-				cons:    append([]lp.Constraint(nil), s.Problem.Constraints[start:]...),
-				countA:  s.CountA - a0,
-				countB:  s.CountB - b0,
-				countC:  s.CountC - c0,
-				skipped: s.SkippedComponents - k0,
-			}
-			st.SpansRebuilt++
+			stale = append(stale, i)
+			ranges = append(ranges, shardRange{sp.Lo, sp.Hi})
 		}
+		for k, b := range s.flowBlocks(g, ranges, workers) {
+			i := stale[k]
+			b.fp = fps[i]
+			cache.blocks[spans[i].File] = b
+			blocks[i] = b
+		}
+		st.SpansRebuilt = len(stale)
+		st.SpansReused = len(spans) - len(stale)
+		s.assemble(blocks)
 		// Prune blocks for files no longer in the union.
 		if len(cache.blocks) > len(spans) {
 			live := make(map[string]bool, len(spans))
@@ -172,148 +153,54 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 }
 
 // spansClosed validates that spans tile [0, len(Events)) in order and
-// that no edge crosses a span boundary — the precondition for per-span
-// flow building to reproduce the global pass.
-func spansClosed(g *propgraph.Graph, spans []Span) bool {
-	n := len(g.Events)
+// that no edge crosses a span boundary (cut is closedCuts of the graph) —
+// the precondition for per-span flow building to reproduce the global
+// pass.
+func spansClosed(cut []bool, spans []Span) bool {
+	n := len(cut) - 1
 	at := 0
 	for i := range spans {
 		sp := &spans[i]
-		if sp.Lo != at || sp.Hi < sp.Lo {
+		if sp.Lo != at || sp.Hi < sp.Lo || sp.Hi > n || !cut[sp.Lo] {
 			return false
 		}
 		at = sp.Hi
 	}
-	if at != n {
-		return false
-	}
-	spanOf := make([]int32, n)
-	for i := range spans {
-		for id := spans[i].Lo; id < spans[i].Hi; id++ {
-			spanOf[id] = int32(i)
-		}
-	}
-	for id := 0; id < n; id++ {
-		for _, dst := range g.Succs(id) {
-			if spanOf[dst] != spanOf[id] {
-				return false
-			}
-		}
-	}
-	return true
+	return at == n
 }
 
-// spanFingerprint hashes everything a span's constraint block depends
-// on: the file's graph content, the component size bound, and — per
-// event in the span — its candidacy, roles, and the global variable ID
-// of every (surviving representation, role) pair. Variable IDs are
-// global first-seen, so any upstream change that renumbers this file's
-// variables (or moves a representation across the frequency cutoff)
-// changes the fingerprint.
-func (s *System) spanFingerprint(h hash.Hash, g *propgraph.Graph, sp *Span) [32]byte {
-	h.Reset()
-	h.Write(sp.Hash[:])
-	var buf [8]byte
-	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wInt(int64(s.Opts.MaxComponent))
-	for id := sp.Lo; id < sp.Hi; id++ {
-		info := s.InfoFor(id)
-		if info == nil {
-			wInt(-1)
-			continue
-		}
-		wInt(int64(info.Roles))
-		wInt(int64(len(info.RepIDs)))
-		for _, sym := range info.RepIDs {
-			for _, role := range propgraph.Roles() {
-				wInt(int64(s.VarIDSym(sym, role)))
-			}
-		}
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// buildFlowRange runs the pass-4 machinery over events [lo, hi), which
-// must be closed under edges (spansClosed). Component discovery,
-// bucketing, and per-component generation mirror buildFlowConstraints
-// exactly, so concatenating ranges in span order reproduces the global
-// constraint stream byte for byte.
-func (s *System) buildFlowRange(g *propgraph.Graph, lo, hi int, sc *flowScratch) {
-	n := hi - lo
-	if n < 2 {
-		return
-	}
-	comp, ncomp := weakComponentsRange(g, lo, hi)
-	counts := make([]int, ncomp)
-	for _, c := range comp {
-		counts[c]++
-	}
-	starts := make([]int, ncomp+1)
-	for c, k := range counts {
-		starts[c+1] = starts[c] + k
-	}
-	copy(counts, starts[:ncomp])
-	byComp := make([]int, n)
-	for id := lo; id < hi; id++ {
-		c := comp[id-lo]
-		byComp[counts[c]] = id
-		counts[c]++
-	}
-	for k, id := range byComp {
-		sc.localOf[id] = int32(k - starts[comp[id-lo]])
-	}
-	for c := 0; c < ncomp; c++ {
-		events := byComp[starts[c]:starts[c+1]]
-		if len(events) < 2 {
-			continue
-		}
-		if len(events) > s.Opts.MaxComponent {
-			s.SkippedComponents++
-			continue
-		}
-		s.buildComponent(g, events, sc)
-	}
-}
-
-// weakComponentsRange is weakComponents restricted to events [lo, hi);
-// comp is indexed by id-lo. Neighbors are assumed in-range (the caller
-// validated closure).
-func weakComponentsRange(g *propgraph.Graph, lo, hi int) ([]int, int) {
-	n := hi - lo
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	var stack []int
-	for start := lo; start < hi; start++ {
-		if comp[start-lo] >= 0 {
-			continue
-		}
-		comp[start-lo] = next
-		stack = append(stack[:0], start)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range g.Succs(id) {
-				if comp[nb-lo] < 0 {
-					comp[nb-lo] = next
-					stack = append(stack, nb)
+// spanFingerprints hashes, for each span, everything its constraint
+// block depends on: the file's graph content, the component size bound,
+// and — per event in the span — its candidacy, roles, and the global
+// variable ID of every (surviving representation, role) pair. Variable
+// IDs are global first-seen, so any upstream change that renumbers this
+// file's variables (or moves a representation across the frequency
+// cutoff) changes the fingerprint. Spans are independent, so contiguous
+// runs of them are hashed side by side.
+func (s *System) spanFingerprints(spans []Span, workers int) [][32]byte {
+	fps := make([][32]byte, len(spans))
+	runShards(shardRanges(len(spans), workers), func(_, lo, hi int) {
+		var buf []byte
+		for i := lo; i < hi; i++ {
+			sp := &spans[i]
+			buf = append(buf[:0], sp.Hash[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Opts.MaxComponent))
+			for id := sp.Lo; id < sp.Hi; id++ {
+				info := s.InfoFor(id)
+				if info == nil {
+					buf = binary.LittleEndian.AppendUint64(buf, ^uint64(0))
+					continue
+				}
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(info.Roles))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(len(info.RepIDs)))
+				for _, sym := range info.RepIDs {
+					for _, role := range propgraph.Roles() {
+						buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.VarIDSym(sym, role))))
+					}
 				}
 			}
-			for _, nb := range g.Preds(id) {
-				if comp[nb-lo] < 0 {
-					comp[nb-lo] = next
-					stack = append(stack, nb)
-				}
-			}
+			fps[i] = sha256.Sum256(buf)
 		}
-		next++
-	}
-	return comp, next
+	})
+	return fps
 }

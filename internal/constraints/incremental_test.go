@@ -5,12 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"seldon/internal/constraints"
 	"seldon/internal/core"
 	"seldon/internal/corpus"
+	"seldon/internal/lp"
 	"seldon/internal/propgraph"
 )
 
@@ -91,11 +94,11 @@ func encodeSystem(s *constraints.System) []byte {
 
 // TestBuildIncrementalMatchesBuild: on a fresh cache (every span
 // rebuilt) and on a warm cache (every span reused), the incremental
-// build is byte-identical to Build, at workers 1 and 4.
+// build is byte-identical to Build, at workers 1, 2, 3 and 8.
 func TestBuildIncrementalMatchesBuild(t *testing.T) {
-	files := corpus.Generate(corpus.Config{Files: 12, Seed: 7}).FileMap()
+	files := corpus.Generate(corpus.Config{Files: 40, Seed: 7}).FileMap()
 	seed := corpus.ExperimentSeed()
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		opts := constraints.Options{Workers: workers}
 		_, _, union, spans := corpusSpans(t, files, workers)
 		full := constraints.Build(union, seed, opts)
@@ -109,7 +112,8 @@ func TestBuildIncrementalMatchesBuild(t *testing.T) {
 		if st.SpansRebuilt != len(spans) || st.SpansReused != 0 {
 			t.Fatalf("workers=%d: cold build reused %d/%d spans", workers, st.SpansReused, st.Spans)
 		}
-		if got := encodeSystem(inc); !bytes.Equal(got, want) {
+		if got := encodeSystem(inc); !bytes.Equal(got, want) ||
+			!reflect.DeepEqual(inc.Problem.Constraints, full.Problem.Constraints) {
 			t.Fatalf("workers=%d: cold incremental system differs from Build", workers)
 		}
 
@@ -123,7 +127,8 @@ func TestBuildIncrementalMatchesBuild(t *testing.T) {
 			t.Fatalf("workers=%d: warm build reused %d constraints, want %d",
 				workers, st2.ConstraintsReused, len(full.Problem.Constraints))
 		}
-		if got := encodeSystem(inc2); !bytes.Equal(got, want) {
+		if got := encodeSystem(inc2); !bytes.Equal(got, want) ||
+			!reflect.DeepEqual(inc2.Problem.Constraints, full.Problem.Constraints) {
 			t.Fatalf("workers=%d: warm incremental system differs from Build", workers)
 		}
 	}
@@ -131,10 +136,10 @@ func TestBuildIncrementalMatchesBuild(t *testing.T) {
 
 // TestBuildIncrementalAfterMutation mutates one corpus file and checks
 // the delta build against a from-scratch build of the mutated corpus —
-// the equivalence oracle of the incremental subsystem — at workers 1
-// and 4.
+// the equivalence oracle of the incremental subsystem — at workers 1,
+// 2, 3 and 8.
 func TestBuildIncrementalAfterMutation(t *testing.T) {
-	files := corpus.Generate(corpus.Config{Files: 12, Seed: 7}).FileMap()
+	files := corpus.Generate(corpus.Config{Files: 40, Seed: 7}).FileMap()
 	seed := corpus.ExperimentSeed()
 	var names []string
 	for n := range files {
@@ -143,7 +148,7 @@ func TestBuildIncrementalAfterMutation(t *testing.T) {
 	sort.Strings(names)
 	victim := names[len(names)-1]
 
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		opts := constraints.Options{Workers: workers}
 		_, _, union, spans := corpusSpans(t, files, workers)
 		cache := constraints.NewFlowCache()
@@ -158,7 +163,8 @@ func TestBuildIncrementalAfterMutation(t *testing.T) {
 		_, _, union2, spans2 := corpusSpans(t, mutated, workers)
 		inc, st := constraints.BuildIncremental(union2, seed, opts, spans2, cache)
 		full := constraints.Build(union2, seed, opts)
-		if !bytes.Equal(encodeSystem(inc), encodeSystem(full)) {
+		if !bytes.Equal(encodeSystem(inc), encodeSystem(full)) ||
+			!reflect.DeepEqual(inc.Problem.Constraints, full.Problem.Constraints) {
 			t.Fatalf("workers=%d: incremental system after mutation differs from from-scratch build", workers)
 		}
 		if st.FellBack {
@@ -235,5 +241,52 @@ func TestSpanFingerprintTracksGlobalState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(inc.Problem.Known, full.Problem.Known) {
 		t.Fatal("known pins differ after head-file mutation")
+	}
+}
+
+// systemBytes is the size of what a build returns and a caller keeps, as
+// far as this package exports it: the constraint headers, the
+// candidate-event table with its symbol arena, and the variable table.
+// Terms are left out — a warm incremental build shares them with the
+// cache.
+func systemBytes(s *constraints.System) uint64 {
+	n := uint64(len(s.Problem.Constraints)) * uint64(unsafe.Sizeof(lp.Constraint{}))
+	n += uint64(len(s.EventInfos)) * uint64(unsafe.Sizeof(constraints.EventInfo{}))
+	for i := range s.EventInfos {
+		n += uint64(len(s.EventInfos[i].RepIDs)) * uint64(unsafe.Sizeof(propgraph.Sym(0)))
+	}
+	return n + uint64(len(s.Vars))*uint64(unsafe.Sizeof(constraints.Variable{}))
+}
+
+// TestBuildIncrementalAllocBudget: a build that finds every block in the
+// cache allocates little beyond the system it returns — no growth of the
+// constraint slice, no per-span garbage.
+func TestBuildIncrementalAllocBudget(t *testing.T) {
+	if constraints.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	files := corpus.Generate(corpus.Config{Files: 300, Seed: 7}).FileMap()
+	seed := corpus.ExperimentSeed()
+	opts := constraints.Options{Workers: 1}
+	_, _, union, spans := corpusSpans(t, files, 1)
+	cache := constraints.NewFlowCache()
+	constraints.BuildIncremental(union, seed, opts, spans, cache)
+
+	var sys *constraints.System
+	var st constraints.DeltaStats
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		sys, st = constraints.BuildIncremental(union, seed, opts, spans, cache)
+	}
+	runtime.ReadMemStats(&after)
+	if st.SpansReused != len(spans) {
+		t.Fatalf("warm build reused %d of %d spans", st.SpansReused, len(spans))
+	}
+	perRun, kept := (after.TotalAlloc-before.TotalAlloc)/runs, systemBytes(sys)
+	t.Logf("warm build allocates %d bytes, returns %d (%.2fx)", perRun, kept, float64(perRun)/float64(kept))
+	if perRun*2 > kept*3 {
+		t.Errorf("warm BuildIncremental allocates %d bytes for a %d-byte system, budget 1.5x", perRun, kept)
 	}
 }

@@ -7,10 +7,10 @@
 // The build works on interned symbols throughout: representation
 // frequencies and the (representation, role) → variable mapping live in
 // dense arrays indexed by propgraph.Sym instead of string-keyed maps,
-// and the frequency and candidate-filter passes shard across a worker
-// pool. Results are bitwise identical at every worker count — shards are
-// contiguous event ranges merged in order, and the frequency merge is an
-// integer sum.
+// and the frequency, candidate-filter and flow passes shard across a
+// worker pool. Results are bitwise identical at every worker count —
+// shards are contiguous event ranges merged in order, and the frequency
+// merge is an integer sum.
 package constraints
 
 import (
@@ -37,8 +37,8 @@ type Options struct {
 	// components larger than this bound (guards against pathological
 	// generated files). Default 50000.
 	MaxComponent int
-	// Workers bounds the goroutines used for the frequency and
-	// candidate-filter passes (the core.Config.Workers convention:
+	// Workers bounds the goroutines used for the frequency,
+	// candidate-filter and flow passes (the core.Config.Workers convention:
 	// 0 selects GOMAXPROCS, 1 keeps the sequential path). Results are
 	// bitwise identical at every count.
 	Workers int
@@ -192,9 +192,9 @@ func Build(g *propgraph.Graph, seed *spec.Spec, opts Options) *System {
 	s, workers := buildCore(g, seed, opts)
 	m := opts.Metrics
 
-	// Pass 4: flow constraints per weakly connected component.
+	// Pass 4: flow constraints, over the graph's own tiling (flow.go).
 	t0 := time.Now()
-	s.buildFlowConstraints(g)
+	s.assemble(s.flowBlocks(g, flowRanges(closedCuts(g)), workers))
 	m.ObserveDuration(obs.StageConstraintsFlow, time.Since(t0))
 
 	s.finishMetrics(workers)
@@ -391,298 +391,4 @@ func (s *System) finishMetrics(workers int) {
 	m.Set("constraints.pattern_c", float64(s.CountC))
 	m.Set("constraints.skipped_components", float64(s.SkippedComponents))
 	m.Set("constraints.workers", float64(workers))
-}
-
-// terms builds the backoff-averaged linear terms for an event playing a
-// role: the average of its surviving representations' variables (§4.3).
-func (s *System) terms(info *EventInfo, role propgraph.Role) []lp.Term {
-	if info == nil || !info.Roles.Has(role) {
-		return nil
-	}
-	coef := 1.0 / float64(len(info.RepIDs))
-	out := make([]lp.Term, 0, len(info.RepIDs))
-	for _, sym := range info.RepIDs {
-		if id := s.VarIDSym(sym, role); id >= 0 {
-			out = append(out, lp.Term{Var: id, Coef: coef})
-		}
-	}
-	return out
-}
-
-// candidate role tests over EventInfo.
-func (s *System) isCand(id int, role propgraph.Role) bool {
-	info := s.InfoFor(id)
-	return info != nil && info.Roles.Has(role)
-}
-
-// buildFlowConstraints enumerates the Fig. 4 patterns using per-component
-// forward reachability over the (acyclic) propagation graph.
-func (s *System) buildFlowConstraints(g *propgraph.Graph) {
-	n := len(g.Events)
-	comp, ncomp := weakComponents(g)
-	// Bucket events by component with a counting sort. Component IDs are
-	// assigned in increasing discovery order and events are scanned in
-	// increasing ID order, so both the component iteration order and the
-	// event order inside each bucket match the previous sorted-map walk.
-	counts := make([]int, ncomp)
-	for _, c := range comp {
-		counts[c]++
-	}
-	starts := make([]int, ncomp+1)
-	for c, k := range counts {
-		starts[c+1] = starts[c] + k
-	}
-	copy(counts, starts[:ncomp]) // reuse as per-component cursors
-	byComp := make([]int, n)
-	for id := 0; id < n; id++ {
-		c := comp[id]
-		byComp[counts[c]] = id
-		counts[c]++
-	}
-	// Each event's index inside its component bucket. Edges never cross
-	// weak components, so buildComponent can translate any neighbor through
-	// this array instead of a per-component map.
-	localOf := make([]int32, n)
-	for k, id := range byComp {
-		localOf[id] = int32(k - starts[comp[id]])
-	}
-	var sc flowScratch
-	sc.localOf = localOf
-	for c := 0; c < ncomp; c++ {
-		events := byComp[starts[c]:starts[c+1]]
-		if len(events) < 2 {
-			continue
-		}
-		if len(events) > s.Opts.MaxComponent {
-			s.SkippedComponents++
-			continue
-		}
-		s.buildComponent(g, events, &sc)
-	}
-}
-
-// flowScratch holds buffers reused across buildComponent calls so the
-// per-component bookkeeping (degrees, topological order, reachability
-// bitsets) does not allocate once the largest component has been seen.
-type flowScratch struct {
-	localOf []int32 // event ID -> index within its component bucket
-	indeg   []int
-	queue   []int
-	order   []int
-	fwd     []bitset
-	words   []uint64 // backing arena for fwd
-}
-
-// prep resizes the scratch for a component of m events and returns the
-// zeroed indeg slice and bitsets.
-func (sc *flowScratch) prep(m int) ([]int, []bitset) {
-	if cap(sc.indeg) < m {
-		sc.indeg = make([]int, m)
-		sc.queue = make([]int, 0, m)
-		sc.order = make([]int, 0, m)
-		sc.fwd = make([]bitset, m)
-	}
-	indeg := sc.indeg[:m]
-	for i := range indeg {
-		indeg[i] = 0
-	}
-	wpb := (m + 63) / 64
-	if cap(sc.words) < m*wpb {
-		sc.words = make([]uint64, m*wpb)
-	}
-	words := sc.words[:m*wpb]
-	for i := range words {
-		words[i] = 0
-	}
-	fwd := sc.fwd[:m]
-	for i := range fwd {
-		fwd[i] = bitset(words[i*wpb : (i+1)*wpb])
-	}
-	return indeg, fwd
-}
-
-// buildComponent generates constraints inside one component. Neighbor IDs
-// translate through sc.localOf: successors and predecessors of a component
-// member are, by definition of weak connectivity, members themselves.
-func (s *System) buildComponent(g *propgraph.Graph, events []int, sc *flowScratch) {
-	m := len(events)
-	indeg, fwd := sc.prep(m)
-	// Topological order. Analyzer-built graphs are DAGs; hand-built
-	// graphs may contain cycles, in which case the sort is incomplete and
-	// reachability falls back to a fixpoint iteration below.
-	for _, id := range events {
-		for _, dst := range g.Succs(id) {
-			indeg[sc.localOf[dst]]++
-		}
-	}
-	queue := sc.queue[:0]
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := sc.order[:0]
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, dst := range g.Succs(events[i]) {
-			j := sc.localOf[dst]
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, int(j))
-			}
-		}
-	}
-
-	// Forward reachability bitsets: one reverse-topological pass for DAGs,
-	// fixpoint iteration when the component is cyclic (the paper notes the
-	// method supports cycles in principle, §5.2).
-	if len(order) == m {
-		for k := len(order) - 1; k >= 0; k-- {
-			i := order[k]
-			for _, dst := range g.Succs(events[i]) {
-				j := sc.localOf[dst]
-				fwd[i].set(int(j))
-				fwd[i].or(fwd[j])
-			}
-		}
-	} else {
-		for changed := true; changed; {
-			changed = false
-			for i := 0; i < m; i++ {
-				for _, dst := range g.Succs(events[i]) {
-					j := sc.localOf[dst]
-					if fwd[i].setChanged(int(j)) {
-						changed = true
-					}
-					if fwd[i].orChanged(fwd[j]) {
-						changed = true
-					}
-				}
-			}
-		}
-	}
-
-	// Sources flowing into each sanitizer candidate.
-	srcsOf := make(map[int][]int) // local sanitizer index -> local source indices
-	for i := 0; i < m; i++ {
-		if !s.isCand(events[i], propgraph.Source) {
-			continue
-		}
-		fwd[i].forEach(func(j int) {
-			if s.isCand(events[j], propgraph.Sanitizer) {
-				srcsOf[j] = append(srcsOf[j], i)
-			}
-		})
-	}
-
-	addConstraint := func(lhs, rhs []lp.Term, kind *int) {
-		if len(lhs) == 0 {
-			return
-		}
-		s.Problem.Constraints = append(s.Problem.Constraints, lp.Constraint{LHS: lhs, RHS: rhs})
-		*kind++
-	}
-
-	for i := 0; i < m; i++ {
-		ei := events[i]
-		switch {
-		case s.isCand(ei, propgraph.Sanitizer):
-			sanTerms := s.terms(s.InfoFor(ei), propgraph.Sanitizer)
-			// Sinks reachable from this sanitizer.
-			var sinks []int
-			fwd[i].forEach(func(j int) {
-				if s.isCand(events[j], propgraph.Sink) {
-					sinks = append(sinks, j)
-				}
-			})
-			srcs := srcsOf[i]
-
-			// Fig. 4a: san(i) + snk(t) <= Σ src(u) + C, per sink t.
-			var srcSum []lp.Term
-			for _, u := range srcs {
-				srcSum = append(srcSum, s.terms(s.InfoFor(events[u]), propgraph.Source)...)
-			}
-			for _, t := range sinks {
-				lhs := append(append([]lp.Term(nil), sanTerms...),
-					s.terms(s.InfoFor(events[t]), propgraph.Sink)...)
-				addConstraint(lhs, srcSum, &s.CountA)
-			}
-
-			// Fig. 4b: src(u) + san(i) <= Σ snk(t) + C, per source u.
-			var snkSum []lp.Term
-			for _, t := range sinks {
-				snkSum = append(snkSum, s.terms(s.InfoFor(events[t]), propgraph.Sink)...)
-			}
-			for _, u := range srcs {
-				lhs := append(append([]lp.Term(nil),
-					s.terms(s.InfoFor(events[u]), propgraph.Source)...), sanTerms...)
-				addConstraint(lhs, snkSum, &s.CountB)
-			}
-		}
-
-		// Fig. 4c: src(i) + snk(t) <= Σ san(s on some i→t path) + C.
-		if s.isCand(ei, propgraph.Source) {
-			srcTerms := s.terms(s.InfoFor(ei), propgraph.Source)
-			var sanMid []int
-			fwd[i].forEach(func(j int) {
-				if s.isCand(events[j], propgraph.Sanitizer) {
-					sanMid = append(sanMid, j)
-				}
-			})
-			fwd[i].forEach(func(t int) {
-				if !s.isCand(events[t], propgraph.Sink) {
-					return
-				}
-				var sanSum []lp.Term
-				for _, sMid := range sanMid {
-					if fwd[sMid].has(t) {
-						sanSum = append(sanSum,
-							s.terms(s.InfoFor(events[sMid]), propgraph.Sanitizer)...)
-					}
-				}
-				lhs := append(append([]lp.Term(nil), srcTerms...),
-					s.terms(s.InfoFor(events[t]), propgraph.Sink)...)
-				addConstraint(lhs, sanSum, &s.CountC)
-			})
-		}
-	}
-}
-
-// weakComponents labels each event with a weakly-connected-component ID,
-// returning the labels and the number of components.
-func weakComponents(g *propgraph.Graph) ([]int, int) {
-	n := len(g.Events)
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	var stack []int
-	for start := 0; start < n; start++ {
-		if comp[start] >= 0 {
-			continue
-		}
-		comp[start] = next
-		stack = append(stack[:0], start)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range g.Succs(id) {
-				if comp[nb] < 0 {
-					comp[nb] = next
-					stack = append(stack, nb)
-				}
-			}
-			for _, nb := range g.Preds(id) {
-				if comp[nb] < 0 {
-					comp[nb] = next
-					stack = append(stack, nb)
-				}
-			}
-		}
-		next++
-	}
-	return comp, next
 }

@@ -270,7 +270,9 @@ func TestWeakComponents(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 1) // weakly connects 2 to {0,1}
 	g.AddEdge(3, 4)
-	comp, ncomp := weakComponents(g)
+	var sc flowScratch
+	ncomp := sc.components(g, shardRange{0, len(g.Events)})
+	comp := sc.comp
 	if comp[0] != comp[1] || comp[1] != comp[2] {
 		t.Errorf("0,1,2 should share a component: %v", comp)
 	}

@@ -155,10 +155,7 @@ func (r *Result) runStage(cfg Config, name string, f func()) {
 func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	res := &Result{
-		Graph:      g,
-		EventRoles: make(map[int]propgraph.RoleSet),
-	}
+	res := &Result{Graph: g}
 
 	copts := cfg.Constraints
 	copts.Metrics = cfg.Metrics
@@ -184,11 +181,7 @@ func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
 func LearnPrepared(g *propgraph.Graph, sys *constraints.System, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	res := &Result{
-		Graph:      g,
-		System:     sys,
-		EventRoles: make(map[int]propgraph.RoleSet),
-	}
+	res := &Result{Graph: g, System: sys}
 	res.solveAndSelect(cfg, start)
 	return res
 }
@@ -313,29 +306,60 @@ func (r *Result) ScoreOf(rep string, role propgraph.Role) float64 {
 
 // selectRoles applies §7.1: for each candidate event and allowed role,
 // walk the backoff options from most to least specific and select the
-// role if decay^i * score_i passes the threshold.
+// role if decay^i * score_i passes the threshold. The walk runs twice,
+// first only counting, so that Predictions and EventRoles are allocated
+// once at their final size.
 func (r *Result) selectRoles(cfg Config) {
-	strs := r.System.Syms.Strings()
-	for idx := range r.System.EventInfos {
-		info := &r.System.EventInfos[idx]
-		for _, role := range propgraph.Roles() {
-			if !info.Roles.Has(role) {
-				continue
-			}
-			for i, sym := range info.RepIDs {
-				var score float64
-				if id := r.System.VarIDSym(sym, role); id >= 0 {
-					score = r.Solution[id]
+	sys := r.System
+	strs := sys.Syms.Strings()
+	deepest := 0
+	for i := range sys.EventInfos {
+		deepest = max(deepest, len(sys.EventInfos[i].RepIDs))
+	}
+	decay := make([]float64, deepest)
+	for i := range decay {
+		decay[i] = math.Pow(cfg.BackoffDecay, float64(i))
+	}
+	for _, fill := range []bool{false, true} {
+		predictions, events := 0, 0
+		for idx := range sys.EventInfos {
+			info := &sys.EventInfos[idx]
+			var selected propgraph.RoleSet
+			for _, role := range propgraph.Roles() {
+				if !info.Roles.Has(role) {
+					continue
 				}
-				if math.Pow(cfg.BackoffDecay, float64(i))*score >= cfg.Threshold {
-					r.Predictions = append(r.Predictions, Prediction{
-						EventID: info.EventID, Role: role, Rep: strs[sym],
-						Score: score, Backoff: i,
-					})
-					r.EventRoles[info.EventID] = r.EventRoles[info.EventID].With(role)
+				for i, sym := range info.RepIDs {
+					var score float64
+					if id := sys.VarIDSym(sym, role); id >= 0 {
+						score = r.Solution[id]
+					}
+					if !(decay[i]*score >= cfg.Threshold) {
+						continue
+					}
+					selected = selected.With(role)
+					predictions++
+					if fill {
+						r.Predictions = append(r.Predictions, Prediction{
+							EventID: info.EventID, Role: role, Rep: strs[sym],
+							Score: score, Backoff: i,
+						})
+					}
 					break
 				}
 			}
+			if selected != 0 {
+				events++
+				if fill {
+					r.EventRoles[info.EventID] = selected
+				}
+			}
+		}
+		if !fill {
+			if predictions > 0 {
+				r.Predictions = make([]Prediction, 0, predictions)
+			}
+			r.EventRoles = make(map[int]propgraph.RoleSet, events)
 		}
 	}
 }

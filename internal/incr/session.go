@@ -32,6 +32,7 @@
 package incr
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"sort"
 	"sync"
@@ -65,10 +66,17 @@ type fileState struct {
 	// directly (no source in hand).
 	contentHash [32]byte
 	hasContent  bool
-	// enc is the graph's binary encoding (propgraph v2); its sha256
-	// keys the flow-constraint cache spans.
-	enc   []byte
-	graph *propgraph.Graph
+	// enc is the graph's binary encoding (propgraph v2); encHash, its
+	// sha256, keys the flow-constraint cache spans.
+	enc     []byte
+	encHash [32]byte
+	graph   *propgraph.Graph
+}
+
+// newFileState wraps a graph and its encoding, hashing the encoding once
+// for every Relearn the file will be part of.
+func newFileState(enc []byte, g *propgraph.Graph) *fileState {
+	return &fileState{enc: enc, encHash: sha256.Sum256(enc), graph: g}
 }
 
 // Session owns the persistent incremental-learning state. All methods
@@ -180,12 +188,12 @@ func (s *Session) Splice(name string, g *propgraph.Graph) {
 	t0 := time.Now()
 	enc := g.AppendBinary(nil)
 	s.mu.Lock()
-	if old := s.files[name]; old != nil && bytesEqual(old.enc, enc) {
+	if old := s.files[name]; old != nil && bytes.Equal(old.enc, enc) {
 		s.mu.Unlock()
 		s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
 		return
 	}
-	s.files[name] = &fileState{enc: enc, graph: g}
+	s.files[name] = newFileState(enc, g)
 	s.changed++
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
@@ -209,12 +217,13 @@ func (s *Session) SpliceSource(name, source string) {
 		Workers: 1, Cache: s.cfg.Cache, Metrics: s.cfg.Metrics, Log: s.cfg.Log,
 	})
 	g := fe.Graphs[0]
-	enc := g.AppendBinary(nil)
+	fs := newFileState(g.AppendBinary(nil), g)
+	fs.contentHash, fs.hasContent = h, true
 	s.mu.Lock()
-	if old := s.files[name]; old == nil || !bytesEqual(old.enc, enc) {
+	if old := s.files[name]; old == nil || !bytes.Equal(old.enc, fs.enc) {
 		s.changed++
 	}
-	s.files[name] = &fileState{contentHash: h, hasContent: true, enc: enc, graph: g}
+	s.files[name] = fs
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
 }
@@ -294,17 +303,20 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 			File: n,
 			Lo:   at,
 			Hi:   at + len(fs.graph.Events),
-			Hash: sha256.Sum256(fs.enc),
+			Hash: fs.encHash,
 		}
 		at = spans[i].Hi
 	}
 	union := propgraph.Union(graphs...)
+	tUnion := time.Now()
+	s.cfg.Metrics.ObserveDuration(obs.StageIncrRebuildUnion, tUnion.Sub(t0))
 	copts := s.cfg.Constraints
 	copts.Metrics = s.cfg.Metrics
 	if copts.Workers == 0 {
 		copts.Workers = s.cfg.Workers
 	}
 	sys, delta := constraints.BuildIncremental(union, s.seed, copts, spans, s.cache)
+	s.cfg.Metrics.ObserveDuration(obs.StageIncrRebuildConstraints, time.Since(tUnion))
 	st.Delta = delta
 
 	// Feedback pins become hard constraints. A pin whose representation
@@ -420,16 +432,4 @@ func (s *Session) Score(rep string, role propgraph.Role) (float64, bool) {
 	}
 	v, ok := s.prev[PinKey{Rep: rep, Role: role}]
 	return v, ok
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
+	"seldon/internal/constraints"
 	"seldon/internal/core"
 	"seldon/internal/corpus"
 	"seldon/internal/incr"
@@ -104,6 +107,47 @@ func TestSessionEquivalenceOracle(t *testing.T) {
 		if got, want := storeBytes(t, s.LearnedSpec()), storeBytes(t, scratch); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: warm session store bytes differ from from-scratch", workers)
 		}
+	}
+}
+
+// TestSessionRelearnFannedOut runs a session over a corpus large enough
+// that Relearn's union is copied by several goroutines and its flow pass
+// has stale spans for every worker (under -race this is the test that
+// exercises both from the session): after an edit, the union must encode
+// to the bytes of a one-at-a-time UnionBuilder over a fresh front-end
+// run, and the incrementally built constraints must be the sequential
+// from-scratch build's exactly.
+func TestSessionRelearnFannedOut(t *testing.T) {
+	files, names := testCorpus(t, 300, 5)
+	seed := corpus.ExperimentSeed()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := sessionFrom(t, files, core.Config{Workers: 4})
+	s.Relearn()
+	for _, victim := range []string{names[0], names[150], names[299]} {
+		files[victim] += "\ndef extra(q):\n    y = q.fetch()\n    sys_exec(y)\n"
+		s.SpliceSource(victim, files[victim])
+	}
+	res, st := s.Relearn()
+	if st.Delta.FellBack || st.Delta.SpansRebuilt < 3 || st.Delta.SpansReused == 0 {
+		t.Fatalf("delta build: %+v", st.Delta)
+	}
+
+	fe := core.AnalyzeFiles(files, core.Config{Workers: 1})
+	ub := propgraph.NewUnionBuilder()
+	for _, g := range fe.Graphs {
+		ub.Add(g)
+	}
+	if len(ub.Graph().Events) < 4096 {
+		t.Fatalf("corpus has %d events, too few to fan the union out", len(ub.Graph().Events))
+	}
+	if !bytes.Equal(res.Graph.AppendBinary(nil), ub.Graph().AppendBinary(nil)) {
+		t.Fatal("session union differs from a one-at-a-time UnionBuilder")
+	}
+	full := constraints.Build(ub.Graph(), seed, constraints.Options{Workers: 1})
+	if !reflect.DeepEqual(res.System.Vars, full.Vars) ||
+		!reflect.DeepEqual(res.System.Problem.Constraints, full.Problem.Constraints) {
+		t.Fatalf("session system (%d constraints) differs from the from-scratch build (%d)",
+			len(res.System.Problem.Constraints), len(full.Problem.Constraints))
 	}
 }
 

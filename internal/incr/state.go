@@ -218,10 +218,9 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		}
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
-		encCopy := append([]byte(nil), enc...)
-		s.files[name] = &fileState{
-			contentHash: ch, hasContent: hasContent, enc: encCopy, graph: g,
-		}
+		fs := newFileState(append([]byte(nil), enc...), g)
+		fs.contentHash, fs.hasContent = ch, hasContent
+		s.files[name] = fs
 	}
 
 	nSol := int(r.u64())

@@ -135,12 +135,16 @@ const (
 	// Incremental learning (internal/incr). The stage.incr.* timers
 	// decompose one session operation: retract/splice are the delta
 	// operations on the per-file graph set, rebuild is the union +
-	// delta-aware constraint build, resolve the warm-started solve +
-	// role selection.
-	StageIncrRetract = "stage.incr.retract"
-	StageIncrSplice  = "stage.incr.splice"
-	StageIncrRebuild = "stage.incr.rebuild"
-	StageIncrResolve = "stage.incr.resolve"
+	// delta-aware constraint build (its two halves are also timed on
+	// their own, rebuild.union and rebuild.constraints; rebuild is their
+	// sum plus pin application), resolve the warm-started solve + role
+	// selection.
+	StageIncrRetract            = "stage.incr.retract"
+	StageIncrSplice             = "stage.incr.splice"
+	StageIncrRebuild            = "stage.incr.rebuild"
+	StageIncrRebuildUnion       = "stage.incr.rebuild.union"
+	StageIncrRebuildConstraints = "stage.incr.rebuild.constraints"
+	StageIncrResolve            = "stage.incr.resolve"
 	// incr.files is the session's current file count; incr.files_changed
 	// the files spliced or retracted since the last relearn.
 	// incr.spans_reused / incr.constraints_reused report how much of the

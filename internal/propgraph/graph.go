@@ -284,102 +284,6 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// Union builds the global propagation graph of a dataset: the disjoint
-// union of the per-program graphs (§4, "Learning over a Global Propagation
-// Graph"). Event IDs are renumbered; inputs are not modified.
-//
-// Symbols are remapped from each input's table into the union's global
-// table through a per-graph translation array (each distinct string is
-// hashed once per input, occurrences are pure integer indexing), and the
-// global IDs are assigned in first-seen order over the inputs — so a
-// sorted input order yields a deterministic global table.
-//
-// Adjacency is bulk-copied: the inputs are well-formed graphs (edges
-// deduplicated, no self-loops) and the union is disjoint, so the per-edge
-// AddEdge duplicate scans are unnecessary. Events, symbol lists, and
-// adjacency all carve from single preallocated arenas, and predecessor
-// lists are rebuilt in ascending-source order — the order the
-// AddEdge-based union produced — so the result is byte-identical to it.
-func Union(graphs ...*Graph) *Graph {
-	totalEvents, totalReps, totalSuccs := 0, 0, 0
-	for _, g := range graphs {
-		totalEvents += len(g.Events)
-		for _, e := range g.Events {
-			totalReps += len(e.RepIDs)
-		}
-		totalSuccs += g.NumEdges()
-	}
-	syms := NewInterner()
-	out := &Graph{
-		Syms:   syms,
-		Events: make([]*Event, 0, totalEvents),
-		succs:  make([][]int, totalEvents),
-		preds:  make([][]int, totalEvents),
-	}
-
-	// Events (with symbol translation) and successor lists, then
-	// predecessor-list sizes.
-	evArena := make([]Event, totalEvents)
-	repArena := make([]Sym, 0, totalReps)
-	succArena := make([]int, 0, totalSuccs)
-	predLen := make([]int, totalEvents)
-	for _, g := range graphs {
-		xlat := syms.TranslateFrom(g.Syms)
-		base := len(out.Events)
-		for _, e := range g.Events {
-			ne := &evArena[base+e.ID]
-			*ne = *e
-			ne.ID = base + e.ID
-			ne.syms = syms
-			if len(e.RepIDs) > 0 {
-				start := len(repArena)
-				for _, s := range e.RepIDs {
-					repArena = append(repArena, xlat[s])
-				}
-				ne.RepIDs = repArena[start:len(repArena):len(repArena)]
-			}
-			out.Events = append(out.Events, ne)
-		}
-		for src, ss := range g.succs {
-			if len(ss) == 0 {
-				continue
-			}
-			start := len(succArena)
-			for _, dst := range ss {
-				succArena = append(succArena, base+dst)
-				predLen[base+dst]++
-			}
-			out.succs[base+src] = succArena[start:len(succArena):len(succArena)]
-		}
-	}
-
-	// Predecessor lists, carved from one arena, filled in
-	// ascending-source order.
-	totalPreds := 0
-	for _, n := range predLen {
-		totalPreds += n
-	}
-	predArena := make([]int, totalPreds)
-	off := 0
-	for id, n := range predLen {
-		if n > 0 {
-			out.preds[id] = predArena[off : off : off+n]
-			off += n
-		}
-	}
-	base := 0
-	for _, g := range graphs {
-		for src, ss := range g.succs {
-			for _, dst := range ss {
-				out.preds[base+dst] = append(out.preds[base+dst], base+src)
-			}
-		}
-		out.copyEdgeArgs(g, base)
-		base += len(g.Events)
-	}
-	return out
-}
-
 // Collapse applies vertex contraction, merging all events that share the
 // same most-specific representation into a single vertex (Fig. 7). The
 // result is Merlin's collapsed propagation graph (§6.4); it is generally

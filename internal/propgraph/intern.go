@@ -42,10 +42,15 @@ func (t *Interner) Intern(s string) Sym {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.internLocked(s)
+}
+
+// internLocked is Intern for a caller that holds the write lock.
+func (t *Interner) internLocked(s string) Sym {
 	if id, ok := t.index[s]; ok {
 		return id
 	}
-	id = Sym(len(t.strs))
+	id := Sym(len(t.strs))
 	t.strs = append(t.strs, s)
 	t.index[s] = id
 	t.bytes += int64(len(s))
@@ -116,15 +121,18 @@ func (t *Interner) Strings() []string {
 // translation array: xlat[localSym] is t's symbol for src's localSym.
 // Each distinct string is hashed once per source table, not once per
 // occurrence — Union remaps per-event symbols through the array with
-// pure integer indexing.
+// pure integer indexing. The table is locked once for the whole source
+// (src is snapshotted first, so translating a table into itself is safe).
 func (t *Interner) TranslateFrom(src *Interner) []Sym {
 	strs := src.Strings()
 	if len(strs) == 0 {
 		return nil
 	}
 	xlat := make([]Sym, len(strs))
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for i, s := range strs {
-		xlat[i] = t.Intern(s)
+		xlat[i] = t.internLocked(s)
 	}
 	return xlat
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"seldon/internal/pytoken"
@@ -118,10 +119,13 @@ func TestUnionMatchesAddEdgeUnion(t *testing.T) {
 }
 
 // TestUnionAllocBudget pins the arena allocation strategy: merging a
-// ~1k-event dataset must stay within a fixed allocation budget — roughly
-// the fixed arenas, one translation array per input, and the interning of
-// each distinct representation — rather than scaling with events or edges.
+// ~1k-event dataset costs the union's fixed tables and blocks, one
+// translation array per input and the growth of the symbol table — not an
+// allocation per event, edge or label.
 func TestUnionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	graphs := make([]*Graph, 8)
 	nEvents := 0
 	for i := range graphs {
@@ -132,24 +136,32 @@ func TestUnionAllocBudget(t *testing.T) {
 		t.Fatalf("fixture too small: %d events", nEvents)
 	}
 	allocs := testing.AllocsPerRun(10, func() { Union(graphs...) })
-	// The distinct-symbol count (~1.3k across the inputs) dominates the
-	// budget via map inserts; the per-event and per-edge costs must stay
-	// amortized into the arenas. 2×events would signal a regression to
-	// per-event allocation.
-	if budget := 2000.0; allocs > budget {
+	// Measured 60: most of it is the symbol table growing to the ~1.3k
+	// distinct symbols of the inputs. It was 78 while every label went
+	// through AddEdgeArg.
+	if budget := 70.0; allocs > budget {
 		t.Errorf("Union allocs/run = %.0f, budget %.0f", allocs, budget)
 	}
 }
 
 func BenchmarkUnion(b *testing.B) {
 	graphs := make([]*Graph, 64)
+	events := 0
 	for i := range graphs {
 		graphs[i] = pseudoGraph(i, 120)
+		events += len(graphs[i].Events)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Union(graphs...)
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	perEvent := float64(b.N) * float64(events)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perEvent, "allocs/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perEvent, "B/event")
 }
 
 func BenchmarkUnionNaive(b *testing.B) {
@@ -160,5 +172,66 @@ func BenchmarkUnionNaive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		naiveUnion(graphs...)
+	}
+}
+
+// labelledGraph is pseudoGraph with every label shape the analyzer
+// emits: positional, receiver and keyword labels, and edges carrying
+// several labels at once.
+func labelledGraph(seed, nEvents int) *Graph {
+	g := pseudoGraph(seed, nEvents)
+	for i := 0; i+1 < nEvents; i += 2 {
+		src, dst := i, (i+1+seed)%nEvents
+		g.AddEdgeArg(src, dst, ArgKeyword)
+		if i%4 == 0 {
+			g.AddEdgeArg(src, dst, 2)
+			g.AddEdgeArg(src, dst, ArgReceiver)
+			g.AddEdgeArg(src, dst, 0)
+		}
+	}
+	return g
+}
+
+// TestUnionParallelMatchesSequential pins the one copy routine at every
+// parallelism: Union, a UnionBuilder fed one input at a time and the
+// AddEdge-based oracle must encode to the same bytes at GOMAXPROCS 1, 2
+// and 4 — over no inputs, one input, empty inputs between labelled ones,
+// and enough events to cross the fan-out threshold.
+func TestUnionParallelMatchesSequential(t *testing.T) {
+	var big []*Graph
+	events := 0
+	for i := 0; events <= 2*unionFanoutEvents; i++ {
+		g := labelledGraph(i, 40+i%90)
+		if i%17 == 3 {
+			g = New()
+		}
+		big = append(big, g)
+		events += len(g.Events)
+	}
+	cases := map[string][]*Graph{
+		"none":      {},
+		"empty":     {New()},
+		"one":       {labelledGraph(1, 30)},
+		"one-big":   {labelledGraph(2, unionFanoutEvents+10)},
+		"small":     {labelledGraph(1, 12), New(), labelledGraph(2, 7), New()},
+		"fanned":    big,
+		"two-heavy": {labelledGraph(3, unionFanoutEvents), labelledGraph(4, 5)},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, graphs := range cases {
+		want := naiveUnion(graphs...).AppendBinary(nil)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			if got := Union(graphs...).AppendBinary(nil); !bytes.Equal(got, want) {
+				t.Errorf("%s, GOMAXPROCS=%d: Union differs from the AddEdge oracle", name, procs)
+			}
+			b := NewUnionBuilder()
+			for _, g := range graphs {
+				b.Add(g)
+			}
+			if got := b.Graph().AppendBinary(nil); !bytes.Equal(got, want) {
+				t.Errorf("%s, GOMAXPROCS=%d: UnionBuilder differs from the AddEdge oracle", name, procs)
+			}
+		}
 	}
 }
