@@ -357,6 +357,17 @@ func TestBuildAllocBudget(t *testing.T) {
 	}
 }
 
+func BenchmarkConstraintsBuild(b *testing.B) {
+	g := corpusGraph(8, 125)
+	seed := corpusSeed()
+	opts := Options{Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Build(g, seed, opts)
+	}
+}
+
 // BenchmarkBuildIncrementalWarm is the coordinator's and the session's
 // steady state: every span's block comes from the cache.
 func BenchmarkBuildIncrementalWarm(b *testing.B) {

@@ -49,18 +49,6 @@ func (g *Graph) EdgeArgs(src, dst int) []int {
 	return g.edgeArgs[edgeKey(src, dst)]
 }
 
-// copyEdgeArgs transfers labels from g with both endpoints offset, used by
-// Union.
-func (out *Graph) copyEdgeArgs(g *Graph, offset int) {
-	for key, args := range g.edgeArgs {
-		src := int(key >> 32)
-		dst := int(uint32(key))
-		for _, a := range args {
-			out.AddEdgeArg(src+offset, dst+offset, a)
-		}
-	}
-}
-
 // copyEdgeArgsMapped transfers labels through a vertex-contraction map,
 // used by Collapse.
 func (out *Graph) copyEdgeArgsMapped(g *Graph, classOf []int) {

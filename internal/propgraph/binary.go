@@ -3,6 +3,7 @@ package propgraph
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"seldon/internal/pytoken"
@@ -187,8 +188,9 @@ func (r *binReader) count(what string) int {
 
 // DecodeBinary decodes a graph encoded by AppendBinary from the front of
 // data, returning the graph and the unconsumed remainder. Malformed
-// input — truncation, version mismatch, out-of-range edges or symbols —
-// yields an error, never a partial graph.
+// input — truncation, version mismatch, out-of-range edges or symbols,
+// edge labels out of the encoder's normal form — yields an error, never a
+// partial graph.
 func DecodeBinary(data []byte) (*Graph, []byte, error) {
 	r := &binReader{data: data}
 	if tag := r.byte(); r.err == nil && tag != binaryTag {
@@ -284,20 +286,40 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 		}
 	}
 
+	// Edge labels in the encoder's normal form — edges in ascending key
+	// order, each an existing edge with a non-empty, strictly ascending
+	// argument list — which is what Union's bulk label copy relies on.
 	if nargs := r.count("edge-arg"); nargs > 0 {
 		g.edgeArgs = make(map[int64][]int, nargs)
+		prev := int64(-1)
 		for i := 0; i < nargs && r.err == nil; i++ {
 			src, dst := r.uvarint(), r.uvarint()
 			if r.err == nil && (src >= uint64(numEvents) || dst >= uint64(numEvents)) {
 				r.fail("edge-arg %d->%d out of range", src, dst)
 			}
 			n := r.count("arg")
+			if r.err != nil {
+				break
+			}
+			key := edgeKey(int(src), int(dst))
+			switch {
+			case key <= prev:
+				r.fail("edge-arg %d->%d out of order", src, dst)
+			case !slices.Contains(g.succs[src], int(dst)):
+				r.fail("edge-arg %d->%d labels no edge", src, dst)
+			case n == 0:
+				r.fail("edge-arg %d->%d has no arguments", src, dst)
+			}
+			prev = key
 			args := make([]int, n)
 			for j := range args {
 				args[j] = int(r.varint())
+				if r.err == nil && j > 0 && args[j] <= args[j-1] {
+					r.fail("edge-arg %d->%d: arguments not ascending", src, dst)
+				}
 			}
 			if r.err == nil {
-				g.edgeArgs[edgeKey(int(src), int(dst))] = args
+				g.edgeArgs[key] = args
 			}
 		}
 	}

@@ -130,6 +130,61 @@ func TestBinaryRejectsDuplicateSymbols(t *testing.T) {
 	}
 }
 
+// Edge labels must arrive in the form AppendBinary writes: ascending
+// edges that exist, each with a non-empty strictly ascending argument
+// list. Union copies decoded labels verbatim, so anything else — which
+// AddEdgeArg would have repaired or dropped — is corruption.
+func TestBinaryRejectsMalformedEdgeArgs(t *testing.T) {
+	g := New()
+	for i := 0; i < 3; i++ {
+		g.AddEvent(KindCall, "a.py", pytoken.Pos{Line: i + 1}, []string{"f()"})
+	}
+	g.AddEdge(0, 2)
+	g.AddEdge(1, 2)
+	enc := g.AppendBinary(nil)
+	head := enc[:len(enc)-1] // everything up to the (zero) edge-arg count
+	type label struct {
+		src, dst int
+		args     []int
+	}
+	with := func(labels ...label) []byte {
+		data := binary.AppendUvarint(append([]byte(nil), head...), uint64(len(labels)))
+		for _, l := range labels {
+			data = binary.AppendUvarint(data, uint64(l.src))
+			data = binary.AppendUvarint(data, uint64(l.dst))
+			data = binary.AppendUvarint(data, uint64(len(l.args)))
+			for _, a := range l.args {
+				data = binary.AppendVarint(data, int64(a))
+			}
+		}
+		return data
+	}
+
+	good := with(label{0, 2, []int{ArgReceiver, 0}}, label{1, 2, []int{1}})
+	dec, rest, err := DecodeBinary(good)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("well-formed labels: err %v, %d bytes left", err, len(rest))
+	}
+	if !bytes.Equal(dec.AppendBinary(nil), good) {
+		t.Fatal("well-formed labels do not round-trip")
+	}
+
+	cases := map[string][]byte{
+		"descending edges":   with(label{1, 2, []int{1}}, label{0, 2, []int{0}}),
+		"repeated edge":      with(label{0, 2, []int{0}}, label{0, 2, []int{1}}),
+		"no such edge":       with(label{2, 0, []int{0}}),
+		"empty list":         with(label{0, 2, nil}),
+		"descending args":    with(label{0, 2, []int{1, 0}}),
+		"repeated argument":  with(label{0, 2, []int{1, 1}}),
+		"endpoint too large": with(label{0, 3, []int{0}}),
+	}
+	for name, data := range cases {
+		if _, _, err := DecodeBinary(data); err == nil {
+			t.Errorf("%s: decode succeeded, want error", name)
+		}
+	}
+}
+
 // TestBinarySharesStrings pins the v2 size win: a graph whose events
 // repeat representations and file names must encode smaller than the sum
 // of its per-occurrence strings.

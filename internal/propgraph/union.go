@@ -40,12 +40,12 @@ func Union(graphs ...*Graph) *Graph {
 // after that writes to places fixed by prefix sums over sizes counted
 // beforehand: events, representation lists, successor and predecessor
 // lists and edge labels are carved from blocks sized before anything is
-// copied, so contiguous runs of pieces (unionPiece) can be copied by
-// several goroutines and land exactly where one goroutine would have put
-// them. The inputs are well-formed graphs (edges deduplicated, no
-// self-loops, labels only on edges) and the union is disjoint, so
-// adjacency and labels are copied in bulk with both endpoints offset,
-// without AddEdge's duplicate scan.
+// copied, so contiguous runs of inputs can be copied by several
+// goroutines and land exactly where one goroutine would have put them.
+// The inputs are well-formed graphs (edges deduplicated, no self-loops,
+// sorted labels only on edges — DecodeBinary rejects anything else) and
+// the union is disjoint, so adjacency and labels are copied in bulk with
+// both endpoints offset, without AddEdge's duplicate scan.
 type UnionBuilder struct {
 	g *Graph
 	// repsCarved and intsCarved count the representation and int slots
@@ -57,9 +57,9 @@ type UnionBuilder struct {
 	// coordinator folds thousands of them — allocates only its
 	// translation array.
 	base   int          // len(g.Events) before the copy
-	pieces []unionPiece // one entry more than there are pieces
-	runs   []int        // contiguous runs of pieces, one per goroutine
-	// Blocks carved for this copy; pieces index them by their offsets.
+	inputs []unionInput // one entry more than there are inputs
+	runs   []int        // contiguous runs of inputs, one per goroutine
+	// Blocks carved for this copy; inputs index them by their offsets.
 	events               []Event
 	reps                 []Sym
 	succs, preds, labels []int
@@ -78,27 +78,20 @@ func (b *UnionBuilder) Add(src *Graph) { b.add([]*Graph{src}) }
 // Add again grows the same graph.
 func (b *UnionBuilder) Graph() *Graph { return b.g }
 
-// unionFanoutEvents is the size of a copy, in events, from which it is
-// dealt to GOMAXPROCS goroutines; below it a goroutine costs more than
-// the events it would copy. The unit dealt is a piece: an input, or
-// unionPieceEvents consecutive events of a larger one (a shard slice
-// folded by one Add). The one-file Union of a /v1/check is a single
-// piece however many processors there are, and never starts a goroutine.
-const (
-	unionFanoutEvents = 4096
-	unionPieceEvents  = unionFanoutEvents / 2
-)
+// unionFanoutEvents is the size of a copy, in events, from which its
+// inputs are dealt to GOMAXPROCS goroutines; below it a goroutine costs
+// more than the events it would copy. The unit dealt is an input, so the
+// one-file Union of a /v1/check, and any Add, is a single run however
+// many processors there are, and never starts a goroutine.
+const unionFanoutEvents = 4096
 
-// unionPiece is one unit of a copy: events [lo, hi) of input g. Before
-// the prefix sums ev, rep, edge, pred and lab hold its own sizes, after
-// them the offset of its first event, representation slot, successor,
-// predecessor and label int within the copy's blocks; one entry past the
-// last piece holds the totals. An input's labels are counted with its
-// first piece.
-type unionPiece struct {
+// unionInput is one graph of a copy. Before the prefix sums ev, rep, edge,
+// pred and lab hold its own sizes, after them the offset of its first
+// event, representation slot, successor, predecessor and label int within
+// the copy's blocks; one entry past the last input holds the totals.
+type unionInput struct {
 	g                        *Graph
 	xlat                     []Sym
-	lo, hi                   int
 	ev, rep, edge, pred, lab int
 }
 
@@ -122,24 +115,27 @@ func (b *UnionBuilder) add(graphs []*Graph) {
 	b.base = len(g.Events)
 
 	// Sequential: the order of translation is the numbering of symbols.
-	b.pieces = slices.Grow(b.pieces[:0], len(graphs)+1)
-	labels := 0
+	// Sizes are counted on the way, then turned into offsets.
+	b.inputs = slices.Grow(b.inputs[:0], len(graphs)+1)
+	labelled := 0
 	for _, src := range graphs {
-		xlat := g.Syms.TranslateFrom(src.Syms)
-		for lo, n := 0, len(src.Events); lo < n; lo += unionPieceEvents {
-			hi := min(lo+unionPieceEvents, n)
-			b.pieces = append(b.pieces, unionPiece{g: src, xlat: xlat, lo: lo, hi: hi, ev: hi - lo})
+		u := unionInput{g: src, xlat: g.Syms.TranslateFrom(src.Syms), ev: len(src.Events)}
+		for i, e := range src.Events {
+			u.rep += len(e.RepIDs)
+			u.edge += len(src.succs[i])
+			u.pred += len(src.preds[i])
 		}
-		labels += len(src.edgeArgs)
+		for _, args := range src.edgeArgs {
+			u.lab += len(args)
+		}
+		labelled += len(src.edgeArgs)
+		b.inputs = append(b.inputs, u)
 	}
-	b.pieces = append(b.pieces, unionPiece{})
-
-	// Sizes, then offsets.
+	b.inputs = append(b.inputs, unionInput{})
 	b.cutRuns()
-	b.forRuns((*UnionBuilder).size, false)
-	var sum unionPiece
-	for i := range b.pieces {
-		u := &b.pieces[i]
+	var sum unionInput
+	for i := range b.inputs {
+		u := &b.inputs[i]
 		sum.ev, u.ev = sum.ev+u.ev, sum.ev
 		sum.rep, u.rep = sum.rep+u.rep, sum.rep
 		sum.edge, u.edge = sum.edge+u.edge, sum.edge
@@ -156,72 +152,97 @@ func (b *UnionBuilder) add(graphs []*Graph) {
 	g.Events = slices.Grow(g.Events, sum.ev)[:b.base+sum.ev]
 	g.succs = slices.Grow(g.succs, sum.ev)[:b.base+sum.ev]
 	g.preds = slices.Grow(g.preds, sum.ev)[:b.base+sum.ev]
-	if labels > 0 && g.edgeArgs == nil {
-		g.edgeArgs = make(map[int64][]int, labels)
+	if labelled > 0 && g.edgeArgs == nil {
+		g.edgeArgs = make(map[int64][]int, labelled)
 	}
 
 	// Every slot of the grown tables and every element of the blocks is
-	// written by exactly one piece. Labels go into one table, so one
-	// goroutine fills it: the caller's, while the runs copy.
-	b.forRuns((*UnionBuilder).copyPiece, true)
+	// written by exactly one input, so what a run writes is fixed by its
+	// offsets, never by scheduling. With one run everything happens on
+	// this goroutine; otherwise every run gets its own. Labels go into
+	// one table, so one goroutine fills it: this one, beside the runs.
+	var wg sync.WaitGroup
+	if len(b.runs) == 2 {
+		b.copyRun(0)
+	} else {
+		for k := 0; k+1 < len(b.runs); k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				b.copyRun(k)
+			}()
+		}
+	}
+	b.copyLabels()
+	wg.Wait()
 
 	// Let go of the inputs.
-	clear(b.pieces)
+	clear(b.inputs)
 }
 
-// size counts what piece u will copy.
-func (b *UnionBuilder) size(u, _ *unionPiece) {
-	for _, e := range u.g.Events[u.lo:u.hi] {
-		u.rep += len(e.RepIDs)
+// cutRuns cuts the inputs (ev still holds sizes) into contiguous runs of
+// about equal event count, one per goroutine, as indexes into b.inputs: a
+// single run below unionFanoutEvents or when there is one input or one
+// processor.
+func (b *UnionBuilder) cutRuns() {
+	n := len(b.inputs) - 1
+	b.runs = append(b.runs[:0], 0)
+	total := 0
+	for i := range b.inputs[:n] {
+		total += b.inputs[i].ev
 	}
-	for i := u.lo; i < u.hi; i++ {
-		u.edge += len(u.g.succs[i])
-		u.pred += len(u.g.preds[i])
-	}
-	if u.lo == 0 {
-		for _, args := range u.g.edgeArgs {
-			u.lab += len(args)
+	if w := min(runtime.GOMAXPROCS(0), n); w >= 2 && total >= unionFanoutEvents {
+		before := 0 // events of the inputs before i
+		for i := 0; i < n && len(b.runs) < w; i++ {
+			if i > b.runs[len(b.runs)-1] && before >= total*len(b.runs)/w {
+				b.runs = append(b.runs, i)
+			}
+			before += b.inputs[i].ev
 		}
 	}
+	b.runs = append(b.runs, n)
 }
 
-// copyPiece copies the events of piece u and their adjacency; next is the
-// entry after u, whose offsets are where u's part of each block ends.
-func (b *UnionBuilder) copyPiece(u, next *unionPiece) {
-	g, src := b.g, u.g
-	at := b.base + u.ev - u.lo // the union's ID of the input's event 0
-	events, reps := b.events[u.ev:next.ev], b.reps[u.rep:next.rep]
-	succs, preds := b.succs[u.edge:next.edge], b.preds[u.pred:next.pred]
-	for i := u.lo; i < u.hi; i++ {
-		e, ne := src.Events[i], &events[i-u.lo]
-		*ne = *e
-		ne.ID = at + i
-		ne.syms = g.Syms
-		if k := len(e.RepIDs); k > 0 {
-			ne.RepIDs, reps = reps[:k:k], reps[k:]
-			for j, s := range e.RepIDs {
-				ne.RepIDs[j] = u.xlat[s]
+// copyRun copies the events of the inputs of run k and their adjacency.
+// An input's part of each block ends where the next entry's begins.
+func (b *UnionBuilder) copyRun(k int) {
+	g := b.g
+	for n := b.runs[k]; n < b.runs[k+1]; n++ {
+		u, next := &b.inputs[n], &b.inputs[n+1]
+		src, at := u.g, b.base+u.ev // at: the union's ID of the input's event 0
+		events, reps := b.events[u.ev:next.ev], b.reps[u.rep:next.rep]
+		succs, preds := b.succs[u.edge:next.edge], b.preds[u.pred:next.pred]
+		for i, e := range src.Events {
+			ne := &events[i]
+			*ne = *e
+			ne.ID = at + i
+			ne.syms = g.Syms
+			if nr := len(e.RepIDs); nr > 0 {
+				ne.RepIDs, reps = reps[:nr:nr], reps[nr:]
+				for j, s := range e.RepIDs {
+					ne.RepIDs[j] = u.xlat[s]
+				}
 			}
-		}
-		g.Events[at+i] = ne
+			g.Events[at+i] = ne
 
-		var out, back []int
-		if ss := src.succs[i]; len(ss) > 0 {
-			out, succs = succs[:len(ss):len(ss)], succs[len(ss):]
-			for j, dst := range ss {
-				out[j] = at + dst
+			var out, back []int
+			if ss := src.succs[i]; len(ss) > 0 {
+				out, succs = succs[:len(ss):len(ss)], succs[len(ss):]
+				for j, dst := range ss {
+					out[j] = at + dst
+				}
 			}
-		}
-		// Ascending-source order, the order AddEdge into the union would
-		// have produced: the input's own list, sorted.
-		if ps := src.preds[i]; len(ps) > 0 {
-			back, preds = preds[:len(ps):len(ps)], preds[len(ps):]
-			for j, p := range ps {
-				back[j] = at + p
+			// Ascending-source order, the order AddEdge into the union
+			// would have produced: the input's own list, sorted.
+			if ps := src.preds[i]; len(ps) > 0 {
+				back, preds = preds[:len(ps):len(ps)], preds[len(ps):]
+				for j, p := range ps {
+					back[j] = at + p
+				}
+				slices.Sort(back)
 			}
-			slices.Sort(back)
+			g.succs[at+i], g.preds[at+i] = out, back
 		}
-		g.succs[at+i], g.preds[at+i] = out, back
 	}
 }
 
@@ -229,74 +250,13 @@ func (b *UnionBuilder) copyPiece(u, next *unionPiece) {
 // both endpoints offset. The argument lists are already sorted and need
 // only a new home.
 func (b *UnionBuilder) copyLabels() {
-	for i := range b.pieces[:len(b.pieces)-1] {
-		u := &b.pieces[i]
-		if u.lo != 0 {
-			continue
-		}
-		at, dst := b.base+u.ev, b.labels[u.lab:b.pieces[i+1].lab]
+	for i := range b.inputs[:len(b.inputs)-1] {
+		u := &b.inputs[i]
+		at, dst := b.base+u.ev, b.labels[u.lab:b.inputs[i+1].lab]
 		for key, args := range u.g.edgeArgs {
-			if k := copy(dst, args); k > 0 {
-				b.g.edgeArgs[edgeKey(int(key>>32)+at, int(uint32(key))+at)] = dst[:k:k]
-				dst = dst[k:]
-			}
+			k := copy(dst, args)
+			b.g.edgeArgs[edgeKey(int(key>>32)+at, int(uint32(key))+at)] = dst[:k:k]
+			dst = dst[k:]
 		}
-	}
-}
-
-// cutRuns cuts the pieces (ev still holds sizes) into contiguous runs of
-// about equal event count, one per goroutine, as indexes into b.pieces: a
-// single run below unionFanoutEvents or when there is one piece or one
-// processor.
-func (b *UnionBuilder) cutRuns() {
-	n := len(b.pieces) - 1
-	b.runs = append(b.runs[:0], 0)
-	total := 0
-	for i := range b.pieces[:n] {
-		total += b.pieces[i].ev
-	}
-	if w := min(runtime.GOMAXPROCS(0), n); w >= 2 && total >= unionFanoutEvents {
-		before := 0 // events of the pieces before i
-		for i := 0; i < n && len(b.runs) < w; i++ {
-			if i > b.runs[len(b.runs)-1] && before >= total*len(b.runs)/w {
-				b.runs = append(b.runs, i)
-			}
-			before += b.pieces[i].ev
-		}
-	}
-	b.runs = append(b.runs, n)
-}
-
-// forRuns calls f for every piece of every run, with the entry after it,
-// and, when asked, copyLabels once. With one run everything happens on the
-// caller's goroutine; otherwise every run gets a goroutine and the caller
-// copies the labels beside them. What a piece writes is fixed by its
-// offsets, never by scheduling.
-func (b *UnionBuilder) forRuns(f func(b *UnionBuilder, u, next *unionPiece), labels bool) {
-	if len(b.runs) == 2 {
-		b.run(f, 0)
-		if labels {
-			b.copyLabels()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for k := 0; k+1 < len(b.runs); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.run(f, k)
-		}()
-	}
-	if labels {
-		b.copyLabels()
-	}
-	wg.Wait()
-}
-
-// run calls f for every piece of run k.
-func (b *UnionBuilder) run(f func(b *UnionBuilder, u, next *unionPiece), k int) {
-	for i := b.runs[k]; i < b.runs[k+1]; i++ {
-		f(b, &b.pieces[i], &b.pieces[i+1])
 	}
 }

@@ -12,7 +12,8 @@ import (
 
 // naiveUnion replicates the original event-by-event, edge-by-edge union:
 // every event re-added through AddEvent (re-interning its representation
-// strings into the output's table), every edge through AddEdge. The
+// strings into the output's table), every edge through AddEdge, every
+// label through AddEdgeArg. The
 // arena-based, symbol-translating Union must stay byte-identical to it.
 func naiveUnion(graphs ...*Graph) *Graph {
 	out := New()
@@ -27,7 +28,11 @@ func naiveUnion(graphs ...*Graph) *Graph {
 				out.AddEdge(base+src, base+dst)
 			}
 		}
-		out.copyEdgeArgs(g, base)
+		for key, args := range g.edgeArgs {
+			for _, a := range args {
+				out.AddEdgeArg(base+int(key>>32), base+int(uint32(key)), a)
+			}
+		}
 	}
 	return out
 }

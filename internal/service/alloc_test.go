@@ -133,9 +133,6 @@ func TestScratchPoolRetentionCap(t *testing.T) {
 	s.scratchPool.Put(sc)
 
 	serveOnce(t, h, []byte(taintedSrc))
-	if raceEnabled {
-		return // under -race sync.Pool drops a quarter of its Puts on purpose
-	}
 	if news := s.poolNews.Load(); news != 1 {
 		t.Fatalf("pool.news = %d after the small request, want the first scratch reused", news)
 	}
