@@ -30,15 +30,20 @@ fmt-check:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
 
-# fuzzsmoke runs the front-end's fuzz target for ten seconds on top of its
-# committed seed corpus (internal/core/testdata/fuzz): arbitrary bytes as
-# a source file must not panic and must analyze to the same graph and
-# parse error with a recycled scratch as without one.
+# fuzzsmoke rotates every fuzz target through five seconds each, on top of
+# its committed seed corpus: the front-end's (internal/core/testdata/fuzz —
+# arbitrary bytes as a source file must not panic and must analyze to the
+# same graph and parse error with a recycled scratch as without one) and
+# the session's (internal/incr/testdata/fuzz — arbitrary bytes as a
+# program of splices, retractions, pins and re-learns must leave the
+# standing union, the constraint system and the solution equal to what
+# the one-shot functions compute from the same files).
 fuzzsmoke:
-	$(GO) test -run '^$$' -fuzz FuzzFrontEndScratchEquivalence -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzFrontEndScratchEquivalence -fuzztime=5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSessionEdits -fuzztime=5s ./internal/incr
 
 # verify = tier-1 (build + full tests) plus gofmt, vet, the race checks, the
-# ten-second fuzz smoke, the end-to-end load smoke (real seldond + seldonload over loopback), the
+# two five-second fuzz smokes, the end-to-end load smoke (real seldond + seldonload over loopback), the
 # distributed-learning smoke (real worker subprocesses + coordinator),
 # and the continuous-learning smoke (feedback loop under -race).
 verify: fmt-check vet race build test fuzzsmoke loadsmoke shardsmoke feedbacksmoke

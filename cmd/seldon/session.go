@@ -121,10 +121,14 @@ func runSession(sessionDir, feedbackFile string, files map[string]string,
 	if resumed {
 		mode = "resumed"
 	}
+	union := "patched"
+	if st.UnionRebuilt != "" {
+		union = "rebuilt (" + st.UnionRebuilt + ")"
+	}
 	fmt.Printf("session %s (%s): %d files (%d spliced, %d unchanged, %d retracted), "+
-		"spans reused %d/%d, warm=%v, epochs saved %d",
+		"union %s, spans reused %d/%d, rows reused %d (%d dead), warm=%v, epochs saved %d",
 		sessionDir, mode, st.Files, spliced, skipped, retracted,
-		st.Delta.SpansReused, st.Delta.Spans, st.WarmStarted, st.EpochsSaved)
+		union, st.Delta.SpansReused, st.Delta.Spans, st.RowsReused, st.RowsDead, st.WarmStarted, st.EpochsSaved)
 	if pins > 0 {
 		fmt.Printf(", %d feedback pins", pins)
 	}

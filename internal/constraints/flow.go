@@ -88,8 +88,19 @@ func (s *System) flowBlocks(g *propgraph.Graph, ranges []shardRange, workers int
 }
 
 // assemble concatenates blocks into the problem's constraint slice and
-// sums their counts.
-func (s *System) assemble(blocks []*flowBlock) {
+// sums their counts. Blocks that carry their support fingerprint (keyed:
+// the incremental build's, one per span) are also recorded as the
+// problem's Blocks: a fingerprint covers everything a block's constraints
+// are made from — the file's graph, and the variable ID of every surviving
+// (representation, role) of its events — so equal fingerprints mean equal
+// runs of constraints, which is what a standing lp.RowTable goes by.
+func (s *System) assemble(blocks []*flowBlock, keyed bool) {
+	if keyed {
+		s.Problem.Blocks = make([]lp.Block, len(blocks))
+		for i, b := range blocks {
+			s.Problem.Blocks[i] = lp.Block{Key: b.fp, N: len(b.cons)}
+		}
+	}
 	total := 0
 	for _, b := range blocks {
 		total += len(b.cons)

@@ -92,7 +92,7 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	cut := closedCuts(g)
 	if cache == nil || !spansClosed(cut, spans) {
 		st.FellBack = true
-		s.assemble(s.flowBlocks(g, flowRanges(cut), workers))
+		s.assemble(s.flowBlocks(g, flowRanges(cut), workers), false)
 	} else {
 		// Decide reuse for every span before building anything, so that
 		// the stale ones can be rebuilt side by side and the constraint
@@ -119,7 +119,7 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 		}
 		st.SpansRebuilt = len(stale)
 		st.SpansReused = len(spans) - len(stale)
-		s.assemble(blocks)
+		s.assemble(blocks, true)
 		// Prune blocks for files no longer in the union.
 		if len(cache.blocks) > len(spans) {
 			live := make(map[string]bool, len(spans))

@@ -233,7 +233,12 @@ func assertSystemsEqual(t *testing.T, label string, got, want *System) {
 	if !reflect.DeepEqual(got.infoByEvent, want.infoByEvent) {
 		t.Fatalf("%s: infoByEvent differs", label)
 	}
-	if !reflect.DeepEqual(got.Problem, want.Problem) {
+	// Blocks say where the incremental build took its constraints from
+	// (TestBuildIncrementalRecordsBlocks); the problem must be the same
+	// with or without them.
+	gp, wp := *got.Problem, *want.Problem
+	gp.Blocks, wp.Blocks = nil, nil
+	if !reflect.DeepEqual(gp, wp) {
 		t.Fatalf("%s: Problem differs (constraints %d vs %d)",
 			label, len(got.Problem.Constraints), len(want.Problem.Constraints))
 	}
@@ -705,5 +710,49 @@ func (b bitset) refForEach(f func(i int)) {
 			f(w*64 + bits.TrailingZeros64(bit))
 			word ^= bit
 		}
+	}
+}
+
+// TestBuildIncrementalRecordsBlocks: the incremental build says which
+// span each run of constraints came from, under a key that changes when,
+// and only when, the run's constraints may; the cold build and the
+// fallback say nothing.
+func TestBuildIncrementalRecordsBlocks(t *testing.T) {
+	g, spans := flowFixture()
+	seed := corpusSeed()
+	opts := Options{MaxComponent: flowFixtureMaxComponent, Workers: 2}
+	if b := Build(g, seed, opts).Problem.Blocks; b != nil {
+		t.Fatalf("Build recorded %d blocks", len(b))
+	}
+	cache := NewFlowCache()
+	sys, _ := BuildIncremental(g, seed, opts, spans, cache)
+	blocks := sys.Problem.Blocks
+	if len(blocks) != len(spans) {
+		t.Fatalf("%d blocks for %d spans", len(blocks), len(spans))
+	}
+	// Each block is exactly what a build of its span alone would emit.
+	at, keys := 0, map[[32]byte][]lp.Constraint{}
+	for i, b := range blocks {
+		run := sys.Problem.Constraints[at : at+b.N]
+		at += b.N
+		if b.Key == ([32]byte{}) {
+			t.Fatalf("block %d has no key", i)
+		}
+		if other, ok := keys[b.Key]; ok && !reflect.DeepEqual(other, run) {
+			t.Fatalf("block %d shares its key with a different run", i)
+		}
+		keys[b.Key] = run
+	}
+	if at != len(sys.Problem.Constraints) {
+		t.Fatalf("blocks cover %d of %d constraints", at, len(sys.Problem.Constraints))
+	}
+	again, st := BuildIncremental(g, seed, opts, spans, cache)
+	if st.SpansReused != len(spans) || !reflect.DeepEqual(again.Problem.Blocks, blocks) {
+		t.Fatalf("warm build: %+v, blocks equal: %v", st, reflect.DeepEqual(again.Problem.Blocks, blocks))
+	}
+	// Spans that do not tile the graph: full build, no blocks.
+	fell, st := BuildIncremental(g, seed, opts, spans[1:], cache)
+	if !st.FellBack || fell.Problem.Blocks != nil {
+		t.Fatalf("fallback: %+v, %d blocks", st, len(fell.Problem.Blocks))
 	}
 }

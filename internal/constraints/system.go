@@ -194,7 +194,7 @@ func Build(g *propgraph.Graph, seed *spec.Spec, opts Options) *System {
 
 	// Pass 4: flow constraints, over the graph's own tiling (flow.go).
 	t0 := time.Now()
-	s.assemble(s.flowBlocks(g, flowRanges(closedCuts(g)), workers))
+	s.assemble(s.flowBlocks(g, flowRanges(closedCuts(g)), workers), false)
 	m.ObserveDuration(obs.StageConstraintsFlow, time.Since(t0))
 
 	s.finishMetrics(workers)

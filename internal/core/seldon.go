@@ -96,6 +96,11 @@ type Result struct {
 	Stages []StageTiming
 	// SolverEpochs is the number of epochs the solver ran.
 	SolverEpochs int
+	// SolverRowsReused and SolverRowsDead are lp.Result's RowsReused and
+	// RowsDead: what a standing row table (Config.Solver.Rows) spared and
+	// what it carries; 0 without one.
+	SolverRowsReused int
+	SolverRowsDead   int
 	// ParseErrors counts files whose parse reported an error (analysis
 	// still ran over the recovered AST); ParseErrorFiles names them in
 	// sorted order.
@@ -231,12 +236,15 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 	})
 	res.Solution = sol.X
 	res.SolverEpochs = sol.Iterations
+	res.SolverRowsReused, res.SolverRowsDead = sol.RowsReused, sol.RowsDead
 	cfg.Metrics.Set(obs.GaugeSolverEpochs, float64(sol.Iterations))
 	cfg.Metrics.Set(obs.GaugeSolverObjective, sol.Objective)
 	cfg.Metrics.Set(obs.GaugeSolverViolation, sol.Violation)
 	cfg.Metrics.Set(obs.GaugeSolverConstraints, float64(len(res.System.Problem.Constraints)))
 	cfg.Metrics.Set(obs.GaugeSolverRows, float64(sol.Rows))
 	cfg.Metrics.Set(obs.GaugeSolverActive, float64(lastActive))
+	cfg.Metrics.Set(obs.GaugeSolverRowsReused, float64(sol.RowsReused))
+	cfg.Metrics.Set(obs.GaugeSolverRowsDead, float64(sol.RowsDead))
 	cfg.Log.Log("solver.done", "epochs", sol.Iterations,
 		"objective", sol.Objective, "violation", sol.Violation)
 

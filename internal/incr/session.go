@@ -7,22 +7,39 @@
 // and Splice(file, graph) — plus operator feedback pins on (rep, role)
 // variables. Relearn then:
 //
-//   - rebuilds the disjoint union from the per-file graphs in sorted
-//     name order (cheap: an arena bulk-copy, byte-identical to what a
-//     from-scratch run produces),
+//   - brings the disjoint union of the per-file graphs, in sorted name
+//     order, up to date: the session keeps the union of the previous
+//     Relearn and splices the files that changed into it
+//     (propgraph.UnionBuilder.Splice), which leaves the graph
+//     byte-identical to what a from-scratch run produces and touches the
+//     unchanged files only to renumber the events behind an edit,
 //   - runs the delta-aware constraint build (constraints.BuildIncremental),
 //     which reuses the cached flow-constraint block of every file whose
 //     support set is unchanged,
 //   - warm-starts projected Adam from the previous solution, translated
 //     across variable renumbering by (rep, role); new variables start
-//     cold and pinned variables are re-pinned on top,
+//     cold and pinned variables are re-pinned on top. The solver compiles
+//     into the session's standing row table (lp.RowTable), where every
+//     reused flow block finds its rows by its fingerprint,
 //   - applies feedback pins as hard LP constraints (lp.Problem.Pin).
 //
-// Determinism contract: the incrementally built constraint system is
-// byte-identical to constraints.Build on the union of the current file
-// set (pinned by the equivalence-oracle tests), and the warm-started
-// solve converges to the same specification store as a cold run under
-// the default tolerance (golden tests).
+// The session is the cache: union and row table are standing state, each
+// patched by the routine that also builds it from nothing and each
+// rebuilt from nothing, by that routine, when a patch cannot be exact —
+// the union when an edit would renumber symbols or has left too much
+// dead space, the rows when too many have gone dead. Neither is
+// persisted; the first Relearn after Load builds both. In return a
+// core.Result is good only until its session's next Relearn, which edits
+// the graph the result points to.
+//
+// Determinism contract: the session's union is byte-identical to
+// propgraph.Union over the current file set, the incrementally built
+// constraint system to constraints.Build on it, and the solution
+// bit-identical to lp.Minimize from the same warm start without a row
+// table (all three pinned after every step of the edit-sequence oracle
+// and the fuzz target); the warm-started solve converges to the same
+// specification store as a cold run under the default tolerance (golden
+// tests).
 //
 // Sessions persist: Save writes the full state (per-file graphs, seed,
 // knobs, previous solution, pins) to one self-checking binary file and
@@ -40,6 +57,7 @@ import (
 
 	"seldon/internal/constraints"
 	"seldon/internal/core"
+	"seldon/internal/lp"
 	"seldon/internal/obs"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
@@ -96,8 +114,16 @@ type Session struct {
 	prev       map[PinKey]float64
 	coldEpochs int
 
-	result  *core.Result
-	changed int // files spliced/retracted since the last Relearn
+	result *core.Result
+
+	// Standing state of Relearn, nil until the first one and never
+	// persisted: the union, the spans of its inputs as the last Relearn
+	// handed them to the constraint build (file name and encoding hash, in
+	// union order: what the union was last brought up to date with), and
+	// the solver's row table.
+	union *propgraph.UnionBuilder
+	spans []constraints.Span
+	rows  *lp.RowTable
 }
 
 // NewSession starts an empty session learning against seed with the
@@ -173,7 +199,6 @@ func (s *Session) Retract(name string) bool {
 	_, ok := s.files[name]
 	if ok {
 		delete(s.files, name)
-		s.changed++
 	}
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrRetract, time.Since(t0))
@@ -183,7 +208,7 @@ func (s *Session) Retract(name string) bool {
 // Splice inserts or replaces a file's propagation graph. The graph is
 // owned by the session afterwards and must not be mutated by the
 // caller. A splice whose encoded bytes equal the resident file's is a
-// no-op (the file is not marked changed).
+// no-op.
 func (s *Session) Splice(name string, g *propgraph.Graph) {
 	t0 := time.Now()
 	enc := g.AppendBinary(nil)
@@ -194,7 +219,6 @@ func (s *Session) Splice(name string, g *propgraph.Graph) {
 		return
 	}
 	s.files[name] = newFileState(enc, g)
-	s.changed++
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
 }
@@ -220,9 +244,6 @@ func (s *Session) SpliceSource(name, source string) {
 	fs := newFileState(g.AppendBinary(nil), g)
 	fs.contentHash, fs.hasContent = h, true
 	s.mu.Lock()
-	if old := s.files[name]; old == nil || !bytes.Equal(old.enc, fs.enc) {
-		s.changed++
-	}
 	s.files[name] = fs
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
@@ -264,11 +285,23 @@ func (s *Session) Result() *core.Result {
 
 // RelearnStats reports what one Relearn call reused.
 type RelearnStats struct {
-	// Files is the corpus size; FilesChanged the splices/retracts since
-	// the previous Relearn. Delta reports the constraint-block reuse.
+	// Files is the corpus size; FilesChanged the number of file names
+	// whose graph is not the one the previous Relearn saw under that name
+	// — spliced with different content, new, or retracted (every file on
+	// a session's first Relearn). Delta reports the constraint-block reuse.
 	Files        int
 	FilesChanged int
 	Delta        constraints.DeltaStats
+	// UnionRebuilt is empty when the standing union was patched with the
+	// changed files, and otherwise why it was built from all of them:
+	// "first" (there was none), "numbering" (the edit would have numbered
+	// symbols differently) or "compaction" (too much dead space).
+	UnionRebuilt string
+	// RowsReused counts the constraints whose solver row came from the
+	// standing row table without hashing, RowsDead the rows the table
+	// carries that no constraint maps to any more.
+	RowsReused int
+	RowsDead   int
 	// WarmStarted reports that the solve resumed from a previous
 	// solution; EpochsSaved is the saving against the session's last
 	// cold solve (0 when cold or when the warm solve was not faster).
@@ -276,40 +309,84 @@ type RelearnStats struct {
 	EpochsSaved int
 }
 
+// syncUnion brings the standing union up to date with the current files,
+// names being their sorted names and s.spans still those of the last
+// Relearn, and returns the number of names whose graph changed since then
+// and, when the union had to be built from nothing, why.
+func (s *Session) syncUnion(names []string) (changed int, rebuilt string) {
+	rebuilt = "first"
+	changed = len(names)
+	if s.union != nil {
+		// Both lists are sorted: one merge finds what was removed, replaced
+		// and inserted, as edits against the union's current inputs.
+		var edits []propgraph.UnionEdit
+		old, i := s.spans, 0
+		for _, n := range names {
+			for ; i < len(old) && old[i].File < n; i++ {
+				edits = append(edits, propgraph.UnionEdit{At: i, Del: 1})
+			}
+			fs := s.files[n]
+			switch {
+			case i == len(old) || old[i].File != n:
+				edits = append(edits, propgraph.UnionEdit{At: i, Ins: []*propgraph.Graph{fs.graph}})
+			case old[i].Hash != fs.encHash:
+				edits = append(edits, propgraph.UnionEdit{At: i, Del: 1, Ins: []*propgraph.Graph{fs.graph}})
+				i++
+			default:
+				i++
+			}
+		}
+		for ; i < len(old); i++ {
+			edits = append(edits, propgraph.UnionEdit{At: i, Del: 1})
+		}
+		changed = len(edits)
+		rebuilt = s.union.Splice(edits)
+	}
+	if rebuilt != "" {
+		graphs := make([]*propgraph.Graph, len(names))
+		for i, n := range names {
+			graphs[i] = s.files[n].graph
+		}
+		s.union = propgraph.NewUnionBuilder()
+		s.union.Splice([]propgraph.UnionEdit{{Ins: graphs}})
+	}
+	return changed, rebuilt
+}
+
 // Relearn re-runs inference over the session's current file set and
-// returns the result. The union is rebuilt from the per-file graphs
-// (sorted name order — byte-identical to a from-scratch run), the
-// constraint system is built delta-aware, feedback pins are applied as
-// hard constraints, and the solve warm-starts from the previous
-// solution when one exists.
+// returns the result, which is good until the next Relearn. The standing
+// union is brought up to date (sorted name order — byte-identical to a
+// from-scratch run), the constraint system is built delta-aware, feedback
+// pins are applied as hard constraints, and the solve warm-starts from
+// the previous solution when one exists.
 func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	var st RelearnStats
 	st.Files = len(s.files)
-	st.FilesChanged = s.changed
+	s.result = nil // it is about to lose its graph
 
 	// Union + delta-aware constraint build.
 	t0 := time.Now()
 	names := s.sortedNames()
-	graphs := make([]*propgraph.Graph, len(names))
-	spans := make([]constraints.Span, len(names))
+	st.FilesChanged, st.UnionRebuilt = s.syncUnion(names)
+	union := s.union.Graph()
+	spans := s.spans[:0]
 	at := 0
-	for i, n := range names {
+	for _, n := range names {
 		fs := s.files[n]
-		graphs[i] = fs.graph
-		spans[i] = constraints.Span{
-			File: n,
-			Lo:   at,
-			Hi:   at + len(fs.graph.Events),
-			Hash: fs.encHash,
-		}
-		at = spans[i].Hi
+		spans = append(spans, constraints.Span{File: n, Lo: at, Hi: at + len(fs.graph.Events), Hash: fs.encHash})
+		at += len(fs.graph.Events)
 	}
-	union := propgraph.Union(graphs...)
+	s.spans = spans
 	tUnion := time.Now()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrRebuildUnion, tUnion.Sub(t0))
+	if st.UnionRebuilt == "" {
+		s.cfg.Metrics.Add(obs.CounterIncrUnionPatched, 1)
+	} else {
+		s.cfg.Metrics.Add(obs.CounterIncrUnionRebuilt, 1)
+	}
 	copts := s.cfg.Constraints
 	copts.Metrics = s.cfg.Metrics
 	if copts.Workers == 0 {
@@ -339,8 +416,13 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	// previous optimum, the best objective goes flat almost immediately
 	// on a lightly-mutated corpus, and the patience window is what turns
 	// that flatness into saved epochs. Cold solves keep the full budget.
+	// Either way the solver compiles into the standing row table.
 	t0 = time.Now()
 	cfg := s.cfg
+	if s.rows == nil {
+		s.rows = lp.NewRowTable()
+	}
+	cfg.Solver.Rows = s.rows
 	if s.prev != nil {
 		warm := make([]float64, sys.Problem.NumVars)
 		for i, v := range sys.Vars {
@@ -354,6 +436,7 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	}
 	res := core.LearnPrepared(union, sys, cfg)
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrResolve, time.Since(t0))
+	st.RowsReused, st.RowsDead = res.SolverRowsReused, res.SolverRowsDead
 
 	// Record the solution for the next warm start and the epoch baseline.
 	sol := make(map[PinKey]float64, len(sys.Vars))
@@ -371,12 +454,16 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	s.cfg.Metrics.Set(obs.GaugeWarmEpochsSaved, float64(st.EpochsSaved))
 	s.cfg.Metrics.Set(obs.GaugeIncrFiles, float64(st.Files))
 	s.cfg.Metrics.Set(obs.GaugeIncrFilesChanged, float64(st.FilesChanged))
+	unionHow := "patched"
+	if st.UnionRebuilt != "" {
+		unionHow = "rebuilt:" + st.UnionRebuilt
+	}
 	s.cfg.Log.Log("incr.relearn", "files", st.Files, "changed", st.FilesChanged,
-		"spans_reused", delta.SpansReused, "warm", st.WarmStarted,
+		"union", unionHow, "spans_reused", delta.SpansReused,
+		"rows_reused", st.RowsReused, "rows_dead", st.RowsDead, "warm", st.WarmStarted,
 		"epochs", res.SolverEpochs, "epochs_saved", st.EpochsSaved)
 
 	s.result = res
-	s.changed = 0
 	return res, st
 }
 

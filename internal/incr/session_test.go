@@ -280,6 +280,11 @@ func TestRetractThenIdenticalSplice(t *testing.T) {
 	if st.Delta.SpansReused != s.Len() {
 		t.Fatalf("identical re-splice reused %d/%d spans", st.Delta.SpansReused, s.Len())
 	}
+	// Two calls, no change: the file is what the last Relearn saw.
+	if st.FilesChanged != 0 || st.UnionRebuilt != "" {
+		t.Fatalf("retract + identical splice: FilesChanged=%d, union rebuilt %q; want 0 and a patch of nothing",
+			st.FilesChanged, st.UnionRebuilt)
+	}
 
 	// Splicing the identical graph onto a resident file is a recorded
 	// no-op: the next stats must not count it as changed.
@@ -288,6 +293,15 @@ func TestRetractThenIdenticalSplice(t *testing.T) {
 	_, st3 := s.Relearn()
 	if st3.FilesChanged != 0 {
 		t.Fatalf("identical splice counted as a change (FilesChanged=%d)", st3.FilesChanged)
+	}
+
+	// Spliced twice with new content before one Relearn: one file changed.
+	g3, _, _ := propgraph.DecodeBinary(s.EncodedGraph(names[0]))
+	g4, _, _ := propgraph.DecodeBinary(s.EncodedGraph(names[1]))
+	s.Splice(target, g3)
+	s.Splice(target, g4)
+	if _, st4 := s.Relearn(); st4.FilesChanged != 1 {
+		t.Fatalf("a file spliced twice counted as %d changes", st4.FilesChanged)
 	}
 }
 

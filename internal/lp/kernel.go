@@ -41,15 +41,20 @@ type kernel struct {
 	c      float64
 	lambda float64
 
-	// Distinct rows in first-occurrence order: row r owns
+	// Distinct rows, the table's: row r owns
 	// termVar/termCoef[rowStart[r]:rowStart[r+1]], LHS terms first and RHS
 	// terms after with negated coefficients, so one fused dot product
 	// (minus C) reproduces Constraint.Violation exactly. rowOf maps each
-	// constraint to its row.
+	// constraint to its row. live is how many rows constraints map to; a
+	// standing table may hold more (see RowTable).
 	rowStart []int32
 	termVar  []int32
 	termCoef []float64
 	rowOf    []int32
+	live     int
+	// reused counts the constraints that took their row from a remembered
+	// block, dead the rows nothing maps to.
+	reused, dead int
 
 	// The same rows restricted to free variables, term order kept: what
 	// the gradient scatter walks.
@@ -70,33 +75,231 @@ type kernel struct {
 	nActive int
 }
 
-// compile folds p's constraints into distinct rows. Two constraints share
-// a row only when their flattened term lists are equal term by term —
-// same variables, same coefficient bits, same order — the hash merely
-// picks the bucket. It costs about two walks over the terms plus a table
-// probe per constraint (≈18 ms for the 193k constraints of a 6000-file
-// corpus, where an epoch then takes ≈1.1 ms instead of ≈2.4), so even a
-// warm re-solve that stops after 25 epochs comes out ahead.
-func compile(p *Problem) *kernel {
-	nCons, nTerms := len(p.Constraints), 0
-	for i := range p.Constraints {
-		nTerms += len(p.Constraints[i].LHS) + len(p.Constraints[i].RHS)
-	}
-	// Every constraint is staged at the tail of the term arrays and a
-	// duplicate truncated away again, so they are sized for no folding at
-	// all and cut down to the distinct rows afterwards. (Locals, not kernel
-	// fields: the appends below are the hot loop.)
-	termVar, termCoef := make([]int32, 0, nTerms), make([]float64, 0, nTerms)
-	rowStart := []int32{0}
-	rowOf := make([]int32, nCons)
+// RowTable is what compile builds: the distinct rows of the problems it
+// has compiled, their hash table, and the kernel's arrays. Minimize makes
+// one per solve unless it is handed a standing one (Options.Rows), which
+// then carries over to the next solve whatever the next problem shares
+// with this one:
+//
+//   - A block of constraints the problem says it took whole from a keyed
+//     source (Problem.Blocks) is hash-consed once. The rows its
+//     constraints fell on are remembered under the key, and a later
+//     problem showing the key gets them back as one copy, with no
+//     hashing and no term compare.
+//   - Rows stay. A row no constraint of the current problem maps to is
+//     dead: every pass still takes its dot product, nothing reads it.
+//     Once the dead rows pass 1/deadRowShare of the table, or the problem
+//     has fewer variables than some row may mention, compile empties the
+//     table and compiles the problem as the first.
+//   - The kernel's arrays are reused, so a compile allocates only what a
+//     larger problem makes them grow by.
+//
+// Row numbers therefore depend on what the table has seen; nothing else
+// does. Every floating-point fold runs in constraint order over rowOf
+// (see the determinism contract above), and a row's dot product does not
+// depend on its number, so a solve through a standing table is
+// bit-identical to one through a fresh table, whatever either holds.
+//
+// A RowTable is not safe for concurrent use, and a Result computed
+// through it does not refer to it.
+type RowTable struct {
+	rowStart []int32
+	termVar  []int32
+	termCoef []float64
+	// hashes[r] is row r's hash; slots is the open-addressed table of
+	// row+1 (0 = empty) over them, doubled whenever it gets half full so
+	// that it stays as small as the distinct rows, not the constraints,
+	// require.
+	hashes []uint64
+	slots  []int32
+	// numVars is the largest NumVars of the problems whose rows the table
+	// holds: no row mentions a variable from there on.
+	numVars int
 
-	// Open-addressed table of row+1 (0 = empty) over the rows' hashes,
-	// doubled whenever it gets half full so that it stays as small as the
-	// distinct rows, not the constraints, require.
-	table := make([]int32, 1024)
-	var hashes []uint64
-	for i := range p.Constraints {
-		c := &p.Constraints[i]
+	// runs remembers, per block key, the rows of the block's constraints;
+	// gen numbers the compiles, and a run or a row last seen in this one is
+	// part of the current problem.
+	runs map[[32]byte]*rowRun
+	gen  uint32
+	seen []uint32
+
+	// k is the kernel of the last compile; its arrays are what the next
+	// one reuses.
+	k kernel
+}
+
+type rowRun struct {
+	rows []int32
+	gen  uint32
+}
+
+// deadRowShare bounds the dead rows of a standing table at
+// 1/deadRowShare of all its rows. A dead row costs its dot product in
+// every epoch; emptying the table costs one cold compile (≈ 30 ms at 6000
+// files, against ≈ 3 ms for a compile that remembers its blocks). A
+// six-file edit kills ≈ 20 of the 38.8k rows, an edit that renumbers
+// variables thousands at once — all of them or, when only late variables
+// move, some 3.5k, which is the case the share decides: carry them or
+// start over. Measured over 200 re-learns of a 6000-file session (six
+// files flipped each time, 31 of the edits renumbering): 1/8 empties the
+// table 21 times, carries 834 dead rows on average and takes 76.5 ms a
+// re-learn; 1/4 empties it 15 times, carries 3149 and takes 80.5 ms; 1/32
+// empties it 28 times, carries 286 and takes 83 ms.
+const deadRowShare = 8
+
+// NewRowTable returns an empty standing table for Options.Rows.
+func NewRowTable() *RowTable { return &RowTable{} }
+
+// reset empties the table, keeping its arrays.
+func (t *RowTable) reset() {
+	t.rowStart, t.termVar, t.termCoef = t.rowStart[:0], t.termVar[:0], t.termCoef[:0]
+	t.hashes = t.hashes[:0]
+	clear(t.slots)
+	clear(t.runs)
+	t.numVars = 0
+}
+
+// compile folds p's constraints into distinct rows of t (of a table of
+// its own when t is nil) and returns the kernel over them. Two constraints
+// share a row only when their flattened term lists are equal term by term
+// — same variables, same coefficient bits, same order — the hash merely
+// picks the bucket. Into an empty table that costs about two walks over
+// the terms plus a table probe per constraint (≈ 25 ms for the 193k
+// constraints of a 6000-file corpus, where an epoch then takes ≈ 1.1 ms
+// instead of ≈ 2.4); into a standing one it costs that for the blocks the
+// table has not seen (≈ 5 % of them after a six-file edit) and a copy of
+// row numbers for the rest, ≈ 3 ms in all.
+func compile(p *Problem, t *RowTable) *kernel {
+	standing := t != nil
+	if !standing {
+		t = &RowTable{}
+	}
+	blocks, n := p.Blocks, 0
+	for _, b := range blocks {
+		n += b.N
+	}
+	if n != len(p.Constraints) {
+		blocks = nil // they do not tile the constraints: no block is known
+	}
+	if p.NumVars < t.numVars {
+		t.reset()
+	}
+	t.fold(p, blocks, standing)
+	if t.k.dead*deadRowShare > len(t.hashes) {
+		t.reset()
+		t.fold(p, blocks, standing)
+	}
+	if standing && len(t.runs) > 2*len(blocks)+64 {
+		// Runs of blocks long gone; those of this problem stay.
+		for key, run := range t.runs {
+			if run.gen != t.gen {
+				delete(t.runs, key)
+			}
+		}
+	}
+
+	k := &t.k
+	nRows := len(t.hashes)
+	k.c, k.lambda = p.C, p.Lambda
+	k.rowStart, k.termVar, k.termCoef = t.rowStart, t.termVar, t.termCoef
+	k.live = nRows - k.dead
+	k.masks = p.masks()
+	k.viol, k.hot = resized(k.viol, nRows), resized(k.hot, nRows)
+	k.active = resized(k.active, len(p.Constraints))
+	k.freeStart = append(resized(k.freeStart, nRows+1)[:0], 0)
+	k.freeVar = resized(k.freeVar, len(k.termVar))[:0]
+	k.freeCoef = resized(k.freeCoef, len(k.termVar))[:0]
+	free := k.masks.free
+	for r := 0; r < nRows; r++ {
+		for i := k.rowStart[r]; i < k.rowStart[r+1]; i++ {
+			if v := k.termVar[i]; free[v] {
+				k.freeVar, k.freeCoef = append(k.freeVar, v), append(k.freeCoef, k.termCoef[i])
+			}
+		}
+		k.freeStart = append(k.freeStart, int32(len(k.freeVar)))
+	}
+	return k
+}
+
+// resized returns s with length n, its contents unspecified, grown the way
+// append grows when its capacity is short: exactly for a first use, with
+// room to spare for a standing buffer that keeps growing a little.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// fold maps every constraint of p to its row in t, k.rowOf, adding the
+// rows t lacks, and counts the constraints that took their row from
+// memory (k.reused) and the rows of t that nothing maps to (k.dead). A block
+// whose key has a remembered run takes the run; any other is hash-consed
+// constraint by constraint and, in a standing table, remembered.
+func (t *RowTable) fold(p *Problem, blocks []Block, standing bool) {
+	nCons := len(p.Constraints)
+	empty := len(t.rowStart) == 0
+	if empty {
+		// Every constraint is staged at the tail of the term arrays and a
+		// duplicate truncated away again, so an empty table is sized for no
+		// folding at all and cut down to the distinct rows afterwards.
+		nTerms := 0
+		for i := range p.Constraints {
+			nTerms += len(p.Constraints[i].LHS) + len(p.Constraints[i].RHS)
+		}
+		t.termVar, t.termCoef = slices.Grow(t.termVar, nTerms), slices.Grow(t.termCoef, nTerms)
+		t.rowStart = append(t.rowStart, 0)
+		if len(t.slots) == 0 {
+			t.slots = make([]int32, 1024)
+		}
+	}
+	staged := cap(t.termVar)
+	t.numVars = max(t.numVars, p.NumVars)
+	t.gen++
+	k := &t.k
+	k.reused, k.dead = 0, 0
+	rowOf := resized(k.rowOf, nCons)
+	k.rowOf = rowOf
+	if blocks == nil {
+		t.hashIn(p.Constraints, rowOf)
+	}
+	at := 0
+	for _, b := range blocks {
+		cons, rows := p.Constraints[at:at+b.N], rowOf[at:at+b.N]
+		at += b.N
+		if run := t.runs[b.Key]; run != nil && len(run.rows) == b.N {
+			copy(rows, run.rows)
+			run.gen = t.gen
+			k.reused += b.N
+			continue
+		}
+		t.hashIn(cons, rows)
+		if standing {
+			if t.runs == nil {
+				t.runs = make(map[[32]byte]*rowRun, len(blocks))
+			}
+			t.runs[b.Key] = &rowRun{rows: slices.Clone(rows), gen: t.gen}
+		}
+	}
+	if len(t.termVar) < staged/2 {
+		t.termVar, t.termCoef = slices.Clone(t.termVar), slices.Clone(t.termCoef)
+	}
+
+	if empty {
+		return // every row was added for a constraint
+	}
+	nRows := len(t.hashes)
+	t.seen = slices.Grow(t.seen, max(nRows-len(t.seen), 0))[:nRows]
+	k.dead = nRows
+	for _, r := range rowOf {
+		if t.seen[r] != t.gen {
+			t.seen[r] = t.gen
+			k.dead--
+		}
+	}
+}
+
+// hashIn finds or adds the row of each of cons and writes it to rowOf.
+func (t *RowTable) hashIn(cons []Constraint, rowOf []int32) {
+	// Locals, not fields: the appends below are the hot loop.
+	termVar, termCoef, rowStart, hashes, table := t.termVar, t.termCoef, t.rowStart, t.hashes, t.slots
+	for i := range cons {
+		c := &cons[i]
 		tail := len(termVar)
 		h := uint64(14695981039346656037)
 		for _, t := range c.LHS {
@@ -134,33 +337,7 @@ func compile(p *Problem) *kernel {
 			}
 		}
 	}
-
-	nRows := len(hashes)
-	k := &kernel{
-		c:         p.C,
-		lambda:    p.Lambda,
-		rowStart:  rowStart,
-		termVar:   slices.Clone(termVar),
-		termCoef:  slices.Clone(termCoef),
-		rowOf:     rowOf,
-		freeStart: make([]int32, 1, nRows+1),
-		freeVar:   make([]int32, 0, len(termVar)),
-		freeCoef:  make([]float64, 0, len(termVar)),
-		masks:     p.masks(),
-		viol:      make([]float64, nRows),
-		hot:       make([]uint8, nRows),
-		active:    make([]int32, nCons),
-	}
-	free := k.masks.free
-	for r := 0; r < nRows; r++ {
-		for t := rowStart[r]; t < rowStart[r+1]; t++ {
-			if v := termVar[t]; free[v] {
-				k.freeVar, k.freeCoef = append(k.freeVar, v), append(k.freeCoef, termCoef[t])
-			}
-		}
-		k.freeStart = append(k.freeStart, int32(len(k.freeVar)))
-	}
-	return k
+	t.termVar, t.termCoef, t.rowStart, t.hashes, t.slots = termVar, termCoef, rowStart, hashes, table
 }
 
 // mixTerm folds one term into a row hash (FNV-1a over the two words).
@@ -311,7 +488,7 @@ func (k *kernel) scatter(grad []float64) {
 // objectives, and stopping decisions is exactly that of the interpreted
 // reference loop (minimizeReference, reference_test.go).
 func minimizeKernel(p *Problem, opts Options) *Result {
-	k := compile(p)
+	k := compile(p, opts.Rows)
 	n := p.NumVars
 	x := make([]float64, n)
 	if len(opts.WarmStart) == n {
@@ -331,7 +508,8 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 
 	if opts.Iterations < 1 {
 		hinge := k.pass(x, opts.Shards)
-		return &Result{X: x, Objective: k.objectiveAt(hinge, x), Violation: hinge, Rows: k.rows()}
+		return &Result{X: x, Objective: k.objectiveAt(hinge, x), Violation: hinge,
+			Rows: k.live, RowsReused: k.reused, RowsDead: k.dead}
 	}
 
 	grad := make([]float64, n)
@@ -423,6 +601,8 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 		Objective:  bestObj,
 		Violation:  k.pass(best, opts.Shards),
 		Iterations: iters,
-		Rows:       k.rows(),
+		Rows:       k.live,
+		RowsReused: k.reused,
+		RowsDead:   k.dead,
 	}
 }

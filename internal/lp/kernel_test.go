@@ -132,7 +132,7 @@ func flatRow(c *Constraint) string {
 func TestCompileFoldsExactDuplicatesOnly(t *testing.T) {
 	for name, p := range kernelProblems() {
 		t.Run(name, func(t *testing.T) {
-			k := compile(p)
+			k := compile(p, nil)
 			distinct := map[string]bool{}
 			for i := range p.Constraints {
 				distinct[flatRow(&p.Constraints[i])] = true
@@ -170,7 +170,7 @@ func TestCompileFoldsExactDuplicatesOnly(t *testing.T) {
 // all-pinned rows, the oracles above would silently stop covering them.
 func TestFoldingShapesAreWhatTheyClaim(t *testing.T) {
 	p := dupHeavyProblem()
-	k := compile(p)
+	k := compile(p, nil)
 	if ratio := float64(len(p.Constraints)) / float64(k.rows()); ratio < 4 || k.rows() <= kernelChunk {
 		t.Errorf("dupheavy: %d constraints over %d rows (%.1f×), want ≥4× and more than one chunk of rows",
 			len(p.Constraints), k.rows(), ratio)
@@ -192,7 +192,7 @@ func TestFoldingShapesAreWhatTheyClaim(t *testing.T) {
 	}
 
 	q := nearDupProblem()
-	if rows, n := compile(q).rows(), len(q.Constraints); rows < 4*n/5-8 || rows > 4*n/5 {
+	if rows, n := compile(q, nil).rows(), len(q.Constraints); rows < 4*n/5-8 || rows > 4*n/5 {
 		t.Errorf("neardup: %d rows for %d constraints, want the 1-in-5 exact copies folded and nothing else", rows, n)
 	}
 }

@@ -55,12 +55,28 @@ type Problem struct {
 	Lambda      float64 // L1 regularization weight (paper: 0.1)
 	Known       map[int]float64
 
+	// Blocks, when they add up to len(Constraints), say where the
+	// constraints came from: consecutive runs, each taken whole from a
+	// source that vouches, by the key, for the run's exact content — equal
+	// keys, equal constraints, term for term. A solver handed a standing
+	// RowTable compiles a run it has seen under the same key by lookup.
+	// Nothing else reads them; a problem without blocks is compiled
+	// constraint by constraint.
+	Blocks []Block
+
 	// mask caches the compiled view of Known (free-variable mask, sorted
 	// pinned indices, pinned-L1 constant), shared by Objective and the
 	// solver kernel. It is rebuilt when NumVars or len(Known) change; do
 	// not mutate Known from one goroutine while another evaluates the
 	// problem.
 	mask *problemMask
+}
+
+// Block is one run of a Problem's constraints: its length and the key of
+// its content (see Problem.Blocks).
+type Block struct {
+	Key [32]byte
+	N   int
 }
 
 // problemMask is the precomputed view of Problem.Known.
@@ -187,6 +203,12 @@ type Options struct {
 	// actually gets to stop early. Zero disables it, keeping the exact
 	// fixed-budget behaviour cold solves are calibrated against.
 	Patience int
+	// Rows, when non-nil, is a standing row table the kernel compiles the
+	// problem into and leaves for the next solve (see RowTable): the blocks
+	// of Problem.Blocks it has already seen cost a lookup instead of a
+	// hash-consing pass. The result is bit-for-bit the one a nil Rows
+	// gives. The table must not be shared by concurrent solves.
+	Rows *RowTable
 }
 
 func (o Options) withDefaults() Options {
@@ -224,6 +246,11 @@ type Result struct {
 	// solved over; len(Problem.Constraints)/Rows is the corpus's constraint
 	// duplication. MinimizeWith's interpreted methods leave it 0.
 	Rows int
+	// RowsReused counts the constraints whose row came from a block the
+	// standing table (Options.Rows) remembered, RowsDead the rows of that
+	// table no constraint of this problem maps to; both 0 without one.
+	RowsReused int
+	RowsDead   int
 }
 
 // Minimize runs projected Adam on the problem and returns the best

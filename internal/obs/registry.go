@@ -146,7 +146,7 @@ const (
 	StageIncrRebuildConstraints = "stage.incr.rebuild.constraints"
 	StageIncrResolve            = "stage.incr.resolve"
 	// incr.files is the session's current file count; incr.files_changed
-	// the files spliced or retracted since the last relearn.
+	// the file names whose graph differs from what the last relearn saw.
 	// incr.spans_reused / incr.constraints_reused report how much of the
 	// flow-constraint pass the per-file block cache supplied on the last
 	// build (constraints.BuildIncremental).
@@ -154,6 +154,12 @@ const (
 	GaugeIncrFilesChanged      = "incr.files_changed"
 	GaugeIncrSpansReused       = "incr.spans_reused"
 	GaugeIncrConstraintsReused = "incr.constraints_reused"
+	// The session's standing union: re-learns that spliced the changed
+	// files into it, and re-learns that built it from every file — the
+	// first, and the fallbacks (an edit that would renumber symbols, dead
+	// space past its share; the incr.relearn log line says which).
+	CounterIncrUnionPatched = "incr.union.patched"
+	CounterIncrUnionRebuilt = "incr.union.rebuilt"
 	// GaugeSolverEpochs is the epoch count of the last solve;
 	// GaugeWarmEpochsSaved is the epoch saving of the last warm-started
 	// solve versus the session's most recent cold solve of the same
@@ -172,6 +178,13 @@ const (
 	GaugeSolverConstraints = "solver.constraints"
 	GaugeSolverRows        = "solver.rows"
 	GaugeSolverActive      = "solver.active"
+	// With a standing row table (lp.Options.Rows, the session's):
+	// solver.rows_reused is how many constraints took their row from a
+	// block the table remembered instead of being hash-consed,
+	// solver.rows_dead how many rows the table carries that no constraint
+	// maps to; both 0 for a one-shot solve.
+	GaugeSolverRowsReused  = "solver.rows_reused"
+	GaugeSolverRowsDead    = "solver.rows_dead"
 	GaugeSelectPredictions = "select.predictions"
 
 	// The continuous-learning feedback loop (seldond /v1/feedback).

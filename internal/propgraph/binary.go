@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"seldon/internal/pytoken"
 )
@@ -88,19 +87,32 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 			dst = binary.AppendUvarint(dst, uint64(d))
 		}
 	}
-	keys := make([]int64, 0, len(g.edgeArgs))
-	for k := range g.edgeArgs {
-		keys = append(keys, k)
+	// Labels in ascending (source, destination) order. Rows are in successor
+	// order, so the labeled edges of one source are sorted by destination.
+	labeled := 0
+	for range g.edgeArgs {
+		labeled++
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		args := g.edgeArgs[k]
-		dst = binary.AppendUvarint(dst, uint64(k>>32))
-		dst = binary.AppendUvarint(dst, uint64(uint32(k)))
-		dst = binary.AppendUvarint(dst, uint64(len(args)))
-		for _, a := range args {
-			dst = binary.AppendVarint(dst, int64(a))
+	dst = binary.AppendUvarint(dst, uint64(labeled))
+	var few [16]int64
+	byDst := few[:0] // destination<<32 | position in the row
+	for src := range g.argRow {
+		row := g.labels(src)
+		byDst = byDst[:0]
+		for j, args := range row {
+			if len(args) > 0 {
+				byDst = append(byDst, int64(g.succs[src][j])<<32|int64(j))
+			}
+		}
+		slices.Sort(byDst)
+		for _, k := range byDst {
+			args := row[uint32(k)]
+			dst = binary.AppendUvarint(dst, uint64(src))
+			dst = binary.AppendUvarint(dst, uint64(k>>32))
+			dst = binary.AppendUvarint(dst, uint64(len(args)))
+			for _, a := range args {
+				dst = binary.AppendVarint(dst, int64(a))
+			}
 		}
 	}
 	return dst
@@ -290,7 +302,13 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 	// order, each an existing edge with a non-empty, strictly ascending
 	// argument list — which is what Union's bulk label copy relies on.
 	if nargs := r.count("edge-arg"); nargs > 0 {
-		g.edgeArgs = make(map[int64][]int, nargs)
+		g.argRow = make([]int32, numEvents)
+		g.argRows = make([][][]int, 0, min(nargs, numEvents))
+		// Rows and argument lists are carved from chunks sized for the
+		// labels still to come: one list and, nearly always, one argument
+		// per labeled edge.
+		var lists [][]int
+		var ints []int
 		prev := int64(-1)
 		for i := 0; i < nargs && r.err == nil; i++ {
 			src, dst := r.uvarint(), r.uvarint()
@@ -302,16 +320,21 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 				break
 			}
 			key := edgeKey(int(src), int(dst))
+			j := slices.Index(g.succs[src], int(dst))
 			switch {
 			case key <= prev:
 				r.fail("edge-arg %d->%d out of order", src, dst)
-			case !slices.Contains(g.succs[src], int(dst)):
+			case j < 0:
 				r.fail("edge-arg %d->%d labels no edge", src, dst)
 			case n == 0:
 				r.fail("edge-arg %d->%d has no arguments", src, dst)
 			}
 			prev = key
-			args := make([]int, n)
+			if len(ints) < n {
+				ints = make([]int, max(n, nargs-i))
+			}
+			args := ints[:n:n]
+			ints = ints[n:]
 			for j := range args {
 				args[j] = int(r.varint())
 				if r.err == nil && j > 0 && args[j] <= args[j-1] {
@@ -319,7 +342,16 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 				}
 			}
 			if r.err == nil {
-				g.edgeArgs[key] = args
+				if g.argRow[src] == 0 {
+					deg := len(g.succs[src])
+					if len(lists) < deg {
+						lists = make([][]int, max(deg, nargs-i))
+					}
+					g.argRows = append(g.argRows, lists[:deg:deg])
+					lists = lists[deg:]
+					g.argRow[src] = int32(len(g.argRows))
+				}
+				g.argRows[g.argRow[src]-1][j] = args
 			}
 		}
 	}

@@ -150,9 +150,16 @@ type Graph struct {
 	// succSet mirrors succs[src] as a set for sources whose out-degree
 	// crossed dedupDegree; built lazily by AddEdge.
 	succSet map[int]map[int]struct{}
-	// edgeArgs labels edges with the argument positions the flow enters
-	// through (see args.go); unlabeled edges match any position.
-	edgeArgs map[int64][]int
+	// Edge labels: the argument positions a flow enters through (see
+	// args.go). A source with a labeled edge has a row, argRows[argRow[src]-1],
+	// that runs parallel to succs[src]: one sorted list per successor, nil
+	// for an unlabeled edge. argRow is 0 for a source without labels, and
+	// both the table and a row are only as long as the labels need — an
+	// event past the end of argRow, or a successor past the end of its row,
+	// is unlabeled. A label is addressed by position, never by event ID,
+	// so renumbering a graph's events does not touch it.
+	argRow  []int32
+	argRows [][][]int
 
 	// A graph built event by event (AddEvent, AddEdge) carves its events,
 	// their RepIDs and its adjacency and label lists from chunks instead
@@ -161,6 +168,7 @@ type Graph struct {
 	eventChunk []Event
 	symChunk   []Sym
 	intChunk   []int
+	listChunk  [][]int
 }
 
 // typicalFile is the event count the tables of an incrementally built

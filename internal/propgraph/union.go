@@ -16,54 +16,114 @@ import (
 // global IDs are assigned in first-seen order over the inputs — so a
 // sorted input order yields a deterministic global table.
 //
-// Union is a UnionBuilder that is handed all its inputs at once, so every
-// arena is allocated at its exact size; the copy itself is the builder's
-// (see UnionBuilder). The result is byte-identical to re-adding every
-// event and edge through AddEvent, AddEdge and AddEdgeArg.
+// Union is a UnionBuilder with no inputs yet that is handed all of them in
+// one edit, so every block is allocated at its exact size; the copy itself
+// is the builder's (see UnionBuilder). The result is byte-identical to
+// re-adding every event and edge through AddEvent, AddEdge and AddEdgeArg.
 func Union(graphs ...*Graph) *Graph {
 	b := NewUnionBuilder()
-	b.add(graphs)
+	b.Splice([]UnionEdit{{Ins: graphs}})
 	return b.g
 }
 
-// UnionBuilder is the incremental form of Union: graphs are appended one
-// at a time and the running disjoint union is available at every step.
-// It exists for streaming consumers — a coordinator folding shard slices
-// into the global graph as each one arrives — where Union's
-// all-inputs-up-front contract would force a barrier.
+// UnionBuilder holds a disjoint union together with where each of its
+// inputs sits in it, so that the union can be edited: inputs appended one
+// at a time as they arrive (a coordinator folding shard slices into the
+// global graph, where Union's all-inputs-up-front contract would force a
+// barrier), or replaced, inserted and removed in the middle (a learning
+// session whose corpus changed in six files out of six thousand).
 //
-// Equivalence contract: after Add(g1), Add(g2), ..., Add(gN) the built
-// graph is byte-identical (AppendBinary) to Union(g1, ..., gN), because
-// both are the same routine, add, over one input or over all of them.
+// Equivalence contract: after any sequence of edits the built graph is
+// byte-identical (AppendBinary) to Union over the inputs it then has,
+// because every edit, the first included, is the same routine, Splice.
 // Its sequential part ends with symbol translation — TranslateFrom per
-// input, in order, is what defines first-seen numbering. Everything
+// new input, in order, is what defines first-seen numbering, and an edit
+// in the middle is refused when it would number differently. Everything
 // after that writes to places fixed by prefix sums over sizes counted
-// beforehand: events, representation lists, successor and predecessor
-// lists and edge labels are carved from blocks sized before anything is
-// copied, so contiguous runs of inputs can be copied by several
-// goroutines and land exactly where one goroutine would have put them.
-// The inputs are well-formed graphs (edges deduplicated, no self-loops,
-// sorted labels only on edges — DecodeBinary rejects anything else) and
-// the union is disjoint, so adjacency and labels are copied in bulk with
-// both endpoints offset, without AddEdge's duplicate scan.
+// beforehand: the events, representation lists, successor and predecessor
+// lists and edge labels of the new inputs are carved from blocks sized
+// before anything is copied, so contiguous runs of inputs can be copied
+// by several goroutines and land exactly where one goroutine would have
+// put them. The inputs are well-formed graphs (edges deduplicated, no
+// self-loops, sorted labels only on edges — DecodeBinary rejects anything
+// else) and the union is disjoint, so adjacency is copied in bulk with
+// both endpoints offset, without AddEdge's duplicate scan, and labels,
+// which are addressed by successor position, are copied as they are.
+//
+// The inputs that an edit keeps are not copied again. Those behind the
+// first edited position move: their slots in the graph's per-event tables
+// shift by the difference in events before them, and the event IDs they
+// hold — Event.ID and both endpoints' lists — move by the same constant.
+// What a replaced input occupied in the blocks stays behind as dead space
+// until it amounts to a share of the union (unionDeadShare), from where
+// Splice asks for a rebuild instead.
 type UnionBuilder struct {
 	g *Graph
-	// repsCarved and intsCarved count the representation and int slots
-	// carved so far, the growth floor of the next chunk of each.
-	repsCarved, intsCarved int
+	// inputs lists the union's inputs in order; spare is scratch for the
+	// inputs behind an edit while the list is rewritten. nsyms is the size
+	// of the symbol table as of the last edit.
+	inputs, spare []unionInput
+	nsyms         int
+	// live counts the events of the current inputs, dead those of inputs
+	// since removed, whose blocks are still held.
+	live, dead int
+	// carved counts what has been carved from each kind of chunk so far,
+	// the growth floor of the next one.
+	carved struct{ events, reps, ints, lists int }
 
-	// The add under way, shared by its goroutines; the slices are reused
-	// from one add to the next, so that the Add of one small graph — a
+	// The edit under way, shared by its goroutines; the slices are reused
+	// from one edit to the next, so that the Add of one small graph — a
 	// coordinator folds thousands of them — allocates only its
 	// translation array.
-	base   int          // len(g.Events) before the copy
-	inputs []unionInput // one entry more than there are inputs
-	runs   []int        // contiguous runs of inputs, one per goroutine
-	// Blocks carved for this copy; inputs index them by their offsets.
-	events               []Event
-	reps                 []Sym
-	succs, preds, labels []int
+	fresh []unionFresh // the inputs to copy in, and one entry of totals
+	runs  []int        // contiguous runs of fresh inputs, one per goroutine
+	segs  []unionSeg
+	// Blocks carved for this copy; fresh inputs index them by their offsets.
+	events  []Event
+	reps    []Sym
+	ints    []int
+	lists   [][]int
+	rowBase int // where this copy's label rows begin in the graph's argRows
 }
+
+// UnionEdit replaces the Del inputs of a union from input At on by the
+// graphs Ins, in order: an insertion when Del is 0, a removal when Ins is
+// empty. The graphs are not modified and must not change afterwards
+// (their adjacency is copied, their symbol tables only read).
+type UnionEdit struct {
+	At, Del int
+	Ins     []*Graph
+}
+
+// unionInput is one input of the union: the ID of its first event, the
+// size of the symbol table before it was translated (so it introduced the
+// symbols from symLo up to the next input's symLo), its events, and the
+// event IDs its adjacency holds, successors then predecessors.
+type unionInput struct {
+	at, symLo int
+	events    []Event
+	ends      []int
+}
+
+// unionFresh is an input being copied in: its place in the input list,
+// its sizes, and where its share of each block begins.
+type unionFresh struct {
+	g     *Graph
+	xlat  []Sym
+	in    int
+	symLo int
+	// Events, representation slots, successors, predecessors, label ints,
+	// label lists (one per successor of a labeled source) and label rows
+	// (one per labeled source).
+	ev, rep, edge, pred, lab, list, row int
+	// Offsets into the copy's blocks; ints hold successors, predecessors
+	// and labels of one input side by side.
+	evOff, repOff, intOff, listOff, rowOff int
+}
+
+// unionSeg is a run of kept inputs whose table slots move together: the
+// events [lo, hi) as numbered before the edit, and how far they move.
+type unionSeg struct{ lo, hi, d int }
 
 // NewUnionBuilder returns a builder holding an empty union.
 func NewUnionBuilder() *UnionBuilder {
@@ -71,11 +131,14 @@ func NewUnionBuilder() *UnionBuilder {
 }
 
 // Add appends src to the union. src is not modified and must not change
-// afterwards (its adjacency is copied, its symbol table only read).
-func (b *UnionBuilder) Add(src *Graph) { b.add([]*Graph{src}) }
+// afterwards.
+func (b *UnionBuilder) Add(src *Graph) {
+	b.Splice([]UnionEdit{{At: len(b.inputs), Ins: []*Graph{src}}})
+}
 
-// Graph returns the union built so far. The builder retains it; calling
-// Add again grows the same graph.
+// Graph returns the union built so far. The builder retains it; an edit
+// changes the same graph in place, so what was read from it before —
+// events, adjacency, IDs — is only good until the next one.
 func (b *UnionBuilder) Graph() *Graph { return b.g }
 
 // unionFanoutEvents is the size of a copy, in events, from which its
@@ -85,86 +148,245 @@ func (b *UnionBuilder) Graph() *Graph { return b.g }
 // many processors there are, and never starts a goroutine.
 const unionFanoutEvents = 4096
 
-// unionInput is one graph of a copy. Before the prefix sums ev, rep, edge,
-// pred and lab hold its own sizes, after them the offset of its first
-// event, representation slot, successor, predecessor and label int within
-// the copy's blocks; one entry past the last input holds the totals.
-type unionInput struct {
-	g                        *Graph
-	xlat                     []Sym
-	ev, rep, edge, pred, lab int
-}
+// unionDeadShare is the share of dead events, as 1/unionDeadShare of the
+// live ones, past which Splice refuses and the caller builds the union
+// anew in exact blocks. Dead space costs memory, not time — nothing walks
+// it — so the bound is a memory bound: with chunks of a sixteenth (carve)
+// a standing union holds at most 1/8 + 1/16 more than a fresh one, ≈ 4 MB
+// on the 20 MB of a 6000-file corpus. A six-file edit kills 0.1 % of the
+// events, so the share is reached after ≈ 125 edits none of which
+// renumbered a symbol; on the benchmark's edit stream, where one edit in
+// seven does and rebuilds the union anyway, it never is — 200 re-learns
+// patched 169 times and rebuilt 31 times at 1/4, 1/8 and 1/32 alike, in
+// the same time. A session whose vocabulary is settled is where it acts
+// (TestRandomEditsOracle: every ≈ 20th edit at 300 files), and there a
+// rebuild every 125 re-learns costs a quarter of a millisecond each.
+const unionDeadShare = 8
+
+// unionDeadFloor is the number of dead events below which their share
+// does not matter: they hold some 200 KB, and a union small enough for
+// that to be an eighth of it is rebuilt in well under a millisecond
+// anyway, which is no reason to rebuild it at every other edit.
+const unionDeadFloor = 1024
 
 // carve cuts n elements off the front of *chunk. A chunk that is too
-// short is first replaced by one of max(n, grown) elements: exactly n
-// when nothing was carved before (Union, which knows its totals), at
-// least everything carved before otherwise, so that a stream of Adds
-// allocates a logarithmic number of chunks.
-func carve[T any](chunk *[]T, n, grown int) []T {
+// short is first replaced by one of max(n, carved/16) elements: exactly n
+// when nothing was carved before (Union, which knows its totals), a
+// sixteenth of everything carved before otherwise, so that a stream of
+// edits allocates a logarithmic number of chunks and a standing union
+// never holds more than that share unused.
+func carve[T any](chunk *[]T, n int, carved *int) []T {
 	if len(*chunk) < n {
-		*chunk = make([]T, max(n, grown))
+		*chunk = make([]T, max(n, *carved/16))
 	}
 	out := (*chunk)[:n:n]
 	*chunk = (*chunk)[n:]
+	*carved += n
 	return out
 }
 
-// add appends the graphs to the union, in order.
-func (b *UnionBuilder) add(graphs []*Graph) {
+// Splice applies the edits, which must be in ascending order of At and
+// must not overlap, and returns "". It returns the reason instead when
+// the caller has to build the union anew, in a new builder, this one
+// being of no further use: "numbering" when first-seen symbol numbering
+// over the new inputs would differ from the table's — an input that
+// introduced symbols goes without the same ones coming in the same order
+// in its place, or a new input in the middle brings one that a later
+// input introduced or nobody did; appending never does — and "compaction"
+// when the dead space has reached its share.
+func (b *UnionBuilder) Splice(edits []UnionEdit) (rebuild string) {
+	if b.dead > unionDeadFloor && b.dead*unionDeadShare > b.live {
+		return "compaction"
+	}
+	if !b.translate(edits) {
+		return "numbering"
+	}
+	b.relocate(edits)
+	b.copyFresh()
+	return ""
+}
+
+// symsBefore is the size of the symbol table before input i added to it.
+func (b *UnionBuilder) symsBefore(i int) int {
+	if i < len(b.inputs) {
+		return b.inputs[i].symLo
+	}
+	return b.nsyms
+}
+
+// translate is the sequential part of an edit: the order of translation
+// is the numbering of symbols. Every new input is translated, its sizes
+// counted on the way, and checked to introduce exactly the symbols the
+// inputs it replaces did: a symbol is fine when an earlier input has it,
+// or when it is the next of the replaced inputs' or, at the end of the
+// union, the next new one.
+func (b *UnionBuilder) translate(edits []UnionEdit) bool {
+	b.fresh = b.fresh[:0]
+	for _, e := range edits {
+		next, limit := b.symsBefore(e.At), b.symsBefore(e.At+e.Del)
+		open := e.At+e.Del >= len(b.inputs)
+		for _, src := range e.Ins {
+			f := unionFresh{g: src, xlat: b.g.Syms.TranslateFrom(src.Syms), symLo: next, ev: len(src.Events)}
+			for _, sym := range f.xlat {
+				switch {
+				case int(sym) < next:
+				case int(sym) == next && (next < limit || open):
+					next++
+				default:
+					return false
+				}
+			}
+			for i, ev := range src.Events {
+				f.rep += len(ev.RepIDs)
+				f.edge += len(src.succs[i])
+				f.pred += len(src.preds[i])
+			}
+			for i := range src.argRow {
+				row := src.labels(i)
+				if len(row) == 0 {
+					continue
+				}
+				f.row++
+				f.list += len(row)
+				for _, args := range row {
+					f.lab += len(args)
+				}
+			}
+			b.fresh = append(b.fresh, f)
+		}
+		if next < limit {
+			return false
+		}
+		if open {
+			b.nsyms = next
+		}
+	}
+	return true
+}
+
+// relocate rewrites the input list for the edits and moves what the kept
+// inputs behind the first edit have in the graph: their slots in the
+// per-event tables and the event IDs they hold. The slots of the new
+// inputs are left for copyFresh to fill.
+func (b *UnionBuilder) relocate(edits []UnionEdit) {
+	if len(edits) == 0 {
+		return
+	}
 	g := b.g
-	b.base = len(g.Events)
-
-	// Sequential: the order of translation is the numbering of symbols.
-	// Sizes are counted on the way, then turned into offsets.
-	b.inputs = slices.Grow(b.inputs[:0], len(graphs)+1)
-	labelled := 0
-	for _, src := range graphs {
-		u := unionInput{g: src, xlat: g.Syms.TranslateFrom(src.Syms), ev: len(src.Events)}
-		for i, e := range src.Events {
-			u.rep += len(e.RepIDs)
-			u.edge += len(src.succs[i])
-			u.pred += len(src.preds[i])
-		}
-		for _, args := range src.edgeArgs {
-			u.lab += len(args)
-		}
-		labelled += len(src.edgeArgs)
-		b.inputs = append(b.inputs, u)
+	first := edits[0].At
+	old := append(b.spare[:0], b.inputs[first:]...)
+	b.inputs = b.inputs[:first]
+	b.segs = b.segs[:0]
+	at := len(g.Events) // the ID the next input's first event gets
+	if len(old) > 0 {
+		at = old[0].at
 	}
-	b.inputs = append(b.inputs, unionInput{})
+	keep := func(lo, hi int) {
+		if lo >= hi {
+			return
+		}
+		d := at - old[lo].at
+		b.segs = append(b.segs, unionSeg{old[lo].at, old[hi-1].at + len(old[hi-1].events), d})
+		for _, in := range old[lo:hi] {
+			if d != 0 {
+				for i := range in.events {
+					in.events[i].ID += d
+				}
+				for i := range in.ends {
+					in.ends[i] += d
+				}
+			}
+			in.at += d
+			b.inputs = append(b.inputs, in)
+			at += len(in.events)
+		}
+	}
+	k, fi := 0, 0 // the next old input (from first on), the next fresh one
+	for _, e := range edits {
+		keep(k, e.At-first)
+		for range e.Ins {
+			f := &b.fresh[fi]
+			f.in = len(b.inputs)
+			b.inputs = append(b.inputs, unionInput{at: at, symLo: f.symLo})
+			at += f.ev
+			b.live += f.ev
+			fi++
+		}
+		k = e.At - first + e.Del
+		for _, in := range old[e.At-first : k] {
+			b.live -= len(in.events)
+			b.dead += len(in.events)
+		}
+	}
+	keep(k, len(old))
+	b.spare = old
+
+	g.Events = moveSegs(g.Events, b.segs, at)
+	g.succs = moveSegs(g.succs, b.segs, at)
+	g.preds = moveSegs(g.preds, b.segs, at)
+	if g.argRow != nil {
+		g.argRow = moveSegs(g.argRow, b.segs, at)
+	}
+}
+
+// moveSegs resizes a per-event table to n events and moves the slots of
+// every segment by its distance, in place. Segments are in ascending
+// order and so are their destinations, so one that moves down never lands
+// on a segment before it that has yet to move up, nor the other way
+// round: all that move down go first, front to back, then all that move
+// up, back to front.
+func moveSegs[T any](tab []T, segs []unionSeg, n int) []T {
+	was := len(tab)
+	tab = slices.Grow(tab, max(n-was, 0))[:max(n, was)]
+	for _, s := range segs {
+		if s.d < 0 {
+			copy(tab[s.lo+s.d:], tab[s.lo:s.hi])
+		}
+	}
+	for i := len(segs) - 1; i >= 0; i-- {
+		if s := segs[i]; s.d > 0 {
+			copy(tab[s.lo+s.d:], tab[s.lo:s.hi])
+		}
+	}
+	clear(tab[n:])
+	return tab[:n]
+}
+
+// copyFresh carves the blocks of the new inputs and copies them in.
+func (b *UnionBuilder) copyFresh() {
+	g := b.g
+	b.fresh = append(b.fresh, unionFresh{})
 	b.cutRuns()
-	var sum unionInput
-	for i := range b.inputs {
-		u := &b.inputs[i]
-		sum.ev, u.ev = sum.ev+u.ev, sum.ev
-		sum.rep, u.rep = sum.rep+u.rep, sum.rep
-		sum.edge, u.edge = sum.edge+u.edge, sum.edge
-		sum.pred, u.pred = sum.pred+u.pred, sum.pred
-		sum.lab, u.lab = sum.lab+u.lab, sum.lab
+	var sum unionFresh
+	for i := range b.fresh {
+		f := &b.fresh[i]
+		f.evOff, f.repOff, f.intOff, f.listOff, f.rowOff = sum.ev, sum.rep, sum.edge, sum.list, sum.row
+		sum.ev += f.ev
+		sum.rep += f.rep
+		sum.edge += f.edge + f.pred + f.lab // all three kinds of ints
+		sum.list += f.list
+		sum.row += f.row
 	}
-
-	b.events = carve(&g.eventChunk, sum.ev, b.base)
-	b.reps = carve(&g.symChunk, sum.rep, b.repsCarved)
-	ints := carve(&g.intChunk, sum.edge+sum.pred+sum.lab, b.intsCarved)
-	b.repsCarved += len(b.reps)
-	b.intsCarved += len(ints)
-	b.succs, b.preds, b.labels = ints[:sum.edge], ints[sum.edge:sum.edge+sum.pred], ints[sum.edge+sum.pred:]
-	g.Events = slices.Grow(g.Events, sum.ev)[:b.base+sum.ev]
-	g.succs = slices.Grow(g.succs, sum.ev)[:b.base+sum.ev]
-	g.preds = slices.Grow(g.preds, sum.ev)[:b.base+sum.ev]
-	if labelled > 0 && g.edgeArgs == nil {
-		g.edgeArgs = make(map[int64][]int, labelled)
+	b.events = carve(&g.eventChunk, sum.ev, &b.carved.events)
+	b.reps = carve(&g.symChunk, sum.rep, &b.carved.reps)
+	b.ints = carve(&g.intChunk, sum.edge, &b.carved.ints)
+	b.lists = carve(&g.listChunk, sum.list, &b.carved.lists)
+	if sum.row > 0 && g.argRow == nil {
+		g.argRow = make([]int32, len(g.Events), cap(g.Events))
 	}
+	// Label rows are appended to the graph's; those of removed inputs stay
+	// behind with the rest of the dead space.
+	b.rowBase = len(g.argRows)
+	g.argRows = slices.Grow(g.argRows, sum.row)[:b.rowBase+sum.row]
 
-	// Every slot of the grown tables and every element of the blocks is
-	// written by exactly one input, so what a run writes is fixed by its
-	// offsets, never by scheduling. With one run everything happens on
-	// this goroutine; otherwise every run gets its own. Labels go into
-	// one table, so one goroutine fills it: this one, beside the runs.
-	var wg sync.WaitGroup
+	// Every slot of the tables and every element of the blocks is written
+	// by exactly one input, so what a run writes is fixed by its offsets,
+	// never by scheduling. With one run everything happens on this
+	// goroutine; otherwise every run gets its own.
 	if len(b.runs) == 2 {
 		b.copyRun(0)
 	} else {
+		var wg sync.WaitGroup
 		for k := 0; k+1 < len(b.runs); k++ {
 			wg.Add(1)
 			go func() {
@@ -172,24 +394,22 @@ func (b *UnionBuilder) add(graphs []*Graph) {
 				b.copyRun(k)
 			}()
 		}
+		wg.Wait()
 	}
-	b.copyLabels()
-	wg.Wait()
 
 	// Let go of the inputs.
-	clear(b.inputs)
+	clear(b.fresh)
 }
 
-// cutRuns cuts the inputs (ev still holds sizes) into contiguous runs of
-// about equal event count, one per goroutine, as indexes into b.inputs: a
-// single run below unionFanoutEvents or when there is one input or one
-// processor.
+// cutRuns cuts the fresh inputs into contiguous runs of about equal event
+// count, one per goroutine, as indexes into b.fresh: a single run below
+// unionFanoutEvents or when there is one input or one processor.
 func (b *UnionBuilder) cutRuns() {
-	n := len(b.inputs) - 1
+	n := len(b.fresh) - 1
 	b.runs = append(b.runs[:0], 0)
 	total := 0
-	for i := range b.inputs[:n] {
-		total += b.inputs[i].ev
+	for i := range b.fresh[:n] {
+		total += b.fresh[i].ev
 	}
 	if w := min(runtime.GOMAXPROCS(0), n); w >= 2 && total >= unionFanoutEvents {
 		before := 0 // events of the inputs before i
@@ -197,21 +417,26 @@ func (b *UnionBuilder) cutRuns() {
 			if i > b.runs[len(b.runs)-1] && before >= total*len(b.runs)/w {
 				b.runs = append(b.runs, i)
 			}
-			before += b.inputs[i].ev
+			before += b.fresh[i].ev
 		}
 	}
 	b.runs = append(b.runs, n)
 }
 
-// copyRun copies the events of the inputs of run k and their adjacency.
-// An input's part of each block ends where the next entry's begins.
+// copyRun copies the events of the fresh inputs of run k, their adjacency
+// and their labels. An input's part of each block ends where the next
+// entry's begins.
 func (b *UnionBuilder) copyRun(k int) {
 	g := b.g
 	for n := b.runs[k]; n < b.runs[k+1]; n++ {
-		u, next := &b.inputs[n], &b.inputs[n+1]
-		src, at := u.g, b.base+u.ev // at: the union's ID of the input's event 0
-		events, reps := b.events[u.ev:next.ev], b.reps[u.rep:next.rep]
-		succs, preds := b.succs[u.edge:next.edge], b.preds[u.pred:next.pred]
+		f, next := &b.fresh[n], &b.fresh[n+1]
+		in := &b.inputs[f.in]
+		src, at := f.g, in.at // at: the union's ID of the input's event 0
+		events, reps := b.events[f.evOff:next.evOff], b.reps[f.repOff:next.repOff]
+		ints, lists := b.ints[f.intOff:next.intOff], b.lists[f.listOff:next.listOff]
+		in.events, in.ends = events, ints[:f.edge+f.pred]
+		succs, preds, labels := ints[:f.edge], ints[f.edge:f.edge+f.pred], ints[f.edge+f.pred:]
+		rowAt := b.rowBase + f.rowOff
 		for i, e := range src.Events {
 			ne := &events[i]
 			*ne = *e
@@ -220,7 +445,7 @@ func (b *UnionBuilder) copyRun(k int) {
 			if nr := len(e.RepIDs); nr > 0 {
 				ne.RepIDs, reps = reps[:nr:nr], reps[nr:]
 				for j, s := range e.RepIDs {
-					ne.RepIDs[j] = u.xlat[s]
+					ne.RepIDs[j] = f.xlat[s]
 				}
 			}
 			g.Events[at+i] = ne
@@ -242,21 +467,25 @@ func (b *UnionBuilder) copyRun(k int) {
 				slices.Sort(back)
 			}
 			g.succs[at+i], g.preds[at+i] = out, back
-		}
-	}
-}
 
-// copyLabels moves every input's edge labels into the union's table with
-// both endpoints offset. The argument lists are already sorted and need
-// only a new home.
-func (b *UnionBuilder) copyLabels() {
-	for i := range b.inputs[:len(b.inputs)-1] {
-		u := &b.inputs[i]
-		at, dst := b.base+u.ev, b.labels[u.lab:b.inputs[i+1].lab]
-		for key, args := range u.g.edgeArgs {
-			k := copy(dst, args)
-			b.g.edgeArgs[edgeKey(int(key>>32)+at, int(uint32(key))+at)] = dst[:k:k]
-			dst = dst[k:]
+			// Labels go by successor position: a row of lists as it stands.
+			if g.argRow == nil {
+				continue
+			}
+			g.argRow[at+i] = 0
+			if from := src.labels(i); len(from) > 0 {
+				row := lists[:len(from):len(from)]
+				lists = lists[len(from):]
+				for j, args := range from {
+					if len(args) > 0 {
+						row[j], labels = labels[:len(args):len(args)], labels[len(args):]
+						copy(row[j], args)
+					}
+				}
+				g.argRows[rowAt] = row
+				rowAt++
+				g.argRow[at+i] = int32(rowAt)
+			}
 		}
 	}
 }

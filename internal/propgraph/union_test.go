@@ -3,8 +3,10 @@ package propgraph
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"seldon/internal/pytoken"
@@ -237,6 +239,208 @@ func TestUnionParallelMatchesSequential(t *testing.T) {
 			if got := b.Graph().AppendBinary(nil); !bytes.Equal(got, want) {
 				t.Errorf("%s, GOMAXPROCS=%d: UnionBuilder differs from the AddEdge oracle", name, procs)
 			}
+		}
+	}
+}
+
+// poolGraph is a labelled graph whose representations all come from a
+// pool of nPool shared names, in an order that depends on seed: the kind
+// of input a corpus file is, introducing no symbol of its own once an
+// earlier input has brought the pool.
+func poolGraph(seed, nEvents, nPool int) *Graph {
+	g := New()
+	kinds := []EventKind{KindCall, KindRead, KindParam}
+	for i := 0; i < nEvents; i++ {
+		reps := []string{fmt.Sprintf("api%d()", (seed*7+i*3)%nPool)}
+		if i%3 == 0 {
+			reps = append(reps, fmt.Sprintf("api%d()", (seed+i)%nPool))
+		}
+		g.AddEvent(kinds[(seed+i)%len(kinds)], fmt.Sprintf("p%d.py", seed), pytoken.Pos{Line: i + 1}, reps)
+	}
+	for i := 0; i < nEvents*2; i++ {
+		src, dst := (seed*5+i*11)%nEvents, (seed*3+i*7+1)%nEvents
+		switch i % 3 {
+		case 0:
+			g.AddEdge(src, dst)
+		case 1:
+			g.AddEdgeArg(src, dst, i%4)
+		default:
+			g.AddEdgeArg(src, dst, ArgKeyword)
+			g.AddEdgeArg(src, dst, ArgReceiver)
+		}
+	}
+	return g
+}
+
+// poolIntro is an input that mentions every name of the pool, in order.
+func poolIntro(nPool int, order func(i int) int) *Graph {
+	g := New()
+	for i := 0; i < nPool; i++ {
+		g.AddEvent(KindCall, "intro.py", pytoken.Pos{Line: i + 1}, []string{fmt.Sprintf("api%d()", order(i))})
+	}
+	g.AddEdgeArg(0, nPool-1, 1)
+	return g
+}
+
+// assertSameGraph compares everything a consumer can read from a union,
+// including what AppendBinary leaves out: event IDs, the symbol table an
+// event resolves its representations in, and predecessor lists.
+func assertSameGraph(t *testing.T, label string, got, want *Graph) {
+	t.Helper()
+	if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+		t.Fatalf("%s: binary encodings differ", label)
+	}
+	if len(got.Events) != len(want.Events) || len(got.succs) != len(want.succs) || len(got.preds) != len(want.preds) {
+		t.Fatalf("%s: %d/%d/%d events/succs/preds, want %d/%d/%d", label,
+			len(got.Events), len(got.succs), len(got.preds), len(want.Events), len(want.succs), len(want.preds))
+	}
+	for id, we := range want.Events {
+		ge := got.Events[id]
+		if ge.ID != id || ge.ID != we.ID || ge.syms != got.Syms || !reflect.DeepEqual(ge.Reps(), we.Reps()) {
+			t.Fatalf("%s: event %d = %+v (reps %v), want %+v (reps %v)", label, id, ge, ge.Reps(), we, we.Reps())
+		}
+		if !slices.Equal(got.Succs(id), want.Succs(id)) || !slices.Equal(got.Preds(id), want.Preds(id)) {
+			t.Fatalf("%s: event %d: succs %v preds %v, want %v %v", label, id,
+				got.Succs(id), got.Preds(id), want.Succs(id), want.Preds(id))
+		}
+		for _, dst := range want.Succs(id) {
+			if !slices.Equal(got.EdgeArgs(id, dst), want.EdgeArgs(id, dst)) {
+				t.Fatalf("%s: edgeArgs(%d,%d) = %v, want %v", label, id, dst, got.EdgeArgs(id, dst), want.EdgeArgs(id, dst))
+			}
+		}
+	}
+}
+
+// applyEdits is the oracle's side of Splice: the input list after edits.
+func applyEdits(inputs []*Graph, edits []UnionEdit) []*Graph {
+	var out []*Graph
+	k := 0
+	for _, e := range edits {
+		out = append(out, inputs[k:e.At]...)
+		out = append(out, e.Ins...)
+		k = e.At + e.Del
+	}
+	return append(out, inputs[k:]...)
+}
+
+// TestSpliceMatchesUnion edits a standing union at random — replace by a
+// smaller, larger or empty input, insert, remove, several edits at once,
+// adjacent ones included — and after every Splice compares it with Union
+// over the inputs it should now have, at GOMAXPROCS 1, 2 and 4. No edit
+// touches the input that introduces the symbols, so none may be refused
+// for its numbering; the dead space they leave must at some point be.
+func TestSpliceMatchesUnion(t *testing.T) {
+	const nPool = 24
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(int64(procs)))
+		inputs := []*Graph{poolIntro(nPool, func(i int) int { return i })}
+		for i := 0; i < 160; i++ {
+			inputs = append(inputs, poolGraph(i, 5+i%23, nPool))
+		}
+		b := NewUnionBuilder()
+		if why := b.Splice([]UnionEdit{{Ins: inputs}}); why != "" {
+			t.Fatalf("first splice refused: %s", why)
+		}
+		assertSameGraph(t, "first", b.Graph(), Union(inputs...))
+		compactions := 0
+		for step := 0; step < 150; step++ {
+			var edits []UnionEdit
+			at := 1
+			for len(edits) < 1+rng.Intn(4) && at <= len(inputs) {
+				at += rng.Intn(1 + (len(inputs)-at)/2)
+				e := UnionEdit{At: at}
+				if at < len(inputs) {
+					e.Del = rng.Intn(3)
+					e.Del = min(e.Del, len(inputs)-at)
+				}
+				for n := rng.Intn(3); n > 0; n-- {
+					g := poolGraph(rng.Intn(1000), rng.Intn(30), nPool)
+					e.Ins = append(e.Ins, g)
+				}
+				if e.Del == 0 && len(e.Ins) == 0 {
+					e.Ins = []*Graph{New()}
+				}
+				edits = append(edits, e)
+				at += e.Del // the next edit may be adjacent
+			}
+			inputs = applyEdits(inputs, edits)
+			switch why := b.Splice(edits); why {
+			case "":
+			case "compaction":
+				compactions++
+				b = NewUnionBuilder()
+				b.Splice([]UnionEdit{{Ins: inputs}})
+			default:
+				t.Fatalf("GOMAXPROCS=%d step %d: splice refused: %s", procs, step, why)
+			}
+			if len(b.inputs) != len(inputs) {
+				t.Fatalf("GOMAXPROCS=%d step %d: builder has %d inputs, want %d", procs, step, len(b.inputs), len(inputs))
+			}
+			assertSameGraph(t, fmt.Sprintf("GOMAXPROCS=%d step %d", procs, step), b.Graph(), Union(inputs...))
+		}
+		if compactions == 0 || compactions > 30 {
+			t.Errorf("GOMAXPROCS=%d: %d of 150 edits asked for compaction; want a few", procs, compactions)
+		}
+	}
+}
+
+// TestSpliceNumbering pins when an edit in the middle is refused: when the
+// new inputs would not introduce, input by input, the symbols the table
+// has them introduce. That is every edit after which Union would number a
+// symbol differently (an accepted edit is compared with Union, symbol
+// table included), and a few after which it would not: the symbol an
+// introducer loses may be the very next one a later input brings.
+func TestSpliceNumbering(t *testing.T) {
+	const nPool = 6
+	id := func(i int) int { return i }
+	swapped := func(i int) int { return [nPool]int{0, 1, 3, 2, 4, 5}[i] }
+	named := func(names ...string) *Graph {
+		g := New()
+		for i, n := range names {
+			g.AddEvent(KindCall, "n.py", pytoken.Pos{Line: i + 1}, []string{n})
+		}
+		return g
+	}
+	base := func() []*Graph {
+		return []*Graph{poolGraph(1, 4, 2), poolIntro(nPool, id), poolGraph(2, 9, nPool), named("late()"), poolGraph(3, 5, nPool)}
+	}
+	longer := poolIntro(nPool, id)
+	longer.AddEvent(KindRead, "intro.py", pytoken.Pos{Line: 99}, []string{"api3()", "api0()"})
+	cases := []struct {
+		name  string
+		edits []UnionEdit
+		why   string
+	}{
+		{"replace an introducer by one with the same symbols in the same order", []UnionEdit{{At: 1, Del: 1, Ins: []*Graph{longer}}}, ""},
+		{"replace it by one that reorders them", []UnionEdit{{At: 1, Del: 1, Ins: []*Graph{poolIntro(nPool, swapped)}}}, "numbering"},
+		{"replace it by one that loses the last", []UnionEdit{{At: 1, Del: 1, Ins: []*Graph{poolIntro(nPool-1, id)}}}, "numbering"},
+		{"replace it by one that gains one", []UnionEdit{{At: 1, Del: 1, Ins: []*Graph{poolIntro(nPool+1, id)}}}, "numbering"},
+		{"remove an introducer", []UnionEdit{{At: 1, Del: 1}}, "numbering"},
+		{"remove one that introduces nothing", []UnionEdit{{At: 2, Del: 1}}, ""},
+		{"insert one that knows every symbol", []UnionEdit{{At: 2, Ins: []*Graph{poolGraph(9, 7, nPool)}}}, ""},
+		{"insert one with a symbol a later input introduces", []UnionEdit{{At: 2, Ins: []*Graph{named("api1()", "late()")}}}, "numbering"},
+		{"insert one with a symbol nobody has", []UnionEdit{{At: 4, Ins: []*Graph{named("new()")}}}, "numbering"},
+		{"insert it at the end", []UnionEdit{{At: 5, Ins: []*Graph{named("new()")}}}, ""},
+		{"replace the last input by one with new symbols", []UnionEdit{{At: 4, Del: 1, Ins: []*Graph{named("api0()", "new()", "newer()")}}}, ""},
+		{"split an introducer in two that bring the same symbols", []UnionEdit{{At: 1, Del: 1, Ins: []*Graph{poolIntro(3, id), poolIntro(nPool, id)}}}, ""},
+		{"move a late symbol's introduction to the end", []UnionEdit{{At: 3, Del: 1}, {At: 5, Ins: []*Graph{named("late()")}}}, "numbering"},
+		{"replace the last introducer and append", []UnionEdit{{At: 3, Del: 2, Ins: []*Graph{named("late()", "api2()")}}, {At: 5, Ins: []*Graph{named("new()")}}}, ""},
+		{"nothing", nil, ""},
+	}
+	for _, c := range cases {
+		inputs := base()
+		b := NewUnionBuilder()
+		b.Splice([]UnionEdit{{Ins: inputs}})
+		after := applyEdits(inputs, c.edits)
+		why := b.Splice(c.edits)
+		if why != c.why {
+			t.Errorf("%s: Splice = %q, want %q", c.name, why, c.why)
+			continue
+		}
+		if why == "" {
+			assertSameGraph(t, c.name, b.Graph(), Union(after...))
 		}
 	}
 }
