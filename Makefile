@@ -23,12 +23,13 @@ fmt-check:
 # metrics registry, the sharded solver kernel, the parallel corpus
 # front-end and the lexer, parser, analyzer and arenas its workers run
 # with per-goroutine scratch state, the analysis cache, the HTTP service
-# (worker pool, backpressure, drain, hot reload), the symbol interner
+# (worker pool, backpressure, drain, hot reload) and the sharded
+# check-result cache every request locks, the symbol interner
 # and the fanned-out union copy, the sharded constraint build, the shard
 # worker/coordinator (subprocess fan-out, concurrent artifact decode),
 # and the incremental session that hands union and build their spans.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
+	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/checkcache/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
 
 # fuzzsmoke rotates every fuzz target through five seconds each, on top of
 # its committed seed corpus: the front-end's (internal/core/testdata/fuzz —
@@ -37,13 +38,17 @@ race:
 # the session's (internal/incr/testdata/fuzz — arbitrary bytes as a
 # program of splices, retractions, pins and re-learns must leave the
 # standing union, the constraint system and the solution equal to what
-# the one-shot functions compute from the same files).
+# the one-shot functions compute from the same files) and the traceparent
+# parser's (internal/obs/trace/testdata/fuzz — an arbitrary header value
+# must be accepted exactly when it is a well-formed version-00 header,
+# with the IDs found where the grammar puts them, and cost no allocation).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrontEndScratchEquivalence -fuzztime=5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSessionEdits -fuzztime=5s ./internal/incr
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime=5s ./internal/obs/trace
 
 # verify = tier-1 (build + full tests) plus gofmt, vet, the race checks, the
-# two five-second fuzz smokes, the end-to-end load smoke (real seldond + seldonload over loopback), the
+# three five-second fuzz smokes, the end-to-end load smoke (real seldond + seldonload over loopback), the
 # distributed-learning smoke (real worker subprocesses + coordinator),
 # and the continuous-learning smoke (feedback loop under -race).
 verify: fmt-check vet race build test fuzzsmoke loadsmoke shardsmoke feedbacksmoke

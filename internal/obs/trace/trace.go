@@ -11,6 +11,9 @@
 // Like the metrics registry, every method is safe on a nil *Tracer and
 // a nil *Span and returns immediately, so instrumented code needs no
 // guards: a nil tracer yields nil spans, nil spans yield nil children.
+//
+// Every request of the service is traced — no sampling, no switch — so
+// a trace is built to cost little: see traceBlock.
 package trace
 
 import (
@@ -18,6 +21,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -38,9 +42,21 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// String builds an Attr, formatting the value with %v.
+// String builds an Attr, formatting the value as %v would. The three
+// types the serving path passes are rendered without fmt.
 func String(key string, value any) Attr {
-	return Attr{Key: key, Value: fmt.Sprintf("%v", value)}
+	var v string
+	switch x := value.(type) {
+	case string:
+		v = x
+	case int:
+		v = strconv.Itoa(x)
+	case bool:
+		v = strconv.FormatBool(x)
+	default:
+		v = fmt.Sprintf("%v", value)
+	}
+	return Attr{Key: key, Value: v}
 }
 
 // SpanData is the immutable record of one finished span.
@@ -92,27 +108,98 @@ func New(capacity int) *Tracer {
 	return &Tracer{ring: make([]TraceData, capacity)}
 }
 
-// traceBuf accumulates the finished spans of one in-flight trace. Spans
-// of a trace may end on different goroutines (worker handoff), so the
-// buffer carries its own lock. Once the root span publishes the trace
-// the buffer is closed: stragglers — e.g. an analysis goroutine still
-// running after its request timed out — are counted as dropped rather
-// than recorded, so a published TraceData is never touched again.
-type traceBuf struct {
-	mu      sync.Mutex
-	spans   []SpanData
-	dropped int
-	closed  bool
+// Sizes of a trace's one allocation. A /v1/check answered from the cache
+// or from another request's analysis opens two child spans (admission,
+// encode) and ends three with the root; the root carries three
+// attributes (file, store, and cache or coalesced) and a child one. The
+// block is sized for exactly that request, because what a trace costs
+// is mostly its bytes: every block survives in the ring for 256
+// requests. BenchmarkTraceRequest on 2 cores, median of six, ns per
+// trace at blockChildren/blockSpans 2/3, 4/7 (the request that runs the
+// analysis: four children, two recorded after the fact, the root) and
+// 8/12: 1170, 1600 and 2550 for the hit's shape, 1024, 1696 and 3248
+// bytes; the analysis's shape is 3150 at 2/3 against 2500 at 4/7, which
+// it pays once in a request of 100 µs and more. (One Span per StartChild
+// and one ID per span, as before the block: 2600 and 4600.) Past these
+// sizes a trace works as it did then — spans and attributes spill to
+// the heap one at a time, span IDs are drawn moreSpanIDs at a time.
+const (
+	blockChildren  = 2
+	blockSpans     = 3 // finished-span records, the root's included
+	blockRootAttrs = 3
+	spareSpanIDs   = blockChildren // drawn with the trace's own IDs
+	moreSpanIDs    = 8             // drawn at once when those run out
+	traceIDLen     = 32
+	spanIDLen      = 16
+)
+
+// Offsets into a traceparent header, "00-<trace id>-<span id>-<flags>",
+// and into traceBlock.ids, which begins with one.
+const (
+	traceAt        = len("00-")
+	rootAt         = traceAt + traceIDLen + len("-")
+	flagsAt        = rootAt + spanIDLen + len("-")
+	traceparentLen = flagsAt + 2
+	callerAt       = traceparentLen
+	spareAt        = callerAt + spanIDLen
+	idsLen         = spareAt + spareSpanIDs*spanIDLen
+)
+
+// traceBlock is everything one in-flight trace owns, allocated at once:
+// the root span, the child spans the request is expected to open, their
+// attribute storage, and the records of the spans that have finished.
+// Spans of a trace may end on different goroutines (worker handoff), so
+// the block carries the trace's lock. Once the root span publishes the
+// trace the block is closed: stragglers — e.g. an analysis goroutine
+// still running after its request timed out — are counted as dropped
+// rather than recorded, so a published TraceData is never touched again.
+type traceBlock struct {
+	tracer *Tracer
+	// ids is one string holding every identifier of the trace, each a
+	// substring of it:
+	//
+	//	00-<trace id>-<root span id>-01<caller's span id><spare span ids>
+	//
+	// so the outgoing traceparent header is its head, and a span ID costs
+	// no allocation until the spares run out. spare is what is left of it.
+	ids    string
+	spare  string
+	remote bool
+
+	mu       sync.Mutex
+	spans    []SpanData // finished spans, in end order; starts out as done[:0]
+	dropped  int
+	closed   bool
+	children int // how many of child are handed out
+
+	root       Span
+	child      [blockChildren]Span
+	done       [blockSpans]SpanData
+	rootAttrs  [blockRootAttrs]Attr
+	childAttrs [blockChildren][1]Attr
 }
 
-func (b *traceBuf) add(sd SpanData) {
-	b.mu.Lock()
+func (b *traceBlock) traceID() string { return b.ids[traceAt : traceAt+traceIDLen] }
+
+// nextID hands out a span ID; b.mu is held.
+func (b *traceBlock) nextID() string {
+	if len(b.spare) < spanIDLen {
+		var hexed [moreSpanIDs * spanIDLen]byte
+		randHex(hexed[:])
+		b.spare = string(hexed[:])
+	}
+	id := b.spare[:spanIDLen]
+	b.spare = b.spare[spanIDLen:]
+	return id
+}
+
+// add records a finished span; b.mu is held.
+func (b *traceBlock) add(sd SpanData) {
 	if b.closed || len(b.spans) >= maxSpansPerTrace {
 		b.dropped++
 	} else {
 		b.spans = append(b.spans, sd)
 	}
-	b.mu.Unlock()
 }
 
 // Span is one in-flight timed operation. Spans are created by
@@ -120,17 +207,13 @@ func (b *traceBuf) add(sd SpanData) {
 // SetAttr, and closed exactly once with End; a nil *Span no-ops
 // everywhere.
 type Span struct {
-	tracer  *Tracer
-	buf     *traceBuf
-	traceID string
-	id      string
-	parent  string
-	name    string
-	root    bool
-	remote  bool
-	start   time.Time
+	block  *traceBlock
+	id     string
+	parent string
+	name   string
+	start  time.Time
 
-	mu    sync.Mutex
+	// Guarded by block.mu.
 	attrs []Attr
 	ended bool
 }
@@ -159,21 +242,35 @@ func (t *Tracer) startRoot(name, traceID, parentID string) *Span {
 	t.mu.Lock()
 	t.started++
 	t.mu.Unlock()
-	remote := traceID != ""
-	if traceID == "" {
-		traceID = randHex(16)
+
+	// One draw from the random source and one string for the whole trace.
+	// An adopted trace copies the caller's two IDs in, so it holds no
+	// reference to the header they arrived in.
+	var drawn [traceIDLen + (1+spareSpanIDs)*spanIDLen]byte
+	randHex(drawn[:])
+	var ids [idsLen]byte
+	copy(ids[:], "00-")
+	copy(ids[traceAt:], drawn[:traceIDLen])
+	ids[rootAt-1] = '-'
+	copy(ids[rootAt:], drawn[traceIDLen:traceIDLen+spanIDLen])
+	copy(ids[rootAt+spanIDLen:], "-01")
+	copy(ids[spareAt:], drawn[traceIDLen+spanIDLen:])
+	if traceID != "" {
+		copy(ids[traceAt:], traceID)
+		copy(ids[callerAt:], parentID)
 	}
-	return &Span{
-		tracer:  t,
-		buf:     &traceBuf{},
-		traceID: traceID,
-		id:      randHex(8),
-		parent:  parentID,
-		name:    name,
-		root:    true,
-		remote:  remote,
-		start:   time.Now(),
+
+	b := &traceBlock{tracer: t, ids: string(ids[:]), remote: traceID != ""}
+	b.spare = b.ids[spareAt:]
+	b.spans = b.done[:0]
+	s := &b.root
+	s.block, s.name, s.attrs = b, name, b.rootAttrs[:0]
+	s.id = b.ids[rootAt : rootAt+spanIDLen]
+	if b.remote {
+		s.parent = b.ids[callerAt:spareAt]
 	}
+	s.start = time.Now()
+	return s
 }
 
 // StartChild opens a child span under s, in the same trace.
@@ -181,15 +278,21 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return &Span{
-		tracer:  s.tracer,
-		buf:     s.buf,
-		traceID: s.traceID,
-		id:      randHex(8),
-		parent:  s.id,
-		name:    name,
-		start:   time.Now(),
+	b := s.block
+	b.mu.Lock()
+	var c *Span
+	if b.children < len(b.child) {
+		c = &b.child[b.children]
+		c.attrs = b.childAttrs[b.children][:0]
+		b.children++
+	} else {
+		c = new(Span)
 	}
+	c.id = b.nextID()
+	b.mu.Unlock()
+	c.block, c.parent, c.name = b, s.id, name
+	c.start = time.Now()
+	return c
 }
 
 // AddChildAt records an already-completed child span with an explicit
@@ -200,24 +303,30 @@ func (s *Span) AddChildAt(name string, start time.Time, d time.Duration, attrs .
 	if s == nil {
 		return
 	}
-	s.buf.add(SpanData{
-		SpanID:        randHex(8),
+	b := s.block
+	b.mu.Lock()
+	b.add(SpanData{
+		SpanID:        b.nextID(),
 		ParentID:      s.id,
 		Name:          name,
 		StartUnixNano: start.UnixNano(),
 		DurationNanos: int64(d),
 		Attrs:         attrs,
 	})
+	b.mu.Unlock()
 }
 
-// SetAttr annotates the span; the value is formatted with %v.
+// SetAttr annotates the span; the value is formatted as %v would.
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, String(key, value))
-	s.mu.Unlock()
+	a := String(key, value)
+	s.block.mu.Lock()
+	if !s.ended { // what a span has recorded is not written to again
+		s.attrs = append(s.attrs, a)
+	}
+	s.block.mu.Unlock()
 }
 
 // TraceID returns the 32-hex-digit trace ID ("" on nil).
@@ -225,7 +334,7 @@ func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return s.traceID
+	return s.block.traceID()
 }
 
 // SpanID returns the 16-hex-digit span ID ("" on nil).
@@ -242,7 +351,10 @@ func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
 	}
-	return FormatTraceparent(s.traceID, s.id)
+	if s == &s.block.root {
+		return s.block.ids[:traceparentLen]
+	}
+	return FormatTraceparent(s.block.traceID(), s.id)
 }
 
 // End closes the span, records it, and — for root spans — publishes
@@ -253,46 +365,45 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.mu.Lock()
+	b := s.block
+	b.mu.Lock()
 	if s.ended {
-		s.mu.Unlock()
+		b.mu.Unlock()
 		return d
 	}
 	s.ended = true
-	attrs := s.attrs
-	s.mu.Unlock()
-
 	sd := SpanData{
 		SpanID:        s.id,
 		ParentID:      s.parent,
 		Name:          s.name,
 		StartUnixNano: s.start.UnixNano(),
 		DurationNanos: int64(d),
-		Attrs:         attrs,
 	}
-	if !s.root {
-		s.buf.add(sd)
+	if len(s.attrs) > 0 {
+		sd.Attrs = s.attrs
+	}
+	if s != &b.root {
+		b.add(sd)
+		b.mu.Unlock()
 		return d
 	}
-	// Copy into a fresh array before publishing: appending to the
-	// buffer's own slice would alias its backing array, and a child span
-	// ending after the root (timed-out request, worker still running)
-	// would then overwrite the published — supposedly immutable — trace
-	// concurrently with /debug/traces readers. Closing the buffer makes
-	// those stragglers count as dropped instead.
-	s.buf.mu.Lock()
-	s.buf.closed = true
-	spans := make([]SpanData, 0, len(s.buf.spans)+1)
-	spans = append(spans, s.buf.spans...)
-	spans = append(spans, sd) // root last
-	dropped := s.buf.dropped
-	s.buf.mu.Unlock()
-	s.tracer.push(TraceData{
-		TraceID:       s.traceID,
+	// The root goes last, and the trace is published as it stands in
+	// the block, without a copy: closing the block makes a child span that
+	// ends after the root (timed-out request, worker still running) count
+	// as dropped instead of being appended, and an ended span takes no
+	// more attributes, so nothing writes to a published — and immutable —
+	// trace again. A trace in the ring keeps its block alive, which
+	// bounds the ring at its capacity times one block.
+	b.spans = append(b.spans, sd)
+	b.closed = true
+	spans, dropped := b.spans, b.dropped
+	b.mu.Unlock()
+	b.tracer.push(TraceData{
+		TraceID:       b.traceID(),
 		Root:          s.name,
 		StartUnixNano: s.start.UnixNano(),
 		DurationNanos: int64(d),
-		RemoteParent:  s.remote,
+		RemoteParent:  b.remote,
 		Dropped:       dropped,
 		Spans:         spans,
 	})
@@ -348,17 +459,21 @@ func (t *Tracer) Stats() (started, finished int64, buffered int) {
 
 // ParseTraceparent validates a W3C traceparent header
 // (version 00: "00-<32 hex>-<16 hex>-<2 hex>") and returns its trace
-// and parent-span IDs. All-zero IDs are invalid per the spec.
+// and parent-span IDs, substrings of h. All-zero IDs are invalid per
+// the spec. It runs on an untrusted header of every request and
+// allocates nothing.
 func ParseTraceparent(h string) (traceID, spanID string, ok bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) != 4 || parts[0] != "00" ||
-		!isHex(parts[1], 32) || !isHex(parts[2], 16) || !isHex(parts[3], 2) {
+	h = strings.TrimSpace(h)
+	if len(h) != traceparentLen || h[:traceAt] != "00-" || h[rootAt-1] != '-' || h[flagsAt-1] != '-' {
 		return "", "", false
 	}
-	if parts[1] == strings.Repeat("0", 32) || parts[2] == strings.Repeat("0", 16) {
+	traceID, spanID = h[traceAt:rootAt-1], h[rootAt:flagsAt-1]
+	const zeros = "00000000000000000000000000000000"
+	if !isHex(traceID) || !isHex(spanID) || !isHex(h[flagsAt:]) ||
+		traceID == zeros || spanID == zeros[:spanIDLen] {
 		return "", "", false
 	}
-	return parts[1], parts[2], true
+	return traceID, spanID, true
 }
 
 // FormatTraceparent renders a version-00, sampled traceparent header.
@@ -366,11 +481,8 @@ func FormatTraceparent(traceID, spanID string) string {
 	return "00-" + traceID + "-" + spanID + "-01"
 }
 
-func isHex(s string, n int) bool {
-	if len(s) != n {
-		return false
-	}
-	for i := 0; i < n; i++ {
+func isHex(s string) bool {
+	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
 			return false
@@ -379,18 +491,20 @@ func isHex(s string, n int) bool {
 	return true
 }
 
-// randHex returns n random bytes as 2n lowercase hex digits. The
-// crypto source never fails on supported platforms; if it somehow
+// randHex overwrites dst, whose length is even and at most that of one
+// trace's identifiers, with lowercase hex digits drawn from crypto/rand.
+// The crypto source never fails on supported platforms; if it somehow
 // does, the wall clock keeps IDs unique enough for debugging.
-func randHex(n int) string {
-	b := make([]byte, n)
+func randHex(dst []byte) {
+	var raw [max(traceIDLen+(1+spareSpanIDs)*spanIDLen, moreSpanIDs*spanIDLen) / 2]byte
+	b := raw[:len(dst)/2]
 	if _, err := rand.Read(b); err != nil {
 		now := time.Now().UnixNano()
 		for i := range b {
 			b[i] = byte(now >> (8 * (i % 8)))
 		}
 	}
-	return hex.EncodeToString(b)
+	hex.Encode(dst, b)
 }
 
 // ctxKey carries the current span through a context.

@@ -3,7 +3,9 @@ package trace
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -340,4 +342,100 @@ func TestHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil || len(dump.Traces) != 0 {
 		t.Errorf("nil dump: %+v (err=%v)", dump, err)
 	}
+}
+
+// TestIDsBeyondTheBlock opens more spans than a trace's block holds and
+// records more than it drew IDs for: every span must still come out
+// with a well-formed ID of its own, parented where it was opened.
+func TestIDsBeyondTheBlock(t *testing.T) {
+	tr := New(2)
+	root := tr.StartRoot("r")
+	const live, after = 3 * blockChildren, 3 * blockSpans
+	for i := 0; i < live; i++ {
+		c := root.StartChild("live")
+		c.SetAttr("i", i)
+		c.SetAttr("again", true) // one more than a child's inline attribute
+		c.End()
+	}
+	for i := 0; i < after; i++ {
+		root.AddChildAt("after", time.Now(), 0)
+	}
+	for i := 0; i <= blockRootAttrs; i++ {
+		root.SetAttr("k", i)
+	}
+	root.End()
+
+	td := tr.Traces()[0]
+	if len(td.Spans) != live+after+1 || td.Dropped != 0 {
+		t.Fatalf("%d spans, %d dropped, want %d and 0", len(td.Spans), td.Dropped, live+after+1)
+	}
+	if len(td.TraceID) != traceIDLen || !isHex(td.TraceID) {
+		t.Errorf("trace ID %q", td.TraceID)
+	}
+	rootSD := td.Spans[len(td.Spans)-1]
+	if rootSD.SpanID != root.SpanID() || len(rootSD.Attrs) != blockRootAttrs+1 {
+		t.Errorf("root record = %+v", rootSD)
+	}
+	seen := map[string]bool{}
+	for i, sd := range td.Spans {
+		if len(sd.SpanID) != spanIDLen || !isHex(sd.SpanID) || seen[sd.SpanID] {
+			t.Errorf("span %d: ID %q malformed or repeated", i, sd.SpanID)
+		}
+		seen[sd.SpanID] = true
+		if sd.Name != "r" && sd.ParentID != rootSD.SpanID {
+			t.Errorf("span %d: parent %q, want the root %q", i, sd.ParentID, rootSD.SpanID)
+		}
+		if sd.Name == "live" && (len(sd.Attrs) != 2 || sd.Attrs[0].Value != strconv.Itoa(i) || sd.Attrs[1].Value != "true") {
+			t.Errorf("span %d: attrs %v", i, sd.Attrs)
+		}
+	}
+	if got, want := root.Traceparent(), FormatTraceparent(td.TraceID, rootSD.SpanID); got != want {
+		t.Errorf("root traceparent %q, want %q", got, want)
+	}
+}
+
+// TestAttrFormatting: whatever the type, an attribute reads as %v.
+func TestAttrFormatting(t *testing.T) {
+	type named int
+	for _, v := range []any{"s", "", 0, -7, 1 << 40, true, false, int64(9), uint8(3), 2.5, named(4),
+		time.Second, []int{1, 2}, nil, struct{ A int }{1}} {
+		if got, want := String("k", v).Value, fmt.Sprintf("%v", v); got != want {
+			t.Errorf("String(%T %v) = %q, want %q", v, v, got, want)
+		}
+	}
+}
+
+// BenchmarkTraceRequest is what one /v1/check costs in this package, by
+// the shape of its trace: "hit" opens and ends two children and sets
+// four attributes (a cache hit, a coalesced follower), "analysis" opens
+// four, records two after the fact and sets four (the request that runs
+// the analysis). The block's size constants were chosen with it.
+func BenchmarkTraceRequest(b *testing.B) {
+	run := func(b *testing.B, analysis bool) {
+		tr := New(0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			root := tr.StartRootFrom("http.check", "")
+			_, _ = root.TraceID(), root.Traceparent()
+			adm := root.StartChild("admission")
+			adm.SetAttr("body_bytes", 2100+i&1)
+			adm.End()
+			root.SetAttr("file", "request.py")
+			root.SetAttr("store", "0123456789abcdef0123456789abcdef")
+			if analysis {
+				root.StartChild("queue").End()
+				root.AddChildAt("parse", time.Now(), time.Microsecond)
+				root.AddChildAt("dataflow", time.Now(), time.Microsecond)
+				ts := root.StartChild("taint")
+				ts.SetAttr("findings", 1)
+				ts.End()
+			} else {
+				root.SetAttr("cache", "hit")
+			}
+			root.StartChild("encode").End()
+			root.End()
+		}
+	}
+	b.Run("hit", func(b *testing.B) { run(b, false) })
+	b.Run("analysis", func(b *testing.B) { run(b, true) })
 }

@@ -75,6 +75,25 @@ func (s *Server) recordFinding(f *Finding) {
 	}
 }
 
+// reindexFindings records the findings of a check answered from the
+// cache. recordFinding otherwise runs only where findings are computed,
+// so an ID the server is still answering with would fall out of the
+// index once maxFindingIndex newer ones had passed through it, and a
+// verdict on it would be refused as never reported. No-op without a
+// session, like the index itself.
+func (s *Server) reindexFindings(core []byte) {
+	if s.cfg.Session == nil {
+		return
+	}
+	var cc checkCore
+	if json.Unmarshal(core, &cc) != nil {
+		return // the cache holds only what check encoded
+	}
+	for i := range cc.Findings {
+		s.recordFinding(&cc.Findings[i])
+	}
+}
+
 // FeedbackRequest is the POST /v1/feedback body: a verdict against
 // either a finding ID (from a /v1/check response) or a (symbol, role)
 // pair directly.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"testing"
 
 	"seldon/internal/core"
@@ -247,5 +248,39 @@ func TestFeedbackAcceptBySymbol(t *testing.T) {
 	}
 	if h := getHealth(t, url); h.Feedback == nil || h.Feedback.Accepted != 1 {
 		t.Errorf("healthz accepted count wrong: %+v", h.Feedback)
+	}
+}
+
+// TestFeedbackOnFindingServedFromCache: a finding the server keeps
+// answering with stays addressable by /v1/feedback. Its ID was indexed
+// when the analysis ran; since then more than maxFindingIndex other
+// findings have passed through the index and pushed it out, and every
+// later answer has come from the check cache, where nothing used to
+// index. The verdict on an ID taken from such an answer must resolve.
+func TestFeedbackOnFindingServedFromCache(t *testing.T) {
+	s, url, _ := newFeedbackServer(t)
+	if _, out := postCheck(t, url, learnedSrc); out.Total == 0 {
+		t.Fatalf("no findings over learned entries: %+v", out)
+	}
+	for i := 0; i <= maxFindingIndex; i++ {
+		f := Finding{File: "other.py", Source: "src()", Sink: "sink()", SinkPos: strconv.Itoa(i)}
+		f.ID = findingID(&f)
+		s.recordFinding(&f)
+	}
+
+	before := getHealth(t, url).CheckCache.Hits
+	_, out := postCheck(t, url, learnedSrc)
+	if hits := getHealth(t, url).CheckCache.Hits; hits != before+1 || out.Total == 0 {
+		t.Fatalf("re-check was not a cache hit with findings: hits %d -> %d, %d findings", before, hits, out.Total)
+	}
+	resp, fout := postFeedback(t, url, FeedbackRequest{FindingID: out.Findings[0].ID, Verdict: "reject"})
+	if resp.StatusCode != http.StatusOK || len(fout.Pinned) == 0 {
+		t.Fatalf("verdict on a finding served from the cache: status %d, pinned %v", resp.StatusCode, fout.Pinned)
+	}
+	s.findingMu.Lock()
+	n := len(s.findings)
+	s.findingMu.Unlock()
+	if n > maxFindingIndex {
+		t.Errorf("finding index holds %d entries, cap %d", n, maxFindingIndex)
 	}
 }

@@ -97,7 +97,13 @@ var optsKey = [4]string{"", "t", "d", "td"}
 // body, filename, options, and store generation) skips the queue and
 // the analysis entirely; a concurrent identical request joins the
 // in-flight leader's analysis as a follower (span attr coalesced=true)
-// without taking a worker slot. Both still carry their own deadline.
+// without taking a worker slot.
+//
+// The handler does its work in the order it is needed: read, key, look
+// up. Everything a request needs only because it may wait — the
+// deadline context and its timer, the flight table — is set up after
+// the lookup has missed, so a hit, which never blocks, pays for none of
+// it. A follower waits and keeps its own deadline.
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -106,8 +112,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	root := s.cfg.Tracer.StartRootFrom("http.check", r.Header.Get("Traceparent"))
 	defer root.End()
-	w.Header().Set("X-Trace-Id", root.TraceID())
-	w.Header().Set("Traceparent", root.Traceparent())
+	// One backing array for both values instead of Header.Set's one each.
+	ids := []string{root.TraceID(), root.Traceparent()}
+	w.Header()["X-Trace-Id"], w.Header()["Traceparent"] = ids[:1:1], ids[1:]
 	if s.draining.Load() {
 		s.fail(w, "check", http.StatusServiceUnavailable, "server is draining")
 		return
@@ -133,13 +140,15 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	query := r.URL.Query()
-	name := query.Get("filename")
-	if name == "" {
-		name = "request.py"
+	name, withTrace, dedupe := "request.py", false, false
+	if r.URL.RawQuery != "" {
+		query := r.URL.Query()
+		if n := query.Get("filename"); n != "" {
+			name = n
+		}
+		withTrace = query.Get("trace") == "1"
+		dedupe = query.Get("dedupe") == "1"
 	}
-	withTrace := query.Get("trace") == "1"
-	dedupe := query.Get("dedupe") == "1"
 	root.SetAttr("file", name)
 
 	// One store snapshot per request, taken before the cache key is
@@ -148,22 +157,30 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	st := s.currentStore()
 	root.SetAttr("store", st.fingerprint)
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
 	var key checkcache.Key
-	var fl *flight
 	if s.cache != nil {
 		opts := optsKey[b2i(withTrace)|b2i(dedupe)<<1]
 		key = checkcache.KeyOfBytes([]string{fpcache.AnalyzerVersion, st.epoch, name, opts}, body)
 		if val, ok := s.cache.Get(key); ok {
 			s.cfg.Metrics.Add(obs.CounterCheckCacheHits, 1)
 			root.SetAttr("cache", "hit")
+			s.reindexFindings(val)
 			s.respondCheck(w, root, span, val)
-			s.cfg.Log.Log("check.done", "file", name, "cache", "hit", "trace", root.TraceID())
+			if s.cfg.Log != nil { // the arguments are built only for a logger that prints them
+				s.cfg.Log.Log("check.done", "file", name, "cache", "hit", "trace", root.TraceID())
+			}
 			return
 		}
 		s.cfg.Metrics.Add(obs.CounterCheckCacheMisses, 1)
+	}
+
+	// A miss: from here on the request may wait — for a leader, a worker
+	// slot or the analysis — so it gets its deadline.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+
+	var fl *flight
+	if s.cache != nil {
 		s.flightMu.Lock()
 		if g, ok := s.flights[key]; ok {
 			s.flightMu.Unlock()
@@ -294,13 +311,18 @@ func (s *Server) respondCheck(w http.ResponseWriter, root *trace.Span, span obs.
 	b = append(b, `,"trace_id":"`...)
 	b = append(b, root.TraceID()...)
 	b = append(b, '"', '}', '\n')
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	w.Write(b)
 	*bufp = b
 	s.putBuf(bufp)
 	enc.End()
 }
+
+// jsonContentType is the Content-Type value every 200 of /v1/check
+// shares. Nothing writes through a header's value slice: Set replaces
+// it, and Add appends to this one's full capacity, which copies.
+var jsonContentType = []string{"application/json"}
 
 // updateCacheMetrics refreshes the residency gauges and rolls forward
 // the eviction counter from the cache's cumulative snapshot.

@@ -25,8 +25,10 @@
 // The server is built for sustained traffic: analysis runs on a bounded
 // worker pool (Config.Workers, core.Config.Workers semantics), requests
 // beyond the pool wait in a bounded queue and overflow is rejected with
-// 429, request bodies are size-capped (413), every check carries a
-// context deadline, and Run drains in-flight requests on shutdown.
+// 429, request bodies are size-capped (413), every check that may wait
+// — for a worker slot, an analysis, another request's analysis —
+// carries a context deadline, and Run drains in-flight requests on
+// shutdown.
 //
 // Hot reload: the loaded specification lives behind a read-write lock.
 // Each check snapshots the store once at admission and runs entirely
@@ -40,8 +42,10 @@
 //     keyed on (analyzer version, store generation, filename, options,
 //     body) holds the encoded findings; an identical request against the
 //     same store generation is a map lookup plus a per-request splice of
-//     elapsed_ms and trace_id. Reload starts a new generation, so stale
-//     entries stop being addressable rather than needing a flush.
+//     elapsed_ms and trace_id, answered before anything a waiting
+//     request needs (deadline, flight table) is set up. Reload starts a
+//     new generation, so stale entries stop being addressable rather
+//     than needing a flush.
 //   - Single-flight coalescing: concurrent identical-key requests
 //     collapse onto one in-flight analysis. The leader takes a worker
 //     slot; followers wait on the flight without consuming one, keep
@@ -395,22 +399,35 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // route wraps a handler with the uniform per-route telemetry: the
 // global and per-route request counters, a handler-latency timer, an
 // inflight gauge, and a status-class response counter. Individual
-// handlers only record what is specific to them.
+// handlers only record what is specific to them. The route's metric
+// names are spelled once, here, when the route is registered — a request
+// concatenates nothing.
 func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
+	requests := CounterRequests + "." + name
+	inflight := GaugeRouteInflightPrefix + name
+	latency := TimerRoutePrefix + name
+	var responses [6]string // by status class; [0] is unused
+	for class := 1; class < len(responses); class++ {
+		responses[class] = CounterResponses + "." + name + "." + strconv.Itoa(class) + "xx"
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Metrics.Add(CounterRequests, 1)
-		s.cfg.Metrics.Add(CounterRequests+"."+name, 1)
-		s.cfg.Metrics.GaugeAdd(GaugeRouteInflightPrefix+name, 1)
-		t := s.cfg.Metrics.Start(TimerRoutePrefix + name)
+		s.cfg.Metrics.Add(requests, 1)
+		s.cfg.Metrics.GaugeAdd(inflight, 1)
+		t := s.cfg.Metrics.Start(latency)
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r)
 		t.End()
-		s.cfg.Metrics.GaugeAdd(GaugeRouteInflightPrefix+name, -1)
+		s.cfg.Metrics.GaugeAdd(inflight, -1)
 		code := sw.code
 		if code == 0 {
 			code = http.StatusOK
 		}
-		s.cfg.Metrics.Add(CounterResponses+"."+name+"."+strconv.Itoa(code/100)+"xx", 1)
+		if class := code / 100; class >= 1 && class < len(responses) {
+			s.cfg.Metrics.Add(responses[class], 1)
+		} else { // a status no handler here writes
+			s.cfg.Metrics.Add(CounterResponses+"."+name+"."+strconv.Itoa(class)+"xx", 1)
+		}
 	})
 }
 
