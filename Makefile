@@ -41,14 +41,19 @@ race:
 # the one-shot functions compute from the same files) and the traceparent
 # parser's (internal/obs/trace/testdata/fuzz — an arbitrary header value
 # must be accepted exactly when it is a well-formed version-00 header,
-# with the IDs found where the grammar puts them, and cost no allocation).
+# with the IDs found where the grammar puts them, and cost no allocation)
+# and the solver's (internal/lp/testdata/fuzz — arbitrary bytes as a small
+# problem full of duplicates and near-duplicates, solved cold or warm,
+# through a fresh row table or a standing one, must come out of the kernel
+# bit for bit as out of the interpreted solver of the folded problem).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrontEndScratchEquivalence -fuzztime=5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSessionEdits -fuzztime=5s ./internal/incr
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime=5s ./internal/obs/trace
+	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime=5s ./internal/lp
 
 # verify = tier-1 (build + full tests) plus gofmt, vet, the race checks, the
-# three five-second fuzz smokes, the end-to-end load smoke (real seldond + seldonload over loopback), the
+# four five-second fuzz smokes, the end-to-end load smoke (real seldond + seldonload over loopback), the
 # distributed-learning smoke (real worker subprocesses + coordinator),
 # and the continuous-learning smoke (feedback loop under -race).
 verify: fmt-check vet race build test fuzzsmoke loadsmoke shardsmoke feedbacksmoke

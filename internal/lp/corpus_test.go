@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"fmt"
 	"testing"
 
 	"seldon/internal/constraints"
@@ -10,27 +11,28 @@ import (
 	"seldon/internal/propgraph"
 )
 
-// TestKernelMatchesReferenceOnCorpusSystem runs the oracle over the
-// duplication the pipeline actually emits — the system constraints.Build
-// derives from a generated corpus, where the same API triples recur
-// across files — instead of a hand-made shape: the folded kernel and the
-// interpreted reference must agree on the epoch count and on every bit of
-// the solution, cold and warm.
-func TestKernelMatchesReferenceOnCorpusSystem(t *testing.T) {
+// corpusSystem is the system constraints.Build derives from a generated
+// corpus, where the same API triples recur across files: the duplication
+// the pipeline actually emits instead of a hand-made shape.
+func corpusSystem() *lp.Problem {
 	files := corpus.Generate(corpus.Config{Files: 240}).FileMap()
 	fe := core.AnalyzeFiles(files, core.Config{})
-	p := constraints.Build(propgraph.Union(fe.Graphs...), corpus.ExperimentSeed(), constraints.Options{}).Problem
+	return constraints.Build(propgraph.Union(fe.Graphs...), corpus.ExperimentSeed(), constraints.Options{}).Problem
+}
 
+// TestKernelMatchesReferenceOnCorpusSystem runs the oracle over the corpus
+// system: the kernel and the interpreted solver of the folded problem must
+// agree on the epoch count and on every bit of the solution, the objective
+// and the violation, cold and warm, at one shard, two and five.
+func TestKernelMatchesReferenceOnCorpusSystem(t *testing.T) {
+	p := corpusSystem()
 	check := func(name string, opts lp.Options) *lp.Result {
 		ref := lp.MinimizeReference(p, opts)
-		ker := lp.Minimize(p, opts)
-		if ker.Iterations != ref.Iterations {
-			t.Fatalf("%s: kernel ran %d epochs, reference %d", name, ker.Iterations, ref.Iterations)
-		}
-		for i := range ref.X {
-			if ker.X[i] != ref.X[i] {
-				t.Fatalf("%s: x[%d] = %v, reference %v", name, i, ker.X[i], ref.X[i])
-			}
+		var ker *lp.Result
+		for _, shards := range []int{1, 2, 5} {
+			opts.Shards = shards
+			ker = lp.Minimize(p, opts)
+			lp.SameBits(t, fmt.Sprintf("%s, shards=%d", name, shards), ker, ref)
 		}
 		return ker
 	}
@@ -40,4 +42,14 @@ func TestKernelMatchesReferenceOnCorpusSystem(t *testing.T) {
 			len(p.Constraints), cold.Rows)
 	}
 	check("warm", lp.Options{WarmStart: cold.X, Patience: 25})
+}
+
+// TestFoldedReferenceMatchesUnfoldedOnCorpusSystem: on the pipeline's own
+// system too, summing every copy of a constraint on its own and summing the
+// distinct ones times their counts walk the same descent to within
+// rounding.
+func TestFoldedReferenceMatchesUnfoldedOnCorpusSystem(t *testing.T) {
+	p := corpusSystem()
+	opts := lp.Options{Iterations: 150}
+	lp.AssertWithinRounding(t, lp.MinimizeReference(p, opts), lp.MinimizeUnfolded(p, opts))
 }

@@ -1,6 +1,11 @@
 package lp
 
-// MinimizeReference exposes the interpreted oracle to the external
-// lp_test package, which needs internal/constraints (an importer of lp)
-// to build a real system.
-var MinimizeReference = minimizeReference
+// The interpreted solvers and the result comparisons, for the external
+// lp_test package, which needs internal/constraints (an importer of lp) to
+// build a real system.
+var (
+	MinimizeReference    = minimizeReference
+	MinimizeUnfolded     = minimizeUnfolded
+	SameBits             = sameBits
+	AssertWithinRounding = assertWithinRounding
+)

@@ -12,23 +12,36 @@ import (
 // API triples, so a learned system carries each row several times over —
 // and precomputes the free-variable mask and pinned-L1 constant; the
 // per-epoch work is then one dot product per distinct row, one branch-free
-// sweep that compacts the rows of the violated constraints, and a hinge
-// fold and gradient scatter over that compacted list only. One pass yields
+// sweep over the live rows that compacts the violated ones, and a hinge
+// fold and gradient scatter over that compacted list only, each row
+// weighted by the number of constraints that fell on it. One pass yields
 // the violations needed for the gradient, the objective of the previous
 // epoch's iterate, and the convergence statistics.
 //
-// Determinism contract: Minimize is bit-for-bit reproducible at every
-// shard count, and bit-for-bit what the interpreted pre-kernel loop (the
-// minimizeReference oracle in reference_test.go) computes. Rows are
-// evaluated independently, so sharding the pass cannot change them, and
-// identical rows have identical dot products, so folding them cannot
-// either. Every floating-point reduction (hinge fold, L1 fold, gradient
-// scatter, Adam update) runs sequentially and keeps the reference's
-// operand sequence: the compacted list holds the violated constraints in
-// constraint order, and the only terms the scatter skips are those on
-// pinned variables, whose gradient entries nobody reads. Objectives agree
-// with the reference to ulps, the L1 term being folded through the
-// pinned-L1 constant instead of a per-variable scan.
+// The objective the kernel evaluates is the folded one,
+//
+//	Σ_g n_g · max(L_g − R_g − C, 0) + λ Σ_free x_v
+//
+// over the distinct constraints g in order of first occurrence, n_g the
+// number of copies: the same real number as the sum over every constraint,
+// rounded once per distinct row instead of once per copy.
+//
+// Determinism contract: the result is a pure function of the Problem — of
+// its multiset of constraints and the order in which the distinct ones
+// first occur — bit-for-bit equal at every shard count, through a standing
+// RowTable or a fresh one, and bit-for-bit what the interpreted solver of
+// the folded problem (the minimizeReference oracle in reference_test.go)
+// computes, objective included. Rows are evaluated independently, so
+// sharding the pass cannot change them, and a row's dot product does not
+// depend on where the table keeps it. Every floating-point reduction
+// (hinge fold, L1 fold, gradient scatter, Adam update) runs sequentially:
+// the compacted list holds the violated rows in first-occurrence order,
+// a row contributes float64(n·value) — the conversion is written out so
+// that no architecture fuses the product into the add — and the only terms
+// the scatter skips are those on pinned variables, whose gradient entries
+// nobody reads. Moving a copy of a constraint that is not its first
+// therefore changes nothing; moving a first occurrence reorders the sums
+// and may move the result in its last bits.
 
 // kernelChunk is the fixed number of rows one pass task covers. Chunk
 // boundaries depend only on the problem — never on Options.Shards — so the
@@ -45,13 +58,15 @@ type kernel struct {
 	// termVar/termCoef[rowStart[r]:rowStart[r+1]], LHS terms first and RHS
 	// terms after with negated coefficients, so one fused dot product
 	// (minus C) reproduces Constraint.Violation exactly. rowOf maps each
-	// constraint to its row. live is how many rows constraints map to; a
-	// standing table may hold more (see RowTable).
+	// constraint to its row; order lists the rows constraints map to (the
+	// live ones; a standing table may hold more, see RowTable) by first
+	// occurrence in rowOf, and mult[r] counts the constraints on live row r.
 	rowStart []int32
 	termVar  []int32
 	termCoef []float64
 	rowOf    []int32
-	live     int
+	order    []int32
+	mult     []int32
 	// reused counts the constraints that took their row from a remembered
 	// block, dead the rows nothing maps to.
 	reused, dead int
@@ -65,14 +80,14 @@ type kernel struct {
 	masks *problemMask // free mask, pinned indices, pinned-L1 constant
 
 	// Per-pass state. viol[r] caches L_r − R_r − C and hot[r] is 1 when it
-	// is positive; active lists the rows of the violated constraints in
-	// constraint order (a row appears once per violated duplicate) and
-	// nActive is its length. The hinge fold and the scatter read these
-	// instead of re-walking constraints.
-	viol    []float64
-	hot     []uint8
-	active  []int32
-	nActive int
+	// is positive; active[:nActive] lists the violated live rows in the
+	// order of order, and violated is how many constraints sit on them. The
+	// hinge fold and the scatter read these instead of re-walking rows.
+	viol     []float64
+	hot      []uint8
+	active   []int32
+	nActive  int
+	violated int
 }
 
 // RowTable is what compile builds: the distinct rows of the problems it
@@ -95,10 +110,11 @@ type kernel struct {
 //     larger problem makes them grow by.
 //
 // Row numbers therefore depend on what the table has seen; nothing else
-// does. Every floating-point fold runs in constraint order over rowOf
-// (see the determinism contract above), and a row's dot product does not
-// depend on its number, so a solve through a standing table is
-// bit-identical to one through a fresh table, whatever either holds.
+// does. Every floating-point fold runs over order, the live rows by first
+// occurrence in the problem at hand (see the determinism contract above),
+// and a row's dot product does not depend on its number, so a solve
+// through a standing table is bit-identical to one through a fresh table,
+// whatever either holds.
 //
 // A RowTable is not safe for concurrent use, and a Result computed
 // through it does not refer to it.
@@ -141,10 +157,13 @@ type rowRun struct {
 // variables thousands at once — all of them or, when only late variables
 // move, some 3.5k, which is the case the share decides: carry them or
 // start over. Measured over 200 re-learns of a 6000-file session (six
-// files flipped each time, 31 of the edits renumbering): 1/8 empties the
-// table 21 times, carries 834 dead rows on average and takes 76.5 ms a
-// re-learn; 1/4 empties it 15 times, carries 3149 and takes 80.5 ms; 1/32
-// empties it 28 times, carries 286 and takes 83 ms.
+// files flipped each time, 30 of the edits renumbering), three rounds each:
+// 1/8 empties the table 20 times, carries 835 dead rows on average and
+// takes 54.7 / 52.4 / 51.1 ms a re-learn; 1/4 empties it 15 times, carries
+// 3101 and takes 53.4 / 53.4 / 51.0 ms; 1/32 empties it 27 times, carries
+// 287 and takes 54.2 / 53.4 / 52.3 ms. With the reduction folded an epoch
+// is cheap enough that the three no longer differ by more than the rounds
+// do (they were 76.5, 80.5 and 83 ms when 1/8 was chosen), so 1/8 stays.
 const deadRowShare = 8
 
 // NewRowTable returns an empty standing table for Options.Rows.
@@ -164,11 +183,11 @@ func (t *RowTable) reset() {
 // share a row only when their flattened term lists are equal term by term
 // — same variables, same coefficient bits, same order — the hash merely
 // picks the bucket. Into an empty table that costs about two walks over
-// the terms plus a table probe per constraint (≈ 25 ms for the 193k
-// constraints of a 6000-file corpus, where an epoch then takes ≈ 1.1 ms
-// instead of ≈ 2.4); into a standing one it costs that for the blocks the
-// table has not seen (≈ 5 % of them after a six-file edit) and a copy of
-// row numbers for the rest, ≈ 3 ms in all.
+// the terms plus a table probe per constraint (≈ 20 ms for the 193k
+// constraints of a 6000-file corpus, where an epoch over the 38.8k rows
+// then takes ≈ 0.3 ms); into a standing one it costs that for the blocks
+// the table has not seen (≈ 5 % of them after a six-file edit) and a copy
+// of row numbers for the rest, ≈ 3 ms in all.
 func compile(p *Problem, t *RowTable) *kernel {
 	standing := t != nil
 	if !standing {
@@ -202,10 +221,9 @@ func compile(p *Problem, t *RowTable) *kernel {
 	nRows := len(t.hashes)
 	k.c, k.lambda = p.C, p.Lambda
 	k.rowStart, k.termVar, k.termCoef = t.rowStart, t.termVar, t.termCoef
-	k.live = nRows - k.dead
 	k.masks = p.masks()
 	k.viol, k.hot = resized(k.viol, nRows), resized(k.hot, nRows)
-	k.active = resized(k.active, len(p.Constraints))
+	k.active = resized(k.active, len(k.order))
 	k.freeStart = append(resized(k.freeStart, nRows+1)[:0], 0)
 	k.freeVar = resized(k.freeVar, len(k.termVar))[:0]
 	k.freeCoef = resized(k.freeCoef, len(k.termVar))[:0]
@@ -227,10 +245,12 @@ func compile(p *Problem, t *RowTable) *kernel {
 func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // fold maps every constraint of p to its row in t, k.rowOf, adding the
-// rows t lacks, and counts the constraints that took their row from
-// memory (k.reused) and the rows of t that nothing maps to (k.dead). A block
-// whose key has a remembered run takes the run; any other is hash-consed
-// constraint by constraint and, in a standing table, remembered.
+// rows t lacks, lists the rows so used by first occurrence (k.order) with
+// the number of constraints on each (k.mult), and counts the constraints
+// that took their row from memory (k.reused) and the rows of t that nothing
+// maps to (k.dead). A block whose key has a remembered run takes the run;
+// any other is hash-consed constraint by constraint and, in a standing
+// table, remembered.
 func (t *RowTable) fold(p *Problem, blocks []Block, standing bool) {
 	nCons := len(p.Constraints)
 	empty := len(t.rowStart) == 0
@@ -280,18 +300,19 @@ func (t *RowTable) fold(p *Problem, blocks []Block, standing bool) {
 		t.termVar, t.termCoef = slices.Clone(t.termVar), slices.Clone(t.termCoef)
 	}
 
-	if empty {
-		return // every row was added for a constraint
-	}
 	nRows := len(t.hashes)
 	t.seen = slices.Grow(t.seen, max(nRows-len(t.seen), 0))[:nRows]
-	k.dead = nRows
+	order, mult := resized(k.order, nRows)[:0], resized(k.mult, nRows)
 	for _, r := range rowOf {
 		if t.seen[r] != t.gen {
 			t.seen[r] = t.gen
-			k.dead--
+			mult[r] = 0
+			order = append(order, r)
 		}
+		mult[r]++
 	}
+	k.order, k.mult = order, mult
+	k.dead = nRows - len(order)
 }
 
 // hashIn finds or adds the row of each of cons and writes it to rowOf.
@@ -400,7 +421,7 @@ func (k *kernel) passChunk(ci int, x []float64) {
 // pass recomputes every row's violation at x, sharding the row loop over
 // up to `shards` goroutines, rebuilds the active list, and returns the
 // total hinge violation. The compaction and the fold run sequentially in
-// constraint order, so the result does not depend on shards.
+// first-occurrence order, so the result does not depend on shards.
 func (k *kernel) pass(x []float64, shards int) float64 {
 	nChunks := (k.rows() + kernelChunk - 1) / kernelChunk
 	if shards > nChunks {
@@ -429,19 +450,21 @@ func (k *kernel) pass(x []float64, shards int) float64 {
 		}
 		wg.Wait()
 	}
-	// Branch-free compaction: every constraint writes its row at the
-	// cursor, and only a violated one advances it.
+	// Branch-free compaction: every live row is written at the cursor, and
+	// only a violated one advances it.
 	active, hot := k.active, k.hot
 	n := 0
-	for _, r := range k.rowOf {
+	for _, r := range k.order {
 		active[n] = r
 		n += int(hot[r])
 	}
 	k.nActive = n
-	hinge := 0.0
+	hinge, violated := 0.0, 0
 	for _, r := range active[:n] {
-		hinge += k.viol[r]
+		hinge += float64(float64(k.mult[r]) * k.viol[r])
+		violated += int(k.mult[r])
 	}
+	k.violated = violated
 	return hinge
 }
 
@@ -459,9 +482,10 @@ func (k *kernel) objectiveAt(hinge float64, x []float64) float64 {
 
 // scatter rebuilds the subgradient from the active list of the last pass,
 // over free-variable terms only: pinned entries of grad stay 0 and are
-// never read. It always runs sequentially in constraint order, which keeps
-// the free gradient bit-identical at every shard count (and to the
-// reference solver).
+// never read. A row adds each coefficient once, times its multiplicity. It
+// always runs sequentially in first-occurrence order, which keeps the free
+// gradient bit-identical at every shard count (and to the reference
+// solver).
 func (k *kernel) scatter(grad []float64) {
 	free := k.masks.free
 	for i := range grad {
@@ -474,8 +498,9 @@ func (k *kernel) scatter(grad []float64) {
 	for _, r := range k.active[:k.nActive] {
 		s, e := k.freeStart[r], k.freeStart[r+1]
 		vars, coefs := k.freeVar[s:e], k.freeCoef[s:e]
+		n := float64(k.mult[r])
 		for t, tv := range vars {
-			grad[tv] += coefs[t]
+			grad[tv] += float64(n * coefs[t])
 		}
 	}
 }
@@ -486,7 +511,7 @@ func (k *kernel) scatter(grad []float64) {
 // t's post-update objective is evaluated by epoch t+1's pass (or by one
 // trailing pass after the loop) — but the computed sequence of iterates,
 // objectives, and stopping decisions is exactly that of the interpreted
-// reference loop (minimizeReference, reference_test.go).
+// loop over the folded problem (minimizeReference, reference_test.go).
 func minimizeKernel(p *Problem, opts Options) *Result {
 	k := compile(p, opts.Rows)
 	n := p.NumVars
@@ -509,7 +534,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	if opts.Iterations < 1 {
 		hinge := k.pass(x, opts.Shards)
 		return &Result{X: x, Objective: k.objectiveAt(hinge, x), Violation: hinge,
-			Rows: k.live, RowsReused: k.reused, RowsDead: k.dead}
+			Rows: len(k.order), RowsReused: k.reused, RowsDead: k.dead}
 	}
 
 	grad := make([]float64, n)
@@ -522,7 +547,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	prevObj := math.Inf(1)
 	iters := 0
 	stale := 0
-	tel := newEpochTelemetry(opts, nil) // the update loop accumulates stepSq itself
+	tel := newEpochTelemetry(opts)
 	// Telemetry for the epoch whose objective is still pending.
 	var gradSq, stepSq float64
 	pending := false
@@ -542,7 +567,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 			} else {
 				stale++
 			}
-			tel.emitPrecomputed(t-1, obj, bestObj, hinge, k.nActive, gradSq, stepSq)
+			tel.emitPrecomputed(t-1, obj, bestObj, hinge, k.violated, gradSq, stepSq)
 			pending = false
 			if math.Abs(prevObj-obj) < opts.Tolerance {
 				break
@@ -594,14 +619,14 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 			bestObj = obj
 			copy(best, x)
 		}
-		tel.emitPrecomputed(iters, obj, bestObj, hinge, k.nActive, gradSq, stepSq)
+		tel.emitPrecomputed(iters, obj, bestObj, hinge, k.violated, gradSq, stepSq)
 	}
 	return &Result{
 		X:          best,
 		Objective:  bestObj,
 		Violation:  k.pass(best, opts.Shards),
 		Iterations: iters,
-		Rows:       k.live,
+		Rows:       len(k.order),
 		RowsReused: k.reused,
 		RowsDead:   k.dead,
 	}

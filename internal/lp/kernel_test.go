@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -28,8 +29,9 @@ func kernelProblems() map[string]*Problem {
 }
 
 // backoffCoefs are the coefficients averaged backoff representations
-// produce; ⅓ makes repeated gradient sums inexact, so a reordered or
-// coalesced scatter would show.
+// produce; ⅓ makes repeated gradient sums inexact, so a scatter in any
+// order but the canonical one, or one that adds a row's copies one by one
+// instead of once times their number, would show.
 var backoffCoefs = []float64{1, 1.0 / 2, 1.0 / 3}
 
 // randTerms draws n terms over the first nVars variables.
@@ -46,8 +48,12 @@ func randTerms(rng *rand.Rand, n, nVars int) []Term {
 // shuffled apart, coefficients from {1, ½, ⅓}, a third of the variables
 // pinned (so about a third of all terms sit on pinned variables) and
 // forty rows over pinned variables only.
-func dupHeavyProblem() *Problem {
-	const nVars, nPinned, nRows = 120, 40, 2600
+func dupHeavyProblem() *Problem { return dupHeavy(120, 40, 2600) }
+
+// dupHeavy draws nRows rows over nVars variables, the first nPinned of
+// them pinned, every 65th row over pinned variables only, and repeats each
+// 1–9× (5× on average), shuffled.
+func dupHeavy(nVars, nPinned, nRows int) *Problem {
 	p := &Problem{NumVars: nVars, C: 0.75, Lambda: 0.1, Known: map[int]float64{}}
 	for v := 0; v < nPinned; v++ {
 		p.Known[v] = float64(v % 2)
@@ -225,71 +231,123 @@ func TestMinimizeDeterministicAcrossShards(t *testing.T) {
 	}
 }
 
-// TestKernelMatchesReference pins the kernel to the pre-kernel solver:
-// gradients and violations are computed identically, so the iterate
-// sequence — and with it the solution and epoch count — must match
-// exactly; objectives may differ in ulps (the kernel folds the L1 term
-// through the pinned-L1 constant).
+// sameBits fails the test unless got and want are the same result bit for
+// bit: epoch count, objective, violation and every coordinate.
+func sameBits(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Iterations != want.Iterations {
+		t.Fatalf("%s: %d epochs, want %d", label, got.Iterations, want.Iterations)
+	}
+	for i := range want.X {
+		if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+			t.Fatalf("%s: x[%d] = %v, want %v", label, i, got.X[i], want.X[i])
+		}
+	}
+	if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+		t.Fatalf("%s: objective %v, want %v", label, got.Objective, want.Objective)
+	}
+	if math.Float64bits(got.Violation) != math.Float64bits(want.Violation) {
+		t.Fatalf("%s: violation %v, want %v", label, got.Violation, want.Violation)
+	}
+}
+
+// TestKernelMatchesReference pins the kernel to the interpreted solver of
+// the folded problem: same violations, same multiplicity-weighted sums in
+// the same order, so the iterate sequence, the epoch count, the objective
+// and the final violation must match to the bit at every shard count.
 func TestKernelMatchesReference(t *testing.T) {
 	for name, p := range kernelProblems() {
 		t.Run(name, func(t *testing.T) {
-			opts := Options{Iterations: 150}
-			ref := minimizeReference(p, opts)
-			ker := Minimize(p, opts)
-			if ker.Iterations != ref.Iterations {
-				t.Fatalf("iterations = %d, reference ran %d", ker.Iterations, ref.Iterations)
-			}
-			for i := range ref.X {
-				if ker.X[i] != ref.X[i] {
-					t.Fatalf("x[%d] = %v, reference %v", i, ker.X[i], ref.X[i])
-				}
-			}
-			if d := math.Abs(ker.Objective - ref.Objective); d > 1e-9 {
-				t.Errorf("objective %v vs reference %v (|Δ| = %g)", ker.Objective, ref.Objective, d)
-			}
-			if d := math.Abs(ker.Violation - ref.Violation); d > 1e-9 {
-				t.Errorf("violation %v vs reference %v (|Δ| = %g)", ker.Violation, ref.Violation, d)
+			ref := minimizeReference(p, Options{Iterations: 150})
+			for _, shards := range []int{1, 2, 5} {
+				sameBits(t, fmt.Sprintf("shards=%d", shards), Minimize(p, Options{Iterations: 150, Shards: shards}), ref)
 			}
 		})
 	}
 }
 
+// TestFoldedReferenceMatchesUnfolded is the evidence that folding the
+// reduction changed the rounding and not the mathematics: the interpreted
+// solver of the folded problem and the loop that sums every copy on its own
+// walk the same descent to within rounding on every shape.
+func TestFoldedReferenceMatchesUnfolded(t *testing.T) {
+	for name, p := range kernelProblems() {
+		t.Run(name, func(t *testing.T) {
+			assertWithinRounding(t, minimizeReference(p, Options{Iterations: 150}), minimizeUnfolded(p, Options{Iterations: 150}))
+		})
+	}
+}
+
+// assertWithinRounding requires two solves of one problem to have run the
+// same number of epochs and to agree to 1e-9 in every coordinate and 1e-12
+// of the objective.
+func assertWithinRounding(t *testing.T, got, want *Result) {
+	t.Helper()
+	if got.Iterations != want.Iterations {
+		t.Fatalf("%d epochs against %d", got.Iterations, want.Iterations)
+	}
+	worst := 0.0
+	for i := range want.X {
+		worst = math.Max(worst, math.Abs(got.X[i]-want.X[i]))
+	}
+	if worst > 1e-9 {
+		t.Errorf("|Δx|∞ = %g, want ≤ 1e-9", worst)
+	}
+	d := math.Abs(got.Objective - want.Objective)
+	if d > 1e-12*math.Abs(want.Objective) {
+		t.Errorf("objective %v against %v, want within 1e-12 of it", got.Objective, want.Objective)
+	}
+	t.Logf("|Δx|∞ = %g, objectives %g apart at %g", worst, d, want.Objective)
+}
+
 // TestKernelTelemetryMatchesReference checks that the re-timed epoch
 // bookkeeping still emits one EpochStats per epoch with the same
-// convergence story as the reference solver.
+// convergence story as the reference solver, at every shard count: the
+// objective and the best so far to the bit, Active — the violated
+// constraints, which the reference counts one by one over the problem as
+// written and the kernel as the multiplicities of its active rows —
+// exactly, and the quantities the reference re-derives its own way
+// (unfolded hinge total, norms) to 1e-9.
 func TestKernelTelemetryMatchesReference(t *testing.T) {
 	problems := kernelProblems()
 	problems["midsize"] = randomishProblem(80, 500)
 	for name, p := range problems {
 		t.Run(name, func(t *testing.T) {
-			collect := func(run func(*Problem, Options) *Result) []EpochStats {
+			collect := func(run func(*Problem, Options) *Result, shards int) []EpochStats {
 				var out []EpochStats
-				opts := Options{Iterations: 60, OnEpoch: func(s EpochStats) { out = append(out, s) }}
+				opts := Options{Iterations: 60, Shards: shards, OnEpoch: func(s EpochStats) { out = append(out, s) }}
 				run(p, opts)
 				return out
 			}
-			ref := collect(minimizeReference)
-			ker := collect(Minimize)
-			if len(ker) != len(ref) {
-				t.Fatalf("kernel emitted %d epochs, reference %d", len(ker), len(ref))
-			}
-			for i := range ref {
-				if ker[i].Epoch != ref[i].Epoch {
-					t.Fatalf("epoch[%d] = %d, want %d", i, ker[i].Epoch, ref[i].Epoch)
-				}
-				if ker[i].Active != ref[i].Active {
-					t.Errorf("epoch %d: kernel active list holds %d constraints, reference counts %d violated",
-						ref[i].Epoch, ker[i].Active, ref[i].Active)
-				}
-				if math.Abs(ker[i].Objective-ref[i].Objective) > 1e-9 ||
-					math.Abs(ker[i].Violation-ref[i].Violation) > 1e-9 ||
-					math.Abs(ker[i].GradNorm-ref[i].GradNorm) > 1e-9 ||
-					math.Abs(ker[i].StepSize-ref[i].StepSize) > 1e-9 {
-					t.Errorf("epoch %d stats diverge: kernel %+v reference %+v",
-						ref[i].Epoch, ker[i], ref[i])
-				}
+			ref := collect(minimizeReference, 0)
+			for _, shards := range []int{1, 2, 5} {
+				assertSameStory(t, collect(Minimize, shards), ref)
 			}
 		})
+	}
+}
+
+func assertSameStory(t *testing.T, ker, ref []EpochStats) {
+	t.Helper()
+	if len(ker) != len(ref) {
+		t.Fatalf("kernel emitted %d epochs, reference %d", len(ker), len(ref))
+	}
+	for i := range ref {
+		if ker[i].Epoch != ref[i].Epoch {
+			t.Fatalf("epoch[%d] = %d, want %d", i, ker[i].Epoch, ref[i].Epoch)
+		}
+		if ker[i].Active != ref[i].Active {
+			t.Errorf("epoch %d: kernel's active rows hold %d constraints, reference counts %d violated",
+				ref[i].Epoch, ker[i].Active, ref[i].Active)
+		}
+		if math.Float64bits(ker[i].Objective) != math.Float64bits(ref[i].Objective) ||
+			math.Float64bits(ker[i].Best) != math.Float64bits(ref[i].Best) ||
+			math.Abs(ker[i].Violation-ref[i].Violation) > 1e-9 ||
+			math.Abs(ker[i].GradNorm-ref[i].GradNorm) > 1e-9 ||
+			math.Abs(ker[i].StepSize-ref[i].StepSize) > 1e-9 {
+			t.Errorf("epoch %d stats diverge: kernel %+v reference %+v",
+				ref[i].Epoch, ker[i], ref[i])
+		}
 	}
 }
 
@@ -309,5 +367,68 @@ func TestMinimizeZeroIterationBudget(t *testing.T) {
 		if want, ok := p.Known[i]; ok && v != want {
 			t.Errorf("x[%d] = %v, want pinned %v", i, v, want)
 		}
+	}
+}
+
+// rearranged returns p with the distinct constraints first occurring in
+// the order they do in p — or, when reverse is set, in the opposite order
+// — and every later copy moved to a random place behind the first
+// occurrence of its row.
+func rearranged(p *Problem, rng *rand.Rand, reverse bool) *Problem {
+	// A first occurrence is keyed by its rank (negated to reverse), a copy
+	// by a draw between its first's key and a bound past every rank.
+	sign, past := 1.0, float64(len(p.Constraints))
+	if reverse {
+		sign = -1
+	}
+	keys := make([]float64, len(p.Constraints))
+	rank := map[string]int{}
+	for i := range p.Constraints {
+		row := flatRow(&p.Constraints[i])
+		r, copied := rank[row]
+		if !copied {
+			r = len(rank)
+			rank[row] = r
+		}
+		keys[i] = sign * float64(r)
+		if copied {
+			keys[i] += (1 - rng.Float64()) * (past - keys[i])
+		}
+	}
+	at := make([]int, len(keys))
+	for i := range at {
+		at[i] = i
+	}
+	sort.SliceStable(at, func(a, b int) bool { return keys[at[a]] < keys[at[b]] })
+	q := *p
+	q.Constraints, q.Blocks, q.mask = make([]Constraint, len(at)), nil, nil
+	for i, from := range at {
+		q.Constraints[i] = p.Constraints[from]
+	}
+	return &q
+}
+
+// TestDuplicateOrderDoesNotMatter is the property the first-occurrence
+// order buys: where the later copies of a constraint sit is invisible to
+// the solve — same bits cold and warm, pinned and not — so whatever
+// reorders spans upstream (flow blocks, shard arrival) can move a solution
+// only by changing which distinct constraint is met first, and then only
+// within rounding.
+func TestDuplicateOrderDoesNotMatter(t *testing.T) {
+	for _, name := range []string{"small", "nopin", "dupheavy", "neardup"} {
+		p := kernelProblems()[name]
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			cold := Options{Iterations: 150}
+			base := Minimize(p, cold)
+			warm := Options{Iterations: 150, WarmStart: base.X, Patience: 25}
+			baseWarm := Minimize(p, warm)
+			for round := 0; round < 3; round++ {
+				q := rearranged(p, rng, false)
+				sameBits(t, "cold, copies moved", Minimize(q, cold), base)
+				sameBits(t, "warm, copies moved", Minimize(q, warm), baseWarm)
+			}
+			assertWithinRounding(t, Minimize(rearranged(p, rng, true), cold), base)
+		})
 	}
 }

@@ -13,6 +13,12 @@
 // variables are projected back to [0,1] and known variables re-pinned
 // after every step, exactly as the paper describes doing on top of
 // TensorFlow's Adam optimizer.
+//
+// Big code repeats its constraints, and the solver evaluates the sum the
+// way that makes cheap: once per distinct constraint, in order of first
+// occurrence, times the number of copies (see kernel.go). The solution is
+// a function of the constraints and of the order in which the distinct
+// ones first appear; where the copies sit does not matter.
 package lp
 
 import (
@@ -177,8 +183,9 @@ type Options struct {
 	// per-epoch constraint pass; 0 selects runtime.GOMAXPROCS(0) and 1
 	// keeps the pass on the calling goroutine. Results are bit-for-bit
 	// identical at every shard count: the work decomposition is fixed by
-	// the problem, and every floating-point reduction runs in a fixed
-	// order (see kernel.go).
+	// the problem, and every floating-point reduction runs sequentially
+	// over the distinct constraints in first-occurrence order (see
+	// kernel.go).
 	Shards int
 	// OnEpoch, when non-nil, is invoked after every epoch with that
 	// epoch's convergence statistics (objective, hinge violation, L1
@@ -244,7 +251,7 @@ type Result struct {
 	Iterations int
 	// Rows is the number of distinct constraint rows the compiled kernel
 	// solved over; len(Problem.Constraints)/Rows is the corpus's constraint
-	// duplication. MinimizeWith's interpreted methods leave it 0.
+	// duplication.
 	Rows int
 	// RowsReused counts the constraints whose row came from a block the
 	// standing table (Options.Rows) remembered, RowsDead the rows of that
@@ -257,9 +264,10 @@ type Result struct {
 // assignment found. The start point is all zeros with known variables
 // pinned (so an empty seed yields the trivial all-zero optimum, matching
 // the paper's Q6 observation). The solve runs on the compiled kernel of
-// kernel.go — duplicate constraints folded into distinct CSR rows,
-// violation, gradient, and objective fused into one sharded pass per
-// epoch — and is bit-for-bit reproducible at any Options.Shards value.
+// kernel.go — duplicate constraints folded into distinct CSR rows that
+// count for as many as they stand for, violation, gradient, and objective
+// fused into one sharded pass per epoch — and is bit-for-bit reproducible
+// at any Options.Shards value, with or without Options.Rows.
 func Minimize(p *Problem, opts Options) *Result {
 	return minimizeKernel(p, opts.withDefaults())
 }

@@ -1,6 +1,67 @@
 package lp
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
+
+// Method selects the first-order update rule used by MinimizeWith. The
+// paper uses Adam (§4.4); plain projected subgradient descent and AdaGrad
+// are the optimizer ablation (BenchmarkOptimizers), interpreted loops that
+// live with the tests like the other reference solvers.
+type Method int
+
+// Optimization methods.
+const (
+	Adam Method = iota
+	SGD
+	AdaGrad
+)
+
+func (m Method) String() string {
+	switch m {
+	case Adam:
+		return "adam"
+	case SGD:
+		return "sgd"
+	case AdaGrad:
+		return "adagrad"
+	}
+	return "unknown"
+}
+
+// MinimizeWith runs projected first-order descent with the chosen update
+// rule on the problem as written. MinimizeWith(p, opts, Adam) is
+// Minimize(p, opts).
+func MinimizeWith(p *Problem, opts Options, method Method) *Result {
+	if method == Adam {
+		return Minimize(p, opts)
+	}
+	opts = opts.withDefaults()
+	accum := make([]float64, p.NumVars) // AdaGrad accumulator
+	step := func(t int, x, grad []float64, free []bool) {
+		for i := range x {
+			if !free[i] {
+				continue
+			}
+			g := grad[i]
+			switch method {
+			case SGD:
+				// 1/sqrt(t) step decay for convergence of subgradient descent.
+				x[i] -= opts.LearnRate / math.Sqrt(float64(t)) * g
+			case AdaGrad:
+				accum[i] += g * g
+				x[i] -= opts.LearnRate / (math.Sqrt(accum[i]) + opts.Eps) * g
+			}
+			if x[i] < 0 {
+				x[i] = 0
+			} else if x[i] > 1 {
+				x[i] = 1
+			}
+		}
+	}
+	return descend(p, opts, p.Objective, unfoldedGradient(p), step, p.TotalViolation)
+}
 
 // benchmarkProblem mirrors the shape of real Seldon systems: seeds pinned
 // high, hinge constraints pulling free variables up and down.

@@ -1,21 +1,82 @@
 package lp
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+	"sort"
+	"time"
+)
 
-// minimizeReference is the pre-kernel solver loop, kept as the test
-// oracle: the equivalence tests check that the compiled kernel of
-// kernel.go walks the identical iterate sequence, and the benchmarks
-// report the kernel's per-epoch speedup against it. It interprets
-// Problem.Constraints directly — no row folding, no active list, every
-// term list walked twice per epoch (gradient pass plus a full objective
-// recomputation), a map lookup per variable for pinning — so it shares
-// none of the code it checks. WarmStart is honoured the way Minimize
-// documents it (clamp, then pin), which lets the warm re-solve be held
-// to the same oracle as the cold one.
-func minimizeReference(p *Problem, opts Options) *Result {
-	opts = opts.withDefaults()
+// This file holds the interpreted solvers the tests compare the kernel
+// against. None of them shares code with kernel.go: they walk
+// Problem.Constraints term list by term list, look pins up in the map, and
+// recompute the objective from nothing after every update.
+//
+// minimizeReference is the oracle, bit for bit: it defines the canonical
+// evaluation of the folded objective
+//
+//	Σ_g n_g · max(L_g − R_g − C, 0) + λ Σ_free x_v
+//
+// where g ranges over the distinct constraints in order of first occurrence
+// and n_g counts the copies. minimizeUnfolded is the loop the solver ran
+// before the reduction was folded — one hinge and one gradient contribution
+// per constraint, in constraint order — kept to show that folding changed
+// the rounding and not the mathematics (TestFoldedReferenceMatchesUnfolded).
+
+// refGroup is one distinct constraint and the number of its copies.
+type refGroup struct {
+	c *Constraint
+	n float64
+}
+
+// foldReference groups p's constraints by their exact flattened term list
+// — LHS, then RHS negated; variable, coefficient bits, order — in order of
+// first occurrence.
+func foldReference(p *Problem) []refGroup {
+	var groups []refGroup
+	index := map[string]int{}
+	var key []byte
+	term := func(v int, coef float64) {
+		key = binary.LittleEndian.AppendUint64(key, uint64(v))
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(coef))
+	}
+	for i := range p.Constraints {
+		c := &p.Constraints[i]
+		key = key[:0]
+		for _, t := range c.LHS {
+			term(t.Var, t.Coef)
+		}
+		for _, t := range c.RHS {
+			term(t.Var, -t.Coef)
+		}
+		if g, ok := index[string(key)]; ok {
+			groups[g].n++
+			continue
+		}
+		index[string(key)] = len(groups)
+		groups = append(groups, refGroup{c: c, n: 1})
+	}
+	return groups
+}
+
+// slack is L − R − C at x, unclamped.
+func slack(c *Constraint, x []float64, C float64) float64 {
+	v := -C
+	for _, t := range c.LHS {
+		v += t.Coef * x[t.Var]
+	}
+	for _, t := range c.RHS {
+		v -= t.Coef * x[t.Var]
+	}
+	return v
+}
+
+// refStart is the start iterate both references share: the warm vector
+// clamped into the box when it has the right length, zeros otherwise, pins
+// on top.
+func refStart(p *Problem, opts Options) (x []float64, free []bool, pin func([]float64)) {
 	n := p.NumVars
-	x := make([]float64, n)
+	x = make([]float64, n)
 	if len(opts.WarmStart) == n {
 		for i, v := range opts.WarmStart {
 			if v < 0 {
@@ -26,7 +87,7 @@ func minimizeReference(p *Problem, opts Options) *Result {
 			x[i] = v
 		}
 	}
-	pin := func(xs []float64) {
+	pin = func(xs []float64) {
 		for v, val := range p.Known {
 			if v >= 0 && v < n {
 				xs[v] = val
@@ -34,26 +95,56 @@ func minimizeReference(p *Problem, opts Options) *Result {
 		}
 	}
 	pin(x)
-
-	grad := make([]float64, n)
-	m := make([]float64, n)
-	vv := make([]float64, n)
-	free := make([]bool, n)
+	free = make([]bool, n)
 	for i := range free {
 		_, pinned := p.Known[i]
 		free[i] = !pinned
 	}
+	return x, free, pin
+}
 
+// adamStep is one bias-corrected Adam update of the free variables followed
+// by the projection onto [0,1].
+func adamStep(opts Options, t int, x, grad, m, vv []float64, free []bool) {
+	b1t := 1 - math.Pow(opts.Beta1, float64(t))
+	b2t := 1 - math.Pow(opts.Beta2, float64(t))
+	for i := range x {
+		if !free[i] {
+			continue
+		}
+		g := grad[i]
+		m[i] = opts.Beta1*m[i] + (1-opts.Beta1)*g
+		vv[i] = opts.Beta2*vv[i] + (1-opts.Beta2)*g*g
+		mHat := m[i] / b1t
+		vHat := vv[i] / b2t
+		x[i] -= opts.LearnRate * mHat / (math.Sqrt(vHat) + opts.Eps)
+		if x[i] < 0 {
+			x[i] = 0
+		} else if x[i] > 1 {
+			x[i] = 1
+		}
+	}
+}
+
+// descend is the loop every interpreted solver here runs: gradient at x,
+// update, re-pin, objective of the new x, best/stale bookkeeping, stop on
+// tolerance or patience. The solvers differ in how they evaluate the
+// objective and the gradient and in the update rule.
+func descend(p *Problem, opts Options,
+	objective func(x []float64) float64,
+	gradient func(x, grad []float64),
+	step func(t int, x, grad []float64, free []bool),
+	violation func(x []float64) float64,
+) *Result {
+	x, free, pin := refStart(p, opts)
+	grad := make([]float64, p.NumVars)
 	best := append([]float64(nil), x...)
-	bestObj := p.Objective(x)
+	bestObj := objective(x)
 	prevObj := math.Inf(1)
-	iters := 0
-	stale := 0
-	tel := newEpochTelemetry(opts, x)
-
+	iters, stale := 0, 0
+	tel := newRefTelemetry(opts, x)
 	for t := 1; t <= opts.Iterations; t++ {
 		iters = t
-		// Subgradient of the hinge terms.
 		for i := range grad {
 			if free[i] {
 				grad[i] = p.Lambda
@@ -61,40 +152,10 @@ func minimizeReference(p *Problem, opts Options) *Result {
 				grad[i] = 0
 			}
 		}
-		for i := range p.Constraints {
-			c := &p.Constraints[i]
-			if c.Violation(x, p.C) <= 0 {
-				continue
-			}
-			for _, term := range c.LHS {
-				grad[term.Var] += term.Coef
-			}
-			for _, term := range c.RHS {
-				grad[term.Var] -= term.Coef
-			}
-		}
-		// Adam update with bias correction, then projection.
-		b1t := 1 - math.Pow(opts.Beta1, float64(t))
-		b2t := 1 - math.Pow(opts.Beta2, float64(t))
-		for i := 0; i < n; i++ {
-			if !free[i] {
-				continue
-			}
-			g := grad[i]
-			m[i] = opts.Beta1*m[i] + (1-opts.Beta1)*g
-			vv[i] = opts.Beta2*vv[i] + (1-opts.Beta2)*g*g
-			mHat := m[i] / b1t
-			vHat := vv[i] / b2t
-			x[i] -= opts.LearnRate * mHat / (math.Sqrt(vHat) + opts.Eps)
-			if x[i] < 0 {
-				x[i] = 0
-			} else if x[i] > 1 {
-				x[i] = 1
-			}
-		}
+		gradient(x, grad)
+		step(t, x, grad, free)
 		pin(x)
-
-		obj := p.Objective(x)
+		obj := objective(x)
 		if obj < bestObj {
 			bestObj = obj
 			copy(best, x)
@@ -111,10 +172,141 @@ func minimizeReference(p *Problem, opts Options) *Result {
 		}
 		prevObj = obj
 	}
-	return &Result{
-		X:          best,
-		Objective:  bestObj,
-		Violation:  p.TotalViolation(best),
-		Iterations: iters,
+	return &Result{X: best, Objective: bestObj, Violation: violation(best), Iterations: iters}
+}
+
+// minimizeReference is projected Adam on the folded problem, interpreted.
+// The hinge total and every gradient entry are sums over the violated
+// groups in first-occurrence order, each group contributing its value times
+// its multiplicity, rounded once; the L1 term is λ times the sum of all of
+// x less the λ-weighted pinned values in ascending variable order.
+func minimizeReference(p *Problem, opts Options) *Result {
+	opts = opts.withDefaults()
+	groups := foldReference(p)
+
+	var pinned []int
+	for v := range p.Known {
+		if v >= 0 && v < p.NumVars {
+			pinned = append(pinned, v)
+		}
 	}
+	sort.Ints(pinned)
+	pinnedL1 := 0.0
+	for _, v := range pinned {
+		pinnedL1 += p.Lambda * p.Known[v]
+	}
+
+	hinge := func(x []float64) float64 {
+		total := 0.0
+		for _, g := range groups {
+			if v := slack(g.c, x, p.C); v > 0 {
+				total += float64(g.n * v)
+			}
+		}
+		return total
+	}
+	objective := func(x []float64) float64 {
+		sum := 0.0
+		for _, xi := range x {
+			sum += xi
+		}
+		return hinge(x) + p.Lambda*sum - pinnedL1
+	}
+	gradient := func(x, grad []float64) {
+		for _, g := range groups {
+			if !(slack(g.c, x, p.C) > 0) {
+				continue
+			}
+			for _, t := range g.c.LHS {
+				grad[t.Var] += float64(g.n * t.Coef)
+			}
+			for _, t := range g.c.RHS {
+				grad[t.Var] -= float64(g.n * t.Coef)
+			}
+		}
+	}
+	m, vv := make([]float64, p.NumVars), make([]float64, p.NumVars)
+	step := func(t int, x, grad []float64, free []bool) { adamStep(opts, t, x, grad, m, vv, free) }
+	return descend(p, opts, objective, gradient, step, hinge)
+}
+
+// unfoldedGradient adds the hinge subgradient at x onto grad, one
+// contribution per violated constraint in constraint order.
+func unfoldedGradient(p *Problem) func(x, grad []float64) {
+	return func(x, grad []float64) {
+		for i := range p.Constraints {
+			c := &p.Constraints[i]
+			if c.Violation(x, p.C) <= 0 {
+				continue
+			}
+			for _, term := range c.LHS {
+				grad[term.Var] += term.Coef
+			}
+			for _, term := range c.RHS {
+				grad[term.Var] -= term.Coef
+			}
+		}
+	}
+}
+
+// minimizeUnfolded is projected Adam on the problem as written: the
+// objective is Problem.Objective, every copy of a constraint rounds into
+// the sums on its own.
+func minimizeUnfolded(p *Problem, opts Options) *Result {
+	opts = opts.withDefaults()
+	m, vv := make([]float64, p.NumVars), make([]float64, p.NumVars)
+	step := func(t int, x, grad []float64, free []bool) { adamStep(opts, t, x, grad, m, vv, free) }
+	return descend(p, opts, p.Objective, unfoldedGradient(p), step, p.TotalViolation)
+}
+
+// refTelemetry emits EpochStats for the interpreted solvers, re-deriving
+// every quantity from the problem and the iterate: the hinge total and the
+// violated count by a walk over the constraints as written (so Active
+// counts constraints whatever the solver folds), the step norm against the
+// previous iterate it keeps.
+type refTelemetry struct {
+	hook  func(EpochStats)
+	start time.Time
+	prevX []float64
+}
+
+func newRefTelemetry(opts Options, x []float64) *refTelemetry {
+	if opts.OnEpoch == nil {
+		return nil
+	}
+	return &refTelemetry{hook: opts.OnEpoch, start: time.Now(), prevX: append([]float64(nil), x...)}
+}
+
+func (rt *refTelemetry) emit(p *Problem, epoch int, x, grad []float64, free []bool, obj, best float64) {
+	if rt == nil {
+		return
+	}
+	hinge, active := 0.0, 0
+	for i := range p.Constraints {
+		if v := p.Constraints[i].Violation(x, p.C); v > 0 {
+			hinge += v
+			active++
+		}
+	}
+	gradSq, stepSq := 0.0, 0.0
+	for i := range x {
+		if !free[i] {
+			continue
+		}
+		gradSq += grad[i] * grad[i]
+		d := x[i] - rt.prevX[i]
+		stepSq += d * d
+	}
+	copy(rt.prevX, x)
+	rt.hook(EpochStats{
+		Epoch:     epoch,
+		Objective: obj,
+		Best:      best,
+		Violation: hinge,
+		Active:    active,
+		L1:        obj - hinge,
+		GradNorm:  math.Sqrt(gradSq),
+		StepSize:  math.Sqrt(stepSq),
+		Elapsed:   time.Since(rt.start),
+	})
 }

@@ -58,8 +58,8 @@ func assertTableHoldsProblem(t *testing.T, label string, tab *RowTable, p *Probl
 		}
 		distinct[flatRow(c)] = true
 	}
-	if k.live != len(distinct) || k.live+k.dead != k.rows() {
-		t.Fatalf("%s: %d live + %d dead of %d rows, want %d live", label, k.live, k.dead, k.rows(), len(distinct))
+	if live := len(k.order); live != len(distinct) || live+k.dead != k.rows() {
+		t.Fatalf("%s: %d live + %d dead of %d rows, want %d live", label, live, k.dead, k.rows(), len(distinct))
 	}
 }
 

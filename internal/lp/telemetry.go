@@ -13,7 +13,7 @@ type EpochStats struct {
 	Objective float64       // hinge violation + L1 term at x
 	Best      float64       // best objective seen so far
 	Violation float64       // total hinge violation at x
-	Active    int           // constraints violated at x (the kernel's compacted list)
+	Active    int           // constraints violated at x (multiplicities of the kernel's active rows)
 	L1        float64       // λ-weighted L1 term over free variables
 	GradNorm  float64       // L2 norm of the subgradient over free variables
 	StepSize  float64       // L2 norm of the projected update Δx
@@ -26,68 +26,24 @@ type EpochStats struct {
 type epochTelemetry struct {
 	hook  func(EpochStats)
 	start time.Time
-	prevX []float64
 }
 
-// newEpochTelemetry returns nil when no hook is set. x is the start
-// iterate emit measures the first step against; the kernel solve, which
-// accumulates its own step norm for emitPrecomputed, passes nil.
-func newEpochTelemetry(opts Options, x []float64) *epochTelemetry {
+// newEpochTelemetry returns nil when no hook is set.
+func newEpochTelemetry(opts Options) *epochTelemetry {
 	if opts.OnEpoch == nil {
 		return nil
 	}
-	return &epochTelemetry{
-		hook:  opts.OnEpoch,
-		start: time.Now(),
-		prevX: append([]float64(nil), x...),
-	}
+	return &epochTelemetry{hook: opts.OnEpoch, start: time.Now()}
 }
 
 // emitPrecomputed invokes the hook with quantities the kernel solve
 // already has in hand — the fused pass yields the hinge total and the
-// active count, and the update loop accumulates the squared gradient and
+// violated count, and the update loop accumulates the squared gradient and
 // step norms — so the telemetry path re-walks nothing.
 func (et *epochTelemetry) emitPrecomputed(epoch int, obj, best, hinge float64, active int, gradSq, stepSq float64) {
 	if et == nil {
 		return
 	}
-	et.hook(EpochStats{
-		Epoch:     epoch,
-		Objective: obj,
-		Best:      best,
-		Violation: hinge,
-		Active:    active,
-		L1:        obj - hinge,
-		GradNorm:  math.Sqrt(gradSq),
-		StepSize:  math.Sqrt(stepSq),
-		Elapsed:   time.Since(et.start),
-	})
-}
-
-// emit computes the derived quantities and invokes the hook. obj and
-// best are the caller's already-computed objective values; the hinge
-// part is re-evaluated so the L1 term falls out by subtraction.
-func (et *epochTelemetry) emit(p *Problem, epoch int, x, grad []float64, free []bool, obj, best float64) {
-	if et == nil {
-		return
-	}
-	hinge, active := 0.0, 0
-	for i := range p.Constraints {
-		if v := p.Constraints[i].Violation(x, p.C); v > 0 {
-			hinge += v
-			active++
-		}
-	}
-	gradSq, stepSq := 0.0, 0.0
-	for i := range x {
-		if free != nil && !free[i] {
-			continue
-		}
-		gradSq += grad[i] * grad[i]
-		d := x[i] - et.prevX[i]
-		stepSq += d * d
-	}
-	copy(et.prevX, x)
 	et.hook(EpochStats{
 		Epoch:     epoch,
 		Objective: obj,
