@@ -1,10 +1,6 @@
 GO ?= go
 
-# bench-json snapshot name; parameterized so each PR's snapshot
-# (BENCH_<pr>.json) doesn't overwrite the last.
-BENCH ?= BENCH_10.json
-
-.PHONY: build test vet fmt-check race fuzzsmoke verify bench bench-json serve loadsmoke load shardsmoke feedbacksmoke
+.PHONY: build test vet fmt-check race fuzzsmoke verify bench serve loadsmoke load shardsmoke feedbacksmoke
 
 build:
 	$(GO) build ./...
@@ -32,28 +28,21 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/checkcache/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
 
 # fuzzsmoke rotates every fuzz target through five seconds each, on top of
-# its committed seed corpus: the front-end's (internal/core/testdata/fuzz —
-# arbitrary bytes as a source file must not panic and must analyze to the
-# same graph and parse error with a recycled scratch as without one) and
-# the session's (internal/incr/testdata/fuzz — arbitrary bytes as a
-# program of splices, retractions, pins and re-learns must leave the
-# standing union, the constraint system and the solution equal to what
-# the one-shot functions compute from the same files) and the traceparent
-# parser's (internal/obs/trace/testdata/fuzz — an arbitrary header value
-# must be accepted exactly when it is a well-formed version-00 header,
-# with the IDs found where the grammar puts them, and cost no allocation)
-# and the solver's (internal/lp/testdata/fuzz — arbitrary bytes as a small
-# problem full of duplicates and near-duplicates, solved cold or warm,
-# through a fresh row table or a standing one, must come out of the kernel
-# bit for bit as out of the interpreted solver of the folded problem).
+# its committed seed corpus (internal/*/testdata/fuzz): the front-end with
+# and without a recycled scratch, the session against the one-shot
+# functions after every edit, the traceparent parser against its grammar,
+# the solver kernel against the interpreted folded reference, and the
+# artifact frame (Open errors with a named sentinel, or Seal gives the
+# input back, and the cursor never hands out more than it holds).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrontEndScratchEquivalence -fuzztime=5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSessionEdits -fuzztime=5s ./internal/incr
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime=5s ./internal/obs/trace
 	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime=5s ./internal/lp
+	$(GO) test -run '^$$' -fuzz FuzzEnvelopeOpen -fuzztime=5s ./internal/envelope
 
 # verify = tier-1 (build + full tests) plus gofmt, vet, the race checks, the
-# four five-second fuzz smokes, the end-to-end load smoke (real seldond + seldonload over loopback), the
+# five five-second fuzz smokes, the end-to-end load smoke (real seldond + seldonload over loopback), the
 # distributed-learning smoke (real worker subprocesses + coordinator),
 # and the continuous-learning smoke (feedback loop under -race).
 verify: fmt-check vet race build test fuzzsmoke loadsmoke shardsmoke feedbacksmoke
@@ -81,10 +70,8 @@ loadsmoke:
 # way. A third pass exercises the full streaming stack — 3 workers over
 # stdout pipes with fpcache sidecars (-ship-cache), coordinator-side
 # sidecar ingest (-cache-dir), a persisted flow-constraint cache
-# (-flowcache), and an incremental constraint build — asserting via
-# benchjson -check-stream that the decoded peak stayed strictly below
-# the total artifact volume (the coordinator streamed, it didn't
-# buffer), and via cmp that the store still matches single-process.
+# (-flowcache), and an incremental constraint build — and requires the
+# same cmp.
 # Any drift in slicing, the codec, symbol translation, or the merge
 # fails loudly here before it can skew a real corpus.
 shardsmoke:
@@ -103,8 +90,7 @@ shardsmoke:
 	cmp .shardsmoke/gen_single.json .shardsmoke/exec.json && \
 	./.shardsmoke/seldon -generate 60 -exec-shards 3 -shard-bin ./.shardsmoke/seldon-shard \
 		-ship-cache -cache-dir .shardsmoke/fpc -flowcache .shardsmoke/flow.bin \
-		-metrics-json .shardsmoke/coord.json -o .shardsmoke/stream.json >/dev/null 2>&1 && \
-	$(GO) run ./cmd/benchjson -check-stream .shardsmoke/coord.json && \
+		-o .shardsmoke/stream.json >/dev/null 2>&1 && \
 	cmp .shardsmoke/gen_single.json .shardsmoke/stream.json && \
 	echo "shardsmoke OK: coordinator stores byte-identical to single-process"; \
 	st=$$?; rm -rf .shardsmoke; exit $$st
@@ -128,79 +114,6 @@ load: specs.json
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
-
-# bench-json captures a metrics snapshot (stage-timer p50s, worker gauge,
-# cache.* counters and warm speedup, intern.* gauges) of a representative
-# parallel run: a cold pass populates a throwaway analysis cache, then
-# the warm pass — the one snapshotted — replays it with every file a hit.
-# The interning/union/check-handler microbenchmarks are merged into the
-# same file as bench.* gauges (ns_op, B_op, allocs_op), and self-served
-# seldonload runs add three load sections: "load" (cycled corpus,
-# cache-assisted), "load_dup" (duplicate-heavy -dup 0.8 mix, the shape
-# the check cache and coalescing exist for), and "load_dup_cold" (the
-# same mix with the cache disabled) — so the snapshot itself carries the
-# cache-on/cache-off comparison. Finally a "distributed" section compares
-# the same 2400-file corpus learned single-process vs. fanned out to 4
-# local seldon-shard subprocesses (wall times, speedup, merge/exec cost,
-# artifact bytes). The speedup is hardware-relative — on a single-core
-# box the fan-out can only lose; the numbers that must stay small
-# regardless are merge_s and exec overhead beyond the slowest worker.
-# The section merges must stay after the typed benchjson rewrite, which
-# drops foreign sections. Last, an "incremental" section compares a
-# from-scratch re-learn of a mutated on-disk corpus against a
-# persistent-session re-learn (seldon -session-dir) of the same corpus:
-# full vs delta wall (the delta run re-analyzes one changed file out of
-# 240), span/constraint reuse, and warm vs cold solver epochs. The
-# invariant worth watching is delta_wall_s staying a small fraction of
-# full_wall_s — that ratio is the whole point of internal/incr. A
-# "distributed_stream" section then runs the same 2400-file fan-out
-# twice through the streaming coordinator with warmth shipping on
-# (-ship-cache sidecars into a shared fpcache, -flowcache persisted
-# between runs): the cold pass seeds both caches, the warm pass is the
-# snapshot — its flowcache_hit_rate must be nonzero and peak_bytes must
-# sit well below artifact_bytes (the coordinator held one slice, not
-# the corpus).
-bench-json:
-	rm -rf .benchcache && \
-	$(GO) run ./cmd/seldon -generate 240 -workers 4 -cache-dir .benchcache -o .benchspecs.json >/dev/null && \
-	$(GO) run ./cmd/seldon -generate 240 -workers 4 -cache-dir .benchcache -metrics-json $(BENCH) >/dev/null && \
-	rm -rf .benchcache && \
-	$(GO) test -run='^$$' -bench='BenchmarkConstraintsBuild|BenchmarkUnion|BenchmarkCheckHandler' -benchmem \
-		./internal/constraints/ ./internal/propgraph/ ./internal/service/ | $(GO) run ./cmd/benchjson -into $(BENCH) && \
-	$(GO) run ./cmd/seldonload -specs .benchspecs.json -duration 3s -warmup 500ms -c 4 -into $(BENCH) >/dev/null && \
-	$(GO) run ./cmd/seldonload -specs .benchspecs.json -duration 3s -warmup 500ms -c 8 -dup 0.8 \
-		-section load_dup -into $(BENCH) >/dev/null && \
-	$(GO) run ./cmd/seldonload -specs .benchspecs.json -duration 3s -warmup 500ms -c 8 -dup 0.8 \
-		-check-cache-entries 0 -section load_dup_cold -into $(BENCH) >/dev/null && \
-	$(GO) build -o .shardbin/seldon-shard ./cmd/seldon-shard && \
-	$(GO) run ./cmd/seldon -generate 2400 -metrics-json .dist_single.json >/dev/null && \
-	$(GO) run ./cmd/seldon -generate 2400 -exec-shards 4 -shard-bin ./.shardbin/seldon-shard \
-		-metrics-json .dist_shards.json >/dev/null 2>&1 && \
-	$(GO) run ./cmd/benchjson -dist-single .dist_single.json -dist-shards .dist_shards.json \
-		-shards 4 -into $(BENCH) && \
-	rm -rf .incrcorpus .incrsession && \
-	$(GO) run ./cmd/corpusgen -out .incrcorpus -files 240 >/dev/null && \
-	$(GO) run ./cmd/seldon -dir .incrcorpus -seedfile .incrcorpus/seed.spec \
-		-session-dir .incrsession >/dev/null && \
-	f=$$(ls .incrcorpus/proj000/*.py | head -n1) && \
-	printf '\ndef bench_probe(q):\n    y = q.fetch()\n' >> $$f && \
-	$(GO) run ./cmd/seldon -dir .incrcorpus -seedfile .incrcorpus/seed.spec \
-		-session-dir .incrsession -metrics-json .incr_delta.json >/dev/null && \
-	$(GO) run ./cmd/seldon -dir .incrcorpus -seedfile .incrcorpus/seed.spec \
-		-metrics-json .incr_full.json >/dev/null && \
-	$(GO) run ./cmd/benchjson -incr-full .incr_full.json -incr-delta .incr_delta.json -into $(BENCH) && \
-	rm -rf .streamfpc .streamflow.bin && \
-	$(GO) run ./cmd/seldon -generate 2400 -exec-shards 4 -shard-bin ./.shardbin/seldon-shard \
-		-ship-cache -cache-dir .streamfpc -flowcache .streamflow.bin \
-		-metrics-json .stream_cold.json >/dev/null 2>&1 && \
-	$(GO) run ./cmd/seldon -generate 2400 -exec-shards 4 -shard-bin ./.shardbin/seldon-shard \
-		-ship-cache -cache-dir .streamfpc -flowcache .streamflow.bin \
-		-metrics-json .stream_warm.json >/dev/null 2>&1 && \
-	$(GO) run ./cmd/benchjson -stream-cold .stream_cold.json -stream-warm .stream_warm.json \
-		-shards 4 -into $(BENCH) && \
-	rm -rf .benchspecs.json .shardbin .dist_single.json .dist_shards.json \
-		.incrcorpus .incrsession .incr_full.json .incr_delta.json \
-		.streamfpc .streamflow.bin .stream_cold.json .stream_warm.json
 
 # serve learns a spec store (if absent) and boots the taint service on
 # :8647 — /v1/check, /v1/specs, /v1/healthz, /metrics, /debug/pprof/.

@@ -436,11 +436,7 @@ func coordinatedLearn(flowPath string, mres *shard.MergeResult, seedSpec *spec.S
 	if flowPath == "" || mres.Spans == nil {
 		return core.Learn(mres.Graph, seedSpec, cfg), nil
 	}
-	copts := cfg.Constraints
-	copts.Metrics = cfg.Metrics
-	if copts.Workers == 0 {
-		copts.Workers = cfg.Workers
-	}
+	copts := cfg.ConstraintOptions()
 	fc, warm := constraints.LoadFlowCache(flowPath, copts)
 
 	sp := cfg.Span.StartChild(obs.StageConstraints)

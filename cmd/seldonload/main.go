@@ -1,6 +1,6 @@
 // Command seldonload drives load against a seldond instance and
-// reports the latency distribution — the serving-side SLO companion to
-// the learning-side bench snapshots.
+// reports the latency distribution — an ad-hoc SLO probe and the load
+// smoke; gated serving numbers come from bench/ (check_miss, check_dup).
 //
 // Two loop disciplines:
 //
@@ -30,11 +30,9 @@
 //	seldonload -addr :8647 -rps 200 -duration 30s -json
 //	seldonload -specs specs.json -duration 2s          # self-serve: boots
 //	                                                   # seldond in-process on :0
-//	seldonload -specs specs.json -into BENCH.json      # merge a "load"
-//	                                                   # section into a snapshot
 //	seldonload -specs specs.json -duration 2s -smoke   # exit 1 on any 5xx
 //	                                                   # or an empty trace ring
-//	seldonload -specs specs.json -dup 0.8 -section load_dup -into BENCH.json
+//	seldonload -specs specs.json -dup 0.8 -json        # duplicate-heavy mix
 package main
 
 import (
@@ -59,8 +57,7 @@ import (
 	"seldon/internal/specio"
 )
 
-// Report is the machine-readable run summary (-json, and the "load"
-// section -into merges into a bench snapshot).
+// Report is the machine-readable run summary (-json).
 type Report struct {
 	Mode        string  `json:"mode"` // "closed" or "open"
 	TargetRPS   float64 `json:"target_rps,omitempty"`
@@ -121,8 +118,6 @@ func main() {
 		dup      = flag.Float64("dup", 0, "fraction of requests re-sending a Zipf-weighted hot body (0 = cycle the corpus)")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-request client timeout")
 		jsonOut  = flag.Bool("json", false, "print the report as JSON instead of text")
-		into     = flag.String("into", "", "merge the report as a section into this JSON snapshot file")
-		section  = flag.String("section", "load", "top-level key the report is merged under with -into")
 		cacheEnt = flag.Int("check-cache-entries", checkcache.DefaultMaxEntries,
 			"self-serve: check-result cache entry cap (0 disables cache and coalescing)")
 		cacheBytes = flag.Int64("check-cache-bytes", checkcache.DefaultMaxBytes,
@@ -200,12 +195,6 @@ func main() {
 	rep.DupFraction = *dup
 	fillCacheStats(client, base, &rep)
 
-	if *into != "" {
-		if err := mergeInto(*into, *section, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "seldonload: merged %s section into %s\n", *section, *into)
-	}
 	if *jsonOut {
 		out, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -500,28 +489,6 @@ func traceRingSize(client *http.Client, base string) int {
 		return 0
 	}
 	return dump.Buffered
-}
-
-// mergeInto writes the report under a top-level section key of an
-// existing JSON snapshot (creating the file if absent), preserving all
-// other sections — the BENCH_N.json counterpart of benchjson. Distinct
-// -section names let one snapshot carry several load profiles (cycled,
-// duplicate-heavy, cache-disabled baseline) side by side.
-func mergeInto(path, section string, rep Report) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc[section] = rep
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // corpusBodies renders a synthetic corpus to a deterministic slice of

@@ -1,14 +1,11 @@
 package constraints
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 	"seldon/internal/lp"
 )
@@ -33,128 +30,50 @@ const (
 	flowCacheVersion = 1
 )
 
-// wu64/wf64/wstr append little-endian primitives, the state.bin idiom.
-func fcU64(b []byte, v uint64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func fcF64(b []byte, v float64) []byte {
-	return fcU64(b, math.Float64bits(v))
-}
-
-func fcStr(b []byte, s string) []byte {
-	b = fcU64(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// Save writes the cache to path atomically (temp file + rename). The
-// body is deterministic: blocks are emitted in sorted file order.
+// Save writes the cache to path atomically. The body is deterministic:
+// blocks are emitted in sorted file order.
 func (c *FlowCache) Save(path string, opts Options) error {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	files := make([]string, 0, c.Len())
 	for f := range c.blocks {
 		files = append(files, f)
 	}
 	sort.Strings(files)
 
-	b := make([]byte, 0, 4096)
-	b = append(b, flowCacheMagic...)
-	b = fcU64(b, flowCacheVersion)
-	b = fcStr(b, fpcache.AnalyzerVersion)
-	b = fcF64(b, opts.C)
-	b = fcF64(b, opts.Lambda)
-	b = fcU64(b, uint64(opts.BackoffCutoff))
-	b = fcU64(b, uint64(opts.MaxComponent))
-	b = fcU64(b, uint64(len(files)))
+	appendTerms := func(b []byte, terms []lp.Term) []byte {
+		b = envelope.AppendU64(b, uint64(len(terms)))
+		for _, t := range terms {
+			b = envelope.AppendU64(b, uint64(t.Var))
+			b = envelope.AppendF64(b, t.Coef)
+		}
+		return b
+	}
+	b := append(make([]byte, 0, 4096), flowCacheMagic...)
+	b = envelope.AppendU64(b, flowCacheVersion)
+	b = envelope.AppendBytes64(b, fpcache.AnalyzerVersion)
+	b = envelope.AppendF64(b, opts.C)
+	b = envelope.AppendF64(b, opts.Lambda)
+	b = envelope.AppendU64(b, uint64(opts.BackoffCutoff))
+	b = envelope.AppendU64(b, uint64(opts.MaxComponent))
+	b = envelope.AppendU64(b, uint64(len(files)))
 	for _, f := range files {
 		blk := c.blocks[f]
-		b = fcStr(b, f)
+		b = envelope.AppendBytes64(b, f)
 		b = append(b, blk.fp[:]...)
-		b = fcU64(b, uint64(blk.countA))
-		b = fcU64(b, uint64(blk.countB))
-		b = fcU64(b, uint64(blk.countC))
-		b = fcU64(b, uint64(blk.skipped))
-		b = fcU64(b, uint64(len(blk.cons)))
+		b = envelope.AppendU64(b, uint64(blk.countA))
+		b = envelope.AppendU64(b, uint64(blk.countB))
+		b = envelope.AppendU64(b, uint64(blk.countC))
+		b = envelope.AppendU64(b, uint64(blk.skipped))
+		b = envelope.AppendU64(b, uint64(len(blk.cons)))
 		for i := range blk.cons {
-			con := &blk.cons[i]
-			b = fcU64(b, uint64(len(con.LHS)))
-			for _, t := range con.LHS {
-				b = fcU64(b, uint64(t.Var))
-				b = fcF64(b, t.Coef)
-			}
-			b = fcU64(b, uint64(len(con.RHS)))
-			for _, t := range con.RHS {
-				b = fcU64(b, uint64(t.Var))
-				b = fcF64(b, t.Coef)
-			}
+			b = appendTerms(b, blk.cons[i].LHS)
+			b = appendTerms(b, blk.cons[i].RHS)
 		}
 	}
-	sum := sha256.Sum256(b)
-	b = append(b, sum[:]...)
-
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("flowcache: %w", err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("flowcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("flowcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := envelope.WriteFile(path, envelope.Seal(b)); err != nil {
 		return fmt.Errorf("flowcache: %w", err)
 	}
 	return nil
-}
-
-// fcReader walks a flow-cache body; any overrun latches bad.
-type fcReader struct {
-	data []byte
-	bad  bool
-}
-
-func (r *fcReader) u64() uint64 {
-	if r.bad || len(r.data) < 8 {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data)
-	r.data = r.data[8:]
-	return v
-}
-
-func (r *fcReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *fcReader) str() string {
-	n := r.u64()
-	if r.bad || uint64(len(r.data)) < n {
-		r.bad = true
-		return ""
-	}
-	s := string(r.data[:n])
-	r.data = r.data[n:]
-	return s
-}
-
-func (r *fcReader) bytes32() (out [32]byte) {
-	if r.bad || len(r.data) < 32 {
-		r.bad = true
-		return out
-	}
-	copy(out[:], r.data)
-	r.data = r.data[32:]
-	return out
 }
 
 // LoadFlowCache reads a persisted cache. It never errors: any problem —
@@ -164,71 +83,57 @@ func (r *fcReader) bytes32() (out [32]byte) {
 // use; a knob change invalidates the whole file (the conservative
 // reading of "the constraints may depend on it").
 func LoadFlowCache(path string, opts Options) (*FlowCache, bool) {
-	opts = opts.withDefaults()
+	if c := loadFlowCache(path, opts.WithDefaults()); c != nil {
+		return c, true
+	}
+	return NewFlowCache(), false
+}
+
+// loadFlowCache is LoadFlowCache with nil for every kind of failure.
+func loadFlowCache(path string, opts Options) *FlowCache {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return NewFlowCache(), false
+		return nil
 	}
-	if len(data) < len(flowCacheMagic)+sha256.Size ||
-		string(data[:len(flowCacheMagic)]) != flowCacheMagic {
-		return NewFlowCache(), false
+	body, err := envelope.Open(data, flowCacheMagic)
+	if err != nil {
+		return nil
 	}
-	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if want := sha256.Sum256(body); string(want[:]) != string(sum) {
-		return NewFlowCache(), false
+	r := envelope.NewReader(body)
+	if r.U64() != flowCacheVersion || r.String64() != fpcache.AnalyzerVersion {
+		return nil
 	}
-	r := &fcReader{data: body[len(flowCacheMagic):]}
-	if r.u64() != flowCacheVersion || r.str() != fpcache.AnalyzerVersion {
-		return NewFlowCache(), false
+	if r.F64() != opts.C || r.F64() != opts.Lambda ||
+		r.U64() != uint64(opts.BackoffCutoff) || r.U64() != uint64(opts.MaxComponent) {
+		return nil
 	}
-	if r.f64() != opts.C || r.f64() != opts.Lambda ||
-		r.u64() != uint64(opts.BackoffCutoff) || r.u64() != uint64(opts.MaxComponent) {
-		return NewFlowCache(), false
-	}
-	n := r.u64()
-	if r.bad || n > uint64(len(r.data)) {
-		return NewFlowCache(), false
+	// A term is a variable and a coefficient, a constraint two term
+	// counts, a block a name length, a fingerprint and five counts.
+	const minTerm, minCons, minBlock = 8 + 8, 8 + 8, 8 + 32 + 5*8
+	terms := func() []lp.Term {
+		ts := make([]lp.Term, r.Count(r.U64(), minTerm))
+		for i := range ts {
+			ts[i] = lp.Term{Var: int(r.U64()), Coef: r.F64()}
+		}
+		return ts
 	}
 	c := NewFlowCache()
-	for i := uint64(0); i < n; i++ {
-		f := r.str()
-		blk := &flowBlock{fp: r.bytes32()}
-		blk.countA = int(r.u64())
-		blk.countB = int(r.u64())
-		blk.countC = int(r.u64())
-		blk.skipped = int(r.u64())
-		nc := r.u64()
-		if r.bad || nc > uint64(len(r.data)) {
-			return NewFlowCache(), false
-		}
-		blk.cons = make([]lp.Constraint, 0, nc)
-		for j := uint64(0); j < nc; j++ {
-			var con lp.Constraint
-			nl := r.u64()
-			if r.bad || nl > uint64(len(r.data)) {
-				return NewFlowCache(), false
-			}
-			con.LHS = make([]lp.Term, 0, nl)
-			for k := uint64(0); k < nl; k++ {
-				con.LHS = append(con.LHS, lp.Term{Var: int(r.u64()), Coef: r.f64()})
-			}
-			nr := r.u64()
-			if r.bad || nr > uint64(len(r.data)) {
-				return NewFlowCache(), false
-			}
-			con.RHS = make([]lp.Term, 0, nr)
-			for k := uint64(0); k < nr; k++ {
-				con.RHS = append(con.RHS, lp.Term{Var: int(r.u64()), Coef: r.f64()})
-			}
-			blk.cons = append(blk.cons, con)
-		}
-		if r.bad {
-			return NewFlowCache(), false
+	for n := r.Count(r.U64(), minBlock); n > 0 && r.Err() == nil; n-- {
+		f := r.String64()
+		blk := &flowBlock{}
+		copy(blk.fp[:], r.Take(len(blk.fp)))
+		blk.countA = int(r.U64())
+		blk.countB = int(r.U64())
+		blk.countC = int(r.U64())
+		blk.skipped = int(r.U64())
+		blk.cons = make([]lp.Constraint, r.Count(r.U64(), minCons))
+		for i := range blk.cons {
+			blk.cons[i] = lp.Constraint{LHS: terms(), RHS: terms()}
 		}
 		c.blocks[f] = blk
 	}
-	if r.bad || len(r.data) != 0 {
-		return NewFlowCache(), false
+	if r.Close() != nil {
+		return nil
 	}
-	return c, true
+	return c
 }

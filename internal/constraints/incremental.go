@@ -83,7 +83,7 @@ type DeltaStats struct {
 // replaced). A nil cache or invalid spans degrade to a full build.
 func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	spans []Span, cache *FlowCache) (*System, DeltaStats) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	s, workers := buildCore(g, seed, opts)
 	m := opts.Metrics
 	st := DeltaStats{Spans: len(spans)}
@@ -136,9 +136,9 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	m.ObserveDuration(obs.StageConstraintsFlow, time.Since(t0))
 
 	s.finishMetrics(workers)
-	m.Set(obs.GaugeIncrSpansReused, float64(st.SpansReused))
-	m.Set(obs.GaugeIncrConstraintsReused, float64(st.ConstraintsReused))
 	if cache != nil {
+		m.Set(obs.GaugeIncrSpansReused, float64(st.SpansReused))
+		m.Set(obs.GaugeIncrConstraintsReused, float64(st.ConstraintsReused))
 		// flowcache.{hits,misses} count per-span block reuse whenever a
 		// cache is in play; a fallback build consulted the cache for
 		// nothing, so every presented span is a miss.

@@ -23,7 +23,7 @@ import (
 // precompute them (outside the timer in benchmarks).
 func referenceBuild(g *propgraph.Graph, reps [][]string, symOf map[string]propgraph.Sym,
 	seed *spec.Spec, opts Options) *System {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	s := &System{
 		Syms:        g.Syms,
 		infoByEvent: make([]int, len(g.Events)),

@@ -48,7 +48,8 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults fills every zero knob with the paper's setting.
+func (o Options) WithDefaults() Options {
 	if o.C == 0 {
 		o.C = 0.75
 	}
@@ -186,18 +187,10 @@ func (s *System) InfoFor(eventID int) *EventInfo {
 	return &s.EventInfos[s.infoByEvent[eventID]]
 }
 
-// Build constructs the constraint system for a global propagation graph.
+// Build constructs the constraint system for a global propagation graph:
+// BuildIncremental with nothing to reuse.
 func Build(g *propgraph.Graph, seed *spec.Spec, opts Options) *System {
-	opts = opts.withDefaults()
-	s, workers := buildCore(g, seed, opts)
-	m := opts.Metrics
-
-	// Pass 4: flow constraints, over the graph's own tiling (flow.go).
-	t0 := time.Now()
-	s.assemble(s.flowBlocks(g, flowRanges(closedCuts(g)), workers), false)
-	m.ObserveDuration(obs.StageConstraintsFlow, time.Since(t0))
-
-	s.finishMetrics(workers)
+	s, _ := BuildIncremental(g, seed, opts, nil, nil)
 	return s
 }
 

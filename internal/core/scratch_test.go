@@ -199,7 +199,7 @@ func TestScratchRetentionCap(t *testing.T) {
 
 // On a fully warm cache run parse+dataflow never execute and the
 // parallel-speedup ratio is unmeasurable: the gauge must be omitted,
-// not published as 0 (BENCH_6 regression).
+// not published as 0 (a PR 6 regression).
 func TestFrontendSpeedupOmittedWhenFullyCached(t *testing.T) {
 	files := corpus.Generate(corpus.Config{Files: 6}).FileMap()
 	cache := openCache(t)

@@ -58,14 +58,29 @@ type Config struct {
 	Log *obs.Logger
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills every zero learning knob, the constraint build's
+// included, with the paper's setting.
+func (c Config) WithDefaults() Config {
 	if c.Threshold == 0 {
 		c.Threshold = 0.1
 	}
 	if c.BackoffDecay == 0 {
 		c.BackoffDecay = 0.8
 	}
+	c.Constraints = c.Constraints.WithDefaults()
 	return c
+}
+
+// ConstraintOptions is Config.Constraints as a build of this run takes
+// it: reporting to the run's registry and, unless it names a worker
+// count of its own, sharing the front-end's.
+func (c Config) ConstraintOptions() constraints.Options {
+	o := c.Constraints
+	o.Metrics = c.Metrics
+	if o.Workers == 0 {
+		o.Workers = c.Workers
+	}
+	return o
 }
 
 // Prediction is one selected (event, role) with the representation and
@@ -158,17 +173,12 @@ func (r *Result) runStage(cfg Config, name string, f func()) {
 
 // Learn runs specification inference over a global propagation graph.
 func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	start := time.Now()
 	res := &Result{Graph: g}
 
-	copts := cfg.Constraints
-	copts.Metrics = cfg.Metrics
-	if copts.Workers == 0 {
-		copts.Workers = cfg.Workers
-	}
 	res.runStage(cfg, obs.StageConstraints, func() {
-		res.System = constraints.Build(g, seed, copts)
+		res.System = constraints.Build(g, seed, cfg.ConstraintOptions())
 	})
 
 	res.solveAndSelect(cfg, start)
@@ -184,7 +194,7 @@ func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
 // solution. The result is identical to Learn on the same (graph, system)
 // pair.
 func LearnPrepared(g *propgraph.Graph, sys *constraints.System, cfg Config) *Result {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	start := time.Now()
 	res := &Result{Graph: g, System: sys}
 	res.solveAndSelect(cfg, start)

@@ -37,12 +37,3 @@ func SliceFiles(files map[string]string, i, n int) map[string]string {
 	}
 	return out
 }
-
-// AnalyzeSlice runs the per-file front-end over slice i of n of the
-// corpus — the slice-restricted entry point shard workers build on. It
-// is AnalyzeFiles on the restricted map: within the slice the usual
-// guarantees hold (sorted-name merge order, byte-identical results at
-// any worker count, cache reuse through cfg.Cache).
-func AnalyzeSlice(files map[string]string, i, n int, cfg Config) *FrontEnd {
-	return AnalyzeFiles(SliceFiles(files, i, n), cfg)
-}

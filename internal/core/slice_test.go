@@ -57,21 +57,3 @@ func TestSliceFiles(t *testing.T) {
 		}
 	}
 }
-
-func TestAnalyzeSliceMatchesSubsetAnalysis(t *testing.T) {
-	files := map[string]string{
-		"a.py": "import flask\nx = flask.request.args.get('q')\n",
-		"b.py": "def f(v):\n    return v\n",
-		"c.py": "import os\nos.system('ls')\n",
-	}
-	fe := AnalyzeSlice(files, 0, 2, Config{Workers: 1})
-	want := AnalyzeFiles(SliceFiles(files, 0, 2), Config{Workers: 1})
-	if len(fe.Names) != len(want.Names) {
-		t.Fatalf("AnalyzeSlice analyzed %d files, want %d", len(fe.Names), len(want.Names))
-	}
-	for i := range fe.Names {
-		if fe.Names[i] != want.Names[i] {
-			t.Errorf("name[%d] = %q, want %q", i, fe.Names[i], want.Names[i])
-		}
-	}
-}

@@ -22,9 +22,8 @@
 //   - Corruption tolerance: a truncated, tampered, or stale-version
 //     entry is a cache miss, never an error — the caller re-analyzes and
 //     the write-back repairs the entry.
-//   - Atomicity: Put writes to a temp file in the cache directory and
-//     renames it into place, so concurrent readers (and crashed writers)
-//     never observe a half-written entry.
+//   - Atomicity: Put goes through envelope.WriteFile, so concurrent
+//     readers (and crashed writers) never observe a half-written entry.
 package fpcache
 
 import (
@@ -38,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"seldon/internal/envelope"
 	"seldon/internal/propgraph"
 )
 
@@ -56,7 +56,6 @@ const (
 	// caches invalidate by design without leaving orphans.
 	codecVersion = 2
 	entrySuffix  = ".fpc"
-	checksumSize = sha256.Size
 )
 
 // Entry is one cached per-file front-end result.
@@ -133,56 +132,32 @@ func (c *Cache) entryPath(key string) string {
 
 // encode renders an entry in the on-disk format.
 func (e *Entry) encode() []byte {
-	buf := make([]byte, 0, 512)
-	buf = append(buf, magic...)
-	buf = binary.AppendUvarint(buf, codecVersion)
-	buf = binary.AppendVarint(buf, int64(e.Cost))
-	buf = binary.AppendUvarint(buf, uint64(len(e.ParseError)))
-	buf = append(buf, e.ParseError...)
-	buf = e.Graph.AppendBinary(buf)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	return EncodeRawEntry(e.Graph.AppendBinary(nil), e.ParseError, e.Cost)
 }
 
 // EncodeRawEntry renders an entry in the on-disk format from an
 // already-encoded graph (propgraph binary bytes) instead of a live
-// Graph. It exists for shard-sidecar ingestion, where the coordinator
-// holds the worker's verified graph section bytes and re-encoding a
+// Graph. Shard-sidecar ingestion uses it directly: the coordinator
+// holds the worker's verified graph section bytes, and re-encoding a
 // decoded graph would only burn CPU to produce the identical bytes (the
 // codec is deterministic).
 func EncodeRawEntry(graphEnc []byte, parseErr string, cost time.Duration) []byte {
-	buf := make([]byte, 0, len(magic)+2+16+len(parseErr)+len(graphEnc)+checksumSize)
+	buf := make([]byte, 0, len(magic)+2+16+len(parseErr)+len(graphEnc)+envelope.ChecksumSize)
 	buf = append(buf, magic...)
 	buf = binary.AppendUvarint(buf, codecVersion)
 	buf = binary.AppendVarint(buf, int64(cost))
-	buf = binary.AppendUvarint(buf, uint64(len(parseErr)))
-	buf = append(buf, parseErr...)
+	buf = envelope.AppendBytesV(buf, parseErr)
 	buf = append(buf, graphEnc...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	return envelope.Seal(buf)
 }
 
 // PutRawKey stores pre-encoded entry bytes (EncodeRawEntry) under a raw
-// key (KeyBytes), atomically like Put. The caller vouches that data is a
+// key (KeyBytes), atomically. The caller vouches that data is a
 // well-formed entry for that key; a wrong claim costs nothing but a
 // wasted slot — Get re-validates the checksum and codec on read and
 // treats a bad entry as a miss.
 func (c *Cache) PutRawKey(key [sha256.Size]byte, data []byte) (int64, error) {
-	tmp, err := os.CreateTemp(c.dir, ".put-*")
-	if err != nil {
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.entryPath(hex.EncodeToString(key[:]))); err != nil {
-		os.Remove(tmp.Name())
+	if err := envelope.WriteFile(c.entryPath(hex.EncodeToString(key[:])), data); err != nil {
 		return 0, fmt.Errorf("fpcache: %w", err)
 	}
 	c.bytesWritten.Add(int64(len(data)))
@@ -191,34 +166,22 @@ func (c *Cache) PutRawKey(key [sha256.Size]byte, data []byte) (int64, error) {
 
 // decodeEntry parses and validates an on-disk entry.
 func decodeEntry(data []byte) (*Entry, error) {
-	if len(data) < len(magic)+1+checksumSize {
-		return nil, fmt.Errorf("fpcache: entry too short (%d bytes)", len(data))
+	body, err := envelope.Open(data, magic)
+	if err != nil {
+		return nil, fmt.Errorf("fpcache: %w", err)
 	}
-	payload, sum := data[:len(data)-checksumSize], data[len(data)-checksumSize:]
-	if want := sha256.Sum256(payload); string(want[:]) != string(sum) {
-		return nil, fmt.Errorf("fpcache: checksum mismatch")
+	r := envelope.NewReader(body)
+	ver, cost, parseErr := r.Uvarint(), r.Varint(), r.StringV()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("fpcache: entry header: %w", err)
 	}
-	if string(payload[:len(magic)]) != magic {
-		return nil, fmt.Errorf("fpcache: bad magic")
-	}
-	rest := payload[len(magic):]
-	ver, n := binary.Uvarint(rest)
-	if n <= 0 || ver != codecVersion {
+	if ver != codecVersion {
 		return nil, fmt.Errorf("fpcache: unsupported codec version %d", ver)
 	}
-	rest = rest[n:]
-	cost, n := binary.Varint(rest)
-	if n <= 0 || cost < 0 {
+	if cost < 0 {
 		return nil, fmt.Errorf("fpcache: bad cost field")
 	}
-	rest = rest[n:]
-	errLen, n := binary.Uvarint(rest)
-	if n <= 0 || errLen > uint64(len(rest)-n) {
-		return nil, fmt.Errorf("fpcache: bad parse-error length")
-	}
-	rest = rest[n:]
-	parseErr := string(rest[:errLen])
-	g, tail, err := propgraph.DecodeBinary(rest[errLen:])
+	g, tail, err := propgraph.DecodeBinary(r.Rest())
 	if err != nil {
 		return nil, err
 	}
@@ -247,29 +210,10 @@ func (c *Cache) Get(name, content string) (*Entry, bool) {
 	return e, true
 }
 
-// Put stores the entry for (name, content) atomically (temp file +
-// rename) and returns the bytes written.
+// Put stores the entry for (name, content) atomically and returns the
+// bytes written.
 func (c *Cache) Put(name, content string, e *Entry) (int64, error) {
-	data := e.encode()
-	tmp, err := os.CreateTemp(c.dir, ".put-*")
-	if err != nil {
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.entryPath(Key(name, content))); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	c.bytesWritten.Add(int64(len(data)))
-	return int64(len(data)), nil
+	return c.PutRawKey(KeyBytes(name, content), e.encode())
 }
 
 // Clear removes every cache entry (and any abandoned temp file) from
@@ -281,7 +225,7 @@ func (c *Cache) Clear() error {
 	}
 	for _, de := range des {
 		name := de.Name()
-		if strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, ".put-") {
+		if strings.HasSuffix(name, entrySuffix) || envelope.IsTemp(name) {
 			if err := os.Remove(filepath.Join(c.dir, name)); err != nil {
 				return fmt.Errorf("fpcache: %w", err)
 			}

@@ -158,7 +158,7 @@ func TestClear(t *testing.T) {
 		}
 	}
 	// A stray temp file from a crashed writer is cleaned up too.
-	if err := os.WriteFile(filepath.Join(c.Dir(), ".put-stray"), []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(c.Dir(), ".0123.fpc.tmp-stray"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Clear(); err != nil {

@@ -387,12 +387,7 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	} else {
 		s.cfg.Metrics.Add(obs.CounterIncrUnionRebuilt, 1)
 	}
-	copts := s.cfg.Constraints
-	copts.Metrics = s.cfg.Metrics
-	if copts.Workers == 0 {
-		copts.Workers = s.cfg.Workers
-	}
-	sys, delta := constraints.BuildIncremental(union, s.seed, copts, spans, s.cache)
+	sys, delta := constraints.BuildIncremental(union, s.seed, s.cfg.ConstraintOptions(), spans, s.cache)
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrRebuildConstraints, time.Since(tUnion))
 	st.Delta = delta
 
@@ -479,34 +474,12 @@ func (s *Session) LearnedSpec() *spec.Spec {
 }
 
 // knobs returns the learning parameters that must match for a restored
-// session to be reusable.
+// session to be reusable, as the solve will see them.
 func (s *Session) knobs() sessionKnobs {
-	c := s.cfg.Constraints.C
-	if c == 0 {
-		c = 0.75
-	}
-	lambda := s.cfg.Constraints.Lambda
-	if lambda == 0 {
-		lambda = 0.1
-	}
-	threshold := s.cfg.Threshold
-	if threshold == 0 {
-		threshold = 0.1
-	}
-	decay := s.cfg.BackoffDecay
-	if decay == 0 {
-		decay = 0.8
-	}
-	cutoff := s.cfg.Constraints.BackoffCutoff
-	if cutoff == 0 {
-		cutoff = 5
-	}
-	maxComp := s.cfg.Constraints.MaxComponent
-	if maxComp == 0 {
-		maxComp = 50000
-	}
-	return sessionKnobs{C: c, Lambda: lambda, Threshold: threshold,
-		Decay: decay, Cutoff: cutoff, MaxComponent: maxComp}
+	c := s.cfg.WithDefaults()
+	return sessionKnobs{C: c.Constraints.C, Lambda: c.Constraints.Lambda,
+		Threshold: c.Threshold, Decay: c.BackoffDecay,
+		Cutoff: c.Constraints.BackoffCutoff, MaxComponent: c.Constraints.MaxComponent}
 }
 
 // Score returns the last solve's score of a (rep, role) variable; ok is

@@ -446,8 +446,9 @@ func TestSessionFlowCachePersistence(t *testing.T) {
 	}
 }
 
-// TestSessionLoadRejects: corruption, seed mismatch, and knob mismatch
-// all surface as errors (the caller cold-starts).
+// TestSessionLoadRejects: a state saved under another seed is an error
+// (the caller cold-starts). Corruption, truncation, version, analyzer
+// and knob skew are held by the rejection matrix in internal/envelope.
 func TestSessionLoadRejects(t *testing.T) {
 	files, _ := testCorpus(t, 4, 3)
 	cfg := core.Config{Workers: 1}
@@ -457,8 +458,6 @@ func TestSessionLoadRejects(t *testing.T) {
 	if err := s.SaveDir(dir); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	path := filepath.Join(dir, incr.StateFile)
-
 	if _, err := incr.LoadDir(dir, corpus.ExperimentSeed(), cfg); err != nil {
 		t.Fatalf("clean load failed: %v", err)
 	}
@@ -467,30 +466,5 @@ func TestSessionLoadRejects(t *testing.T) {
 	other.Add(propgraph.Source, "weird.seed")
 	if _, err := incr.LoadDir(dir, other, cfg); err == nil {
 		t.Fatal("load with different seed succeeded")
-	}
-
-	badCfg := cfg
-	badCfg.Threshold = 0.5
-	if _, err := incr.LoadDir(dir, corpus.ExperimentSeed(), badCfg); err == nil {
-		t.Fatal("load with different knobs succeeded")
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := incr.LoadDir(dir, corpus.ExperimentSeed(), cfg); err == nil {
-		t.Fatal("load of corrupted state succeeded")
-	}
-
-	if err := os.WriteFile(path, data[:10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := incr.LoadDir(dir, corpus.ExperimentSeed(), cfg); err == nil {
-		t.Fatal("load of truncated state succeeded")
 	}
 }

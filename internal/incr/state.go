@@ -2,17 +2,15 @@ package incr
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"seldon/internal/constraints"
 	"seldon/internal/core"
+	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
@@ -58,79 +56,54 @@ type sessionKnobs struct {
 	MaxComponent int
 }
 
-// Save writes the session state to path atomically (temp file + rename
-// in path's directory).
+// Save writes the session state to path atomically.
 func (s *Session) Save(path string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	var b bytes.Buffer
-	b.WriteString(stateMagic)
-	wU64(&b, stateVersion)
-	wStr(&b, fpcache.AnalyzerVersion)
+	b := append(make([]byte, 0, 4096), stateMagic...)
+	b = envelope.AppendU64(b, stateVersion)
+	b = envelope.AppendBytes64(b, fpcache.AnalyzerVersion)
 
 	k := s.knobs()
-	wF64(&b, k.C)
-	wF64(&b, k.Lambda)
-	wF64(&b, k.Threshold)
-	wF64(&b, k.Decay)
-	wU64(&b, uint64(k.Cutoff))
-	wU64(&b, uint64(k.MaxComponent))
+	b = envelope.AppendF64(b, k.C)
+	b = envelope.AppendF64(b, k.Lambda)
+	b = envelope.AppendF64(b, k.Threshold)
+	b = envelope.AppendF64(b, k.Decay)
+	b = envelope.AppendU64(b, uint64(k.Cutoff))
+	b = envelope.AppendU64(b, uint64(k.MaxComponent))
 
 	var seedBuf bytes.Buffer
 	if err := specio.Encode(&seedBuf, s.seed, specio.Meta{Generator: "incr-session"}); err != nil {
 		return fmt.Errorf("incr: encode seed: %w", err)
 	}
-	wBytes(&b, seedBuf.Bytes())
+	b = envelope.AppendBytes64(b, seedBuf.Bytes())
 
 	names := s.sortedNames()
-	wU64(&b, uint64(len(names)))
+	b = envelope.AppendU64(b, uint64(len(names)))
 	for _, n := range names {
 		fs := s.files[n]
-		wStr(&b, n)
+		b = envelope.AppendBytes64(b, n)
 		if fs.hasContent {
-			b.WriteByte(1)
+			b = append(b, 1)
 		} else {
-			b.WriteByte(0)
+			b = append(b, 0)
 		}
-		b.Write(fs.contentHash[:])
-		wBytes(&b, fs.enc)
+		b = append(b, fs.contentHash[:]...)
+		b = envelope.AppendBytes64(b, fs.enc)
 	}
 
-	wU64(&b, uint64(len(s.prev)))
-	for _, pk := range sortedKeys(s.prev) {
-		wStr(&b, pk.Rep)
-		wU64(&b, uint64(pk.Role))
-		wF64(&b, s.prev[pk])
+	for _, m := range []map[PinKey]float64{s.prev, s.pins} {
+		b = envelope.AppendU64(b, uint64(len(m)))
+		for _, pk := range sortedKeys(m) {
+			b = envelope.AppendBytes64(b, pk.Rep)
+			b = envelope.AppendU64(b, uint64(pk.Role))
+			b = envelope.AppendF64(b, m[pk])
+		}
 	}
 
-	wU64(&b, uint64(len(s.pins)))
-	for _, pk := range sortedKeys(s.pins) {
-		wStr(&b, pk.Rep)
-		wU64(&b, uint64(pk.Role))
-		wF64(&b, s.pins[pk])
-	}
-
-	wU64(&b, uint64(s.coldEpochs))
-
-	sum := sha256.Sum256(b.Bytes())
-	b.Write(sum[:])
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".state-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	b = envelope.AppendU64(b, uint64(s.coldEpochs))
+	return envelope.WriteFile(path, envelope.Seal(b))
 }
 
 // Load restores a session from path. seed and cfg are the *current*
@@ -149,34 +122,27 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(stateMagic)+sha256.Size {
-		return nil, errors.New("incr: state file truncated")
+	body, err := envelope.Open(data, stateMagic)
+	if err != nil {
+		return nil, fmt.Errorf("incr: state file: %w", err)
 	}
-	payload, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], trailer) {
-		return nil, errors.New("incr: state checksum mismatch")
-	}
-
-	r := &stateReader{data: payload}
-	if string(r.take(len(stateMagic))) != stateMagic {
-		return nil, errors.New("incr: bad state magic")
-	}
-	if v := r.u64(); v != stateVersion {
+	r := envelope.NewReader(body)
+	if v := r.U64(); r.Err() == nil && v != stateVersion {
 		return nil, fmt.Errorf("incr: state version %d, want %d", v, stateVersion)
 	}
-	if av := r.str(); av != fpcache.AnalyzerVersion {
+	if av := r.String64(); r.Err() == nil && av != fpcache.AnalyzerVersion {
 		return nil, fmt.Errorf("incr: analyzer version %q, want %q", av, fpcache.AnalyzerVersion)
 	}
 
 	stored := sessionKnobs{
-		C:            r.f64(),
-		Lambda:       r.f64(),
-		Threshold:    r.f64(),
-		Decay:        r.f64(),
-		Cutoff:       int(r.u64()),
-		MaxComponent: int(r.u64()),
+		C:            r.F64(),
+		Lambda:       r.F64(),
+		Threshold:    r.F64(),
+		Decay:        r.F64(),
+		Cutoff:       int(r.U64()),
+		MaxComponent: int(r.U64()),
 	}
-	storedSeed, _, err := specio.Decode(bytes.NewReader(r.bytes()))
+	storedSeed, _, err := specio.Decode(bytes.NewReader(r.Bytes64()))
 	if err != nil {
 		return nil, fmt.Errorf("incr: decode stored seed: %w", err)
 	}
@@ -196,17 +162,16 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		return nil, fmt.Errorf("incr: state knobs %+v, session wants %+v", stored, want)
 	}
 
-	nFiles := int(r.u64())
-	for i := 0; i < nFiles && r.err == nil; i++ {
-		name := r.str()
-		hasContent := false
-		if hb := r.take(1); len(hb) == 1 {
-			hasContent = hb[0] != 0
-		}
+	// A file is a name length, a flag, a content hash and a graph length;
+	// a solution or pin a name length, a role and a value.
+	const minFile, minScore = 8 + 1 + 32 + 8, 8 + 8 + 8
+	for n := r.Count(r.U64(), minFile); n > 0 && r.Err() == nil; n-- {
+		name := r.String64()
+		hasContent := r.Byte() != 0
 		var ch [32]byte
-		copy(ch[:], r.take(32))
-		enc := r.bytes()
-		if r.err != nil {
+		copy(ch[:], r.Take(len(ch)))
+		enc := r.Bytes64()
+		if r.Err() != nil {
 			break
 		}
 		g, rest, derr := propgraph.DecodeBinary(enc)
@@ -218,34 +183,27 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		}
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
-		fs := newFileState(append([]byte(nil), enc...), g)
+		fs := newFileState(bytes.Clone(enc), g)
 		fs.contentHash, fs.hasContent = ch, hasContent
 		s.files[name] = fs
 	}
-
-	nSol := int(r.u64())
-	if r.err == nil && nSol > 0 {
-		s.prev = make(map[PinKey]float64, nSol)
-		for i := 0; i < nSol && r.err == nil; i++ {
-			rep := r.str()
-			role := propgraph.Role(r.u64())
-			s.prev[PinKey{Rep: rep, Role: role}] = r.f64()
+	scores := func() map[PinKey]float64 {
+		n := r.Count(r.U64(), minScore)
+		m := make(map[PinKey]float64, n)
+		for ; n > 0 && r.Err() == nil; n-- {
+			rep := r.String64()
+			role := propgraph.Role(r.U64())
+			m[PinKey{Rep: rep, Role: role}] = r.F64()
 		}
+		return m
 	}
-
-	nPins := int(r.u64())
-	for i := 0; i < nPins && r.err == nil; i++ {
-		rep := r.str()
-		role := propgraph.Role(r.u64())
-		s.pins[PinKey{Rep: rep, Role: role}] = r.f64()
+	if prev := scores(); len(prev) > 0 {
+		s.prev = prev
 	}
-
-	s.coldEpochs = int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.data) != r.at {
-		return nil, errors.New("incr: trailing bytes in state file")
+	s.pins = scores()
+	s.coldEpochs = int(r.U64())
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("incr: state file: %w", err)
 	}
 	return s, nil
 }
@@ -292,73 +250,4 @@ func sortedKeys(m map[PinKey]float64) []PinKey {
 		return keys[i].Role < keys[j].Role
 	})
 	return keys
-}
-
-func wU64(b *bytes.Buffer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	b.Write(buf[:])
-}
-
-func wF64(b *bytes.Buffer, v float64) {
-	wU64(b, math.Float64bits(v))
-}
-
-func wBytes(b *bytes.Buffer, p []byte) {
-	wU64(b, uint64(len(p)))
-	b.Write(p)
-}
-
-func wStr(b *bytes.Buffer, s string) {
-	wU64(b, uint64(len(s)))
-	b.WriteString(s)
-}
-
-// stateReader is a cursor over the state payload; the first decode
-// failure sticks in err and every later read returns zero values.
-type stateReader struct {
-	data []byte
-	at   int
-	err  error
-}
-
-func (r *stateReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.at+n > len(r.data) {
-		r.err = errors.New("incr: state file truncated")
-		return nil
-	}
-	p := r.data[r.at : r.at+n]
-	r.at += n
-	return p
-}
-
-func (r *stateReader) u64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-func (r *stateReader) f64() float64 {
-	return math.Float64frombits(r.u64())
-}
-
-func (r *stateReader) bytes() []byte {
-	n := r.u64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.at) {
-		r.err = errors.New("incr: state file truncated")
-		return nil
-	}
-	return r.take(int(n))
-}
-
-func (r *stateReader) str() string {
-	return string(r.bytes())
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"seldon/internal/envelope"
 	"seldon/internal/pytoken"
 )
 
@@ -36,11 +37,6 @@ const (
 	binaryVersion = 2
 )
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // AppendBinary appends the graph's binary encoding to dst and returns
 // the extended slice. The encoding is deterministic and self-delimiting
 // (DecodeBinary knows where it ends).
@@ -51,7 +47,7 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 	syms := g.Syms.Strings()
 	dst = binary.AppendUvarint(dst, uint64(len(syms)))
 	for _, s := range syms {
-		dst = appendString(dst, s)
+		dst = envelope.AppendBytesV(dst, s)
 	}
 
 	// File-name table, first-seen order over events.
@@ -65,7 +61,7 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(files)))
 	for _, f := range files {
-		dst = appendString(dst, f)
+		dst = envelope.AppendBytesV(dst, f)
 	}
 
 	dst = binary.AppendUvarint(dst, uint64(len(g.Events)))
@@ -118,122 +114,48 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// binReader is a cursor over an encoded graph; the first failed read
-// latches err and turns every later read into a no-op returning zero.
-type binReader struct {
-	data []byte
-	err  error
-}
-
-func (r *binReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("propgraph: binary: "+format, args...)
-	}
-}
-
-func (r *binReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) == 0 {
-		r.fail("truncated input")
-		return 0
-	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *binReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *binReader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.data)) {
-		r.fail("string length %d exceeds remaining %d bytes", n, len(r.data))
-		return ""
-	}
-	s := string(r.data[:n])
-	r.data = r.data[n:]
-	return s
-}
-
-// count validates an element count against the bytes that remain, so a
-// corrupted length cannot drive allocation beyond the input size (every
-// element costs at least one byte).
-func (r *binReader) count(what string) int {
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.data)) {
-		r.fail("%s count %d exceeds remaining %d bytes", what, n, len(r.data))
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
 // DecodeBinary decodes a graph encoded by AppendBinary from the front of
 // data, returning the graph and the unconsumed remainder. Malformed
 // input — truncation, version mismatch, out-of-range edges or symbols,
 // edge labels out of the encoder's normal form — yields an error, never a
 // partial graph.
 func DecodeBinary(data []byte) (*Graph, []byte, error) {
-	r := &binReader{data: data}
-	if tag := r.byte(); r.err == nil && tag != binaryTag {
-		return nil, nil, fmt.Errorf("propgraph: binary: bad tag 0x%02x", tag)
+	r := envelope.NewReader(data)
+	fail := func(format string, args ...any) {
+		r.Fail(fmt.Errorf(format, args...))
 	}
-	if v := r.byte(); r.err == nil && v != binaryVersion {
-		return nil, nil, fmt.Errorf("propgraph: binary: unsupported version %d", v)
+	// Every element of every list is at least one byte, so a count larger
+	// than what is left cannot be real.
+	count := func() int { return r.Count(r.Uvarint(), 1) }
+	if tag := r.Byte(); r.Err() == nil && tag != binaryTag {
+		fail("bad tag 0x%02x", tag)
+	}
+	if v := r.Byte(); r.Err() == nil && v != binaryVersion {
+		fail("unsupported version %d", v)
 	}
 
 	// Symbol table. Interning in stored order reproduces the IDs the
 	// encoder wrote; a duplicate would silently shift every later ID, so
 	// it is rejected as corruption.
 	syms := NewInterner()
-	numSyms := r.count("symbol")
-	for i := 0; i < numSyms && r.err == nil; i++ {
-		s := r.string()
-		if r.err == nil && int(syms.Intern(s)) != i {
-			r.fail("duplicate symbol %q in table", s)
+	numSyms := count()
+	for i := 0; i < numSyms && r.Err() == nil; i++ {
+		s := r.StringV()
+		if r.Err() == nil && int(syms.Intern(s)) != i {
+			fail("duplicate symbol %q in table", s)
 		}
 	}
 
 	// File-name table.
 	var files []string
-	if numFiles := r.count("file"); numFiles > 0 {
+	if numFiles := count(); numFiles > 0 {
 		files = make([]string, 0, numFiles)
-		for i := 0; i < numFiles && r.err == nil; i++ {
-			files = append(files, r.string())
+		for i := 0; i < numFiles && r.Err() == nil; i++ {
+			files = append(files, r.StringV())
 		}
 	}
 
-	numEvents := r.count("event")
+	numEvents := count()
 	g := &Graph{
 		Syms:   syms,
 		Events: make([]*Event, 0, numEvents),
@@ -241,16 +163,16 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 		preds:  make([][]int, numEvents),
 	}
 	evArena := make([]Event, numEvents)
-	for i := 0; i < numEvents && r.err == nil; i++ {
-		kind := r.uvarint()
-		if r.err == nil && kind > uint64(KindParam) {
-			r.fail("event %d: bad kind %d", i, kind)
+	for i := 0; i < numEvents && r.Err() == nil; i++ {
+		kind := r.Uvarint()
+		if r.Err() == nil && kind > uint64(KindParam) {
+			fail("event %d: bad kind %d", i, kind)
 		}
-		fileIdx := r.uvarint()
+		fileIdx := r.Uvarint()
 		file := ""
-		if r.err == nil {
+		if r.Err() == nil {
 			if fileIdx >= uint64(len(files)) {
-				r.fail("event %d: file index %d out of range", i, fileIdx)
+				fail("event %d: file index %d out of range", i, fileIdx)
 			} else {
 				file = files[fileIdx]
 			}
@@ -260,38 +182,38 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 			ID:   i,
 			Kind: EventKind(kind),
 			File: file,
-			Pos:  pytoken.Pos{Line: int(r.varint()), Col: int(r.varint())},
+			Pos:  pytoken.Pos{Line: int(r.Varint()), Col: int(r.Varint())},
 			syms: syms,
 		}
-		if nreps := r.count("rep"); nreps > 0 {
+		if nreps := count(); nreps > 0 {
 			e.RepIDs = make([]Sym, nreps)
 			for j := range e.RepIDs {
-				s := r.uvarint()
-				if r.err == nil && s >= uint64(numSyms) {
-					r.fail("event %d: symbol %d out of range", i, s)
+				s := r.Uvarint()
+				if r.Err() == nil && s >= uint64(numSyms) {
+					fail("event %d: symbol %d out of range", i, s)
 				}
 				e.RepIDs[j] = Sym(s)
 			}
 		}
-		e.Roles = RoleSet(r.byte())
+		e.Roles = RoleSet(r.Byte())
 		g.Events = append(g.Events, e)
 	}
 
 	// Successors in stored (insertion) order; predecessors rebuilt in
 	// ascending-source order, Union's normal form.
-	for src := 0; src < numEvents && r.err == nil; src++ {
-		if n := r.count("edge"); n > 0 {
+	for src := 0; src < numEvents && r.Err() == nil; src++ {
+		if n := count(); n > 0 {
 			ss := make([]int, n)
 			for j := range ss {
-				dst := r.uvarint()
-				if r.err == nil && (dst >= uint64(numEvents) || int(dst) == src) {
-					r.fail("edge %d->%d out of range", src, dst)
+				dst := r.Uvarint()
+				if r.Err() == nil && (dst >= uint64(numEvents) || int(dst) == src) {
+					fail("edge %d->%d out of range", src, dst)
 				}
 				ss[j] = int(dst)
 			}
 			g.succs[src] = ss
 			for _, dst := range ss {
-				if r.err == nil {
+				if r.Err() == nil {
 					g.preds[dst] = append(g.preds[dst], src)
 				}
 			}
@@ -301,7 +223,7 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 	// Edge labels in the encoder's normal form — edges in ascending key
 	// order, each an existing edge with a non-empty, strictly ascending
 	// argument list — which is what Union's bulk label copy relies on.
-	if nargs := r.count("edge-arg"); nargs > 0 {
+	if nargs := count(); nargs > 0 {
 		g.argRow = make([]int32, numEvents)
 		g.argRows = make([][][]int, 0, min(nargs, numEvents))
 		// Rows and argument lists are carved from chunks sized for the
@@ -310,24 +232,24 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 		var lists [][]int
 		var ints []int
 		prev := int64(-1)
-		for i := 0; i < nargs && r.err == nil; i++ {
-			src, dst := r.uvarint(), r.uvarint()
-			if r.err == nil && (src >= uint64(numEvents) || dst >= uint64(numEvents)) {
-				r.fail("edge-arg %d->%d out of range", src, dst)
+		for i := 0; i < nargs && r.Err() == nil; i++ {
+			src, dst := r.Uvarint(), r.Uvarint()
+			if r.Err() == nil && (src >= uint64(numEvents) || dst >= uint64(numEvents)) {
+				fail("edge-arg %d->%d out of range", src, dst)
 			}
-			n := r.count("arg")
-			if r.err != nil {
+			n := count()
+			if r.Err() != nil {
 				break
 			}
 			key := edgeKey(int(src), int(dst))
 			j := slices.Index(g.succs[src], int(dst))
 			switch {
 			case key <= prev:
-				r.fail("edge-arg %d->%d out of order", src, dst)
+				fail("edge-arg %d->%d out of order", src, dst)
 			case j < 0:
-				r.fail("edge-arg %d->%d labels no edge", src, dst)
+				fail("edge-arg %d->%d labels no edge", src, dst)
 			case n == 0:
-				r.fail("edge-arg %d->%d has no arguments", src, dst)
+				fail("edge-arg %d->%d has no arguments", src, dst)
 			}
 			prev = key
 			if len(ints) < n {
@@ -336,12 +258,12 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 			args := ints[:n:n]
 			ints = ints[n:]
 			for j := range args {
-				args[j] = int(r.varint())
-				if r.err == nil && j > 0 && args[j] <= args[j-1] {
-					r.fail("edge-arg %d->%d: arguments not ascending", src, dst)
+				args[j] = int(r.Varint())
+				if r.Err() == nil && j > 0 && args[j] <= args[j-1] {
+					fail("edge-arg %d->%d: arguments not ascending", src, dst)
 				}
 			}
-			if r.err == nil {
+			if r.Err() == nil {
 				if g.argRow[src] == 0 {
 					deg := len(g.succs[src])
 					if len(lists) < deg {
@@ -355,8 +277,8 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 			}
 		}
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, nil, fmt.Errorf("propgraph: binary: %w", err)
 	}
-	return g, r.data, nil
+	return g, r.Rest(), nil
 }

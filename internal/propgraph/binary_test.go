@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"seldon/internal/envelope"
 	"seldon/internal/pytoken"
 )
 
@@ -120,8 +121,8 @@ func TestBinaryRejectsVersion1(t *testing.T) {
 func TestBinaryRejectsDuplicateSymbols(t *testing.T) {
 	data := []byte{binaryTag, binaryVersion}
 	data = binary.AppendUvarint(data, 2)
-	data = appendString(data, "f()")
-	data = appendString(data, "f()")
+	data = envelope.AppendBytesV(data, "f()")
+	data = envelope.AppendBytesV(data, "f()")
 	data = binary.AppendUvarint(data, 0) // files
 	data = binary.AppendUvarint(data, 0) // events
 	data = binary.AppendUvarint(data, 0) // edge args

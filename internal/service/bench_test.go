@@ -67,7 +67,7 @@ func (c *reuseClient) post(h http.Handler, body []byte) int {
 // recorder and request constructor (the form every earlier snapshot
 // used), "hit_reuse" handler-only with a reusable request and writer,
 // and "hit_wire" over a loopback socket with one keep-alive client. Run
-// with -benchmem; make bench-json folds the numbers into the snapshot.
+// with -benchmem.
 func BenchmarkCheckHandler(b *testing.B) {
 	body := []byte(taintedSrc)
 	newServer := func(cfg Config) *Server {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
-	"sync"
 
 	"seldon/internal/fpcache"
 	"seldon/internal/obs"
@@ -116,57 +115,6 @@ func (p *workerProc) finish(bin string, slices int) error {
 	return nil
 }
 
-// ExecLocal runs one seldon-shard subprocess per slice concurrently,
-// streams each artifact off its stdout pipe through the incremental
-// decoder (decode overlaps worker execution — no worker's output is
-// ever buffered whole), and returns the artifacts in slice order.
-//
-// Failure reporting names the slice and preserves the decoder's
-// sentinel: a worker dying mid-write surfaces as slice i's ErrTruncated
-// (the pipe ends inside the payload), never as a generic decode error —
-// and never as a hang, because every pipe is closed and every worker
-// reaped on the way out.
-func ExecLocal(cfg ExecConfig) ([]*Artifact, error) {
-	if cfg.Slices < 1 {
-		return nil, fmt.Errorf("shard: exec: need at least 1 slice, got %d", cfg.Slices)
-	}
-	procs, err := startWorkers(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ropts := ReadOptions{Cache: cfg.Ingest, Metrics: cfg.Metrics}
-	arts := make([]*Artifact, cfg.Slices)
-	errs := make([]error, cfg.Slices)
-	var wg sync.WaitGroup
-	for i := range procs {
-		wg.Add(1)
-		go func(p *workerProc) {
-			defer wg.Done()
-			a, err := ReadArtifact(bufio.NewReaderSize(p.out, 64<<10), ropts)
-			// Reap unconditionally: a decode error must still close the
-			// pipe (EPIPE unblocks a still-writing worker) and Wait.
-			werr := p.finish(cfg.Bin, cfg.Slices)
-			switch {
-			case err != nil:
-				// The decode sentinel carries the diagnosis (a dead worker
-				// is a truncated stream); the exit status is secondary.
-				errs[p.idx] = fmt.Errorf("shard: exec: slice %d/%d: %w", p.idx, cfg.Slices, err)
-			case werr != nil:
-				errs[p.idx] = werr
-			default:
-				arts[p.idx] = a
-			}
-		}(&procs[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return arts, nil
-}
-
 // ExecMerge is the pipelined fan-out: workers run concurrently, and the
 // coordinator streams artifacts off the pipes in slice order, folding
 // each one into the merge as its checksum settles — slice i is decoded
@@ -176,6 +124,12 @@ func ExecLocal(cfg ExecConfig) ([]*Artifact, error) {
 // cheaply on pipe backpressure: its analysis is done and its encoded
 // bytes sit in the pipe buffer until the coordinator's turn-taking
 // reaches it.)
+//
+// Failure reporting names the slice and preserves the decoder's
+// sentinel: a worker dying mid-write surfaces as slice i's ErrTruncated
+// (the pipe ends inside the payload), never as a generic decode error —
+// and never as a hang, because every pipe is closed and every worker
+// reaped on the way out.
 func ExecMerge(cfg ExecConfig, mopts MergeOptions) (*MergeResult, error) {
 	if cfg.Slices < 1 {
 		return nil, fmt.Errorf("shard: exec: need at least 1 slice, got %d", cfg.Slices)

@@ -45,61 +45,23 @@ func repoRoot(t *testing.T) string {
 	return filepath.Dir(string(bytes.TrimSpace(out)))
 }
 
-// TestExecLocal runs the whole worker/coordinator flow over real
-// subprocesses: 3 seldon-shard processes on a generated corpus, merged,
-// and compared against the in-process union of the same corpus.
-func TestExecLocal(t *testing.T) {
-	bin := buildWorkerBin(t)
-	const nFiles, nSlices = 40, 3
-
-	arts, err := ExecLocal(ExecConfig{
-		Bin: bin, Slices: nSlices, Generate: nFiles,
-		Workers: 1, Stderr: io.Discard,
-	})
-	if err != nil {
-		t.Fatalf("ExecLocal: %v", err)
-	}
-	if len(arts) != nSlices {
-		t.Fatalf("got %d artifacts, want %d", len(arts), nSlices)
-	}
-	for i, a := range arts {
-		if a.Slice != i {
-			t.Errorf("artifact %d claims slice %d", i, a.Slice)
-		}
-		if a.Size == 0 {
-			t.Errorf("artifact %d has no recorded size", i)
-		}
-	}
-
-	res, err := Merge(arts, MergeOptions{})
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	files := corpus.Generate(corpus.Config{Files: nFiles}).FileMap()
-	fe := core.AnalyzeFiles(files, core.Config{Workers: 1})
-	want := propgraph.Union(fe.Graphs...)
-	if !bytes.Equal(res.Graph.AppendBinary(nil), want.AppendBinary(nil)) {
-		t.Error("subprocess-merged graph differs from in-process union")
-	}
-	if res.Bytes == 0 {
-		t.Error("merge result records zero artifact bytes")
-	}
-}
-
-// TestExecLocalWorkerFailure: a worker that dies must fail the fan-out
+// TestExecMergeWorkerFailure: a worker that dies must fail the fan-out
 // with an error naming its slice, not yield a partial merge.
-func TestExecLocalWorkerFailure(t *testing.T) {
+func TestExecMergeWorkerFailure(t *testing.T) {
 	bin := buildWorkerBin(t)
 	// No corpus designation: every worker exits nonzero.
-	_, err := ExecLocal(ExecConfig{Bin: bin, Slices: 2, Stderr: io.Discard})
-	if err == nil {
-		t.Fatal("ExecLocal succeeded with workers that had no corpus")
+	res, err := ExecMerge(ExecConfig{Bin: bin, Slices: 2, Stderr: io.Discard}, MergeOptions{})
+	if err == nil || res != nil {
+		t.Fatalf("ExecMerge with workers that had no corpus = %v, %v", res, err)
+	}
+	if !strings.Contains(err.Error(), "slice 0/2") {
+		t.Errorf("ExecMerge error %q does not name the failed slice", err)
 	}
 }
 
-func TestExecLocalRejectsZeroSlices(t *testing.T) {
-	if _, err := ExecLocal(ExecConfig{Bin: "true", Slices: 0}); err == nil {
-		t.Fatal("ExecLocal accepted 0 slices")
+func TestExecMergeRejectsZeroSlices(t *testing.T) {
+	if _, err := ExecMerge(ExecConfig{Bin: "true", Slices: 0}, MergeOptions{}); err == nil {
+		t.Fatal("ExecMerge accepted 0 slices")
 	}
 }
 
@@ -156,26 +118,10 @@ func truncatingWorker(t *testing.T, n int) string {
 	return script
 }
 
-// TestExecLocalPipeDeath: a worker dying mid-stream must surface as its
+// TestExecMergePipeDeath: a worker dying mid-stream must surface as its
 // slice's streaming sentinel (ErrTruncated — the pipe ended inside the
-// payload), with the slice index in the message, and must never hang.
-func TestExecLocalPipeDeath(t *testing.T) {
-	bin := truncatingWorker(t, 100)
-	_, err := ExecLocal(ExecConfig{Bin: bin, Slices: 2, Stderr: io.Discard})
-	if err == nil {
-		t.Fatal("ExecLocal succeeded with a mid-stream worker death")
-	}
-	if !errors.Is(err, ErrTruncated) {
-		t.Errorf("ExecLocal error = %v, want ErrTruncated", err)
-	}
-	if !strings.Contains(err.Error(), "slice 0/2") {
-		t.Errorf("ExecLocal error %q does not name the failed slice", err)
-	}
-}
-
-// TestExecMergePipeDeath: the same death through the pipelined merge
-// path — the commit queue must report the sentinel promptly, not wait
-// for slices that will never complete.
+// payload), with the slice index in the message, promptly — not after
+// waiting for slices that will never complete.
 func TestExecMergePipeDeath(t *testing.T) {
 	bin := truncatingWorker(t, 100)
 	done := make(chan error, 1)

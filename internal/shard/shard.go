@@ -57,9 +57,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
+	"seldon/internal/envelope"
 	"seldon/internal/propgraph"
 )
 
@@ -71,9 +71,7 @@ const (
 	// named error, not a silent re-analyze — the coordinator cannot
 	// rebuild a shard it did not analyze.
 	codecVersion = 2
-	checksumSize = sha256.Size
-	// headerMin is magic + version byte + at least one length byte.
-	headerMin = len(magic) + 2
+	checksumSize = envelope.ChecksumSize
 
 	// flagSidecar marks artifacts carrying the fpcache sidecar (per-file
 	// cache key + recorded cost alongside the graph bytes).
@@ -85,29 +83,24 @@ const (
 	maxPayloadLen = 1 << 40
 )
 
-// appendString appends a length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // Named ingestion errors. Every way an artifact can be unusable has a
 // distinct sentinel so the coordinator (and its tests) can tell a
 // truncated upload from a flipped bit from a stale worker — none of
-// them is ever skipped silently.
+// them is ever skipped silently. The four that concern the frame are the
+// envelope's own.
 var (
 	// ErrTruncated: the input ends before the envelope's declared length
 	// (an interrupted transfer or partial write).
-	ErrTruncated = errors.New("shard: truncated artifact")
+	ErrTruncated = envelope.ErrTruncated
 	// ErrMagic: the input does not start with the artifact magic.
-	ErrMagic = errors.New("shard: bad magic (not a shard artifact)")
+	ErrMagic = envelope.ErrMagic
 	// ErrCodecVersion: the envelope was written by an incompatible codec.
 	ErrCodecVersion = errors.New("shard: unsupported codec version")
 	// ErrChecksum: the envelope is complete but its bytes do not hash to
 	// the stored checksum (bit rot or tampering).
-	ErrChecksum = errors.New("shard: checksum mismatch")
+	ErrChecksum = envelope.ErrChecksum
 	// ErrTrailing: well-formed artifact followed by extra bytes.
-	ErrTrailing = errors.New("shard: trailing bytes after artifact")
+	ErrTrailing = envelope.ErrTrailing
 	// ErrEncoding: the checksum holds but the payload does not parse —
 	// an encoder bug or a hand-crafted artifact.
 	ErrEncoding = errors.New("shard: malformed payload")
@@ -194,7 +187,7 @@ func (a *Artifact) Encode() []byte {
 	}
 
 	payload := make([]byte, 0, 4096)
-	payload = appendString(payload, a.AnalyzerVersion)
+	payload = envelope.AppendBytesV(payload, a.AnalyzerVersion)
 	payload = binary.AppendUvarint(payload, uint64(a.Slice))
 	payload = binary.AppendUvarint(payload, uint64(a.Slices))
 	var flags byte
@@ -206,9 +199,9 @@ func (a *Artifact) Encode() []byte {
 	var graphBuf []byte
 	for i := range a.Files {
 		f := &a.Files[i]
-		payload = appendString(payload, f.Name)
+		payload = envelope.AppendBytesV(payload, f.Name)
 		payload = append(payload, f.SHA256[:]...)
-		payload = appendString(payload, f.ParseError)
+		payload = envelope.AppendBytesV(payload, f.ParseError)
 		if sidecar {
 			payload = append(payload, a.SidecarKeys[i][:]...)
 			payload = binary.AppendUvarint(payload, uint64(a.SidecarCosts[i]))
@@ -218,13 +211,11 @@ func (a *Artifact) Encode() []byte {
 		payload = append(payload, graphBuf...)
 	}
 
-	out := make([]byte, 0, headerMin+len(payload)+checksumSize+8)
+	out := make([]byte, 0, len(magic)+1+binary.MaxVarintLen64+len(payload)+checksumSize)
 	out = append(out, magic...)
 	out = append(out, codecVersion)
-	out = binary.AppendUvarint(out, uint64(len(payload)))
-	out = append(out, payload...)
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...)
+	out = envelope.AppendBytesV(out, payload)
+	return envelope.Seal(out)
 }
 
 // verifyEnvelope checks the whole-buffer framing invariants — magic,
@@ -233,41 +224,30 @@ func (a *Artifact) Encode() []byte {
 // priorities of whole-buffer decoding (a flipped payload byte is
 // ErrChecksum, never a parse error).
 func verifyEnvelope(data []byte) error {
-	if len(data) < len(magic) {
-		return fmt.Errorf("%w: %d bytes, shorter than the magic", ErrTruncated, len(data))
+	r := envelope.NewReader(data)
+	if m := r.Take(len(magic)); m != nil && string(m) != magic {
+		return fmt.Errorf("%w: %q", ErrMagic, m)
 	}
-	if string(data[:len(magic)]) != magic {
-		return fmt.Errorf("%w: %q", ErrMagic, data[:len(magic)])
-	}
-	if len(data) < headerMin {
-		return fmt.Errorf("%w: %d bytes, header incomplete", ErrTruncated, len(data))
-	}
-	if v := data[len(magic)]; v != codecVersion {
+	if v := r.Byte(); r.Err() == nil && v != codecVersion {
 		return fmt.Errorf("%w: got %d, want %d", ErrCodecVersion, v, codecVersion)
 	}
-	rest := data[len(magic)+1:]
-	payloadLen, n := binary.Uvarint(rest)
-	if n == 0 {
-		return fmt.Errorf("%w: header length field incomplete", ErrTruncated)
-	}
-	// Guard only against overflow-scale lengths here; a declared length
-	// that merely exceeds the bytes in hand is truncation, caught below.
-	if n < 0 || payloadLen > maxPayloadLen {
+	payloadLen := r.Uvarint()
+	if err := r.Err(); errors.Is(err, ErrTruncated) {
+		return fmt.Errorf("%w (header)", err)
+	} else if err != nil || payloadLen > maxPayloadLen {
+		// Guard only against overflow-scale lengths here; a declared length
+		// that merely exceeds the bytes in hand is truncation, caught below.
 		return fmt.Errorf("%w: implausible payload length %d", ErrEncoding, payloadLen)
 	}
-	headerLen := len(magic) + 1 + n
-	total := headerLen + int(payloadLen) + checksumSize
-	if len(data) < total {
-		return fmt.Errorf("%w: have %d bytes, envelope declares %d", ErrTruncated, len(data), total)
+	have, want := uint64(len(r.Rest())), payloadLen+checksumSize
+	if have < want {
+		return fmt.Errorf("%w: %d bytes after the header, envelope declares %d", ErrTruncated, have, want)
 	}
-	if len(data) > total {
-		return fmt.Errorf("%w: %d extra bytes", ErrTrailing, len(data)-total)
+	if have > want {
+		return fmt.Errorf("%w: %d extra bytes", ErrTrailing, have-want)
 	}
-	body, sum := data[:total-checksumSize], data[total-checksumSize:]
-	if want := sha256.Sum256(body); string(want[:]) != string(sum) {
-		return ErrChecksum
-	}
-	return nil
+	_, err := envelope.Open(data, magic)
+	return err
 }
 
 // Decode parses one artifact occupying the whole of data. Every failure
@@ -305,30 +285,11 @@ func Write(w io.Writer, a *Artifact) (int64, error) {
 	return int64(n), err
 }
 
-// WriteFile writes the artifact to path atomically (temp file + rename,
-// the fpcache pattern), so a crashed worker never leaves a partial
-// artifact that a coordinator could pick up.
+// WriteFile writes the artifact to path atomically, so a crashed worker
+// never leaves a partial artifact that a coordinator could pick up.
 func WriteFile(path string, a *Artifact) (int64, error) {
 	data := a.Encode()
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := envelope.WriteFile(path, data); err != nil {
 		return 0, err
 	}
 	return int64(len(data)), nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"time"
 
 	"seldon/internal/fpcache"
@@ -136,20 +137,36 @@ func (r *Reader) puvarint(what string) (uint64, error) {
 	return 0, r.fault("%s is not a varint", what)
 }
 
-// pstring reads one length-prefixed string from the payload.
-func (r *Reader) pstring(what string) (string, error) {
+// readChunk bounds what pbytes allocates ahead of the bytes it has read.
+const readChunk = 64 << 10
+
+// pbytes reads one length-prefixed run of payload bytes into a fresh
+// buffer. The length is only a claim — checked against the payload's
+// declared length, which is itself a claim — so the buffer grows as the
+// bytes arrive instead of being sized by it.
+func (r *Reader) pbytes(what string) ([]byte, error) {
 	n, err := r.puvarint(what + " length")
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > r.left {
-		return "", r.fault("%s overruns payload (%d bytes declared, %d left)", what, n, r.left)
+		return nil, r.fault("%s overruns payload (%d bytes declared, %d left)", what, n, r.left)
 	}
-	buf := make([]byte, n)
-	if err := r.pread(buf, what); err != nil {
-		return "", err
+	buf := make([]byte, 0, min(n, readChunk))
+	for have := uint64(0); have < n; have = uint64(len(buf)) {
+		buf = slices.Grow(buf, int(min(n-have, readChunk)))
+		buf = buf[:min(n, uint64(cap(buf)))]
+		if err := r.pread(buf[have:], what); err != nil {
+			return nil, err
+		}
 	}
-	return string(buf), nil
+	return buf, nil
+}
+
+// pstring reads one length-prefixed string from the payload.
+func (r *Reader) pstring(what string) (string, error) {
+	buf, err := r.pbytes(what)
+	return string(buf), err
 }
 
 // fault records a payload parse failure, then resolves its sentinel by
@@ -311,17 +328,10 @@ func (r *Reader) Next() (*FileSection, error) {
 		}
 		r.sec.Cost = time.Duration(cost)
 	}
-	graphLen, err := r.puvarint("graph length")
-	if err != nil {
-		return nil, err
-	}
-	if graphLen > r.left {
-		return nil, r.fault("graph section overruns payload (%d bytes declared, %d left)", graphLen, r.left)
-	}
 	// A fresh buffer per section: the decoded graph and Enc stay valid
 	// for the caller while peak memory remains one section.
-	enc := make([]byte, graphLen)
-	if err := r.pread(enc, "graph section"); err != nil {
+	enc, err := r.pbytes("graph section")
+	if err != nil {
 		return nil, err
 	}
 	g, tail, err := propgraph.DecodeBinary(enc)
