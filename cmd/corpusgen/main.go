@@ -5,12 +5,6 @@
 // Usage:
 //
 //	corpusgen -out /tmp/corpus -files 400 -seed 1
-//
-// For distributed-learning experiments, -slices/-slice write only one
-// worker's deterministic partition of the corpus (cut by project, so the
-// union of all slices is exactly the whole corpus):
-//
-//	corpusgen -out /tmp/part2 -files 400 -slices 4 -slice 2
 package main
 
 import (
@@ -24,21 +18,13 @@ import (
 
 func main() {
 	var (
-		out    = flag.String("out", "corpus-out", "output directory")
-		files  = flag.Int("files", 400, "number of files")
-		seed   = flag.Int64("seed", 1, "generator seed")
-		slices = flag.Int("slices", 1, "cut the corpus into this many slices and write only -slice")
-		slice  = flag.Int("slice", 0, "which slice to write (0-based)")
+		out   = flag.String("out", "corpus-out", "output directory")
+		files = flag.Int("files", 400, "number of files")
+		seed  = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
 
-	if *slices < 1 || *slice < 0 || *slice >= *slices {
-		fatal(fmt.Errorf("slice %d of %d out of range", *slice, *slices))
-	}
 	c := corpus.Generate(corpus.Config{Files: *files, Seed: *seed})
-	if *slices > 1 {
-		c = c.Slice(*slices, *slice)
-	}
 	for _, f := range c.Files {
 		path := filepath.Join(*out, f.Name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -63,12 +49,8 @@ func main() {
 		[]byte(corpus.ExperimentSeed().Format()), 0o644); err != nil {
 		fatal(err)
 	}
-	sliceNote := ""
-	if *slices > 1 {
-		sliceNote = fmt.Sprintf(" (slice %d/%d)", *slice, *slices)
-	}
-	fmt.Printf("wrote %d files, %d flows, and seed.spec to %s%s\n",
-		len(c.Files), len(c.Flows), *out, sliceNote)
+	fmt.Printf("wrote %d files, %d flows, and seed.spec to %s\n",
+		len(c.Files), len(c.Flows), *out)
 }
 
 func fatal(err error) {

@@ -1,55 +1,39 @@
-// Command seldon runs end-to-end taint-specification inference: it parses
-// a directory of Python files (or generates a synthetic corpus), learns
-// likely sources, sanitizers, and sinks from a seed specification, and
-// prints the inferred specifications sorted by confidence.
+// Command seldon learns taint specifications from a corpus of Python
+// files: likely sources, sanitizers and sinks inferred from a seed
+// specification, printed by confidence and optionally saved. It is one
+// program with three ways in, each a subcommand whose flags (-h lists
+// them) are drawn from the same groups and whose output is the same
+// summary, stage breakdown, store and inferred lists:
 //
-// Usage:
+//	seldon learn -dir repo [-seedfile seed.spec] -out learned.spec
+//	seldon learn -generate 240 -o specs.json          # synthetic corpus, store for seldond
+//	seldon learn -dir repo -session-dir .seldon -o specs.json
+//	seldon learn -dir repo -session-dir .seldon -feedback verdicts.json -o specs.json
 //
-//	seldon -dir path/to/python/repo [-seedfile seed.spec] [-threshold 0.1]
-//	seldon -generate 400           # run on a synthetic corpus instead
-//	seldon -generate 240 -o specs.json   # persist a spec store for seldond
+// learn analyzes the whole corpus in this process. With -session-dir it
+// keeps per-file graphs, the previous solution and feedback pins there,
+// re-analyzes only files whose content changed and warm-starts the solve;
+// -feedback replays {symbol, role, verdict} objects into the session as
+// hard pins. The same directory powers seldond's POST /v1/feedback.
 //
-// Distributed learning: seldon is also the coordinator of the
-// seldon-shard worker fleet. -shards-in ingests pre-produced shard
-// artifacts (validated, merged in slice order, learned once);
-// -exec-shards spawns N local seldon-shard subprocesses over pipes —
-// the same flow without a cluster. Either way the saved spec store is
-// byte-identical to a single-process run on the whole corpus.
+//	seldon shard -dir repo -slices 4 -slice 2 -o part2.shard
+//	seldon coordinate -shards-in 'parts/*.shard' -seedfile seed.spec -o specs.json
+//	seldon coordinate -generate 240 -exec-shards 4 -o specs.json
 //
-//	seldon -shards-in 'parts/*.shard' -seedfile seed.spec -o specs.json
-//	seldon -generate 240 -exec-shards 4 -shard-bin ./seldon-shard -o specs.json
+// shard analyzes one contiguous slice of the corpus's sorted file names
+// and writes one artifact; coordinate merges artifacts in slice order —
+// from files, or streamed from N `seldon shard` subprocesses of this same
+// binary — and learns once. Whichever way in, the store is byte-identical
+// to `seldon learn` over the whole corpus.
 //
-// Observability:
-//
-//	seldon -generate 400 -v                      # per-stage log + interning summary
-//	seldon -generate 400 -metrics-json m.json    # metrics snapshot at exit
-//	seldon -generate 400 -http :8080             # /metrics + /debug/pprof
-//	seldon -generate 400 -cpuprofile cpu.out -memprofile mem.out
-//
-// Incremental analysis: -cache-dir keeps per-file front-end results in a
-// content-addressed on-disk cache, so re-learning after editing a few
-// files only re-parses those files. Results are bitwise identical with
-// and without the cache; -cache-clear empties the directory first. With
-// -exec-shards the directory is shared by the worker subprocesses.
-//
-//	seldon -dir repo -cache-dir ~/.cache/seldon
-//	seldon -dir repo -cache-dir ~/.cache/seldon -cache-clear
-//
-// Continuous learning: -session-dir persists the whole learning state
-// (per-file propagation graphs, previous solution, feedback pins)
-// between runs. A re-run diffs the corpus against the session, splices
-// only changed files, reuses the cached constraint blocks of unchanged
-// ones, and warm-starts the solver from the previous solution — same
-// store as a from-scratch run, a fraction of the work. -feedback
-// replays operator verdicts (accept/reject of a (symbol, role)) into
-// the session as hard constraints before re-learning; the same session
-// directory powers seldond's live /v1/feedback endpoint.
-//
-//	seldon -generate 240 -session-dir .seldon-session -o specs.json
-//	seldon -dir repo -session-dir s -feedback verdicts.json -o specs.json
+// Every subcommand takes -cache-dir (content-addressed per-file analysis
+// cache, shared safely between workers) and the observability flags:
+// -v, -metrics-json, -http (/metrics and /debug/pprof/ during the run),
+// -cpuprofile, -memprofile.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io/fs"
@@ -59,183 +43,272 @@ import (
 	"strings"
 	"time"
 
-	"seldon/internal/constraints"
 	"seldon/internal/core"
 	"seldon/internal/corpus"
 	"seldon/internal/fpcache"
 	"seldon/internal/obs"
 	"seldon/internal/obs/trace"
 	"seldon/internal/propgraph"
-	"seldon/internal/shard"
 	"seldon/internal/spec"
 	"seldon/internal/specio"
 )
 
 func main() {
-	var (
-		dir       = flag.String("dir", "", "directory of .py files to learn from")
-		generate  = flag.Int("generate", 0, "generate a synthetic corpus of N files instead of -dir")
-		seedFile  = flag.String("seedfile", "", "seed specification (o:/a:/i:/b: lines); default: the paper's App. B seed")
-		threshold = flag.Float64("threshold", 0.1, "score threshold for selecting roles")
-		lambda    = flag.Float64("lambda", 0.1, "L1 regularization weight")
-		cval      = flag.Float64("c", 0.75, "implication-strength constant C")
-		limit     = flag.Int("top", 50, "print at most this many inferred specs per role")
-		workers   = flag.Int("workers", 0, "front-end worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical at every count")
-		out       = flag.String("out", "", "write the merged (seed + learned) specification to this file, for taintcheck -spec")
-		store     = flag.String("o", "", "write the merged specification as a versioned JSON spec store (with provenance metadata), for seldond -specs")
-
-		shardsIn   = flag.String("shards-in", "", "coordinate: glob of shard artifacts (from seldon-shard) to merge and learn from")
-		execShards = flag.Int("exec-shards", 0, "coordinate: spawn N local seldon-shard subprocesses over -dir/-generate and merge their artifacts")
-		shardBin   = flag.String("shard-bin", "seldon-shard", "seldon-shard binary for -exec-shards")
-		shipCache  = flag.Bool("ship-cache", false, "coordinate: have workers attach fpcache sidecars to their artifacts, ingested into -cache-dir")
-		flowCache  = flag.String("flowcache", "", "coordinate: persistent flow-constraint block cache file (loaded before the build, saved after; stale or corrupt files load as empty)")
-
-		cacheDir   = flag.String("cache-dir", "", "persistent per-file analysis cache directory (content-addressed; results are bitwise identical with or without it)")
-		cacheClear = flag.Bool("cache-clear", false, "empty -cache-dir before the run")
-
-		sessionDir   = flag.String("session-dir", "", "persistent incremental-learning session directory: re-learns only what changed since the last run there (results identical to from-scratch)")
-		feedbackFile = flag.String("feedback", "", "JSON file of {symbol, role, verdict} objects replayed into the session as hard pins (requires -session-dir)")
-
-		verbose     = flag.Bool("v", false, "log pipeline stages and parse errors to stderr")
-		metricsJSON = flag.String("metrics-json", "", "write a JSON metrics snapshot to this file at exit")
-		httpAddr    = flag.String("http", "", "serve /metrics and /debug/pprof/ on this address during the run (e.g. :8080)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-	)
-	flag.Parse()
-
-	var logger *obs.Logger
-	if *verbose {
-		logger = obs.NewLogger(os.Stderr)
+	commands := map[string]func(args []string) error{
+		"learn":      learn,
+		"coordinate": coordinate,
+		"shard":      shardWorker,
 	}
-	var reg *obs.Registry
-	if *metricsJSON != "" || *httpAddr != "" {
-		reg = obs.New()
+	if len(os.Args) < 2 || commands[os.Args[1]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: seldon learn|coordinate|shard [flags]   (seldon <subcommand> -h lists them)")
+		os.Exit(2)
 	}
-	if *httpAddr != "" {
-		srv, errc, err := obs.Serve(*httpAddr, reg)
+	if err := commands[os.Args[1]](os.Args[2:]); err != nil {
+		fmt.Fprintln(os.Stderr, "seldon:", err)
+		os.Exit(1)
+	}
+}
+
+// The flag groups. Each flag is registered by exactly one of these
+// functions; a subcommand's flag set is the groups that apply to it plus
+// its own flags, so a flag that does not apply is flag's usage error.
+
+// inputFlags designate the corpus and how wide the front-end runs over it.
+type inputFlags struct {
+	dir      string
+	generate int
+	workers  int
+}
+
+func addInputFlags(fs *flag.FlagSet) *inputFlags {
+	in := &inputFlags{}
+	fs.StringVar(&in.dir, "dir", "", "directory of .py files")
+	fs.IntVar(&in.generate, "generate", 0, "generate a synthetic corpus of N files instead of -dir")
+	fs.IntVar(&in.workers, "workers", 0, "front-end worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical at every count")
+	return in
+}
+
+// files loads slice i of n of the designated corpus: contiguous blocks of
+// its sorted file names (1 of 1 is the corpus). A -dir slice reads only
+// its own files.
+func (in *inputFlags) files(i, n int) (map[string]string, error) {
+	switch {
+	case in.generate > 0:
+		return core.SliceFiles(corpus.Generate(corpus.Config{Files: in.generate}).FileMap(), i, n), nil
+	case in.dir != "":
+		var names []string
+		err := filepath.WalkDir(in.dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".py") {
+				names = append(names, path)
+			}
+			return err
+		})
 		if err != nil {
-			fatal(err) // fail fast: busy port, bad address
+			return nil, err
+		}
+		sort.Strings(names)
+		files := map[string]string{}
+		for _, name := range core.SliceNames(names, i, n) {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				return nil, err
+			}
+			files[name] = string(data)
+		}
+		return files, nil
+	}
+	return nil, errors.New("need -dir or -generate (see -h)")
+}
+
+// learnFlags are what the learn is run against and with.
+type learnFlags struct {
+	seedFile             string
+	threshold, lambda, c float64
+}
+
+func addLearnFlags(fs *flag.FlagSet) *learnFlags {
+	l := &learnFlags{}
+	fs.StringVar(&l.seedFile, "seedfile", "", "seed specification (o:/a:/i:/b: lines); default: the paper's App. B seed, or the generator's with -generate")
+	fs.Float64Var(&l.threshold, "threshold", 0.1, "score threshold for selecting roles")
+	fs.Float64Var(&l.lambda, "lambda", 0.1, "L1 regularization weight")
+	fs.Float64Var(&l.c, "c", 0.75, "implication-strength constant C")
+	return l
+}
+
+// seed resolves the seed specification; every way in picks the same one
+// for the same corpus.
+func (l *learnFlags) seed(in *inputFlags) (*spec.Spec, error) {
+	switch {
+	case l.seedFile != "":
+		data, err := os.ReadFile(l.seedFile)
+		if err != nil {
+			return nil, err
+		}
+		return spec.Parse(string(data))
+	case in.generate > 0:
+		return corpus.ExperimentSeed(), nil
+	}
+	return spec.Seed(), nil
+}
+
+// outputFlags say what to print and where to save what was learned.
+type outputFlags struct {
+	top        int
+	out, store string
+}
+
+func addOutputFlags(fs *flag.FlagSet) *outputFlags {
+	o := &outputFlags{}
+	fs.IntVar(&o.top, "top", 50, "print at most this many inferred specs per role")
+	fs.StringVar(&o.out, "out", "", "write the merged (seed + learned) specification to this file, for taintcheck -spec")
+	fs.StringVar(&o.store, "o", "", "write the merged specification as a versioned JSON spec store (with provenance metadata), for seldond -specs")
+	return o
+}
+
+// cacheFlags designate the persistent per-file analysis cache.
+type cacheFlags struct {
+	dir   string
+	clear bool
+}
+
+func addCacheFlags(fs *flag.FlagSet) *cacheFlags {
+	c := &cacheFlags{}
+	fs.StringVar(&c.dir, "cache-dir", "", "persistent per-file analysis cache directory (content-addressed, sharable between workers; results are bitwise identical with or without it)")
+	fs.BoolVar(&c.clear, "cache-clear", false, "empty -cache-dir before the run")
+	return c
+}
+
+// open returns the cache, or nil without -cache-dir.
+func (c *cacheFlags) open() (*fpcache.Cache, error) {
+	if c.dir == "" {
+		return nil, nil
+	}
+	cache, err := fpcache.Open(c.dir)
+	if err == nil && c.clear {
+		err = cache.Clear()
+	}
+	return cache, err
+}
+
+// addShipCacheFlag registers the one flag coordinate and shard share.
+func addShipCacheFlag(fs *flag.FlagSet) *bool {
+	return fs.Bool("ship-cache", false, "attach the fpcache sidecar (per-file cache key + cost) to shard artifacts, so the coordinator's -cache-dir is seeded by its workers (coordinate: needs -exec-shards)")
+}
+
+// obsFlags are the observability surface of a run.
+type obsFlags struct {
+	verbose                                       bool
+	metricsJSON, httpAddr, cpuProfile, memProfile string
+}
+
+func addObsFlags(fs *flag.FlagSet) *obsFlags {
+	o := &obsFlags{}
+	fs.BoolVar(&o.verbose, "v", false, "log pipeline stages and parse errors to stderr")
+	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write a JSON metrics snapshot to this file at exit")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics and /debug/pprof/ on this address during the run (e.g. :8080)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
+	return o
+}
+
+// observed is a run's observability once started: the logger and registry
+// the pipeline reports to (nil when nothing asked for them), and stop,
+// which ends the CPU profile and writes the heap profile and the metrics
+// snapshot.
+type observed struct {
+	log  *obs.Logger
+	reg  *obs.Registry
+	stop func() error
+}
+
+// start brings up what the flags ask for, failing before the run on a
+// busy port or an unwritable path rather than after it.
+func (o *obsFlags) start() (*observed, error) {
+	ob := &observed{}
+	if o.verbose {
+		ob.log = obs.NewLogger(os.Stderr)
+	}
+	if o.metricsJSON != "" || o.httpAddr != "" {
+		ob.reg = obs.New()
+	}
+	if o.httpAddr != "" {
+		srv, errc, err := obs.Serve(o.httpAddr, ob.reg)
+		if err != nil {
+			return nil, err
 		}
 		go func() {
 			if err := <-errc; err != nil {
-				fatal(err)
+				fmt.Fprintln(os.Stderr, "seldon:", err)
+				os.Exit(1)
 			}
 		}()
-		logger.Log("http.listen", "addr", srv.Addr)
+		ob.log.Log("http.listen", "addr", srv.Addr)
+	}
+	if o.metricsJSON != "" {
+		if err := ob.reg.WriteJSON(o.metricsJSON); err != nil {
+			return nil, err
+		}
 	}
 	stopCPU := func() error { return nil }
-	if *cpuProfile != "" {
-		stop, err := obs.StartCPUProfile(*cpuProfile)
+	if o.cpuProfile != "" {
+		stop, err := obs.StartCPUProfile(o.cpuProfile)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		stopCPU = stop
 	}
-	if *metricsJSON != "" {
-		// Fail fast on an unwritable path rather than after the run.
-		if err := reg.WriteJSON(*metricsJSON); err != nil {
-			fatal(err)
+	ob.stop = func() error {
+		if err := stopCPU(); err != nil {
+			return err
 		}
-	}
-
-	coordinating := *shardsIn != "" || *execShards > 0
-	if *feedbackFile != "" && *sessionDir == "" {
-		fatal(fmt.Errorf("-feedback requires -session-dir"))
-	}
-	if *sessionDir != "" && coordinating {
-		fatal(fmt.Errorf("-session-dir does not compose with shard coordination"))
-	}
-	if *flowCache != "" && !coordinating {
-		fatal(fmt.Errorf("-flowcache requires shard coordination (-shards-in or -exec-shards); -session-dir persists it on the incremental path"))
-	}
-	if *shipCache && *execShards <= 0 {
-		fatal(fmt.Errorf("-ship-cache requires -exec-shards (pre-produced -shards-in artifacts carry sidecars or not; -cache-dir ingests them either way)"))
-	}
-
-	// Every run is one trace: the pipeline stages become child spans so
-	// -v can print where the time went as a tree, mirroring what seldond
-	// serves per-request from /debug/traces.
-	tracer := trace.New(4)
-	rootName := "seldon.learn"
-	if coordinating {
-		rootName = "seldon.coordinate"
-	}
-	rootSpan := tracer.StartRoot(rootName)
-	cfg := core.Config{Threshold: *threshold, Workers: *workers, Metrics: reg, Log: logger, Span: rootSpan}
-	cfg.Constraints.Lambda = *lambda
-	cfg.Constraints.C = *cval
-	if *cacheDir != "" && !coordinating {
-		// A coordinator never runs the front-end itself; with
-		// -exec-shards the directory is handed to the workers instead.
-		cache, err := fpcache.Open(*cacheDir)
-		if err != nil {
-			fatal(err)
-		}
-		if *cacheClear {
-			if err := cache.Clear(); err != nil {
-				fatal(err)
+		if o.memProfile != "" {
+			if err := obs.WriteHeapProfile(o.memProfile); err != nil {
+				return err
 			}
 		}
-		cfg.Cache = cache
-	}
-
-	// Both paths converge on a Result plus the corpus identity the spec
-	// store's provenance block records.
-	var (
-		res         *core.Result
-		seedSpec    *spec.Spec
-		nFiles      int
-		fingerprint string
-		summary     string
-	)
-	runStart := time.Now()
-	if coordinating {
-		var err error
-		seedSpec, err = coordinatorSeed(*seedFile, *generate)
-		if err != nil {
-			fatal(err)
-		}
-		var mres *shard.MergeResult
-		res, mres, err = coordinate(coordinateConfig{
-			Pattern:   *shardsIn,
-			ExecN:     *execShards,
-			Bin:       *shardBin,
-			Dir:       *dir,
-			Generate:  *generate,
-			Workers:   *workers,
-			CacheDir:  *cacheDir,
-			ShipCache: *shipCache,
-			FlowCache: *flowCache,
-		}, seedSpec, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		nFiles = len(mres.Files)
-		fingerprint = mres.CorpusFingerprint
-		summary = fmt.Sprintf("coordinated %d shards: %d files", mres.Slices, nFiles)
-	} else {
-		files, seed, err := loadInput(*dir, *generate, *seedFile)
-		if err != nil {
-			fatal(err)
-		}
-		seedSpec = seed
-		rootSpan.SetAttr("files", len(files))
-		if *sessionDir != "" {
-			res, err = runSession(*sessionDir, *feedbackFile, files, seedSpec, cfg)
-			if err != nil {
-				fatal(err)
+		if o.metricsJSON != "" {
+			if err := ob.reg.WriteJSON(o.metricsJSON); err != nil {
+				return err
 			}
-			summary = fmt.Sprintf("re-learned %d files incrementally", len(files))
-		} else {
-			res = core.LearnFromSources(files, seedSpec, cfg)
-			summary = fmt.Sprintf("analyzed %d files", len(files))
+			ob.log.Log("metrics.written", "path", o.metricsJSON)
 		}
-		nFiles = len(files)
-		fingerprint = specio.Fingerprint(files)
+		return nil
 	}
-	rootSpan.End()
-	reg.Set(obs.GaugePipelineWall, time.Since(runStart).Seconds())
+	return ob, nil
+}
+
+// learnRun is what learn and coordinate share around the pipeline: the
+// run's trace (stages become child spans, printed as a tree under -v, the
+// way seldond serves them per request from /debug/traces), the pipeline
+// configuration, and the tail every learn ends with.
+type learnRun struct {
+	ob     *observed
+	tracer *trace.Tracer
+	root   *trace.Span
+	begun  time.Time
+	cfg    core.Config
+}
+
+func startLearnRun(rootName string, in *inputFlags, l *learnFlags, o *obsFlags) (*learnRun, error) {
+	ob, err := o.start()
+	if err != nil {
+		return nil, err
+	}
+	r := &learnRun{ob: ob, tracer: trace.New(4), begun: time.Now()}
+	r.root = r.tracer.StartRoot(rootName)
+	r.cfg = core.Config{Threshold: l.threshold, Workers: in.workers, Metrics: ob.reg, Log: ob.log, Span: r.root}
+	r.cfg.Constraints.Lambda = l.lambda
+	r.cfg.Constraints.C = l.c
+	return r, nil
+}
+
+// finish closes the run and writes everything a learn writes: summary
+// line, stage breakdown, front-end and cache lines, -out and -o, and the
+// inferred specifications by role. nFiles and fingerprint are the corpus
+// identity the store's provenance records.
+func (r *learnRun) finish(res *core.Result, seedSpec *spec.Spec, summary string, nFiles int, fingerprint string, out *outputFlags) error {
+	r.root.End()
+	r.cfg.Metrics.Set(obs.GaugePipelineWall, time.Since(r.begun).Seconds())
 
 	st := res.Graph.ComputeStats()
 	errNote := ""
@@ -261,39 +334,26 @@ func main() {
 				float64(cpu)/float64(res.FrontendWall))
 		}
 	}
-	fmt.Print(cacheSummary(res, cfg.Cache))
-	if *verbose {
+	fmt.Print(cacheSummary(res, r.cfg.Cache))
+	if r.ob.log != nil {
 		fmt.Printf("interning: %d distinct symbols, %d bytes saved vs per-occurrence rep strings\n",
 			res.InternSymbols, res.InternBytesSaved)
-		if td, ok := tracer.TraceByID(rootSpan.TraceID()); ok {
+		if td, ok := r.tracer.TraceByID(r.root.TraceID()); ok {
 			fmt.Printf("trace %s:\n%s", td.TraceID, td.Tree())
 		}
 	}
-
-	if err := stopCPU(); err != nil {
-		fatal(err)
-	}
-	if *memProfile != "" {
-		if err := obs.WriteHeapProfile(*memProfile); err != nil {
-			fatal(err)
-		}
-	}
-	if *metricsJSON != "" {
-		if err := reg.WriteJSON(*metricsJSON); err != nil {
-			fatal(err)
-		}
-		logger.Log("metrics.written", "path", *metricsJSON)
+	if err := r.ob.stop(); err != nil {
+		return err
 	}
 
-	if *out != "" {
-		merged := res.LearnedSpec(seedSpec)
-		if err := os.WriteFile(*out, []byte(merged.Format()), 0o644); err != nil {
-			fatal(err)
+	merged := res.LearnedSpec(seedSpec)
+	if out.out != "" {
+		if err := os.WriteFile(out.out, []byte(merged.Format()), 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("wrote %d specification entries to %s\n", merged.Len(), *out)
+		fmt.Printf("wrote %d specification entries to %s\n", merged.Len(), out.out)
 	}
-	if *store != "" {
-		merged := res.LearnedSpec(seedSpec)
+	if out.store != "" {
 		meta := specio.Meta{
 			CorpusFingerprint: fingerprint,
 			CorpusFiles:       nFiles,
@@ -302,11 +362,11 @@ func main() {
 			LearnedEntries:    merged.Len() - seedSpec.Len(),
 			Generator:         "seldon",
 		}
-		if err := specio.Save(*store, merged, meta); err != nil {
-			fatal(err)
+		if err := specio.Save(out.store, merged, meta); err != nil {
+			return err
 		}
 		fmt.Printf("wrote spec store (%d entries, schema v%d) to %s\n",
-			merged.Len(), specio.SchemaVersion, *store)
+			merged.Len(), specio.SchemaVersion, out.store)
 	}
 
 	entries := res.LearnedEntries(seedSpec)
@@ -314,7 +374,7 @@ func main() {
 		n := 0
 		fmt.Printf("\ninferred %ss:\n", role)
 		for _, e := range entries {
-			if e.Role != role || n >= *limit {
+			if e.Role != role || n >= out.top {
 				continue
 			}
 			n++
@@ -324,158 +384,7 @@ func main() {
 			fmt.Println("  (none)")
 		}
 	}
-}
-
-// coordinateConfig bundles the coordinator's flag surface.
-type coordinateConfig struct {
-	Pattern  string // -shards-in glob (artifact files)
-	ExecN    int    // -exec-shards worker count
-	Bin      string // -shard-bin
-	Dir      string
-	Generate int
-	Workers  int
-	// CacheDir doubles as the workers' shared fpcache (-exec-shards) and
-	// the coordinator-side ingest target for artifact sidecars.
-	CacheDir  string
-	ShipCache bool   // ask workers to attach fpcache sidecars
-	FlowCache string // persisted flow-constraint block cache file
-}
-
-// coordinate gathers shard artifacts — from a glob of files or by
-// spawning a local seldon-shard fleet — and learns once over the global
-// graph. Ingestion is streaming and pipelined: each artifact is decoded
-// incrementally (never materialized whole) and folded into the union
-// the moment its slice-order turn comes, so decode overlaps worker
-// execution and peak coordinator memory is one artifact. The resulting
-// Result is what a single-process LearnFromSources over the
-// concatenated corpus would have produced, with shard gather/merge
-// timings prepended to the stage breakdown.
-func coordinate(cc coordinateConfig, seedSpec *spec.Spec, cfg core.Config) (*core.Result, *shard.MergeResult, error) {
-	var ingest *fpcache.Cache
-	if cc.CacheDir != "" {
-		c, err := fpcache.Open(cc.CacheDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		ingest = c
-	}
-	mopts := shard.MergeOptions{Metrics: cfg.Metrics, Log: cfg.Log}
-	ropts := shard.ReadOptions{Cache: ingest, Metrics: cfg.Metrics, Log: cfg.Log}
-
-	var (
-		mres       *shard.MergeResult
-		gatherName = obs.StageShardStream
-	)
-	t0 := time.Now()
-	if cc.Pattern != "" {
-		paths, err := filepath.Glob(cc.Pattern)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(paths) == 0 {
-			return nil, nil, fmt.Errorf("no shard artifacts match %q", cc.Pattern)
-		}
-		sort.Strings(paths)
-		gatherSpan := cfg.Span.StartChild(gatherName)
-		m := shard.NewMerger(mopts)
-		for _, p := range paths {
-			a, err := shard.ReadFile(p, ropts)
-			if err != nil {
-				return nil, nil, err
-			}
-			cfg.Log.Log("shard.read", "path", p, "slice", a.Slice, "of", a.Slices,
-				"bytes", a.Size)
-			if err := m.Commit(a); err != nil {
-				return nil, nil, err
-			}
-		}
-		mres, err = m.Finish()
-		gatherSpan.End()
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		gatherName = obs.StageShardExec
-		gatherSpan := cfg.Span.StartChild(gatherName)
-		var err error
-		mres, err = shard.ExecMerge(shard.ExecConfig{
-			Bin: cc.Bin, Slices: cc.ExecN,
-			Dir: cc.Dir, Generate: cc.Generate,
-			Workers: cc.Workers, CacheDir: cc.CacheDir,
-			ShipCache: cc.ShipCache, Ingest: ingest,
-			Metrics: cfg.Metrics,
-		}, mopts)
-		gatherSpan.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Metrics.ObserveDuration(obs.StageShardExec, time.Since(t0))
-	}
-	gatherWall := time.Since(t0)
-
-	res, err := coordinatedLearn(cc.FlowCache, mres, seedSpec, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Stages = append([]core.StageTiming{
-		{Name: gatherName, Duration: gatherWall},
-		{Name: obs.TimerShardMerge, Duration: mres.MergeWall},
-	}, res.Stages...)
-	res.ParseErrors = mres.ParseErrors
-	res.ParseErrorFiles = mres.ParseErrorFiles
-	return res, mres, nil
-}
-
-// coordinatedLearn runs inference over the merged graph. With a
-// -flowcache file it loads the persisted flow-constraint blocks, builds
-// the system incrementally against the merge's file spans (byte-
-// identical to the full build — reuse is fingerprint-gated), saves the
-// refreshed cache back, and hands the prepared system to the solver;
-// without one it is core.Learn.
-func coordinatedLearn(flowPath string, mres *shard.MergeResult, seedSpec *spec.Spec, cfg core.Config) (*core.Result, error) {
-	if flowPath == "" || mres.Spans == nil {
-		return core.Learn(mres.Graph, seedSpec, cfg), nil
-	}
-	copts := cfg.ConstraintOptions()
-	fc, warm := constraints.LoadFlowCache(flowPath, copts)
-
-	sp := cfg.Span.StartChild(obs.StageConstraints)
-	tb := time.Now()
-	sys, st := constraints.BuildIncremental(mres.Graph, seedSpec, copts, mres.Spans, fc)
-	buildWall := time.Since(tb)
-	sp.End()
-	cfg.Metrics.ObserveDuration(obs.StageConstraints, buildWall)
-	cfg.Log.Log(obs.StageConstraints, "dur", buildWall.Round(time.Microsecond),
-		"flowcache", flowPath, "warm", warm,
-		"spans", st.Spans, "reused", st.SpansReused, "rebuilt", st.SpansRebuilt)
-
-	res := core.LearnPrepared(mres.Graph, sys, cfg)
-	res.Stages = append([]core.StageTiming{
-		{Name: obs.StageConstraints, Duration: buildWall},
-	}, res.Stages...)
-	if err := fc.Save(flowPath, copts); err != nil {
-		// The run's result is already in hand; a failed save only costs
-		// the next run its warm start.
-		fmt.Fprintln(os.Stderr, "seldon: flowcache save:", err)
-	}
-	return res, nil
-}
-
-// coordinatorSeed resolves the seed specification for a coordinator
-// run, mirroring loadInput's choices so distributed and single-process
-// runs of the same corpus learn from the same seed.
-func coordinatorSeed(seedFile string, generate int) (*spec.Spec, error) {
-	if seedFile != "" {
-		data, err := os.ReadFile(seedFile)
-		if err != nil {
-			return nil, err
-		}
-		return spec.Parse(string(data))
-	}
-	if generate > 0 {
-		return corpus.ExperimentSeed(), nil
-	}
-	return spec.Seed(), nil
+	return nil
 }
 
 // stageBreakdown formats the per-stage timing line: each recorded stage
@@ -520,51 +429,4 @@ func cacheSummary(res *core.Result, cache *fpcache.Cache) string {
 			float64(res.FrontendWall+res.CacheSaved)/float64(res.FrontendWall))
 	}
 	return line + "\n"
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "seldon:", err)
-	os.Exit(1)
-}
-
-// loadInput assembles the file map and seed specification.
-func loadInput(dir string, generate int, seedFile string) (map[string]string, *spec.Spec, error) {
-	var files map[string]string
-	var seedSpec *spec.Spec
-	switch {
-	case generate > 0:
-		c := corpus.Generate(corpus.Config{Files: generate})
-		files = c.FileMap()
-		seedSpec = corpus.ExperimentSeed()
-	case dir != "":
-		files = map[string]string{}
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".py") {
-				return err
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			files[path] = string(data)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		seedSpec = spec.Seed()
-	default:
-		return nil, nil, fmt.Errorf("need -dir or -generate (see -help)")
-	}
-	if seedFile != "" {
-		data, err := os.ReadFile(seedFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		seedSpec, err = spec.Parse(string(data))
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return files, seedSpec, nil
 }

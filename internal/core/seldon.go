@@ -157,18 +157,20 @@ func (r *Result) StageTime(name string) time.Duration {
 	return 0
 }
 
-// runStage times f and records the result in Result.Stages, the metrics
-// registry, the stage log, and — when Config.Span is set — as a child
-// span of the run's trace.
-func (r *Result) runStage(cfg Config, name string, f func()) {
+// RunStage times f as one pipeline stage: the returned timing is what a
+// Result lists in Stages, and the same duration goes to the metrics
+// registry, the stage log, and — when Config.Span is set — a child span of
+// the run's trace. Every stage of every way into the pipeline, the
+// coordinator's gather included, is timed here.
+func RunStage(cfg Config, name string, f func()) StageTiming {
 	sp := cfg.Span.StartChild(name)
 	t0 := time.Now()
 	f()
 	d := time.Since(t0)
 	sp.End()
-	r.Stages = append(r.Stages, StageTiming{Name: name, Duration: d})
 	cfg.Metrics.ObserveDuration(name, d)
 	cfg.Log.Log(name, "dur", d.Round(time.Microsecond))
+	return StageTiming{Name: name, Duration: d}
 }
 
 // Learn runs specification inference over a global propagation graph.
@@ -177,9 +179,9 @@ func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
 	start := time.Now()
 	res := &Result{Graph: g}
 
-	res.runStage(cfg, obs.StageConstraints, func() {
+	res.Stages = append(res.Stages, RunStage(cfg, obs.StageConstraints, func() {
 		res.System = constraints.Build(g, seed, cfg.ConstraintOptions())
-	})
+	}))
 
 	res.solveAndSelect(cfg, start)
 	return res
@@ -241,9 +243,9 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 		}
 	}
 	var sol *lp.Result
-	res.runStage(cfg, obs.StageSolve, func() {
+	res.Stages = append(res.Stages, RunStage(cfg, obs.StageSolve, func() {
 		sol = lp.Minimize(res.System.Problem, solverOpts)
-	})
+	}))
 	res.Solution = sol.X
 	res.SolverEpochs = sol.Iterations
 	res.SolverRowsReused, res.SolverRowsDead = sol.RowsReused, sol.RowsDead
@@ -258,9 +260,9 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 	cfg.Log.Log("solver.done", "epochs", sol.Iterations,
 		"objective", sol.Objective, "violation", sol.Violation)
 
-	res.runStage(cfg, obs.StageSelect, func() {
+	res.Stages = append(res.Stages, RunStage(cfg, obs.StageSelect, func() {
 		res.selectRoles(cfg)
-	})
+	}))
 	cfg.Metrics.Set(obs.GaugeSelectPredictions, float64(len(res.Predictions)))
 	res.InferenceTime = time.Since(start)
 }
@@ -290,14 +292,10 @@ func LearnFromSources(files map[string]string, seed *spec.Spec, cfg Config) *Res
 		trace.String("files", len(files)), trace.String("summed", "per-file"))
 	cfg.Span.AddChildAt(obs.StageDataflow, feStart.Add(fe.ParseTotal), fe.AnalyzeTotal,
 		trace.String("summed", "per-file"))
-	t0 := time.Now()
-	unionSpan := cfg.Span.StartChild(obs.StageUnion)
-	union := propgraph.Union(fe.Graphs...)
-	unionSpan.End()
-	unionD := time.Since(t0)
-	cfg.Metrics.ObserveDuration(obs.StageUnion, unionD)
-	cfg.Log.Log(obs.StageUnion, "dur", unionD.Round(time.Microsecond))
-	pre = append(pre, StageTiming{Name: obs.StageUnion, Duration: unionD})
+	var union *propgraph.Graph
+	pre = append(pre, RunStage(cfg, obs.StageUnion, func() {
+		union = propgraph.Union(fe.Graphs...)
+	}))
 
 	res := Learn(union, seed, cfg)
 	res.Stages = append(pre, res.Stages...)
@@ -310,16 +308,6 @@ func LearnFromSources(files map[string]string, seed *spec.Spec, cfg Config) *Res
 	res.CacheBytes = fe.CacheBytes
 	res.CacheSaved = fe.CacheSaved
 	return res
-}
-
-// ScoreOf returns the solver score for (rep, role), or 0 when the
-// representation has no variable.
-func (r *Result) ScoreOf(rep string, role propgraph.Role) float64 {
-	id := r.System.VarID(rep, role)
-	if id < 0 {
-		return 0
-	}
-	return r.Solution[id]
 }
 
 // selectRoles applies §7.1: for each candidate event and allowed role,

@@ -69,7 +69,7 @@ func NewTruth() *Truth {
 }
 
 // repSuffixes returns the dotted suffixes of rep with at least two
-// segments (plus rep itself), mirroring propgraph.SuffixReps.
+// segments (plus rep itself), mirroring propgraph.AppendSuffixReps.
 func repSuffixes(rep string) []string {
 	segs := strings.Split(rep, ".")
 	if len(segs) <= 2 {

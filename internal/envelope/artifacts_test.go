@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"seldon/internal/constraints"
 	"seldon/internal/core"
@@ -131,13 +132,16 @@ func commitShard(t *testing.T, a *shard.Artifact, err error) error {
 	return shard.NewMerger(shard.MergeOptions{}).Commit(a)
 }
 
+// loadShardWhole reads the artifact the way a file is read, every Read
+// filling its buffer; loadShardStream the way a slow pipe delivers it, one
+// byte a Read.
 func loadShardWhole(t *testing.T, _ string, data []byte, _ bool) error {
-	a, err := shard.Decode(data)
+	a, err := shard.ReadArtifact(bytes.NewReader(data), shard.ReadOptions{})
 	return commitShard(t, a, err)
 }
 
 func loadShardStream(t *testing.T, _ string, data []byte, _ bool) error {
-	a, err := shard.ReadArtifact(bytes.NewReader(data), shard.ReadOptions{})
+	a, err := shard.ReadArtifact(iotest.OneByteReader(bytes.NewReader(data)), shard.ReadOptions{})
 	return commitShard(t, a, err)
 }
 

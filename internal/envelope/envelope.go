@@ -31,7 +31,7 @@ var (
 	ErrChecksum  = errors.New("envelope: checksum mismatch")
 	ErrTrailing  = errors.New("envelope: trailing bytes after artifact")
 
-	errVarint = errors.New("envelope: varint overflows 64 bits")
+	errVarint = errors.New("envelope: varint overflows 64 bits or is padded")
 )
 
 // Seal appends the sha256 of b to b.
@@ -178,9 +178,13 @@ func (r *Reader) U64() uint64 {
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // varint moves past a varint of n bytes, or fails when binary.Uvarint
-// or binary.Varint returned n <= 0.
+// or binary.Varint returned n <= 0, or when the varint is padded: a last
+// byte of zero after others is not how any encoder here writes the value,
+// and a format whose bytes stand for its content cannot have two spellings.
 func (r *Reader) varint(n int) bool {
 	switch {
+	case n > 1 && r.data[r.at+n-1] == 0:
+		r.Fail(errVarint)
 	case n > 0:
 		r.at += n
 		return true

@@ -319,33 +319,3 @@ func (g *Graph) Gibbs(opts GibbsOptions, rng *rand.Rand) []float64 {
 	}
 	return counts
 }
-
-// ExactMarginals computes marginals by brute-force enumeration; usable
-// only for small graphs (≤ 20 variables) and used in tests as ground truth.
-func (g *Graph) ExactMarginals() ([]float64, error) {
-	if g.NumVars > 20 {
-		return nil, fmt.Errorf("factorgraph: %d variables too many for exact inference", g.NumVars)
-	}
-	marg := make([]float64, g.NumVars)
-	z := 0.0
-	x := make([]bool, g.NumVars)
-	for a := 0; a < 1<<g.NumVars; a++ {
-		for v := range x {
-			x[v] = (a>>v)&1 == 1
-		}
-		p := g.Score(x)
-		z += p
-		for v := range x {
-			if x[v] {
-				marg[v] += p
-			}
-		}
-	}
-	if z == 0 {
-		return nil, fmt.Errorf("factorgraph: partition function is zero")
-	}
-	for v := range marg {
-		marg[v] /= z
-	}
-	return marg, nil
-}

@@ -78,8 +78,8 @@ const warmPatience = 25
 
 // fileState is one corpus file inside the session.
 type fileState struct {
-	// contentHash is the sha256 of the file's source text, used by the
-	// CLI to diff an on-disk corpus against the session without
+	// contentHash is the sha256 of the file's source text, by which
+	// SpliceSources diffs a corpus against the session without
 	// re-analyzing unchanged files. Zero when the graph was spliced
 	// directly (no source in hand).
 	contentHash [32]byte
@@ -167,18 +167,6 @@ func (s *Session) sortedNames() []string {
 	return names
 }
 
-// FileHash returns the sha256 of the named file's source text and
-// whether the session holds that file with a recorded content hash.
-func (s *Session) FileHash(name string) ([32]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fs := s.files[name]
-	if fs == nil || !fs.hasContent {
-		return [32]byte{}, false
-	}
-	return fs.contentHash, true
-}
-
 // EncodedGraph returns the binary encoding of the named file's graph,
 // or nil when the file is not in the session. The returned slice must
 // not be modified.
@@ -213,40 +201,58 @@ func (s *Session) Splice(name string, g *propgraph.Graph) {
 	t0 := time.Now()
 	enc := g.AppendBinary(nil)
 	s.mu.Lock()
-	if old := s.files[name]; old != nil && bytes.Equal(old.enc, enc) {
-		s.mu.Unlock()
-		s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
-		return
+	if old := s.files[name]; old == nil || !bytes.Equal(old.enc, enc) {
+		s.files[name] = newFileState(enc, g)
 	}
-	s.files[name] = newFileState(enc, g)
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
 }
 
-// SpliceSource analyzes one source file through the standard front-end
-// and splices the resulting graph, recording the content hash so a
-// later corpus diff can skip it without re-analysis. An unchanged
-// content hash short-circuits before parsing.
-func (s *Session) SpliceSource(name, source string) {
-	h := sha256.Sum256([]byte(source))
+// SpliceSources brings the session up to date with a set of source files
+// (name → text): the ones whose content hash the session already holds
+// are skipped before parsing, the rest go through the standard front-end
+// in one call — the session's workers, cache, metrics and log — and their
+// graphs are spliced with the hash recorded, so a later diff can skip
+// them too. Files the session holds under other names stay.
+func (s *Session) SpliceSources(files map[string]string) (spliced, unchanged int) {
+	hashes := make(map[string][32]byte, len(files))
+	for name, src := range files {
+		hashes[name] = sha256.Sum256([]byte(src))
+	}
+	changed := make(map[string]string)
 	s.mu.Lock()
-	if old := s.files[name]; old != nil && old.hasContent && old.contentHash == h {
-		s.mu.Unlock()
-		return
+	for name, src := range files {
+		if old := s.files[name]; old == nil || !old.hasContent || old.contentHash != hashes[name] {
+			changed[name] = src
+		}
 	}
 	s.mu.Unlock()
+	if len(changed) == 0 {
+		return 0, len(files)
+	}
 
 	t0 := time.Now()
-	fe := core.AnalyzeFiles(map[string]string{name: source}, core.Config{
-		Workers: 1, Cache: s.cfg.Cache, Metrics: s.cfg.Metrics, Log: s.cfg.Log,
+	fe := core.AnalyzeFiles(changed, core.Config{
+		Workers: s.cfg.Workers, Cache: s.cfg.Cache, Metrics: s.cfg.Metrics, Log: s.cfg.Log,
 	})
-	g := fe.Graphs[0]
-	fs := newFileState(g.AppendBinary(nil), g)
-	fs.contentHash, fs.hasContent = h, true
+	states := make([]*fileState, len(fe.Names))
+	for i, name := range fe.Names {
+		fs := newFileState(fe.Graphs[i].AppendBinary(nil), fe.Graphs[i])
+		fs.contentHash, fs.hasContent = hashes[name], true
+		states[i] = fs
+	}
 	s.mu.Lock()
-	s.files[name] = fs
+	for i, name := range fe.Names {
+		s.files[name] = states[i]
+	}
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
+	return len(changed), len(files) - len(changed)
+}
+
+// SpliceSource is SpliceSources of one file.
+func (s *Session) SpliceSource(name, source string) {
+	s.SpliceSources(map[string]string{name: source})
 }
 
 // Pin records a feedback verdict: the (rep, role) variable is pinned to
@@ -256,17 +262,6 @@ func (s *Session) Pin(rep string, role propgraph.Role, val float64) {
 	s.mu.Lock()
 	s.pins[PinKey{Rep: rep, Role: role}] = val
 	s.mu.Unlock()
-}
-
-// Unpin removes a feedback pin, reporting whether it existed.
-func (s *Session) Unpin(rep string, role propgraph.Role) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.pins[PinKey{Rep: rep, Role: role}]; !ok {
-		return false
-	}
-	delete(s.pins, PinKey{Rep: rep, Role: role})
-	return true
 }
 
 // Pins returns the number of active feedback pins.

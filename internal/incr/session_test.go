@@ -110,6 +110,40 @@ func TestSessionEquivalenceOracle(t *testing.T) {
 	}
 }
 
+// TestSpliceSourcesBatch: one batch call holds what file-by-file splicing
+// holds, counts what it analyzed and what it skipped by content hash, and
+// leaves files it was not handed alone.
+func TestSpliceSourcesBatch(t *testing.T) {
+	files, names := testCorpus(t, 40, 3)
+	one := sessionFrom(t, files, core.Config{Workers: 1})
+	batch := incr.NewSession(corpus.ExperimentSeed(), core.Config{Workers: 4})
+	if spliced, unchanged := batch.SpliceSources(files); spliced != len(files) || unchanged != 0 {
+		t.Fatalf("first sync: %d spliced, %d unchanged, want %d, 0", spliced, unchanged, len(files))
+	}
+	for _, name := range names {
+		if !bytes.Equal(batch.EncodedGraph(name), one.EncodedGraph(name)) {
+			t.Fatalf("%s: batch and file-by-file graphs differ", name)
+		}
+	}
+	if spliced, unchanged := batch.SpliceSources(files); spliced != 0 || unchanged != len(files) {
+		t.Fatalf("second sync: %d spliced, %d unchanged, want 0, %d", spliced, unchanged, len(files))
+	}
+	edit := map[string]string{
+		names[0]: files[names[0]] + "\ndef extra(q):\n    y = q.fetch()\n    sys_exec(y)\n",
+		names[1]: files[names[1]],
+		"new.py": "y = 2\n",
+	}
+	if spliced, unchanged := batch.SpliceSources(edit); spliced != 2 || unchanged != 1 {
+		t.Fatalf("edit sync: %d spliced, %d unchanged, want 2, 1", spliced, unchanged)
+	}
+	if batch.Len() != len(files)+1 {
+		t.Fatalf("session holds %d files, want %d", batch.Len(), len(files)+1)
+	}
+	if bytes.Equal(batch.EncodedGraph(names[0]), one.EncodedGraph(names[0])) {
+		t.Error("edited file kept its old graph")
+	}
+}
+
 // TestSessionRelearnFannedOut runs a session over a corpus large enough
 // that Relearn's union is copied by several goroutines and its flow pass
 // has stale spans for every worker (under -race this is the test that

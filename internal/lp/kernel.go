@@ -569,7 +569,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 			}
 			tel.emitPrecomputed(t-1, obj, bestObj, hinge, k.violated, gradSq, stepSq)
 			pending = false
-			if math.Abs(prevObj-obj) < opts.Tolerance {
+			if math.Abs(prevObj-obj) < tolerance {
 				break
 			}
 			if opts.Patience > 0 && stale >= opts.Patience {
@@ -581,20 +581,20 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 		k.scatter(grad)
 		// Adam update with bias correction, then projection. Pinned
 		// variables are never touched, so no re-pinning is needed.
-		b1t := 1 - math.Pow(opts.Beta1, float64(t))
-		b2t := 1 - math.Pow(opts.Beta2, float64(t))
+		b1t := 1 - math.Pow(beta1, float64(t))
+		b2t := 1 - math.Pow(beta2, float64(t))
 		gradSq, stepSq = 0, 0
 		for i := 0; i < n; i++ {
 			if !free[i] {
 				continue
 			}
 			g := grad[i]
-			m[i] = opts.Beta1*m[i] + (1-opts.Beta1)*g
-			vv[i] = opts.Beta2*vv[i] + (1-opts.Beta2)*g*g
+			m[i] = beta1*m[i] + (1-beta1)*g
+			vv[i] = beta2*vv[i] + (1-beta2)*g*g
 			mHat := m[i] / b1t
 			vHat := vv[i] / b2t
 			old := x[i]
-			x[i] -= opts.LearnRate * mHat / (math.Sqrt(vHat) + opts.Eps)
+			x[i] -= learnRate * mHat / (math.Sqrt(vHat) + eps)
 			if x[i] < 0 {
 				x[i] = 0
 			} else if x[i] > 1 {

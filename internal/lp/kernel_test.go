@@ -355,8 +355,7 @@ func assertSameStory(t *testing.T, ker, ref []EpochStats) {
 // budget after withDefaults is bypassed) aligned with the reference.
 func TestMinimizeZeroIterationBudget(t *testing.T) {
 	p := randomishProblem(40, 100)
-	r := minimizeKernel(p, Options{Iterations: -1, Shards: 1,
-		LearnRate: 0.05, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, Tolerance: 1e-6})
+	r := minimizeKernel(p, Options{Iterations: -1, Shards: 1})
 	if r.Iterations != 0 {
 		t.Fatalf("iterations = %d, want 0", r.Iterations)
 	}

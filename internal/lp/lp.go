@@ -162,23 +162,20 @@ func (p *Problem) Objective(x []float64) float64 {
 	return obj
 }
 
-// TotalViolation returns the hinge part of the objective only.
-func (p *Problem) TotalViolation(x []float64) float64 {
-	total := 0.0
-	for i := range p.Constraints {
-		total += p.Constraints[i].Violation(x, p.C)
-	}
-	return total
-}
+// Adam's step size, moment decays and epsilon (Kingma & Ba's defaults but
+// for the step), and the objective change below which a solve stops. They
+// are typed so that 1-beta1 rounds as the float64 subtraction does.
+const (
+	learnRate float64 = 0.05
+	beta1     float64 = 0.9
+	beta2     float64 = 0.999
+	eps       float64 = 1e-8
+	tolerance float64 = 1e-6
+)
 
 // Options configures the solver.
 type Options struct {
-	Iterations int     // maximum epochs; default 400
-	LearnRate  float64 // Adam step size; default 0.05
-	Beta1      float64 // default 0.9
-	Beta2      float64 // default 0.999
-	Eps        float64 // default 1e-8
-	Tolerance  float64 // stop when objective improves less than this; default 1e-6
+	Iterations int // maximum epochs; default 400
 	// Shards bounds the goroutines the compiled kernel uses for the
 	// per-epoch constraint pass; 0 selects runtime.GOMAXPROCS(0) and 1
 	// keeps the pass on the calling goroutine. Results are bit-for-bit
@@ -205,7 +202,7 @@ type Options struct {
 	// Patience, when positive, stops the solve after that many
 	// consecutive epochs without a best-objective improvement. Adam's
 	// per-epoch objective jitters forever on a hinge landscape, so the
-	// Tolerance check rarely fires; the plateau check is how a
+	// tolerance check rarely fires; the plateau check is how a
 	// warm-started re-solve that begins at (or near) the optimum
 	// actually gets to stop early. Zero disables it, keeping the exact
 	// fixed-budget behaviour cold solves are calibrated against.
@@ -221,21 +218,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Iterations == 0 {
 		o.Iterations = 400
-	}
-	if o.LearnRate == 0 {
-		o.LearnRate = 0.05
-	}
-	if o.Beta1 == 0 {
-		o.Beta1 = 0.9
-	}
-	if o.Beta2 == 0 {
-		o.Beta2 = 0.999
-	}
-	if o.Eps == 0 {
-		o.Eps = 1e-8
-	}
-	if o.Tolerance == 0 {
-		o.Tolerance = 1e-6
 	}
 	if o.Shards == 0 {
 		o.Shards = runtime.GOMAXPROCS(0)

@@ -31,9 +31,9 @@ func (m Method) String() string {
 }
 
 // MinimizeWith runs projected first-order descent with the chosen update
-// rule on the problem as written. MinimizeWith(p, opts, Adam) is
-// Minimize(p, opts).
-func MinimizeWith(p *Problem, opts Options, method Method) *Result {
+// rule on the problem as written, SGD and AdaGrad at step size rate.
+// MinimizeWith(p, opts, Adam, 0) is Minimize(p, opts).
+func MinimizeWith(p *Problem, opts Options, method Method, rate float64) *Result {
 	if method == Adam {
 		return Minimize(p, opts)
 	}
@@ -48,10 +48,10 @@ func MinimizeWith(p *Problem, opts Options, method Method) *Result {
 			switch method {
 			case SGD:
 				// 1/sqrt(t) step decay for convergence of subgradient descent.
-				x[i] -= opts.LearnRate / math.Sqrt(float64(t)) * g
+				x[i] -= rate / math.Sqrt(float64(t)) * g
 			case AdaGrad:
 				accum[i] += g * g
-				x[i] -= opts.LearnRate / (math.Sqrt(accum[i]) + opts.Eps) * g
+				x[i] -= rate / (math.Sqrt(accum[i]) + eps) * g
 			}
 			if x[i] < 0 {
 				x[i] = 0
@@ -79,9 +79,9 @@ func optimizerProblem() *Problem {
 
 func TestAllMethodsReachSimilarObjectives(t *testing.T) {
 	p := optimizerProblem()
-	adam := MinimizeWith(p, Options{Iterations: 3000}, Adam)
-	sgd := MinimizeWith(p, Options{Iterations: 3000, LearnRate: 0.2}, SGD)
-	ada := MinimizeWith(p, Options{Iterations: 3000, LearnRate: 0.3}, AdaGrad)
+	adam := MinimizeWith(p, Options{Iterations: 3000}, Adam, 0)
+	sgd := MinimizeWith(p, Options{Iterations: 3000}, SGD, 0.2)
+	ada := MinimizeWith(p, Options{Iterations: 3000}, AdaGrad, 0.3)
 	for name, r := range map[string]*Result{"adam": adam, "sgd": sgd, "adagrad": ada} {
 		if r.Objective > adam.Objective*1.5+0.5 {
 			t.Errorf("%s objective = %v, far from adam's %v", name, r.Objective, adam.Objective)
@@ -100,7 +100,7 @@ func TestAllMethodsReachSimilarObjectives(t *testing.T) {
 func TestMinimizeWithAdamMatchesMinimize(t *testing.T) {
 	p := optimizerProblem()
 	a := Minimize(p, Options{Iterations: 500})
-	b := MinimizeWith(p, Options{Iterations: 500}, Adam)
+	b := MinimizeWith(p, Options{Iterations: 500}, Adam, 0)
 	if a.Objective != b.Objective {
 		t.Errorf("objectives differ: %v vs %v", a.Objective, b.Objective)
 	}
@@ -117,7 +117,7 @@ func BenchmarkOptimizers(b *testing.B) {
 	for _, m := range []Method{Adam, SGD, AdaGrad} {
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := MinimizeWith(p, Options{Iterations: 100}, m)
+				r := MinimizeWith(p, Options{Iterations: 100}, m, learnRate)
 				b.ReportMetric(r.Objective, "objective")
 			}
 		})

@@ -105,19 +105,19 @@ func refStart(p *Problem, opts Options) (x []float64, free []bool, pin func([]fl
 
 // adamStep is one bias-corrected Adam update of the free variables followed
 // by the projection onto [0,1].
-func adamStep(opts Options, t int, x, grad, m, vv []float64, free []bool) {
-	b1t := 1 - math.Pow(opts.Beta1, float64(t))
-	b2t := 1 - math.Pow(opts.Beta2, float64(t))
+func adamStep(t int, x, grad, m, vv []float64, free []bool) {
+	b1t := 1 - math.Pow(beta1, float64(t))
+	b2t := 1 - math.Pow(beta2, float64(t))
 	for i := range x {
 		if !free[i] {
 			continue
 		}
 		g := grad[i]
-		m[i] = opts.Beta1*m[i] + (1-opts.Beta1)*g
-		vv[i] = opts.Beta2*vv[i] + (1-opts.Beta2)*g*g
+		m[i] = beta1*m[i] + (1-beta1)*g
+		vv[i] = beta2*vv[i] + (1-beta2)*g*g
 		mHat := m[i] / b1t
 		vHat := vv[i] / b2t
-		x[i] -= opts.LearnRate * mHat / (math.Sqrt(vHat) + opts.Eps)
+		x[i] -= learnRate * mHat / (math.Sqrt(vHat) + eps)
 		if x[i] < 0 {
 			x[i] = 0
 		} else if x[i] > 1 {
@@ -164,7 +164,7 @@ func descend(p *Problem, opts Options,
 			stale++
 		}
 		tel.emit(p, t, x, grad, free, obj, bestObj)
-		if math.Abs(prevObj-obj) < opts.Tolerance {
+		if math.Abs(prevObj-obj) < tolerance {
 			break
 		}
 		if opts.Patience > 0 && stale >= opts.Patience {
@@ -226,7 +226,7 @@ func minimizeReference(p *Problem, opts Options) *Result {
 		}
 	}
 	m, vv := make([]float64, p.NumVars), make([]float64, p.NumVars)
-	step := func(t int, x, grad []float64, free []bool) { adamStep(opts, t, x, grad, m, vv, free) }
+	step := func(t int, x, grad []float64, free []bool) { adamStep(t, x, grad, m, vv, free) }
 	return descend(p, opts, objective, gradient, step, hinge)
 }
 
@@ -249,13 +249,22 @@ func unfoldedGradient(p *Problem) func(x, grad []float64) {
 	}
 }
 
+// TotalViolation returns the hinge part of Problem.Objective only.
+func (p *Problem) TotalViolation(x []float64) float64 {
+	total := 0.0
+	for i := range p.Constraints {
+		total += p.Constraints[i].Violation(x, p.C)
+	}
+	return total
+}
+
 // minimizeUnfolded is projected Adam on the problem as written: the
 // objective is Problem.Objective, every copy of a constraint rounds into
 // the sums on its own.
 func minimizeUnfolded(p *Problem, opts Options) *Result {
 	opts = opts.withDefaults()
 	m, vv := make([]float64, p.NumVars), make([]float64, p.NumVars)
-	step := func(t int, x, grad []float64, free []bool) { adamStep(opts, t, x, grad, m, vv, free) }
+	step := func(t int, x, grad []float64, free []bool) { adamStep(t, x, grad, m, vv, free) }
 	return descend(p, opts, p.Objective, unfoldedGradient(p), step, p.TotalViolation)
 }
 

@@ -75,7 +75,7 @@ func TestOnEpochFiresForAllMethods(t *testing.T) {
 	for _, m := range []Method{Adam, SGD, AdaGrad} {
 		n := 0
 		opts := Options{Iterations: 50, OnEpoch: func(EpochStats) { n++ }}
-		r := MinimizeWith(convexToy(), opts, m)
+		r := MinimizeWith(convexToy(), opts, m, learnRate)
 		if n != r.Iterations || n == 0 {
 			t.Errorf("%v: hook fired %d times over %d epochs", m, n, r.Iterations)
 		}

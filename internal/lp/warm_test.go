@@ -81,8 +81,8 @@ func TestWarmStartWrongLengthIgnored(t *testing.T) {
 func TestWarmStartOtherOptimizers(t *testing.T) {
 	p := warmFixture()
 	for _, m := range []Method{SGD, AdaGrad} {
-		cold := MinimizeWith(p, Options{}, m)
-		warm := MinimizeWith(p, Options{WarmStart: cold.X}, m)
+		cold := MinimizeWith(p, Options{}, m, learnRate)
+		warm := MinimizeWith(p, Options{WarmStart: cold.X}, m, learnRate)
 		if warm.Objective > cold.Objective+1e-6 {
 			t.Errorf("%v: warm objective %g worse than cold %g", m, warm.Objective, cold.Objective)
 		}

@@ -105,17 +105,17 @@ const (
 	// corpus and the artifact bytes ingested.
 	StageShardAnalyze = "stage.shard.analyze"
 	StageShardEncode  = "stage.shard.encode"
-	// StageShardDecode timed the whole-buffer artifact decode; the
-	// streaming ingestion path observes StageShardStream instead (one
-	// sample per artifact streamed through shard.NewReader).
+	// StageShardDecode and StageShardExec are the coordinator's whole
+	// gather: read, decode and commit every artifact file of a glob, or
+	// spawn N `seldon shard` subprocesses, wait, decode their artifacts.
+	// StageShardStream is one sample per artifact streamed through
+	// shard.NewReader, inside either.
 	StageShardDecode = "stage.shard.decode"
 	StageShardStream = "stage.shard.stream"
-	// StageShardExec is the coordinator's whole local fan-out: spawn N
-	// seldon-shard subprocesses, wait, decode their artifacts.
-	StageShardExec  = "stage.shard.exec"
-	TimerShardMerge = "shard.merge"
-	GaugeShardFiles = "shard.files"
-	GaugeShardBytes = "shard.bytes"
+	StageShardExec   = "stage.shard.exec"
+	TimerShardMerge  = "shard.merge"
+	GaugeShardFiles  = "shard.files"
+	GaugeShardBytes  = "shard.bytes"
 	// GaugeShardSlices is the shard count a coordinator merged (or the
 	// slice count a worker was partitioned under).
 	GaugeShardSlices = "shard.slices"

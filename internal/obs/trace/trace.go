@@ -520,15 +520,3 @@ func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(ctxKey{}).(*Span)
 	return s
 }
-
-// StartSpan opens a span under the context's current span — or a new
-// root on t when the context carries none — and returns the context
-// rebound to the new span.
-func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if parent := FromContext(ctx); parent != nil {
-		sp := parent.StartChild(name)
-		return NewContext(ctx, sp), sp
-	}
-	sp := t.StartRoot(name)
-	return NewContext(ctx, sp), sp
-}

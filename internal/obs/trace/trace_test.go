@@ -259,8 +259,10 @@ func TestContextHelpers(t *testing.T) {
 	if FromContext(ctx) != nil {
 		t.Fatal("empty context has a span")
 	}
-	ctx, root := tr.StartSpan(ctx, "outer")
-	ctx2, child := tr.StartSpan(ctx, "inner")
+	root := tr.StartRoot("outer")
+	ctx = NewContext(ctx, root)
+	child := FromContext(ctx).StartChild("inner")
+	ctx2 := NewContext(ctx, child)
 	if FromContext(ctx2) != child || FromContext(ctx) != root {
 		t.Error("context rebinding broken")
 	}

@@ -1,7 +1,9 @@
 // Package pointsto implements inclusion-based (Andersen-style) points-to
 // analysis with field sensitivity — the classical algorithm the paper's
 // §5.2 builds its propagation-graph construction on (Smaragdakis &
-// Balatsouras, "Pointer Analysis", FnT PL 2015).
+// Balatsouras, "Pointer Analysis", FnT PL 2015). Nothing in the product
+// calls it: it is the oracle crosscheck_test.go holds internal/dataflow's
+// object model to, so the package is test files only.
 //
 // The solver processes four constraint forms over pointer variables and
 // abstract objects (allocation sites):

@@ -116,16 +116,18 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 
 // DecodeBinary decodes a graph encoded by AppendBinary from the front of
 // data, returning the graph and the unconsumed remainder. Malformed
-// input — truncation, version mismatch, out-of-range edges or symbols,
-// edge labels out of the encoder's normal form — yields an error, never a
-// partial graph.
+// input — truncation, version mismatch, out-of-range edges or symbols —
+// yields an error, never a partial graph, and so does input out of the
+// encoder's normal form (a file table not in first-use order, edge labels
+// out of order, a padded varint): what decodes encodes back to the bytes
+// consumed (FuzzDecodeBinary).
 func DecodeBinary(data []byte) (*Graph, []byte, error) {
 	r := envelope.NewReader(data)
 	fail := func(format string, args ...any) {
 		r.Fail(fmt.Errorf(format, args...))
 	}
-	// Every element of every list is at least one byte, so a count larger
-	// than what is left cannot be real.
+	// Every element of every list is at least one byte (an event seven, a
+	// label four), so a count larger than what is left cannot be real.
 	count := func() int { return r.Count(r.Uvarint(), 1) }
 	if tag := r.Byte(); r.Err() == nil && tag != binaryTag {
 		fail("bad tag 0x%02x", tag)
@@ -146,16 +148,28 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 		}
 	}
 
-	// File-name table.
+	// File-name table: distinct names, in the order the events first use
+	// them (usedFiles counts the ones an event has used so far).
 	var files []string
 	if numFiles := count(); numFiles > 0 {
 		files = make([]string, 0, numFiles)
+		var seen map[string]bool // a file's own graph names one file
+		if numFiles > 1 {
+			seen = make(map[string]bool, numFiles)
+		}
 		for i := 0; i < numFiles && r.Err() == nil; i++ {
-			files = append(files, r.StringV())
+			f := r.StringV()
+			if seen[f] {
+				fail("duplicate file name %q in table", f)
+			} else if seen != nil {
+				seen[f] = true
+			}
+			files = append(files, f)
 		}
 	}
+	usedFiles := 0
 
-	numEvents := count()
+	numEvents := r.Count(r.Uvarint(), 7)
 	g := &Graph{
 		Syms:   syms,
 		Events: make([]*Event, 0, numEvents),
@@ -171,10 +185,14 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 		fileIdx := r.Uvarint()
 		file := ""
 		if r.Err() == nil {
-			if fileIdx >= uint64(len(files)) {
+			switch {
+			case fileIdx >= uint64(len(files)):
 				fail("event %d: file index %d out of range", i, fileIdx)
-			} else {
+			case fileIdx > uint64(usedFiles):
+				fail("event %d: file %d used before file %d", i, fileIdx, usedFiles)
+			default:
 				file = files[fileIdx]
+				usedFiles = max(usedFiles, int(fileIdx)+1)
 			}
 		}
 		e := &evArena[i]
@@ -197,6 +215,10 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 		}
 		e.Roles = RoleSet(r.Byte())
 		g.Events = append(g.Events, e)
+	}
+
+	if r.Err() == nil && usedFiles != len(files) {
+		fail("%d file names no event uses", len(files)-usedFiles)
 	}
 
 	// Successors in stored (insertion) order; predecessors rebuilt in
@@ -223,7 +245,7 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 	// Edge labels in the encoder's normal form — edges in ascending key
 	// order, each an existing edge with a non-empty, strictly ascending
 	// argument list — which is what Union's bulk label copy relies on.
-	if nargs := count(); nargs > 0 {
+	if nargs := r.Count(r.Uvarint(), 4); nargs > 0 {
 		g.argRow = make([]int32, numEvents)
 		g.argRows = make([][][]int, 0, min(nargs, numEvents))
 		// Rows and argument lists are carved from chunks sized for the

@@ -67,6 +67,17 @@ func (r Role) String() string {
 // Roles returns all roles in canonical order.
 func Roles() []Role { return []Role{Source, Sanitizer, Sink} }
 
+// ParseRole is String's inverse over Roles: the name a feedback verdict or
+// a specification store spells a role by.
+func ParseRole(s string) (Role, bool) {
+	for _, r := range Roles() {
+		if r.String() == s {
+			return r, true
+		}
+	}
+	return 0, false
+}
+
 // RoleSet is a small set of roles.
 type RoleSet uint8
 

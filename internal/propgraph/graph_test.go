@@ -242,15 +242,15 @@ func TestParamEventReps(t *testing.T) {
 }
 
 func TestSuffixReps(t *testing.T) {
-	got := SuffixReps([]string{"flask", "request", "form", "get()"})
+	got := AppendSuffixReps(nil, []string{"flask", "request", "form", "get()"})
 	want := []string{"flask.request.form.get()", "request.form.get()", "form.get()"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v\nwant %v", got, want)
 	}
-	if got := SuffixReps([]string{"markdown()"}); !reflect.DeepEqual(got, []string{"markdown()"}) {
+	if got := AppendSuffixReps(nil, []string{"markdown()"}); !reflect.DeepEqual(got, []string{"markdown()"}) {
 		t.Errorf("single segment: %v", got)
 	}
-	if got := SuffixReps(nil); got != nil {
+	if got := AppendSuffixReps(nil, nil); got != nil {
 		t.Errorf("empty path: %v", got)
 	}
 }
@@ -275,5 +275,15 @@ func TestRoleSetOps(t *testing.T) {
 	}
 	if len(Roles()) != int(NumRoles) {
 		t.Error("Roles() incomplete")
+	}
+	for _, r := range Roles() {
+		if got, ok := ParseRole(r.String()); !ok || got != r {
+			t.Errorf("ParseRole(%q) = %v, %v", r.String(), got, ok)
+		}
+	}
+	for _, s := range []string{"", "Sink", "Role(3)", "propagator"} {
+		if _, ok := ParseRole(s); ok {
+			t.Errorf("ParseRole(%q) accepted", s)
+		}
 	}
 }

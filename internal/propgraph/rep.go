@@ -62,8 +62,9 @@ func (c RepContext) ParamRootedReps(param string, rest []string) []string {
 	return reps
 }
 
-// SuffixReps builds the dotted-suffix backoff chain for a path not rooted
-// at a parameter, e.g. ["flask", "request", "form", "get()"] yields
+// AppendSuffixReps appends to dst the dotted-suffix backoff chain for a
+// path not rooted at a parameter, e.g. ["flask", "request", "form",
+// "get()"] yields
 //
 //	flask.request.form.get()
 //	request.form.get()
@@ -72,14 +73,9 @@ func (c RepContext) ParamRootedReps(param string, rest []string) []string {
 // At least two segments are kept, so an overly general single-segment
 // representation (such as a bare method name) never becomes a backoff
 // target of a longer chain; a path that is itself a single segment yields
-// that one representation.
-func SuffixReps(path []string) []string {
-	return AppendSuffixReps(nil, path)
-}
-
-// AppendSuffixReps is SuffixReps appending to dst. The chain costs one
-// string: every shorter representation is a suffix of the first and is
-// returned as a substring of it.
+// that one representation. The chain costs one string: every shorter
+// representation is a suffix of the first and is returned as a substring
+// of it.
 func AppendSuffixReps(dst, path []string) []string {
 	if len(path) <= 1 {
 		return append(dst, path...)

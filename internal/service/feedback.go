@@ -131,20 +131,6 @@ type FeedbackResponse struct {
 	EpochsSaved  int  `json:"epochs_saved"`
 }
 
-// roleFromString parses the wire role names (the same vocabulary
-// /v1/specs uses).
-func roleFromString(s string) (propgraph.Role, bool) {
-	switch s {
-	case "source":
-		return propgraph.Source, true
-	case "sanitizer":
-		return propgraph.Sanitizer, true
-	case "sink":
-		return propgraph.Sink, true
-	}
-	return 0, false
-}
-
 // handleFeedback implements POST /v1/feedback. Resolution: a finding_id
 // pins (source symbol, source role) and (sink symbol, sink role); a
 // (symbol, role) pair pins exactly that variable. accept pins to 1,
@@ -205,7 +191,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		}
 		want = []pinReq{{target.source, propgraph.Source}, {target.sink, propgraph.Sink}}
 	case req.Symbol != "" && req.Role != "":
-		role, ok := roleFromString(req.Role)
+		role, ok := propgraph.ParseRole(req.Role)
 		if !ok {
 			s.fail(w, "feedback", http.StatusBadRequest, "role must be source, sanitizer, or sink")
 			return

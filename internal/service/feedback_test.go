@@ -163,7 +163,9 @@ func TestFeedbackRejectBySymbol(t *testing.T) {
 // finding over learned entries, a reject verdict against its ID pins
 // both endpoints, and a re-check of the identical body under the new
 // generation no longer reports the flow — proving the check cache
-// invalidated structurally with the store swap.
+// invalidated structurally with the store swap. An accept verdict on the
+// same finding, in the same server lifetime, then flips the same pins,
+// advances the generation a second time and brings the flow back.
 func TestFeedbackFindingLoop(t *testing.T) {
 	_, url, _ := newFeedbackServer(t)
 
@@ -209,6 +211,38 @@ func TestFeedbackFindingLoop(t *testing.T) {
 	}
 	if out3.Total >= out.Total {
 		t.Errorf("finding count did not drop: %d -> %d", out.Total, out3.Total)
+	}
+
+	aresp, aout := postFeedback(t, url, FeedbackRequest{FindingID: f.ID, Verdict: "accept"})
+	if aresp.StatusCode != http.StatusOK {
+		t.Fatalf("accept status = %d", aresp.StatusCode)
+	}
+	if aout.Epoch == "" || aout.Epoch == fout.Epoch {
+		t.Fatalf("accept did not advance the generation: %q -> %q", fout.Epoch, aout.Epoch)
+	}
+	if len(aout.Pinned) != len(fout.Pinned) {
+		t.Fatalf("accept pinned %+v, reject had pinned %+v", aout.Pinned, fout.Pinned)
+	}
+	for i, p := range aout.Pinned {
+		if p.Symbol != fout.Pinned[i].Symbol || p.Role != fout.Pinned[i].Role || p.Value != 1 {
+			t.Errorf("accept pinned %+v over the reject's %+v", p, fout.Pinned[i])
+		}
+	}
+	_, out4 := postCheck(t, url, learnedSrc)
+	back := false
+	for _, g := range out4.Findings {
+		back = back || g.ID == f.ID
+	}
+	if !back || out4.Total <= out3.Total {
+		t.Errorf("accepted finding %s not reported again: %d findings after the reject, %d after the accept", f.ID, out3.Total, out4.Total)
+	}
+	h := getHealth(t, url)
+	if h.Epoch != aout.Epoch {
+		t.Errorf("healthz epoch %q, want the accept generation %q", h.Epoch, aout.Epoch)
+	}
+	if fb := h.Feedback; fb == nil || fb.Accepted != 1 || fb.Rejected != 1 ||
+		fb.Resolves != 2 || fb.PinnedVars != len(aout.Pinned) {
+		t.Errorf("feedback health after reject then accept = %+v", fb)
 	}
 }
 

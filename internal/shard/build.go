@@ -18,8 +18,8 @@ import (
 // stage timers — so a shard worker is the single-process front-end with
 // an encoder where the learner used to be.
 
-// Build analyzes an already-sliced corpus (files is slice i of n, e.g.
-// from core.SliceFiles or corpus.Slice) and returns its artifact plus
+// Build analyzes an already-sliced corpus (files is slice i of n, cut by
+// core.SliceFiles or core.SliceNames) and returns its artifact plus
 // the front-end result for telemetry. The artifact's graph is the union
 // of the slice's per-file graphs in sorted name order, carrying a
 // per-shard symbol table.

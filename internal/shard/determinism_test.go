@@ -3,8 +3,11 @@ package shard
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"seldon/internal/constraints"
 	"seldon/internal/core"
 	"seldon/internal/corpus"
 	"seldon/internal/propgraph"
@@ -31,7 +34,7 @@ func TestMergeDeterminism(t *testing.T) {
 			a := buildSlice(t, files, i, n)
 			// Round-trip through the wire format so the test covers what a
 			// coordinator actually sees, not in-process structs.
-			decoded, err := Decode(a.Encode())
+			decoded, err := streamDecode(a.Encode())
 			if err != nil {
 				t.Fatalf("n=%d slice %d: round-trip: %v", n, i, err)
 			}
@@ -39,7 +42,7 @@ func TestMergeDeterminism(t *testing.T) {
 		}
 		rng.Shuffle(n, func(i, j int) { arts[i], arts[j] = arts[j], arts[i] })
 
-		res, err := Merge(arts, MergeOptions{})
+		res, err := mergeAll(arts, MergeOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: Merge: %v", n, err)
 		}
@@ -59,6 +62,61 @@ func TestMergeDeterminism(t *testing.T) {
 	}
 }
 
+// TestSliceCountInvariance is the metamorphic form of the same invariant,
+// with no single-process oracle in it: how many slices a corpus is cut
+// into, and in what order their artifacts arrive, are not inputs of the
+// merge. Workers cut by core.SliceFiles — the one slicer, for directories
+// and generated corpora alike — and whatever the cut, the coordinator ends
+// up with the same graph bytes and the same file spans. Contiguity is what
+// it leans on: a slicer that hands a worker files out of sorted order, or
+// two workers interleaved runs, fails here.
+func TestSliceCountInvariance(t *testing.T) {
+	files := corpus.Generate(corpus.Config{Files: 120}).FileMap()
+	merged := func(n int, order []int) ([]byte, []constraints.Span) {
+		t.Helper()
+		m := NewMerger(MergeOptions{})
+		for _, i := range order {
+			a, _, err := Build(core.SliceFiles(files, i, n), i, n, core.Config{Workers: 1})
+			if err == nil {
+				a, err = streamDecode(a.Encode())
+			}
+			if err == nil {
+				err = m.Commit(a)
+			}
+			if err != nil {
+				t.Fatalf("%d slices, arrival %v, slice %d: %v", n, order, i, err)
+			}
+		}
+		res, err := m.Finish()
+		if err != nil {
+			t.Fatalf("%d slices, arrival %v: %v", n, order, err)
+		}
+		return res.Graph.AppendBinary(nil), res.Spans
+	}
+	wantGraph, wantSpans := merged(1, []int{0})
+	if len(wantSpans) != len(files) {
+		t.Fatalf("one slice gave %d spans for %d files", len(wantSpans), len(files))
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{2, 3, 7} {
+		forward := make([]int, n)
+		for i := range forward {
+			forward[i] = i
+		}
+		backward := slices.Clone(forward)
+		slices.Reverse(backward)
+		for _, order := range [][]int{forward, backward, rng.Perm(n), rng.Perm(n)} {
+			graph, spans := merged(n, order)
+			if !bytes.Equal(graph, wantGraph) {
+				t.Errorf("%d slices, arrival %v: merged graph is not the one-slice graph", n, order)
+			}
+			if !reflect.DeepEqual(spans, wantSpans) {
+				t.Errorf("%d slices, arrival %v: spans are not the one-slice spans", n, order)
+			}
+		}
+	}
+}
+
 // TestMergeLearnsIdentically pushes one shard count all the way through
 // learning: the predictions from the merged graph equal those from the
 // single-process pipeline, entry for entry and score for score.
@@ -73,7 +131,7 @@ func TestMergeLearnsIdentically(t *testing.T) {
 	for i := range arts {
 		arts[i] = buildSlice(t, files, i, 3)
 	}
-	res, err := Merge([]*Artifact{arts[2], arts[0], arts[1]}, MergeOptions{})
+	res, err := mergeAll([]*Artifact{arts[2], arts[0], arts[1]}, MergeOptions{})
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
@@ -99,7 +157,7 @@ func TestMergeParseErrors(t *testing.T) {
 	}
 
 	arts := []*Artifact{buildSlice(t, files, 0, 2), buildSlice(t, files, 1, 2)}
-	res, err := Merge(arts, MergeOptions{})
+	res, err := mergeAll(arts, MergeOptions{})
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}

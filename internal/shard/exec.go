@@ -13,7 +13,7 @@ import (
 )
 
 // The local-process executor: the smallest real deployment of the
-// worker/coordinator split. Each slice is analyzed by a seldon-shard
+// worker/coordinator split. Each slice is analyzed by a `seldon shard`
 // subprocess writing its artifact to a stdout pipe, and the coordinator
 // streams the artifacts off those pipes through the incremental decoder
 // — so the whole distributed flow (worker binary, wire format, pipelined
@@ -23,7 +23,8 @@ import (
 
 // ExecConfig configures a local fan-out.
 type ExecConfig struct {
-	// Bin is the seldon-shard binary to spawn.
+	// Bin is the seldon binary spawned as `Bin shard ...`: the
+	// coordinator's own executable, or the one a test built.
 	Bin string
 	// Slices is the number of worker subprocesses (one per slice).
 	Slices int
@@ -67,6 +68,7 @@ func startWorkers(cfg ExecConfig) ([]workerProc, error) {
 	procs := make([]workerProc, 0, cfg.Slices)
 	for i := 0; i < cfg.Slices; i++ {
 		args := []string{
+			"shard",
 			"-slices", strconv.Itoa(cfg.Slices),
 			"-slice", strconv.Itoa(i),
 			"-o", "-",

@@ -17,21 +17,21 @@ import (
 	"seldon/internal/propgraph"
 )
 
-// buildWorkerBin compiles cmd/seldon-shard into a temp dir so the test
-// exercises the real subprocess fan-out, pipes and all.
+// buildWorkerBin compiles cmd/seldon into a temp dir so the test exercises
+// the real subprocess fan-out (`seldon shard`), pipes and all.
 func buildWorkerBin(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("short mode: skipping worker-binary build")
 	}
-	bin := filepath.Join(t.TempDir(), "seldon-shard")
+	bin := filepath.Join(t.TempDir(), "seldon")
 	if runtime.GOOS == "windows" {
 		bin += ".exe"
 	}
-	cmd := exec.Command("go", "build", "-o", bin, "seldon/cmd/seldon-shard")
+	cmd := exec.Command("go", "build", "-o", bin, "seldon/cmd/seldon")
 	cmd.Dir = repoRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build seldon-shard: %v\n%s", err, out)
+		t.Fatalf("go build seldon: %v\n%s", err, out)
 	}
 	return bin
 }

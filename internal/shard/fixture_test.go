@@ -33,7 +33,7 @@ func TestFixtureRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(data); err != nil {
+	if _, err := streamDecode(data); err != nil {
 		t.Fatalf("decode fixture: %v", err)
 	}
 

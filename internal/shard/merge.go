@@ -114,8 +114,8 @@ func NewMerger(opts MergeOptions) *Merger {
 
 // Commit validates one artifact against the partitioning seen so far
 // and folds it — plus any parked successors it unblocks — into the
-// union. The artifact's graph must already be checksum-settled (Decode,
-// ReadArtifact, and ReadFile only return settled artifacts). Errors are
+// union. The artifact's graph must already be checksum-settled
+// (ReadArtifact and ReadFile only return settled artifacts). Errors are
 // the package's named sentinels; any error poisons the merge.
 func (m *Merger) Commit(a *Artifact) error {
 	t0 := time.Now()
@@ -231,20 +231,4 @@ func (m *Merger) Finish() (*MergeResult, error) {
 	m.opts.Metrics.Set(obs.GaugeShardSlices, float64(m.count))
 	m.opts.Metrics.Set(obs.GaugeShardMergePeakBytes, float64(res.PeakBytes))
 	return res, nil
-}
-
-// Merge validates arts as a complete partitioning and merges them.
-// Artifact order does not matter — slices are reassembled by index —
-// but the set must be exactly one artifact per slice, all cut from the
-// same corpus ordering by the same analyzer version. Any violation is
-// one of the package's named errors. Merge is the barrier convenience
-// over Merger; the streaming coordinator commits as artifacts arrive.
-func Merge(arts []*Artifact, opts MergeOptions) (*MergeResult, error) {
-	m := NewMerger(opts)
-	for _, a := range arts {
-		if err := m.Commit(a); err != nil {
-			return nil, err
-		}
-	}
-	return m.Finish()
 }

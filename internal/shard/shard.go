@@ -40,8 +40,8 @@
 // changes byte-wise downstream.
 //
 // Determinism: slices are contiguous blocks of the corpus's sorted
-// file-name order (core.SliceNames, corpus.Slice), each worker merges
-// its per-file graphs in that order, and the coordinator unions shard
+// file-name order (core.SliceNames), each worker merges its per-file
+// graphs in that order, and the coordinator unions shard
 // graphs in slice-index order with symbol translation — so the merged
 // graph, and everything learned from it, is byte-identical to a
 // single-process run over the concatenated corpus, at any shard count
@@ -50,7 +50,6 @@ package shard
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -216,50 +215,6 @@ func (a *Artifact) Encode() []byte {
 	out = append(out, codecVersion)
 	out = envelope.AppendBytesV(out, payload)
 	return envelope.Seal(out)
-}
-
-// verifyEnvelope checks the whole-buffer framing invariants — magic,
-// codec version, declared length vs bytes in hand, trailing bytes, and
-// the checksum — before any payload parsing, preserving the sentinel
-// priorities of whole-buffer decoding (a flipped payload byte is
-// ErrChecksum, never a parse error).
-func verifyEnvelope(data []byte) error {
-	r := envelope.NewReader(data)
-	if m := r.Take(len(magic)); m != nil && string(m) != magic {
-		return fmt.Errorf("%w: %q", ErrMagic, m)
-	}
-	if v := r.Byte(); r.Err() == nil && v != codecVersion {
-		return fmt.Errorf("%w: got %d, want %d", ErrCodecVersion, v, codecVersion)
-	}
-	payloadLen := r.Uvarint()
-	if err := r.Err(); errors.Is(err, ErrTruncated) {
-		return fmt.Errorf("%w (header)", err)
-	} else if err != nil || payloadLen > maxPayloadLen {
-		// Guard only against overflow-scale lengths here; a declared length
-		// that merely exceeds the bytes in hand is truncation, caught below.
-		return fmt.Errorf("%w: implausible payload length %d", ErrEncoding, payloadLen)
-	}
-	have, want := uint64(len(r.Rest())), payloadLen+checksumSize
-	if have < want {
-		return fmt.Errorf("%w: %d bytes after the header, envelope declares %d", ErrTruncated, have, want)
-	}
-	if have > want {
-		return fmt.Errorf("%w: %d extra bytes", ErrTrailing, have-want)
-	}
-	_, err := envelope.Open(data, magic)
-	return err
-}
-
-// Decode parses one artifact occupying the whole of data. Every failure
-// mode maps to one of the package's named errors; a partial artifact is
-// never returned. The envelope framing and checksum are verified before
-// the payload is parsed, then the same streaming section reader the
-// pipe/file paths use consumes the buffer.
-func Decode(data []byte) (*Artifact, error) {
-	if err := verifyEnvelope(data); err != nil {
-		return nil, err
-	}
-	return ReadArtifact(bytes.NewReader(data), ReadOptions{})
 }
 
 // ReadFile streams one artifact from path through the incremental

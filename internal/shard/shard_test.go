@@ -23,6 +23,18 @@ func buildSlice(t *testing.T, files map[string]string, i, n int) *Artifact {
 	return a
 }
 
+// mergeAll commits arts to one Merger in the order given and finishes it:
+// the barrier form of the coordinator's ingest loop.
+func mergeAll(arts []*Artifact, opts MergeOptions) (*MergeResult, error) {
+	m := NewMerger(opts)
+	for _, a := range arts {
+		if err := m.Commit(a); err != nil {
+			return nil, err
+		}
+	}
+	return m.Finish()
+}
+
 func testFiles(t *testing.T, n int) map[string]string {
 	t.Helper()
 	return corpus.Generate(corpus.Config{Files: n}).FileMap()
@@ -33,7 +45,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	want := buildSlice(t, files, 1, 3)
 	data := want.Encode()
 
-	got, err := Decode(data)
+	got, err := streamDecode(data)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -121,7 +133,7 @@ func TestDecodeFaults(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := Decode(tc.data)
+			a, err := streamDecode(tc.data)
 			if a != nil {
 				t.Fatal("damaged artifact decoded to a non-nil result")
 			}
@@ -158,7 +170,7 @@ func TestDecodeBadPayload(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(tc.data); !errors.Is(err, ErrEncoding) {
+			if _, err := streamDecode(tc.data); !errors.Is(err, ErrEncoding) {
 				t.Fatalf("Decode = %v, want ErrEncoding", err)
 			}
 		})
@@ -173,30 +185,30 @@ func TestMergeFaults(t *testing.T) {
 	a1 := buildSlice(t, files, 1, 2)
 
 	t.Run("duplicate slice", func(t *testing.T) {
-		if _, err := Merge([]*Artifact{a0, a0}, MergeOptions{}); !errors.Is(err, ErrDuplicateSlice) {
+		if _, err := mergeAll([]*Artifact{a0, a0}, MergeOptions{}); !errors.Is(err, ErrDuplicateSlice) {
 			t.Fatalf("Merge = %v, want ErrDuplicateSlice", err)
 		}
 	})
 	t.Run("missing slice", func(t *testing.T) {
-		if _, err := Merge([]*Artifact{a0}, MergeOptions{}); !errors.Is(err, ErrMissingSlice) {
+		if _, err := mergeAll([]*Artifact{a0}, MergeOptions{}); !errors.Is(err, ErrMissingSlice) {
 			t.Fatalf("Merge = %v, want ErrMissingSlice", err)
 		}
 	})
 	t.Run("no artifacts", func(t *testing.T) {
-		if _, err := Merge(nil, MergeOptions{}); !errors.Is(err, ErrMissingSlice) {
+		if _, err := mergeAll(nil, MergeOptions{}); !errors.Is(err, ErrMissingSlice) {
 			t.Fatalf("Merge = %v, want ErrMissingSlice", err)
 		}
 	})
 	t.Run("slice count mismatch", func(t *testing.T) {
 		b0 := buildSlice(t, files, 0, 3)
-		if _, err := Merge([]*Artifact{a0, b0}, MergeOptions{}); !errors.Is(err, ErrSliceCount) {
+		if _, err := mergeAll([]*Artifact{a0, b0}, MergeOptions{}); !errors.Is(err, ErrSliceCount) {
 			t.Fatalf("Merge = %v, want ErrSliceCount", err)
 		}
 	})
 	t.Run("analyzer version mismatch", func(t *testing.T) {
 		stale := *a1
 		stale.AnalyzerVersion = "seldon-frontend-v0"
-		if _, err := Merge([]*Artifact{a0, &stale}, MergeOptions{}); !errors.Is(err, ErrAnalyzerVersion) {
+		if _, err := mergeAll([]*Artifact{a0, &stale}, MergeOptions{}); !errors.Is(err, ErrAnalyzerVersion) {
 			t.Fatalf("Merge = %v, want ErrAnalyzerVersion", err)
 		}
 	})
@@ -205,12 +217,12 @@ func TestMergeFaults(t *testing.T) {
 		// but their concatenation in "slice order" is not.
 		x0, x1 := *a0, *a1
 		x0.Slice, x1.Slice = 1, 0
-		if _, err := Merge([]*Artifact{&x0, &x1}, MergeOptions{}); !errors.Is(err, ErrSliceOrder) {
+		if _, err := mergeAll([]*Artifact{&x0, &x1}, MergeOptions{}); !errors.Is(err, ErrSliceOrder) {
 			t.Fatalf("Merge = %v, want ErrSliceOrder", err)
 		}
 	})
 	t.Run("valid set still merges", func(t *testing.T) {
-		res, err := Merge([]*Artifact{a1, a0}, MergeOptions{}) // arrival order irrelevant
+		res, err := mergeAll([]*Artifact{a1, a0}, MergeOptions{}) // arrival order irrelevant
 		if err != nil {
 			t.Fatalf("Merge: %v", err)
 		}

@@ -49,14 +49,3 @@ func Dedupe(reports []Report) []Report {
 	}
 	return out
 }
-
-// FilterCategory keeps only reports of the given vulnerability class.
-func FilterCategory(reports []Report, cat Category) []Report {
-	var out []Report
-	for i := range reports {
-		if reports[i].Category == cat {
-			out = append(out, reports[i])
-		}
-	}
-	return out
-}

@@ -56,15 +56,3 @@ func TestDedupe(t *testing.T) {
 		t.Error("dedupe must keep the first witness")
 	}
 }
-
-func TestFilterCategory(t *testing.T) {
-	reports := []Report{
-		{Category: XSS}, {Category: SQLInjection}, {Category: XSS},
-	}
-	if got := FilterCategory(reports, XSS); len(got) != 2 {
-		t.Errorf("filtered = %d", len(got))
-	}
-	if got := FilterCategory(reports, PathTraversal); len(got) != 0 {
-		t.Errorf("filtered = %d, want 0", len(got))
-	}
-}

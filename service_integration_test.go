@@ -28,7 +28,7 @@ import (
 // pipeline reports for the same input, and that request counters and
 // latency timers land in the /metrics snapshot.
 func TestServeLearnedSpecs(t *testing.T) {
-	// Learning phase (seldon -generate 60 -o specs.json).
+	// Learning phase (seldon learn -generate 60 -o specs.json).
 	c := corpus.Generate(corpus.Config{Files: 60, Seed: 7})
 	files := c.FileMap()
 	seed := corpus.ExperimentSeed()

@@ -12,7 +12,7 @@ import (
 	"seldon/internal/specio"
 )
 
-// learnedStoreHashes are the sha256 of what `seldon -generate N -o F`
+// learnedStoreHashes are the sha256 of what `seldon learn -generate N -o F`
 // writes to F, recorded at PR 18's commit. A change that is not meant to
 // change what is learned leaves them alone; one that is re-records them
 // and says so in CHANGES.md.
