@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzzsmoke verify bench serve loadsmoke load shardsmoke
+.PHONY: build test vet fmt-check race fuzzsmoke verify bench serve loadsmoke load shardsmoke loc
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,14 @@ vet:
 # fmt-check fails, naming the files, if anything is not gofmt-clean.
 fmt-check:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
+
+# loc prints the three sizes every CHANGES.md entry reports (ROADMAP
+# Conventions): non-test Go lines outside bench/, flag registrations under
+# cmd/, and the number of binaries.
+loc:
+	@printf 'non-test Go lines outside bench/: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@printf 'flag registrations under cmd/:    %s\n' "$$(grep -rhoE '\b(flag|fs)\.(String|Int|Int64|Bool|Float64|Duration)(Var)?\(' cmd --include='*.go' | wc -l)"
+	@printf 'binaries (ls cmd):                %s\n' "$$(ls cmd | wc -l)"
 
 # Race-check the packages with concurrency-sensitive surfaces: the
 # metrics registry, the sharded solver kernel, the parallel corpus

@@ -7,41 +7,34 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"testing"
 )
 
-// The program under test: what to build and the arguments that select the
-// checker in it.
-var (
-	checkerPkg  = "seldon/cmd/taintcheck"
-	checkerArgs []string
-)
-
-// buildChecker compiles the checker into a temp dir, the way
+// buildSeldon compiles this package into a temp dir, the way
 // internal/shard/exec_test.go builds the worker, so main, its flag
 // parsing and its exit status are what runs.
-func buildChecker(t *testing.T) string {
+func buildSeldon(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("short mode: skipping checker build")
+		t.Skip("short mode: skipping seldon build")
 	}
-	bin := filepath.Join(t.TempDir(), "checker")
-	if out, err := exec.Command("go", "build", "-o", bin, checkerPkg).CombinedOutput(); err != nil {
-		t.Fatalf("go build %s: %v\n%s", checkerPkg, err, out)
+	bin := filepath.Join(t.TempDir(), "seldon")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
 }
 
-// TestCheckGolden pins what a user of the checker sees — stdout and the
-// exit status (0 clean, 1 findings, 2 usage or I/O) — over testdata/check:
-// six files of corpus.Generate(Config{Files: 6, Seed: 3}), one with a
-// syntax error that repeats a flow of views_2.py, and a specification
-// learned from `-generate 120`. The goldens were recorded from
-// cmd/taintcheck; UPDATE_GOLDEN=1 rewrites them, only for a deliberate
-// change of the output.
+// TestCheckGolden pins what a user of `seldon check` sees — stdout and
+// the exit status (0 clean, 1 findings, 2 usage or I/O) — over
+// testdata/check: six files of corpus.Generate(Config{Files: 6, Seed: 3}),
+// one with a syntax error that repeats a flow of views_2.py, and a
+// specification learned from `-generate 120`. All goldens but generate's
+// were recorded in the commit before the checker moved here from a binary
+// of its own; UPDATE_GOLDEN=1 rewrites them, only for a deliberate change
+// of the output.
 func TestCheckGolden(t *testing.T) {
-	bin := buildChecker(t)
+	bin := buildSeldon(t)
 	with := func(args ...string) []string { return append([]string{"-spec", "learned.spec"}, args...) }
 	cases := []struct {
 		name string
@@ -57,10 +50,11 @@ func TestCheckGolden(t *testing.T) {
 		{"verbose", with("-v", "-dir", "corpus")},
 		{"clean", with("corpus/proj000/views_0.py")},
 		{"noinput", with()},
+		{"generate", with("-generate", "12")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(bin, slices.Concat(checkerArgs, tc.args)...)
+			cmd := exec.Command(bin, append([]string{"check"}, tc.args...)...)
 			cmd.Dir = filepath.Join("testdata", "check")
 			var stdout bytes.Buffer
 			cmd.Stdout = &stdout
@@ -68,7 +62,7 @@ func TestCheckGolden(t *testing.T) {
 			if err := cmd.Run(); err != nil {
 				var exit *exec.ExitError
 				if !errors.As(err, &exit) {
-					t.Fatalf("running the checker: %v", err)
+					t.Fatalf("running seldon check: %v", err)
 				}
 				status = exit.ExitCode()
 			}
@@ -86,7 +80,7 @@ func TestCheckGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("checker %v:\n--- got\n%s--- want\n%s", tc.args, got, want)
+				t.Errorf("seldon check %v:\n--- got\n%s--- want\n%s", tc.args, got, want)
 			}
 		})
 	}

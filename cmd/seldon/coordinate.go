@@ -95,8 +95,7 @@ func coordinate(args []string) error {
 	// The constraint build takes the merge's file spans and a flow-block
 	// cache: the -flowcache file's, loaded and saved back, or an empty one
 	// nobody keeps. Reuse is fingerprint-gated, so the system is the full
-	// build's byte for byte either way (and without spans it is the full
-	// build).
+	// build's byte for byte either way.
 	copts := cfg.ConstraintOptions()
 	fc, warm := constraints.NewFlowCache(), false
 	if *flowCache != "" {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"seldon/internal/dataflow"
@@ -31,29 +30,29 @@ func exampleUnion(t *testing.T) *propgraph.Graph {
 // and decodes back to the same graph with no trailing bytes.
 func TestBinaryRoundTrip(t *testing.T) {
 	union := exampleUnion(t)
-	var buf bytes.Buffer
-	if err := writeGraph(&buf, union, true); err != nil {
-		t.Fatalf("writeGraph(binary): %v", err)
+	data, err := encodeGraph(union, true)
+	if err != nil {
+		t.Fatalf("encodeGraph(binary): %v", err)
 	}
-	got, tail, err := propgraph.DecodeBinary(buf.Bytes())
+	got, tail, err := propgraph.DecodeBinary(data)
 	if err != nil {
 		t.Fatalf("DecodeBinary of -binary output: %v", err)
 	}
 	if len(tail) != 0 {
 		t.Errorf("%d trailing bytes after the graph", len(tail))
 	}
-	if !bytes.Equal(got.AppendBinary(nil), buf.Bytes()) {
+	if !bytes.Equal(got.AppendBinary(nil), data) {
 		t.Error("decoded graph re-encodes differently")
 	}
 }
 
 func TestJSONOutputStillDefault(t *testing.T) {
 	union := exampleUnion(t)
-	var buf bytes.Buffer
-	if err := writeGraph(&buf, union, false); err != nil {
-		t.Fatalf("writeGraph(json): %v", err)
+	data, err := encodeGraph(union, false)
+	if err != nil {
+		t.Fatalf("encodeGraph(json): %v", err)
 	}
-	if !strings.HasPrefix(strings.TrimSpace(buf.String()), "{") {
-		t.Errorf("JSON output does not look like JSON: %.40q", buf.String())
+	if !bytes.HasPrefix(bytes.TrimSpace(data), []byte("{")) {
+		t.Errorf("JSON output does not look like JSON: %.40q", data)
 	}
 }

@@ -21,7 +21,7 @@ func learn(args []string) error {
 	fs := flag.NewFlagSet("seldon learn", flag.ExitOnError)
 	in, lf, out, cache, of := addInputFlags(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
 	sessionDir := fs.String("session-dir", "", "persistent incremental-learning session directory: re-learns only what changed since the last run there (results identical to from-scratch)")
-	feedbackFile := fs.String("feedback", "", "JSON file of {symbol, role, verdict} objects pinned as hard constraints before learning; the pins persist with -session-dir")
+	feedbackFile := fs.String("feedback", "", "JSON file of {symbol, role, verdict} objects pinned as hard constraints before learning (the seed is not overridable: verdicts on its entries are skipped); the pins persist with -session-dir")
 	fs.Parse(args)
 
 	r, err := startLearnRun("seldon.learn", in, lf, of)
@@ -97,13 +97,13 @@ func runSession(sessionDir, feedbackFile string, files map[string]string,
 		}
 	}
 
-	pins := 0
+	var verdicts []verdict
+	skipped := 0 // verdicts on roles the seed assigns: Pin refuses them
 	if feedbackFile != "" {
 		data, err := os.ReadFile(feedbackFile)
 		if err != nil {
 			return nil, err
 		}
-		var verdicts []verdict
 		if err := json.Unmarshal(data, &verdicts); err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", feedbackFile, err)
 		}
@@ -122,8 +122,9 @@ func runSession(sessionDir, feedbackFile string, files map[string]string,
 			if v.Symbol == "" {
 				return nil, fmt.Errorf("%s entry %d: empty symbol", feedbackFile, i)
 			}
-			sess.Pin(v.Symbol, role, val)
-			pins++
+			if !sess.Pin(v.Symbol, role, val) {
+				skipped++
+			}
 		}
 	}
 
@@ -142,8 +143,11 @@ func runSession(sessionDir, feedbackFile string, files map[string]string,
 		"union %s, spans reused %d/%d, rows reused %d (%d dead), warm=%v, epochs saved %d",
 		where, mode, st.Files, spliced, unchanged, retracted,
 		union, st.Delta.SpansReused, st.Delta.Spans, st.RowsReused, st.RowsDead, st.WarmStarted, st.EpochsSaved)
-	if pins > 0 {
+	if pins := len(verdicts) - skipped; pins > 0 {
 		fmt.Printf(", %d feedback pins", pins)
+	}
+	if skipped > 0 {
+		fmt.Printf(", %d verdicts skipped as seed entries", skipped)
 	}
 	fmt.Printf(", wall %s\n", time.Since(t0).Round(time.Millisecond))
 	return res, nil

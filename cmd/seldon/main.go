@@ -1,14 +1,14 @@
-// Command seldon learns taint specifications from a corpus of Python
-// files: likely sources, sanitizers and sinks inferred from a seed
-// specification, printed by confidence and optionally saved. It is one
-// program with three ways in, each a subcommand whose flags (-h lists
-// them) are drawn from the same groups and whose output is the same
-// summary, stage breakdown, store and inferred lists:
+// Command seldon is every program that reads a directory of Python: it
+// learns taint specifications from a corpus — likely sources, sanitizers
+// and sinks inferred from a seed specification, printed by confidence and
+// optionally saved — and checks code against one. It is one program with
+// five ways in, each a subcommand whose flags (-h lists them) are drawn
+// from the same groups:
 //
 //	seldon learn -dir repo [-seedfile seed.spec] -out learned.spec
 //	seldon learn -generate 240 -o specs.json          # synthetic corpus, store for seldond
-//	seldon learn -dir repo -session-dir .seldon -o specs.json
-//	seldon learn -dir repo -session-dir .seldon -feedback verdicts.json -o specs.json
+//	seldon learn -dir repo -session-dir .session -o specs.json
+//	seldon learn -dir repo -session-dir .session -feedback verdicts.json -o specs.json
 //
 // learn analyzes the whole corpus in this process. With -session-dir it
 // keeps per-file graphs, the previous solution and feedback pins there,
@@ -23,10 +23,18 @@
 // shard analyzes one contiguous slice of the corpus's sorted file names
 // and writes one artifact; coordinate merges artifacts in slice order —
 // from files, or streamed from N `seldon shard` subprocesses of this same
-// binary — and learns once. Whichever way in, the store is byte-identical
-// to `seldon learn` over the whole corpus.
+// binary — and learns once, printing what learn prints. Whichever way in,
+// the store is byte-identical to `seldon learn` over the whole corpus.
 //
-// Every subcommand takes -cache-dir (content-addressed per-file analysis
+//	seldon check -spec learned.spec file1.py file2.py ...
+//	seldon check -dir repo                  # the App. B seed by default
+//	seldon graph -dir repo -o graphs.json   # -binary: the v2 codec
+//
+// check reports the unsanitized source→sink flows a specification finds
+// (exit 0 clean, 1 flows found, 2 could not run); graph writes the union
+// of the propagation graphs. Both take .py paths as arguments beside -dir.
+//
+// All but graph take -cache-dir (content-addressed per-file analysis
 // cache, shared safely between workers) and the observability flags:
 // -v, -metrics-json, -http (/metrics and /debug/pprof/ during the run),
 // -cpuprofile, -memprofile.
@@ -39,7 +47,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,16 +66,29 @@ func main() {
 		"learn":      learn,
 		"coordinate": coordinate,
 		"shard":      shardWorker,
+		"check":      check,
+		"graph":      graph,
 	}
 	if len(os.Args) < 2 || commands[os.Args[1]] == nil {
-		fmt.Fprintln(os.Stderr, "usage: seldon learn|coordinate|shard [flags]   (seldon <subcommand> -h lists them)")
+		fmt.Fprintln(os.Stderr, "usage: seldon learn|coordinate|shard|check|graph [flags]   (seldon <subcommand> -h lists them)")
 		os.Exit(2)
 	}
-	if err := commands[os.Args[1]](os.Args[2:]); err != nil {
+	err := commands[os.Args[1]](os.Args[2:])
+	if errors.Is(err, errFindings) {
+		os.Exit(1)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "seldon:", err)
+		if os.Args[1] == "check" {
+			os.Exit(2) // 1 is check's "flows found"
+		}
 		os.Exit(1)
 	}
 }
+
+// errFindings is check's verdict when it found flows: they are printed,
+// nothing failed, and the exit status is 1.
+var errFindings = errors.New("flows found")
 
 // The flag groups. Each flag is registered by exactly one of these
 // functions; a subcommand's flag set is the groups that apply to it plus
@@ -78,6 +99,7 @@ type inputFlags struct {
 	dir      string
 	generate int
 	workers  int
+	paths    []string // .py files named as arguments (check, graph)
 }
 
 func addInputFlags(fs *flag.FlagSet) *inputFlags {
@@ -89,14 +111,17 @@ func addInputFlags(fs *flag.FlagSet) *inputFlags {
 }
 
 // files loads slice i of n of the designated corpus: contiguous blocks of
-// its sorted file names (1 of 1 is the corpus). A -dir slice reads only
-// its own files.
+// its sorted file names (1 of 1 is the corpus), a name given twice being
+// one file. A slice of files on disk reads only its own.
 func (in *inputFlags) files(i, n int) (map[string]string, error) {
-	switch {
-	case in.generate > 0:
+	if in.generate > 0 {
 		return core.SliceFiles(corpus.Generate(corpus.Config{Files: in.generate}).FileMap(), i, n), nil
-	case in.dir != "":
-		var names []string
+	}
+	if in.dir == "" && len(in.paths) == 0 {
+		return nil, errors.New("no input: need -dir or -generate (check and graph also take .py paths; see -h)")
+	}
+	names := slices.Clone(in.paths)
+	if in.dir != "" {
 		err := filepath.WalkDir(in.dir, func(path string, d fs.DirEntry, err error) error {
 			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".py") {
 				names = append(names, path)
@@ -106,18 +131,17 @@ func (in *inputFlags) files(i, n int) (map[string]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		sort.Strings(names)
-		files := map[string]string{}
-		for _, name := range core.SliceNames(names, i, n) {
-			data, err := os.ReadFile(name)
-			if err != nil {
-				return nil, err
-			}
-			files[name] = string(data)
-		}
-		return files, nil
 	}
-	return nil, errors.New("need -dir or -generate (see -h)")
+	slices.Sort(names)
+	files := map[string]string{}
+	for _, name := range core.SliceNames(slices.Compact(names), i, n) {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			return nil, err
+		}
+		files[name] = string(data)
+	}
+	return files, nil
 }
 
 // learnFlags are what the learn is run against and with.
@@ -140,15 +164,20 @@ func addLearnFlags(fs *flag.FlagSet) *learnFlags {
 func (l *learnFlags) seed(in *inputFlags) (*spec.Spec, error) {
 	switch {
 	case l.seedFile != "":
-		data, err := os.ReadFile(l.seedFile)
-		if err != nil {
-			return nil, err
-		}
-		return spec.Parse(string(data))
+		return readSpec(l.seedFile)
 	case in.generate > 0:
 		return corpus.ExperimentSeed(), nil
 	}
 	return spec.Seed(), nil
+}
+
+// readSpec parses a specification file (o:/a:/i:/b: lines).
+func readSpec(path string) (*spec.Spec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return spec.Parse(string(data))
 }
 
 // outputFlags say what to print and where to save what was learned.
@@ -160,7 +189,7 @@ type outputFlags struct {
 func addOutputFlags(fs *flag.FlagSet) *outputFlags {
 	o := &outputFlags{}
 	fs.IntVar(&o.top, "top", 50, "print at most this many inferred specs per role")
-	fs.StringVar(&o.out, "out", "", "write the merged (seed + learned) specification to this file, for taintcheck -spec")
+	fs.StringVar(&o.out, "out", "", "write the merged (seed + learned) specification to this file, for seldon check -spec")
 	fs.StringVar(&o.store, "o", "", "write the merged specification as a versioned JSON spec store (with provenance metadata), for seldond -specs")
 	return o
 }
@@ -203,7 +232,7 @@ type obsFlags struct {
 
 func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	o := &obsFlags{}
-	fs.BoolVar(&o.verbose, "v", false, "log pipeline stages and parse errors to stderr")
+	fs.BoolVar(&o.verbose, "v", false, "log pipeline stages and parse errors to stderr (check: also print witness flow traces)")
 	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write a JSON metrics snapshot to this file at exit")
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics and /debug/pprof/ on this address during the run (e.g. :8080)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
@@ -251,11 +280,10 @@ func (o *obsFlags) start() (*observed, error) {
 	}
 	stopCPU := func() error { return nil }
 	if o.cpuProfile != "" {
-		stop, err := obs.StartCPUProfile(o.cpuProfile)
-		if err != nil {
+		var err error
+		if stopCPU, err = obs.StartCPUProfile(o.cpuProfile); err != nil {
 			return nil, err
 		}
-		stopCPU = stop
 	}
 	ob.stop = func() error {
 		if err := stopCPU(); err != nil {

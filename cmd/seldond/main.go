@@ -1,11 +1,11 @@
 // Command seldond is the long-running taint-analysis service: it loads
-// a specification store learned by `seldon -o` and serves taint checks
+// a specification store learned by `seldon learn -o` and serves taint checks
 // over HTTP until SIGINT/SIGTERM, then drains in-flight requests.
 //
 // Usage:
 //
-//	seldon -generate 240 -o specs.json     # learn and persist the store
-//	seldond -specs specs.json -addr :8647  # serve it
+//	seldon learn -generate 240 -o specs.json  # learn and persist the store
+//	seldond -specs specs.json -addr :8647     # serve it
 //
 //	curl -s localhost:8647/v1/healthz       # liveness
 //	curl -s localhost:8647/v1/readyz        # readiness (503 while draining)
@@ -20,7 +20,7 @@
 // in-flight checks finish against the store they started with, and an
 // invalid store is rejected (422) while the old one keeps serving:
 //
-//	seldon -generate 240 -o specs.json && curl -s -XPOST localhost:8647/v1/reload
+//	seldon learn -generate 240 -o specs.json && curl -s -XPOST localhost:8647/v1/reload
 //
 // The operator surface (/metrics, /metrics.txt, /debug/pprof/) shares
 // the service mux, so one port carries traffic and telemetry.
@@ -31,7 +31,7 @@
 // layers off). Hit rates and pool stats surface in /v1/healthz.
 //
 // Continuous learning: -session-dir attaches the incremental-learning
-// session persisted by `seldon -session-dir`, enabling POST
+// session persisted by `seldon learn -session-dir`, enabling POST
 // /v1/feedback — accept/reject a check finding (by its id) or a
 // (symbol, role) pair, and the server pins the verdict as a hard
 // constraint, re-solves warm-started over the cached constraint blocks,
@@ -39,7 +39,7 @@
 // re-cache under the new epoch automatically). The updated session is
 // persisted back on shutdown.
 //
-//	seldon -generate 240 -session-dir s -o specs.json
+//	seldon learn -generate 240 -session-dir s -o specs.json
 //	seldond -specs specs.json -session-dir s
 //	curl -s -XPOST -d '{"finding_id":"<id>","verdict":"reject"}' localhost:8647/v1/feedback
 package main
@@ -64,7 +64,7 @@ import (
 
 func main() {
 	var (
-		specsPath = flag.String("specs", "", "specification store to serve (JSON, from `seldon -o`); required")
+		specsPath = flag.String("specs", "", "specification store to serve (JSON, from `seldon learn -o`); required")
 		addr      = flag.String("addr", ":8647", "listen address (\":0\" picks a free port)")
 		workers   = flag.Int("workers", 0, "concurrent checks (0 = GOMAXPROCS, 1 = serialized)")
 		queue     = flag.Int("queue", 0, "requests allowed to wait for a worker before 429 (0 = 2x workers)")
@@ -77,13 +77,13 @@ func main() {
 		cacheBytes = flag.Int64("check-cache-bytes", checkcache.DefaultMaxBytes,
 			"check-result cache byte cap (0 disables the cache and coalescing)")
 		sessionDir = flag.String("session-dir", "",
-			"incremental-learning session directory (from `seldon -session-dir`); enables POST /v1/feedback")
+			"incremental-learning session directory (from `seldon learn -session-dir`); enables POST /v1/feedback")
 		verbose = flag.Bool("v", false, "log requests and lifecycle events to stderr")
 	)
 	flag.Parse()
 
 	if *specsPath == "" {
-		fatal(fmt.Errorf("need -specs (learn one with `seldon -generate 240 -o specs.json`)"))
+		fatal(fmt.Errorf("need -specs (learn one with `seldon learn -generate 240 -o specs.json`)"))
 	}
 	sp, meta, err := specio.Load(*specsPath)
 	if err != nil {
@@ -106,14 +106,14 @@ func main() {
 	// A session turns on the continuous-learning loop: /v1/feedback pins
 	// operator verdicts, re-solves incrementally, and publishes the
 	// re-learned store as a new generation. The session adopts the seed
-	// and knobs persisted by `seldon -session-dir`; on shutdown the
+	// and knobs persisted by `seldon learn -session-dir`; on shutdown the
 	// accumulated pins and solution are written back.
 	var sess *incr.Session
 	if *sessionDir != "" {
 		var err error
 		sess, err = incr.LoadDir(*sessionDir, nil, core.Config{Workers: 1, Metrics: reg, Log: logger})
 		if err != nil {
-			fatal(fmt.Errorf("loading session from %s: %w (create one with `seldon -session-dir`)", *sessionDir, err))
+			fatal(fmt.Errorf("loading session from %s: %w (create one with `seldon learn -session-dir`)", *sessionDir, err))
 		}
 		fmt.Printf("seldond: learning session loaded from %s (%d corpus files, %d pins); /v1/feedback enabled\n",
 			*sessionDir, sess.Len(), sess.Pins())

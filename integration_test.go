@@ -16,8 +16,8 @@ import (
 
 // TestEndToEndPipeline drives the full production flow the binaries
 // compose: generate a corpus, extract per-file propagation graphs,
-// serialize and reload the union (the propdump hand-off), learn
-// specifications, persist and reload them (the seldon learn -out / taintcheck
+// serialize and reload the union (the seldon graph hand-off), learn
+// specifications, persist and reload them (the seldon learn -out / seldon check
 // -spec hand-off), run the taint analyzer, and classify the reports.
 func TestEndToEndPipeline(t *testing.T) {
 	c := corpus.Generate(corpus.Config{Files: 160, Seed: 21})

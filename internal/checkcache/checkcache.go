@@ -44,25 +44,10 @@ const (
 // length-prefixed key parts.
 type Key [sha256.Size]byte
 
-// KeyOf derives a Key from its parts. Each part is length-prefixed
-// before hashing, so part boundaries are unambiguous ("ab","c" never
-// collides with "a","bc").
-func KeyOf(parts ...string) Key {
-	h := sha256.New()
-	var lenBuf [8]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
-		h.Write([]byte(p))
-	}
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
-
-// KeyOfBytes is KeyOf for callers holding the last part (typically the
-// request body) as a byte slice; it avoids the string conversion on the
-// hot path.
+// KeyOfBytes derives a Key from string parts and a last part (typically
+// the request body) held as a byte slice, which spares the hot path a
+// string conversion. Each part is length-prefixed before hashing, so part
+// boundaries are unambiguous ("ab","c" never collides with "a","bc").
 func KeyOfBytes(parts []string, last []byte) Key {
 	h := sha256.New()
 	var lenBuf [8]byte

@@ -36,8 +36,9 @@ func newOracle(seed *spec.Spec, cfg core.Config) *oracle {
 }
 
 func (o *oracle) pin(rep string, role propgraph.Role, val float64) {
-	o.s.Pin(rep, role, val)
-	o.pins[incr.PinKey{Rep: rep, Role: role}] = val
+	if o.s.Pin(rep, role, val) {
+		o.pins[incr.PinKey{Rep: rep, Role: role}] = val
+	}
 }
 
 func (o *oracle) unpin(rep string, role propgraph.Role) {

@@ -257,11 +257,17 @@ func (s *Session) SpliceSource(name, source string) {
 
 // Pin records a feedback verdict: the (rep, role) variable is pinned to
 // val (1 accepts the role, 0 rejects it) as a hard constraint in every
-// later solve. Re-pinning overwrites.
-func (s *Session) Pin(rep string, role propgraph.Role, val float64) {
+// later solve. Re-pinning overwrites. The seed is ground truth, not
+// overridable by feedback: a verdict on a role the seed assigns to rep is
+// refused — nothing is recorded and Pin reports false.
+func (s *Session) Pin(rep string, role propgraph.Role, val float64) bool {
+	if s.seed.RolesOf(rep).Has(role) {
+		return false
+	}
 	s.mu.Lock()
 	s.pins[PinKey{Rep: rep, Role: role}] = val
 	s.mu.Unlock()
+	return true
 }
 
 // Pins returns the number of active feedback pins.

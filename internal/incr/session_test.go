@@ -383,6 +383,40 @@ func TestSessionPinOverridesLearning(t *testing.T) {
 	}
 }
 
+// TestSessionPinRefusesSeed: the seed is ground truth. A verdict rejecting
+// a sink the seed assigns records nothing, so the re-learn is the
+// un-pinned run's: same solution, no pins, same store.
+func TestSessionPinRefusesSeed(t *testing.T) {
+	files, _ := testCorpus(t, 20, 1)
+	cfg := core.Config{Workers: 1}
+	plain := sessionFrom(t, files, cfg)
+	want, _ := plain.Relearn()
+
+	var sink string
+	for _, rep := range plain.Seed().Sinks {
+		if _, ok := plain.Score(rep, propgraph.Sink); ok {
+			sink = rep
+			break
+		}
+	}
+	if sink == "" {
+		t.Fatal("no seed sink has a variable in this corpus")
+	}
+
+	s := sessionFrom(t, files, cfg)
+	s.Pin(sink, propgraph.Sink, 0)
+	got, _ := s.Relearn()
+	if s.Pins() != 0 {
+		t.Errorf("Pins() = %d after a verdict on seed sink %s, want 0", s.Pins(), sink)
+	}
+	if !reflect.DeepEqual(got.Solution, want.Solution) {
+		t.Errorf("rejecting seed sink %s moved the solution", sink)
+	}
+	if !bytes.Equal(storeBytes(t, s.LearnedSpec()), storeBytes(t, plain.LearnedSpec())) {
+		t.Errorf("rejecting seed sink %s moved the store", sink)
+	}
+}
+
 // TestSessionSaveLoadRoundTrip: a persisted session resumes with the
 // same corpus, solution, and pins — the first relearn after Load
 // warm-starts and reproduces the pre-save store byte for byte.

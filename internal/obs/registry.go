@@ -63,6 +63,10 @@ const (
 	CounterParseErrors   = "parse.errors"
 	CounterFilesAnalyzed = "files.analyzed"
 
+	// The checker (seldon check, seldond's /v1/check).
+	StageTaint          = "stage.taint"   // taint.Analyze over the union
+	CounterTaintReports = "taint.reports" // source→sink flows reported
+
 	// Incremental front-end cache (internal/fpcache). stage.cache is the
 	// summed time spent in cache lookups and write-backs; cache.bytes
 	// totals bytes read on hits plus bytes written on misses.

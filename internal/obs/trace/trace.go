@@ -17,7 +17,6 @@
 package trace
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -505,18 +504,4 @@ func randHex(dst []byte) {
 		}
 	}
 	hex.Encode(dst, b)
-}
-
-// ctxKey carries the current span through a context.
-type ctxKey struct{}
-
-// NewContext returns ctx with s as the current span.
-func NewContext(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext returns the current span, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
 }

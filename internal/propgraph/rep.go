@@ -88,14 +88,3 @@ func AppendSuffixReps(dst, path []string) []string {
 	}
 	return dst
 }
-
-// SubscriptSegment renders an indexing step for inclusion in a path
-// segment: literal string and number keys are kept verbatim (the paper's
-// request.files['f']), everything else degrades to "[]" (the paper's
-// _hash()[]).
-func SubscriptSegment(base, key string, literal bool) string {
-	if literal {
-		return base + "[" + key + "]"
-	}
-	return base + "[]"
-}

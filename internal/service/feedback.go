@@ -25,9 +25,10 @@ import (
 // invalidates structurally (stale generations stop being addressable)
 // and in-flight checks keep the snapshot they admitted with.
 //
-// Seed entries are ground truth: a verdict never pins an endpoint whose
-// seed already assigns it the role in question, so feedback can extend
-// and prune the learned store but cannot contradict the seed.
+// Seed entries are ground truth: the session refuses to pin an endpoint
+// whose seed already assigns it the role in question (incr.Session.Pin),
+// so feedback can extend and prune the learned store but cannot
+// contradict the seed.
 
 // maxFindingIndex bounds the finding-ID index. IDs are recorded as
 // /v1/check computes findings and evicted FIFO; a verdict against an
@@ -202,33 +203,28 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	seed := sess.Seed()
-	resp := &FeedbackResponse{Status: "relearned", Verdict: req.Verdict, Pinned: []PinnedVar{}}
-	var apply []pinReq
-	for _, p := range want {
-		if seed.RolesOf(p.sym).Has(p.role) {
-			continue // seed ground truth is not overridable by feedback
-		}
-		apply = append(apply, p)
-		resp.Pinned = append(resp.Pinned, PinnedVar{Symbol: p.sym, Role: p.role.String(), Value: val})
-	}
-	if len(resp.Pinned) == 0 {
-		s.fail(w, "feedback", http.StatusUnprocessableEntity,
-			"every endpoint of this verdict is a seed entry; nothing to pin")
-		return
-	}
-
 	// Pin, re-solve, publish — one verdict at a time. The session
 	// serializes internally too, but the mutex keeps pin→relearn→publish
 	// atomic so two concurrent verdicts cannot interleave a publish with
 	// the other's pins half-applied.
 	s.feedbackMu.Lock()
 	defer s.feedbackMu.Unlock()
-	for _, p := range apply {
-		sess.Pin(p.sym, p.role, val)
+	resp := &FeedbackResponse{Status: "relearned", Verdict: req.Verdict, Pinned: []PinnedVar{}}
+	for _, p := range want {
+		if sess.Pin(p.sym, p.role, val) {
+			resp.Pinned = append(resp.Pinned, PinnedVar{Symbol: p.sym, Role: p.role.String(), Value: val})
+		}
+	}
+	if len(resp.Pinned) == 0 {
+		// The session recorded nothing, so there is nothing to re-solve
+		// or publish.
+		s.fail(w, "feedback", http.StatusUnprocessableEntity,
+			"every endpoint of this verdict is a seed entry; nothing to pin")
+		return
 	}
 	res, st := sess.Relearn()
 	learned := sess.LearnedSpec()
+	seed := sess.Seed()
 	meta := specio.Meta{
 		CorpusFiles:    sess.Len(),
 		Events:         len(res.Graph.Events),

@@ -407,7 +407,7 @@ func (s *Server) retryAfterSeconds() int {
 // check runs the per-request analysis: parse + dataflow via the shared
 // corpus front-end (Workers: 1 — request-level parallelism comes from
 // the handler pool), union, then the taint analyzer. It is the same
-// code path cmd/taintcheck runs, so findings match the CLI byte for
+// code path `seldon check` runs, so findings match the CLI byte for
 // byte on the same input. The caller passes the store snapshot it
 // admitted with (so the cache key and the analysis agree) and a pooled
 // scratch the sequential front-end threads through parse and dataflow.
@@ -462,7 +462,7 @@ func (s *Server) check(root *trace.Span, st storeState, name, source string,
 			cc.ByCategory[string(c)] = n
 		}
 	}
-	s.cfg.Metrics.Add("taint.reports", int64(sum.Total))
+	s.cfg.Metrics.Add(obs.CounterTaintReports, int64(sum.Total))
 	data, err := json.Marshal(cc)
 	if err != nil {
 		return nil, err

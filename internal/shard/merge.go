@@ -57,8 +57,7 @@ type MergeResult struct {
 	CorpusFingerprint string
 	// Spans maps each corpus file to its contiguous event range in
 	// Graph, in order — ready for constraints.BuildIncremental against a
-	// persisted flow cache. Nil when any artifact lacked per-file graph
-	// facts (an in-process artifact built before encoding).
+	// persisted flow cache.
 	Spans []constraints.Span
 	// ParseErrorFiles names the files whose parse reported an error, in
 	// order; ParseErrors is its length.
@@ -92,9 +91,6 @@ type Merger struct {
 	res     *MergeResult
 	prev    string
 	hasPrev bool
-	// spansOK stays true while every folded artifact carries per-file
-	// graph facts; one without them disables span assembly for the run.
-	spansOK bool
 
 	resident, peak int64
 	wall           time.Duration
@@ -108,7 +104,6 @@ func NewMerger(opts MergeOptions) *Merger {
 		pending: make(map[int]*Artifact),
 		ub:      propgraph.NewUnionBuilder(),
 		res:     &MergeResult{},
-		spansOK: true,
 	}
 }
 
@@ -160,7 +155,8 @@ func (m *Merger) Commit(a *Artifact) error {
 func (m *Merger) fold(a *Artifact) error {
 	res := m.res
 	if len(a.FileHashes) != len(a.Files) || len(a.FileEvents) != len(a.Files) {
-		m.spansOK = false
+		return fmt.Errorf("%w: slice %d has %d files but %d graph hashes and %d event counts",
+			ErrEncoding, a.Slice, len(a.Files), len(a.FileHashes), len(a.FileEvents))
 	}
 	base := len(m.ub.Graph().Events)
 	sliceEvents := 0
@@ -179,22 +175,20 @@ func (m *Merger) fold(a *Artifact) error {
 		if f.ParseError != "" {
 			res.ParseErrorFiles = append(res.ParseErrorFiles, f.Name)
 		}
-		if m.spansOK {
-			lo := base + sliceEvents
-			res.Spans = append(res.Spans, constraints.Span{
-				File: f.Name,
-				Lo:   lo,
-				Hi:   lo + a.FileEvents[j],
-				Hash: a.FileHashes[j],
-			})
-			sliceEvents += a.FileEvents[j]
-		}
+		lo := base + sliceEvents
+		res.Spans = append(res.Spans, constraints.Span{
+			File: f.Name,
+			Lo:   lo,
+			Hi:   lo + a.FileEvents[j],
+			Hash: a.FileHashes[j],
+		})
+		sliceEvents += a.FileEvents[j]
 	}
 	// The per-file event counts must tile the slice graph exactly, or
 	// the spans would misattribute events.
-	if m.spansOK && sliceEvents != len(a.Graph.Events) {
-		m.spansOK = false
-		res.Spans = nil
+	if sliceEvents != len(a.Graph.Events) {
+		return fmt.Errorf("%w: slice %d's files count %d events, its graph has %d",
+			ErrEncoding, a.Slice, sliceEvents, len(a.Graph.Events))
 	}
 	m.ub.Add(a.Graph)
 	res.Bytes += a.Size
@@ -217,9 +211,6 @@ func (m *Merger) Finish() (*MergeResult, error) {
 	res.Slices = m.count
 	res.ParseErrors = len(res.ParseErrorFiles)
 	res.CorpusFingerprint = specio.FingerprintHashes(res.Files, res.Hashes)
-	if !m.spansOK {
-		res.Spans = nil
-	}
 	res.Graph = m.ub.Graph()
 	res.PeakBytes = m.peak
 	m.wall += time.Since(t0)

@@ -221,6 +221,21 @@ func TestMergeFaults(t *testing.T) {
 			t.Fatalf("Merge = %v, want ErrSliceOrder", err)
 		}
 	})
+	t.Run("per-file graph facts missing", func(t *testing.T) {
+		bare := *a1
+		bare.FileHashes, bare.FileEvents = nil, nil
+		if _, err := mergeAll([]*Artifact{a0, &bare}, MergeOptions{}); !errors.Is(err, ErrEncoding) {
+			t.Fatalf("Merge = %v, want ErrEncoding", err)
+		}
+	})
+	t.Run("event counts do not tile the graph", func(t *testing.T) {
+		short := *a1
+		short.FileEvents = append([]int(nil), a1.FileEvents...)
+		short.FileEvents[0]++
+		if _, err := mergeAll([]*Artifact{a0, &short}, MergeOptions{}); !errors.Is(err, ErrEncoding) {
+			t.Fatalf("Merge = %v, want ErrEncoding", err)
+		}
+	})
 	t.Run("valid set still merges", func(t *testing.T) {
 		res, err := mergeAll([]*Artifact{a1, a0}, MergeOptions{}) // arrival order irrelevant
 		if err != nil {

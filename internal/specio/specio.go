@@ -1,6 +1,6 @@
 // Package specio is the persistent store format for learned taint
 // specifications: a versioned JSON codec that decouples learning
-// (cmd/seldon -o) from checking (cmd/seldond, cmd/taintcheck).
+// (seldon learn -o) from checking (seldond, seldon check).
 //
 // The format carries a schema version, provenance metadata (corpus
 // fingerprint, file/event counts, generator), the three role lists with

@@ -24,7 +24,7 @@ import (
 // learn specifications from a corpus (seldon), persist them as a spec
 // store (-o), reload the store, boot the service on a random port
 // (seldond -specs specs.json -addr :0), and check a request end-to-end —
-// asserting the service returns exactly the findings the taintcheck
+// asserting the service returns exactly the findings the `seldon check`
 // pipeline reports for the same input, and that request counters and
 // latency timers land in the /metrics snapshot.
 func TestServeLearnedSpecs(t *testing.T) {
@@ -112,7 +112,7 @@ def handler():
 		t.Fatal(err)
 	}
 
-	// Reference: the taintcheck pipeline over the same single file with
+	// Reference: the `seldon check` pipeline over the same single file with
 	// the same store.
 	fe := core.AnalyzeFiles(map[string]string{"app.py": input}, core.Config{Workers: 1})
 	want := taint.Analyze(propgraph.Union(fe.Graphs...), loaded)
@@ -120,7 +120,7 @@ def handler():
 		t.Fatal("reference pipeline found nothing — corpus seed changed?")
 	}
 	if out.Total != len(want) || len(out.Findings) != len(want) {
-		t.Fatalf("service found %d flows, taintcheck pipeline %d", out.Total, len(want))
+		t.Fatalf("service found %d flows, seldon check pipeline %d", out.Total, len(want))
 	}
 	for i, w := range want {
 		got := out.Findings[i]
