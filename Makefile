@@ -35,25 +35,23 @@ loc:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/checkcache/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
 
-# fuzzsmoke rotates every fuzz target through five seconds each, on top of
-# its committed seed corpus (internal/*/testdata/fuzz): the front-end with
-# and without a recycled scratch, the session against the one-shot
-# functions after every edit, the traceparent parser against its grammar,
-# the solver kernel against the interpreted folded reference, the
-# artifact frame (Open errors with a named sentinel, or Seal gives the
-# input back, and the cursor never hands out more than it holds), and the
-# graph codec (DecodeBinary errors, or re-encodes to the bytes it consumed).
+# fuzzsmoke finds every fuzz target under internal/ and runs each for five
+# seconds on top of its committed seed corpus (internal/*/testdata/fuzz),
+# stopping at the first failure; a new target is picked up by being written.
+# It prints the number it ran, which ROADMAP Conventions records.
 fuzzsmoke:
-	$(GO) test -run '^$$' -fuzz FuzzFrontEndScratchEquivalence -fuzztime=5s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzSessionEdits -fuzztime=5s ./internal/incr
-	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime=5s ./internal/obs/trace
-	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime=5s ./internal/lp
-	$(GO) test -run '^$$' -fuzz FuzzEnvelopeOpen -fuzztime=5s ./internal/envelope
-	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime=5s ./internal/propgraph
+	@n=0; for pkg in $$($(GO) list ./internal/...); do \
+		names=$$($(GO) test -list '^Fuzz' $$pkg) || { echo "$$names"; exit 1; }; \
+		for name in $$(echo "$$names" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$name"; \
+			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime=5s $$pkg || exit 1; \
+			n=$$((n+1)); \
+		done; \
+	done; echo "fuzzsmoke OK: $$n targets"
 
 # verify = tier-1 (build + full tests) plus gofmt, vet, the race checks
-# (the continuous-learning loop among them: internal/service), the six
-# five-second fuzz smokes, and the two smokes: load (real seldond +
+# (the continuous-learning loop among them: internal/service), five
+# seconds of every fuzz target, and the two smokes: load (real seldond +
 # seldonload over loopback) and distributed learning (real worker
 # subprocesses + coordinator).
 verify: fmt-check vet race build test fuzzsmoke loadsmoke shardsmoke

@@ -17,12 +17,12 @@ import (
 // coordinate is `seldon coordinate`: gather shard artifacts — a glob of
 // files, or N `seldon shard` subprocesses of this binary over pipes —
 // merge them in slice order, and learn once over the global graph.
-// Ingestion is streaming and pipelined: each artifact is decoded
-// incrementally (never materialized whole) and folded into the union the
-// moment its slice-order turn comes, so decode overlaps worker execution
-// and peak coordinator memory is one artifact. The result is what `seldon
-// learn` over the concatenated corpus produces, with the gather and merge
-// timings ahead of the stage breakdown.
+// Ingestion is pipelined: each artifact is read whole, verified, parsed
+// and folded into the union the moment its slice-order turn comes, then
+// released, so decode overlaps worker execution and peak coordinator
+// memory is one artifact. The result is what `seldon learn` over the
+// concatenated corpus produces, with the gather and merge timings ahead
+// of the stage breakdown.
 func coordinate(args []string) error {
 	fs := flag.NewFlagSet("seldon coordinate", flag.ExitOnError)
 	in, lf, out, cache, of := addInputFlags(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
@@ -130,8 +130,8 @@ func coordinate(args []string) error {
 	return r.finish(res, seedSpec, summary, len(mres.Files), mres.CorpusFingerprint, out)
 }
 
-// readShards streams the artifact files through one merge, in the order
-// given.
+// readShards reads the artifact files into one merge, in the order given;
+// a fault, the decoder's or the merge's, names the file it came from.
 func readShards(paths []string, ropts shard.ReadOptions, mopts shard.MergeOptions) (*shard.MergeResult, error) {
 	m := shard.NewMerger(mopts)
 	for _, p := range paths {
@@ -141,7 +141,7 @@ func readShards(paths []string, ropts shard.ReadOptions, mopts shard.MergeOption
 		}
 		ropts.Log.Log("shard.read", "path", p, "slice", a.Slice, "of", a.Slices, "bytes", a.Size)
 		if err := m.Commit(a); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", p, err)
 		}
 	}
 	return m.Finish()

@@ -375,13 +375,13 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int)
 // flow pass has run.
 func (s *System) finishMetrics(workers int) {
 	m := s.Opts.Metrics
-	m.Set("constraints.vars", float64(len(s.Vars)))
-	m.Set("constraints.known_vars", float64(len(s.Problem.Known)))
-	m.Set("constraints.events", float64(len(s.EventInfos)))
-	m.Set("constraints.total", float64(len(s.Problem.Constraints)))
-	m.Set("constraints.pattern_a", float64(s.CountA))
-	m.Set("constraints.pattern_b", float64(s.CountB))
-	m.Set("constraints.pattern_c", float64(s.CountC))
-	m.Set("constraints.skipped_components", float64(s.SkippedComponents))
-	m.Set("constraints.workers", float64(workers))
+	m.Set(obs.GaugeConstraintsVars, float64(len(s.Vars)))
+	m.Set(obs.GaugeConstraintsKnownVars, float64(len(s.Problem.Known)))
+	m.Set(obs.GaugeConstraintsEvents, float64(len(s.EventInfos)))
+	m.Set(obs.GaugeConstraintsTotal, float64(len(s.Problem.Constraints)))
+	m.Set(obs.GaugeConstraintsPatternA, float64(s.CountA))
+	m.Set(obs.GaugeConstraintsPatternB, float64(s.CountB))
+	m.Set(obs.GaugeConstraintsPatternC, float64(s.CountC))
+	m.Set(obs.GaugeConstraintsSkipped, float64(s.SkippedComponents))
+	m.Set(obs.GaugeConstraintsWorkers, float64(workers))
 }

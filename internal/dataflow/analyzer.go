@@ -11,13 +11,15 @@ import (
 
 // Options configures the analyzer.
 type Options struct {
-	// MaxPathSegments caps the length of symbolic paths used to build
+	// maxPathSegments caps the length of symbolic paths used to build
 	// event representations; longer chains keep flowing but stop
 	// producing representations. Default 8 (the paper's context bound).
-	MaxPathSegments int
-	// FieldDepth bounds how deep field maps are traversed when
+	// fieldDepth bounds how deep field maps are traversed when
 	// collecting the events carried by an abstract value. Default 3.
-	FieldDepth int
+	// Both change the graph an analysis produces and neither is part of
+	// fpcache.Key or AnalyzerVersion, so only this package's tests set
+	// them: a new default is a new AnalyzerVersion.
+	maxPathSegments, fieldDepth int
 	// Metrics, when non-nil, receives per-module analysis counters
 	// (modules, functions, graph events).
 	Metrics *obs.Registry
@@ -29,11 +31,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxPathSegments == 0 {
-		o.MaxPathSegments = 8
+	if o.maxPathSegments == 0 {
+		o.maxPathSegments = 8
 	}
-	if o.FieldDepth == 0 {
-		o.FieldDepth = 3
+	if o.fieldDepth == 0 {
+		o.fieldDepth = 3
 	}
 	return o
 }
@@ -70,9 +72,9 @@ func AnalyzeModule(mod *pyast.Module, opts Options) *propgraph.Graph {
 	for i, n := 0, len(sc.order); i < n; i++ {
 		a.ensureAnalyzed(sc.order[i])
 	}
-	a.opts.Metrics.Add("dataflow.modules", 1)
-	a.opts.Metrics.Add("dataflow.functions", int64(len(sc.order)))
-	a.opts.Metrics.Add("dataflow.events", int64(len(a.g.Events)))
+	a.opts.Metrics.Add(obs.CounterDataflowModules, 1)
+	a.opts.Metrics.Add(obs.CounterDataflowFunctions, int64(len(sc.order)))
+	a.opts.Metrics.Add(obs.CounterDataflowGraphEvents, int64(len(a.g.Events)))
 	return a.g
 }
 
@@ -218,7 +220,7 @@ func (a *analyzer) extend(p *sympath, seg string) *sympath {
 	if p == nil {
 		return nil
 	}
-	if len(p.segs)+1 > a.opts.MaxPathSegments {
+	if len(p.segs)+1 > a.opts.maxPathSegments {
 		return nil
 	}
 	segs := a.sc.strs.Alloc(len(p.segs) + 1)

@@ -192,14 +192,14 @@ func (a *analyzer) evalAttrLoad(fe *funcEnv, base []*object, basePath *sympath, 
 // values previously stored under fieldName in those objects.
 func (a *analyzer) newReadEvent(fe *funcEnv, base []*object, path *sympath, pos pytoken.Pos, fieldName string) ([]*object, *sympath) {
 	ev := a.g.AddEvent(propgraph.KindRead, a.file, pos, a.reps(path))
-	for _, src := range a.sc.collectEvents(base, a.opts.FieldDepth) {
+	for _, src := range a.sc.collectEvents(base, a.opts.fieldDepth) {
 		a.g.AddEdge(src, ev.ID)
 	}
 	var stored []*object
 	for _, o := range base {
 		stored = a.sc.union(stored, o.field(fieldName))
 	}
-	for _, src := range a.sc.collectEvents(stored, a.opts.FieldDepth) {
+	for _, src := range a.sc.collectEvents(stored, a.opts.fieldDepth) {
 		a.g.AddEdge(src, ev.ID)
 	}
 	return a.sc.union(a.sc.one(a.sc.newObject(ev.ID)), stored), path
@@ -230,7 +230,7 @@ func (a *analyzer) evalCall(fe *funcEnv, call *pyast.Call) ([]*object, *sympath)
 		// locals() exposes every local variable (§5.2).
 		if f.Ident == "locals" && len(call.Args) == 0 {
 			ev := a.g.AddEvent(propgraph.KindCall, a.file, call.Pos(), localsReps)
-			for _, src := range a.sc.collectEvents(fe.env.allObjects(), a.opts.FieldDepth) {
+			for _, src := range a.sc.collectEvents(fe.env.allObjects(), a.opts.fieldDepth) {
 				a.g.AddEdge(src, ev.ID)
 			}
 			return a.sc.one(a.sc.newObject(ev.ID)), nil
@@ -302,12 +302,12 @@ func (a *analyzer) unknownCall(fe *funcEnv, call *pyast.Call, receiver []*object
 	// through, enabling argument-sensitive sink specifications (§3.3's
 	// future-work differentiation).
 	feedArg := func(objs []*object, argPos int) {
-		for _, src := range a.sc.collectEvents(objs, a.opts.FieldDepth) {
+		for _, src := range a.sc.collectEvents(objs, a.opts.fieldDepth) {
 			a.g.AddEdgeArg(src, ev.ID, argPos)
 		}
 	}
 	feedAny := func(objs []*object) {
-		for _, src := range a.sc.collectEvents(objs, a.opts.FieldDepth) {
+		for _, src := range a.sc.collectEvents(objs, a.opts.fieldDepth) {
 			a.g.AddEdge(src, ev.ID)
 		}
 	}
@@ -347,7 +347,7 @@ func (a *analyzer) linkLocalCall(fe *funcEnv, fd *funcDef, call *pyast.Call, rec
 			return
 		}
 		if evID, ok := fd.paramEvent(params[i]); ok {
-			for _, src := range a.sc.collectEvents(objs, a.opts.FieldDepth) {
+			for _, src := range a.sc.collectEvents(objs, a.opts.fieldDepth) {
 				a.g.AddEdge(src, evID)
 			}
 		}

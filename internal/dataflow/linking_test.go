@@ -184,7 +184,7 @@ func TestMaxPathSegmentsCapsReps(t *testing.T) {
 	}
 	// With a small cap, the deep call has no reps at all but still exists.
 	mod, _ := pyparse.Parse("t.py", src)
-	g2 := AnalyzeModule(mod, Options{MaxPathSegments: 3})
+	g2 := AnalyzeModule(mod, Options{maxPathSegments: 3})
 	deepCall := 0
 	for _, e := range g2.Events {
 		if e.Kind == propgraph.KindCall && e.NumReps() == 0 {
@@ -207,11 +207,11 @@ def f():
     sink(nested)
 `
 	mod, _ := pyparse.Parse("t.py", src)
-	g := AnalyzeModule(mod, Options{FieldDepth: 2})
+	g := AnalyzeModule(mod, Options{fieldDepth: 2})
 	// With depth 2 the taint is buried 5 levels deep: no edge expected,
 	// but no panic or hang either.
 	_ = g
-	g2 := AnalyzeModule(mod, Options{FieldDepth: 6})
+	g2 := AnalyzeModule(mod, Options{fieldDepth: 6})
 	if !flowsTo(t, g2, "flask.request.args.get()", "sink()") {
 		t.Error("depth 6 must reach the nested taint")
 	}

@@ -34,6 +34,21 @@ const (
 	StageConstraintsVars   = "stage.constraints.vars"   // pass 3: variable assignment
 	StageConstraintsFlow   = "stage.constraints.flow"   // pass 4: flow constraints
 
+	// The system a constraint build produced (constraints.System), and
+	// what the analyzer produced it from (dataflow.AnalyzeModule).
+	GaugeConstraintsVars       = "constraints.vars"               // score variables, one per (representation, role)
+	GaugeConstraintsKnownVars  = "constraints.known_vars"         // of them, fixed at 0 or 1 by the seed
+	GaugeConstraintsEvents     = "constraints.events"             // events that kept a candidate representation
+	GaugeConstraintsTotal      = "constraints.total"              // flow constraints, the three patterns together
+	GaugeConstraintsPatternA   = "constraints.pattern_a"          // Fig. 4a: a sanitizer before a sink needs a source
+	GaugeConstraintsPatternB   = "constraints.pattern_b"          // Fig. 4b: a source before a sanitizer needs a sink
+	GaugeConstraintsPatternC   = "constraints.pattern_c"          // Fig. 4c: a source before a sink needs a sanitizer
+	GaugeConstraintsSkipped    = "constraints.skipped_components" // components over MaxComponent, given no constraints
+	GaugeConstraintsWorkers    = "constraints.workers"            // goroutines the build ran on
+	CounterDataflowModules     = "dataflow.modules"               // modules analyzed
+	CounterDataflowFunctions   = "dataflow.functions"             // functions those modules define
+	CounterDataflowGraphEvents = "dataflow.events"                // events in the graphs built from them
+
 	// Symbol interning (propgraph.Interner) over the learned-on graph.
 	// intern.symbols is the number of distinct representation strings;
 	// intern.bytes_saved is the string bytes interning avoids storing —
@@ -112,8 +127,8 @@ const (
 	// StageShardDecode and StageShardExec are the coordinator's whole
 	// gather: read, decode and commit every artifact file of a glob, or
 	// spawn N `seldon shard` subprocesses, wait, decode their artifacts.
-	// StageShardStream is one sample per artifact streamed through
-	// shard.NewReader, inside either.
+	// StageShardStream is one sample per artifact read, verified and
+	// parsed by shard.ReadArtifact, inside either.
 	StageShardDecode = "stage.shard.decode"
 	StageShardStream = "stage.shard.stream"
 	StageShardExec   = "stage.shard.exec"
@@ -123,11 +138,11 @@ const (
 	// GaugeShardSlices is the shard count a coordinator merged (or the
 	// slice count a worker was partitioned under).
 	GaugeShardSlices = "shard.slices"
-	// CounterShardStreamBytes totals bytes ingested through the
-	// streaming artifact decoder; GaugeShardMergePeakBytes is the peak
+	// CounterShardStreamBytes totals the encoded bytes of the artifacts
+	// shard.ReadArtifact decoded; GaugeShardMergePeakBytes is the peak
 	// encoded-artifact residency of the commit-queue merge (decoded but
 	// not yet folded into the union) — the number that stays near one
-	// slice on the streaming path where the barrier path held all N.
+	// slice when artifacts arrive in order, where a barrier held all N.
 	CounterShardStreamBytes  = "shard.stream.bytes"
 	GaugeShardMergePeakBytes = "shard.merge.peak_bytes"
 

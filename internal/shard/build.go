@@ -48,7 +48,7 @@ func Build(files map[string]string, i, n int, cfg core.Config) (*Artifact, *core
 		}
 		// The span hash is over the file graph's binary encoding — the
 		// same bytes the artifact ships as this file's graph section, so
-		// a streaming coordinator recomputes the identical hash.
+		// the coordinator recomputes the identical hash.
 		encBuf = fe.Graphs[j].AppendBinary(encBuf[:0])
 		hashes[j] = sha256.Sum256(encBuf)
 		events[j] = len(fe.Graphs[j].Events)

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -15,11 +14,11 @@ import (
 // The local-process executor: the smallest real deployment of the
 // worker/coordinator split. Each slice is analyzed by a `seldon shard`
 // subprocess writing its artifact to a stdout pipe, and the coordinator
-// streams the artifacts off those pipes through the incremental decoder
-// — so the whole distributed flow (worker binary, wire format, pipelined
-// ingestion) is exercised end to end on one box (and in CI) with no
-// scheduler or network. A production deployment replaces this fan-out
-// with remote workers shipping the same artifacts.
+// reads the artifacts off those pipes in slice order — so the whole
+// distributed flow (worker binary, wire format, pipelined ingestion) is
+// exercised end to end on one box (and in CI) with no scheduler or
+// network. A production deployment replaces this fan-out with remote
+// workers shipping the same artifacts.
 
 // ExecConfig configures a local fan-out.
 type ExecConfig struct {
@@ -43,8 +42,8 @@ type ExecConfig struct {
 	// fpcache the shipped entries are written into.
 	ShipCache bool
 	Ingest    *fpcache.Cache
-	// Metrics, when non-nil, receives the streaming-decode observations
-	// (stage.shard.stream, shard.stream.bytes).
+	// Metrics, when non-nil, receives the per-artifact decode
+	// observations (stage.shard.stream, shard.stream.bytes).
 	Metrics *obs.Registry
 	// Stderr receives the workers' stderr (nil = the parent's stderr).
 	Stderr io.Writer
@@ -118,8 +117,8 @@ func (p *workerProc) finish(bin string, slices int) error {
 }
 
 // ExecMerge is the pipelined fan-out: workers run concurrently, and the
-// coordinator streams artifacts off the pipes in slice order, folding
-// each one into the merge as its checksum settles — slice i is decoded
+// coordinator reads artifacts off the pipes in slice order, folding each
+// one into the merge once it has verified and parsed — slice i is decoded
 // and merged while workers i+1..n are still analyzing, and the decoded
 // artifacts are released as they fold, so peak coordinator memory is
 // one artifact, not the corpus. (A finished out-of-turn worker parks
@@ -129,9 +128,9 @@ func (p *workerProc) finish(bin string, slices int) error {
 //
 // Failure reporting names the slice and preserves the decoder's
 // sentinel: a worker dying mid-write surfaces as slice i's ErrTruncated
-// (the pipe ends inside the payload), never as a generic decode error —
-// and never as a hang, because every pipe is closed and every worker
-// reaped on the way out.
+// (the pipe ends short of the declared payload), never as a generic
+// decode error — and never as a hang, because every pipe is closed and
+// every worker reaped on the way out.
 func ExecMerge(cfg ExecConfig, mopts MergeOptions) (*MergeResult, error) {
 	if cfg.Slices < 1 {
 		return nil, fmt.Errorf("shard: exec: need at least 1 slice, got %d", cfg.Slices)
@@ -152,7 +151,7 @@ func ExecMerge(cfg ExecConfig, mopts MergeOptions) (*MergeResult, error) {
 	}
 	for i := range procs {
 		p := &procs[i]
-		a, err := ReadArtifact(bufio.NewReaderSize(p.out, 64<<10), ropts)
+		a, err := ReadArtifact(p.out, ropts)
 		if err != nil {
 			return nil, fail(i, fmt.Errorf("shard: exec: slice %d/%d: %w", p.idx, cfg.Slices, err))
 		}

@@ -2,13 +2,11 @@ package shard
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"seldon/internal/core"
-	"seldon/internal/propgraph"
 )
 
 // TestFixtureRoundTrip pins the wire format: testdata/slice.shard was
@@ -38,32 +36,17 @@ func TestFixtureRoundTrip(t *testing.T) {
 	}
 
 	// A decoded Artifact does not keep its per-file graphs, so the
-	// re-encoding is assembled from the section stream.
-	r := NewReader(bytes.NewReader(data))
-	hdr, err := r.Header()
+	// re-encoding is assembled from the section walk.
+	payload, err := openFrame(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hdr.Sidecar || hdr.NumFiles == 0 {
-		t.Fatalf("fixture header %+v: want a sidecar and at least one file", hdr)
-	}
-	a := &Artifact{AnalyzerVersion: hdr.AnalyzerVersion, Slice: hdr.Slice, Slices: hdr.Slices,
-		Sidecar: hdr.Sidecar, Graph: propgraph.New()}
-	for {
-		sec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Files = append(a.Files, sec.Meta)
-		a.FileGraphs = append(a.FileGraphs, sec.Graph)
-		a.SidecarKeys = append(a.SidecarKeys, sec.Key)
-		a.SidecarCosts = append(a.SidecarCosts, sec.Cost)
-	}
-	if err := r.Finish(); err != nil {
+	a, err := reassemble(payload)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !a.Sidecar || len(a.Files) == 0 {
+		t.Fatalf("fixture has %d files, sidecar %v: want a sidecar and at least one file", len(a.Files), a.Sidecar)
 	}
 	if !bytes.Equal(a.Encode(), data) {
 		t.Fatal("fixture does not re-encode to its own bytes")

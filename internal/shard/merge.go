@@ -18,8 +18,8 @@ import (
 // learning from a corpus with a hole in it would silently skew the
 // frequencies the whole inference rests on.
 //
-// The Merger is the streaming form: artifacts are committed one at a
-// time, in any arrival order, and each contiguous prefix of slices is
+// The Merger is incremental: artifacts are committed one at a time, in
+// any arrival order, and each contiguous prefix of slices is
 // folded into the running union the moment it completes — slice i's
 // graph is released before slice i+1's artifact need even exist. The
 // union still replays slice-index order through the same first-seen
@@ -70,7 +70,7 @@ type MergeResult struct {
 	// PeakBytes is the largest encoded-artifact footprint the merge held
 	// at once (parked out-of-order slices plus the slice being folded).
 	// With in-order arrival it is the largest single artifact — the
-	// streaming coordinator never holds the whole corpus encoded.
+	// coordinator never holds the whole corpus encoded.
 	PeakBytes int64
 }
 
@@ -96,7 +96,7 @@ type Merger struct {
 	wall           time.Duration
 }
 
-// NewMerger returns an empty streaming merge.
+// NewMerger returns an empty merge.
 func NewMerger(opts MergeOptions) *Merger {
 	return &Merger{
 		opts:    opts,

@@ -30,14 +30,13 @@
 //	    graph length (uvarint), graph (propgraph v2 binary codec)
 //	sha256 checksum over everything before it (32 bytes)
 //
-// Codec v2 interleaves per-file graph sections (v1 carried one merged
-// slice graph) so an artifact can be decoded as a stream: NewReader
-// yields the header, then one verified file section at a time, with the
-// running checksum settled before any decoded data is acted on — peak
-// decode memory is one file section, not the artifact. The slice graph
-// is reassembled as the disjoint union of the per-file graphs in
-// manifest order, which is exactly how the worker built it, so nothing
-// changes byte-wise downstream.
+// An artifact is decoded whole, by one function on the cursor every
+// persisted format shares (ReadArtifact, internal/envelope): the frame is
+// checked first — length, then checksum — and only a verified payload is
+// parsed, its sections aliasing the bytes read. The slice graph is
+// reassembled as the disjoint union of the per-file graphs in manifest
+// order, which is exactly how the worker built it, so nothing changes
+// byte-wise downstream.
 //
 // Determinism: slices are contiguous blocks of the corpus's sorted
 // file-name order (core.SliceNames), each worker merges its per-file
@@ -49,7 +48,6 @@
 package shard
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -134,7 +132,7 @@ type FileMeta struct {
 
 // Artifact is one decoded shard: the manifest of the corpus slice it
 // covers and the slice's merged propagation graph, plus the per-file
-// facts the streaming merge derives span and sidecar data from.
+// facts the merge derives span and sidecar data from.
 type Artifact struct {
 	// AnalyzerVersion names the front-end semantics the shard was
 	// analyzed under (fpcache.AnalyzerVersion).
@@ -149,7 +147,7 @@ type Artifact struct {
 	// FileGraphs holds the per-file graphs in manifest order. Set by
 	// Build (the worker side); Encode requires it — codec v2 ships one
 	// graph section per file. Decoding does not reconstruct it (the
-	// sections are folded into Graph as they stream), so a decoded
+	// sections are folded into Graph as they parse), so a decoded
 	// artifact cannot be re-encoded.
 	FileGraphs []*propgraph.Graph
 	// FileHashes is the sha256 of each file's encoded graph section and
@@ -217,16 +215,14 @@ func (a *Artifact) Encode() []byte {
 	return envelope.Seal(out)
 }
 
-// ReadFile streams one artifact from path through the incremental
-// decoder (peak memory: one file section plus the accumulating slice
-// graph, not the encoded artifact).
+// ReadFile reads the artifact at path; a fault names the path.
 func ReadFile(path string, opts ReadOptions) (*Artifact, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	a, err := ReadArtifact(bufio.NewReaderSize(f, 64<<10), opts)
+	a, err := ReadArtifact(f, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -4,41 +4,38 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
-	"io"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"seldon/internal/core"
 	"seldon/internal/corpus"
+	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 	"seldon/internal/obs"
 	"seldon/internal/propgraph"
 	"seldon/internal/specio"
 )
 
-// sectionBoundaries walks a well-formed artifact with the streaming
-// reader and records the byte offset after the header and after each
-// file section — the exact places a transfer can die between sections.
+// sectionBoundaries walks a well-formed artifact's sections and records
+// the byte offset after the header and after each file section — the
+// exact places a transfer can die between sections.
 func sectionBoundaries(t *testing.T, data []byte) []int64 {
 	t.Helper()
-	r := NewReader(bytes.NewReader(data))
-	if _, err := r.Header(); err != nil {
-		t.Fatalf("Header over good artifact: %v", err)
+	payload, err := openFrame(data)
+	if err != nil {
+		t.Fatalf("openFrame over good artifact: %v", err)
 	}
-	offs := []int64{r.Size()}
-	for {
-		_, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next over good artifact: %v", err)
-		}
-		offs = append(offs, r.Size())
+	r := envelope.NewReader(payload)
+	at := func() int64 { return int64(len(data) - checksumSize - len(r.Rest())) }
+	a, n := readHeader(r)
+	offs := []int64{at()}
+	for i := 0; i < n; i++ {
+		readSection(r, a.Sidecar)
+		offs = append(offs, at())
 	}
-	if err := r.Finish(); err != nil {
-		t.Fatalf("Finish over good artifact: %v", err)
+	if err := r.Close(); err != nil {
+		t.Fatalf("section walk over good artifact: %v", err)
 	}
 	return offs
 }
