@@ -74,8 +74,11 @@ loadsmoke:
 # over real processes of one binary: generate a corpus on disk, analyze it
 # as three `seldon shard` processes writing wire-format artifacts,
 # coordinate them (-shards-in), and require the spec store to be
-# byte-identical (cmp) to `seldon learn` on the same corpus. A second pass
-# has the coordinator spawn its own workers (-exec-shards); a third adds
+# byte-identical (cmp) to `seldon learn` on the same corpus, and to itself
+# run again under GOMAXPROCS=1: the corpus is 400 files so that each
+# artifact's graph sections pass the size from which they are decoded on
+# several goroutines, which are thus held to the one-goroutine answer. A
+# second pass has the coordinator spawn its own workers (-exec-shards); a third adds
 # the full streaming stack — fpcache sidecars (-ship-cache) ingested into
 # -cache-dir, a persisted flow-constraint cache (-flowcache) — and both
 # require the same cmp. Any drift in slicing, the codec, symbol
@@ -83,11 +86,13 @@ loadsmoke:
 shardsmoke:
 	rm -rf .shardsmoke && mkdir -p .shardsmoke && \
 	$(GO) build -o .shardsmoke/seldon ./cmd/seldon && \
-	$(GO) run ./cmd/corpusgen -out .shardsmoke/corpus -files 60 >/dev/null && \
+	$(GO) run ./cmd/corpusgen -out .shardsmoke/corpus -files 400 >/dev/null && \
 	./.shardsmoke/seldon learn -dir .shardsmoke/corpus -seedfile .shardsmoke/corpus/seed.spec -o .shardsmoke/single.json >/dev/null && \
 	for i in 0 1 2; do ./.shardsmoke/seldon shard -dir .shardsmoke/corpus -slices 3 -slice $$i -o .shardsmoke/p$$i.shard 2>/dev/null || exit 1; done && \
 	./.shardsmoke/seldon coordinate -shards-in '.shardsmoke/p*.shard' -seedfile .shardsmoke/corpus/seed.spec -o .shardsmoke/dist.json >/dev/null && \
 	cmp .shardsmoke/single.json .shardsmoke/dist.json && \
+	GOMAXPROCS=1 ./.shardsmoke/seldon coordinate -shards-in '.shardsmoke/p*.shard' -seedfile .shardsmoke/corpus/seed.spec -o .shardsmoke/dist1.json >/dev/null && \
+	cmp .shardsmoke/dist.json .shardsmoke/dist1.json && \
 	./.shardsmoke/seldon learn -generate 60 -o .shardsmoke/gen_single.json >/dev/null && \
 	./.shardsmoke/seldon coordinate -generate 60 -exec-shards 3 -o .shardsmoke/exec.json >/dev/null 2>&1 && \
 	cmp .shardsmoke/gen_single.json .shardsmoke/exec.json && \

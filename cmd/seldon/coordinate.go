@@ -17,12 +17,13 @@ import (
 // coordinate is `seldon coordinate`: gather shard artifacts — a glob of
 // files, or N `seldon shard` subprocesses of this binary over pipes —
 // merge them in slice order, and learn once over the global graph.
-// Ingestion is pipelined: each artifact is read whole, verified, parsed
-// and folded into the union the moment its slice-order turn comes, then
-// released, so decode overlaps worker execution and peak coordinator
-// memory is one artifact. The result is what `seldon learn` over the
-// concatenated corpus produces, with the gather and merge timings ahead
-// of the stage breakdown.
+// Ingestion is pipelined: each artifact is read whole, its frame verified,
+// its sections cut and their graphs decoded on every processor, then
+// appended to the union — their one copy — the moment its slice-order
+// turn comes, and released, so decode overlaps worker execution and peak
+// coordinator memory is one artifact. The result is what `seldon learn`
+// over the concatenated corpus produces, with the gather and merge
+// timings ahead of the stage breakdown.
 func coordinate(args []string) error {
 	fs := flag.NewFlagSet("seldon coordinate", flag.ExitOnError)
 	in, lf, out, cache, of := addInputFlags(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)

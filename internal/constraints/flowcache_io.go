@@ -110,16 +110,29 @@ func loadFlowCache(path string, opts Options) *FlowCache {
 	// A term is a variable and a coefficient, a constraint two term
 	// counts, a block a name length, a fingerprint and five counts.
 	const minTerm, minCons, minBlock = 8 + 8, 8 + 8, 8 + 32 + 5*8
+	// Term lists, two a constraint and mostly of a term or two, are carved
+	// from slabs no larger than the terms the bytes left can hold.
+	var slab []lp.Term
 	terms := func() []lp.Term {
-		ts := make([]lp.Term, r.Count(r.U64(), minTerm))
+		n := r.Count(r.U64(), minTerm)
+		if len(slab) < n {
+			slab = make([]lp.Term, max(n, min(len(r.Rest())/minTerm, 4096)))
+		}
+		ts := slab[:n:n]
+		slab = slab[n:]
 		for i := range ts {
 			ts[i] = lp.Term{Var: int(r.U64()), Coef: r.F64()}
 		}
 		return ts
 	}
 	c := NewFlowCache()
-	for n := r.Count(r.U64(), minBlock); n > 0 && r.Err() == nil; n-- {
+	for n, prev := r.Count(r.U64(), minBlock), ""; n > 0 && r.Err() == nil; n-- {
 		f := r.String64()
+		// Save writes each name once, in sorted order.
+		if len(c.blocks) > 0 && f <= prev {
+			return nil
+		}
+		prev = f
 		blk := &flowBlock{}
 		copy(blk.fp[:], r.Take(len(blk.fp)))
 		blk.countA = int(r.U64())

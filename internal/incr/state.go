@@ -165,7 +165,9 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 	// A file is a name length, a flag, a content hash and a graph length;
 	// a solution or pin a name length, a role and a value.
 	const minFile, minScore = 8 + 1 + 32 + 8, 8 + 8 + 8
-	for n := r.Count(r.U64(), minFile); n > 0 && r.Err() == nil; n-- {
+	var names []string
+	var encs [][]byte
+	for n := r.Count(r.U64(), minFile); n > 0; n-- {
 		name := r.String64()
 		hasContent := r.Byte() != 0
 		var ch [32]byte
@@ -174,18 +176,19 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		if r.Err() != nil {
 			break
 		}
-		g, rest, derr := propgraph.DecodeBinary(enc)
-		if derr != nil {
-			return nil, fmt.Errorf("incr: decode graph %q: %w", name, derr)
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("incr: trailing bytes after graph %q", name)
-		}
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
-		fs := newFileState(bytes.Clone(enc), g)
+		fs := newFileState(bytes.Clone(enc), nil)
 		fs.contentHash, fs.hasContent = ch, hasContent
 		s.files[name] = fs
+		names, encs = append(names, name), append(encs, enc)
+	}
+	graphs, bad, err := propgraph.DecodeAll(encs)
+	if err != nil {
+		return nil, fmt.Errorf("incr: decode graph %q: %w", names[bad], err)
+	}
+	for i, g := range graphs {
+		s.files[names[i]].graph = g
 	}
 	scores := func() map[PinKey]float64 {
 		n := r.Count(r.U64(), minScore)

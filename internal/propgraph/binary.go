@@ -139,8 +139,8 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 	// Symbol table. Interning in stored order reproduces the IDs the
 	// encoder wrote; a duplicate would silently shift every later ID, so
 	// it is rejected as corruption.
-	syms := NewInterner()
 	numSyms := count()
+	syms := newInterner(numSyms)
 	for i := 0; i < numSyms && r.Err() == nil; i++ {
 		s := r.StringV()
 		if r.Err() == nil && int(syms.Intern(s)) != i {
@@ -303,4 +303,37 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 		return nil, nil, fmt.Errorf("propgraph: binary: %w", err)
 	}
 	return g, r.Rest(), nil
+}
+
+// decodeFanoutBytes is the total encoded size, some ninety corpus files, from
+// which DecodeAll deals graphs to GOMAXPROCS goroutines (cf. unionFanoutEvents).
+const decodeFanoutBytes = 64 << 10
+
+// DecodeAll decodes encs, each one whole graph, and returns the graphs in
+// order. Graphs decode independently: contiguous runs of about equal size
+// are decoded on a goroutine each (cutRuns, eachRun). Of malformed
+// encodings it reports the lowest, index and error, at any number of
+// processors: a run stops at its first fault, the first run with one has it.
+func DecodeAll(encs [][]byte) ([]*Graph, int, error) {
+	graphs := make([]*Graph, len(encs))
+	runs := cutRuns(nil, len(encs), func(i int) int { return len(encs[i]) }, decodeFanoutBytes)
+	bad := make([]int, len(runs)-1) // per run: the index of its fault
+	errs := make([]error, len(runs)-1)
+	eachRun(runs, func(k int) {
+		for i := runs[k]; i < runs[k+1]; i++ {
+			g, rest, err := DecodeBinary(encs[i])
+			if err == nil && len(rest) != 0 {
+				err = fmt.Errorf("propgraph: binary: %d bytes after graph", len(rest))
+			}
+			if err != nil {
+				bad[k], errs[k] = i, err
+				return
+			}
+			graphs[i] = g
+		}
+	})
+	if k := slices.IndexFunc(errs, func(err error) bool { return err != nil }); k >= 0 {
+		return nil, bad[k], errs[k]
+	}
+	return graphs, 0, nil
 }

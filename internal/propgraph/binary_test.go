@@ -3,6 +3,9 @@ package propgraph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"seldon/internal/envelope"
@@ -213,5 +216,73 @@ func TestBinaryStringTableCompression(t *testing.T) {
 	}
 	if !bytes.Equal(got.AppendBinary(nil), enc) {
 		t.Error("round trip changed bytes")
+	}
+}
+
+// TestDecodeAllMatchesDecodeBinary pins the parallel decoder to the loop
+// it replaces, at one, two and eight processors, below the fan-out
+// threshold and above it: the same graphs in the same order, and with
+// malformed encodings among them the index and error of the lowest — a
+// graph cut short, and a whole graph with bytes after it.
+func TestDecodeAllMatchesDecodeBinary(t *testing.T) {
+	var encs [][]byte
+	for i, size := 0, 0; size <= 4*decodeFanoutBytes; i++ {
+		g := labelledGraph(i, 5+i%60)
+		if i%19 == 4 {
+			g = New()
+		}
+		encs = append(encs, g.AppendBinary(nil))
+		size += len(encs[i])
+	}
+	withFaults := func(at ...int) [][]byte {
+		out := slices.Clone(encs)
+		for k, i := range at {
+			if k%2 == 0 {
+				out[i] = out[i][:len(out[i])-1]
+			} else {
+				out[i] = append(slices.Clone(out[i]), 0)
+			}
+		}
+		return out
+	}
+	last := len(encs) - 1
+	cases := []struct {
+		name string
+		encs [][]byte
+		bad  int // -1: all decode
+	}{
+		{"none", nil, -1},
+		{"few", encs[:7], -1},
+		{"many", encs, -1},
+		{"few, one fault", withFaults(5)[:7], 5},
+		{"first", withFaults(0), 0},
+		{"last", withFaults(last), last},
+		{"trailing byte before a cut graph", withFaults(last, last/3), last / 3},
+		{"one in every run", withFaults(last/8+1, last/2+1, last/4, last-1), last/8 + 1},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			graphs, bad, err := DecodeAll(tc.encs)
+			if tc.bad >= 0 {
+				_, rest, want := DecodeBinary(tc.encs[tc.bad])
+				if want == nil {
+					want = fmt.Errorf("propgraph: binary: %d bytes after graph", len(rest))
+				}
+				if graphs != nil || bad != tc.bad || err == nil || err.Error() != want.Error() {
+					t.Errorf("%s, GOMAXPROCS=%d: fault (%d, %v), want (%d, %v)", tc.name, procs, bad, err, tc.bad, want)
+				}
+				continue
+			}
+			if err != nil || len(graphs) != len(tc.encs) {
+				t.Fatalf("%s, GOMAXPROCS=%d: %d graphs of %d, fault (%d, %v)", tc.name, procs, len(graphs), len(tc.encs), bad, err)
+			}
+			for i, g := range graphs {
+				if !bytes.Equal(g.AppendBinary(nil), tc.encs[i]) {
+					t.Fatalf("%s, GOMAXPROCS=%d: graph %d does not re-encode to its bytes", tc.name, procs, i)
+				}
+			}
+		}
 	}
 }

@@ -72,9 +72,8 @@ type UnionBuilder struct {
 	carved struct{ events, reps, ints, lists int }
 
 	// The edit under way, shared by its goroutines; the slices are reused
-	// from one edit to the next, so that the Add of one small graph — a
-	// coordinator folds thousands of them — allocates only its
-	// translation array.
+	// from one edit to the next, so that the Add of one small graph
+	// allocates only its translation array.
 	fresh []unionFresh // the inputs to copy in, and one entry of totals
 	runs  []int        // contiguous runs of fresh inputs, one per goroutine
 	segs  []unionSeg
@@ -130,10 +129,10 @@ func NewUnionBuilder() *UnionBuilder {
 	return &UnionBuilder{g: &Graph{Syms: NewInterner()}}
 }
 
-// Add appends src to the union. src is not modified and must not change
-// afterwards.
-func (b *UnionBuilder) Add(src *Graph) {
-	b.Splice([]UnionEdit{{At: len(b.inputs), Ins: []*Graph{src}}})
+// Add appends the graphs of src to the union, in order and in one edit.
+// They are not modified and must not change afterwards.
+func (b *UnionBuilder) Add(src ...*Graph) {
+	b.Splice([]UnionEdit{{At: len(b.inputs), Ins: src}})
 }
 
 // Graph returns the union built so far. The builder retains it; an edit
@@ -144,8 +143,8 @@ func (b *UnionBuilder) Graph() *Graph { return b.g }
 // unionFanoutEvents is the size of a copy, in events, from which its
 // inputs are dealt to GOMAXPROCS goroutines; below it a goroutine costs
 // more than the events it would copy. The unit dealt is an input, so the
-// one-file Union of a /v1/check, and any Add, is a single run however
-// many processors there are, and never starts a goroutine.
+// one-file Union of a /v1/check, and the Add of one graph, is a single run
+// however many processors there are, and never starts a goroutine.
 const unionFanoutEvents = 4096
 
 // unionDeadShare is the share of dead events, as 1/unionDeadShare of the
@@ -356,7 +355,7 @@ func moveSegs[T any](tab []T, segs []unionSeg, n int) []T {
 func (b *UnionBuilder) copyFresh() {
 	g := b.g
 	b.fresh = append(b.fresh, unionFresh{})
-	b.cutRuns()
+	b.runs = cutRuns(b.runs[:0], len(b.fresh)-1, func(i int) int { return b.fresh[i].ev }, unionFanoutEvents)
 	var sum unionFresh
 	for i := range b.fresh {
 		f := &b.fresh[i]
@@ -381,46 +380,48 @@ func (b *UnionBuilder) copyFresh() {
 
 	// Every slot of the tables and every element of the blocks is written
 	// by exactly one input, so what a run writes is fixed by its offsets,
-	// never by scheduling. With one run everything happens on this
-	// goroutine; otherwise every run gets its own.
+	// never by scheduling. The one run of a one-file union is copied
+	// without the allocations of a fan-out.
 	if len(b.runs) == 2 {
 		b.copyRun(0)
 	} else {
-		var wg sync.WaitGroup
-		for k := 0; k+1 < len(b.runs); k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				b.copyRun(k)
-			}()
-		}
-		wg.Wait()
+		eachRun(b.runs, b.copyRun)
 	}
 
 	// Let go of the inputs.
 	clear(b.fresh)
 }
 
-// cutRuns cuts the fresh inputs into contiguous runs of about equal event
-// count, one per goroutine, as indexes into b.fresh: a single run below
-// unionFanoutEvents or when there is one input or one processor.
-func (b *UnionBuilder) cutRuns() {
-	n := len(b.fresh) - 1
-	b.runs = append(b.runs[:0], 0)
+// cutRuns appends to runs the bounds of contiguous runs of n items of about
+// equal weight, one per goroutine: one below floor or with one processor or item.
+func cutRuns(runs []int, n int, weight func(i int) int, floor int) []int {
+	runs = append(runs, 0)
 	total := 0
-	for i := range b.fresh[:n] {
-		total += b.fresh[i].ev
+	for i := 0; i < n; i++ {
+		total += weight(i)
 	}
-	if w := min(runtime.GOMAXPROCS(0), n); w >= 2 && total >= unionFanoutEvents {
-		before := 0 // events of the inputs before i
-		for i := 0; i < n && len(b.runs) < w; i++ {
-			if i > b.runs[len(b.runs)-1] && before >= total*len(b.runs)/w {
-				b.runs = append(b.runs, i)
+	if w := min(runtime.GOMAXPROCS(0), n); w >= 2 && total >= floor {
+		before := 0 // weight of the items before i
+		for i := 0; i < n && len(runs) < w; i++ {
+			if i > runs[len(runs)-1] && before >= total*len(runs)/w {
+				runs = append(runs, i)
 			}
-			before += b.fresh[i].ev
+			before += weight(i)
 		}
 	}
-	b.runs = append(b.runs, n)
+	return append(runs, n)
+}
+
+// eachRun calls do(k) for every run k of cutRuns and returns when all have:
+// the first on this goroutine, every other one on its own.
+func eachRun(runs []int, do func(k int)) {
+	var wg sync.WaitGroup
+	for k := 1; k+1 < len(runs); k++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); do(k) }()
+	}
+	do(0)
+	wg.Wait()
 }
 
 // copyRun copies the events of the fresh inputs of run k, their adjacency

@@ -7,7 +7,8 @@ import (
 
 // TestUnionBuilderMatchesUnion pins the builder's contract: adding
 // graphs one at a time produces a graph byte-identical to Union over
-// the same inputs — at every prefix, not just the end.
+// the same inputs — at every prefix, not just the end — and so does
+// adding several in one call behind the ones already there.
 func TestUnionBuilderMatchesUnion(t *testing.T) {
 	inputs := []*Graph{
 		pseudoGraph(1, 12),
@@ -25,6 +26,13 @@ func TestUnionBuilderMatchesUnion(t *testing.T) {
 			t.Fatalf("after %d adds: builder graph differs from Union (%d vs %d bytes)",
 				i+1, len(got), len(want))
 		}
+	}
+	b = NewUnionBuilder()
+	b.Add(inputs[:2]...)
+	b.Add()
+	b.Add(inputs[2:]...)
+	if !bytes.Equal(b.Graph().AppendBinary(nil), Union(inputs...).AppendBinary(nil)) {
+		t.Fatal("Add(a, b) then Add(c, d, e) differs from Union and from five Adds")
 	}
 }
 

@@ -21,11 +21,12 @@ import (
 // The Merger is incremental: artifacts are committed one at a time, in
 // any arrival order, and each contiguous prefix of slices is
 // folded into the running union the moment it completes — slice i's
-// graph is released before slice i+1's artifact need even exist. The
-// union still replays slice-index order through the same first-seen
-// symbol translation (propgraph.UnionBuilder ≡ propgraph.Union), so the
-// result is byte-identical to the barrier merge at any shard count and
-// any arrival order; out-of-order arrivals are parked and the peak
+// per-file graphs are copied into it once and released with their
+// artifact before slice i+1's need even exist. The union replays manifest
+// order, slice by slice, through the same first-seen symbol translation
+// (propgraph.UnionBuilder ≡ propgraph.Union), so the result is
+// byte-identical to the single-process union at any shard count and any
+// arrival order; out-of-order arrivals are parked and the peak
 // parked+folding footprint is reported (shard.merge.peak_bytes).
 
 // MergeOptions configures telemetry for a merge.
@@ -42,9 +43,9 @@ type MergeOptions struct {
 // manifest-derived facts the coordinator needs to stand in for a
 // single-process run (fingerprint, counts, parse errors).
 type MergeResult struct {
-	// Graph is the global propagation graph: the union of the shard
-	// graphs in slice order, byte-identical to a single-process union of
-	// the whole corpus.
+	// Graph is the global propagation graph: the union of the shards'
+	// per-file graphs in slice order, byte-identical to a single-process
+	// union of the whole corpus.
 	Graph *propgraph.Graph
 	// Slices is the validated slice count.
 	Slices int
@@ -109,7 +110,7 @@ func NewMerger(opts MergeOptions) *Merger {
 
 // Commit validates one artifact against the partitioning seen so far
 // and folds it — plus any parked successors it unblocks — into the
-// union. The artifact's graph must already be checksum-settled
+// union. The artifact's graphs must already be checksum-settled
 // (ReadArtifact and ReadFile only return settled artifacts). Errors are
 // the package's named sentinels; any error poisons the merge.
 func (m *Merger) Commit(a *Artifact) error {
@@ -151,15 +152,16 @@ func (m *Merger) Commit(a *Artifact) error {
 	}
 }
 
-// fold appends one slice — the contiguous next one — to the union.
+// fold appends one slice — the contiguous next one — to the union: its
+// per-file graphs in one edit, the only copy the coordinator makes of them.
 func (m *Merger) fold(a *Artifact) error {
 	res := m.res
-	if len(a.FileHashes) != len(a.Files) || len(a.FileEvents) != len(a.Files) {
-		return fmt.Errorf("%w: slice %d has %d files but %d graph hashes and %d event counts",
-			ErrEncoding, a.Slice, len(a.Files), len(a.FileHashes), len(a.FileEvents))
+	if len(a.FileGraphs) != len(a.Files) || len(a.FileHashes) != len(a.Files) || len(a.FileEvents) != len(a.Files) {
+		return fmt.Errorf("%w: slice %d has %d files but %d graphs, %d graph hashes and %d event counts",
+			ErrEncoding, a.Slice, len(a.Files), len(a.FileGraphs), len(a.FileHashes), len(a.FileEvents))
 	}
 	base := len(m.ub.Graph().Events)
-	sliceEvents := 0
+	lo := base
 	for j := range a.Files {
 		f := &a.Files[j]
 		// Within an artifact the manifest is sorted (the decoder enforces
@@ -169,31 +171,29 @@ func (m *Merger) fold(a *Artifact) error {
 			return fmt.Errorf("%w: slice %d file %q does not follow %q",
 				ErrSliceOrder, a.Slice, f.Name, m.prev)
 		}
+		// Spans are cut by these counts, so each must be its graph's.
+		if n := len(a.FileGraphs[j].Events); n != a.FileEvents[j] {
+			return fmt.Errorf("%w: slice %d file %q counts %d events, its graph has %d",
+				ErrEncoding, a.Slice, f.Name, a.FileEvents[j], n)
+		}
 		m.prev, m.hasPrev = f.Name, true
 		res.Files = append(res.Files, f.Name)
 		res.Hashes = append(res.Hashes, fmt.Sprintf("%x", f.SHA256[:]))
 		if f.ParseError != "" {
 			res.ParseErrorFiles = append(res.ParseErrorFiles, f.Name)
 		}
-		lo := base + sliceEvents
 		res.Spans = append(res.Spans, constraints.Span{
 			File: f.Name,
 			Lo:   lo,
 			Hi:   lo + a.FileEvents[j],
 			Hash: a.FileHashes[j],
 		})
-		sliceEvents += a.FileEvents[j]
+		lo += a.FileEvents[j]
 	}
-	// The per-file event counts must tile the slice graph exactly, or
-	// the spans would misattribute events.
-	if sliceEvents != len(a.Graph.Events) {
-		return fmt.Errorf("%w: slice %d's files count %d events, its graph has %d",
-			ErrEncoding, a.Slice, sliceEvents, len(a.Graph.Events))
-	}
-	m.ub.Add(a.Graph)
+	m.ub.Add(a.FileGraphs...)
 	res.Bytes += a.Size
 	m.opts.Log.Log("shard.merge", "slice", a.Slice, "of", m.count,
-		"files", len(a.Files), "events", len(a.Graph.Events), "bytes", a.Size)
+		"files", len(a.Files), "events", lo-base, "bytes", a.Size)
 	return nil
 }
 

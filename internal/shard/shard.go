@@ -33,15 +33,15 @@
 // An artifact is decoded whole, by one function on the cursor every
 // persisted format shares (ReadArtifact, internal/envelope): the frame is
 // checked first — length, then checksum — and only a verified payload is
-// parsed, its sections aliasing the bytes read. The slice graph is
-// reassembled as the disjoint union of the per-file graphs in manifest
-// order, which is exactly how the worker built it, so nothing changes
-// byte-wise downstream.
+// parsed: its sections cut aliasing the bytes read, their graphs decoded
+// on every processor. The merge appends a decoded artifact's per-file
+// graphs to the global union in manifest order, which numbers symbols as
+// a union of slice unions would, so nothing changes byte-wise downstream.
 //
 // Determinism: slices are contiguous blocks of the corpus's sorted
-// file-name order (core.SliceNames), each worker merges its per-file
-// graphs in that order, and the coordinator unions shard
-// graphs in slice-index order with symbol translation — so the merged
+// file-name order (core.SliceNames), each worker ships its per-file
+// graphs in that order, and the coordinator unions them slice by slice
+// in slice-index order with symbol translation — so the merged
 // graph, and everything learned from it, is byte-identical to a
 // single-process run over the concatenated corpus, at any shard count
 // and any artifact arrival order.
@@ -130,9 +130,9 @@ type FileMeta struct {
 	ParseError string
 }
 
-// Artifact is one decoded shard: the manifest of the corpus slice it
-// covers and the slice's merged propagation graph, plus the per-file
-// facts the merge derives span and sidecar data from.
+// Artifact is one shard: the manifest of the corpus slice it covers and
+// the slice's per-file propagation graphs, plus the per-file facts the
+// merge derives span and sidecar data from.
 type Artifact struct {
 	// AnalyzerVersion names the front-end semantics the shard was
 	// analyzed under (fpcache.AnalyzerVersion).
@@ -141,14 +141,13 @@ type Artifact struct {
 	Slice, Slices int
 	// Files lists the slice's manifest in sorted name order.
 	Files []FileMeta
-	// Graph is the union of the slice's per-file propagation graphs,
-	// with its own symbol table.
+	// Graph is the union of the slice's per-file graphs, with its own
+	// symbol table: set by Build only; a decoded artifact leaves it nil
+	// and the merge does not read it.
 	Graph *propgraph.Graph
-	// FileGraphs holds the per-file graphs in manifest order. Set by
-	// Build (the worker side); Encode requires it — codec v2 ships one
-	// graph section per file. Decoding does not reconstruct it (the
-	// sections are folded into Graph as they parse), so a decoded
-	// artifact cannot be re-encoded.
+	// FileGraphs holds the per-file graphs in manifest order, each with
+	// its own symbol table: what Encode ships, one section a file, what
+	// decoding gives back, and what the merge appends to the global union.
 	FileGraphs []*propgraph.Graph
 	// FileHashes is the sha256 of each file's encoded graph section and
 	// FileEvents its event count, both in manifest order — what the
@@ -170,13 +169,11 @@ type Artifact struct {
 // function of the artifact (the embedded graph codec is deterministic
 // and the manifest is ordered), so identical shards encode identically.
 // The artifact must carry its per-file graphs (FileGraphs aligned with
-// Files) — codec v2 has no whole-slice graph section, so an artifact
-// assembled without them (notably one that came out of a decoder)
-// cannot be encoded.
+// Files), as a built and a decoded one both do: a decoded artifact
+// encodes back to the bytes it was read from.
 func (a *Artifact) Encode() []byte {
 	if len(a.FileGraphs) != len(a.Files) {
-		panic(fmt.Sprintf("shard: Encode: %d file graphs for %d manifest entries (decoded artifacts cannot re-encode)",
-			len(a.FileGraphs), len(a.Files)))
+		panic(fmt.Sprintf("shard: Encode: %d file graphs for %d manifest entries", len(a.FileGraphs), len(a.Files)))
 	}
 	sidecar := a.Sidecar
 	if sidecar && (len(a.SidecarKeys) != len(a.Files) || len(a.SidecarCosts) != len(a.Files)) {

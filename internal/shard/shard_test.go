@@ -3,8 +3,10 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"seldon/internal/core"
@@ -66,8 +68,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Errorf("manifest[%d] = %+v, want %+v", i, got.Files[i], want.Files[i])
 		}
 	}
-	if !bytes.Equal(got.Graph.AppendBinary(nil), want.Graph.AppendBinary(nil)) {
-		t.Error("decoded graph differs from the encoded one")
+	if !bytes.Equal(propgraph.Union(got.FileGraphs...).AppendBinary(nil), want.Graph.AppendBinary(nil)) {
+		t.Error("union of the decoded graphs differs from the encoded slice's")
 	}
 
 	// Encoding is a pure function of the artifact.
@@ -91,7 +93,7 @@ func TestWriteFileReadFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	if !bytes.Equal(got.Graph.AppendBinary(nil), want.Graph.AppendBinary(nil)) {
+	if !bytes.Equal(propgraph.Union(got.FileGraphs...).AppendBinary(nil), want.Graph.AppendBinary(nil)) {
 		t.Error("graph round-trip through file differs")
 	}
 	// No temp droppings from the atomic write.
@@ -234,6 +236,23 @@ func TestMergeFaults(t *testing.T) {
 		short.FileEvents[0]++
 		if _, err := mergeAll([]*Artifact{a0, &short}, MergeOptions{}); !errors.Is(err, ErrEncoding) {
 			t.Fatalf("Merge = %v, want ErrEncoding", err)
+		}
+	})
+	t.Run("per-file graphs missing", func(t *testing.T) {
+		bare := *a1
+		bare.FileGraphs = nil
+		if _, err := mergeAll([]*Artifact{a0, &bare}, MergeOptions{}); !errors.Is(err, ErrEncoding) {
+			t.Fatalf("Merge = %v, want ErrEncoding", err)
+		}
+	})
+	t.Run("a file's event count is not its graph's", func(t *testing.T) {
+		off := *a1
+		off.FileEvents = append([]int(nil), a1.FileEvents...)
+		off.FileEvents[1]--
+		off.FileEvents[2]++ // the slice's total still holds
+		_, err := mergeAll([]*Artifact{a0, &off}, MergeOptions{})
+		if !errors.Is(err, ErrEncoding) || !strings.Contains(err.Error(), fmt.Sprintf("slice 1 file %q", a1.Files[1].Name)) {
+			t.Fatalf("Merge = %v, want ErrEncoding naming slice 1's %q", err, a1.Files[1].Name)
 		}
 	})
 	t.Run("valid set still merges", func(t *testing.T) {

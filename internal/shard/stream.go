@@ -19,9 +19,8 @@ type ReadOptions struct {
 	// Cache, when non-nil, ingests the artifact's fpcache sidecar:
 	// each file's entry is written under its shipped key so later
 	// front-end runs over the same content hit instead of re-analyzing.
-	// Entries are staged in memory and committed only after the whole
-	// artifact has verified and parsed — a corrupt artifact must not seed
-	// a "valid" cache entry.
+	// Entries are written only after the whole artifact has verified and
+	// parsed — a corrupt artifact must not seed a "valid" cache entry.
 	Cache *fpcache.Cache
 	// Metrics, when non-nil, receives stage.shard.stream and
 	// shard.stream.bytes observations.
@@ -93,19 +92,18 @@ func readHeader(r *envelope.Reader) (*Artifact, int) {
 	return a, r.Count(r.Uvarint(), minSection)
 }
 
-// section is one file's part of a payload. enc aliases the payload: the
-// graph's bytes, whose sha256 is the span hash the incremental constraint
-// builder keys flow blocks by. key and cost are the fpcache sidecar
-// fields, zero without one.
+// section is one file's part of a payload, cut but not parsed. enc aliases
+// the payload: the graph's bytes, whose sha256 is the span hash the
+// incremental constraint builder keys flow blocks by. key and cost are
+// the fpcache sidecar fields, zero without one.
 type section struct {
-	meta  FileMeta
-	key   [32]byte
-	cost  time.Duration
-	enc   []byte
-	graph *propgraph.Graph
+	meta FileMeta
+	key  [32]byte
+	cost time.Duration
+	enc  []byte
 }
 
-// readSection reads the next file section; the cursor says whether it did.
+// readSection cuts the next file section; the cursor says whether it did.
 func readSection(r *envelope.Reader, sidecar bool) (s section) {
 	s.meta.Name = r.StringV()
 	copy(s.meta.SHA256[:], r.Take(sha256.Size))
@@ -115,24 +113,16 @@ func readSection(r *envelope.Reader, sidecar bool) (s section) {
 		s.cost = time.Duration(r.Uvarint())
 	}
 	s.enc = r.BytesV()
-	if r.Err() != nil {
-		return s
-	}
-	g, tail, err := propgraph.DecodeBinary(s.enc)
-	switch {
-	case err != nil:
-		r.Fail(fmt.Errorf("graph section for %q: %v", s.meta.Name, err))
-	case len(tail) != 0:
-		r.Fail(fmt.Errorf("%d bytes after graph for %q", len(tail), s.meta.Name))
-	}
-	s.graph = g
 	return s
 }
 
 // ReadArtifact reads one artifact from src to its end, checks its frame
-// (openFrame), and only then parses the payload, folding the per-file
-// graphs into the slice union in manifest order. The frame's faults keep
-// their sentinels; a verified payload that does not parse is ErrEncoding.
+// (openFrame), and only then parses the payload: one walk on the cursor
+// cuts the file sections, whose graphs are decoded on every processor
+// (propgraph.DecodeAll) and kept per file for the merge to union. The
+// frame's faults keep their sentinels; a verified payload that does not
+// parse is ErrEncoding with the fault a front-to-back reader meets first at
+// any processor count: lowest section, fields before graph before name order.
 func ReadArtifact(src io.Reader, opts ReadOptions) (*Artifact, error) {
 	start := time.Now()
 	data, err := io.ReadAll(src)
@@ -146,46 +136,48 @@ func ReadArtifact(src io.Reader, opts ReadOptions) (*Artifact, error) {
 	r := envelope.NewReader(payload)
 	a, n := readHeader(r)
 	a.Files = make([]FileMeta, 0, n)
-	a.FileHashes = make([][32]byte, 0, n)
-	a.FileEvents = make([]int, 0, n)
-	type staged struct {
-		key  [32]byte
-		data []byte
-	}
-	var sidecar []staged
-	ub := propgraph.NewUnionBuilder()
+	encs := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		s := readSection(r, a.Sidecar)
-		if i > 0 && s.meta.Name <= a.Files[i-1].Name {
-			r.Fail(fmt.Errorf("manifest not in sorted order (%q after %q)", s.meta.Name, a.Files[i-1].Name))
-		}
 		if r.Err() != nil {
 			break
 		}
 		a.Files = append(a.Files, s.meta)
-		a.FileHashes = append(a.FileHashes, sha256.Sum256(s.enc))
-		a.FileEvents = append(a.FileEvents, len(s.graph.Events))
+		encs = append(encs, s.enc)
 		if a.Sidecar {
 			a.SidecarKeys = append(a.SidecarKeys, s.key)
 			a.SidecarCosts = append(a.SidecarCosts, s.cost)
-			if opts.Cache != nil {
-				sidecar = append(sidecar, staged{s.key, fpcache.EncodeRawEntry(s.enc, s.meta.ParseError, s.cost)})
-			}
 		}
-		ub.Add(s.graph)
+		// A name out of order ends the walk as a cursor fault does; a graph
+		// fault in a section cut so far, this one included, comes before it.
+		if i > 0 && s.meta.Name <= a.Files[i-1].Name {
+			r.Fail(fmt.Errorf("manifest not in sorted order (%q after %q)", s.meta.Name, a.Files[i-1].Name))
+			break
+		}
+	}
+	graphs, bad, err := propgraph.DecodeAll(encs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: graph section for %q: %v", ErrEncoding, a.Files[bad].Name, err)
 	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEncoding, err)
 	}
-	a.Graph = ub.Graph()
-	a.Size = int64(len(data))
-	// The whole artifact has verified and parsed; only now may sidecar
-	// entries become visible cache state.
-	for _, s := range sidecar {
-		if _, err := opts.Cache.PutRawKey(s.key, s.data); err != nil {
-			opts.Log.Log("shard.sidecar", "error", err)
+	a.FileGraphs = graphs
+	a.FileHashes = make([][32]byte, len(encs))
+	a.FileEvents = make([]int, len(encs))
+	for i, enc := range encs {
+		a.FileHashes[i] = sha256.Sum256(enc)
+		a.FileEvents[i] = len(graphs[i].Events)
+		// The whole artifact has verified and parsed; only now may sidecar
+		// entries become visible cache state.
+		if a.Sidecar && opts.Cache != nil {
+			entry := fpcache.EncodeRawEntry(enc, a.Files[i].ParseError, a.SidecarCosts[i])
+			if _, err := opts.Cache.PutRawKey(a.SidecarKeys[i], entry); err != nil {
+				opts.Log.Log("shard.sidecar", "error", err)
+			}
 		}
 	}
+	a.Size = int64(len(data))
 	if opts.Metrics != nil {
 		opts.Metrics.Add(obs.CounterShardStreamBytes, a.Size)
 		opts.Metrics.ObserveDuration(obs.StageShardStream, time.Since(start))

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"seldon/internal/core"
@@ -246,5 +250,110 @@ func TestSidecarIngest(t *testing.T) {
 	}
 	if n, _ := cache2.Len(); n != 0 {
 		t.Fatalf("corrupt artifact ingested %d cache entries, want 0", n)
+	}
+}
+
+// bigSidecarSlice builds a one-slice artifact with a sidecar whose graph
+// sections are several times propgraph's fan-out threshold, so that
+// reading it at more than one processor decodes on several goroutines.
+func bigSidecarSlice(t *testing.T) *Artifact {
+	t.Helper()
+	files := testFiles(t, 400)
+	art, fe, err := BuildFromCorpus(files, 0, 1, core.Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("BuildFromCorpus: %v", err)
+	}
+	art.AttachSidecar(files, fe)
+	return art
+}
+
+// TestReadArtifactAcrossProcs holds the section-parallel reader to the
+// one-goroutine answer: the same manifest, span hashes, event counts,
+// sidecar fields and per-file graphs at GOMAXPROCS 1, 2 and 8, and an
+// artifact that encodes back to the bytes it was read from.
+func TestReadArtifactAcrossProcs(t *testing.T) {
+	want := bigSidecarSlice(t)
+	data := want.Encode()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := streamDecode(data)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if !slices.Equal(got.Files, want.Files) || !slices.Equal(got.FileHashes, want.FileHashes) ||
+			!slices.Equal(got.FileEvents, want.FileEvents) || !got.Sidecar ||
+			!slices.Equal(got.SidecarKeys, want.SidecarKeys) || !slices.Equal(got.SidecarCosts, want.SidecarCosts) {
+			t.Errorf("GOMAXPROCS=%d: manifest, span or sidecar fields differ from the built artifact's", procs)
+		}
+		if len(got.FileGraphs) != len(want.FileGraphs) {
+			t.Fatalf("GOMAXPROCS=%d: %d file graphs, want %d", procs, len(got.FileGraphs), len(want.FileGraphs))
+		}
+		for i, g := range got.FileGraphs {
+			if !bytes.Equal(g.AppendBinary(nil), want.FileGraphs[i].AppendBinary(nil)) {
+				t.Fatalf("GOMAXPROCS=%d: graph of %q differs", procs, got.Files[i].Name)
+			}
+		}
+		if got.Graph != nil {
+			t.Errorf("GOMAXPROCS=%d: a decoded artifact carries a slice union", procs)
+		}
+		if !bytes.Equal(got.Encode(), data) {
+			t.Errorf("GOMAXPROCS=%d: decoded artifact does not encode back to its bytes", procs)
+		}
+	}
+}
+
+// TestReadArtifactLowestFaultWins: a verified payload with more than one
+// fault is refused with the fault a front-to-back reader meets first,
+// whichever goroutine meets which. Section i's graph is bad; behind it,
+// section j has a bad graph too, or ends inside its fields, or carries a
+// name out of order — each a fault on its own, none of them reported
+// while i's stands, at one processor and at four.
+func TestReadArtifactLowestFaultWins(t *testing.T) {
+	art := bigSidecarSlice(t)
+	good := art.Encode()
+	offs := sectionBoundaries(t, good)
+	n := len(art.Files)
+	i, j := n/8, 3*n/4
+	// A section ends with its graph; a zero where the graph's tag was.
+	badGraph := func(d []byte, k int) {
+		d[int(offs[k+1])-len(art.FileGraphs[k].AppendBinary(nil))] = 0
+	}
+	reseal := func(d []byte) []byte { return envelope.Seal(d[:len(d)-checksumSize]) }
+	payload, err := openFrame(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := len(good) - checksumSize - len(payload) // where the payload begins
+	behind := map[string]func(d []byte) []byte{
+		"bad graph": func(d []byte) []byte { badGraph(d, j); return reseal(d) },
+		"cut field": func(d []byte) []byte { return seal(d[frame : int(offs[j])+8]) },
+		"unsorted name": func(d []byte) []byte {
+			d[offs[j]+1] = '!' // the name's first byte, behind its one-byte length
+			return reseal(d)
+		},
+	}
+	wantText := fmt.Sprintf("graph section for %q", art.Files[i].Name)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, damage := range behind {
+		alone := damage(bytes.Clone(good))
+		d := bytes.Clone(good)
+		badGraph(d, i)
+		both := damage(d)
+		var texts []string
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			if _, err := streamDecode(alone); !errors.Is(err, ErrEncoding) || strings.Contains(err.Error(), wantText) {
+				t.Errorf("%s alone, GOMAXPROCS=%d: %v, want ErrEncoding about section %d", name, procs, err, j)
+			}
+			a, err := streamDecode(both)
+			if a != nil || !errors.Is(err, ErrEncoding) || !strings.Contains(err.Error(), wantText) {
+				t.Fatalf("%s behind a bad graph, GOMAXPROCS=%d: %v, want ErrEncoding: %s", name, procs, err, wantText)
+			}
+			texts = append(texts, err.Error())
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s: one processor says %q, four say %q", name, texts[0], texts[1])
+		}
 	}
 }
