@@ -1,0 +1,77 @@
+package seldon_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"seldon/internal/core"
+	"seldon/internal/corpus"
+	"seldon/internal/propgraph"
+)
+
+// churnBound is the most learned entries TestChurnUnderEdit lets an
+// unrelated edit move, summed over its six edits. A PR that makes the
+// learned set steadier lowers it to what it measures (ROADMAP item 2).
+const churnBound = 48
+
+// TestChurnUnderEdit measures how far the learned set moves when the corpus
+// barely does: 1500 files, three successive six-file edits made the way the
+// harness's relearn_delta makes them (the same-index file of the seed+1
+// corpus swapped in), a cold learn after each. Churn is the number of
+// learned (rep, role) entries added plus removed between consecutive
+// learns. Six files in 1500 carry almost none of the evidence, so what
+// moves is mostly the solver having stopped somewhere else.
+func TestChurnUnderEdit(t *testing.T) {
+	type entry struct {
+		rep  string
+		role propgraph.Role
+	}
+	specSeed := corpus.ExperimentSeed()
+	total := 0
+	for _, seed := range []int64{1, 2} {
+		a := corpus.Generate(corpus.Config{Files: 1500, Seed: seed}).Files
+		b := corpus.Generate(corpus.Config{Files: 1500, Seed: seed + 1}).Files
+		a = a[:min(len(a), len(b))]
+		cur := make(map[string]string, len(a))
+		for _, f := range a {
+			cur[f.Name] = f.Source
+		}
+		learned := func() map[entry]bool {
+			set := make(map[entry]bool)
+			for _, e := range core.LearnFromSources(cur, specSeed, core.Config{}).LearnedEntries(specSeed) {
+				set[entry{e.Rep, e.Role}] = true
+			}
+			return set
+		}
+		onB := make([]bool, len(a))
+		rng := rand.New(rand.NewSource(seed))
+		prev := learned()
+		var perEdit [3]int
+		for e := range perEdit {
+			for _, i := range rng.Perm(len(a))[:6] {
+				onB[i] = !onB[i]
+				cur[a[i].Name] = a[i].Source
+				if onB[i] {
+					cur[a[i].Name] = b[i].Source
+				}
+			}
+			next := learned()
+			for k := range next {
+				if !prev[k] {
+					perEdit[e]++
+				}
+			}
+			for k := range prev {
+				if !next[k] {
+					perEdit[e]++
+				}
+			}
+			total += perEdit[e]
+			prev = next
+		}
+		t.Logf("seed %d: %d learned entries, churn per six-file edit %v", seed, len(prev), perEdit)
+	}
+	if total > churnBound {
+		t.Errorf("learned entries moved %d times over six edits, bound %d", total, churnBound)
+	}
+}

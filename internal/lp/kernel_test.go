@@ -232,11 +232,12 @@ func TestMinimizeDeterministicAcrossShards(t *testing.T) {
 }
 
 // sameBits fails the test unless got and want are the same result bit for
-// bit: epoch count, objective, violation and every coordinate.
+// bit: epoch count, why it stopped, objective, violation and every
+// coordinate.
 func sameBits(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	if got.Iterations != want.Iterations {
-		t.Fatalf("%s: %d epochs, want %d", label, got.Iterations, want.Iterations)
+	if got.Iterations != want.Iterations || got.Stop != want.Stop {
+		t.Fatalf("%s: %d epochs (stop=%v), want %d (stop=%v)", label, got.Iterations, got.Stop, want.Iterations, want.Stop)
 	}
 	for i := range want.X {
 		if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {

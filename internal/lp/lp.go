@@ -162,11 +162,14 @@ func (p *Problem) Objective(x []float64) float64 {
 	return obj
 }
 
-// Adam's step size, moment decays and epsilon (Kingma & Ba's defaults but
-// for the step), and the objective change below which a solve stops. They
-// are typed so that 1-beta1 rounds as the float64 subtraction does.
+// Adam's first step, the number of epochs over which it decays (epoch t
+// steps by learnRate/√(1+t/stepDecay)), moment decays and epsilon (Kingma &
+// Ba's defaults but for the step), and the objective change below which a
+// solve stops. They are typed so that 1-beta1 rounds as the float64
+// subtraction does.
 const (
 	learnRate float64 = 0.05
+	stepDecay float64 = 10
 	beta1     float64 = 0.9
 	beta2     float64 = 0.999
 	eps       float64 = 1e-8
@@ -225,12 +228,37 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// StopReason says why a solve returned.
+type StopReason uint8
+
+const (
+	// StopCap: Options.Iterations epochs ran out. The solve did not
+	// converge; Result holds the best iterate it had reached.
+	StopCap StopReason = iota
+	// StopPlateau: Options.Patience epochs passed without a better
+	// objective than the best so far.
+	StopPlateau
+	// StopTolerance: two consecutive objectives agreed to within 1e-6.
+	StopTolerance
+)
+
+func (s StopReason) String() string {
+	switch s {
+	case StopPlateau:
+		return "plateau"
+	case StopTolerance:
+		return "tolerance"
+	}
+	return "cap"
+}
+
 // Result holds the solver output.
 type Result struct {
 	X          []float64
 	Objective  float64
 	Violation  float64
 	Iterations int
+	Stop       StopReason
 	// Rows is the number of distinct constraint rows the compiled kernel
 	// solved over; len(Problem.Constraints)/Rows is the corpus's constraint
 	// duplication.

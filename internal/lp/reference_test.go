@@ -103,11 +103,13 @@ func refStart(p *Problem, opts Options) (x []float64, free []bool, pin func([]fl
 	return x, free, pin
 }
 
-// adamStep is one bias-corrected Adam update of the free variables followed
-// by the projection onto [0,1].
+// adamStep is one bias-corrected Adam update of the free variables, at the
+// step epoch t's place in the schedule gives, followed by the projection
+// onto [0,1].
 func adamStep(t int, x, grad, m, vv []float64, free []bool) {
 	b1t := 1 - math.Pow(beta1, float64(t))
 	b2t := 1 - math.Pow(beta2, float64(t))
+	rate := learnRate / math.Sqrt(1+float64(t)/stepDecay)
 	for i := range x {
 		if !free[i] {
 			continue
@@ -117,7 +119,7 @@ func adamStep(t int, x, grad, m, vv []float64, free []bool) {
 		vv[i] = beta2*vv[i] + (1-beta2)*g*g
 		mHat := m[i] / b1t
 		vHat := vv[i] / b2t
-		x[i] -= learnRate * mHat / (math.Sqrt(vHat) + eps)
+		x[i] -= rate * mHat / (math.Sqrt(vHat) + eps)
 		if x[i] < 0 {
 			x[i] = 0
 		} else if x[i] > 1 {
@@ -128,20 +130,25 @@ func adamStep(t int, x, grad, m, vv []float64, free []bool) {
 
 // descend is the loop every interpreted solver here runs: gradient at x,
 // update, re-pin, objective of the new x, best/stale bookkeeping, stop on
-// tolerance or patience. The solvers differ in how they evaluate the
-// objective and the gradient and in the update rule.
+// tolerance or on the plateau window (Options.Patience, 25 epochs when
+// zero), Options.Iterations being the cap. The solvers differ in how they
+// evaluate the objective and the gradient and in the update rule.
 func descend(p *Problem, opts Options,
 	objective func(x []float64) float64,
 	gradient func(x, grad []float64),
 	step func(t int, x, grad []float64, free []bool),
 	violation func(x []float64) float64,
 ) *Result {
+	if opts.Patience == 0 {
+		opts.Patience = 25
+	}
 	x, free, pin := refStart(p, opts)
 	grad := make([]float64, p.NumVars)
 	best := append([]float64(nil), x...)
 	bestObj := objective(x)
 	prevObj := math.Inf(1)
 	iters, stale := 0, 0
+	stop := StopCap
 	tel := newRefTelemetry(opts, x)
 	for t := 1; t <= opts.Iterations; t++ {
 		iters = t
@@ -165,14 +172,16 @@ func descend(p *Problem, opts Options,
 		}
 		tel.emit(p, t, x, grad, free, obj, bestObj)
 		if math.Abs(prevObj-obj) < tolerance {
+			stop = StopTolerance
 			break
 		}
 		if opts.Patience > 0 && stale >= opts.Patience {
+			stop = StopPlateau
 			break
 		}
 		prevObj = obj
 	}
-	return &Result{X: best, Objective: bestObj, Violation: violation(best), Iterations: iters}
+	return &Result{X: best, Objective: bestObj, Violation: violation(best), Iterations: iters, Stop: stop}
 }
 
 // minimizeReference is projected Adam on the folded problem, interpreted.
