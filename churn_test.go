@@ -10,9 +10,11 @@ import (
 )
 
 // churnBound is the most learned entries TestChurnUnderEdit lets an
-// unrelated edit move, summed over its six edits. A PR that makes the
-// learned set steadier lowers it to what it measures (ROADMAP item 2).
-const churnBound = 48
+// unrelated edit move, summed over its six edits: what the solver measures
+// today (13, 5, 4 and 7, 6, 0; it was 48 with a constant step and a fixed
+// 400 epochs). A PR that makes the learned set steadier lowers it to what
+// it measures (ROADMAP item 2).
+const churnBound = 35
 
 // TestChurnUnderEdit measures how far the learned set moves when the corpus
 // barely does: 1500 files, three successive six-file edits made the way the

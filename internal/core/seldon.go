@@ -109,8 +109,11 @@ type Result struct {
 	// Stages lists per-stage wall times in pipeline order (parse,
 	// dataflow, and union appear only for LearnFromSources runs).
 	Stages []StageTiming
-	// SolverEpochs is the number of epochs the solver ran.
+	// SolverEpochs is the number of epochs the solver ran and SolverStop
+	// why it stopped; lp.StopCap means it ran out of epochs before
+	// converging.
 	SolverEpochs int
+	SolverStop   lp.StopReason
 	// SolverRowsReused and SolverRowsDead are lp.Result's RowsReused and
 	// RowsDead: what a standing row table (Config.Solver.Rows) spared and
 	// what it carries; 0 without one.
@@ -247,7 +250,7 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 		sol = lp.Minimize(res.System.Problem, solverOpts)
 	}))
 	res.Solution = sol.X
-	res.SolverEpochs = sol.Iterations
+	res.SolverEpochs, res.SolverStop = sol.Iterations, sol.Stop
 	res.SolverRowsReused, res.SolverRowsDead = sol.RowsReused, sol.RowsDead
 	cfg.Metrics.Set(obs.GaugeSolverEpochs, float64(sol.Iterations))
 	cfg.Metrics.Set(obs.GaugeSolverObjective, sol.Objective)
@@ -257,7 +260,7 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 	cfg.Metrics.Set(obs.GaugeSolverActive, float64(lastActive))
 	cfg.Metrics.Set(obs.GaugeSolverRowsReused, float64(sol.RowsReused))
 	cfg.Metrics.Set(obs.GaugeSolverRowsDead, float64(sol.RowsDead))
-	cfg.Log.Log("solver.done", "epochs", sol.Iterations,
+	cfg.Log.Log("solver.done", "epochs", sol.Iterations, "stop", sol.Stop,
 		"objective", sol.Objective, "violation", sol.Violation)
 
 	res.Stages = append(res.Stages, RunStage(cfg, obs.StageSelect, func() {

@@ -69,13 +69,6 @@ type PinKey struct {
 	Role propgraph.Role
 }
 
-// warmPatience is the plateau window (epochs without a best-objective
-// improvement) applied to warm-started re-solves. Wide enough that a
-// genuinely-moved optimum is still chased across shallow plateaus,
-// narrow enough that a near-optimal warm start stops in a fraction of
-// the full epoch budget.
-const warmPatience = 25
-
 // fileState is one corpus file inside the session.
 type fileState struct {
 	// contentHash is the sha256 of the file's source text, by which
@@ -304,8 +297,10 @@ type RelearnStats struct {
 	RowsReused int
 	RowsDead   int
 	// WarmStarted reports that the solve resumed from a previous
-	// solution; EpochsSaved is the saving against the session's last
-	// cold solve (0 when cold or when the warm solve was not faster).
+	// solution; EpochsSaved is how many epochs fewer it ran than the
+	// session's last cold solve, which stopped on the same plateau rule
+	// wherever its own corpus let it (0 when cold or when the warm solve
+	// was not faster).
 	WarmStarted bool
 	EpochsSaved int
 }
@@ -407,12 +402,12 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 
 	// Warm start: the previous solution translated through (rep, role).
 	// Variables new to this system (or whose representation vanished)
-	// start at zero, exactly like a cold solve would start them. Warm
-	// solves also get a plateau stop — starting at (or near) the
-	// previous optimum, the best objective goes flat almost immediately
-	// on a lightly-mutated corpus, and the patience window is what turns
-	// that flatness into saved epochs. Cold solves keep the full budget.
-	// Either way the solver compiles into the standing row table.
+	// start at zero, exactly like a cold solve would start them. The
+	// solver stops a warm solve by the rule it stops a cold one by (lp's
+	// plateau window): starting at or near the previous optimum, the best
+	// objective goes flat almost at once on a lightly-mutated corpus, and
+	// that is the saving. Either way the solver compiles into the
+	// standing row table.
 	t0 = time.Now()
 	cfg := s.cfg
 	if s.rows == nil {
@@ -425,9 +420,6 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 			warm[i] = s.prev[PinKey{Rep: v.Rep, Role: v.Role}]
 		}
 		cfg.Solver.WarmStart = warm
-		if cfg.Solver.Patience == 0 {
-			cfg.Solver.Patience = warmPatience
-		}
 		st.WarmStarted = true
 	}
 	res := core.LearnPrepared(union, sys, cfg)
@@ -457,7 +449,7 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	s.cfg.Log.Log("incr.relearn", "files", st.Files, "changed", st.FilesChanged,
 		"union", unionHow, "spans_reused", delta.SpansReused,
 		"rows_reused", st.RowsReused, "rows_dead", st.RowsDead, "warm", st.WarmStarted,
-		"epochs", res.SolverEpochs, "epochs_saved", st.EpochsSaved)
+		"epochs", res.SolverEpochs, "stop", res.SolverStop, "epochs_saved", st.EpochsSaved)
 
 	s.result = res
 	return res, st

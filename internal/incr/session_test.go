@@ -7,12 +7,15 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"seldon/internal/constraints"
 	"seldon/internal/core"
 	"seldon/internal/corpus"
 	"seldon/internal/incr"
+	"seldon/internal/lp"
+	"seldon/internal/obs"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
 	"seldon/internal/specio"
@@ -206,6 +209,26 @@ func TestSessionWarmMatchesCold(t *testing.T) {
 	}
 	if got := storeBytes(t, s.LearnedSpec()); !bytes.Equal(got, cold) {
 		t.Fatal("warm store differs from cold store")
+	}
+}
+
+// TestRelearnLogSaysWhyTheSolveStopped: the incr.relearn line carries the
+// solver's stop reason, and a solve cut off by the epoch cap says so.
+func TestRelearnLogSaysWhyTheSolveStopped(t *testing.T) {
+	files, _ := testCorpus(t, 60, 21)
+	for want, solver := range map[lp.StopReason]lp.Options{
+		lp.StopPlateau: {},
+		lp.StopCap:     {Iterations: 3},
+	} {
+		var log bytes.Buffer
+		s := sessionFrom(t, files, core.Config{Workers: 1, Solver: solver, Log: obs.NewLogger(&log)})
+		res, _ := s.Relearn()
+		if res.SolverStop != want {
+			t.Errorf("solve stopped on %v after %d epochs, want %v", res.SolverStop, res.SolverEpochs, want)
+		}
+		if line := "stop=" + want.String(); !strings.Contains(log.String(), "incr.relearn") || strings.Count(log.String(), line) != 2 {
+			t.Errorf("want %q on the solver.done and incr.relearn lines:\n%s", line, log.String())
+		}
 	}
 }
 

@@ -14,10 +14,48 @@ import (
 // corpusSystem is the system constraints.Build derives from a generated
 // corpus, where the same API triples recur across files: the duplication
 // the pipeline actually emits instead of a hand-made shape.
-func corpusSystem() *lp.Problem {
-	files := corpus.Generate(corpus.Config{Files: 240}).FileMap()
-	fe := core.AnalyzeFiles(files, core.Config{})
+func corpusSystem() *lp.Problem { return systemOf(corpus.Config{Files: 240}) }
+
+func systemOf(cfg corpus.Config) *lp.Problem {
+	fe := core.AnalyzeFiles(corpus.Generate(cfg).FileMap(), core.Config{})
 	return constraints.Build(propgraph.Union(fe.Graphs...), corpus.ExperimentSeed(), constraints.Options{}).Problem
+}
+
+// constantStepObjective600 is what the solver this one replaced — a constant
+// step of 0.05 for exactly 400 epochs, best iterate returned — reached on
+// the system of the 600-file corpus at seed 1.
+const constantStepObjective600 = 1029.540690
+
+// TestDefaultSolveBeatsTheFixedBudget: on a system the pipeline emits, the
+// decaying step and the plateau window reach an objective no higher than
+// 400 epochs of a constant step did, and stop on the window before the
+// cap.
+func TestDefaultSolveBeatsTheFixedBudget(t *testing.T) {
+	res := lp.Minimize(systemOf(corpus.Config{Files: 600, Seed: 1}), lp.Options{})
+	if res.Objective > constantStepObjective600 {
+		t.Errorf("objective %.6f, the constant-step solve reached %.6f", res.Objective, constantStepObjective600)
+	}
+	if res.Stop != lp.StopPlateau || res.Iterations >= 400 {
+		t.Errorf("solve ran %d epochs and stopped on %v, want a plateau before the 400-epoch cap", res.Iterations, res.Stop)
+	}
+}
+
+// TestWarmStartFromOptimumConvergesFaster pins the core warm-start
+// contract on a system the pipeline emits (the 600-file corpus): a solve
+// seeded with a previous solution takes no more epochs than the cold one
+// and never lands on a worse objective.
+func TestWarmStartFromOptimumConvergesFaster(t *testing.T) {
+	p := systemOf(corpus.Config{Files: 600, Seed: 1})
+	cold := lp.Minimize(p, lp.Options{})
+	warm := lp.Minimize(p, lp.Options{WarmStart: cold.X})
+	if warm.Iterations > cold.Iterations {
+		t.Errorf("warm start took %d epochs, cold took %d", warm.Iterations, cold.Iterations)
+	}
+	// Minimize returns the best iterate seen; starting at the cold
+	// optimum means the warm best can only match or improve it.
+	if warm.Objective > cold.Objective+1e-9 {
+		t.Errorf("warm objective %g worse than cold %g", warm.Objective, cold.Objective)
+	}
 }
 
 // TestKernelMatchesReferenceOnCorpusSystem runs the oracle over the corpus

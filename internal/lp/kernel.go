@@ -547,6 +547,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	prevObj := math.Inf(1)
 	iters := 0
 	stale := 0
+	stop := StopCap
 	tel := newEpochTelemetry(opts)
 	// Telemetry for the epoch whose objective is still pending.
 	var gradSq, stepSq float64
@@ -570,19 +571,23 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 			tel.emitPrecomputed(t-1, obj, bestObj, hinge, k.violated, gradSq, stepSq)
 			pending = false
 			if math.Abs(prevObj-obj) < tolerance {
+				stop = StopTolerance
 				break
 			}
 			if opts.Patience > 0 && stale >= opts.Patience {
+				stop = StopPlateau
 				break
 			}
 			prevObj = obj
 		}
 
 		k.scatter(grad)
-		// Adam update with bias correction, then projection. Pinned
-		// variables are never touched, so no re-pinning is needed.
+		// Adam update with bias correction at this epoch's step, then
+		// projection. Pinned variables are never touched, so no re-pinning
+		// is needed.
 		b1t := 1 - math.Pow(beta1, float64(t))
 		b2t := 1 - math.Pow(beta2, float64(t))
+		rate := learnRate / math.Sqrt(1+float64(t)/stepDecay)
 		gradSq, stepSq = 0, 0
 		for i := 0; i < n; i++ {
 			if !free[i] {
@@ -594,7 +599,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 			mHat := m[i] / b1t
 			vHat := vv[i] / b2t
 			old := x[i]
-			x[i] -= learnRate * mHat / (math.Sqrt(vHat) + eps)
+			x[i] -= rate * mHat / (math.Sqrt(vHat) + eps)
 			if x[i] < 0 {
 				x[i] = 0
 			} else if x[i] > 1 {
@@ -626,6 +631,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 		Objective:  bestObj,
 		Violation:  k.pass(best, opts.Shards),
 		Iterations: iters,
+		Stop:       stop,
 		Rows:       len(k.order),
 		RowsReused: k.reused,
 		RowsDead:   k.dead,

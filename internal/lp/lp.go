@@ -14,6 +14,16 @@
 // after every step, exactly as the paper describes doing on top of
 // TensorFlow's Adam optimizer.
 //
+// The paper does not say how long to run it. Here epoch t steps by
+// 0.05/√(1 + t/10) — Kingma & Ba's convergence bound (their §4) is for a
+// step that decays as 1/√t, and on a hinge objective a step that never
+// shrinks leaves the iterate jittering around the optimum at the step's
+// own scale, so that the answer depends on the epoch it was read at — and
+// every solve, from zeros or from a previous solution, stops when the best
+// objective has not improved for Options.Patience epochs (25 by default).
+// Options.Iterations caps a solve that never gets there, and Result.Stop
+// says which of the two ended it.
+//
 // Big code repeats its constraints, and the solver evaluates the sum the
 // way that makes cheap: once per distinct constraint, in order of first
 // occurrence, times the number of copies (see kernel.go). The solution is
@@ -178,7 +188,10 @@ const (
 
 // Options configures the solver.
 type Options struct {
-	Iterations int // maximum epochs; default 400
+	// Iterations caps the epochs of a solve that does not stop on its own
+	// (400 when zero; negative runs none). A solve that reaches the cap has
+	// not converged: Result.Stop is StopCap.
+	Iterations int
 	// Shards bounds the goroutines the compiled kernel uses for the
 	// per-epoch constraint pass; 0 selects runtime.GOMAXPROCS(0) and 1
 	// keeps the pass on the calling goroutine. Results are bit-for-bit
@@ -196,19 +209,20 @@ type Options struct {
 	// iterate with a previous solution instead of all zeros: values are
 	// clamped to [0,1] and pinned variables are re-pinned on top. A
 	// vector of any other length is ignored (cold start). Only the start
-	// point changes — Adam's moment estimates still begin at zero — so a
-	// warm solve walks the same descent dynamics from a closer iterate
-	// and typically converges in fewer epochs (Result.Iterations; the
+	// point changes: Adam's moment estimates still begin at zero and the
+	// step schedule at its first epoch, so a warm solve walks the same
+	// descent dynamics from a closer iterate and stops as soon as a
+	// window passes without an improvement on it (Result.Iterations; the
 	// caller can report the saving, e.g. the solver.warm_epochs_saved
 	// gauge internal/incr publishes).
 	WarmStart []float64
-	// Patience, when positive, stops the solve after that many
-	// consecutive epochs without a best-objective improvement. Adam's
-	// per-epoch objective jitters forever on a hinge landscape, so the
-	// tolerance check rarely fires; the plateau check is how a
-	// warm-started re-solve that begins at (or near) the optimum
-	// actually gets to stop early. Zero disables it, keeping the exact
-	// fixed-budget behaviour cold solves are calibrated against.
+	// Patience is the plateau window: the solve stops after that many
+	// consecutive epochs without a best-objective improvement (25 when
+	// zero). It is the stopping rule of every solve — the per-epoch
+	// objective of a subgradient method is not monotone, so the tolerance
+	// check rarely fires — and, with the decaying step, what makes the
+	// returned iterate a property of the problem rather than of the epoch
+	// budget.
 	Patience int
 	// Rows, when non-nil, is a standing row table the kernel compiles the
 	// problem into and leaves for the next solve (see RowTable): the blocks
@@ -221,6 +235,9 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Iterations == 0 {
 		o.Iterations = 400
+	}
+	if o.Patience == 0 {
+		o.Patience = 25
 	}
 	if o.Shards == 0 {
 		o.Shards = runtime.GOMAXPROCS(0)

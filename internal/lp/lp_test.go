@@ -231,3 +231,29 @@ func TestNeverWorseThanStart(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStopReason: Result.Stop names the rule that ended the solve.
+func TestStopReason(t *testing.T) {
+	p := warmFixture()
+	// With no seed the start point is the optimum and nothing moves.
+	still := &Problem{NumVars: 2, C: 0.75, Lambda: 0.1,
+		Constraints: []Constraint{{LHS: []Term{{0, 1}}, RHS: []Term{{1, 1}}}}}
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		opts Options
+		want StopReason
+	}{
+		{"plateau", p, Options{}, StopPlateau},
+		{"cap", p, Options{Iterations: 5}, StopCap},
+		{"no epochs", p, Options{Iterations: -1}, StopCap},
+		{"tolerance", still, Options{}, StopTolerance},
+	} {
+		if r := Minimize(tc.p, tc.opts); r.Stop != tc.want {
+			t.Errorf("%s: stopped on %v after %d epochs, want %v", tc.name, r.Stop, r.Iterations, tc.want)
+		}
+	}
+	if StopCap.String() != "cap" || StopPlateau.String() != "plateau" || StopTolerance.String() != "tolerance" {
+		t.Error("stop reason names wrong")
+	}
+}

@@ -139,9 +139,6 @@ func descend(p *Problem, opts Options,
 	step func(t int, x, grad []float64, free []bool),
 	violation func(x []float64) float64,
 ) *Result {
-	if opts.Patience == 0 {
-		opts.Patience = 25
-	}
 	x, free, pin := refStart(p, opts)
 	grad := make([]float64, p.NumVars)
 	best := append([]float64(nil), x...)
