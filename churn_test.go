@@ -11,9 +11,8 @@ import (
 
 // churnBound is the most learned entries TestChurnUnderEdit lets an
 // unrelated edit move, summed over its six edits: what the solver measures
-// today (13, 5, 4 and 7, 6, 0; it was 48 with a constant step and a fixed
-// 400 epochs). A PR that makes the learned set steadier lowers it to what
-// it measures (ROADMAP item 2).
+// today (13, 5, 4 and 7, 6, 0). A PR that makes the learned set steadier
+// lowers it to what it measures (ROADMAP item 2).
 const churnBound = 35
 
 // TestChurnUnderEdit measures how far the learned set moves when the corpus

@@ -226,7 +226,7 @@ func TestRelearnLogSaysWhyTheSolveStopped(t *testing.T) {
 		if res.SolverStop != want {
 			t.Errorf("solve stopped on %v after %d epochs, want %v", res.SolverStop, res.SolverEpochs, want)
 		}
-		if line := "stop=" + want.String(); !strings.Contains(log.String(), "incr.relearn") || strings.Count(log.String(), line) != 2 {
+		if line := "stop=" + string(want); !strings.Contains(log.String(), "incr.relearn") || strings.Count(log.String(), line) != 2 {
 			t.Errorf("want %q on the solver.done and incr.relearn lines:\n%s", line, log.String())
 		}
 	}

@@ -533,7 +533,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 
 	if opts.Iterations < 1 {
 		hinge := k.pass(x, opts.Shards)
-		return &Result{X: x, Objective: k.objectiveAt(hinge, x), Violation: hinge,
+		return &Result{X: x, Objective: k.objectiveAt(hinge, x), Violation: hinge, Stop: StopCap,
 			Rows: len(k.order), RowsReused: k.reused, RowsDead: k.dead}
 	}
 

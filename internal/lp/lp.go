@@ -246,28 +246,18 @@ func (o Options) withDefaults() Options {
 }
 
 // StopReason says why a solve returned.
-type StopReason uint8
+type StopReason string
 
 const (
 	// StopCap: Options.Iterations epochs ran out. The solve did not
 	// converge; Result holds the best iterate it had reached.
-	StopCap StopReason = iota
+	StopCap StopReason = "cap"
 	// StopPlateau: Options.Patience epochs passed without a better
 	// objective than the best so far.
-	StopPlateau
+	StopPlateau StopReason = "plateau"
 	// StopTolerance: two consecutive objectives agreed to within 1e-6.
-	StopTolerance
+	StopTolerance StopReason = "tolerance"
 )
-
-func (s StopReason) String() string {
-	switch s {
-	case StopPlateau:
-		return "plateau"
-	case StopTolerance:
-		return "tolerance"
-	}
-	return "cap"
-}
 
 // Result holds the solver output.
 type Result struct {

@@ -253,7 +253,4 @@ func TestStopReason(t *testing.T) {
 			t.Errorf("%s: stopped on %v after %d epochs, want %v", tc.name, r.Stop, r.Iterations, tc.want)
 		}
 	}
-	if StopCap.String() != "cap" || StopPlateau.String() != "plateau" || StopTolerance.String() != "tolerance" {
-		t.Error("stop reason names wrong")
-	}
 }

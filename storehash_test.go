@@ -14,11 +14,10 @@ import (
 
 // learnedStoreHashes are the sha256 of what `seldon learn -generate N -o F`
 // writes to F: the 600-file store as recorded at PR 18's commit, the
-// 6000-file one re-recorded at PR 27, when the solver's step began to decay
-// and every solve to stop on the plateau window (300 → 317 learned entries,
-// 27 added and 10 removed; the 600-file store did not move). A change that
-// is not meant to change what is learned leaves them alone; one that is
-// re-records them and says so in CHANGES.md.
+// 6000-file one at PR 27's (the solver's step schedule and stopping rule
+// changed what is learned there). A change that is not meant to change what
+// is learned leaves them alone; one that is re-records them and says so in
+// CHANGES.md.
 var learnedStoreHashes = map[int]string{
 	600:  "359cbcb09c4082f1116041b081d2434d0733296cabfa64970d3a453cd6144636",
 	6000: "4a6f1c090b8914c60c1963b4db20fdef692e1a76bb1a960b435fe0bcf9b578c1",
