@@ -89,7 +89,10 @@ type Result struct {
 	NumFactors int
 	// InferenceTime covers graph construction plus inference.
 	InferenceTime time.Duration
-	Converged     bool
+	// Iterations is the number of belief-propagation sweeps run (0 under
+	// Gibbs sampling, whose sweep count is an option, not an outcome).
+	Iterations int
+	Converged  bool
 
 	graph *propgraph.Graph
 }
@@ -171,6 +174,7 @@ func Infer(g *propgraph.Graph, seed *spec.Spec, opts Options) (*Result, error) {
 	default:
 		bp := fg.BeliefPropagation(opts.BP)
 		res.fill(varOf, bp.Marginals)
+		res.Iterations = bp.Iterations
 		res.Converged = bp.Converged
 	}
 	res.InferenceTime = time.Since(start)

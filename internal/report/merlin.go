@@ -59,6 +59,7 @@ func (e *Experiments) runMerlin(files map[string]string, collapsed bool) (*merli
 	if res != nil {
 		row.Candidates = res.Candidates
 		row.Factors = res.NumFactors
+		row.Sweeps = res.Iterations
 		row.Time = res.InferenceTime
 	}
 	if err != nil {
@@ -92,8 +93,10 @@ func (e *Experiments) RunTable2() Table2 {
 	start := time.Now()
 	cfg := e.LearnCfg
 	cfg.Constraints.BackoffCutoff = 2
-	core.LearnFromSources(large, e.Seed(), cfg)
+	res := core.LearnFromSources(large, e.Seed(), cfg)
 	t.SeldonLargeTime = time.Since(start)
+	t.SeldonLargeConstraints = len(res.System.Problem.Constraints)
+	t.SeldonLargeEpochs = res.SolverEpochs
 	return t
 }
 

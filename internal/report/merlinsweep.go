@@ -16,9 +16,14 @@ import (
 type MerlinSweepPoint struct {
 	Files          int
 	MerlinFactors  int
+	MerlinSweeps   int // belief-propagation sweeps run
 	MerlinTime     time.Duration
 	MerlinTimedOut bool
 	SeldonTime     time.Duration
+	// SeldonConstraints and SeldonEpochs are Seldon's work on the same
+	// application: constraints × solver epochs.
+	SeldonConstraints int
+	SeldonEpochs      int
 }
 
 // MerlinSweep is the anti-Fig.10: Merlin's cost curve versus Seldon's as
@@ -48,11 +53,15 @@ func (e *Experiments) RunMerlinSweep(sizes []int, collapsed bool) MerlinSweep {
 			pt.MerlinFactors = MerlinBudget
 		} else {
 			pt.MerlinFactors = res.NumFactors
+			pt.MerlinSweeps = res.Iterations
 			pt.MerlinTime = res.InferenceTime
 		}
 		lcfg := e.LearnCfg
 		lcfg.Constraints.BackoffCutoff = 2
-		pt.SeldonTime = core.Learn(g, e.Seed(), lcfg).InferenceTime
+		sres := core.Learn(g, e.Seed(), lcfg)
+		pt.SeldonTime = sres.InferenceTime
+		pt.SeldonConstraints = len(sres.System.Problem.Constraints)
+		pt.SeldonEpochs = sres.SolverEpochs
 		out.Points = append(out.Points, pt)
 	}
 	return out

@@ -58,6 +58,7 @@ type Table2Row struct {
 	GraphType  string // "Collapsed" | "Uncollapsed"
 	Candidates [3]int
 	Factors    int
+	Sweeps     int // belief-propagation sweeps run
 	Time       time.Duration
 	TimedOut   bool // factor budget exceeded (the paper's "> 10h")
 }
@@ -68,6 +69,10 @@ type Table2 struct {
 	// SeldonLargeTime is Seldon's time on the large app (the paper notes
 	// "< 20 seconds" vs Merlin's timeout).
 	SeldonLargeTime time.Duration
+	// SeldonLargeConstraints and SeldonLargeEpochs are the same run's
+	// work: constraints × solver epochs.
+	SeldonLargeConstraints int
+	SeldonLargeEpochs      int
 }
 
 func (t Table2) Render() string {
@@ -297,6 +302,7 @@ func (t Table7) Render() string {
 type Fig10Point struct {
 	Files       int
 	Constraints int
+	Epochs      int // solver epochs
 	Time        time.Duration
 }
 
@@ -317,6 +323,7 @@ func (e *Experiments) RunFig10(sizes []int) Fig10 {
 		out.Points = append(out.Points, Fig10Point{
 			Files:       n,
 			Constraints: len(res.System.Problem.Constraints),
+			Epochs:      res.SolverEpochs,
 			Time:        res.InferenceTime,
 		})
 	}
