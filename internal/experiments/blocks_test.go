@@ -9,7 +9,6 @@ import (
 	"seldon/internal/corpus"
 	"seldon/internal/eval"
 	"seldon/internal/propgraph"
-	"seldon/internal/report"
 	"seldon/internal/taint"
 )
 
@@ -19,27 +18,27 @@ import (
 // constraints × solver epochs for Seldon), which is the same on every
 // machine and every GOMAXPROCS.
 type results struct {
-	t1        report.Table1
-	t2        report.Table2
-	t3, t4    report.MerlinPrecision
-	t5        report.Table5
-	t6        report.Table6
-	t7        report.Table7
-	fig10     report.Fig10
-	fig11     report.Fig11
-	q5        report.Q5
-	q6        report.Q6
-	q7        report.Q7
-	argSens   report.ArgSensitivity
-	collapsed report.CollapsedLearning
-	sweep     report.MerlinSweep
-	ablations []ablationRow
+	t1        Table1
+	t2        Table2
+	t3, t4    MerlinPrecision
+	t5        Table5
+	t6        Table6
+	t7        Table7
+	fig10     Fig10
+	fig11     Fig11
+	q5        Q5
+	q6        Q6
+	q7        Q7
+	argSens   ArgSensitivity
+	collapsed CollapsedLearning
+	sweep     []MerlinSweepPoint
+	ablations []AblationRow
 }
 
 // golden runs the experiments once per test binary; the golden test, its
 // self-test and the paper-claim tests all read the same results.
 var golden = sync.OnceValue(func() *results {
-	e := report.New(corpus.Config{Files: goldenFiles, Seed: goldenSeed})
+	e := New(corpus.Config{Files: goldenFiles, Seed: goldenSeed})
 	return &results{
 		t1:        e.RunTable1(),
 		t2:        e.RunTable2(),
@@ -55,8 +54,8 @@ var golden = sync.OnceValue(func() *results {
 		q7:        e.RunQ7(),
 		argSens:   e.RunArgSensitivity(),
 		collapsed: e.RunCollapsedLearning(),
-		sweep:     e.RunMerlinSweep(sweepSizes, true),
-		ablations: runAblations(),
+		sweep:     e.RunMerlinSweep(sweepSizes),
+		ablations: e.RunAblations(),
 	}
 })
 
@@ -180,7 +179,7 @@ func (r *results) table1() string {
 // exceeded the factor budget before inference started.
 func work(units, passes int, timedOut bool) (u, p, w string) {
 	if timedOut {
-		return "> " + num(report.MerlinBudget) + " (budget)", "—", "—"
+		return "> " + num(MerlinBudget) + " (budget)", "—", "—"
 	}
 	return num(units), num(passes), num(units * passes)
 }
@@ -202,7 +201,7 @@ func (r *results) table2() string {
 	return m.String()
 }
 
-func merlinPrecision(t report.MerlinPrecision, paperAny string) string {
+func merlinPrecision(t MerlinPrecision, paperAny string) string {
 	var m md
 	m.table("Role", "Collapsed #", "Collapsed precision", "Uncollapsed #", "Uncollapsed precision",
 		"Paper (collapsed / uncollapsed)")
@@ -356,7 +355,7 @@ func (r *results) merlinSweep() string {
 	var m md
 	m.table("Files", "Merlin factors", "BP sweeps", "Factors × sweeps",
 		"Seldon constraints", "Solver epochs", "Constraints × epochs")
-	for _, p := range r.sweep.Points {
+	for _, p := range r.sweep {
 		f, s, w := work(p.MerlinFactors, p.MerlinSweeps, p.MerlinTimedOut)
 		m.row(p.Files, f, s, w, p.SeldonConstraints, p.SeldonEpochs, p.SeldonConstraints*p.SeldonEpochs)
 	}

@@ -1,9 +1,10 @@
-// Package factorgraph implements discrete factor graphs over binary
-// variables with two inference engines written from scratch: loopy belief
+// This file is the factor-graph engine: discrete factor graphs over binary
+// variables with two inference engines written from scratch, loopy belief
 // propagation (the sum-product algorithm, Yedidia et al.) and Gibbs
 // sampling. It is the substrate for the Merlin baseline (paper §6.3),
 // replacing Infer.NET's Expectation Propagation.
-package factorgraph
+
+package experiments
 
 import (
 	"fmt"

@@ -1,4 +1,4 @@
-package factorgraph
+package experiments
 
 import (
 	"fmt"

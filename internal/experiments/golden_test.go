@@ -12,8 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"seldon/internal/core"
 	"seldon/internal/corpus"
-	"seldon/internal/report"
 )
 
 // The document and the size it is recorded at. There is no second size:
@@ -244,16 +244,22 @@ func lineDiff(committed, generated string) string {
 	return d.String()
 }
 
-// BenchmarkMerlinSweep is for the seconds the golden leaves out: Merlin
-// and Seldon on the same growing application, one sub-benchmark per size.
+// BenchmarkMerlinSweep is for the seconds the golden leaves out: Merlin's
+// inference and Seldon's learn on the same growing application.
 func BenchmarkMerlinSweep(b *testing.B) {
-	e := report.New(corpus.Config{Files: goldenFiles, Seed: goldenSeed})
+	e := New(corpus.Config{Files: goldenFiles, Seed: goldenSeed})
 	for _, files := range sweepSizes {
-		b.Run(fmt.Sprintf("files=%d", files), func(b *testing.B) {
+		g, collapsed := e.sweepGraph(files)
+		b.Run(fmt.Sprintf("merlin/files=%d", files), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := e.RunMerlinSweep([]int{files}, true).Points[0]
-				b.ReportMetric(p.MerlinTime.Seconds(), "merlin-s")
-				b.ReportMetric(p.SeldonTime.Seconds(), "seldon-s")
+				if _, err := Infer(collapsed, e.Seed(), Options{MaxFactors: MerlinBudget}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("seldon/files=%d", files), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.Learn(g, e.Seed(), smallCutoff())
 			}
 		})
 	}

@@ -1,5 +1,5 @@
-// Package merlin implements the paper's baseline: Merlin-style taint
-// specification inference with factor graphs (§6), adapted to Python.
+// This file is the paper's baseline: Merlin-style taint specification
+// inference with factor graphs (§6), adapted to Python.
 //
 // Differences from Seldon, following the paper's adaptation:
 //   - events are represented by their most specific representation only
@@ -13,15 +13,14 @@
 //
 // Merlin may run on either the collapsed (vertex-contracted, §6.4) or the
 // uncollapsed propagation graph; callers collapse beforehand if desired.
-package merlin
+
+package experiments
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
-	"seldon/internal/factorgraph"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
 )
@@ -40,8 +39,8 @@ type Options struct {
 	// Inference selects the engine.
 	Inference Engine
 	// BP and Gibbs tune the engines.
-	BP    factorgraph.BPOptions
-	Gibbs factorgraph.GibbsOptions
+	BP    BPOptions
+	Gibbs GibbsOptions
 	// Seed for Gibbs sampling; default 1.
 	RandSeed int64
 }
@@ -87,8 +86,6 @@ type Result struct {
 	Candidates [3]int
 	// NumFactors is the size of the factor graph.
 	NumFactors int
-	// InferenceTime covers graph construction plus inference.
-	InferenceTime time.Duration
 	// Iterations is the number of belief-propagation sweeps run (0 under
 	// Gibbs sampling, whose sweep count is an option, not an outcome).
 	Iterations int
@@ -109,7 +106,6 @@ type Prediction struct {
 // specification pins hard priors (§6.3); its blacklist removes candidates.
 func Infer(g *propgraph.Graph, seed *spec.Spec, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	start := time.Now()
 
 	// Variable layout: var(event, role) = 3*event + role, allocated only
 	// for candidate roles; non-candidates map to -1.
@@ -132,8 +128,8 @@ func Infer(g *propgraph.Graph, seed *spec.Spec, opts Options) (*Result, error) {
 		}
 	}
 
-	fg := &factorgraph.Graph{NumVars: numVars}
-	addFactor := func(f factorgraph.Factor) error {
+	fg := &Graph{NumVars: numVars}
+	addFactor := func(f Factor) error {
 		if err := fg.AddFactor(f); err != nil {
 			return err
 		}
@@ -177,7 +173,6 @@ func Infer(g *propgraph.Graph, seed *spec.Spec, opts Options) (*Result, error) {
 		res.Iterations = bp.Iterations
 		res.Converged = bp.Converged
 	}
-	res.InferenceTime = time.Since(start)
 	return res, nil
 }
 
@@ -232,7 +227,7 @@ type reachability struct {
 }
 
 func addPriors(g *propgraph.Graph, seed *spec.Spec, varOf [][3]int,
-	reach *reachability, add func(factorgraph.Factor) error) error {
+	reach *reachability, add func(Factor) error) error {
 	// Reachability counts for the sanitizer prior. Hand-labeled events
 	// skip the flow prior — their hard prior is authoritative and the two
 	// would zero out the factor product.
@@ -263,7 +258,7 @@ func addPriors(g *propgraph.Graph, seed *spec.Spec, varOf [][3]int,
 			} else if prior > 0.95 {
 				prior = 0.95
 			}
-			if err := add(factorgraph.UnaryFactor(varOf[id][propgraph.Sanitizer], 1-prior, prior)); err != nil {
+			if err := add(UnaryFactor(varOf[id][propgraph.Sanitizer], 1-prior, prior)); err != nil {
 				return err
 			}
 		}
@@ -281,10 +276,10 @@ func addPriors(g *propgraph.Graph, seed *spec.Spec, varOf [][3]int,
 				continue
 			}
 			if roles.Has(role) {
-				if err := add(factorgraph.UnaryFactor(v, 0, 1)); err != nil {
+				if err := add(UnaryFactor(v, 0, 1)); err != nil {
 					return err
 				}
-			} else if err := add(factorgraph.UnaryFactor(v, 1, 0)); err != nil {
+			} else if err := add(UnaryFactor(v, 1, 0)); err != nil {
 				return err
 			}
 		}
@@ -294,7 +289,7 @@ func addPriors(g *propgraph.Graph, seed *spec.Spec, varOf [][3]int,
 
 // addFlowFactors adds the Fig. 6 beliefs.
 func addFlowFactors(g *propgraph.Graph, varOf [][3]int, reach *reachability,
-	add func(factorgraph.Factor) error, opts Options) error {
+	add func(Factor) error, opts Options) error {
 	lo, hi := opts.WViolate, opts.WOK
 
 	// Fig. 6a: flow u ⇝ s ⇝ t with candidates (source, sanitizer, sink):
@@ -331,7 +326,7 @@ func addFlowFactors(g *propgraph.Graph, varOf [][3]int, reach *reachability,
 					break
 				}
 				triples++
-				if err := add(factorgraph.Factor{
+				if err := add(Factor{
 					Vars: []int{varOf[u][propgraph.Source],
 						varOf[s][propgraph.Sanitizer],
 						varOf[t][propgraph.Sink]},
@@ -348,7 +343,7 @@ func addFlowFactors(g *propgraph.Graph, varOf [][3]int, reach *reachability,
 		for _, w := range reach.fwd[u] {
 			// 6b: sanitizer flows into w ⇒ w unlikely a sanitizer.
 			if varOf[u][propgraph.Sanitizer] >= 0 && varOf[w][propgraph.Sanitizer] >= 0 {
-				if err := add(factorgraph.Factor{
+				if err := add(Factor{
 					Vars:  []int{varOf[u][propgraph.Sanitizer], varOf[w][propgraph.Sanitizer]},
 					Table: tableNotBoth,
 				}); err != nil {
@@ -357,7 +352,7 @@ func addFlowFactors(g *propgraph.Graph, varOf [][3]int, reach *reachability,
 			}
 			// 6c: source flows into w ⇒ w unlikely a source.
 			if varOf[u][propgraph.Source] >= 0 && varOf[w][propgraph.Source] >= 0 {
-				if err := add(factorgraph.Factor{
+				if err := add(Factor{
 					Vars:  []int{varOf[u][propgraph.Source], varOf[w][propgraph.Source]},
 					Table: tableNotBoth,
 				}); err != nil {
@@ -366,7 +361,7 @@ func addFlowFactors(g *propgraph.Graph, varOf [][3]int, reach *reachability,
 			}
 			// 6d: w flows into a sink ⇒ w unlikely a sink.
 			if varOf[u][propgraph.Sink] >= 0 && varOf[w][propgraph.Sink] >= 0 {
-				if err := add(factorgraph.Factor{
+				if err := add(Factor{
 					Vars:  []int{varOf[u][propgraph.Sink], varOf[w][propgraph.Sink]},
 					Table: tableNotBoth,
 				}); err != nil {

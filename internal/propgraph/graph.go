@@ -309,6 +309,10 @@ func (g *Graph) NumEdges() int {
 // unsuitable for taint analysis but usable for specification learning.
 // Events without representations are kept as-is. The collapsed graph
 // shares the input's symbol table.
+//
+// Only tests call it now (this package's and internal/experiments', for
+// the Merlin baseline); it stays here, exported, because a _test.go file
+// cannot export to another package's tests.
 func (g *Graph) Collapse() *Graph {
 	out := &Graph{Syms: g.Syms}
 	classOf := make([]int, len(g.Events))
