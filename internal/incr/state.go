@@ -73,11 +73,11 @@ func (s *Session) Save(path string) error {
 	b = envelope.AppendU64(b, uint64(k.Cutoff))
 	b = envelope.AppendU64(b, uint64(k.MaxComponent))
 
-	var seedBuf bytes.Buffer
-	if err := specio.Encode(&seedBuf, s.seed, specio.Meta{Generator: "incr-session"}); err != nil {
-		return fmt.Errorf("incr: encode seed: %w", err)
+	seedBytes, err := encodeSeed(s.seed)
+	if err != nil {
+		return err
 	}
-	b = envelope.AppendBytes64(b, seedBuf.Bytes())
+	b = envelope.AppendBytes64(b, seedBytes)
 
 	names := s.sortedNames()
 	b = envelope.AppendU64(b, uint64(len(names)))
@@ -106,12 +106,27 @@ func (s *Session) Save(path string) error {
 	return envelope.WriteFile(path, envelope.Seal(b))
 }
 
+// encodeSeed is the seed store as a state file carries it.
+func encodeSeed(seed *spec.Spec) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := specio.Encode(&buf, seed, specio.Meta{Generator: "incr-session"}); err != nil {
+		return nil, fmt.Errorf("incr: encode seed: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// errNotCanonical is a state file that passes its checksum but that Save
+// cannot have written: no two files load as the same session.
+var errNotCanonical = errors.New("incr: state file is not one Save writes")
+
 // Load restores a session from path. seed and cfg are the *current*
 // run's seed and configuration; Load fails when the stored seed or
 // learning knobs disagree with them (the resumed state would answer a
 // different problem), when the analyzer version moved (stored graphs
 // may no longer match what the front-end produces), or when the file is
-// corrupt. On any error the caller should start a cold session.
+// corrupt or not in the one form Save writes (file names and score keys
+// strictly ascending, content flag 0 or 1, the seed in Save's encoding).
+// On any error the caller should start a cold session.
 //
 // A nil seed selects adopt mode: the session resumes under the seed and
 // learning knobs recorded in the state file (cfg supplies everything
@@ -142,9 +157,13 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		Cutoff:       int(r.U64()),
 		MaxComponent: int(r.U64()),
 	}
-	storedSeed, _, err := specio.Decode(bytes.NewReader(r.Bytes64()))
+	seedBytes := r.Bytes64()
+	storedSeed, _, err := specio.Decode(bytes.NewReader(seedBytes))
 	if err != nil {
 		return nil, fmt.Errorf("incr: decode stored seed: %w", err)
+	}
+	if canonical, err := encodeSeed(storedSeed); err != nil || !bytes.Equal(canonical, seedBytes) {
+		return nil, fmt.Errorf("%w: stored seed re-encodes differently", errNotCanonical)
 	}
 	if seed == nil {
 		seed = storedSeed
@@ -169,13 +188,20 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 	var encs [][]byte
 	for n := r.Count(r.U64(), minFile); n > 0; n-- {
 		name := r.String64()
-		hasContent := r.Byte() != 0
+		flag := r.Byte()
 		var ch [32]byte
 		copy(ch[:], r.Take(len(ch)))
 		enc := r.Bytes64()
 		if r.Err() != nil {
 			break
 		}
+		if flag > 1 {
+			return nil, fmt.Errorf("%w: file %q has content flag %d", errNotCanonical, name, flag)
+		}
+		if len(names) > 0 && name <= names[len(names)-1] {
+			return nil, fmt.Errorf("%w: file %q follows %q", errNotCanonical, name, names[len(names)-1])
+		}
+		hasContent := flag == 1
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
 		fs := newFileState(bytes.Clone(enc), nil)
@@ -193,10 +219,13 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 	scores := func() map[PinKey]float64 {
 		n := r.Count(r.U64(), minScore)
 		m := make(map[PinKey]float64, n)
-		for ; n > 0 && r.Err() == nil; n-- {
-			rep := r.String64()
-			role := propgraph.Role(r.U64())
-			m[PinKey{Rep: rep, Role: role}] = r.F64()
+		var last PinKey
+		for i := 0; i < n && r.Err() == nil; i++ {
+			key := PinKey{Rep: r.String64(), Role: propgraph.Role(r.U64())}
+			if i > 0 && !keyLess(last, key) {
+				r.Fail(fmt.Errorf("%w: score of %v follows %v", errNotCanonical, key, last))
+			}
+			m[key], last = r.F64(), key
 		}
 		return m
 	}
@@ -246,11 +275,15 @@ func sortedKeys(m map[PinKey]float64) []PinKey {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Rep != keys[j].Rep {
-			return keys[i].Rep < keys[j].Rep
-		}
-		return keys[i].Role < keys[j].Role
-	})
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	return keys
+}
+
+// keyLess is the order Save writes score and pin keys in, and the only
+// one Load takes them in.
+func keyLess(a, b PinKey) bool {
+	if a.Rep != b.Rep {
+		return a.Rep < b.Rep
+	}
+	return a.Role < b.Role
 }

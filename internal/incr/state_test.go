@@ -1,8 +1,10 @@
 package incr_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -119,4 +121,50 @@ func TestLoadRejectsWhatSaveCannotWrite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLoadState holds the state loader to the files Save writes. The
+// input is a body — everything between the magic and the checksum — which
+// the target frames and seals, so that mutations reach the parser. Load in
+// adopt mode (nil seed: the file's own seed and knobs) errors, or Save of
+// what loaded writes the sealed bytes back: no two files load as the same
+// session, so a repeated or unsorted file name or score key, a content
+// flag of 2 or a seed in another JSON spelling, none of which Save can
+// have written, is an error like every other fault. There is never a
+// panic, and load and save together allocate at most 64 bytes per body
+// byte — the graph decoder's own bound — whatever counts the body
+// declares. The seeds (testdata/fuzz) are the body of testdata/state.bin,
+// a file name twice, two names out of order, a score key twice, a content
+// flag of 2, and a file count larger than the bytes left.
+func FuzzLoadState(f *testing.F) {
+	dir := f.TempDir()
+	in, out := filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.bin")
+	cfg := core.Config{Workers: 1}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sealed := envelope.Seal(append([]byte("SINC"), body...))
+		if err := os.WriteFile(in, sealed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := incr.Load(in, nil, cfg)
+		if err == nil {
+			err = s.Save(out)
+		}
+		runtime.ReadMemStats(&after)
+		// The slack covers an empty session, the files' names and handles
+		// and what the test binary's other goroutines allocate meanwhile.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(body)+256<<10); got > bound {
+			t.Fatalf("loading and saving %d bytes allocated %d, bound %d", len(body), got, bound)
+		}
+		if s == nil {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(out); !bytes.Equal(got, sealed) {
+			t.Fatalf("loaded %d bytes that save back as %d different ones", len(sealed), len(got))
+		}
+	})
 }
