@@ -24,10 +24,10 @@ type results struct {
 	t5        Table5
 	t6        Table6
 	t7        Table7
-	fig10     Fig10
-	fig11     Fig11
-	q5        Q5
-	q6        Q6
+	fig10     []Fig10Point
+	fig11     map[propgraph.Role][]eval.ScoredSample
+	q5        []Q5Project
+	q6        []Q6Row
 	q7        Q7
 	argSens   ArgSensitivity
 	collapsed CollapsedLearning
@@ -223,7 +223,7 @@ func (r *results) table5() string {
 	m.table("Role", "Paper (# predicted, precision)", "# Predicted / # Candidates", "Fraction", "Precision (estimate)")
 	for i, row := range r.t5.Rows {
 		m.row(roleName(row.Role), paperTable5[i],
-			num(row.Predicted)+" / "+num(row.Candidates), ratio(row.Predicted, row.Candidates), pct(row.Precision))
+			num(row.Predicted)+" / "+num(r.t5.Candidates), ratio(row.Predicted, r.t5.Candidates), pct(row.Precision))
 	}
 	m.row("Any", paperTable5[3], num(r.t5.OverallPredicted)+" / "+num(r.t5.Candidates),
 		ratio(r.t5.OverallPredicted, r.t5.Candidates), pct(r.t5.OverallPrecision))
@@ -246,7 +246,7 @@ func (r *results) table6() string {
 		m.row(string(cat), paperTable6[i], ratio(r.t6.Seed[cat], seedTotal), ratio(r.t6.Inferred[cat], infTotal))
 	}
 	m.WriteString("\n")
-	m.item(0, "Reports sampled per specification: %d", r.t6.SampleSize)
+	m.item(0, "Reports sampled per specification: %d", reportN)
 	return m.String()
 }
 
@@ -262,7 +262,7 @@ func (r *results) table7() string {
 func (r *results) figure10() string {
 	var m md
 	m.table("Files", "Constraints", "Constraints per file", "Solver epochs", "Constraints × epochs")
-	for _, p := range r.fig10.Points {
+	for _, p := range r.fig10 {
 		m.row(p.Files, p.Constraints, fmt.Sprintf("%.1f", float64(p.Constraints)/float64(p.Files)),
 			p.Epochs, p.Constraints*p.Epochs)
 	}
@@ -272,7 +272,7 @@ func (r *results) figure10() string {
 func (r *results) figure11() string {
 	var m md
 	for _, role := range propgraph.Roles() {
-		curve := r.fig11.Curves[role]
+		curve := r.fig11[role]
 		m.item(0, "%s — %d samples by descending score: score, `+` correct or `-` wrong, cumulative precision, representation",
 			roleName(role), len(curve))
 		for _, s := range curve {
@@ -290,7 +290,7 @@ func (r *results) crossProject() string {
 	var m md
 	m.table("Project", "Individual # (precision)", "Projected full-corpus # (precision)", "New true roles")
 	var indiv, proj, fresh int
-	for _, p := range r.q5.Projects {
+	for _, p := range r.q5 {
 		m.row(p.Project,
 			fmt.Sprintf("%d (%s)", p.IndividualCount, pct(p.IndividualPrecision)),
 			fmt.Sprintf("%d (%s)", p.ProjectedCount, pct(p.ProjectedPrecision)),
@@ -306,7 +306,7 @@ func (r *results) crossProject() string {
 func (r *results) seedAblation() string {
 	var m md
 	m.table("Seed", "Seed entries", "Inferred specs", "Precision")
-	for _, row := range r.q6.Rows {
+	for _, row := range r.q6 {
 		prec := pct(row.Precision)
 		if row.Predicted == 0 {
 			prec = "—"

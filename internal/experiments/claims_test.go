@@ -27,9 +27,6 @@ func TestTable2MerlinScalability(t *testing.T) {
 		t.Fatalf("rows = %d", len(t2.Rows))
 	}
 	small, large := t2.Rows[0], t2.Rows[2]
-	if small.App == large.App {
-		t.Error("small and large app identical")
-	}
 	if large.Lines <= small.Lines {
 		t.Errorf("large app (%d lines) not larger than small (%d)", large.Lines, small.Lines)
 	}
@@ -106,7 +103,7 @@ func TestTable6And7(t *testing.T) {
 }
 
 func TestFig10Scaling(t *testing.T) {
-	points := golden().fig10.Points
+	points := golden().fig10
 	if len(points) != len(fig10Sizes) {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -125,7 +122,7 @@ func TestFig10Scaling(t *testing.T) {
 func TestFig11Curves(t *testing.T) {
 	fig := golden().fig11
 	for _, role := range propgraph.Roles() {
-		curve := fig.Curves[role]
+		curve := fig[role]
 		for i := 1; i < len(curve); i++ {
 			if curve[i].Score > curve[i-1].Score {
 				t.Errorf("%v curve not sorted", role)
@@ -136,14 +133,14 @@ func TestFig11Curves(t *testing.T) {
 
 func TestQ5CrossProject(t *testing.T) {
 	q5 := golden().q5
-	if len(q5.Projects) != 3 {
-		t.Fatalf("projects = %d", len(q5.Projects))
+	if len(q5) != 3 {
+		t.Fatalf("projects = %d", len(q5))
 	}
 	// The shape claim: projecting the full-corpus specification onto a
 	// project finds at least as many specifications as learning on the
 	// project alone, and discovers new true roles somewhere.
 	newRoles := 0
-	for _, p := range q5.Projects {
+	for _, p := range q5 {
 		newRoles += p.NewTrueRoles
 		if p.ProjectedCount < p.IndividualCount {
 			t.Errorf("%s: projected %d specs, individual %d", p.Project, p.ProjectedCount, p.IndividualCount)
@@ -156,10 +153,10 @@ func TestQ5CrossProject(t *testing.T) {
 
 func TestQ6SeedAblation(t *testing.T) {
 	q6 := golden().q6
-	if len(q6.Rows) != 3 {
-		t.Fatalf("rows = %d", len(q6.Rows))
+	if len(q6) != 3 {
+		t.Fatalf("rows = %d", len(q6))
 	}
-	full, half, empty := q6.Rows[0], q6.Rows[1], q6.Rows[2]
+	full, half, empty := q6[0], q6[1], q6[2]
 	if empty.Predicted != 0 {
 		t.Errorf("empty seed predicted %d specs, want 0", empty.Predicted)
 	}

@@ -27,64 +27,32 @@ const MerlinBudget = 250000
 
 // Experiments carries the shared state of one evaluation run: the
 // generated corpus, its per-file propagation graphs, the global graph,
-// and the Seldon learning result, all computed lazily and cached.
+// the Seldon learning result over it, and the taint reports under the
+// seed and under the learned specification.
 type Experiments struct {
 	CorpusCfg corpus.Config
+	Corpus    *corpus.Corpus
+	Seed      *spec.Spec
+	Union     *propgraph.Graph
+	Learned   *core.Result
 
-	corpus  *corpus.Corpus
-	seed    *spec.Spec
-	graphs  map[string]*propgraph.Graph
-	union   *propgraph.Graph
-	learned *core.Result
+	graphs                      map[string]*propgraph.Graph
+	seedReports, learnedReports []taint.Report
 }
 
-// New prepares an experiment context (nothing is computed yet).
+// New generates the corpus, analyzes it and learns on it.
 func New(cfg corpus.Config) *Experiments {
-	return &Experiments{CorpusCfg: cfg}
-}
-
-// Corpus returns the generated corpus.
-func (e *Experiments) Corpus() *corpus.Corpus {
-	if e.corpus == nil {
-		e.corpus = corpus.Generate(e.CorpusCfg)
+	e := &Experiments{CorpusCfg: cfg, Corpus: corpus.Generate(cfg), Seed: corpus.ExperimentSeed()}
+	fe := core.AnalyzeFiles(e.Corpus.FileMap(), core.Config{})
+	e.graphs = make(map[string]*propgraph.Graph, len(fe.Names))
+	for i, name := range fe.Names {
+		e.graphs[name] = fe.Graphs[i]
 	}
-	return e.corpus
-}
-
-// Seed returns the experiment seed specification.
-func (e *Experiments) Seed() *spec.Spec {
-	if e.seed == nil {
-		e.seed = corpus.ExperimentSeed()
-	}
-	return e.seed
-}
-
-// Graphs returns per-file propagation graphs.
-func (e *Experiments) Graphs() map[string]*propgraph.Graph {
-	if e.graphs == nil {
-		fe := core.AnalyzeFiles(e.Corpus().FileMap(), core.Config{})
-		e.graphs = make(map[string]*propgraph.Graph, len(fe.Names))
-		for i, name := range fe.Names {
-			e.graphs[name] = fe.Graphs[i]
-		}
-	}
-	return e.graphs
-}
-
-// Union returns the global propagation graph of the corpus.
-func (e *Experiments) Union() *propgraph.Graph {
-	if e.union == nil {
-		e.union = e.unionOf(e.Corpus().FileMap())
-	}
-	return e.union
-}
-
-// Learned returns the cached Seldon learning result over the full corpus.
-func (e *Experiments) Learned() *core.Result {
-	if e.learned == nil {
-		e.learned = core.Learn(e.Union(), e.Seed(), core.Config{})
-	}
-	return e.learned
+	e.Union = e.unionOf(e.Corpus.FileMap())
+	e.Learned = core.Learn(e.Union, e.Seed, core.Config{})
+	e.seedReports = taint.Analyze(e.Union, e.Seed)
+	e.learnedReports = taint.Analyze(e.Union, e.Learned.LearnedSpec(e.Seed))
+	return e
 }
 
 // unionOf builds the global graph for a subset of files (by name).
@@ -94,23 +62,13 @@ func (e *Experiments) unionOf(files map[string]string) *propgraph.Graph {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	graphs := e.Graphs()
 	ordered := make([]*propgraph.Graph, 0, len(names))
 	for _, n := range names {
-		if g, ok := graphs[n]; ok {
+		if g, ok := e.graphs[n]; ok {
 			ordered = append(ordered, g)
 		}
 	}
 	return propgraph.Union(ordered...)
-}
-
-// seedAndLearnedReports runs the taint analyzer over the whole corpus with
-// the seed spec and with the learned spec.
-func (e *Experiments) seedAndLearnedReports() (seedReports, learnedReports []taint.Report) {
-	g := e.Union()
-	seedReports = taint.Analyze(g, e.Seed())
-	learnedReports = taint.Analyze(g, e.Learned().LearnedSpec(e.Seed()))
-	return seedReports, learnedReports
 }
 
 // smallCutoff is the backoff cutoff for learns on a single application:
@@ -120,9 +78,6 @@ func smallCutoff() core.Config {
 	cfg.Constraints.BackoffCutoff = 2
 	return cfg
 }
-
-// ---------------------------------------------------------------------------
-// Table 1 — dataset statistics
 
 // Table1 mirrors the paper's Table 1: candidates, average backoff options
 // per event, constraints, and source files.
@@ -135,18 +90,15 @@ type Table1 struct {
 
 // RunTable1 computes dataset statistics for the corpus.
 func (e *Experiments) RunTable1() Table1 {
-	res := e.Learned()
+	res := e.Learned
 	st := res.Graph.ComputeStats()
 	return Table1{
 		Candidates:  len(res.System.EventInfos),
 		AvgBackoff:  st.AvgBackoff,
 		Constraints: len(res.System.Problem.Constraints),
-		SourceFiles: len(e.Corpus().Files),
+		SourceFiles: len(e.Corpus.Files),
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Table 2 — Merlin scalability
 
 // Table2Row is one (app, graph type) Merlin run.
 type Table2Row struct {
@@ -171,17 +123,17 @@ type Table2 struct {
 // smallApp returns the first project of the corpus (the paper's Flask
 // API-sized repository) as name→source.
 func (e *Experiments) smallApp() map[string]string {
-	projects := e.Corpus().Projects()
-	return e.Corpus().ProjectFiles(projects[0])
+	projects := e.Corpus.Projects()
+	return e.Corpus.ProjectFiles(projects[0])
 }
 
 // largeApp returns several projects merged into one repository (the
 // paper's Flask-Admin-sized application, ~10x the small app).
 func (e *Experiments) largeApp() map[string]string {
 	out := make(map[string]string)
-	projects := e.Corpus().Projects()
+	projects := e.Corpus.Projects()
 	for _, p := range projects[:min(len(projects), 24)] {
-		for name, src := range e.Corpus().ProjectFiles(p) {
+		for name, src := range e.Corpus.ProjectFiles(p) {
 			out[name] = src
 		}
 	}
@@ -204,7 +156,7 @@ func (e *Experiments) runMerlin(files map[string]string, collapsed bool) (*Resul
 		g = g.Collapse()
 		graphType = "Collapsed"
 	}
-	res, err := Infer(g, e.Seed(), Options{MaxFactors: MerlinBudget})
+	res, err := Infer(g, e.Seed, Options{MaxFactors: MerlinBudget})
 	row := Table2Row{GraphType: graphType, Lines: countLines(files)}
 	if res != nil {
 		row.Candidates = res.Candidates
@@ -238,14 +190,11 @@ func (e *Experiments) RunTable2() Table2 {
 		row.App = cfg.name
 		t.Rows = append(t.Rows, row)
 	}
-	res := core.LearnFromSources(large, e.Seed(), smallCutoff())
+	res := core.LearnFromSources(large, e.Seed, smallCutoff())
 	t.SeldonLargeConstraints = len(res.System.Problem.Constraints)
 	t.SeldonLargeEpochs = res.SolverEpochs
 	return t
 }
-
-// ---------------------------------------------------------------------------
-// Tables 3 & 4 — Merlin precision
 
 // MerlinPrecisionRow is one role row of Table 3/4.
 type MerlinPrecisionRow struct {
@@ -284,36 +233,34 @@ func merlinPrecisionRows(preds []Prediction, truth *corpus.Truth) []MerlinPrecis
 	return rows
 }
 
+// merlinTable runs Merlin on the small app on both graph types and judges
+// the newly inferred predictions pick selects.
+func (e *Experiments) merlinTable(pick func(*Result) []Prediction) MerlinPrecision {
+	run := func(collapsed bool) []MerlinPrecisionRow {
+		res, row := e.runMerlin(e.smallApp(), collapsed)
+		if row.TimedOut {
+			return nil
+		}
+		return merlinPrecisionRows(pick(res), e.Corpus.Truth)
+	}
+	return MerlinPrecision{Collapsed: run(true), Uncollapsed: run(false)}
+}
+
 // RunTable3 evaluates Merlin on the small app at 95% confidence.
 func (e *Experiments) RunTable3() MerlinPrecision {
-	small := e.smallApp()
-	truth := e.Corpus().Truth
-	var out MerlinPrecision
-	if res, row := e.runMerlin(small, true); !row.TimedOut {
-		out.Collapsed = merlinPrecisionRows(unseeded(res.Predict(0.95), e), truth)
-	}
-	if res, row := e.runMerlin(small, false); !row.TimedOut {
-		out.Uncollapsed = merlinPrecisionRows(unseeded(res.Predict(0.95), e), truth)
-	}
-	return out
+	return e.merlinTable(func(res *Result) []Prediction { return unseeded(res.Predict(0.95), e) })
 }
 
 // RunTable4 evaluates Merlin's top-5 predictions per role.
 func (e *Experiments) RunTable4() MerlinPrecision {
-	small := e.smallApp()
-	truth := e.Corpus().Truth
-	run := func(collapsed bool) []MerlinPrecisionRow {
-		res, row := e.runMerlin(small, collapsed)
-		if row.TimedOut {
-			return nil
-		}
+	return e.merlinTable(func(res *Result) []Prediction {
 		var preds []Prediction
 		for _, role := range propgraph.Roles() {
-			preds = append(preds, unseeded(res.TopK(role, 5+seedCount(e, res, role)), e)...)
+			top := unseeded(res.TopK(role, len(res.Marginals)), e)
+			preds = append(preds, top[:min(len(top), 5)]...)
 		}
-		return merlinPrecisionRows(capPerRole(preds, 5), truth)
-	}
-	return MerlinPrecision{Collapsed: run(true), Uncollapsed: run(false)}
+		return preds
+	})
 }
 
 // unseeded drops predictions whose rep is already in the seed — the paper
@@ -321,46 +268,18 @@ func (e *Experiments) RunTable4() MerlinPrecision {
 func unseeded(preds []Prediction, e *Experiments) []Prediction {
 	var out []Prediction
 	for _, p := range preds {
-		if !e.Seed().RolesOf(p.Rep).Has(p.Role) {
+		if !e.Seed.RolesOf(p.Rep).Has(p.Role) {
 			out = append(out, p)
 		}
 	}
 	return out
 }
-
-// seedCount estimates how many of a role's top predictions are seeded, so
-// TopK can over-fetch before filtering.
-func seedCount(e *Experiments, res *Result, role propgraph.Role) int {
-	n := 0
-	for _, p := range res.TopK(role, 50) {
-		if e.Seed().RolesOf(p.Rep).Has(p.Role) {
-			n++
-		}
-	}
-	return n
-}
-
-func capPerRole(preds []Prediction, k int) []Prediction {
-	count := make(map[propgraph.Role]int)
-	var out []Prediction
-	for _, p := range preds {
-		if count[p.Role] < k {
-			count[p.Role]++
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Table 5 — Seldon predicted counts and precision
 
 // Table5Row is one role row.
 type Table5Row struct {
-	Role       propgraph.Role
-	Predicted  int
-	Candidates int
-	Precision  float64
+	Role      propgraph.Role
+	Predicted int
+	Precision float64
 }
 
 // Table5 mirrors the paper's Table 5, extended with exact catalog recall
@@ -376,19 +295,13 @@ type Table5 struct {
 // RunTable5 learns over the full corpus and estimates precision with the
 // paper's protocol (random sample of sampleN predictions per role).
 func (e *Experiments) RunTable5() Table5 {
-	res := e.Learned()
-	entries := res.LearnedEntries(e.Seed())
-	pr := eval.SamplePrecision(entries, e.Corpus().Truth, sampleN, evalSeed)
+	res := e.Learned
+	entries := res.LearnedEntries(e.Seed)
+	pr := eval.SamplePrecision(entries, e.Corpus.Truth, sampleN, evalSeed)
 	counts := res.PredictedCounts()
-	nCand := len(res.System.EventInfos)
-	var t Table5
-	t.Candidates = nCand
+	t := Table5{Candidates: len(res.System.EventInfos)}
 	for _, role := range propgraph.Roles() {
-		p := pr.PerRole[role]
-		t.Rows = append(t.Rows, Table5Row{
-			Role: role, Predicted: counts[role], Candidates: nCand,
-			Precision: p.Precision(),
-		})
+		t.Rows = append(t.Rows, Table5Row{Role: role, Predicted: counts[role], Precision: pr.PerRole[role].Precision()})
 		t.OverallPredicted += counts[role]
 	}
 	t.OverallPrecision = pr.Overall().Precision()
@@ -396,31 +309,22 @@ func (e *Experiments) RunTable5() Table5 {
 	return t
 }
 
-// ---------------------------------------------------------------------------
-// Table 6 — bug-report breakdown, seed vs inferred spec
-
 // Table6 holds the sampled report categories for both specifications.
 type Table6 struct {
-	SampleSize int
-	Seed       map[eval.Category]int
-	Inferred   map[eval.Category]int
+	Seed     map[eval.Category]int
+	Inferred map[eval.Category]int
 }
 
 // RunTable6 samples reportN reports from both taint runs and classifies
 // them against the generated flow truth.
 func (e *Experiments) RunTable6() Table6 {
-	seedReports, learnedReports := e.seedAndLearnedReports()
-	truth := e.Corpus().Truth
-	flows := e.Corpus().Flows
+	truth := e.Corpus.Truth
+	flows := e.Corpus.Flows
 	return Table6{
-		SampleSize: reportN,
-		Seed:       eval.ClassifySample(seedReports, flows, truth, reportN, evalSeed),
-		Inferred:   eval.ClassifySample(learnedReports, flows, truth, reportN, evalSeed),
+		Seed:     eval.ClassifySample(e.seedReports, flows, truth, reportN, evalSeed),
+		Inferred: eval.ClassifySample(e.learnedReports, flows, truth, reportN, evalSeed),
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Table 7 — report counts and estimated vulnerabilities
 
 // Table7Column holds totals for one specification.
 type Table7Column struct {
@@ -438,11 +342,10 @@ type Table7 struct {
 // RunTable7 counts reports, affected projects, and the estimated true
 // vulnerabilities (sampled true-positive rate scaled to all reports).
 func (e *Experiments) RunTable7() Table7 {
-	seedReports, learnedReports := e.seedAndLearnedReports()
-	truth := e.Corpus().Truth
-	flows := e.Corpus().Flows
+	truth := e.Corpus.Truth
+	flows := e.Corpus.Flows
 	projectOf := make(map[string]string)
-	for _, f := range e.Corpus().Files {
+	for _, f := range e.Corpus.Files {
 		projectOf[f.Name] = f.Project
 	}
 	column := func(reports []taint.Report) Table7Column {
@@ -457,11 +360,8 @@ func (e *Experiments) RunTable7() Table7 {
 			EstimatedVuln: eval.EstimateTrueVulnerabilities(len(reports), counts),
 		}
 	}
-	return Table7{Seed: column(seedReports), Inferred: column(learnedReports)}
+	return Table7{Seed: column(e.seedReports), Inferred: column(e.learnedReports)}
 }
-
-// ---------------------------------------------------------------------------
-// Figure 10 — problem size and solver work vs number of files
 
 // Fig10Point is one sweep point.
 type Fig10Point struct {
@@ -470,21 +370,16 @@ type Fig10Point struct {
 	Epochs      int // solver epochs
 }
 
-// Fig10 holds the scaling sweep.
-type Fig10 struct {
-	Points []Fig10Point
-}
-
 // RunFig10 sweeps corpus sizes and counts Seldon's inference work
 // (constraints built, epochs solved): the paper's linear-scaling claim.
-func (e *Experiments) RunFig10(sizes []int) Fig10 {
-	var out Fig10
+func (e *Experiments) RunFig10(sizes []int) []Fig10Point {
+	var out []Fig10Point
 	for _, n := range sizes {
 		cfg := e.CorpusCfg
 		cfg.Files = n
 		c := corpus.Generate(cfg)
-		res := core.LearnFromSources(c.FileMap(), e.Seed(), core.Config{})
-		out.Points = append(out.Points, Fig10Point{
+		res := core.LearnFromSources(c.FileMap(), e.Seed, core.Config{})
+		out = append(out, Fig10Point{
 			Files:       n,
 			Constraints: len(res.System.Problem.Constraints),
 			Epochs:      res.SolverEpochs,
@@ -493,27 +388,16 @@ func (e *Experiments) RunFig10(sizes []int) Fig10 {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Figure 11 — score vs cumulative precision
-
-// Fig11 holds one curve per role.
-type Fig11 struct {
-	Curves map[propgraph.Role][]eval.ScoredSample
-}
-
 // RunFig11 samples sampleN predictions per role and computes the paper's
-// score/cumulative-precision curves.
-func (e *Experiments) RunFig11() Fig11 {
-	entries := e.Learned().LearnedEntries(e.Seed())
-	out := Fig11{Curves: make(map[propgraph.Role][]eval.ScoredSample)}
+// score/cumulative-precision curves, one per role.
+func (e *Experiments) RunFig11() map[propgraph.Role][]eval.ScoredSample {
+	entries := e.Learned.LearnedEntries(e.Seed)
+	out := make(map[propgraph.Role][]eval.ScoredSample)
 	for _, role := range propgraph.Roles() {
-		out.Curves[role] = eval.ScoreCurve(entries, e.Corpus().Truth, role, sampleN, evalSeed)
+		out[role] = eval.ScoreCurve(entries, e.Corpus.Truth, role, sampleN, evalSeed)
 	}
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// Q5 — cross-project learning
 
 // Q5Project is the comparison for one project.
 type Q5Project struct {
@@ -525,23 +409,18 @@ type Q5Project struct {
 	NewTrueRoles        int // true roles found by full-corpus learning only
 }
 
-// Q5 aggregates the per-project comparison.
-type Q5 struct {
-	Projects []Q5Project
-}
-
 // RunQ5 compares learning on single projects against projecting the
 // full-corpus specification onto those projects (§7.5 Q5).
-func (e *Experiments) RunQ5(nProjects int) Q5 {
-	full := e.Learned().LearnedEntries(e.Seed())
-	truth := e.Corpus().Truth
-	projects := e.Corpus().Projects()
+func (e *Experiments) RunQ5(nProjects int) []Q5Project {
+	full := e.Learned.LearnedEntries(e.Seed)
+	truth := e.Corpus.Truth
+	projects := e.Corpus.Projects()
 	if len(projects) > nProjects {
 		projects = projects[:nProjects]
 	}
-	var out Q5
+	var out []Q5Project
 	for _, proj := range projects {
-		files := e.Corpus().ProjectFiles(proj)
+		files := e.Corpus.ProjectFiles(proj)
 		g := e.unionOf(files)
 		// Representations occurring in this project.
 		occurring := make(map[string]bool)
@@ -551,7 +430,7 @@ func (e *Experiments) RunQ5(nProjects int) Q5 {
 				occurring[strs[s]] = true
 			}
 		}
-		indiv := core.Learn(g, e.Seed(), smallCutoff()).LearnedEntries(e.Seed())
+		indiv := core.Learn(g, e.Seed, smallCutoff()).LearnedEntries(e.Seed)
 
 		var projected []spec.Entry
 		for _, en := range full {
@@ -572,7 +451,7 @@ func (e *Experiments) RunQ5(nProjects int) Q5 {
 				p.NewTrueRoles++
 			}
 		}
-		out.Projects = append(out.Projects, p)
+		out = append(out, p)
 	}
 	return out
 }
@@ -590,9 +469,6 @@ func precisionOf(entries []spec.Entry, truth *corpus.Truth) float64 {
 	return float64(correct) / float64(len(entries))
 }
 
-// ---------------------------------------------------------------------------
-// Q6 — seed-specification ablation
-
 // Q6Row is one seed variant.
 type Q6Row struct {
 	Seed      string
@@ -601,25 +477,22 @@ type Q6Row struct {
 	Precision float64
 }
 
-// Q6 holds the ablation rows.
-type Q6 struct{ Rows []Q6Row }
-
 // RunQ6 learns with the full, halved, and empty seed (§7.5 Q6).
-func (e *Experiments) RunQ6() Q6 {
-	truth := e.Corpus().Truth
+func (e *Experiments) RunQ6() []Q6Row {
+	truth := e.Corpus.Truth
 	variants := []struct {
 		name string
 		s    *spec.Spec
 	}{
-		{"full seed", e.Seed()},
-		{"half seed", e.Seed().Halve()},
-		{"empty seed", emptyWithBlacklist(e.Seed())},
+		{"full seed", e.Seed},
+		{"half seed", e.Seed.Halve()},
+		{"empty seed", emptyWithBlacklist(e.Seed)},
 	}
-	var out Q6
+	var out []Q6Row
 	for _, v := range variants {
-		res := core.Learn(e.Union(), v.s, core.Config{})
+		res := core.Learn(e.Union, v.s, core.Config{})
 		entries := res.LearnedEntries(v.s)
-		out.Rows = append(out.Rows, Q6Row{
+		out = append(out, Q6Row{
 			Seed: v.name, Entries: v.s.Len(), Predicted: len(entries),
 			Precision: precisionOf(entries, truth),
 		})
@@ -633,9 +506,6 @@ func emptyWithBlacklist(s *spec.Spec) *spec.Spec {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Q7 / App. C — reported bugs by vulnerability class
-
 // Q7 counts confirmed (true-vulnerability) reports per class.
 type Q7 struct {
 	ByCategory map[taint.Category]int
@@ -645,21 +515,17 @@ type Q7 struct {
 // RunQ7 classifies every learned-spec report against the flow truth and
 // counts the confirmed vulnerabilities per class (the App. C table).
 func (e *Experiments) RunQ7() Q7 {
-	_, learnedReports := e.seedAndLearnedReports()
-	truth := e.Corpus().Truth
-	flows := e.Corpus().Flows
+	truth := e.Corpus.Truth
+	flows := e.Corpus.Flows
 	out := Q7{ByCategory: make(map[taint.Category]int)}
-	for i := range learnedReports {
-		if eval.ClassifyReport(&learnedReports[i], flows, truth) == eval.TrueVulnerability {
-			out.ByCategory[learnedReports[i].Category]++
+	for i := range e.learnedReports {
+		if eval.ClassifyReport(&e.learnedReports[i], flows, truth) == eval.TrueVulnerability {
+			out.ByCategory[e.learnedReports[i].Category]++
 			out.Total++
 		}
 	}
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// Extension — argument-sensitive sinks
 
 // ArgSensitivity compares the plain seed specification with the
 // argument-sensitive variant (paper §3.3 future work): restricting each
@@ -678,9 +544,8 @@ type ArgSensitivity struct {
 // RunArgSensitivity classifies every report of both runs (no sampling —
 // the point is the exact wrong-parameter count).
 func (e *Experiments) RunArgSensitivity() ArgSensitivity {
-	g := e.Union()
-	truth := e.Corpus().Truth
-	flows := e.Corpus().Flows
+	truth := e.Corpus.Truth
+	flows := e.Corpus.Flows
 
 	count := func(reports []taint.Report) (total, wrongParam, trueVuln int) {
 		total = len(reports)
@@ -696,14 +561,11 @@ func (e *Experiments) RunArgSensitivity() ArgSensitivity {
 	}
 
 	var out ArgSensitivity
-	out.PlainReports, out.PlainWrongParam, out.TrueVulnPlain = count(taint.Analyze(g, e.Seed()))
+	out.PlainReports, out.PlainWrongParam, out.TrueVulnPlain = count(e.seedReports)
 	out.ArgAwareReports, out.ArgAwareWrongParam, out.TrueVulnArgAware =
-		count(taint.Analyze(g, corpus.ArgSensitiveSeed()))
+		count(taint.Analyze(e.Union, corpus.ArgSensitiveSeed()))
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// Ablation — collapsed vs uncollapsed learning
 
 // CollapsedLearning compares Seldon learning on the uncollapsed graph
 // (its native granularity) against the Merlin-style collapsed graph
@@ -720,24 +582,21 @@ type CollapsedLearning struct {
 
 // RunCollapsedLearning learns on both graph granularities.
 func (e *Experiments) RunCollapsedLearning() CollapsedLearning {
-	truth := e.Corpus().Truth
+	truth := e.Corpus.Truth
 	var out CollapsedLearning
 
-	entries := e.Learned().LearnedEntries(e.Seed())
+	entries := e.Learned.LearnedEntries(e.Seed)
 	out.UncollapsedSpecs = len(entries)
 	out.UncollapsedPrecision = precisionOf(entries, truth)
-	out.UncollapsedEvents = len(e.Union().Events)
+	out.UncollapsedEvents = len(e.Union.Events)
 
-	collapsed := e.Union().Collapse()
-	centries := core.Learn(collapsed, e.Seed(), core.Config{}).LearnedEntries(e.Seed())
+	collapsed := e.Union.Collapse()
+	centries := core.Learn(collapsed, e.Seed, core.Config{}).LearnedEntries(e.Seed)
 	out.CollapsedSpecs = len(centries)
 	out.CollapsedPrecision = precisionOf(centries, truth)
 	out.CollapsedEvents = len(collapsed.Events)
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// Merlin scaling sweep
 
 // MerlinSweepPoint measures Merlin and Seldon on the same application
 // size, each by the work it counts.
@@ -755,8 +614,7 @@ type MerlinSweepPoint struct {
 // sweepGraph generates an application of the given size and returns its
 // global graph, which Seldon learns on, and the collapsed graph Merlin
 // infers on.
-func (e *Experiments) sweepGraph(files int) (g, collapsed *propgraph.Graph) {
-	cfg := e.CorpusCfg
+func sweepGraph(cfg corpus.Config, files int) (g, collapsed *propgraph.Graph) {
 	cfg.Files = files
 	c := corpus.Generate(cfg)
 	g = propgraph.Union(core.AnalyzeFiles(c.FileMap(), core.Config{}).Graphs...)
@@ -768,9 +626,9 @@ func (e *Experiments) sweepGraph(files int) (g, collapsed *propgraph.Graph) {
 func (e *Experiments) RunMerlinSweep(sizes []int) []MerlinSweepPoint {
 	var out []MerlinSweepPoint
 	for _, files := range sizes {
-		g, collapsed := e.sweepGraph(files)
+		g, collapsed := sweepGraph(e.CorpusCfg, files)
 		pt := MerlinSweepPoint{Files: files}
-		res, err := Infer(collapsed, e.Seed(), Options{MaxFactors: MerlinBudget})
+		res, err := Infer(collapsed, e.Seed, Options{MaxFactors: MerlinBudget})
 		if err != nil {
 			pt.MerlinTimedOut = true
 			pt.MerlinFactors = MerlinBudget
@@ -778,16 +636,13 @@ func (e *Experiments) RunMerlinSweep(sizes []int) []MerlinSweepPoint {
 			pt.MerlinFactors = res.NumFactors
 			pt.MerlinSweeps = res.Iterations
 		}
-		sres := core.Learn(g, e.Seed(), smallCutoff())
+		sres := core.Learn(g, e.Seed, smallCutoff())
 		pt.SeldonConstraints = len(sres.System.Problem.Constraints)
 		pt.SeldonEpochs = sres.SolverEpochs
 		out = append(out, pt)
 	}
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// Ablations — C, λ, backoff cutoff
 
 // AblationRow is one full-corpus learn with a single constant moved off
 // its default: how many specifications it infers and how precise they are.
@@ -804,8 +659,8 @@ func (e *Experiments) RunAblations() []AblationRow {
 	learn := func(knob string, value any, mutate func(*core.Config)) AblationRow {
 		var cfg core.Config
 		mutate(&cfg)
-		entries := core.Learn(e.Union(), e.Seed(), cfg).LearnedEntries(e.Seed())
-		pr := eval.SamplePrecision(entries, e.Corpus().Truth, sampleN, evalSeed)
+		entries := core.Learn(e.Union, e.Seed, cfg).LearnedEntries(e.Seed)
+		pr := eval.SamplePrecision(entries, e.Corpus.Truth, sampleN, evalSeed)
 		return AblationRow{Knob: knob, Value: fmt.Sprint(value), Specs: len(entries), Precision: pr.Overall().Precision()}
 	}
 	var rows []AblationRow

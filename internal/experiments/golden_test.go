@@ -247,19 +247,19 @@ func lineDiff(committed, generated string) string {
 // BenchmarkMerlinSweep is for the seconds the golden leaves out: Merlin's
 // inference and Seldon's learn on the same growing application.
 func BenchmarkMerlinSweep(b *testing.B) {
-	e := New(corpus.Config{Files: goldenFiles, Seed: goldenSeed})
+	seed := corpus.ExperimentSeed()
 	for _, files := range sweepSizes {
-		g, collapsed := e.sweepGraph(files)
+		g, collapsed := sweepGraph(corpus.Config{Seed: goldenSeed}, files)
 		b.Run(fmt.Sprintf("merlin/files=%d", files), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Infer(collapsed, e.Seed(), Options{MaxFactors: MerlinBudget}); err != nil {
+				if _, err := Infer(collapsed, seed, Options{MaxFactors: MerlinBudget}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("seldon/files=%d", files), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.Learn(g, e.Seed(), smallCutoff())
+				core.Learn(g, seed, smallCutoff())
 			}
 		})
 	}

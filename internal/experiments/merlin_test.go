@@ -27,23 +27,19 @@ import (
 
 // Options configures the baseline.
 type Options struct {
-	// WViolate and WOK are the factor scores for assignments that violate
-	// or respect a Fig. 6 belief. Defaults 0.1 / 0.9.
-	WViolate, WOK float64
 	// MaxFactors aborts construction when the factor count exceeds the
 	// bound, reproducing the "infeasible on big code" outcome without
 	// burning hours. 0 means unlimited.
 	MaxFactors int
-	// MaxTriples caps Fig. 6a triple enumeration per component (0 = all).
-	MaxTriples int
 	// Inference selects the engine.
 	Inference Engine
-	// BP and Gibbs tune the engines.
-	BP    BPOptions
-	Gibbs GibbsOptions
 	// Seed for Gibbs sampling; default 1.
 	RandSeed int64
 }
+
+// wViolate and wOK are the factor scores for assignments that violate or
+// respect a Fig. 6 belief.
+const wViolate, wOK = 0.1, 0.9
 
 // Engine selects the inference algorithm.
 type Engine int
@@ -53,19 +49,6 @@ const (
 	BeliefPropagation Engine = iota
 	GibbsSampling
 )
-
-func (o Options) withDefaults() Options {
-	if o.WViolate == 0 {
-		o.WViolate = 0.1
-	}
-	if o.WOK == 0 {
-		o.WOK = 0.9
-	}
-	if o.RandSeed == 0 {
-		o.RandSeed = 1
-	}
-	return o
-}
 
 // ErrTooLarge is returned when factor construction exceeds MaxFactors.
 type ErrTooLarge struct {
@@ -89,7 +72,6 @@ type Result struct {
 	// Iterations is the number of belief-propagation sweeps run (0 under
 	// Gibbs sampling, whose sweep count is an option, not an outcome).
 	Iterations int
-	Converged  bool
 
 	graph *propgraph.Graph
 }
@@ -105,7 +87,9 @@ type Prediction struct {
 // Infer builds the Merlin factor graph for g and runs inference. The seed
 // specification pins hard priors (§6.3); its blacklist removes candidates.
 func Infer(g *propgraph.Graph, seed *spec.Spec, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	if opts.RandSeed == 0 {
+		opts.RandSeed = 1
+	}
 
 	// Variable layout: var(event, role) = 3*event + role, allocated only
 	// for candidate roles; non-candidates map to -1.
@@ -157,21 +141,18 @@ func Infer(g *propgraph.Graph, seed *spec.Spec, opts Options) (*Result, error) {
 		return res, err
 	}
 	// Fig. 6 information-flow factors.
-	if err := addFlowFactors(g, varOf, reach, addFactor, opts); err != nil {
+	if err := addFlowFactors(g, varOf, reach, addFactor); err != nil {
 		return res, err
 	}
 
 	res.NumFactors = len(fg.Factors)
 	switch opts.Inference {
 	case GibbsSampling:
-		marg := fg.Gibbs(opts.Gibbs, rand.New(rand.NewSource(opts.RandSeed)))
-		res.fill(varOf, marg)
-		res.Converged = true
+		res.fill(varOf, fg.Gibbs(GibbsOptions{}, rand.New(rand.NewSource(opts.RandSeed))))
 	default:
-		bp := fg.BeliefPropagation(opts.BP)
+		bp := fg.BeliefPropagation(BPOptions{})
 		res.fill(varOf, bp.Marginals)
 		res.Iterations = bp.Iterations
-		res.Converged = bp.Converged
 	}
 	return res, nil
 }
@@ -289,8 +270,8 @@ func addPriors(g *propgraph.Graph, seed *spec.Spec, varOf [][3]int,
 
 // addFlowFactors adds the Fig. 6 beliefs.
 func addFlowFactors(g *propgraph.Graph, varOf [][3]int, reach *reachability,
-	add func(Factor) error, opts Options) error {
-	lo, hi := opts.WViolate, opts.WOK
+	add func(Factor) error) error {
+	lo, hi := wViolate, wOK
 
 	// Fig. 6a: flow u ⇝ s ⇝ t with candidates (source, sanitizer, sink):
 	// if u is a source and t is a sink, s should be a sanitizer.
@@ -307,7 +288,6 @@ func addFlowFactors(g *propgraph.Graph, varOf [][3]int, reach *reachability,
 	// index bit0 = upstream var, bit1 = downstream var.
 	tableNotBoth := []float64{hi, hi, hi, lo}
 
-	triples := 0
 	for s := range g.Events {
 		if varOf[s][propgraph.Sanitizer] < 0 {
 			continue
@@ -322,10 +302,6 @@ func addFlowFactors(g *propgraph.Graph, varOf [][3]int, reach *reachability,
 				if varOf[t][propgraph.Sink] < 0 {
 					continue
 				}
-				if opts.MaxTriples > 0 && triples >= opts.MaxTriples {
-					break
-				}
-				triples++
 				if err := add(Factor{
 					Vars: []int{varOf[u][propgraph.Source],
 						varOf[s][propgraph.Sanitizer],
