@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzzsmoke verify bench serve loadsmoke load shardsmoke loc
+.PHONY: build test vet fmt-check race fuzzsmoke verify bench serve loadsmoke load shardsmoke loc experiments
 
 build:
 	$(GO) build ./...
@@ -15,11 +15,19 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
-# loc prints the three sizes every CHANGES.md entry reports (ROADMAP
-# Conventions): non-test Go lines outside bench/, flag registrations under
-# cmd/, and the number of binaries.
+# experiments rewrites the measured blocks of EXPERIMENTS.md from what the
+# code produces; go test ./... holds them there (TestExperimentsGolden). A
+# PR that is meant to move them runs this, and the diff is its claim.
+experiments:
+	UPDATE_GOLDEN=1 $(GO) test -run '^TestExperimentsGolden$$' ./internal/experiments
+
+# loc prints the four sizes every CHANGES.md entry reports (ROADMAP
+# Conventions): non-test and test Go lines outside bench/ (so that a move
+# into _test.go shows as a move), flag registrations under cmd/, and the
+# number of binaries.
 loc:
 	@printf 'non-test Go lines outside bench/: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@printf 'test Go lines outside bench/:     %s\n' "$$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@printf 'flag registrations under cmd/:    %s\n' "$$(grep -rhoE '\b(flag|fs)\.(String|Int|Int64|Bool|Float64|Duration)(Var)?\(' cmd --include='*.go' | wc -l)"
 	@printf 'binaries (ls cmd):                %s\n' "$$(ls cmd | wc -l)"
 

@@ -97,12 +97,20 @@ func num(n int) string {
 
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 
+// fraction is a/b, zero when there is nothing to divide by.
+func fraction(a, b int) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}
+
 // ratio is pct(a/b), or a dash when there is nothing to divide by.
 func ratio(a, b int) string {
 	if b == 0 {
 		return "—"
 	}
-	return pct(float64(a) / float64(b))
+	return pct(fraction(a, b))
 }
 
 // roleName gives the plural heading used in the paper's tables.
@@ -208,11 +216,9 @@ func merlinPrecision(t MerlinPrecision, paperAny string) string {
 	var totC, corC, totU, corU int
 	for i := range t.Collapsed {
 		c, u := t.Collapsed[i], t.Uncollapsed[i]
-		m.row(roleName(c.Role), c.Number, pct(c.Precision), u.Number, pct(u.Precision), "")
-		totC += c.Number
-		corC += int(c.Precision*float64(c.Number) + 0.5)
-		totU += u.Number
-		corU += int(u.Precision*float64(u.Number) + 0.5)
+		m.row(roleName(c.Role), c.Number, pct(fraction(c.Correct, c.Number)), u.Number, pct(fraction(u.Correct, u.Number)), "")
+		totC, corC = totC+c.Number, corC+c.Correct
+		totU, corU = totU+u.Number, corU+u.Correct
 	}
 	m.row("Any", totC, ratio(corC, totC), totU, ratio(corU, totU), paperAny)
 	return m.String()

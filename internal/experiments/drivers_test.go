@@ -196,11 +196,11 @@ func (e *Experiments) RunTable2() Table2 {
 	return t
 }
 
-// MerlinPrecisionRow is one role row of Table 3/4.
+// MerlinPrecisionRow is one role row of Table 3/4: how many predictions
+// and how many of them the oracle confirms.
 type MerlinPrecisionRow struct {
-	Role      propgraph.Role
-	Number    int
-	Precision float64
+	Role            propgraph.Role
+	Number, Correct int
 }
 
 // MerlinPrecision holds Table 3 (threshold) or Table 4 (top-k) results for
@@ -214,19 +214,15 @@ type MerlinPrecision struct {
 func merlinPrecisionRows(preds []Prediction, truth *corpus.Truth) []MerlinPrecisionRow {
 	rows := make([]MerlinPrecisionRow, 0, 3)
 	for _, role := range propgraph.Roles() {
-		var n, correct int
+		row := MerlinPrecisionRow{Role: role}
 		for _, p := range preds {
 			if p.Role != role {
 				continue
 			}
-			n++
+			row.Number++
 			if truth.HasRole(p.Rep, role) {
-				correct++
+				row.Correct++
 			}
-		}
-		row := MerlinPrecisionRow{Role: role, Number: n}
-		if n > 0 {
-			row.Precision = float64(correct) / float64(n)
 		}
 		rows = append(rows, row)
 	}

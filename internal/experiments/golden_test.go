@@ -55,22 +55,25 @@ func TestGoldenDetects(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := golden().blocks()
-	replace := func(old, new string) func(string) string {
-		return func(doc string) string {
+	replace := func(old, new string) func(*testing.T, string) string {
+		return func(t *testing.T, doc string) string {
 			if !strings.Contains(doc, old) {
 				t.Fatalf("document has no %q to perturb", old)
 			}
 			return strings.Replace(doc, old, new, 1)
 		}
 	}
+	appendBlock := func(name string) func(*testing.T, string) string {
+		return func(_ *testing.T, doc string) string { return doc + beginMarker(name) + "\n" + endMarker(name) + "\n" }
+	}
 	for _, tc := range []struct {
 		name      string
-		perturb   func(string) string
+		perturb   func(*testing.T, string) string
 		wantStale string // block reported stale, if any
 		wantErr   string // substring of the error, if any
 		restores  bool   // an update must give the committed bytes back
 	}{
-		{name: "untouched", perturb: func(d string) string { return d }, restores: true},
+		{name: "untouched", perturb: func(_ *testing.T, d string) string { return d }, restores: true},
 		{name: "digit inside a block", wantStale: "table1", restores: true,
 			perturb: replace("| # Source files | 44,250 | 400 |", "| # Source files | 44,250 | 401 |")},
 		{name: "text outside the markers",
@@ -78,20 +81,20 @@ func TestGoldenDetects(t *testing.T) {
 		{name: "missing end marker", wantErr: `block "table1" has no end marker`,
 			perturb: replace(endMarker("table1")+"\n", "")},
 		{name: "block name twice", wantErr: `block "table1" appears twice`,
-			perturb: func(d string) string { return d + beginMarker("table1") + "\n" + endMarker("table1") + "\n" }},
+			perturb: appendBlock("table1")},
 		{name: "block no driver produces", wantErr: `no driver produces block "table99"`,
-			perturb: func(d string) string { return d + beginMarker("table99") + "\n" + endMarker("table99") + "\n" }},
+			perturb: appendBlock("table99")},
 		{name: "block the document lacks", wantErr: `document has no block "q7"`,
-			perturb: func(d string) string {
-				d = replace(beginMarker("q7")+"\n", "")(d)
-				return replace(endMarker("q7")+"\n", "")(d)
+			perturb: func(t *testing.T, d string) string {
+				d = replace(beginMarker("q7")+"\n", "")(t, d)
+				return replace(endMarker("q7")+"\n", "")(t, d)
 			}},
 		{name: "end without begin", wantErr: `end marker "table2" closes nothing`,
 			perturb: replace(beginMarker("table2")+"\n", "")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "EXPERIMENTS.md")
-			perturbed := tc.perturb(string(committed))
+			perturbed := tc.perturb(t, string(committed))
 			if err := os.WriteFile(path, []byte(perturbed), 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -201,11 +201,10 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		if len(names) > 0 && name <= names[len(names)-1] {
 			return nil, fmt.Errorf("%w: file %q follows %q", errNotCanonical, name, names[len(names)-1])
 		}
-		hasContent := flag == 1
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
 		fs := newFileState(bytes.Clone(enc), nil)
-		fs.contentHash, fs.hasContent = ch, hasContent
+		fs.contentHash, fs.hasContent = ch, flag == 1
 		s.files[name] = fs
 		names, encs = append(names, name), append(encs, enc)
 	}
