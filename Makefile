@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzzsmoke verify bench serve loadsmoke load shardsmoke loc experiments
+.PHONY: build test vet fmt-check race fuzzsmoke verify bench serve shardsmoke loc experiments
 
 build:
 	$(GO) build ./...
@@ -59,24 +59,13 @@ fuzzsmoke:
 
 # verify = tier-1 (build + full tests) plus gofmt, vet, the race checks
 # (the continuous-learning loop among them: internal/service), five
-# seconds of every fuzz target, and the two smokes: load (real seldond +
-# seldonload over loopback) and distributed learning (real worker
-# subprocesses + coordinator).
-verify: fmt-check vet race build test fuzzsmoke loadsmoke shardsmoke
+# seconds of every fuzz target, and the distributed-learning smoke (real
+# worker subprocesses + coordinator). Serving end to end — a learned store
+# behind a loopback port, concurrent misses then hits — is the root
+# TestServeLearnedSpecs, part of test; serving performance is bench/'s
+# check_miss and check_dup.
+verify: fmt-check vet race build test fuzzsmoke shardsmoke
 	@echo "verify OK"
-
-# loadsmoke boots the service in-process on a free port, drives two
-# seconds of closed-loop load through /v1/check, and fails on any
-# 5xx/transport error or an empty /debug/traces ring — the cheapest
-# end-to-end check that serving, tracing, and exposition all work.
-# A second pass replays a duplicate-heavy mix (-dup 0.8) and must come
-# back with zero 5xx AND a nonzero check-cache hit rate, so a broken
-# cache key or invalidation fails CI, not just a slow run.
-loadsmoke:
-	$(GO) run ./cmd/seldon learn -generate 60 -o .smokespecs.json >/dev/null && \
-	$(GO) run ./cmd/seldonload -specs .smokespecs.json -duration 2s -warmup 200ms -c 4 -smoke && \
-	$(GO) run ./cmd/seldonload -specs .smokespecs.json -duration 2s -warmup 200ms -c 4 -dup 0.8 -smoke; \
-	st=$$?; rm -f .smokespecs.json; exit $$st
 
 # shardsmoke is the distributed-learning determinism oracle, end to end
 # over real processes of one binary: generate a corpus on disk, analyze it
@@ -85,37 +74,39 @@ loadsmoke:
 # byte-identical (cmp) to `seldon learn` on the same corpus, and to itself
 # run again under GOMAXPROCS=1: the corpus is 400 files so that each
 # artifact's graph sections pass the size from which they are decoded on
-# several goroutines, which are thus held to the one-goroutine answer. A
-# second pass has the coordinator spawn its own workers (-exec-shards); a third adds
-# the full streaming stack — fpcache sidecars (-ship-cache) ingested into
-# -cache-dir, a persisted flow-constraint cache (-flowcache) — and both
-# require the same cmp. Any drift in slicing, the codec, symbol
-# translation, or the merge fails here before it can skew a real corpus.
+# several goroutines, which are thus held to the one-goroutine answer. The
+# workers ship fpcache sidecars (-ship-cache) and the first coordinator
+# ingests them into its -cache-dir, the path for workers that share no
+# disk with it: a `seldon learn` over that directory must then hit on all
+# 400 files and write the same store. A second pass has the coordinator
+# spawn its own workers (-exec-shards); a third adds a shared -cache-dir
+# and a persisted flow-constraint cache (-flowcache), and both require the
+# same cmp. Any drift in slicing, the codec, symbol translation, the
+# sidecar keys or the merge fails here before it can skew a real corpus.
 shardsmoke:
 	rm -rf .shardsmoke && mkdir -p .shardsmoke && \
 	$(GO) build -o .shardsmoke/seldon ./cmd/seldon && \
 	$(GO) run ./cmd/corpusgen -out .shardsmoke/corpus -files 400 >/dev/null && \
 	./.shardsmoke/seldon learn -dir .shardsmoke/corpus -seedfile .shardsmoke/corpus/seed.spec -o .shardsmoke/single.json >/dev/null && \
-	for i in 0 1 2; do ./.shardsmoke/seldon shard -dir .shardsmoke/corpus -slices 3 -slice $$i -o .shardsmoke/p$$i.shard 2>/dev/null || exit 1; done && \
-	./.shardsmoke/seldon coordinate -shards-in '.shardsmoke/p*.shard' -seedfile .shardsmoke/corpus/seed.spec -o .shardsmoke/dist.json >/dev/null && \
+	for i in 0 1 2; do ./.shardsmoke/seldon shard -dir .shardsmoke/corpus -slices 3 -slice $$i -ship-cache -o .shardsmoke/p$$i.shard 2>/dev/null || exit 1; done && \
+	./.shardsmoke/seldon coordinate -shards-in '.shardsmoke/p*.shard' -seedfile .shardsmoke/corpus/seed.spec \
+		-cache-dir .shardsmoke/ingest -o .shardsmoke/dist.json >/dev/null && \
 	cmp .shardsmoke/single.json .shardsmoke/dist.json && \
 	GOMAXPROCS=1 ./.shardsmoke/seldon coordinate -shards-in '.shardsmoke/p*.shard' -seedfile .shardsmoke/corpus/seed.spec -o .shardsmoke/dist1.json >/dev/null && \
 	cmp .shardsmoke/dist.json .shardsmoke/dist1.json && \
+	./.shardsmoke/seldon learn -dir .shardsmoke/corpus -seedfile .shardsmoke/corpus/seed.spec \
+		-cache-dir .shardsmoke/ingest -o .shardsmoke/ingest.json >.shardsmoke/ingest.out && \
+	grep '^cache: 400/400 hits' .shardsmoke/ingest.out && \
+	cmp .shardsmoke/single.json .shardsmoke/ingest.json && \
 	./.shardsmoke/seldon learn -generate 60 -o .shardsmoke/gen_single.json >/dev/null && \
 	./.shardsmoke/seldon coordinate -generate 60 -exec-shards 3 -o .shardsmoke/exec.json >/dev/null 2>&1 && \
 	cmp .shardsmoke/gen_single.json .shardsmoke/exec.json && \
 	./.shardsmoke/seldon coordinate -generate 60 -exec-shards 3 \
-		-ship-cache -cache-dir .shardsmoke/fpc -flowcache .shardsmoke/flow.bin \
+		-cache-dir .shardsmoke/fpc -flowcache .shardsmoke/flow.bin \
 		-o .shardsmoke/stream.json >/dev/null 2>&1 && \
 	cmp .shardsmoke/gen_single.json .shardsmoke/stream.json && \
 	echo "shardsmoke OK: coordinator stores byte-identical to single-process"; \
 	st=$$?; rm -rf .shardsmoke; exit $$st
-
-# load runs a longer self-served closed-loop measurement and prints the
-# latency percentiles (see also: seldonload -rps for open-loop SLO runs
-# against an already-running seldond).
-load: specs.json
-	$(GO) run ./cmd/seldonload -specs specs.json -duration 10s -warmup 1s -c 8
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...

@@ -29,13 +29,9 @@ func coordinate(args []string) error {
 	in, lf, out, cache, of := addInputFlags(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
 	shardsIn := fs.String("shards-in", "", "glob of shard artifacts (from seldon shard) to merge and learn from")
 	execShards := fs.Int("exec-shards", 0, "spawn N local `seldon shard` subprocesses over -dir/-generate and merge their artifacts; -cache-dir is shared with them")
-	shipCache := addShipCacheFlag(fs)
 	flowCache := fs.String("flowcache", "", "persistent flow-constraint block cache file (loaded before the build, saved after; stale or corrupt files load as empty)")
 	fs.Parse(args)
 
-	if *shipCache && *execShards <= 0 {
-		return errors.New("-ship-cache requires -exec-shards (pre-produced -shards-in artifacts carry sidecars or not; -cache-dir ingests them either way)")
-	}
 	r, err := startLearnRun("seldon.coordinate", in, lf, of)
 	if err != nil {
 		return err
@@ -45,9 +41,9 @@ func coordinate(args []string) error {
 	if err != nil {
 		return err
 	}
-	// A coordinator never runs the front-end itself: the cache is where
-	// artifact sidecars are ingested, and with -exec-shards its directory
-	// is the workers' too.
+	// A coordinator never runs the front-end itself: with -shards-in the
+	// cache is where artifact sidecars are ingested, and with -exec-shards
+	// its directory is the workers' own, which they fill as they analyze.
 	ingest, err := cache.open()
 	if err != nil {
 		return err
@@ -82,7 +78,6 @@ func coordinate(args []string) error {
 				Bin: bin, Slices: *execShards,
 				Dir: in.dir, Generate: in.generate,
 				Workers: in.workers, CacheDir: cache.dir,
-				ShipCache: *shipCache, Ingest: ingest,
 				Metrics: cfg.Metrics,
 			}, mopts)
 		})

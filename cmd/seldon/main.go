@@ -219,11 +219,6 @@ func (c *cacheFlags) open() (*fpcache.Cache, error) {
 	return cache, err
 }
 
-// addShipCacheFlag registers the one flag coordinate and shard share.
-func addShipCacheFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("ship-cache", false, "attach the fpcache sidecar (per-file cache key + cost) to shard artifacts, so the coordinator's -cache-dir is seeded by its workers (coordinate: needs -exec-shards)")
-}
-
 // obsFlags are the observability surface of a run.
 type obsFlags struct {
 	verbose                                       bool

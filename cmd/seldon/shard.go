@@ -23,7 +23,7 @@ func shardWorker(args []string) error {
 	slices := fs.Int("slices", 1, "total number of corpus slices")
 	slice := fs.Int("slice", 0, "this worker's slice index (0-based)")
 	out := fs.String("o", "-", "artifact output path (\"-\" = stdout)")
-	shipCache := addShipCacheFlag(fs)
+	shipCache := fs.Bool("ship-cache", false, "attach the fpcache sidecar (per-file cache key + cost) to the artifact, so that a coordinator sharing no disk with this worker seeds its -cache-dir from it (coordinate -shards-in)")
 	fs.Parse(args)
 
 	ob, err := of.start()

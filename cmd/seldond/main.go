@@ -22,7 +22,7 @@
 //
 //	seldon learn -generate 240 -o specs.json && curl -s -XPOST localhost:8647/v1/reload
 //
-// The operator surface (/metrics, /metrics.txt, /debug/pprof/) shares
+// The operator surface (/metrics, /metrics.prom, /debug/pprof/) shares
 // the service mux, so one port carries traffic and telemetry.
 //
 // Repeated checks are served from a bounded in-memory result cache and

@@ -5,8 +5,6 @@ import "math/bits"
 // bitset is a fixed-size bit vector used for per-component reachability.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 

@@ -51,6 +51,7 @@ package incr
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"sort"
 	"sync"
 	"time"
@@ -61,6 +62,7 @@ import (
 	"seldon/internal/obs"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
+	"seldon/internal/specio"
 )
 
 // PinKey identifies one feedback-pinned variable.
@@ -158,6 +160,25 @@ func (s *Session) sortedNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// CorpusFingerprint is specio.Fingerprint of the session's corpus,
+// composed from the content hashes SpliceSources recorded: the provenance
+// a store learned from the session carries. It is empty when some file
+// was spliced as a graph, without its source.
+func (s *Session) CorpusFingerprint() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names := s.sortedNames()
+	hashes := make([]string, len(names))
+	for i, name := range names {
+		fs := s.files[name]
+		if !fs.hasContent {
+			return ""
+		}
+		hashes[i] = hex.EncodeToString(fs.contentHash[:])
+	}
+	return specio.FingerprintHashes(names, hashes)
 }
 
 // EncodedGraph returns the binary encoding of the named file's graph,

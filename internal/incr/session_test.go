@@ -147,6 +147,35 @@ func TestSpliceSourcesBatch(t *testing.T) {
 	}
 }
 
+// TestCorpusFingerprint: a session of sources names its corpus as
+// specio.Fingerprint does, before and after a save and load; a file
+// spliced as a graph, with no source, leaves the corpus unnamed.
+func TestCorpusFingerprint(t *testing.T) {
+	files, names := testCorpus(t, 8, 2)
+	s := incr.NewSession(corpus.ExperimentSeed(), core.Config{Workers: 1})
+	s.SpliceSources(files)
+	want := specio.Fingerprint(files)
+	if got := s.CorpusFingerprint(); got != want {
+		t.Fatalf("fingerprint %q, want %q", got, want)
+	}
+	dir := t.TempDir()
+	if err := s.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := incr.LoadDir(dir, corpus.ExperimentSeed(), core.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.CorpusFingerprint(); got != want {
+		t.Fatalf("fingerprint after load %q, want %q", got, want)
+	}
+	fe := core.AnalyzeFiles(map[string]string{names[0]: files[names[0]]}, core.Config{Workers: 1})
+	s2.Splice(names[0]+".copy.py", fe.Graphs[0])
+	if got := s2.CorpusFingerprint(); got != "" {
+		t.Fatalf("fingerprint with a graph spliced without its source = %q, want empty", got)
+	}
+}
+
 // TestSessionRelearnFannedOut runs a session over a corpus large enough
 // that Relearn's union is copied by several goroutines and its flow pass
 // has stale spans for every worker (under -race this is the test that

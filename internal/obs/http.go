@@ -69,16 +69,11 @@ func PromHandler(r *Registry) http.Handler {
 
 // NewServeMux builds the operator mux: /metrics (JSON, or Prometheus
 // text for scrapers via content negotiation), /metrics.prom (always
-// Prometheus text), /metrics.txt (plain text), and the standard
-// /debug/pprof/ endpoints.
+// Prometheus text), and the standard /debug/pprof/ endpoints.
 func NewServeMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))
 	mux.Handle("/metrics.prom", PromHandler(r))
-	mux.HandleFunc("/metrics.txt", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(r.Snapshot().Text()))
-	})
 	mux.HandleFunc("/debug/pprof/", netpprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -72,4 +73,13 @@ func promName(name string) string {
 
 func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+func sortedKeys[M ~map[string]V, V any](m M) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

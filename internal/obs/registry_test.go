@@ -150,25 +150,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotText(t *testing.T) {
-	r := New()
-	r.Add("parse.errors", 1)
-	r.Set("constraints.vars", 9)
-	r.Observe("stage.parse", 0.25)
-	r.AppendTrace(TraceSolver, 1, nil)
-	txt := r.Snapshot().Text()
-	for _, want := range []string{
-		"counter parse.errors 1",
-		"gauge constraints.vars 9",
-		"timer stage.parse count=1",
-		"trace solver.convergence points=1",
-	} {
-		if !strings.Contains(txt, want) {
-			t.Errorf("text missing %q:\n%s", want, txt)
-		}
-	}
-}
-
 func TestRegistryConcurrency(t *testing.T) {
 	r := New()
 	const workers, per = 8, 1000
@@ -227,12 +208,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if s.Counters["parse.errors"] != 2 {
 		t.Errorf("snapshot counter = %d, want 2", s.Counters["parse.errors"])
-	}
-
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.txt", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "counter parse.errors 2") {
-		t.Errorf("/metrics.txt status=%d body=%q", rec.Code, rec.Body.String())
 	}
 
 	rec = httptest.NewRecorder()

@@ -226,11 +226,12 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	learned := sess.LearnedSpec()
 	seed := sess.Seed()
 	meta := specio.Meta{
-		CorpusFiles:    sess.Len(),
-		Events:         len(res.Graph.Events),
-		SeedEntries:    seed.Len(),
-		LearnedEntries: len(res.LearnedEntries(seed)),
-		Generator:      "seldond/feedback",
+		CorpusFingerprint: sess.CorpusFingerprint(),
+		CorpusFiles:       sess.Len(),
+		Events:            len(res.Graph.Events),
+		SeedEntries:       seed.Len(),
+		LearnedEntries:    len(res.LearnedEntries(seed)),
+		Generator:         "seldond/feedback",
 	}
 	fp, err := specio.FingerprintStore(learned, meta)
 	if err != nil {

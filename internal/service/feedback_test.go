@@ -27,21 +27,29 @@ def handler():
     shellrun.invoke(f)
 `
 
+// feedbackCorpus is the corpus every feedback server learns from.
+func feedbackCorpus() map[string]string {
+	return corpus.Generate(corpus.Config{Files: 20, Seed: 1}).FileMap()
+}
+
 // newFeedbackServer learns a store from the generated corpus inside an
-// incremental session and serves it with the session attached.
+// incremental session and serves it with the session attached, stamped
+// with the provenance `seldon learn -session-dir -o` gives it.
 func newFeedbackServer(t *testing.T) (*Server, string, *incr.Session) {
 	t.Helper()
 	seed := corpus.ExperimentSeed()
 	sess := incr.NewSession(seed, core.Config{Workers: 1})
-	for name, src := range corpus.Generate(corpus.Config{Files: 20, Seed: 1}).FileMap() {
-		sess.SpliceSource(name, src)
-	}
+	files := feedbackCorpus()
+	sess.SpliceSources(files)
 	res, _ := sess.Relearn()
 	learned := sess.LearnedSpec()
 	if len(res.LearnedEntries(seed)) == 0 {
 		t.Fatal("corpus learned no non-seed entries")
 	}
-	meta := specio.Meta{SeedEntries: seed.Len(), LearnedEntries: len(res.LearnedEntries(seed))}
+	meta := specio.Meta{
+		CorpusFingerprint: specio.Fingerprint(files), CorpusFiles: len(files),
+		SeedEntries: seed.Len(), LearnedEntries: len(res.LearnedEntries(seed)),
+	}
 	s, ts := newTestServer(t, Config{Spec: learned, Meta: meta, Session: sess, Workers: 2})
 	return s, ts.URL, sess
 }
@@ -156,6 +164,35 @@ func TestFeedbackRejectBySymbol(t *testing.T) {
 	}
 	if after.Epoch != out.Epoch {
 		t.Errorf("healthz epoch %q, want %q", after.Epoch, out.Epoch)
+	}
+}
+
+// TestFeedbackKeepsCorpusProvenance: the generation a verdict publishes
+// names the same corpus as the store it replaces. The session holds every
+// file's content hash, so /v1/specs reports the fingerprint
+// specio.Fingerprint gives the corpus, not an empty one.
+func TestFeedbackKeepsCorpusProvenance(t *testing.T) {
+	_, url, sess := newFeedbackServer(t)
+	target := sess.Result().LearnedEntries(sess.Seed())[0]
+	resp, _ := postFeedback(t, url, FeedbackRequest{Symbol: target.Rep, Role: target.Role.String(), Verdict: "reject"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("feedback status = %d", resp.StatusCode)
+	}
+	sresp, err := http.Get(url + "/v1/specs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var specs SpecsResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&specs); err != nil {
+		t.Fatal(err)
+	}
+	files := feedbackCorpus()
+	if got, want := specs.Meta.CorpusFingerprint, specio.Fingerprint(files); got != want {
+		t.Errorf("corpus_fingerprint after a verdict = %q, want %q", got, want)
+	}
+	if specs.Meta.CorpusFiles != len(files) {
+		t.Errorf("corpus_files after a verdict = %d, want %d", specs.Meta.CorpusFiles, len(files))
 	}
 }
 

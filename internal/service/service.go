@@ -4,7 +4,7 @@
 // pyparse → dataflow → propgraph → taint pipeline per request.
 //
 // Endpoints (mounted alongside the internal/obs operator surface, so
-// /metrics, /metrics.txt, and /debug/pprof/ are served from the same
+// /metrics, /metrics.prom, and /debug/pprof/ are served from the same
 // mux):
 //
 //	POST /v1/check    Python source in the body → taint findings as JSON
@@ -363,7 +363,7 @@ func (s *Server) swapStore(st storeState) {
 }
 
 // Handler returns the full mux: the /v1/ endpoints plus the operator
-// surface (/metrics, /metrics.txt, /metrics.prom, /debug/pprof/,
+// surface (/metrics, /metrics.prom, /debug/pprof/,
 // /debug/traces).
 func (s *Server) Handler() http.Handler {
 	mux := obs.NewServeMux(s.cfg.Metrics)

@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"strconv"
 
-	"seldon/internal/fpcache"
 	"seldon/internal/obs"
 )
 
@@ -36,12 +35,8 @@ type ExecConfig struct {
 	Workers int
 	// CacheDir, when set, is a shared fpcache directory passed to every
 	// worker (fpcache writes are atomic, so concurrent workers are safe).
+	// The workers fill it themselves, so they ship no sidecar.
 	CacheDir string
-	// ShipCache asks each worker to attach the fpcache sidecar to its
-	// artifact (-ship-cache); Ingest, when non-nil, is the coordinator's
-	// fpcache the shipped entries are written into.
-	ShipCache bool
-	Ingest    *fpcache.Cache
 	// Metrics, when non-nil, receives the per-artifact decode
 	// observations (stage.shard.stream, shard.stream.bytes).
 	Metrics *obs.Registry
@@ -83,9 +78,6 @@ func startWorkers(cfg ExecConfig) ([]workerProc, error) {
 		}
 		if cfg.CacheDir != "" {
 			args = append(args, "-cache-dir", cfg.CacheDir)
-		}
-		if cfg.ShipCache {
-			args = append(args, "-ship-cache")
 		}
 		cmd := exec.Command(cfg.Bin, args...)
 		cmd.Stderr = stderr
@@ -139,7 +131,7 @@ func ExecMerge(cfg ExecConfig, mopts MergeOptions) (*MergeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ropts := ReadOptions{Cache: cfg.Ingest, Metrics: cfg.Metrics}
+	ropts := ReadOptions{Metrics: cfg.Metrics}
 	m := NewMerger(mopts)
 	fail := func(i int, err error) error {
 		// Close every unread pipe (EPIPE stops still-running workers)
