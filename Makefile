@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzzsmoke verify bench serve shardsmoke loc experiments
+.PHONY: build test vet fmt-check race fuzzsmoke fmacheck verify bench serve loc experiments
 
 build:
 	$(GO) build ./...
@@ -38,8 +38,8 @@ loc:
 # (worker pool, backpressure, drain, hot reload) and the sharded
 # check-result cache every request locks, the symbol interner
 # and the fanned-out union copy, the sharded constraint build, the shard
-# worker/coordinator (subprocess fan-out, concurrent artifact decode),
-# and the incremental session that hands union and build their spans.
+# coordinator's concurrent artifact decode, and the incremental session
+# that hands union and build their spans.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/checkcache/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
 
@@ -57,56 +57,38 @@ fuzzsmoke:
 		done; \
 	done; echo "fuzzsmoke OK: $$n targets"
 
+# fmacheck holds the store's path free of fused multiply-add. The Go spec
+# lets a compiler fuse x*y + z into one rounding; only an explicit
+# float64(x*y) forbids it, and amd64 never fuses, so a missing conversion
+# shows only elsewhere. It cross-compiles cmd/seldon for five
+# architectures that do fuse, disassembles the packages a store is
+# computed in, and fails naming every function holding a floating fused
+# opcode (arm64's integer MADD/MSUB and loong64's atomic AMADD are not).
+FMA_ARCHS = arm64 ppc64le s390x riscv64 loong64
+FMA_PKGS = seldon/internal/(lp|constraints|core|incr|spec)\.
+FMA_OPS = ^(FN?M(ADD|SUB)[DSF]?|XSN?M(ADD|SUB)[AM][DS]P|M[AS][DE]BR?|WFN?M[AS][DS]B)$$
+fmacheck:
+	@d=$$(mktemp -d); st=0; \
+	for a in $(FMA_ARCHS); do \
+		GOOS=linux GOARCH=$$a $(GO) build -o $$d/seldon-$$a ./cmd/seldon || { st=1; continue; }; \
+		found=$$($(GO) tool objdump -s '$(FMA_PKGS)' $$d/seldon-$$a | \
+			awk '$$1 == "TEXT" { fn = $$2; sub(/^seldon\/internal\//, "", fn); sub(/\(SB\)$$/, "", fn); next } \
+				$$4 ~ /$(FMA_OPS)/ { print fn }' | sort -u); \
+		for f in $$found; do echo "fmacheck: $$a: fused multiply-add in $$f"; st=1; done; \
+	done; rm -rf $$d; \
+	[ $$st = 0 ] && echo "fmacheck OK: no fused multiply-add in lp, constraints, core, incr, spec on $(FMA_ARCHS)"; \
+	exit $$st
+
 # verify = tier-1 (build + full tests) plus gofmt, vet, the race checks
 # (the continuous-learning loop among them: internal/service), five
-# seconds of every fuzz target, and the distributed-learning smoke (real
-# worker subprocesses + coordinator). Serving end to end — a learned store
-# behind a loopback port, concurrent misses then hits — is the root
-# TestServeLearnedSpecs, part of test; serving performance is bench/'s
-# check_miss and check_dup.
-verify: fmt-check vet race build test fuzzsmoke shardsmoke
+# seconds of every fuzz target and the fused-multiply-add check. The
+# distributed-learning oracle over real `seldon shard` and `seldon
+# coordinate` processes is cmd/seldon's TestShardedLearnIsSingleProcessLearn
+# and serving end to end — a learned store behind a loopback port,
+# concurrent misses then hits — is the root TestServeLearnedSpecs, both part
+# of test; serving performance is bench/'s check_miss and check_dup.
+verify: fmt-check vet race build test fuzzsmoke fmacheck
 	@echo "verify OK"
-
-# shardsmoke is the distributed-learning determinism oracle, end to end
-# over real processes of one binary: generate a corpus on disk, analyze it
-# as three `seldon shard` processes writing wire-format artifacts,
-# coordinate them (-shards-in), and require the spec store to be
-# byte-identical (cmp) to `seldon learn` on the same corpus, and to itself
-# run again under GOMAXPROCS=1: the corpus is 400 files so that each
-# artifact's graph sections pass the size from which they are decoded on
-# several goroutines, which are thus held to the one-goroutine answer. The
-# workers ship fpcache sidecars (-ship-cache) and the first coordinator
-# ingests them into its -cache-dir, the path for workers that share no
-# disk with it: a `seldon learn` over that directory must then hit on all
-# 400 files and write the same store. A second pass has the coordinator
-# spawn its own workers (-exec-shards); a third adds a shared -cache-dir
-# and a persisted flow-constraint cache (-flowcache), and both require the
-# same cmp. Any drift in slicing, the codec, symbol translation, the
-# sidecar keys or the merge fails here before it can skew a real corpus.
-shardsmoke:
-	rm -rf .shardsmoke && mkdir -p .shardsmoke && \
-	$(GO) build -o .shardsmoke/seldon ./cmd/seldon && \
-	$(GO) run ./cmd/corpusgen -out .shardsmoke/corpus -files 400 >/dev/null && \
-	./.shardsmoke/seldon learn -dir .shardsmoke/corpus -seedfile .shardsmoke/corpus/seed.spec -o .shardsmoke/single.json >/dev/null && \
-	for i in 0 1 2; do ./.shardsmoke/seldon shard -dir .shardsmoke/corpus -slices 3 -slice $$i -ship-cache -o .shardsmoke/p$$i.shard 2>/dev/null || exit 1; done && \
-	./.shardsmoke/seldon coordinate -shards-in '.shardsmoke/p*.shard' -seedfile .shardsmoke/corpus/seed.spec \
-		-cache-dir .shardsmoke/ingest -o .shardsmoke/dist.json >/dev/null && \
-	cmp .shardsmoke/single.json .shardsmoke/dist.json && \
-	GOMAXPROCS=1 ./.shardsmoke/seldon coordinate -shards-in '.shardsmoke/p*.shard' -seedfile .shardsmoke/corpus/seed.spec -o .shardsmoke/dist1.json >/dev/null && \
-	cmp .shardsmoke/dist.json .shardsmoke/dist1.json && \
-	./.shardsmoke/seldon learn -dir .shardsmoke/corpus -seedfile .shardsmoke/corpus/seed.spec \
-		-cache-dir .shardsmoke/ingest -o .shardsmoke/ingest.json >.shardsmoke/ingest.out && \
-	grep '^cache: 400/400 hits' .shardsmoke/ingest.out && \
-	cmp .shardsmoke/single.json .shardsmoke/ingest.json && \
-	./.shardsmoke/seldon learn -generate 60 -o .shardsmoke/gen_single.json >/dev/null && \
-	./.shardsmoke/seldon coordinate -generate 60 -exec-shards 3 -o .shardsmoke/exec.json >/dev/null 2>&1 && \
-	cmp .shardsmoke/gen_single.json .shardsmoke/exec.json && \
-	./.shardsmoke/seldon coordinate -generate 60 -exec-shards 3 \
-		-cache-dir .shardsmoke/fpc -flowcache .shardsmoke/flow.bin \
-		-o .shardsmoke/stream.json >/dev/null 2>&1 && \
-	cmp .shardsmoke/gen_single.json .shardsmoke/stream.json && \
-	echo "shardsmoke OK: coordinator stores byte-identical to single-process"; \
-	st=$$?; rm -rf .shardsmoke; exit $$st
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...

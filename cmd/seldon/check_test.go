@@ -10,8 +10,7 @@ import (
 	"testing"
 )
 
-// buildSeldon compiles this package into a temp dir, the way
-// internal/shard/exec_test.go builds the worker, so main, its flag
+// buildSeldon compiles this package into a temp dir, so main, its flag
 // parsing and its exit status are what runs.
 func buildSeldon(t *testing.T) string {
 	t.Helper()

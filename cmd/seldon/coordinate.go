@@ -14,21 +14,18 @@ import (
 	"seldon/internal/shard"
 )
 
-// coordinate is `seldon coordinate`: gather shard artifacts — a glob of
-// files, or N `seldon shard` subprocesses of this binary over pipes —
-// merge them in slice order, and learn once over the global graph.
-// Ingestion is pipelined: each artifact is read whole, its frame verified,
-// its sections cut and their graphs decoded on every processor, then
-// appended to the union — their one copy — the moment its slice-order
-// turn comes, and released, so decode overlaps worker execution and peak
-// coordinator memory is one artifact. The result is what `seldon learn`
-// over the concatenated corpus produces, with the gather and merge
-// timings ahead of the stage breakdown.
+// coordinate is `seldon coordinate`: gather the shard artifacts a glob
+// names, merge them in slice order, and learn once over the global graph.
+// Each artifact is read whole, its frame verified, its sections cut and
+// their graphs decoded on every processor, then appended to the union —
+// their one copy — and released, so peak coordinator memory is one
+// artifact. The result is what `seldon learn` over the concatenated corpus
+// produces, with the gather and merge timings ahead of the stage
+// breakdown.
 func coordinate(args []string) error {
 	fs := flag.NewFlagSet("seldon coordinate", flag.ExitOnError)
 	in, lf, out, cache, of := addInputFlags(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
 	shardsIn := fs.String("shards-in", "", "glob of shard artifacts (from seldon shard) to merge and learn from")
-	execShards := fs.Int("exec-shards", 0, "spawn N local `seldon shard` subprocesses over -dir/-generate and merge their artifacts; -cache-dir is shared with them")
 	flowCache := fs.String("flowcache", "", "persistent flow-constraint block cache file (loaded before the build, saved after; stale or corrupt files load as empty)")
 	fs.Parse(args)
 
@@ -41,49 +38,29 @@ func coordinate(args []string) error {
 	if err != nil {
 		return err
 	}
-	// A coordinator never runs the front-end itself: with -shards-in the
-	// cache is where artifact sidecars are ingested, and with -exec-shards
-	// its directory is the workers' own, which they fill as they analyze.
+	if *shardsIn == "" {
+		return errors.New("need -shards-in (see -h)")
+	}
+	paths, err := filepath.Glob(*shardsIn)
+	if err != nil {
+		return err
+	}
+	if len(paths) == 0 {
+		return fmt.Errorf("no shard artifacts match %q", *shardsIn)
+	}
+	sort.Strings(paths)
+	// A coordinator never runs the front-end itself: its cache is where
+	// artifact sidecars are ingested.
 	ingest, err := cache.open()
 	if err != nil {
 		return err
 	}
+	ropts := shard.ReadOptions{Cache: ingest, Metrics: cfg.Metrics, Log: cfg.Log}
 	mopts := shard.MergeOptions{Metrics: cfg.Metrics, Log: cfg.Log}
-
-	var (
-		mres   *shard.MergeResult
-		gather core.StageTiming
-	)
-	switch {
-	case *shardsIn != "":
-		paths, globErr := filepath.Glob(*shardsIn)
-		if globErr != nil {
-			return globErr
-		}
-		if len(paths) == 0 {
-			return fmt.Errorf("no shard artifacts match %q", *shardsIn)
-		}
-		sort.Strings(paths)
-		ropts := shard.ReadOptions{Cache: ingest, Metrics: cfg.Metrics, Log: cfg.Log}
-		gather = core.RunStage(cfg, obs.StageShardDecode, func() {
-			mres, err = readShards(paths, ropts, mopts)
-		})
-	case *execShards > 0:
-		bin, exeErr := os.Executable()
-		if exeErr != nil {
-			return exeErr
-		}
-		gather = core.RunStage(cfg, obs.StageShardExec, func() {
-			mres, err = shard.ExecMerge(shard.ExecConfig{
-				Bin: bin, Slices: *execShards,
-				Dir: in.dir, Generate: in.generate,
-				Workers: in.workers, CacheDir: cache.dir,
-				Metrics: cfg.Metrics,
-			}, mopts)
-		})
-	default:
-		return errors.New("need -shards-in or -exec-shards (see -h)")
-	}
+	var mres *shard.MergeResult
+	gather := core.RunStage(cfg, obs.StageShardDecode, func() {
+		mres, err = readShards(paths, ropts, mopts)
+	})
 	if err != nil {
 		return err
 	}

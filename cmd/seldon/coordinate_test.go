@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -10,6 +14,124 @@ import (
 	"seldon/internal/corpus"
 	"seldon/internal/shard"
 )
+
+// TestShardedLearnIsSingleProcessLearn is the distributed-learning
+// determinism oracle over real processes: a 400-file corpus on disk,
+// analyzed by three concurrent `seldon shard` processes sharing one
+// -cache-dir and merged by `seldon coordinate -shards-in`, must give the
+// store `seldon learn` writes for the same corpus, byte for byte. At 400
+// files each artifact's graph sections pass the size from which they are
+// decoded on several goroutines, so a second coordination under
+// GOMAXPROCS=1 holds them to the one-goroutine answer. The workers ship fpcache sidecars (-ship-cache), which the first
+// coordination ingests into its -cache-dir — the path for workers sharing
+// no disk with the coordinator — and a learn over that directory must hit
+// on every file and write the same store. Last, a coordination with a
+// persisted flow-block cache (-flowcache), run twice, must write the same
+// store cold and warm, and the warm run must load the file and reuse all
+// 400 spans. Any drift in slicing, the codec, symbol translation, the
+// sidecar keys, the merge or the flow cache fails here.
+func TestShardedLearnIsSingleProcessLearn(t *testing.T) {
+	bin := buildSeldon(t)
+	dir := t.TempDir()
+	for _, f := range corpus.Generate(corpus.Config{Files: 400}).Files {
+		path := filepath.Join(dir, "corpus", f.Name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(f.Source), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seed.spec"), []byte(corpus.ExperimentSeed().Format()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// start runs seldon in dir with extra environment; wait fails the test
+	// on a nonzero exit and returns stdout and stderr.
+	type proc struct {
+		cmd            *exec.Cmd
+		stdout, stderr bytes.Buffer
+	}
+	start := func(env []string, args ...string) *proc {
+		t.Helper()
+		p := &proc{cmd: exec.Command(bin, args...)}
+		p.cmd.Dir = dir
+		p.cmd.Env = append(os.Environ(), env...)
+		p.cmd.Stdout, p.cmd.Stderr = &p.stdout, &p.stderr
+		if err := p.cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	wait := func(p *proc) (string, string) {
+		t.Helper()
+		if err := p.cmd.Wait(); err != nil {
+			t.Fatalf("%s: %v\n%s", strings.Join(p.cmd.Args, " "), err, p.stderr.Bytes())
+		}
+		return p.stdout.String(), p.stderr.String()
+	}
+	run := func(env []string, args ...string) (string, string) {
+		t.Helper()
+		return wait(start(env, args...))
+	}
+	learn := func(out string, extra ...string) string {
+		t.Helper()
+		stdout, _ := run(nil, append([]string{"learn", "-dir", "corpus", "-seedfile", "seed.spec", "-o", out}, extra...)...)
+		return stdout
+	}
+	coordinate := func(env []string, out string, extra ...string) string {
+		t.Helper()
+		_, stderr := run(env, append([]string{"coordinate", "-shards-in", "p*.shard", "-seedfile", "seed.spec", "-o", out}, extra...)...)
+		return stderr
+	}
+	same := func(a, b string) {
+		t.Helper()
+		x, err := os.ReadFile(filepath.Join(dir, a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := os.ReadFile(filepath.Join(dir, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(x, y) {
+			t.Errorf("%s and %s differ", a, b)
+		}
+	}
+
+	learn("single.json")
+	var workers []*proc
+	for _, i := range []string{"0", "1", "2"} {
+		workers = append(workers, start(nil, "shard", "-dir", "corpus", "-slices", "3", "-slice", i,
+			"-cache-dir", "workers", "-ship-cache", "-o", "p"+i+".shard"))
+	}
+	for _, w := range workers {
+		wait(w)
+	}
+	coordinate(nil, "dist.json", "-cache-dir", "ingest")
+	same("single.json", "dist.json")
+	coordinate([]string{"GOMAXPROCS=1"}, "dist1.json")
+	same("dist.json", "dist1.json")
+
+	if out := learn("ingest.json", "-cache-dir", "ingest"); !regexp.MustCompile(`(?m)^cache: 400/400 hits`).MatchString(out) {
+		t.Errorf("learn over the ingested sidecars did not hit on every file:\n%s", out)
+	}
+	same("single.json", "ingest.json")
+
+	flowLine := regexp.MustCompile(`flowcache path=\S+ warm=(\w+) spans=(\d+) reused=(\d+)`)
+	for _, pass := range []struct {
+		out, warm, reused string
+	}{{"cold.json", "false", "0"}, {"warm.json", "true", "400"}} {
+		m := flowLine.FindStringSubmatch(coordinate(nil, pass.out, "-flowcache", "flow.bin", "-v"))
+		if m == nil {
+			t.Fatalf("%s: no flowcache line under -v", pass.out)
+		}
+		if m[1] != pass.warm || m[2] != "400" || m[3] != pass.reused {
+			t.Errorf("%s: flowcache warm=%s spans=%s reused=%s, want warm=%s spans=400 reused=%s",
+				pass.out, m[1], m[2], m[3], pass.warm, pass.reused)
+		}
+		same("single.json", pass.out)
+	}
+}
 
 // TestReadShardsNamesTheFile: a -shards-in glob is a list of paths, so a
 // fault the merge finds — not only one the decoder finds — must say which

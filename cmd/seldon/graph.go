@@ -11,13 +11,11 @@ import (
 )
 
 // graph is `seldon graph`: the pipeline's extraction phase on its own,
-// front-end and union, written as JSON or — -binary — in the v2 codec
-// shard artifacts and the fpcache use.
+// front-end and union, written as JSON.
 func graph(args []string) error {
 	fs := flag.NewFlagSet("seldon graph", flag.ExitOnError)
 	in := addInputFlags(fs)
 	out := fs.String("o", "", "output file (default stdout)")
-	binary := fs.Bool("binary", false, "write the propgraph v2 binary codec instead of JSON")
 	fs.Parse(args)
 	in.paths = fs.Args()
 
@@ -31,7 +29,7 @@ func graph(args []string) error {
 	}
 	union := propgraph.Union(fe.Graphs...)
 
-	data, err := encodeGraph(union, *binary)
+	data, err := encodeGraph(union)
 	if err != nil {
 		return err
 	}
@@ -49,12 +47,8 @@ func graph(args []string) error {
 	return nil
 }
 
-// encodeGraph renders the union graph: the propgraph v2 binary codec
-// (decode with propgraph.DecodeBinary) or the JSON encoding.
-func encodeGraph(g *propgraph.Graph, binary bool) ([]byte, error) {
-	if binary {
-		return g.AppendBinary(nil), nil
-	}
+// encodeGraph renders the union graph as JSON (propgraph's Graph.Encode).
+func encodeGraph(g *propgraph.Graph) ([]byte, error) {
 	var b bytes.Buffer
 	err := g.Encode(&b)
 	return b.Bytes(), err

@@ -26,29 +26,10 @@ func exampleUnion(t *testing.T) *propgraph.Graph {
 	return propgraph.Union(graphs...)
 }
 
-// TestBinaryRoundTrip: -binary output is exactly the propgraph v2 codec
-// and decodes back to the same graph with no trailing bytes.
-func TestBinaryRoundTrip(t *testing.T) {
-	union := exampleUnion(t)
-	data, err := encodeGraph(union, true)
-	if err != nil {
-		t.Fatalf("encodeGraph(binary): %v", err)
-	}
-	got, tail, err := propgraph.DecodeBinary(data)
-	if err != nil {
-		t.Fatalf("DecodeBinary of -binary output: %v", err)
-	}
-	if len(tail) != 0 {
-		t.Errorf("%d trailing bytes after the graph", len(tail))
-	}
-	if !bytes.Equal(got.AppendBinary(nil), data) {
-		t.Error("decoded graph re-encodes differently")
-	}
-}
-
+// TestJSONOutputStillDefault: JSON is seldon graph's one output format.
 func TestJSONOutputStillDefault(t *testing.T) {
 	union := exampleUnion(t)
-	data, err := encodeGraph(union, false)
+	data, err := encodeGraph(union)
 	if err != nil {
 		t.Fatalf("encodeGraph(json): %v", err)
 	}

@@ -18,21 +18,21 @@
 //
 //	seldon shard -dir repo -slices 4 -slice 2 -o part2.shard
 //	seldon coordinate -shards-in 'parts/*.shard' -seedfile seed.spec -o specs.json
-//	seldon coordinate -generate 240 -exec-shards 4 -o specs.json
 //
 // shard analyzes one contiguous slice of the corpus's sorted file names
-// and writes one artifact; coordinate merges artifacts in slice order —
-// from files, or streamed from N `seldon shard` subprocesses of this same
-// binary — and learns once, printing what learn prints. Whichever way in,
-// the store is byte-identical to `seldon learn` over the whole corpus.
+// and writes one artifact; coordinate merges the artifact files a glob
+// names in slice order and learns once, printing what learn prints.
+// Whichever way in, the store is byte-identical to `seldon learn` over the
+// whole corpus.
 //
 //	seldon check -spec learned.spec file1.py file2.py ...
 //	seldon check -dir repo                  # the App. B seed by default
-//	seldon graph -dir repo -o graphs.json   # -binary: the v2 codec
+//	seldon graph -dir repo -o graph.json
 //
 // check reports the unsanitized source→sink flows a specification finds
 // (exit 0 clean, 1 flows found, 2 could not run); graph writes the union
-// of the propagation graphs. Both take .py paths as arguments beside -dir.
+// of the propagation graphs as JSON. Both take .py paths as arguments
+// beside -dir.
 //
 // All but graph take -cache-dir (content-addressed per-file analysis
 // cache, shared safely between workers) and the observability flags:

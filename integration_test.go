@@ -16,7 +16,7 @@ import (
 
 // TestEndToEndPipeline drives the full production flow the binaries
 // compose: generate a corpus, extract per-file propagation graphs,
-// serialize and reload the union (the seldon graph hand-off), learn
+// serialize and reload the union (the shard artifact hand-off), learn
 // specifications, persist and reload them (the seldon learn -out / seldon check
 // -spec hand-off), run the taint analyzer, and classify the reports.
 func TestEndToEndPipeline(t *testing.T) {
@@ -34,18 +34,14 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	union := propgraph.Union(graphs...)
 
-	// Serialization hand-off.
-	var buf bytes.Buffer
-	if err := union.Encode(&buf); err != nil {
-		t.Fatal(err)
+	// Serialization hand-off, through the codec shard artifacts carry.
+	enc := union.AppendBinary(nil)
+	reloaded, rest, err := propgraph.DecodeBinary(enc)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("DecodeBinary: %v, %d bytes left", err, len(rest))
 	}
-	reloaded, err := propgraph.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reloaded.Events) != len(union.Events) || reloaded.NumEdges() != union.NumEdges() {
-		t.Fatalf("serialization changed the graph: %d/%d events, %d/%d edges",
-			len(reloaded.Events), len(union.Events), reloaded.NumEdges(), union.NumEdges())
+	if !bytes.Equal(reloaded.AppendBinary(nil), enc) {
+		t.Fatal("serialization changed the graph")
 	}
 
 	// Learning phase, over the RELOADED graph.

@@ -146,8 +146,6 @@ type Result struct {
 
 	// Predictions lists every selected (event, role), event-ID order.
 	Predictions []Prediction
-	// EventRoles aggregates predictions per event.
-	EventRoles map[int]propgraph.RoleSet
 }
 
 // StageTime returns the recorded duration of a named stage, or 0.
@@ -316,8 +314,8 @@ func LearnFromSources(files map[string]string, seed *spec.Spec, cfg Config) *Res
 // selectRoles applies §7.1: for each candidate event and allowed role,
 // walk the backoff options from most to least specific and select the
 // role if decay^i * score_i passes the threshold. The walk runs twice,
-// first only counting, so that Predictions and EventRoles are allocated
-// once at their final size.
+// first only counting, so that Predictions is allocated once at its final
+// size.
 func (r *Result) selectRoles(cfg Config) {
 	sys := r.System
 	strs := sys.Syms.Strings()
@@ -330,10 +328,9 @@ func (r *Result) selectRoles(cfg Config) {
 		decay[i] = math.Pow(cfg.BackoffDecay, float64(i))
 	}
 	for _, fill := range []bool{false, true} {
-		predictions, events := 0, 0
+		predictions := 0
 		for idx := range sys.EventInfos {
 			info := &sys.EventInfos[idx]
-			var selected propgraph.RoleSet
 			for _, role := range propgraph.Roles() {
 				if !info.Roles.Has(role) {
 					continue
@@ -346,7 +343,6 @@ func (r *Result) selectRoles(cfg Config) {
 					if !(decay[i]*score >= cfg.Threshold) {
 						continue
 					}
-					selected = selected.With(role)
 					predictions++
 					if fill {
 						r.Predictions = append(r.Predictions, Prediction{
@@ -357,18 +353,9 @@ func (r *Result) selectRoles(cfg Config) {
 					break
 				}
 			}
-			if selected != 0 {
-				events++
-				if fill {
-					r.EventRoles[info.EventID] = selected
-				}
-			}
 		}
-		if !fill {
-			if predictions > 0 {
-				r.Predictions = make([]Prediction, 0, predictions)
-			}
-			r.EventRoles = make(map[int]propgraph.RoleSet, events)
+		if !fill && predictions > 0 {
+			r.Predictions = make([]Prediction, 0, predictions)
 		}
 	}
 }

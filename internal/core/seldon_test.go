@@ -79,10 +79,7 @@ func TestBackoffDecaySelection(t *testing.T) {
 	g := propgraph.New()
 	ev := g.AddEvent(propgraph.KindCall, "t.py", pos(), []string{"a.f()", "f()"})
 	_ = ev
-	res := &Result{
-		System:     mustSystem(g),
-		EventRoles: map[int]propgraph.RoleSet{},
-	}
+	res := &Result{System: mustSystem(g)}
 	res.Solution = make([]float64, len(res.System.Vars))
 	res.Solution[res.System.VarID("a.f()", propgraph.Source)] = 0.05
 	res.Solution[res.System.VarID("f()", propgraph.Source)] = 0.5
@@ -105,7 +102,7 @@ func TestBackoffDecaySelection(t *testing.T) {
 func TestBackoffDecayRejectsWeakDeepOptions(t *testing.T) {
 	g := propgraph.New()
 	g.AddEvent(propgraph.KindCall, "t.py", pos(), []string{"a.f()", "f()"})
-	res := &Result{System: mustSystem(g), EventRoles: map[int]propgraph.RoleSet{}}
+	res := &Result{System: mustSystem(g)}
 	res.Solution = make([]float64, len(res.System.Vars))
 	res.Solution[res.System.VarID("f()", propgraph.Source)] = 0.12
 	// 0.8 * 0.12 = 0.096 < 0.1: not selected.

@@ -75,7 +75,6 @@ type Flow struct {
 	// WrongParam marks flows whose tainted value reaches a benign
 	// parameter of a true sink (Table 6's "flows into wrong parameter").
 	WrongParam bool
-	Class      string
 }
 
 // Corpus is a generated dataset.
@@ -216,7 +215,7 @@ func (g *generator) flowPlan(file, project string, class vulnClass,
 	flow = Flow{
 		File: file, Project: project,
 		SourceRep: src.rep, SinkRep: snk.rep,
-		Sanitized: sanitized, Class: string(class),
+		Sanitized: sanitized,
 	}
 	if sanitized {
 		san = sans[g.rng.Intn(len(sans))]
@@ -361,7 +360,7 @@ func (g *generator) sqlChainHandler(b *fileBuilder, file, project string, h int)
 	flow := Flow{
 		File: file, Project: project,
 		SourceRep: src.rep, SinkRep: "MySQLdb.connect().cursor().execute()",
-		Sanitized: sanitized, Class: string(classSQL),
+		Sanitized: sanitized,
 	}
 	var san apiTemplate
 	if sanitized {

@@ -34,14 +34,14 @@ import (
 // computes, objective included. Rows are evaluated independently, so
 // sharding the pass cannot change them, and a row's dot product does not
 // depend on where the table keeps it. Every floating-point reduction
-// (hinge fold, L1 fold, gradient scatter, Adam update) runs sequentially:
-// the compacted list holds the violated rows in first-occurrence order,
-// a row contributes float64(n·value) — the conversion is written out so
-// that no architecture fuses the product into the add — and the only terms
-// the scatter skips are those on pinned variables, whose gradient entries
-// nobody reads. Moving a copy of a constraint that is not its first
-// therefore changes nothing; moving a first occurrence reorders the sums
-// and may move the result in its last bits.
+// (hinge fold, L1 fold, gradient scatter, Adam update) runs sequentially,
+// the compacted list holds the violated rows in first-occurrence order, and
+// every product that meets a sum is converted — float64(n·value) — so that
+// no architecture fuses it into the add (`make fmacheck` holds that). The
+// only terms the scatter skips are those on pinned variables, whose
+// gradient entries nobody reads. Moving a copy of a constraint that is not
+// its first therefore changes nothing; moving a first occurrence reorders
+// the sums and may move the result in its last bits.
 
 // kernelChunk is the fixed number of rows one pass task covers. Chunk
 // boundaries depend only on the problem — never on Options.Shards — so the
@@ -407,7 +407,7 @@ func (k *kernel) passChunk(ci int, x []float64) {
 		vars, coefs := k.termVar[s:e], k.termCoef[s:e]
 		v := -k.c
 		for t, tv := range vars {
-			v += coefs[t] * x[tv]
+			v += float64(coefs[t] * x[tv])
 		}
 		k.viol[r] = v
 		var h uint8
@@ -477,7 +477,7 @@ func (k *kernel) objectiveAt(hinge float64, x []float64) float64 {
 	for _, xi := range x {
 		sum += xi
 	}
-	return hinge + k.lambda*sum - k.masks.pinnedL1
+	return hinge + float64(k.lambda*sum) - k.masks.pinnedL1
 }
 
 // scatter rebuilds the subgradient from the active list of the last pass,
@@ -594,8 +594,8 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 				continue
 			}
 			g := grad[i]
-			m[i] = beta1*m[i] + (1-beta1)*g
-			vv[i] = beta2*vv[i] + (1-beta2)*g*g
+			m[i] = float64(beta1*m[i]) + float64((1-beta1)*g)
+			vv[i] = float64(beta2*vv[i]) + float64((1-beta2)*g*g)
 			mHat := m[i] / b1t
 			vHat := vv[i] / b2t
 			old := x[i]
@@ -606,9 +606,9 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 				x[i] = 1
 			}
 			if tel != nil {
-				gradSq += g * g
+				gradSq += float64(g * g)
 				d := x[i] - old
-				stepSq += d * d
+				stepSq += float64(d * d)
 			}
 		}
 		iters = t

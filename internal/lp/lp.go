@@ -134,7 +134,7 @@ func (p *Problem) masks() *problemMask {
 	m.pinVal = make([]float64, len(m.pinIdx))
 	for i, v := range m.pinIdx {
 		m.pinVal[i] = p.Known[int(v)]
-		m.pinnedL1 += p.Lambda * m.pinVal[i]
+		m.pinnedL1 += float64(p.Lambda * m.pinVal[i])
 	}
 	p.mask = m
 	return m

@@ -63,10 +63,10 @@ func foldReference(p *Problem) []refGroup {
 func slack(c *Constraint, x []float64, C float64) float64 {
 	v := -C
 	for _, t := range c.LHS {
-		v += t.Coef * x[t.Var]
+		v += float64(t.Coef * x[t.Var])
 	}
 	for _, t := range c.RHS {
-		v -= t.Coef * x[t.Var]
+		v -= float64(t.Coef * x[t.Var])
 	}
 	return v
 }
@@ -115,8 +115,8 @@ func adamStep(t int, x, grad, m, vv []float64, free []bool) {
 			continue
 		}
 		g := grad[i]
-		m[i] = beta1*m[i] + (1-beta1)*g
-		vv[i] = beta2*vv[i] + (1-beta2)*g*g
+		m[i] = float64(beta1*m[i]) + float64((1-beta1)*g)
+		vv[i] = float64(beta2*vv[i]) + float64((1-beta2)*g*g)
 		mHat := m[i] / b1t
 		vHat := vv[i] / b2t
 		x[i] -= rate * mHat / (math.Sqrt(vHat) + eps)
@@ -199,7 +199,7 @@ func minimizeReference(p *Problem, opts Options) *Result {
 	sort.Ints(pinned)
 	pinnedL1 := 0.0
 	for _, v := range pinned {
-		pinnedL1 += p.Lambda * p.Known[v]
+		pinnedL1 += float64(p.Lambda * p.Known[v])
 	}
 
 	hinge := func(x []float64) float64 {
@@ -216,7 +216,7 @@ func minimizeReference(p *Problem, opts Options) *Result {
 		for _, xi := range x {
 			sum += xi
 		}
-		return hinge(x) + p.Lambda*sum - pinnedL1
+		return hinge(x) + float64(p.Lambda*sum) - pinnedL1
 	}
 	gradient := func(x, grad []float64) {
 		for _, g := range groups {
@@ -308,9 +308,9 @@ func (rt *refTelemetry) emit(p *Problem, epoch int, x, grad []float64, free []bo
 		if !free[i] {
 			continue
 		}
-		gradSq += grad[i] * grad[i]
+		gradSq += float64(grad[i] * grad[i])
 		d := x[i] - rt.prevX[i]
-		stepSq += d * d
+		stepSq += float64(d * d)
 	}
 	copy(rt.prevX, x)
 	rt.hook(EpochStats{

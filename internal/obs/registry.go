@@ -124,14 +124,12 @@ const (
 	// corpus and the artifact bytes ingested.
 	StageShardAnalyze = "stage.shard.analyze"
 	StageShardEncode  = "stage.shard.encode"
-	// StageShardDecode and StageShardExec are the coordinator's whole
-	// gather: read, decode and commit every artifact file of a glob, or
-	// spawn N `seldon shard` subprocesses, wait, decode their artifacts.
-	// StageShardStream is one sample per artifact read, verified and
-	// parsed by shard.ReadArtifact, inside either.
+	// StageShardDecode is the coordinator's whole gather: read, decode and
+	// commit every artifact file of a glob. StageShardStream is one sample
+	// per artifact read, verified and parsed by shard.ReadArtifact, inside
+	// it.
 	StageShardDecode = "stage.shard.decode"
 	StageShardStream = "stage.shard.stream"
-	StageShardExec   = "stage.shard.exec"
 	TimerShardMerge  = "shard.merge"
 	GaugeShardFiles  = "shard.files"
 	GaugeShardBytes  = "shard.bytes"

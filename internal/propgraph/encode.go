@@ -2,17 +2,14 @@ package propgraph
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"seldon/internal/pytoken"
 )
 
-// The JSON encoding lets the extraction and learning phases run as
-// separate processes (the paper's pipeline parses tens of thousands of
-// repositories once and learns over the union many times).
+// The JSON encoding is a dump for reading, written by seldon graph; nothing
+// reads it back. Extraction and learning run as separate processes through
+// the v2 binary codec (binary.go) that shard artifacts carry.
 
-// jsonGraph is the wire format.
+// jsonGraph is the dump's shape.
 type jsonGraph struct {
 	Version int         `json:"version"`
 	Events  []jsonEvent `json:"events"`
@@ -36,7 +33,8 @@ type jsonEdge struct {
 
 const encodingVersion = 1
 
-// Encode writes the graph as JSON.
+// Encode writes the graph as one line of JSON: the events in ID order, then
+// every edge with its argument labels.
 func (g *Graph) Encode(w io.Writer) error {
 	jg := jsonGraph{Version: encodingVersion}
 	for _, e := range g.Events {
@@ -55,34 +53,4 @@ func (g *Graph) Encode(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(jg)
-}
-
-// Decode reads a graph written by Encode.
-func Decode(r io.Reader) (*Graph, error) {
-	var jg jsonGraph
-	if err := json.NewDecoder(r).Decode(&jg); err != nil {
-		return nil, fmt.Errorf("propgraph: decode: %w", err)
-	}
-	if jg.Version != encodingVersion {
-		return nil, fmt.Errorf("propgraph: unsupported encoding version %d", jg.Version)
-	}
-	g := New()
-	for _, je := range jg.Events {
-		ev := g.AddEvent(EventKind(je.Kind), je.File,
-			pytoken.Pos{Line: je.Line, Col: je.Col}, je.Reps)
-		ev.Roles = RoleSet(je.Roles)
-	}
-	for _, je := range jg.Edges {
-		if je.Src < 0 || je.Src >= len(g.Events) || je.Dst < 0 || je.Dst >= len(g.Events) {
-			return nil, fmt.Errorf("propgraph: edge %d->%d out of range", je.Src, je.Dst)
-		}
-		if len(je.Args) == 0 {
-			g.AddEdge(je.Src, je.Dst)
-			continue
-		}
-		for _, a := range je.Args {
-			g.AddEdgeArg(je.Src, je.Dst, a)
-		}
-	}
-	return g, nil
 }

@@ -2,13 +2,15 @@ package propgraph
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"seldon/internal/pytoken"
 )
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+// TestEncodeJSON pins seldon graph's JSON dump: every event with its kind,
+// position, reps and candidate roles in ID order, then every edge with its
+// argument labels in ascending order, and an unlabeled edge with none.
+func TestEncodeJSON(t *testing.T) {
 	g := New()
 	a := g.AddEvent(KindCall, "a.py", pytoken.Pos{Line: 3, Col: 4}, []string{"f()", "m.f()"})
 	b := g.AddEvent(KindRead, "a.py", pytoken.Pos{Line: 5}, []string{"x.y"})
@@ -21,41 +23,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := g.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Events) != 3 {
-		t.Fatalf("events = %d", len(got.Events))
-	}
-	for i, e := range g.Events {
-		ge := got.Events[i]
-		if ge.Kind != e.Kind || ge.File != e.File || ge.Pos != e.Pos ||
-			ge.Roles != e.Roles || ge.NumReps() != e.NumReps() {
-			t.Errorf("event %d mismatch: %+v vs %+v", i, ge, e)
-		}
-	}
-	if got.NumEdges() != 2 {
-		t.Errorf("edges = %d", got.NumEdges())
-	}
-	args := got.EdgeArgs(b.ID, c.ID)
-	if len(args) != 2 || args[0] != ArgReceiver || args[1] != 0 {
-		t.Errorf("edge args = %v", args)
-	}
-	if got.EdgeArgs(a.ID, b.ID) != nil {
-		t.Error("unlabeled edge gained labels")
-	}
-}
-
-func TestDecodeRejectsBadInput(t *testing.T) {
-	if _, err := Decode(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Decode(strings.NewReader(`{"version":99}`)); err == nil {
-		t.Error("unknown version accepted")
-	}
-	if _, err := Decode(strings.NewReader(`{"version":1,"events":[{"kind":0}],"edges":[{"s":0,"d":7}]}`)); err == nil {
-		t.Error("out-of-range edge accepted")
+	const want = `{"version":1,"events":[` +
+		`{"kind":0,"file":"a.py","line":3,"col":4,"reps":["f()","m.f()"],"roles":7},` +
+		`{"kind":1,"file":"a.py","line":5,"reps":["x.y"],"roles":1},` +
+		`{"kind":2,"file":"b.py","line":1,"reps":["g(param p)"],"roles":1}],` +
+		`"edges":[{"s":0,"d":1},{"s":1,"d":2,"a":[-1,0]}]}` + "\n"
+	if got := buf.String(); got != want {
+		t.Errorf("Encode =\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -64,11 +38,7 @@ func TestEncodeEmptyGraph(t *testing.T) {
 	if err := New().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Events) != 0 || g.NumEdges() != 0 {
-		t.Errorf("non-empty decode: %d events", len(g.Events))
+	if got, want := buf.String(), `{"version":1,"events":null,"edges":null}`+"\n"; got != want {
+		t.Errorf("Encode of the empty graph = %q, want %q", got, want)
 	}
 }

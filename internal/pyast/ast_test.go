@@ -8,82 +8,6 @@ import (
 
 func name(s string) *Name { return &Name{Ident: s, NamePos: pytoken.Pos{Line: 1}} }
 
-func TestUnparseBasics(t *testing.T) {
-	cases := []struct {
-		expr Expr
-		want string
-	}{
-		{name("x"), "x"},
-		{&Num{Lit: "42"}, "42"},
-		{&Str{Lit: "'s'"}, "'s'"},
-		{&NameConst{Value: "None"}, "None"},
-		{&EllipsisLit{}, "..."},
-		{&Attribute{Value: name("a"), Attr: "b"}, "a.b"},
-		{&Subscript{Value: name("d"), Index: &Str{Lit: "'k'"}}, "d['k']"},
-		{&Call{Func: name("f"), Args: []Expr{name("a")}}, "f(a)"},
-		{&Call{Func: name("f"), Keywords: []*Keyword{{Name: "k", Value: name("v")}}}, "f(k=v)"},
-		{&Call{Func: name("f"), Keywords: []*Keyword{{Value: name("m")}}}, "f(**m)"},
-		{&BinOp{Left: name("a"), Op: pytoken.PLUS, Right: name("b")}, "a + b"},
-		{&UnaryOp{Op: pytoken.MINUS, Operand: name("x")}, "-x"},
-		{&UnaryOp{Op: pytoken.KwNot, Operand: name("x")}, "not x"},
-		{&Tuple{}, "()"},
-		{&Tuple{Elts: []Expr{name("a")}}, "(a,)"},
-		{&List{Elts: []Expr{name("a"), name("b")}}, "[a, b]"},
-		{&Set{Elts: []Expr{name("a")}}, "{a}"},
-		{&Dict{}, "{}"},
-		{&Dict{Keys: []Expr{nil}, Values: []Expr{name("m")}}, "{**m}"},
-		{&Starred{Value: name("a")}, "*a"},
-		{&Await{Value: name("f")}, "await f"},
-		{&Yield{}, "yield"},
-		{&Yield{Value: name("x"), From: true}, "yield from x"},
-		{&NamedExpr{Target: name("n"), Value: name("v")}, "(n := v)"},
-		{&Slice{Lo: name("a"), Hi: name("b"), Step: name("c")}, "a:b:c"},
-		{&IfExp{Cond: name("c"), Then: name("a"), Else: name("b")}, "a if c else b"},
-		{&Lambda{Params: []*Param{{Name: "x"}}, Body: name("x")}, "lambda x: x"},
-		{&Compare{Left: name("a"), Ops: []CompareOp{{Kind: pytoken.KwIn, Not: true}},
-			Comparators: []Expr{name("b")}}, "a not in b"},
-		{&Compare{Left: name("a"), Ops: []CompareOp{{Kind: pytoken.KwIs, Not: true}},
-			Comparators: []Expr{name("b")}}, "a is not b"},
-		{&BoolOp{Op: pytoken.KwOr, Values: []Expr{name("a"), name("b")}}, "a or b"},
-	}
-	for _, c := range cases {
-		if got := Unparse(c.expr); got != c.want {
-			t.Errorf("Unparse = %q, want %q", got, c.want)
-		}
-	}
-}
-
-func TestUnparseNilSafe(t *testing.T) {
-	if got := Unparse(nil); got != "" {
-		t.Errorf("Unparse(nil) = %q", got)
-	}
-}
-
-func TestUnparseComprehensions(t *testing.T) {
-	comp := &Comp{
-		Kind: ListComp,
-		Elt:  &Call{Func: name("f"), Args: []Expr{name("x")}},
-		Clauses: []*CompClause{{
-			Target: name("x"),
-			Iter:   name("xs"),
-			Ifs:    []Expr{name("p")},
-		}},
-	}
-	if got := Unparse(comp); got != "[f(x) for x in xs if p]" {
-		t.Errorf("list comp = %q", got)
-	}
-	dcomp := &Comp{Kind: DictComp, Elt: name("k"), Value: name("v"),
-		Clauses: []*CompClause{{Target: name("k"), Iter: name("m")}}}
-	if got := Unparse(dcomp); got != "{k: v for k in m}" {
-		t.Errorf("dict comp = %q", got)
-	}
-	gen := &Comp{Kind: GeneratorExp, Elt: name("x"),
-		Clauses: []*CompClause{{Target: name("x"), Iter: name("xs")}}}
-	if got := Unparse(gen); got != "(x for x in xs)" {
-		t.Errorf("generator = %q", got)
-	}
-}
-
 func TestInspectVisitsAllNodes(t *testing.T) {
 	mod := &Module{File: "t.py", Body: []Stmt{
 		&FunctionDef{
@@ -195,64 +119,6 @@ func TestPositions(t *testing.T) {
 	empty := &Module{}
 	if empty.Pos().Line != 1 {
 		t.Errorf("empty module pos = %v", empty.Pos())
-	}
-}
-
-func TestUnparseParenthesization(t *testing.T) {
-	// Compound subexpressions get canonical parentheses.
-	inner := &BinOp{Left: name("a"), Op: pytoken.PLUS, Right: name("b")}
-	cases := []struct {
-		expr Expr
-		want string
-	}{
-		{&BinOp{Left: inner, Op: pytoken.STAR, Right: name("c")}, "(a + b) * c"},
-		{&UnaryOp{Op: pytoken.MINUS, Operand: inner}, "-(a + b)"},
-		{&Compare{Left: inner, Ops: []CompareOp{{Kind: pytoken.LT}},
-			Comparators: []Expr{name("c")}}, "(a + b) < c"},
-		{&Await{Value: inner}, "await (a + b)"},
-		{&BoolOp{Op: pytoken.KwAnd, Values: []Expr{inner, name("c")}}, "(a + b) and c"},
-	}
-	for _, c := range cases {
-		if got := Unparse(c.expr); got != c.want {
-			t.Errorf("Unparse = %q, want %q", got, c.want)
-		}
-	}
-}
-
-func TestUnparseSetCompAndGenerators(t *testing.T) {
-	sc := &Comp{Kind: SetComp, Elt: name("x"),
-		Clauses: []*CompClause{{Target: name("x"), Iter: name("xs")}}}
-	if got := Unparse(sc); got != "{x for x in xs}" {
-		t.Errorf("set comp = %q", got)
-	}
-}
-
-func TestUnparseParamForms(t *testing.T) {
-	lam := &Lambda{Params: []*Param{
-		{Name: "a", Default: name("d")},
-		{Name: "args", Star: true},
-		{Name: "kw", DoubleStar: true},
-	}, Body: name("a")}
-	if got := Unparse(lam); got != "lambda a=d, *args, **kw: a" {
-		t.Errorf("lambda = %q", got)
-	}
-}
-
-func TestUnparseSubscriptSliceForms(t *testing.T) {
-	sl := &Subscript{Value: name("xs"), Index: &Slice{Lo: nil, Hi: name("n")}}
-	if got := Unparse(sl); got != "xs[:n]" {
-		t.Errorf("slice = %q", got)
-	}
-	tup := &Subscript{Value: name("m"), Index: &Tuple{Elts: []Expr{name("i"), name("j")}}}
-	if got := Unparse(tup); got != "m[(i, j)]" {
-		t.Errorf("tuple index = %q", got)
-	}
-}
-
-func TestUnparseJoinedStr(t *testing.T) {
-	js := &JoinedStr{Lit: `f"{x}"`, Values: []Expr{name("x")}}
-	if got := Unparse(js); got != `f"{x}"` {
-		t.Errorf("joined str = %q", got)
 	}
 }
 

@@ -46,8 +46,8 @@ func TestFStringParsedAsJoinedStr(t *testing.T) {
 	if len(js.Values) != 1 {
 		t.Fatalf("values = %d", len(js.Values))
 	}
-	if pyast.Unparse(js.Values[0]) != "term" {
-		t.Errorf("value = %q", pyast.Unparse(js.Values[0]))
+	if Unparse(js.Values[0]) != "term" {
+		t.Errorf("value = %q", Unparse(js.Values[0]))
 	}
 }
 
@@ -66,7 +66,7 @@ func TestFStringComplexInterpolations(t *testing.T) {
 	}
 	var reps []string
 	for _, v := range js.Values {
-		reps = append(reps, pyast.Unparse(v))
+		reps = append(reps, Unparse(v))
 	}
 	want := []string{"user.name", "items[0]", "len(items)"}
 	if !reflect.DeepEqual(reps, want) {

@@ -68,7 +68,7 @@ func TestUnparseRoundTrip(t *testing.T) {
 	}
 	for _, src := range cases {
 		e := exprOf(t, src)
-		got := pyast.Unparse(e)
+		got := Unparse(e)
 		// IfExp and chains get canonical parens; normalize expectations.
 		want := src
 		switch src {
@@ -128,8 +128,8 @@ def media():
 	if !ok {
 		t.Fatalf("decorator is %T", fn.Decorators[0])
 	}
-	if pyast.Unparse(call.Func) != "app.route" {
-		t.Errorf("decorator func = %q", pyast.Unparse(call.Func))
+	if Unparse(call.Func) != "app.route" {
+		t.Errorf("decorator func = %q", Unparse(call.Func))
 	}
 	if len(call.Keywords) != 1 || call.Keywords[0].Name != "methods" {
 		t.Errorf("keywords = %+v", call.Keywords)
@@ -146,7 +146,7 @@ func TestClassDef(t *testing.T) {
 	if cls.Name != "ESCPOSDriver" {
 		t.Errorf("name = %q", cls.Name)
 	}
-	if len(cls.Bases) != 1 || pyast.Unparse(cls.Bases[0]) != "ThreadDriver" {
+	if len(cls.Bases) != 1 || Unparse(cls.Bases[0]) != "ThreadDriver" {
 		t.Errorf("bases = %v", cls.Bases)
 	}
 	if len(cls.Keywords) != 1 || cls.Keywords[0].Name != "metaclass" {
@@ -188,7 +188,7 @@ def media():
 	}
 	ifStmt := fn.Body[3].(*pyast.If)
 	call := ifStmt.Body[0].(*pyast.ExprStmt).Value.(*pyast.Call)
-	if got := pyast.Unparse(call); got != "request.files['f'].save(path)" {
+	if got := Unparse(call); got != "request.files['f'].save(path)" {
 		t.Errorf("sink call = %q", got)
 	}
 }
@@ -202,17 +202,17 @@ func TestAssignmentForms(t *testing.T) {
 		t.Errorf("statement 1 = %T", mod.Body[1])
 	}
 	ann := mod.Body[2].(*pyast.AnnAssign)
-	if pyast.Unparse(ann.Annotation) != "int" || ann.Value == nil {
+	if Unparse(ann.Annotation) != "int" || ann.Value == nil {
 		t.Errorf("annassign = %+v", ann)
 	}
-	if tgt := mod.Body[3].(*pyast.Assign).Targets[0]; pyast.Unparse(tgt) != "z[0]" {
-		t.Errorf("subscript target = %q", pyast.Unparse(tgt))
+	if tgt := mod.Body[3].(*pyast.Assign).Targets[0]; Unparse(tgt) != "z[0]" {
+		t.Errorf("subscript target = %q", Unparse(tgt))
 	}
-	if tgt := mod.Body[4].(*pyast.Assign).Targets[0]; pyast.Unparse(tgt) != "w.attr" {
-		t.Errorf("attribute target = %q", pyast.Unparse(tgt))
+	if tgt := mod.Body[4].(*pyast.Assign).Targets[0]; Unparse(tgt) != "w.attr" {
+		t.Errorf("attribute target = %q", Unparse(tgt))
 	}
-	if tgt := mod.Body[5].(*pyast.Assign).Targets[0]; pyast.Unparse(tgt) != "(p, q)" {
-		t.Errorf("tuple target = %q", pyast.Unparse(tgt))
+	if tgt := mod.Body[5].(*pyast.Assign).Targets[0]; Unparse(tgt) != "(p, q)" {
+		t.Errorf("tuple target = %q", Unparse(tgt))
 	}
 }
 
@@ -221,11 +221,11 @@ func TestTupleUnpackingWithoutParens(t *testing.T) {
 	assign := mod.Body[0].(*pyast.Assign)
 	tgt, ok := assign.Targets[0].(*pyast.Tuple)
 	if !ok || len(tgt.Elts) != 2 {
-		t.Fatalf("target = %s", pyast.Unparse(assign.Targets[0]))
+		t.Fatalf("target = %s", Unparse(assign.Targets[0]))
 	}
 	val, ok := assign.Value.(*pyast.Tuple)
 	if !ok || len(val.Elts) != 2 {
-		t.Fatalf("value = %s", pyast.Unparse(assign.Value))
+		t.Fatalf("value = %s", Unparse(assign.Value))
 	}
 }
 
@@ -419,8 +419,8 @@ func TestAsyncForms(t *testing.T) {
 		t.Error("with not async")
 	}
 	aw := w.Body[0].(*pyast.Assign).Value.(*pyast.Await)
-	if pyast.Unparse(aw.Value) != "resp.json()" {
-		t.Errorf("await value = %q", pyast.Unparse(aw.Value))
+	if Unparse(aw.Value) != "resp.json()" {
+		t.Errorf("await value = %q", Unparse(aw.Value))
 	}
 	f := fn.Body[1].(*pyast.For)
 	if !f.Async {
@@ -443,7 +443,7 @@ assert x, "message"
 		t.Errorf("statement 1 = %T", mod.Body[1])
 	}
 	d := mod.Body[2].(*pyast.Delete)
-	if len(d.Targets) != 2 || pyast.Unparse(d.Targets[1]) != "e.f" {
+	if len(d.Targets) != 2 || Unparse(d.Targets[1]) != "e.f" {
 		t.Errorf("del targets = %v", d.Targets)
 	}
 	a := mod.Body[3].(*pyast.Assert)
@@ -480,7 +480,7 @@ func TestSyntaxErrorRecovery(t *testing.T) {
 	if len(mod.Body) == 0 {
 		t.Fatal("no statements recovered")
 	}
-	if pyast.Unparse(mod.Body[0].(*pyast.Assign).Targets[0]) != "x" {
+	if Unparse(mod.Body[0].(*pyast.Assign).Targets[0]) != "x" {
 		t.Error("first statement lost")
 	}
 }

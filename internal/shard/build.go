@@ -93,8 +93,8 @@ func (a *Artifact) AttachSidecar(files map[string]string, fe *core.FrontEnd) {
 
 // BuildFromCorpus slices the full corpus by sorted file name
 // (core.SliceFiles) and builds slice i of n — the in-process convenience
-// the tests and single-box executor paths use; a real worker reads only
-// its slice and calls Build.
+// the tests and the benchmark use; a real worker reads only its slice and
+// calls Build.
 func BuildFromCorpus(files map[string]string, i, n int, cfg core.Config) (*Artifact, *core.FrontEnd, error) {
 	return Build(core.SliceFiles(files, i, n), i, n, cfg)
 }

@@ -19,11 +19,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 
+	"seldon/internal/envelope"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
 )
@@ -92,34 +94,59 @@ func Encode(w io.Writer, s *spec.Spec, meta Meta) error {
 	return err
 }
 
-// Decode reads a store produced by Encode, validating the schema
-// version and rejecting unknown fields (corruption shows up as an error,
-// not as silently dropped entries).
+// The ways Decode refuses a store. Every error it returns wraps one.
+var (
+	// ErrMalformed: not JSON, an unknown field, or a value of the wrong type.
+	ErrMalformed = errors.New("specio: malformed store")
+	// ErrSchema: a schema version missing, below 1, or newer than
+	// SchemaVersion.
+	ErrSchema = errors.New("specio: unsupported schema")
+	// ErrDuplicate: a representation listed twice under one role.
+	ErrDuplicate = errors.New("specio: duplicate entry")
+	// ErrTrailing: anything but whitespace after the store.
+	ErrTrailing = envelope.ErrTrailing
+)
+
+// Decode reads a store produced by Encode. It refuses what Encode cannot
+// write — an unknown field, a schema outside 1..SchemaVersion, an entry
+// listed twice, bytes after the store — so corruption shows up as an
+// error, not as silently dropped entries. Whitespace and key order are
+// free.
 func Decode(r io.Reader) (*spec.Spec, Meta, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var st store
 	if err := dec.Decode(&st); err != nil {
-		return nil, Meta{}, fmt.Errorf("specio: decode: %w", err)
+		return nil, Meta{}, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
-	if st.Schema == 0 {
-		return nil, Meta{}, fmt.Errorf("specio: missing schema version (not a spec store?)")
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, Meta{}, ErrTrailing
 	}
-	if st.Schema > SchemaVersion {
-		return nil, Meta{}, fmt.Errorf("specio: schema %d is newer than supported %d", st.Schema, SchemaVersion)
+	if st.Schema < 1 || st.Schema > SchemaVersion {
+		return nil, Meta{}, fmt.Errorf("%w: %d (this reader knows 1..%d)", ErrSchema, st.Schema, SchemaVersion)
 	}
 	s := spec.New()
+	var dup error
+	add := func(role propgraph.Role, rep string) {
+		if dup == nil && s.RolesOf(rep).Has(role) {
+			dup = fmt.Errorf("%w: %s %q", ErrDuplicate, role, rep)
+		}
+		s.Add(role, rep)
+	}
 	for _, rep := range st.Sources {
-		s.Add(propgraph.Source, rep)
+		add(propgraph.Source, rep)
 	}
 	for _, rep := range st.Sanitizers {
-		s.Add(propgraph.Sanitizer, rep)
+		add(propgraph.Sanitizer, rep)
 	}
 	for _, e := range st.Sinks {
-		s.Add(propgraph.Sink, e.Rep)
+		add(propgraph.Sink, e.Rep)
 		if len(e.Args) > 0 {
 			s.RestrictSinkArgs(e.Rep, e.Args...)
 		}
+	}
+	if dup != nil {
+		return nil, Meta{}, dup
 	}
 	for _, p := range st.Blacklist {
 		s.AddBlacklist(p)

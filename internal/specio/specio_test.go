@@ -2,6 +2,7 @@ package specio
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -151,6 +152,41 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 		if _, _, err := Decode(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Decode accepted bad input", name)
 		}
+	}
+}
+
+// nonCanonicalStores are stores Encode cannot write that a lenient
+// decoder would accept: each must be an error from its sentinel. They are
+// also FuzzSpecioDecode's committed seeds.
+var nonCanonicalStores = []struct {
+	name, in string
+	want     error
+}{
+	{"negative schema",
+		`{"schema":-1,"meta":{},"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]}`, ErrSchema},
+	{"bytes after the store",
+		`{"schema":1,"meta":{},"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]} {}`, ErrTrailing},
+	{"source listed twice",
+		`{"schema":1,"meta":{},"sources":["a()","a()"],"sanitizers":[],"sinks":[],"blacklist":[]}`, ErrDuplicate},
+}
+
+func TestDecodeRejectsNonCanonicalStores(t *testing.T) {
+	for _, tc := range nonCanonicalStores {
+		s, _, err := Decode(strings.NewReader(tc.in))
+		if err == nil {
+			t.Errorf("%s: Decode accepted a store Encode cannot write:\n%s", tc.name, s.Format())
+		} else if !errors.Is(err, tc.want) {
+			t.Errorf("%s: Decode = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	// Whitespace and key order stay free: a hand-formatted store loads.
+	in := "{\"sinks\": [{\"args\": [1], \"rep\": \"k()\"}], \"blacklist\": [],\n\t\"sources\": [\"a()\"], \"sanitizers\": [], \"schema\": 1}\n\n"
+	s, _, err := Decode(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("hand-formatted store: %v", err)
+	}
+	if len(s.Sources) != 1 || len(s.Sinks) != 1 || len(s.SinkArgsOf("k()")) != 1 {
+		t.Errorf("hand-formatted store decoded to:\n%s", s.Format())
 	}
 }
 
