@@ -55,7 +55,7 @@ func check(args []string) error {
 	}
 
 	var union *propgraph.Graph
-	core.RunStage(cfg, obs.StageUnion, func() { union = propgraph.Union(fe.Graphs...) })
+	core.RunStage(cfg, obs.StageUnion, func() { union = fe.Union() })
 
 	var reports []taint.Report
 	core.RunStage(cfg, obs.StageTaint, func() { reports = taint.Analyze(union, sp) })

@@ -29,9 +29,11 @@ func buildSeldon(t *testing.T) string {
 // testdata/check: six files of corpus.Generate(Config{Files: 6, Seed: 3}),
 // one with a syntax error that repeats a flow of views_2.py, and a
 // specification learned from `-generate 120`. All goldens but generate's
-// were recorded in the commit before the checker moved here from a binary
-// of its own; UPDATE_GOLDEN=1 rewrites them, only for a deliberate change
-// of the output.
+// and single's were recorded in the commit before the checker moved here
+// from a binary of its own; single's (one input with findings, whose
+// graph is its own union) was recorded by the binary that still copied
+// it through propgraph.Union. UPDATE_GOLDEN=1 rewrites them, only for a
+// deliberate change of the output.
 func TestCheckGolden(t *testing.T) {
 	bin := buildSeldon(t)
 	with := func(args ...string) []string { return append([]string{"-spec", "learned.spec"}, args...) }
@@ -48,6 +50,7 @@ func TestCheckGolden(t *testing.T) {
 		{"dedupe", with("-dedupe", "-dir", "corpus")},
 		{"verbose", with("-v", "-dir", "corpus")},
 		{"clean", with("corpus/proj000/views_0.py")},
+		{"single", with("-v", "corpus/proj000/views_2.py")},
 		{"noinput", with()},
 		{"generate", with("-generate", "12")},
 	}

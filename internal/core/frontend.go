@@ -65,9 +65,9 @@ type FrontEnd struct {
 // Reset seam: what a parse allocates (tokens, AST nodes, node lists) and
 // what a dataflow analysis allocates besides its graph. AnalyzeFiles
 // gives every worker one for the length of a batch; callers that analyze
-// a file per request keep them across calls (sync.Pool) and donate one
-// through Config.Scratch. One Scratch serves one goroutine at a time.
-// Nothing AnalyzeFiles returns points into a Scratch.
+// a file per request keep one per serving worker and donate it through
+// Config.Scratch. One Scratch serves one goroutine at a time. Nothing
+// AnalyzeFiles returns points into a Scratch.
 type Scratch struct {
 	parse pyparse.Scratch
 	flow  dataflow.Scratch
@@ -273,6 +273,17 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 			"dur", fe.CacheWall.Round(time.Microsecond))
 	}
 	return fe
+}
+
+// Union is the disjoint union of the front end's graphs. One graph is
+// its own union: an analyzed or decoded graph is byte-identical
+// (AppendBinary) to propgraph.Union over it alone, so a one-file check
+// skips the copy. The result may be a graph of fe; do not modify it.
+func (fe *FrontEnd) Union() *propgraph.Graph {
+	if len(fe.Graphs) == 1 {
+		return fe.Graphs[0]
+	}
+	return propgraph.Union(fe.Graphs...)
 }
 
 // CacheSpeedup estimates the warm-run win: how much longer the front-end

@@ -107,11 +107,11 @@ const (
 	// instead of taking a worker slot.
 	CounterCheckCoalesced = "check.coalesced"
 
-	// Scratch-pool traffic on the serving hot path: pool.gets counts
-	// acquisitions, pool.news the subset that had to allocate a fresh
-	// scratch — their ratio is the pool's reuse rate. pool.oversize_drops
-	// counts the buffers a returned scratch let go because an unusually
-	// large request had grown them past the retention cap.
+	// Scratch use on the serving hot path: pool.gets counts analyses run,
+	// pool.news the scratches made (one per standing worker, so ≤
+	// Workers). pool.oversize_drops counts the buffers a worker's scratch
+	// let go because an unusually large request had grown them past the
+	// retention cap.
 	CounterPoolGets          = "pool.gets"
 	CounterPoolNews          = "pool.news"
 	CounterPoolOversizeDrops = "pool.oversize_drops"

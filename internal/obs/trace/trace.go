@@ -149,7 +149,7 @@ const (
 // attribute storage, and the records of the spans that have finished.
 // Spans of a trace may end on different goroutines (worker handoff), so
 // the block carries the trace's lock. Once the root span publishes the
-// trace the block is closed: stragglers — e.g. an analysis goroutine
+// trace the block is closed: stragglers — e.g. an analysis worker
 // still running after its request timed out — are counted as dropped
 // rather than recorded, so a published TraceData is never touched again.
 type traceBlock struct {

@@ -383,60 +383,72 @@ func isHexDigit(c byte) bool {
 	return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
-// operator tables, longest match first.
-var op3 = map[string]Kind{
-	"**=": DOUBLESTAREQ, "//=": DOUBLESLASHEQ, "<<=": LSHIFTEQ,
-	">>=": RSHIFTEQ, "...": ELLIPSIS,
+// ops is the operator table, indexed by an operator's first byte c: the
+// kinds of c alone, of c followed by '=', of c doubled, and of c doubled
+// then '='. EOF, which no operator is, marks a spelling that does not
+// exist. "->" and "..." are the two operators outside that pattern.
+var ops = [256]struct{ alone, eq, double, doubleEq Kind }{
+	'(': {alone: LPAREN}, ')': {alone: RPAREN},
+	'[': {alone: LBRACKET}, ']': {alone: RBRACKET},
+	'{': {alone: LBRACE}, '}': {alone: RBRACE},
+	',': {alone: COMMA}, ';': {alone: SEMI}, '.': {alone: DOT}, '~': {alone: TILDE},
+	':': {alone: COLON, eq: WALRUS},
+	'=': {alone: ASSIGN, eq: EQ},
+	'!': {eq: NE},
+	'@': {alone: AT, eq: ATEQ},
+	'+': {alone: PLUS, eq: PLUSEQ},
+	'-': {alone: MINUS, eq: MINUSEQ},
+	'%': {alone: PERCENT, eq: PERCENTEQ},
+	'&': {alone: AMPER, eq: AMPEREQ},
+	'|': {alone: PIPE, eq: PIPEEQ},
+	'^': {alone: CARET, eq: CARETEQ},
+	'*': {STAR, STAREQ, DOUBLESTAR, DOUBLESTAREQ},
+	'/': {SLASH, SLASHEQ, DOUBLESLASH, DOUBLESLASHEQ},
+	'<': {LT, LE, LSHIFT, LSHIFTEQ},
+	'>': {GT, GE, RSHIFT, RSHIFTEQ},
 }
 
-var op2 = map[string]Kind{
-	"**": DOUBLESTAR, "//": DOUBLESLASH, "<<": LSHIFT, ">>": RSHIFT,
-	"<=": LE, ">=": GE, "==": EQ, "!=": NE, "->": ARROW, ":=": WALRUS,
-	"+=": PLUSEQ, "-=": MINUSEQ, "*=": STAREQ, "/=": SLASHEQ,
-	"%=": PERCENTEQ, "&=": AMPEREQ, "|=": PIPEEQ, "^=": CARETEQ,
-	"@=": ATEQ,
-}
-
-var op1 = map[byte]Kind{
-	'(': LPAREN, ')': RPAREN, '[': LBRACKET, ']': RBRACKET, '{': LBRACE,
-	'}': RBRACE, ',': COMMA, ':': COLON, ';': SEMI, '.': DOT, '@': AT,
-	'=': ASSIGN, '+': PLUS, '-': MINUS, '*': STAR, '/': SLASH,
-	'%': PERCENT, '&': AMPER, '|': PIPE, '^': CARET, '~': TILDE,
-	'<': LT, '>': GT,
-}
-
+// scanOperator scans the longest operator at the current byte, or an
+// ILLEGAL token for a byte that starts none. No operator holds a
+// newline, and Scan has taken '\n' itself, so the line does not change.
 func (s *Scanner) scanOperator() Token {
 	pos := s.pos()
 	s.sawToken = true
-	if s.off+3 <= len(s.src) {
-		if k, ok := op3[s.src[s.off:s.off+3]]; ok {
-			s.advance()
-			s.advance()
-			s.advance()
-			return Token{Kind: k, Pos: pos}
+	c := s.src[s.off]
+	op := &ops[c]
+	k, n := op.alone, 1
+	switch s.peekAt(1) { // 0 past the end, a byte no operator holds
+	case '=':
+		if op.eq != EOF {
+			k, n = op.eq, 2
 		}
-	}
-	if s.off+2 <= len(s.src) {
-		if k, ok := op2[s.src[s.off:s.off+2]]; ok {
-			s.advance()
-			s.advance()
-			return Token{Kind: k, Pos: pos}
-		}
-	}
-	c := s.advance()
-	if k, ok := op1[c]; ok {
-		switch k {
-		case LPAREN, LBRACKET, LBRACE:
-			s.paren++
-		case RPAREN, RBRACKET, RBRACE:
-			if s.paren > 0 {
-				s.paren--
+	case c:
+		if op.double != EOF {
+			k, n = op.double, 2
+			if s.peekAt(2) == '=' {
+				k, n = op.doubleEq, 3
 			}
+		} else if c == '.' && s.peekAt(2) == '.' {
+			k, n = ELLIPSIS, 3
 		}
-		return Token{Kind: k, Pos: pos}
+	case '>':
+		if c == '-' {
+			k, n = ARROW, 2
+		}
 	}
-	s.errorf(pos, "unexpected character %q", c)
-	return Token{Kind: ILLEGAL, Lit: string(c), Pos: pos}
+	s.off += n
+	switch k {
+	case LPAREN, LBRACKET, LBRACE:
+		s.paren++
+	case RPAREN, RBRACKET, RBRACE:
+		if s.paren > 0 {
+			s.paren--
+		}
+	case EOF:
+		s.errorf(pos, "unexpected character %q", c)
+		return Token{Kind: ILLEGAL, Lit: string(c), Pos: pos}
+	}
+	return Token{Kind: k, Pos: pos}
 }
 
 // ScanAll tokenizes the entire input and returns the tokens up to and

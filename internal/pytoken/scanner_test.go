@@ -1,10 +1,129 @@
 package pytoken
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// The map-based operator lexer that the tables in scanner.go replaced,
+// kept as their oracle: three maps, longest match first.
+var op3 = map[string]Kind{
+	"**=": DOUBLESTAREQ, "//=": DOUBLESLASHEQ, "<<=": LSHIFTEQ,
+	">>=": RSHIFTEQ, "...": ELLIPSIS,
+}
+
+var op2 = map[string]Kind{
+	"**": DOUBLESTAR, "//": DOUBLESLASH, "<<": LSHIFT, ">>": RSHIFT,
+	"<=": LE, ">=": GE, "==": EQ, "!=": NE, "->": ARROW, ":=": WALRUS,
+	"+=": PLUSEQ, "-=": MINUSEQ, "*=": STAREQ, "/=": SLASHEQ,
+	"%=": PERCENTEQ, "&=": AMPEREQ, "|=": PIPEEQ, "^=": CARETEQ,
+	"@=": ATEQ,
+}
+
+var op1 = map[byte]Kind{
+	'(': LPAREN, ')': RPAREN, '[': LBRACKET, ']': RBRACKET, '{': LBRACE,
+	'}': RBRACE, ',': COMMA, ':': COLON, ';': SEMI, '.': DOT, '@': AT,
+	'=': ASSIGN, '+': PLUS, '-': MINUS, '*': STAR, '/': SLASH,
+	'%': PERCENT, '&': AMPER, '|': PIPE, '^': CARET, '~': TILDE,
+	'<': LT, '>': GT,
+}
+
+// oracleScanOperator is scanOperator as it was written over the maps.
+func oracleScanOperator(s *Scanner) Token {
+	pos := s.pos()
+	s.sawToken = true
+	if s.off+3 <= len(s.src) {
+		if k, ok := op3[s.src[s.off:s.off+3]]; ok {
+			s.advance()
+			s.advance()
+			s.advance()
+			return Token{Kind: k, Pos: pos}
+		}
+	}
+	if s.off+2 <= len(s.src) {
+		if k, ok := op2[s.src[s.off:s.off+2]]; ok {
+			s.advance()
+			s.advance()
+			return Token{Kind: k, Pos: pos}
+		}
+	}
+	c := s.advance()
+	if k, ok := op1[c]; ok {
+		switch k {
+		case LPAREN, LBRACKET, LBRACE:
+			s.paren++
+		case RPAREN, RBRACKET, RBRACE:
+			if s.paren > 0 {
+				s.paren--
+			}
+		}
+		return Token{Kind: k, Pos: pos}
+	}
+	s.errorf(pos, "unexpected character %q", c)
+	return Token{Kind: ILLEGAL, Lit: string(c), Pos: pos}
+}
+
+// DiffOperatorOracle scans src with Scan and re-lexes every token Scan
+// made through scanOperator with the map oracle, from the state Scan
+// dispatched from. The token (kind, position, literal), the offset, line
+// and bracket depth after it, and the errors it reported must agree; it
+// returns the first disagreement. The rest of Scan sees operator lexing
+// only through that state, so agreement at every dispatch means that a
+// scanner built on the oracle gives the same tokens and errors. It is
+// exported for the corpus test, which is in package pytoken_test because
+// internal/corpus imports this package.
+func DiffOperatorOracle(file, src string) error {
+	s := NewScanner(file, src)
+	lineStart := []int{0}
+	for i := 0; i < len(s.src); i++ {
+		if s.src[i] == '\n' {
+			lineStart = append(lineStart, i+1)
+		}
+	}
+	for {
+		paren, nerrs := s.paren, len(s.errs)
+		t := s.Scan()
+		if t.Kind == EOF {
+			return nil
+		}
+		if t.Kind != ILLEGAL && (t.Kind < LPAREN || t.Kind > ATEQ) {
+			continue
+		}
+		bol := lineStart[t.Pos.Line-1]
+		o := &Scanner{file: file, src: s.src, off: bol + t.Pos.Col, line: t.Pos.Line, bol: bol, paren: paren}
+		ot := oracleScanOperator(o)
+		if ot != t || o.off != s.off || o.line != s.line || o.bol != s.bol || o.paren != s.paren ||
+			fmt.Sprint(o.errs) != fmt.Sprint(s.errs[nerrs:]) {
+			return fmt.Errorf("%s:%s: tables give %v (offset %d, depth %d, errors %v), maps %v (offset %d, depth %d, errors %v)",
+				file, t.Pos, t, s.off, s.paren, s.errs[nerrs:], ot, o.off, o.paren, o.errs)
+		}
+	}
+}
+
+// TestOperatorTablesMatchMapOracle holds the operator tables to the map
+// oracle on every string of one to three bytes over the operator
+// alphabet: each byte an operator holds, '$' (which starts none), a
+// blank and a newline.
+func TestOperatorTablesMatchMapOracle(t *testing.T) {
+	const alphabet = "()[]{},:;.@=+-*/%&|^~<>!$ \n"
+	srcs := []string{""}
+	for n := 1; n <= 3; n++ {
+		var longer []string
+		for _, src := range srcs {
+			for i := range len(alphabet) {
+				longer = append(longer, src+alphabet[i:i+1])
+			}
+		}
+		for _, src := range longer {
+			if err := DiffOperatorOracle("ops.py", src); err != nil {
+				t.Fatalf("%q: %v", src, err)
+			}
+		}
+		srcs = longer
+	}
+}
 
 // kinds collects the token kinds for src, excluding the trailing EOF.
 func kinds(t *testing.T, src string) []Kind {

@@ -6,8 +6,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"runtime/debug"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"seldon/internal/core"
 	"seldon/internal/obs"
@@ -15,20 +18,22 @@ import (
 
 // Steady-state allocation budgets for the fast paths. These are
 // regression tripwires, not targets: each is the measured count plus a
-// quarter (28, 9, 12 and 148 when they were set), so an accidental
+// quarter (28, 9, 12 and 120 when they were set), so an accidental
 // per-request allocation — a dropped pool, a fresh buffer, a closure
 // capture, a span or a metric name built per request again — fails
 // loudly while compiler and runtime drift does not. "hit" goes through
 // httptest's recorder and request constructor, which allocate 19 of its
 // 28; "hit reuse" is the same request from a caller that keeps its
 // request and writer, so the count is the handler's alone. Most of a
-// miss is the front-end, whose scratch recycling took it down from 403;
-// losing a slab there costs tens of allocations, not hundreds.
+// miss is the front-end, whose scratch recycling took it down from 403,
+// and standing workers from 148 (no goroutine, release closure or
+// one-graph union per miss); losing a slab there costs tens of
+// allocations, not hundreds.
 const (
 	allocBudgetHit       = 35  // cache hit: request decode + key + splice
 	allocBudgetHitReuse  = 11  // the same, without httptest's share
 	allocBudgetCoalesced = 15  // follower: wait + splice only
-	allocBudgetMiss      = 185 // full analysis with pooled scratch
+	allocBudgetMiss      = 150 // full analysis on a worker's scratch
 )
 
 func newAllocServer(t *testing.T, cfg Config) *Server {
@@ -116,9 +121,10 @@ func TestCheckAllocBudgets(t *testing.T) {
 	})
 
 	t.Run("pooled miss", func(t *testing.T) {
-		// Cache off: every request runs the full pipeline through the
-		// scratch pool. The budget bounds the whole analysis, so losing
-		// the pool (or a new per-file allocation in parse/dataflow) trips.
+		// Cache off: every request runs the full pipeline on a worker's
+		// scratch. The budget bounds the whole analysis, so losing the
+		// scratch, a goroutine per miss again, or a new per-file
+		// allocation in parse/dataflow trips.
 		s := newAllocServer(t, Config{CheckCacheEntries: -1})
 		h := s.Handler()
 		serveOnce(t, h, body) // warm the pools
@@ -130,45 +136,96 @@ func TestCheckAllocBudgets(t *testing.T) {
 	})
 }
 
-// One maximum-size body must not pin its buffers in the scratch pool for
-// the life of the process: the returned scratch lets the oversize ones
-// go (counted in pool.oversize_drops), keeps less than a fixed cap, and
-// is the scratch the next small request reuses.
-//
-// A sync.Pool promises none of that round trip: a Put lands in a slot of
-// the processor it ran on, where a Get from another does not look, and
-// under -race a quarter of all Puts are dropped on purpose. So the test
-// runs on one processor, and a round in which the pool lost the scratch —
-// seen as such: it handed out a new, empty one — is played again. What
-// must hold is that a scratch which does come back is capped, and served.
+// One maximum-size body must not pin its buffers in a worker's scratch
+// for the life of the process: the worker lets the oversize ones go
+// (counted in pool.oversize_drops) and keeps less than a fixed cap. With
+// one worker the next small request runs on that same scratch, and no
+// other is ever made.
 func TestScratchPoolRetentionCap(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection may empty a sync.Pool
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	reg := obs.New()
-	s := newAllocServer(t, Config{CheckCacheEntries: -1, Metrics: reg})
+	s := newAllocServer(t, Config{Workers: 1, CheckCacheEntries: -1, Metrics: reg})
 	h := s.Handler()
 
 	huge := bytes.Repeat([]byte(taintedSrc), (1<<20)/len(taintedSrc)) // just under the 1 MiB default MaxBodyBytes
 	const retainCap = 4 << 20                                         // every buffer at its cap at once; the body grew the scratch past 30 MB
-	const rounds = 40                                                 // all lost under -race: (1 - (3/4)²)^40 < 1e-14
-	for round := 1; ; round++ {
-		serveOnce(t, h, huge)
-		if got := reg.Snapshot().Counters[obs.CounterPoolOversizeDrops]; got == 0 {
-			t.Fatalf("%s = 0 after a %d-byte body", obs.CounterPoolOversizeDrops, len(huge))
-		}
-		sc := s.scratchPool.Get().(*core.Scratch)
-		if got := sc.Retained(); got > retainCap {
-			t.Fatalf("pooled scratch retains %d bytes after a %d-byte body, cap %d", got, len(huge), retainCap)
-		} else if got > 0 { // the served scratch, not a new one
-			s.scratchPool.Put(sc)
-			news := s.poolNews.Load()
-			serveOnce(t, h, []byte(taintedSrc))
-			if s.poolNews.Load() == news {
-				return // the small request reused it
+	serveOnce(t, h, huge)
+	if got := reg.Snapshot().Counters[obs.CounterPoolOversizeDrops]; got == 0 {
+		t.Fatalf("%s = 0 after a %d-byte body", obs.CounterPoolOversizeDrops, len(huge))
+	}
+	sc := s.scratch[0]
+	if got := sc.Retained(); got == 0 || got > retainCap {
+		t.Fatalf("worker scratch retains %d bytes after a %d-byte body, want (0, %d]", got, len(huge), retainCap)
+	}
+	serveOnce(t, h, []byte(taintedSrc))
+	if got := sc.Retained(); got == 0 || got > retainCap {
+		t.Fatalf("worker scratch retains %d bytes after the next request, want (0, %d]", got, retainCap)
+	}
+	snap := reg.Snapshot()
+	if gets, news := snap.Counters[obs.CounterPoolGets], snap.Counters[obs.CounterPoolNews]; gets != 2 || news != 1 {
+		t.Errorf("pool gets %d, news %d after two misses on one worker, want 2 and 1", gets, news)
+	}
+}
+
+// A Server nothing references any more takes its workers with it: an
+// idle worker holds only the job channel, so the collector reclaims a
+// dropped Server — its trace ring, cache and scratches — and the
+// finalizer closes the channel, which ends the workers' loops.
+func TestDroppedServerEndsItsWorkers(t *testing.T) {
+	s := newAllocServer(t, Config{Workers: 2, CheckCacheEntries: -1})
+	serveOnce(t, s.Handler(), []byte(taintedSrc))
+	jobs := s.jobs // the test's last reference to s
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC()
+		select {
+		case _, open := <-jobs:
+			if !open {
+				return
 			}
+		default:
 		}
-		if round == rounds {
-			t.Fatalf("in %d rounds the pool never handed the served scratch to the next request", rounds)
+		if time.Now().After(deadline) {
+			t.Fatal("a dropped Server was never collected: something, an idle worker perhaps, still holds it")
 		}
+	}
+}
+
+// Misses run on the standing workers, not on a goroutine each: while
+// four callers send 200 cache-off misses straight through the handler,
+// the goroutine count never exceeds what it was once New had started
+// the Workers by more than the callers plus one.
+func TestMissesRunOnStandingWorkers(t *testing.T) {
+	const workers, callers, each = 2, 4, 50
+	before := runtime.NumGoroutine()
+	s := newAllocServer(t, Config{Workers: workers, CheckCacheEntries: -1})
+	h := s.Handler()
+	start := runtime.NumGoroutine()
+	if start > before+workers {
+		t.Errorf("New started %d goroutines, want at most Workers = %d", start-before, workers)
+	}
+
+	peaks := make([]int, callers) // what each caller saw after each of its misses
+	var wg sync.WaitGroup
+	for c := range peaks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", strings.NewReader(taintedSrc)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("miss status = %d", rec.Code)
+					return
+				}
+				peaks[c] = max(peaks[c], runtime.NumGoroutine())
+			}
+		}()
+	}
+	wg.Wait()
+	if got, limit := slices.Max(peaks), start+callers+1; got > limit {
+		t.Errorf("%d goroutines during the misses, want at most %d: the %d at start, the %d callers and one",
+			got, limit, start, callers)
+	}
+	if gets, news := s.poolGets.Load(), len(s.scratch); gets != callers*each || news != workers {
+		t.Errorf("pool gets %d, news %d, want %d and %d", gets, news, callers*each, workers)
 	}
 }

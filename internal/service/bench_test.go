@@ -61,8 +61,8 @@ func (c *reuseClient) post(h http.Handler, body []byte) int {
 
 // BenchmarkCheckHandler measures the /v1/check serving paths end-to-end
 // through the handler (mux, telemetry, tracing, encoding included): a
-// warm cache hit, a cold miss running the full pipeline through the
-// pooled scratch, and a coalesced follower splicing a shared flight
+// warm cache hit, a cold miss running the full pipeline on a standing
+// worker's scratch, and a coalesced follower splicing a shared flight
 // result. The hit is measured three ways: "hit" through httptest's
 // recorder and request constructor (the form every earlier snapshot
 // used), "hit_reuse" handler-only with a reusable request and writer,

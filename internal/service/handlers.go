@@ -16,7 +16,6 @@ import (
 	"seldon/internal/fpcache"
 	"seldon/internal/obs"
 	"seldon/internal/obs/trace"
-	"seldon/internal/propgraph"
 	"seldon/internal/specio"
 	"seldon/internal/taint"
 )
@@ -88,10 +87,11 @@ var optsKey = [4]string{"", "t", "d", "td"}
 // (collapse findings sharing source and sink representations).
 //
 // Every request runs under a span tree: admission (body read) → queue
-// (wait for a worker slot) → parse → dataflow → taint → encode. The
-// trace ID is returned in X-Trace-Id and the response body, a W3C
-// traceparent header is honored inbound and emitted outbound, and the
-// finished tree is retrievable from /debug/traces?trace_id=<id>.
+// (wait for an idle standing worker: a miss creates no goroutine) →
+// parse → dataflow → taint (on the worker) → encode. The trace ID is
+// returned in X-Trace-Id and the response body, a W3C traceparent
+// header is honored inbound and emitted outbound, and the finished tree
+// is retrievable from /debug/traces?trace_id=<id>.
 //
 // Repeated work short-circuits before admission. A cache hit (same
 // body, filename, options, and store generation) skips the queue and
@@ -194,8 +194,11 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		fl = &flight{done: make(chan struct{})}
 	}
 
+	// The job carries a copy of the body: the pooled read buffer is
+	// returned when this handler exits, which may precede the analysis.
 	queue := root.StartChild("queue")
-	release, err := s.admit(ctx)
+	err = s.admit(ctx, checkJob{s: s, root: root, st: st, name: name, source: string(body),
+		withTrace: withTrace, dedupe: dedupe, key: key, fl: fl})
 	queue.End()
 	if err != nil {
 		span.End()
@@ -209,29 +212,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.timeoutResponse(w, err)
 		return
 	}
-
-	// Run the pipeline on the worker slot; the handler goroutine only
-	// waits for it or the deadline. On timeout the analysis goroutine
-	// finishes on its own, releases the slot, and still resolves the
-	// flight — the pool bound stays honest even when clients have long
-	// gone, and followers are never stranded by their leader's client.
-	// The body is copied out first: the pooled read buffer is returned
-	// when this handler exits, which may precede the analysis.
-	source := string(body)
-	go func() {
-		defer release()
-		if s.checkGate != nil {
-			<-s.checkGate
-		}
-		sc := s.getScratch()
-		res, err := s.check(root, st, name, source, withTrace, dedupe, sc)
-		s.putScratch(sc)
-		if err == nil {
-			s.cache.Put(key, res.core) // nil-safe when the cache is off
-			s.updateCacheMetrics()
-		}
-		s.resolveFlight(key, fl, res, err)
-	}()
 
 	select {
 	case <-fl.done:
@@ -406,11 +386,12 @@ func (s *Server) retryAfterSeconds() int {
 
 // check runs the per-request analysis: parse + dataflow via the shared
 // corpus front-end (Workers: 1 — request-level parallelism comes from
-// the handler pool), union, then the taint analyzer. It is the same
+// the server's workers), union, then the taint analyzer. It is the same
 // code path `seldon check` runs, so findings match the CLI byte for
-// byte on the same input. The caller passes the store snapshot it
-// admitted with (so the cache key and the analysis agree) and a pooled
-// scratch the sequential front-end threads through parse and dataflow.
+// byte on the same input; the one file's graph is its own union there
+// too. The caller passes the store snapshot it admitted with (so the
+// cache key and the analysis agree) and its worker's scratch, which the
+// sequential front-end threads through parse and dataflow.
 //
 // The front-end reports parse and dataflow time only after the fact,
 // so those stages become retroactive child spans (AddChildAt) tiling
@@ -424,7 +405,7 @@ func (s *Server) check(root *trace.Span, st storeState, name, source string,
 	root.AddChildAt("parse", feStart, fe.ParseTotal)
 	root.AddChildAt("dataflow", feStart.Add(fe.ParseTotal), fe.AnalyzeTotal)
 	ts := root.StartChild("taint")
-	union := propgraph.Union(fe.Graphs...)
+	union := fe.Union()
 	reports := taint.Analyze(union, st.spec)
 	if dedupe {
 		reports = taint.Dedupe(reports)
@@ -598,8 +579,8 @@ type CheckCacheHealth struct {
 	Coalesced int64   `json:"coalesced"`
 }
 
-// PoolHealth is the /v1/healthz view of the scratch pool: Gets counts
-// acquisitions, News the subset that allocated fresh.
+// PoolHealth is the /v1/healthz view of the workers' scratches: News =
+// scratches made (≤ Workers), Gets = analyses run.
 type PoolHealth struct {
 	Gets int64 `json:"gets"`
 	News int64 `json:"news"`
@@ -621,7 +602,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Reloads:          s.reloads.Load(),
 		Inflight:         s.inflight.Load(),
 		UptimeS:          time.Since(s.start).Seconds(),
-		Pool:             PoolHealth{Gets: s.poolGets.Load(), News: s.poolNews.Load()},
+		Pool:             PoolHealth{Gets: s.poolGets.Load(), News: int64(len(s.scratch))},
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()

@@ -22,13 +22,13 @@
 // and propagated via W3C traceparent headers in both directions. The
 // bounded ring of recent traces is served from GET /debug/traces.
 //
-// The server is built for sustained traffic: analysis runs on a bounded
-// worker pool (Config.Workers, core.Config.Workers semantics), requests
-// beyond the pool wait in a bounded queue and overflow is rejected with
-// 429, request bodies are size-capped (413), every check that may wait
-// — for a worker slot, an analysis, another request's analysis —
-// carries a context deadline, and Run drains in-flight requests on
-// shutdown.
+// The server is built for sustained traffic: analysis runs on
+// Config.Workers standing goroutines (core.Config.Workers semantics),
+// started once by New, each owning one parse+dataflow scratch; requests
+// beyond them wait in a bounded queue and overflow is rejected with 429,
+// request bodies are size-capped (413), every check that may wait — for
+// a worker, an analysis, another request's analysis — carries a context
+// deadline, and Run drains in-flight requests on shutdown.
 //
 // Hot reload: the loaded specification lives behind a read-write lock.
 // Each check snapshots the store once at admission and runs entirely
@@ -50,10 +50,10 @@
 //     collapse onto one in-flight analysis. The leader takes a worker
 //     slot; followers wait on the flight without consuming one, keep
 //     their own deadlines, and are marked coalesced in their trace.
-//   - Scratch pooling: per-request parse and dataflow state (token
-//     buffers, analyzer tables) is recycled through a sync.Pool behind
-//     core.Scratch's Reset seam, cutting steady-state allocations on
-//     cache misses.
+//   - Scratch reuse: each worker's parse and dataflow state (token
+//     buffers, analyzer tables) serves every miss it runs, scrubbed
+//     between them through core.Scratch's Reset seam, and its stack stays
+//     grown for the recursive-descent parser.
 //
 // Cached, coalesced, and cold responses are byte-identical modulo
 // trace_id: every 200 is the cached "core" encoding plus the same
@@ -130,8 +130,8 @@ type Config struct {
 	// Without it the reload endpoint answers 409.
 	StorePath string
 
-	// Workers bounds concurrently running checks, with core.Config.Workers
-	// semantics: 0 selects runtime.GOMAXPROCS(0), 1 serializes.
+	// Workers is the number of standing analysis goroutines, with
+	// core.Config.Workers semantics: 0 selects GOMAXPROCS, 1 serializes.
 	Workers int
 	// QueueDepth bounds requests waiting for a worker slot; beyond
 	// Workers+QueueDepth the server answers 429. 0 selects 2×Workers.
@@ -213,7 +213,8 @@ type storeState struct {
 }
 
 // Server answers taint-check traffic against a hot-swappable
-// specification store.
+// specification store; handlers hand cache misses to its standing
+// analysis workers and wait for the result.
 type Server struct {
 	cfg   Config
 	start time.Time
@@ -224,10 +225,11 @@ type Server struct {
 	store   storeState
 	reloads atomic.Int64
 
-	// sem holds one token per running check; admitted counts every
-	// request between admission control and completion (running +
-	// queued), bounded by Workers+QueueDepth.
-	sem      chan struct{}
+	// jobs is unbuffered: a send completes only when a worker is idle.
+	// scratch[i] is worker i's. admitted counts requests between
+	// admission and completion, bounded by Workers+QueueDepth.
+	jobs     chan checkJob
+	scratch  []*core.Scratch
 	admitted atomic.Int64
 	inflight atomic.Int64
 
@@ -247,15 +249,12 @@ type Server struct {
 	flightMu sync.Mutex
 	flights  map[checkcache.Key]*flight
 
-	// scratchPool recycles per-request parse+dataflow scratch between
-	// cache misses; bufPool recycles the request-scoped byte buffers
-	// (body read, response encode). poolGets/poolNews mirror the obs
-	// counters for /v1/healthz; coalesced likewise.
-	scratchPool sync.Pool
-	bufPool     sync.Pool
-	poolGets    atomic.Int64
-	poolNews    atomic.Int64
-	coalesced   atomic.Int64
+	// bufPool recycles the request-scoped byte buffers (body read,
+	// response encode). poolGets and coalesced mirror obs counters for
+	// /v1/healthz.
+	bufPool   sync.Pool
+	poolGets  atomic.Int64
+	coalesced atomic.Int64
 	// evictionsPublished tracks how much of the cache's cumulative
 	// eviction count has been rolled into the obs counter.
 	evictionsPublished atomic.Int64
@@ -274,14 +273,25 @@ type Server struct {
 }
 
 // flight is one in-progress analysis that concurrent identical requests
-// attach to. The leader (or its analysis goroutine) fills res or err and
-// closes done exactly once; followers select on done against their own
-// deadlines. err propagates the leader's admission failure (429 or
+// attach to. The leader (or the worker running its job) fills res or err
+// and closes done exactly once; followers select on done against their
+// own deadlines. err propagates the leader's admission failure (429 or
 // queue-wait timeout) so followers fail the same way instead of hanging.
 type flight struct {
 	done chan struct{}
 	res  *checkResult
 	err  error
+}
+
+// checkJob is one miss handed to a worker, with what its result feeds.
+type checkJob struct {
+	s                 *Server
+	root              *trace.Span
+	st                storeState
+	name, source      string
+	withTrace, dedupe bool
+	key               checkcache.Key
+	fl                *flight
 }
 
 // New builds a Server from cfg. cfg.Spec must be non-nil.
@@ -296,9 +306,10 @@ func New(cfg Config) *Server {
 		epoch = "gen-0"
 	}
 	s := &Server{
-		cfg:   cfg,
-		start: time.Now(),
-		sem:   make(chan struct{}, cfg.Workers),
+		cfg:     cfg,
+		start:   time.Now(),
+		jobs:    make(chan checkJob),
+		scratch: make([]*core.Scratch, cfg.Workers),
 		store: storeState{
 			spec: cfg.Spec, meta: cfg.Meta, fingerprint: fp, epoch: epoch, loadedAt: time.Now(),
 		},
@@ -310,33 +321,48 @@ func New(cfg Config) *Server {
 	if cfg.Session != nil {
 		s.findings = make(map[string]feedbackTarget)
 	}
-	s.scratchPool.New = func() any {
-		s.poolNews.Add(1)
-		s.cfg.Metrics.Add(obs.CounterPoolNews, 1)
-		return &core.Scratch{}
-	}
 	s.bufPool.New = func() any {
 		b := make([]byte, 0, 4096)
 		return &b
 	}
 	cfg.Metrics.Set(GaugeStoreSpecs, float64(cfg.Spec.Len()))
+	cfg.Metrics.Add(obs.CounterPoolNews, int64(cfg.Workers))
+	for i := range s.scratch {
+		s.scratch[i] = new(core.Scratch)
+		go work(s.jobs, s.scratch[i])
+	}
+	runtime.SetFinalizer(s, func(s *Server) { close(s.jobs) })
 	return s
 }
 
-// getScratch takes a pooled analysis scratch; putScratch scrubs and
-// returns it. The scratch lives inside the analysis goroutine only, so
-// a handler that times out and returns never races its buffers.
-func (s *Server) getScratch() *core.Scratch {
-	s.poolGets.Add(1)
-	s.cfg.Metrics.Add(obs.CounterPoolGets, 1)
-	return s.scratchPool.Get().(*core.Scratch)
-}
-
-func (s *Server) putScratch(sc *core.Scratch) {
-	if dropped := sc.Reset(); dropped > 0 {
-		s.cfg.Metrics.Add(obs.CounterPoolOversizeDrops, int64(dropped))
+// work is one standing analysis worker. No other goroutine touches sc,
+// so a handler that times out never races its buffers, and a timed-out
+// leader's analysis still finishes, is cached and resolves its flight.
+// Between jobs it holds jobs, not the Server, so a Server nothing (its
+// Handler included) references is collected; its finalizer closes jobs.
+func work(jobs <-chan checkJob, sc *core.Scratch) {
+	for j := range jobs {
+		s := j.s
+		s.inflight.Add(1)
+		s.updateGauges()
+		if s.checkGate != nil {
+			<-s.checkGate
+		}
+		s.poolGets.Add(1)
+		s.cfg.Metrics.Add(obs.CounterPoolGets, 1)
+		res, err := s.check(j.root, j.st, j.name, j.source, j.withTrace, j.dedupe, sc)
+		if dropped := sc.Reset(); dropped > 0 {
+			s.cfg.Metrics.Add(obs.CounterPoolOversizeDrops, int64(dropped))
+		}
+		if err == nil {
+			s.cache.Put(j.key, res.core) // nil-safe when the cache is off
+			s.updateCacheMetrics()
+		}
+		s.resolveFlight(j.key, j.fl, res, err)
+		s.inflight.Add(-1)
+		s.admitted.Add(-1)
+		s.updateGauges()
 	}
-	s.scratchPool.Put(sc)
 }
 
 func (s *Server) getBuf() *[]byte  { return s.bufPool.Get().(*[]byte) }
@@ -435,30 +461,23 @@ func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
 var errBusy = errors.New("service: at capacity")
 
 // admit applies backpressure: it reserves a queue position, then waits
-// for a worker slot or the context. The returned release frees the
-// worker slot; the queue position is freed when the slot is acquired or
-// admission fails.
-func (s *Server) admit(ctx context.Context) (release func(), err error) {
+// for an idle worker to take j, or for the context. A taken job holds
+// its position until the worker has finished it; a refused one gives it
+// back here.
+func (s *Server) admit(ctx context.Context, j checkJob) error {
 	limit := int64(s.cfg.Workers + s.cfg.QueueDepth)
 	if s.admitted.Add(1) > limit {
 		s.admitted.Add(-1)
-		return nil, errBusy
+		return errBusy
 	}
 	s.updateGauges()
 	select {
-	case s.sem <- struct{}{}:
-		s.inflight.Add(1)
-		s.updateGauges()
-		return func() {
-			<-s.sem
-			s.inflight.Add(-1)
-			s.admitted.Add(-1)
-			s.updateGauges()
-		}, nil
+	case s.jobs <- j:
+		return nil
 	case <-ctx.Done():
 		s.admitted.Add(-1)
 		s.updateGauges()
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
