@@ -47,8 +47,10 @@ func check(args []string) error {
 	}
 	fe := core.AnalyzeFiles(files, cfg)
 	if cfg.Cache != nil {
+		snap := ob.reg.Snapshot()
 		fmt.Fprintf(os.Stderr, "seldon check: cache: %d hits, %d misses, %d bytes, saved %s\n",
-			fe.CacheHits, fe.CacheMisses, fe.CacheBytes, fe.CacheSaved.Round(time.Microsecond))
+			snap.Counters[obs.CounterCacheHits], snap.Counters[obs.CounterCacheMisses],
+			snap.Counters[obs.CounterCacheBytes], seconds(snap.Gauges[obs.GaugeCacheSaved]).Round(time.Microsecond))
 	}
 	for _, perr := range fe.ParseErrs {
 		fmt.Fprintf(os.Stderr, "seldon check: %v (continuing with recovered AST)\n", perr)

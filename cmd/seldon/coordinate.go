@@ -20,8 +20,7 @@ import (
 // their graphs decoded on every processor, then appended to the union —
 // their one copy — and released, so peak coordinator memory is one
 // artifact. The result is what `seldon learn` over the concatenated corpus
-// produces, with the gather and merge timings ahead of the stage
-// breakdown.
+// produces, with the gather's time at the head of the stage breakdown.
 func coordinate(args []string) error {
 	fs := flag.NewFlagSet("seldon coordinate", flag.ExitOnError)
 	in, lf, out, cache, of := addInputFlags(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
@@ -58,7 +57,7 @@ func coordinate(args []string) error {
 	ropts := shard.ReadOptions{Cache: ingest, Metrics: cfg.Metrics, Log: cfg.Log}
 	mopts := shard.MergeOptions{Metrics: cfg.Metrics, Log: cfg.Log}
 	var mres *shard.MergeResult
-	gather := core.RunStage(cfg, obs.StageShardDecode, func() {
+	core.RunStage(cfg, obs.StageShardDecode, func() {
 		mres, err = readShards(paths, ropts, mopts)
 	})
 	if err != nil {
@@ -78,16 +77,10 @@ func coordinate(args []string) error {
 		sys   *constraints.System
 		delta constraints.DeltaStats
 	)
-	build := core.RunStage(cfg, obs.StageConstraints, func() {
+	core.RunStage(cfg, obs.StageConstraints, func() {
 		sys, delta = constraints.BuildIncremental(mres.Graph, seedSpec, copts, mres.Spans, fc)
 	})
 	res := core.LearnPrepared(mres.Graph, sys, cfg)
-	res.Stages = append([]core.StageTiming{
-		gather,
-		{Name: obs.TimerShardMerge, Duration: mres.MergeWall},
-		build,
-	}, res.Stages...)
-	res.ParseErrors = mres.ParseErrors
 	res.ParseErrorFiles = mres.ParseErrorFiles
 	if *flowCache != "" {
 		cfg.Log.Log("flowcache", "path", *flowCache, "warm", warm,

@@ -235,10 +235,11 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	return o
 }
 
-// observed is a run's observability once started: the logger and registry
-// the pipeline reports to (nil when nothing asked for them), and stop,
-// which ends the CPU profile and writes the heap profile and the metrics
-// snapshot.
+// observed is a run's observability once started: the registry the
+// pipeline reports to — every run has one, because the report a
+// subcommand prints is read from it — the logger (nil without -v), and
+// stop, which ends the CPU profile and writes the heap profile and the
+// metrics snapshot.
 type observed struct {
 	log  *obs.Logger
 	reg  *obs.Registry
@@ -248,12 +249,9 @@ type observed struct {
 // start brings up what the flags ask for, failing before the run on a
 // busy port or an unwritable path rather than after it.
 func (o *obsFlags) start() (*observed, error) {
-	ob := &observed{}
+	ob := &observed{reg: obs.New()}
 	if o.verbose {
 		ob.log = obs.NewLogger(os.Stderr)
-	}
-	if o.metricsJSON != "" || o.httpAddr != "" {
-		ob.reg = obs.New()
 	}
 	if o.httpAddr != "" {
 		srv, errc, err := obs.Serve(o.httpAddr, ob.reg)
@@ -326,41 +324,42 @@ func startLearnRun(rootName string, in *inputFlags, l *learnFlags, o *obsFlags) 
 }
 
 // finish closes the run and writes everything a learn writes: summary
-// line, stage breakdown, front-end and cache lines, -out and -o, and the
-// inferred specifications by role. nFiles and fingerprint are the corpus
-// identity the store's provenance records.
+// line, stage breakdown, front-end and cache lines — all read from the
+// run's registry — -out and -o, and the inferred specifications by role.
+// nFiles and fingerprint are the corpus identity the store's provenance
+// records.
 func (r *learnRun) finish(res *core.Result, seedSpec *spec.Spec, summary string, nFiles int, fingerprint string, out *outputFlags) error {
 	r.root.End()
 	r.cfg.Metrics.Set(obs.GaugePipelineWall, time.Since(r.begun).Seconds())
+	snap := r.cfg.Metrics.Snapshot()
 
 	st := res.Graph.ComputeStats()
 	errNote := ""
-	switch res.ParseErrors {
+	switch n := len(res.ParseErrorFiles); n {
 	case 0:
 	case 1:
 		errNote = " (1 parse error)"
 	default:
-		errNote = fmt.Sprintf(" (%d parse errors)", res.ParseErrors)
+		errNote = fmt.Sprintf(" (%d parse errors)", n)
 	}
 	fmt.Printf("%s%s: %d events, %d candidate events, %d constraints, solved in %s (%d epochs)\n",
 		summary, errNote, st.Events, len(res.System.EventInfos),
-		len(res.System.Problem.Constraints), res.InferenceTime.Round(time.Millisecond),
+		len(res.System.Problem.Constraints), seconds(snap.Timers[obs.StageSolve].Sum).Round(time.Millisecond),
 		res.SolverEpochs)
-	fmt.Print(stageBreakdown(res))
-	if res.Workers > 1 && res.FrontendWall > 0 {
-		// On a fully warm cache run parse+dataflow never execute, so the
-		// parallel-speedup ratio is meaningless — the cache line below
-		// carries the relevant number instead.
-		if cpu := res.StageTime(obs.StageParse) + res.StageTime(obs.StageDataflow); cpu > 0 {
-			fmt.Printf("front-end: %d workers, wall %s, effective speedup %.2fx\n",
-				res.Workers, res.FrontendWall.Round(time.Microsecond),
-				float64(cpu)/float64(res.FrontendWall))
-		}
+	fmt.Print(stageBreakdown(snap))
+	// The gauge is absent when no file was analyzed: on a fully warm
+	// cache run the cache line carries the number instead.
+	if speedup, ok := snap.Gauges[obs.GaugeFrontendSpeedup]; ok && snap.Gauges[obs.GaugeWorkers] > 1 {
+		fmt.Printf("front-end: %d workers, wall %s, effective speedup %.2fx\n",
+			int(snap.Gauges[obs.GaugeWorkers]),
+			seconds(snap.Timers[obs.StageFrontend].Sum).Round(time.Microsecond), speedup)
 	}
-	fmt.Print(cacheSummary(res, r.cfg.Cache))
+	if r.cfg.Cache != nil {
+		fmt.Print(cacheSummary(snap))
+	}
 	if r.ob.log != nil {
 		fmt.Printf("interning: %d distinct symbols, %d bytes saved vs per-occurrence rep strings\n",
-			res.InternSymbols, res.InternBytesSaved)
+			int64(snap.Gauges[obs.GaugeInternSymbols]), int64(snap.Gauges[obs.GaugeInternBytesSaved]))
 		if td, ok := r.tracer.TraceByID(r.root.TraceID()); ok {
 			fmt.Printf("trace %s:\n%s", td.TraceID, td.Tree())
 		}
@@ -410,46 +409,61 @@ func (r *learnRun) finish(res *core.Result, seedSpec *spec.Spec, summary string,
 	return nil
 }
 
-// stageBreakdown formats the per-stage timing line: each recorded stage
-// with its share of the total pipeline wall time.
-func stageBreakdown(res *core.Result) string {
+// tableStages are the stage timers a run's table lists when it recorded
+// them, in pipeline order: top-level stages only, so that the total
+// counts no time twice (shard.merge is inside stage.shard.decode,
+// stage.incr.splice wraps parse, dataflow and cache).
+var tableStages = []string{
+	obs.StageShardDecode,
+	obs.StageParse, obs.StageDataflow, obs.StageCache,
+	obs.StageUnion, obs.StageConstraints, obs.StageIncrRebuild,
+	obs.StageSolve, obs.StageSelect,
+}
+
+// stageBreakdown formats the per-stage timing lines: each stage the run
+// recorded, with its share of their total.
+func stageBreakdown(snap *obs.Snapshot) string {
 	var total time.Duration
-	for _, st := range res.Stages {
-		total += st.Duration
+	for _, name := range tableStages {
+		total += seconds(snap.Timers[name].Sum)
 	}
 	var b strings.Builder
 	b.WriteString("stage timings:\n")
-	for _, st := range res.Stages {
+	for _, name := range tableStages {
+		t, ok := snap.Timers[name]
+		if !ok {
+			continue
+		}
+		d := seconds(t.Sum)
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * float64(st.Duration) / float64(total)
+			pct = 100 * float64(d) / float64(total)
 		}
 		fmt.Fprintf(&b, "  %-18s %10s  %5.1f%%\n",
-			strings.TrimPrefix(st.Name, "stage."),
-			st.Duration.Round(time.Microsecond), pct)
+			strings.TrimPrefix(name, "stage."), d.Round(time.Microsecond), pct)
 	}
 	fmt.Fprintf(&b, "  %-18s %10s\n", "total", total.Round(time.Microsecond))
 	return b.String()
 }
 
 // cacheSummary formats the analysis-cache line: hit rate, entry bytes
-// touched, front-end time the hits avoided, and the resulting estimated
-// speedup over an uncached run of the same corpus.
-func cacheSummary(res *core.Result, cache *fpcache.Cache) string {
-	if cache == nil {
-		return ""
-	}
-	total := res.CacheHits + res.CacheMisses
+// touched, front-end time the hits avoided, and the estimated speedup
+// over an uncached run of the same corpus.
+func cacheSummary(snap *obs.Snapshot) string {
+	hits, misses := snap.Counters[obs.CounterCacheHits], snap.Counters[obs.CounterCacheMisses]
 	rate := 0.0
-	if total > 0 {
-		rate = 100 * float64(res.CacheHits) / float64(total)
+	if hits+misses > 0 {
+		rate = 100 * float64(hits) / float64(hits+misses)
 	}
+	saved := snap.Gauges[obs.GaugeCacheSaved]
 	line := fmt.Sprintf("cache: %d/%d hits (%.1f%%), %d misses, %d bytes, saved %s",
-		res.CacheHits, total, rate, res.CacheMisses, res.CacheBytes,
-		res.CacheSaved.Round(time.Microsecond))
-	if res.CacheSaved > 0 && res.FrontendWall > 0 {
-		line += fmt.Sprintf(", est. warm speedup %.2fx",
-			float64(res.FrontendWall+res.CacheSaved)/float64(res.FrontendWall))
+		hits, hits+misses, rate, misses, snap.Counters[obs.CounterCacheBytes],
+		seconds(saved).Round(time.Microsecond))
+	if speedup := snap.Gauges[obs.GaugeCacheWarmSpeedup]; saved > 0 && speedup > 0 {
+		line += fmt.Sprintf(", est. warm speedup %.2fx", speedup)
 	}
 	return line + "\n"
 }
+
+// seconds is a registry figure in seconds as a duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }

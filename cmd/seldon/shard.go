@@ -65,7 +65,11 @@ func shardWorker(args []string) error {
 	if n := len(fe.ParseErrorFiles); n > 0 {
 		errNote = fmt.Sprintf(", %d parse errors", n)
 	}
+	events := 0
+	for _, n := range art.FileEvents {
+		events += n
+	}
 	fmt.Fprintf(os.Stderr, "seldon shard: slice %d/%d: %d files%s, %d events, %d bytes to %s\n",
-		*slice, *slices, len(art.Files), errNote, len(art.Graph.Events), written, dest)
+		*slice, *slices, len(art.Files), errNote, events, written, dest)
 	return ob.stop()
 }

@@ -1,8 +1,4 @@
-// Webaudit: audit a small multi-file Flask application with the paper's
-// App. B seed specification — the push-button scenario from the paper's
-// introduction. The app contains an SQL injection, a cross-site scripting
-// flaw, and a path traversal; one handler is properly sanitized.
-package main
+package examples_test
 
 import (
 	"fmt"
@@ -14,6 +10,9 @@ import (
 	"seldon/internal/taint"
 )
 
+// app is a small multi-file Flask application with an SQL injection, a
+// cross-site scripting flaw, a path traversal and an open redirect; one
+// handler is properly sanitized.
 var app = map[string]string{
 	"blog/views.py": `from flask import request, Response, render_template
 import MySQLdb
@@ -56,7 +55,10 @@ def login():
 `,
 }
 
-func main() {
+// Example_webaudit audits a small multi-file Flask application with the
+// paper's App. B seed specification: the push-button scenario from the
+// paper's introduction.
+func Example_webaudit() {
 	seed := spec.Seed()
 	// The App. B seed pins fully qualified names; our handlers read
 	// request.files['f'], so add the upload source/sink like a project
@@ -89,4 +91,22 @@ func main() {
 	s := taint.Summarize(reports)
 	fmt.Printf("\n%d findings in %d files — the sanitized /upload handler is clean.\n",
 		s.Total, s.Files)
+
+	// Output:
+	// audited 3 files with the App. B seed specification
+	//
+	// [1] open-redirect      blog/admin.py:5:11
+	//      flask.request.args.get()
+	//   -> flask.redirect()
+	// [2] path-traversal     blog/media.py:7:12
+	//      flask.request.args.get()
+	//   -> flask.send_file()
+	// [3] sql-injection      blog/views.py:6:12
+	//      flask.request.args.get()
+	//   -> MySQLdb.connect().cursor().execute()
+	// [4] xss                blog/views.py:14:12
+	//      flask.request.args.get()
+	//   -> flask.Response()
+	//
+	// 4 findings in 3 files — the sanitized /upload handler is clean.
 }

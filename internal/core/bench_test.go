@@ -9,6 +9,7 @@ import (
 	"seldon/internal/corpus"
 	"seldon/internal/fpcache"
 	"seldon/internal/lp"
+	"seldon/internal/obs"
 	"seldon/internal/propgraph"
 )
 
@@ -90,9 +91,10 @@ func BenchmarkAnalyzeFilesCache(b *testing.B) {
 		AnalyzeFiles(files, Config{Workers: 4, Cache: cache}) // populate
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fe := AnalyzeFiles(files, Config{Workers: 4, Cache: cache})
-			if fe.CacheHits != len(files) {
-				b.Fatalf("warm hits = %d, want %d", fe.CacheHits, len(files))
+			reg := obs.New()
+			AnalyzeFiles(files, Config{Workers: 4, Cache: cache, Metrics: reg})
+			if hits := reg.Counter(obs.CounterCacheHits); hits != int64(len(files)) {
+				b.Fatalf("warm hits = %d, want %d", hits, len(files))
 			}
 		}
 	})

@@ -26,6 +26,11 @@ func openCache(t *testing.T) *fpcache.Cache {
 	return c
 }
 
+// cacheCounts is what a run's registry says the analysis cache did.
+func cacheCounts(reg *obs.Registry) (hits, misses int) {
+	return int(reg.Counter(obs.CounterCacheHits)), int(reg.Counter(obs.CounterCacheMisses))
+}
+
 // resultFingerprint collapses every semantically observable output of a
 // learning run into comparable bytes: the merged graph (event IDs, reps,
 // positions, edges), the bitwise solver solution, predictions, parse
@@ -61,9 +66,10 @@ func TestLearnFromSourcesCacheDeterminism(t *testing.T) {
 		cache := openCache(t)
 		for _, phase := range []string{"cold", "warm"} {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, phase), func(t *testing.T) {
+				reg := obs.New()
 				res := LearnFromSources(files, seed, Config{
 					Constraints: constraints.Options{BackoffCutoff: 2},
-					Workers:     workers, Cache: cache,
+					Workers:     workers, Cache: cache, Metrics: reg,
 				})
 				if got := resultFingerprint(t, res, seed); !bytes.Equal(got, want) {
 					t.Error("cached result differs from uncached baseline")
@@ -72,15 +78,15 @@ func TestLearnFromSourcesCacheDeterminism(t *testing.T) {
 				if phase == "warm" {
 					wantHits = len(files)
 				}
-				if res.CacheHits != wantHits || res.CacheHits+res.CacheMisses != len(files) {
+				if hits, misses := cacheCounts(reg); hits != wantHits || hits+misses != len(files) {
 					t.Errorf("hits/misses = %d/%d, want %d/%d",
-						res.CacheHits, res.CacheMisses, wantHits, len(files)-wantHits)
+						hits, misses, wantHits, len(files)-wantHits)
 				}
-				if res.CacheBytes <= 0 {
-					t.Errorf("cache bytes = %d, want > 0", res.CacheBytes)
+				if b := reg.Counter(obs.CounterCacheBytes); b <= 0 {
+					t.Errorf("cache bytes = %d, want > 0", b)
 				}
-				if phase == "warm" && res.CacheSaved <= 0 {
-					t.Errorf("warm run saved %v, want > 0", res.CacheSaved)
+				if saved := reg.Snapshot().Gauges[obs.GaugeCacheSaved]; phase == "warm" && saved <= 0 {
+					t.Errorf("warm run saved %vs, want > 0", saved)
 				}
 			})
 		}
@@ -97,17 +103,20 @@ func TestCorpusEvolution(t *testing.T) {
 	cfg.Solver.Iterations = 40
 	cache := openCache(t)
 
-	ccfg := cfg
-	ccfg.Cache = cache
-	first := LearnFromSources(files, seed, ccfg)
-	if first.CacheMisses != len(files) || first.CacheHits != 0 {
-		t.Fatalf("cold run: hits/misses = %d/%d, want 0/%d",
-			first.CacheHits, first.CacheMisses, len(files))
+	// cached learns through the cache with a registry of its own and
+	// returns what the cache did.
+	cached := func() (res *Result, hits, misses int) {
+		ccfg := cfg
+		ccfg.Cache, ccfg.Metrics = cache, obs.New()
+		res = LearnFromSources(files, seed, ccfg)
+		hits, misses = cacheCounts(ccfg.Metrics)
+		return res, hits, misses
 	}
-	replay := LearnFromSources(files, seed, ccfg)
-	if replay.CacheHits != len(files) || replay.CacheMisses != 0 {
-		t.Fatalf("replay: hits/misses = %d/%d, want %d/0",
-			replay.CacheHits, replay.CacheMisses, len(files))
+	if _, hits, misses := cached(); misses != len(files) || hits != 0 {
+		t.Fatalf("cold run: hits/misses = %d/%d, want 0/%d", hits, misses, len(files))
+	}
+	if _, hits, misses := cached(); hits != len(files) || misses != 0 {
+		t.Fatalf("replay: hits/misses = %d/%d, want %d/0", hits, misses, len(files))
 	}
 
 	// Mutate one file: append a statement that adds events.
@@ -118,10 +127,9 @@ func TestCorpusEvolution(t *testing.T) {
 	}
 	files[mutated] += "\n\ndef evolved(x):\n    return x\n"
 
-	evolved := LearnFromSources(files, seed, ccfg)
-	if evolved.CacheMisses != 1 || evolved.CacheHits != len(files)-1 {
-		t.Fatalf("after mutation: hits/misses = %d/%d, want %d/1",
-			evolved.CacheHits, evolved.CacheMisses, len(files)-1)
+	evolved, hits, misses := cached()
+	if misses != 1 || hits != len(files)-1 {
+		t.Fatalf("after mutation: hits/misses = %d/%d, want %d/1", hits, misses, len(files)-1)
 	}
 
 	cold := LearnFromSources(files, seed, cfg) // no cache at all
@@ -130,9 +138,8 @@ func TestCorpusEvolution(t *testing.T) {
 	}
 
 	// The mutated file's entry was written back: everything hits now.
-	again := LearnFromSources(files, seed, ccfg)
-	if again.CacheHits != len(files) {
-		t.Errorf("post-evolution replay hits = %d, want %d", again.CacheHits, len(files))
+	if _, hits, _ := cached(); hits != len(files) {
+		t.Errorf("post-evolution replay hits = %d, want %d", hits, len(files))
 	}
 }
 
@@ -154,9 +161,10 @@ func TestCorruptedEntryFallsBackToAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	cfg.Metrics = obs.New()
 	fe := AnalyzeFiles(files, cfg)
-	if fe.CacheMisses != 1 || fe.CacheHits != len(files)-1 {
-		t.Fatalf("hits/misses = %d/%d, want %d/1", fe.CacheHits, fe.CacheMisses, len(files)-1)
+	if hits, misses := cacheCounts(cfg.Metrics); misses != 1 || hits != len(files)-1 {
+		t.Fatalf("hits/misses = %d/%d, want %d/1", hits, misses, len(files)-1)
 	}
 	if !reflect.DeepEqual(fe.Names, base.Names) {
 		t.Fatalf("names = %v, want %v", fe.Names, base.Names)
@@ -170,9 +178,10 @@ func TestCorruptedEntryFallsBackToAnalysis(t *testing.T) {
 		t.Errorf("parse-error files = %v, want %v", fe.ParseErrorFiles, base.ParseErrorFiles)
 	}
 
-	repaired := AnalyzeFiles(files, cfg)
-	if repaired.CacheMisses != 0 {
-		t.Errorf("after repair: %d misses, want 0", repaired.CacheMisses)
+	cfg.Metrics = obs.New()
+	AnalyzeFiles(files, cfg)
+	if _, misses := cacheCounts(cfg.Metrics); misses != 0 {
+		t.Errorf("after repair: %d misses, want 0", misses)
 	}
 }
 
@@ -184,7 +193,7 @@ func TestAnalyzeFilesCacheTelemetry(t *testing.T) {
 	reg := obs.New()
 	AnalyzeFiles(files, Config{Workers: 2, Cache: cache, Metrics: reg})
 	warmReg := obs.New()
-	fe := AnalyzeFiles(files, Config{Workers: 2, Cache: cache, Metrics: warmReg})
+	AnalyzeFiles(files, Config{Workers: 2, Cache: cache, Metrics: warmReg})
 
 	cold := reg.Snapshot()
 	if cold.Counters[obs.CounterCacheMisses] != int64(len(files)) ||
@@ -196,22 +205,18 @@ func TestAnalyzeFilesCacheTelemetry(t *testing.T) {
 		warm.Counters[obs.CounterCacheMisses] != 0 {
 		t.Errorf("warm counters = %v", warm.Counters)
 	}
-	if warm.Counters[obs.CounterCacheBytes] != fe.CacheBytes || fe.CacheBytes <= 0 {
-		t.Errorf("%s = %d, want %d > 0", obs.CounterCacheBytes,
-			warm.Counters[obs.CounterCacheBytes], fe.CacheBytes)
+	if warm.Counters[obs.CounterCacheBytes] <= 0 {
+		t.Errorf("%s = %d, want > 0", obs.CounterCacheBytes, warm.Counters[obs.CounterCacheBytes])
 	}
 	if warm.Timers[obs.StageCache].Count != 1 {
 		t.Errorf("%s count = %d, want 1", obs.StageCache, warm.Timers[obs.StageCache].Count)
 	}
-	if _, ok := warm.Gauges[obs.GaugeCacheSpeedup]; !ok {
-		t.Errorf("%s gauge missing", obs.GaugeCacheSpeedup)
+	if v, ok := warm.Gauges[obs.GaugeCacheWarmSpeedup]; !ok || v < 1 {
+		t.Errorf("warm %s = %v (present %v), want >= 1", obs.GaugeCacheWarmSpeedup, v, ok)
 	}
 	// Warm hits skip parse+dataflow entirely: the per-file timers must
 	// record zero observations.
 	if warm.Timers[obs.FileParse].Count != 0 {
 		t.Errorf("warm %s count = %d, want 0", obs.FileParse, warm.Timers[obs.FileParse].Count)
-	}
-	if fe.CacheSpeedup() < 1 {
-		t.Errorf("warm CacheSpeedup = %v, want >= 1", fe.CacheSpeedup())
 	}
 }

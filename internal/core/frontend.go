@@ -43,22 +43,12 @@ type FrontEnd struct {
 	// ParseTotal and AnalyzeTotal sum the per-file stage times (CPU time,
 	// comparable across worker counts); Wall is the elapsed time of the
 	// whole front-end section. Files served from the cache contribute
-	// nothing to either total — their parse and dataflow never ran.
+	// nothing to either total — their parse and dataflow never ran. The
+	// pool size and the cache's hits, misses, bytes and savings go only
+	// to Config.Metrics.
 	ParseTotal   time.Duration
 	AnalyzeTotal time.Duration
 	Wall         time.Duration
-	// Workers is the pool size actually used.
-	Workers int
-
-	// Cache activity for this run (all zero when Config.Cache is nil).
-	// CacheBytes totals bytes read on hits plus written on misses;
-	// CacheSaved sums the recorded analysis cost the hits avoided;
-	// CacheWall is the time spent in cache lookups and write-backs.
-	CacheHits   int
-	CacheMisses int
-	CacheBytes  int64
-	CacheSaved  time.Duration
-	CacheWall   time.Duration
 }
 
 // Scratch bundles the reusable per-file front-end state behind one
@@ -128,10 +118,8 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 	}
 	sort.Strings(names)
 
-	fe := &FrontEnd{
-		Names:   names,
-		Workers: cfg.workerCount(len(names)),
-	}
+	fe := &FrontEnd{Names: names}
+	workers := cfg.workerCount(len(names))
 	cfg.Metrics.Add(obs.CounterParseErrors, 0) // materialize the counter
 	outcomes := make([]fileOutcome, len(names))
 	process := func(i int, sc *Scratch) {
@@ -203,7 +191,7 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < fe.Workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -220,6 +208,11 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 
 	fe.Graphs = make([]*propgraph.Graph, len(names))
 	fe.Costs = make([]time.Duration, len(names))
+	var (
+		hits             int
+		cacheBytes       int64
+		saved, cacheWall time.Duration
+	)
 	for i := range outcomes {
 		o := &outcomes[i]
 		fe.Graphs[i] = o.graph
@@ -229,11 +222,11 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 		fe.ParseTotal += o.parse
 		fe.AnalyzeTotal += o.analyze
 		if o.hit {
-			fe.CacheHits++
+			hits++
 		}
-		fe.CacheSaved += o.saved
-		fe.CacheBytes += o.cacheBytes
-		fe.CacheWall += o.cacheWall
+		saved += o.saved
+		cacheBytes += o.cacheBytes
+		cacheWall += o.cacheWall
 		if o.err != nil {
 			fe.ParseErrorFiles = append(fe.ParseErrorFiles, names[i])
 			fe.ParseErrs = append(fe.ParseErrs, o.err)
@@ -245,7 +238,7 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 	cfg.Metrics.ObserveDuration(obs.StageParse, fe.ParseTotal)
 	cfg.Metrics.ObserveDuration(obs.StageDataflow, fe.AnalyzeTotal)
 	cfg.Metrics.ObserveDuration(obs.StageFrontend, fe.Wall)
-	cfg.Metrics.Set(obs.GaugeWorkers, float64(fe.Workers))
+	cfg.Metrics.Set(obs.GaugeWorkers, float64(workers))
 	// frontend.speedup is per-file CPU over wall. On a fully warm cache
 	// run parse+dataflow never execute, so that ratio degenerates to 0 —
 	// a misleading number for a run that was in fact at its fastest. The
@@ -258,19 +251,23 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 	cfg.Log.Log(obs.StageParse, "files", len(names),
 		"dur", fe.ParseTotal.Round(time.Microsecond), "errors", len(fe.ParseErrorFiles))
 	cfg.Log.Log(obs.StageDataflow, "dur", fe.AnalyzeTotal.Round(time.Microsecond))
-	cfg.Log.Log(obs.StageFrontend, "workers", fe.Workers,
+	cfg.Log.Log(obs.StageFrontend, "workers", workers,
 		"wall", fe.Wall.Round(time.Microsecond), "speedup", fe.Speedup())
 	if cfg.Cache != nil {
-		fe.CacheMisses = len(names) - fe.CacheHits
-		cfg.Metrics.Add(obs.CounterCacheHits, int64(fe.CacheHits))
-		cfg.Metrics.Add(obs.CounterCacheMisses, int64(fe.CacheMisses))
-		cfg.Metrics.Add(obs.CounterCacheBytes, fe.CacheBytes)
-		cfg.Metrics.ObserveDuration(obs.StageCache, fe.CacheWall)
-		cfg.Metrics.Set(obs.GaugeCacheSaved, fe.CacheSaved.Seconds())
-		cfg.Metrics.Set(obs.GaugeCacheSpeedup, fe.CacheSpeedup())
-		cfg.Log.Log(obs.StageCache, "hits", fe.CacheHits, "misses", fe.CacheMisses,
-			"bytes", fe.CacheBytes, "saved", fe.CacheSaved.Round(time.Microsecond),
-			"dur", fe.CacheWall.Round(time.Microsecond))
+		misses := len(names) - hits
+		cfg.Metrics.Add(obs.CounterCacheHits, int64(hits))
+		cfg.Metrics.Add(obs.CounterCacheMisses, int64(misses))
+		cfg.Metrics.Add(obs.CounterCacheBytes, cacheBytes)
+		cfg.Metrics.ObserveDuration(obs.StageCache, cacheWall)
+		cfg.Metrics.Set(obs.GaugeCacheSaved, saved.Seconds())
+		speedup := 0.0 // (wall + saved) / wall; 0 when the wall is unmeasured
+		if fe.Wall > 0 {
+			speedup = float64(fe.Wall+saved) / float64(fe.Wall)
+		}
+		cfg.Metrics.Set(obs.GaugeCacheWarmSpeedup, speedup)
+		cfg.Log.Log(obs.StageCache, "hits", hits, "misses", misses,
+			"bytes", cacheBytes, "saved", saved.Round(time.Microsecond),
+			"dur", cacheWall.Round(time.Microsecond))
 	}
 	return fe
 }
@@ -286,19 +283,8 @@ func (fe *FrontEnd) Union() *propgraph.Graph {
 	return propgraph.Union(fe.Graphs...)
 }
 
-// CacheSpeedup estimates the warm-run win: how much longer the front-end
-// wall would have been had the cache hits been analyzed instead —
-// (wall + saved) / wall. It is 1 on a fully cold run and grows with the
-// hit rate; 0 when the wall is unmeasured.
-func (fe *FrontEnd) CacheSpeedup() float64 {
-	if fe.Wall <= 0 {
-		return 0
-	}
-	return float64(fe.Wall+fe.CacheSaved) / float64(fe.Wall)
-}
-
 // Speedup reports the effective front-end parallelism: per-file CPU time
-// over wall time (≈1 sequentially, approaching Workers under ideal
+// over wall time (≈1 sequentially, approaching the pool size under ideal
 // scaling).
 func (fe *FrontEnd) Speedup() float64 {
 	if fe.Wall <= 0 {

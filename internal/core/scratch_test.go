@@ -211,9 +211,9 @@ func TestFrontendSpeedupOmittedWhenFullyCached(t *testing.T) {
 	}
 
 	warm := obs.New()
-	fe := AnalyzeFiles(files, Config{Workers: 2, Cache: cache, Metrics: warm})
-	if fe.CacheHits != len(files) {
-		t.Fatalf("warm run: %d/%d hits", fe.CacheHits, len(files))
+	AnalyzeFiles(files, Config{Workers: 2, Cache: cache, Metrics: warm})
+	if hits := warm.Counter(obs.CounterCacheHits); hits != int64(len(files)) {
+		t.Fatalf("warm run: %d/%d hits", hits, len(files))
 	}
 	if v, ok := warm.Snapshot().Gauges[obs.GaugeFrontendSpeedup]; ok {
 		t.Fatalf("%s = %v on a fully warm run, want gauge omitted", obs.GaugeFrontendSpeedup, v)

@@ -47,8 +47,9 @@ type Config struct {
 	// without it.
 	Scratch *Scratch
 	// Metrics, when non-nil, receives stage timers, per-file timings,
-	// parse-error counters, and the solver convergence trace. Nil keeps
-	// the pipeline on its telemetry-free fast path.
+	// parse-error and cache counters, the interning summary and the
+	// solver convergence trace: every figure of a run besides what it
+	// learned. Nil keeps the pipeline on its telemetry-free fast path.
 	Metrics *obs.Registry
 	// Span, when non-nil, is the parent span the run's stage spans hang
 	// off: each pipeline stage becomes a timed child, so the whole run
@@ -93,22 +94,14 @@ type Prediction struct {
 	Backoff int     // index of the triggering backoff option
 }
 
-// StageTiming records the wall time of one pipeline stage.
-type StageTiming struct {
-	Name     string
-	Duration time.Duration
-}
-
-// Result is the outcome of a learning run.
+// Result is the outcome of a learning run: what was learned and from
+// what. How long each stage took, what the cache served and what the
+// front-end's pool did are Config.Metrics' figures, not the Result's.
 type Result struct {
-	Graph         *propgraph.Graph
-	System        *constraints.System
-	Solution      []float64
-	InferenceTime time.Duration
+	Graph    *propgraph.Graph
+	System   *constraints.System
+	Solution []float64
 
-	// Stages lists per-stage wall times in pipeline order (parse,
-	// dataflow, and union appear only for LearnFromSources runs).
-	Stages []StageTiming
 	// SolverEpochs is the number of epochs the solver ran and SolverStop
 	// why it stopped; lp.StopCap means it ran out of epochs before
 	// converging.
@@ -119,51 +112,21 @@ type Result struct {
 	// what it carries; 0 without one.
 	SolverRowsReused int
 	SolverRowsDead   int
-	// ParseErrors counts files whose parse reported an error (analysis
-	// still ran over the recovered AST); ParseErrorFiles names them in
-	// sorted order.
-	ParseErrors     int
+	// ParseErrorFiles names, in sorted order, the files whose parse
+	// reported an error; analysis still ran over the recovered AST.
+	// LearnFromSources fills it; callers of Learn and LearnPrepared that
+	// know their corpus may.
 	ParseErrorFiles []string
-	// FrontendWall is the elapsed time of the (possibly parallel)
-	// parse+dataflow section; Workers is the pool size it used. The
-	// parse/dataflow entries of Stages record summed per-file times, so
-	// FrontendWall < parse+dataflow signals effective parallelism.
-	FrontendWall time.Duration
-	Workers      int
-	// Cache activity of the front-end (all zero without Config.Cache);
-	// see FrontEnd for the field semantics.
-	CacheHits   int
-	CacheMisses int
-	CacheBytes  int64
-	CacheSaved  time.Duration
-
-	// InternSymbols and InternBytesSaved summarize the learned-on graph's
-	// symbol table: the number of distinct representation strings, and the
-	// string bytes interning avoids storing (every occurrence's length
-	// minus the store-each-string-once footprint of the table).
-	InternSymbols    int
-	InternBytesSaved int64
 
 	// Predictions lists every selected (event, role), event-ID order.
 	Predictions []Prediction
 }
 
-// StageTime returns the recorded duration of a named stage, or 0.
-func (r *Result) StageTime(name string) time.Duration {
-	for _, st := range r.Stages {
-		if st.Name == name {
-			return st.Duration
-		}
-	}
-	return 0
-}
-
-// RunStage times f as one pipeline stage: the returned timing is what a
-// Result lists in Stages, and the same duration goes to the metrics
-// registry, the stage log, and — when Config.Span is set — a child span of
-// the run's trace. Every stage of every way into the pipeline, the
-// coordinator's gather included, is timed here.
-func RunStage(cfg Config, name string, f func()) StageTiming {
+// RunStage times f as one pipeline stage: the duration goes to the
+// metrics registry, the stage log, and — when Config.Span is set — a
+// child span of the run's trace. Every stage of every way into the
+// pipeline, the coordinator's gather included, is timed here.
+func RunStage(cfg Config, name string, f func()) {
 	sp := cfg.Span.StartChild(name)
 	t0 := time.Now()
 	f()
@@ -171,20 +134,16 @@ func RunStage(cfg Config, name string, f func()) StageTiming {
 	sp.End()
 	cfg.Metrics.ObserveDuration(name, d)
 	cfg.Log.Log(name, "dur", d.Round(time.Microsecond))
-	return StageTiming{Name: name, Duration: d}
 }
 
 // Learn runs specification inference over a global propagation graph.
 func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
 	cfg = cfg.WithDefaults()
-	start := time.Now()
 	res := &Result{Graph: g}
-
-	res.Stages = append(res.Stages, RunStage(cfg, obs.StageConstraints, func() {
+	RunStage(cfg, obs.StageConstraints, func() {
 		res.System = constraints.Build(g, seed, cfg.ConstraintOptions())
-	}))
-
-	res.solveAndSelect(cfg, start)
+	})
+	res.solveAndSelect(cfg)
 	return res
 }
 
@@ -198,28 +157,27 @@ func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
 // pair.
 func LearnPrepared(g *propgraph.Graph, sys *constraints.System, cfg Config) *Result {
 	cfg = cfg.WithDefaults()
-	start := time.Now()
 	res := &Result{Graph: g, System: sys}
-	res.solveAndSelect(cfg, start)
+	res.solveAndSelect(cfg)
 	return res
 }
 
 // solveAndSelect finishes a learning run whose System is already in
-// place: interning summary, projected-Adam solve, and role selection.
-func (res *Result) solveAndSelect(cfg Config, start time.Time) {
-	g := res.Graph
-	// Interning summary of the graph just learned on.
-	strs := g.Syms.Strings()
-	var occBytes int64
-	for _, e := range g.Events {
-		for _, s := range e.RepIDs {
-			occBytes += int64(len(strs[s]))
+// place: interning summary (only for a registry to report it to),
+// projected-Adam solve, and role selection.
+func (res *Result) solveAndSelect(cfg Config) {
+	if cfg.Metrics != nil {
+		g := res.Graph
+		strs := g.Syms.Strings()
+		var occBytes int64
+		for _, e := range g.Events {
+			for _, s := range e.RepIDs {
+				occBytes += int64(len(strs[s]))
+			}
 		}
+		cfg.Metrics.Set(obs.GaugeInternSymbols, float64(len(strs)))
+		cfg.Metrics.Set(obs.GaugeInternBytesSaved, float64(occBytes-g.Syms.Bytes()))
 	}
-	res.InternSymbols = len(strs)
-	res.InternBytesSaved = occBytes - g.Syms.Bytes()
-	cfg.Metrics.Set(obs.GaugeInternSymbols, float64(res.InternSymbols))
-	cfg.Metrics.Set(obs.GaugeInternBytesSaved, float64(res.InternBytesSaved))
 
 	solverOpts := cfg.Solver
 	lastActive := 0
@@ -244,9 +202,9 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 		}
 	}
 	var sol *lp.Result
-	res.Stages = append(res.Stages, RunStage(cfg, obs.StageSolve, func() {
+	RunStage(cfg, obs.StageSolve, func() {
 		sol = lp.Minimize(res.System.Problem, solverOpts)
-	}))
+	})
 	res.Solution = sol.X
 	res.SolverEpochs, res.SolverStop = sol.Iterations, sol.Stop
 	res.SolverRowsReused, res.SolverRowsDead = sol.RowsReused, sol.RowsDead
@@ -261,11 +219,10 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 	cfg.Log.Log("solver.done", "epochs", sol.Iterations, "stop", sol.Stop,
 		"objective", sol.Objective, "violation", sol.Violation)
 
-	res.Stages = append(res.Stages, RunStage(cfg, obs.StageSelect, func() {
+	RunStage(cfg, obs.StageSelect, func() {
 		res.selectRoles(cfg)
-	}))
+	})
 	cfg.Metrics.Set(obs.GaugeSelectPredictions, float64(len(res.Predictions)))
-	res.InferenceTime = time.Since(start)
 }
 
 // LearnFromSources parses and analyzes a set of Python files (name →
@@ -274,18 +231,11 @@ func (res *Result) solveAndSelect(cfg Config, start time.Time) {
 // made deterministic by sorting names and merging in that order, so the
 // result is byte-identical at every worker count. Parse errors are
 // tolerated — files contribute whatever was recovered — but they are not
-// silent: they are counted in Result.ParseErrors (and Config.Metrics),
-// listed in Result.ParseErrorFiles, and logged through Config.Log.
+// silent: they are listed in Result.ParseErrorFiles, counted in
+// Config.Metrics, and logged through Config.Log.
 func LearnFromSources(files map[string]string, seed *spec.Spec, cfg Config) *Result {
 	feStart := time.Now()
 	fe := AnalyzeFiles(files, cfg)
-	pre := []StageTiming{
-		{Name: obs.StageParse, Duration: fe.ParseTotal},
-		{Name: obs.StageDataflow, Duration: fe.AnalyzeTotal},
-	}
-	if cfg.Cache != nil {
-		pre = append(pre, StageTiming{Name: obs.StageCache, Duration: fe.CacheWall})
-	}
 	// The front-end interleaves per-file parse and dataflow across the
 	// pool, so the two stages exist only as summed per-file times; record
 	// them as completed spans laid end to end inside the front-end wall.
@@ -294,20 +244,12 @@ func LearnFromSources(files map[string]string, seed *spec.Spec, cfg Config) *Res
 	cfg.Span.AddChildAt(obs.StageDataflow, feStart.Add(fe.ParseTotal), fe.AnalyzeTotal,
 		trace.String("summed", "per-file"))
 	var union *propgraph.Graph
-	pre = append(pre, RunStage(cfg, obs.StageUnion, func() {
+	RunStage(cfg, obs.StageUnion, func() {
 		union = propgraph.Union(fe.Graphs...)
-	}))
+	})
 
 	res := Learn(union, seed, cfg)
-	res.Stages = append(pre, res.Stages...)
-	res.ParseErrors = len(fe.ParseErrorFiles)
 	res.ParseErrorFiles = fe.ParseErrorFiles
-	res.FrontendWall = fe.Wall
-	res.Workers = fe.Workers
-	res.CacheHits = fe.CacheHits
-	res.CacheMisses = fe.CacheMisses
-	res.CacheBytes = fe.CacheBytes
-	res.CacheSaved = fe.CacheSaved
 	return res
 }
 

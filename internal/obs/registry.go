@@ -90,10 +90,10 @@ const (
 	CounterCacheMisses = "cache.misses"
 	CounterCacheBytes  = "cache.bytes"
 	// GaugeCacheSaved is the recorded parse+dataflow cost the hits
-	// avoided, in seconds; GaugeCacheSpeedup is the estimated warm-run
+	// avoided, in seconds; GaugeCacheWarmSpeedup is the estimated warm-run
 	// front-end speedup, (wall + saved) / wall.
-	GaugeCacheSaved   = "cache.saved_s"
-	GaugeCacheSpeedup = "cache.speedup"
+	GaugeCacheSaved       = "cache.saved_s"
+	GaugeCacheWarmSpeedup = "cache.speedup"
 
 	// The serving-side check-result cache (internal/checkcache behind
 	// POST /v1/check): lookups, residency, and LRU pressure.
@@ -592,6 +592,20 @@ func (r *Registry) Timer(name string) (TimerStats, bool) {
 		return TimerStats{}, false
 	}
 	return t.stats(), true
+}
+
+// Counter returns the current value of one named counter — the
+// counterpart of Timer, for readers that want one number and not a
+// snapshot. It is 0 when the counter was never added to (or the registry
+// is nil).
+func (r *Registry) Counter(name string) int64 {
+	if r == nil {
+		return 0
+	}
+	if c := cells(&r.counters)[name]; c != nil {
+		return c.Load()
+	}
+	return 0
 }
 
 // quantile uses nearest-rank interpolation over a sorted sample.

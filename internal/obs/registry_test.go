@@ -26,6 +26,12 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := s.Gauges["vars"]; got != 18 {
 		t.Errorf("gauge = %v, want 18", got)
 	}
+	if got := r.Counter("files"); got != 5 {
+		t.Errorf("Counter(files) = %d, want the snapshot's 5", got)
+	}
+	if got := r.Counter("never"); got != 0 {
+		t.Errorf("Counter of an unused name = %d, want 0", got)
+	}
 }
 
 func TestAddZeroMaterializesCounter(t *testing.T) {
@@ -117,6 +123,9 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.AppendTrace("tr", 1, nil)
 	if d := r.Start("span").End(); d != 0 {
 		t.Errorf("nil span elapsed = %v, want 0", d)
+	}
+	if got := r.Counter("c"); got != 0 {
+		t.Errorf("nil Counter = %d, want 0", got)
 	}
 	s := r.Snapshot()
 	if len(s.Counters)+len(s.Gauges)+len(s.Timers)+len(s.Traces) != 0 {

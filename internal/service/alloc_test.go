@@ -225,7 +225,7 @@ func TestMissesRunOnStandingWorkers(t *testing.T) {
 		t.Errorf("%d goroutines during the misses, want at most %d: the %d at start, the %d callers and one",
 			got, limit, start, callers)
 	}
-	if gets, news := s.poolGets.Load(), len(s.scratch); gets != callers*each || news != workers {
+	if gets, news := s.cfg.Metrics.Counter(obs.CounterPoolGets), len(s.scratch); gets != callers*each || news != workers {
 		t.Errorf("pool gets %d, news %d, want %d and %d", gets, news, callers*each, workers)
 	}
 }

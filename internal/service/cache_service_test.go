@@ -139,6 +139,7 @@ func TestCheckCacheHitReloadMiss(t *testing.T) {
 	if h.CheckCache.Hits != 2 {
 		t.Fatalf("content-identical generation did not revive its entries: hits = %d, want 2", h.CheckCache.Hits)
 	}
+	healthMatchesMetrics(t, ts.URL)
 }
 
 // TestCoalescedConcurrentChecks holds one analysis on the gate and
@@ -173,7 +174,7 @@ func TestCoalescedConcurrentChecks(t *testing.T) {
 	for i := 0; i < followers; i++ {
 		go post()
 	}
-	waitFor(t, "followers coalesced", func() bool { return s.coalesced.Load() == followers })
+	waitFor(t, "followers coalesced", func() bool { return s.cfg.Metrics.Counter(obs.CounterCheckCoalesced) == followers })
 	if got := s.admitted.Load(); got != 1 {
 		t.Fatalf("admitted = %d with followers waiting, want 1 (followers must not hold slots)", got)
 	}
@@ -205,6 +206,7 @@ func TestCoalescedConcurrentChecks(t *testing.T) {
 		t.Errorf("healthz coalesced = %+v, want %d", h.CheckCache, followers)
 	}
 	waitFor(t, "slots drained", func() bool { return s.admitted.Load() == 0 })
+	healthMatchesMetrics(t, ts.URL)
 }
 
 // TestCoalescedFollowerCancellation cancels a follower mid-analysis:
@@ -247,7 +249,7 @@ func TestCoalescedFollowerCancellation(t *testing.T) {
 		}
 		followerErr <- err
 	}()
-	waitFor(t, "follower coalesced", func() bool { return s.coalesced.Load() == 1 })
+	waitFor(t, "follower coalesced", func() bool { return s.cfg.Metrics.Counter(obs.CounterCheckCoalesced) == 1 })
 
 	cancel()
 	if err := <-followerErr; !strings.Contains(err.Error(), "context canceled") {
@@ -395,4 +397,5 @@ func TestCheckCacheEvictionUnderByteCap(t *testing.T) {
 	if cc.Entries > maxEntries || cc.Bytes > maxBytes {
 		t.Fatalf("cache over its caps: %+v", cc)
 	}
+	healthMatchesMetrics(t, ts.URL)
 }

@@ -241,13 +241,10 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.swapStore(storeState{spec: learned, meta: meta, fingerprint: fp, epoch: fp, loadedAt: time.Now()})
 
 	if req.Verdict == "accept" {
-		s.feedbackAccepted.Add(1)
 		s.cfg.Metrics.Add(obs.CounterFeedbackAccepted, 1)
 	} else {
-		s.feedbackRejected.Add(1)
 		s.cfg.Metrics.Add(obs.CounterFeedbackRejected, 1)
 	}
-	s.feedbackResolves.Add(1)
 	s.cfg.Metrics.Add(obs.CounterFeedbackResolves, 1)
 
 	resp.StoreFingerprint = fp

@@ -281,6 +281,7 @@ func TestFeedbackFindingLoop(t *testing.T) {
 		fb.Resolves != 2 || fb.PinnedVars != len(aout.Pinned) {
 		t.Errorf("feedback health after reject then accept = %+v", fb)
 	}
+	healthMatchesMetrics(t, url)
 }
 
 // TestFeedbackAcceptBySymbol: accepting a not-yet-selected candidate

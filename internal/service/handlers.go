@@ -235,7 +235,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 // its leader when the leader could not be admitted.
 func (s *Server) followFlight(w http.ResponseWriter, ctx context.Context,
 	root *trace.Span, span obs.Span, name string, f *flight) {
-	s.coalesced.Add(1)
 	s.cfg.Metrics.Add(obs.CounterCheckCoalesced, 1)
 	root.SetAttr("coalesced", true)
 	select {
@@ -588,9 +587,11 @@ type PoolHealth struct {
 
 // handleHealthz implements GET /v1/healthz: liveness — answers 200 as
 // long as the process serves, draining or not. Readiness (should this
-// instance receive new traffic?) is /v1/readyz.
+// instance receive new traffic?) is /v1/readyz. Its counts are the
+// Config.Metrics counters /metrics serves under the same names.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.currentStore()
+	m := s.cfg.Metrics
 	resp := &HealthResponse{
 		Status:           "ok",
 		Specs:            st.spec.Len(),
@@ -599,10 +600,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Schema:           specio.SchemaVersion,
 		SeedEntries:      st.meta.SeedEntries,
 		LearnedEntries:   st.meta.LearnedEntries,
-		Reloads:          s.reloads.Load(),
+		Reloads:          m.Counter(CounterReloads),
 		Inflight:         s.inflight.Load(),
 		UptimeS:          time.Since(s.start).Seconds(),
-		Pool:             PoolHealth{Gets: s.poolGets.Load(), News: int64(len(s.scratch))},
+		Pool:             PoolHealth{Gets: m.Counter(obs.CounterPoolGets), News: int64(len(s.scratch))},
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
@@ -613,15 +614,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Misses:    cs.Misses,
 			Evictions: cs.Evictions,
 			HitRate:   cs.HitRate(),
-			Coalesced: s.coalesced.Load(),
+			Coalesced: m.Counter(obs.CounterCheckCoalesced),
 		}
 	}
 	if s.cfg.Session != nil {
 		resp.Feedback = &FeedbackHealth{
-			Accepted:   s.feedbackAccepted.Load(),
-			Rejected:   s.feedbackRejected.Load(),
+			Accepted:   m.Counter(obs.CounterFeedbackAccepted),
+			Rejected:   m.Counter(obs.CounterFeedbackRejected),
 			PinnedVars: s.cfg.Session.Pins(),
-			Resolves:   s.feedbackResolves.Load(),
+			Resolves:   m.Counter(obs.CounterFeedbackResolves),
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

@@ -75,7 +75,7 @@ func servePaths(t *testing.T, s *Server, url string, traceparent func(i int) str
 		o, err := postCheckWith(url, taintedSrc, traceparent(1))
 		followerc <- res{o, err}
 	}()
-	waitFor(t, "follower coalesced", func() bool { return s.coalesced.Load() == 1 })
+	waitFor(t, "follower coalesced", func() bool { return s.cfg.Metrics.Counter(obs.CounterCheckCoalesced) == 1 })
 	close(gate)
 	l, f := <-leaderc, <-followerc
 	if l.err != nil || f.err != nil {

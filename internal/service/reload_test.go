@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"seldon/internal/obs"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
 	"seldon/internal/specio"
@@ -62,6 +63,44 @@ func getHealthz(t *testing.T, url string) HealthResponse {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// healthMatchesMetrics fails the test unless every count /v1/healthz
+// reports is the /metrics counter of the same name: the two surfaces
+// read one registry.
+func healthMatchesMetrics(t *testing.T, url string) {
+	t.Helper()
+	h := getHealthz(t, url)
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{
+		CounterReloads:      h.Reloads,
+		obs.CounterPoolGets: h.Pool.Gets,
+		obs.CounterPoolNews: h.Pool.News,
+	}
+	if cc := h.CheckCache; cc != nil {
+		counts[obs.CounterCheckCacheHits] = cc.Hits
+		counts[obs.CounterCheckCacheMisses] = cc.Misses
+		counts[obs.CounterCheckCacheEvictions] = cc.Evictions
+		counts[obs.CounterCheckCoalesced] = cc.Coalesced
+	}
+	if fb := h.Feedback; fb != nil {
+		counts[obs.CounterFeedbackAccepted] = fb.Accepted
+		counts[obs.CounterFeedbackRejected] = fb.Rejected
+		counts[obs.CounterFeedbackResolves] = fb.Resolves
+	}
+	for name, n := range counts {
+		if got := snap.Counters[name]; got != n {
+			t.Errorf("healthz counts %d for %s, /metrics %d", n, name, got)
+		}
+	}
 }
 
 func TestReloadSwapsSpecs(t *testing.T) {

@@ -161,7 +161,9 @@ type Config struct {
 	CheckCacheEntries int
 	CheckCacheBytes   int64
 
-	// Metrics and Log receive request telemetry; both may be nil.
+	// Metrics receives request telemetry, and /v1/healthz reads its
+	// counts back from it; nil selects a registry of the server's own.
+	// Log may be nil.
 	Metrics *obs.Registry
 	Log     *obs.Logger
 	// Tracer records one span tree per /v1/check request in a bounded
@@ -189,6 +191,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
+	}
+	if c.Metrics == nil {
+		c.Metrics = obs.New()
 	}
 	if c.Tracer == nil {
 		c.Tracer = trace.New(0)
@@ -219,11 +224,9 @@ type Server struct {
 	cfg   Config
 	start time.Time
 
-	// storeMu guards store, the active specification generation;
-	// reloads counts successful swaps (including none).
+	// storeMu guards store, the active specification generation.
 	storeMu sync.RWMutex
 	store   storeState
-	reloads atomic.Int64
 
 	// jobs is unbuffered: a send completes only when a worker is idle.
 	// scratch[i] is worker i's. admitted counts requests between
@@ -250,11 +253,8 @@ type Server struct {
 	flights  map[checkcache.Key]*flight
 
 	// bufPool recycles the request-scoped byte buffers (body read,
-	// response encode). poolGets and coalesced mirror obs counters for
-	// /v1/healthz.
-	bufPool   sync.Pool
-	poolGets  atomic.Int64
-	coalesced atomic.Int64
+	// response encode).
+	bufPool sync.Pool
 	// evictionsPublished tracks how much of the cache's cumulative
 	// eviction count has been rolled into the obs counter.
 	evictionsPublished atomic.Int64
@@ -266,10 +266,6 @@ type Server struct {
 	findings     map[string]feedbackTarget
 	findingOrder []string
 	feedbackMu   sync.Mutex
-
-	feedbackAccepted atomic.Int64
-	feedbackRejected atomic.Int64
-	feedbackResolves atomic.Int64
 }
 
 // flight is one in-progress analysis that concurrent identical requests
@@ -348,7 +344,6 @@ func work(jobs <-chan checkJob, sc *core.Scratch) {
 		if s.checkGate != nil {
 			<-s.checkGate
 		}
-		s.poolGets.Add(1)
 		s.cfg.Metrics.Add(obs.CounterPoolGets, 1)
 		res, err := s.check(j.root, j.st, j.name, j.source, j.withTrace, j.dedupe, sc)
 		if dropped := sc.Reset(); dropped > 0 {
@@ -383,7 +378,6 @@ func (s *Server) swapStore(st storeState) {
 	s.storeMu.Lock()
 	s.store = st
 	s.storeMu.Unlock()
-	s.reloads.Add(1)
 	s.cfg.Metrics.Add(CounterReloads, 1)
 	s.cfg.Metrics.Set(GaugeStoreSpecs, float64(st.spec.Len()))
 }

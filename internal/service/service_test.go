@@ -59,9 +59,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Spec == nil {
 		cfg.Spec = testSpec()
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.New()
-	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

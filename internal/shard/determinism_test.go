@@ -161,9 +161,9 @@ func TestMergeParseErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	if res.ParseErrors != len(fe.ParseErrorFiles) {
+	if len(res.ParseErrorFiles) != len(fe.ParseErrorFiles) {
 		t.Errorf("merge reports %d parse errors, single-process reports %d",
-			res.ParseErrors, len(fe.ParseErrorFiles))
+			len(res.ParseErrorFiles), len(fe.ParseErrorFiles))
 	}
 	if len(res.ParseErrorFiles) == 0 || res.ParseErrorFiles[len(res.ParseErrorFiles)-1] != "zzz_broken.py" {
 		t.Errorf("ParseErrorFiles = %v, want trailing zzz_broken.py", res.ParseErrorFiles)

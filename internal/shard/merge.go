@@ -61,13 +61,12 @@ type MergeResult struct {
 	// persisted flow cache.
 	Spans []constraints.Span
 	// ParseErrorFiles names the files whose parse reported an error, in
-	// order; ParseErrors is its length.
+	// order.
 	ParseErrorFiles []string
-	ParseErrors     int
 	// Bytes totals the encoded artifact sizes (0 for artifacts built
-	// in-process); MergeWall is the time spent in validation + union.
-	Bytes     int64
-	MergeWall time.Duration
+	// in-process). The time spent in validation + union is the
+	// shard.merge timer's.
+	Bytes int64
 	// PeakBytes is the largest encoded-artifact footprint the merge held
 	// at once (parked out-of-order slices plus the slice being folded).
 	// With in-order arrival it is the largest single artifact — the
@@ -209,14 +208,12 @@ func (m *Merger) Finish() (*MergeResult, error) {
 	}
 	res := m.res
 	res.Slices = m.count
-	res.ParseErrors = len(res.ParseErrorFiles)
 	res.CorpusFingerprint = specio.FingerprintHashes(res.Files, res.Hashes)
 	res.Graph = m.ub.Graph()
 	res.PeakBytes = m.peak
 	m.wall += time.Since(t0)
-	res.MergeWall = m.wall
 
-	m.opts.Metrics.ObserveDuration(obs.TimerShardMerge, res.MergeWall)
+	m.opts.Metrics.ObserveDuration(obs.TimerShardMerge, m.wall)
 	m.opts.Metrics.Set(obs.GaugeShardFiles, float64(len(res.Files)))
 	m.opts.Metrics.Set(obs.GaugeShardBytes, float64(res.Bytes))
 	m.opts.Metrics.Set(obs.GaugeShardSlices, float64(m.count))
