@@ -39,9 +39,12 @@ loc:
 # check-result cache every request locks, the symbol interner
 # and the fanned-out union copy, the sharded constraint build, the shard
 # coordinator's concurrent artifact decode, and the incremental session
-# that hands union and build their spans.
+# that hands union and build their spans. Last, the root serving test:
+# the one that checks exact healthz counts after concurrent misses and
+# hits over a real listener.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/checkcache/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
+	$(GO) test -race -run '^TestServeLearnedSpecs$$' .
 
 # fuzzsmoke finds every fuzz target under internal/ and runs each for five
 # seconds on top of its committed seed corpus (internal/*/testdata/fuzz),

@@ -9,7 +9,6 @@ import (
 
 	"seldon/internal/core"
 	"seldon/internal/incr"
-	"seldon/internal/propgraph"
 	"seldon/internal/spec"
 	"seldon/internal/specio"
 )
@@ -20,7 +19,7 @@ import (
 func learn(args []string) error {
 	fs := flag.NewFlagSet("seldon learn", flag.ExitOnError)
 	in, lf, out, cache, of := addInputFlags(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
-	sessionDir := fs.String("session-dir", "", "persistent incremental-learning session directory: re-learns only what changed since the last run there (results identical to from-scratch)")
+	sessionDir := fs.String("session-dir", "", "persistent incremental-learning session directory: re-learns only what changed since the last run there, warm-started from its last solution")
 	feedbackFile := fs.String("feedback", "", "JSON file of {symbol, role, verdict} objects pinned as hard constraints before learning (the seed is not overridable: verdicts on its entries are skipped); the pins persist with -session-dir")
 	fs.Parse(args)
 
@@ -55,16 +54,6 @@ func learn(args []string) error {
 	return r.finish(res, seedSpec, summary, len(files), specio.Fingerprint(files), out)
 }
 
-// verdict is one entry of a -feedback file: a JSON array of objects,
-// each carrying a symbol, a role (source, sanitizer, or sink), and a
-// verdict (accept or reject), replayed into the session as hard pins
-// before re-learning.
-type verdict struct {
-	Symbol  string `json:"symbol"`
-	Role    string `json:"role"`
-	Verdict string `json:"verdict"`
-}
-
 // runSession learns files through an incremental session (internal/incr):
 // the one persisted in sessionDir — created cold when absent or unusable
 // (corrupt, different seed or knobs, analyzer version skew) — or, without
@@ -72,8 +61,10 @@ type verdict struct {
 // the session by source content hash, so unchanged files are not even
 // re-parsed; files that disappeared are retracted, -feedback verdicts
 // pinned, and the re-learn is a delta constraint build and a warm-started
-// solve. The learned store is byte-identical to a from-scratch run over
-// the same corpus.
+// solve. Without verdicts a cold session writes the store a from-scratch
+// run writes, byte for byte; a resumed one starts its solve from the last
+// solution, so after an edit its store can sit a few entries from the
+// from-scratch store of the same corpus (ROADMAP item 2(c)).
 func runSession(sessionDir, feedbackFile string, files map[string]string,
 	seedSpec *spec.Spec, cfg core.Config) (*core.Result, error) {
 	t0 := time.Now()
@@ -97,7 +88,9 @@ func runSession(sessionDir, feedbackFile string, files map[string]string,
 		}
 	}
 
-	var verdicts []verdict
+	// A -feedback file is a JSON array of verdicts, each pinned as a hard
+	// constraint before the re-learn.
+	var verdicts []incr.Verdict
 	skipped := 0 // verdicts on roles the seed assigns: Pin refuses them
 	if feedbackFile != "" {
 		data, err := os.ReadFile(feedbackFile)
@@ -107,22 +100,12 @@ func runSession(sessionDir, feedbackFile string, files map[string]string,
 		if err := json.Unmarshal(data, &verdicts); err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", feedbackFile, err)
 		}
-		values := map[string]float64{"accept": 1, "reject": 0}
 		for i, v := range verdicts {
-			role, ok := propgraph.ParseRole(v.Role)
-			if !ok {
-				return nil, fmt.Errorf("%s entry %d: role must be source, sanitizer, or sink, got %q",
-					feedbackFile, i, v.Role)
+			k, val, err := v.Key()
+			if err != nil {
+				return nil, fmt.Errorf("%s entry %d: %w", feedbackFile, i, err)
 			}
-			val, ok := values[v.Verdict]
-			if !ok {
-				return nil, fmt.Errorf("%s entry %d: verdict must be accept or reject, got %q",
-					feedbackFile, i, v.Verdict)
-			}
-			if v.Symbol == "" {
-				return nil, fmt.Errorf("%s entry %d: empty symbol", feedbackFile, i)
-			}
-			if !sess.Pin(v.Symbol, role, val) {
+			if !sess.Pin(k.Rep, k.Role, val) {
 				skipped++
 			}
 		}

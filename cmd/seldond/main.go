@@ -11,8 +11,8 @@
 //	curl -s localhost:8647/v1/readyz        # readiness (503 while draining)
 //	curl -s localhost:8647/v1/specs?role=sink
 //	curl -s --data-binary @app.py 'localhost:8647/v1/check?filename=app.py&trace=1'
-//	curl -s localhost:8647/metrics          # request counters + latency p50/p95/p99
-//	curl -s localhost:8647/metrics.prom     # Prometheus text exposition
+//	curl -s localhost:8647/metrics          # route latency p50/p95/p99, counters, gauges
+//	curl -s -H 'Accept: text/plain' localhost:8647/metrics  # the same as Prometheus text
 //	curl -s localhost:8647/debug/traces     # ring of recent request traces
 //
 // Hot reload: after re-learning into the same store file, POST
@@ -22,13 +22,14 @@
 //
 //	seldon learn -generate 240 -o specs.json && curl -s -XPOST localhost:8647/v1/reload
 //
-// The operator surface (/metrics, /metrics.prom, /debug/pprof/) shares
-// the service mux, so one port carries traffic and telemetry.
+// The operator surface (/metrics, /debug/pprof/) shares the service mux,
+// so one port carries traffic and telemetry.
 //
 // Repeated checks are served from a bounded in-memory result cache and
 // concurrent identical checks coalesce onto one analysis; size the
 // cache with -check-cache-entries / -check-cache-bytes (0 turns both
-// layers off). Hit rates and pool stats surface in /v1/healthz.
+// layers off). /v1/healthz prints the hit rate and pool stats from the
+// counters /metrics serves under the same names.
 //
 // Continuous learning: -session-dir attaches the incremental-learning
 // session persisted by `seldon learn -session-dir`, enabling POST

@@ -79,33 +79,18 @@ type shard struct {
 	bytes int64
 }
 
-// Stats is a point-in-time snapshot of the cache counters. Hits,
-// Misses, and Evictions are cumulative; Entries and Bytes are current
-// residency.
-type Stats struct {
-	Hits, Misses, Evictions int64
-	Entries                 int64
-	Bytes                   int64
-}
-
-// HitRate is hits over lookups, 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	if n := s.Hits + s.Misses; n > 0 {
-		return float64(s.Hits) / float64(n)
-	}
-	return 0
-}
-
 // Cache is a bounded, sharded LRU of encoded check results. All methods
 // are safe for concurrent use; a nil *Cache is a valid always-miss
 // no-op, so callers serving with the cache disabled need no guards.
+//
+// The cache keeps its residency (Len, Bytes) and no books: the caller
+// counts its own lookups, and Put says how many entries it evicted.
 type Cache struct {
 	shards          [numShards]shard
 	maxShardEntries int
 	maxShardBytes   int64
 
-	hits, misses, evictions atomic.Int64
-	entries, bytes          atomic.Int64
+	entries, bytes atomic.Int64
 }
 
 // New builds a cache bounded by maxEntries resident values and maxBytes
@@ -143,13 +128,11 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	e, ok := sh.m[k]
 	if !ok {
 		sh.mu.Unlock()
-		c.misses.Add(1)
 		return nil, false
 	}
 	sh.moveToFront(e)
 	v := e.val
 	sh.mu.Unlock()
-	c.hits.Add(1)
 	return v, true
 }
 
@@ -157,10 +140,10 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 // least-recently-used entries until the shard is back under both caps.
 // The cache keeps a reference to val: callers must not mutate it after
 // the call. A value that alone exceeds the per-shard byte cap is not
-// cached. Nil-safe no-op.
-func (c *Cache) Put(k Key, val []byte) {
+// cached. Put returns how many entries it evicted. Nil-safe no-op.
+func (c *Cache) Put(k Key, val []byte) (evicted int) {
 	if c == nil || int64(len(val)) > c.maxShardBytes {
-		return
+		return 0
 	}
 	sh := c.shardOf(k)
 	sh.mu.Lock()
@@ -172,7 +155,7 @@ func (c *Cache) Put(k Key, val []byte) {
 		e.val = val
 		sh.moveToFront(e)
 		sh.mu.Unlock()
-		return
+		return 0
 	}
 	e := &entry{key: k, val: val}
 	sh.m[k] = e
@@ -180,7 +163,6 @@ func (c *Cache) Put(k Key, val []byte) {
 	sh.bytes += int64(len(val))
 	c.entries.Add(1)
 	c.bytes.Add(int64(len(val)))
-	var evicted int64
 	for (len(sh.m) > c.maxShardEntries || sh.bytes > c.maxShardBytes) && sh.tail != nil && sh.tail != e {
 		t := sh.tail
 		sh.unlink(t)
@@ -191,9 +173,7 @@ func (c *Cache) Put(k Key, val []byte) {
 		evicted++
 	}
 	sh.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-	}
+	return evicted
 }
 
 // Len reports the resident entry count. Nil-safe.
@@ -204,18 +184,12 @@ func (c *Cache) Len() int {
 	return int(c.entries.Load())
 }
 
-// Stats snapshots the cache counters. Nil-safe (all zero).
-func (c *Cache) Stats() Stats {
+// Bytes reports the resident value bytes. Nil-safe.
+func (c *Cache) Bytes() int64 {
 	if c == nil {
-		return Stats{}
+		return 0
 	}
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.entries.Load(),
-		Bytes:     c.bytes.Load(),
-	}
+	return c.bytes.Load()
 }
 
 // --- intrusive LRU list (shard.mu held) ---

@@ -41,12 +41,8 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if !ok || string(v) != "result" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes != 6 {
-		t.Errorf("stats = %+v", st)
-	}
-	if got := st.HitRate(); got != 0.5 {
-		t.Errorf("hit rate = %v, want 0.5", got)
+	if c.Len() != 1 || c.Bytes() != 6 {
+		t.Errorf("resident %d entries, %d bytes, want 1 and 6", c.Len(), c.Bytes())
 	}
 }
 
@@ -56,17 +52,20 @@ func TestEntryCapEviction(t *testing.T) {
 	c := New(16, 0)
 	k1 := keyInShard(t, 3, 1)
 	k2 := keyInShard(t, 3, 2)
-	c.Put(k1, []byte("one"))
-	c.Put(k2, []byte("two"))
+	if n := c.Put(k1, []byte("one")); n != 0 {
+		t.Errorf("first insert evicted %d", n)
+	}
+	if n := c.Put(k2, []byte("two")); n != 1 {
+		t.Errorf("insert over the entry cap evicted %d, want 1", n)
+	}
 	if _, ok := c.Get(k1); ok {
 		t.Error("LRU entry survived entry-cap eviction")
 	}
 	if _, ok := c.Get(k2); !ok {
 		t.Error("most-recent entry evicted")
 	}
-	st := c.Stats()
-	if st.Evictions != 1 || st.Entries != 1 {
-		t.Errorf("stats = %+v", st)
+	if c.Len() != 1 {
+		t.Errorf("resident %d entries, want 1", c.Len())
 	}
 }
 
@@ -85,7 +84,9 @@ func TestByteCapEviction(t *testing.T) {
 	if _, ok := c.Get(ks[0]); !ok {
 		t.Fatal("resident entry missed")
 	}
-	c.Put(ks[3], []byte("xxx"))
+	if n := c.Put(ks[3], []byte("xxx")); n != 1 {
+		t.Errorf("insert over the byte cap evicted %d, want 1", n)
+	}
 	if _, ok := c.Get(ks[1]); ok {
 		t.Error("LRU entry survived byte-cap eviction")
 	}
@@ -94,20 +95,22 @@ func TestByteCapEviction(t *testing.T) {
 			t.Errorf("entry %d evicted, want resident", i)
 		}
 	}
-	if st := c.Stats(); st.Bytes > 10 || st.Evictions != 1 {
-		t.Errorf("stats = %+v", st)
+	if c.Bytes() > 10 {
+		t.Errorf("resident %d bytes over a 10-byte shard", c.Bytes())
 	}
 }
 
 func TestOversizeValueNotCached(t *testing.T) {
 	c := New(0, 160) // 10 bytes per shard
 	k := KeyOf("big")
-	c.Put(k, make([]byte, 11))
+	if n := c.Put(k, make([]byte, 11)); n != 0 {
+		t.Errorf("refused value evicted %d", n)
+	}
 	if _, ok := c.Get(k); ok {
 		t.Error("value larger than the shard byte cap was cached")
 	}
-	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("stats = %+v", st)
+	if c.Len() != 0 || c.Bytes() != 0 {
+		t.Errorf("resident %d entries, %d bytes, want none", c.Len(), c.Bytes())
 	}
 }
 
@@ -120,8 +123,8 @@ func TestPutRefreshSameKey(t *testing.T) {
 	if !ok || string(v) != "bbbb" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	if st := c.Stats(); st.Entries != 1 || st.Bytes != 4 {
-		t.Errorf("stats = %+v", st)
+	if c.Len() != 1 || c.Bytes() != 4 {
+		t.Errorf("resident %d entries, %d bytes, want 1 and 4", c.Len(), c.Bytes())
 	}
 }
 
@@ -130,12 +133,11 @@ func TestNilCacheIsNoop(t *testing.T) {
 	if _, ok := c.Get(KeyOf("k")); ok {
 		t.Error("nil cache hit")
 	}
-	c.Put(KeyOf("k"), []byte("v")) // must not panic
-	if c.Len() != 0 {
-		t.Error("nil cache Len != 0")
+	if n := c.Put(KeyOf("k"), []byte("v")); n != 0 { // must not panic
+		t.Errorf("nil cache evicted %d", n)
 	}
-	if st := c.Stats(); st != (Stats{}) {
-		t.Errorf("nil stats = %+v", st)
+	if c.Len() != 0 || c.Bytes() != 0 {
+		t.Error("nil cache holds something")
 	}
 }
 
@@ -157,8 +159,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := c.Stats()
-	if st.Entries == 0 || st.Entries > 64 {
-		t.Errorf("entries = %d", st.Entries)
+	if n := c.Len(); n == 0 || n > 64 {
+		t.Errorf("entries = %d", n)
 	}
 }

@@ -313,11 +313,17 @@ func (r *Result) PredictedCounts() map[propgraph.Role]int {
 
 // LearnedSpec converts the predictions into a representation-level
 // specification usable by the taint analyzer. Each (rep, role) keeps its
-// maximal score; seed entries are merged in (they remain authoritative).
+// maximal score; seed entries are merged in (they remain authoritative),
+// each seed sink with the argument positions the seed restricts it to.
 func (r *Result) LearnedSpec(seed *spec.Spec) *spec.Spec {
 	s := spec.New()
 	for _, e := range seed.Entries() {
 		s.Add(e.Role, e.Rep)
+	}
+	for _, rep := range seed.Sinks {
+		if args := seed.SinkArgsOf(rep); args != nil {
+			s.RestrictSinkArgs(rep, args...)
+		}
 	}
 	s.Blacklist = seed.Blacklist
 	for _, p := range r.Predictions {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"seldon/internal/constraints"
@@ -125,6 +126,24 @@ func TestLearnedSpecMergesSeed(t *testing.T) {
 	}
 	if learned.Len() <= seed.Len() {
 		t.Errorf("learned spec (%d entries) not larger than seed (%d)", learned.Len(), seed.Len())
+	}
+}
+
+// TestLearnedSpecKeepsSinkArgs: a seed sink restricted to some argument
+// positions stays restricted in the learned specification, so a checker
+// run with it does not report flows into positions the seed excluded.
+func TestLearnedSpecKeepsSinkArgs(t *testing.T) {
+	seed := tinySeed()
+	seed.RestrictSinkArgs("flask_render()", 0)
+	res := LearnFromSources(tinyCorpus(6), seed, Config{
+		Constraints: constraints.Options{BackoffCutoff: 2},
+	})
+	learned := res.LearnedSpec(seed)
+	if got := learned.SinkArgsOf("flask_render()"); len(got) != 1 || got[0] != 0 {
+		t.Errorf("learned sink args of flask_render() = %v, want [0]", got)
+	}
+	if !strings.Contains(learned.Format(), "i: flask_render() @0\n") {
+		t.Errorf("learned spec text lost the restriction:\n%s", learned.Format())
 	}
 }
 

@@ -37,9 +37,11 @@
 // constraint system to constraints.Build on it, and the solution
 // bit-identical to lp.Minimize from the same warm start without a row
 // table (all three pinned after every step of the edit-sequence oracle
-// and the fuzz target); the warm-started solve converges to the same
-// specification store as a cold run under the default tolerance (golden
-// tests).
+// and the fuzz target). A session's first, cold solve learns the store
+// a from-scratch run learns. A warm-started solve is not a cold one: it
+// starts from the previous solution and stops on the same plateau rule,
+// so after an edit its store can sit a few entries from the cold store
+// of the same corpus (0–10 in ROADMAP item 2(c)'s measurements).
 //
 // Sessions persist: Save writes the full state (per-file graphs, seed,
 // knobs, previous solution, pins) to one self-checking binary file and
@@ -52,6 +54,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -124,13 +127,15 @@ type Session struct {
 // NewSession starts an empty session learning against seed with the
 // given pipeline configuration (solver knobs, workers, metrics, log).
 func NewSession(seed *spec.Spec, cfg core.Config) *Session {
-	return &Session{
+	s := &Session{
 		seed:  seed,
 		cfg:   cfg,
 		files: make(map[string]*fileState),
 		cache: constraints.NewFlowCache(),
 		pins:  make(map[PinKey]float64),
 	}
+	s.publishPins()
+	return s
 }
 
 // Seed returns the session's seed specification.
@@ -280,15 +285,60 @@ func (s *Session) Pin(rep string, role propgraph.Role, val float64) bool {
 	}
 	s.mu.Lock()
 	s.pins[PinKey{Rep: rep, Role: role}] = val
+	s.publishPins()
 	s.mu.Unlock()
 	return true
 }
 
-// Pins returns the number of active feedback pins.
+// publishPins mirrors the pin set's size as the feedback.pinned_vars
+// gauge, wherever the set changes, so the gauge is always Pins(): dormant
+// pins (no variable in the current corpus) count. The caller holds s.mu
+// or has s to itself.
+func (s *Session) publishPins() {
+	s.cfg.Metrics.Set(obs.GaugeFeedbackPinnedVars, float64(len(s.pins)))
+}
+
+// Pins returns the number of feedback pins, dormant ones included.
 func (s *Session) Pins() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.pins)
+}
+
+// Verdict is an operator's judgement of one (symbol, role) variable, as
+// a `seldon learn -feedback` file lists it and as POST /v1/feedback
+// resolves a request into (a finding's ID gives two, one per endpoint).
+// Verdict is "accept" or "reject".
+type Verdict struct {
+	Symbol  string `json:"symbol"`
+	Role    string `json:"role"`
+	Verdict string `json:"verdict"`
+}
+
+// VerdictValue is the value a verdict pins its variable to: 1 for
+// "accept", 0 for "reject".
+func VerdictValue(verdict string) (float64, error) {
+	if v, ok := map[string]float64{"accept": 1, "reject": 0}[verdict]; ok {
+		return v, nil
+	}
+	return 0, errors.New(`verdict must be "accept" or "reject"`)
+}
+
+// Key validates v and returns the variable it pins and the value it pins
+// it to.
+func (v Verdict) Key() (PinKey, float64, error) {
+	val, err := VerdictValue(v.Verdict)
+	if err != nil {
+		return PinKey{}, 0, err
+	}
+	if v.Symbol == "" {
+		return PinKey{}, 0, errors.New("empty symbol")
+	}
+	role, ok := propgraph.ParseRole(v.Role)
+	if !ok {
+		return PinKey{}, 0, errors.New("role must be source, sanitizer, or sink")
+	}
+	return PinKey{Rep: v.Symbol, Role: role}, val, nil
 }
 
 // Result returns the outcome of the last Relearn, or nil.
@@ -411,15 +461,12 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	// Feedback pins become hard constraints. A pin whose representation
 	// has no variable in the current system is held dormant — it
 	// re-applies as soon as the corpus grows the variable.
-	pinned := 0
 	for k, val := range s.pins {
 		if id := sys.VarID(k.Rep, k.Role); id >= 0 {
 			sys.Problem.Pin(id, val)
-			pinned++
 		}
 	}
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrRebuild, time.Since(t0))
-	s.cfg.Metrics.Set(obs.GaugeFeedbackPinnedVars, float64(pinned))
 
 	// Warm start: the previous solution translated through (rep, role).
 	// Variables new to this system (or whose representation vanished)

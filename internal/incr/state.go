@@ -236,6 +236,7 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("incr: state file: %w", err)
 	}
+	s.publishPins()
 	return s, nil
 }
 

@@ -40,11 +40,12 @@ func acceptsProm(accept string) bool {
 // Prometheus scrape (an Accept media range of text/plain or
 // application/openmetrics-text with nonzero q) gets the text
 // exposition, everything else the JSON snapshot (nil registry → empty
-// snapshot, still valid either way).
+// snapshot, still valid either way). It is the one route to both.
 func Handler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if acceptsProm(req.Header.Get("Accept")) {
-			PromHandler(r).ServeHTTP(w, req)
+			w.Header().Set("Content-Type", PromContentType)
+			w.Write(r.Snapshot().Prom())
 			return
 		}
 		data, err := r.Snapshot().JSON()
@@ -57,23 +58,12 @@ func Handler(r *Registry) http.Handler {
 	})
 }
 
-// PromHandler serves the registry's Prometheus text exposition
-// unconditionally — the scrape target for setups that want an explicit
-// path (/metrics.prom) instead of content negotiation.
-func PromHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", PromContentType)
-		w.Write(r.Snapshot().Prom())
-	})
-}
-
 // NewServeMux builds the operator mux: /metrics (JSON, or Prometheus
-// text for scrapers via content negotiation), /metrics.prom (always
-// Prometheus text), and the standard /debug/pprof/ endpoints.
+// text for scrapers via content negotiation) and the standard
+// /debug/pprof/ endpoints.
 func NewServeMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))
-	mux.Handle("/metrics.prom", PromHandler(r))
 	mux.HandleFunc("/debug/pprof/", netpprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)

@@ -14,13 +14,13 @@ import (
 // this exact state is pinned by testdata/metrics.prom.golden.
 func promFixture() *Registry {
 	r := New()
-	r.Add("http.requests", 42)
-	r.Add("http.requests.check", 40)
+	r.Add("check.cache.hits", 42)
+	r.Add("check.cache.misses", 40)
 	r.Add("parse.errors", 0)
 	r.Set("parallel.workers", 4)
 	r.Set("cache.speedup", 12.9)
 	for _, v := range []float64{0.003, 0.004, 0.004, 0.02, 0.75, 1.5, 250} {
-		r.Observe("http.check.latency", v)
+		r.Observe("http.route.latency.check", v)
 	}
 	return r
 }
@@ -76,7 +76,7 @@ func parsePromHistogram(t *testing.T, text, family string) (les []string, cums [
 
 func TestPromHistogramShape(t *testing.T) {
 	text := string(promFixture().Snapshot().Prom())
-	les, cums, count := parsePromHistogram(t, text, "seldon_http_check_latency_seconds")
+	les, cums, count := parsePromHistogram(t, text, "seldon_http_route_latency_check_seconds")
 	if len(les) != len(bucketBounds)+1 {
 		t.Fatalf("bucket lines = %d, want %d", len(les), len(bucketBounds)+1)
 	}
@@ -182,7 +182,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	req.Header.Set("Accept", "application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5,*/*;q=0.1")
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, req)
-	if !strings.Contains(rec.Body.String(), "seldon_http_requests_total 42") {
+	if !strings.Contains(rec.Body.String(), "seldon_check_cache_hits_total 42") {
 		t.Errorf("negotiated scrape missing counter:\n%s", rec.Body.String())
 	}
 
@@ -196,7 +196,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Errorf("q=0 content type = %q, want JSON", ct)
 	}
 
-	// A bare text/plain (no parameters) still negotiates to Prometheus.
+	// A bare text/plain (no parameters) still negotiates to Prometheus,
+	// and gets the whole exposition: the golden's bytes.
 	req = httptest.NewRequest("GET", "/metrics", nil)
 	req.Header.Set("Accept", "text/plain")
 	rec = httptest.NewRecorder()
@@ -204,14 +205,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	if rec.Header().Get("Content-Type") != PromContentType {
 		t.Errorf("bare text/plain content type = %q", rec.Header().Get("Content-Type"))
 	}
-
-	// /metrics.prom is unconditional.
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.prom", nil))
-	if rec.Header().Get("Content-Type") != PromContentType {
-		t.Errorf("/metrics.prom content type = %q", rec.Header().Get("Content-Type"))
-	}
-	if !strings.Contains(rec.Body.String(), "# TYPE seldon_http_check_latency_seconds histogram") {
-		t.Errorf("/metrics.prom missing histogram:\n%s", rec.Body.String())
+	if want := r.Snapshot().Prom(); rec.Body.String() != string(want) {
+		t.Errorf("negotiated scrape is not the exposition:\n%s", rec.Body.String())
 	}
 }

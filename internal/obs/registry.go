@@ -96,7 +96,9 @@ const (
 	GaugeCacheWarmSpeedup = "cache.speedup"
 
 	// The serving-side check-result cache (internal/checkcache behind
-	// POST /v1/check): lookups, residency, and LRU pressure.
+	// POST /v1/check): lookups and LRU pressure, counted by the service
+	// (the cache keeps no counts), and its residency, which the cache
+	// owns and the service mirrors after every insert.
 	CounterCheckCacheHits      = "check.cache.hits"
 	CounterCheckCacheMisses    = "check.cache.misses"
 	CounterCheckCacheEvictions = "check.cache.evictions"
@@ -107,13 +109,12 @@ const (
 	// instead of taking a worker slot.
 	CounterCheckCoalesced = "check.coalesced"
 
-	// Scratch use on the serving hot path: pool.gets counts analyses run,
-	// pool.news the scratches made (one per standing worker, so ≤
-	// Workers). pool.oversize_drops counts the buffers a worker's scratch
-	// let go because an unusually large request had grown them past the
-	// retention cap.
+	// Scratch use on the serving hot path: pool.gets counts analyses run
+	// (one scratch per standing worker serves them all; healthz prints
+	// the worker count as pool.news). pool.oversize_drops counts the
+	// buffers a worker's scratch let go because an unusually large
+	// request had grown them past the retention cap.
 	CounterPoolGets          = "pool.gets"
-	CounterPoolNews          = "pool.news"
 	CounterPoolOversizeDrops = "pool.oversize_drops"
 
 	// Distributed corpus learning (internal/shard). The worker times its
@@ -207,8 +208,10 @@ const (
 
 	// The continuous-learning feedback loop (seldond /v1/feedback).
 	// Counters split verdicts by direction; feedback.resolves counts the
-	// incremental re-solves feedback triggered; feedback.pinned_vars is
-	// the number of variables currently pinned by operator verdicts.
+	// incremental re-solves feedback triggered, each a new store
+	// generation (store.reloads counts only /v1/reload); the
+	// feedback.pinned_vars gauge mirrors incr.Session.Pins(), the pins the
+	// session holds, dormant ones included, set wherever the set changes.
 	CounterFeedbackAccepted = "feedback.accepted"
 	CounterFeedbackRejected = "feedback.rejected"
 	CounterFeedbackResolves = "feedback.resolves"

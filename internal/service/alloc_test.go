@@ -107,8 +107,7 @@ func TestCheckAllocBudgets(t *testing.T) {
 		avg := testing.AllocsPerRun(200, func() {
 			rec := httptest.NewRecorder()
 			root := s.cfg.Tracer.StartRootFrom("http.check", "")
-			span := s.cfg.Metrics.Start(TimerCheck)
-			s.followFlight(rec, ctx, root, span, "request.py", f)
+			s.followFlight(rec, ctx, root, time.Now(), "request.py", f)
 			root.End()
 			if rec.Code != http.StatusOK {
 				t.Fatalf("follower status = %d", rec.Code)
@@ -160,8 +159,7 @@ func TestScratchPoolRetentionCap(t *testing.T) {
 	if got := sc.Retained(); got == 0 || got > retainCap {
 		t.Fatalf("worker scratch retains %d bytes after the next request, want (0, %d]", got, retainCap)
 	}
-	snap := reg.Snapshot()
-	if gets, news := snap.Counters[obs.CounterPoolGets], snap.Counters[obs.CounterPoolNews]; gets != 2 || news != 1 {
+	if gets, news := reg.Counter(obs.CounterPoolGets), len(s.scratch); gets != 2 || news != 1 {
 		t.Errorf("pool gets %d, news %d after two misses on one worker, want 2 and 1", gets, news)
 	}
 }

@@ -324,7 +324,7 @@ func TestConcurrentChecksReloadsAndScrapes(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < scrapes; i++ {
-			resp, err := http.Get(ts.URL + "/metrics.prom")
+			resp, err := getProm(ts.URL)
 			if err != nil {
 				errs <- "scrape: " + err.Error()
 				continue

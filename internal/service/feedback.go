@@ -8,8 +8,8 @@ import (
 	"net/http"
 	"time"
 
+	"seldon/internal/incr"
 	"seldon/internal/obs"
-	"seldon/internal/propgraph"
 	"seldon/internal/specio"
 )
 
@@ -162,21 +162,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "feedback", http.StatusBadRequest, "decoding verdict: "+err.Error())
 		return
 	}
-	if req.Verdict != "accept" && req.Verdict != "reject" {
-		s.fail(w, "feedback", http.StatusBadRequest, `verdict must be "accept" or "reject"`)
+	if _, err := incr.VerdictValue(req.Verdict); err != nil {
+		s.fail(w, "feedback", http.StatusBadRequest, err.Error())
 		return
 	}
-	val := 0.0
-	if req.Verdict == "accept" {
-		val = 1.0
-	}
 
-	// Resolve the verdict to (symbol, role) pins.
-	type pinReq struct {
-		sym  string
-		role propgraph.Role
-	}
-	var want []pinReq
+	// Resolve the request to verdicts on (symbol, role) variables.
+	var verdicts []incr.Verdict
 	switch {
 	case req.FindingID != "" && (req.Symbol != "" || req.Role != ""):
 		s.fail(w, "feedback", http.StatusBadRequest, "give finding_id or (symbol, role), not both")
@@ -190,17 +182,21 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 				"unknown finding_id (evicted or never reported); send the verdict by symbol instead")
 			return
 		}
-		want = []pinReq{{target.source, propgraph.Source}, {target.sink, propgraph.Sink}}
+		verdicts = []incr.Verdict{{Symbol: target.source, Role: "source", Verdict: req.Verdict},
+			{Symbol: target.sink, Role: "sink", Verdict: req.Verdict}}
 	case req.Symbol != "" && req.Role != "":
-		role, ok := propgraph.ParseRole(req.Role)
-		if !ok {
-			s.fail(w, "feedback", http.StatusBadRequest, "role must be source, sanitizer, or sink")
-			return
-		}
-		want = []pinReq{{req.Symbol, role}}
+		verdicts = []incr.Verdict{{Symbol: req.Symbol, Role: req.Role, Verdict: req.Verdict}}
 	default:
 		s.fail(w, "feedback", http.StatusBadRequest, "give finding_id or both symbol and role")
 		return
+	}
+	keys := make([]incr.PinKey, len(verdicts))
+	var val float64
+	for i, v := range verdicts {
+		if keys[i], val, err = v.Key(); err != nil {
+			s.fail(w, "feedback", http.StatusBadRequest, err.Error())
+			return
+		}
 	}
 
 	// Pin, re-solve, publish — one verdict at a time. The session
@@ -210,9 +206,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.feedbackMu.Lock()
 	defer s.feedbackMu.Unlock()
 	resp := &FeedbackResponse{Status: "relearned", Verdict: req.Verdict, Pinned: []PinnedVar{}}
-	for _, p := range want {
-		if sess.Pin(p.sym, p.role, val) {
-			resp.Pinned = append(resp.Pinned, PinnedVar{Symbol: p.sym, Role: p.role.String(), Value: val})
+	for _, k := range keys {
+		if sess.Pin(k.Rep, k.Role, val) {
+			resp.Pinned = append(resp.Pinned, PinnedVar{Symbol: k.Rep, Role: k.Role.String(), Value: val})
 		}
 	}
 	if len(resp.Pinned) == 0 {

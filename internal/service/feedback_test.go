@@ -11,6 +11,7 @@ import (
 	"seldon/internal/core"
 	"seldon/internal/corpus"
 	"seldon/internal/incr"
+	"seldon/internal/obs"
 	"seldon/internal/propgraph"
 	"seldon/internal/specio"
 )
@@ -33,25 +34,39 @@ func feedbackCorpus() map[string]string {
 }
 
 // newFeedbackServer learns a store from the generated corpus inside an
-// incremental session and serves it with the session attached, stamped
-// with the provenance `seldon learn -session-dir -o` gives it.
+// incremental session and serves it with that session attached.
 func newFeedbackServer(t *testing.T) (*Server, string, *incr.Session) {
 	t.Helper()
-	seed := corpus.ExperimentSeed()
-	sess := incr.NewSession(seed, core.Config{Workers: 1})
-	files := feedbackCorpus()
-	sess.SpliceSources(files)
-	res, _ := sess.Relearn()
-	learned := sess.LearnedSpec()
-	if len(res.LearnedEntries(seed)) == 0 {
+	reg := obs.New()
+	sess := learnFeedbackSession(t, reg)
+	s, url := serveLearned(t, sess, sess, reg)
+	return s, url, sess
+}
+
+// learnFeedbackSession learns the feedback corpus in a fresh session that
+// records into reg.
+func learnFeedbackSession(t *testing.T, reg *obs.Registry) *incr.Session {
+	t.Helper()
+	sess := incr.NewSession(corpus.ExperimentSeed(), core.Config{Workers: 1, Metrics: reg})
+	sess.SpliceSources(feedbackCorpus())
+	if res, _ := sess.Relearn(); len(res.LearnedEntries(sess.Seed())) == 0 {
 		t.Fatal("corpus learned no non-seed entries")
 	}
+	return sess
+}
+
+// serveLearned serves the store learned last learned, stamped with the
+// provenance `seldon learn -session-dir -o` gives it, with sess attached
+// for verdicts. Server and session share reg, as they do in seldond.
+func serveLearned(t *testing.T, learned, sess *incr.Session, reg *obs.Registry) (*Server, string) {
+	t.Helper()
+	files, seed := feedbackCorpus(), learned.Seed()
 	meta := specio.Meta{
 		CorpusFingerprint: specio.Fingerprint(files), CorpusFiles: len(files),
-		SeedEntries: seed.Len(), LearnedEntries: len(res.LearnedEntries(seed)),
+		SeedEntries: seed.Len(), LearnedEntries: len(learned.Result().LearnedEntries(seed)),
 	}
-	s, ts := newTestServer(t, Config{Spec: learned, Meta: meta, Session: sess, Workers: 2})
-	return s, ts.URL, sess
+	s, ts := newTestServer(t, Config{Spec: learned.LearnedSpec(), Meta: meta, Session: sess, Workers: 2, Metrics: reg})
+	return s, ts.URL
 }
 
 func postFeedback(t *testing.T, url string, req FeedbackRequest) (*http.Response, FeedbackResponse) {
@@ -280,6 +295,47 @@ func TestFeedbackFindingLoop(t *testing.T) {
 	if fb := h.Feedback; fb == nil || fb.Accepted != 1 || fb.Rejected != 1 ||
 		fb.Resolves != 2 || fb.PinnedVars != len(aout.Pinned) {
 		t.Errorf("feedback health after reject then accept = %+v", fb)
+	}
+	if h.Reloads != 0 {
+		t.Errorf("healthz reloads = %d after two verdicts and no /v1/reload, want 0", h.Reloads)
+	}
+	healthMatchesMetrics(t, url)
+}
+
+// TestFeedbackPinnedVarsAreTheSessions: feedback.pinned_vars is the
+// number of pins the session holds, a dormant one included (its symbol
+// has no variable in the corpus), from the moment LoadDir restores them —
+// the number healthz prints, before a verdict's re-learn and after it.
+func TestFeedbackPinnedVarsAreTheSessions(t *testing.T) {
+	learned := learnFeedbackSession(t, nil)
+	if !learned.Pin("nowhere.in_the_corpus()", propgraph.Sink, 0) {
+		t.Fatal("a pin on a symbol outside seed and corpus was refused")
+	}
+	dir := t.TempDir()
+	if err := learned.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	sess, err := incr.LoadDir(dir, nil, core.Config{Workers: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Gauges[obs.GaugeFeedbackPinnedVars]; sess.Pins() != 1 || got != 1 {
+		t.Fatalf("after LoadDir the session holds %d pins and %s reads %g, want 1 and 1",
+			sess.Pins(), obs.GaugeFeedbackPinnedVars, got)
+	}
+	_, url := serveLearned(t, learned, sess, reg)
+	if h := getHealth(t, url); h.Feedback == nil || h.Feedback.PinnedVars != 1 {
+		t.Errorf("healthz feedback before any verdict = %+v, want 1 pin", h.Feedback)
+	}
+	healthMatchesMetrics(t, url)
+
+	target := learned.Result().LearnedEntries(learned.Seed())[0]
+	if resp, _ := postFeedback(t, url, FeedbackRequest{Symbol: target.Rep, Role: target.Role.String(), Verdict: "reject"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("feedback status = %d", resp.StatusCode)
+	}
+	if h := getHealth(t, url); h.Feedback == nil || h.Feedback.PinnedVars != 2 || h.Reloads != 0 {
+		t.Errorf("healthz after one verdict = %+v, reloads %d; want 2 pins (one dormant), no reload", h.Feedback, h.Reloads)
 	}
 	healthMatchesMetrics(t, url)
 }

@@ -119,7 +119,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "check", http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	span := s.cfg.Metrics.Start(TimerCheck)
+	start := time.Now() // elapsed_ms counts from here
 
 	adm := root.StartChild("admission")
 	bufp := s.getBuf()
@@ -129,7 +129,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	adm.SetAttr("body_bytes", len(body))
 	adm.End()
 	if err != nil {
-		span.End()
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.fail(w, "check", http.StatusRequestEntityTooLarge,
@@ -165,7 +164,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Metrics.Add(obs.CounterCheckCacheHits, 1)
 			root.SetAttr("cache", "hit")
 			s.reindexFindings(val)
-			s.respondCheck(w, root, span, val)
+			s.respondCheck(w, root, start, val)
 			if s.cfg.Log != nil { // the arguments are built only for a logger that prints them
 				s.cfg.Log.Log("check.done", "file", name, "cache", "hit", "trace", root.TraceID())
 			}
@@ -184,7 +183,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.flightMu.Lock()
 		if g, ok := s.flights[key]; ok {
 			s.flightMu.Unlock()
-			s.followFlight(w, ctx, root, span, name, g)
+			s.followFlight(w, ctx, root, start, name, g)
 			return
 		}
 		fl = &flight{done: make(chan struct{})}
@@ -201,7 +200,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		withTrace: withTrace, dedupe: dedupe, key: key, fl: fl})
 	queue.End()
 	if err != nil {
-		span.End()
 		s.resolveFlight(key, fl, nil, err)
 		if errors.Is(err, errBusy) {
 			s.cfg.Metrics.Add(CounterRejected, 1)
@@ -216,16 +214,14 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-fl.done:
 		if fl.err != nil {
-			span.End()
 			s.fail(w, "check", http.StatusInternalServerError, "encoding response: "+fl.err.Error())
 			return
 		}
-		s.respondCheck(w, root, span, fl.res.core)
+		s.respondCheck(w, root, start, fl.res.core)
 		s.cfg.Log.Log("check.done", "file", name, "findings", fl.res.total,
 			"trace", root.TraceID())
 	case <-ctx.Done():
 		s.cfg.Metrics.Add(CounterTimeouts, 1)
-		span.End()
 		s.timeoutResponse(w, ctx.Err())
 	}
 }
@@ -234,13 +230,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 // holds no worker slot, keeps its own deadline, and fails exactly like
 // its leader when the leader could not be admitted.
 func (s *Server) followFlight(w http.ResponseWriter, ctx context.Context,
-	root *trace.Span, span obs.Span, name string, f *flight) {
+	root *trace.Span, start time.Time, name string, f *flight) {
 	s.cfg.Metrics.Add(obs.CounterCheckCoalesced, 1)
 	root.SetAttr("coalesced", true)
 	select {
 	case <-f.done:
 		if f.err != nil {
-			span.End()
 			switch {
 			case errors.Is(f.err, errBusy):
 				s.cfg.Metrics.Add(CounterRejected, 1)
@@ -251,12 +246,11 @@ func (s *Server) followFlight(w http.ResponseWriter, ctx context.Context,
 			}
 			return
 		}
-		s.respondCheck(w, root, span, f.res.core)
+		s.respondCheck(w, root, start, f.res.core)
 		s.cfg.Log.Log("check.done", "file", name, "findings", f.res.total,
 			"cache", "coalesced", "trace", root.TraceID())
 	case <-ctx.Done():
 		s.cfg.Metrics.Add(CounterTimeouts, 1)
-		span.End()
 		s.timeoutResponse(w, ctx.Err())
 	}
 }
@@ -280,9 +274,9 @@ func (s *Server) resolveFlight(key checkcache.Key, fl *flight, res *checkResult,
 // respondCheck writes one 200: the cached core encoding with
 // `,"elapsed_ms":…,"trace_id":"…"` spliced before the closing brace —
 // byte-for-byte what marshaling the full CheckResponse would produce.
-func (s *Server) respondCheck(w http.ResponseWriter, root *trace.Span, span obs.Span, core []byte) {
+func (s *Server) respondCheck(w http.ResponseWriter, root *trace.Span, start time.Time, core []byte) {
 	enc := root.StartChild("encode")
-	elapsed := float64(span.End()) / float64(time.Millisecond)
+	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
 	bufp := s.getBuf()
 	b := append((*bufp)[:0], core[:len(core)-1]...)
 	b = append(b, `,"elapsed_ms":`...)
@@ -303,15 +297,16 @@ func (s *Server) respondCheck(w http.ResponseWriter, root *trace.Span, span obs.
 // it, and Add appends to this one's full capacity, which copies.
 var jsonContentType = []string{"application/json"}
 
-// updateCacheMetrics refreshes the residency gauges and rolls forward
-// the eviction counter from the cache's cumulative snapshot.
-func (s *Server) updateCacheMetrics() {
-	cs := s.cache.Stats()
-	s.cfg.Metrics.Set(obs.GaugeCheckCacheEntries, float64(cs.Entries))
-	s.cfg.Metrics.Set(obs.GaugeCheckCacheBytes, float64(cs.Bytes))
-	if d := cs.Evictions - s.evictionsPublished.Swap(cs.Evictions); d > 0 {
-		s.cfg.Metrics.Add(obs.CounterCheckCacheEvictions, d)
+// updateCacheMetrics publishes one Put: the entries it evicted, and the
+// cache's residency as the two gauges that mirror it.
+func (s *Server) updateCacheMetrics(evicted int) {
+	if evicted > 0 {
+		s.cfg.Metrics.Add(obs.CounterCheckCacheEvictions, int64(evicted))
 	}
+	s.residencyMu.Lock()
+	s.cfg.Metrics.Set(obs.GaugeCheckCacheEntries, float64(s.cache.Len()))
+	s.cfg.Metrics.Set(obs.GaugeCheckCacheBytes, float64(s.cache.Bytes()))
+	s.residencyMu.Unlock()
 }
 
 // readAllInto is io.ReadAll into a caller-provided buffer, reusing its
@@ -363,10 +358,10 @@ func appendJSONFloat(b []byte, f float64) []byte {
 // from observed load instead of a constant: the p50 analysis service
 // time times the requests currently in the system per worker — roughly
 // how long until a queue slot frees up — rounded up and clamped to
-// [1, 30] seconds. The estimate uses TimerAnalyze, not TimerCheck:
-// end-to-end check latency already includes queue wait, and scaling it
-// by the queue length would double-count queueing delay. Before any
-// latency sample exists it falls back to 1.
+// [1, 30] seconds. The estimate uses TimerAnalyze, not the route's
+// latency: end-to-end check latency already includes queue wait, and
+// scaling it by the queue length would double-count queueing delay.
+// Before any latency sample exists it falls back to 1.
 func (s *Server) retryAfterSeconds() int {
 	ts, ok := s.cfg.Metrics.Timer(TimerAnalyze)
 	if !ok || ts.Count == 0 || ts.P50 <= 0 {
@@ -567,7 +562,8 @@ type FeedbackHealth struct {
 }
 
 // CheckCacheHealth is the /v1/healthz view of the check-result cache
-// and the single-flight coalescer.
+// and the single-flight coalescer: the check.cache.* and check.coalesced
+// counters, the hit rate they give, and the cache's residency.
 type CheckCacheHealth struct {
 	Entries   int64   `json:"entries"`
 	Bytes     int64   `json:"bytes"`
@@ -579,7 +575,7 @@ type CheckCacheHealth struct {
 }
 
 // PoolHealth is the /v1/healthz view of the workers' scratches: News =
-// scratches made (≤ Workers), Gets = analyses run.
+// scratches made (one per standing worker), Gets = analyses run.
 type PoolHealth struct {
 	Gets int64 `json:"gets"`
 	News int64 `json:"news"`
@@ -588,7 +584,8 @@ type PoolHealth struct {
 // handleHealthz implements GET /v1/healthz: liveness — answers 200 as
 // long as the process serves, draining or not. Readiness (should this
 // instance receive new traffic?) is /v1/readyz. Its counts are the
-// Config.Metrics counters /metrics serves under the same names.
+// Config.Metrics counters /metrics serves under the same names; its
+// state (cache residency, pins, workers) is read from its owner.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.currentStore()
 	m := s.cfg.Metrics
@@ -606,16 +603,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Pool:             PoolHealth{Gets: m.Counter(obs.CounterPoolGets), News: int64(len(s.scratch))},
 	}
 	if s.cache != nil {
-		cs := s.cache.Stats()
-		resp.CheckCache = &CheckCacheHealth{
-			Entries:   cs.Entries,
-			Bytes:     cs.Bytes,
-			Hits:      cs.Hits,
-			Misses:    cs.Misses,
-			Evictions: cs.Evictions,
-			HitRate:   cs.HitRate(),
+		cc := &CheckCacheHealth{
+			Entries:   int64(s.cache.Len()),
+			Bytes:     s.cache.Bytes(),
+			Hits:      m.Counter(obs.CounterCheckCacheHits),
+			Misses:    m.Counter(obs.CounterCheckCacheMisses),
+			Evictions: m.Counter(obs.CounterCheckCacheEvictions),
 			Coalesced: m.Counter(obs.CounterCheckCoalesced),
 		}
+		if n := cc.Hits + cc.Misses; n > 0 {
+			cc.HitRate = float64(cc.Hits) / float64(n)
+		}
+		resp.CheckCache = cc
 	}
 	if s.cfg.Session != nil {
 		resp.Feedback = &FeedbackHealth{
@@ -710,6 +709,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// content-identical store keeps its cached check results addressable
 	// and any other store starts a fresh generation.
 	s.swapStore(storeState{spec: sp, meta: meta, fingerprint: fp, epoch: fp, loadedAt: time.Now()})
+	s.cfg.Metrics.Add(CounterReloads, 1)
 	s.cfg.Log.Log("store.reload", "path", s.cfg.StorePath,
 		"fingerprint", fp, "specs", sp.Len(), "status", status)
 	s.writeJSON(w, http.StatusOK, &ReloadResponse{

@@ -262,13 +262,10 @@ func TestCheckMetricsGolden(t *testing.T) {
 		"counter dataflow.modules 1",
 		"counter files.analyzed 1",
 		"counter http.errors 1",
-		"counter http.requests 4",
-		"counter http.requests.check 4",
 		"counter http.responses.check.2xx 3",
 		"counter http.responses.check.4xx 1",
 		"counter parse.errors 0",
 		"counter pool.gets 1",
-		"counter pool.news 1",
 		"counter taint.reports 1",
 		"gauge check.cache.bytes 284",
 		"gauge check.cache.entries 1",
@@ -281,7 +278,6 @@ func TestCheckMetricsGolden(t *testing.T) {
 		"timer file.analyze count=1",
 		"timer file.parse count=1",
 		"timer http.check.analyze count=1",
-		"timer http.check.latency count=3",
 		"timer http.route.latency.check count=4",
 		"timer stage.dataflow count=1",
 		"timer stage.frontend count=1",
@@ -330,18 +326,14 @@ func TestConcurrentHitsCountExactly(t *testing.T) {
 	for name, want := range map[string]int64{
 		obs.CounterCheckCacheHits:       hits,
 		obs.CounterCheckCacheMisses:     1,
-		CounterRequests:                 hits + 1,
-		CounterRequests + ".check":      hits + 1,
 		CounterResponses + ".check.2xx": hits + 1,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
 	}
-	for name, want := range map[string]int64{TimerCheck: hits + 1, TimerRoutePrefix + "check": hits + 1} {
-		if got := snap.Timers[name].Count; got != want {
-			t.Errorf("timer %s count = %d, want %d", name, got, want)
-		}
+	if got, name := snap.Timers[TimerRoutePrefix+"check"].Count, TimerRoutePrefix+"check"; got != hits+1 {
+		t.Errorf("timer %s count = %d, want %d", name, got, hits+1)
 	}
 	if g := snap.Gauges[GaugeRouteInflightPrefix+"check"]; g != 0 {
 		t.Errorf("gauge %s = %v after every caller returned, want 0", GaugeRouteInflightPrefix+"check", g)

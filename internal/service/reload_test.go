@@ -66,8 +66,9 @@ func getHealthz(t *testing.T, url string) HealthResponse {
 }
 
 // healthMatchesMetrics fails the test unless every count /v1/healthz
-// reports is the /metrics counter of the same name: the two surfaces
-// read one registry.
+// reports is the /metrics counter of the same name, and every piece of
+// state it reads from its owner (cache residency, pins) is the /metrics
+// gauge that mirrors it.
 func healthMatchesMetrics(t *testing.T, url string) {
 	t.Helper()
 	h := getHealthz(t, url)
@@ -83,22 +84,30 @@ func healthMatchesMetrics(t *testing.T, url string) {
 	counts := map[string]int64{
 		CounterReloads:      h.Reloads,
 		obs.CounterPoolGets: h.Pool.Gets,
-		obs.CounterPoolNews: h.Pool.News,
 	}
+	gauges := map[string]int64{}
 	if cc := h.CheckCache; cc != nil {
 		counts[obs.CounterCheckCacheHits] = cc.Hits
 		counts[obs.CounterCheckCacheMisses] = cc.Misses
 		counts[obs.CounterCheckCacheEvictions] = cc.Evictions
 		counts[obs.CounterCheckCoalesced] = cc.Coalesced
+		gauges[obs.GaugeCheckCacheEntries] = cc.Entries
+		gauges[obs.GaugeCheckCacheBytes] = cc.Bytes
 	}
 	if fb := h.Feedback; fb != nil {
 		counts[obs.CounterFeedbackAccepted] = fb.Accepted
 		counts[obs.CounterFeedbackRejected] = fb.Rejected
 		counts[obs.CounterFeedbackResolves] = fb.Resolves
+		gauges[obs.GaugeFeedbackPinnedVars] = int64(fb.PinnedVars)
 	}
 	for name, n := range counts {
 		if got := snap.Counters[name]; got != n {
 			t.Errorf("healthz counts %d for %s, /metrics %d", n, name, got)
+		}
+	}
+	for name, n := range gauges {
+		if got := snap.Gauges[name]; got != float64(n) {
+			t.Errorf("healthz reads %d for %s, /metrics gauge %g", n, name, got)
 		}
 	}
 }

@@ -4,8 +4,7 @@
 // pyparse → dataflow → propgraph → taint pipeline per request.
 //
 // Endpoints (mounted alongside the internal/obs operator surface, so
-// /metrics, /metrics.prom, and /debug/pprof/ are served from the same
-// mux):
+// /metrics and /debug/pprof/ are served from the same mux):
 //
 //	POST /v1/check    Python source in the body → taint findings as JSON
 //	GET  /v1/specs    filtered specification lookup
@@ -35,6 +34,11 @@
 // against that snapshot, so /v1/reload swaps specs without dropping or
 // mixing in-flight checks; a reload that fails to load or validate
 // leaves the previous store serving.
+//
+// Telemetry: counts live in Config.Metrics; state (the check cache's
+// residency, the session's pins) lives with its owner and is mirrored as
+// a gauge where it changes. /v1/healthz reads each from where it lives,
+// so it agrees with /metrics.
 //
 // Repeated work is nearly free. Three layers stack on the check path:
 //
@@ -81,11 +85,8 @@ import (
 )
 
 // Metric names exported by the service, next to the pipeline's
-// stage.* names in the /metrics snapshot.
+// stage.* names in the /metrics snapshot. No name restates another's.
 const (
-	// CounterRequests counts accepted HTTP requests; per-endpoint
-	// counters are CounterRequests + "." + route (e.g. "http.requests.check").
-	CounterRequests = "http.requests"
 	// CounterRejected counts 429 backpressure rejections.
 	CounterRejected = "http.rejected"
 	// CounterErrors counts non-2xx responses other than 429.
@@ -95,21 +96,22 @@ const (
 	CounterResponses = "http.responses"
 	// CounterTimeouts counts checks cancelled by the request deadline.
 	CounterTimeouts = "http.timeouts"
-	// TimerCheck is the end-to-end /v1/check latency (p50/p95 in the
-	// snapshot); TimerAnalyze is just the analysis section.
-	TimerCheck   = "http.check.latency"
+	// TimerAnalyze times the analysis section of a /v1/check miss; the
+	// 429 Retry-After hint reads its p50.
 	TimerAnalyze = "http.check.analyze"
 	// TimerRoutePrefix + route is the handler-level latency of each /v1/
 	// endpoint (includes method checks and serialization, not just the
-	// analysis section); GaugeRouteInflightPrefix + route counts requests
-	// currently inside that handler.
+	// analysis section), and its count is the route's request count;
+	// GaugeRouteInflightPrefix + route counts requests currently inside
+	// that handler.
 	TimerRoutePrefix         = "http.route.latency."
 	GaugeRouteInflightPrefix = "http.route.inflight."
 	// GaugeInflight is the number of checks currently holding a worker
 	// slot; GaugeQueued counts requests admitted but waiting for one.
 	GaugeInflight = "http.inflight"
 	GaugeQueued   = "http.queued"
-	// CounterReloads counts successful /v1/reload swaps;
+	// CounterReloads counts successful /v1/reload swaps (a /v1/feedback
+	// generation is counted by feedback.resolves, not here);
 	// CounterReloadErrors counts rejected ones (store unreadable or
 	// invalid — the old specs kept serving). GaugeStoreSpecs is the
 	// entry count of the store currently serving.
@@ -251,13 +253,13 @@ type Server struct {
 	cache    *checkcache.Cache
 	flightMu sync.Mutex
 	flights  map[checkcache.Key]*flight
+	// residencyMu orders the residency gauge writes after each Put, so
+	// the last one reads the cache after every Put before it.
+	residencyMu sync.Mutex
 
 	// bufPool recycles the request-scoped byte buffers (body read,
 	// response encode).
 	bufPool sync.Pool
-	// evictionsPublished tracks how much of the cache's cumulative
-	// eviction count has been rolled into the obs counter.
-	evictionsPublished atomic.Int64
 
 	// Feedback loop state (all unused without Config.Session). findings
 	// maps finding IDs to the endpoint symbols a verdict pins, bounded
@@ -322,7 +324,6 @@ func New(cfg Config) *Server {
 		return &b
 	}
 	cfg.Metrics.Set(GaugeStoreSpecs, float64(cfg.Spec.Len()))
-	cfg.Metrics.Add(obs.CounterPoolNews, int64(cfg.Workers))
 	for i := range s.scratch {
 		s.scratch[i] = new(core.Scratch)
 		go work(s.jobs, s.scratch[i])
@@ -349,9 +350,8 @@ func work(jobs <-chan checkJob, sc *core.Scratch) {
 		if dropped := sc.Reset(); dropped > 0 {
 			s.cfg.Metrics.Add(obs.CounterPoolOversizeDrops, int64(dropped))
 		}
-		if err == nil {
-			s.cache.Put(j.key, res.core) // nil-safe when the cache is off
-			s.updateCacheMetrics()
+		if err == nil && s.cache != nil {
+			s.updateCacheMetrics(s.cache.Put(j.key, res.core))
 		}
 		s.resolveFlight(j.key, j.fl, res, err)
 		s.inflight.Add(-1)
@@ -373,18 +373,17 @@ func (s *Server) currentStore() storeState {
 	return st
 }
 
-// swapStore publishes a new specification generation atomically.
+// swapStore publishes a new specification generation atomically. It
+// counts nothing: a reload and a verdict each count their own.
 func (s *Server) swapStore(st storeState) {
 	s.storeMu.Lock()
 	s.store = st
 	s.storeMu.Unlock()
-	s.cfg.Metrics.Add(CounterReloads, 1)
 	s.cfg.Metrics.Set(GaugeStoreSpecs, float64(st.spec.Len()))
 }
 
 // Handler returns the full mux: the /v1/ endpoints plus the operator
-// surface (/metrics, /metrics.prom, /debug/pprof/,
-// /debug/traces).
+// surface (/metrics, /debug/pprof/, /debug/traces).
 func (s *Server) Handler() http.Handler {
 	mux := obs.NewServeMux(s.cfg.Metrics)
 	mux.Handle("/v1/check", s.route("check", s.handleCheck))
@@ -416,14 +415,13 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// route wraps a handler with the uniform per-route telemetry: the
-// global and per-route request counters, a handler-latency timer, an
+// route wraps a handler with the uniform per-route telemetry: a
+// handler-latency timer (whose count is the route's request count), an
 // inflight gauge, and a status-class response counter. Individual
 // handlers only record what is specific to them. The route's metric
 // names are spelled once, here, when the route is registered — a request
 // concatenates nothing.
 func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
-	requests := CounterRequests + "." + name
 	inflight := GaugeRouteInflightPrefix + name
 	latency := TimerRoutePrefix + name
 	var responses [6]string // by status class; [0] is unused
@@ -431,8 +429,6 @@ func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
 		responses[class] = CounterResponses + "." + name + "." + strconv.Itoa(class) + "xx"
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.cfg.Metrics.Add(CounterRequests, 1)
-		s.cfg.Metrics.Add(requests, 1)
 		s.cfg.Metrics.GaugeAdd(inflight, 1)
 		t := s.cfg.Metrics.Start(latency)
 		sw := &statusWriter{ResponseWriter: w}

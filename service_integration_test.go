@@ -157,10 +157,10 @@ def handler():
 	// Service latency and request counters are visible in /metrics.
 	var snap obs.Snapshot
 	getJSON(t, base+"/metrics", &snap)
-	if snap.Counters[service.CounterRequests+".check"] != 1 {
-		t.Errorf("check counter = %d", snap.Counters[service.CounterRequests+".check"])
+	if snap.Timers[service.TimerRoutePrefix+"check"].Count != 1 {
+		t.Errorf("check counter = %d", snap.Timers[service.TimerRoutePrefix+"check"].Count)
 	}
-	if lat := snap.Timers[service.TimerCheck]; lat.Count != 1 || lat.P95 <= 0 {
+	if lat := snap.Timers[service.TimerRoutePrefix+"check"]; lat.Count != 1 || lat.P95 <= 0 {
 		t.Errorf("check latency timer = %+v", lat)
 	}
 
