@@ -47,9 +47,9 @@ func Example_quickstart() {
 		panic(err)
 	}
 	fmt.Println("== propagation graph ==")
-	for _, e := range graph.Events {
-		if e.NumReps() > 0 {
-			fmt.Printf("  event %d (%s): %s\n", e.ID, e.Kind, e.Rep(0))
+	for id, e := range graph.Events {
+		if graph.NumReps(id) > 0 {
+			fmt.Printf("  event %d (%s): %s\n", id, e.Kind, graph.Rep(id, 0))
 		}
 	}
 	fmt.Printf("  %d events, %d flow edges\n\n", len(graph.Events), graph.NumEdges())

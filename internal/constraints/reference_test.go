@@ -60,7 +60,7 @@ func referenceBuild(g *propgraph.Graph, reps [][]string, symOf map[string]propgr
 			ids[i] = symOf[r]
 		}
 		s.infoByEvent[id] = len(s.EventInfos)
-		s.EventInfos = append(s.EventInfos, EventInfo{EventID: e.ID, RepIDs: ids, Roles: e.Roles})
+		s.EventInfos = append(s.EventInfos, EventInfo{EventID: id, RepIDs: ids, Roles: e.Roles})
 	}
 
 	// Pass 3: first-seen variable assignment through a string-keyed map.
@@ -111,8 +111,8 @@ func referenceBuild(g *propgraph.Graph, reps [][]string, symOf map[string]propgr
 // value: per-event representation strings and the string → symbol map.
 func prepReference(g *propgraph.Graph) ([][]string, map[string]propgraph.Sym) {
 	reps := make([][]string, len(g.Events))
-	for id, e := range g.Events {
-		reps[id] = e.Reps()
+	for id := range g.Events {
+		reps[id] = g.Reps(id)
 	}
 	symOf := make(map[string]propgraph.Sym)
 	for i, str := range g.Syms.Strings() {
@@ -133,7 +133,7 @@ func corpusFileGraphs(nFiles, eventsPerFile int) []*propgraph.Graph {
 	graphs := make([]*propgraph.Graph, nFiles)
 	kinds := []propgraph.EventKind{propgraph.KindCall, propgraph.KindRead, propgraph.KindParam}
 	for f := range graphs {
-		g := propgraph.New()
+		gb := propgraph.NewBuilder()
 		for i := 0; i < eventsPerFile; i++ {
 			var reps []string
 			switch i % 4 {
@@ -148,7 +148,7 @@ func corpusFileGraphs(nFiles, eventsPerFile int) []*propgraph.Graph {
 			default: // frequent single rep
 				reps = []string{fmt.Sprintf("shared.helper%d()", i%3)}
 			}
-			g.AddEvent(kinds[i%len(kinds)], fmt.Sprintf("f%d.py", f),
+			gb.AddEvent(kinds[i%len(kinds)], fmt.Sprintf("f%d.py", f),
 				pytoken.Pos{Line: i + 1}, reps)
 		}
 		// Short flow chains: real corpus graphs decompose into many small
@@ -156,10 +156,10 @@ func corpusFileGraphs(nFiles, eventsPerFile int) []*propgraph.Graph {
 		// stays proportionate and the rep-handling passes dominate.
 		for i := 0; i+1 < eventsPerFile; i++ {
 			if i%16 < 3 {
-				g.AddEdge(i, i+1)
+				gb.AddEdge(i, i+1)
 			}
 		}
-		graphs[f] = g
+		graphs[f] = gb.Build()
 	}
 	return graphs
 }
@@ -172,24 +172,24 @@ func corpusFileGraphs(nFiles, eventsPerFile int) []*propgraph.Graph {
 // span of each file.
 func flowFixture() (*propgraph.Graph, []Span) {
 	chain := func(file string, n int, cyclic bool) *propgraph.Graph {
-		g := propgraph.New()
+		gb := propgraph.NewBuilder()
 		for i := 0; i < n; i++ {
-			g.AddEvent(propgraph.KindCall, file, pytoken.Pos{Line: i + 1},
+			gb.AddEvent(propgraph.KindCall, file, pytoken.Pos{Line: i + 1},
 				[]string{fmt.Sprintf("shared.helper%d()", i%3), fmt.Sprintf("api%d()", i%11)})
 			if i > 0 {
-				g.AddEdge(i-1, i)
+				gb.AddEdge(i-1, i)
 			}
 		}
 		if cyclic {
-			g.AddEdge(n-2, 1)
+			gb.AddEdge(n-2, 1)
 		}
-		return g
+		return gb.Build()
 	}
 	graphs := corpusFileGraphs(40, 60)
 	graphs[3] = chain("big.py", flowFixtureMaxComponent+30, false)
 	graphs[11] = chain("cycle.py", 6, true)
 	graphs[12] = chain("one.py", 1, false)
-	graphs[20] = propgraph.New()
+	graphs[20] = propgraph.NewBuilder().Build()
 	graphs[39] = chain("pair.py", 2, false)
 	spans := make([]Span, len(graphs))
 	at := 0
@@ -320,11 +320,12 @@ func TestBuildWorkersBitwiseIdentical(t *testing.T) {
 // name). With cutoff 2, a single event repeating "dup()" keeps it; a
 // single "once()" occurrence is cut.
 func TestBuildCountsRepOccurrences(t *testing.T) {
-	g := propgraph.New()
-	g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 1},
+	gb := propgraph.NewBuilder()
+	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 1},
 		[]string{"dup()", "dup()"})
-	g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 2},
+	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 2},
 		[]string{"once()"})
+	g := gb.Build()
 	sys := Build(g, spec.New(), Options{BackoffCutoff: 2})
 	if sys.VarID("dup()", propgraph.Source) < 0 {
 		t.Error("rep repeated within one event must count per occurrence and survive")

@@ -224,8 +224,8 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int)
 	t0 := time.Now()
 	repCount := make([]int32, nsyms)
 	if len(shards) == 1 {
-		for _, e := range g.Events {
-			for _, sym := range e.RepIDs {
+		for id := range g.Events {
+			for _, sym := range g.RepIDs(id) {
 				repCount[sym]++
 			}
 		}
@@ -233,8 +233,8 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int)
 		shardCounts := make([][]int32, len(shards))
 		runShards(shards, func(shard, lo, hi int) {
 			cnt := make([]int32, nsyms)
-			for _, e := range g.Events[lo:hi] {
-				for _, sym := range e.RepIDs {
+			for id := lo; id < hi; id++ {
+				for _, sym := range g.RepIDs(id) {
 					cnt[sym]++
 				}
 			}
@@ -266,17 +266,17 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int)
 		// Pre-size to upper bounds (every event kept, every occurrence
 		// surviving) so the filter loop never reallocates.
 		occ := 0
-		for _, e := range g.Events[lo:hi] {
-			occ += len(e.RepIDs)
+		for id := lo; id < hi; id++ {
+			occ += g.NumReps(id)
 		}
 		out := filtered{
 			infos:  make([]EventInfo, 0, hi-lo),
 			starts: make([]int, 0, hi-lo),
 			arena:  make([]propgraph.Sym, 0, occ),
 		}
-		for _, e := range g.Events[lo:hi] {
+		for id := lo; id < hi; id++ {
 			start := len(out.arena)
-			for _, sym := range e.RepIDs {
+			for _, sym := range g.RepIDs(id) {
 				if ix.Blacklisted(sym) {
 					continue
 				}
@@ -287,7 +287,7 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int)
 			if len(out.arena) == start {
 				continue
 			}
-			out.infos = append(out.infos, EventInfo{EventID: e.ID, Roles: e.Roles})
+			out.infos = append(out.infos, EventInfo{EventID: id, Roles: g.Events[id].Roles})
 			out.starts = append(out.starts, start)
 		}
 		// The arena no longer grows; carve the per-event slices.

@@ -11,16 +11,16 @@ import (
 )
 
 func chainGraph(reps ...string) *propgraph.Graph {
-	g := propgraph.New()
+	gb := propgraph.NewBuilder()
 	prev := -1
 	for _, r := range reps {
-		e := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 1}, []string{r})
+		e := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 1}, []string{r})
 		if prev >= 0 {
-			g.AddEdge(prev, e.ID)
+			gb.AddEdge(prev, e)
 		}
-		prev = e.ID
+		prev = e
 	}
-	return g
+	return gb.Build()
 }
 
 func TestChainConstraintCounts(t *testing.T) {
@@ -113,10 +113,11 @@ func TestInferSourceBeforeSanitizerAndSink(t *testing.T) {
 }
 
 func TestReadEventsOnlySourceCandidates(t *testing.T) {
-	g := propgraph.New()
-	read := g.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"x.y"})
-	call := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"f()"})
-	g.AddEdge(read.ID, call.ID)
+	gb := propgraph.NewBuilder()
+	read := gb.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"x.y"})
+	call := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"f()"})
+	gb.AddEdge(read, call)
+	g := gb.Build()
 	sys := Build(g, spec.New(), Options{BackoffCutoff: 1})
 	if sys.VarID("x.y", propgraph.Source) < 0 {
 		t.Error("read event must have a source variable")
@@ -127,12 +128,13 @@ func TestReadEventsOnlySourceCandidates(t *testing.T) {
 }
 
 func TestBackoffAveraging(t *testing.T) {
-	g := propgraph.New()
-	e1 := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"a.b.f()", "b.f()"})
-	snk := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"sink()"})
-	san := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"san()"})
-	g.AddEdge(e1.ID, san.ID)
-	g.AddEdge(san.ID, snk.ID)
+	gb := propgraph.NewBuilder()
+	e1 := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"a.b.f()", "b.f()"})
+	snk := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"sink()"})
+	san := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"san()"})
+	gb.AddEdge(e1, san)
+	gb.AddEdge(san, snk)
+	g := gb.Build()
 	sys := Build(g, spec.New(), Options{BackoffCutoff: 1})
 	// Find a constraint mentioning e1's source variables; the two backoff
 	// options must each carry coefficient 1/2.
@@ -161,12 +163,13 @@ func TestBackoffAveraging(t *testing.T) {
 }
 
 func TestFrequencyCutoff(t *testing.T) {
-	g := propgraph.New()
+	gb := propgraph.NewBuilder()
 	// "rare()" occurs once, "common()" five times.
 	for i := 0; i < 5; i++ {
-		g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"common()"})
+		gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"common()"})
 	}
-	g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"rare()"})
+	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"rare()"})
+	g := gb.Build()
 	sys := Build(g, spec.New(), Options{BackoffCutoff: 5})
 	if sys.VarID("common()", propgraph.Source) < 0 {
 		t.Error("common rep lost")
@@ -263,13 +266,14 @@ def media():
 }
 
 func TestWeakComponents(t *testing.T) {
-	g := propgraph.New()
+	gb := propgraph.NewBuilder()
 	for i := 0; i < 5; i++ {
-		g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"e()"})
+		gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"e()"})
 	}
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 1) // weakly connects 2 to {0,1}
-	g.AddEdge(3, 4)
+	gb.AddEdge(0, 1)
+	gb.AddEdge(2, 1) // weakly connects 2 to {0,1}
+	gb.AddEdge(3, 4)
+	g := gb.Build()
 	var sc flowScratch
 	ncomp := sc.components(g, shardRange{0, len(g.Events)})
 	comp := sc.comp
@@ -299,15 +303,16 @@ func TestCyclicGraphSupported(t *testing.T) {
 	// A cycle src -> mid -> back -> mid ... -> sink: reachability must be
 	// computed by the fixpoint fallback, and the Fig. 4c constraint must
 	// still let the solver infer the sanitizer between seeded endpoints.
-	g := propgraph.New()
-	src := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"src()"})
-	mid := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"mid()"})
-	back := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"back()"})
-	snk := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"sink()"})
-	g.AddEdge(src.ID, mid.ID)
-	g.AddEdge(mid.ID, back.ID)
-	g.AddEdge(back.ID, mid.ID) // cycle
-	g.AddEdge(mid.ID, snk.ID)
+	gb := propgraph.NewBuilder()
+	src := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"src()"})
+	mid := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"mid()"})
+	back := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"back()"})
+	snk := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"sink()"})
+	gb.AddEdge(src, mid)
+	gb.AddEdge(mid, back)
+	gb.AddEdge(back, mid) // cycle
+	gb.AddEdge(mid, snk)
+	g := gb.Build()
 
 	seed := spec.New()
 	seed.Add(propgraph.Source, "src()")

@@ -8,14 +8,16 @@ import (
 )
 
 // Allocation ceilings for the batch front-end with a warm scratch, about
-// 15 % over the measured 64.2 allocations and 8962 bytes per file (before
-// the front-end recycled its memory: 723 and 63 KB). Nearly all of what is left
-// is the returned graph: its events, symbol table, adjacency and the
-// representation strings. A slab that stops recycling, or a new per-node
-// allocation in the lexer, parser or analyzer, lands well above these.
+// 15 % over the measured 53.5 allocations and 3481 bytes per file (before
+// the front-end recycled its memory: 723 and 63 KB; before graphs were
+// flat arrays copied out of the scratch's builder: 64.2 and 8962). Nearly
+// all of what is left is the returned graph — nine allocations — and the
+// representation strings the analyzer builds. A slab
+// that stops recycling, or a new per-node allocation in the lexer, parser
+// or analyzer, lands well above these.
 const (
-	allocBudgetPerFile = 74
-	byteBudgetPerFile  = 10300
+	allocBudgetPerFile = 62
+	byteBudgetPerFile  = 4000
 )
 
 func TestAnalyzeFilesAllocBudget(t *testing.T) {

@@ -167,16 +167,9 @@ func LearnPrepared(g *propgraph.Graph, sys *constraints.System, cfg Config) *Res
 // projected-Adam solve, and role selection.
 func (res *Result) solveAndSelect(cfg Config) {
 	if cfg.Metrics != nil {
-		g := res.Graph
-		strs := g.Syms.Strings()
-		var occBytes int64
-		for _, e := range g.Events {
-			for _, s := range e.RepIDs {
-				occBytes += int64(len(strs[s]))
-			}
-		}
-		cfg.Metrics.Set(obs.GaugeInternSymbols, float64(len(strs)))
-		cfg.Metrics.Set(obs.GaugeInternBytesSaved, float64(occBytes-g.Syms.Bytes()))
+		st := res.Graph.ComputeStats()
+		cfg.Metrics.Set(obs.GaugeInternSymbols, float64(st.Symbols))
+		cfg.Metrics.Set(obs.GaugeInternBytesSaved, float64(st.OccurrenceBytes-st.SymbolBytes))
 	}
 
 	solverOpts := cfg.Solver
@@ -247,9 +240,12 @@ func LearnFromSources(files map[string]string, seed *spec.Spec, cfg Config) *Res
 	RunStage(cfg, obs.StageUnion, func() {
 		union = propgraph.Union(fe.Graphs...)
 	})
+	// Past the union nothing reads the per-file graphs: fe goes out of
+	// use here, so the collector can free them while Learn runs.
+	parseErrs := fe.ParseErrorFiles
 
 	res := Learn(union, seed, cfg)
-	res.ParseErrorFiles = fe.ParseErrorFiles
+	res.ParseErrorFiles = parseErrs
 	return res
 }
 

@@ -77,8 +77,9 @@ func TestEmptySeedPredictsNothing(t *testing.T) {
 func TestBackoffDecaySelection(t *testing.T) {
 	// An event whose first backoff option scores below threshold but whose
 	// second scores above it must still be selected — discounted by 0.8.
-	g := propgraph.New()
-	ev := g.AddEvent(propgraph.KindCall, "t.py", pos(), []string{"a.f()", "f()"})
+	gb := propgraph.NewBuilder()
+	ev := gb.AddEvent(propgraph.KindCall, "t.py", pos(), []string{"a.f()", "f()"})
+	g := gb.Build()
 	_ = ev
 	res := &Result{System: mustSystem(g)}
 	res.Solution = make([]float64, len(res.System.Vars))
@@ -101,8 +102,9 @@ func TestBackoffDecaySelection(t *testing.T) {
 }
 
 func TestBackoffDecayRejectsWeakDeepOptions(t *testing.T) {
-	g := propgraph.New()
-	g.AddEvent(propgraph.KindCall, "t.py", pos(), []string{"a.f()", "f()"})
+	gb := propgraph.NewBuilder()
+	gb.AddEvent(propgraph.KindCall, "t.py", pos(), []string{"a.f()", "f()"})
+	g := gb.Build()
 	res := &Result{System: mustSystem(g)}
 	res.Solution = make([]float64, len(res.System.Vars))
 	res.Solution[res.System.VarID("f()", propgraph.Source)] = 0.12

@@ -61,8 +61,8 @@ func TestGeneratedFlowsAppearInGraphs(t *testing.T) {
 		graphs[name] = g
 	}
 	hasRep := func(g *propgraph.Graph, rep string) bool {
-		for _, e := range g.Events {
-			for _, r := range e.Reps() {
+		for id := range g.Events {
+			for _, r := range g.Reps(id) {
 				if r == rep {
 					return true
 				}

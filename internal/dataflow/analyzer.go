@@ -60,7 +60,7 @@ func AnalyzeModule(mod *pyast.Module, opts Options) *propgraph.Graph {
 		sc.imports = make(map[string][]string)
 	}
 	a := &analyzer{
-		g:    propgraph.New(),
+		g:    &sc.graph,
 		file: mod.File,
 		opts: opts.withDefaults(),
 		sc:   sc,
@@ -74,12 +74,12 @@ func AnalyzeModule(mod *pyast.Module, opts Options) *propgraph.Graph {
 	}
 	a.opts.Metrics.Add(obs.CounterDataflowModules, 1)
 	a.opts.Metrics.Add(obs.CounterDataflowFunctions, int64(len(sc.order)))
-	a.opts.Metrics.Add(obs.CounterDataflowGraphEvents, int64(len(a.g.Events)))
-	return a.g
+	a.opts.Metrics.Add(obs.CounterDataflowGraphEvents, int64(a.g.Len()))
+	return a.g.Build()
 }
 
 type analyzer struct {
-	g    *propgraph.Graph
+	g    *propgraph.Builder // the scratch's
 	file string
 	opts Options
 	sc   *Scratch // every allocation but the graph; never nil

@@ -19,16 +19,17 @@ func analyze(t *testing.T, src string) *propgraph.Graph {
 	return g
 }
 
-// findEvent returns the first event having rep among its representations.
-func findEvent(g *propgraph.Graph, rep string) *propgraph.Event {
-	for _, e := range g.Events {
-		for _, r := range e.Reps() {
+// findEvent returns the first event having rep among its representations,
+// or -1.
+func findEvent(g *propgraph.Graph, rep string) int {
+	for id := range g.Events {
+		for _, r := range g.Reps(id) {
 			if r == rep {
-				return e
+				return id
 			}
 		}
 	}
-	return nil
+	return -1
 }
 
 // flowsTo reports whether information can flow from any event with rep a
@@ -36,13 +37,13 @@ func findEvent(g *propgraph.Graph, rep string) *propgraph.Event {
 func flowsTo(t *testing.T, g *propgraph.Graph, a, b string) bool {
 	t.Helper()
 	var as, bs []int
-	for _, e := range g.Events {
-		for _, r := range e.Reps() {
+	for id := range g.Events {
+		for _, r := range g.Reps(id) {
 			if r == a {
-				as = append(as, e.ID)
+				as = append(as, id)
 			}
 			if r == b {
-				bs = append(bs, e.ID)
+				bs = append(bs, id)
 			}
 		}
 	}
@@ -93,21 +94,21 @@ func TestFigure2Events(t *testing.T) {
 		"os.path.exists()",
 		"flask.request.files['f'].save()",
 	} {
-		if findEvent(g, rep) == nil {
+		if findEvent(g, rep) < 0 {
 			var have []string
-			for _, e := range g.Events {
-				if e.NumReps() > 0 {
-					have = append(have, e.Rep(0))
+			for id := range g.Events {
+				if g.NumReps(id) > 0 {
+					have = append(have, g.Rep(id, 0))
 				}
 			}
 			t.Errorf("missing event %q; have %v", rep, have)
 		}
 	}
 	// No event for pure module paths like os.path or request.files.
-	if ev := findEvent(g, "os.path"); ev != nil {
+	if findEvent(g, "os.path") >= 0 {
 		t.Error("os.path should not be an event")
 	}
-	if ev := findEvent(g, "flask.request.files"); ev != nil {
+	if findEvent(g, "flask.request.files") >= 0 {
 		t.Error("request.files should not be an event")
 	}
 }
@@ -139,11 +140,11 @@ func TestFigure2Flows(t *testing.T) {
 
 func TestEventKindsAndRoles(t *testing.T) {
 	g := analyze(t, figure2)
-	read := findEvent(g, "flask.request.files['f'].filename")
+	read := g.Events[findEvent(g, "flask.request.files['f'].filename")]
 	if read.Kind != propgraph.KindRead || read.Roles != propgraph.SourceOnly {
 		t.Errorf("read event: kind=%v roles=%b", read.Kind, read.Roles)
 	}
-	call := findEvent(g, "werkzeug.secure_filename()")
+	call := g.Events[findEvent(g, "werkzeug.secure_filename()")]
 	if call.Kind != propgraph.KindCall || call.Roles != propgraph.AllRoles {
 		t.Errorf("call event: kind=%v roles=%b", call.Kind, call.Roles)
 	}
@@ -152,16 +153,16 @@ func TestEventKindsAndRoles(t *testing.T) {
 func TestBackoffRepsForImportedChain(t *testing.T) {
 	g := analyze(t, "from flask import request\nx = request.form.get('q')\n")
 	ev := findEvent(g, "flask.request.form.get()")
-	if ev == nil {
+	if ev < 0 {
 		t.Fatal("missing call event")
 	}
 	want := []string{"flask.request.form.get()", "request.form.get()", "form.get()"}
-	if ev.NumReps() != len(want) {
-		t.Fatalf("reps = %v, want %v", ev.Reps(), want)
+	if g.NumReps(ev) != len(want) {
+		t.Fatalf("reps = %v, want %v", g.Reps(ev), want)
 	}
 	for i := range want {
-		if ev.Rep(i) != want[i] {
-			t.Errorf("rep[%d] = %q, want %q", i, ev.Rep(i), want[i])
+		if g.Rep(ev, i) != want[i] {
+			t.Errorf("rep[%d] = %q, want %q", i, g.Rep(ev, i), want[i])
 		}
 	}
 }
@@ -169,25 +170,25 @@ func TestBackoffRepsForImportedChain(t *testing.T) {
 func TestParamEventsCreated(t *testing.T) {
 	g := analyze(t, "def media(f):\n    return f.save()\n")
 	prm := findEvent(g, "media(param f)")
-	if prm == nil {
+	if prm < 0 {
 		t.Fatal("missing param event")
 	}
-	if prm.Kind != propgraph.KindParam || !prm.Roles.Has(propgraph.Source) {
-		t.Errorf("param event = %+v", prm)
+	if e := g.Events[prm]; e.Kind != propgraph.KindParam || !e.Roles.Has(propgraph.Source) {
+		t.Errorf("param event = %+v", e)
 	}
 	// Method call rooted at the parameter carries both representations.
 	save := findEvent(g, "media(param f).save()")
-	if save == nil {
+	if save < 0 {
 		t.Fatal("missing save call")
 	}
 	found := false
-	for _, r := range save.Reps() {
+	for _, r := range g.Reps(save) {
 		if r == "f.save()" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("save reps = %v, want to include f.save()", save.Reps())
+		t.Errorf("save reps = %v, want to include f.save()", g.Reps(save))
 	}
 	if !flowsTo(t, g, "media(param f)", "media(param f).save()") {
 		t.Error("param must flow into method call on it")
@@ -203,7 +204,7 @@ class ESCPOSDriver(ThreadDriver):
 `
 	g := analyze(t, src)
 	ev := findEvent(g, "ESCPOSDriver::status(param self).receipt()")
-	if ev == nil {
+	if ev < 0 {
 		t.Fatal("missing receipt call event")
 	}
 	want := []string{
@@ -212,20 +213,20 @@ class ESCPOSDriver(ThreadDriver):
 		"status(param self).receipt()",
 		"self.receipt()",
 	}
-	if ev.NumReps() != len(want) {
-		t.Fatalf("reps = %v", ev.Reps())
+	if g.NumReps(ev) != len(want) {
+		t.Fatalf("reps = %v", g.Reps(ev))
 	}
 	for i := range want {
-		if ev.Rep(i) != want[i] {
-			t.Errorf("rep[%d] = %q, want %q", i, ev.Rep(i), want[i])
+		if g.Rep(ev, i) != want[i] {
+			t.Errorf("rep[%d] = %q, want %q", i, g.Rep(ev, i), want[i])
 		}
 	}
 	// No source-candidate event for the receiver itself.
-	if findEvent(g, "ESCPOSDriver::status(param self)") != nil {
+	if findEvent(g, "ESCPOSDriver::status(param self)") >= 0 {
 		t.Error("self must not get a param event")
 	}
 	// But eprint does.
-	if findEvent(g, "ESCPOSDriver::status(param eprint)") == nil {
+	if findEvent(g, "ESCPOSDriver::status(param eprint)") < 0 {
 		t.Error("eprint param event missing")
 	}
 	// eprint flows into the receipt call through the string concatenation.
@@ -247,7 +248,7 @@ def handler():
 `
 	g := analyze(t, src)
 	// No call event for sanitize() itself: it is linked, not opaque.
-	if findEvent(g, "sanitize()") != nil {
+	if findEvent(g, "sanitize()") >= 0 {
 		t.Error("local call must not create an event")
 	}
 	// Flow goes through the parameter event and the callee body.
@@ -333,10 +334,10 @@ def f(flag):
 
 func TestChainedCallReps(t *testing.T) {
 	g := analyze(t, "import MySQLdb\ncur = MySQLdb.connect().cursor()\ncur.execute(q)\n")
-	if findEvent(g, "MySQLdb.connect().cursor()") == nil {
+	if findEvent(g, "MySQLdb.connect().cursor()") < 0 {
 		t.Error("chained call representation missing")
 	}
-	if findEvent(g, "MySQLdb.connect().cursor().execute()") == nil {
+	if findEvent(g, "MySQLdb.connect().cursor().execute()") < 0 {
 		t.Error("execute after chained calls missing")
 	}
 }
@@ -407,10 +408,10 @@ func TestLoopSingleIterationNoCycles(t *testing.T) {
 
 func TestImportAliasResolution(t *testing.T) {
 	g := analyze(t, "import os.path as osp\nosp.join(a, b)\nimport numpy as np\nnp.array(x)\n")
-	if findEvent(g, "os.path.join()") == nil {
+	if findEvent(g, "os.path.join()") < 0 {
 		t.Error("aliased import not expanded")
 	}
-	if findEvent(g, "numpy.array()") == nil {
+	if findEvent(g, "numpy.array()") < 0 {
 		t.Error("aliased module not expanded")
 	}
 }
@@ -420,17 +421,17 @@ func TestImportShadowedByAssignment(t *testing.T) {
 	// After reassignment, request is a plain local holding make()'s
 	// result: the call event must chain through the defining expression
 	// (Table 10's open().write() pattern), not through flask.
-	if findEvent(g, "flask.request.go()") != nil {
+	if findEvent(g, "flask.request.go()") >= 0 {
 		t.Error("shadowed import still treated as import")
 	}
-	if findEvent(g, "make().go()") == nil {
+	if findEvent(g, "make().go()") < 0 {
 		t.Error("chained call event missing")
 	}
 }
 
 func TestDecoratorsProduceEvents(t *testing.T) {
 	g := analyze(t, "from yak.web import app\n@app.route('/x')\ndef f():\n    pass\n")
-	if findEvent(g, "yak.web.app.route()") == nil {
+	if findEvent(g, "yak.web.app.route()") < 0 {
 		t.Error("decorator call event missing")
 	}
 }
@@ -571,7 +572,7 @@ def serve():
 `
 	g := analyze(t, src)
 	// Method calls on local instances are linked, not opaque events.
-	if findEvent(g, "h.fetch()") != nil || findEvent(g, "fetch()") != nil {
+	if findEvent(g, "h.fetch()") >= 0 || findEvent(g, "fetch()") >= 0 {
 		t.Error("linked method call created an event")
 	}
 	if !flowsTo(t, g, "flask.request.args.get()", "emit()") {

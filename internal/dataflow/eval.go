@@ -193,16 +193,16 @@ func (a *analyzer) evalAttrLoad(fe *funcEnv, base []*object, basePath *sympath, 
 func (a *analyzer) newReadEvent(fe *funcEnv, base []*object, path *sympath, pos pytoken.Pos, fieldName string) ([]*object, *sympath) {
 	ev := a.g.AddEvent(propgraph.KindRead, a.file, pos, a.reps(path))
 	for _, src := range a.sc.collectEvents(base, a.opts.fieldDepth) {
-		a.g.AddEdge(src, ev.ID)
+		a.g.AddEdge(src, ev)
 	}
 	var stored []*object
 	for _, o := range base {
 		stored = a.sc.union(stored, o.field(fieldName))
 	}
 	for _, src := range a.sc.collectEvents(stored, a.opts.fieldDepth) {
-		a.g.AddEdge(src, ev.ID)
+		a.g.AddEdge(src, ev)
 	}
-	return a.sc.union(a.sc.one(a.sc.newObject(ev.ID)), stored), path
+	return a.sc.union(a.sc.one(a.sc.newObject(ev)), stored), path
 }
 
 // subscriptSuffix renders the index of a subscript for a path segment:
@@ -231,9 +231,9 @@ func (a *analyzer) evalCall(fe *funcEnv, call *pyast.Call) ([]*object, *sympath)
 		if f.Ident == "locals" && len(call.Args) == 0 {
 			ev := a.g.AddEvent(propgraph.KindCall, a.file, call.Pos(), localsReps)
 			for _, src := range a.sc.collectEvents(fe.env.allObjects(), a.opts.fieldDepth) {
-				a.g.AddEdge(src, ev.ID)
+				a.g.AddEdge(src, ev)
 			}
-			return a.sc.one(a.sc.newObject(ev.ID)), nil
+			return a.sc.one(a.sc.newObject(ev)), nil
 		}
 		// Call of a function defined in this file: link through its
 		// summary instead of creating a call event (§5.2 inlining).
@@ -303,19 +303,19 @@ func (a *analyzer) unknownCall(fe *funcEnv, call *pyast.Call, receiver []*object
 	// future-work differentiation).
 	feedArg := func(objs []*object, argPos int) {
 		for _, src := range a.sc.collectEvents(objs, a.opts.fieldDepth) {
-			a.g.AddEdgeArg(src, ev.ID, argPos)
+			a.g.AddEdgeArg(src, ev, argPos)
 		}
 	}
 	feedAny := func(objs []*object) {
 		for _, src := range a.sc.collectEvents(objs, a.opts.fieldDepth) {
-			a.g.AddEdge(src, ev.ID)
+			a.g.AddEdge(src, ev)
 		}
 	}
 	feedArg(receiver, propgraph.ArgReceiver)
 	// Arguments flow INTO the call event only; the result carries the
 	// event itself, never the argument objects directly — otherwise flows
 	// through sanitizing calls would bypass the sanitizer vertex.
-	result := a.sc.one(a.sc.newObject(ev.ID))
+	result := a.sc.one(a.sc.newObject(ev))
 	for i, arg := range call.Args {
 		objs, _ := a.eval(fe, arg)
 		if _, starred := arg.(*pyast.Starred); starred {

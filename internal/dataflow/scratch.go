@@ -17,8 +17,9 @@ const (
 
 // Scratch holds everything an analysis allocates besides the graph it
 // returns: abstract objects and object sets, symbolic paths and their
-// segments, environments and their maps, per-function records, and the
-// working buffers of set union and event collection. The zero value is
+// segments, environments and their maps, per-function records, the
+// working buffers of set union and event collection, and the builder the
+// graph grows in until it is copied out. The zero value is
 // ready to use; AnalyzeModule resets it on entry, so between calls it
 // may retain references from the previous module — call Reset to scrub a
 // pooled scratch on release. Not safe for concurrent use. The graph an
@@ -41,6 +42,8 @@ type Scratch struct {
 	funcs     mapPool[*funcDef]
 	fieldMaps mapPool[[]*object]
 
+	graph propgraph.Builder
+
 	stamp     uint32   // current visit stamp; object.mark and eventMark compare against it
 	eventMark []uint32 // per event ID: last stamp that collected it
 	events    []int    // collectEvents result
@@ -49,11 +52,11 @@ type Scratch struct {
 	reps      []string // representations of the event being added
 }
 
-// buffers lists the scratch's arenas and map pools.
-func (s *Scratch) buffers() [12]arena.Buffer {
+// buffers lists the scratch's arenas, map pools and graph builder.
+func (s *Scratch) buffers() [13]arena.Buffer {
 	return [...]arena.Buffer{
 		&s.objects, &s.sets, &s.paths, &s.strs, &s.ints, &s.envs, &s.funcEnvs, &s.funcDefs,
-		&s.vars, &s.bound, &s.funcs, &s.fieldMaps,
+		&s.vars, &s.bound, &s.funcs, &s.fieldMaps, &s.graph,
 	}
 }
 

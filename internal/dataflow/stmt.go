@@ -308,8 +308,8 @@ func (a *analyzer) ensureAnalyzed(fd *funcDef) {
 			}
 		} else {
 			ev := a.g.AddEvent(propgraph.KindParam, a.file, p.NamePos, fd.ctx.ParamEventReps(p.Name))
-			fd.paramEvents[i] = ev.ID
-			objs = a.sc.one(a.sc.newObject(ev.ID))
+			fd.paramEvents[i] = ev
+			objs = a.sc.one(a.sc.newObject(ev))
 		}
 		fe.env.set(p.Name, objs)
 	}

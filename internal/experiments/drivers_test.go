@@ -153,7 +153,7 @@ func (e *Experiments) runMerlin(files map[string]string, collapsed bool) (*Resul
 	g := e.unionOf(files)
 	graphType := "Uncollapsed"
 	if collapsed {
-		g = g.Collapse()
+		g = collapse(g)
 		graphType = "Collapsed"
 	}
 	res, err := Infer(g, e.Seed, Options{MaxFactors: MerlinBudget})
@@ -421,8 +421,8 @@ func (e *Experiments) RunQ5(nProjects int) []Q5Project {
 		// Representations occurring in this project.
 		occurring := make(map[string]bool)
 		strs := g.Syms.Strings()
-		for _, ev := range g.Events {
-			for _, s := range ev.RepIDs {
+		for id := range g.Events {
+			for _, s := range g.RepIDs(id) {
 				occurring[strs[s]] = true
 			}
 		}
@@ -586,7 +586,7 @@ func (e *Experiments) RunCollapsedLearning() CollapsedLearning {
 	out.UncollapsedPrecision = precisionOf(entries, truth)
 	out.UncollapsedEvents = len(e.Union.Events)
 
-	collapsed := e.Union.Collapse()
+	collapsed := collapse(e.Union)
 	centries := core.Learn(collapsed, e.Seed, core.Config{}).LearnedEntries(e.Seed)
 	out.CollapsedSpecs = len(centries)
 	out.CollapsedPrecision = precisionOf(centries, truth)
@@ -614,7 +614,7 @@ func sweepGraph(cfg corpus.Config, files int) (g, collapsed *propgraph.Graph) {
 	cfg.Files = files
 	c := corpus.Generate(cfg)
 	g = propgraph.Union(core.AnalyzeFiles(c.FileMap(), core.Config{}).Graphs...)
-	return g, g.Collapse()
+	return g, collapse(g)
 }
 
 // RunMerlinSweep is the anti-Fig.10: Merlin's cost curve versus Seldon's

@@ -12,22 +12,23 @@ func TestSanitizerPriorReflectsFlowFraction(t *testing.T) {
 	// Event m1 sits on a source→sink path (high prior); event m2 hangs
 	// off to the side with no sink downstream (low prior). With no seed
 	// at all, the priors alone separate their sanitizer marginals.
-	g := propgraph.New()
-	src := g.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"in.data"})
-	m1 := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"m1()"})
-	snk := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"snk()"})
-	m2 := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"m2()"})
-	dead := g.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"x.y"})
-	g.AddEdge(src.ID, m1.ID)
-	g.AddEdge(m1.ID, snk.ID)
-	g.AddEdge(dead.ID, m2.ID) // m2 has no downstream sink
+	gb := propgraph.NewBuilder()
+	src := gb.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"in.data"})
+	m1 := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"m1()"})
+	snk := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"snk()"})
+	m2 := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"m2()"})
+	dead := gb.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"x.y"})
+	gb.AddEdge(src, m1)
+	gb.AddEdge(m1, snk)
+	gb.AddEdge(dead, m2) // m2 has no downstream sink
+	g := gb.Build()
 
 	res, err := Infer(g, spec.New(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := res.Marginals[m1.ID][propgraph.Sanitizer]
-	p2 := res.Marginals[m2.ID][propgraph.Sanitizer]
+	p1 := res.Marginals[m1][propgraph.Sanitizer]
+	p2 := res.Marginals[m2][propgraph.Sanitizer]
 	if p1 <= p2 {
 		t.Errorf("on-path sanitizer marginal (%v) should exceed off-path (%v)", p1, p2)
 	}
@@ -54,9 +55,10 @@ func TestSeedHardPriorWinsOverFlowEvidence(t *testing.T) {
 }
 
 func TestEventsWithoutRepsIgnored(t *testing.T) {
-	g := propgraph.New()
-	g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, nil)
-	g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"f()"})
+	gb := propgraph.NewBuilder()
+	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, nil)
+	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"f()"})
+	g := gb.Build()
 	res, err := Infer(g, spec.New(), Options{})
 	if err != nil {
 		t.Fatal(err)

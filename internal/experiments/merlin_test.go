@@ -100,7 +100,7 @@ func Infer(g *propgraph.Graph, seed *spec.Spec, opts Options) (*Result, error) {
 		for r := range varOf[i] {
 			varOf[i][r] = -1
 		}
-		if e.NumReps() == 0 || seed.Blacklisted(e.Rep(0)) {
+		if g.NumReps(i) == 0 || seed.Blacklisted(g.Rep(i, 0)) {
 			continue
 		}
 		for _, role := range propgraph.Roles() {
@@ -173,10 +173,10 @@ func (r *Result) Predict(threshold float64) []Prediction {
 	var out []Prediction
 	for id, m := range r.Marginals {
 		for _, role := range propgraph.Roles() {
-			if m[role] >= threshold && r.graph.Events[id].Roles.Has(role) && r.graph.Events[id].NumReps() > 0 {
+			if m[role] >= threshold && r.graph.Events[id].Roles.Has(role) && r.graph.NumReps(id) > 0 {
 				out = append(out, Prediction{
 					EventID: id, Role: role,
-					Rep:      r.graph.Events[id].Rep(0),
+					Rep:      r.graph.Rep(id, 0),
 					Marginal: m[role],
 				})
 			}
@@ -190,9 +190,9 @@ func (r *Result) Predict(threshold float64) []Prediction {
 func (r *Result) TopK(role propgraph.Role, k int) []Prediction {
 	var out []Prediction
 	for id, m := range r.Marginals {
-		if r.graph.Events[id].Roles.Has(role) && r.graph.Events[id].NumReps() > 0 {
+		if r.graph.Events[id].Roles.Has(role) && r.graph.NumReps(id) > 0 {
 			out = append(out, Prediction{EventID: id, Role: role,
-				Rep: r.graph.Events[id].Rep(0), Marginal: m[role]})
+				Rep: r.graph.Rep(id, 0), Marginal: m[role]})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Marginal > out[j].Marginal })
@@ -212,8 +212,8 @@ func addPriors(g *propgraph.Graph, seed *spec.Spec, varOf [][3]int,
 	// Reachability counts for the sanitizer prior. Hand-labeled events
 	// skip the flow prior — their hard prior is authoritative and the two
 	// would zero out the factor product.
-	for id, e := range g.Events {
-		seeded := e.NumReps() > 0 && seed.RolesOf(e.Rep(0)) != 0
+	for id := range g.Events {
+		seeded := g.NumReps(id) > 0 && seed.RolesOf(g.Rep(id, 0)) != 0
 		if !seeded && varOf[id][propgraph.Sanitizer] >= 0 {
 			fromSrc, total := 0, 0
 			for _, u := range reach.back[id] {
@@ -244,10 +244,10 @@ func addPriors(g *propgraph.Graph, seed *spec.Spec, varOf [][3]int,
 			}
 		}
 		// Hard priors for hand-labeled events (most specific rep only).
-		if e.NumReps() == 0 {
+		if g.NumReps(id) == 0 {
 			continue
 		}
-		roles := seed.RolesOf(e.Rep(0))
+		roles := seed.RolesOf(g.Rep(id, 0))
 		if roles == 0 {
 			continue
 		}

@@ -11,16 +11,16 @@ import (
 )
 
 func chain(reps ...string) *propgraph.Graph {
-	g := propgraph.New()
+	gb := propgraph.NewBuilder()
 	prev := -1
 	for _, r := range reps {
-		e := g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 1}, []string{r})
+		e := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 1}, []string{r})
 		if prev >= 0 {
-			g.AddEdge(prev, e.ID)
+			gb.AddEdge(prev, e)
 		}
-		prev = e.ID
+		prev = e
 	}
-	return g
+	return gb.Build()
 }
 
 func TestInferSanitizerBetweenSeededEndpoints(t *testing.T) {
@@ -74,10 +74,11 @@ func TestDownstreamRoleSuppression(t *testing.T) {
 }
 
 func TestCandidateCounts(t *testing.T) {
-	g := propgraph.New()
-	g.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"a()"})
-	g.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"x.y"})
-	g.AddEvent(propgraph.KindParam, "t.py", pytoken.Pos{}, []string{"f(param p)"})
+	gb := propgraph.NewBuilder()
+	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"a()"})
+	gb.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"x.y"})
+	gb.AddEvent(propgraph.KindParam, "t.py", pytoken.Pos{}, []string{"f(param p)"})
+	g := gb.Build()
 	res, err := Infer(g, spec.New(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +162,7 @@ def g():
 	seed.Add(propgraph.Source, "src()")
 	seed.Add(propgraph.Sink, "sink()")
 
-	collapsed := g.Collapse()
+	collapsed := collapse(g)
 	resC, err := Infer(collapsed, seed, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +173,8 @@ def g():
 	}
 	sanMarginal := func(res *Result, pg *propgraph.Graph) float64 {
 		best := 0.0
-		for id, e := range pg.Events {
-			if e.NumReps() > 0 && e.Rep(0) == "san()" {
+		for id := range pg.Events {
+			if pg.NumReps(id) > 0 && pg.Rep(id, 0) == "san()" {
 				if m := res.Marginals[id][propgraph.Sanitizer]; m > best {
 					best = m
 				}

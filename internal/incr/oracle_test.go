@@ -116,15 +116,15 @@ func (o *oracle) relearn(label string) (incr.RelearnStats, error) {
 
 // sameUnion compares two unions through the exported surface: the binary
 // encoding (symbol table, events, successors, labels) and what it leaves
-// out — IDs, predecessors, label lookup by endpoint.
+// out — representations read by ID, predecessors, label lookup by
+// endpoint.
 func sameUnion(got, want *propgraph.Graph) error {
 	if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
 		return fmt.Errorf("binary encoding differs (%d events, want %d)", len(got.Events), len(want.Events))
 	}
-	for id, we := range want.Events {
-		ge := got.Events[id]
-		if ge.ID != id || !slices.Equal(ge.Reps(), we.Reps()) {
-			return fmt.Errorf("event %d has ID %d, reps %v; want reps %v", id, ge.ID, ge.Reps(), we.Reps())
+	for id := range want.Events {
+		if !slices.Equal(got.Reps(id), want.Reps(id)) {
+			return fmt.Errorf("event %d has reps %v; want reps %v", id, got.Reps(id), want.Reps(id))
 		}
 		if !slices.Equal(got.Succs(id), want.Succs(id)) || !slices.Equal(got.Preds(id), want.Preds(id)) {
 			return fmt.Errorf("event %d: succs %v preds %v, want %v %v", id, got.Succs(id), got.Preds(id), want.Succs(id), want.Preds(id))
@@ -152,25 +152,25 @@ var tinyPool = []string{"src()", "san()", "snk()", "a()", "b()", "c()", "d()", "
 // chain is a file whose events call the given names in order, each
 // flowing into the next; with labels every edge carries some.
 func chain(file string, labels bool, names ...string) *propgraph.Graph {
-	g := propgraph.New()
+	gb := propgraph.NewBuilder()
 	for i, n := range names {
-		g.AddEvent(propgraph.KindCall, file, pytoken.Pos{Line: i + 1}, []string{"pkg." + n, n})
+		gb.AddEvent(propgraph.KindCall, file, pytoken.Pos{Line: i + 1}, []string{"pkg." + n, n})
 	}
 	for i := 0; i+1 < len(names); i++ {
 		switch {
 		case !labels:
-			g.AddEdge(i, i+1)
+			gb.AddEdge(i, i+1)
 		case i%2 == 0:
-			g.AddEdgeArg(i, i+1, i%3)
+			gb.AddEdgeArg(i, i+1, i%3)
 		default:
-			g.AddEdgeArg(i, i+1, propgraph.ArgReceiver)
-			g.AddEdgeArg(i, i+1, propgraph.ArgKeyword)
+			gb.AddEdgeArg(i, i+1, propgraph.ArgReceiver)
+			gb.AddEdgeArg(i, i+1, propgraph.ArgKeyword)
 		}
 	}
 	if len(names) > 2 {
-		g.AddEdge(0, len(names)-1)
+		gb.AddEdge(0, len(names)-1)
 	}
-	return g
+	return gb.Build()
 }
 
 // tinyGraph is a small graph drawn from shape: zero to six events over
@@ -178,7 +178,7 @@ func chain(file string, labels bool, names ...string) *propgraph.Graph {
 // unlabeled edges.
 func tinyGraph(file string, shape uint32) *propgraph.Graph {
 	rng := rand.New(rand.NewSource(int64(shape)))
-	g := propgraph.New()
+	gb := propgraph.NewBuilder()
 	n := rng.Intn(7)
 	for i := 0; i < n; i++ {
 		name := tinyPool[rng.Intn(len(tinyPool))]
@@ -189,23 +189,23 @@ func tinyGraph(file string, shape uint32) *propgraph.Graph {
 		if rng.Intn(6) == 0 {
 			kind = propgraph.KindRead
 		}
-		g.AddEvent(kind, file, pytoken.Pos{Line: i + 1}, []string{"pkg." + name, name})
+		gb.AddEvent(kind, file, pytoken.Pos{Line: i + 1}, []string{"pkg." + name, name})
 	}
 	for i := 0; i+1 < n; i++ {
 		switch rng.Intn(3) {
 		case 0:
-			g.AddEdge(i, i+1)
+			gb.AddEdge(i, i+1)
 		case 1:
-			g.AddEdgeArg(i, i+1, rng.Intn(3))
+			gb.AddEdgeArg(i, i+1, rng.Intn(3))
 		default:
-			g.AddEdgeArg(i, i+1, propgraph.ArgReceiver)
-			g.AddEdgeArg(i, i+1, propgraph.ArgKeyword)
+			gb.AddEdgeArg(i, i+1, propgraph.ArgReceiver)
+			gb.AddEdgeArg(i, i+1, propgraph.ArgKeyword)
 		}
 	}
 	if n > 2 && rng.Intn(2) == 0 {
-		g.AddEdge(0, n-1)
+		gb.AddEdge(0, n-1)
 	}
-	return g
+	return gb.Build()
 }
 
 // forEachParallelism runs f at GOMAXPROCS {1, 2, 4} × workers {1, 4}.
@@ -261,14 +261,14 @@ func TestEditSequenceOracle(t *testing.T) {
 			{"replace larger", func() { s.Splice("f05.py", chain("f05.py", false, "d()", "x()", "src()", "a()", "snk()", "san()")) }, "", 1},
 			{"replace smaller", func() { s.Splice("f05.py", chain("f05.py", false, "snk()")) }, "", 1},
 			{"insert first", func() { s.Splice("a.py", chain("a.py", false, "src()", "a()", "snk()")) }, "numbering", 1},
-			{"insert first, no symbols", func() { s.Splice("_.py", propgraph.New()) }, "", 1},
+			{"insert first, no symbols", func() { s.Splice("_.py", propgraph.NewBuilder().Build()) }, "", 1},
 			{"insert last, new symbol", func() { s.Splice("z.py", chain("z.py", true, "src()", "last()", "snk()")) }, "", 1},
 			{"insert middle", func() { s.Splice("f05a.py", chain("f05a.py", true, "src()", "b()", "san()", "snk()")) }, "", 1},
 			{"retract middle", func() { s.Retract("f07.py") }, "", 1},
 			{"rename", func() { g := decode("f03.py"); s.Retract("f03.py"); s.Splice("f03b.py", g) }, "", 2},
-			{"empty file", func() { s.Splice("f06a.py", propgraph.New()) }, "", 1},
+			{"empty file", func() { s.Splice("f06a.py", propgraph.NewBuilder().Build()) }, "", 1},
 			{"empty file filled", func() { s.Splice("f06a.py", chain("f06a.py", true, "a()", "b()", "c()", "d()")) }, "", 1},
-			{"file emptied", func() { s.Splice("f04.py", propgraph.New()) }, "", 1},
+			{"file emptied", func() { s.Splice("f04.py", propgraph.NewBuilder().Build()) }, "", 1},
 			{"introducer, same symbols", func() { s.Splice("f00.py", chain("f00.py", false, append(all, "src()", "x()")...)) }, "", 1},
 			{"introducer reorders", func() { s.Splice("f00.py", chain("f00.py", true, swapped...)) }, "numbering", 1},
 			{"introducer loses one", func() { s.Splice("f00.py", chain("f00.py", true, swapped[:len(swapped)-1]...)) }, "numbering", 1},
@@ -283,7 +283,7 @@ func TestEditSequenceOracle(t *testing.T) {
 				s.Splice("f02.py", chain("f02.py", false, "src()", "san()", "d()", "snk()", "a()"))
 				s.Splice("f02a.py", chain("f02a.py", true, "x()", "snk()"))
 				s.Retract("f11.py")
-				s.Splice("f08.py", propgraph.New())
+				s.Splice("f08.py", propgraph.NewBuilder().Build())
 			}, "", 6},
 			{"spliced twice", func() {
 				s.Splice("f08.py", chain("f08.py", true, "a()", "snk()"))

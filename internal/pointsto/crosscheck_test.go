@@ -70,13 +70,13 @@ func TestAgreesWithDataflowOnAliasing(t *testing.T) {
 func dataflowFlows(g *propgraph.Graph, from, to string) bool {
 	var srcs []int
 	targets := map[int]bool{}
-	for _, e := range g.Events {
-		for _, r := range e.Reps() {
+	for id := range g.Events {
+		for _, r := range g.Reps(id) {
 			if r == from {
-				srcs = append(srcs, e.ID)
+				srcs = append(srcs, id)
 			}
 			if r == to {
-				targets[e.ID] = true
+				targets[id] = true
 			}
 		}
 	}

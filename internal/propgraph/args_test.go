@@ -6,43 +6,46 @@ import (
 )
 
 func TestAddEdgeArgLabels(t *testing.T) {
-	g := New()
-	a := addEv(g, KindCall, "a()")
-	b := addEv(g, KindCall, "b()")
-	g.AddEdgeArg(a.ID, b.ID, 1)
-	g.AddEdgeArg(a.ID, b.ID, 0)
-	g.AddEdgeArg(a.ID, b.ID, 1) // duplicate label
-	if got := g.EdgeArgs(a.ID, b.ID); !reflect.DeepEqual(got, []int{0, 1}) {
+	gb := NewBuilder()
+	a := addEv(gb, KindCall, "a()")
+	b := addEv(gb, KindCall, "b()")
+	gb.AddEdgeArg(a, b, 1)
+	gb.AddEdgeArg(a, b, 0)
+	gb.AddEdgeArg(a, b, 1) // duplicate label
+	g := gb.Build()
+	if got := g.EdgeArgs(a, b); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("labels = %v", got)
 	}
 	if g.NumEdges() != 1 {
 		t.Errorf("edges = %d", g.NumEdges())
 	}
-	if g.EdgeArgs(b.ID, a.ID) != nil {
+	if g.EdgeArgs(b, a) != nil {
 		t.Error("reverse edge has labels")
 	}
 }
 
 func TestPlainAddEdgeIsUnlabeled(t *testing.T) {
-	g := New()
-	a := addEv(g, KindCall, "a()")
-	b := addEv(g, KindCall, "b()")
-	g.AddEdge(a.ID, b.ID)
-	if g.EdgeArgs(a.ID, b.ID) != nil {
+	gb := NewBuilder()
+	a := addEv(gb, KindCall, "a()")
+	b := addEv(gb, KindCall, "b()")
+	gb.AddEdge(a, b)
+	if gb.Build().EdgeArgs(a, b) != nil {
 		t.Error("plain edge must be unlabeled")
 	}
 }
 
 func TestUnionPreservesLabels(t *testing.T) {
-	g1 := New()
-	a := addEv(g1, KindCall, "a()")
-	b := addEv(g1, KindCall, "b()")
-	g1.AddEdgeArg(a.ID, b.ID, 2)
+	b1 := NewBuilder()
+	a := addEv(b1, KindCall, "a()")
+	b := addEv(b1, KindCall, "b()")
+	b1.AddEdgeArg(a, b, 2)
+	g1 := b1.Build()
 
-	g2 := New()
-	c := addEv(g2, KindCall, "c()")
-	d := addEv(g2, KindCall, "d()")
-	g2.AddEdgeArg(c.ID, d.ID, ArgReceiver)
+	b2 := NewBuilder()
+	c := addEv(b2, KindCall, "c()")
+	d := addEv(b2, KindCall, "d()")
+	b2.AddEdgeArg(c, d, ArgReceiver)
+	g2 := b2.Build()
 
 	u := Union(g1, g2)
 	if got := u.EdgeArgs(0, 1); !reflect.DeepEqual(got, []int{2}) {
@@ -53,36 +56,13 @@ func TestUnionPreservesLabels(t *testing.T) {
 	}
 }
 
-func TestCollapsePreservesLabels(t *testing.T) {
-	g := New()
-	a1 := addEv(g, KindCall, "a()")
-	a2 := addEv(g, KindCall, "a()")
-	s := addEv(g, KindCall, "sink()")
-	g.AddEdgeArg(a1.ID, s.ID, 0)
-	g.AddEdgeArg(a2.ID, s.ID, 1)
-	c := g.Collapse()
-	if len(c.Events) != 2 {
-		t.Fatalf("collapsed events = %d", len(c.Events))
-	}
-	// Both labels land on the contracted edge.
-	var got []int
-	for src := range c.Events {
-		if labels := c.EdgeArgs(src, 1-src); labels != nil {
-			got = labels
-		}
-	}
-	if !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("contracted labels = %v", got)
-	}
-}
-
 func TestAddEdgeArgRejectsBadEndpoints(t *testing.T) {
-	g := New()
-	a := addEv(g, KindCall, "a()")
-	g.AddEdgeArg(a.ID, a.ID, 0) // self loop
-	g.AddEdgeArg(a.ID, 99, 0)   // out of range
-	g.AddEdgeArg(-1, a.ID, 0)   // negative
-	if g.NumEdges() != 0 {
+	b := NewBuilder()
+	a := addEv(b, KindCall, "a()")
+	b.AddEdgeArg(a, a, 0)  // self loop
+	b.AddEdgeArg(a, 99, 0) // out of range
+	b.AddEdgeArg(-1, a, 0) // negative
+	if g := b.Build(); g.NumEdges() != 0 {
 		t.Errorf("edges = %d, want 0", g.NumEdges())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 
 	"seldon/internal/envelope"
 	"seldon/internal/pytoken"
@@ -44,20 +45,35 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 	dst = append(dst, binaryTag, binaryVersion)
 
 	// Symbol table, in table order (RepIDs index it directly).
-	syms := g.Syms.Strings()
-	dst = binary.AppendUvarint(dst, uint64(len(syms)))
-	for _, s := range syms {
-		dst = envelope.AppendBytesV(dst, s)
+	syms := g.Syms.view()
+	dst = binary.AppendUvarint(dst, uint64(syms.len()))
+	for i := range syms.len() {
+		dst = envelope.AppendBytesV(dst, syms.at(i))
 	}
 
-	// File-name table, first-seen order over events.
-	fileIdx := make(map[string]int)
+	// File-name table, distinct names in first-use order over events. A
+	// built or decoded graph's own table is that already; a union's
+	// repeats a name for every input it came from.
+	fileIdx := make([]int32, len(g.files)) // table index → encoded index + 1
+	var byName map[string]int32
+	if len(g.files) > 1 {
+		byName = make(map[string]int32, len(g.files))
+	}
 	var files []string
 	for _, e := range g.Events {
-		if _, ok := fileIdx[e.File]; !ok {
-			fileIdx[e.File] = len(files)
-			files = append(files, e.File)
+		if fileIdx[e.file] != 0 {
+			continue
 		}
+		f := g.files[e.file]
+		j, ok := byName[f]
+		if !ok {
+			j = int32(len(files))
+			files = append(files, f)
+			if byName != nil {
+				byName[f] = j
+			}
+		}
+		fileIdx[e.file] = j + 1
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(files)))
 	for _, f := range files {
@@ -65,46 +81,50 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 	}
 
 	dst = binary.AppendUvarint(dst, uint64(len(g.Events)))
-	for _, e := range g.Events {
+	for id, e := range g.Events {
 		dst = binary.AppendUvarint(dst, uint64(e.Kind))
-		dst = binary.AppendUvarint(dst, uint64(fileIdx[e.File]))
+		dst = binary.AppendUvarint(dst, uint64(fileIdx[e.file]-1))
 		dst = binary.AppendVarint(dst, int64(e.Pos.Line))
 		dst = binary.AppendVarint(dst, int64(e.Pos.Col))
-		dst = binary.AppendUvarint(dst, uint64(len(e.RepIDs)))
-		for _, r := range e.RepIDs {
+		reps := g.RepIDs(id)
+		dst = binary.AppendUvarint(dst, uint64(len(reps)))
+		for _, r := range reps {
 			dst = binary.AppendUvarint(dst, uint64(r))
 		}
 		dst = append(dst, byte(e.Roles))
 	}
+	labeled := 0
 	for src := range g.Events {
-		ss := g.succs[src]
+		ss := g.Succs(src)
 		dst = binary.AppendUvarint(dst, uint64(len(ss)))
 		for _, d := range ss {
 			dst = binary.AppendUvarint(dst, uint64(d))
 		}
+		for k := g.Events[src].succ.lo; k < g.Events[src].succ.hi; k++ {
+			if g.lab[k].lo != g.lab[k].hi {
+				labeled++
+			}
+		}
 	}
-	// Labels in ascending (source, destination) order. Rows are in successor
-	// order, so the labeled edges of one source are sorted by destination.
-	labeled := 0
-	for range g.edgeArgs {
-		labeled++
-	}
+	// Labels in ascending (source, destination) order. Successors are in
+	// insertion order, so the labeled edges of one source are sorted by
+	// destination first.
 	dst = binary.AppendUvarint(dst, uint64(labeled))
 	var few [16]int64
-	byDst := few[:0] // destination<<32 | position in the row
-	for src := range g.argRow {
-		row := g.labels(src)
+	byDst := few[:0] // destination<<32 | successor position
+	for src := range g.Events {
+		s := g.Events[src].succ
 		byDst = byDst[:0]
-		for j, args := range row {
-			if len(args) > 0 {
-				byDst = append(byDst, int64(g.succs[src][j])<<32|int64(j))
+		for k := s.lo; k < s.hi; k++ {
+			if g.lab[k].lo != g.lab[k].hi {
+				byDst = append(byDst, int64(g.succ[k])<<32|int64(k))
 			}
 		}
 		slices.Sort(byDst)
-		for _, k := range byDst {
-			args := row[uint32(k)]
+		for _, key := range byDst {
+			args := g.labels(int(uint32(key)))
 			dst = binary.AppendUvarint(dst, uint64(src))
-			dst = binary.AppendUvarint(dst, uint64(k>>32))
+			dst = binary.AppendUvarint(dst, uint64(key>>32))
 			dst = binary.AppendUvarint(dst, uint64(len(args)))
 			for _, a := range args {
 				dst = binary.AppendVarint(dst, int64(a))
@@ -121,6 +141,11 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 // encoder's normal form (a file table not in first-use order, edge labels
 // out of order, a padded varint): what decodes encodes back to the bytes
 // consumed (FuzzDecodeBinary).
+//
+// Every table of the graph is allocated once at its final size: where the
+// encoding gives no count (the bytes of the symbol table, representation
+// slots, edges, label arguments), a first pass over the section counts
+// them before a second one fills the table.
 func DecodeBinary(data []byte) (*Graph, []byte, error) {
 	r := envelope.NewReader(data)
 	fail := func(format string, args ...any) {
@@ -136,14 +161,25 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 		fail("unsupported version %d", v)
 	}
 
-	// Symbol table. Interning in stored order reproduces the IDs the
-	// encoder wrote; a duplicate would silently shift every later ID, so
-	// it is rejected as corruption.
+	// Symbol table: the strings back to back. A duplicate would silently
+	// shift every later ID, so it is rejected as corruption.
 	numSyms := count()
-	syms := newInterner(numSyms)
+	total := 0
+	for s, i := skim(r.Rest()), 0; i < numSyms && len(s) > 0; i++ {
+		n := s.uvarint()
+		total += min(n, len(s))
+		s = s[min(n, len(s)):]
+	}
+	var blob strings.Builder
+	blob.Grow(total)
+	ends := make([]uint32, numSyms)
 	for i := 0; i < numSyms && r.Err() == nil; i++ {
-		s := r.StringV()
-		if r.Err() == nil && int(syms.Intern(s)) != i {
+		blob.Write(r.BytesV())
+		ends[i] = uint32(blob.Len())
+	}
+	g := newSealedGraph(blob.String(), ends)
+	if r.Err() == nil {
+		if s, dup := g.Syms.duplicate(); dup {
 			fail("duplicate symbol %q in table", s)
 		}
 	}
@@ -170,20 +206,22 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 	usedFiles := 0
 
 	numEvents := r.Count(r.Uvarint(), 7)
-	g := &Graph{
-		Syms:   syms,
-		Events: make([]*Event, 0, numEvents),
-		succs:  make([][]int, numEvents),
-		preds:  make([][]int, numEvents),
+	total = 0
+	for s, i := skim(r.Rest()), 0; i < numEvents && len(s) > 0; i++ {
+		s.skip(4) // kind, file, line, column
+		total += s.skip(s.uvarint())
+		s.skipBytes(1) // roles
 	}
-	evArena := make([]Event, numEvents)
+	g.Events, g.files, g.reps = make([]Event, numEvents), files, make([]Sym, total)
+	nreps := 0
 	for i := 0; i < numEvents && r.Err() == nil; i++ {
+		e := &g.Events[i]
 		kind := r.Uvarint()
 		if r.Err() == nil && kind > uint64(KindParam) {
 			fail("event %d: bad kind %d", i, kind)
 		}
+		e.Kind = EventKind(kind)
 		fileIdx := r.Uvarint()
-		file := ""
 		if r.Err() == nil {
 			switch {
 			case fileIdx >= uint64(len(files)):
@@ -191,30 +229,28 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 			case fileIdx > uint64(usedFiles):
 				fail("event %d: file %d used before file %d", i, fileIdx, usedFiles)
 			default:
-				file = files[fileIdx]
+				e.file = int32(fileIdx)
 				usedFiles = max(usedFiles, int(fileIdx)+1)
 			}
 		}
-		e := &evArena[i]
-		*e = Event{
-			ID:   i,
-			Kind: EventKind(kind),
-			File: file,
-			Pos:  pytoken.Pos{Line: int(r.Varint()), Col: int(r.Varint())},
-			syms: syms,
+		e.Pos = pytoken.Pos{Line: int(r.Varint()), Col: int(r.Varint())}
+		n := count()
+		if nreps+n > len(g.reps) {
+			fail("event %d: truncated", i) // the first pass ran out here
 		}
-		if nreps := count(); nreps > 0 {
-			e.RepIDs = make([]Sym, nreps)
-			for j := range e.RepIDs {
-				s := r.Uvarint()
-				if r.Err() == nil && s >= uint64(numSyms) {
-					fail("event %d: symbol %d out of range", i, s)
-				}
-				e.RepIDs[j] = Sym(s)
+		if r.Err() != nil {
+			break
+		}
+		e.reps = span{uint32(nreps), uint32(nreps + n)}
+		for j := nreps; j < nreps+n; j++ {
+			s := r.Uvarint()
+			if r.Err() == nil && s >= uint64(numSyms) {
+				fail("event %d: symbol %d out of range", i, s)
 			}
+			g.reps[j] = Sym(s)
 		}
+		nreps += n
 		e.Roles = RoleSet(r.Byte())
-		g.Events = append(g.Events, e)
 	}
 
 	if r.Err() == nil && usedFiles != len(files) {
@@ -223,87 +259,132 @@ func DecodeBinary(data []byte) (*Graph, []byte, error) {
 
 	// Successors in stored (insertion) order; predecessors rebuilt in
 	// ascending-source order, Union's normal form.
+	total = 0
+	for s, i := skim(r.Rest()), 0; i < numEvents && len(s) > 0; i++ {
+		total += s.skip(s.uvarint())
+	}
+	adj := make([]int, 2*total) // successors, then predecessors
+	g.succ, g.pred = adj[:total:total], adj[total:]
+	nsucc := 0
 	for src := 0; src < numEvents && r.Err() == nil; src++ {
-		if n := count(); n > 0 {
-			ss := make([]int, n)
-			for j := range ss {
-				dst := r.Uvarint()
-				if r.Err() == nil && (dst >= uint64(numEvents) || int(dst) == src) {
-					fail("edge %d->%d out of range", src, dst)
-				}
-				ss[j] = int(dst)
-			}
-			g.succs[src] = ss
-			for _, dst := range ss {
-				if r.Err() == nil {
-					g.preds[dst] = append(g.preds[dst], src)
-				}
-			}
+		n := count()
+		if nsucc+n > len(g.succ) {
+			fail("successors of %d: truncated", src)
 		}
+		if r.Err() != nil {
+			break
+		}
+		e := &g.Events[src]
+		e.succ = span{uint32(nsucc), uint32(nsucc + n)}
+		for j := nsucc; j < nsucc+n; j++ {
+			dst := r.Uvarint()
+			if r.Err() == nil && (dst >= uint64(numEvents) || int(dst) == src) {
+				fail("edge %d->%d out of range", src, dst)
+				break
+			}
+			g.succ[j] = int(dst)
+			g.Events[dst].pred.hi++
+		}
+		nsucc += n
+	}
+	if r.Err() == nil {
+		g.fillPreds()
 	}
 
 	// Edge labels in the encoder's normal form — edges in ascending key
 	// order, each an existing edge with a non-empty, strictly ascending
 	// argument list — which is what Union's bulk label copy relies on.
-	if nargs := r.Count(r.Uvarint(), 4); nargs > 0 {
-		g.argRow = make([]int32, numEvents)
-		g.argRows = make([][][]int, 0, min(nargs, numEvents))
-		// Rows and argument lists are carved from chunks sized for the
-		// labels still to come: one list and, nearly always, one argument
-		// per labeled edge.
-		var lists [][]int
-		var ints []int
-		prev := int64(-1)
-		for i := 0; i < nargs && r.Err() == nil; i++ {
-			src, dst := r.Uvarint(), r.Uvarint()
-			if r.Err() == nil && (src >= uint64(numEvents) || dst >= uint64(numEvents)) {
-				fail("edge-arg %d->%d out of range", src, dst)
-			}
-			n := count()
-			if r.Err() != nil {
-				break
-			}
-			key := edgeKey(int(src), int(dst))
-			j := slices.Index(g.succs[src], int(dst))
-			switch {
-			case key <= prev:
-				fail("edge-arg %d->%d out of order", src, dst)
-			case j < 0:
-				fail("edge-arg %d->%d labels no edge", src, dst)
-			case n == 0:
-				fail("edge-arg %d->%d has no arguments", src, dst)
-			}
-			prev = key
-			if len(ints) < n {
-				ints = make([]int, max(n, nargs-i))
-			}
-			args := ints[:n:n]
-			ints = ints[n:]
-			for j := range args {
-				args[j] = int(r.Varint())
-				if r.Err() == nil && j > 0 && args[j] <= args[j-1] {
-					fail("edge-arg %d->%d: arguments not ascending", src, dst)
-				}
-			}
-			if r.Err() == nil {
-				if g.argRow[src] == 0 {
-					deg := len(g.succs[src])
-					if len(lists) < deg {
-						lists = make([][]int, max(deg, nargs-i))
-					}
-					g.argRows = append(g.argRows, lists[:deg:deg])
-					lists = lists[deg:]
-					g.argRow[src] = int32(len(g.argRows))
-				}
-				g.argRows[g.argRow[src]-1][j] = args
+	nargs := r.Count(r.Uvarint(), 4)
+	total = 0
+	for s, i := skim(r.Rest()), 0; i < nargs && len(s) > 0; i++ {
+		s.skip(2) // source, destination
+		total += s.skip(s.uvarint())
+	}
+	g.lab = make([]span, len(g.succ))
+	g.args = make([]int, total)
+	nlab := 0
+	prev := int64(-1)
+	for i := 0; i < nargs && r.Err() == nil; i++ {
+		src, dst := r.Uvarint(), r.Uvarint()
+		if r.Err() == nil && (src >= uint64(numEvents) || dst >= uint64(numEvents)) {
+			fail("edge-arg %d->%d out of range", src, dst)
+		}
+		n := count()
+		if nlab+n > len(g.args) {
+			fail("edge-arg %d->%d: truncated", src, dst)
+		}
+		if r.Err() != nil {
+			break
+		}
+		key := edgeKey(int(src), int(dst))
+		k := slices.Index(g.Succs(int(src)), int(dst))
+		switch {
+		case key <= prev:
+			fail("edge-arg %d->%d out of order", src, dst)
+		case k < 0:
+			fail("edge-arg %d->%d labels no edge", src, dst)
+		case n == 0:
+			fail("edge-arg %d->%d has no arguments", src, dst)
+		}
+		prev = key
+		args := g.args[nlab : nlab+n]
+		for j := range args {
+			args[j] = int(r.Varint())
+			if r.Err() == nil && j > 0 && args[j] <= args[j-1] {
+				fail("edge-arg %d->%d: arguments not ascending", src, dst)
 			}
 		}
+		if r.Err() == nil {
+			g.lab[int(g.Events[src].succ.lo)+k] = span{uint32(nlab), uint32(nlab + n)}
+		}
+		nlab += n
 	}
 	if err := r.Err(); err != nil {
 		return nil, nil, fmt.Errorf("propgraph: binary: %w", err)
 	}
+	if len(g.succ) == 0 {
+		g.succ, g.pred, g.lab = nil, nil, nil
+	}
+	if len(g.args) == 0 {
+		g.args = nil
+	}
 	return g, r.Rest(), nil
 }
+
+// skim reads ahead of DecodeBinary's cursor for the sizes the encoding
+// does not state. It checks nothing — the cursor that follows does — and
+// it stops, empty, where the bytes run out, so a size it counts is never
+// more than the bytes it read.
+type skim []byte
+
+// uvarint reads one unsigned varint.
+func (s *skim) uvarint() int {
+	v, n := binary.Uvarint(*s)
+	if n <= 0 {
+		*s = nil
+		return 0
+	}
+	*s = (*s)[n:]
+	return int(min(v, uint64(len(*s))))
+}
+
+// skip moves past n varints and returns how many there were.
+func (s *skim) skip(n int) int {
+	b := *s
+	k := 0
+	for ; k < n && len(b) > 0; k++ {
+		i := 0
+		for i < len(b)-1 && b[i] >= 0x80 {
+			i++
+		}
+		b = b[i+1:]
+	}
+	*s = b
+	return k
+}
+
+// skipBytes moves past n bytes.
+func (s *skim) skipBytes(n int) { *s = (*s)[min(n, len(*s)):] }
 
 // decodeFanoutBytes is the total encoded size, some ninety corpus files, from
 // which DecodeAll deals graphs to GOMAXPROCS goroutines (cf. unionFanoutEvents).

@@ -17,20 +17,20 @@ import (
 // insertion order, and argument labels (including the receiver/keyword
 // sentinels).
 func binaryTestGraph() *Graph {
-	g := New()
-	a := g.AddEvent(KindCall, "app.py", pytoken.Pos{Line: 3, Col: 4},
+	gb := NewBuilder()
+	a := gb.AddEvent(KindCall, "app.py", pytoken.Pos{Line: 3, Col: 4},
 		[]string{"flask.request.args.get()", "request.args.get()", "args.get()"})
-	b := g.AddEvent(KindRead, "app.py", pytoken.Pos{Line: 5, Col: 0},
+	b := gb.AddEvent(KindRead, "app.py", pytoken.Pos{Line: 5, Col: 0},
 		[]string{"flask.request.form"})
-	c := g.AddEvent(KindParam, "app.py", pytoken.Pos{Line: 1, Col: 8}, []string{"handler:q"})
-	d := g.AddEvent(KindCall, "app.py", pytoken.Pos{Line: 9, Col: 2}, []string{"os.system()"})
-	_ = c
+	c := gb.AddEvent(KindParam, "app.py", pytoken.Pos{Line: 1, Col: 8}, []string{"handler:q"})
+	d := gb.AddEvent(KindCall, "app.py", pytoken.Pos{Line: 9, Col: 2}, []string{"os.system()"})
 	// Deliberately non-ascending insertion order on d's predecessors.
-	g.AddEdgeArg(b.ID, d.ID, 1)
-	g.AddEdgeArg(a.ID, d.ID, 0)
-	g.AddEdgeArg(a.ID, d.ID, ArgReceiver)
-	g.AddEdge(c.ID, b.ID)
-	g.Events[b.ID].Roles = SourceOnly
+	gb.AddEdgeArg(b, d, 1)
+	gb.AddEdgeArg(a, d, 0)
+	gb.AddEdgeArg(a, d, ArgReceiver)
+	gb.AddEdge(c, b)
+	g := gb.Build()
+	g.Events[b].Roles = SourceOnly
 	return g
 }
 
@@ -78,7 +78,7 @@ func TestBinaryDeterministic(t *testing.T) {
 }
 
 func TestBinaryEmptyGraphAndRest(t *testing.T) {
-	enc := New().AppendBinary(nil)
+	enc := NewBuilder().Build().AppendBinary(nil)
 	trailer := []byte("tail")
 	g, rest, err := DecodeBinary(append(enc, trailer...))
 	if err != nil {
@@ -139,13 +139,13 @@ func TestBinaryRejectsDuplicateSymbols(t *testing.T) {
 // list. Union copies decoded labels verbatim, so anything else — which
 // AddEdgeArg would have repaired or dropped — is corruption.
 func TestBinaryRejectsMalformedEdgeArgs(t *testing.T) {
-	g := New()
+	b := NewBuilder()
 	for i := 0; i < 3; i++ {
-		g.AddEvent(KindCall, "a.py", pytoken.Pos{Line: i + 1}, []string{"f()"})
+		b.AddEvent(KindCall, "a.py", pytoken.Pos{Line: i + 1}, []string{"f()"})
 	}
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	enc := g.AppendBinary(nil)
+	b.AddEdge(0, 2)
+	b.AddEdge(1, 2)
+	enc := b.Build().AppendBinary(nil)
 	head := enc[:len(enc)-1] // everything up to the (zero) edge-arg count
 	type label struct {
 		src, dst int
@@ -193,16 +193,17 @@ func TestBinaryRejectsMalformedEdgeArgs(t *testing.T) {
 // repeat representations and file names must encode smaller than the sum
 // of its per-occurrence strings.
 func TestBinaryStringTableCompression(t *testing.T) {
-	g := New()
+	b := NewBuilder()
 	for i := 0; i < 50; i++ {
-		g.AddEvent(KindCall, "pkg/very/long/path/to/module.py",
+		b.AddEvent(KindCall, "pkg/very/long/path/to/module.py",
 			pytoken.Pos{Line: i + 1}, []string{"package.module.function()", "module.function()"})
 	}
+	g := b.Build()
 	enc := g.AppendBinary(nil)
 	perOccurrence := 0
-	for _, e := range g.Events {
-		perOccurrence += len(e.File)
-		for _, r := range e.Reps() {
+	for id := range g.Events {
+		perOccurrence += len(g.File(id))
+		for _, r := range g.Reps(id) {
 			perOccurrence += len(r)
 		}
 	}
@@ -229,7 +230,7 @@ func TestDecodeAllMatchesDecodeBinary(t *testing.T) {
 	for i, size := 0, 0; size <= 4*decodeFanoutBytes; i++ {
 		g := labelledGraph(i, 5+i%60)
 		if i%19 == 4 {
-			g = New()
+			g = NewBuilder().Build()
 		}
 		encs = append(encs, g.AppendBinary(nil))
 		size += len(encs[i])

@@ -37,11 +37,11 @@ const encodingVersion = 1
 // every edge with its argument labels.
 func (g *Graph) Encode(w io.Writer) error {
 	jg := jsonGraph{Version: encodingVersion}
-	for _, e := range g.Events {
+	for id, e := range g.Events {
 		jg.Events = append(jg.Events, jsonEvent{
-			Kind: int(e.Kind), File: e.File,
+			Kind: int(e.Kind), File: g.File(id),
 			Line: e.Pos.Line, Col: e.Pos.Col,
-			Reps: e.Reps(), Roles: uint8(e.Roles),
+			Reps: g.Reps(id), Roles: uint8(e.Roles),
 		})
 	}
 	for src := range g.Events {

@@ -11,13 +11,14 @@ import (
 // position, reps and candidate roles in ID order, then every edge with its
 // argument labels in ascending order, and an unlabeled edge with none.
 func TestEncodeJSON(t *testing.T) {
-	g := New()
-	a := g.AddEvent(KindCall, "a.py", pytoken.Pos{Line: 3, Col: 4}, []string{"f()", "m.f()"})
-	b := g.AddEvent(KindRead, "a.py", pytoken.Pos{Line: 5}, []string{"x.y"})
-	c := g.AddEvent(KindParam, "b.py", pytoken.Pos{Line: 1}, []string{"g(param p)"})
-	g.AddEdge(a.ID, b.ID)
-	g.AddEdgeArg(b.ID, c.ID, 0)
-	g.AddEdgeArg(b.ID, c.ID, ArgReceiver)
+	gb := NewBuilder()
+	a := gb.AddEvent(KindCall, "a.py", pytoken.Pos{Line: 3, Col: 4}, []string{"f()", "m.f()"})
+	b := gb.AddEvent(KindRead, "a.py", pytoken.Pos{Line: 5}, []string{"x.y"})
+	c := gb.AddEvent(KindParam, "b.py", pytoken.Pos{Line: 1}, []string{"g(param p)"})
+	gb.AddEdge(a, b)
+	gb.AddEdgeArg(b, c, 0)
+	gb.AddEdgeArg(b, c, ArgReceiver)
+	g := gb.Build()
 
 	var buf bytes.Buffer
 	if err := g.Encode(&buf); err != nil {
@@ -35,7 +36,7 @@ func TestEncodeJSON(t *testing.T) {
 
 func TestEncodeEmptyGraph(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().Encode(&buf); err != nil {
+	if err := NewBuilder().Build().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := buf.String(), `{"version":1,"events":null,"edges":null}`+"\n"; got != want {

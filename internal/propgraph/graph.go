@@ -8,19 +8,24 @@
 // learning (§3.2, §4.3). Representations are interned into the graph's
 // symbol table (Interner) and carried as dense Sym indices; the strings
 // themselves are materialized only on display paths. Two events with
-// equal representations remain distinct vertices; Collapse applies
-// vertex contraction to obtain the Merlin-style collapsed graph (§6.4).
+// equal representations remain distinct vertices.
+//
+// A graph is a handful of flat arrays: its events by value, and its
+// representations, successors, predecessors and edge labels each in one
+// array that events and edges hold ranges of. None of them holds a
+// pointer, so the collector marks a graph's arrays without scanning
+// them. A Builder assembles a graph; a built graph is not modified.
 package propgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"seldon/internal/pytoken"
 )
 
 // EventKind classifies an event.
-type EventKind int
+type EventKind uint8
 
 // Event kinds.
 const (
@@ -104,272 +109,122 @@ func CandidateRoles(k EventKind) RoleSet {
 	return SourceOnly
 }
 
-// Event is a vertex of a propagation graph.
+// span is the range [lo, hi) of one of a graph's flat arrays.
+type span struct{ lo, hi uint32 }
+
+func (s span) len() int { return int(s.hi - s.lo) }
+
+// shift returns the span moved d elements along its array.
+func (s span) shift(d uint32) span { return span{s.lo + d, s.hi + d} }
+
+// Event is a vertex of a propagation graph. Its ID is its index in
+// Graph.Events; what it names — representations, file, adjacency — is
+// read through the graph (RepIDs, File, Succs, Preds).
 type Event struct {
-	ID   int
-	Kind EventKind
-	File string
-	Pos  pytoken.Pos
-	// RepIDs lists possible representations as symbols in the owning
-	// graph's table, ordered most → least specific. RepIDs[0] interns the
-	// fully qualified name used when matching seed specs.
-	RepIDs []Sym
-	Roles  RoleSet // candidate roles, before blacklisting
-
-	// syms is the owning graph's symbol table, used to materialize the
-	// representation strings on demand.
-	syms *Interner
+	Pos pytoken.Pos
+	// reps is the event's range of Graph.reps: its representations as
+	// symbols of the graph's table, most → least specific. The first
+	// interns the fully qualified name used when matching seed specs.
+	reps span
+	// succ and pred are its ranges of Graph.succ and Graph.pred.
+	succ, pred span
+	file       int32 // index into Graph.files
+	Kind       EventKind
+	Roles      RoleSet // candidate roles, before blacklisting
 }
-
-// NumReps returns the number of representations of the event.
-func (e *Event) NumReps() int { return len(e.RepIDs) }
-
-// Rep materializes the i-th representation (0 = most specific).
-func (e *Event) Rep(i int) string { return e.syms.Str(e.RepIDs[i]) }
-
-// Reps materializes the representation strings, most → least specific.
-// Strings are built lazily on call — hot paths should index RepIDs
-// against the graph's symbol table instead.
-func (e *Event) Reps() []string {
-	if len(e.RepIDs) == 0 {
-		return nil
-	}
-	strs := e.syms.Strings()
-	out := make([]string, len(e.RepIDs))
-	for i, s := range e.RepIDs {
-		out[i] = strs[s]
-	}
-	return out
-}
-
-// dedupDegree is the out-degree above which AddEdge switches from a
-// linear duplicate scan to a per-source hash set. Small lists stay on
-// the scan (cache-friendly, no allocation); high-fanout events — hub
-// calls in big corpora — stop being quadratic.
-const dedupDegree = 16
 
 // Graph is a propagation graph. Edges point in the direction of
 // information flow. Graphs built by the dataflow analyzer are acyclic
 // (loops are analyzed as a single iteration, §5.2).
 type Graph struct {
 	// Syms interns every representation string of the graph's events;
-	// Event.RepIDs index into it.
+	// RepIDs index into it.
 	Syms   *Interner
-	Events []*Event
-	succs  [][]int
-	preds  [][]int
-	// succSet mirrors succs[src] as a set for sources whose out-degree
-	// crossed dedupDegree; built lazily by AddEdge.
-	succSet map[int]map[int]struct{}
-	// Edge labels: the argument positions a flow enters through (see
-	// args.go). A source with a labeled edge has a row, argRows[argRow[src]-1],
-	// that runs parallel to succs[src]: one sorted list per successor, nil
-	// for an unlabeled edge. argRow is 0 for a source without labels, and
-	// both the table and a row are only as long as the labels need — an
-	// event past the end of argRow, or a successor past the end of its row,
-	// is unlabeled. A label is addressed by position, never by event ID,
-	// so renumbering a graph's events does not touch it.
-	argRow  []int32
-	argRows [][][]int
-
-	// A graph built event by event (AddEvent, AddEdge) carves its events,
-	// their RepIDs and its adjacency and label lists from chunks instead
-	// of allocating each one. These are the uncarved tails of the current
-	// chunks; the chunks belong to the graph and live as long as it does.
-	eventChunk []Event
-	symChunk   []Sym
-	intChunk   []int
-	listChunk  [][]int
+	Events []Event
+	// files is the table Event.file indexes. A built or decoded graph's
+	// names each file once; a union's is its inputs' tables back to back.
+	files []string
+	reps  []Sym
+	// succ holds every event's successors in insertion order, pred its
+	// predecessors in ascending order. lab runs parallel to succ: the edge
+	// to succ[k] enters through the argument positions args[lab[k]], in
+	// ascending order, and is unlabeled when the range is empty. A label is
+	// addressed by successor position, never by event ID, so renumbering a
+	// graph's events does not touch it.
+	succ, pred []int
+	lab        []span
+	args       []int
 }
 
-// typicalFile is the event count the tables of an incrementally built
-// graph are first sized for, and roughly its symbol count: a corpus
-// file's graph has 19 events and 20 symbols on average, 30 and 39 at
-// most, so one allocation per table serves almost every file.
+// typicalFile is the event count a Builder is first sized for, and
+// roughly its symbol count: a corpus file's graph has 19 events and 20
+// symbols on average, 30 and 39 at most, so one allocation per table
+// serves almost every file.
 const typicalFile = 32
 
-// New returns an empty propagation graph with a fresh symbol table.
-func New() *Graph { return &Graph{Syms: newInterner(typicalFile * 3 / 4)} }
-
-// chunkLen is the length of the next chunk of a graph that has n events
-// and needs room for at least need elements: chunks grow with the graph.
-func chunkLen(n, need int) int { return max(min(max(n, typicalFile/2), 512), need) }
-
-// AddEvent appends an event, interning its representations, and assigns
-// and returns its ID.
-func (g *Graph) AddEvent(kind EventKind, file string, pos pytoken.Pos, reps []string) *Event {
-	n := len(g.Events)
-	var ids []Sym
-	if len(reps) > 0 {
-		if g.Syms == nil {
-			g.Syms = NewInterner()
-		}
-		if len(g.symChunk) < len(reps) {
-			g.symChunk = make([]Sym, chunkLen(2*n, len(reps)))
-		}
-		ids = g.symChunk[:len(reps):len(reps)]
-		g.symChunk = g.symChunk[len(reps):]
-		for i, r := range reps {
-			ids[i] = g.Syms.Intern(r)
-		}
-	}
-	if len(g.eventChunk) == 0 {
-		g.eventChunk = make([]Event, chunkLen(n, 1))
-	}
-	e := &g.eventChunk[0]
-	g.eventChunk = g.eventChunk[1:]
-	*e = Event{
-		ID: n, Kind: kind, File: file, Pos: pos,
-		RepIDs: ids, Roles: CandidateRoles(kind), syms: g.Syms,
-	}
-	if g.Events == nil {
-		g.Events = make([]*Event, 0, typicalFile)
-		g.succs = make([][]int, 0, typicalFile)
-		g.preds = make([][]int, 0, typicalFile)
-	}
-	g.Events = append(g.Events, e)
-	g.succs = append(g.succs, nil)
-	g.preds = append(g.preds, nil)
-	return e
+// RepIDs returns the representations of event id as symbols of the
+// graph's table, most → least specific.
+func (g *Graph) RepIDs(id int) []Sym {
+	r := g.Events[id].reps
+	return g.reps[r.lo:r.hi:r.hi]
 }
 
-// push appends v to an adjacency or label list of the graph. A full list
-// moves to a run of twice its length carved from the graph's chunk, the
-// growth append would give it, without an allocation per list.
-func (g *Graph) push(list []int, v int) []int {
-	if len(list) == cap(list) {
-		n := max(2*len(list), 1)
-		if len(g.intChunk) < n {
-			g.intChunk = make([]int, chunkLen(2*len(g.Events), n))
-		}
-		run := g.intChunk[:len(list):n]
-		g.intChunk = g.intChunk[n:]
-		copy(run, list)
-		list = run
+// NumReps returns the number of representations of event id.
+func (g *Graph) NumReps(id int) int { return g.Events[id].reps.len() }
+
+// Rep materializes the i-th representation of event id (0 = most
+// specific).
+func (g *Graph) Rep(id, i int) string { return g.Syms.Str(g.RepIDs(id)[i]) }
+
+// Reps materializes the representation strings of event id, most → least
+// specific. Strings are built on call — hot paths should index RepIDs
+// against the graph's symbol table instead.
+func (g *Graph) Reps(id int) []string {
+	ids := g.RepIDs(id)
+	if len(ids) == 0 {
+		return nil
 	}
-	return append(list, v)
+	out := make([]string, len(ids))
+	for i, s := range ids {
+		out[i] = g.Syms.Str(s)
+	}
+	return out
 }
 
-// AddEdge records information flow from src to dst. Self-loops and
-// duplicate edges are dropped. Below dedupDegree successors the
-// duplicate check is a linear scan; above it a per-source set takes
-// over (built once from the current list), so high-fanout sources pay
-// O(1) per insertion instead of O(out-degree). Edge order is append
-// order either way.
-func (g *Graph) AddEdge(src, dst int) {
-	if src == dst || src < 0 || dst < 0 || src >= len(g.Events) || dst >= len(g.Events) {
-		return
-	}
-	ss := g.succs[src]
-	if len(ss) < dedupDegree {
-		for _, s := range ss {
-			if s == dst {
-				return
-			}
-		}
-	} else {
-		set := g.succSet[src]
-		if set == nil {
-			set = make(map[int]struct{}, len(ss)+1)
-			for _, s := range ss {
-				set[s] = struct{}{}
-			}
-			if g.succSet == nil {
-				g.succSet = make(map[int]map[int]struct{})
-			}
-			g.succSet[src] = set
-		}
-		if _, dup := set[dst]; dup {
-			return
-		}
-		set[dst] = struct{}{}
-	}
-	g.succs[src] = g.push(ss, dst)
-	g.preds[dst] = g.push(g.preds[dst], src)
-}
+// File returns the name of the file event id occurs in.
+func (g *Graph) File(id int) string { return g.files[g.Events[id].file] }
 
 // Succs returns the IDs of events receiving flow from id.
-func (g *Graph) Succs(id int) []int { return g.succs[id] }
+func (g *Graph) Succs(id int) []int {
+	s := g.Events[id].succ
+	return g.succ[s.lo:s.hi:s.hi]
+}
 
-// Preds returns the IDs of events flowing into id.
-func (g *Graph) Preds(id int) []int { return g.preds[id] }
+// Preds returns the IDs of events flowing into id, ascending.
+func (g *Graph) Preds(id int) []int {
+	s := g.Events[id].pred
+	return g.pred[s.lo:s.hi:s.hi]
+}
 
 // NumEdges returns the total edge count.
 func (g *Graph) NumEdges() int {
 	n := 0
-	for _, s := range g.succs {
-		n += len(s)
+	for i := range g.Events {
+		n += g.Events[i].succ.len()
 	}
 	return n
 }
 
-// Collapse applies vertex contraction, merging all events that share the
-// same most-specific representation into a single vertex (Fig. 7). The
-// result is Merlin's collapsed propagation graph (§6.4); it is generally
-// unsuitable for taint analysis but usable for specification learning.
-// Events without representations are kept as-is. The collapsed graph
-// shares the input's symbol table.
-//
-// Only tests call it now (this package's and internal/experiments', for
-// the Merlin baseline); it stays here, exported, because a _test.go file
-// cannot export to another package's tests.
-func (g *Graph) Collapse() *Graph {
-	out := &Graph{Syms: g.Syms}
-	classOf := make([]int, len(g.Events))
-	// Contract on the most specific representation, qualified by kind so
-	// a read and a call never merge; events without representations are
-	// never merged.
-	byRep := make(map[uint64]int)
-	for _, e := range g.Events {
-		id := -1
-		if len(e.RepIDs) > 0 {
-			key := uint64(e.Kind)<<32 | uint64(e.RepIDs[0])
-			if prev, ok := byRep[key]; ok {
-				// Candidate roles of merged events accumulate.
-				out.Events[prev].Roles |= e.Roles
-				classOf[e.ID] = prev
-				continue
-			}
-			ne := *e
-			ne.ID = len(out.Events)
-			out.Events = append(out.Events, &ne)
-			out.succs = append(out.succs, nil)
-			out.preds = append(out.preds, nil)
-			id = ne.ID
-			byRep[key] = id
-		} else {
-			ne := *e
-			ne.ID = len(out.Events)
-			out.Events = append(out.Events, &ne)
-			out.succs = append(out.succs, nil)
-			out.preds = append(out.preds, nil)
-			id = ne.ID
-		}
-		classOf[e.ID] = id
-	}
-	for src, ss := range g.succs {
-		for _, dst := range ss {
-			out.AddEdge(classOf[src], classOf[dst])
-		}
-	}
-	out.copyEdgeArgsMapped(g, classOf)
-	return out
-}
-
 // ForwardReachable returns the set of event IDs reachable from start by
 // following edges forward, excluding start itself unless it lies on a cycle.
-func (g *Graph) ForwardReachable(start int) []int {
-	return g.reachable(start, g.succs)
-}
+func (g *Graph) ForwardReachable(start int) []int { return g.reachable(start, g.Succs) }
 
 // BackwardReachable returns the set of event IDs that can reach start.
-func (g *Graph) BackwardReachable(start int) []int {
-	return g.reachable(start, g.preds)
-}
+func (g *Graph) BackwardReachable(start int) []int { return g.reachable(start, g.Preds) }
 
-func (g *Graph) reachable(start int, adj [][]int) []int {
-	seen := make(map[int]bool)
-	queue := append([]int(nil), adj[start]...)
+func (g *Graph) reachable(start int, adj func(int) []int) []int {
+	seen := make([]bool, len(g.Events))
+	queue := slices.Clone(adj(start))
 	var out []int
 	for len(queue) > 0 {
 		id := queue[0]
@@ -379,9 +234,9 @@ func (g *Graph) reachable(start int, adj [][]int) []int {
 		}
 		seen[id] = true
 		out = append(out, id)
-		queue = append(queue, adj[id]...)
+		queue = append(queue, adj(id)...)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -396,12 +251,10 @@ type Stats struct {
 	ParamEvents int
 
 	// Symbols counts the distinct representation strings in the graph's
-	// table; RepOccurrences counts representation slots across events.
-	// Their byte totals quantify what interning saves: SymbolBytes is the
-	// footprint of each distinct string stored once, OccurrenceBytes what
-	// carrying every slot by value would cost.
+	// table. The byte totals quantify what interning saves: SymbolBytes is
+	// the footprint of each distinct string stored once, OccurrenceBytes
+	// what carrying every representation slot by value would cost.
 	Symbols         int
-	RepOccurrences  int
 	SymbolBytes     int64
 	OccurrenceBytes int64
 }
@@ -409,9 +262,9 @@ type Stats struct {
 // ComputeStats gathers summary statistics.
 func (g *Graph) ComputeStats() Stats {
 	st := Stats{Events: len(g.Events), Edges: g.NumEdges()}
-	strs := g.Syms.Strings()
+	syms := g.Syms.view()
 	totalReps := 0
-	for _, e := range g.Events {
+	for id, e := range g.Events {
 		switch e.Kind {
 		case KindCall:
 			st.CallEvents++
@@ -420,15 +273,14 @@ func (g *Graph) ComputeStats() Stats {
 		case KindParam:
 			st.ParamEvents++
 		}
-		if len(e.RepIDs) > 0 {
+		if ids := g.RepIDs(id); len(ids) > 0 {
 			st.Candidates++
-			totalReps += len(e.RepIDs)
-			for _, s := range e.RepIDs {
-				st.OccurrenceBytes += int64(len(strs[s]))
+			totalReps += len(ids)
+			for _, s := range ids {
+				st.OccurrenceBytes += int64(len(syms.at(int(s))))
 			}
 		}
 	}
-	st.RepOccurrences = totalReps
 	st.Symbols = g.Syms.Len()
 	st.SymbolBytes = g.Syms.Bytes()
 	if st.Candidates > 0 {

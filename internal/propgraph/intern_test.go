@@ -128,58 +128,60 @@ func TestInternerConcurrentIntern(t *testing.T) {
 }
 
 func TestEventRepAccessors(t *testing.T) {
-	g := New()
-	e := g.AddEvent(KindCall, "t.py", pytoken.Pos{Line: 1},
+	b := NewBuilder()
+	e := b.AddEvent(KindCall, "t.py", pytoken.Pos{Line: 1},
 		[]string{"a.b.f()", "b.f()", "f()"})
-	if e.NumReps() != 3 {
-		t.Fatalf("NumReps = %d", e.NumReps())
+	bare := b.AddEvent(KindCall, "t.py", pytoken.Pos{Line: 2}, nil)
+	e2 := b.AddEvent(KindCall, "t.py", pytoken.Pos{Line: 3}, []string{"f()"})
+	g := b.Build()
+	if g.NumReps(e) != 3 {
+		t.Fatalf("NumReps = %d", g.NumReps(e))
 	}
-	if e.Rep(0) != "a.b.f()" || e.Rep(2) != "f()" {
-		t.Errorf("Rep() = %q, %q", e.Rep(0), e.Rep(2))
+	if g.Rep(e, 0) != "a.b.f()" || g.Rep(e, 2) != "f()" {
+		t.Errorf("Rep() = %q, %q", g.Rep(e, 0), g.Rep(e, 2))
 	}
-	if want := []string{"a.b.f()", "b.f()", "f()"}; !reflect.DeepEqual(e.Reps(), want) {
-		t.Errorf("Reps() = %v", e.Reps())
+	if want := []string{"a.b.f()", "b.f()", "f()"}; !reflect.DeepEqual(g.Reps(e), want) {
+		t.Errorf("Reps() = %v", g.Reps(e))
 	}
-	bare := g.AddEvent(KindCall, "t.py", pytoken.Pos{Line: 2}, nil)
-	if bare.NumReps() != 0 || bare.Reps() != nil {
-		t.Errorf("rep-less event: NumReps=%d Reps=%v", bare.NumReps(), bare.Reps())
+	if g.NumReps(bare) != 0 || g.Reps(bare) != nil {
+		t.Errorf("rep-less event: NumReps=%d Reps=%v", g.NumReps(bare), g.Reps(bare))
 	}
 	// Shared strings share symbols.
-	e2 := g.AddEvent(KindCall, "t.py", pytoken.Pos{Line: 3}, []string{"f()"})
-	if e2.RepIDs[0] != e.RepIDs[2] {
-		t.Errorf("equal reps got distinct symbols: %d vs %d", e2.RepIDs[0], e.RepIDs[2])
+	if g.RepIDs(e2)[0] != g.RepIDs(e)[2] {
+		t.Errorf("equal reps got distinct symbols: %d vs %d", g.RepIDs(e2)[0], g.RepIDs(e)[2])
 	}
 }
 
 // TestAddEdgeDedupEquivalence drives one source across the dedupDegree
-// threshold and checks that the hash-set path preserves exactly the
+// threshold and checks that the edge-set path preserves exactly the
 // behavior of a pure linear scan: duplicates dropped wherever they occur,
 // successor order = first-add order.
 func TestAddEdgeDedupEquivalence(t *testing.T) {
 	const n = 3*dedupDegree + 5
-	g := New()
-	src := addEv(g, KindCall, "hub()")
+	b := NewBuilder()
+	src := addEv(b, KindCall, "hub()")
 	var want []int
 	for i := 0; i < n; i++ {
-		dst := addEv(g, KindCall, fmt.Sprintf("t%d()", i)).ID
-		g.AddEdge(src.ID, dst)
+		dst := addEv(b, KindCall, fmt.Sprintf("t%d()", i))
+		b.AddEdge(src, dst)
 		want = append(want, dst)
 		// Re-add every edge so far: all duplicates, below and above the
 		// threshold, must be dropped.
 		for _, d := range want {
-			g.AddEdge(src.ID, d)
+			b.AddEdge(src, d)
 		}
-		g.AddEdge(src.ID, src.ID) // self-loop never inserts
+		b.AddEdge(src, src) // self-loop never inserts
 	}
-	if !reflect.DeepEqual(g.Succs(src.ID), want) {
-		t.Fatalf("succs = %v\nwant %v", g.Succs(src.ID), want)
+	g := b.Build()
+	if !reflect.DeepEqual(g.Succs(src), want) {
+		t.Fatalf("succs = %v\nwant %v", g.Succs(src), want)
 	}
 	if g.NumEdges() != n {
 		t.Errorf("edges = %d, want %d", g.NumEdges(), n)
 	}
 	// Preds stay deduplicated too.
 	last := want[len(want)-1]
-	if !reflect.DeepEqual(g.Preds(last), []int{src.ID}) {
+	if !reflect.DeepEqual(g.Preds(last), []int{src}) {
 		t.Errorf("preds(last) = %v", g.Preds(last))
 	}
 }

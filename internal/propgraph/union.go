@@ -17,9 +17,10 @@ import (
 // sorted input order yields a deterministic global table.
 //
 // Union is a UnionBuilder with no inputs yet that is handed all of them in
-// one edit, so every block is allocated at its exact size; the copy itself
+// one edit, so every array is allocated at its exact size; the copy itself
 // is the builder's (see UnionBuilder). The result is byte-identical to
-// re-adding every event and edge through AddEvent, AddEdge and AddEdgeArg.
+// re-adding every event and edge to a Builder through AddEvent, AddEdge and
+// AddEdgeArg.
 func Union(graphs ...*Graph) *Graph {
 	b := NewUnionBuilder()
 	b.Splice([]UnionEdit{{Ins: graphs}})
@@ -40,23 +41,24 @@ func Union(graphs ...*Graph) *Graph {
 // new input, in order, is what defines first-seen numbering, and an edit
 // in the middle is refused when it would number differently. Everything
 // after that writes to places fixed by prefix sums over sizes counted
-// beforehand: the events, representation lists, successor and predecessor
-// lists and edge labels of the new inputs are carved from blocks sized
-// before anything is copied, so contiguous runs of inputs can be copied
-// by several goroutines and land exactly where one goroutine would have
-// put them. The inputs are well-formed graphs (edges deduplicated, no
-// self-loops, sorted labels only on edges — DecodeBinary rejects anything
-// else) and the union is disjoint, so adjacency is copied in bulk with
-// both endpoints offset, without AddEdge's duplicate scan, and labels,
-// which are addressed by successor position, are copied as they are.
+// beforehand: each new input's file names, representations, successors,
+// predecessors, labels and label arguments are appended to the union's
+// arrays whole, at offsets fixed before anything is copied, so contiguous
+// runs of inputs can be copied by several goroutines and land exactly
+// where one goroutine would have put them. The inputs are well-formed
+// graphs (edges deduplicated, no self-loops, predecessors ascending,
+// sorted labels only on edges — DecodeBinary rejects anything else) and
+// the union is disjoint, so adjacency is copied in bulk with both
+// endpoints offset, without AddEdge's duplicate scan, and labels, which
+// are addressed by successor position, are copied as they are.
 //
 // The inputs that an edit keeps are not copied again. Those behind the
-// first edited position move: their slots in the graph's per-event tables
-// shift by the difference in events before them, and the event IDs they
-// hold — Event.ID and both endpoints' lists — move by the same constant.
-// What a replaced input occupied in the blocks stays behind as dead space
-// until it amounts to a share of the union (unionDeadShare), from where
-// Splice asks for a rebuild instead.
+// first edited position move: their events shift along the union's one
+// event table by the difference in events before them, and the event IDs
+// their adjacency holds move by the same constant. What a replaced input
+// occupied in the other arrays stays behind as dead space until it
+// amounts to a share of the union (unionDeadShare), from where Splice
+// asks for a rebuild instead.
 type UnionBuilder struct {
 	g *Graph
 	// inputs lists the union's inputs in order; spare is scratch for the
@@ -65,11 +67,8 @@ type UnionBuilder struct {
 	inputs, spare []unionInput
 	nsyms         int
 	// live counts the events of the current inputs, dead those of inputs
-	// since removed, whose blocks are still held.
+	// since removed, whose arrays are still held.
 	live, dead int
-	// carved counts what has been carved from each kind of chunk so far,
-	// the growth floor of the next one.
-	carved struct{ events, reps, ints, lists int }
 
 	// The edit under way, shared by its goroutines; the slices are reused
 	// from one edit to the next, so that the Add of one small graph
@@ -77,12 +76,7 @@ type UnionBuilder struct {
 	fresh []unionFresh // the inputs to copy in, and one entry of totals
 	runs  []int        // contiguous runs of fresh inputs, one per goroutine
 	segs  []unionSeg
-	// Blocks carved for this copy; fresh inputs index them by their offsets.
-	events  []Event
-	reps    []Sym
-	ints    []int
-	lists   [][]int
-	rowBase int // where this copy's label rows begin in the graph's argRows
+	base  unionFresh // where this copy begins in each of the graph's arrays
 }
 
 // UnionEdit replaces the Del inputs of a union from input At on by the
@@ -94,33 +88,30 @@ type UnionEdit struct {
 	Ins     []*Graph
 }
 
-// unionInput is one input of the union: the ID of its first event, the
-// size of the symbol table before it was translated (so it introduced the
-// symbols from symLo up to the next input's symLo), its events, and the
-// event IDs its adjacency holds, successors then predecessors.
+// unionInput is one input of the union: the ID of its first event and
+// its number of events, the size of the symbol table before it was
+// translated (so it introduced the symbols from symLo up to the next
+// input's symLo), and its range of the union's successor, predecessor and
+// label arrays, which run parallel; the event IDs of the first two move
+// with it.
 type unionInput struct {
-	at, symLo int
-	events    []Event
-	ends      []int
+	at, n, symLo int
+	edges        span
 }
 
 // unionFresh is an input being copied in: its place in the input list,
-// its sizes, and where its share of each block begins.
+// its sizes, and where its share of each array begins.
 type unionFresh struct {
 	g     *Graph
 	xlat  []Sym
 	in    int
 	symLo int
-	// Events, representation slots, successors, predecessors, label ints,
-	// label lists (one per successor of a labeled source) and label rows
-	// (one per labeled source).
-	ev, rep, edge, pred, lab, list, row int
-	// Offsets into the copy's blocks; ints hold successors, predecessors
-	// and labels of one input side by side.
-	evOff, repOff, intOff, listOff, rowOff int
+	// Events, file names, representation slots, edges (successors,
+	// predecessors and labels alike) and label arguments.
+	ev, file, rep, edge, arg int
 }
 
-// unionSeg is a run of kept inputs whose table slots move together: the
+// unionSeg is a run of kept inputs whose events move together: the
 // events [lo, hi) as numbered before the edit, and how far they move.
 type unionSeg struct{ lo, hi, d int }
 
@@ -149,12 +140,12 @@ const unionFanoutEvents = 4096
 
 // unionDeadShare is the share of dead events, as 1/unionDeadShare of the
 // live ones, past which Splice refuses and the caller builds the union
-// anew in exact blocks. Dead space costs memory, not time — nothing walks
-// it — so the bound is a memory bound: with chunks of a sixteenth (carve)
-// a standing union holds at most 1/8 + 1/16 more than a fresh one, ≈ 4 MB
-// on the 20 MB of a 6000-file corpus. A six-file edit kills 0.1 % of the
-// events, so the share is reached after ≈ 125 edits none of which
-// renumbered a symbol; on the benchmark's edit stream, where one edit in
+// anew in exact arrays. Dead space costs memory, not time — nothing walks
+// it — so the bound is a memory bound: with arrays grown by a sixteenth
+// (grow) a standing union holds at most 1/8 + 1/16 more than a fresh one,
+// ≈ 1.4 MB on the 7.6 MB of a 6000-file corpus. A six-file edit kills
+// 0.1 % of the events, so the share is reached after ≈ 125 edits none of
+// which renumbered a symbol; on the benchmark's edit stream, where one edit in
 // seven does and rebuilds the union anyway, it never is — 200 re-learns
 // patched 169 times and rebuilt 31 times at 1/4, 1/8 and 1/32 alike, in
 // the same time. A session whose vocabulary is settled is where it acts
@@ -163,25 +154,26 @@ const unionFanoutEvents = 4096
 const unionDeadShare = 8
 
 // unionDeadFloor is the number of dead events below which their share
-// does not matter: they hold some 200 KB, and a union small enough for
+// does not matter: they hold some 20 KB, and a union small enough for
 // that to be an eighth of it is rebuilt in well under a millisecond
 // anyway, which is no reason to rebuild it at every other edit.
 const unionDeadFloor = 1024
 
-// carve cuts n elements off the front of *chunk. A chunk that is too
-// short is first replaced by one of max(n, carved/16) elements: exactly n
-// when nothing was carved before (Union, which knows its totals), a
-// sixteenth of everything carved before otherwise, so that a stream of
-// edits allocates a logarithmic number of chunks and a standing union
-// never holds more than that share unused.
-func carve[T any](chunk *[]T, n int, carved *int) []T {
-	if len(*chunk) < n {
-		*chunk = make([]T, max(n, *carved/16))
+// grow extends s by n elements to be written. A slice without room is
+// reallocated at exactly its new length when it was empty (Union, which
+// knows its totals) and with a sixteenth to spare otherwise, so that a
+// stream of edits reallocates a logarithmic number of times and a standing
+// union never holds more than that share unused.
+func grow[T any](s []T, n int) []T {
+	need := len(s) + n
+	if need > cap(s) {
+		c := need
+		if len(s) > 0 {
+			c += need / 16
+		}
+		s = append(make([]T, 0, c), s...)
 	}
-	out := (*chunk)[:n:n]
-	*chunk = (*chunk)[n:]
-	*carved += n
-	return out
+	return s[:need]
 }
 
 // Splice applies the edits, which must be in ascending order of At and
@@ -225,7 +217,8 @@ func (b *UnionBuilder) translate(edits []UnionEdit) bool {
 		next, limit := b.symsBefore(e.At), b.symsBefore(e.At+e.Del)
 		open := e.At+e.Del >= len(b.inputs)
 		for _, src := range e.Ins {
-			f := unionFresh{g: src, xlat: b.g.Syms.TranslateFrom(src.Syms), symLo: next, ev: len(src.Events)}
+			f := unionFresh{g: src, xlat: b.g.Syms.TranslateFrom(src.Syms), symLo: next,
+				ev: len(src.Events), file: len(src.files), rep: len(src.reps), edge: len(src.succ), arg: len(src.args)}
 			for _, sym := range f.xlat {
 				switch {
 				case int(sym) < next:
@@ -233,22 +226,6 @@ func (b *UnionBuilder) translate(edits []UnionEdit) bool {
 					next++
 				default:
 					return false
-				}
-			}
-			for i, ev := range src.Events {
-				f.rep += len(ev.RepIDs)
-				f.edge += len(src.succs[i])
-				f.pred += len(src.preds[i])
-			}
-			for i := range src.argRow {
-				row := src.labels(i)
-				if len(row) == 0 {
-					continue
-				}
-				f.row++
-				f.list += len(row)
-				for _, args := range row {
-					f.lab += len(args)
 				}
 			}
 			b.fresh = append(b.fresh, f)
@@ -264,9 +241,9 @@ func (b *UnionBuilder) translate(edits []UnionEdit) bool {
 }
 
 // relocate rewrites the input list for the edits and moves what the kept
-// inputs behind the first edit have in the graph: their slots in the
-// per-event tables and the event IDs they hold. The slots of the new
-// inputs are left for copyFresh to fill.
+// inputs behind the first edit have in the graph: their events and the
+// event IDs their adjacency holds. The slots of the new inputs are left
+// for copyFresh to fill.
 func (b *UnionBuilder) relocate(edits []UnionEdit) {
 	if len(edits) == 0 {
 		return
@@ -285,19 +262,17 @@ func (b *UnionBuilder) relocate(edits []UnionEdit) {
 			return
 		}
 		d := at - old[lo].at
-		b.segs = append(b.segs, unionSeg{old[lo].at, old[hi-1].at + len(old[hi-1].events), d})
+		b.segs = append(b.segs, unionSeg{old[lo].at, old[hi-1].at + old[hi-1].n, d})
 		for _, in := range old[lo:hi] {
 			if d != 0 {
-				for i := range in.events {
-					in.events[i].ID += d
-				}
-				for i := range in.ends {
-					in.ends[i] += d
+				for i := in.edges.lo; i < in.edges.hi; i++ {
+					g.succ[i] += d
+					g.pred[i] += d
 				}
 			}
 			in.at += d
 			b.inputs = append(b.inputs, in)
-			at += len(in.events)
+			at += in.n
 		}
 	}
 	k, fi := 0, 0 // the next old input (from first on), the next fresh one
@@ -306,26 +281,21 @@ func (b *UnionBuilder) relocate(edits []UnionEdit) {
 		for range e.Ins {
 			f := &b.fresh[fi]
 			f.in = len(b.inputs)
-			b.inputs = append(b.inputs, unionInput{at: at, symLo: f.symLo})
+			b.inputs = append(b.inputs, unionInput{at: at, n: f.ev, symLo: f.symLo})
 			at += f.ev
 			b.live += f.ev
 			fi++
 		}
 		k = e.At - first + e.Del
 		for _, in := range old[e.At-first : k] {
-			b.live -= len(in.events)
-			b.dead += len(in.events)
+			b.live -= in.n
+			b.dead += in.n
 		}
 	}
 	keep(k, len(old))
 	b.spare = old
 
 	g.Events = moveSegs(g.Events, b.segs, at)
-	g.succs = moveSegs(g.succs, b.segs, at)
-	g.preds = moveSegs(g.preds, b.segs, at)
-	if g.argRow != nil {
-		g.argRow = moveSegs(g.argRow, b.segs, at)
-	}
 }
 
 // moveSegs resizes a per-event table to n events and moves the slots of
@@ -351,35 +321,30 @@ func moveSegs[T any](tab []T, segs []unionSeg, n int) []T {
 	return tab[:n]
 }
 
-// copyFresh carves the blocks of the new inputs and copies them in.
+// copyFresh grows the graph's arrays for the new inputs and copies them in.
 func (b *UnionBuilder) copyFresh() {
 	g := b.g
 	b.fresh = append(b.fresh, unionFresh{})
 	b.runs = cutRuns(b.runs[:0], len(b.fresh)-1, func(i int) int { return b.fresh[i].ev }, unionFanoutEvents)
+	// From here on a fresh entry's sizes are its offsets into this copy.
 	var sum unionFresh
 	for i := range b.fresh {
 		f := &b.fresh[i]
-		f.evOff, f.repOff, f.intOff, f.listOff, f.rowOff = sum.ev, sum.rep, sum.edge, sum.list, sum.row
-		sum.ev += f.ev
-		sum.rep += f.rep
-		sum.edge += f.edge + f.pred + f.lab // all three kinds of ints
-		sum.list += f.list
-		sum.row += f.row
+		f.file, sum.file = sum.file, sum.file+f.file
+		f.rep, sum.rep = sum.rep, sum.rep+f.rep
+		f.edge, sum.edge = sum.edge, sum.edge+f.edge
+		f.arg, sum.arg = sum.arg, sum.arg+f.arg
 	}
-	b.events = carve(&g.eventChunk, sum.ev, &b.carved.events)
-	b.reps = carve(&g.symChunk, sum.rep, &b.carved.reps)
-	b.ints = carve(&g.intChunk, sum.edge, &b.carved.ints)
-	b.lists = carve(&g.listChunk, sum.list, &b.carved.lists)
-	if sum.row > 0 && g.argRow == nil {
-		g.argRow = make([]int32, len(g.Events), cap(g.Events))
-	}
-	// Label rows are appended to the graph's; those of removed inputs stay
-	// behind with the rest of the dead space.
-	b.rowBase = len(g.argRows)
-	g.argRows = slices.Grow(g.argRows, sum.row)[:b.rowBase+sum.row]
+	b.base = unionFresh{file: len(g.files), rep: len(g.reps), edge: len(g.succ), arg: len(g.args)}
+	g.files = grow(g.files, sum.file)
+	g.reps = grow(g.reps, sum.rep)
+	g.succ = grow(g.succ, sum.edge)
+	g.pred = grow(g.pred, sum.edge)
+	g.lab = grow(g.lab, sum.edge)
+	g.args = grow(g.args, sum.arg)
 
-	// Every slot of the tables and every element of the blocks is written
-	// by exactly one input, so what a run writes is fixed by its offsets,
+	// Every event slot and every element of the arrays is written by
+	// exactly one input, so what a run writes is fixed by its offsets,
 	// never by scheduling. The one run of a one-file union is copied
 	// without the allocations of a fan-out.
 	if len(b.runs) == 2 {
@@ -424,69 +389,39 @@ func eachRun(runs []int, do func(k int)) {
 	wg.Wait()
 }
 
-// copyRun copies the events of the fresh inputs of run k, their adjacency
-// and their labels. An input's part of each block ends where the next
-// entry's begins.
+// copyRun copies the fresh inputs of run k: their events, then each of
+// their arrays whole, event IDs offset by where the input's events begin
+// and ranges by where its part of the array does.
 func (b *UnionBuilder) copyRun(k int) {
 	g := b.g
 	for n := b.runs[k]; n < b.runs[k+1]; n++ {
-		f, next := &b.fresh[n], &b.fresh[n+1]
+		f := &b.fresh[n]
 		in := &b.inputs[f.in]
 		src, at := f.g, in.at // at: the union's ID of the input's event 0
-		events, reps := b.events[f.evOff:next.evOff], b.reps[f.repOff:next.repOff]
-		ints, lists := b.ints[f.intOff:next.intOff], b.lists[f.listOff:next.listOff]
-		in.events, in.ends = events, ints[:f.edge+f.pred]
-		succs, preds, labels := ints[:f.edge], ints[f.edge:f.edge+f.pred], ints[f.edge+f.pred:]
-		rowAt := b.rowBase + f.rowOff
+		file, rep := b.base.file+f.file, b.base.rep+f.rep
+		edge, arg := b.base.edge+f.edge, b.base.arg+f.arg
 		for i, e := range src.Events {
-			ne := &events[i]
-			*ne = *e
-			ne.ID = at + i
-			ne.syms = g.Syms
-			if nr := len(e.RepIDs); nr > 0 {
-				ne.RepIDs, reps = reps[:nr:nr], reps[nr:]
-				for j, s := range e.RepIDs {
-					ne.RepIDs[j] = f.xlat[s]
-				}
-			}
-			g.Events[at+i] = ne
-
-			var out, back []int
-			if ss := src.succs[i]; len(ss) > 0 {
-				out, succs = succs[:len(ss):len(ss)], succs[len(ss):]
-				for j, dst := range ss {
-					out[j] = at + dst
-				}
-			}
-			// Ascending-source order, the order AddEdge into the union
-			// would have produced: the input's own list, sorted.
-			if ps := src.preds[i]; len(ps) > 0 {
-				back, preds = preds[:len(ps):len(ps)], preds[len(ps):]
-				for j, p := range ps {
-					back[j] = at + p
-				}
-				slices.Sort(back)
-			}
-			g.succs[at+i], g.preds[at+i] = out, back
-
-			// Labels go by successor position: a row of lists as it stands.
-			if g.argRow == nil {
-				continue
-			}
-			g.argRow[at+i] = 0
-			if from := src.labels(i); len(from) > 0 {
-				row := lists[:len(from):len(from)]
-				lists = lists[len(from):]
-				for j, args := range from {
-					if len(args) > 0 {
-						row[j], labels = labels[:len(args):len(args)], labels[len(args):]
-						copy(row[j], args)
-					}
-				}
-				g.argRows[rowAt] = row
-				rowAt++
-				g.argRow[at+i] = int32(rowAt)
-			}
+			e.file += int32(file)
+			e.reps = e.reps.shift(uint32(rep))
+			e.succ = e.succ.shift(uint32(edge))
+			e.pred = e.pred.shift(uint32(edge))
+			g.Events[at+i] = e
 		}
+		copy(g.files[file:], src.files)
+		for i, s := range src.reps {
+			g.reps[rep+i] = f.xlat[s]
+		}
+		succ, pred := g.succ[edge:edge+len(src.succ)], g.pred[edge:edge+len(src.pred)]
+		for i, dst := range src.succ {
+			succ[i] = at + dst
+		}
+		for i, p := range src.pred {
+			pred[i] = at + p
+		}
+		in.edges = span{uint32(edge), uint32(edge + len(succ))}
+		for i, l := range src.lab {
+			g.lab[edge+i] = l.shift(uint32(arg))
+		}
+		copy(g.args[arg:], src.args)
 	}
 }

@@ -13,36 +13,41 @@ import (
 )
 
 // naiveUnion replicates the original event-by-event, edge-by-edge union:
-// every event re-added through AddEvent (re-interning its representation
-// strings into the output's table), every edge through AddEdge, every
-// label through AddEdgeArg. The
-// arena-based, symbol-translating Union must stay byte-identical to it.
+// every event re-added to a Builder through AddEvent (re-interning its
+// representation strings into the output's table), every edge through
+// AddEdge, every label through AddEdgeArg. The symbol-translating Union
+// must stay byte-identical to it.
 func naiveUnion(graphs ...*Graph) *Graph {
-	out := New()
+	b := NewBuilder()
+	var roles []RoleSet
 	for _, g := range graphs {
-		base := len(out.Events)
-		for _, e := range g.Events {
-			ne := out.AddEvent(e.Kind, e.File, e.Pos, e.Reps())
-			ne.Roles = e.Roles
+		base := b.Len()
+		for id, e := range g.Events {
+			b.AddEvent(e.Kind, g.File(id), e.Pos, g.Reps(id))
+			roles = append(roles, e.Roles)
 		}
-		for src, ss := range g.succs {
-			for _, dst := range ss {
-				out.AddEdge(base+src, base+dst)
+		for src := range g.Events {
+			for _, dst := range g.Succs(src) {
+				b.AddEdge(base+src, base+dst)
 			}
 		}
 		for key, args := range g.edgeArgs {
 			for _, a := range args {
-				out.AddEdgeArg(base+int(key>>32), base+int(uint32(key)), a)
+				b.AddEdgeArg(base+int(key>>32), base+int(uint32(key)), a)
 			}
 		}
+	}
+	out := b.Build()
+	for id := range out.Events {
+		out.Events[id].Roles = roles[id]
 	}
 	return out
 }
 
-// pseudoGraph builds a deterministic graph with irregular fan-in/fan-out,
-// labeled edges, and some isolated vertices.
-func pseudoGraph(seed, nEvents int) *Graph {
-	g := New()
+// pseudoBuilder adds to a builder a deterministic graph with irregular
+// fan-in/fan-out, labeled edges, and some isolated vertices.
+func pseudoBuilder(seed, nEvents int) *Builder {
+	g := NewBuilder()
 	kinds := []EventKind{KindCall, KindRead, KindParam}
 	for i := 0; i < nEvents; i++ {
 		reps := []string{fmt.Sprintf("g%d.f%d", seed, i)}
@@ -71,12 +76,15 @@ func pseudoGraph(seed, nEvents int) *Graph {
 	return g
 }
 
+func pseudoGraph(seed, nEvents int) *Graph { return pseudoBuilder(seed, nEvents).Build() }
+
 func TestUnionMatchesAddEdgeUnion(t *testing.T) {
+	empty := NewBuilder().Build()
 	cases := [][]*Graph{
 		{},
-		{New()},
+		{empty},
 		{pseudoGraph(1, 12)},
-		{pseudoGraph(1, 12), New(), pseudoGraph(2, 7)},
+		{pseudoGraph(1, 12), empty, pseudoGraph(2, 7)},
 		{pseudoGraph(3, 40), pseudoGraph(4, 25), pseudoGraph(5, 1), pseudoGraph(6, 33)},
 	}
 	for ci, graphs := range cases {
@@ -87,12 +95,12 @@ func TestUnionMatchesAddEdgeUnion(t *testing.T) {
 		}
 		for id := range want.Events {
 			ge, we := got.Events[id], want.Events[id]
-			if ge.ID != we.ID || ge.Kind != we.Kind || ge.File != we.File ||
+			if ge.Kind != we.Kind || got.File(id) != want.File(id) ||
 				ge.Pos != we.Pos || ge.Roles != we.Roles ||
-				!reflect.DeepEqual(ge.RepIDs, we.RepIDs) ||
-				!reflect.DeepEqual(ge.Reps(), we.Reps()) {
+				!reflect.DeepEqual(got.RepIDs(id), want.RepIDs(id)) ||
+				!reflect.DeepEqual(got.Reps(id), want.Reps(id)) {
 				t.Fatalf("case %d: event %d = %+v (reps %v), want %+v (reps %v)",
-					ci, id, ge, ge.Reps(), we, we.Reps())
+					ci, id, ge, got.Reps(id), we, want.Reps(id))
 			}
 			if !reflect.DeepEqual(got.Succs(id), want.Succs(id)) {
 				t.Fatalf("case %d: succs(%d) = %v, want %v", ci, id, got.Succs(id), want.Succs(id))
@@ -143,9 +151,10 @@ func TestUnionAllocBudget(t *testing.T) {
 		t.Fatalf("fixture too small: %d events", nEvents)
 	}
 	allocs := testing.AllocsPerRun(10, func() { Union(graphs...) })
-	// Measured 60: most of it is the symbol table growing to the ~1.3k
+	t.Logf("Union of %d events: %.0f allocs", nEvents, allocs)
+	// Measured 63: most of it is the symbol table growing to the ~1.3k
 	// distinct symbols of the inputs. It was 78 while every label went
-	// through AddEdgeArg.
+	// through AddEdgeArg, and 65 before graphs were flat arrays.
 	if budget := 70.0; allocs > budget {
 		t.Errorf("Union allocs/run = %.0f, budget %.0f", allocs, budget)
 	}
@@ -186,7 +195,7 @@ func BenchmarkUnionNaive(b *testing.B) {
 // emits: positional, receiver and keyword labels, and edges carrying
 // several labels at once.
 func labelledGraph(seed, nEvents int) *Graph {
-	g := pseudoGraph(seed, nEvents)
+	g := pseudoBuilder(seed, nEvents)
 	for i := 0; i+1 < nEvents; i += 2 {
 		src, dst := i, (i+1+seed)%nEvents
 		g.AddEdgeArg(src, dst, ArgKeyword)
@@ -196,7 +205,7 @@ func labelledGraph(seed, nEvents int) *Graph {
 			g.AddEdgeArg(src, dst, 0)
 		}
 	}
-	return g
+	return g.Build()
 }
 
 // TestUnionParallelMatchesSequential pins the one copy routine at every
@@ -210,17 +219,18 @@ func TestUnionParallelMatchesSequential(t *testing.T) {
 	for i := 0; events <= 2*unionFanoutEvents; i++ {
 		g := labelledGraph(i, 40+i%90)
 		if i%17 == 3 {
-			g = New()
+			g = NewBuilder().Build()
 		}
 		big = append(big, g)
 		events += len(g.Events)
 	}
+	empty := NewBuilder().Build()
 	cases := map[string][]*Graph{
 		"none":      {},
-		"empty":     {New()},
+		"empty":     {empty},
 		"one":       {labelledGraph(1, 30)},
 		"one-big":   {labelledGraph(2, unionFanoutEvents+10)},
-		"small":     {labelledGraph(1, 12), New(), labelledGraph(2, 7), New()},
+		"small":     {labelledGraph(1, 12), empty, labelledGraph(2, 7), empty},
 		"fanned":    big,
 		"two-heavy": {labelledGraph(3, unionFanoutEvents), labelledGraph(4, 5)},
 	}
@@ -248,7 +258,7 @@ func TestUnionParallelMatchesSequential(t *testing.T) {
 // of input a corpus file is, introducing no symbol of its own once an
 // earlier input has brought the pool.
 func poolGraph(seed, nEvents, nPool int) *Graph {
-	g := New()
+	g := NewBuilder()
 	kinds := []EventKind{KindCall, KindRead, KindParam}
 	for i := 0; i < nEvents; i++ {
 		reps := []string{fmt.Sprintf("api%d()", (seed*7+i*3)%nPool)}
@@ -269,17 +279,22 @@ func poolGraph(seed, nEvents, nPool int) *Graph {
 			g.AddEdgeArg(src, dst, ArgReceiver)
 		}
 	}
-	return g
+	return g.Build()
 }
 
-// poolIntro is an input that mentions every name of the pool, in order.
-func poolIntro(nPool int, order func(i int) int) *Graph {
-	g := New()
+// poolIntroBuilder adds to a builder an input that mentions every name of the
+// pool, in order.
+func poolIntroBuilder(nPool int, order func(i int) int) *Builder {
+	g := NewBuilder()
 	for i := 0; i < nPool; i++ {
 		g.AddEvent(KindCall, "intro.py", pytoken.Pos{Line: i + 1}, []string{fmt.Sprintf("api%d()", order(i))})
 	}
 	g.AddEdgeArg(0, nPool-1, 1)
 	return g
+}
+
+func poolIntro(nPool int, order func(i int) int) *Graph {
+	return poolIntroBuilder(nPool, order).Build()
 }
 
 // assertSameGraph compares everything a consumer can read from a union,
@@ -290,14 +305,18 @@ func assertSameGraph(t *testing.T, label string, got, want *Graph) {
 	if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
 		t.Fatalf("%s: binary encodings differ", label)
 	}
-	if len(got.Events) != len(want.Events) || len(got.succs) != len(want.succs) || len(got.preds) != len(want.preds) {
-		t.Fatalf("%s: %d/%d/%d events/succs/preds, want %d/%d/%d", label,
-			len(got.Events), len(got.succs), len(got.preds), len(want.Events), len(want.succs), len(want.preds))
+	if len(got.Events) != len(want.Events) || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: %d/%d events/edges, want %d/%d", label,
+			len(got.Events), got.NumEdges(), len(want.Events), want.NumEdges())
+	}
+	if !slices.Equal(got.Syms.Strings(), want.Syms.Strings()) {
+		t.Fatalf("%s: symbol tables differ", label)
 	}
 	for id, we := range want.Events {
 		ge := got.Events[id]
-		if ge.ID != id || ge.ID != we.ID || ge.syms != got.Syms || !reflect.DeepEqual(ge.Reps(), we.Reps()) {
-			t.Fatalf("%s: event %d = %+v (reps %v), want %+v (reps %v)", label, id, ge, ge.Reps(), we, we.Reps())
+		if ge.Kind != we.Kind || ge.Pos != we.Pos || ge.Roles != we.Roles || got.File(id) != want.File(id) ||
+			!slices.Equal(got.RepIDs(id), want.RepIDs(id)) || !reflect.DeepEqual(got.Reps(id), want.Reps(id)) {
+			t.Fatalf("%s: event %d = %+v (reps %v), want %+v (reps %v)", label, id, ge, got.Reps(id), we, want.Reps(id))
 		}
 		if !slices.Equal(got.Succs(id), want.Succs(id)) || !slices.Equal(got.Preds(id), want.Preds(id)) {
 			t.Fatalf("%s: event %d: succs %v preds %v, want %v %v", label, id,
@@ -360,7 +379,7 @@ func TestSpliceMatchesUnion(t *testing.T) {
 					e.Ins = append(e.Ins, g)
 				}
 				if e.Del == 0 && len(e.Ins) == 0 {
-					e.Ins = []*Graph{New()}
+					e.Ins = []*Graph{NewBuilder().Build()}
 				}
 				edits = append(edits, e)
 				at += e.Del // the next edit may be adjacent
@@ -397,17 +416,18 @@ func TestSpliceNumbering(t *testing.T) {
 	id := func(i int) int { return i }
 	swapped := func(i int) int { return [nPool]int{0, 1, 3, 2, 4, 5}[i] }
 	named := func(names ...string) *Graph {
-		g := New()
+		g := NewBuilder()
 		for i, n := range names {
 			g.AddEvent(KindCall, "n.py", pytoken.Pos{Line: i + 1}, []string{n})
 		}
-		return g
+		return g.Build()
 	}
 	base := func() []*Graph {
 		return []*Graph{poolGraph(1, 4, 2), poolIntro(nPool, id), poolGraph(2, 9, nPool), named("late()"), poolGraph(3, 5, nPool)}
 	}
-	longer := poolIntro(nPool, id)
-	longer.AddEvent(KindRead, "intro.py", pytoken.Pos{Line: 99}, []string{"api3()", "api0()"})
+	lb := poolIntroBuilder(nPool, id)
+	lb.AddEvent(KindRead, "intro.py", pytoken.Pos{Line: 99}, []string{"api3()", "api0()"})
+	longer := lb.Build()
 	cases := []struct {
 		name  string
 		edits []UnionEdit

@@ -18,7 +18,7 @@ import (
 
 // Steady-state allocation budgets for the fast paths. These are
 // regression tripwires, not targets: each is the measured count plus a
-// quarter (28, 9, 12 and 120 when they were set), so an accidental
+// quarter (28, 9, 12 and 116 when they were set), so an accidental
 // per-request allocation — a dropped pool, a fresh buffer, a closure
 // capture, a span or a metric name built per request again — fails
 // loudly while compiler and runtime drift does not. "hit" goes through
@@ -33,7 +33,7 @@ const (
 	allocBudgetHit       = 35  // cache hit: request decode + key + splice
 	allocBudgetHitReuse  = 11  // the same, without httptest's share
 	allocBudgetCoalesced = 15  // follower: wait + splice only
-	allocBudgetMiss      = 150 // full analysis on a worker's scratch
+	allocBudgetMiss      = 145 // full analysis on a worker's scratch
 )
 
 func newAllocServer(t *testing.T, cfg Config) *Server {

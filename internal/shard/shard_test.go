@@ -150,7 +150,7 @@ func TestDecodeFaults(t *testing.T) {
 // class: a buggy or adversarial encoder, not line noise.
 func TestDecodeBadPayload(t *testing.T) {
 	out := func(a *Artifact) []byte { return a.Encode() }
-	empty := propgraph.New()
+	empty := propgraph.NewBuilder().Build()
 	tests := []struct {
 		name string
 		data []byte

@@ -84,16 +84,16 @@ func Analyze(g *propgraph.Graph, sp *spec.Spec) []Report {
 // specification.
 func assignRoles(g *propgraph.Graph, ix *spec.SymIndex) []propgraph.RoleSet {
 	roles := make([]propgraph.RoleSet, len(g.Events))
-	for id, e := range g.Events {
+	for id := range g.Events {
 		var rs propgraph.RoleSet
-		for _, sym := range e.RepIDs {
+		for _, sym := range g.RepIDs(id) {
 			if ix.Blacklisted(sym) {
 				continue
 			}
 			rs |= ix.Roles(sym)
 		}
 		// Respect kind restrictions: a read can only be a source.
-		rs &= e.Roles
+		rs &= g.Events[id].Roles
 		roles[id] = rs
 	}
 	return roles
@@ -104,17 +104,17 @@ func assignRoles(g *propgraph.Graph, ix *spec.SymIndex) []propgraph.RoleSet {
 // the sink is unrestricted (any position is dangerous).
 func sinkRestrictions(g *propgraph.Graph, sp *spec.Spec, ix *spec.SymIndex, roles []propgraph.RoleSet) [][]int {
 	restr := make([][]int, len(g.Events))
-	for id, e := range g.Events {
+	for id := range g.Events {
 		if !roles[id].Has(propgraph.Sink) {
 			continue
 		}
 		var positions []int
 		restricted := true
-		for i, sym := range e.RepIDs {
+		for i, sym := range g.RepIDs(id) {
 			if !ix.Roles(sym).Has(propgraph.Sink) || ix.Blacklisted(sym) {
 				continue
 			}
-			args := sp.SinkArgsOf(e.Rep(i))
+			args := sp.SinkArgsOf(g.Rep(id, i))
 			if args == nil {
 				restricted = false
 				break
@@ -170,18 +170,17 @@ func findFlows(g *propgraph.Graph, roles []propgraph.RoleSet, restr [][]int, src
 		}
 		if id != src && roles[id].Has(propgraph.Sink) &&
 			argAllowed(g, restr, path[len(path)-2], id) {
-			ev := g.Events[id]
-			srcEv := g.Events[src]
+			sinkRep := bestRep(g, id)
 			reports = append(reports, Report{
-				File:      srcEv.File,
+				File:      g.File(src),
 				SourceID:  src,
 				SinkID:    id,
-				SourceRep: bestRep(srcEv),
-				SinkRep:   bestRep(ev),
-				SourcePos: srcEv.Pos,
-				SinkPos:   ev.Pos,
+				SourceRep: bestRep(g, src),
+				SinkRep:   sinkRep,
+				SourcePos: g.Events[src].Pos,
+				SinkPos:   g.Events[id].Pos,
 				Path:      append([]int(nil), path...),
-				Category:  Classify(bestRep(ev)),
+				Category:  Classify(sinkRep),
 			})
 			// Continue: the sink's output may flow onward to other sinks.
 		}
@@ -193,11 +192,11 @@ func findFlows(g *propgraph.Graph, roles []propgraph.RoleSet, restr [][]int, src
 	return reports
 }
 
-func bestRep(e *propgraph.Event) string {
-	if e.NumReps() == 0 {
-		return fmt.Sprintf("<event %d>", e.ID)
+func bestRep(g *propgraph.Graph, id int) string {
+	if g.NumReps(id) == 0 {
+		return fmt.Sprintf("<event %d>", id)
 	}
-	return e.Rep(0)
+	return g.Rep(id, 0)
 }
 
 // Classify maps a sink representation to a vulnerability class.

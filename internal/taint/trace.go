@@ -18,7 +18,6 @@ func (r *Report) Trace(g *propgraph.Graph) string {
 		if id < 0 || id >= len(g.Events) {
 			continue
 		}
-		ev := g.Events[id]
 		label := "  via "
 		switch i {
 		case 0:
@@ -26,7 +25,7 @@ func (r *Report) Trace(g *propgraph.Graph) string {
 		case len(r.Path) - 1:
 			label = "sink  "
 		}
-		fmt.Fprintf(&b, "%s  %-50s %s:%s\n", label, bestRep(ev), ev.File, ev.Pos)
+		fmt.Fprintf(&b, "%s  %-50s %s:%s\n", label, bestRep(g, id), g.File(id), g.Events[id].Pos)
 	}
 	return b.String()
 }
