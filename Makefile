@@ -32,9 +32,10 @@ loc:
 	@printf 'binaries (ls cmd):                %s\n' "$$(ls cmd | wc -l)"
 
 # Race-check the packages with concurrency-sensitive surfaces: the
-# metrics registry, the sharded solver kernel, the parallel corpus
-# front-end and the lexer, parser, analyzer and arenas its workers run
-# with per-goroutine scratch state, the analysis cache, the HTTP service
+# parallel-loop helper every fan-out below runs on, the metrics
+# registry, the sharded solver kernel, the parallel corpus front-end and
+# the lexer, parser, analyzer and arenas its workers run with
+# per-goroutine scratch state, the analysis cache, the HTTP service
 # (worker pool, backpressure, drain, hot reload) and the sharded
 # check-result cache every request locks, the symbol interner
 # and the fanned-out union copy, the sharded constraint build, the shard
@@ -43,7 +44,7 @@ loc:
 # the one that checks exact healthz counts after concurrent misses and
 # hits over a real listener.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/checkcache/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
+	$(GO) test -race ./internal/par/... ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/arena/... ./internal/pytoken/... ./internal/pyparse/... ./internal/dataflow/... ./internal/fpcache/... ./internal/service/... ./internal/checkcache/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
 	$(GO) test -race -run '^TestServeLearnedSpecs$$' .
 
 # fuzzsmoke finds every fuzz target under internal/ and runs each for five

@@ -2,6 +2,7 @@ package constraints
 
 import (
 	"seldon/internal/lp"
+	"seldon/internal/par"
 	"seldon/internal/propgraph"
 )
 
@@ -12,8 +13,8 @@ import (
 // passes over any tiling of it by closed ranges. The cold build tiles the
 // graph itself (flowRanges); the incremental build is handed the tiling
 // (one span per corpus file) and runs only the ranges whose cached block
-// is stale. Either way flowBlocks deals the ranges, in contiguous runs,
-// to Options.Workers goroutines that each own a flowScratch, and assemble
+// is stale. Either way flowBlocks deals the ranges one at a time to
+// Options.Workers goroutines that each own a flowScratch, and assemble
 // concatenates the resulting blocks in range order into a slice allocated
 // once at its final length — the same bytes at every worker count,
 // because no block depends on which goroutine built it.
@@ -58,16 +59,19 @@ func closedCuts(g *propgraph.Graph) []bool {
 	return cut
 }
 
+// evRange is the range of event IDs [lo, hi).
+type evRange struct{ lo, hi int }
+
 // flowRanges tiles the graph with closed ranges of at least
 // flowPieceEvents events (the last may be shorter, and a component larger
 // than that is one range).
-func flowRanges(cut []bool) []shardRange {
+func flowRanges(cut []bool) []evRange {
 	n := len(cut) - 1
-	var out []shardRange
+	var out []evRange
 	lo := 0
 	for p := 1; p <= n; p++ {
 		if cut[p] && (p-lo >= flowPieceEvents || p == n) {
-			out = append(out, shardRange{lo, p})
+			out = append(out, evRange{lo, p})
 			lo = p
 		}
 	}
@@ -76,13 +80,11 @@ func flowRanges(cut []bool) []shardRange {
 
 // flowBlocks runs the flow pass over each of the closed ranges and
 // returns their blocks, aligned with ranges.
-func (s *System) flowBlocks(g *propgraph.Graph, ranges []shardRange, workers int) []*flowBlock {
+func (s *System) flowBlocks(g *propgraph.Graph, ranges []evRange, workers int) []*flowBlock {
 	blocks := make([]*flowBlock, len(ranges))
-	runShards(shardRanges(len(ranges), workers), func(_, lo, hi int) {
-		var sc flowScratch
-		for i := lo; i < hi; i++ {
-			blocks[i] = s.flowRange(g, ranges[i], &sc)
-		}
+	scratch := make([]flowScratch, par.Workers(workers, len(ranges)))
+	par.For(len(scratch), len(ranges), func(w, i int) {
+		blocks[i] = s.flowRange(g, ranges[i], &scratch[w])
 	})
 	return blocks
 }
@@ -174,7 +176,7 @@ func resized[T any](s []T, n int) []T {
 
 // flowRange generates the constraints of the closed range r: components
 // in order of their lowest event, events inside a component in ID order.
-func (s *System) flowRange(g *propgraph.Graph, r shardRange, sc *flowScratch) *flowBlock {
+func (s *System) flowRange(g *propgraph.Graph, r evRange, sc *flowScratch) *flowBlock {
 	b := &flowBlock{}
 	n := r.hi - r.lo
 	if n < 2 {
@@ -230,7 +232,7 @@ func (s *System) flowRange(g *propgraph.Graph, r shardRange, sc *flowScratch) *f
 // weakly-connected-component ID in sc.comp (indexed by ID minus r.lo),
 // numbering components in order of their lowest event, and returns their
 // number.
-func (sc *flowScratch) components(g *propgraph.Graph, r shardRange) int {
+func (sc *flowScratch) components(g *propgraph.Graph, r evRange) int {
 	sc.comp = resized(sc.comp, r.hi-r.lo)
 	comp := sc.comp
 	for i := range comp {

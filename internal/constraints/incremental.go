@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"seldon/internal/obs"
+	"seldon/internal/par"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
 )
@@ -100,7 +101,7 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 		fps := s.spanFingerprints(spans, workers)
 		blocks := make([]*flowBlock, len(spans))
 		var stale []int
-		var ranges []shardRange
+		var ranges []evRange
 		for i := range spans {
 			sp := &spans[i]
 			if b := cache.blocks[sp.File]; b != nil && b.fp == fps[i] {
@@ -109,7 +110,7 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 				continue
 			}
 			stale = append(stale, i)
-			ranges = append(ranges, shardRange{sp.Lo, sp.Hi})
+			ranges = append(ranges, evRange{sp.Lo, sp.Hi})
 		}
 		for k, b := range s.flowBlocks(g, ranges, workers) {
 			i := stale[k]
@@ -175,32 +176,31 @@ func spansClosed(cut []bool, spans []Span) bool {
 // variable ID of every (surviving representation, role) pair. Variable
 // IDs are global first-seen, so any upstream change that renumbers this
 // file's variables (or moves a representation across the frequency
-// cutoff) changes the fingerprint. Spans are independent, so contiguous
-// runs of them are hashed side by side.
+// cutoff) changes the fingerprint. Spans are independent, so they are
+// hashed side by side, each worker reusing one buffer.
 func (s *System) spanFingerprints(spans []Span, workers int) [][32]byte {
 	fps := make([][32]byte, len(spans))
-	runShards(shardRanges(len(spans), workers), func(_, lo, hi int) {
-		var buf []byte
-		for i := lo; i < hi; i++ {
-			sp := &spans[i]
-			buf = append(buf[:0], sp.Hash[:]...)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Opts.MaxComponent))
-			for id := sp.Lo; id < sp.Hi; id++ {
-				info := s.InfoFor(id)
-				if info == nil {
-					buf = binary.LittleEndian.AppendUint64(buf, ^uint64(0))
-					continue
-				}
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(info.Roles))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(len(info.RepIDs)))
-				for _, sym := range info.RepIDs {
-					for _, role := range propgraph.Roles() {
-						buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.VarIDSym(sym, role))))
-					}
+	bufs := make([][]byte, par.Workers(workers, len(spans)))
+	par.For(len(bufs), len(spans), func(w, i int) {
+		sp := &spans[i]
+		buf := append(bufs[w][:0], sp.Hash[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Opts.MaxComponent))
+		for id := sp.Lo; id < sp.Hi; id++ {
+			info := s.InfoFor(id)
+			if info == nil {
+				buf = binary.LittleEndian.AppendUint64(buf, ^uint64(0))
+				continue
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(info.Roles))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(info.RepIDs)))
+			for _, sym := range info.RepIDs {
+				for _, role := range propgraph.Roles() {
+					buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.VarIDSym(sym, role))))
 				}
 			}
-			fps[i] = sha256.Sum256(buf)
 		}
+		fps[i] = sha256.Sum256(buf)
+		bufs[w] = buf
 	})
 	return fps
 }

@@ -7,19 +7,19 @@
 // The build works on interned symbols throughout: representation
 // frequencies and the (representation, role) → variable mapping live in
 // dense arrays indexed by propgraph.Sym instead of string-keyed maps,
-// and the frequency, candidate-filter and flow passes shard across a
-// worker pool. Results are bitwise identical at every worker count —
-// shards are contiguous event ranges merged in order, and the frequency
+// and the frequency, candidate-filter, flow and span-fingerprint passes
+// fan out through internal/par. Results are bitwise identical at every
+// worker count — every item writes by its index, the candidate lists of
+// contiguous event ranges are joined in range order, and the frequency
 // merge is an integer sum.
 package constraints
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"seldon/internal/lp"
 	"seldon/internal/obs"
+	"seldon/internal/par"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
 )
@@ -38,9 +38,9 @@ type Options struct {
 	// generated files). Default 50000.
 	MaxComponent int
 	// Workers bounds the goroutines used for the frequency,
-	// candidate-filter and flow passes (the core.Config.Workers convention:
-	// 0 selects GOMAXPROCS, 1 keeps the sequential path). Results are
-	// bitwise identical at every count.
+	// candidate-filter, flow and span-fingerprint passes (par.Workers: 0
+	// selects GOMAXPROCS, 1 runs them on the caller's goroutine). Results
+	// are bitwise identical at every count.
 	Workers int
 	// Metrics, when non-nil, receives constraint-system size gauges
 	// (variables, events, per-pattern constraint counts) and the
@@ -63,60 +63,6 @@ func (o Options) WithDefaults() Options {
 		o.MaxComponent = 50000
 	}
 	return o
-}
-
-// workerCount resolves Options.Workers against n work items.
-func (o Options) workerCount(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// shardRange is one contiguous chunk of work, [Lo, Hi).
-type shardRange struct{ lo, hi int }
-
-// shardRanges splits n items into at most w contiguous chunks.
-func shardRanges(n, w int) []shardRange {
-	if w < 1 {
-		w = 1
-	}
-	per := (n + w - 1) / w
-	var out []shardRange
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		out = append(out, shardRange{lo, hi})
-	}
-	return out
-}
-
-// runShards executes f once per shard, concurrently when there is more
-// than one shard. Shard contents are fixed by index arithmetic, never by
-// scheduling, so per-shard results are deterministic.
-func runShards(shards []shardRange, f func(shard int, lo, hi int)) {
-	if len(shards) == 1 {
-		f(0, shards[0].lo, shards[0].hi)
-		return
-	}
-	var wg sync.WaitGroup
-	for i, sr := range shards {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			f(i, lo, hi)
-		}(i, sr.lo, sr.hi)
-	}
-	wg.Wait()
 }
 
 // Variable identifies one score in the system.
@@ -207,12 +153,15 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int)
 	m := opts.Metrics
 	strs := g.Syms.Strings()
 	nsyms := len(strs)
-	workers := opts.workerCount(len(g.Events))
-	shards := shardRanges(len(g.Events), workers)
+	workers := par.Workers(opts.Workers, len(g.Events))
+	// Passes 1 and 2 deal one contiguous event range to each worker.
+	ranges := func(r int) (lo, hi int) {
+		return r * len(g.Events) / workers, (r + 1) * len(g.Events) / workers
+	}
 
-	// Pass 1: representation frequencies across the dataset, sharded over
-	// contiguous event ranges and merged by integer sum (order-free, so
-	// identical at every worker count).
+	// Pass 1: representation frequencies across the dataset, counted per
+	// worker and merged by integer sum (order-free, so identical at every
+	// worker count); worker 0 counts into the total itself.
 	//
 	// Frequency semantics, pinned by TestBuildCountsRepOccurrences: a
 	// representation counts once per occurrence in an event's backoff
@@ -222,96 +171,83 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int)
 	// compared against — exactly what the original string-keyed
 	// implementation did.
 	t0 := time.Now()
-	repCount := make([]int32, nsyms)
-	if len(shards) == 1 {
-		for id := range g.Events {
+	counts := make([][]int32, workers)
+	counts[0] = make([]int32, nsyms)
+	par.For(workers, workers, func(w, r int) {
+		if counts[w] == nil {
+			counts[w] = make([]int32, nsyms)
+		}
+		cnt := counts[w]
+		lo, hi := ranges(r)
+		for id := lo; id < hi; id++ {
 			for _, sym := range g.RepIDs(id) {
-				repCount[sym]++
+				cnt[sym]++
 			}
 		}
-	} else {
-		shardCounts := make([][]int32, len(shards))
-		runShards(shards, func(shard, lo, hi int) {
-			cnt := make([]int32, nsyms)
-			for id := lo; id < hi; id++ {
-				for _, sym := range g.RepIDs(id) {
-					cnt[sym]++
-				}
-			}
-			shardCounts[shard] = cnt
-		})
-		for _, cnt := range shardCounts {
-			for i, c := range cnt {
-				repCount[i] += c
-			}
+	})
+	repCount := counts[0]
+	for _, cnt := range counts[1:] {
+		for i, c := range cnt {
+			repCount[i] += c
 		}
 	}
 	m.ObserveDuration(obs.StageConstraintsFreq, time.Since(t0))
 
 	// Pass 2: candidate events and their surviving representations. Seed
 	// roles and the glob blacklist are evaluated once per distinct symbol
-	// (spec.SymIndex), then each shard filters its contiguous event range
-	// into a local arena; shard outputs concatenate in range order, which
-	// is exactly the sequential order.
+	// (spec.SymIndex), then each range is filtered into its own arena and
+	// into the event table from the range's first slot on (a range keeps
+	// at most one event per slot it spans). Moving each range's events
+	// down behind the previous range's, in range order, leaves exactly
+	// the sequential order.
 	t0 = time.Now()
 	ix := seed.IndexStrings(strs)
 	cutoff := int32(opts.BackoffCutoff)
-	type filtered struct {
-		infos  []EventInfo
-		starts []int
-		arena  []propgraph.Sym
-	}
-	shardOut := make([]filtered, len(shards))
-	runShards(shards, func(shard, lo, hi int) {
-		// Pre-size to upper bounds (every event kept, every occurrence
-		// surviving) so the filter loop never reallocates.
+	infos := make([]EventInfo, len(g.Events))
+	kept := make([]int, workers)
+	par.For(workers, workers, func(_, r int) {
+		lo, hi := ranges(r)
+		// Pre-size to upper bounds (every occurrence surviving) so the
+		// filter loop never reallocates.
 		occ := 0
 		for id := lo; id < hi; id++ {
 			occ += g.NumReps(id)
 		}
-		out := filtered{
-			infos:  make([]EventInfo, 0, hi-lo),
-			starts: make([]int, 0, hi-lo),
-			arena:  make([]propgraph.Sym, 0, occ),
-		}
+		out := infos[lo:lo:hi]
+		starts := make([]int, 0, hi-lo)
+		arena := make([]propgraph.Sym, 0, occ)
 		for id := lo; id < hi; id++ {
-			start := len(out.arena)
+			start := len(arena)
 			for _, sym := range g.RepIDs(id) {
 				if ix.Blacklisted(sym) {
 					continue
 				}
 				if repCount[sym] >= cutoff || ix.Roles(sym) != 0 {
-					out.arena = append(out.arena, sym)
+					arena = append(arena, sym)
 				}
 			}
-			if len(out.arena) == start {
+			if len(arena) == start {
 				continue
 			}
-			out.infos = append(out.infos, EventInfo{EventID: id, Roles: g.Events[id].Roles})
-			out.starts = append(out.starts, start)
+			out = append(out, EventInfo{EventID: id, Roles: g.Events[id].Roles})
+			starts = append(starts, start)
 		}
 		// The arena no longer grows; carve the per-event slices.
-		for i := range out.infos {
-			end := len(out.arena)
-			if i+1 < len(out.infos) {
-				end = out.starts[i+1]
+		for i := range out {
+			end := len(arena)
+			if i+1 < len(out) {
+				end = starts[i+1]
 			}
-			out.infos[i].RepIDs = out.arena[out.starts[i]:end:end]
+			out[i].RepIDs = arena[starts[i]:end:end]
 		}
-		shardOut[shard] = out
+		kept[r] = len(out)
 	})
-	if len(shardOut) == 1 {
-		s.EventInfos = shardOut[0].infos
-	} else {
-		total := 0
-		for i := range shardOut {
-			total += len(shardOut[i].infos)
-		}
-		s.EventInfos = make([]EventInfo, 0, total)
-		for i := range shardOut {
-			s.EventInfos = append(s.EventInfos, shardOut[i].infos...)
-		}
+	n := 0
+	for r, k := range kept {
+		lo, _ := ranges(r)
+		n += copy(infos[n:], infos[lo:lo+k])
 	}
+	s.EventInfos = infos[:n]
 	for i := range s.infoByEvent {
 		s.infoByEvent[i] = -1
 	}

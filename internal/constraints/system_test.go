@@ -275,7 +275,7 @@ func TestWeakComponents(t *testing.T) {
 	gb.AddEdge(3, 4)
 	g := gb.Build()
 	var sc flowScratch
-	ncomp := sc.components(g, shardRange{0, len(g.Events)})
+	ncomp := sc.components(g, evRange{0, len(g.Events)})
 	comp := sc.comp
 	if comp[0] != comp[1] || comp[1] != comp[2] {
 		t.Errorf("0,1,2 should share a component: %v", comp)

@@ -2,15 +2,13 @@ package core
 
 import (
 	"errors"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"seldon/internal/dataflow"
 	"seldon/internal/fpcache"
 	"seldon/internal/obs"
+	"seldon/internal/par"
 	"seldon/internal/propgraph"
 	"seldon/internal/pyparse"
 )
@@ -88,23 +86,6 @@ type fileOutcome struct {
 	cacheWall  time.Duration // time spent in Get/Put for this file
 }
 
-// workerCount resolves Config.Workers: 0 selects GOMAXPROCS, 1 runs
-// everything on the caller's goroutine, and the pool never exceeds the
-// number of files.
-func (c Config) workerCount(files int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > files {
-		w = files
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // AnalyzeFiles parses and dataflow-analyzes every file (name → source
 // text), fanning per-file work over cfg.Workers goroutines. Per-file
 // timings and parse-error counts stream into cfg.Metrics from the
@@ -119,10 +100,20 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 	sort.Strings(names)
 
 	fe := &FrontEnd{Names: names}
-	workers := cfg.workerCount(len(names))
+	workers := par.Workers(cfg.Workers, len(names))
 	cfg.Metrics.Add(obs.CounterParseErrors, 0) // materialize the counter
 	outcomes := make([]fileOutcome, len(names))
-	process := func(i int, sc *Scratch) {
+	// Every worker owns one Scratch for the whole batch. The caller is
+	// worker 0 and uses the donated Config.Scratch when there is one.
+	scratch := make([]*Scratch, workers)
+	scratch[0] = cfg.Scratch
+	t0 := time.Now()
+	par.For(workers, len(names), func(w, i int) {
+		sc := scratch[w]
+		if sc == nil {
+			sc = new(Scratch)
+			scratch[w] = sc
+		}
 		name := names[i]
 		var o fileOutcome
 		if cfg.Cache != nil {
@@ -174,36 +165,7 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 			o.cacheBytes += written
 		}
 		outcomes[i] = o
-	}
-
-	// Every worker owns one Scratch for the whole batch. The caller is
-	// worker 0 and uses the donated Config.Scratch when there is one.
-	t0 := time.Now()
-	var next atomic.Int64
-	next.Store(-1)
-	work := func(sc *Scratch) {
-		for {
-			i := int(next.Add(1))
-			if i >= len(names) {
-				return
-			}
-			process(i, sc)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(new(Scratch))
-		}()
-	}
-	sc := cfg.Scratch
-	if sc == nil {
-		sc = new(Scratch)
-	}
-	work(sc)
-	wg.Wait()
+	})
 	fe.Wall = time.Since(t0)
 
 	fe.Graphs = make([]*propgraph.Graph, len(names))

@@ -142,23 +142,3 @@ func TestAnalyzeFilesParallelTelemetry(t *testing.T) {
 		t.Errorf("%s count = %d, want 1", obs.StageFrontend, got)
 	}
 }
-
-func TestWorkerCountResolution(t *testing.T) {
-	cases := []struct {
-		workers, files, want int
-	}{
-		{1, 10, 1},
-		{4, 10, 4},
-		{8, 3, 3},  // never more workers than files
-		{-1, 0, 1}, // empty input still resolves to a valid pool
-	}
-	for _, tc := range cases {
-		if got := (Config{Workers: tc.workers}).workerCount(tc.files); got != tc.want {
-			t.Errorf("workerCount(workers=%d, files=%d) = %d, want %d",
-				tc.workers, tc.files, got, tc.want)
-		}
-	}
-	if got := (Config{}).workerCount(64); got < 1 {
-		t.Errorf("default workerCount = %d, want >= 1", got)
-	}
-}

@@ -3,8 +3,8 @@ package lp
 import (
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
+
+	"seldon/internal/par"
 )
 
 // This file holds the compiled solver kernel. compile hash-conses a
@@ -418,38 +418,13 @@ func (k *kernel) passChunk(ci int, x []float64) {
 	}
 }
 
-// pass recomputes every row's violation at x, sharding the row loop over
+// pass recomputes every row's violation at x, dealing the row chunks to
 // up to `shards` goroutines, rebuilds the active list, and returns the
 // total hinge violation. The compaction and the fold run sequentially in
 // first-occurrence order, so the result does not depend on shards.
 func (k *kernel) pass(x []float64, shards int) float64 {
 	nChunks := (k.rows() + kernelChunk - 1) / kernelChunk
-	if shards > nChunks {
-		shards = nChunks
-	}
-	if shards <= 1 {
-		for ci := 0; ci < nChunks; ci++ {
-			k.passChunk(ci, x)
-		}
-	} else {
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < shards; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1))
-					if ci >= nChunks {
-						return
-					}
-					k.passChunk(ci, x)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	par.For(shards, nChunks, func(_, ci int) { k.passChunk(ci, x) })
 	// Branch-free compaction: every live row is written at the cursor, and
 	// only a violated one advances it.
 	active, hot := k.active, k.hot

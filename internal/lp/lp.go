@@ -31,10 +31,7 @@
 // ones first appear; where the copies sit does not matter.
 package lp
 
-import (
-	"runtime"
-	"sort"
-)
+import "sort"
 
 // Term is one linear summand: Coef * x[Var].
 type Term struct {
@@ -193,8 +190,8 @@ type Options struct {
 	// not converged: Result.Stop is StopCap.
 	Iterations int
 	// Shards bounds the goroutines the compiled kernel uses for the
-	// per-epoch constraint pass; 0 selects runtime.GOMAXPROCS(0) and 1
-	// keeps the pass on the calling goroutine. Results are bit-for-bit
+	// per-epoch constraint pass (par.Workers: 0 selects GOMAXPROCS, 1 keeps
+	// the pass on the calling goroutine). Results are bit-for-bit
 	// identical at every shard count: the work decomposition is fixed by
 	// the problem, and every floating-point reduction runs sequentially
 	// over the distinct constraints in first-occurrence order (see
@@ -238,9 +235,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Patience == 0 {
 		o.Patience = 25
-	}
-	if o.Shards == 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
 	}
 	return o
 }

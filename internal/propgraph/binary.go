@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"seldon/internal/envelope"
+	"seldon/internal/par"
 	"seldon/internal/pytoken"
 )
 
@@ -391,30 +392,31 @@ func (s *skim) skipBytes(n int) { *s = (*s)[min(n, len(*s)):] }
 const decodeFanoutBytes = 64 << 10
 
 // DecodeAll decodes encs, each one whole graph, and returns the graphs in
-// order. Graphs decode independently: contiguous runs of about equal size
-// are decoded on a goroutine each (cutRuns, eachRun). Of malformed
+// order. Graphs decode independently, one item each, on GOMAXPROCS
+// goroutines from decodeFanoutBytes of encodings up. Of malformed
 // encodings it reports the lowest, index and error, at any number of
-// processors: a run stops at its first fault, the first run with one has it.
+// processors: every encoding is decoded, and the faults are read in order
+// after the join.
 func DecodeAll(encs [][]byte) ([]*Graph, int, error) {
 	graphs := make([]*Graph, len(encs))
-	runs := cutRuns(nil, len(encs), func(i int) int { return len(encs[i]) }, decodeFanoutBytes)
-	bad := make([]int, len(runs)-1) // per run: the index of its fault
-	errs := make([]error, len(runs)-1)
-	eachRun(runs, func(k int) {
-		for i := runs[k]; i < runs[k+1]; i++ {
-			g, rest, err := DecodeBinary(encs[i])
-			if err == nil && len(rest) != 0 {
-				err = fmt.Errorf("propgraph: binary: %d bytes after graph", len(rest))
-			}
-			if err != nil {
-				bad[k], errs[k] = i, err
-				return
-			}
-			graphs[i] = g
+	errs := make([]error, len(encs))
+	total := 0
+	for _, enc := range encs {
+		total += len(enc)
+	}
+	workers := 1
+	if total >= decodeFanoutBytes {
+		workers = 0
+	}
+	par.For(workers, len(encs), func(_, i int) {
+		g, rest, err := DecodeBinary(encs[i])
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("propgraph: binary: %d bytes after graph", len(rest))
 		}
+		graphs[i], errs[i] = g, err
 	})
-	if k := slices.IndexFunc(errs, func(err error) bool { return err != nil }); k >= 0 {
-		return nil, bad[k], errs[k]
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		return nil, i, errs[i]
 	}
 	return graphs, 0, nil
 }

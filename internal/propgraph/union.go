@@ -1,9 +1,9 @@
 package propgraph
 
 import (
-	"runtime"
 	"slices"
-	"sync"
+
+	"seldon/internal/par"
 )
 
 // Union builds the global propagation graph of a dataset: the disjoint
@@ -43,9 +43,9 @@ func Union(graphs ...*Graph) *Graph {
 // after that writes to places fixed by prefix sums over sizes counted
 // beforehand: each new input's file names, representations, successors,
 // predecessors, labels and label arguments are appended to the union's
-// arrays whole, at offsets fixed before anything is copied, so contiguous
-// runs of inputs can be copied by several goroutines and land exactly
-// where one goroutine would have put them. The inputs are well-formed
+// arrays whole, at offsets fixed before anything is copied, so the inputs
+// can be copied by several goroutines and land exactly where one goroutine
+// would have put them. The inputs are well-formed
 // graphs (edges deduplicated, no self-loops, predecessors ascending,
 // sorted labels only on edges — DecodeBinary rejects anything else) and
 // the union is disjoint, so adjacency is copied in bulk with both
@@ -74,7 +74,6 @@ type UnionBuilder struct {
 	// from one edit to the next, so that the Add of one small graph
 	// allocates only its translation array.
 	fresh []unionFresh // the inputs to copy in, and one entry of totals
-	runs  []int        // contiguous runs of fresh inputs, one per goroutine
 	segs  []unionSeg
 	base  unionFresh // where this copy begins in each of the graph's arrays
 }
@@ -134,8 +133,8 @@ func (b *UnionBuilder) Graph() *Graph { return b.g }
 // unionFanoutEvents is the size of a copy, in events, from which its
 // inputs are dealt to GOMAXPROCS goroutines; below it a goroutine costs
 // more than the events it would copy. The unit dealt is an input, so the
-// one-file Union of a /v1/check, and the Add of one graph, is a single run
-// however many processors there are, and never starts a goroutine.
+// Add of one graph has one worker however many processors there are, and
+// never starts a goroutine.
 const unionFanoutEvents = 4096
 
 // unionDeadShare is the share of dead events, as 1/unionDeadShare of the
@@ -325,7 +324,6 @@ func moveSegs[T any](tab []T, segs []unionSeg, n int) []T {
 func (b *UnionBuilder) copyFresh() {
 	g := b.g
 	b.fresh = append(b.fresh, unionFresh{})
-	b.runs = cutRuns(b.runs[:0], len(b.fresh)-1, func(i int) int { return b.fresh[i].ev }, unionFanoutEvents)
 	// From here on a fresh entry's sizes are its offsets into this copy.
 	var sum unionFresh
 	for i := range b.fresh {
@@ -334,6 +332,7 @@ func (b *UnionBuilder) copyFresh() {
 		f.rep, sum.rep = sum.rep, sum.rep+f.rep
 		f.edge, sum.edge = sum.edge, sum.edge+f.edge
 		f.arg, sum.arg = sum.arg, sum.arg+f.arg
+		sum.ev += f.ev
 	}
 	b.base = unionFresh{file: len(g.files), rep: len(g.reps), edge: len(g.succ), arg: len(g.args)}
 	g.files = grow(g.files, sum.file)
@@ -344,84 +343,49 @@ func (b *UnionBuilder) copyFresh() {
 	g.args = grow(g.args, sum.arg)
 
 	// Every event slot and every element of the arrays is written by
-	// exactly one input, so what a run writes is fixed by its offsets,
-	// never by scheduling. The one run of a one-file union is copied
-	// without the allocations of a fan-out.
-	if len(b.runs) == 2 {
-		b.copyRun(0)
-	} else {
-		eachRun(b.runs, b.copyRun)
+	// exactly one input, so what an input writes is fixed by its offsets,
+	// never by scheduling.
+	workers := 1
+	if sum.ev >= unionFanoutEvents {
+		workers = 0
 	}
+	par.For(workers, len(b.fresh)-1, b.copyInput)
 
 	// Let go of the inputs.
 	clear(b.fresh)
 }
 
-// cutRuns appends to runs the bounds of contiguous runs of n items of about
-// equal weight, one per goroutine: one below floor or with one processor or item.
-func cutRuns(runs []int, n int, weight func(i int) int, floor int) []int {
-	runs = append(runs, 0)
-	total := 0
-	for i := 0; i < n; i++ {
-		total += weight(i)
-	}
-	if w := min(runtime.GOMAXPROCS(0), n); w >= 2 && total >= floor {
-		before := 0 // weight of the items before i
-		for i := 0; i < n && len(runs) < w; i++ {
-			if i > runs[len(runs)-1] && before >= total*len(runs)/w {
-				runs = append(runs, i)
-			}
-			before += weight(i)
-		}
-	}
-	return append(runs, n)
-}
-
-// eachRun calls do(k) for every run k of cutRuns and returns when all have:
-// the first on this goroutine, every other one on its own.
-func eachRun(runs []int, do func(k int)) {
-	var wg sync.WaitGroup
-	for k := 1; k+1 < len(runs); k++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); do(k) }()
-	}
-	do(0)
-	wg.Wait()
-}
-
-// copyRun copies the fresh inputs of run k: their events, then each of
-// their arrays whole, event IDs offset by where the input's events begin
-// and ranges by where its part of the array does.
-func (b *UnionBuilder) copyRun(k int) {
+// copyInput copies fresh input n: its events, then each of its arrays
+// whole, event IDs offset by where the input's events begin and ranges by
+// where its part of the array does.
+func (b *UnionBuilder) copyInput(_, n int) {
 	g := b.g
-	for n := b.runs[k]; n < b.runs[k+1]; n++ {
-		f := &b.fresh[n]
-		in := &b.inputs[f.in]
-		src, at := f.g, in.at // at: the union's ID of the input's event 0
-		file, rep := b.base.file+f.file, b.base.rep+f.rep
-		edge, arg := b.base.edge+f.edge, b.base.arg+f.arg
-		for i, e := range src.Events {
-			e.file += int32(file)
-			e.reps = e.reps.shift(uint32(rep))
-			e.succ = e.succ.shift(uint32(edge))
-			e.pred = e.pred.shift(uint32(edge))
-			g.Events[at+i] = e
-		}
-		copy(g.files[file:], src.files)
-		for i, s := range src.reps {
-			g.reps[rep+i] = f.xlat[s]
-		}
-		succ, pred := g.succ[edge:edge+len(src.succ)], g.pred[edge:edge+len(src.pred)]
-		for i, dst := range src.succ {
-			succ[i] = at + dst
-		}
-		for i, p := range src.pred {
-			pred[i] = at + p
-		}
-		in.edges = span{uint32(edge), uint32(edge + len(succ))}
-		for i, l := range src.lab {
-			g.lab[edge+i] = l.shift(uint32(arg))
-		}
-		copy(g.args[arg:], src.args)
+	f := &b.fresh[n]
+	in := &b.inputs[f.in]
+	src, at := f.g, in.at // at: the union's ID of the input's event 0
+	file, rep := b.base.file+f.file, b.base.rep+f.rep
+	edge, arg := b.base.edge+f.edge, b.base.arg+f.arg
+	for i, e := range src.Events {
+		e.file += int32(file)
+		e.reps = e.reps.shift(uint32(rep))
+		e.succ = e.succ.shift(uint32(edge))
+		e.pred = e.pred.shift(uint32(edge))
+		g.Events[at+i] = e
 	}
+	copy(g.files[file:], src.files)
+	for i, s := range src.reps {
+		g.reps[rep+i] = f.xlat[s]
+	}
+	succ, pred := g.succ[edge:edge+len(src.succ)], g.pred[edge:edge+len(src.pred)]
+	for i, dst := range src.succ {
+		succ[i] = at + dst
+	}
+	for i, p := range src.pred {
+		pred[i] = at + p
+	}
+	in.edges = span{uint32(edge), uint32(edge + len(succ))}
+	for i, l := range src.lab {
+		g.lab[edge+i] = l.shift(uint32(arg))
+	}
+	copy(g.args[arg:], src.args)
 }

@@ -67,6 +67,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -80,6 +81,7 @@ import (
 	"seldon/internal/incr"
 	"seldon/internal/obs"
 	"seldon/internal/obs/trace"
+	"seldon/internal/par"
 	"seldon/internal/spec"
 	"seldon/internal/specio"
 )
@@ -132,8 +134,9 @@ type Config struct {
 	// Without it the reload endpoint answers 409.
 	StorePath string
 
-	// Workers is the number of standing analysis goroutines, with
-	// core.Config.Workers semantics: 0 selects GOMAXPROCS, 1 serializes.
+	// Workers is the number of standing analysis goroutines, resolved by
+	// par.Workers as core.Config.Workers is: 0 selects GOMAXPROCS, 1
+	// serializes.
 	Workers int
 	// QueueDepth bounds requests waiting for a worker slot; beyond
 	// Workers+QueueDepth the server answers 429. 0 selects 2×Workers.
@@ -179,9 +182,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
+	c.Workers = par.Workers(c.Workers, math.MaxInt)
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers
 	}
