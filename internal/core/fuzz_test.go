@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"seldon/internal/dataflow"
@@ -14,9 +15,12 @@ import (
 // file. Neither may panic, and both must report the same parse error and
 // build byte-equal graphs: recycled memory never shows in a result. The
 // seed corpus (testdata/fuzz) is the sources of examples/ plus lexer and
-// parser edge cases.
+// parser edge cases, and the hostile bodies.
 func FuzzFrontEndScratchEquivalence(f *testing.F) {
 	f.Add([]byte(taintedSrc))
+	for _, body := range hostileBodies {
+		f.Add([]byte(body.src))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := string(data)
 		mod, wantErr := pyparse.Parse("fuzz.py", src)
@@ -36,6 +40,33 @@ func FuzzFrontEndScratchEquivalence(f *testing.F) {
 			t.Errorf("parse errors differ: dirty scratch %q, nil scratch %q", fe.ParseErrs, wantErr)
 		}
 	})
+}
+
+// hostileBodies are one-line sources that once ended the process that
+// parsed them, each with the parse error it must now give instead: 200,000
+// nested brackets overflowed the stack, and a 200,000-term right-nested
+// power chain ran out of memory.
+var hostileBodies = []struct{ name, src, err string }{
+	{"nested-parens", "x = " + strings.Repeat("(", 200000) + "1" + strings.Repeat(")", 200000) + "\n",
+		"app.py:1:205: too many nested parentheses"},
+	{"power-chain", "x = y" + strings.Repeat("**y", 199999) + "\n",
+		"app.py:1:3005: expression nested too deeply"},
+}
+
+// TestHostileBodiesAreParseErrors: each hostile body comes back from the
+// front end as a parse error with a position, and a batch goes on past it.
+func TestHostileBodiesAreParseErrors(t *testing.T) {
+	for _, body := range hostileBodies {
+		fe := AnalyzeFiles(map[string]string{"app.py": body.src, "ok.py": taintedSrc}, Config{Workers: 1})
+		if len(fe.ParseErrs) != 1 || fe.ParseErrorFiles[0] != "app.py" ||
+			!strings.HasPrefix(fe.ParseErrs[0].Error(), body.err) {
+			t.Errorf("%s: parse errors %q in %q, want one starting %q in app.py",
+				body.name, fe.ParseErrs, fe.ParseErrorFiles, body.err)
+		}
+		if len(fe.Graphs) != 2 || len(fe.Graphs[1].Events) == 0 {
+			t.Errorf("%s: the file after it was not analyzed", body.name)
+		}
+	}
 }
 
 // dirtySrc leaves a scratch with tokens, nodes of most kinds, objects

@@ -17,6 +17,8 @@ func (p *parser) parseNamedExprOrExpr() pyast.Expr {
 
 // parseExpr parses a `test`: lambda, conditional expression, or or-expr.
 func (p *parser) parseExpr() pyast.Expr {
+	p.nest()
+	defer func() { p.depth-- }()
 	if p.at(pytoken.KwLambda) {
 		return p.parseLambda()
 	}
@@ -67,7 +69,10 @@ func (p *parser) parseAnd() pyast.Expr {
 func (p *parser) parseNot() pyast.Expr {
 	if p.at(pytoken.KwNot) {
 		tok := p.next()
-		return &pyast.UnaryOp{OpPos: tok.Pos, Op: pytoken.KwNot, Operand: p.parseNot()}
+		p.nest()
+		e := &pyast.UnaryOp{OpPos: tok.Pos, Op: pytoken.KwNot, Operand: p.parseNot()}
+		p.depth--
+		return e
 	}
 	return p.parseComparison()
 }
@@ -150,7 +155,10 @@ func (p *parser) parseUnary() pyast.Expr {
 	switch p.cur().Kind {
 	case pytoken.PLUS, pytoken.MINUS, pytoken.TILDE:
 		tok := p.next()
-		return &pyast.UnaryOp{OpPos: tok.Pos, Op: tok.Kind, Operand: p.parseUnary()}
+		p.nest()
+		e := &pyast.UnaryOp{OpPos: tok.Pos, Op: tok.Kind, Operand: p.parseUnary()}
+		p.depth--
+		return e
 	}
 	return p.parsePower()
 }
@@ -159,7 +167,9 @@ func (p *parser) parsePower() pyast.Expr {
 	e := p.parseAwait()
 	if p.accept(pytoken.DOUBLESTAR) {
 		// ** is right-associative and binds tighter than unary on the right.
-		return &pyast.BinOp{Left: e, Op: pytoken.DOUBLESTAR, Right: p.parseUnary()}
+		p.nest()
+		e = &pyast.BinOp{Left: e, Op: pytoken.DOUBLESTAR, Right: p.parseUnary()}
+		p.depth--
 	}
 	return e
 }
@@ -167,7 +177,10 @@ func (p *parser) parsePower() pyast.Expr {
 func (p *parser) parseAwait() pyast.Expr {
 	if p.at(pytoken.KwAwait) {
 		tok := p.next()
-		return &pyast.Await{AwaitPos: tok.Pos, Value: p.parseAwait()}
+		p.nest()
+		e := &pyast.Await{AwaitPos: tok.Pos, Value: p.parseAwait()}
+		p.depth--
+		return e
 	}
 	return p.parsePostfix(p.parseAtom())
 }

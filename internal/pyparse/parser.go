@@ -34,11 +34,26 @@ func (e *ParseError) Error() string {
 type bailout struct{}
 
 type parser struct {
-	file string
-	toks []pytoken.Token
-	pos  int
-	errs []error
-	sc   *Scratch // where nodes and lists come from; never nil
+	file  string
+	toks  []pytoken.Token
+	pos   int
+	depth int // expressions and operators open around the current token
+	errs  []error
+	sc    *Scratch // where nodes and lists come from; never nil
+}
+
+// maxDepth is the parser's nesting budget, counted by nest: enough for
+// the deepest brackets the scanner lets through (200 levels, a count or
+// two each), while a right-nested chain such as `y**y**…` fails its statement
+// with a position long before the recursion can exhaust the stack.
+const maxDepth = 1000
+
+// nest counts one more level of nesting, failing the statement past
+// maxDepth; the caller takes it back off depth when the level closes.
+func (p *parser) nest() {
+	if p.depth++; p.depth > maxDepth {
+		p.errorf("expression nested too deeply")
+	}
 }
 
 // Parse parses src into a module. The returned module contains every
@@ -157,17 +172,19 @@ func (p *parser) parseSuiteUntil(end pytoken.Kind) []pyast.Stmt {
 	return p.sc.stmts.carve(mark)
 }
 
-// marks records the depth of every list-building stack, so an error
-// bailout can pop what the abandoned statement had pushed.
-type marks struct{ exprs, stmts, params, aliases, keywords int }
+// marks records the depth of every list-building stack and the nesting
+// depth, so an error bailout can pop what the abandoned statement had
+// pushed.
+type marks struct{ exprs, stmts, params, aliases, keywords, depth int }
 
 func (p *parser) marks() marks {
 	sc := p.sc
-	return marks{sc.exprs.mark(), sc.stmts.mark(), sc.paramPtrs.mark(), sc.aliasPtrs.mark(), sc.keywordPtrs.mark()}
+	return marks{sc.exprs.mark(), sc.stmts.mark(), sc.paramPtrs.mark(), sc.aliasPtrs.mark(), sc.keywordPtrs.mark(), p.depth}
 }
 
 func (p *parser) unwind(m marks) {
 	sc := p.sc
+	p.depth = m.depth
 	sc.exprs.truncate(m.exprs)
 	sc.stmts.truncate(m.stmts)
 	sc.paramPtrs.truncate(m.params)

@@ -578,3 +578,29 @@ func TestParseModuleStatementCount(t *testing.T) {
 		t.Errorf("recovered assignments = %d, want >= 2", got)
 	}
 }
+
+// TestNestingBudget: every right-nested form within the depth budget
+// parses, and the same form far past it is a parse error at a position
+// while the statements around it still parse.
+func TestNestingBudget(t *testing.T) {
+	forms := map[string]func(n int) string{
+		"power":  func(n int) string { return "y" + strings.Repeat("**y", n) },
+		"unary":  func(n int) string { return strings.Repeat("-", n) + "y" },
+		"not":    func(n int) string { return strings.Repeat("not ", n) + "y" },
+		"await":  func(n int) string { return strings.Repeat("await ", n) + "y" },
+		"lambda": func(n int) string { return strings.Repeat("lambda: ", n) + "y" },
+		"ifexp":  func(n int) string { return strings.Repeat("y if y else ", n) + "y" },
+	}
+	for name, form := range forms {
+		if _, err := Parse("t.py", "x = "+form(100)+"\n"); err != nil {
+			t.Errorf("%s at 100: %v", name, err)
+		}
+		mod, err := Parse("t.py", "a = 1\nx = "+form(100000)+"\nb = 2\n")
+		if err == nil || !strings.HasPrefix(err.Error(), "t.py:2:") || !strings.Contains(err.Error(), "expression nested too deeply") {
+			t.Errorf("%s at 100000: error %v, want one on line 2 saying the expression is nested too deeply", name, err)
+		}
+		if len(mod.Body) != 2 {
+			t.Errorf("%s at 100000: %d statements around it parsed, want 2", name, len(mod.Body))
+		}
+	}
+}

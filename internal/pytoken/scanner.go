@@ -16,12 +16,21 @@ func (e *ScanError) Error() string {
 	return fmt.Sprintf("%s:%s: %s", e.File, e.Pos, e.Msg)
 }
 
+// maxParen and maxIndent are CPython's tokenizer limits: at most 200
+// nested brackets and 100 levels of indentation. They keep the parser's
+// recursion, and so its stack, bounded by the input's structure.
+const (
+	maxParen  = 200
+	maxIndent = 100
+)
+
 // Scanner converts Python source text into a stream of tokens.
 //
 // A zero Scanner is not usable; call NewScanner or Init. Scan returns EOF
 // forever once the input is exhausted. Lexical errors are reported both via
 // an ILLEGAL token and through Err, and the scanner recovers by skipping the
-// offending byte so a parse can proceed for error reporting.
+// offending byte so a parse can proceed for error reporting. Past maxParen
+// or maxIndent it does not recover: the input ends there.
 type Scanner struct {
 	file string
 	src  string
@@ -81,6 +90,13 @@ func (s *Scanner) Err() error {
 
 func (s *Scanner) errorf(p Pos, format string, args ...any) {
 	s.errs = append(s.errs, &ScanError{File: s.file, Pos: p, Msg: fmt.Sprintf(format, args...)})
+}
+
+// halt reports a lexical error the scanner does not recover from: the
+// input ends at the current offset.
+func (s *Scanner) halt(p Pos, msg string) {
+	s.errorf(p, "%s", msg)
+	s.src = s.src[:s.off]
 }
 
 func (s *Scanner) pos() Pos { return Pos{Line: s.line, Col: s.off - s.bol} }
@@ -213,6 +229,9 @@ func (s *Scanner) handleIndentation() bool {
 		s.atLineStart = false
 		cur := s.indents[len(s.indents)-1]
 		switch {
+		case col > cur && len(s.indents) > maxIndent:
+			s.halt(s.pos(), "too many levels of indentation")
+			return false
 		case col > cur:
 			s.indents = append(s.indents, col)
 			s.pending = append(s.pending, Token{Kind: INDENT, Pos: s.pos()})
@@ -439,7 +458,10 @@ func (s *Scanner) scanOperator() Token {
 	s.off += n
 	switch k {
 	case LPAREN, LBRACKET, LBRACE:
-		s.paren++
+		if s.paren++; s.paren > maxParen {
+			s.halt(pos, "too many nested parentheses")
+			return Token{Kind: ILLEGAL, Lit: string(c), Pos: pos}
+		}
 	case RPAREN, RBRACKET, RBRACE:
 		if s.paren > 0 {
 			s.paren--

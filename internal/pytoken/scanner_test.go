@@ -335,6 +335,35 @@ func TestBadDedentIsError(t *testing.T) {
 	}
 }
 
+// TestNestingLimits: CPython's tokenizer limits, 200 nested brackets and
+// 100 levels of indentation, are where the scanner stops too: past either
+// the input ends at the offending token, with one error.
+func TestNestingLimits(t *testing.T) {
+	indented := func(levels int) string {
+		var b strings.Builder
+		for i := 0; i < levels; i++ {
+			fmt.Fprintf(&b, "%sif a:\n", strings.Repeat(" ", i))
+		}
+		fmt.Fprintf(&b, "%spass\n", strings.Repeat(" ", levels))
+		return b.String()
+	}
+	cases := []struct{ src, err string }{
+		{"x = " + strings.Repeat("[", 200) + strings.Repeat("]", 200) + "\n", ""},
+		{"x = " + strings.Repeat("{", 201) + strings.Repeat("}", 201) + "\n", "t.py:1:205: too many nested parentheses"},
+		{indented(100), ""},
+		{indented(101), "t.py:102:102: too many levels of indentation"},
+	}
+	for i, tc := range cases {
+		_, err := ScanAll("t.py", tc.src)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("case %d: unexpected error %v", i, err)
+		case tc.err != "" && (err == nil || err.Error() != tc.err):
+			t.Errorf("case %d: error %v, want %q", i, err, tc.err)
+		}
+	}
+}
+
 func TestUnexpectedCharacterIsError(t *testing.T) {
 	toks, err := ScanAll("test.py", "a ? b\n")
 	if err == nil {

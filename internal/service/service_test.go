@@ -103,6 +103,28 @@ func TestCheckTaintedFlow(t *testing.T) {
 	}
 }
 
+// TestCheckHostileBodies: bodies that once ended the process — 200,000
+// nested brackets (stack overflow) and a 200,000-term power chain (out of
+// memory) — are answered as parse errors with a position by the one
+// worker there is, and that worker answers the next request.
+func TestCheckHostileBodies(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, body := range []struct{ src, err string }{
+		{"x = " + strings.Repeat("(", 200000) + "1" + strings.Repeat(")", 200000) + "\n",
+			"app.py:1:205: too many nested parentheses"},
+		{"x = y" + strings.Repeat("**y", 199999) + "\n",
+			"app.py:1:3005: expression nested too deeply"},
+	} {
+		resp, out := postCheck(t, ts.URL, body.src)
+		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(out.ParseError, body.err) {
+			t.Errorf("status %d, parse_error %q, want 200 and one starting %q", resp.StatusCode, out.ParseError, body.err)
+		}
+	}
+	if resp, out := postCheck(t, ts.URL, taintedSrc); resp.StatusCode != http.StatusOK || out.Total != 1 {
+		t.Errorf("next request: status %d, %d findings, want 200 and 1", resp.StatusCode, out.Total)
+	}
+}
+
 func TestCheckSanitizedFlow(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, out := postCheck(t, ts.URL, sanitizedSrc)
