@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,6 +159,30 @@ func TestLearnFeedbackFile(t *testing.T) {
 		_, stderr, status := seldonIn(t, bin, dir, "learn", "-generate", "40", "-feedback", "bad.json")
 		if status != 1 || !strings.Contains(stderr, "bad.json entry 1: "+tc.want) {
 			t.Errorf("verdict %+v: exit %d, stderr %q; want 1 and the entry named", tc.bad, status, stderr)
+		}
+	}
+}
+
+// TestSessionLearnKeepsParseErrors: a session learn of the check corpus,
+// cold and then resumed from its directory, reports the files whose parse
+// failed as a from-scratch learn of it does.
+func TestSessionLearnKeepsParseErrors(t *testing.T) {
+	files, err := (&inputFlags{dir: filepath.Join("testdata", "check", "corpus")}).files(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.LearnFromSources(files, spec.Seed(), core.Config{}).ParseErrorFiles
+	if len(want) == 0 {
+		t.Fatal("the check corpus has no parse error")
+	}
+	dir := t.TempDir()
+	for _, mode := range []string{"cold", "resumed"} {
+		res, err := runSession(dir, "", files, spec.Seed(), core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.ParseErrorFiles, want) {
+			t.Errorf("%s session: parse errors in %q, want %q", mode, res.ParseErrorFiles, want)
 		}
 	}
 }

@@ -339,7 +339,8 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 				r.Bytes64()
 				if section == 0 {
 					r.Take(1 + 32)
-					r.Bytes64()
+					r.Bytes64() // graph
+					r.Bytes64() // parse error
 				} else {
 					r.Take(8 + 8)
 				}

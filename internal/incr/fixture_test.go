@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"seldon/internal/core"
@@ -12,15 +13,16 @@ import (
 )
 
 // TestStateFixtureRoundTrip pins the state format: testdata/state.bin
-// was written by the code as it stood before internal/envelope existed
-// (three files, a solution, one pin), and must load — adopting its own
-// seed and knobs — and save back to the same bytes. UPDATE_GOLDEN=1
+// (version 2: three files, one of them with a parse error, a solution,
+// one pin) must load — adopting its own seed and knobs — save back to the
+// same bytes, and re-learn reporting the parse error. UPDATE_GOLDEN=1
 // rewrites it — only a format or analyzer version bump should need that.
 func TestStateFixtureRoundTrip(t *testing.T) {
 	path := filepath.Join("testdata", incr.StateFile)
 	cfg := core.Config{Workers: 1}
+	files, names := testCorpus(t, 3, 5)
+	files[names[0]] += "def broken(:\n    pass\n"
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		files, _ := testCorpus(t, 3, 5)
 		s := sessionFrom(t, files, cfg)
 		s.Pin("shellrun.invoke()", propgraph.Sink, 0)
 		s.Relearn()
@@ -45,5 +47,8 @@ func TestStateFixtureRoundTrip(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(out); !bytes.Equal(got, data) {
 		t.Fatal("fixture does not save back to its own bytes")
+	}
+	if res, _ := s.Relearn(); !slices.Equal(res.ParseErrorFiles, names[:1]) {
+		t.Errorf("fixture re-learns with parse errors in %q, want %q", res.ParseErrorFiles, names[:1])
 	}
 }

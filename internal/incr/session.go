@@ -82,6 +82,9 @@ type fileState struct {
 	// directly (no source in hand).
 	contentHash [32]byte
 	hasContent  bool
+	// parseErr is the error the file's parse reported, "" when none;
+	// analysis ran over the recovered AST all the same.
+	parseErr string
 	// enc is the graph's binary encoding (propgraph v2); encHash, its
 	// sha256, keys the flow-constraint cache spans.
 	enc     []byte
@@ -255,9 +258,14 @@ func (s *Session) SpliceSources(files map[string]string) (spliced, unchanged int
 		Workers: s.cfg.Workers, Cache: s.cfg.Cache, Metrics: s.cfg.Metrics, Log: s.cfg.Log,
 	})
 	states := make([]*fileState, len(fe.Names))
+	perr := 0 // the next of fe.ParseErrorFiles, which is in name order too
 	for i, name := range fe.Names {
 		fs := newFileState(fe.Graphs[i].AppendBinary(nil), fe.Graphs[i])
 		fs.contentHash, fs.hasContent = hashes[name], true
+		if perr < len(fe.ParseErrorFiles) && fe.ParseErrorFiles[perr] == name {
+			fs.parseErr = fe.ParseErrs[perr].Error()
+			perr++
+		}
 		states[i] = fs
 	}
 	s.mu.Lock()
@@ -491,6 +499,11 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 		st.WarmStarted = true
 	}
 	res := core.LearnPrepared(union, sys, cfg)
+	for _, n := range names {
+		if s.files[n].parseErr != "" {
+			res.ParseErrorFiles = append(res.ParseErrorFiles, n)
+		}
+	}
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrResolve, time.Since(t0))
 	st.RowsReused, st.RowsDead = res.SolverRowsReused, res.SolverRowsDead
 

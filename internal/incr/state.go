@@ -20,7 +20,8 @@ import (
 // Session persistence. One self-delimiting binary file ("state.bin" in
 // the session directory) carries everything a later process needs to
 // resume incrementally: the seed store, the learning knobs, every
-// corpus file's graph (binary-encoded) and source content hash, the
+// corpus file's graph (binary-encoded), source content hash and parse
+// error, the
 // previous solution keyed by (rep, role), the feedback pins, and the
 // cold-solve epoch baseline. A sha256 trailer self-checks the payload;
 // any corruption, version skew, or analyzer-version skew surfaces as an
@@ -37,7 +38,7 @@ import (
 
 const (
 	stateMagic   = "SINC"
-	stateVersion = 1
+	stateVersion = 2
 	// StateFile is the session state file name inside a session directory.
 	StateFile = "state.bin"
 	// FlowCacheFile is the persisted flow-constraint cache beside it.
@@ -91,6 +92,7 @@ func (s *Session) Save(path string) error {
 		}
 		b = append(b, fs.contentHash[:]...)
 		b = envelope.AppendBytes64(b, fs.enc)
+		b = envelope.AppendBytes64(b, fs.parseErr)
 	}
 
 	for _, m := range []map[PinKey]float64{s.prev, s.pins} {
@@ -181,9 +183,10 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		return nil, fmt.Errorf("incr: state knobs %+v, session wants %+v", stored, want)
 	}
 
-	// A file is a name length, a flag, a content hash and a graph length;
-	// a solution or pin a name length, a role and a value.
-	const minFile, minScore = 8 + 1 + 32 + 8, 8 + 8 + 8
+	// A file is a name length, a flag, a content hash, a graph length and
+	// a parse error length; a solution or pin a name length, a role and a
+	// value.
+	const minFile, minScore = 8 + 1 + 32 + 8 + 8, 8 + 8 + 8
 	var names []string
 	var encs [][]byte
 	for n := r.Count(r.U64(), minFile); n > 0; n-- {
@@ -192,6 +195,7 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		var ch [32]byte
 		copy(ch[:], r.Take(len(ch)))
 		enc := r.Bytes64()
+		perr := r.String64()
 		if r.Err() != nil {
 			break
 		}
@@ -204,7 +208,7 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
 		fs := newFileState(bytes.Clone(enc), nil)
-		fs.contentHash, fs.hasContent = ch, flag == 1
+		fs.contentHash, fs.hasContent, fs.parseErr = ch, flag == 1, perr
 		s.files[name] = fs
 		names, encs = append(names, name), append(encs, enc)
 	}

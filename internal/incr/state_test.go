@@ -55,7 +55,7 @@ func fixtureParts(t testing.TB) stateParts {
 	r.Take(6 * 8)
 	r.Bytes64() // seed
 	p.head = body[:at()]
-	p.files = records(func() { r.Bytes64(); r.Byte(); r.Take(32); r.Bytes64() })
+	p.files = records(func() { r.Bytes64(); r.Byte(); r.Take(32); r.Bytes64(); r.Bytes64() })
 	p.prev = records(score)
 	p.pins = records(score)
 	p.tail = r.Rest()
