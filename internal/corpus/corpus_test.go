@@ -151,7 +151,7 @@ func TestExperimentSeed(t *testing.T) {
 }
 
 func TestFlowStatisticsRoughlyMatchRates(t *testing.T) {
-	c := Generate(Config{Files: 300, Seed: 11, SanitizeRate: 0.65})
+	c := Generate(Config{Files: 300, Seed: 11})
 	san := 0
 	for _, f := range c.Flows {
 		if f.Sanitized {
@@ -165,7 +165,7 @@ func TestFlowStatisticsRoughlyMatchRates(t *testing.T) {
 }
 
 func TestProjectPartitioning(t *testing.T) {
-	c := Generate(Config{Files: 32, ProjectSize: 8, Seed: 2})
+	c := Generate(Config{Files: 32, Seed: 2})
 	projects := c.Projects()
 	if len(projects) != 4 {
 		t.Fatalf("projects = %v", projects)
@@ -186,7 +186,7 @@ func TestProjectPartitioning(t *testing.T) {
 }
 
 func TestWrongParamFlowsExist(t *testing.T) {
-	c := Generate(Config{Files: 300, Seed: 13, WrongParamRate: 0.2})
+	c := Generate(Config{Files: 300, Seed: 13})
 	found := false
 	for _, f := range c.Flows {
 		if f.WrongParam {

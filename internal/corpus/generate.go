@@ -10,46 +10,31 @@ import (
 // Config controls corpus generation. Zero values select defaults sized for
 // tests; benchmarks pass larger file counts.
 type Config struct {
-	Files           int     // total files; default 200
-	ProjectSize     int     // files per project; default 8
-	Seed            int64   // RNG seed; default 1
-	SanitizeRate    float64 // fraction of flows sanitized; default 0.65
-	ExploitableRate float64 // fraction of unsanitized flows exploitable; default 0.6
-	WrongParamRate  float64 // fraction of flows into a benign parameter; default 0.08
-	NoiseRate       float64 // fraction of pure-noise files; default 0.35
-	// PassThroughRate inserts a role-less shaping call (e.g. titlecase)
-	// between source and sink on unsanitized flows; default 0.55. Real
-	// code rarely pipes raw input straight into a sink, and these
-	// pass-through calls are what the learner sometimes mislabels as
-	// sanitizers (the paper's §9 failure mode and its 58% sanitizer
-	// precision).
-	PassThroughRate float64
+	Files int   // total files; default 200
+	Seed  int64 // RNG seed; default 1
 }
+
+// The shape of every generated corpus.
+const (
+	projectSize     = 8    // files per project
+	sanitizeRate    = 0.65 // fraction of flows sanitized
+	exploitableRate = 0.6  // fraction of unsanitized flows exploitable
+	wrongParamRate  = 0.08 // fraction of flows into a benign parameter
+	noiseRate       = 0.35 // fraction of pure-noise files
+	// passThroughRate inserts a role-less shaping call (e.g. titlecase)
+	// between source and sink on unsanitized flows. Real code rarely
+	// pipes raw input straight into a sink, and these pass-through calls
+	// are what the learner sometimes mislabels as sanitizers (the paper's
+	// §9 failure mode and its 58% sanitizer precision).
+	passThroughRate = 0.55
+)
 
 func (c Config) withDefaults() Config {
 	if c.Files == 0 {
 		c.Files = 200
 	}
-	if c.ProjectSize == 0 {
-		c.ProjectSize = 8
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.SanitizeRate == 0 {
-		c.SanitizeRate = 0.65
-	}
-	if c.ExploitableRate == 0 {
-		c.ExploitableRate = 0.6
-	}
-	if c.WrongParamRate == 0 {
-		c.WrongParamRate = 0.08
-	}
-	if c.NoiseRate == 0 {
-		c.NoiseRate = 0.35
-	}
-	if c.PassThroughRate == 0 {
-		c.PassThroughRate = 0.55
 	}
 	return c
 }
@@ -122,14 +107,14 @@ func (c *Corpus) ProjectFiles(project string) map[string]string {
 func Generate(cfg Config) *Corpus {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := &generator{cfg: cfg, rng: rng, out: &Corpus{Truth: NewTruth()}}
-	nProjects := (cfg.Files + cfg.ProjectSize - 1) / cfg.ProjectSize
+	g := &generator{rng: rng, out: &Corpus{Truth: NewTruth()}}
+	nProjects := (cfg.Files + projectSize - 1) / projectSize
 	fileNo := 0
 	for p := 0; p < nProjects && fileNo < cfg.Files; p++ {
 		project := fmt.Sprintf("proj%03d", p)
-		for i := 0; i < cfg.ProjectSize && fileNo < cfg.Files; i++ {
+		for i := 0; i < projectSize && fileNo < cfg.Files; i++ {
 			var f File
-			if rng.Float64() < cfg.NoiseRate {
+			if rng.Float64() < noiseRate {
 				f = g.noiseFile(project, fileNo)
 			} else {
 				f = g.handlerFile(project, fileNo)
@@ -142,7 +127,6 @@ func Generate(cfg Config) *Corpus {
 }
 
 type generator struct {
-	cfg Config
 	rng *rand.Rand
 	out *Corpus
 }
@@ -207,7 +191,7 @@ func (b *fileBuilder) render() string {
 // flowPlan rolls the dice for one source→sink flow and records its truth.
 func (g *generator) flowPlan(file, project string, class vulnClass,
 	src, snk apiTemplate) (san apiTemplate, flow Flow) {
-	sanitized := g.rng.Float64() < g.cfg.SanitizeRate
+	sanitized := g.rng.Float64() < sanitizeRate
 	sans := sanitizersFor(class)
 	if len(sans) == 0 {
 		sanitized = false
@@ -221,7 +205,7 @@ func (g *generator) flowPlan(file, project string, class vulnClass,
 		san = sans[g.rng.Intn(len(sans))]
 		flow.SanitizerRep = san.rep
 	} else {
-		flow.Exploitable = g.rng.Float64() < g.cfg.ExploitableRate
+		flow.Exploitable = g.rng.Float64() < exploitableRate
 	}
 	return san, flow
 }
@@ -234,7 +218,7 @@ func (g *generator) directHandler(b *fileBuilder, file, project string, h int) {
 	snks := sinksFor(class)
 	snk := snks[g.rng.Intn(len(snks))]
 
-	wrongParam := g.rng.Float64() < g.cfg.WrongParamRate
+	wrongParam := g.rng.Float64() < wrongParamRate
 	san, flow := g.flowPlan(file, project, class, src, snk)
 	if wrongParam {
 		flow.Sanitized = false
@@ -252,7 +236,7 @@ func (g *generator) directHandler(b *fileBuilder, file, project string, h int) {
 	if flow.Sanitized {
 		b.need(san.imports)
 		fmt.Fprintf(&b.body, "    val = %s\n", instantiate(san.code, "val"))
-	} else if g.rng.Float64() < g.cfg.PassThroughRate {
+	} else if g.rng.Float64() < passThroughRate {
 		g.passThrough(b, "    ", "val")
 	}
 	g.noiseStatements(b, 0+g.rng.Intn(3))
@@ -289,7 +273,7 @@ func (g *generator) wrapperHandler(b *fileBuilder, file, project string, h int) 
 	if flow.Sanitized {
 		b.need(san.imports)
 		fmt.Fprintf(&b.body, "    data = %s\n", instantiate(san.code, "data"))
-	} else if g.rng.Float64() < g.cfg.PassThroughRate {
+	} else if g.rng.Float64() < passThroughRate {
 		g.passThrough(b, "    ", "data")
 	}
 	if !flow.Exploitable && !flow.Sanitized {
@@ -316,7 +300,7 @@ func (g *generator) classViewHandler(b *fileBuilder, file, project string, h int
 	if flow.Sanitized {
 		b.need(san.imports)
 		fmt.Fprintf(&b.body, "        item = %s\n", instantiate(san.code, "item"))
-	} else if g.rng.Float64() < g.cfg.PassThroughRate {
+	} else if g.rng.Float64() < passThroughRate {
 		g.passThrough(b, "        ", "item")
 	}
 	if !flow.Exploitable && !flow.Sanitized {
@@ -344,7 +328,7 @@ func (g *generator) djangoHandler(b *fileBuilder, file, project string, h int) {
 	if flow.Sanitized {
 		b.need(san.imports)
 		fmt.Fprintf(&b.body, "    field = %s\n", instantiate(san.code, "field"))
-	} else if g.rng.Float64() < g.cfg.PassThroughRate {
+	} else if g.rng.Float64() < passThroughRate {
 		g.passThrough(b, "    ", "field")
 	}
 	if !flow.Exploitable && !flow.Sanitized {
@@ -356,7 +340,7 @@ func (g *generator) djangoHandler(b *fileBuilder, file, project string, h int) {
 // sqlChainHandler uses the seeded MySQLdb chained-call sink.
 func (g *generator) sqlChainHandler(b *fileBuilder, file, project string, h int) {
 	src := g.pick(sourceAPIs)
-	sanitized := g.rng.Float64() < g.cfg.SanitizeRate
+	sanitized := g.rng.Float64() < sanitizeRate
 	flow := Flow{
 		File: file, Project: project,
 		SourceRep: src.rep, SinkRep: "MySQLdb.connect().cursor().execute()",
@@ -368,7 +352,7 @@ func (g *generator) sqlChainHandler(b *fileBuilder, file, project string, h int)
 		san = sans[g.rng.Intn(len(sans))]
 		flow.SanitizerRep = san.rep
 	} else {
-		flow.Exploitable = g.rng.Float64() < g.cfg.ExploitableRate
+		flow.Exploitable = g.rng.Float64() < exploitableRate
 	}
 	g.out.Flows = append(g.out.Flows, flow)
 
@@ -380,7 +364,7 @@ func (g *generator) sqlChainHandler(b *fileBuilder, file, project string, h int)
 	if sanitized {
 		b.need(san.imports)
 		fmt.Fprintf(&b.body, "    term = %s\n", instantiate(san.code, "term"))
-	} else if g.rng.Float64() < g.cfg.PassThroughRate {
+	} else if g.rng.Float64() < passThroughRate {
 		g.passThrough(b, "    ", "term")
 	}
 	b.body.WriteString("    conn = MySQLdb.connect()\n    cur = conn.cursor()\n")
