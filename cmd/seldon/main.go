@@ -106,7 +106,7 @@ func addInputFlags(fs *flag.FlagSet) *inputFlags {
 	in := &inputFlags{}
 	fs.StringVar(&in.dir, "dir", "", "directory of .py files")
 	fs.IntVar(&in.generate, "generate", 0, "generate a synthetic corpus of N files instead of -dir")
-	fs.IntVar(&in.workers, "workers", 0, "front-end worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical at every count")
+	fs.IntVar(&in.workers, "workers", 0, "goroutines for the front end and the constraint build (0 = GOMAXPROCS, 1 = sequential); results are identical at every count")
 	return in
 }
 

@@ -29,10 +29,11 @@ type Config struct {
 	// BackoffDecay discounts less specific backoff options: option i
 	// (0-based) is selected when decay^i * score >= Threshold (§7.1: 0.8).
 	BackoffDecay float64
-	// Workers bounds the goroutines the corpus front-end uses for
-	// per-file parse + dataflow; 0 selects runtime.GOMAXPROCS(0) and 1
-	// runs them on the caller's goroutine. Results are byte-identical at
-	// every worker count (see AnalyzeFiles).
+	// Workers bounds the goroutines of the corpus front-end (per-file
+	// parse + dataflow) and of the constraint build, unless
+	// Constraints.Workers names a count of its own (par.Workers: 0 selects
+	// GOMAXPROCS, 1 runs on the caller's goroutine). Results are
+	// byte-identical at every worker count.
 	Workers int
 	// Cache, when non-nil, is the persistent per-file analysis cache
 	// (internal/fpcache): each front-end worker consults it before
