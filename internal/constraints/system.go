@@ -172,11 +172,10 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int)
 	// implementation did.
 	t0 := time.Now()
 	counts := make([][]int32, workers)
-	counts[0] = make([]int32, nsyms)
+	for w := range counts {
+		counts[w] = make([]int32, nsyms)
+	}
 	par.For(workers, workers, func(w, r int) {
-		if counts[w] == nil {
-			counts[w] = make([]int32, nsyms)
-		}
 		cnt := counts[w]
 		lo, hi := ranges(r)
 		for id := lo; id < hi; id++ {
