@@ -50,7 +50,7 @@ var hostileBodies = []struct{ name, src, err string }{
 	{"nested-parens", "x = " + strings.Repeat("(", 200000) + "1" + strings.Repeat(")", 200000) + "\n",
 		"app.py:1:205: too many nested parentheses"},
 	{"power-chain", "x = y" + strings.Repeat("**y", 199999) + "\n",
-		"app.py:1:3005: expression nested too deeply"},
+		"app.py:1:3008: expression nested too deeply"},
 }
 
 // TestHostileBodiesAreParseErrors: each hostile body comes back from the

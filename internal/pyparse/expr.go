@@ -17,8 +17,6 @@ func (p *parser) parseNamedExprOrExpr() pyast.Expr {
 
 // parseExpr parses a `test`: lambda, conditional expression, or or-expr.
 func (p *parser) parseExpr() pyast.Expr {
-	p.nest()
-	defer func() { p.depth-- }()
 	if p.at(pytoken.KwLambda) {
 		return p.parseLambda()
 	}
@@ -27,7 +25,9 @@ func (p *parser) parseExpr() pyast.Expr {
 		p.next()
 		cond := p.parseOr()
 		p.expect(pytoken.KwElse)
+		p.nest()
 		els := p.parseExpr()
+		p.depth--
 		return &pyast.IfExp{Cond: cond, Then: e, Else: els}
 	}
 	return e
@@ -35,9 +35,12 @@ func (p *parser) parseExpr() pyast.Expr {
 
 func (p *parser) parseLambda() pyast.Expr {
 	tok := p.expect(pytoken.KwLambda)
+	p.nest()
 	params := p.parseParams(pytoken.COLON, false)
 	p.expect(pytoken.COLON)
-	return &pyast.Lambda{LambdaPos: tok.Pos, Params: params, Body: p.parseExpr()}
+	e := &pyast.Lambda{LambdaPos: tok.Pos, Params: params, Body: p.parseExpr()}
+	p.depth--
+	return e
 }
 
 func (p *parser) parseOr() pyast.Expr {

@@ -16,7 +16,7 @@ func (p *parser) parseFString(tok pytoken.Token) {
 	for _, frag := range fstringFragments(tok.Lit) {
 		// The fragment's nodes join the enclosing module, so they come
 		// from the same scratch; its tokens are its own.
-		sub := &parser{file: "<f-string>", toks: mustScan(frag), sc: p.sc}
+		sub := &parser{file: "<f-string>", toks: mustScan(frag), depth: p.depth, sc: p.sc}
 		if expr := sub.parseFragment(); expr != nil {
 			p.sc.exprs.push(expr)
 		}

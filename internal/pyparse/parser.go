@@ -37,18 +37,21 @@ type parser struct {
 	file  string
 	toks  []pytoken.Token
 	pos   int
-	depth int // expressions and operators open around the current token
+	depth int // nest levels open around the current token
 	errs  []error
 	sc    *Scratch // where nodes and lists come from; never nil
 }
 
-// maxDepth is the parser's nesting budget, counted by nest: enough for
-// the deepest brackets the scanner lets through (200 levels, a count or
-// two each), while a right-nested chain such as `y**y**…` fails its statement
-// with a position long before the recursion can exhaust the stack.
+// maxDepth is the parser's nesting budget. Brackets need none (the
+// scanner stops at 200 levels) and neither do blocks (100 levels of
+// indentation), so nest counts only the forms that recurse without
+// either: unary, not, await, the right operand of **, lambda and the
+// else of a conditional expression. A right-nested chain such as
+// `y**y**…` then fails its statement with a position long before the
+// recursion can exhaust the stack, and the common path counts nothing.
 const maxDepth = 1000
 
-// nest counts one more level of nesting, failing the statement past
+// nest counts one more level of such nesting, failing the statement past
 // maxDepth; the caller takes it back off depth when the level closes.
 func (p *parser) nest() {
 	if p.depth++; p.depth > maxDepth {

@@ -113,7 +113,7 @@ func TestCheckHostileBodies(t *testing.T) {
 		{"x = " + strings.Repeat("(", 200000) + "1" + strings.Repeat(")", 200000) + "\n",
 			"app.py:1:205: too many nested parentheses"},
 		{"x = y" + strings.Repeat("**y", 199999) + "\n",
-			"app.py:1:3005: expression nested too deeply"},
+			"app.py:1:3008: expression nested too deeply"},
 	} {
 		resp, out := postCheck(t, ts.URL, body.src)
 		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(out.ParseError, body.err) {
