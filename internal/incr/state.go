@@ -21,11 +21,10 @@ import (
 // the session directory) carries everything a later process needs to
 // resume incrementally: the seed store, the learning knobs, every
 // corpus file's graph (binary-encoded), source content hash and parse
-// error, the
-// previous solution keyed by (rep, role), the feedback pins, and the
-// cold-solve epoch baseline. A sha256 trailer self-checks the payload;
-// any corruption, version skew, or analyzer-version skew surfaces as an
-// error so the caller falls back to a cold session.
+// error, the previous solution keyed by (rep, role), the feedback pins,
+// and the cold-solve epoch baseline. A sha256 trailer self-checks the
+// payload; any corruption, version skew, or analyzer-version skew
+// surfaces as an error so the caller falls back to a cold session.
 //
 // The flow-constraint cache is persisted beside the state as its own
 // checksummed file (constraints.FlowCache Save/Load), so a resumed
