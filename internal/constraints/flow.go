@@ -15,16 +15,18 @@ import (
 // (one span per corpus file) and runs only the ranges whose cached block
 // is stale. Either way flowBlocks deals the ranges one at a time to
 // Options.Workers goroutines that each own a flowScratch, and assemble
-// concatenates the resulting blocks in range order into a slice allocated
-// once at its final length — the same bytes at every worker count,
-// because no block depends on which goroutine built it.
+// concatenates the resulting blocks in range order into one slice — the
+// same bytes at every worker count, because no block depends on which
+// goroutine built it.
 
 // flowBlock is the pass-4 output for one closed range: the constraints
 // (terms carry global variable IDs) and the per-pattern counts. For a
 // corpus file's span it is what the FlowCache keeps, under the support
-// fingerprint fp it is valid for.
+// fingerprint fp it is valid for, last checked against the span graph
+// hash hash.
 type flowBlock struct {
 	fp      [32]byte
+	hash    [32]byte
 	cons    []lp.Constraint
 	countA  int
 	countB  int
@@ -90,19 +92,18 @@ func (s *System) flowBlocks(g *propgraph.Graph, ranges []evRange, workers int) [
 }
 
 // assemble concatenates blocks into the problem's constraint slice and
-// sums their counts. Blocks that carry their support fingerprint (keyed:
-// the incremental build's, one per span) are also recorded as the
-// problem's Blocks: a fingerprint covers everything a block's constraints
-// are made from — the file's graph, and the variable ID of every surviving
-// (representation, role) of its events — so equal fingerprints mean equal
-// runs of constraints, which is what a standing lp.RowTable goes by.
-func (s *System) assemble(blocks []*flowBlock, keyed bool) {
-	if keyed {
-		s.Problem.Blocks = make([]lp.Block, len(blocks))
-		for i, b := range blocks {
-			s.Problem.Blocks[i] = lp.Block{Key: b.fp, N: len(b.cons)}
-		}
-	}
+// sums their counts. The incremental build hands it its cache (the cold
+// build and a fallback, nil). Then the blocks, one per span, are also
+// recorded as the problem's Blocks under their fingerprints: a fingerprint
+// covers everything a block's constraints are made from — the file's
+// graph, and the variable ID of every surviving (representation, role) of
+// its events — so equal fingerprints mean equal runs of constraints, which
+// is what a standing lp.RowTable goes by. And the constraint slice is
+// written over the one the cache's previous build returned, when that has
+// room: a leading run of blocks that are the same *flowBlock as last time
+// already sits at its offset, so copying starts at the first block that
+// differs.
+func (s *System) assemble(blocks []*flowBlock, c *FlowCache) {
 	total := 0
 	for _, b := range blocks {
 		total += len(b.cons)
@@ -111,12 +112,34 @@ func (s *System) assemble(blocks []*flowBlock, keyed bool) {
 		s.CountC += b.countC
 		s.SkippedComponents += b.skipped
 	}
+	var cons []lp.Constraint
+	kept, at, spare := 0, 0, 0
+	if c != nil {
+		s.Problem.Blocks = make([]lp.Block, len(blocks))
+		for i, b := range blocks {
+			s.Problem.Blocks[i] = lp.Block{Key: b.fp, N: len(b.cons)}
+		}
+		if cap(c.cons) >= total {
+			cons = c.cons[:total]
+			for ; kept < len(blocks) && kept < len(c.laid) && blocks[kept] == c.laid[kept]; kept++ {
+				at += len(blocks[kept].cons)
+			}
+		}
+		// Room for the count to drift up by a few edits' worth of
+		// constraints without a new slice.
+		spare = total / 16
+	}
 	if total == 0 {
 		return
 	}
-	cons := make([]lp.Constraint, 0, total)
-	for _, b := range blocks {
-		cons = append(cons, b.cons...)
+	if cons == nil {
+		cons = make([]lp.Constraint, total, total+spare)
+	}
+	for _, b := range blocks[kept:] {
+		at += copy(cons[at:], b.cons)
+	}
+	if c != nil {
+		c.cons, c.laid = cons, append(c.laid[:0], blocks...)
 	}
 	s.Problem.Constraints = cons
 }

@@ -3,8 +3,10 @@ package constraints
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"time"
 
+	"seldon/internal/lp"
 	"seldon/internal/obs"
 	"seldon/internal/par"
 	"seldon/internal/propgraph"
@@ -29,6 +31,14 @@ import (
 // rebuild — so a cache hit is sound, not heuristic. The equivalence
 // tests pin the stronger property: the incrementally built system is
 // byte-identical to Build on the same graph.
+//
+// The cache also remembers what it last checked each fingerprint
+// against: the span's graph hash, and the build's numbering digest
+// (numberingDigest), which covers everything the fingerprint reads
+// besides the span's graph. A span whose graph hash and the digest are
+// both what they were takes its block's fingerprint without hashing — it
+// would hash to the same bytes. A cache loaded from disk remembers
+// nothing, so the first build after a load hashes every span.
 
 // Span describes the contiguous event range one corpus file contributes
 // to a disjoint union. Hash identifies the file's graph content (the
@@ -45,6 +55,15 @@ type Span struct {
 // serializes builds.
 type FlowCache struct {
 	blocks map[string]*flowBlock
+	// numbering is the numbering digest of the last build that checked
+	// every block's fingerprint, valid when remembered is set; each block's
+	// hash is the span graph hash it was checked against then.
+	numbering  [32]byte
+	remembered bool
+	// The last build's constraint slice and the flow blocks laid out in
+	// it, in order: the next build writes over it (see assemble).
+	cons []lp.Constraint
+	laid []*flowBlock
 }
 
 // NewFlowCache returns an empty cache.
@@ -64,10 +83,13 @@ func (c *FlowCache) Len() int {
 type DeltaStats struct {
 	// Spans is the number of file spans presented; SpansReused the
 	// subset whose cached constraint block was valid, SpansRebuilt the
-	// rest. ConstraintsReused counts constraints taken from the cache.
+	// rest. SpansHashed counts the spans whose fingerprint was computed
+	// rather than remembered. ConstraintsReused counts constraints taken
+	// from the cache.
 	Spans             int
 	SpansReused       int
 	SpansRebuilt      int
+	SpansHashed       int
 	ConstraintsReused int
 	// FellBack reports that the spans did not cleanly tile the graph
 	// (or an edge crossed a span boundary) and the flow pass ran the
@@ -82,10 +104,20 @@ type DeltaStats struct {
 // union's file spans in event-ID order; cache carries blocks between
 // calls and is updated in place (stale files pruned, rebuilt files
 // replaced). A nil cache or invalid spans degrade to a full build.
+//
+// A System built through a cache shares its constraint slice with the
+// cache, and the next build through that cache writes over it: the
+// System is valid until then — the lifetime a session's core.Result
+// already has. Build, which has no cache, is unaffected.
 func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	spans []Span, cache *FlowCache) (*System, DeltaStats) {
 	opts = opts.WithDefaults()
-	s, workers := buildCore(g, seed, opts)
+	var numbering [32]byte
+	digest := &numbering
+	if cache == nil {
+		digest = nil
+	}
+	s, workers := buildCore(g, seed, opts, digest)
 	m := opts.Metrics
 	st := DeltaStats{Spans: len(spans)}
 
@@ -93,19 +125,34 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	cut := closedCuts(g)
 	if cache == nil || !spansClosed(cut, spans) {
 		st.FellBack = true
-		s.assemble(s.flowBlocks(g, flowRanges(cut), workers), false)
+		s.assemble(s.flowBlocks(g, flowRanges(cut), workers), nil)
 	} else {
 		// Decide reuse for every span before building anything, so that
 		// the stale ones can be rebuilt side by side and the constraint
-		// slice allocated once.
-		fps := s.spanFingerprints(spans, workers)
+		// slice laid out once. A span's fingerprint is remembered when its
+		// graph hash and the numbering digest are both what the cache last
+		// checked it against; every other span is hashed.
+		remembered := cache.remembered && cache.numbering == numbering
 		blocks := make([]*flowBlock, len(spans))
+		fps := make([][32]byte, len(spans))
+		var toHash []int
+		for i := range spans {
+			b := cache.blocks[spans[i].File]
+			blocks[i] = b
+			if remembered && b != nil && b.hash == spans[i].Hash {
+				fps[i] = b.fp
+			} else {
+				toHash = append(toHash, i)
+			}
+		}
+		s.spanFingerprints(spans, toHash, fps, workers)
+		st.SpansHashed = len(toHash)
 		var stale []int
 		var ranges []evRange
 		for i := range spans {
 			sp := &spans[i]
-			if b := cache.blocks[sp.File]; b != nil && b.fp == fps[i] {
-				blocks[i] = b
+			if b := blocks[i]; b != nil && b.fp == fps[i] {
+				b.hash = sp.Hash
 				st.ConstraintsReused += len(b.cons)
 				continue
 			}
@@ -114,13 +161,14 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 		}
 		for k, b := range s.flowBlocks(g, ranges, workers) {
 			i := stale[k]
-			b.fp = fps[i]
+			b.fp, b.hash = fps[i], spans[i].Hash
 			cache.blocks[spans[i].File] = b
 			blocks[i] = b
 		}
+		cache.numbering, cache.remembered = numbering, true
 		st.SpansRebuilt = len(stale)
 		st.SpansReused = len(spans) - len(stale)
-		s.assemble(blocks, true)
+		s.assemble(blocks, cache)
 		// Prune blocks for files no longer in the union.
 		if len(cache.blocks) > len(spans) {
 			live := make(map[string]bool, len(spans))
@@ -170,19 +218,18 @@ func spansClosed(cut []bool, spans []Span) bool {
 	return at == n
 }
 
-// spanFingerprints hashes, for each span, everything its constraint
-// block depends on: the file's graph content, the component size bound,
-// and — per event in the span — its candidacy, roles, and the global
-// variable ID of every (surviving representation, role) pair. Variable
-// IDs are global first-seen, so any upstream change that renumbers this
-// file's variables (or moves a representation across the frequency
-// cutoff) changes the fingerprint. Spans are independent, so they are
-// hashed side by side, each worker reusing one buffer.
-func (s *System) spanFingerprints(spans []Span, workers int) [][32]byte {
-	fps := make([][32]byte, len(spans))
-	bufs := make([][]byte, par.Workers(workers, len(spans)))
-	par.For(len(bufs), len(spans), func(w, i int) {
-		sp := &spans[i]
+// spanFingerprints hashes, for each span listed in which, everything its
+// constraint block depends on into fps: the file's graph content, the
+// component size bound, and — per event in the span — its candidacy,
+// roles, and the global variable ID of every (surviving representation,
+// role) pair. Variable IDs are global first-seen, so any upstream change
+// that renumbers this file's variables (or moves a representation across
+// the frequency cutoff) changes the fingerprint. Spans are independent,
+// so they are hashed side by side, each worker reusing one buffer.
+func (s *System) spanFingerprints(spans []Span, which []int, fps [][32]byte, workers int) {
+	bufs := make([][]byte, par.Workers(workers, len(which)))
+	par.For(len(bufs), len(which), func(w, k int) {
+		sp := &spans[which[k]]
 		buf := append(bufs[w][:0], sp.Hash[:]...)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Opts.MaxComponent))
 		for id := sp.Lo; id < sp.Hi; id++ {
@@ -199,8 +246,44 @@ func (s *System) spanFingerprints(spans []Span, workers int) [][32]byte {
 				}
 			}
 		}
-		fps[i] = sha256.Sum256(buf)
+		fps[which[k]] = sha256.Sum256(buf)
 		bufs[w] = buf
 	})
-	return fps
+}
+
+// numberingDigest hashes what a span's fingerprint reads apart from the
+// span's own graph: the component bound; the variable table, every
+// (representation, role) in ID order; and, by spelling, the
+// representations that survive the filter (survives: occur, pass the
+// blacklist and the cutoff or the seed) yet have no variable. A
+// representation of an event survives exactly when it is in one of those
+// two sets, and the fingerprint reads of it only whether it survives and
+// its variable IDs — so under equal digests a span with an unchanged
+// graph has an unchanged fingerprint. It covers the few hundred surviving
+// representations, not the events: microseconds a build.
+func (s *System) numberingDigest(survives func(propgraph.Sym) bool) [32]byte {
+	buf := binary.LittleEndian.AppendUint64(nil, uint64(s.Opts.MaxComponent))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.Vars)))
+	for _, v := range s.Vars {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(v.Rep)))
+		buf = append(append(buf, v.Rep...), byte(v.Role))
+	}
+	nr := int(propgraph.NumRoles)
+	var varless []string
+	for sym, rep := range s.Syms.Strings() {
+		hasVar := false
+		for _, id := range s.varIDs[sym*nr : (sym+1)*nr] {
+			hasVar = hasVar || id >= 0
+		}
+		if !hasVar && survives(propgraph.Sym(sym)) {
+			varless = append(varless, rep)
+		}
+	}
+	slices.Sort(varless)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(varless)))
+	for _, rep := range varless {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(rep)))
+		buf = append(buf, rep...)
+	}
+	return sha256.Sum256(buf)
 }

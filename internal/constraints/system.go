@@ -143,8 +143,9 @@ func Build(g *propgraph.Graph, seed *spec.Spec, opts Options) *System {
 // buildCore runs passes 1–3 (frequencies, candidate filter, variables +
 // seed pins) and returns the system ready for flow-constraint
 // generation, plus the resolved worker count. It is shared by Build and
-// BuildIncremental so both produce bit-identical variable tables.
-func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int) {
+// BuildIncremental so both produce bit-identical variable tables. When
+// numbering is non-nil it also receives the system's numbering digest.
+func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options, numbering *[32]byte) (*System, int) {
 	s := &System{
 		Syms:        g.Syms,
 		infoByEvent: make([]int, len(g.Events)),
@@ -294,6 +295,13 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int)
 		} else {
 			known[i] = 0
 		}
+	}
+
+	if numbering != nil {
+		*numbering = s.numberingDigest(func(sym propgraph.Sym) bool {
+			n := repCount[sym]
+			return n > 0 && !ix.Blacklisted(sym) && (n >= cutoff || ix.Roles(sym) != 0)
+		})
 	}
 
 	s.Problem = &lp.Problem{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,6 +21,9 @@ func FuzzFrontEndScratchEquivalence(f *testing.F) {
 	f.Add([]byte(taintedSrc))
 	for _, body := range hostileBodies {
 		f.Add([]byte(body.src))
+	}
+	for _, body := range leftNestedBodies {
+		f.Add([]byte(body.src(2000)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := string(data)
@@ -51,6 +55,55 @@ var hostileBodies = []struct{ name, src, err string }{
 		"app.py:1:205: too many nested parentheses"},
 	{"power-chain", "x = y" + strings.Repeat("**y", 199999) + "\n",
 		"app.py:1:3008: expression nested too deeply"},
+}
+
+// leftNestedBodies are one-line sources whose expression nests n deep to
+// the left: a call on a call's result, and a chain of additions. Python
+// sets no limit on either, so the front end's work on them must grow
+// linearly in n; both once grew quadratically.
+var leftNestedBodies = []struct {
+	name string
+	src  func(n int) string
+}{
+	{"call-chain", func(n int) string { return "x = f" + strings.Repeat("()", n) + "\n" }},
+	{"add-chain", func(n int) string { return "x = 1" + strings.Repeat(" + 1", n-1) + "\n" }},
+}
+
+// TestLeftNestedBodiesScaleLinearly analyzes each left-nested body at n
+// and 4n terms and counts the work: bytes and objects allocated, and
+// events built. None may grow more than 4.5 times.
+func TestLeftNestedBodiesScaleLinearly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const n, growth = 2500, 4.5
+	type work struct{ bytes, objects, events uint64 }
+	count := func(src string) work {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		fe := AnalyzeFiles(map[string]string{"app.py": src}, Config{Workers: 1})
+		runtime.ReadMemStats(&m1)
+		if len(fe.ParseErrs) != 0 {
+			t.Fatalf("parse error %v", fe.ParseErrs[0])
+		}
+		return work{m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs, uint64(len(fe.Graphs[0].Events))}
+	}
+	for _, body := range leftNestedBodies {
+		small, large := count(body.src(n)), count(body.src(4*n))
+		t.Logf("%s at %d and %d terms: %+v, %+v", body.name, n, 4*n, small, large)
+		for _, c := range []struct {
+			what         string
+			small, large uint64
+		}{
+			{"bytes allocated", small.bytes, large.bytes},
+			{"objects allocated", small.objects, large.objects},
+			{"events", small.events, large.events},
+		} {
+			if float64(c.large) > growth*float64(max(c.small, 1)) {
+				t.Errorf("%s: %s grew from %d to %d, more than %.1fx", body.name, c.what, c.small, c.large, growth)
+			}
+		}
+	}
 }
 
 // TestHostileBodiesAreParseErrors: each hostile body comes back from the

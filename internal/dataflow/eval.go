@@ -52,9 +52,15 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 		return a.evalCall(fe, x)
 
 	case *pyast.BinOp:
-		l, _ := a.eval(fe, x.Left)
-		r, _ := a.eval(fe, x.Right)
-		return a.sc.union(l, r), nil
+		// The operands' objects are merged once, not per operator: a chain
+		// like 1 + 1 + … nests to the left, and a union per level would copy
+		// a set that grows by one each time.
+		mark := len(a.sc.operands)
+		left := a.binOperands(fe, x)
+		out := a.sc.union(left, a.sc.operands[mark:]...)
+		clear(a.sc.operands[mark:])
+		a.sc.operands = a.sc.operands[:mark]
+		return out, nil
 	case *pyast.BoolOp:
 		var out []*object
 		for _, v := range x.Values {
@@ -132,6 +138,21 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 		return a.sc.opaque(), nil
 	}
 	return a.sc.opaque(), nil
+}
+
+// binOperands evaluates the operands of x and of the binary operations
+// nested to its left, leftmost first, and returns the leftmost one's
+// objects, pushing every right operand's onto sc.operands in order.
+func (a *analyzer) binOperands(fe *funcEnv, x *pyast.BinOp) []*object {
+	var left []*object
+	if l, ok := x.Left.(*pyast.BinOp); ok {
+		left = a.binOperands(fe, l)
+	} else {
+		left, _ = a.eval(fe, x.Left)
+	}
+	r, _ := a.eval(fe, x.Right)
+	a.sc.operands = append(a.sc.operands, r)
+	return left
 }
 
 // lookupVar resolves a variable through the scope chain.

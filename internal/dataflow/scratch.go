@@ -49,7 +49,8 @@ type Scratch struct {
 	events    []int    // collectEvents result
 	names     []string // collect's stack of sorted field names
 	tmp       []*object
-	reps      []string // representations of the event being added
+	operands  [][]*object // object sets of binary operands awaiting one union
+	reps      []string    // representations of the event being added
 }
 
 // buffers lists the scratch's arenas, map pools and graph builder.
@@ -77,7 +78,7 @@ func (s *Scratch) Reset() (dropped int) {
 	}
 	for _, d := range [...]bool{
 		resetBuffer(&s.order), resetBuffer(&s.eventMark), resetBuffer(&s.events),
-		resetBuffer(&s.names), resetBuffer(&s.tmp), resetBuffer(&s.reps),
+		resetBuffer(&s.names), resetBuffer(&s.tmp), resetBuffer(&s.operands), resetBuffer(&s.reps),
 	} {
 		if d {
 			dropped++
@@ -89,7 +90,8 @@ func (s *Scratch) Reset() (dropped int) {
 // Retained returns the bytes of buffer capacity the scratch holds, maps
 // not counted.
 func (s *Scratch) Retained() int {
-	n := 8*(cap(s.order)+cap(s.events)+cap(s.tmp)) + 4*cap(s.eventMark) + 16*(cap(s.names)+cap(s.reps))
+	n := 8*(cap(s.order)+cap(s.events)+cap(s.tmp)) + 4*cap(s.eventMark) + 16*(cap(s.names)+cap(s.reps)) +
+		24*cap(s.operands)
 	for _, b := range s.buffers() {
 		n += b.Bytes()
 	}
@@ -107,6 +109,7 @@ func (s *Scratch) Poison() {
 	arena.PoisonSlice(s.events)
 	arena.PoisonSlice(s.names)
 	arena.PoisonSlice(s.tmp)
+	arena.PoisonSlice(s.operands)
 	arena.PoisonSlice(s.reps)
 }
 

@@ -49,17 +49,24 @@ func (o *object) addField(sc *Scratch, name string, vals []*object) {
 // larger union stamps the objects instead. Neither allocates.
 const smallSet = 16
 
-// union merges two object sets without duplicates, preserving order: x,
-// then the objects of y not already present.
-func (sc *Scratch) union(x, y []*object) []*object {
-	if len(y) == 0 {
+// union merges object sets without duplicates, preserving order: x, then
+// the objects of each y in turn not already present — what a union per y
+// would give, with one copy of x rather than one per y.
+func (sc *Scratch) union(x []*object, ys ...[]*object) []*object {
+	n := len(x)
+	for _, y := range ys {
+		n += len(y)
+	}
+	if n == len(x) {
 		return x
 	}
 	fresh := sc.tmp[:0]
-	if len(x)+len(y) <= smallSet {
-		for _, o := range y {
-			if !contains(x, o) && !contains(fresh, o) {
-				fresh = append(fresh, o)
+	if n <= smallSet {
+		for _, y := range ys {
+			for _, o := range y {
+				if !contains(x, o) && !contains(fresh, o) {
+					fresh = append(fresh, o)
+				}
 			}
 		}
 	} else {
@@ -67,10 +74,12 @@ func (sc *Scratch) union(x, y []*object) []*object {
 		for _, o := range x {
 			o.mark = st
 		}
-		for _, o := range y {
-			if o.mark != st {
-				o.mark = st
-				fresh = append(fresh, o)
+		for _, y := range ys {
+			for _, o := range y {
+				if o.mark != st {
+					o.mark = st
+					fresh = append(fresh, o)
+				}
 			}
 		}
 	}

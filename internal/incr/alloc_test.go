@@ -12,9 +12,9 @@ import (
 
 // TestRelearnAllocBudget pins what the standing state is for: once a
 // session has re-learned a few times, a re-learn after a one-file edit
-// allocates no block of the union and no staging array of the solver's
-// compile — what it still allocates is the constraint build's per-build
-// tables, the assembled constraint slice and the selection's output. The
+// allocates no block of the union, no staging array of the solver's
+// compile and no constraint slice — what it still allocates is the
+// constraint build's per-build tables and the selection's output. The
 // session holds a vocabulary file (see TestRandomEditsOracle) so that no
 // edit renumbers symbols.
 func TestRelearnAllocBudget(t *testing.T) {
@@ -63,26 +63,31 @@ func TestRelearnAllocBudget(t *testing.T) {
 		for i := 0; i < runs; i++ {
 			edit(10 + i)
 			res, st := s.Relearn()
-			if st.UnionRebuilt != "" || st.RowsReused != st.Delta.ConstraintsReused || st.Delta.SpansRebuilt > 8 {
+			if st.UnionRebuilt != "" || st.RowsReused != st.Delta.ConstraintsReused || st.Delta.SpansRebuilt > 8 ||
+				st.Delta.SpansHashed > 8 {
 				t.Fatalf("re-learn %d was not a steady one: %+v", i, st)
 			}
 			unionEvents, constraints = len(res.Graph.Events), len(res.System.Problem.Constraints)
 		}
 	}) / runs
 
-	// Measured at this size (16.8k events, 27.9k constraints): 23.9 MB for
-	// the first re-learn, 5.6 MB for a steady one. The union's event block
-	// alone is 88 bytes an event (1.5 MB) and compile's staging 12 bytes a
-	// term at three or more terms a constraint (1.0 MB): the budget leaves
-	// less room than either, so neither can come back unnoticed.
-	const budget = 6_200_000
-	unionBlock, staging := uint64(unionEvents)*88, uint64(constraints)*3*12
-	t.Logf("first re-learn %d bytes, steady re-learn %d; union event block %d, compile staging at least %d",
-		cold, steady, unionBlock, staging)
+	// Measured at this size (16.8k events, 27.9k constraints): 21.7 MB for
+	// the first re-learn, 1.7 MB for a steady one (5.6 MB while every
+	// re-learn hashed every span, allocated its own constraint slice and
+	// counted its predictions before making them). The union's event block
+	// alone is 88 bytes an event (1.5 MB), the constraint slice 48 bytes a
+	// constraint (1.3 MB) and compile's staging 12 bytes a term at three or
+	// more terms a constraint (1.0 MB): the budget leaves less room than
+	// any of them, so none can come back unnoticed.
+	const budget = 2_100_000
+	unionBlock, slice, staging := uint64(unionEvents)*88, uint64(constraints)*48, uint64(constraints)*3*12
+	smallest := min(unionBlock, slice, staging)
+	t.Logf("first re-learn %d bytes, steady re-learn %d; union event block %d, constraint slice %d, compile staging at least %d",
+		cold, steady, unionBlock, slice, staging)
 	if steady > budget {
 		t.Errorf("steady re-learn allocates %d bytes, budget %d", steady, budget)
-	} else if slack := budget - steady; slack >= min(unionBlock, staging) {
-		t.Errorf("budget leaves %d bytes of slack, room for an array of %d to come back", slack, min(unionBlock, staging))
+	} else if slack := budget - steady; slack >= smallest {
+		t.Errorf("budget leaves %d bytes of slack, room for an array of %d to come back", slack, smallest)
 	}
 	if cold < 2*steady {
 		t.Errorf("first re-learn allocated %d bytes, a steady one %d: the standing state saves nothing", cold, steady)

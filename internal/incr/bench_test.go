@@ -56,14 +56,15 @@ func (d *deltaDriver) edit(n int) incr.RelearnStats {
 // constraint build and the warm solve through the standing row table.
 // Beside ms/op, MB/op and allocs/op, patched/op is the share of re-learns that patched the union rather than
 // rebuilding it, reused/op the share of constraints whose solver row came
-// from the table's memory.
+// from the table's memory, and hashed/op the share of spans whose
+// fingerprint the constraint build computed rather than remembered.
 func BenchmarkSessionRelearnDelta(b *testing.B) {
 	d := newDeltaDriver(1500, core.Config{})
 	d.edit(6) // the first patch grows the standing buffers
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	patched, reused := 0, 0.0
+	patched, reused, hashed := 0, 0.0, 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := d.edit(6)
@@ -71,6 +72,7 @@ func BenchmarkSessionRelearnDelta(b *testing.B) {
 			patched++
 		}
 		reused += float64(st.RowsReused) / float64(max(st.Delta.ConstraintsReused, 1))
+		hashed += float64(st.Delta.SpansHashed) / float64(max(st.Delta.Spans, 1))
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
@@ -79,4 +81,5 @@ func BenchmarkSessionRelearnDelta(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n/(1<<20), "MB/op")
 	b.ReportMetric(float64(patched)/n, "patched/op")
 	b.ReportMetric(reused/n, "reused/op")
+	b.ReportMetric(hashed/n, "hashed/op")
 }

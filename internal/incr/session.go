@@ -15,7 +15,10 @@
 //     unchanged files only to renumber the events behind an edit,
 //   - runs the delta-aware constraint build (constraints.BuildIncremental),
 //     which reuses the cached flow-constraint block of every file whose
-//     support set is unchanged,
+//     support set is unchanged, takes a file's support fingerprint from
+//     memory when neither its graph nor the global numbering moved, and
+//     writes the constraint slice over the previous one from the first
+//     block that changed,
 //   - warm-starts projected Adam from the previous solution, translated
 //     across variable renumbering by (rep, role); new variables start
 //     cold and pinned variables are re-pinned on top. The solver compiles
@@ -23,14 +26,16 @@
 //     reused flow block finds its rows by its fingerprint,
 //   - applies feedback pins as hard LP constraints (lp.Problem.Pin).
 //
-// The session is the cache: union and row table are standing state, each
-// patched by the routine that also builds it from nothing and each
-// rebuilt from nothing, by that routine, when a patch cannot be exact —
-// the union when an edit would renumber symbols or has left too much
-// dead space, the rows when too many have gone dead. Neither is
-// persisted; the first Relearn after Load builds both. In return a
-// core.Result is good only until its session's next Relearn, which edits
-// the graph the result points to.
+// The session is the cache: union, flow cache and row table are standing
+// state, each patched by the routine that also builds it from nothing and
+// each rebuilt from nothing, by that routine, when a patch cannot be
+// exact — the union when an edit would renumber symbols or has left too
+// much dead space, the flow cache's fingerprint memory when the numbering
+// moved, the rows when too many have gone dead. Only the flow cache's
+// blocks are persisted (flowcache.bin, without the memory); the first
+// Relearn after Load builds the rest. In return a core.Result is good
+// only until its session's next Relearn, which edits the graph and the
+// constraint slice the result points to.
 //
 // Determinism contract: the session's union is byte-identical to
 // propgraph.Union over the current file set, the incrementally built
@@ -528,7 +533,7 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 		unionHow = "rebuilt:" + st.UnionRebuilt
 	}
 	s.cfg.Log.Log("incr.relearn", "files", st.Files, "changed", st.FilesChanged,
-		"union", unionHow, "spans_reused", delta.SpansReused,
+		"union", unionHow, "spans_reused", delta.SpansReused, "spans_hashed", delta.SpansHashed,
 		"rows_reused", st.RowsReused, "rows_dead", st.RowsDead, "warm", st.WarmStarted,
 		"epochs", res.SolverEpochs, "stop", res.SolverStop, "epochs_saved", st.EpochsSaved)
 

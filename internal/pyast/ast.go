@@ -317,12 +317,14 @@ type Attribute struct {
 	Value   Expr
 	Attr    string
 	AttrPos pytoken.Pos
+	Start   pytoken.Pos // Value's start (see startOr)
 }
 
 // Subscript is `value[index]`.
 type Subscript struct {
 	Value Expr
-	Index Expr // a Tuple for multi-dim, a Slice for slicing
+	Index Expr        // a Tuple for multi-dim, a Slice for slicing
+	Start pytoken.Pos // Value's start (see startOr)
 }
 
 // Slice is `lo:hi:step` inside a subscript. Any field may be nil.
@@ -336,6 +338,7 @@ type Call struct {
 	Func     Expr
 	Args     []Expr
 	Keywords []*Keyword
+	Start    pytoken.Pos // Func's start (see startOr)
 }
 
 // Keyword is a `name=value` (or `**value` when Name is "") call argument.
@@ -350,6 +353,7 @@ type BinOp struct {
 	Left  Expr
 	Op    pytoken.Kind
 	Right Expr
+	Start pytoken.Pos // Left's start (see startOr)
 }
 
 // BoolOp is an `and`/`or` chain with two or more operands.
@@ -474,11 +478,11 @@ func (e *Str) Pos() pytoken.Pos         { return e.StrPos }
 func (e *JoinedStr) Pos() pytoken.Pos   { return e.StrPos }
 func (e *NameConst) Pos() pytoken.Pos   { return e.ConstPos }
 func (e *EllipsisLit) Pos() pytoken.Pos { return e.DotsPos }
-func (e *Attribute) Pos() pytoken.Pos   { return e.Value.Pos() }
-func (e *Subscript) Pos() pytoken.Pos   { return e.Value.Pos() }
+func (e *Attribute) Pos() pytoken.Pos   { return startOr(e.Start, e.Value) }
+func (e *Subscript) Pos() pytoken.Pos   { return startOr(e.Start, e.Value) }
 func (e *Slice) Pos() pytoken.Pos       { return e.ColonPos }
-func (e *Call) Pos() pytoken.Pos        { return e.Func.Pos() }
-func (e *BinOp) Pos() pytoken.Pos       { return e.Left.Pos() }
+func (e *Call) Pos() pytoken.Pos        { return startOr(e.Start, e.Func) }
+func (e *BinOp) Pos() pytoken.Pos       { return startOr(e.Start, e.Left) }
 func (e *BoolOp) Pos() pytoken.Pos      { return e.Values[0].Pos() }
 func (e *UnaryOp) Pos() pytoken.Pos     { return e.OpPos }
 func (e *Compare) Pos() pytoken.Pos     { return e.Left.Pos() }
@@ -493,6 +497,19 @@ func (e *Starred) Pos() pytoken.Pos     { return e.StarPos }
 func (e *Await) Pos() pytoken.Pos       { return e.AwaitPos }
 func (e *Yield) Pos() pytoken.Pos       { return e.YieldPos }
 func (e *NamedExpr) Pos() pytoken.Pos   { return e.Target.Pos() }
+
+// startOr returns start, the position the parser recorded for a node that
+// begins with its leftmost operand, or that operand's position in a node
+// made without one. Calls, attributes, subscripts and binary operations
+// chain to the left without bound (f()()()…, 1 + 1 + …), so their Pos
+// must not walk the chain; every other Pos that defers to a child reaches
+// a token or one of these within the parser's nesting bound.
+func startOr(start pytoken.Pos, left Node) pytoken.Pos {
+	if start != (pytoken.Pos{}) {
+		return start
+	}
+	return left.Pos()
+}
 
 func (*Name) exprNode()        {}
 func (*Num) exprNode()         {}

@@ -140,7 +140,7 @@ func (p *parser) parseBinary(level int) pyast.Expr {
 	for contains(binLevels[level], p.cur().Kind) {
 		op := p.next().Kind
 		right := p.parseBinary(level + 1)
-		e = &pyast.BinOp{Left: e, Op: op, Right: right}
+		e = &pyast.BinOp{Left: e, Op: op, Right: right, Start: e.Pos()}
 	}
 	return e
 }
@@ -171,7 +171,7 @@ func (p *parser) parsePower() pyast.Expr {
 	if p.accept(pytoken.DOUBLESTAR) {
 		// ** is right-associative and binds tighter than unary on the right.
 		p.nest()
-		e = &pyast.BinOp{Left: e, Op: pytoken.DOUBLESTAR, Right: p.parseUnary()}
+		e = &pyast.BinOp{Left: e, Op: pytoken.DOUBLESTAR, Right: p.parseUnary(), Start: e.Pos()}
 		p.depth--
 	}
 	return e
@@ -188,7 +188,8 @@ func (p *parser) parseAwait() pyast.Expr {
 	return p.parsePostfix(p.parseAtom())
 }
 
-// parsePostfix applies call, attribute, and subscript suffixes to an atom.
+// parsePostfix applies call, attribute, and subscript suffixes to an atom;
+// each suffix node records the atom's position as its start.
 func (p *parser) parsePostfix(e pyast.Expr) pyast.Expr {
 	for {
 		switch p.cur().Kind {
@@ -196,16 +197,16 @@ func (p *parser) parsePostfix(e pyast.Expr) pyast.Expr {
 			p.next()
 			args, kws := p.parseCallArgs()
 			p.expect(pytoken.RPAREN)
-			e = node(&p.sc.calls, pyast.Call{Func: e, Args: args, Keywords: kws})
+			e = node(&p.sc.calls, pyast.Call{Func: e, Args: args, Keywords: kws, Start: e.Pos()})
 		case pytoken.DOT:
 			p.next()
 			nm := p.expectNameLike()
-			e = node(&p.sc.attrs, pyast.Attribute{Value: e, Attr: nm.Lit, AttrPos: nm.Pos})
+			e = node(&p.sc.attrs, pyast.Attribute{Value: e, Attr: nm.Lit, AttrPos: nm.Pos, Start: e.Pos()})
 		case pytoken.LBRACKET:
 			p.next()
 			idx := p.parseSubscriptIndex()
 			p.expect(pytoken.RBRACKET)
-			e = &pyast.Subscript{Value: e, Index: idx}
+			e = &pyast.Subscript{Value: e, Index: idx, Start: e.Pos()}
 		default:
 			return e
 		}

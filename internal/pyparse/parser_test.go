@@ -604,3 +604,53 @@ func TestNestingBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestLeftChainsRecordTheirStart: every call, attribute, subscript and
+// binary operation the parser builds carries the position of its leftmost
+// operand, so Pos answers without walking a chain like f()()()… down to
+// its atom — a walk per call event once made such a chain quadratic.
+func TestLeftChainsRecordTheirStart(t *testing.T) {
+	mod := mustParse(t, "x = f"+strings.Repeat("()", 50)+"\n"+
+		"y = 1"+strings.Repeat(" + 1", 50)+"\n"+
+		"z = a.b(c)[d].e(f)(g) ** h - i * j.k[l] | m\n"+
+		"w = (p + q)[0].r(s) - -t.u\n")
+	// leftmost descends to the first operand by the children alone.
+	var leftmost func(e pyast.Expr) pytoken.Pos
+	leftmost = func(e pyast.Expr) pytoken.Pos {
+		switch x := e.(type) {
+		case *pyast.Call:
+			return leftmost(x.Func)
+		case *pyast.Attribute:
+			return leftmost(x.Value)
+		case *pyast.Subscript:
+			return leftmost(x.Value)
+		case *pyast.BinOp:
+			return leftmost(x.Left)
+		}
+		return e.Pos()
+	}
+	chains := 0
+	pyast.Inspect(mod, func(n pyast.Node) bool {
+		var start pytoken.Pos
+		switch x := n.(type) {
+		case *pyast.Call:
+			start = x.Start
+		case *pyast.Attribute:
+			start = x.Start
+		case *pyast.Subscript:
+			start = x.Start
+		case *pyast.BinOp:
+			start = x.Start
+		default:
+			return true
+		}
+		chains++
+		if want := leftmost(n.(pyast.Expr)); start != want {
+			t.Errorf("%T at %v records start %v, want %v", n, n.Pos(), start, want)
+		}
+		return true
+	})
+	if chains < 100 {
+		t.Fatalf("found %d chain nodes, want over 100", chains)
+	}
+}
