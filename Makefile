@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzzsmoke fmacheck verify bench serve loc experiments
+.PHONY: build test vet fmt-check race fuzzsmoke fmacheck verify bench serve loc experiments fixtures
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,16 @@ fmt-check:
 # PR that is meant to move them runs this, and the diff is its claim.
 experiments:
 	UPDATE_GOLDEN=1 $(GO) test -run '^TestExperimentsGolden$$' ./internal/experiments
+
+# fixtures re-records the persisted-format fixtures — testdata/entry.fpc,
+# slice.shard, state.bin and flowcache.bin — and the fuzz seeds cut from
+# them, from what the code writes; go test ./... holds them there. A PR
+# that bumps a format version runs this, and the diff shows which formats
+# moved.
+fixtures:
+	UPDATE_GOLDEN=1 $(GO) test -run '^TestFixtureRoundTrip$$' ./internal/fpcache ./internal/shard
+	UPDATE_GOLDEN=1 $(GO) test -run '^TestStateFixtureRoundTrip$$' ./internal/incr
+	UPDATE_GOLDEN=1 $(GO) test -run '^TestFlowCacheFixtureRoundTrip$$' ./internal/constraints
 
 # loc prints the four sizes every CHANGES.md entry reports (ROADMAP
 # Conventions): non-test and test Go lines outside bench/ (so that a move

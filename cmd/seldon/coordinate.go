@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"seldon/internal/constraints"
 	"seldon/internal/core"
+	"seldon/internal/fpcache"
 	"seldon/internal/obs"
 	"seldon/internal/shard"
 )
@@ -27,6 +29,12 @@ func coordinate(args []string) error {
 	shardsIn := fs.String("shards-in", "", "glob of shard artifacts (from seldon shard) to merge and learn from")
 	flowCache := fs.String("flowcache", "", "persistent flow-constraint block cache file (loaded before the build, saved after; stale or corrupt files load as empty)")
 	fs.Parse(args)
+	if err := noArgs(fs); err != nil {
+		return err
+	}
+	if in.dir != "" {
+		return fmt.Errorf("%w: seldon coordinate reads no corpus, only -shards-in, but got -dir %s (see -h)", errUsage, in.dir)
+	}
 
 	r, err := startLearnRun("seldon.coordinate", in, lf, of)
 	if err != nil {
@@ -81,7 +89,7 @@ func coordinate(args []string) error {
 		sys, delta = constraints.BuildIncremental(mres.Graph, seedSpec, copts, mres.Spans, fc)
 	})
 	res := core.LearnPrepared(mres.Graph, sys, cfg)
-	res.ParseErrorFiles = mres.ParseErrorFiles
+	res.ParseErrorFiles = fpcache.ParseErrorFiles(slices.Values(mres.Files))
 	if *flowCache != "" {
 		cfg.Log.Log("flowcache", "path", *flowCache, "warm", warm,
 			"spans", delta.Spans, "reused", delta.SpansReused, "rebuilt", delta.SpansRebuilt)

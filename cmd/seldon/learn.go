@@ -22,6 +22,9 @@ func learn(args []string) error {
 	sessionDir := fs.String("session-dir", "", "persistent incremental-learning session directory: re-learns only what changed since the last run there, warm-started from its last solution")
 	feedbackFile := fs.String("feedback", "", "JSON file of {symbol, role, verdict} objects pinned as hard constraints before learning (the seed is not overridable: verdicts on its entries are skipped); the pins persist with -session-dir")
 	fs.Parse(args)
+	if err := noArgs(fs); err != nil {
+		return err
+	}
 
 	r, err := startLearnRun("seldon.learn", in, lf, of)
 	if err != nil {

@@ -32,7 +32,8 @@
 // check reports the unsanitized source→sink flows a specification finds
 // (exit 0 clean, 1 flows found, 2 could not run); graph writes the union
 // of the propagation graphs as JSON. Both take .py paths as arguments
-// beside -dir.
+// beside -dir; learn, shard and coordinate refuse arguments, and
+// coordinate -dir, as usage errors rather than ignore them.
 //
 // All but graph take -cache-dir (content-addressed per-file analysis
 // cache, shared safely between workers) and the observability flags:
@@ -79,8 +80,8 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "seldon:", err)
-		if os.Args[1] == "check" {
-			os.Exit(2) // 1 is check's "flows found"
+		if os.Args[1] == "check" || errors.Is(err, errUsage) {
+			os.Exit(2) // 1 is check's "flows found"; 2 is flag's usage error
 		}
 		os.Exit(1)
 	}
@@ -89,6 +90,21 @@ func main() {
 // errFindings is check's verdict when it found flows: they are printed,
 // nothing failed, and the exit status is 1.
 var errFindings = errors.New("flows found")
+
+// errUsage is input a subcommand would otherwise ignore without a word;
+// like flag's own usage errors it exits 2.
+var errUsage = errors.New("usage")
+
+// noArgs refuses positional arguments: learn, shard and coordinate read
+// their corpus from -dir or -generate (coordinate from -shards-in), so a
+// path given to them would not be read.
+func noArgs(fs *flag.FlagSet) error {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%w: %s takes no file arguments, but got %s (see -h)",
+			errUsage, fs.Name(), strings.Join(fs.Args(), " "))
+	}
+	return nil
+}
 
 // The flag groups. Each flag is registered by exactly one of these
 // functions; a subcommand's flag set is the groups that apply to it plus

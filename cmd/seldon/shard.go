@@ -23,8 +23,11 @@ func shardWorker(args []string) error {
 	slices := fs.Int("slices", 1, "total number of corpus slices")
 	slice := fs.Int("slice", 0, "this worker's slice index (0-based)")
 	out := fs.String("o", "-", "artifact output path (\"-\" = stdout)")
-	shipCache := fs.Bool("ship-cache", false, "attach the fpcache sidecar (per-file cache key + cost) to the artifact, so that a coordinator sharing no disk with this worker seeds its -cache-dir from it (coordinate -shards-in)")
+	shipCache := fs.Bool("ship-cache", false, "attach the fpcache sidecar (each file's recorded analysis cost; the coordinator derives the cache keys from the manifest) to the artifact, so that a coordinator sharing no disk with this worker seeds its -cache-dir from it (coordinate -shards-in)")
 	fs.Parse(args)
+	if err := noArgs(fs); err != nil {
+		return err
+	}
 
 	ob, err := of.start()
 	if err != nil {
@@ -42,9 +45,7 @@ func shardWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shipCache {
-		art.AttachSidecar(files, fe)
-	}
+	art.Sidecar = *shipCache
 
 	t0 := time.Now()
 	var written int64
@@ -66,8 +67,8 @@ func shardWorker(args []string) error {
 		errNote = fmt.Sprintf(", %d parse errors", n)
 	}
 	events := 0
-	for _, n := range art.FileEvents {
-		events += n
+	for _, g := range art.FileGraphs {
+		events += len(g.Events)
 	}
 	fmt.Fprintf(os.Stderr, "seldon shard: slice %d/%d: %d files%s, %d events, %d bytes to %s\n",
 		*slice, *slices, len(art.Files), errNote, events, written, dest)

@@ -50,6 +50,18 @@ type Span struct {
 	Hash   [32]byte
 }
 
+// AppendSpan appends the span of the next file of a union to spans: a
+// graph of events events right after the last span's, identified by its
+// encoding's hash. The shard merge and the incremental session cut their
+// spans with it.
+func AppendSpan(spans []Span, file string, events int, hash [32]byte) []Span {
+	lo := 0
+	if len(spans) > 0 {
+		lo = spans[len(spans)-1].Hi
+	}
+	return append(spans, Span{File: file, Lo: lo, Hi: lo + events, Hash: hash})
+}
+
 // FlowCache holds per-file flow-constraint blocks across incremental
 // builds. It is not safe for concurrent use; the owning session
 // serializes builds.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -232,6 +234,23 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 			"dur", cacheWall.Round(time.Microsecond))
 	}
 	return fe
+}
+
+// Record returns file i's record, source being the text it was analyzed
+// from. The front end keeps neither source hash nor graph encoding, so
+// only the callers that persist a record pay for them.
+func (fe *FrontEnd) Record(i int, source string) fpcache.Record {
+	name := fe.Names[i]
+	rec := fpcache.Record{
+		Name:   name,
+		Source: sha256.Sum256([]byte(source)),
+		Cost:   fe.Costs[i],
+		Graph:  fe.Graphs[i].AppendBinary(nil),
+	}
+	if j, ok := slices.BinarySearch(fe.ParseErrorFiles, name); ok {
+		rec.ParseError = fe.ParseErrs[j].Error()
+	}
+	return rec
 }
 
 // Union is the disjoint union of the front end's graphs. One graph is

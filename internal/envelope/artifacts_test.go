@@ -99,15 +99,24 @@ func loadFlowCache(t *testing.T, dir string, data []byte, skew bool) error {
 	return nil
 }
 
+// entryName and entrySource are the file whose record the fpcache
+// fixture holds: an entry is found only by the file it records.
+const entryName, entrySource = "app.py", `from flask import request
+import os
+
+def handler():
+    q = request.args.get('q')
+    os.system(q)
+`
+
 func loadEntry(t *testing.T, dir string, data []byte, _ bool) error {
 	t.Helper()
 	c, err := fpcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const name, content = "app.py", "x = 1\n"
-	writeTemp(t, dir, fpcache.Key(name, content)+".fpc", data)
-	e, ok := c.Get(name, content)
+	writeTemp(t, dir, fpcache.Key(entryName, entrySource)+".fpc", data)
+	e, ok := c.Get(entryName, entrySource)
 	switch st := c.Stats(); {
 	case ok && (e == nil || e.Graph == nil || st.Hits != 1):
 		t.Fatalf("hit with entry %+v, stats %+v", e, st)
@@ -336,12 +345,10 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 				return reseal(data)
 			}
 			for n := r.U64(); n > 0; n-- {
-				r.Bytes64()
 				if section == 0 {
-					r.Take(1 + 32)
-					r.Bytes64() // graph
-					r.Bytes64() // parse error
+					fpcache.ReadRecord(r)
 				} else {
+					r.Bytes64()
 					r.Take(8 + 8)
 				}
 			}
@@ -370,23 +377,30 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 		patchU64(data, r, hugeCount)
 		return reseal(data)
 	}
-	// An fpcache entry: magic, version 2, cost, parse error, graph.
+	// An fpcache entry: magic, version 3, then a record — name, source
+	// hash, parse error, cost, graph — whose graph is what the case needs.
 	entry := func(parseErrLen uint64, graph []byte) []byte {
-		b := binary.AppendUvarint([]byte("SFPC"), 2)
-		b = binary.AppendVarint(b, 1000)
+		b := binary.AppendUvarint([]byte("SFPC"), 3)
+		b = envelope.AppendBytesV(b, entryName)
+		b = append(b, make([]byte, 32)...)
 		b = binary.AppendUvarint(b, parseErrLen)
-		return envelope.Seal(append(b, graph...))
+		if parseErrLen == 0 {
+			b = binary.AppendUvarint(b, 1000)
+			b = envelope.AppendBytesV(b, graph)
+		}
+		return envelope.Seal(b)
 	}
-	// A shard stream: magic, version 2, a payload length of 1<<30, and as
+	// A shard stream: magic, version 3, a payload length of 1<<30, and as
 	// much of the payload as the case needs before the pipe "closes".
 	stream := func(payload []byte) []byte {
-		return append(binary.AppendUvarint([]byte("SSHD\x02"), 1<<30), payload...)
+		return append(binary.AppendUvarint([]byte("SSHD\x03"), 1<<30), payload...)
 	}
 	section := envelope.AppendBytesV(nil, fpcache.AnalyzerVersion)
 	section = append(section, 0, 1, 0, 1) // slice 0 of 1, no flags, one file
 	section = envelope.AppendBytesV(section, "a.py")
 	section = append(section, make([]byte, 32)...) // content hash
 	section = envelope.AppendBytesV(section, "")   // no parse error
+	section = binary.AppendUvarint(section, 0)     // no cost
 	section = binary.AppendUvarint(section, hugeLen)
 
 	for _, tc := range []struct {

@@ -5,17 +5,21 @@
 //
 // Layout and key derivation: one entry per file under the cache
 // directory, named <key>.fpc where key = sha256 over the analyzer
-// version constant, the file's corpus path, and the file content (each
-// length-prefixed). The path participates in the key because the cached
-// result embeds it — event locations and parse-error text both carry the
-// file name — so a renamed file re-analyzes once instead of replaying a
-// stale name. Invalidation is therefore automatic: editing a file,
-// renaming it, or bumping AnalyzerVersion changes the key and the old
-// entry is simply never looked up again.
+// version constant, the file's corpus path, and the sha256 of the file
+// content (each length-prefixed). The path participates in the key
+// because the cached result embeds it — event locations and parse-error
+// text both carry the file name — so a renamed file re-analyzes once
+// instead of replaying a stale name. Invalidation is therefore automatic:
+// editing a file, renaming it, or bumping AnalyzerVersion changes the key
+// and the old entry is simply never looked up again. Because the key needs
+// only a file's name and source hash, whoever holds a file's Record can
+// derive it: a shard coordinator seeds its cache from the records an
+// artifact carries without the worker shipping any key.
 //
-// Entry format: magic + codec version + payload (recorded analysis cost,
-// parse-error text, propagation graph in propgraph's deterministic
-// binary codec) + sha256 checksum of everything before it.
+// Entry format: magic + codec version + the file's Record (name, source
+// hash, parse-error text, recorded analysis cost, propagation graph in
+// propgraph's deterministic binary codec) + sha256 checksum of everything
+// before it.
 //
 // Two properties the rest of the pipeline relies on:
 //
@@ -49,12 +53,11 @@ const AnalyzerVersion = "seldon-frontend-v1"
 
 const (
 	magic = "SFPC"
-	// codecVersion 2: the embedded propagation graph switched to
-	// propgraph's symbol-table binary codec (v2). Version-1 entries fail
-	// to decode, which Get reports as a miss — the file re-analyzes once
-	// and the write-back overwrites the entry in place (same key), so old
-	// caches invalidate by design without leaving orphans.
-	codecVersion = 2
+	// codecVersion 3: the body is the file's Record, and the key is over
+	// the source's hash, so version-2 entries are never looked up again
+	// (-cache-clear sweeps them). An entry of another version is a miss,
+	// like any entry that does not decode.
+	codecVersion = 3
 	entrySuffix  = ".fpc"
 )
 
@@ -102,106 +105,78 @@ func Open(dir string) (*Cache, error) {
 // Dir returns the cache directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// KeyBytes derives the content address of a (path, content) pair under
-// the current AnalyzerVersion, in raw form — what shard sidecars ship on
-// the wire (32 bytes instead of 64 hex digits).
-func KeyBytes(name, content string) (out [sha256.Size]byte) {
+// key derives the content address of a file's record under the current
+// AnalyzerVersion.
+func key(name string, source [sha256.Size]byte) string {
 	h := sha256.New()
 	var lenBuf [8]byte
-	part := func(s string) {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(s)))
+	part := func(p []byte) {
+		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
 		h.Write(lenBuf[:])
-		h.Write([]byte(s))
+		h.Write(p)
 	}
-	part(AnalyzerVersion)
-	part(name)
-	part(content)
-	h.Sum(out[:0])
-	return out
+	part([]byte(AnalyzerVersion))
+	part([]byte(name))
+	part(source[:])
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Key is KeyBytes in the hex form entries are named by on disk.
+// Key is the name (without suffix) of the entry for a (path, content)
+// pair.
 func Key(name, content string) string {
-	k := KeyBytes(name, content)
-	return hex.EncodeToString(k[:])
+	return key(name, sha256.Sum256([]byte(content)))
 }
 
 func (c *Cache) entryPath(key string) string {
 	return filepath.Join(c.dir, key+entrySuffix)
 }
 
-// encode renders an entry in the on-disk format.
-func (e *Entry) encode() []byte {
-	return EncodeRawEntry(e.Graph.AppendBinary(nil), e.ParseError, e.Cost)
-}
-
-// EncodeRawEntry renders an entry in the on-disk format from an
-// already-encoded graph (propgraph binary bytes) instead of a live
-// Graph. Shard-sidecar ingestion uses it directly: the coordinator
-// holds the worker's verified graph section bytes, and re-encoding a
-// decoded graph would only burn CPU to produce the identical bytes (the
-// codec is deterministic).
-func EncodeRawEntry(graphEnc []byte, parseErr string, cost time.Duration) []byte {
-	buf := make([]byte, 0, len(magic)+2+16+len(parseErr)+len(graphEnc)+envelope.ChecksumSize)
+// appendEntry renders a record in the on-disk format.
+func appendEntry(rec *Record) []byte {
+	buf := make([]byte, 0, len(magic)+1+MinRecordSize+len(rec.Name)+len(rec.ParseError)+16+len(rec.Graph)+envelope.ChecksumSize)
 	buf = append(buf, magic...)
 	buf = binary.AppendUvarint(buf, codecVersion)
-	buf = binary.AppendVarint(buf, int64(cost))
-	buf = envelope.AppendBytesV(buf, parseErr)
-	buf = append(buf, graphEnc...)
+	buf = AppendRecord(buf, rec)
 	return envelope.Seal(buf)
 }
 
-// PutRawKey stores pre-encoded entry bytes (EncodeRawEntry) under a raw
-// key (KeyBytes), atomically. The caller vouches that data is a
-// well-formed entry for that key; a wrong claim costs nothing but a
-// wasted slot — Get re-validates the checksum and codec on read and
-// treats a bad entry as a miss.
-func (c *Cache) PutRawKey(key [sha256.Size]byte, data []byte) (int64, error) {
-	if err := envelope.WriteFile(c.entryPath(hex.EncodeToString(key[:])), data); err != nil {
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	c.bytesWritten.Add(int64(len(data)))
-	return int64(len(data)), nil
-}
-
-// decodeEntry parses and validates an on-disk entry.
-func decodeEntry(data []byte) (*Entry, error) {
+// decodeEntry parses and validates an on-disk entry: its record and the
+// record's graph, decoded.
+func decodeEntry(data []byte) (Record, *Entry, error) {
 	body, err := envelope.Open(data, magic)
 	if err != nil {
-		return nil, fmt.Errorf("fpcache: %w", err)
+		return Record{}, nil, fmt.Errorf("fpcache: %w", err)
 	}
 	r := envelope.NewReader(body)
-	ver, cost, parseErr := r.Uvarint(), r.Varint(), r.StringV()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("fpcache: entry header: %w", err)
+	if ver := r.Uvarint(); r.Err() == nil && ver != codecVersion {
+		return Record{}, nil, fmt.Errorf("fpcache: unsupported codec version %d", ver)
 	}
-	if ver != codecVersion {
-		return nil, fmt.Errorf("fpcache: unsupported codec version %d", ver)
+	rec := ReadRecord(r)
+	if err := r.Close(); err != nil {
+		return Record{}, nil, fmt.Errorf("fpcache: entry: %w", err)
 	}
-	if cost < 0 {
-		return nil, fmt.Errorf("fpcache: bad cost field")
-	}
-	g, tail, err := propgraph.DecodeBinary(r.Rest())
+	g, tail, err := propgraph.DecodeBinary(rec.Graph)
 	if err != nil {
-		return nil, err
+		return Record{}, nil, err
 	}
 	if len(tail) != 0 {
-		return nil, fmt.Errorf("fpcache: %d trailing bytes after graph", len(tail))
+		return Record{}, nil, fmt.Errorf("fpcache: %d trailing bytes after graph", len(tail))
 	}
-	return &Entry{Graph: g, ParseError: parseErr, Cost: time.Duration(cost), Size: int64(len(data))}, nil
+	return rec, &Entry{Graph: g, ParseError: rec.ParseError, Cost: rec.Cost, Size: int64(len(data))}, nil
 }
 
 // Get looks up the entry for (name, content). Any failure — absent
-// entry, unreadable file, corruption, version skew — is reported as a
-// miss; Get never errors.
+// entry, unreadable file, corruption, version skew, an entry recording
+// another file — is reported as a miss; Get never errors.
 func (c *Cache) Get(name, content string) (*Entry, bool) {
-	data, err := os.ReadFile(c.entryPath(Key(name, content)))
+	source := sha256.Sum256([]byte(content))
+	data, err := os.ReadFile(c.entryPath(key(name, source)))
 	if err != nil {
 		c.misses.Add(1)
 		return nil, false
 	}
-	e, err := decodeEntry(data)
-	if err != nil {
+	rec, e, err := decodeEntry(data)
+	if err != nil || rec.Name != name || rec.Source != source {
 		c.misses.Add(1)
 		return nil, false
 	}
@@ -213,7 +188,28 @@ func (c *Cache) Get(name, content string) (*Entry, bool) {
 // Put stores the entry for (name, content) atomically and returns the
 // bytes written.
 func (c *Cache) Put(name, content string, e *Entry) (int64, error) {
-	return c.PutRawKey(KeyBytes(name, content), e.encode())
+	return c.PutRecord(&Record{
+		Name:       name,
+		Source:     sha256.Sum256([]byte(content)),
+		ParseError: e.ParseError,
+		Cost:       e.Cost,
+		Graph:      e.Graph.AppendBinary(nil),
+	})
+}
+
+// PutRecord stores a file's record under the key its name and source hash
+// derive, atomically, and returns the bytes written. The record's graph
+// bytes are written as they are: a shard coordinator ingests the sections
+// a worker shipped without decoding and re-encoding them. A record whose
+// graph does not decode costs nothing but a wasted slot — Get validates
+// the entry on read and treats a bad one as a miss.
+func (c *Cache) PutRecord(rec *Record) (int64, error) {
+	data := appendEntry(rec)
+	if err := envelope.WriteFile(c.entryPath(key(rec.Name, rec.Source)), data); err != nil {
+		return 0, fmt.Errorf("fpcache: %w", err)
+	}
+	c.bytesWritten.Add(int64(len(data)))
+	return int64(len(data)), nil
 }
 
 // Clear removes every cache entry (and any abandoned temp file) from

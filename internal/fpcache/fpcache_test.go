@@ -2,6 +2,7 @@ package fpcache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"testing"
@@ -140,12 +141,63 @@ func TestCorruptionIsAMissNeverAnError(t *testing.T) {
 	}
 }
 
-func TestEncodeDeterministic(t *testing.T) {
+// testRecord is testEntry as the record Put writes for app.py.
+func testRecord(t *testing.T) *Record {
+	t.Helper()
 	e := testEntry(t)
-	first := e.encode()
+	return &Record{Name: "app.py", Source: sha256.Sum256([]byte(testSrc)),
+		ParseError: e.ParseError, Cost: e.Cost, Graph: e.Graph.AppendBinary(nil)}
+}
+
+func TestEncodeDeterministic(t *testing.T) {
+	first := appendEntry(testRecord(t))
 	for i := 0; i < 8; i++ {
-		if !bytes.Equal(e.encode(), first) {
+		if !bytes.Equal(appendEntry(testRecord(t)), first) {
 			t.Fatal("entry encoding is not deterministic")
+		}
+	}
+}
+
+// TestPutRecordIsPut: a record stored as it is — the way a coordinator
+// ingests a shard's sidecar — is the entry Put writes for its file, found
+// by the file's name and content.
+func TestPutRecordIsPut(t *testing.T) {
+	viaPut, viaRecord := openTemp(t), openTemp(t)
+	if _, err := viaPut.Put("app.py", testSrc, testEntry(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := viaRecord.PutRecord(testRecord(t)); err != nil {
+		t.Fatal(err)
+	}
+	key := Key("app.py", testSrc)
+	a, errA := os.ReadFile(viaPut.entryPath(key))
+	b, errB := os.ReadFile(viaRecord.entryPath(key))
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("PutRecord wrote another entry than Put (%v, %v)", errA, errB)
+	}
+	if _, ok := viaRecord.Get("app.py", testSrc); !ok {
+		t.Fatal("miss on a record stored with PutRecord")
+	}
+}
+
+// TestEntryOfAnotherFileMisses: an entry is found only by the file it
+// records. One copied to another file's key — the name or the content
+// differs — is a miss, not that file's analysis.
+func TestEntryOfAnotherFileMisses(t *testing.T) {
+	c := openTemp(t)
+	if _, err := c.Put("app.py", testSrc, testEntry(t)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(c.entryPath(Key("app.py", testSrc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range [][2]string{{"other.py", testSrc}, {"app.py", testSrc + "\n"}} {
+		if err := os.WriteFile(c.entryPath(Key(other[0], other[1])), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(other[0], other[1]); ok {
+			t.Errorf("the entry of app.py is a hit for %q with other content", other[0])
 		}
 	}
 }

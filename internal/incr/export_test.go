@@ -1,6 +1,12 @@
 package incr
 
-import "seldon/internal/propgraph"
+import (
+	"slices"
+
+	"seldon/internal/constraints"
+	"seldon/internal/fpcache"
+	"seldon/internal/propgraph"
+)
 
 // Unpin removes a feedback pin, reporting whether it existed. No caller
 // outside the tests withdraws a verdict; the edit-sequence oracle and the
@@ -16,14 +22,21 @@ func (s *Session) Unpin(rep string, role propgraph.Role) bool {
 	return true
 }
 
-// FileHash returns the sha256 of the named file's source text and
-// whether the session holds that file with a recorded content hash.
-func (s *Session) FileHash(name string) ([32]byte, bool) {
+// Record returns the named file's record and whether the session holds
+// the file.
+func (s *Session) Record(name string) (fpcache.Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fs := s.files[name]
-	if fs == nil || !fs.hasContent {
-		return [32]byte{}, false
+	if fs == nil {
+		return fpcache.Record{}, false
 	}
-	return fs.contentHash, true
+	return fs.Record, true
+}
+
+// Spans returns the spans the last Relearn handed the constraint build.
+func (s *Session) Spans() []constraints.Span {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.spans)
 }

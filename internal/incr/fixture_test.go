@@ -2,6 +2,8 @@ package incr_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,10 +15,11 @@ import (
 )
 
 // TestStateFixtureRoundTrip pins the state format: testdata/state.bin
-// (version 2: three files, one of them with a parse error, a solution,
+// (version 3: three files, one of them with a parse error, a solution,
 // one pin) must load — adopting its own seed and knobs — save back to the
 // same bytes, and re-learn reporting the parse error. UPDATE_GOLDEN=1
-// rewrites it — only a format or analyzer version bump should need that.
+// rewrites it and the FuzzLoadState seeds made from it — only a format or
+// analyzer version bump should need that.
 func TestStateFixtureRoundTrip(t *testing.T) {
 	path := filepath.Join("testdata", incr.StateFile)
 	cfg := core.Config{Workers: 1}
@@ -29,6 +32,7 @@ func TestStateFixtureRoundTrip(t *testing.T) {
 		if err := s.Save(path); err != nil {
 			t.Fatal(err)
 		}
+		writeStateSeeds(t)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -50,5 +54,30 @@ func TestStateFixtureRoundTrip(t *testing.T) {
 	}
 	if res, _ := s.Relearn(); !slices.Equal(res.ParseErrorFiles, names[:1]) {
 		t.Errorf("fixture re-learns with parse errors in %q, want %q", res.ParseErrorFiles, names[:1])
+	}
+}
+
+// writeStateSeeds writes FuzzLoadState's seeds: the body of the fixture,
+// the fixture with each seeded uncanonical damage, and the fixture with a
+// file count larger than the bytes left.
+func writeStateSeeds(t *testing.T) {
+	t.Helper()
+	seeds := map[string][]byte{"fixture_state_bin": fixtureParts(t).body()}
+	for _, tc := range uncanonical {
+		if tc.seed != "" {
+			p := fixtureParts(t)
+			tc.damage(&p)
+			seeds[tc.seed] = p.body()
+		}
+	}
+	p := fixtureParts(t)
+	hostile := p.body()
+	binary.LittleEndian.PutUint64(hostile[len(p.head):], 1<<32)
+	seeds["hostile_file_count"] = hostile
+	for name, b := range seeds {
+		seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b)
+		if err := os.WriteFile(filepath.Join("testdata", "fuzz", "FuzzLoadState", name), []byte(seed), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -58,19 +58,19 @@ package incr
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
+	"iter"
 	"sort"
 	"sync"
 	"time"
 
 	"seldon/internal/constraints"
 	"seldon/internal/core"
+	"seldon/internal/fpcache"
 	"seldon/internal/lp"
 	"seldon/internal/obs"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
-	"seldon/internal/specio"
 )
 
 // PinKey identifies one feedback-pinned variable.
@@ -79,28 +79,19 @@ type PinKey struct {
 	Role propgraph.Role
 }
 
-// fileState is one corpus file inside the session.
+// fileState is one corpus file inside the session: its record, without a
+// cost, the sha256 of its graph encoding, which keys the flow-constraint
+// cache spans, and the decoded graph.
 type fileState struct {
-	// contentHash is the sha256 of the file's source text, by which
-	// SpliceSources diffs a corpus against the session without
-	// re-analyzing unchanged files. Zero when the graph was spliced
-	// directly (no source in hand).
-	contentHash [32]byte
-	hasContent  bool
-	// parseErr is the error the file's parse reported, "" when none;
-	// analysis ran over the recovered AST all the same.
-	parseErr string
-	// enc is the graph's binary encoding (propgraph v2); encHash, its
-	// sha256, keys the flow-constraint cache spans.
-	enc     []byte
+	fpcache.Record
 	encHash [32]byte
-	graph   *propgraph.Graph
+	decoded *propgraph.Graph
 }
 
-// newFileState wraps a graph and its encoding, hashing the encoding once
-// for every Relearn the file will be part of.
-func newFileState(enc []byte, g *propgraph.Graph) *fileState {
-	return &fileState{enc: enc, encHash: sha256.Sum256(enc), graph: g}
+// newFileState wraps a record and its decoded graph, hashing the encoding
+// once for every Relearn the file will be part of.
+func newFileState(rec fpcache.Record, g *propgraph.Graph) *fileState {
+	return &fileState{Record: rec, encHash: sha256.Sum256(rec.Graph), decoded: g}
 }
 
 // Session owns the persistent incremental-learning state. All methods
@@ -182,16 +173,19 @@ func (s *Session) sortedNames() []string {
 func (s *Session) CorpusFingerprint() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := s.sortedNames()
-	hashes := make([]string, len(names))
-	for i, name := range names {
-		fs := s.files[name]
-		if !fs.hasContent {
-			return ""
+	return fpcache.Fingerprint(s.records(s.sortedNames()))
+}
+
+// records yields the records of the named files, in order. The caller
+// holds s.mu.
+func (s *Session) records(names []string) iter.Seq[fpcache.Record] {
+	return func(yield func(fpcache.Record) bool) {
+		for _, n := range names {
+			if !yield(s.files[n].Record) {
+				return
+			}
 		}
-		hashes[i] = hex.EncodeToString(fs.contentHash[:])
 	}
-	return specio.FingerprintHashes(names, hashes)
 }
 
 // EncodedGraph returns the binary encoding of the named file's graph,
@@ -201,7 +195,7 @@ func (s *Session) EncodedGraph(name string) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if fs := s.files[name]; fs != nil {
-		return fs.enc
+		return fs.Graph
 	}
 	return nil
 }
@@ -228,8 +222,8 @@ func (s *Session) Splice(name string, g *propgraph.Graph) {
 	t0 := time.Now()
 	enc := g.AppendBinary(nil)
 	s.mu.Lock()
-	if old := s.files[name]; old == nil || !bytes.Equal(old.enc, enc) {
-		s.files[name] = newFileState(enc, g)
+	if old := s.files[name]; old == nil || !bytes.Equal(old.Graph, enc) {
+		s.files[name] = newFileState(fpcache.Record{Name: name, Graph: enc}, g)
 	}
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
@@ -249,7 +243,7 @@ func (s *Session) SpliceSources(files map[string]string) (spliced, unchanged int
 	changed := make(map[string]string)
 	s.mu.Lock()
 	for name, src := range files {
-		if old := s.files[name]; old == nil || !old.hasContent || old.contentHash != hashes[name] {
+		if old := s.files[name]; old == nil || old.Source != hashes[name] {
 			changed[name] = src
 		}
 	}
@@ -263,15 +257,10 @@ func (s *Session) SpliceSources(files map[string]string) (spliced, unchanged int
 		Workers: s.cfg.Workers, Cache: s.cfg.Cache, Metrics: s.cfg.Metrics, Log: s.cfg.Log,
 	})
 	states := make([]*fileState, len(fe.Names))
-	perr := 0 // the next of fe.ParseErrorFiles, which is in name order too
 	for i, name := range fe.Names {
-		fs := newFileState(fe.Graphs[i].AppendBinary(nil), fe.Graphs[i])
-		fs.contentHash, fs.hasContent = hashes[name], true
-		if perr < len(fe.ParseErrorFiles) && fe.ParseErrorFiles[perr] == name {
-			fs.parseErr = fe.ParseErrs[perr].Error()
-			perr++
-		}
-		states[i] = fs
+		rec := fe.Record(i, changed[name])
+		rec.Cost = 0 // a session has no use for it
+		states[i] = newFileState(rec, fe.Graphs[i])
 	}
 	s.mu.Lock()
 	for i, name := range fe.Names {
@@ -408,9 +397,9 @@ func (s *Session) syncUnion(names []string) (changed int, rebuilt string) {
 			fs := s.files[n]
 			switch {
 			case i == len(old) || old[i].File != n:
-				edits = append(edits, propgraph.UnionEdit{At: i, Ins: []*propgraph.Graph{fs.graph}})
+				edits = append(edits, propgraph.UnionEdit{At: i, Ins: []*propgraph.Graph{fs.decoded}})
 			case old[i].Hash != fs.encHash:
-				edits = append(edits, propgraph.UnionEdit{At: i, Del: 1, Ins: []*propgraph.Graph{fs.graph}})
+				edits = append(edits, propgraph.UnionEdit{At: i, Del: 1, Ins: []*propgraph.Graph{fs.decoded}})
 				i++
 			default:
 				i++
@@ -425,7 +414,7 @@ func (s *Session) syncUnion(names []string) (changed int, rebuilt string) {
 	if rebuilt != "" {
 		graphs := make([]*propgraph.Graph, len(names))
 		for i, n := range names {
-			graphs[i] = s.files[n].graph
+			graphs[i] = s.files[n].decoded
 		}
 		s.union = propgraph.NewUnionBuilder()
 		s.union.Splice([]propgraph.UnionEdit{{Ins: graphs}})
@@ -453,11 +442,9 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	st.FilesChanged, st.UnionRebuilt = s.syncUnion(names)
 	union := s.union.Graph()
 	spans := s.spans[:0]
-	at := 0
 	for _, n := range names {
 		fs := s.files[n]
-		spans = append(spans, constraints.Span{File: n, Lo: at, Hi: at + len(fs.graph.Events), Hash: fs.encHash})
-		at += len(fs.graph.Events)
+		spans = constraints.AppendSpan(spans, n, len(fs.decoded.Events), fs.encHash)
 	}
 	s.spans = spans
 	tUnion := time.Now()
@@ -504,11 +491,7 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 		st.WarmStarted = true
 	}
 	res := core.LearnPrepared(union, sys, cfg)
-	for _, n := range names {
-		if s.files[n].parseErr != "" {
-			res.ParseErrorFiles = append(res.ParseErrorFiles, n)
-		}
-	}
+	res.ParseErrorFiles = fpcache.ParseErrorFiles(s.records(names))
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrResolve, time.Since(t0))
 	st.RowsReused, st.RowsDead = res.SolverRowsReused, res.SolverRowsDead
 

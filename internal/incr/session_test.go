@@ -500,10 +500,10 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 		if !bytes.Equal(s2.EncodedGraph(name), s.EncodedGraph(name)) {
 			t.Fatalf("restored graph %q differs", name)
 		}
-		h1, ok1 := s.FileHash(name)
-		h2, ok2 := s2.FileHash(name)
-		if ok1 != ok2 || h1 != h2 {
-			t.Fatalf("restored content hash %q differs", name)
+		r1, _ := s.Record(name)
+		r2, _ := s2.Record(name)
+		if r1.Source != r2.Source || r1.ParseError != r2.ParseError {
+			t.Fatalf("restored record %q differs", name)
 		}
 	}
 

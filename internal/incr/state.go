@@ -20,11 +20,11 @@ import (
 // Session persistence. One self-delimiting binary file ("state.bin" in
 // the session directory) carries everything a later process needs to
 // resume incrementally: the seed store, the learning knobs, every
-// corpus file's graph (binary-encoded), source content hash and parse
-// error, the previous solution keyed by (rep, role), the feedback pins,
-// and the cold-solve epoch baseline. A sha256 trailer self-checks the
-// payload; any corruption, version skew, or analyzer-version skew
-// surfaces as an error so the caller falls back to a cold session.
+// corpus file's record (fpcache.Record, without a cost), the previous
+// solution keyed by (rep, role), the feedback pins, and the cold-solve
+// epoch baseline. A sha256 trailer self-checks the payload; any
+// corruption, version skew, or analyzer-version skew surfaces as an
+// error so the caller falls back to a cold session.
 //
 // The flow-constraint cache is persisted beside the state as its own
 // checksummed file (constraints.FlowCache Save/Load), so a resumed
@@ -36,8 +36,9 @@ import (
 // forces.
 
 const (
-	stateMagic   = "SINC"
-	stateVersion = 2
+	stateMagic = "SINC"
+	// stateVersion 3: the file table is one fpcache.Record per file.
+	stateVersion = 3
 	// StateFile is the session state file name inside a session directory.
 	StateFile = "state.bin"
 	// FlowCacheFile is the persisted flow-constraint cache beside it.
@@ -82,16 +83,7 @@ func (s *Session) Save(path string) error {
 	names := s.sortedNames()
 	b = envelope.AppendU64(b, uint64(len(names)))
 	for _, n := range names {
-		fs := s.files[n]
-		b = envelope.AppendBytes64(b, n)
-		if fs.hasContent {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = append(b, fs.contentHash[:]...)
-		b = envelope.AppendBytes64(b, fs.enc)
-		b = envelope.AppendBytes64(b, fs.parseErr)
+		b = fpcache.AppendRecord(b, &s.files[n].Record)
 	}
 
 	for _, m := range []map[PinKey]float64{s.prev, s.pins} {
@@ -126,7 +118,7 @@ var errNotCanonical = errors.New("incr: state file is not one Save writes")
 // different problem), when the analyzer version moved (stored graphs
 // may no longer match what the front-end produces), or when the file is
 // corrupt or not in the one form Save writes (file names and score keys
-// strictly ascending, content flag 0 or 1, the seed in Save's encoding).
+// strictly ascending, no file cost, the seed in Save's encoding).
 // On any error the caller should start a cold session.
 //
 // A nil seed selects adopt mode: the session resumes under the seed and
@@ -182,41 +174,33 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		return nil, fmt.Errorf("incr: state knobs %+v, session wants %+v", stored, want)
 	}
 
-	// A file is a name length, a flag, a content hash, a graph length and
-	// a parse error length; a solution or pin a name length, a role and a
-	// value.
-	const minFile, minScore = 8 + 1 + 32 + 8 + 8, 8 + 8 + 8
+	// A solution or pin is a name length, a role and a value.
+	const minScore = 8 + 8 + 8
 	var names []string
 	var encs [][]byte
-	for n := r.Count(r.U64(), minFile); n > 0; n-- {
-		name := r.String64()
-		flag := r.Byte()
-		var ch [32]byte
-		copy(ch[:], r.Take(len(ch)))
-		enc := r.Bytes64()
-		perr := r.String64()
+	for n := r.Count(r.U64(), fpcache.MinRecordSize); n > 0; n-- {
+		rec := fpcache.ReadRecord(r)
 		if r.Err() != nil {
 			break
 		}
-		if flag > 1 {
-			return nil, fmt.Errorf("%w: file %q has content flag %d", errNotCanonical, name, flag)
+		if rec.Cost != 0 {
+			return nil, fmt.Errorf("%w: file %q records a cost", errNotCanonical, rec.Name)
 		}
-		if len(names) > 0 && name <= names[len(names)-1] {
-			return nil, fmt.Errorf("%w: file %q follows %q", errNotCanonical, name, names[len(names)-1])
+		if len(names) > 0 && rec.Name <= names[len(names)-1] {
+			return nil, fmt.Errorf("%w: file %q follows %q", errNotCanonical, rec.Name, names[len(names)-1])
 		}
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
-		fs := newFileState(bytes.Clone(enc), nil)
-		fs.contentHash, fs.hasContent, fs.parseErr = ch, flag == 1, perr
-		s.files[name] = fs
-		names, encs = append(names, name), append(encs, enc)
+		rec.Graph = bytes.Clone(rec.Graph)
+		s.files[rec.Name] = newFileState(rec, nil)
+		names, encs = append(names, rec.Name), append(encs, rec.Graph)
 	}
 	graphs, bad, err := propgraph.DecodeAll(encs)
 	if err != nil {
 		return nil, fmt.Errorf("incr: decode graph %q: %w", names[bad], err)
 	}
 	for i, g := range graphs {
-		s.files[names[i]].graph = g
+		s.files[names[i]].decoded = g
 	}
 	scores := func() map[PinKey]float64 {
 		n := r.Count(r.U64(), minScore)

@@ -10,6 +10,7 @@ import (
 
 	"seldon/internal/core"
 	"seldon/internal/envelope"
+	"seldon/internal/fpcache"
 	"seldon/internal/incr"
 )
 
@@ -55,7 +56,7 @@ func fixtureParts(t testing.TB) stateParts {
 	r.Take(6 * 8)
 	r.Bytes64() // seed
 	p.head = body[:at()]
-	p.files = records(func() { r.Bytes64(); r.Byte(); r.Take(32); r.Bytes64(); r.Bytes64() })
+	p.files = records(func() { fpcache.ReadRecord(r) })
 	p.prev = records(score)
 	p.pins = records(score)
 	p.tail = r.Rest()
@@ -77,31 +78,35 @@ func (p stateParts) body() []byte {
 	return append(b, p.tail...)
 }
 
-// withFlag returns a copy of a file record with its content flag set to v.
-func withFlag(file []byte, v byte) []byte {
-	out := slices.Clone(file)
-	nameLen := envelope.NewReader(file).U64()
-	out[8+nameLen] = v
-	return out
+// withCost returns a copy of a file record that records a cost.
+func withCost(file []byte) []byte {
+	rec := fpcache.ReadRecord(envelope.NewReader(file))
+	rec.Cost = 1
+	return fpcache.AppendRecord(nil, &rec)
+}
+
+// uncanonical are the ways a sealed state file's records can fail to be
+// in the one order and form Save writes, each with the FuzzLoadState seed
+// that holds it.
+var uncanonical = []struct {
+	name, seed string
+	damage     func(*stateParts)
+}{
+	{"file name twice", "name_twice", func(p *stateParts) { p.files = [][]byte{p.files[0], p.files[0], p.files[1], p.files[2]} }},
+	{"file names out of order", "names_out_of_order", func(p *stateParts) { p.files[0], p.files[1] = p.files[1], p.files[0] }},
+	{"file with a cost", "file_cost", func(p *stateParts) { p.files[0] = withCost(p.files[0]) }},
+	{"score key twice", "key_twice", func(p *stateParts) { p.prev = append([][]byte{p.prev[0]}, p.prev...) }},
+	{"score keys out of order", "", func(p *stateParts) { p.prev[0], p.prev[1] = p.prev[1], p.prev[0] }},
+	{"pin key twice", "", func(p *stateParts) { p.pins = [][]byte{p.pins[0], p.pins[0]} }},
 }
 
 // TestLoadRejectsWhatSaveCannotWrite: a sealed state file whose records
 // are not in the one order and form Save writes — a file name or a score
-// key repeated or out of order, a content flag that is neither 0 nor 1 —
-// is the error every other fault is, not a session that quietly keeps the
-// last copy and saves back as different bytes.
+// key repeated or out of order, a file recording a cost, which a session
+// does not keep — is the error every other fault is, not a session that
+// quietly keeps the last copy and saves back as different bytes.
 func TestLoadRejectsWhatSaveCannotWrite(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		damage func(*stateParts)
-	}{
-		{"file name twice", func(p *stateParts) { p.files = [][]byte{p.files[0], p.files[0], p.files[1], p.files[2]} }},
-		{"file names out of order", func(p *stateParts) { p.files[0], p.files[1] = p.files[1], p.files[0] }},
-		{"content flag 2", func(p *stateParts) { p.files[0] = withFlag(p.files[0], 2) }},
-		{"score key twice", func(p *stateParts) { p.prev = append([][]byte{p.prev[0]}, p.prev...) }},
-		{"score keys out of order", func(p *stateParts) { p.prev[0], p.prev[1] = p.prev[1], p.prev[0] }},
-		{"pin key twice", func(p *stateParts) { p.pins = [][]byte{p.pins[0], p.pins[0]} }},
-	} {
+	for _, tc := range uncanonical {
 		t.Run(tc.name, func(t *testing.T) {
 			p := fixtureParts(t)
 			path := filepath.Join(t.TempDir(), incr.StateFile)
@@ -128,14 +133,15 @@ func TestLoadRejectsWhatSaveCannotWrite(t *testing.T) {
 // the target frames and seals, so that mutations reach the parser. Load in
 // adopt mode (nil seed: the file's own seed and knobs) errors, or Save of
 // what loaded writes the sealed bytes back: no two files load as the same
-// session, so a repeated or unsorted file name or score key, a content
-// flag of 2 or a seed in another JSON spelling, none of which Save can
-// have written, is an error like every other fault. There is never a
-// panic, and load and save together allocate at most 64 bytes per body
-// byte — the graph decoder's own bound — whatever counts the body
-// declares. The seeds (testdata/fuzz) are the body of testdata/state.bin,
-// a file name twice, two names out of order, a score key twice, a content
-// flag of 2, and a file count larger than the bytes left.
+// session, so a repeated or unsorted file name or score key, a file with
+// a cost or a seed in another JSON spelling, none of which Save can have
+// written, is an error like every other fault. There is never a panic,
+// and load and save together allocate at most 64 bytes per body byte —
+// the graph decoder's own bound — whatever counts the body declares. The
+// seeds (testdata/fuzz, written with testdata/state.bin) are the body of
+// testdata/state.bin, a file name twice, two names out of order, a score
+// key twice, a file with a cost, and a file count larger than the bytes
+// left.
 func FuzzLoadState(f *testing.F) {
 	dir := f.TempDir()
 	in, out := filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.bin")

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"time"
 
@@ -22,7 +21,9 @@ import (
 // core.SliceFiles or core.SliceNames) and returns its artifact plus
 // the front-end result for telemetry. The artifact's graph is the union
 // of the slice's per-file graphs in sorted name order, carrying a
-// per-shard symbol table.
+// per-shard symbol table. Each manifest entry records its file's analysis
+// cost, which Encode ships only when Sidecar is set: the fpcache sidecar
+// a coordinator sharing no disk with the worker seeds its cache from.
 func Build(files map[string]string, i, n int, cfg core.Config) (*Artifact, *core.FrontEnd, error) {
 	if n < 1 || i < 0 || i >= n {
 		return nil, nil, fmt.Errorf("shard: slice %d of %d out of range", i, n)
@@ -32,26 +33,11 @@ func Build(files map[string]string, i, n int, cfg core.Config) (*Artifact, *core
 	g := propgraph.Union(fe.Graphs...)
 	cfg.Metrics.ObserveDuration(obs.StageShardAnalyze, time.Since(t0))
 
-	perr := make(map[string]string, len(fe.ParseErrorFiles))
-	for j, name := range fe.ParseErrorFiles {
-		perr[name] = fe.ParseErrs[j].Error()
-	}
 	metas := make([]FileMeta, len(fe.Names))
-	hashes := make([][32]byte, len(fe.Names))
-	events := make([]int, len(fe.Names))
-	var encBuf []byte
 	for j, name := range fe.Names {
-		metas[j] = FileMeta{
-			Name:       name,
-			SHA256:     sha256.Sum256([]byte(files[name])),
-			ParseError: perr[name],
-		}
-		// The span hash is over the file graph's binary encoding — the
-		// same bytes the artifact ships as this file's graph section, so
-		// the coordinator recomputes the identical hash.
-		encBuf = fe.Graphs[j].AppendBinary(encBuf[:0])
-		hashes[j] = sha256.Sum256(encBuf)
-		events[j] = len(fe.Graphs[j].Events)
+		// The graph bytes are the section the artifact ships, so the
+		// coordinator hashes the same bytes to the same span hash.
+		metas[j] = newFileMeta(fe.Record(j, files[name]))
 	}
 	a := &Artifact{
 		AnalyzerVersion: fpcache.AnalyzerVersion,
@@ -60,35 +46,12 @@ func Build(files map[string]string, i, n int, cfg core.Config) (*Artifact, *core
 		Files:           metas,
 		Graph:           g,
 		FileGraphs:      fe.Graphs,
-		FileHashes:      hashes,
-		FileEvents:      events,
 	}
 	cfg.Metrics.Set(obs.GaugeShardFiles, float64(len(metas)))
 	cfg.Metrics.Set(obs.GaugeShardSlices, float64(n))
 	cfg.Log.Log("shard.build", "slice", i, "of", n, "files", len(metas),
 		"events", len(g.Events))
 	return a, fe, nil
-}
-
-// AttachSidecar equips the artifact with the fpcache sidecar: each
-// file's content-addressed cache key (fpcache.KeyBytes over the same
-// corpus content Build analyzed) and its recorded analysis cost from
-// the front-end. A coordinator ingesting the artifact can then seed its
-// own fpcache with the worker's results — shipping the warmth with the
-// graph instead of re-analyzing to recreate it.
-func (a *Artifact) AttachSidecar(files map[string]string, fe *core.FrontEnd) {
-	keys := make([][32]byte, len(a.Files))
-	costs := make([]time.Duration, len(a.Files))
-	for j := range a.Files {
-		name := a.Files[j].Name
-		keys[j] = fpcache.KeyBytes(name, files[name])
-		if j < len(fe.Costs) {
-			costs[j] = fe.Costs[j]
-		}
-	}
-	a.SidecarKeys = keys
-	a.SidecarCosts = costs
-	a.Sidecar = true
 }
 
 // BuildFromCorpus slices the full corpus by sorted file name

@@ -10,6 +10,7 @@ import (
 	"seldon/internal/constraints"
 	"seldon/internal/core"
 	"seldon/internal/corpus"
+	"seldon/internal/fpcache"
 	"seldon/internal/propgraph"
 	"seldon/internal/specio"
 )
@@ -161,11 +162,11 @@ func TestMergeParseErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	if len(res.ParseErrorFiles) != len(fe.ParseErrorFiles) {
-		t.Errorf("merge reports %d parse errors, single-process reports %d",
-			len(res.ParseErrorFiles), len(fe.ParseErrorFiles))
+	got := fpcache.ParseErrorFiles(slices.Values(res.Files))
+	if !slices.Equal(got, fe.ParseErrorFiles) {
+		t.Errorf("merge reports parse errors in %v, single-process in %v", got, fe.ParseErrorFiles)
 	}
-	if len(res.ParseErrorFiles) == 0 || res.ParseErrorFiles[len(res.ParseErrorFiles)-1] != "zzz_broken.py" {
-		t.Errorf("ParseErrorFiles = %v, want trailing zzz_broken.py", res.ParseErrorFiles)
+	if len(got) == 0 || got[len(got)-1] != "zzz_broken.py" {
+		t.Errorf("ParseErrorFiles = %v, want trailing zzz_broken.py", got)
 	}
 }

@@ -35,9 +35,10 @@ func isOneOf(err error, sentinels ...error) bool {
 // 64 bytes per payload byte, whatever counts the payload declares
 // (measured without a slice union: 1.7 KB for an empty input, 15 per byte
 // for the fixture's payload, 20 for two thousand empty graphs). The seeds
-// (testdata/fuzz) are the payload of testdata/slice.shard, a two-file
-// payload without a sidecar, an empty manifest, an unsorted manifest, and
-// a payload with a byte after its last section.
+// (testdata/fuzz, written with testdata/slice.shard) are the payload of
+// testdata/slice.shard, a two-file payload without a sidecar, an empty
+// manifest, an unsorted manifest, and a payload with a byte after its
+// last section.
 func FuzzReadArtifact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		sealed := seal(payload)

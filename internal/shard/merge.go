@@ -2,13 +2,13 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"seldon/internal/constraints"
 	"seldon/internal/fpcache"
 	"seldon/internal/obs"
 	"seldon/internal/propgraph"
-	"seldon/internal/specio"
 )
 
 // The coordinator side: validate a set of shard artifacts as one
@@ -49,20 +49,16 @@ type MergeResult struct {
 	Graph *propgraph.Graph
 	// Slices is the validated slice count.
 	Slices int
-	// Files lists every corpus file in slice (= sorted) order; Hashes is
-	// aligned with it (hex sha256 of each file's content).
-	Files  []string
-	Hashes []string
-	// CorpusFingerprint is specio.FingerprintHashes over Files/Hashes —
-	// equal to specio.Fingerprint of the original corpus map.
+	// Files holds every corpus file's record in slice (= sorted) order,
+	// without its graph bytes: the graphs are in Graph.
+	Files []fpcache.Record
+	// CorpusFingerprint is fpcache.Fingerprint over Files — equal to
+	// specio.Fingerprint of the original corpus map.
 	CorpusFingerprint string
 	// Spans maps each corpus file to its contiguous event range in
 	// Graph, in order — ready for constraints.BuildIncremental against a
 	// persisted flow cache.
 	Spans []constraints.Span
-	// ParseErrorFiles names the files whose parse reported an error, in
-	// order.
-	ParseErrorFiles []string
 	// Bytes totals the encoded artifact sizes (0 for artifacts built
 	// in-process). The time spent in validation + union is the
 	// shard.merge timer's.
@@ -87,10 +83,8 @@ type Merger struct {
 	// pending parks artifacts that arrived ahead of their turn.
 	pending map[int]*Artifact
 
-	ub      *propgraph.UnionBuilder
-	res     *MergeResult
-	prev    string
-	hasPrev bool
+	ub  *propgraph.UnionBuilder
+	res *MergeResult
 
 	resident, peak int64
 	wall           time.Duration
@@ -155,44 +149,29 @@ func (m *Merger) Commit(a *Artifact) error {
 // per-file graphs in one edit, the only copy the coordinator makes of them.
 func (m *Merger) fold(a *Artifact) error {
 	res := m.res
-	if len(a.FileGraphs) != len(a.Files) || len(a.FileHashes) != len(a.Files) || len(a.FileEvents) != len(a.Files) {
-		return fmt.Errorf("%w: slice %d has %d files but %d graphs, %d graph hashes and %d event counts",
-			ErrEncoding, a.Slice, len(a.Files), len(a.FileGraphs), len(a.FileHashes), len(a.FileEvents))
+	if len(a.FileGraphs) != len(a.Files) {
+		return fmt.Errorf("%w: slice %d has %d files but %d graphs",
+			ErrEncoding, a.Slice, len(a.Files), len(a.FileGraphs))
 	}
 	base := len(m.ub.Graph().Events)
-	lo := base
 	for j := range a.Files {
 		f := &a.Files[j]
 		// Within an artifact the manifest is sorted (the decoder enforces
 		// it); across artifacts strict increase proves the slices are
 		// disjoint cuts of one global ordering.
-		if m.hasPrev && f.Name <= m.prev {
+		if k := len(res.Files); k > 0 && f.Name <= res.Files[k-1].Name {
 			return fmt.Errorf("%w: slice %d file %q does not follow %q",
-				ErrSliceOrder, a.Slice, f.Name, m.prev)
+				ErrSliceOrder, a.Slice, f.Name, res.Files[k-1].Name)
 		}
-		// Spans are cut by these counts, so each must be its graph's.
-		if n := len(a.FileGraphs[j].Events); n != a.FileEvents[j] {
-			return fmt.Errorf("%w: slice %d file %q counts %d events, its graph has %d",
-				ErrEncoding, a.Slice, f.Name, a.FileEvents[j], n)
-		}
-		m.prev, m.hasPrev = f.Name, true
-		res.Files = append(res.Files, f.Name)
-		res.Hashes = append(res.Hashes, fmt.Sprintf("%x", f.SHA256[:]))
-		if f.ParseError != "" {
-			res.ParseErrorFiles = append(res.ParseErrorFiles, f.Name)
-		}
-		res.Spans = append(res.Spans, constraints.Span{
-			File: f.Name,
-			Lo:   lo,
-			Hi:   lo + a.FileEvents[j],
-			Hash: a.FileHashes[j],
-		})
-		lo += a.FileEvents[j]
+		rec := f.Record
+		rec.Graph = nil
+		res.Files = append(res.Files, rec)
+		res.Spans = constraints.AppendSpan(res.Spans, f.Name, len(a.FileGraphs[j].Events), f.GraphHash)
 	}
 	m.ub.Add(a.FileGraphs...)
 	res.Bytes += a.Size
 	m.opts.Log.Log("shard.merge", "slice", a.Slice, "of", m.count,
-		"files", len(a.Files), "events", lo-base, "bytes", a.Size)
+		"files", len(a.Files), "events", len(m.ub.Graph().Events)-base, "bytes", a.Size)
 	return nil
 }
 
@@ -208,7 +187,7 @@ func (m *Merger) Finish() (*MergeResult, error) {
 	}
 	res := m.res
 	res.Slices = m.count
-	res.CorpusFingerprint = specio.FingerprintHashes(res.Files, res.Hashes)
+	res.CorpusFingerprint = fpcache.Fingerprint(slices.Values(res.Files))
 	res.Graph = m.ub.Graph()
 	res.PeakBytes = m.peak
 	m.wall += time.Since(t0)

@@ -4,16 +4,18 @@
 // A shard artifact is one worker's output for one deterministic slice of
 // a corpus: a versioned envelope carrying the analyzer version, the
 // slice coordinates (index i of n), and one section per corpus file —
-// the file's manifest entry (name, content sha256, parse-error text),
-// an optional fpcache sidecar entry (content-addressed cache key plus
-// recorded analysis cost), and the file's propagation graph in
-// propgraph's v2 binary codec with a per-shard symbol table. The whole
-// artifact is sha256-checksummed like an fpcache entry — but where a
-// corrupt cache entry is silently re-analyzed, a corrupt shard artifact
-// is a hard, named error: the coordinator is reassembling a corpus from
-// pieces it cannot recompute, so truncation, bit flips, stale codecs,
-// duplicate slices, and missing slices each fail loudly and distinctly
-// (see the Err* sentinels).
+// the file's record (fpcache.Record: name, content sha256, parse-error
+// text, analysis cost, and the propagation graph in propgraph's v2 binary
+// codec with a per-file symbol table). The cost is the fpcache sidecar:
+// an artifact built with it ships each file's recorded cost, one without
+// it ships zero, so it stays a pure function of its corpus slice. A
+// coordinator derives each file's cache key from its name and content
+// hash, so no key travels. The whole artifact is sha256-checksummed like
+// an fpcache entry — but where a corrupt cache entry is silently
+// re-analyzed, a corrupt shard artifact is a hard, named error: the
+// coordinator is reassembling a corpus from pieces it cannot recompute,
+// so truncation, bit flips, stale codecs, duplicate slices, and missing
+// slices each fail loudly and distinctly (see the Err* sentinels).
 //
 // Envelope layout (all integers varint unless noted):
 //
@@ -24,10 +26,8 @@
 //	  analyzer version (length-prefixed string)
 //	  slice index, slice count (uvarint, index < count)
 //	  flags (1 byte; bit 0 = fpcache sidecar present, others zero)
-//	  file count (uvarint), then per file in sorted name order:
-//	    name (string), content sha256 (32 raw bytes), parse error (string)
-//	    [flags bit 0] fpcache key (32 raw bytes), analysis cost (uvarint ns)
-//	    graph length (uvarint), graph (propgraph v2 binary codec)
+//	  file count (uvarint), then per file in sorted name order one
+//	  fpcache.Record (AppendRecord), its cost zero without the sidecar
 //	sha256 checksum over everything before it (32 bytes)
 //
 // An artifact is decoded whole, by one function on the cursor every
@@ -54,24 +54,23 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"seldon/internal/envelope"
+	"seldon/internal/fpcache"
 	"seldon/internal/propgraph"
 )
 
 const (
 	magic = "SSHD"
-	// codecVersion 2 interleaves per-file manifest + sidecar + graph
-	// sections (v1 carried one slice-merged graph after the manifest);
-	// bump it whenever the envelope layout changes. A version skew is a
-	// named error, not a silent re-analyze — the coordinator cannot
-	// rebuild a shard it did not analyze.
-	codecVersion = 2
+	// codecVersion 3: each file section is an fpcache.Record. Bump it
+	// whenever the envelope layout changes. A version skew is a named
+	// error, not a silent re-analyze — the coordinator cannot rebuild a
+	// shard it did not analyze.
+	codecVersion = 3
 	checksumSize = envelope.ChecksumSize
 
-	// flagSidecar marks artifacts carrying the fpcache sidecar (per-file
-	// cache key + recorded cost alongside the graph bytes).
+	// flagSidecar marks artifacts carrying the fpcache sidecar: each
+	// file's recorded analysis cost.
 	flagSidecar = 0x01
 
 	// maxPayloadLen guards the declared payload length against
@@ -117,22 +116,22 @@ var (
 	ErrSliceOrder = errors.New("shard: slice ordering violation")
 )
 
-// FileMeta is one corpus file's manifest entry: enough for the
-// coordinator to reproduce the corpus fingerprint and the parse-error
-// report without the file contents.
+// FileMeta is one corpus file's manifest entry: its record, from which
+// the coordinator reproduces the corpus fingerprint and the parse-error
+// report and seeds its fpcache, and the sha256 of the record's graph
+// bytes, the span hash the incremental constraint build keys flow blocks
+// by.
 type FileMeta struct {
-	Name string
-	// SHA256 is the hash of the file's content (see specio.FileHash for
-	// the hex form the fingerprint is built from).
-	SHA256 [sha256.Size]byte
-	// ParseError is the recovered parse failure's text ("" for a clean
-	// parse); analysis ran over the recovered AST either way.
-	ParseError string
+	fpcache.Record
+	GraphHash [sha256.Size]byte
+}
+
+func newFileMeta(rec fpcache.Record) FileMeta {
+	return FileMeta{Record: rec, GraphHash: sha256.Sum256(rec.Graph)}
 }
 
 // Artifact is one shard: the manifest of the corpus slice it covers and
-// the slice's per-file propagation graphs, plus the per-file facts the
-// merge derives span and sidecar data from.
+// the slice's per-file propagation graphs.
 type Artifact struct {
 	// AnalyzerVersion names the front-end semantics the shard was
 	// analyzed under (fpcache.AnalyzerVersion).
@@ -146,20 +145,12 @@ type Artifact struct {
 	// and the merge does not read it.
 	Graph *propgraph.Graph
 	// FileGraphs holds the per-file graphs in manifest order, each with
-	// its own symbol table: what Encode ships, one section a file, what
-	// decoding gives back, and what the merge appends to the global union.
+	// its own symbol table, decoded from the manifest's graph bytes: what
+	// the merge appends to the global union and cuts spans by.
 	FileGraphs []*propgraph.Graph
-	// FileHashes is the sha256 of each file's encoded graph section and
-	// FileEvents its event count, both in manifest order — what the
-	// coordinator needs to hand constraints.BuildIncremental its spans.
-	FileHashes [][32]byte
-	FileEvents []int
-	// Sidecar marks the fpcache sidecar as present: SidecarKeys carries
-	// each file's content-addressed cache key (fpcache.KeyBytes) and
-	// SidecarCosts its recorded parse+dataflow cost, in manifest order.
-	Sidecar      bool
-	SidecarKeys  [][32]byte
-	SidecarCosts []time.Duration
+	// Sidecar marks the fpcache sidecar as present: Encode ships each
+	// file's recorded cost, which it writes as zero otherwise.
+	Sidecar bool
 	// Size is the artifact's encoded size in bytes; set by decoding (0
 	// for artifacts built in-process).
 	Size int64
@@ -167,42 +158,25 @@ type Artifact struct {
 
 // Encode renders the artifact in the wire format. The bytes are a pure
 // function of the artifact (the embedded graph codec is deterministic
-// and the manifest is ordered), so identical shards encode identically.
-// The artifact must carry its per-file graphs (FileGraphs aligned with
-// Files), as a built and a decoded one both do: a decoded artifact
-// encodes back to the bytes it was read from.
+// and the manifest is ordered), so identical shards encode identically;
+// a decoded artifact encodes back to the bytes it was read from.
 func (a *Artifact) Encode() []byte {
-	if len(a.FileGraphs) != len(a.Files) {
-		panic(fmt.Sprintf("shard: Encode: %d file graphs for %d manifest entries", len(a.FileGraphs), len(a.Files)))
-	}
-	sidecar := a.Sidecar
-	if sidecar && (len(a.SidecarKeys) != len(a.Files) || len(a.SidecarCosts) != len(a.Files)) {
-		panic("shard: Encode: sidecar flagged but keys/costs are not aligned with the manifest")
-	}
-
 	payload := make([]byte, 0, 4096)
 	payload = envelope.AppendBytesV(payload, a.AnalyzerVersion)
 	payload = binary.AppendUvarint(payload, uint64(a.Slice))
 	payload = binary.AppendUvarint(payload, uint64(a.Slices))
 	var flags byte
-	if sidecar {
+	if a.Sidecar {
 		flags |= flagSidecar
 	}
 	payload = append(payload, flags)
 	payload = binary.AppendUvarint(payload, uint64(len(a.Files)))
-	var graphBuf []byte
 	for i := range a.Files {
-		f := &a.Files[i]
-		payload = envelope.AppendBytesV(payload, f.Name)
-		payload = append(payload, f.SHA256[:]...)
-		payload = envelope.AppendBytesV(payload, f.ParseError)
-		if sidecar {
-			payload = append(payload, a.SidecarKeys[i][:]...)
-			payload = binary.AppendUvarint(payload, uint64(a.SidecarCosts[i]))
+		rec := a.Files[i].Record
+		if !a.Sidecar {
+			rec.Cost = 0
 		}
-		graphBuf = a.FileGraphs[i].AppendBinary(graphBuf[:0])
-		payload = binary.AppendUvarint(payload, uint64(len(graphBuf)))
-		payload = append(payload, graphBuf...)
+		payload = fpcache.AppendRecord(payload, &rec)
 	}
 
 	out := make([]byte, 0, len(magic)+1+binary.MaxVarintLen64+len(payload)+checksumSize)

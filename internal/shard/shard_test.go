@@ -3,14 +3,13 @@ package shard
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"seldon/internal/core"
 	"seldon/internal/corpus"
+	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 	"seldon/internal/propgraph"
 )
@@ -64,8 +63,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("%d manifest entries, want %d", len(got.Files), len(want.Files))
 	}
 	for i := range got.Files {
-		if got.Files[i] != want.Files[i] {
-			t.Errorf("manifest[%d] = %+v, want %+v", i, got.Files[i], want.Files[i])
+		// Without the sidecar no cost travels.
+		shipped := want.Files[i]
+		shipped.Cost = 0
+		if !sameFile(got.Files[i], shipped) {
+			t.Errorf("manifest[%d] = %+v, want %+v", i, got.Files[i], shipped)
 		}
 	}
 	if !bytes.Equal(propgraph.Union(got.FileGraphs...).AppendBinary(nil), want.Graph.AppendBinary(nil)) {
@@ -151,6 +153,13 @@ func TestDecodeFaults(t *testing.T) {
 func TestDecodeBadPayload(t *testing.T) {
 	out := func(a *Artifact) []byte { return a.Encode() }
 	empty := propgraph.NewBuilder().Build()
+	file := func(name string) FileMeta {
+		return newFileMeta(fpcache.Record{Name: name, Graph: empty.AppendBinary(nil)})
+	}
+	// A cost is the sidecar: an artifact without one cannot carry it.
+	costly := envelope.AppendBytesV(nil, "v")
+	costly = append(costly, 0, 1, 0, 1) // slice 0 of 1, no flags, one file
+	costly = fpcache.AppendRecord(costly, &fpcache.Record{Name: "a.py", Cost: 1, Graph: empty.AppendBinary(nil)})
 	tests := []struct {
 		name string
 		data []byte
@@ -159,13 +168,14 @@ func TestDecodeBadPayload(t *testing.T) {
 		{"zero slices", out(&Artifact{AnalyzerVersion: "v", Slice: 0, Slices: 0, Graph: empty})},
 		{"unsorted manifest", out(&Artifact{
 			AnalyzerVersion: "v", Slice: 0, Slices: 1,
-			Files:      []FileMeta{{Name: "b.py"}, {Name: "a.py"}},
+			Files:      []FileMeta{file("b.py"), file("a.py")},
 			FileGraphs: []*propgraph.Graph{empty, empty},
 			Graph:      empty,
 		})},
+		{"cost without sidecar", seal(costly)},
 		{"duplicate manifest name", out(&Artifact{
 			AnalyzerVersion: "v", Slice: 0, Slices: 1,
-			Files:      []FileMeta{{Name: "a.py"}, {Name: "a.py"}},
+			Files:      []FileMeta{file("a.py"), file("a.py")},
 			FileGraphs: []*propgraph.Graph{empty, empty},
 			Graph:      empty,
 		})},
@@ -224,16 +234,8 @@ func TestMergeFaults(t *testing.T) {
 		}
 	})
 	t.Run("per-file graph facts missing", func(t *testing.T) {
-		bare := *a1
-		bare.FileHashes, bare.FileEvents = nil, nil
-		if _, err := mergeAll([]*Artifact{a0, &bare}, MergeOptions{}); !errors.Is(err, ErrEncoding) {
-			t.Fatalf("Merge = %v, want ErrEncoding", err)
-		}
-	})
-	t.Run("event counts do not tile the graph", func(t *testing.T) {
 		short := *a1
-		short.FileEvents = append([]int(nil), a1.FileEvents...)
-		short.FileEvents[0]++
+		short.FileGraphs = a1.FileGraphs[:len(a1.FileGraphs)-1]
 		if _, err := mergeAll([]*Artifact{a0, &short}, MergeOptions{}); !errors.Is(err, ErrEncoding) {
 			t.Fatalf("Merge = %v, want ErrEncoding", err)
 		}
@@ -243,16 +245,6 @@ func TestMergeFaults(t *testing.T) {
 		bare.FileGraphs = nil
 		if _, err := mergeAll([]*Artifact{a0, &bare}, MergeOptions{}); !errors.Is(err, ErrEncoding) {
 			t.Fatalf("Merge = %v, want ErrEncoding", err)
-		}
-	})
-	t.Run("a file's event count is not its graph's", func(t *testing.T) {
-		off := *a1
-		off.FileEvents = append([]int(nil), a1.FileEvents...)
-		off.FileEvents[1]--
-		off.FileEvents[2]++ // the slice's total still holds
-		_, err := mergeAll([]*Artifact{a0, &off}, MergeOptions{})
-		if !errors.Is(err, ErrEncoding) || !strings.Contains(err.Error(), fmt.Sprintf("slice 1 file %q", a1.Files[1].Name)) {
-			t.Fatalf("Merge = %v, want ErrEncoding naming slice 1's %q", err, a1.Files[1].Name)
 		}
 	})
 	t.Run("valid set still merges", func(t *testing.T) {

@@ -16,11 +16,11 @@ import (
 
 // ReadOptions configures artifact decode.
 type ReadOptions struct {
-	// Cache, when non-nil, ingests the artifact's fpcache sidecar:
-	// each file's entry is written under its shipped key so later
-	// front-end runs over the same content hit instead of re-analyzing.
-	// Entries are written only after the whole artifact has verified and
-	// parsed — a corrupt artifact must not seed a "valid" cache entry.
+	// Cache, when non-nil, ingests the artifact's fpcache sidecar: each
+	// file's record is cached, so later front-end runs over the same
+	// content hit instead of re-analyzing. Entries are written only after
+	// the whole artifact has verified and parsed — a corrupt artifact
+	// must not seed a "valid" cache entry.
 	Cache *fpcache.Cache
 	// Metrics, when non-nil, receives stage.shard.stream and
 	// shard.stream.bytes observations.
@@ -71,10 +71,6 @@ func openFrame(data []byte) ([]byte, error) {
 	return body[:n], nil
 }
 
-// minSection is the least a file section takes: its name's length, the
-// content hash, the parse error's length and the graph's length.
-const minSection = 1 + sha256.Size + 1 + 1
-
 // readHeader reads a payload's preamble into a new artifact and returns
 // it with the number of file sections that follow.
 func readHeader(r *envelope.Reader) (*Artifact, int) {
@@ -89,31 +85,7 @@ func readHeader(r *envelope.Reader) (*Artifact, int) {
 		r.Fail(fmt.Errorf("unknown flags 0x%02x", flags))
 	}
 	a.Sidecar = flags&flagSidecar != 0
-	return a, r.Count(r.Uvarint(), minSection)
-}
-
-// section is one file's part of a payload, cut but not parsed. enc aliases
-// the payload: the graph's bytes, whose sha256 is the span hash the
-// incremental constraint builder keys flow blocks by. key and cost are
-// the fpcache sidecar fields, zero without one.
-type section struct {
-	meta FileMeta
-	key  [32]byte
-	cost time.Duration
-	enc  []byte
-}
-
-// readSection cuts the next file section; the cursor says whether it did.
-func readSection(r *envelope.Reader, sidecar bool) (s section) {
-	s.meta.Name = r.StringV()
-	copy(s.meta.SHA256[:], r.Take(sha256.Size))
-	s.meta.ParseError = r.StringV()
-	if sidecar {
-		copy(s.key[:], r.Take(len(s.key)))
-		s.cost = time.Duration(r.Uvarint())
-	}
-	s.enc = r.BytesV()
-	return s
+	return a, r.Count(r.Uvarint(), fpcache.MinRecordSize)
 }
 
 // ReadArtifact reads one artifact from src to its end, checks its frame
@@ -138,20 +110,19 @@ func ReadArtifact(src io.Reader, opts ReadOptions) (*Artifact, error) {
 	a.Files = make([]FileMeta, 0, n)
 	encs := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		s := readSection(r, a.Sidecar)
+		rec := fpcache.ReadRecord(r)
+		if r.Err() == nil && rec.Cost != 0 && !a.Sidecar {
+			r.Fail(fmt.Errorf("file %q has a cost but the artifact no sidecar", rec.Name))
+		}
 		if r.Err() != nil {
 			break
 		}
-		a.Files = append(a.Files, s.meta)
-		encs = append(encs, s.enc)
-		if a.Sidecar {
-			a.SidecarKeys = append(a.SidecarKeys, s.key)
-			a.SidecarCosts = append(a.SidecarCosts, s.cost)
-		}
+		a.Files = append(a.Files, newFileMeta(rec))
+		encs = append(encs, rec.Graph)
 		// A name out of order ends the walk as a cursor fault does; a graph
 		// fault in a section cut so far, this one included, comes before it.
-		if i > 0 && s.meta.Name <= a.Files[i-1].Name {
-			r.Fail(fmt.Errorf("manifest not in sorted order (%q after %q)", s.meta.Name, a.Files[i-1].Name))
+		if i > 0 && rec.Name <= a.Files[i-1].Name {
+			r.Fail(fmt.Errorf("manifest not in sorted order (%q after %q)", rec.Name, a.Files[i-1].Name))
 			break
 		}
 	}
@@ -163,16 +134,11 @@ func ReadArtifact(src io.Reader, opts ReadOptions) (*Artifact, error) {
 		return nil, fmt.Errorf("%w: %v", ErrEncoding, err)
 	}
 	a.FileGraphs = graphs
-	a.FileHashes = make([][32]byte, len(encs))
-	a.FileEvents = make([]int, len(encs))
-	for i, enc := range encs {
-		a.FileHashes[i] = sha256.Sum256(enc)
-		a.FileEvents[i] = len(graphs[i].Events)
-		// The whole artifact has verified and parsed; only now may sidecar
-		// entries become visible cache state.
-		if a.Sidecar && opts.Cache != nil {
-			entry := fpcache.EncodeRawEntry(enc, a.Files[i].ParseError, a.SidecarCosts[i])
-			if _, err := opts.Cache.PutRawKey(a.SidecarKeys[i], entry); err != nil {
+	// The whole artifact has verified and parsed; only now may sidecar
+	// entries become visible cache state.
+	if a.Sidecar && opts.Cache != nil {
+		for i := range a.Files {
+			if _, err := opts.Cache.PutRecord(&a.Files[i].Record); err != nil {
 				opts.Log.Log("shard.sidecar", "error", err)
 			}
 		}

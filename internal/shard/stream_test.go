@@ -32,10 +32,10 @@ func sectionBoundaries(t *testing.T, data []byte) []int64 {
 	}
 	r := envelope.NewReader(payload)
 	at := func() int64 { return int64(len(data) - checksumSize - len(r.Rest())) }
-	a, n := readHeader(r)
+	_, n := readHeader(r)
 	offs := []int64{at()}
 	for i := 0; i < n; i++ {
-		readSection(r, a.Sidecar)
+		fpcache.ReadRecord(r)
 		offs = append(offs, at())
 	}
 	if err := r.Close(); err != nil {
@@ -111,8 +111,13 @@ func TestStreamReaderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("streamDecode(good): %v", err)
 		}
-		if len(a.Files) != len(files) || len(a.FileHashes) != len(files) {
-			t.Fatalf("decoded %d files / %d hashes, want %d", len(a.Files), len(a.FileHashes), len(files))
+		if len(a.Files) != len(files) {
+			t.Fatalf("decoded %d files, want %d", len(a.Files), len(files))
+		}
+		for i := range a.Files {
+			if f := &a.Files[i]; f.GraphHash != sha256.Sum256(f.Graph) {
+				t.Fatalf("file %q: span hash is not its graph bytes' hash", f.Name)
+			}
 		}
 	})
 }
@@ -201,7 +206,7 @@ func TestSidecarIngest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildFromCorpus: %v", err)
 	}
-	art.AttachSidecar(files, fe)
+	art.Sidecar = true
 	data := art.Encode()
 
 	cache, err := fpcache.Open(filepath.Join(t.TempDir(), "fpc"))
@@ -213,8 +218,8 @@ func TestSidecarIngest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadArtifact: %v", err)
 	}
-	if !a.Sidecar || len(a.SidecarKeys) != len(a.Files) {
-		t.Fatalf("sidecar not decoded: %v, %d keys", a.Sidecar, len(a.SidecarKeys))
+	if !a.Sidecar {
+		t.Fatal("sidecar not decoded")
 	}
 	if n, err := cache.Len(); err != nil || n != len(files) {
 		t.Fatalf("ingested %d cache entries (%v), want %d", n, err, len(files))
@@ -259,17 +264,24 @@ func TestSidecarIngest(t *testing.T) {
 func bigSidecarSlice(t *testing.T) *Artifact {
 	t.Helper()
 	files := testFiles(t, 400)
-	art, fe, err := BuildFromCorpus(files, 0, 1, core.Config{Workers: 1})
+	art, _, err := BuildFromCorpus(files, 0, 1, core.Config{Workers: 1})
 	if err != nil {
 		t.Fatalf("BuildFromCorpus: %v", err)
 	}
-	art.AttachSidecar(files, fe)
+	art.Sidecar = true
 	return art
 }
 
+// sameFile reports whether two manifest entries are equal field for
+// field.
+func sameFile(a, b FileMeta) bool {
+	return a.Name == b.Name && a.Source == b.Source && a.ParseError == b.ParseError &&
+		a.Cost == b.Cost && bytes.Equal(a.Graph, b.Graph) && a.GraphHash == b.GraphHash
+}
+
 // TestReadArtifactAcrossProcs holds the section-parallel reader to the
-// one-goroutine answer: the same manifest, span hashes, event counts,
-// sidecar fields and per-file graphs at GOMAXPROCS 1, 2 and 8, and an
+// one-goroutine answer: the same manifest, span hashes, costs and
+// per-file graphs at GOMAXPROCS 1, 2 and 8, and an
 // artifact that encodes back to the bytes it was read from.
 func TestReadArtifactAcrossProcs(t *testing.T) {
 	want := bigSidecarSlice(t)
@@ -281,9 +293,7 @@ func TestReadArtifactAcrossProcs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if !slices.Equal(got.Files, want.Files) || !slices.Equal(got.FileHashes, want.FileHashes) ||
-			!slices.Equal(got.FileEvents, want.FileEvents) || !got.Sidecar ||
-			!slices.Equal(got.SidecarKeys, want.SidecarKeys) || !slices.Equal(got.SidecarCosts, want.SidecarCosts) {
+		if !slices.EqualFunc(got.Files, want.Files, sameFile) || !got.Sidecar {
 			t.Errorf("GOMAXPROCS=%d: manifest, span or sidecar fields differ from the built artifact's", procs)
 		}
 		if len(got.FileGraphs) != len(want.FileGraphs) {

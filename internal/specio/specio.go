@@ -187,21 +187,13 @@ func FingerprintStore(s *spec.Spec, meta Meta) (string, error) {
 	return fmt.Sprintf("sha256:%x", sum[:]), nil
 }
 
-// FileHash returns the sha256 of one file's content, hex-encoded — the
-// per-file leaf the corpus fingerprint is built from. Shard manifests
-// carry these hashes so a distributed coordinator can reproduce the
-// corpus fingerprint without ever seeing the file contents.
-func FileHash(content string) string {
-	sum := sha256.Sum256([]byte(content))
-	return fmt.Sprintf("%x", sum[:])
-}
-
 // Fingerprint hashes a corpus (name → source) into a stable identifier.
-// It is Merkle-shaped: sha256 over length-prefixed (name, FileHash)
-// pairs in sorted name order — a pure function of the corpus contents,
-// independent of map iteration order, and composable from per-file
-// hashes alone (see FingerprintHashes), which is what lets a shard
-// coordinator stamp the same fingerprint a single-process run would.
+// It is Merkle-shaped: sha256 over length-prefixed (name, hex sha256 of
+// the content) pairs in sorted name order — a pure function of the
+// corpus contents, independent of map iteration order, and composable
+// from per-file hashes alone (see FingerprintHashes), which is what lets
+// a shard coordinator stamp the same fingerprint a single-process run
+// would.
 func Fingerprint(files map[string]string) string {
 	names := make([]string, 0, len(files))
 	for n := range files {
@@ -210,16 +202,16 @@ func Fingerprint(files map[string]string) string {
 	sort.Strings(names)
 	hashes := make([]string, len(names))
 	for i, n := range names {
-		hashes[i] = FileHash(files[n])
+		hashes[i] = fmt.Sprintf("%x", sha256.Sum256([]byte(files[n])))
 	}
 	return FingerprintHashes(names, hashes)
 }
 
 // FingerprintHashes computes the corpus fingerprint from (name, hash)
-// pairs, where hashes[i] = FileHash of names[i]'s content and names are
-// in sorted order. Fingerprint(files) == FingerprintHashes over the
-// same corpus — the equality the distributed determinism oracle rests
-// on.
+// pairs, where hashes[i] is the hex sha256 of names[i]'s content and
+// names are in sorted order. Fingerprint(files) == FingerprintHashes over
+// the same corpus — the equality the distributed determinism oracle
+// rests on.
 func FingerprintHashes(names, hashes []string) string {
 	h := sha256.New()
 	var lenBuf [8]byte
