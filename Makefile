@@ -32,12 +32,13 @@ fixtures:
 	UPDATE_GOLDEN=1 $(GO) test -run '^TestFlowCacheFixtureRoundTrip$$' ./internal/constraints
 
 # loc prints the four sizes every CHANGES.md entry reports (ROADMAP
-# Conventions): non-test and test Go lines outside bench/ (so that a move
-# into _test.go shows as a move), flag registrations under cmd/, and the
-# number of binaries.
+# Conventions): non-test and test Go lines outside bench/ and testdata/
+# (so that a move into _test.go shows as a move, and a test's fixture
+# module counts as neither), flag registrations under cmd/, and the number
+# of binaries.
 loc:
-	@printf 'non-test Go lines outside bench/: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
-	@printf 'test Go lines outside bench/:     %s\n' "$$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@printf 'non-test Go lines outside bench/: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf 'test Go lines outside bench/:     %s\n' "$$(find . -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'flag registrations under cmd/:    %s\n' "$$(grep -rhoE '\b(flag|fs)\.(String|Int|Int64|Bool|Float64|Duration)(Var)?\(' cmd --include='*.go' | wc -l)"
 	@printf 'binaries (ls cmd):                %s\n' "$$(ls cmd | wc -l)"
 

@@ -133,7 +133,7 @@ func corpusFileGraphs(nFiles, eventsPerFile int) []*propgraph.Graph {
 	graphs := make([]*propgraph.Graph, nFiles)
 	kinds := []propgraph.EventKind{propgraph.KindCall, propgraph.KindRead, propgraph.KindParam}
 	for f := range graphs {
-		gb := propgraph.NewBuilder()
+		gb := new(propgraph.Builder)
 		for i := 0; i < eventsPerFile; i++ {
 			var reps []string
 			switch i % 4 {
@@ -172,7 +172,7 @@ func corpusFileGraphs(nFiles, eventsPerFile int) []*propgraph.Graph {
 // span of each file.
 func flowFixture() (*propgraph.Graph, []Span) {
 	chain := func(file string, n int, cyclic bool) *propgraph.Graph {
-		gb := propgraph.NewBuilder()
+		gb := new(propgraph.Builder)
 		for i := 0; i < n; i++ {
 			gb.AddEvent(propgraph.KindCall, file, pytoken.Pos{Line: i + 1},
 				[]string{fmt.Sprintf("shared.helper%d()", i%3), fmt.Sprintf("api%d()", i%11)})
@@ -189,7 +189,7 @@ func flowFixture() (*propgraph.Graph, []Span) {
 	graphs[3] = chain("big.py", flowFixtureMaxComponent+30, false)
 	graphs[11] = chain("cycle.py", 6, true)
 	graphs[12] = chain("one.py", 1, false)
-	graphs[20] = propgraph.NewBuilder().Build()
+	graphs[20] = new(propgraph.Builder).Build()
 	graphs[39] = chain("pair.py", 2, false)
 	spans := make([]Span, len(graphs))
 	at := 0
@@ -320,7 +320,7 @@ func TestBuildWorkersBitwiseIdentical(t *testing.T) {
 // name). With cutoff 2, a single event repeating "dup()" keeps it; a
 // single "once()" occurrence is cut.
 func TestBuildCountsRepOccurrences(t *testing.T) {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 1},
 		[]string{"dup()", "dup()"})
 	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 2},

@@ -11,7 +11,7 @@ import (
 )
 
 func chainGraph(reps ...string) *propgraph.Graph {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	prev := -1
 	for _, r := range reps {
 		e := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 1}, []string{r})
@@ -113,7 +113,7 @@ func TestInferSourceBeforeSanitizerAndSink(t *testing.T) {
 }
 
 func TestReadEventsOnlySourceCandidates(t *testing.T) {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	read := gb.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"x.y"})
 	call := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"f()"})
 	gb.AddEdge(read, call)
@@ -128,7 +128,7 @@ func TestReadEventsOnlySourceCandidates(t *testing.T) {
 }
 
 func TestBackoffAveraging(t *testing.T) {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	e1 := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"a.b.f()", "b.f()"})
 	snk := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"sink()"})
 	san := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"san()"})
@@ -163,7 +163,7 @@ func TestBackoffAveraging(t *testing.T) {
 }
 
 func TestFrequencyCutoff(t *testing.T) {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	// "rare()" occurs once, "common()" five times.
 	for i := 0; i < 5; i++ {
 		gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"common()"})
@@ -266,7 +266,7 @@ def media():
 }
 
 func TestWeakComponents(t *testing.T) {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	for i := 0; i < 5; i++ {
 		gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"e()"})
 	}
@@ -303,7 +303,7 @@ func TestCyclicGraphSupported(t *testing.T) {
 	// A cycle src -> mid -> back -> mid ... -> sink: reachability must be
 	// computed by the fixpoint fallback, and the Fig. 4c constraint must
 	// still let the solver infer the sanitizer between seeded endpoints.
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	src := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"src()"})
 	mid := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"mid()"})
 	back := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"back()"})

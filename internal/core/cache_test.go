@@ -11,6 +11,7 @@ import (
 
 	"seldon/internal/constraints"
 	"seldon/internal/corpus"
+	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 	"seldon/internal/obs"
 	"seldon/internal/spec"
@@ -148,12 +149,16 @@ func TestCorpusEvolution(t *testing.T) {
 // repaired entry.
 func TestCorruptedEntryFallsBackToAnalysis(t *testing.T) {
 	files := parallelCorpus()
-	cache := openCache(t)
+	dir := t.TempDir()
+	cache, err := fpcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{Workers: 2, Cache: cache}
 	base := AnalyzeFiles(files, Config{Workers: 1})
 	AnalyzeFiles(files, cfg) // populate
 
-	paths, err := filepath.Glob(filepath.Join(cache.Dir(), "*.fpc"))
+	paths, err := filepath.Glob(filepath.Join(dir, "*.fpc"))
 	if err != nil || len(paths) != len(files) {
 		t.Fatalf("cache entries = %d (err %v), want %d", len(paths), err, len(files))
 	}
@@ -218,5 +223,26 @@ func TestAnalyzeFilesCacheTelemetry(t *testing.T) {
 	// record zero observations.
 	if warm.Timers[obs.FileParse].Count != 0 {
 		t.Errorf("warm %s count = %d, want 0", obs.FileParse, warm.Timers[obs.FileParse].Count)
+	}
+}
+
+// TestStaleEntriesLeaveOnOpen runs a 60-file front end over a cache
+// directory that already holds an entry another codec version wrote:
+// the directory ends with exactly the run's 60 entries.
+func TestStaleEntriesLeaveOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	stale := envelope.Seal([]byte("SFPC\x02 written by another codec version"))
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%064x.fpc", 2)), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := fpcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := corpus.Generate(corpus.Config{Files: 60, Seed: 1}).FileMap()
+	AnalyzeFiles(files, Config{Workers: 2, Cache: cache})
+	paths, err := filepath.Glob(filepath.Join(dir, "*.fpc"))
+	if err != nil || len(files) != 60 || len(paths) != 60 {
+		t.Fatalf("%d .fpc files after a %d-file run (err %v), want 60", len(paths), len(files), err)
 	}
 }

@@ -77,7 +77,7 @@ func TestEmptySeedPredictsNothing(t *testing.T) {
 func TestBackoffDecaySelection(t *testing.T) {
 	// An event whose first backoff option scores below threshold but whose
 	// second scores above it must still be selected — discounted by 0.8.
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	ev := gb.AddEvent(propgraph.KindCall, "t.py", pos(), []string{"a.f()", "f()"})
 	g := gb.Build()
 	_ = ev
@@ -102,7 +102,7 @@ func TestBackoffDecaySelection(t *testing.T) {
 }
 
 func TestBackoffDecayRejectsWeakDeepOptions(t *testing.T) {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	gb.AddEvent(propgraph.KindCall, "t.py", pos(), []string{"a.f()", "f()"})
 	g := gb.Build()
 	res := &Result{System: mustSystem(g)}

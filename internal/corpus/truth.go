@@ -13,9 +13,6 @@ import (
 // specifications can be scored exactly.
 type Truth struct {
 	roles map[string]propgraph.RoleSet
-	// known marks every representation that belongs to the catalog at
-	// all, including the role-less noise APIs.
-	known map[string]bool
 	// sourcePatterns are glob rules granting the source role to families
 	// of representations, e.g. every Django view's request parameter.
 	sourcePatterns []spec.Pattern
@@ -25,21 +22,17 @@ type Truth struct {
 func NewTruth() *Truth {
 	t := &Truth{
 		roles: make(map[string]propgraph.RoleSet),
-		known: make(map[string]bool),
 	}
-	add := func(rep string, role propgraph.Role, hasRole bool) {
+	add := func(rep string, role propgraph.Role) {
 		for _, suffix := range repSuffixes(rep) {
-			t.known[suffix] = true
-			if hasRole {
-				t.roles[suffix] = t.roles[suffix].With(role)
-			}
+			t.roles[suffix] = t.roles[suffix].With(role)
 		}
 	}
 	for _, a := range sourceAPIs {
-		add(a.rep, a.role, true)
+		add(a.rep, a.role)
 	}
 	for _, a := range djangoSourceAPIs {
-		add(a.rep, a.role, true)
+		add(a.rep, a.role)
 	}
 	// Django's request parameter and anything read off it is
 	// attacker-controlled, whichever view it appears in.
@@ -52,19 +45,16 @@ func NewTruth() *Truth {
 		spec.CompilePattern("request.body*"),
 	)
 	for _, a := range sanitizerAPIs {
-		add(a.rep, a.role, true)
+		add(a.rep, a.role)
 	}
 	for _, a := range sinkAPIs {
-		add(a.rep, a.role, true)
-	}
-	for _, a := range noneAPIs {
-		add(a.rep, 0, false)
+		add(a.rep, a.role)
 	}
 	// Prefixes of catalog sources that are themselves user-controlled
 	// data (reading request.files['f'] is as attacker-controlled as
 	// reading its .filename).
-	add("flask.request.files['f']", propgraph.Source, true)
-	add("bottle.request.query", propgraph.Source, true)
+	add("flask.request.files['f']", propgraph.Source)
+	add("bottle.request.query", propgraph.Source)
 	return t
 }
 
@@ -96,12 +86,6 @@ func (t *Truth) HasRole(rep string, role propgraph.Role) bool {
 	}
 	return false
 }
-
-// RolesOf returns the true roles of rep (0 when unknown or role-less).
-func (t *Truth) RolesOf(rep string) propgraph.RoleSet { return t.roles[rep] }
-
-// Known reports whether rep belongs to the catalog at all.
-func (t *Truth) Known(rep string) bool { return t.known[rep] }
 
 // SeededReps returns the catalog reps marked as present in the paper's
 // seed, useful for building the experiment seed specification.

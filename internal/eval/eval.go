@@ -1,7 +1,7 @@
 // Package eval scores learned specifications and taint reports against the
 // corpus ground truth, reproducing the paper's evaluation protocol:
-// random samples of 50 predictions per role for precision (Q2), cumulative
-// score/precision curves (Fig. 11), and the report taxonomy of Table 6.
+// random samples of 50 predictions per role for precision (Q2), recall
+// over the learnable representations, and the report taxonomy of Table 6.
 package eval
 
 import (
@@ -111,47 +111,6 @@ func MeasureRecall(entries []spec.Entry, learnable map[string]propgraph.Role) Re
 	return r
 }
 
-// ScoredSample is one point of a Fig. 11 curve.
-type ScoredSample struct {
-	Rep          string
-	Score        float64
-	Correct      bool
-	CumPrecision float64 // precision over this and all higher-scored samples
-}
-
-// ScoreCurve draws up to n random predictions of a role, sorts them by
-// descending score, and computes cumulative precision (Fig. 11).
-func ScoreCurve(entries []spec.Entry, truth *corpus.Truth, role propgraph.Role, n int, seed int64) []ScoredSample {
-	rng := rand.New(rand.NewSource(seed))
-	var pool []spec.Entry
-	for _, e := range entries {
-		if e.Role == role {
-			pool = append(pool, e)
-		}
-	}
-	idx := rng.Perm(len(pool))
-	if len(idx) > n {
-		idx = idx[:n]
-	}
-	samples := make([]ScoredSample, 0, len(idx))
-	for _, i := range idx {
-		samples = append(samples, ScoredSample{
-			Rep:     pool[i].Rep,
-			Score:   pool[i].Score,
-			Correct: truth.HasRole(pool[i].Rep, role),
-		})
-	}
-	sort.SliceStable(samples, func(i, j int) bool { return samples[i].Score > samples[j].Score })
-	correct := 0
-	for i := range samples {
-		if samples[i].Correct {
-			correct++
-		}
-		samples[i].CumPrecision = float64(correct) / float64(i+1)
-	}
-	return samples
-}
-
 // Category is a Table 6 report class.
 type Category string
 
@@ -165,14 +124,6 @@ const (
 	MissingSanitizer  Category = "missing sanitizer"
 	WrongParameter    Category = "flows into wrong parameter"
 )
-
-// Categories lists the Table 6 rows in presentation order.
-func Categories() []Category {
-	return []Category{
-		TrueVulnerability, VulnFlowNoBug, IncorrectSink, IncorrectSource,
-		IncorrectBoth, MissingSanitizer, WrongParameter,
-	}
-}
 
 // ClassifyReport assigns a taint report to its Table 6 category using the
 // generated flow records and the role oracle.
@@ -225,17 +176,4 @@ func ClassifySample(reports []taint.Report, flows []corpus.Flow, truth *corpus.T
 		out[ClassifyReport(&reports[i], flows, truth)]++
 	}
 	return out
-}
-
-// EstimateTrueVulnerabilities scales the sampled true-positive rate to the
-// full report count (Table 7's "estimated vulnerabilities").
-func EstimateTrueVulnerabilities(total int, sampleCounts map[Category]int) int {
-	sampled := 0
-	for _, c := range sampleCounts {
-		sampled += c
-	}
-	if sampled == 0 {
-		return 0
-	}
-	return total * sampleCounts[TrueVulnerability] / sampled
 }

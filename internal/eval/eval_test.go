@@ -44,29 +44,6 @@ func TestSamplePrecisionRespectsSampleSize(t *testing.T) {
 	}
 }
 
-func TestScoreCurveSortedAndCumulative(t *testing.T) {
-	truth := corpus.NewTruth()
-	entries := []spec.Entry{
-		{Rep: "webapi.get_param()", Role: propgraph.Source, Score: 0.9},
-		{Rep: "metrics.observe()", Role: propgraph.Source, Score: 0.5},
-		{Rep: "bottle.request.query.get()", Role: propgraph.Source, Score: 0.7},
-	}
-	curve := ScoreCurve(entries, truth, propgraph.Source, 10, 1)
-	if len(curve) != 3 {
-		t.Fatalf("curve = %d points", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Score > curve[i-1].Score {
-			t.Error("curve not sorted by descending score")
-		}
-	}
-	// First two are correct sources, third is noise: cumulative precision
-	// must be 1, 1, 2/3.
-	if curve[0].CumPrecision != 1 || curve[2].CumPrecision < 0.66 || curve[2].CumPrecision > 0.67 {
-		t.Errorf("cumulative = %v %v %v", curve[0].CumPrecision, curve[1].CumPrecision, curve[2].CumPrecision)
-	}
-}
-
 func classifyOne(t *testing.T, r taint.Report, flows []corpus.Flow) Category {
 	t.Helper()
 	return ClassifyReport(&r, flows, corpus.NewTruth())
@@ -114,34 +91,6 @@ func TestClassifyReportCategories(t *testing.T) {
 	bad3 := taint.Report{File: "x.py", SourceRep: "clock.now_iso()", SinkRep: "metrics.observe()"}
 	if got := classifyOne(t, bad3, flows); got != IncorrectBoth {
 		t.Errorf("incorrect both = %q", got)
-	}
-}
-
-func TestClassifySampleAndEstimate(t *testing.T) {
-	flows := []corpus.Flow{
-		{File: "a.py", SourceRep: "flask.request.args.get()", SinkRep: "os.system()", Exploitable: true},
-	}
-	var reports []taint.Report
-	for i := 0; i < 10; i++ {
-		reports = append(reports, taint.Report{
-			File: "a.py", SourceRep: "flask.request.args.get()", SinkRep: "os.system()",
-		})
-	}
-	counts := ClassifySample(reports, flows, corpus.NewTruth(), 5, 1)
-	if counts[TrueVulnerability] != 5 {
-		t.Errorf("counts = %v", counts)
-	}
-	if est := EstimateTrueVulnerabilities(len(reports), counts); est != 10 {
-		t.Errorf("estimate = %d, want 10", est)
-	}
-	if est := EstimateTrueVulnerabilities(0, map[Category]int{}); est != 0 {
-		t.Errorf("empty estimate = %d", est)
-	}
-}
-
-func TestCategoriesComplete(t *testing.T) {
-	if len(Categories()) != 7 {
-		t.Errorf("categories = %d, want 7 (Table 6 rows)", len(Categories()))
 	}
 }
 

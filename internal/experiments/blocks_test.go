@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"seldon/internal/corpus"
-	"seldon/internal/eval"
 	"seldon/internal/propgraph"
 	"seldon/internal/taint"
 )
@@ -25,7 +24,7 @@ type results struct {
 	t6        Table6
 	t7        Table7
 	fig10     []Fig10Point
-	fig11     map[propgraph.Role][]eval.ScoredSample
+	fig11     map[propgraph.Role][]ScoredSample
 	q5        []Q5Project
 	q6        []Q6Row
 	q7        Q7
@@ -139,7 +138,7 @@ var (
 	// Table 5, sources, sanitizers, sinks, any.
 	paperTable5         = [4]string{"4,384 at 72.0%", "1,646 at 58.0%", "866 at 56.0%", "6,896 at 66.6%"}
 	paperTable5Fraction = "3.27%"
-	// Table 6, seed / inferred, in eval.Categories order.
+	// Table 6, seed / inferred, in categories order.
 	paperTable6 = [7]string{"24% / 28%", "28% / 12%", "0% / 24%", "0% / 8%", "0% / 8%", "40% / 8%", "8% / 12%"}
 	paperTable7 = [3]string{"662 / 21,318", "192 / 2,409", "159 / 5,969"}
 	// Q7 / App. C: exploited vulnerabilities by class; the paper has no
@@ -244,11 +243,11 @@ func (r *results) table6() string {
 	var m md
 	m.table("Reason", "Paper seed / inferred", "Seed spec", "Inferred spec")
 	seedTotal, infTotal := 0, 0
-	for _, cat := range eval.Categories() {
+	for _, cat := range categories() {
 		seedTotal += r.t6.Seed[cat]
 		infTotal += r.t6.Inferred[cat]
 	}
-	for i, cat := range eval.Categories() {
+	for i, cat := range categories() {
 		m.row(string(cat), paperTable6[i], ratio(r.t6.Seed[cat], seedTotal), ratio(r.t6.Inferred[cat], infTotal))
 	}
 	m.WriteString("\n")

@@ -17,7 +17,7 @@ import (
 // is qualified by kind, so a read and a call never merge. Candidate roles
 // of merged events accumulate, and the labels of merged edges join.
 func collapse(g *propgraph.Graph) *propgraph.Graph {
-	b := propgraph.NewBuilder()
+	b := new(propgraph.Builder)
 	classOf := make([]int, len(g.Events))
 	byRep := make(map[uint64]int)
 	var roles []propgraph.RoleSet
@@ -60,7 +60,7 @@ func addEv(b *propgraph.Builder, kind propgraph.EventKind, reps ...string) int {
 func TestCollapseMergesEqualReps(t *testing.T) {
 	// Paper Fig. 8: two san() events with the same representation merge,
 	// creating a spurious source -> sink path in the collapsed graph.
-	b := propgraph.NewBuilder()
+	b := new(propgraph.Builder)
 	src := addEv(b, propgraph.KindCall, "src()")
 	san1 := addEv(b, propgraph.KindCall, "san()")
 	san2 := addEv(b, propgraph.KindCall, "san()")
@@ -93,7 +93,7 @@ func TestCollapseMergesEqualReps(t *testing.T) {
 }
 
 func TestCollapseKeepsKindsSeparate(t *testing.T) {
-	b := propgraph.NewBuilder()
+	b := new(propgraph.Builder)
 	addEv(b, propgraph.KindCall, "x.y")
 	addEv(b, propgraph.KindRead, "x.y")
 	c := collapse(b.Build())
@@ -107,7 +107,7 @@ func TestCollapseKeepsKindsSeparate(t *testing.T) {
 func TestCollapsePreservesReachabilityProperty(t *testing.T) {
 	f := func(edges []uint8, nEvents uint8) bool {
 		n := int(nEvents%12) + 2
-		b := propgraph.NewBuilder()
+		b := new(propgraph.Builder)
 		for i := 0; i < n; i++ {
 			// Reps chosen from a small pool to force merges.
 			addEv(b, propgraph.KindCall, []string{"a()", "b()", "c()", "d()"}[i%4])
@@ -151,7 +151,7 @@ func TestCollapsePreservesReachabilityProperty(t *testing.T) {
 }
 
 func TestCollapsePreservesLabels(t *testing.T) {
-	b := propgraph.NewBuilder()
+	b := new(propgraph.Builder)
 	a1 := addEv(b, propgraph.KindCall, "a()")
 	a2 := addEv(b, propgraph.KindCall, "a()")
 	s := addEv(b, propgraph.KindCall, "sink()")

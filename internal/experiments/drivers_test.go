@@ -353,7 +353,7 @@ func (e *Experiments) RunTable7() Table7 {
 		return Table7Column{
 			Reports:       len(reports),
 			Projects:      len(projects),
-			EstimatedVuln: eval.EstimateTrueVulnerabilities(len(reports), counts),
+			EstimatedVuln: estimateTrueVulnerabilities(len(reports), counts),
 		}
 	}
 	return Table7{Seed: column(e.seedReports), Inferred: column(e.learnedReports)}
@@ -386,11 +386,11 @@ func (e *Experiments) RunFig10(sizes []int) []Fig10Point {
 
 // RunFig11 samples sampleN predictions per role and computes the paper's
 // score/cumulative-precision curves, one per role.
-func (e *Experiments) RunFig11() map[propgraph.Role][]eval.ScoredSample {
+func (e *Experiments) RunFig11() map[propgraph.Role][]ScoredSample {
 	entries := e.Learned.LearnedEntries(e.Seed)
-	out := make(map[propgraph.Role][]eval.ScoredSample)
+	out := make(map[propgraph.Role][]ScoredSample)
 	for _, role := range propgraph.Roles() {
-		out[role] = eval.ScoreCurve(entries, e.Corpus.Truth, role, sampleN, evalSeed)
+		out[role] = scoreCurve(entries, e.Corpus.Truth, role, sampleN, evalSeed)
 	}
 	return out
 }
@@ -481,7 +481,7 @@ func (e *Experiments) RunQ6() []Q6Row {
 		s    *spec.Spec
 	}{
 		{"full seed", e.Seed},
-		{"half seed", e.Seed.Halve()},
+		{"half seed", halve(e.Seed)},
 		{"empty seed", emptyWithBlacklist(e.Seed)},
 	}
 	var out []Q6Row

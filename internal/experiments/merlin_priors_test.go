@@ -12,7 +12,7 @@ func TestSanitizerPriorReflectsFlowFraction(t *testing.T) {
 	// Event m1 sits on a source→sink path (high prior); event m2 hangs
 	// off to the side with no sink downstream (low prior). With no seed
 	// at all, the priors alone separate their sanitizer marginals.
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	src := gb.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"in.data"})
 	m1 := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"m1()"})
 	snk := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"snk()"})
@@ -55,7 +55,7 @@ func TestSeedHardPriorWinsOverFlowEvidence(t *testing.T) {
 }
 
 func TestEventsWithoutRepsIgnored(t *testing.T) {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, nil)
 	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"f()"})
 	g := gb.Build()

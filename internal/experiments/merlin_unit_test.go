@@ -11,7 +11,7 @@ import (
 )
 
 func chain(reps ...string) *propgraph.Graph {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	prev := -1
 	for _, r := range reps {
 		e := gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{Line: 1}, []string{r})
@@ -74,7 +74,7 @@ func TestDownstreamRoleSuppression(t *testing.T) {
 }
 
 func TestCandidateCounts(t *testing.T) {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	gb.AddEvent(propgraph.KindCall, "t.py", pytoken.Pos{}, []string{"a()"})
 	gb.AddEvent(propgraph.KindRead, "t.py", pytoken.Pos{}, []string{"x.y"})
 	gb.AddEvent(propgraph.KindParam, "t.py", pytoken.Pos{}, []string{"f(param p)"})

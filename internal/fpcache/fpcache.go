@@ -11,10 +11,12 @@
 // text both carry the file name — so a renamed file re-analyzes once
 // instead of replaying a stale name. Invalidation is therefore automatic:
 // editing a file, renaming it, or bumping AnalyzerVersion changes the key
-// and the old entry is simply never looked up again. Because the key needs
-// only a file's name and source hash, whoever holds a file's Record can
-// derive it: a shard coordinator seeds its cache from the records an
-// artifact carries without the worker shipping any key.
+// and the old entry is never looked up again. The directory's version
+// marker names the codec and AnalyzerVersion that wrote it; Open, finding
+// another one or none, removes every entry no current key can reach.
+// Because the key needs only a file's name and source hash, whoever holds
+// a file's Record can derive it: a shard coordinator seeds its cache from
+// the records an artifact carries without the worker shipping any key.
 //
 // Entry format: magic + codec version + the file's Record (name, source
 // hash, parse-error text, recorded analysis cost, propagation graph in
@@ -54,12 +56,16 @@ const AnalyzerVersion = "seldon-frontend-v1"
 const (
 	magic = "SFPC"
 	// codecVersion 3: the body is the file's Record, and the key is over
-	// the source's hash, so version-2 entries are never looked up again
-	// (-cache-clear sweeps them). An entry of another version is a miss,
-	// like any entry that does not decode.
+	// the source's hash. An entry of another version is a miss, like any
+	// entry that does not decode, and Open removes it.
 	codecVersion = 3
 	entrySuffix  = ".fpc"
+	markerName   = "VERSION"
 )
+
+// marker is what markerName holds in a directory whose entries the current
+// codec and AnalyzerVersion wrote.
+var marker = fmt.Sprintf("%s %d %s\n", magic, codecVersion, AnalyzerVersion)
 
 // Entry is one cached per-file front-end result.
 type Entry struct {
@@ -94,16 +100,53 @@ type Cache struct {
 	bytesRead, bytesWritten atomic.Int64
 }
 
-// Open prepares dir (creating it if needed) and returns a handle.
+// Open prepares dir (creating it if needed) and returns a handle. When
+// dir's version marker is missing or names another codec or
+// AnalyzerVersion, Open first removes every entry that no current key can
+// reach, then writes the current marker; when it matches, Open reads
+// nothing else.
 func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fpcache: %w", err)
 	}
-	return &Cache{dir: dir}, nil
+	c := &Cache{dir: dir}
+	if err := c.sweep(); err != nil {
+		return nil, fmt.Errorf("fpcache: %w", err)
+	}
+	return c, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
+// sweep removes the entries no current key can reach — written under
+// another codec or AnalyzerVersion, or not decoding at all — unless the
+// marker says the current version wrote the directory. It reads every
+// entry rather than clearing them all, so a handle of the current version
+// never removes another's entries, whichever of them wrote the marker.
+func (c *Cache) sweep() error {
+	path := filepath.Join(c.dir, markerName)
+	if b, err := os.ReadFile(path); err == nil && string(b) == marker {
+		return nil
+	}
+	des, err := os.ReadDir(c.dir)
+	if err != nil {
+		return err
+	}
+	for _, de := range des {
+		name := de.Name()
+		if !strings.HasSuffix(name, entrySuffix) {
+			continue
+		}
+		entry := filepath.Join(c.dir, name)
+		if data, err := os.ReadFile(entry); err == nil {
+			if rec, err := readEntry(data); err == nil && key(rec.Name, rec.Source)+entrySuffix == name {
+				continue
+			}
+		}
+		if err := os.Remove(entry); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return envelope.WriteFile(path, []byte(marker))
+}
 
 // key derives the content address of a file's record under the current
 // AnalyzerVersion.
@@ -140,20 +183,30 @@ func appendEntry(rec *Record) []byte {
 	return envelope.Seal(buf)
 }
 
-// decodeEntry parses and validates an on-disk entry: its record and the
-// record's graph, decoded.
-func decodeEntry(data []byte) (Record, *Entry, error) {
+// readEntry checks an on-disk entry's frame and codec version and reads
+// its record, the graph left encoded.
+func readEntry(data []byte) (Record, error) {
 	body, err := envelope.Open(data, magic)
 	if err != nil {
-		return Record{}, nil, fmt.Errorf("fpcache: %w", err)
+		return Record{}, fmt.Errorf("fpcache: %w", err)
 	}
 	r := envelope.NewReader(body)
 	if ver := r.Uvarint(); r.Err() == nil && ver != codecVersion {
-		return Record{}, nil, fmt.Errorf("fpcache: unsupported codec version %d", ver)
+		return Record{}, fmt.Errorf("fpcache: unsupported codec version %d", ver)
 	}
 	rec := ReadRecord(r)
 	if err := r.Close(); err != nil {
-		return Record{}, nil, fmt.Errorf("fpcache: entry: %w", err)
+		return Record{}, fmt.Errorf("fpcache: entry: %w", err)
+	}
+	return rec, nil
+}
+
+// decodeEntry parses and validates an on-disk entry: its record and the
+// record's graph, decoded.
+func decodeEntry(data []byte) (Record, *Entry, error) {
+	rec, err := readEntry(data)
+	if err != nil {
+		return Record{}, nil, err
 	}
 	g, tail, err := propgraph.DecodeBinary(rec.Graph)
 	if err != nil {
@@ -213,7 +266,8 @@ func (c *Cache) PutRecord(rec *Record) (int64, error) {
 }
 
 // Clear removes every cache entry (and any abandoned temp file) from
-// the directory, leaving the directory itself in place.
+// the directory, leaving the directory itself and its version marker in
+// place.
 func (c *Cache) Clear() error {
 	des, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -228,21 +282,6 @@ func (c *Cache) Clear() error {
 		}
 	}
 	return nil
-}
-
-// Len counts the entries currently on disk.
-func (c *Cache) Len() (int, error) {
-	des, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	n := 0
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), entrySuffix) {
-			n++
-		}
-	}
-	return n, nil
 }
 
 // Stats snapshots the handle's hit/miss/byte counters (cumulative since

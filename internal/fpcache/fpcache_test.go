@@ -5,10 +5,12 @@ import (
 	"crypto/sha256"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"seldon/internal/dataflow"
+	"seldon/internal/envelope"
 )
 
 const testSrc = `from flask import request
@@ -35,6 +37,21 @@ func openTemp(t *testing.T) *Cache {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// Len counts the entries currently on disk.
+func (c *Cache) Len() (int, error) {
+	des, err := os.ReadDir(c.dir)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, de := range des {
+		if strings.HasSuffix(de.Name(), entrySuffix) {
+			n++
+		}
+	}
+	return n, nil
 }
 
 func TestKeyDerivation(t *testing.T) {
@@ -95,7 +112,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 // corrupt applies fn to the single entry file in the cache directory.
 func corrupt(t *testing.T, c *Cache, fn func([]byte) []byte) {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(c.Dir(), "*"+entrySuffix))
+	paths, err := filepath.Glob(filepath.Join(c.dir, "*"+entrySuffix))
 	if err != nil || len(paths) != 1 {
 		t.Fatalf("entry files = %v (err %v), want exactly one", paths, err)
 	}
@@ -210,7 +227,7 @@ func TestClear(t *testing.T) {
 		}
 	}
 	// A stray temp file from a crashed writer is cleaned up too.
-	if err := os.WriteFile(filepath.Join(c.Dir(), ".0123.fpc.tmp-stray"), []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(c.dir, ".0123.fpc.tmp-stray"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Clear(); err != nil {
@@ -219,8 +236,8 @@ func TestClear(t *testing.T) {
 	if n, err := c.Len(); err != nil || n != 0 {
 		t.Fatalf("Len after Clear = %d, %v", n, err)
 	}
-	if des, _ := os.ReadDir(c.Dir()); len(des) != 0 {
-		t.Errorf("directory not empty after Clear: %v", des)
+	if des, _ := os.ReadDir(c.dir); len(des) != 1 || des[0].Name() != markerName {
+		t.Errorf("directory holds more than its version marker after Clear: %v", des)
 	}
 	if _, ok := c.Get("a.py", testSrc); ok {
 		t.Error("hit after Clear")
@@ -238,5 +255,86 @@ func TestOpenCreatesNestedDir(t *testing.T) {
 	}
 	if _, ok := c.Get("app.py", testSrc); !ok {
 		t.Fatal("miss in freshly created nested dir")
+	}
+}
+
+// TestOpenRemovesUnreachableEntries puts beside a current entry one that
+// another codec version wrote and one filed under a key another
+// AnalyzerVersion derived: Open removes exactly the two, and once the
+// marker is current, Open reads nothing and removes nothing.
+func TestOpenRemovesUnreachableEntries(t *testing.T) {
+	dir := t.TempDir()
+	rec := Record{Name: "app.py", Source: sha256.Sum256([]byte(testSrc)), Graph: testEntry(t).Graph.AppendBinary(nil)}
+	current := key(rec.Name, rec.Source) + entrySuffix
+	if err := os.WriteFile(filepath.Join(dir, current), appendEntry(&rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other := rec
+	other.Name = "b.py"
+	stale := map[string][]byte{
+		strings.Repeat("0", 64) + entrySuffix:       appendEntry(&rec),
+		key(other.Name, other.Source) + entrySuffix: envelope.Seal(AppendRecord(append([]byte(magic), codecVersion-1), &other)),
+	}
+	for name, data := range stale {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Len(); err != nil || n != 1 {
+		t.Fatalf("Len after Open = %d, %v; want the one current entry", n, err)
+	}
+	if _, ok := c.Get("app.py", testSrc); !ok {
+		t.Fatal("Open removed the current entry")
+	}
+	for name, data := range stale {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Len(); err != nil || n != 3 {
+		t.Fatalf("Len after an Open under a current marker = %d, %v; want 3", n, err)
+	}
+}
+
+// TestHandlesOfOneVersionKeepEachOthersEntries opens two handles on one
+// directory, the second as if it had raced the first to a directory
+// without a marker: neither removes what the other wrote.
+func TestHandlesOfOneVersionKeepEachOthersEntries(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Put("a.py", testSrc, testEntry(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, markerName)); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Put("b.py", testSrc, testEntry(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Get("a.py", testSrc); !ok {
+		t.Error("the second handle's Open removed the first's entry")
+	}
+	if _, ok := a.Get("b.py", testSrc); !ok {
+		t.Error("the first handle misses the second's entry")
+	}
+	if n, err := a.Len(); err != nil || n != 2 {
+		t.Errorf("Len = %d, %v; want 2", n, err)
 	}
 }

@@ -152,7 +152,7 @@ var tinyPool = []string{"src()", "san()", "snk()", "a()", "b()", "c()", "d()", "
 // chain is a file whose events call the given names in order, each
 // flowing into the next; with labels every edge carries some.
 func chain(file string, labels bool, names ...string) *propgraph.Graph {
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	for i, n := range names {
 		gb.AddEvent(propgraph.KindCall, file, pytoken.Pos{Line: i + 1}, []string{"pkg." + n, n})
 	}
@@ -178,7 +178,7 @@ func chain(file string, labels bool, names ...string) *propgraph.Graph {
 // unlabeled edges.
 func tinyGraph(file string, shape uint32) *propgraph.Graph {
 	rng := rand.New(rand.NewSource(int64(shape)))
-	gb := propgraph.NewBuilder()
+	gb := new(propgraph.Builder)
 	n := rng.Intn(7)
 	for i := 0; i < n; i++ {
 		name := tinyPool[rng.Intn(len(tinyPool))]
@@ -261,14 +261,14 @@ func TestEditSequenceOracle(t *testing.T) {
 			{"replace larger", func() { s.Splice("f05.py", chain("f05.py", false, "d()", "x()", "src()", "a()", "snk()", "san()")) }, "", 1},
 			{"replace smaller", func() { s.Splice("f05.py", chain("f05.py", false, "snk()")) }, "", 1},
 			{"insert first", func() { s.Splice("a.py", chain("a.py", false, "src()", "a()", "snk()")) }, "numbering", 1},
-			{"insert first, no symbols", func() { s.Splice("_.py", propgraph.NewBuilder().Build()) }, "", 1},
+			{"insert first, no symbols", func() { s.Splice("_.py", new(propgraph.Builder).Build()) }, "", 1},
 			{"insert last, new symbol", func() { s.Splice("z.py", chain("z.py", true, "src()", "last()", "snk()")) }, "", 1},
 			{"insert middle", func() { s.Splice("f05a.py", chain("f05a.py", true, "src()", "b()", "san()", "snk()")) }, "", 1},
 			{"retract middle", func() { s.Retract("f07.py") }, "", 1},
 			{"rename", func() { g := decode("f03.py"); s.Retract("f03.py"); s.Splice("f03b.py", g) }, "", 2},
-			{"empty file", func() { s.Splice("f06a.py", propgraph.NewBuilder().Build()) }, "", 1},
+			{"empty file", func() { s.Splice("f06a.py", new(propgraph.Builder).Build()) }, "", 1},
 			{"empty file filled", func() { s.Splice("f06a.py", chain("f06a.py", true, "a()", "b()", "c()", "d()")) }, "", 1},
-			{"file emptied", func() { s.Splice("f04.py", propgraph.NewBuilder().Build()) }, "", 1},
+			{"file emptied", func() { s.Splice("f04.py", new(propgraph.Builder).Build()) }, "", 1},
 			{"introducer, same symbols", func() { s.Splice("f00.py", chain("f00.py", false, append(all, "src()", "x()")...)) }, "", 1},
 			{"introducer reorders", func() { s.Splice("f00.py", chain("f00.py", true, swapped...)) }, "numbering", 1},
 			{"introducer loses one", func() { s.Splice("f00.py", chain("f00.py", true, swapped[:len(swapped)-1]...)) }, "numbering", 1},
@@ -283,7 +283,7 @@ func TestEditSequenceOracle(t *testing.T) {
 				s.Splice("f02.py", chain("f02.py", false, "src()", "san()", "d()", "snk()", "a()"))
 				s.Splice("f02a.py", chain("f02a.py", true, "x()", "snk()"))
 				s.Retract("f11.py")
-				s.Splice("f08.py", propgraph.NewBuilder().Build())
+				s.Splice("f08.py", new(propgraph.Builder).Build())
 			}, "", 6},
 			{"spliced twice", func() {
 				s.Splice("f08.py", chain("f08.py", true, "a()", "snk()"))

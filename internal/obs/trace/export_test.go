@@ -18,3 +18,11 @@ func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(ctxKey{}).(*Span)
 	return s
 }
+
+// SpanID returns the 16-hex-digit span ID ("" on nil).
+func (s *Span) SpanID() string {
+	if s == nil {
+		return ""
+	}
+	return s.id
+}

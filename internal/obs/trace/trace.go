@@ -336,14 +336,6 @@ func (s *Span) TraceID() string {
 	return s.block.traceID()
 }
 
-// SpanID returns the 16-hex-digit span ID ("" on nil).
-func (s *Span) SpanID() string {
-	if s == nil {
-		return ""
-	}
-	return s.id
-}
-
 // Traceparent renders the span as an outgoing W3C traceparent header
 // ("" on nil), so downstream calls join this trace.
 func (s *Span) Traceparent() string {

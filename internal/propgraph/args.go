@@ -39,16 +39,3 @@ func (g *Graph) labels(k int) []int {
 	}
 	return g.args[l.lo:l.hi:l.hi]
 }
-
-// edgeArgs yields every labeled edge, packed as the codec's key, with its
-// labels: sources ascending, the edges of one source in successor order.
-func (g *Graph) edgeArgs(yield func(key int64, args []int) bool) {
-	for src := range g.Events {
-		s := g.Events[src].succ
-		for k := int(s.lo); k < int(s.hi); k++ {
-			if args := g.labels(k); args != nil && !yield(edgeKey(src, g.succ[k]), args) {
-				return
-			}
-		}
-	}
-}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAddEdgeArgLabels(t *testing.T) {
-	gb := NewBuilder()
+	gb := new(Builder)
 	a := addEv(gb, KindCall, "a()")
 	b := addEv(gb, KindCall, "b()")
 	gb.AddEdgeArg(a, b, 1)
@@ -25,7 +25,7 @@ func TestAddEdgeArgLabels(t *testing.T) {
 }
 
 func TestPlainAddEdgeIsUnlabeled(t *testing.T) {
-	gb := NewBuilder()
+	gb := new(Builder)
 	a := addEv(gb, KindCall, "a()")
 	b := addEv(gb, KindCall, "b()")
 	gb.AddEdge(a, b)
@@ -35,13 +35,13 @@ func TestPlainAddEdgeIsUnlabeled(t *testing.T) {
 }
 
 func TestUnionPreservesLabels(t *testing.T) {
-	b1 := NewBuilder()
+	b1 := new(Builder)
 	a := addEv(b1, KindCall, "a()")
 	b := addEv(b1, KindCall, "b()")
 	b1.AddEdgeArg(a, b, 2)
 	g1 := b1.Build()
 
-	b2 := NewBuilder()
+	b2 := new(Builder)
 	c := addEv(b2, KindCall, "c()")
 	d := addEv(b2, KindCall, "d()")
 	b2.AddEdgeArg(c, d, ArgReceiver)
@@ -57,7 +57,7 @@ func TestUnionPreservesLabels(t *testing.T) {
 }
 
 func TestAddEdgeArgRejectsBadEndpoints(t *testing.T) {
-	b := NewBuilder()
+	b := new(Builder)
 	a := addEv(b, KindCall, "a()")
 	b.AddEdgeArg(a, a, 0)  // self loop
 	b.AddEdgeArg(a, 99, 0) // out of range

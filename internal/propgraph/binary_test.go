@@ -17,7 +17,7 @@ import (
 // insertion order, and argument labels (including the receiver/keyword
 // sentinels).
 func binaryTestGraph() *Graph {
-	gb := NewBuilder()
+	gb := new(Builder)
 	a := gb.AddEvent(KindCall, "app.py", pytoken.Pos{Line: 3, Col: 4},
 		[]string{"flask.request.args.get()", "request.args.get()", "args.get()"})
 	b := gb.AddEvent(KindRead, "app.py", pytoken.Pos{Line: 5, Col: 0},
@@ -78,7 +78,7 @@ func TestBinaryDeterministic(t *testing.T) {
 }
 
 func TestBinaryEmptyGraphAndRest(t *testing.T) {
-	enc := NewBuilder().Build().AppendBinary(nil)
+	enc := new(Builder).Build().AppendBinary(nil)
 	trailer := []byte("tail")
 	g, rest, err := DecodeBinary(append(enc, trailer...))
 	if err != nil {
@@ -139,7 +139,7 @@ func TestBinaryRejectsDuplicateSymbols(t *testing.T) {
 // list. Union copies decoded labels verbatim, so anything else — which
 // AddEdgeArg would have repaired or dropped — is corruption.
 func TestBinaryRejectsMalformedEdgeArgs(t *testing.T) {
-	b := NewBuilder()
+	b := new(Builder)
 	for i := 0; i < 3; i++ {
 		b.AddEvent(KindCall, "a.py", pytoken.Pos{Line: i + 1}, []string{"f()"})
 	}
@@ -193,7 +193,7 @@ func TestBinaryRejectsMalformedEdgeArgs(t *testing.T) {
 // repeat representations and file names must encode smaller than the sum
 // of its per-occurrence strings.
 func TestBinaryStringTableCompression(t *testing.T) {
-	b := NewBuilder()
+	b := new(Builder)
 	for i := 0; i < 50; i++ {
 		b.AddEvent(KindCall, "pkg/very/long/path/to/module.py",
 			pytoken.Pos{Line: i + 1}, []string{"package.module.function()", "module.function()"})
@@ -230,7 +230,7 @@ func TestDecodeAllMatchesDecodeBinary(t *testing.T) {
 	for i, size := 0, 0; size <= 4*decodeFanoutBytes; i++ {
 		g := labelledGraph(i, 5+i%60)
 		if i%19 == 4 {
-			g = NewBuilder().Build()
+			g = new(Builder).Build()
 		}
 		encs = append(encs, g.AppendBinary(nil))
 		size += len(encs[i])

@@ -50,9 +50,6 @@ type builderLab struct {
 	next int32
 }
 
-// NewBuilder returns an empty builder.
-func NewBuilder() *Builder { return new(Builder) }
-
 // Len returns the number of events added so far.
 func (b *Builder) Len() int { return len(b.events) }
 

@@ -222,7 +222,7 @@ func FuzzGraphBuilder(f *testing.F) {
 	fan := append([]byte{0, 31}, bytes.Repeat([]byte{0x29, 0xe3}, 16)...)
 	f.Add(append(fan, 3, 1, 96, 0, 2, 1, 9, 4, 0, 3, 1, 2, 3, 4, 1, 1, 2))
 	pool := []string{"a()", "m.a()", "b.c", "f(param x)", "g()", "h.i()", "a.b.c()", "x"}
-	b := NewBuilder()
+	b := new(Builder)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

@@ -11,7 +11,7 @@ import (
 // position, reps and candidate roles in ID order, then every edge with its
 // argument labels in ascending order, and an unlabeled edge with none.
 func TestEncodeJSON(t *testing.T) {
-	gb := NewBuilder()
+	gb := new(Builder)
 	a := gb.AddEvent(KindCall, "a.py", pytoken.Pos{Line: 3, Col: 4}, []string{"f()", "m.f()"})
 	b := gb.AddEvent(KindRead, "a.py", pytoken.Pos{Line: 5}, []string{"x.y"})
 	c := gb.AddEvent(KindParam, "b.py", pytoken.Pos{Line: 1}, []string{"g(param p)"})
@@ -36,7 +36,7 @@ func TestEncodeJSON(t *testing.T) {
 
 func TestEncodeEmptyGraph(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewBuilder().Build().Encode(&buf); err != nil {
+	if err := new(Builder).Build().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := buf.String(), `{"version":1,"events":null,"edges":null}`+"\n"; got != want {

@@ -13,7 +13,7 @@ func addEv(b *Builder, kind EventKind, reps ...string) int {
 }
 
 func TestAddEdgeDeduplicatesAndRejectsSelfLoops(t *testing.T) {
-	gb := NewBuilder()
+	gb := new(Builder)
 	a := addEv(gb, KindCall, "a()")
 	b := addEv(gb, KindCall, "b()")
 	gb.AddEdge(a, b)
@@ -44,13 +44,13 @@ func TestCandidateRoles(t *testing.T) {
 }
 
 func TestUnionDisjoint(t *testing.T) {
-	b1 := NewBuilder()
+	b1 := new(Builder)
 	a := addEv(b1, KindCall, "a()")
 	b := addEv(b1, KindCall, "b()")
 	b1.AddEdge(a, b)
 	g1 := b1.Build()
 
-	b2 := NewBuilder()
+	b2 := new(Builder)
 	c := addEv(b2, KindRead, "x.y")
 	d := addEv(b2, KindCall, "b()") // same rep as b, different program
 	b2.AddEdge(c, d)
@@ -77,7 +77,7 @@ func TestUnionDisjoint(t *testing.T) {
 }
 
 func TestReachability(t *testing.T) {
-	b := NewBuilder()
+	b := new(Builder)
 	var ids []int
 	for i := 0; i < 5; i++ {
 		ids = append(ids, addEv(b, KindCall, "e()"))
@@ -99,7 +99,7 @@ func TestReachability(t *testing.T) {
 }
 
 func TestComputeStats(t *testing.T) {
-	b := NewBuilder()
+	b := new(Builder)
 	addEv(b, KindCall, "a()", "b()")
 	addEv(b, KindRead, "x.y")
 	addEv(b, KindParam, "f(param x)")

@@ -13,7 +13,7 @@ import (
 type Sym uint32
 
 // Interner is a string ↔ Sym table. IDs are assigned in first-seen order,
-// so a table populated by a deterministic sequence of Intern calls always
+// so a table populated by a deterministic sequence of insertions always
 // assigns the same IDs — the property the pipeline relies on for
 // bitwise-reproducible results at any worker count.
 //
@@ -21,8 +21,8 @@ type Sym uint32
 // its strings back to back in one blob and the end of each, with no string
 // header and no map until Strings or Lookup first asks for them. A union's
 // (NewInterner) is open: an append-only slice of strings and the map that
-// finds them, grown by Intern and TranslateFrom. Interning into a sealed
-// table opens it.
+// finds them, grown by TranslateFrom. Interning into a sealed table opens
+// it.
 //
 // All methods are safe for concurrent use. Because a table only ever
 // appends, a snapshot taken with Strings stays valid (and immutable) while
@@ -93,21 +93,8 @@ func (t *Interner) view() symView {
 	return symView{t.blob, t.ends[:len(t.ends):len(t.ends)], t.strs[:len(t.strs):len(t.strs)]}
 }
 
-// Intern returns the symbol for s, assigning the next dense ID on first
-// sight.
-func (t *Interner) Intern(s string) Sym {
-	t.mu.RLock()
-	id, ok := t.index[s]
-	t.mu.RUnlock()
-	if ok {
-		return id
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.internLocked(s)
-}
-
-// internLocked is Intern for a caller that holds the write lock.
+// internLocked returns the symbol for s, assigning the next dense ID on
+// first sight; the caller holds the write lock.
 func (t *Interner) internLocked(s string) Sym {
 	if t.ends != nil {
 		t.materializeLocked()

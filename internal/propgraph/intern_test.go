@@ -128,7 +128,7 @@ func TestInternerConcurrentIntern(t *testing.T) {
 }
 
 func TestEventRepAccessors(t *testing.T) {
-	b := NewBuilder()
+	b := new(Builder)
 	e := b.AddEvent(KindCall, "t.py", pytoken.Pos{Line: 1},
 		[]string{"a.b.f()", "b.f()", "f()"})
 	bare := b.AddEvent(KindCall, "t.py", pytoken.Pos{Line: 2}, nil)
@@ -158,7 +158,7 @@ func TestEventRepAccessors(t *testing.T) {
 // successor order = first-add order.
 func TestAddEdgeDedupEquivalence(t *testing.T) {
 	const n = 3*dedupDegree + 5
-	b := NewBuilder()
+	b := new(Builder)
 	src := addEv(b, KindCall, "hub()")
 	var want []int
 	for i := 0; i < n; i++ {

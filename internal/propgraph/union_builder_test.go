@@ -12,7 +12,7 @@ import (
 func TestUnionBuilderMatchesUnion(t *testing.T) {
 	inputs := []*Graph{
 		pseudoGraph(1, 12),
-		NewBuilder().Build(), // empty input mid-sequence
+		new(Builder).Build(), // empty input mid-sequence
 		pseudoGraph(2, 25),
 		pseudoGraph(3, 1),
 		pseudoGraph(1, 7), // repeated symbols translate to existing IDs

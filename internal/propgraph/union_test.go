@@ -18,7 +18,7 @@ import (
 // AddEdge, every label through AddEdgeArg. The symbol-translating Union
 // must stay byte-identical to it.
 func naiveUnion(graphs ...*Graph) *Graph {
-	b := NewBuilder()
+	b := new(Builder)
 	var roles []RoleSet
 	for _, g := range graphs {
 		base := b.Len()
@@ -47,7 +47,7 @@ func naiveUnion(graphs ...*Graph) *Graph {
 // pseudoBuilder adds to a builder a deterministic graph with irregular
 // fan-in/fan-out, labeled edges, and some isolated vertices.
 func pseudoBuilder(seed, nEvents int) *Builder {
-	g := NewBuilder()
+	g := new(Builder)
 	kinds := []EventKind{KindCall, KindRead, KindParam}
 	for i := 0; i < nEvents; i++ {
 		reps := []string{fmt.Sprintf("g%d.f%d", seed, i)}
@@ -79,7 +79,7 @@ func pseudoBuilder(seed, nEvents int) *Builder {
 func pseudoGraph(seed, nEvents int) *Graph { return pseudoBuilder(seed, nEvents).Build() }
 
 func TestUnionMatchesAddEdgeUnion(t *testing.T) {
-	empty := NewBuilder().Build()
+	empty := new(Builder).Build()
 	cases := [][]*Graph{
 		{},
 		{empty},
@@ -219,12 +219,12 @@ func TestUnionParallelMatchesSequential(t *testing.T) {
 	for i := 0; events <= 2*unionFanoutEvents; i++ {
 		g := labelledGraph(i, 40+i%90)
 		if i%17 == 3 {
-			g = NewBuilder().Build()
+			g = new(Builder).Build()
 		}
 		big = append(big, g)
 		events += len(g.Events)
 	}
-	empty := NewBuilder().Build()
+	empty := new(Builder).Build()
 	cases := map[string][]*Graph{
 		"none":      {},
 		"empty":     {empty},
@@ -258,7 +258,7 @@ func TestUnionParallelMatchesSequential(t *testing.T) {
 // of input a corpus file is, introducing no symbol of its own once an
 // earlier input has brought the pool.
 func poolGraph(seed, nEvents, nPool int) *Graph {
-	g := NewBuilder()
+	g := new(Builder)
 	kinds := []EventKind{KindCall, KindRead, KindParam}
 	for i := 0; i < nEvents; i++ {
 		reps := []string{fmt.Sprintf("api%d()", (seed*7+i*3)%nPool)}
@@ -285,7 +285,7 @@ func poolGraph(seed, nEvents, nPool int) *Graph {
 // poolIntroBuilder adds to a builder an input that mentions every name of the
 // pool, in order.
 func poolIntroBuilder(nPool int, order func(i int) int) *Builder {
-	g := NewBuilder()
+	g := new(Builder)
 	for i := 0; i < nPool; i++ {
 		g.AddEvent(KindCall, "intro.py", pytoken.Pos{Line: i + 1}, []string{fmt.Sprintf("api%d()", order(i))})
 	}
@@ -379,7 +379,7 @@ func TestSpliceMatchesUnion(t *testing.T) {
 					e.Ins = append(e.Ins, g)
 				}
 				if e.Del == 0 && len(e.Ins) == 0 {
-					e.Ins = []*Graph{NewBuilder().Build()}
+					e.Ins = []*Graph{new(Builder).Build()}
 				}
 				edits = append(edits, e)
 				at += e.Del // the next edit may be adjacent
@@ -416,7 +416,7 @@ func TestSpliceNumbering(t *testing.T) {
 	id := func(i int) int { return i }
 	swapped := func(i int) int { return [nPool]int{0, 1, 3, 2, 4, 5}[i] }
 	named := func(names ...string) *Graph {
-		g := NewBuilder()
+		g := new(Builder)
 		for i, n := range names {
 			g.AddEvent(KindCall, "n.py", pytoken.Pos{Line: i + 1}, []string{n})
 		}

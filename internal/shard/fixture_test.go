@@ -73,7 +73,7 @@ func writeArtifactSeeds(t *testing.T, fixture, noSidecar *Artifact) {
 		b = append(b, 0, 1, 0) // slice 0 of 1, no flags
 		return binary.AppendUvarint(b, uint64(files))
 	}
-	empty := propgraph.NewBuilder().Build().AppendBinary(nil)
+	empty := new(propgraph.Builder).Build().AppendBinary(nil)
 	section := func(b []byte, name string) []byte {
 		return fpcache.AppendRecord(b, &fpcache.Record{Name: name, Graph: empty})
 	}

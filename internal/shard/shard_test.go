@@ -152,7 +152,7 @@ func TestDecodeFaults(t *testing.T) {
 // class: a buggy or adversarial encoder, not line noise.
 func TestDecodeBadPayload(t *testing.T) {
 	out := func(a *Artifact) []byte { return a.Encode() }
-	empty := propgraph.NewBuilder().Build()
+	empty := new(propgraph.Builder).Build()
 	file := func(name string) FileMeta {
 		return newFileMeta(fpcache.Record{Name: name, Graph: empty.AppendBinary(nil)})
 	}

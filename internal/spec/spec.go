@@ -244,20 +244,6 @@ func (s *Spec) Format() string {
 	return b.String()
 }
 
-// Halve returns a spec with only every other role entry kept (odd lines,
-// 1-based), reproducing the paper's Q6 seed-ablation experiment. The
-// blacklist is kept whole.
-func (s *Spec) Halve() *Spec {
-	h := New()
-	for i, e := range s.Entries() {
-		if i%2 == 0 {
-			h.Add(e.Role, e.Rep)
-		}
-	}
-	h.Blacklist = s.Blacklist
-	return h
-}
-
 // Pattern is a compiled glob where '*' matches any substring.
 type Pattern struct {
 	raw   string

@@ -156,17 +156,6 @@ func TestSeedLookups(t *testing.T) {
 	}
 }
 
-func TestHalve(t *testing.T) {
-	s := Seed()
-	h := s.Halve()
-	if h.Len() != (s.Len()+1)/2 {
-		t.Errorf("halved = %d, want %d", h.Len(), (s.Len()+1)/2)
-	}
-	if len(h.Blacklist) != len(s.Blacklist) {
-		t.Error("halving must keep the blacklist")
-	}
-}
-
 func TestEntries(t *testing.T) {
 	s := New()
 	s.Add(propgraph.Sink, "k()")
