@@ -126,9 +126,9 @@ func runSession(sessionDir, feedbackFile string, files map[string]string,
 		union = "rebuilt (" + st.UnionRebuilt + ")"
 	}
 	fmt.Printf("session %s (%s): %d files (%d spliced, %d unchanged, %d retracted), "+
-		"union %s, spans reused %d/%d, rows reused %d (%d dead), warm=%v, epochs saved %d",
+		"union %s, spans reused %d/%d, rows reused %d (%d dead), warm=%v",
 		where, mode, st.Files, spliced, unchanged, retracted,
-		union, st.Delta.SpansReused, st.Delta.Spans, st.RowsReused, st.RowsDead, st.WarmStarted, st.EpochsSaved)
+		union, st.Delta.SpansReused, st.Delta.Spans, st.RowsReused, st.RowsDead, st.WarmStarted)
 	if pins := len(verdicts) - skipped; pins > 0 {
 		fmt.Printf(", %d feedback pins", pins)
 	}

@@ -230,7 +230,7 @@ func (s *System) flowRange(g *propgraph.Graph, r evRange, sc *flowScratch) *flow
 		from = starts[c]
 		switch {
 		case len(events) < 2:
-		case len(events) > s.Opts.MaxComponent:
+		case len(events) > s.Opts.maxComponent:
 			b.skipped++
 		default:
 			for k, id := range events {

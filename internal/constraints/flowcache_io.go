@@ -20,14 +20,14 @@ import (
 // empty cache (every span then misses and rebuilds, and the next Save
 // repairs the file). A wrong reuse is impossible even without the
 // header checks, because each block is only consulted when its support
-// fingerprint matches (spanFingerprint covers the graph content, the
-// component bound, and every global variable ID the block's constraints
-// embed) — the header checks just turn a guaranteed fingerprint miss
+// fingerprint matches (spanFingerprint covers the graph content and
+// every global variable ID the block's constraints embed) — the header checks just turn a guaranteed fingerprint miss
 // into a cheap whole-file miss.
 
 const (
-	flowCacheMagic   = "SFLC"
-	flowCacheVersion = 1
+	flowCacheMagic = "SFLC"
+	// flowCacheVersion 2: the header's knobs are C, λ and the cutoff.
+	flowCacheVersion = 2
 )
 
 // Save writes the cache to path atomically. The body is deterministic:
@@ -54,7 +54,6 @@ func (c *FlowCache) Save(path string, opts Options) error {
 	b = envelope.AppendF64(b, opts.C)
 	b = envelope.AppendF64(b, opts.Lambda)
 	b = envelope.AppendU64(b, uint64(opts.BackoffCutoff))
-	b = envelope.AppendU64(b, uint64(opts.MaxComponent))
 	b = envelope.AppendU64(b, uint64(len(files)))
 	for _, f := range files {
 		blk := c.blocks[f]
@@ -103,8 +102,7 @@ func loadFlowCache(path string, opts Options) *FlowCache {
 	if r.U64() != flowCacheVersion || r.String64() != fpcache.AnalyzerVersion {
 		return nil
 	}
-	if r.F64() != opts.C || r.F64() != opts.Lambda ||
-		r.U64() != uint64(opts.BackoffCutoff) || r.U64() != uint64(opts.MaxComponent) {
+	if r.F64() != opts.C || r.F64() != opts.Lambda || r.U64() != uint64(opts.BackoffCutoff) {
 		return nil
 	}
 	// A term is a variable and a coefficient, a constraint two term

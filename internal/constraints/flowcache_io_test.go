@@ -137,7 +137,7 @@ func TestLoadFlowCacheRejects(t *testing.T) {
 	})
 	t.Run("knob mismatch", func(t *testing.T) {
 		skew := opts
-		skew.MaxComponent = 123
+		skew.BackoffCutoff = 7
 		expectEmpty(t, good, skew)
 		skew = opts
 		skew.Lambda = 0.5

@@ -231,19 +231,20 @@ func spansClosed(cut []bool, spans []Span) bool {
 }
 
 // spanFingerprints hashes, for each span listed in which, everything its
-// constraint block depends on into fps: the file's graph content, the
-// component size bound, and — per event in the span — its candidacy,
-// roles, and the global variable ID of every (surviving representation,
-// role) pair. Variable IDs are global first-seen, so any upstream change
-// that renumbers this file's variables (or moves a representation across
-// the frequency cutoff) changes the fingerprint. Spans are independent,
-// so they are hashed side by side, each worker reusing one buffer.
+// constraint block depends on into fps: the file's graph content and —
+// per event in the span — its candidacy, roles, and the global variable
+// ID of every (surviving representation, role) pair. Variable IDs are
+// global first-seen, so any upstream change that renumbers this file's
+// variables (or moves a representation across the frequency cutoff)
+// changes the fingerprint. The component bound is not hashed: only this
+// package's tests move it, and never under a cache built at another.
+// Spans are independent, so they are hashed side by side, each worker
+// reusing one buffer.
 func (s *System) spanFingerprints(spans []Span, which []int, fps [][32]byte, workers int) {
 	bufs := make([][]byte, par.Workers(workers, len(which)))
 	par.For(len(bufs), len(which), func(w, k int) {
 		sp := &spans[which[k]]
 		buf := append(bufs[w][:0], sp.Hash[:]...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Opts.MaxComponent))
 		for id := sp.Lo; id < sp.Hi; id++ {
 			info := s.InfoFor(id)
 			if info == nil {
@@ -264,18 +265,17 @@ func (s *System) spanFingerprints(spans []Span, which []int, fps [][32]byte, wor
 }
 
 // numberingDigest hashes what a span's fingerprint reads apart from the
-// span's own graph: the component bound; the variable table, every
-// (representation, role) in ID order; and, by spelling, the
-// representations that survive the filter (survives: occur, pass the
-// blacklist and the cutoff or the seed) yet have no variable. A
+// span's own graph: the variable table, every (representation, role) in
+// ID order; and, by spelling, the representations that survive the
+// filter (survives: occur, pass the blacklist and the cutoff or the
+// seed) yet have no variable. A
 // representation of an event survives exactly when it is in one of those
 // two sets, and the fingerprint reads of it only whether it survives and
 // its variable IDs — so under equal digests a span with an unchanged
 // graph has an unchanged fingerprint. It covers the few hundred surviving
 // representations, not the events: microseconds a build.
 func (s *System) numberingDigest(survives func(propgraph.Sym) bool) [32]byte {
-	buf := binary.LittleEndian.AppendUint64(nil, uint64(s.Opts.MaxComponent))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.Vars)))
+	buf := binary.LittleEndian.AppendUint64(nil, uint64(len(s.Vars)))
 	for _, v := range s.Vars {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(v.Rep)))
 		buf = append(append(buf, v.Rep...), byte(v.Role))

@@ -152,7 +152,7 @@ func corpusFileGraphs(nFiles, eventsPerFile int) []*propgraph.Graph {
 				pytoken.Pos{Line: i + 1}, reps)
 		}
 		// Short flow chains: real corpus graphs decompose into many small
-		// weak components (MaxComponent bounds the rest), so the flow pass
+		// weak components (maxComponent bounds the rest), so the flow pass
 		// stays proportionate and the rep-handling passes dominate.
 		for i := 0; i+1 < eventsPerFile; i++ {
 			if i%16 < 3 {
@@ -279,7 +279,7 @@ func TestBuildWorkersBitwiseIdentical(t *testing.T) {
 	g, spans := flowFixture()
 	seed := corpusSeed()
 	reps, symOf := prepReference(g)
-	want := referenceBuild(g, reps, symOf, seed, Options{MaxComponent: flowFixtureMaxComponent})
+	want := referenceBuild(g, reps, symOf, seed, Options{maxComponent: flowFixtureMaxComponent})
 	if want.SkippedComponents != 1 || want.CountA == 0 || want.CountB == 0 || want.CountC == 0 {
 		t.Fatalf("fixture: skipped %d, patterns %d/%d/%d; want one skipped component and all three patterns",
 			want.SkippedComponents, want.CountA, want.CountB, want.CountC)
@@ -297,7 +297,7 @@ func TestBuildWorkersBitwiseIdentical(t *testing.T) {
 		t.Fatalf("fixture: %d of %d right-hand sides are nil; want some of each", nilRHS, len(want.Problem.Constraints))
 	}
 	for _, workers := range []int{1, 2, 3, 4, 7, 8, 0} {
-		opts := Options{MaxComponent: flowFixtureMaxComponent, Workers: workers}
+		opts := Options{maxComponent: flowFixtureMaxComponent, Workers: workers}
 		assertSystemsEqual(t, fmt.Sprintf("Build workers=%d", workers), Build(g, seed, opts), want)
 
 		cache := NewFlowCache()
@@ -379,7 +379,7 @@ func BenchmarkConstraintsBuild(b *testing.B) {
 func BenchmarkBuildIncrementalWarm(b *testing.B) {
 	g, spans := flowFixture()
 	seed := corpusSeed()
-	opts := Options{MaxComponent: flowFixtureMaxComponent, Workers: 1}
+	opts := Options{maxComponent: flowFixtureMaxComponent, Workers: 1}
 	cache := NewFlowCache()
 	BuildIncremental(g, seed, opts, spans, cache)
 	b.ReportAllocs()
@@ -469,7 +469,7 @@ func (s *System) refFlowConstraints(g *propgraph.Graph) {
 		if len(events) < 2 {
 			continue
 		}
-		if len(events) > s.Opts.MaxComponent {
+		if len(events) > s.Opts.maxComponent {
 			s.SkippedComponents++
 			continue
 		}
@@ -721,7 +721,7 @@ func (b bitset) refForEach(f func(i int)) {
 func TestBuildIncrementalRecordsBlocks(t *testing.T) {
 	g, spans := flowFixture()
 	seed := corpusSeed()
-	opts := Options{MaxComponent: flowFixtureMaxComponent, Workers: 2}
+	opts := Options{maxComponent: flowFixtureMaxComponent, Workers: 2}
 	if b := Build(g, seed, opts).Problem.Blocks; b != nil {
 		t.Fatalf("Build recorded %d blocks", len(b))
 	}

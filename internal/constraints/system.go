@@ -33,10 +33,6 @@ type Options struct {
 	// BackoffCutoff drops representations occurring fewer times in the
 	// dataset (paper: 5). Seed representations always survive.
 	BackoffCutoff int
-	// MaxComponent skips constraint generation inside weakly connected
-	// components larger than this bound (guards against pathological
-	// generated files). Default 50000.
-	MaxComponent int
 	// Workers bounds the goroutines used for the frequency,
 	// candidate-filter, flow and span-fingerprint passes (par.Workers: 0
 	// selects GOMAXPROCS, 1 runs them on the caller's goroutine). Results
@@ -46,6 +42,10 @@ type Options struct {
 	// (variables, events, per-pattern constraint counts) and the
 	// stage.constraints.* sub-timers.
 	Metrics *obs.Registry
+	// maxComponent skips constraint generation inside weakly connected
+	// components larger than this bound (guards against pathological
+	// generated files): 50000, lowered only by this package's tests.
+	maxComponent int
 }
 
 // WithDefaults fills every zero knob with the paper's setting.
@@ -59,8 +59,8 @@ func (o Options) WithDefaults() Options {
 	if o.BackoffCutoff == 0 {
 		o.BackoffCutoff = 5
 	}
-	if o.MaxComponent == 0 {
-		o.MaxComponent = 50000
+	if o.maxComponent == 0 {
+		o.maxComponent = 50000
 	}
 	return o
 }
@@ -98,7 +98,7 @@ type System struct {
 	infoByEvent []int
 	// Counts of generated constraints by pattern (Fig. 4a, 4b, 4c).
 	CountA, CountB, CountC int
-	// SkippedComponents counts components over the MaxComponent bound.
+	// SkippedComponents counts components over the component bound.
 	SkippedComponents int
 	Opts              Options
 }

@@ -290,7 +290,7 @@ func TestWeakComponents(t *testing.T) {
 
 func TestMaxComponentSkip(t *testing.T) {
 	g := chainGraph("a()", "b()", "c()", "d()")
-	sys := Build(g, spec.New(), Options{BackoffCutoff: 1, MaxComponent: 2})
+	sys := Build(g, spec.New(), Options{BackoffCutoff: 1, maxComponent: 2})
 	if sys.SkippedComponents != 1 {
 		t.Errorf("skipped = %d, want 1", sys.SkippedComponents)
 	}

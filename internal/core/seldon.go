@@ -19,20 +19,21 @@ import (
 	"seldon/internal/spec"
 )
 
+// backoffDecay discounts less specific backoff options: option i
+// (0-based) is selected when backoffDecay^i * score >= Config.Threshold
+// (§7.1).
+const backoffDecay = 0.8
+
 // Config collects the tunable parameters; zero values select the paper's
-// settings (C = 0.75, λ = 0.1, backoff cutoff 5, threshold 0.1, decay 0.8).
+// settings (C = 0.75, λ = 0.1, backoff cutoff 5, threshold 0.1).
 type Config struct {
 	Constraints constraints.Options
 	Solver      lp.Options
 	// Threshold t for selecting roles (§7.2: 0.1).
 	Threshold float64
-	// BackoffDecay discounts less specific backoff options: option i
-	// (0-based) is selected when decay^i * score >= Threshold (§7.1: 0.8).
-	BackoffDecay float64
 	// Workers bounds the goroutines of the corpus front-end (per-file
-	// parse + dataflow) and of the constraint build, unless
-	// Constraints.Workers names a count of its own (par.Workers: 0 selects
-	// GOMAXPROCS, 1 runs on the caller's goroutine). Results are
+	// parse + dataflow) and of the constraint build (par.Workers: 0
+	// selects GOMAXPROCS, 1 runs on the caller's goroutine). Results are
 	// byte-identical at every worker count.
 	Workers int
 	// Cache, when non-nil, is the persistent per-file analysis cache
@@ -66,22 +67,15 @@ func (c Config) WithDefaults() Config {
 	if c.Threshold == 0 {
 		c.Threshold = 0.1
 	}
-	if c.BackoffDecay == 0 {
-		c.BackoffDecay = 0.8
-	}
 	c.Constraints = c.Constraints.WithDefaults()
 	return c
 }
 
 // ConstraintOptions is Config.Constraints as a build of this run takes
-// it: reporting to the run's registry and, unless it names a worker
-// count of its own, sharing the front-end's.
+// it: reporting to the run's registry, on the front-end's workers.
 func (c Config) ConstraintOptions() constraints.Options {
 	o := c.Constraints
-	o.Metrics = c.Metrics
-	if o.Workers == 0 {
-		o.Workers = c.Workers
-	}
+	o.Metrics, o.Workers = c.Metrics, c.Workers
 	return o
 }
 
@@ -266,7 +260,7 @@ func (r *Result) selectRoles(cfg Config) {
 	}
 	decay := make([]float64, deepest)
 	for i := range decay {
-		decay[i] = math.Pow(cfg.BackoffDecay, float64(i))
+		decay[i] = math.Pow(backoffDecay, float64(i))
 	}
 	if half := len(sys.EventInfos) / 2; half > 0 {
 		r.Predictions = make([]Prediction, 0, half)

@@ -85,7 +85,7 @@ func TestBackoffDecaySelection(t *testing.T) {
 	res.Solution = make([]float64, len(res.System.Vars))
 	res.Solution[res.System.VarID("a.f()", propgraph.Source)] = 0.05
 	res.Solution[res.System.VarID("f()", propgraph.Source)] = 0.5
-	res.selectRoles(Config{Threshold: 0.1, BackoffDecay: 0.8})
+	res.selectRoles(Config{Threshold: 0.1})
 	var sel *Prediction
 	for i := range res.Predictions {
 		if res.Predictions[i].Role == propgraph.Source {
@@ -109,7 +109,7 @@ func TestBackoffDecayRejectsWeakDeepOptions(t *testing.T) {
 	res.Solution = make([]float64, len(res.System.Vars))
 	res.Solution[res.System.VarID("f()", propgraph.Source)] = 0.12
 	// 0.8 * 0.12 = 0.096 < 0.1: not selected.
-	res.selectRoles(Config{Threshold: 0.1, BackoffDecay: 0.8})
+	res.selectRoles(Config{Threshold: 0.1})
 	for _, p := range res.Predictions {
 		if p.Role == propgraph.Source {
 			t.Errorf("unexpected selection %+v", p)

@@ -330,21 +330,21 @@ func patchU64(data []byte, r *envelope.Reader, v uint64) {
 func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 	const hugeCount, hugeLen = 1 << 24, 1 << 28
 
-	// state.bin: version, analyzer version, six knobs, seed, then counted
+	// state.bin: version, analyzer version, four knobs, seed, then counted
 	// files, solutions and pins.
 	state := func(which int) []byte {
 		data := fixture(t, "incr", incr.StateFile)
 		r := envelope.NewReader(data[4 : len(data)-envelope.ChecksumSize])
 		r.U64()
 		r.Bytes64()
-		r.Take(6 * 8)
+		r.Take(4 * 8)
 		r.Bytes64()
 		for section := 0; ; section++ {
 			if section == which {
 				patchU64(data, r, hugeCount)
 				return reseal(data)
 			}
-			for n := r.U64(); n > 0; n-- {
+			for n := r.U64(); n > 0 && r.Err() == nil; n-- {
 				if section == 0 {
 					fpcache.ReadRecord(r)
 				} else {
@@ -357,7 +357,7 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	// flowcache.bin: version, analyzer version, four knobs, then counted
+	// flowcache.bin: version, analyzer version, three knobs, then counted
 	// blocks, each with a name, fingerprint, four counts and counted
 	// constraints.
 	flow := func(inBlock bool) []byte {
@@ -365,7 +365,7 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 		r := envelope.NewReader(data[4 : len(data)-envelope.ChecksumSize])
 		r.U64()
 		r.Bytes64()
-		r.Take(4 * 8)
+		r.Take(3 * 8)
 		if inBlock {
 			r.U64()
 			r.Bytes64()

@@ -105,11 +105,8 @@ type Session struct {
 	cache *constraints.FlowCache
 	pins  map[PinKey]float64
 
-	// prev is the last solution keyed by (rep, role); coldEpochs the
-	// epoch count of the session's last cold (non-warm) solve, the
-	// baseline solver.warm_epochs_saved is measured against.
-	prev       map[PinKey]float64
-	coldEpochs int
+	// prev is the last solution keyed by (rep, role).
+	prev map[PinKey]float64
 
 	result *core.Result
 
@@ -370,12 +367,8 @@ type RelearnStats struct {
 	RowsReused int
 	RowsDead   int
 	// WarmStarted reports that the solve resumed from a previous
-	// solution; EpochsSaved is how many epochs fewer it ran than the
-	// session's last cold solve, which stopped on the same plateau rule
-	// wherever its own corpus let it (0 when cold or when the warm solve
-	// was not faster).
+	// solution.
 	WarmStarted bool
-	EpochsSaved int
 }
 
 // syncUnion brings the standing union up to date with the current files,
@@ -495,20 +488,12 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrResolve, time.Since(t0))
 	st.RowsReused, st.RowsDead = res.SolverRowsReused, res.SolverRowsDead
 
-	// Record the solution for the next warm start and the epoch baseline.
+	// Record the solution for the next warm start.
 	sol := make(map[PinKey]float64, len(sys.Vars))
 	for i, v := range sys.Vars {
 		sol[PinKey{Rep: v.Rep, Role: v.Role}] = res.Solution[i]
 	}
 	s.prev = sol
-	if st.WarmStarted {
-		if saved := s.coldEpochs - res.SolverEpochs; saved > 0 {
-			st.EpochsSaved = saved
-		}
-	} else {
-		s.coldEpochs = res.SolverEpochs
-	}
-	s.cfg.Metrics.Set(obs.GaugeWarmEpochsSaved, float64(st.EpochsSaved))
 	s.cfg.Metrics.Set(obs.GaugeIncrFiles, float64(st.Files))
 	s.cfg.Metrics.Set(obs.GaugeIncrFilesChanged, float64(st.FilesChanged))
 	unionHow := "patched"
@@ -518,7 +503,7 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	s.cfg.Log.Log("incr.relearn", "files", st.Files, "changed", st.FilesChanged,
 		"union", unionHow, "spans_reused", delta.SpansReused, "spans_hashed", delta.SpansHashed,
 		"rows_reused", st.RowsReused, "rows_dead", st.RowsDead, "warm", st.WarmStarted,
-		"epochs", res.SolverEpochs, "stop", res.SolverStop, "epochs_saved", st.EpochsSaved)
+		"epochs", res.SolverEpochs, "stop", res.SolverStop)
 
 	s.result = res
 	return res, st
@@ -540,8 +525,7 @@ func (s *Session) LearnedSpec() *spec.Spec {
 func (s *Session) knobs() sessionKnobs {
 	c := s.cfg.WithDefaults()
 	return sessionKnobs{C: c.Constraints.C, Lambda: c.Constraints.Lambda,
-		Threshold: c.Threshold, Decay: c.BackoffDecay,
-		Cutoff: c.Constraints.BackoffCutoff, MaxComponent: c.Constraints.MaxComponent}
+		Threshold: c.Threshold, Cutoff: c.Constraints.BackoffCutoff}
 }
 
 // Score returns the last solve's score of a (rep, role) variable; ok is

@@ -21,8 +21,7 @@ import (
 // the session directory) carries everything a later process needs to
 // resume incrementally: the seed store, the learning knobs, every
 // corpus file's record (fpcache.Record, without a cost), the previous
-// solution keyed by (rep, role), the feedback pins, and the cold-solve
-// epoch baseline. A sha256 trailer self-checks the payload; any
+// solution keyed by (rep, role) and the feedback pins. A sha256 trailer self-checks the payload; any
 // corruption, version skew, or analyzer-version skew surfaces as an
 // error so the caller falls back to a cold session.
 //
@@ -37,8 +36,9 @@ import (
 
 const (
 	stateMagic = "SINC"
-	// stateVersion 3: the file table is one fpcache.Record per file.
-	stateVersion = 3
+	// stateVersion 4: the knobs are C, λ, the threshold and the cutoff,
+	// and no cold-solve epoch count follows the pins.
+	stateVersion = 4
 	// StateFile is the session state file name inside a session directory.
 	StateFile = "state.bin"
 	// FlowCacheFile is the persisted flow-constraint cache beside it.
@@ -49,12 +49,10 @@ const (
 // to. Resuming under different knobs would silently re-learn a
 // different optimization problem, so Load rejects a mismatch.
 type sessionKnobs struct {
-	C            float64
-	Lambda       float64
-	Threshold    float64
-	Decay        float64
-	Cutoff       int
-	MaxComponent int
+	C         float64
+	Lambda    float64
+	Threshold float64
+	Cutoff    int
 }
 
 // Save writes the session state to path atomically.
@@ -70,9 +68,7 @@ func (s *Session) Save(path string) error {
 	b = envelope.AppendF64(b, k.C)
 	b = envelope.AppendF64(b, k.Lambda)
 	b = envelope.AppendF64(b, k.Threshold)
-	b = envelope.AppendF64(b, k.Decay)
 	b = envelope.AppendU64(b, uint64(k.Cutoff))
-	b = envelope.AppendU64(b, uint64(k.MaxComponent))
 
 	seedBytes, err := encodeSeed(s.seed)
 	if err != nil {
@@ -94,8 +90,6 @@ func (s *Session) Save(path string) error {
 			b = envelope.AppendF64(b, m[pk])
 		}
 	}
-
-	b = envelope.AppendU64(b, uint64(s.coldEpochs))
 	return envelope.WriteFile(path, envelope.Seal(b))
 }
 
@@ -143,12 +137,10 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 	}
 
 	stored := sessionKnobs{
-		C:            r.F64(),
-		Lambda:       r.F64(),
-		Threshold:    r.F64(),
-		Decay:        r.F64(),
-		Cutoff:       int(r.U64()),
-		MaxComponent: int(r.U64()),
+		C:         r.F64(),
+		Lambda:    r.F64(),
+		Threshold: r.F64(),
+		Cutoff:    int(r.U64()),
 	}
 	seedBytes := r.Bytes64()
 	storedSeed, _, err := specio.Decode(bytes.NewReader(seedBytes))
@@ -163,9 +155,7 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		cfg.Constraints.C = stored.C
 		cfg.Constraints.Lambda = stored.Lambda
 		cfg.Constraints.BackoffCutoff = stored.Cutoff
-		cfg.Constraints.MaxComponent = stored.MaxComponent
 		cfg.Threshold = stored.Threshold
-		cfg.BackoffDecay = stored.Decay
 	} else if !specio.Equal(storedSeed, seed) {
 		return nil, errors.New("incr: stored seed differs from session seed")
 	}
@@ -219,7 +209,6 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		s.prev = prev
 	}
 	s.pins = scores()
-	s.coldEpochs = int(r.U64())
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("incr: state file: %w", err)
 	}

@@ -22,7 +22,6 @@ type stateParts struct {
 	files [][]byte
 	prev  [][]byte
 	pins  [][]byte
-	tail  []byte // cold-solve epochs
 }
 
 // fixtureParts cuts the body of testdata/state.bin (three files, a
@@ -41,7 +40,7 @@ func fixtureParts(t testing.TB) stateParts {
 	at := func() int { return len(body) - len(r.Rest()) }
 	records := func(read func()) [][]byte {
 		var out [][]byte
-		for n := r.U64(); n > 0; n-- {
+		for n := r.U64(); n > 0 && r.Err() == nil; n-- {
 			start := at()
 			read()
 			out = append(out, body[start:at()])
@@ -51,16 +50,15 @@ func fixtureParts(t testing.TB) stateParts {
 	score := func() { r.Bytes64(); r.U64(); r.F64() }
 
 	var p stateParts
-	r.U64()     // version
-	r.Bytes64() // analyzer version
-	r.Take(6 * 8)
-	r.Bytes64() // seed
+	r.U64()       // version
+	r.Bytes64()   // analyzer version
+	r.Take(4 * 8) // C, λ, threshold, cutoff
+	r.Bytes64()   // seed
 	p.head = body[:at()]
 	p.files = records(func() { fpcache.ReadRecord(r) })
 	p.prev = records(score)
 	p.pins = records(score)
-	p.tail = r.Rest()
-	if r.Err() != nil || len(p.files) != 3 || len(p.prev) < 2 || len(p.pins) != 1 {
+	if r.Err() != nil || len(r.Rest()) != 0 || len(p.files) != 3 || len(p.prev) < 2 || len(p.pins) != 1 {
 		t.Fatalf("fixture cut into %d files, %d scores, %d pins (err %v)", len(p.files), len(p.prev), len(p.pins), r.Err())
 	}
 	return p
@@ -75,7 +73,7 @@ func (p stateParts) body() []byte {
 			b = append(b, rec...)
 		}
 	}
-	return append(b, p.tail...)
+	return b
 }
 
 // withCost returns a copy of a file record that records a cost.

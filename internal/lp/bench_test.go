@@ -77,7 +77,7 @@ func BenchmarkMinimizeKernel(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/shards=%d", shape.name, shards), func(b *testing.B) {
 				var res *Result
 				for i := 0; i < b.N; i++ {
-					res = Minimize(shape.p, Options{Iterations: shape.epochs, Shards: shards})
+					res = Minimize(shape.p, Options{Iterations: shape.epochs, shards: shards})
 				}
 				b.StopTimer()
 				evals := b.N * res.Iterations * len(shape.p.Constraints)

@@ -68,8 +68,7 @@ func TestKernelMatchesReferenceOnCorpusSystem(t *testing.T) {
 		ref := lp.MinimizeReference(p, opts)
 		var ker *lp.Result
 		for _, shards := range []int{1, 2, 5} {
-			opts.Shards = shards
-			ker = lp.Minimize(p, opts)
+			ker = lp.Minimize(p, lp.WithShards(opts, shards))
 			lp.SameBits(t, fmt.Sprintf("%s, shards=%d", name, shards), ker, ref)
 		}
 		return ker

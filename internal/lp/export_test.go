@@ -9,3 +9,9 @@ var (
 	SameBits             = sameBits
 	AssertWithinRounding = assertWithinRounding
 )
+
+// WithShards is opts solving on the given number of shards.
+func WithShards(opts Options, shards int) Options {
+	opts.shards = shards
+	return opts
+}

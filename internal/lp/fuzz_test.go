@@ -112,7 +112,7 @@ func FuzzKernelMatchesReference(f *testing.F) {
 			}
 		}
 		p := fuzzProblem(in)
-		opts := Options{Iterations: epochs, Shards: 1 + int(mode&2), Patience: int(mode >> 4)}
+		opts := Options{Iterations: epochs, shards: 1 + int(mode&2), Patience: int(mode >> 4)}
 		if epochs == 0 {
 			opts.Iterations = -1 // 0 would select the default budget
 		}

@@ -44,7 +44,7 @@ import (
 // the sums and may move the result in its last bits.
 
 // kernelChunk is the fixed number of rows one pass task covers. Chunk
-// boundaries depend only on the problem — never on Options.Shards — so the
+// boundaries depend only on the problem — never on Options.shards — so the
 // work decomposition is stable across shard counts; since chunks share no
 // outputs it only affects scheduling.
 const kernelChunk = 2048
@@ -507,7 +507,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	k.pin(x)
 
 	if opts.Iterations < 1 {
-		hinge := k.pass(x, opts.Shards)
+		hinge := k.pass(x, opts.shards)
 		return &Result{X: x, Objective: k.objectiveAt(hinge, x), Violation: hinge, Stop: StopCap,
 			Rows: len(k.order), RowsReused: k.reused, RowsDead: k.dead}
 	}
@@ -531,7 +531,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	for t := 1; t <= opts.Iterations; t++ {
 		// One fused pass: the violations drive this epoch's gradient AND
 		// deliver the objective of the previous epoch's iterate.
-		hinge := k.pass(x, opts.Shards)
+		hinge := k.pass(x, opts.shards)
 		if t == 1 {
 			bestObj = k.objectiveAt(hinge, x) // objective of the start point
 		} else {
@@ -593,7 +593,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	if pending {
 		// The loop exhausted its budget with the last update unevaluated:
 		// one trailing violation-only pass settles its objective.
-		hinge := k.pass(x, opts.Shards)
+		hinge := k.pass(x, opts.shards)
 		obj := k.objectiveAt(hinge, x)
 		if obj < bestObj {
 			bestObj = obj
@@ -604,7 +604,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	return &Result{
 		X:          best,
 		Objective:  bestObj,
-		Violation:  k.pass(best, opts.Shards),
+		Violation:  k.pass(best, opts.shards),
 		Iterations: iters,
 		Stop:       stop,
 		Rows:       len(k.order),

@@ -209,10 +209,10 @@ func TestFoldingShapesAreWhatTheyClaim(t *testing.T) {
 func TestMinimizeDeterministicAcrossShards(t *testing.T) {
 	for name, p := range kernelProblems() {
 		t.Run(name, func(t *testing.T) {
-			base := Minimize(p, Options{Iterations: 120, Shards: 1})
+			base := Minimize(p, Options{Iterations: 120, shards: 1})
 			for _, shards := range []int{2, 3, 8, 32} {
 				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					r := Minimize(p, Options{Iterations: 120, Shards: shards})
+					r := Minimize(p, Options{Iterations: 120, shards: shards})
 					if r.Iterations != base.Iterations {
 						t.Fatalf("iterations = %d, want %d", r.Iterations, base.Iterations)
 					}
@@ -261,7 +261,7 @@ func TestKernelMatchesReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ref := minimizeReference(p, Options{Iterations: 150})
 			for _, shards := range []int{1, 2, 5} {
-				sameBits(t, fmt.Sprintf("shards=%d", shards), Minimize(p, Options{Iterations: 150, Shards: shards}), ref)
+				sameBits(t, fmt.Sprintf("shards=%d", shards), Minimize(p, Options{Iterations: 150, shards: shards}), ref)
 			}
 		})
 	}
@@ -316,7 +316,7 @@ func TestKernelTelemetryMatchesReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			collect := func(run func(*Problem, Options) *Result, shards int) []EpochStats {
 				var out []EpochStats
-				opts := Options{Iterations: 60, Shards: shards, OnEpoch: func(s EpochStats) { out = append(out, s) }}
+				opts := Options{Iterations: 60, shards: shards, OnEpoch: func(s EpochStats) { out = append(out, s) }}
 				run(p, opts)
 				return out
 			}
@@ -356,7 +356,7 @@ func assertSameStory(t *testing.T, ker, ref []EpochStats) {
 // budget after withDefaults is bypassed) aligned with the reference.
 func TestMinimizeZeroIterationBudget(t *testing.T) {
 	p := randomishProblem(40, 100)
-	r := minimizeKernel(p, Options{Iterations: -1, Shards: 1})
+	r := minimizeKernel(p, Options{Iterations: -1, shards: 1})
 	if r.Iterations != 0 {
 		t.Fatalf("iterations = %d, want 0", r.Iterations)
 	}

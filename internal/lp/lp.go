@@ -189,14 +189,6 @@ type Options struct {
 	// (400 when zero; negative runs none). A solve that reaches the cap has
 	// not converged: Result.Stop is StopCap.
 	Iterations int
-	// Shards bounds the goroutines the compiled kernel uses for the
-	// per-epoch constraint pass (par.Workers: 0 selects GOMAXPROCS, 1 keeps
-	// the pass on the calling goroutine). Results are bit-for-bit
-	// identical at every shard count: the work decomposition is fixed by
-	// the problem, and every floating-point reduction runs sequentially
-	// over the distinct constraints in first-occurrence order (see
-	// kernel.go).
-	Shards int
 	// OnEpoch, when non-nil, is invoked after every epoch with that
 	// epoch's convergence statistics (objective, hinge violation, L1
 	// term, gradient norm, step size, wall time). Leaving it nil keeps
@@ -209,9 +201,7 @@ type Options struct {
 	// point changes: Adam's moment estimates still begin at zero and the
 	// step schedule at its first epoch, so a warm solve walks the same
 	// descent dynamics from a closer iterate and stops as soon as a
-	// window passes without an improvement on it (Result.Iterations; the
-	// caller can report the saving, e.g. the solver.warm_epochs_saved
-	// gauge internal/incr publishes).
+	// window passes without an improvement on it (Result.Iterations).
 	WarmStart []float64
 	// Patience is the plateau window: the solve stops after that many
 	// consecutive epochs without a best-objective improvement (25 when
@@ -227,6 +217,14 @@ type Options struct {
 	// hash-consing pass. The result is bit-for-bit the one a nil Rows
 	// gives. The table must not be shared by concurrent solves.
 	Rows *RowTable
+	// shards bounds the goroutines the compiled kernel uses for the
+	// per-epoch constraint pass (par.Workers: 0, the only count outside
+	// this package's tests, selects GOMAXPROCS; 1 keeps the pass on the
+	// calling goroutine). Results are bit-for-bit identical at every shard
+	// count: the work decomposition is fixed by the problem, and every
+	// floating-point reduction runs sequentially over the distinct
+	// constraints in first-occurrence order (see kernel.go).
+	shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -278,7 +276,7 @@ type Result struct {
 // kernel.go — duplicate constraints folded into distinct CSR rows that
 // count for as many as they stand for, violation, gradient, and objective
 // fused into one sharded pass per epoch — and is bit-for-bit reproducible
-// at any Options.Shards value, with or without Options.Rows.
+// at any shard count, with or without Options.Rows.
 func Minimize(p *Problem, opts Options) *Result {
 	return minimizeKernel(p, opts.withDefaults())
 }

@@ -105,14 +105,14 @@ func TestRowTableMatchesFreshCompile(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			tab := NewRowTable()
-			opts := Options{Iterations: 40, Shards: 1}
+			opts := Options{Iterations: 40, shards: 1}
 			p := withBlocks(base, cutBlocks(base, rng))
 
 			first := assertSameSolve(t, "first", tab, p, opts)
 			if first.RowsReused != 0 || first.RowsDead != 0 {
 				t.Fatalf("first compile reused %d constraints and left %d rows dead", first.RowsReused, first.RowsDead)
 			}
-			opts.WarmStart, opts.Patience, opts.Shards = first.X, 25, 3
+			opts.WarmStart, opts.Patience, opts.shards = first.X, 25, 3
 			again := assertSameSolve(t, "again", tab, p, opts)
 			if again.RowsReused != len(p.Constraints) || again.RowsDead != 0 {
 				t.Fatalf("unchanged problem: %d of %d constraints reused, %d rows dead", again.RowsReused, len(p.Constraints), again.RowsDead)

@@ -96,7 +96,7 @@ func TestWarmStartMatchesReference(t *testing.T) {
 			opts := Options{Iterations: 100, WarmStart: cold.X, Patience: 25}
 			ref := minimizeReference(p, opts)
 			for _, shards := range []int{1, 3} {
-				opts.Shards = shards
+				opts.shards = shards
 				warm := Minimize(p, opts)
 				if warm.Iterations != ref.Iterations {
 					t.Fatalf("shards=%d: warm solve ran %d epochs, reference %d", shards, warm.Iterations, ref.Iterations)

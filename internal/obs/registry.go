@@ -43,7 +43,7 @@ const (
 	GaugeConstraintsPatternA   = "constraints.pattern_a"          // Fig. 4a: a sanitizer before a sink needs a source
 	GaugeConstraintsPatternB   = "constraints.pattern_b"          // Fig. 4b: a source before a sanitizer needs a sink
 	GaugeConstraintsPatternC   = "constraints.pattern_c"          // Fig. 4c: a source before a sink needs a sanitizer
-	GaugeConstraintsSkipped    = "constraints.skipped_components" // components over MaxComponent, given no constraints
+	GaugeConstraintsSkipped    = "constraints.skipped_components" // components over the component bound, given no constraints
 	GaugeConstraintsWorkers    = "constraints.workers"            // goroutines the build ran on
 	CounterDataflowModules     = "dataflow.modules"               // modules analyzed
 	CounterDataflowFunctions   = "dataflow.functions"             // functions those modules define
@@ -179,12 +179,8 @@ const (
 	// space past its share; the incr.relearn log line says which).
 	CounterIncrUnionPatched = "incr.union.patched"
 	CounterIncrUnionRebuilt = "incr.union.rebuilt"
-	// GaugeSolverEpochs is the epoch count of the last solve;
-	// GaugeWarmEpochsSaved is the epoch saving of the last warm-started
-	// solve versus the session's most recent cold solve of the same
-	// corpus shape (clamped at zero).
-	GaugeSolverEpochs    = "solver.epochs"
-	GaugeWarmEpochsSaved = "solver.warm_epochs_saved"
+	// GaugeSolverEpochs is the epoch count of the last solve.
+	GaugeSolverEpochs = "solver.epochs"
 	// The last solve's result (core.solveAndSelect): best objective and
 	// its hinge part; the size of the system as handed over
 	// (solver.constraints) and as the lp kernel folded it (solver.rows,

@@ -125,11 +125,11 @@ type FeedbackResponse struct {
 	Epoch            string `json:"epoch"`
 	Specs            int    `json:"specs"`
 	// Re-solve economics: how much of the constraint build the delta
-	// cache supplied and what the warm start saved.
+	// cache supplied, whether the solve started warm and how many epochs
+	// it ran.
 	SpansReused  int  `json:"spans_reused"`
 	WarmStarted  bool `json:"warm_started"`
 	SolverEpochs int  `json:"solver_epochs"`
-	EpochsSaved  int  `json:"epochs_saved"`
 }
 
 // handleFeedback implements POST /v1/feedback. Resolution: a finding_id
@@ -249,9 +249,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	resp.SpansReused = st.Delta.SpansReused
 	resp.WarmStarted = st.WarmStarted
 	resp.SolverEpochs = res.SolverEpochs
-	resp.EpochsSaved = st.EpochsSaved
 	s.cfg.Log.Log("feedback.applied", "verdict", req.Verdict, "pins", len(resp.Pinned),
 		"specs", learned.Len(), "epoch", fp, "spans_reused", st.Delta.SpansReused,
-		"epochs", res.SolverEpochs, "epochs_saved", st.EpochsSaved)
+		"epochs", res.SolverEpochs)
 	s.writeJSON(w, http.StatusOK, resp)
 }
