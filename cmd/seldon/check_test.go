@@ -28,12 +28,14 @@ func buildSeldon(t *testing.T) string {
 // the exit status (0 clean, 1 findings, 2 usage or I/O) — over
 // testdata/check: six files of corpus.Generate(Config{Files: 6, Seed: 3}),
 // one with a syntax error that repeats a flow of views_2.py, and a
-// specification learned from `-generate 120`. All goldens but generate's
-// and single's were recorded in the commit before the checker moved here
-// from a binary of its own; single's (one input with findings, whose
-// graph is its own union) was recorded by the binary that still copied
-// it through propgraph.Union. UPDATE_GOLDEN=1 rewrites them, only for a
-// deliberate change of the output.
+// specification learned from `-generate 120`, and fstring.py, whose
+// source is a call inside an f-string's replacement field. All goldens
+// but generate's, single's and fstring's were recorded in the commit
+// before the checker moved here from a binary of its own; single's (one
+// input with findings, whose graph is its own union) was recorded by the
+// binary that still copied it through propgraph.Union, and fstring's once
+// replacement fields carried file coordinates. UPDATE_GOLDEN=1 rewrites
+// them, only for a deliberate change of the output.
 func TestCheckGolden(t *testing.T) {
 	bin := buildSeldon(t)
 	with := func(args ...string) []string { return append([]string{"-spec", "learned.spec"}, args...) }
@@ -53,6 +55,8 @@ func TestCheckGolden(t *testing.T) {
 		{"single", with("-v", "corpus/proj000/views_2.py")},
 		{"noinput", with()},
 		{"generate", with("-generate", "12")},
+		// The source sits in an f-string's replacement field on line 6.
+		{"fstring", with("fstring.py")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

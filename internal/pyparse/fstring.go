@@ -11,12 +11,26 @@ import (
 // on the expression stack, so information flows from the interpolated
 // expressions into the string (the f"SELECT {term}" idiom). Literals
 // without interpolations push nothing, and fragments that fail to parse
-// degrade gracefully.
+// degrade gracefully. A fragment's nodes sit where its text sits in the
+// file, on the token's line or, in a literal that spans lines, a later
+// one.
 func (p *parser) parseFString(tok pytoken.Token) {
 	for _, frag := range fstringFragments(tok.Lit) {
+		before := tok.Lit[:frag.at]
+		at := pytoken.Pos{Line: tok.Pos.Line + strings.Count(before, "\n"), Col: tok.Pos.Col + frag.at}
+		if nl := strings.LastIndexByte(before, '\n'); nl >= 0 {
+			at.Col = frag.at - nl - 1
+		}
+		toks := mustScan(frag.expr)
+		for i := range toks {
+			if toks[i].Pos.Line == 1 {
+				toks[i].Pos.Col += at.Col
+			}
+			toks[i].Pos.Line += at.Line - 1
+		}
 		// The fragment's nodes join the enclosing module, so they come
 		// from the same scratch; its tokens are its own.
-		sub := &parser{file: "<f-string>", toks: mustScan(frag), depth: p.depth, sc: p.sc}
+		sub := &parser{file: "<f-string>", toks: toks, depth: p.depth, sc: p.sc}
 		if expr := sub.parseFragment(); expr != nil {
 			p.sc.exprs.push(expr)
 		}
@@ -60,15 +74,22 @@ func isFStringLit(lit string) bool {
 	return false
 }
 
+// fragment is the expression text of one {…} interpolation and its byte
+// offset in the literal.
+type fragment struct {
+	expr string
+	at   int
+}
+
 // fstringFragments extracts the expression texts of {…} interpolations
 // from an f-string literal (prefix and quotes included). Formatting specs
 // ({x:>10}), conversions ({x!r}), and {{ }} escapes are handled.
-func fstringFragments(lit string) []string {
+func fstringFragments(lit string) []fragment {
 	if !isFStringLit(lit) {
 		return nil
 	}
-	body := stripQuotes(lit)
-	var out []string
+	body, from := stripQuotes(lit)
+	var out []fragment
 	i := 0
 	for i < len(body) {
 		c := body[i]
@@ -77,9 +98,9 @@ func fstringFragments(lit string) []string {
 				i += 2 // literal {{
 				continue
 			}
-			frag, next := scanInterpolation(body, i+1)
+			frag, at, next := scanInterpolation(body, i+1)
 			if frag != "" {
-				out = append(out, frag)
+				out = append(out, fragment{frag, from + at})
 			}
 			i = next
 			continue
@@ -94,9 +115,9 @@ func fstringFragments(lit string) []string {
 }
 
 // scanInterpolation consumes from just after '{' to the matching '}',
-// returning the expression text (format spec and conversion stripped) and
-// the index just past the closing brace.
-func scanInterpolation(body string, start int) (string, int) {
+// returning the expression text (format spec and conversion stripped),
+// the index it starts at and the index just past the closing brace.
+func scanInterpolation(body string, start int) (string, int, int) {
 	depth := 0 // nesting of (, [, { inside the expression
 	exprEnd := -1
 	var quote byte
@@ -126,7 +147,8 @@ func scanInterpolation(body string, start int) (string, int) {
 				if exprEnd < 0 {
 					exprEnd = i
 				}
-				return strings.TrimSpace(body[start:exprEnd]), i + 1
+				expr := strings.TrimSpace(body[start:exprEnd])
+				return expr, start + strings.Index(body[start:exprEnd], expr), i + 1
 			}
 			depth--
 		case ':':
@@ -144,28 +166,29 @@ func scanInterpolation(body string, start int) (string, int) {
 		i++
 	}
 	// Unterminated interpolation: ignore it.
-	return "", len(body)
+	return "", 0, len(body)
 }
 
-// stripQuotes removes the string prefix and the surrounding quotes.
-func stripQuotes(lit string) string {
+// stripQuotes removes the string prefix and the surrounding quotes,
+// returning what is left and the index it starts at.
+func stripQuotes(lit string) (string, int) {
 	i := 0
 	for i < len(lit) && lit[i] != '\'' && lit[i] != '"' {
 		i++
 	}
 	if i >= len(lit) {
-		return ""
+		return "", i
 	}
 	q := lit[i]
 	rest := lit[i:]
 	if len(rest) >= 6 && rest[1] == q && rest[2] == q {
 		if strings.HasSuffix(rest, strings.Repeat(string(q), 3)) {
-			return rest[3 : len(rest)-3]
+			return rest[3 : len(rest)-3], i + 3
 		}
-		return rest[3:]
+		return rest[3:], i + 3
 	}
 	if len(rest) >= 2 && rest[len(rest)-1] == q {
-		return rest[1 : len(rest)-1]
+		return rest[1 : len(rest)-1], i + 1
 	}
-	return rest[1:]
+	return rest[1:], i + 1
 }

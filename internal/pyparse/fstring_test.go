@@ -2,9 +2,11 @@ package pyparse
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"seldon/internal/pyast"
+	"seldon/internal/pytoken"
 )
 
 func TestFStringFragments(t *testing.T) {
@@ -30,9 +32,57 @@ func TestFStringFragments(t *testing.T) {
 		{`f"{unterminated"`, nil},
 	}
 	for _, c := range cases {
-		got := fstringFragments(c.lit)
+		var got []string
+		for _, f := range fstringFragments(c.lit) {
+			got = append(got, f.expr)
+			if !strings.HasPrefix(c.lit[f.at:], f.expr) {
+				t.Errorf("fragments(%s): %q is not at offset %d", c.lit, f.expr, f.at)
+			}
+		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("fragments(%s) = %q, want %q", c.lit, got, c.want)
+		}
+	}
+}
+
+// TestFStringFieldsSitInTheFile: a replacement field's nodes carry the
+// file's line and column (1-based line, 0-based byte column), the ones
+// CPython 3.11's ast gives them — on the literal's own line after its
+// prefix, quotes and leading spaces, and in a triple-quoted literal that
+// spans lines on the line the field sits on, including a field whose
+// expression itself spans lines.
+func TestFStringFieldsSitInTheFile(t *testing.T) {
+	src := "import os\n" +
+		"x = 1\n" +
+		"os.system(f\"echo {request.args.get('q')}\")\n" +
+		"y = rf'''first\n" +
+		"  second { user.name } and {f(a,\n" +
+		"    b)}'''\n"
+	mod := mustParse(t, src)
+	got := map[string]pytoken.Pos{}
+	pyast.Inspect(mod, func(n pyast.Node) bool {
+		switch n := n.(type) {
+		case *pyast.Name:
+			got[n.Ident] = n.Pos()
+		case *pyast.Call:
+			got[Unparse(n)] = n.Pos()
+		case *pyast.Attribute:
+			got[Unparse(n)] = n.Pos()
+		}
+		return true
+	})
+	for expr, want := range map[string]pytoken.Pos{
+		"request.args.get('q')": {Line: 3, Col: 18},
+		"request.args.get":      {Line: 3, Col: 18},
+		"request":               {Line: 3, Col: 18},
+		"user.name":             {Line: 5, Col: 11},
+		"user":                  {Line: 5, Col: 11},
+		"f(a, b)":               {Line: 5, Col: 28},
+		"a":                     {Line: 5, Col: 30},
+		"b":                     {Line: 6, Col: 4},
+	} {
+		if got[expr] != want {
+			t.Errorf("%s at %v, want %v", expr, got[expr], want)
 		}
 	}
 }
