@@ -17,15 +17,19 @@ import (
 
 // Product code has a product caller: every package-level func, method,
 // type, var and const declared in non-test Go under internal/ or cmd/ must
-// be used by non-test Go under internal/ or cmd/. Code that only tests
-// reach belongs in the _test.go file of the test that needs it, and code
-// that nothing reaches is deleted. Struct fields and interface methods are
-// out of scope: json tags, positional literals and the interfaces
-// themselves keep them alive in ways a use count does not see.
+// be used by non-test Go under internal/ or cmd/ that the product reaches
+// — from main, init, a package-level var's initialiser or a method that
+// satisfies an interface the program uses — so declarations that only
+// use each other do not keep each other. Code that only tests reach
+// belongs in the _test.go file of the test that needs it, and code that
+// nothing reaches is deleted. Struct fields and interface methods are out
+// of scope: json tags, positional literals and the interfaces themselves
+// keep them alive in ways a use count does not see.
 //
 // What may stay without a product caller is listed below, one line of
-// reason each, and an entry that gains a product user or stops naming a
-// declaration fails the test too, so the lists only shrink.
+// reason each; what an entry reaches is not reported either. An entry
+// that gains a product user or stops naming a declaration fails the test
+// too, so the lists only shrink.
 
 // benchOnly is what only bench/ (and tests) reach. It is the pin list of
 // ROADMAP item 16: a change that re-bases bench/ on the pipeline's one
@@ -43,6 +47,7 @@ var benchOnly = map[string]string{
 	"eval.Recall.Fraction":         "bench/stages.go reports eval.spec_recall",
 	"fpcache.Cache.Stats":          "bench/ingest.go reports the ingest cache's put and get figures",
 	"corpus.LearnableReps":         "bench/stages.go measures recall against them",
+	"pyast.Inspect":                "bench/stages.go counts pyparse.nodes by walking each module",
 	"shard.BuildFromCorpus":        "bench/ingest.go builds its worker artifacts in process",
 }
 
@@ -95,6 +100,8 @@ func TestProductCallersGate(t *testing.T) {
 		"internal/lib/lib.go:33: lib.unusedUnexported has no product caller",
 		"internal/lib/lib.go:36: lib.OnlyTested has no product caller",
 		"internal/lib/lib.go:39: lib.countdown has no product caller",
+		"internal/lib/lib.go:47: lib.even has no product caller",
+		"internal/lib/lib.go:54: lib.odd has no product caller",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("gate on the fixture reported\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -120,27 +127,32 @@ func productCallers(root string, allow ...map[string]string) ([]string, error) {
 
 	// Declarations by their position, so that a use of a generic's
 	// instance finds the generic, with the span their own uses fall in.
-	type decl struct {
-		name      string
-		obj       types.Object
-		from, end token.Pos
-		used      token.Pos // the first use that counts
-	}
+	// A func or type is its own span; the names of a const or var spec
+	// each reach the spec, which holds the uses in its type and values.
+	// main, init, the blank identifier and a var's initialiser, which runs
+	// at start-up, are roots and never reported.
 	decls := map[token.Position]*decl{}
 	byName := map[string]*decl{}
+	var spans []*decl                  // the spans, in position order
+	roots := []*decl{{}}               // the first stands for what no span holds
 	receivers := map[*ast.Ident]bool{} // the idents of methods' receivers
-	add := func(p *pkg, id *ast.Ident, recv string, from, end token.Pos) {
+	add := func(p *pkg, id *ast.Ident, recv string, d *decl) {
 		obj := l.info.Defs[id]
 		if obj == nil || id.Name == "_" || id.Name == "init" || (id.Name == "main" && recv == "" && p.types.Name() == "main") {
+			roots = append(roots, d)
 			return
 		}
-		name := filepath.Base(p.dir) + "." + id.Name
+		d.name, d.obj = filepath.Base(p.dir)+"."+id.Name, obj
 		if recv != "" {
-			name = filepath.Base(p.dir) + "." + recv + "." + id.Name
+			d.name = filepath.Base(p.dir) + "." + recv + "." + id.Name
 		}
-		d := &decl{name: name, obj: obj, from: from, end: end}
 		decls[l.fset.Position(obj.Pos())] = d
-		byName[name] = d
+		byName[d.name] = d
+	}
+	span := func(from, end token.Pos) *decl {
+		d := &decl{from: from, end: end}
+		spans = append(spans, d)
+		return d
 	}
 	for _, p := range l.pkgs {
 		for _, f := range p.files {
@@ -157,21 +169,33 @@ func productCallers(root string, allow ...map[string]string) ([]string, error) {
 							return true
 						})
 					}
-					add(p, d.Name, recv, d.Pos(), d.End())
+					add(p, d.Name, recv, span(d.Pos(), d.End()))
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
-							add(p, s.Name, "", s.Pos(), s.End())
+							add(p, s.Name, "", span(s.Pos(), s.End()))
 						case *ast.ValueSpec:
+							sp := span(s.Pos(), s.End())
+							if d.Tok == token.VAR && len(s.Values) > 0 {
+								roots = append(roots, sp)
+							}
 							for _, id := range s.Names {
-								add(p, id, "", s.Pos(), s.End())
+								add(p, id, "", &decl{from: sp.from, end: sp.end, uses: []edge{{to: sp}}})
 							}
 						}
 					}
 				}
 			}
 		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].from < spans[j].from })
+	within := func(pos token.Pos) *decl {
+		i := sort.Search(len(spans), func(i int) bool { return spans[i].from > pos }) - 1
+		if i >= 0 && pos < spans[i].end {
+			return spans[i]
+		}
+		return nil
 	}
 
 	// Uses. A use inside the declaration's own span, or in a method's
@@ -188,9 +212,11 @@ func productCallers(root string, allow ...map[string]string) ([]string, error) {
 		if d == nil || (d.from <= id.Pos() && id.Pos() < d.end) || receivers[id] {
 			continue
 		}
-		if d.used == token.NoPos || id.Pos() < d.used {
-			d.used = id.Pos()
+		from := within(id.Pos())
+		if from == nil {
+			from = roots[0]
 		}
+		from.uses = append(from.uses, edge{d, id.Pos()})
 	}
 	for _, tv := range l.info.Types {
 		collectInterfaces(tv.Type, ifaces, seen)
@@ -202,11 +228,11 @@ func productCallers(root string, allow ...map[string]string) ([]string, error) {
 	}
 	collectInterfaces(fmtPkg.Scope().Lookup("Stringer").Type(), ifaces, seen)
 
-	// A method that satisfies an interface the program uses is used: the
-	// call goes through the interface's method.
+	// A method that satisfies an interface the program uses is a root: the
+	// call goes through the interface's method, and its type is its use.
 	for _, d := range decls {
 		fn, ok := d.obj.(*types.Func)
-		if !ok || d.used != token.NoPos {
+		if !ok {
 			continue
 		}
 		recv := fn.Type().(*types.Signature).Recv()
@@ -223,15 +249,40 @@ func productCallers(root string, allow ...map[string]string) ([]string, error) {
 		}
 		for it := range ifaces {
 			if hasMethod(it, fn) && (types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
-				d.used = named.Obj().Pos()
+				roots, d.used = append(roots, d), named.Obj().Pos()
 				break
 			}
 		}
 	}
 
+	// Reach from the product's roots, counting the uses on the way, then
+	// from the allow-list entries too: what only an entry reaches is
+	// neither reported nor a product use.
+	var walk func(d *decl, product bool)
+	walk = func(d *decl, product bool) {
+		if d.reached {
+			return
+		}
+		d.reached = true
+		for _, e := range d.uses {
+			if product && (e.to.used == token.NoPos || e.at < e.to.used) {
+				e.to.used = e.at
+			}
+			walk(e.to, product)
+		}
+	}
+	for _, d := range roots {
+		walk(d, true)
+	}
+	for _, d := range decls {
+		if allowed(allow, d.name) {
+			walk(d, false)
+		}
+	}
+
 	var problems []problem
 	for _, d := range decls {
-		if d.used == token.NoPos && !allowed(allow, d.name) {
+		if !d.reached && !allowed(allow, d.name) {
 			pos := l.fset.Position(d.obj.Pos())
 			problems = append(problems, problem{pos, fmt.Sprintf("%s: %s has no product caller", l.rel(pos), d.name)})
 		}
@@ -263,6 +314,23 @@ func productCallers(root string, allow ...map[string]string) ([]string, error) {
 		out[i] = p.msg
 	}
 	return out, nil
+}
+
+// A decl is a package-level declaration the gate reports, or a span
+// whose uses it follows: a const or var spec, or a root's.
+type decl struct {
+	name      string
+	obj       types.Object
+	from, end token.Pos
+	uses      []edge    // what its span uses
+	used      token.Pos // the first use from a declaration a product root reaches
+	reached   bool      // a root, an allow-list entry or what they use reaches it
+}
+
+// An edge is a use, at a position, of a declaration.
+type edge struct {
+	to *decl
+	at token.Pos
 }
 
 type problem struct {

@@ -42,3 +42,18 @@ func countdown(n int) int {
 	}
 	return countdown(n - 1)
 }
+
+// even and odd call only each other.
+func even(n int) bool {
+	if n == 0 {
+		return true
+	}
+	return odd(n - 1)
+}
+
+func odd(n int) bool {
+	if n == 0 {
+		return false
+	}
+	return even(n - 1)
+}
