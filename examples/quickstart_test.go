@@ -62,7 +62,7 @@ func Example_quickstart() {
 
 	fmt.Println("== taint analysis (vulnerable version) ==")
 	for _, r := range taint.Analyze(graph, sp) {
-		fmt.Printf("  %s\n", r.String())
+		fmt.Printf("  %s\n", reportLine(r))
 	}
 
 	safe, _ := dataflow.AnalyzeSource("media.py", sanitized)
@@ -113,4 +113,11 @@ func Example_quickstart() {
 	// == learned specifications ==
 	//   sanitizer  werkzeug.secure_filename()          score 0.63
 	//   sanitizer  os.path.join()                      score 0.63
+}
+
+// reportLine formats a taint report as one line: where the source is,
+// the flow from source to sink with their positions, and its category.
+func reportLine(r taint.Report) string {
+	return fmt.Sprintf("%s:%s: unsanitized flow from %s (%s) to %s (%s) [%s]",
+		r.File, r.SourcePos, r.SourceRep, r.SourcePos, r.SinkRep, r.SinkPos, r.Category)
 }

@@ -140,10 +140,10 @@ func TestScratchPoison(t *testing.T) {
 			errs = append(errs, e.Error())
 		}
 		for i := range reports {
-			reps += reports[i].String() + fmt.Sprint(reports[i].Path) + "\n"
+			reps += fmt.Sprintf("%+v\n", reports[i])
 		}
 		for _, r := range taint.Analyze(propgraph.Union(fe.Graphs...), taintSpec()) {
-			reps += r.String() + "\n"
+			reps += fmt.Sprintf("%+v\n", r)
 		}
 		return graphs, errs, reps
 	}

@@ -42,11 +42,6 @@ type Report struct {
 	Category Category
 }
 
-func (r *Report) String() string {
-	return fmt.Sprintf("%s:%s: unsanitized flow from %s (%s) to %s (%s) [%s]",
-		r.File, r.SourcePos, r.SourceRep, r.SourcePos, r.SinkRep, r.SinkPos, r.Category)
-}
-
 // Analyze scans the propagation graph for flows from spec sources to spec
 // sinks along paths that contain no spec sanitizer. An event takes a role
 // when any of its representations carries that role in the specification
