@@ -21,7 +21,7 @@ import (
 // that a script can tell them from a run that failed (2).
 func check(args []string) error {
 	fs := flag.NewFlagSet("seldon check", flag.ExitOnError)
-	in, cf, of := addInputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
+	in, workers, cf, of := addInputFlags(fs), addWorkersFlag(fs), addCacheFlags(fs), addObsFlags(fs)
 	specFile := fs.String("spec", "", "specification file (o:/a:/i:/b: lines, as seldon learn -out writes); default: the paper's App. B seed")
 	dedupe := fs.Bool("dedupe", false, "collapse reports sharing (source, sink) representations")
 	fs.Parse(args)
@@ -41,7 +41,7 @@ func check(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Workers: in.workers, Metrics: ob.reg, Log: ob.log}
+	cfg := core.Config{Workers: *workers, Metrics: ob.reg, Log: ob.log}
 	if cfg.Cache, err = cf.open(); err != nil {
 		return err
 	}

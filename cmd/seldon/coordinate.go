@@ -25,23 +25,20 @@ import (
 // produces, with the gather's time at the head of the stage breakdown.
 func coordinate(args []string) error {
 	fs := flag.NewFlagSet("seldon coordinate", flag.ExitOnError)
-	in, lf, out, cache, of := addInputFlags(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
+	workers, lf, out, cache, of := addWorkersFlag(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
 	shardsIn := fs.String("shards-in", "", "glob of shard artifacts (from seldon shard) to merge and learn from")
 	flowCache := fs.String("flowcache", "", "persistent flow-constraint block cache file (loaded before the build, saved after; stale or corrupt files load as empty)")
 	fs.Parse(args)
 	if err := noArgs(fs); err != nil {
 		return err
 	}
-	if in.dir != "" {
-		return fmt.Errorf("%w: seldon coordinate reads no corpus, only -shards-in, but got -dir %s (see -h)", errUsage, in.dir)
-	}
 
-	r, err := startLearnRun("seldon.coordinate", in, lf, of)
+	r, err := startLearnRun("seldon.coordinate", *workers, lf, of)
 	if err != nil {
 		return err
 	}
 	cfg := r.cfg
-	seedSpec, err := lf.seed(in)
+	seedSpec, err := lf.seed(false)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 // front-end and union, written as JSON.
 func graph(args []string) error {
 	fs := flag.NewFlagSet("seldon graph", flag.ExitOnError)
-	in := addInputFlags(fs)
+	in, workers := addInputFlags(fs), addWorkersFlag(fs)
 	out := fs.String("o", "", "output file (default stdout)")
 	fs.Parse(args)
 	in.paths = fs.Args()
@@ -23,7 +23,7 @@ func graph(args []string) error {
 	if err != nil {
 		return err
 	}
-	fe := core.AnalyzeFiles(files, core.Config{Workers: in.workers})
+	fe := core.AnalyzeFiles(files, core.Config{Workers: *workers})
 	for _, perr := range fe.ParseErrs {
 		fmt.Fprintf(os.Stderr, "seldon graph: %v (continuing)\n", perr)
 	}

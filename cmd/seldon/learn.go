@@ -18,7 +18,7 @@ import (
 // session.
 func learn(args []string) error {
 	fs := flag.NewFlagSet("seldon learn", flag.ExitOnError)
-	in, lf, out, cache, of := addInputFlags(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
+	in, workers, lf, out, cache, of := addInputFlags(fs), addWorkersFlag(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
 	sessionDir := fs.String("session-dir", "", "persistent incremental-learning session directory: re-learns only what changed since the last run there, warm-started from its last solution")
 	feedbackFile := fs.String("feedback", "", "JSON file of {symbol, role, verdict} objects pinned as hard constraints before learning (the seed is not overridable: verdicts on its entries are skipped); the pins persist with -session-dir")
 	fs.Parse(args)
@@ -26,7 +26,7 @@ func learn(args []string) error {
 		return err
 	}
 
-	r, err := startLearnRun("seldon.learn", in, lf, of)
+	r, err := startLearnRun("seldon.learn", *workers, lf, of)
 	if err != nil {
 		return err
 	}
@@ -37,7 +37,7 @@ func learn(args []string) error {
 	if err != nil {
 		return err
 	}
-	seedSpec, err := lf.seed(in)
+	seedSpec, err := lf.seed(in.generate > 0)
 	if err != nil {
 		return err
 	}

@@ -32,8 +32,9 @@
 // check reports the unsanitized source→sink flows a specification finds
 // (exit 0 clean, 1 flows found, 2 could not run); graph writes the union
 // of the propagation graphs as JSON. Both take .py paths as arguments
-// beside -dir; learn, shard and coordinate refuse arguments, and
-// coordinate -dir, as usage errors rather than ignore them.
+// beside -dir; learn, shard and coordinate refuse arguments as usage
+// errors rather than ignore them. coordinate takes neither -dir nor
+// -generate: its corpus is the artifacts, its seed -seedfile or App. B's.
 //
 // All but graph take -cache-dir (content-addressed per-file analysis
 // cache, shared safely between workers) and the observability flags:
@@ -95,9 +96,9 @@ var errFindings = errors.New("flows found")
 // like flag's own usage errors it exits 2.
 var errUsage = errors.New("usage")
 
-// noArgs refuses positional arguments: learn, shard and coordinate read
-// their corpus from -dir or -generate (coordinate from -shards-in), so a
-// path given to them would not be read.
+// noArgs refuses positional arguments: learn and shard read their corpus
+// from -dir or -generate and coordinate from -shards-in, so a path given
+// to them would not be read.
 func noArgs(fs *flag.FlagSet) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("%w: %s takes no file arguments, but got %s (see -h)",
@@ -110,11 +111,10 @@ func noArgs(fs *flag.FlagSet) error {
 // functions; a subcommand's flag set is the groups that apply to it plus
 // its own flags, so a flag that does not apply is flag's usage error.
 
-// inputFlags designate the corpus and how wide the front-end runs over it.
+// inputFlags designate the corpus.
 type inputFlags struct {
 	dir      string
 	generate int
-	workers  int
 	paths    []string // .py files named as arguments (check, graph)
 }
 
@@ -122,8 +122,13 @@ func addInputFlags(fs *flag.FlagSet) *inputFlags {
 	in := &inputFlags{}
 	fs.StringVar(&in.dir, "dir", "", "directory of .py files")
 	fs.IntVar(&in.generate, "generate", 0, "generate a synthetic corpus of N files instead of -dir")
-	fs.IntVar(&in.workers, "workers", 0, "goroutines for the front end and the constraint build (0 = GOMAXPROCS, 1 = sequential); results are identical at every count")
 	return in
+}
+
+// addWorkersFlag registers how wide the front end and the constraint
+// build run: every subcommand's, coordinate's too, which reads no corpus.
+func addWorkersFlag(fs *flag.FlagSet) *int {
+	return fs.Int("workers", 0, "goroutines for the front end and the constraint build (0 = GOMAXPROCS, 1 = sequential); results are identical at every count")
 }
 
 // files loads slice i of n of the designated corpus: contiguous blocks of
@@ -175,13 +180,14 @@ func addLearnFlags(fs *flag.FlagSet) *learnFlags {
 	return l
 }
 
-// seed resolves the seed specification; every way in picks the same one
-// for the same corpus.
-func (l *learnFlags) seed(in *inputFlags) (*spec.Spec, error) {
+// seed resolves the seed specification: -seedfile, or else the
+// generator's for a generated corpus and the paper's App. B seed for any
+// other.
+func (l *learnFlags) seed(generated bool) (*spec.Spec, error) {
 	switch {
 	case l.seedFile != "":
 		return readSpec(l.seedFile)
-	case in.generate > 0:
+	case generated:
 		return corpus.ExperimentSeed(), nil
 	}
 	return spec.Seed(), nil
@@ -326,14 +332,14 @@ type learnRun struct {
 	cfg    core.Config
 }
 
-func startLearnRun(rootName string, in *inputFlags, l *learnFlags, o *obsFlags) (*learnRun, error) {
+func startLearnRun(rootName string, workers int, l *learnFlags, o *obsFlags) (*learnRun, error) {
 	ob, err := o.start()
 	if err != nil {
 		return nil, err
 	}
 	r := &learnRun{ob: ob, tracer: trace.New(4), begun: time.Now()}
 	r.root = r.tracer.StartRoot(rootName)
-	r.cfg = core.Config{Threshold: l.threshold, Workers: in.workers, Metrics: ob.reg, Log: ob.log, Span: r.root}
+	r.cfg = core.Config{Threshold: l.threshold, Workers: workers, Metrics: ob.reg, Log: ob.log, Span: r.root}
 	r.cfg.Constraints.Lambda = l.lambda
 	r.cfg.Constraints.C = l.c
 	return r, nil

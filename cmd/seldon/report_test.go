@@ -1,11 +1,15 @@
 package main
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"seldon/internal/corpus"
 )
 
 // stageRows returns the stage names of the "stage timings:" table in a
@@ -62,7 +66,10 @@ func TestReportReadsTheRegistry(t *testing.T) {
 	for _, i := range []string{"0", "1"} {
 		run("shard", "-generate", "40", "-slices", "2", "-slice", i, "-o", "p"+i+".shard")
 	}
-	coord := run("coordinate", "-generate", "40", "-shards-in", "p*.shard", "-top", "1")
+	if err := os.WriteFile(filepath.Join(dir, "seed.spec"), []byte(corpus.ExperimentSeed().Format()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coord := run("coordinate", "-seedfile", "seed.spec", "-shards-in", "p*.shard", "-top", "1")
 	if got, want := stageRows(t, coord), []string{"shard.decode", "constraints", "solve", "select"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("coordinator's stage table lists %v, want %v", got, want)
 	}

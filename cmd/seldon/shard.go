@@ -19,7 +19,7 @@ import (
 // anywhere, in any order, and may share a -cache-dir.
 func shardWorker(args []string) error {
 	fs := flag.NewFlagSet("seldon shard", flag.ExitOnError)
-	in, cache, of := addInputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
+	in, workers, cache, of := addInputFlags(fs), addWorkersFlag(fs), addCacheFlags(fs), addObsFlags(fs)
 	slices := fs.Int("slices", 1, "total number of corpus slices")
 	slice := fs.Int("slice", 0, "this worker's slice index (0-based)")
 	out := fs.String("o", "-", "artifact output path (\"-\" = stdout)")
@@ -33,7 +33,7 @@ func shardWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Workers: in.workers, Metrics: ob.reg, Log: ob.log}
+	cfg := core.Config{Workers: *workers, Metrics: ob.reg, Log: ob.log}
 	if cfg.Cache, err = cache.open(); err != nil {
 		return err
 	}

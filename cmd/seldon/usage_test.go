@@ -35,8 +35,11 @@ func TestCoordinateRefusesPaths(t *testing.T) {
 	refused(t, coordinate, "stray.py", "-shards-in", "s*.shard", "stray.py")
 }
 
-// TestCoordinateRefusesDir: a coordinator analyzes no corpus, so -dir,
-// which its input flags register, has nothing to say to it.
+// TestCoordinateRefusesDir: a coordinator analyzes no corpus, so it
+// registers no -dir, and flag refuses one as a usage error (exit 2).
 func TestCoordinateRefusesDir(t *testing.T) {
-	refused(t, coordinate, "/nonexistent/dir", "-shards-in", "s*.shard", "-dir", "/nonexistent/dir")
+	_, stderr, status := seldonIn(t, buildSeldon(t), t.TempDir(), "coordinate", "-shards-in", "s*.shard", "-dir", "/nonexistent/dir")
+	if status != 2 || !strings.Contains(stderr, "flag provided but not defined: -dir") {
+		t.Fatalf("coordinate -dir: exit %d, stderr %q; want 2 and flag's refusal of -dir", status, stderr)
+	}
 }
