@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -12,6 +14,7 @@ import (
 
 	"seldon/internal/core"
 	"seldon/internal/corpus"
+	"seldon/internal/envelope"
 	"seldon/internal/incr"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
@@ -184,5 +187,41 @@ func TestSessionLearnKeepsParseErrors(t *testing.T) {
 		if !slices.Equal(res.ParseErrorFiles, want) {
 			t.Errorf("%s session: parse errors in %q, want %q", mode, res.ParseErrorFiles, want)
 		}
+	}
+}
+
+// TestSessionLearnStartsColdOverAnotherVersion: a session directory whose
+// state.bin is of format version 3, which also kept the backoff decay,
+// the component bound and a cold-solve epoch count, is not resumed:
+// seldon learn says why on stderr, learns cold, and the state it saves
+// resumes the next run.
+func TestSessionLearnStartsColdOverAnotherVersion(t *testing.T) {
+	bin, dir := buildSeldon(t), t.TempDir()
+	learn := func() (string, string) {
+		t.Helper()
+		stdout, stderr, status := seldonIn(t, bin, dir, "learn", "-generate", "40", "-session-dir", "sess", "-top", "1")
+		if status != 0 {
+			t.Fatalf("seldon learn: exit %d\n%s", status, stderr)
+		}
+		return stdout, stderr
+	}
+	learn()
+	path := filepath.Join(dir, "sess", incr.StateFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Clone(data[:len(data)-envelope.ChecksumSize])
+	binary.LittleEndian.PutUint64(body[len("SINC"):], 3) // the version follows the magic
+	if err := os.WriteFile(path, envelope.Seal(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := learn()
+	if !strings.Contains(stderr, "session unusable (incr: state version 3, want 4), starting cold") ||
+		!strings.Contains(stdout, "session sess (cold)") {
+		t.Errorf("over a version-3 state.bin:\nstdout %s\nstderr %s", stdout, stderr)
+	}
+	if stdout, _ := learn(); !strings.Contains(stdout, "session sess (resumed)") {
+		t.Errorf("the state saved after a cold start does not resume:\n%s", stdout)
 	}
 }
