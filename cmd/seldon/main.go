@@ -173,7 +173,7 @@ type learnFlags struct {
 
 func addLearnFlags(fs *flag.FlagSet) *learnFlags {
 	l := &learnFlags{}
-	fs.StringVar(&l.seedFile, "seedfile", "", "seed specification (o:/a:/i:/b: lines); default: the paper's App. B seed, or the generator's with -generate")
+	fs.StringVar(&l.seedFile, "seedfile", "", "seed specification (o:/a:/i:/b: lines); default: the generator's for a -generate corpus, else the paper's App. B seed")
 	fs.Float64Var(&l.threshold, "threshold", 0.1, "score threshold for selecting roles")
 	fs.Float64Var(&l.lambda, "lambda", 0.1, "L1 regularization weight")
 	fs.Float64Var(&l.c, "c", 0.75, "implication-strength constant C")
