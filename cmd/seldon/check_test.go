@@ -57,6 +57,8 @@ func TestCheckGolden(t *testing.T) {
 		{"generate", with("-generate", "12")},
 		// The source sits in an f-string's replacement field on line 6.
 		{"fstring", with("fstring.py")},
+		// The tainted name sits in format specs' nested fields too.
+		{"fstring_spec", with("fstring_spec.py")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -82,8 +82,9 @@ type fragment struct {
 }
 
 // fstringFragments extracts the expression texts of {…} interpolations
-// from an f-string literal (prefix and quotes included). Formatting specs
-// ({x:>10}), conversions ({x!r}), and {{ }} escapes are handled.
+// from an f-string literal (prefix and quotes included), each field's
+// expression followed by those of the fields nested in its format spec
+// ({x:{width}}). Conversions ({x!r}) and {{ }} escapes are handled.
 func fstringFragments(lit string) []fragment {
 	if !isFStringLit(lit) {
 		return nil
@@ -98,11 +99,11 @@ func fstringFragments(lit string) []fragment {
 				i += 2 // literal {{
 				continue
 			}
-			frag, at, next := scanInterpolation(body, i+1)
-			if frag != "" {
-				out = append(out, fragment{frag, from + at})
+			n := len(out)
+			var ok bool
+			if out, i, ok = scanField(body, i+1, out); !ok {
+				out = out[:n] // unterminated interpolation: ignore it
 			}
-			i = next
 			continue
 		}
 		if c == '}' && i+1 < len(body) && body[i+1] == '}' {
@@ -111,28 +112,28 @@ func fstringFragments(lit string) []fragment {
 		}
 		i++
 	}
+	for k := range out {
+		out[k].at += from
+	}
 	return out
 }
 
-// scanInterpolation consumes from just after '{' to the matching '}',
-// returning the expression text (format spec and conversion stripped),
-// the index it starts at and the index just past the closing brace.
-func scanInterpolation(body string, start int) (string, int, int) {
+// scanField consumes a replacement field from just after its '{' to the
+// matching '}', appending its expression (conversion and format spec
+// stripped) and then the fields nested in its format spec. It returns the
+// index just past the closing brace, and false when the field is not
+// closed.
+func scanField(body string, start int, out []fragment) ([]fragment, int, bool) {
 	depth := 0 // nesting of (, [, { inside the expression
-	exprEnd := -1
 	var quote byte
-	i := start
-	for i < len(body) {
+	for i := start; i < len(body); i++ {
 		c := body[i]
 		if quote != 0 {
 			if c == '\\' {
-				i += 2
-				continue
-			}
-			if c == quote {
+				i++
+			} else if c == quote {
 				quote = 0
 			}
-			i++
 			continue
 		}
 		switch c {
@@ -144,29 +145,55 @@ func scanInterpolation(body string, start int) (string, int, int) {
 			depth--
 		case '}':
 			if depth == 0 {
-				if exprEnd < 0 {
-					exprEnd = i
-				}
-				expr := strings.TrimSpace(body[start:exprEnd])
-				return expr, start + strings.Index(body[start:exprEnd], expr), i + 1
+				return appendExpr(out, body, start, i), i + 1, true
 			}
 			depth--
 		case ':':
-			if depth == 0 && exprEnd < 0 {
-				exprEnd = i // format spec starts
+			if depth == 0 {
+				return scanSpec(body, i+1, appendExpr(out, body, start, i))
 			}
 		case '!':
 			// Conversion marker: !s, !r, !a directly before } or :.
-			if depth == 0 && exprEnd < 0 && i+1 < len(body) &&
-				strings.IndexByte("sra", body[i+1]) >= 0 &&
+			if depth == 0 && i+1 < len(body) && strings.IndexByte("sra", body[i+1]) >= 0 &&
 				(i+2 >= len(body) || body[i+2] == '}' || body[i+2] == ':') {
-				exprEnd = i
+				out = appendExpr(out, body, start, i)
+				if i+2 < len(body) && body[i+2] == ':' {
+					return scanSpec(body, i+3, out)
+				}
+				return out, i + 3, i+2 < len(body)
 			}
 		}
-		i++
 	}
-	// Unterminated interpolation: ignore it.
-	return "", 0, len(body)
+	return out, len(body), false
+}
+
+// scanSpec consumes a format spec from start to its field's closing
+// brace, appending the fields nested in it, each at its own offset.
+func scanSpec(body string, start int, out []fragment) ([]fragment, int, bool) {
+	for i := start; i < len(body); {
+		switch body[i] {
+		case '{':
+			var ok bool
+			if out, i, ok = scanField(body, i+1, out); !ok {
+				return out, i, false
+			}
+		case '}':
+			return out, i + 1, true
+		default:
+			i++
+		}
+	}
+	return out, len(body), false
+}
+
+// appendExpr appends body[start:end], spaces trimmed, as a fragment
+// unless it is empty.
+func appendExpr(out []fragment, body string, start, end int) []fragment {
+	expr := strings.TrimSpace(body[start:end])
+	if expr == "" {
+		return out
+	}
+	return append(out, fragment{expr, start + strings.Index(body[start:end], expr)})
 }
 
 // stripQuotes removes the string prefix and the surrounding quotes,

@@ -21,6 +21,11 @@ func TestFStringFragments(t *testing.T) {
 		{`f"{x:>10}"`, []string{"x"}},
 		{`f"{x!r}"`, []string{"x"}},
 		{`f"{x!r:>10}"`, []string{"x"}},
+		{`f"{name:{width}}"`, []string{"name", "width"}},
+		{`f"{abs(val):.{digits}f}"`, []string{"abs(val)", "digits"}},
+		{`f"{x!r:{w}.{p}}"`, []string{"x", "w", "p"}},
+		{`f"{x:'>10}"`, []string{"x"}},
+		{`f"{x:{w}"`, nil},
 		{`f"{d['k']}"`, []string{"d['k']"}},
 		{`f"{f(a, b)}"`, []string{"f(a, b)"}},
 		{`f"{a != b}"`, []string{"a != b"}},
@@ -83,6 +88,33 @@ func TestFStringFieldsSitInTheFile(t *testing.T) {
 	} {
 		if got[expr] != want {
 			t.Errorf("%s at %v, want %v", expr, got[expr], want)
+		}
+	}
+}
+
+// TestFStringSpecFieldsSitInTheFile: the fields nested in a format spec
+// are fragments of their own, named and placed where their text sits,
+// as CPython 3.11's ast places them.
+func TestFStringSpecFieldsSitInTheFile(t *testing.T) {
+	src := "a = f\"{name:{width}}\"\n" +
+		"b = f\"{abs(val):.{digits}f}\"\n"
+	mod := mustParse(t, src)
+	got := map[string]pytoken.Pos{}
+	pyast.Inspect(mod, func(n pyast.Node) bool {
+		if n, ok := n.(*pyast.Name); ok {
+			got[n.Ident] = n.Pos()
+		}
+		return true
+	})
+	for name, want := range map[string]pytoken.Pos{
+		"name":   {Line: 1, Col: 7},
+		"width":  {Line: 1, Col: 13},
+		"abs":    {Line: 2, Col: 7},
+		"val":    {Line: 2, Col: 11},
+		"digits": {Line: 2, Col: 18},
+	} {
+		if got[name] != want {
+			t.Errorf("%s at %v, want %v", name, got[name], want)
 		}
 	}
 }
