@@ -7,7 +7,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"seldon/internal/core"
 	"seldon/internal/obs"
@@ -48,9 +47,9 @@ func check(args []string) error {
 	fe := core.AnalyzeFiles(files, cfg)
 	if cfg.Cache != nil {
 		snap := ob.reg.Snapshot()
-		fmt.Fprintf(os.Stderr, "seldon check: cache: %d hits, %d misses, %d bytes, saved %s\n",
+		fmt.Fprintf(os.Stderr, "seldon check: cache: %d hits, %d misses, %d bytes\n",
 			snap.Counters[obs.CounterCacheHits], snap.Counters[obs.CounterCacheMisses],
-			snap.Counters[obs.CounterCacheBytes], seconds(snap.Gauges[obs.GaugeCacheSaved]).Round(time.Microsecond))
+			snap.Counters[obs.CounterCacheBytes])
 	}
 	for _, perr := range fe.ParseErrs {
 		fmt.Fprintf(os.Stderr, "seldon check: %v (continuing with recovered AST)\n", perr)

@@ -54,7 +54,7 @@ func coordinate(args []string) error {
 	}
 	sort.Strings(paths)
 	// A coordinator never runs the front-end itself: its cache is where
-	// artifact sidecars are ingested.
+	// the artifacts' records are ingested.
 	ingest, err := cache.open()
 	if err != nil {
 		return err

@@ -22,14 +22,15 @@ import (
 // store `seldon learn` writes for the same corpus, byte for byte. At 400
 // files each artifact's graph sections pass the size from which they are
 // decoded on several goroutines, so a second coordination under
-// GOMAXPROCS=1 holds them to the one-goroutine answer. The workers ship fpcache sidecars (-ship-cache), which the first
-// coordination ingests into its -cache-dir — the path for workers sharing
-// no disk with the coordinator — and a learn over that directory must hit
-// on every file and write the same store. Last, a coordination with a
+// GOMAXPROCS=1 holds them to the one-goroutine answer. The first
+// coordination ingests the artifacts' records into its -cache-dir — the
+// path for workers sharing no disk with the coordinator, which need no
+// flag of their own for it — and a learn over that directory must hit on
+// every file and write the same store. Last, a coordination with a
 // persisted flow-block cache (-flowcache), run twice, must write the same
 // store cold and warm, and the warm run must load the file and reuse all
 // 400 spans. Any drift in slicing, the codec, symbol translation, the
-// sidecar keys, the merge or the flow cache fails here.
+// ingested cache keys, the merge or the flow cache fails here.
 func TestShardedLearnIsSingleProcessLearn(t *testing.T) {
 	bin := buildSeldon(t)
 	dir := t.TempDir()
@@ -102,7 +103,7 @@ func TestShardedLearnIsSingleProcessLearn(t *testing.T) {
 	var workers []*proc
 	for _, i := range []string{"0", "1", "2"} {
 		workers = append(workers, start(nil, "shard", "-dir", "corpus", "-slices", "3", "-slice", i,
-			"-cache-dir", "workers", "-ship-cache", "-o", "p"+i+".shard"))
+			"-cache-dir", "workers", "-o", "p"+i+".shard"))
 	}
 	for _, w := range workers {
 		wait(w)
@@ -113,7 +114,7 @@ func TestShardedLearnIsSingleProcessLearn(t *testing.T) {
 	same("dist.json", "dist1.json")
 
 	if out := learn("ingest.json", "-cache-dir", "ingest"); !regexp.MustCompile(`(?m)^cache: 400/400 hits`).MatchString(out) {
-		t.Errorf("learn over the ingested sidecars did not hit on every file:\n%s", out)
+		t.Errorf("learn over the ingested records did not hit on every file:\n%s", out)
 	}
 	same("single.json", "ingest.json")
 

@@ -191,8 +191,8 @@ func TestSessionLearnKeepsParseErrors(t *testing.T) {
 }
 
 // TestSessionLearnStartsColdOverAnotherVersion: a session directory whose
-// state.bin is of format version 3, which also kept the backoff decay,
-// the component bound and a cold-solve epoch count, is not resumed:
+// state.bin is of format version 4, whose file records also kept an
+// analysis cost, is not resumed:
 // seldon learn says why on stderr, learns cold, and the state it saves
 // resumes the next run.
 func TestSessionLearnStartsColdOverAnotherVersion(t *testing.T) {
@@ -212,14 +212,14 @@ func TestSessionLearnStartsColdOverAnotherVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := bytes.Clone(data[:len(data)-envelope.ChecksumSize])
-	binary.LittleEndian.PutUint64(body[len("SINC"):], 3) // the version follows the magic
+	binary.LittleEndian.PutUint64(body[len("SINC"):], 4) // the version follows the magic
 	if err := os.WriteFile(path, envelope.Seal(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	stdout, stderr := learn()
-	if !strings.Contains(stderr, "session unusable (incr: state version 3, want 4), starting cold") ||
+	if !strings.Contains(stderr, "session unusable (incr: state version 4, want 5), starting cold") ||
 		!strings.Contains(stdout, "session sess (cold)") {
-		t.Errorf("over a version-3 state.bin:\nstdout %s\nstderr %s", stdout, stderr)
+		t.Errorf("over a version-4 state.bin:\nstdout %s\nstderr %s", stdout, stderr)
 	}
 	if stdout, _ := learn(); !strings.Contains(stdout, "session sess (resumed)") {
 		t.Errorf("the state saved after a cold start does not resume:\n%s", stdout)

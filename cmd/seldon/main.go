@@ -468,23 +468,16 @@ func stageBreakdown(snap *obs.Snapshot) string {
 	return b.String()
 }
 
-// cacheSummary formats the analysis-cache line: hit rate, entry bytes
-// touched, front-end time the hits avoided, and the estimated speedup
-// over an uncached run of the same corpus.
+// cacheSummary formats the analysis-cache line: hit rate and entry
+// bytes touched.
 func cacheSummary(snap *obs.Snapshot) string {
 	hits, misses := snap.Counters[obs.CounterCacheHits], snap.Counters[obs.CounterCacheMisses]
 	rate := 0.0
 	if hits+misses > 0 {
 		rate = 100 * float64(hits) / float64(hits+misses)
 	}
-	saved := snap.Gauges[obs.GaugeCacheSaved]
-	line := fmt.Sprintf("cache: %d/%d hits (%.1f%%), %d misses, %d bytes, saved %s",
-		hits, hits+misses, rate, misses, snap.Counters[obs.CounterCacheBytes],
-		seconds(saved).Round(time.Microsecond))
-	if speedup := snap.Gauges[obs.GaugeCacheWarmSpeedup]; saved > 0 && speedup > 0 {
-		line += fmt.Sprintf(", est. warm speedup %.2fx", speedup)
-	}
-	return line + "\n"
+	return fmt.Sprintf("cache: %d/%d hits (%.1f%%), %d misses, %d bytes\n",
+		hits, hits+misses, rate, misses, snap.Counters[obs.CounterCacheBytes])
 }
 
 // seconds is a registry figure in seconds as a duration.

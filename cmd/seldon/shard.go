@@ -23,7 +23,6 @@ func shardWorker(args []string) error {
 	slices := fs.Int("slices", 1, "total number of corpus slices")
 	slice := fs.Int("slice", 0, "this worker's slice index (0-based)")
 	out := fs.String("o", "-", "artifact output path (\"-\" = stdout)")
-	shipCache := fs.Bool("ship-cache", false, "attach the fpcache sidecar (each file's recorded analysis cost; the coordinator derives the cache keys from the manifest) to the artifact, so that a coordinator sharing no disk with this worker seeds its -cache-dir from it (coordinate -shards-in)")
 	fs.Parse(args)
 	if err := noArgs(fs); err != nil {
 		return err
@@ -45,7 +44,6 @@ func shardWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	art.Sidecar = *shipCache
 
 	t0 := time.Now()
 	var written int64

@@ -14,18 +14,27 @@ import (
 )
 
 // TestFlowCacheFixtureRoundTrip pins the file format:
-// testdata/flowcache.bin (version 2) must load and save back to the same
-// bytes. UPDATE_GOLDEN=1 rewrites it and the FuzzLoadFlowCache seeds made
-// from it — only a format or analyzer version bump should need that.
+// testdata/flowcache.bin (version 2) must be what Save writes for its
+// corpus today, and must load and save back to the same bytes.
+// UPDATE_GOLDEN=1 rewrites it and the FuzzLoadFlowCache seeds made from it
+// — only a format or analyzer version bump should need that.
 func TestFlowCacheFixtureRoundTrip(t *testing.T) {
 	path := filepath.Join("testdata", "flowcache.bin")
 	opts := constraints.Options{Workers: 1}
+	files := corpus.Generate(corpus.Config{Files: 6, Seed: 5}).FileMap()
+	_, _, union, spans := corpusSpans(t, files, 1)
+	fresh := constraints.NewFlowCache()
+	constraints.BuildIncremental(union, corpus.ExperimentSeed(), opts, spans, fresh)
+	freshPath := filepath.Join(t.TempDir(), "flowcache.bin")
+	if err := fresh.Save(freshPath, opts); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(freshPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		files := corpus.Generate(corpus.Config{Files: 6, Seed: 5}).FileMap()
-		_, _, union, spans := corpusSpans(t, files, 1)
-		cache := constraints.NewFlowCache()
-		constraints.BuildIncremental(union, corpus.ExperimentSeed(), opts, spans, cache)
-		if err := cache.Save(path, opts); err != nil {
+		if err := os.WriteFile(path, want, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		writeFlowCacheSeeds(t, path)
@@ -33,6 +42,9 @@ func TestFlowCacheFixtureRoundTrip(t *testing.T) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(want, data) {
+		t.Fatal("the code writes another flow cache than testdata/flowcache.bin: run make fixtures if the format moved on purpose")
 	}
 	cache, ok := constraints.LoadFlowCache(path, opts)
 	if !ok || cache.Len() == 0 {

@@ -86,9 +86,6 @@ func TestLearnFromSourcesCacheDeterminism(t *testing.T) {
 				if b := reg.Counter(obs.CounterCacheBytes); b <= 0 {
 					t.Errorf("cache bytes = %d, want > 0", b)
 				}
-				if saved := reg.Snapshot().Gauges[obs.GaugeCacheSaved]; phase == "warm" && saved <= 0 {
-					t.Errorf("warm run saved %vs, want > 0", saved)
-				}
 			})
 		}
 	}
@@ -216,9 +213,6 @@ func TestAnalyzeFilesCacheTelemetry(t *testing.T) {
 	if warm.Timers[obs.StageCache].Count != 1 {
 		t.Errorf("%s count = %d, want 1", obs.StageCache, warm.Timers[obs.StageCache].Count)
 	}
-	if v, ok := warm.Gauges[obs.GaugeCacheWarmSpeedup]; !ok || v < 1 {
-		t.Errorf("warm %s = %v (present %v), want >= 1", obs.GaugeCacheWarmSpeedup, v, ok)
-	}
 	// Warm hits skip parse+dataflow entirely: the per-file timers must
 	// record zero observations.
 	if warm.Timers[obs.FileParse].Count != 0 {
@@ -244,5 +238,42 @@ func TestStaleEntriesLeaveOnOpen(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.fpc"))
 	if err != nil || len(files) != 60 || len(paths) != 60 {
 		t.Fatalf("%d .fpc files after a %d-file run (err %v), want 60", len(paths), len(files), err)
+	}
+}
+
+// TestCacheEntriesAreAFunctionOfTheirFiles: an entry records only what
+// its file determines, so two front ends over one corpus, each writing
+// into a cache directory of its own, write the same entries byte for
+// byte — a parse error among them.
+func TestCacheEntriesAreAFunctionOfTheirFiles(t *testing.T) {
+	files := corpus.Generate(corpus.Config{Files: 12, Seed: 3}).FileMap()
+	files["broken.py"] = "def broken(:\n    pass\n"
+	var dirs [2]string
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+		cache, err := fpcache.Open(dirs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		AnalyzeFiles(files, Config{Workers: 2, Cache: cache})
+	}
+	entries := func(dir string) map[string][]byte {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.fpc"))
+		if err != nil || len(paths) != len(files) {
+			t.Fatalf("%d entries in %s (err %v), want %d", len(paths), dir, err, len(files))
+		}
+		m := make(map[string][]byte, len(paths))
+		for _, p := range paths {
+			if m[filepath.Base(p)], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	a, b := entries(dirs[0]), entries(dirs[1])
+	for name, data := range a {
+		if !bytes.Equal(data, b[name]) {
+			t.Errorf("entry %s differs between the two runs", name)
+		}
 	}
 }

@@ -30,11 +30,6 @@ type FrontEnd struct {
 	// with it.
 	Names  []string
 	Graphs []*propgraph.Graph
-	// Costs is each file's parse+dataflow cost, aligned with Names. For
-	// a cache hit it is the cost recorded when the entry was produced —
-	// the number a shard sidecar ships so downstream caches inherit
-	// truthful accounting rather than the near-zero hit time.
-	Costs []time.Duration
 	// ParseErrorFiles names the files whose parse reported an error, in
 	// sorted order; ParseErrs is aligned with it. Analysis still ran over
 	// the recovered ASTs.
@@ -44,8 +39,8 @@ type FrontEnd struct {
 	// comparable across worker counts); Wall is the elapsed time of the
 	// whole front-end section. Files served from the cache contribute
 	// nothing to either total — their parse and dataflow never ran. The
-	// pool size and the cache's hits, misses, bytes and savings go only
-	// to Config.Metrics.
+	// pool size and the cache's hits, misses and bytes go only to
+	// Config.Metrics.
 	ParseTotal   time.Duration
 	AnalyzeTotal time.Duration
 	Wall         time.Duration
@@ -83,7 +78,6 @@ type fileOutcome struct {
 	analyze time.Duration
 
 	hit        bool          // served from the cache
-	saved      time.Duration // recorded cost a hit avoided
 	cacheBytes int64         // entry bytes read (hit) or written (miss)
 	cacheWall  time.Duration // time spent in Get/Put for this file
 }
@@ -125,7 +119,6 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 			if ok {
 				o.hit = true
 				o.graph = ent.Graph
-				o.saved = ent.Cost
 				o.cacheBytes = ent.Size
 				if ent.ParseError != "" {
 					o.err = errors.New(ent.ParseError)
@@ -155,9 +148,7 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 			if err != nil {
 				perr = err.Error()
 			}
-			written, werr := cfg.Cache.Put(name, files[name], &fpcache.Entry{
-				Graph: o.graph, ParseError: perr, Cost: o.parse + o.analyze,
-			})
+			written, werr := cfg.Cache.Put(name, files[name], &fpcache.Entry{Graph: o.graph, ParseError: perr})
 			o.cacheWall += time.Since(t0)
 			if werr != nil {
 				// A failed write-back costs the next run a re-analysis,
@@ -171,24 +162,19 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 	fe.Wall = time.Since(t0)
 
 	fe.Graphs = make([]*propgraph.Graph, len(names))
-	fe.Costs = make([]time.Duration, len(names))
 	var (
-		hits             int
-		cacheBytes       int64
-		saved, cacheWall time.Duration
+		hits       int
+		cacheBytes int64
+		cacheWall  time.Duration
 	)
 	for i := range outcomes {
 		o := &outcomes[i]
 		fe.Graphs[i] = o.graph
-		// Exactly one of (saved) and (parse+analyze) is nonzero: the
-		// recorded cost for a hit, the measured cost for a miss.
-		fe.Costs[i] = o.saved + o.parse + o.analyze
 		fe.ParseTotal += o.parse
 		fe.AnalyzeTotal += o.analyze
 		if o.hit {
 			hits++
 		}
-		saved += o.saved
 		cacheBytes += o.cacheBytes
 		cacheWall += o.cacheWall
 		if o.err != nil {
@@ -206,9 +192,8 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 	// frontend.speedup is per-file CPU over wall. On a fully warm cache
 	// run parse+dataflow never execute, so that ratio degenerates to 0 —
 	// a misleading number for a run that was in fact at its fastest. The
-	// gauge is published only when measurable; cache.speedup (derived
-	// from the recorded original costs in the fpcache entries) carries
-	// the warm-run story.
+	// gauge is published only when measurable; the cache's hit count
+	// carries the warm-run story.
 	if fe.ParseTotal+fe.AnalyzeTotal > 0 {
 		cfg.Metrics.Set(obs.GaugeFrontendSpeedup, fe.Speedup())
 	}
@@ -223,15 +208,8 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 		cfg.Metrics.Add(obs.CounterCacheMisses, int64(misses))
 		cfg.Metrics.Add(obs.CounterCacheBytes, cacheBytes)
 		cfg.Metrics.ObserveDuration(obs.StageCache, cacheWall)
-		cfg.Metrics.Set(obs.GaugeCacheSaved, saved.Seconds())
-		speedup := 0.0 // (wall + saved) / wall; 0 when the wall is unmeasured
-		if fe.Wall > 0 {
-			speedup = float64(fe.Wall+saved) / float64(fe.Wall)
-		}
-		cfg.Metrics.Set(obs.GaugeCacheWarmSpeedup, speedup)
 		cfg.Log.Log(obs.StageCache, "hits", hits, "misses", misses,
-			"bytes", cacheBytes, "saved", saved.Round(time.Microsecond),
-			"dur", cacheWall.Round(time.Microsecond))
+			"bytes", cacheBytes, "dur", cacheWall.Round(time.Microsecond))
 	}
 	return fe
 }
@@ -244,7 +222,6 @@ func (fe *FrontEnd) Record(i int, source string) fpcache.Record {
 	rec := fpcache.Record{
 		Name:   name,
 		Source: sha256.Sum256([]byte(source)),
-		Cost:   fe.Costs[i],
 		Graph:  fe.Graphs[i].AppendBinary(nil),
 	}
 	if j, ok := slices.BinarySearch(fe.ParseErrorFiles, name); ok {

@@ -323,6 +323,13 @@ func patchU64(data []byte, r *envelope.Reader, v uint64) {
 	binary.LittleEndian.PutUint64(data[at:], v)
 }
 
+// patchUvarint replaces the uvarint at the offset where r stands in data.
+func patchUvarint(data []byte, r *envelope.Reader, v uint64) []byte {
+	at := len(data) - envelope.ChecksumSize - len(r.Rest())
+	_, n := binary.Uvarint(data[at:])
+	return append(binary.AppendUvarint(bytes.Clone(data[:at]), v), data[at+n:]...)
+}
+
 // TestDeclaredLengthsDoNotAllocate: a count or length the input declares
 // is a claim. Each case is a small, correctly checksummed artifact that
 // claims 1<<24 elements or 1<<28 bytes it does not have; its decoder must
@@ -331,7 +338,7 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 	const hugeCount, hugeLen = 1 << 24, 1 << 28
 
 	// state.bin: version, analyzer version, four knobs, seed, then counted
-	// files, solutions and pins.
+	// files (a uvarint count), solutions and pins (u64 counts).
 	state := func(which int) []byte {
 		data := fixture(t, "incr", incr.StateFile)
 		r := envelope.NewReader(data[4 : len(data)-envelope.ChecksumSize])
@@ -339,18 +346,20 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 		r.Bytes64()
 		r.Take(4 * 8)
 		r.Bytes64()
-		for section := 0; ; section++ {
+		if which == 0 {
+			return reseal(patchUvarint(data, r, hugeCount))
+		}
+		for n := r.Uvarint(); n > 0 && r.Err() == nil; n-- {
+			fpcache.ReadRecord(r)
+		}
+		for section := 1; ; section++ {
 			if section == which {
 				patchU64(data, r, hugeCount)
 				return reseal(data)
 			}
 			for n := r.U64(); n > 0 && r.Err() == nil; n-- {
-				if section == 0 {
-					fpcache.ReadRecord(r)
-				} else {
-					r.Bytes64()
-					r.Take(8 + 8)
-				}
+				r.Bytes64()
+				r.Take(8 + 8)
 			}
 			if r.Err() != nil {
 				t.Fatalf("state fixture does not walk: %v", r.Err())
@@ -377,30 +386,28 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 		patchU64(data, r, hugeCount)
 		return reseal(data)
 	}
-	// An fpcache entry: magic, version 3, then a record — name, source
-	// hash, parse error, cost, graph — whose graph is what the case needs.
+	// An fpcache entry: magic, version 4, then a record — name, source
+	// hash, parse error, graph — whose graph is what the case needs.
 	entry := func(parseErrLen uint64, graph []byte) []byte {
-		b := binary.AppendUvarint([]byte("SFPC"), 3)
+		b := binary.AppendUvarint([]byte("SFPC"), 4)
 		b = envelope.AppendBytesV(b, entryName)
 		b = append(b, make([]byte, 32)...)
 		b = binary.AppendUvarint(b, parseErrLen)
 		if parseErrLen == 0 {
-			b = binary.AppendUvarint(b, 1000)
 			b = envelope.AppendBytesV(b, graph)
 		}
 		return envelope.Seal(b)
 	}
-	// A shard stream: magic, version 3, a payload length of 1<<30, and as
+	// A shard stream: magic, version 4, a payload length of 1<<30, and as
 	// much of the payload as the case needs before the pipe "closes".
 	stream := func(payload []byte) []byte {
-		return append(binary.AppendUvarint([]byte("SSHD\x03"), 1<<30), payload...)
+		return append(binary.AppendUvarint([]byte("SSHD\x04"), 1<<30), payload...)
 	}
 	section := envelope.AppendBytesV(nil, fpcache.AnalyzerVersion)
-	section = append(section, 0, 1, 0, 1) // slice 0 of 1, no flags, one file
+	section = append(section, 0, 1, 1) // slice 0 of 1, one file
 	section = envelope.AppendBytesV(section, "a.py")
 	section = append(section, make([]byte, 32)...) // content hash
 	section = envelope.AppendBytesV(section, "")   // no parse error
-	section = binary.AppendUvarint(section, 0)     // no cost
 	section = binary.AppendUvarint(section, hugeLen)
 
 	for _, tc := range []struct {

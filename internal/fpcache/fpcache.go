@@ -19,9 +19,9 @@
 // the records an artifact carries without the worker shipping any key.
 //
 // Entry format: magic + codec version + the file's Record (name, source
-// hash, parse-error text, recorded analysis cost, propagation graph in
-// propgraph's deterministic binary codec) + sha256 checksum of everything
-// before it.
+// hash, parse-error text, propagation graph in propgraph's deterministic
+// binary codec) + sha256 checksum of everything before it. An entry is a
+// function of its file: two analyses of one file write the same bytes.
 //
 // Two properties the rest of the pipeline relies on:
 //
@@ -41,7 +41,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"seldon/internal/envelope"
 	"seldon/internal/propgraph"
@@ -55,10 +54,11 @@ const AnalyzerVersion = "seldon-frontend-v2"
 
 const (
 	magic = "SFPC"
-	// codecVersion 3: the body is the file's Record, and the key is over
-	// the source's hash. An entry of another version is a miss, like any
-	// entry that does not decode, and Open removes it.
-	codecVersion = 3
+	// codecVersion 4: the body is the file's Record, which records no
+	// analysis cost, and the key is over the source's hash. An entry of
+	// another version is a miss, like any entry that does not decode, and
+	// Open removes it.
+	codecVersion = 4
 	entrySuffix  = ".fpc"
 	markerName   = "VERSION"
 )
@@ -75,10 +75,6 @@ type Entry struct {
 	// parse); analysis ran over the recovered AST either way, matching
 	// the live pipeline's contract.
 	ParseError string
-	// Cost is the parse+dataflow wall time paid when the entry was
-	// produced — what a later hit avoids. It is metadata for cache
-	// accounting, not part of the analysis result.
-	Cost time.Duration
 	// Size is the entry's on-disk size in bytes; set by Get.
 	Size int64
 }
@@ -176,7 +172,7 @@ func (c *Cache) entryPath(key string) string {
 
 // appendEntry renders a record in the on-disk format.
 func appendEntry(rec *Record) []byte {
-	buf := make([]byte, 0, len(magic)+1+MinRecordSize+len(rec.Name)+len(rec.ParseError)+16+len(rec.Graph)+envelope.ChecksumSize)
+	buf := make([]byte, 0, len(magic)+1+minRecordSize+len(rec.Name)+len(rec.ParseError)+16+len(rec.Graph)+envelope.ChecksumSize)
 	buf = append(buf, magic...)
 	buf = binary.AppendUvarint(buf, codecVersion)
 	buf = AppendRecord(buf, rec)
@@ -215,7 +211,7 @@ func decodeEntry(data []byte) (Record, *Entry, error) {
 	if len(tail) != 0 {
 		return Record{}, nil, fmt.Errorf("fpcache: %d trailing bytes after graph", len(tail))
 	}
-	return rec, &Entry{Graph: g, ParseError: rec.ParseError, Cost: rec.Cost, Size: int64(len(data))}, nil
+	return rec, &Entry{Graph: g, ParseError: rec.ParseError, Size: int64(len(data))}, nil
 }
 
 // Get looks up the entry for (name, content). Any failure — absent
@@ -245,7 +241,6 @@ func (c *Cache) Put(name, content string, e *Entry) (int64, error) {
 		Name:       name,
 		Source:     sha256.Sum256([]byte(content)),
 		ParseError: e.ParseError,
-		Cost:       e.Cost,
 		Graph:      e.Graph.AppendBinary(nil),
 	})
 }

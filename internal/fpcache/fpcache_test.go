@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"seldon/internal/dataflow"
 	"seldon/internal/envelope"
@@ -27,7 +26,7 @@ func testEntry(t *testing.T) *Entry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Entry{Graph: g, Cost: 123 * time.Microsecond}
+	return &Entry{Graph: g}
 }
 
 func openTemp(t *testing.T) *Cache {
@@ -92,9 +91,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after Put")
 	}
-	if got.ParseError != want.ParseError || got.Cost != want.Cost || got.Size != n {
-		t.Errorf("entry = {err:%q cost:%v size:%d}, want {err:%q cost:%v size:%d}",
-			got.ParseError, got.Cost, got.Size, want.ParseError, want.Cost, n)
+	if got.ParseError != want.ParseError || got.Size != n {
+		t.Errorf("entry = {err:%q size:%d}, want {err:%q size:%d}",
+			got.ParseError, got.Size, want.ParseError, n)
 	}
 	if !bytes.Equal(got.Graph.AppendBinary(nil), want.Graph.AppendBinary(nil)) {
 		t.Error("graph changed through the cache")
@@ -163,7 +162,7 @@ func testRecord(t *testing.T) *Record {
 	t.Helper()
 	e := testEntry(t)
 	return &Record{Name: "app.py", Source: sha256.Sum256([]byte(testSrc)),
-		ParseError: e.ParseError, Cost: e.Cost, Graph: e.Graph.AppendBinary(nil)}
+		ParseError: e.ParseError, Graph: e.Graph.AppendBinary(nil)}
 }
 
 func TestEncodeDeterministic(t *testing.T) {
@@ -176,7 +175,7 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 // TestPutRecordIsPut: a record stored as it is — the way a coordinator
-// ingests a shard's sidecar — is the entry Put writes for its file, found
+// ingests a shard's records — is the entry Put writes for its file, found
 // by the file's name and content.
 func TestPutRecordIsPut(t *testing.T) {
 	viaPut, viaRecord := openTemp(t), openTemp(t)

@@ -15,14 +15,14 @@ import (
 // between the magic and the checksum — which the target frames and seals,
 // so that mutations reach the parser. decodeEntry errors, or appendEntry
 // of what it decoded, its graph re-encoded, gives the sealed bytes back:
-// a padded varint, another codec version, a cost past the largest
-// duration or a byte after the record, none of which appendEntry can have
-// written, is an error like every other fault. There is never a panic,
+// a padded varint, another codec version or a byte after the record,
+// none of which appendEntry can have written, is an error like every
+// other fault. There is never a panic,
 // and a decode allocates at most 64 bytes per body byte — the graph
 // decoder's own bound — whatever lengths the body declares. The seeds
 // (testdata/fuzz, written with testdata/entry.fpc) are the body of a
 // clean entry, of testdata/entry.fpc (one with a parse error), and of
-// entries with codec version 1, a cost of 1<<64 - 1 and a trailing byte.
+// entries with codec version 1 and a trailing byte.
 func FuzzFpcacheEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		sealed := envelope.Seal(append([]byte(magic), body...))
@@ -38,7 +38,7 @@ func FuzzFpcacheEntry(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if e.Size != int64(len(sealed)) || e.ParseError != rec.ParseError || e.Cost != rec.Cost {
+		if e.Size != int64(len(sealed)) || e.ParseError != rec.ParseError {
 			t.Fatalf("entry %+v of %d bytes disagrees with its record", e, len(sealed))
 		}
 		rec.Graph = e.Graph.AppendBinary(nil)

@@ -4,21 +4,19 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
+	"fmt"
 	"iter"
-	"math"
-	"time"
 
 	"seldon/internal/envelope"
+	"seldon/internal/propgraph"
 	"seldon/internal/specio"
 )
 
 // Record is one corpus file's facts, the unit every per-file carrier
 // persists: a cache entry's body, a shard artifact's file section and an
 // entry of a session's state file are each one Record written by
-// AppendRecord. A carrier with no use for a field writes its zero value
-// and refuses to read another (a session keeps no cost, an artifact
-// without its sidecar ships none).
+// AppendRecord. Every field is a function of the file and the analyzer,
+// so two analyses of one file write one record.
 type Record struct {
 	// Name is the file's corpus path.
 	Name string
@@ -28,43 +26,77 @@ type Record struct {
 	// ParseError is the recovered parse failure's text ("" for a clean
 	// parse); analysis ran over the recovered AST either way.
 	ParseError string
-	// Cost is the parse+dataflow wall time the analysis took: what a cache
-	// hit on the record avoids. It is never negative.
-	Cost time.Duration
 	// Graph is the file's propagation graph in propgraph's binary codec.
 	Graph []byte
 }
 
-// MinRecordSize is the least AppendRecord writes.
-const MinRecordSize = 1 + sha256.Size + 1 + 1 + 1
+// minRecordSize is the least AppendRecord writes.
+const minRecordSize = 1 + sha256.Size + 1 + 1
 
 // AppendRecord appends rec in the one layout every carrier shares: name
 // and parse error as uvarint-prefixed strings, the source hash as 32 raw
-// bytes between them, the cost as a uvarint of nanoseconds, and the graph
-// as uvarint-prefixed bytes.
+// bytes between them, and the graph as uvarint-prefixed bytes.
 func AppendRecord(b []byte, rec *Record) []byte {
 	b = envelope.AppendBytesV(b, rec.Name)
 	b = append(b, rec.Source[:]...)
 	b = envelope.AppendBytesV(b, rec.ParseError)
-	b = binary.AppendUvarint(b, uint64(rec.Cost))
 	return envelope.AppendBytesV(b, rec.Graph)
 }
 
 // ReadRecord reads what AppendRecord wrote; the cursor says whether it
 // did. The graph's bytes alias the cursor's buffer and are not decoded.
-// A cost past the largest time.Duration is refused, so what reads back
-// appends to the same bytes.
 func ReadRecord(r *envelope.Reader) (rec Record) {
 	rec.Name = r.StringV()
 	copy(rec.Source[:], r.Take(sha256.Size))
 	rec.ParseError = r.StringV()
-	cost := r.Uvarint()
-	if cost > math.MaxInt64 {
-		r.Fail(errors.New("fpcache: record cost out of range"))
-	}
-	rec.Cost = time.Duration(cost)
 	rec.Graph = r.BytesV()
 	return rec
+}
+
+// AppendRecords appends a list of n records, rec(i) the ith, in the one
+// layout the carriers that hold many share: the count as a uvarint, then
+// each record. It writes the records as they are; ReadRecords takes them
+// back only in strictly ascending name order.
+func AppendRecords(b []byte, n int, rec func(i int) *Record) []byte {
+	b = binary.AppendUvarint(b, uint64(n))
+	for i := 0; i < n; i++ {
+		b = AppendRecord(b, rec(i))
+	}
+	return b
+}
+
+// ReadRecords reads what AppendRecords wrote, its names strictly
+// ascending, and decodes every record's graph (propgraph.DecodeAll),
+// returning the records, their graph bytes aliasing the cursor's buffer,
+// and the graphs in the same order. Of several faults it reports the one a
+// front-to-back reader meets first, at any processor count: lowest record,
+// its fields before its graph before its name's order. A fault of the
+// cursor's is also latched on it.
+func ReadRecords(r *envelope.Reader) ([]Record, []*propgraph.Graph, error) {
+	n := r.Count(r.Uvarint(), minRecordSize)
+	recs := make([]Record, 0, n)
+	encs := make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		rec := ReadRecord(r)
+		if r.Err() != nil {
+			break
+		}
+		recs, encs = append(recs, rec), append(encs, rec.Graph)
+		// A name out of order ends the walk as a cursor fault does; a graph
+		// fault in a record read so far, this one included, comes before it.
+		if i > 0 && rec.Name <= recs[i-1].Name {
+			r.Fail(fmt.Errorf("records not in sorted order (%q after %q)", rec.Name, recs[i-1].Name))
+			break
+		}
+	}
+	graphs, bad, err := propgraph.DecodeAll(encs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("graph section for %q: %v", recs[bad].Name, err)
+	}
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	return recs, graphs, nil
 }
 
 // The facts a corpus is summarized by, derived from its records (in name

@@ -16,12 +16,11 @@ import (
 
 // TestOneRecordThroughEveryCarrier: a file's record is one thing whichever
 // way it travels. A few files, one with a parse error, are analyzed with a
-// cache; shipped in an artifact with the sidecar, encoded, read into a
-// coordinator's cache and merged; got back from both caches; and spliced
-// from source into a session that is saved and loaded. Name, source hash,
-// parse error and graph bytes agree everywhere — cost where the carrier
-// keeps one — and the merge and the session cut the same spans and stamp
-// the same fingerprint, the corpus's own.
+// cache; shipped in an artifact, encoded, read into a coordinator's cache
+// and merged; got back from both caches; and spliced from source into a
+// session that is saved and loaded. Name, source hash, parse error and
+// graph bytes agree everywhere, and the merge and the session cut the same
+// spans and stamp the same fingerprint, the corpus's own.
 func TestOneRecordThroughEveryCarrier(t *testing.T) {
 	files, _ := testCorpus(t, 5, 9)
 	files["zz_broken.py"] = "def broken(:\n    pass\n"
@@ -45,13 +44,12 @@ func TestOneRecordThroughEveryCarrier(t *testing.T) {
 		t.Fatalf("parse errors in %q, want zz_broken.py alone", got)
 	}
 
-	// The worker's second front end hits the cache, so its artifact ships
-	// the costs the first one recorded.
+	// The worker's second front end hits the cache, and its artifact ships
+	// the records the first one wrote.
 	built, _, err := shard.Build(files, 0, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.Sidecar = true
 	art, err := shard.ReadArtifact(bytes.NewReader(built.Encode()), shard.ReadOptions{Cache: coord})
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +74,10 @@ func TestOneRecordThroughEveryCarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	same := func(carrier string, got, w fpcache.Record, graph, cost bool) {
+	same := func(carrier string, got, w fpcache.Record, graph bool) {
 		t.Helper()
 		if got.Name != w.Name || got.Source != w.Source || got.ParseError != w.ParseError ||
-			graph && !bytes.Equal(got.Graph, w.Graph) || cost && got.Cost != w.Cost {
+			graph && !bytes.Equal(got.Graph, w.Graph) {
 			t.Errorf("%s: record of %s differs", carrier, w.Name)
 		}
 	}
@@ -87,20 +85,17 @@ func TestOneRecordThroughEveryCarrier(t *testing.T) {
 		t.Fatalf("%d files in the artifact, %d merged, want %d", len(art.Files), len(mres.Files), len(want))
 	}
 	for i, w := range want {
-		same("artifact", art.Files[i].Record, w, true, true)
-		same("merge", mres.Files[i], w, false, false)
+		same("artifact", art.Files[i].Record, w, true)
+		same("merge", mres.Files[i], w, false)
 		rec, _ := loaded.Record(w.Name)
-		same("session", rec, w, true, false)
-		if rec.Cost != 0 {
-			t.Errorf("session: %s keeps a cost", w.Name)
-		}
+		same("session", rec, w, true)
 		for name, c := range map[string]*fpcache.Cache{"worker cache": worker, "coordinator cache": coord} {
 			e, ok := c.Get(w.Name, files[w.Name])
 			if !ok {
 				t.Fatalf("%s: miss for %s", name, w.Name)
 			}
 			same(name, fpcache.Record{Name: w.Name, Source: w.Source, ParseError: e.ParseError,
-				Cost: e.Cost, Graph: e.Graph.AppendBinary(nil)}, w, true, true)
+				Graph: e.Graph.AppendBinary(nil)}, w, true)
 		}
 	}
 

@@ -15,21 +15,30 @@ import (
 )
 
 // TestStateFixtureRoundTrip pins the state format: testdata/state.bin
-// (version 3: three files, one of them with a parse error, a solution,
-// one pin) must load — adopting its own seed and knobs — save back to the
-// same bytes, and re-learn reporting the parse error. UPDATE_GOLDEN=1
-// rewrites it and the FuzzLoadState seeds made from it — only a format or
-// analyzer version bump should need that.
+// (version 5: three files, one of them with a parse error, a solution,
+// one pin) must be what Save writes for that session today, load —
+// adopting its own seed and knobs — save back to the same bytes, and
+// re-learn reporting the parse error. UPDATE_GOLDEN=1 rewrites it and the
+// FuzzLoadState seeds made from it — only a format or analyzer version
+// bump should need that.
 func TestStateFixtureRoundTrip(t *testing.T) {
 	path := filepath.Join("testdata", incr.StateFile)
 	cfg := core.Config{Workers: 1}
 	files, names := testCorpus(t, 3, 5)
 	files[names[0]] += "def broken(:\n    pass\n"
+	fresh := sessionFrom(t, files, cfg)
+	fresh.Pin("shellrun.invoke()", propgraph.Sink, 0)
+	fresh.Relearn()
+	freshPath := filepath.Join(t.TempDir(), incr.StateFile)
+	if err := fresh.Save(freshPath); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(freshPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		s := sessionFrom(t, files, cfg)
-		s.Pin("shellrun.invoke()", propgraph.Sink, 0)
-		s.Relearn()
-		if err := s.Save(path); err != nil {
+		if err := os.WriteFile(path, want, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		writeStateSeeds(t)
@@ -37,6 +46,9 @@ func TestStateFixtureRoundTrip(t *testing.T) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(want, data) {
+		t.Fatal("the code writes another state than testdata/state.bin: run make fixtures if the format moved on purpose")
 	}
 	s, err := incr.Load(path, nil, cfg)
 	if err != nil {
@@ -71,9 +83,9 @@ func writeStateSeeds(t *testing.T) {
 		}
 	}
 	p := fixtureParts(t)
-	hostile := p.body()
-	binary.LittleEndian.PutUint64(hostile[len(p.head):], 1<<32)
-	seeds["hostile_file_count"] = hostile
+	hostile := binary.AppendUvarint(slices.Clone(p.head), 1<<32)
+	// The fixture's count of three files is one byte.
+	seeds["hostile_file_count"] = append(hostile, p.body()[len(p.head)+1:]...)
 	for name, b := range seeds {
 		seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b)
 		if err := os.WriteFile(filepath.Join("testdata", "fuzz", "FuzzLoadState", name), []byte(seed), 0o644); err != nil {

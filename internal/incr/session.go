@@ -255,9 +255,7 @@ func (s *Session) SpliceSources(files map[string]string) (spliced, unchanged int
 	})
 	states := make([]*fileState, len(fe.Names))
 	for i, name := range fe.Names {
-		rec := fe.Record(i, changed[name])
-		rec.Cost = 0 // a session has no use for it
-		states[i] = newFileState(rec, fe.Graphs[i])
+		states[i] = newFileState(fe.Record(i, changed[name]), fe.Graphs[i])
 	}
 	s.mu.Lock()
 	for i, name := range fe.Names {

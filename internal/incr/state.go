@@ -20,10 +20,11 @@ import (
 // Session persistence. One self-delimiting binary file ("state.bin" in
 // the session directory) carries everything a later process needs to
 // resume incrementally: the seed store, the learning knobs, every
-// corpus file's record (fpcache.Record, without a cost), the previous
-// solution keyed by (rep, role) and the feedback pins. A sha256 trailer self-checks the payload; any
-// corruption, version skew, or analyzer-version skew surfaces as an
-// error so the caller falls back to a cold session.
+// corpus file's record (an fpcache record list), the previous solution
+// keyed by (rep, role) and the feedback pins. A sha256 trailer
+// self-checks the payload; any corruption, version skew, or
+// analyzer-version skew surfaces as an error so the caller falls back to
+// a cold session.
 //
 // The flow-constraint cache is persisted beside the state as its own
 // checksummed file (constraints.FlowCache Save/Load), so a resumed
@@ -36,9 +37,9 @@ import (
 
 const (
 	stateMagic = "SINC"
-	// stateVersion 4: the knobs are C, λ, the threshold and the cutoff,
-	// and no cold-solve epoch count follows the pins.
-	stateVersion = 4
+	// stateVersion 5: the files are an fpcache record list, whose records
+	// keep no analysis cost.
+	stateVersion = 5
 	// StateFile is the session state file name inside a session directory.
 	StateFile = "state.bin"
 	// FlowCacheFile is the persisted flow-constraint cache beside it.
@@ -77,10 +78,7 @@ func (s *Session) Save(path string) error {
 	b = envelope.AppendBytes64(b, seedBytes)
 
 	names := s.sortedNames()
-	b = envelope.AppendU64(b, uint64(len(names)))
-	for _, n := range names {
-		b = fpcache.AppendRecord(b, &s.files[n].Record)
-	}
+	b = fpcache.AppendRecords(b, len(names), func(i int) *fpcache.Record { return &s.files[names[i]].Record })
 
 	for _, m := range []map[PinKey]float64{s.prev, s.pins} {
 		b = envelope.AppendU64(b, uint64(len(m)))
@@ -112,7 +110,7 @@ var errNotCanonical = errors.New("incr: state file is not one Save writes")
 // different problem), when the analyzer version moved (stored graphs
 // may no longer match what the front-end produces), or when the file is
 // corrupt or not in the one form Save writes (file names and score keys
-// strictly ascending, no file cost, the seed in Save's encoding).
+// strictly ascending, the seed in Save's encoding).
 // On any error the caller should start a cold session.
 //
 // A nil seed selects adopt mode: the session resumes under the seed and
@@ -164,34 +162,18 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		return nil, fmt.Errorf("incr: state knobs %+v, session wants %+v", stored, want)
 	}
 
-	// A solution or pin is a name length, a role and a value.
-	const minScore = 8 + 8 + 8
-	var names []string
-	var encs [][]byte
-	for n := r.Count(r.U64(), fpcache.MinRecordSize); n > 0; n-- {
-		rec := fpcache.ReadRecord(r)
-		if r.Err() != nil {
-			break
-		}
-		if rec.Cost != 0 {
-			return nil, fmt.Errorf("%w: file %q records a cost", errNotCanonical, rec.Name)
-		}
-		if len(names) > 0 && rec.Name <= names[len(names)-1] {
-			return nil, fmt.Errorf("%w: file %q follows %q", errNotCanonical, rec.Name, names[len(names)-1])
-		}
+	recs, graphs, err := fpcache.ReadRecords(r)
+	if err != nil {
+		return nil, fmt.Errorf("incr: state file: files: %w", err)
+	}
+	for i, rec := range recs {
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
 		rec.Graph = bytes.Clone(rec.Graph)
-		s.files[rec.Name] = newFileState(rec, nil)
-		names, encs = append(names, rec.Name), append(encs, rec.Graph)
+		s.files[rec.Name] = newFileState(rec, graphs[i])
 	}
-	graphs, bad, err := propgraph.DecodeAll(encs)
-	if err != nil {
-		return nil, fmt.Errorf("incr: decode graph %q: %w", names[bad], err)
-	}
-	for i, g := range graphs {
-		s.files[names[i]].decoded = g
-	}
+	// A solution or pin is a name length, a role and a value.
+	const minScore = 8 + 8 + 8
 	scores := func() map[PinKey]float64 {
 		n := r.Count(r.U64(), minScore)
 		m := make(map[PinKey]float64, n)

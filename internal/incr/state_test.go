@@ -2,6 +2,7 @@ package incr_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -38,9 +39,9 @@ func fixtureParts(t testing.TB) stateParts {
 	}
 	r := envelope.NewReader(body)
 	at := func() int { return len(body) - len(r.Rest()) }
-	records := func(read func()) [][]byte {
+	records := func(n uint64, read func()) [][]byte {
 		var out [][]byte
-		for n := r.U64(); n > 0 && r.Err() == nil; n-- {
+		for ; n > 0 && r.Err() == nil; n-- {
 			start := at()
 			read()
 			out = append(out, body[start:at()])
@@ -55,32 +56,25 @@ func fixtureParts(t testing.TB) stateParts {
 	r.Take(4 * 8) // C, λ, threshold, cutoff
 	r.Bytes64()   // seed
 	p.head = body[:at()]
-	p.files = records(func() { fpcache.ReadRecord(r) })
-	p.prev = records(score)
-	p.pins = records(score)
+	p.files = records(r.Uvarint(), func() { fpcache.ReadRecord(r) })
+	p.prev = records(r.U64(), score)
+	p.pins = records(r.U64(), score)
 	if r.Err() != nil || len(r.Rest()) != 0 || len(p.files) != 3 || len(p.prev) < 2 || len(p.pins) != 1 {
 		t.Fatalf("fixture cut into %d files, %d scores, %d pins (err %v)", len(p.files), len(p.prev), len(p.pins), r.Err())
 	}
 	return p
 }
 
-// body puts the parts back together under the counts they now have.
+// body puts the parts back together under the counts they now have: the
+// files' as a uvarint, the scores' and pins' as a u64.
 func (p stateParts) body() []byte {
-	b := slices.Clone(p.head)
-	for _, records := range [][][]byte{p.files, p.prev, p.pins} {
+	b := binary.AppendUvarint(slices.Clone(p.head), uint64(len(p.files)))
+	b = append(b, bytes.Join(p.files, nil)...)
+	for _, records := range [][][]byte{p.prev, p.pins} {
 		b = envelope.AppendU64(b, uint64(len(records)))
-		for _, rec := range records {
-			b = append(b, rec...)
-		}
+		b = append(b, bytes.Join(records, nil)...)
 	}
 	return b
-}
-
-// withCost returns a copy of a file record that records a cost.
-func withCost(file []byte) []byte {
-	rec := fpcache.ReadRecord(envelope.NewReader(file))
-	rec.Cost = 1
-	return fpcache.AppendRecord(nil, &rec)
 }
 
 // uncanonical are the ways a sealed state file's records can fail to be
@@ -92,7 +86,6 @@ var uncanonical = []struct {
 }{
 	{"file name twice", "name_twice", func(p *stateParts) { p.files = [][]byte{p.files[0], p.files[0], p.files[1], p.files[2]} }},
 	{"file names out of order", "names_out_of_order", func(p *stateParts) { p.files[0], p.files[1] = p.files[1], p.files[0] }},
-	{"file with a cost", "file_cost", func(p *stateParts) { p.files[0] = withCost(p.files[0]) }},
 	{"score key twice", "key_twice", func(p *stateParts) { p.prev = append([][]byte{p.prev[0]}, p.prev...) }},
 	{"score keys out of order", "", func(p *stateParts) { p.prev[0], p.prev[1] = p.prev[1], p.prev[0] }},
 	{"pin key twice", "", func(p *stateParts) { p.pins = [][]byte{p.pins[0], p.pins[0]} }},
@@ -100,8 +93,7 @@ var uncanonical = []struct {
 
 // TestLoadRejectsWhatSaveCannotWrite: a sealed state file whose records
 // are not in the one order and form Save writes — a file name or a score
-// key repeated or out of order, a file recording a cost, which a session
-// does not keep — is the error every other fault is, not a session that
+// key repeated or out of order — is the error every other fault is, not a session that
 // quietly keeps the last copy and saves back as different bytes.
 func TestLoadRejectsWhatSaveCannotWrite(t *testing.T) {
 	for _, tc := range uncanonical {
@@ -131,15 +123,14 @@ func TestLoadRejectsWhatSaveCannotWrite(t *testing.T) {
 // the target frames and seals, so that mutations reach the parser. Load in
 // adopt mode (nil seed: the file's own seed and knobs) errors, or Save of
 // what loaded writes the sealed bytes back: no two files load as the same
-// session, so a repeated or unsorted file name or score key, a file with
-// a cost or a seed in another JSON spelling, none of which Save can have
-// written, is an error like every other fault. There is never a panic,
+// session, so a repeated or unsorted file name or score key or a seed in
+// another JSON spelling, none of which Save can have written, is an error
+// like every other fault. There is never a panic,
 // and load and save together allocate at most 64 bytes per body byte —
 // the graph decoder's own bound — whatever counts the body declares. The
 // seeds (testdata/fuzz, written with testdata/state.bin) are the body of
 // testdata/state.bin, a file name twice, two names out of order, a score
-// key twice, a file with a cost, and a file count larger than the bytes
-// left.
+// key twice, and a file count larger than the bytes left.
 func FuzzLoadState(f *testing.F) {
 	dir := f.TempDir()
 	in, out := filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.bin")

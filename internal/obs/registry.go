@@ -70,8 +70,7 @@ const (
 	// GaugeFrontendSpeedup is per-file CPU time over front-end wall time —
 	// the effective parallel speedup of the run. It is omitted (not set
 	// to zero) when unmeasurable: on a fully warm cache run no parse or
-	// dataflow executes, so there is no CPU time to form the ratio from —
-	// cache.speedup carries that run's number instead.
+	// dataflow executes, so there is no CPU time to form the ratio from.
 	GaugeFrontendSpeedup = "frontend.speedup"
 
 	// Counters.
@@ -89,11 +88,6 @@ const (
 	CounterCacheHits   = "cache.hits"
 	CounterCacheMisses = "cache.misses"
 	CounterCacheBytes  = "cache.bytes"
-	// GaugeCacheSaved is the recorded parse+dataflow cost the hits
-	// avoided, in seconds; GaugeCacheWarmSpeedup is the estimated warm-run
-	// front-end speedup, (wall + saved) / wall.
-	GaugeCacheSaved       = "cache.saved_s"
-	GaugeCacheWarmSpeedup = "cache.speedup"
 
 	// The serving-side check-result cache (internal/checkcache behind
 	// POST /v1/check): lookups and LRU pressure, counted by the service

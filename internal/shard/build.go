@@ -21,8 +21,7 @@ import (
 // core.SliceFiles or core.SliceNames) and returns its artifact plus
 // the front-end result for telemetry. The artifact's graph is the union
 // of the slice's per-file graphs in sorted name order, carrying a
-// per-shard symbol table. Each manifest entry records its file's analysis
-// cost, which Encode ships only when Sidecar is set: the fpcache sidecar
+// per-shard symbol table. Each manifest entry is its file's record, which
 // a coordinator sharing no disk with the worker seeds its cache from.
 func Build(files map[string]string, i, n int, cfg core.Config) (*Artifact, *core.FrontEnd, error) {
 	if n < 1 || i < 0 || i >= n {

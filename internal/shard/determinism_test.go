@@ -170,3 +170,14 @@ func TestMergeParseErrors(t *testing.T) {
 		t.Errorf("ParseErrorFiles = %v, want trailing zzz_broken.py", got)
 	}
 }
+
+// TestBuildIsAFunctionOfItsSlice: an artifact records only what its
+// files determine, so two builds of one slice encode to the same bytes.
+func TestBuildIsAFunctionOfItsSlice(t *testing.T) {
+	files := corpus.Generate(corpus.Config{Files: 12, Seed: 3}).FileMap()
+	files["broken.py"] = "def broken(:\n    pass\n"
+	first := buildSlice(t, files, 1, 2).Encode()
+	if !bytes.Equal(buildSlice(t, files, 1, 2).Encode(), first) {
+		t.Fatal("two builds of one slice encode differently")
+	}
+}

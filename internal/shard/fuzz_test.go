@@ -36,8 +36,8 @@ func isOneOf(err error, sentinels ...error) bool {
 // (measured without a slice union: 1.7 KB for an empty input, 15 per byte
 // for the fixture's payload, 20 for two thousand empty graphs). The seeds
 // (testdata/fuzz, written with testdata/slice.shard) are the payload of
-// testdata/slice.shard, a two-file payload without a sidecar, an empty
-// manifest, an unsorted manifest, and a payload with a byte after its
+// testdata/slice.shard, the two-file payload of the other slice, an
+// empty manifest, an unsorted manifest, and a payload with a byte after its
 // last section.
 func FuzzReadArtifact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {

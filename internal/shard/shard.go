@@ -5,17 +5,16 @@
 // a corpus: a versioned envelope carrying the analyzer version, the
 // slice coordinates (index i of n), and one section per corpus file —
 // the file's record (fpcache.Record: name, content sha256, parse-error
-// text, analysis cost, and the propagation graph in propgraph's v2 binary
-// codec with a per-file symbol table). The cost is the fpcache sidecar:
-// an artifact built with it ships each file's recorded cost, one without
-// it ships zero, so it stays a pure function of its corpus slice. A
-// coordinator derives each file's cache key from its name and content
-// hash, so no key travels. The whole artifact is sha256-checksummed like
-// an fpcache entry — but where a corrupt cache entry is silently
-// re-analyzed, a corrupt shard artifact is a hard, named error: the
-// coordinator is reassembling a corpus from pieces it cannot recompute,
-// so truncation, bit flips, stale codecs, duplicate slices, and missing
-// slices each fail loudly and distinctly (see the Err* sentinels).
+// text and the propagation graph in propgraph's v2 binary codec with a
+// per-file symbol table), so an artifact is a pure function of its corpus
+// slice. A coordinator derives each file's cache key from its name and
+// content hash, so no key travels, and seeds its cache from any
+// artifact. The whole artifact is sha256-checksummed like an fpcache
+// entry — but where a corrupt cache entry is silently re-analyzed, a
+// corrupt shard artifact is a hard, named error: the coordinator is
+// reassembling a corpus from pieces it cannot recompute, so truncation,
+// bit flips, stale codecs, duplicate slices, and missing slices each fail
+// loudly and distinctly (see the Err* sentinels).
 //
 // Envelope layout (all integers varint unless noted):
 //
@@ -25,9 +24,8 @@
 //	payload:
 //	  analyzer version (length-prefixed string)
 //	  slice index, slice count (uvarint, index < count)
-//	  flags (1 byte; bit 0 = fpcache sidecar present, others zero)
-//	  file count (uvarint), then per file in sorted name order one
-//	  fpcache.Record (AppendRecord), its cost zero without the sidecar
+//	  the files in sorted name order, one fpcache.Record each
+//	  (fpcache.AppendRecords: a uvarint count, then the records)
 //	sha256 checksum over everything before it (32 bytes)
 //
 // An artifact is decoded whole, by one function on the cursor every
@@ -62,16 +60,12 @@ import (
 
 const (
 	magic = "SSHD"
-	// codecVersion 3: each file section is an fpcache.Record. Bump it
-	// whenever the envelope layout changes. A version skew is a named
-	// error, not a silent re-analyze — the coordinator cannot rebuild a
-	// shard it did not analyze.
-	codecVersion = 3
+	// codecVersion 4: the file sections are an fpcache record list, and no
+	// flags byte precedes it. Bump it whenever the envelope layout changes.
+	// A version skew is a named error, not a silent re-analyze — the
+	// coordinator cannot rebuild a shard it did not analyze.
+	codecVersion = 4
 	checksumSize = envelope.ChecksumSize
-
-	// flagSidecar marks artifacts carrying the fpcache sidecar: each
-	// file's recorded analysis cost.
-	flagSidecar = 0x01
 
 	// maxPayloadLen guards the declared payload length against
 	// overflow-scale garbage; anything under it that exceeds the bytes in
@@ -148,9 +142,6 @@ type Artifact struct {
 	// its own symbol table, decoded from the manifest's graph bytes: what
 	// the merge appends to the global union and cuts spans by.
 	FileGraphs []*propgraph.Graph
-	// Sidecar marks the fpcache sidecar as present: Encode ships each
-	// file's recorded cost, which it writes as zero otherwise.
-	Sidecar bool
 	// Size is the artifact's encoded size in bytes; set by decoding (0
 	// for artifacts built in-process).
 	Size int64
@@ -165,19 +156,7 @@ func (a *Artifact) Encode() []byte {
 	payload = envelope.AppendBytesV(payload, a.AnalyzerVersion)
 	payload = binary.AppendUvarint(payload, uint64(a.Slice))
 	payload = binary.AppendUvarint(payload, uint64(a.Slices))
-	var flags byte
-	if a.Sidecar {
-		flags |= flagSidecar
-	}
-	payload = append(payload, flags)
-	payload = binary.AppendUvarint(payload, uint64(len(a.Files)))
-	for i := range a.Files {
-		rec := a.Files[i].Record
-		if !a.Sidecar {
-			rec.Cost = 0
-		}
-		payload = fpcache.AppendRecord(payload, &rec)
-	}
+	payload = fpcache.AppendRecords(payload, len(a.Files), func(i int) *fpcache.Record { return &a.Files[i].Record })
 
 	out := make([]byte, 0, len(magic)+1+binary.MaxVarintLen64+len(payload)+checksumSize)
 	out = append(out, magic...)

@@ -9,7 +9,6 @@ import (
 
 	"seldon/internal/core"
 	"seldon/internal/corpus"
-	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 	"seldon/internal/propgraph"
 )
@@ -63,11 +62,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("%d manifest entries, want %d", len(got.Files), len(want.Files))
 	}
 	for i := range got.Files {
-		// Without the sidecar no cost travels.
-		shipped := want.Files[i]
-		shipped.Cost = 0
-		if !sameFile(got.Files[i], shipped) {
-			t.Errorf("manifest[%d] = %+v, want %+v", i, got.Files[i], shipped)
+		if !sameFile(got.Files[i], want.Files[i]) {
+			t.Errorf("manifest[%d] = %+v, want %+v", i, got.Files[i], want.Files[i])
 		}
 	}
 	if !bytes.Equal(propgraph.Union(got.FileGraphs...).AppendBinary(nil), want.Graph.AppendBinary(nil)) {
@@ -156,10 +152,6 @@ func TestDecodeBadPayload(t *testing.T) {
 	file := func(name string) FileMeta {
 		return newFileMeta(fpcache.Record{Name: name, Graph: empty.AppendBinary(nil)})
 	}
-	// A cost is the sidecar: an artifact without one cannot carry it.
-	costly := envelope.AppendBytesV(nil, "v")
-	costly = append(costly, 0, 1, 0, 1) // slice 0 of 1, no flags, one file
-	costly = fpcache.AppendRecord(costly, &fpcache.Record{Name: "a.py", Cost: 1, Graph: empty.AppendBinary(nil)})
 	tests := []struct {
 		name string
 		data []byte
@@ -172,7 +164,6 @@ func TestDecodeBadPayload(t *testing.T) {
 			FileGraphs: []*propgraph.Graph{empty, empty},
 			Graph:      empty,
 		})},
-		{"cost without sidecar", seal(costly)},
 		{"duplicate manifest name", out(&Artifact{
 			AnalyzerVersion: "v", Slice: 0, Slices: 1,
 			Files:      []FileMeta{file("a.py"), file("a.py")},

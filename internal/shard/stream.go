@@ -11,21 +11,20 @@ import (
 	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 	"seldon/internal/obs"
-	"seldon/internal/propgraph"
 )
 
 // ReadOptions configures artifact decode.
 type ReadOptions struct {
-	// Cache, when non-nil, ingests the artifact's fpcache sidecar: each
-	// file's record is cached, so later front-end runs over the same
-	// content hit instead of re-analyzing. Entries are written only after
-	// the whole artifact has verified and parsed — a corrupt artifact
-	// must not seed a "valid" cache entry.
+	// Cache, when non-nil, ingests the artifact's records: each file's
+	// record is cached, so later front-end runs over the same content hit
+	// instead of re-analyzing. Entries are written only after the whole
+	// artifact has verified and parsed — a corrupt artifact must not seed
+	// a "valid" cache entry.
 	Cache *fpcache.Cache
 	// Metrics, when non-nil, receives stage.shard.stream and
 	// shard.stream.bytes observations.
 	Metrics *obs.Registry
-	// Log, when non-nil, reports non-fatal sidecar write failures.
+	// Log, when non-nil, reports non-fatal cache write failures.
 	Log *obs.Logger
 }
 
@@ -71,30 +70,25 @@ func openFrame(data []byte) ([]byte, error) {
 	return body[:n], nil
 }
 
-// readHeader reads a payload's preamble into a new artifact and returns
-// it with the number of file sections that follow.
-func readHeader(r *envelope.Reader) (*Artifact, int) {
+// readHeader reads a payload's preamble, which precedes the file
+// sections, into a new artifact.
+func readHeader(r *envelope.Reader) *Artifact {
 	a := &Artifact{AnalyzerVersion: r.StringV()}
 	slice, slices := r.Uvarint(), r.Uvarint()
 	if slices == 0 || slice >= slices || slices > 1<<20 {
 		r.Fail(fmt.Errorf("slice %d of %d out of range", slice, slices))
 	}
 	a.Slice, a.Slices = int(slice), int(slices)
-	flags := r.Byte()
-	if flags&^flagSidecar != 0 {
-		r.Fail(fmt.Errorf("unknown flags 0x%02x", flags))
-	}
-	a.Sidecar = flags&flagSidecar != 0
-	return a, r.Count(r.Uvarint(), fpcache.MinRecordSize)
+	return a
 }
 
 // ReadArtifact reads one artifact from src to its end, checks its frame
-// (openFrame), and only then parses the payload: one walk on the cursor
-// cuts the file sections, whose graphs are decoded on every processor
-// (propgraph.DecodeAll) and kept per file for the merge to union. The
-// frame's faults keep their sentinels; a verified payload that does not
-// parse is ErrEncoding with the fault a front-to-back reader meets first at
-// any processor count: lowest section, fields before graph before name order.
+// (openFrame), and only then parses the payload: its file sections are a
+// record list (fpcache.ReadRecords), whose graphs are decoded on every
+// processor and kept per file for the merge to union. The frame's faults
+// keep their sentinels; a verified payload that does not parse is
+// ErrEncoding with the fault a front-to-back reader meets first at any
+// processor count.
 func ReadArtifact(src io.Reader, opts ReadOptions) (*Artifact, error) {
 	start := time.Now()
 	data, err := io.ReadAll(src)
@@ -106,40 +100,25 @@ func ReadArtifact(src io.Reader, opts ReadOptions) (*Artifact, error) {
 		return nil, err
 	}
 	r := envelope.NewReader(payload)
-	a, n := readHeader(r)
-	a.Files = make([]FileMeta, 0, n)
-	encs := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		rec := fpcache.ReadRecord(r)
-		if r.Err() == nil && rec.Cost != 0 && !a.Sidecar {
-			r.Fail(fmt.Errorf("file %q has a cost but the artifact no sidecar", rec.Name))
-		}
-		if r.Err() != nil {
-			break
-		}
-		a.Files = append(a.Files, newFileMeta(rec))
-		encs = append(encs, rec.Graph)
-		// A name out of order ends the walk as a cursor fault does; a graph
-		// fault in a section cut so far, this one included, comes before it.
-		if i > 0 && rec.Name <= a.Files[i-1].Name {
-			r.Fail(fmt.Errorf("manifest not in sorted order (%q after %q)", rec.Name, a.Files[i-1].Name))
-			break
-		}
+	a := readHeader(r)
+	recs, graphs, err := fpcache.ReadRecords(r)
+	if err == nil {
+		err = r.Close()
 	}
-	graphs, bad, err := propgraph.DecodeAll(encs)
 	if err != nil {
-		return nil, fmt.Errorf("%w: graph section for %q: %v", ErrEncoding, a.Files[bad].Name, err)
-	}
-	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEncoding, err)
 	}
+	a.Files = make([]FileMeta, len(recs))
+	for i, rec := range recs {
+		a.Files[i] = newFileMeta(rec)
+	}
 	a.FileGraphs = graphs
-	// The whole artifact has verified and parsed; only now may sidecar
-	// entries become visible cache state.
-	if a.Sidecar && opts.Cache != nil {
+	// The whole artifact has verified and parsed; only now may its
+	// records become visible cache state.
+	if opts.Cache != nil {
 		for i := range a.Files {
 			if _, err := opts.Cache.PutRecord(&a.Files[i].Record); err != nil {
-				opts.Log.Log("shard.sidecar", "error", err)
+				opts.Log.Log("shard.ingest", "error", err)
 			}
 		}
 	}

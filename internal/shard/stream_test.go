@@ -32,7 +32,8 @@ func sectionBoundaries(t *testing.T, data []byte) []int64 {
 	}
 	r := envelope.NewReader(payload)
 	at := func() int64 { return int64(len(data) - checksumSize - len(r.Rest())) }
-	_, n := readHeader(r)
+	readHeader(r)
+	n := int(r.Uvarint())
 	offs := []int64{at()}
 	for i := 0; i < n; i++ {
 		fpcache.ReadRecord(r)
@@ -197,16 +198,17 @@ func TestStreamingMergeDeterminism(t *testing.T) {
 	}
 }
 
-// TestSidecarIngest: a worker-attached fpcache sidecar round-trips
-// through the wire into a coordinator-side cache, whose entries then
-// hit for the same (name, content) with the identical graph.
+// TestSidecarIngest: an artifact's records round-trip through the wire
+// into a coordinator-side cache, whose entries then hit for the same
+// (name, content) with the identical graph. No sidecar is needed for it
+// any more: an artifact carries nothing but its records, so every one
+// seeds a cache.
 func TestSidecarIngest(t *testing.T) {
 	files := testFiles(t, 10)
 	art, fe, err := BuildFromCorpus(files, 0, 1, core.Config{Workers: 1})
 	if err != nil {
 		t.Fatalf("BuildFromCorpus: %v", err)
 	}
-	art.Sidecar = true
 	data := art.Encode()
 
 	dir := t.TempDir()
@@ -215,12 +217,8 @@ func TestSidecarIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.New()
-	a, err := ReadArtifact(bytes.NewReader(data), ReadOptions{Cache: cache, Metrics: reg})
-	if err != nil {
+	if _, err := ReadArtifact(bytes.NewReader(data), ReadOptions{Cache: cache, Metrics: reg}); err != nil {
 		t.Fatalf("ReadArtifact: %v", err)
-	}
-	if !a.Sidecar {
-		t.Fatal("sidecar not decoded")
 	}
 	if paths, err := filepath.Glob(filepath.Join(dir, "*.fpc")); err != nil || len(paths) != len(files) {
 		t.Fatalf("ingested %d cache entries (%v), want %d", len(paths), err, len(files))
@@ -228,13 +226,13 @@ func TestSidecarIngest(t *testing.T) {
 	for i, name := range fe.Names {
 		ent, ok := cache.Get(name, files[name])
 		if !ok {
-			t.Fatalf("cache miss for %q after sidecar ingest", name)
+			t.Fatalf("cache miss for %q after ingest", name)
 		}
 		if !bytes.Equal(ent.Graph.AppendBinary(nil), fe.Graphs[i].AppendBinary(nil)) {
 			t.Fatalf("ingested graph for %q differs from the worker's", name)
 		}
-		if ent.Cost != fe.Costs[i] {
-			t.Errorf("ingested cost for %q = %v, want %v", name, ent.Cost, fe.Costs[i])
+		if want := fe.Record(i, files[name]).ParseError; ent.ParseError != want {
+			t.Errorf("ingested parse error for %q = %q, want %q", name, ent.ParseError, want)
 		}
 	}
 	snap := reg.Snapshot()
@@ -260,17 +258,16 @@ func TestSidecarIngest(t *testing.T) {
 	}
 }
 
-// bigSidecarSlice builds a one-slice artifact with a sidecar whose graph
-// sections are several times propgraph's fan-out threshold, so that
-// reading it at more than one processor decodes on several goroutines.
-func bigSidecarSlice(t *testing.T) *Artifact {
+// bigSlice builds a one-slice artifact whose graph sections are several
+// times propgraph's fan-out threshold, so that reading it at more than
+// one processor decodes on several goroutines.
+func bigSlice(t *testing.T) *Artifact {
 	t.Helper()
 	files := testFiles(t, 400)
 	art, _, err := BuildFromCorpus(files, 0, 1, core.Config{Workers: 1})
 	if err != nil {
 		t.Fatalf("BuildFromCorpus: %v", err)
 	}
-	art.Sidecar = true
 	return art
 }
 
@@ -278,15 +275,15 @@ func bigSidecarSlice(t *testing.T) *Artifact {
 // field.
 func sameFile(a, b FileMeta) bool {
 	return a.Name == b.Name && a.Source == b.Source && a.ParseError == b.ParseError &&
-		a.Cost == b.Cost && bytes.Equal(a.Graph, b.Graph) && a.GraphHash == b.GraphHash
+		bytes.Equal(a.Graph, b.Graph) && a.GraphHash == b.GraphHash
 }
 
 // TestReadArtifactAcrossProcs holds the section-parallel reader to the
-// one-goroutine answer: the same manifest, span hashes, costs and
-// per-file graphs at GOMAXPROCS 1, 2 and 8, and an
+// one-goroutine answer: the same manifest, span hashes and per-file
+// graphs at GOMAXPROCS 1, 2 and 8, and an
 // artifact that encodes back to the bytes it was read from.
 func TestReadArtifactAcrossProcs(t *testing.T) {
-	want := bigSidecarSlice(t)
+	want := bigSlice(t)
 	data := want.Encode()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
@@ -295,8 +292,8 @@ func TestReadArtifactAcrossProcs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if !slices.EqualFunc(got.Files, want.Files, sameFile) || !got.Sidecar {
-			t.Errorf("GOMAXPROCS=%d: manifest, span or sidecar fields differ from the built artifact's", procs)
+		if !slices.EqualFunc(got.Files, want.Files, sameFile) {
+			t.Errorf("GOMAXPROCS=%d: manifest or span fields differ from the built artifact's", procs)
 		}
 		if len(got.FileGraphs) != len(want.FileGraphs) {
 			t.Fatalf("GOMAXPROCS=%d: %d file graphs, want %d", procs, len(got.FileGraphs), len(want.FileGraphs))
@@ -322,7 +319,7 @@ func TestReadArtifactAcrossProcs(t *testing.T) {
 // name out of order — each a fault on its own, none of them reported
 // while i's stands, at one processor and at four.
 func TestReadArtifactLowestFaultWins(t *testing.T) {
-	art := bigSidecarSlice(t)
+	art := bigSlice(t)
 	good := art.Encode()
 	offs := sectionBoundaries(t, good)
 	n := len(art.Files)
