@@ -46,13 +46,14 @@ func TestRecordListRoundTrip(t *testing.T) {
 
 	// b.py's graph is bad and a.py follows it out of order: the graph,
 	// read first, is the fault.
+	badGraph := []byte{0}
+	if _, _, err := propgraph.DecodeBinary(badGraph); err == nil {
+		t.Fatal("the bad graph decodes")
+	}
 	bad := AppendRecords(nil, 2, func(i int) *Record {
-		return &[]Record{{Name: "b.py", Graph: []byte{0}}, {Name: "a.py", Graph: g}}[i]
+		return &[]Record{{Name: "b.py", Graph: badGraph}, {Name: "a.py", Graph: g}}[i]
 	})
 	if _, _, err := ReadRecords(envelope.NewReader(bad)); err == nil || !strings.Contains(err.Error(), `graph section for "b.py"`) {
 		t.Errorf("bad graph before a name out of order: %v", err)
-	}
-	if _, _, err := propgraph.DecodeBinary([]byte{0}); err == nil {
-		t.Fatal("the bad graph decodes")
 	}
 }
