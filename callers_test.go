@@ -46,6 +46,7 @@ var benchOnly = map[string]string{
 	"eval.PrecisionReport.Overall": "bench/stages.go reports eval.spec_precision",
 	"eval.Recall.Fraction":         "bench/stages.go reports eval.spec_recall",
 	"fpcache.Cache.Stats":          "bench/ingest.go reports the ingest cache's put and get figures",
+	"fpcache.Cache.Put":            "bench/ingest.go times fpcache.put by writing each shipped graph through it",
 	"corpus.LearnableReps":         "bench/stages.go measures recall against them",
 	"pyast.Inspect":                "bench/stages.go counts pyparse.nodes by walking each module",
 	"shard.BuildFromCorpus":        "bench/ingest.go builds its worker artifacts in process",

@@ -59,6 +59,8 @@ func TestCheckGolden(t *testing.T) {
 		{"fstring", with("fstring.py")},
 		// The tainted name sits in format specs' nested fields too.
 		{"fstring_spec", with("fstring_spec.py")},
+		// And in self-documenting fields: {x=}, {x = }, {x=!r}.
+		{"fstring_selfdoc", with("fstring_selfdoc.py")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

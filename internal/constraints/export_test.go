@@ -1,4 +1,22 @@
 package constraints
 
+import "seldon/internal/lp"
+
 // RaceEnabled is raceEnabled for the external test package.
 const RaceEnabled = raceEnabled
+
+// SavedBlocks returns a copy of each of the cache's blocks by file name,
+// without the span hash it was last checked against, which Save does not
+// write.
+func (c *FlowCache) SavedBlocks() map[string]flowBlock {
+	out := make(map[string]flowBlock, len(c.blocks))
+	for f, b := range c.blocks {
+		blk := *b
+		blk.hash = [32]byte{}
+		out[f] = blk
+	}
+	return out
+}
+
+// Constraints returns the block's constraints.
+func (b flowBlock) Constraints() []lp.Constraint { return b.cons }

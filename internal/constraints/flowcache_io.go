@@ -1,7 +1,10 @@
 package constraints
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"os"
 	"sort"
 
@@ -26,12 +29,29 @@ import (
 
 const (
 	flowCacheMagic = "SFLC"
-	// flowCacheVersion 2: the header's knobs are C, λ and the cutoff.
-	flowCacheVersion = 2
+	// flowCacheVersion 3: each distinct constraint is written once, and a
+	// block lists its constraints by index.
+	flowCacheVersion = 3
 )
 
+// The body after the header is three tables, each a uvarint count and its
+// elements:
+//
+//   - coefficients: each one's bits (8 bytes), in first-use order;
+//   - distinct constraints, in first-use order: each its LHS and its RHS,
+//     a uvarint count of (uvarint variable, uvarint coefficient index);
+//   - blocks, in name order: each its name (uvarint-prefixed), its
+//     fingerprint (32 bytes), its pattern counts A, B, C and skipped
+//     components (uvarints) and a uvarint count of uvarint constraint
+//     indices.
+//
+// "First use" is in the order the blocks list their constraints, and the
+// constraints their terms: so every table is a function of the cache, and
+// Save of what loaded writes the file back.
+
 // Save writes the cache to path atomically. The body is deterministic:
-// blocks are emitted in sorted file order.
+// blocks are emitted in sorted file order, and the constraints and
+// coefficients they share once, numbered by first use.
 func (c *FlowCache) Save(path string, opts Options) error {
 	opts = opts.WithDefaults()
 	files := make([]string, 0, c.Len())
@@ -40,35 +60,50 @@ func (c *FlowCache) Save(path string, opts Options) error {
 	}
 	sort.Strings(files)
 
+	// A coefficient or a constraint is appended to its table, and taken
+	// back off when it repeats one already there.
+	var coefs, table, blocks []byte
+	coefNums, consNums := newEncodings(0, 0), newEncodings(0, 0)
+	number := func(nums *encodings, table *[]byte, at int) uint64 {
+		k, fresh := nums.add(*table)
+		if !fresh {
+			*table = (*table)[:at]
+		}
+		return uint64(k)
+	}
 	appendTerms := func(b []byte, terms []lp.Term) []byte {
-		b = envelope.AppendU64(b, uint64(len(terms)))
+		b = binary.AppendUvarint(b, uint64(len(terms)))
 		for _, t := range terms {
-			b = envelope.AppendU64(b, uint64(t.Var))
-			b = envelope.AppendF64(b, t.Coef)
+			at := len(coefs)
+			coefs = envelope.AppendF64(coefs, t.Coef)
+			b = binary.AppendUvarint(b, uint64(t.Var))
+			b = binary.AppendUvarint(b, number(coefNums, &coefs, at))
 		}
 		return b
 	}
-	b := append(make([]byte, 0, 4096), flowCacheMagic...)
+	for _, f := range files {
+		blk := c.blocks[f]
+		blocks = envelope.AppendBytesV(blocks, f)
+		blocks = append(blocks, blk.fp[:]...)
+		for _, n := range []int{blk.countA, blk.countB, blk.countC, blk.skipped, len(blk.cons)} {
+			blocks = binary.AppendUvarint(blocks, uint64(n))
+		}
+		for i := range blk.cons {
+			at := len(table)
+			table = appendTerms(appendTerms(table, blk.cons[i].LHS), blk.cons[i].RHS)
+			blocks = binary.AppendUvarint(blocks, number(consNums, &table, at))
+		}
+	}
+	b := make([]byte, 0, 128+len(coefs)+len(table)+len(blocks))
+	b = append(b, flowCacheMagic...)
 	b = envelope.AppendU64(b, flowCacheVersion)
 	b = envelope.AppendBytes64(b, fpcache.AnalyzerVersion)
 	b = envelope.AppendF64(b, opts.C)
 	b = envelope.AppendF64(b, opts.Lambda)
 	b = envelope.AppendU64(b, uint64(opts.BackoffCutoff))
-	b = envelope.AppendU64(b, uint64(len(files)))
-	for _, f := range files {
-		blk := c.blocks[f]
-		b = envelope.AppendBytes64(b, f)
-		b = append(b, blk.fp[:]...)
-		b = envelope.AppendU64(b, uint64(blk.countA))
-		b = envelope.AppendU64(b, uint64(blk.countB))
-		b = envelope.AppendU64(b, uint64(blk.countC))
-		b = envelope.AppendU64(b, uint64(blk.skipped))
-		b = envelope.AppendU64(b, uint64(len(blk.cons)))
-		for i := range blk.cons {
-			b = appendTerms(b, blk.cons[i].LHS)
-			b = appendTerms(b, blk.cons[i].RHS)
-		}
-	}
+	b = append(binary.AppendUvarint(b, uint64(coefNums.len())), coefs...)
+	b = append(binary.AppendUvarint(b, uint64(consNums.len())), table...)
+	b = append(binary.AppendUvarint(b, uint64(len(files))), blocks...)
 	if err := envelope.WriteFile(path, envelope.Seal(b)); err != nil {
 		return fmt.Errorf("flowcache: %w", err)
 	}
@@ -88,7 +123,10 @@ func LoadFlowCache(path string, opts Options) (*FlowCache, bool) {
 	return NewFlowCache(), false
 }
 
-// loadFlowCache is LoadFlowCache with nil for every kind of failure.
+// loadFlowCache is LoadFlowCache with nil for every kind of failure. A
+// file Save cannot have written is a failure too: an index out of range,
+// a coefficient or constraint listed twice, or numbered out of first-use
+// order, or never used.
 func loadFlowCache(path string, opts Options) *FlowCache {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -105,27 +143,67 @@ func loadFlowCache(path string, opts Options) *FlowCache {
 	if r.F64() != opts.C || r.F64() != opts.Lambda || r.U64() != uint64(opts.BackoffCutoff) {
 		return nil
 	}
-	// A term is a variable and a coefficient, a constraint two term
-	// counts, a block a name length, a fingerprint and five counts.
-	const minTerm, minCons, minBlock = 8 + 8, 8 + 8, 8 + 32 + 5*8
+	// A coefficient is its bits, a term a variable and a coefficient index,
+	// a constraint two term counts, a block a name length, a fingerprint,
+	// four counts and a constraint count.
+	const minCoef, minTerm, minCons, minBlock = 8, 1 + 1, 1 + 1, 1 + 32 + 4 + 1
+	at := func() int { return len(body) - len(r.Rest()) }
+
+	// Each table holds no entry twice, and every index into it names an
+	// entry already used or the next one: entries are numbered by first
+	// use. At the end every entry has been used.
+	coefs := make([]float64, r.Count(r.Uvarint(), minCoef))
+	coefNums := newEncodings(at(), len(coefs))
+	for i := range coefs {
+		coefs[i] = r.F64()
+		if _, fresh := coefNums.add(body[:at()]); !fresh {
+			return nil
+		}
+	}
+	usedCoefs, usedCons := 0, 0
+
 	// Term lists, two a constraint and mostly of a term or two, are carved
 	// from slabs no larger than the terms the bytes left can hold.
 	var slab []lp.Term
 	terms := func() []lp.Term {
-		n := r.Count(r.U64(), minTerm)
+		n := r.Count(r.Uvarint(), minTerm)
+		if n == 0 {
+			return nil // as the flow pass leaves an empty side
+		}
 		if len(slab) < n {
 			slab = make([]lp.Term, max(n, min(len(r.Rest())/minTerm, 4096)))
 		}
 		ts := slab[:n:n]
 		slab = slab[n:]
 		for i := range ts {
-			ts[i] = lp.Term{Var: int(r.U64()), Coef: r.F64()}
+			ts[i].Var = int(r.Uvarint())
+			k := r.Uvarint()
+			if !firstUse(k, &usedCoefs, len(coefs)) {
+				r.Fail(fmt.Errorf("coefficient %d of %d, %d used so far", k, len(coefs), usedCoefs))
+				return nil
+			}
+			ts[i].Coef = coefs[k]
 		}
 		return ts
 	}
+	table := make([]lp.Constraint, r.Count(r.Uvarint(), minCons))
+	consNums := newEncodings(at(), len(table))
+	for i := range table {
+		table[i] = lp.Constraint{LHS: terms(), RHS: terms()}
+		if _, fresh := consNums.add(body[:at()]); !fresh {
+			return nil
+		}
+	}
+	if r.Err() != nil || usedCoefs != len(coefs) {
+		return nil
+	}
+
+	// A block's constraints share the table's term slices; they are carved
+	// from slabs like the terms.
+	var cons []lp.Constraint
 	c := NewFlowCache()
-	for n, prev := r.Count(r.U64(), minBlock), ""; n > 0 && r.Err() == nil; n-- {
-		f := r.String64()
+	for n, prev := r.Count(r.Uvarint(), minBlock), ""; n > 0 && r.Err() == nil; n-- {
+		f := r.StringV()
 		// Save writes each name once, in sorted order.
 		if len(c.blocks) > 0 && f <= prev {
 			return nil
@@ -133,18 +211,99 @@ func loadFlowCache(path string, opts Options) *FlowCache {
 		prev = f
 		blk := &flowBlock{}
 		copy(blk.fp[:], r.Take(len(blk.fp)))
-		blk.countA = int(r.U64())
-		blk.countB = int(r.U64())
-		blk.countC = int(r.U64())
-		blk.skipped = int(r.U64())
-		blk.cons = make([]lp.Constraint, r.Count(r.U64(), minCons))
+		blk.countA = int(r.Uvarint())
+		blk.countB = int(r.Uvarint())
+		blk.countC = int(r.Uvarint())
+		blk.skipped = int(r.Uvarint())
+		m := r.Count(r.Uvarint(), 1)
+		if len(cons) < m {
+			cons = make([]lp.Constraint, max(m, min(len(r.Rest()), 4096)))
+		}
+		blk.cons = cons[:m:m]
+		cons = cons[m:]
 		for i := range blk.cons {
-			blk.cons[i] = lp.Constraint{LHS: terms(), RHS: terms()}
+			k := r.Uvarint()
+			if !firstUse(k, &usedCons, len(table)) {
+				return nil
+			}
+			blk.cons[i] = table[k]
 		}
 		c.blocks[f] = blk
 	}
-	if r.Close() != nil {
+	if r.Close() != nil || usedCons != len(table) {
 		return nil
 	}
 	return c
+}
+
+// firstUse reports whether k is an index Save can have written into a
+// table of n entries numbered by first use, of which the file has used
+// *used so far: one of those, or the next, which it counts as used.
+func firstUse(k uint64, used *int, n int) bool {
+	if k > uint64(*used) || k >= uint64(n) {
+		return false
+	}
+	if k == uint64(*used) {
+		*used++
+	}
+	return true
+}
+
+// encodings numbers the distinct encodings — of coefficients, or of
+// constraints — that lie back to back in a buffer from start, the ith at
+// buf[ends[i]:ends[i+1]]. An open-addressed table of their numbers keyed
+// by maphash finds an equal earlier one. Two coefficients are equal
+// exactly when their bits are; under one coefficient numbering, and with
+// no padded varint, two constraints are equal exactly when their
+// encodings are.
+type encodings struct {
+	seed  maphash.Seed
+	ends  []int
+	slots []int32 // an encoding's number plus one; 0 is empty
+}
+
+// newEncodings returns a numbering with room for n encodings from start.
+func newEncodings(start, n int) *encodings {
+	e := &encodings{seed: maphash.MakeSeed(), ends: append(make([]int, 0, n+1), start)}
+	e.rehash(nil, n)
+	return e
+}
+
+func (e *encodings) len() int { return len(e.ends) - 1 }
+
+// add numbers the encoding that ends buf, right after the last one it
+// numbered: it returns the number of an equal earlier encoding and false,
+// or the next number and true.
+func (e *encodings) add(buf []byte) (int, bool) {
+	if 2*(e.len()+1) > len(e.slots) {
+		e.rehash(buf, 2*(e.len()+1))
+	}
+	s := buf[e.ends[e.len()]:]
+	for h := maphash.Bytes(e.seed, s); ; h++ {
+		at := &e.slots[h&uint64(len(e.slots)-1)]
+		if *at == 0 {
+			*at = int32(len(e.ends))
+			e.ends = append(e.ends, len(buf))
+			return e.len() - 1, true
+		}
+		if j := int(*at) - 1; bytes.Equal(buf[e.ends[j]:e.ends[j+1]], s) {
+			return j, false
+		}
+	}
+}
+
+// rehash gives the table room for n encodings at half load and enters
+// the ones numbered so far, which lie in buf.
+func (e *encodings) rehash(buf []byte, n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	e.slots = make([]int32, size)
+	for i := range e.len() {
+		h := maphash.Bytes(e.seed, buf[e.ends[i]:e.ends[i+1]])
+		for ; e.slots[h&uint64(size-1)] != 0; h++ {
+		}
+		e.slots[h&uint64(size-1)] = int32(i + 1)
+	}
 }

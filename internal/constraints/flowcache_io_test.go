@@ -3,8 +3,10 @@ package constraints_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"seldon/internal/constraints"
@@ -59,6 +61,53 @@ func TestFlowCacheSaveLoadRoundTrip(t *testing.T) {
 	b2, _ := os.ReadFile(path2)
 	if !bytes.Equal(b1, b2) {
 		t.Error("Save is not deterministic across a load round-trip")
+	}
+}
+
+// TestFlowCacheFileListsRepeatsOnce: a cache whose blocks repeat
+// constraints loads back to blocks
+// equal to its own, and its file spends a few bytes a constraint — the
+// repeats are indices into one table of distinct constraints, not copies
+// at 16 bytes a term.
+func TestFlowCacheFileListsRepeatsOnce(t *testing.T) {
+	files := corpus.Generate(corpus.Config{Files: 400, Seed: 1}).FileMap()
+	opts := constraints.Options{Workers: 2}
+	_, _, union, spans := corpusSpans(t, files, 2)
+	cache := constraints.NewFlowCache()
+	constraints.BuildIncremental(union, corpus.ExperimentSeed(), opts, spans, cache)
+	want := cache.SavedBlocks()
+	total, distinct := 0, map[string]bool{}
+	for _, b := range want {
+		for _, c := range b.Constraints() {
+			total++
+			distinct[fmt.Sprint(c)] = true
+		}
+	}
+	if len(distinct) == total {
+		t.Fatalf("no constraint of %d repeats: nothing to test", total)
+	}
+
+	path := filepath.Join(t.TempDir(), "flowcache.bin")
+	if err := cache.Save(path, opts); err != nil {
+		t.Fatal(err)
+	}
+	loaded, ok := constraints.LoadFlowCache(path, opts)
+	if !ok {
+		t.Fatal("LoadFlowCache rejected its own Save")
+	}
+	if got := loaded.SavedBlocks(); !reflect.DeepEqual(got, want) {
+		t.Fatal("the loaded blocks differ from the saved ones")
+	}
+	// Fixed-width terms took at least 48 bytes a constraint (two counts
+	// and a term a side).
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCons := float64(info.Size()) / float64(total)
+	t.Logf("%d bytes for %d constraints, %d distinct: %.1f a constraint", info.Size(), total, len(distinct), perCons)
+	if perCons > 12 {
+		t.Errorf("%d bytes for %d constraints: %.1f a constraint, want at most 12", info.Size(), total, perCons)
 	}
 }
 

@@ -18,11 +18,19 @@ import (
 // writes the sealed bytes back: no two files load as the same cache, so a
 // repeated or unsorted block name, which Save cannot have written, is a
 // miss like every other fault. There is never a panic, and load and save
-// together allocate at most 16 bytes per body byte, whatever counts the
-// body declares (measured: 3.9 per byte for the fixture's body, 1.6 KB for
-// an empty cache). The seeds (testdata/fuzz) are the body of
+// together allocate at most 16 bytes per body byte and 64 KiB, whatever
+// counts the body declares (measured: 25 KB for the fixture's 531-byte
+// body). A cache of real size costs more a byte than that bound — 24 at
+// 400 files, 22 at 6000 — because its body lists each constraint as an
+// index of a byte or two into a table of the distinct ones, and each
+// index loads as a 48-byte lp.Constraint; the inputs fuzzing makes of the
+// seeds stay within the 64 KiB. The seeds (testdata/fuzz) are the body of
 // testdata/flowcache.bin, an empty cache, two blocks in order, two out of
-// order, one name twice, and a term count larger than the bytes left.
+// order, one name twice, a term count, a coefficient count and a
+// constraint count larger than the bytes left, a constraint index and a
+// coefficient index past the end of their tables, and a coefficient and a
+// constraint each listed twice, never used, and numbered out of first-use
+// order.
 func FuzzLoadFlowCache(f *testing.F) {
 	dir := f.TempDir()
 	in, out := filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.bin")

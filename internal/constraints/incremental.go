@@ -64,7 +64,9 @@ func AppendSpan(spans []Span, file string, events int, hash [32]byte) []Span {
 
 // FlowCache holds per-file flow-constraint blocks across incremental
 // builds. It is not safe for concurrent use; the owning session
-// serializes builds.
+// serializes builds. The blocks of a loaded cache share the term slices
+// of the distinct constraints its file lists once, as a built system
+// shares its blocks' terms: nothing writes a term in place.
 type FlowCache struct {
 	blocks map[string]*flowBlock
 	// numbering is the numbering digest of the last build that checked
@@ -239,7 +241,10 @@ func spansClosed(cut []bool, spans []Span) bool {
 // changes the fingerprint. The component bound is not hashed: only this
 // package's tests move it, and never under a cache built at another.
 // Spans are independent, so they are hashed side by side, each worker
-// reusing one buffer.
+// reusing one buffer. The encoding is prefix-free: per event, 0xff for no
+// candidacy, or the roles as one byte (a subset of AllRoles, so never
+// 0xff), the representation count as a uvarint and each variable ID as 4
+// bytes (IDs are -1 or below the variable count, well inside int32).
 func (s *System) spanFingerprints(spans []Span, which []int, fps [][32]byte, workers int) {
 	bufs := make([][]byte, par.Workers(workers, len(which)))
 	par.For(len(bufs), len(which), func(w, k int) {
@@ -248,14 +253,14 @@ func (s *System) spanFingerprints(spans []Span, which []int, fps [][32]byte, wor
 		for id := sp.Lo; id < sp.Hi; id++ {
 			info := s.InfoFor(id)
 			if info == nil {
-				buf = binary.LittleEndian.AppendUint64(buf, ^uint64(0))
+				buf = append(buf, 0xff)
 				continue
 			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(info.Roles))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(info.RepIDs)))
+			buf = append(buf, byte(info.Roles))
+			buf = binary.AppendUvarint(buf, uint64(len(info.RepIDs)))
 			for _, sym := range info.RepIDs {
 				for _, role := range propgraph.Roles() {
-					buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.VarIDSym(sym, role))))
+					buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(s.VarIDSym(sym, role))))
 				}
 			}
 		}

@@ -277,3 +277,48 @@ func TestCacheEntriesAreAFunctionOfTheirFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestMissedFileRecordIsItsCacheEntry: the record Record returns for a
+// file the front end missed and wrote back is the one in its cache entry —
+// written again through PutRecord it gives the entry's bytes — and
+// Record hands it out without encoding the graph or hashing the source a
+// second time. A file the front end did not write back is built on the
+// spot, which allocates.
+func TestMissedFileRecordIsItsCacheEntry(t *testing.T) {
+	files := corpus.Generate(corpus.Config{Files: 4, Seed: 5}).FileMap()
+	files["broken.py"] = "def broken(:\n    pass\n"
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	var caches [2]*fpcache.Cache
+	for i, dir := range dirs {
+		var err error
+		if caches[i], err = fpcache.Open(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fe := AnalyzeFiles(files, Config{Workers: 2, Cache: caches[0]})
+	for i, name := range fe.Names {
+		rec := fe.Record(i, files[name])
+		if _, err := caches[1].PutRecord(&rec); err != nil {
+			t.Fatal(err)
+		}
+		entry := fpcache.Key(name, files[name]) + ".fpc"
+		want, err := os.ReadFile(filepath.Join(dirs[0], entry))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dirs[1], entry))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the record written again differs from its cache entry", name)
+		}
+		if n := testing.AllocsPerRun(10, func() { fe.Record(i, files[name]) }); n != 0 {
+			t.Errorf("%s: Record allocated %.0f times for a written-back file", name, n)
+		}
+	}
+	cold := AnalyzeFiles(files, Config{Workers: 2})
+	if n := testing.AllocsPerRun(10, func() { cold.Record(0, files[cold.Names[0]]) }); n == 0 {
+		t.Error("Record built a record without allocating")
+	}
+}

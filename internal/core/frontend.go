@@ -44,6 +44,12 @@ type FrontEnd struct {
 	ParseTotal   time.Duration
 	AnalyzeTotal time.Duration
 	Wall         time.Duration
+
+	// written holds, aligned with Names when there is a cache, the record
+	// the write-back built for a missed file (zero for a hit), which
+	// Record returns rather than encode the graph and hash the source
+	// again.
+	written []fpcache.Record
 }
 
 // Scratch bundles the reusable per-file front-end state behind one
@@ -96,6 +102,9 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 	sort.Strings(names)
 
 	fe := &FrontEnd{Names: names}
+	if cfg.Cache != nil {
+		fe.written = make([]fpcache.Record, len(names))
+	}
 	workers := par.Workers(cfg.Workers, len(names))
 	cfg.Metrics.Add(obs.CounterParseErrors, 0) // materialize the counter
 	outcomes := make([]fileOutcome, len(names))
@@ -144,11 +153,16 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 		cfg.Metrics.ObserveDuration(obs.FileAnalyze, o.analyze)
 		if cfg.Cache != nil {
 			t0 = time.Now()
-			perr := ""
-			if err != nil {
-				perr = err.Error()
+			rec := &fe.written[i]
+			*rec = fpcache.Record{
+				Name:   name,
+				Source: sha256.Sum256([]byte(files[name])),
+				Graph:  o.graph.AppendBinary(nil),
 			}
-			written, werr := cfg.Cache.Put(name, files[name], &fpcache.Entry{Graph: o.graph, ParseError: perr})
+			if err != nil {
+				rec.ParseError = err.Error()
+			}
+			written, werr := cfg.Cache.PutRecord(rec)
 			o.cacheWall += time.Since(t0)
 			if werr != nil {
 				// A failed write-back costs the next run a re-analysis,
@@ -215,9 +229,13 @@ func AnalyzeFiles(files map[string]string, cfg Config) *FrontEnd {
 }
 
 // Record returns file i's record, source being the text it was analyzed
-// from. The front end keeps neither source hash nor graph encoding, so
-// only the callers that persist a record pay for them.
+// from. The front end keeps the record only of a file it missed in the
+// cache and wrote back; any other is built here, so only the callers that
+// persist a record pay for the source hash and the graph encoding.
 func (fe *FrontEnd) Record(i int, source string) fpcache.Record {
+	if fe.written != nil && fe.written[i].Graph != nil {
+		return fe.written[i]
+	}
 	name := fe.Names[i]
 	rec := fpcache.Record{
 		Name:   name,

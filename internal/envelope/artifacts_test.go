@@ -332,8 +332,9 @@ func patchUvarint(data []byte, r *envelope.Reader, v uint64) []byte {
 
 // TestDeclaredLengthsDoNotAllocate: a count or length the input declares
 // is a claim. Each case is a small, correctly checksummed artifact that
-// claims 1<<24 elements or 1<<28 bytes it does not have; its decoder must
-// reject it the usual way having allocated next to nothing.
+// claims 1<<24 elements or 1<<28 bytes it does not have, or an element
+// 1<<24 of a table far shorter; its decoder must reject it the usual way
+// having allocated next to nothing.
 func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 	const hugeCount, hugeLen = 1 << 24, 1 << 28
 
@@ -366,25 +367,55 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	// flowcache.bin: version, analyzer version, three knobs, then counted
-	// blocks, each with a name, fingerprint, four counts and counted
-	// constraints.
-	flow := func(inBlock bool) []byte {
+	// flowcache.bin: version, analyzer version, three knobs, then three
+	// uvarint-counted tables: coefficients (8 bytes each), distinct
+	// constraints (two counted lists of a variable and a coefficient index
+	// each), and blocks (a name, a fingerprint, four counts and counted
+	// constraint indices). The walk stops at the uvarint it patches.
+	flow := func(stop string) []byte {
 		data := fixture(t, "constraints", "flowcache.bin")
 		r := envelope.NewReader(data[4 : len(data)-envelope.ChecksumSize])
 		r.U64()
 		r.Bytes64()
 		r.Take(3 * 8)
-		if inBlock {
-			r.U64()
-			r.Bytes64()
-			r.Take(32 + 4*8)
+		patch := func() []byte {
+			if r.Err() != nil {
+				t.Fatalf("flowcache fixture does not walk: %v", r.Err())
+			}
+			return reseal(patchUvarint(data, r, hugeCount))
 		}
-		if r.Err() != nil {
-			t.Fatalf("flowcache fixture does not walk: %v", r.Err())
+		if stop == "coefficients" {
+			return patch()
 		}
-		patchU64(data, r, hugeCount)
-		return reseal(data)
+		r.Take(8 * int(r.Uvarint()))
+		if stop == "constraints" {
+			return patch()
+		}
+		for n := r.Uvarint(); n > 0; n-- {
+			for side := 0; side < 2; side++ {
+				for k := r.Uvarint(); k > 0; k-- {
+					r.Uvarint()
+					if stop == "coefficient index" {
+						return patch()
+					}
+					r.Uvarint()
+				}
+			}
+		}
+		if stop == "blocks" {
+			return patch()
+		}
+		r.Uvarint()
+		r.BytesV()
+		r.Take(32)
+		for range 4 {
+			r.Uvarint()
+		}
+		if stop == "block's constraints" {
+			return patch()
+		}
+		r.Uvarint()
+		return patch() // the block's first constraint index
 	}
 	// An fpcache entry: magic, version 4, then a record — name, source
 	// hash, parse error, graph — whose graph is what the case needs.
@@ -419,8 +450,12 @@ func TestDeclaredLengthsDoNotAllocate(t *testing.T) {
 		{"state.bin file count", state(0), loadState, nil},
 		{"state.bin solution count", state(1), loadState, nil},
 		{"state.bin pin count", state(2), loadState, nil},
-		{"flowcache.bin block count", flow(false), loadFlowCache, nil},
-		{"flowcache.bin constraint count", flow(true), loadFlowCache, nil},
+		{"flowcache.bin coefficient count", flow("coefficients"), loadFlowCache, nil},
+		{"flowcache.bin distinct-constraint count", flow("constraints"), loadFlowCache, nil},
+		{"flowcache.bin coefficient index", flow("coefficient index"), loadFlowCache, nil},
+		{"flowcache.bin block count", flow("blocks"), loadFlowCache, nil},
+		{"flowcache.bin constraint count", flow("block's constraints"), loadFlowCache, nil},
+		{"flowcache.bin constraint index", flow("constraint index"), loadFlowCache, nil},
 		{"entry.fpc parse-error length", entry(hugeLen, nil), loadEntry, nil},
 		{"entry.fpc symbol count", entry(0, binary.AppendUvarint([]byte{'G', 2}, hugeLen)), loadEntry, nil},
 		{"shard string length", stream(binary.AppendUvarint(nil, hugeLen)), loadShardStream, shard.ErrTruncated},

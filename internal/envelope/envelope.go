@@ -196,8 +196,13 @@ func (r *Reader) varint(n int) bool {
 	return false
 }
 
-// Uvarint reads one unsigned varint.
+// Uvarint reads one unsigned varint. Most are one byte below 0x80, which
+// cannot be padded; the rest go through binary.Uvarint.
 func (r *Reader) Uvarint() uint64 {
+	if r.at < len(r.data) && r.data[r.at] < 0x80 {
+		r.at++
+		return uint64(r.data[r.at-1])
+	}
 	v, n := binary.Uvarint(r.data[r.at:])
 	if !r.varint(n) {
 		return 0

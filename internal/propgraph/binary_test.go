@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"seldon/internal/envelope"
@@ -131,6 +132,54 @@ func TestBinaryRejectsDuplicateSymbols(t *testing.T) {
 	data = binary.AppendUvarint(data, 0) // edge args
 	if _, _, err := DecodeBinary(data); err == nil {
 		t.Error("duplicate symbol table accepted")
+	}
+}
+
+// The duplicate check reports the first symbol, in table order, that
+// repeats an earlier one: in a table of one symbol, one of three, one of
+// 600 — past the 512 whose probe table sits on the stack — and with the
+// repeat in several places of each.
+func TestDuplicateSymbolIsTheFirstRepeat(t *testing.T) {
+	sealed := func(syms ...string) *Interner {
+		var blob strings.Builder
+		ends := make([]uint32, len(syms))
+		for i, s := range syms {
+			blob.WriteString(s)
+			ends[i] = uint32(blob.Len())
+		}
+		return newSealedGraph(blob.String(), ends).Syms
+	}
+	many := func(n int) []string {
+		syms := make([]string, n)
+		for i := range syms {
+			syms[i] = fmt.Sprintf("mod.f%d()", i)
+		}
+		return syms
+	}
+	check := func(t *testing.T, syms []string, want string) {
+		t.Helper()
+		got, dup := sealed(syms...).duplicate()
+		if dup != (want != "") || got != want {
+			t.Errorf("%d symbols: duplicate() = %q, %v; want %q", len(syms), got, dup, want)
+		}
+	}
+	check(t, nil, "")
+	check(t, []string{"f()"}, "")
+	check(t, []string{""}, "")
+	check(t, []string{"a", "b", "c"}, "")
+	// b repeats before a does.
+	check(t, []string{"a", "b", "b", "a"}, "b")
+	check(t, []string{"b", "a", "b", "a"}, "b")
+	for _, n := range []int{512, 600} {
+		syms := many(n)
+		check(t, syms, "")
+		// The last symbol repeats the 10th; the 300th repeats the 5th and
+		// comes first.
+		last := append(slices.Clone(syms), syms[10])
+		check(t, last, syms[10])
+		mid := slices.Clone(last)
+		mid[300] = syms[5]
+		check(t, mid, syms[5])
 	}
 }
 

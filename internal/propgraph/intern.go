@@ -1,8 +1,7 @@
 package propgraph
 
 import (
-	"slices"
-	"strings"
+	"hash/maphash"
 	"sync"
 )
 
@@ -206,18 +205,41 @@ func (t *Interner) TranslateFrom(src *Interner) []Sym {
 	return xlat
 }
 
-// duplicate returns a string the sealed table holds twice, if there is one.
+// symSeed keys the hash of duplicate's probe table. Which seed it is moves
+// only the probe sequence: the verdict and the symbol reported do not
+// depend on it.
+var symSeed = maphash.MakeSeed()
+
+// duplicate returns the first string of the sealed table, in table order,
+// that repeats an earlier one, if there is one. It probes an
+// open-addressed table of symbol indices at most half full, on the stack
+// for a table of up to 512 symbols.
 func (t *Interner) duplicate() (string, bool) {
 	v := symView{blob: t.blob, ends: t.ends}
-	var few [64]int32
-	order := few[:0]
-	for i := range v.len() {
-		order = append(order, int32(i))
+	n := v.len()
+	size := 16
+	for size < 2*n {
+		size *= 2
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(v.at(int(a)), v.at(int(b))) })
-	for i := 1; i < len(order); i++ {
-		if s := v.at(int(order[i])); s == v.at(int(order[i-1])) {
-			return s, true
+	var small [1024]int32
+	var slots []int32 // a symbol's index plus one; 0 is empty
+	if size <= len(small) {
+		slots = small[:size]
+	} else {
+		slots = make([]int32, size)
+	}
+	mask := uint64(size - 1)
+	for i := range n {
+		s := v.at(i)
+		for h := maphash.String(symSeed, s); ; h++ {
+			at := &slots[h&mask]
+			if *at == 0 {
+				*at = int32(i + 1)
+				break
+			}
+			if v.at(int(*at-1)) == s {
+				return s, true
+			}
 		}
 	}
 	return "", false

@@ -187,9 +187,16 @@ func scanSpec(body string, start int, out []fragment) ([]fragment, int, bool) {
 }
 
 // appendExpr appends body[start:end], spaces trimmed, as a fragment
-// unless it is empty.
+// unless it is empty. end is where the field's expression stops at depth
+// 0 — its closing brace, conversion or format spec — so a last '=' there
+// that is not the end of ==, !=, <= or >= makes the field
+// self-documenting ({x=}, {x = !r}): it is dropped, and x is the
+// expression.
 func appendExpr(out []fragment, body string, start, end int) []fragment {
 	expr := strings.TrimSpace(body[start:end])
+	if n := len(expr); n > 0 && expr[n-1] == '=' && (n == 1 || !strings.ContainsRune("=!<>", rune(expr[n-2]))) {
+		expr = strings.TrimSpace(expr[:n-1])
+	}
 	if expr == "" {
 		return out
 	}

@@ -29,6 +29,14 @@ func TestFStringFragments(t *testing.T) {
 		{`f"{d['k']}"`, []string{"d['k']"}},
 		{`f"{f(a, b)}"`, []string{"f(a, b)"}},
 		{`f"{a != b}"`, []string{"a != b"}},
+		{`f"{x=}"`, []string{"x"}},
+		{`f"{x = }"`, []string{"x"}},
+		{`f"{x=!r}"`, []string{"x"}},
+		{`f"{x=:>10}"`, []string{"x"}},
+		{`f"{f(a=1)=}"`, []string{"f(a=1)"}},
+		{`f"{a >= b}"`, []string{"a >= b"}},
+		{`f"{x==}"`, []string{"x=="}},
+		{`f"{x<=}"`, []string{"x<="}},
 		{`f"{ {1: 2}[1] }"`, []string{"{1: 2}[1]"}},
 		{`F'{x}'`, []string{"x"}},
 		{`rf'{x}'`, []string{"x"}},
@@ -112,6 +120,33 @@ func TestFStringSpecFieldsSitInTheFile(t *testing.T) {
 		"abs":    {Line: 2, Col: 7},
 		"val":    {Line: 2, Col: 11},
 		"digits": {Line: 2, Col: 18},
+	} {
+		if got[name] != want {
+			t.Errorf("%s at %v, want %v", name, got[name], want)
+		}
+	}
+}
+
+// TestFStringSelfDocumentingFieldsSitInTheFile: the expression of a
+// self-documenting field ({x=}, with spaces, a conversion or a spec after
+// the '=') is a fragment, placed where CPython 3.11's ast places it.
+func TestFStringSelfDocumentingFieldsSitInTheFile(t *testing.T) {
+	src := "a = f\"{x=}\"\n" +
+		"b = f\"{ y = !r}\"\n" +
+		"c = f\"{z=:>{w}}\"\n"
+	mod := mustParse(t, src)
+	got := map[string]pytoken.Pos{}
+	pyast.Inspect(mod, func(n pyast.Node) bool {
+		if n, ok := n.(*pyast.Name); ok {
+			got[n.Ident] = n.Pos()
+		}
+		return true
+	})
+	for name, want := range map[string]pytoken.Pos{
+		"x": {Line: 1, Col: 7},
+		"y": {Line: 2, Col: 8},
+		"z": {Line: 3, Col: 7},
+		"w": {Line: 3, Col: 12},
 	} {
 		if got[name] != want {
 			t.Errorf("%s at %v, want %v", name, got[name], want)

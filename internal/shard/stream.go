@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"time"
 
 	"seldon/internal/envelope"
@@ -82,6 +83,39 @@ func readHeader(r *envelope.Reader) *Artifact {
 	return a
 }
 
+// readAll reads src to its end. A source that knows its size — a file's
+// Stat, a bytes or strings reader's Len — is read into one buffer of that
+// size and a byte to see the end by, as os.ReadFile does; any other grows
+// its buffer through io.ReadAll, from 512 bytes.
+func readAll(src io.Reader) ([]byte, error) {
+	size := -1
+	switch s := src.(type) {
+	case interface{ Len() int }:
+		size = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	if size < 0 {
+		return io.ReadAll(src)
+	}
+	b := make([]byte, 0, size+1)
+	for {
+		n, err := src.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // longer than it said: grow
+		}
+	}
+}
+
 // ReadArtifact reads one artifact from src to its end, checks its frame
 // (openFrame), and only then parses the payload: its file sections are a
 // record list (fpcache.ReadRecords), whose graphs are decoded on every
@@ -91,7 +125,7 @@ func readHeader(r *envelope.Reader) *Artifact {
 // processor count.
 func ReadArtifact(src io.Reader, opts ReadOptions) (*Artifact, error) {
 	start := time.Now()
-	data, err := io.ReadAll(src)
+	data, err := readAll(src)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
 	}
