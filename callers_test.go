@@ -50,6 +50,7 @@ var benchOnly = map[string]string{
 	"corpus.LearnableReps":         "bench/stages.go measures recall against them",
 	"pyast.Inspect":                "bench/stages.go counts pyparse.nodes by walking each module",
 	"shard.BuildFromCorpus":        "bench/ingest.go builds its worker artifacts in process",
+	"shard.ReadArtifact":           "bench/ingest.go decodes its in-memory artifacts; seldon coordinate reads files through shard.ReadFile",
 }
 
 // testSupport is what two or more test packages share and cannot inline,

@@ -6,17 +6,20 @@ import "seldon/internal/lp"
 const RaceEnabled = raceEnabled
 
 // SavedBlocks returns a copy of each of the cache's blocks by file name,
-// without the span hash it was last checked against, which Save does not
-// write.
+// with its constraints in a slice of their own and without the span hash
+// it was last checked against, which Save does not write.
 func (c *FlowCache) SavedBlocks() map[string]flowBlock {
 	out := make(map[string]flowBlock, len(c.blocks))
 	for f, b := range c.blocks {
-		blk := *b
-		blk.hash = [32]byte{}
-		out[f] = blk
+		out[f] = flowBlock{fp: b.fp, cons: b.Constraints(),
+			countA: b.countA, countB: b.countB, countC: b.countC, skipped: b.skipped}
 	}
 	return out
 }
 
 // Constraints returns the block's constraints.
-func (b flowBlock) Constraints() []lp.Constraint { return b.cons }
+func (b *flowBlock) Constraints() []lp.Constraint {
+	out := make([]lp.Constraint, b.n())
+	b.put(out)
+	return out
+}

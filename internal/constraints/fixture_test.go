@@ -62,7 +62,8 @@ func TestFlowCacheFixtureRoundTrip(t *testing.T) {
 
 // writeFlowCacheSeeds writes FuzzLoadFlowCache's seeds under the header
 // of the fixture at path: its body, an empty cache, two blocks in order,
-// two out of order, one name twice, a block whose one constraint claims
+// two out of order, one name twice, one block that lists one constraint
+// 2,000 times, a block whose one constraint claims
 // more terms than the bytes left hold, tables that claim more
 // coefficients or constraints than the bytes left hold, a block and a term
 // whose index is past the end of its table, and tables Save cannot have
@@ -120,6 +121,7 @@ func writeFlowCacheSeeds(t *testing.T, path string) {
 		"two_blocks":               cache(tables(one, x0x1), block("a.py", 0), block("b.py", 0, 0)),
 		"blocks_out_of_order":      cache(tables(one, x0x1), block("b.py", 0), block("a.py", 0)),
 		"name_twice":               cache(tables(one, x0x1), block("a.py", 0), block("a.py", 0)),
+		"one_constraint_repeated":  cache(tables(one, x0x1), block("a.py", make([]uint64, 2000)...)),
 		"hostile_term_count":       cache(hostileTerms, block("a.py", 0)),
 		"hostile_coef_count":       cache(append(uv(nil, 1<<40), make([]byte, 40)...)),
 		"hostile_constraint_count": cache(append(uv([]byte{0}, 1<<40), make([]byte, 40)...)),

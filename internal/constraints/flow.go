@@ -23,15 +23,60 @@ import (
 // (terms carry global variable IDs) and the per-pattern counts. For a
 // corpus file's span it is what the FlowCache keeps, under the support
 // fingerprint fp it is valid for, last checked against the span graph
-// hash hash.
+// hash hash. A built block holds its constraints in cons; a block loaded
+// from a file holds them as refs into the table of distinct constraints
+// the file lists once, which the blocks loaded with it share.
 type flowBlock struct {
 	fp      [32]byte
 	hash    [32]byte
 	cons    []lp.Constraint
+	refs    []int32
+	table   *flowTable
 	countA  int
 	countB  int
 	countC  int
 	skipped int
+}
+
+// n returns the number of the block's constraints.
+func (b *flowBlock) n() int { return len(b.cons) + len(b.refs) }
+
+// at returns the block's ith constraint.
+func (b *flowBlock) at(i int) lp.Constraint {
+	if b.table != nil {
+		return b.table.constraint(b.refs[i])
+	}
+	return b.cons[i]
+}
+
+// put writes the block's constraints to the front of dst and returns
+// their number.
+func (b *flowBlock) put(dst []lp.Constraint) int {
+	if b.table == nil {
+		return copy(dst, b.cons)
+	}
+	for i, k := range b.refs {
+		dst[i] = b.table.constraint(k)
+	}
+	return len(b.refs)
+}
+
+// flowTable is the table of distinct constraints a loaded cache's blocks
+// share: constraint k is terms[ends[2k]:ends[2k+1]] on the left and
+// terms[ends[2k+1]:ends[2k+2]] on the right.
+type flowTable struct {
+	terms []lp.Term
+	ends  []int32
+}
+
+// len returns the number of the table's constraints.
+func (t *flowTable) len() int { return len(t.ends) / 2 }
+
+// constraint returns the table's kth constraint.
+func (t *flowTable) constraint(k int32) lp.Constraint {
+	e := t.ends[2*k : 2*k+3]
+	lhs, rhs := run{int(e[0]), int(e[1] - e[0])}, run{int(e[1]), int(e[2] - e[1])}
+	return lp.Constraint{LHS: lhs.of(t.terms), RHS: rhs.of(t.terms)}
 }
 
 // flowPieceEvents is the least number of events in a range of the cold
@@ -106,7 +151,7 @@ func (s *System) flowBlocks(g *propgraph.Graph, ranges []evRange, workers int) [
 func (s *System) assemble(blocks []*flowBlock, c *FlowCache) {
 	total := 0
 	for _, b := range blocks {
-		total += len(b.cons)
+		total += b.n()
 		s.CountA += b.countA
 		s.CountB += b.countB
 		s.CountC += b.countC
@@ -117,12 +162,12 @@ func (s *System) assemble(blocks []*flowBlock, c *FlowCache) {
 	if c != nil {
 		s.Problem.Blocks = make([]lp.Block, len(blocks))
 		for i, b := range blocks {
-			s.Problem.Blocks[i] = lp.Block{Key: b.fp, N: len(b.cons)}
+			s.Problem.Blocks[i] = lp.Block{Key: b.fp, N: b.n()}
 		}
 		if cap(c.cons) >= total {
 			cons = c.cons[:total]
 			for ; kept < len(blocks) && kept < len(c.laid) && blocks[kept] == c.laid[kept]; kept++ {
-				at += len(blocks[kept].cons)
+				at += blocks[kept].n()
 			}
 		}
 		// Room for the count to drift up by a few edits' worth of
@@ -136,7 +181,7 @@ func (s *System) assemble(blocks []*flowBlock, c *FlowCache) {
 		cons = make([]lp.Constraint, total, total+spare)
 	}
 	for _, b := range blocks[kept:] {
-		at += copy(cons[at:], b.cons)
+		at += b.put(cons[at:])
 	}
 	if c != nil {
 		c.cons, c.laid = cons, append(c.laid[:0], blocks...)

@@ -1,11 +1,13 @@
 package constraints
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"math"
+	"math/bits"
 	"os"
+	"slices"
 	"sort"
 
 	"seldon/internal/envelope"
@@ -59,52 +61,120 @@ func (c *FlowCache) Save(path string, opts Options) error {
 		files = append(files, f)
 	}
 	sort.Strings(files)
-
-	// A coefficient or a constraint is appended to its table, and taken
-	// back off when it repeats one already there.
-	var coefs, table, blocks []byte
-	coefNums, consNums := newEncodings(0, 0), newEncodings(0, 0)
-	number := func(nums *encodings, table *[]byte, at int) uint64 {
-		k, fresh := nums.add(*table)
-		if !fresh {
-			*table = (*table)[:at]
+	// A loaded table's entries are distinct already: its remap holds the
+	// number of each entry numbered so far, plus one. So there are no
+	// more distinct constraints than room, a loaded table's entries and
+	// the built blocks' constraints.
+	blocks := make([]*flowBlock, len(files))
+	remaps := map[*flowTable][]int32{}
+	total, room := 0, 0
+	for i, f := range files {
+		b := c.blocks[f]
+		blocks[i] = b
+		total += b.n()
+		if b.table == nil {
+			room += b.n()
+		} else if remaps[b.table] == nil {
+			remaps[b.table] = make([]int32, b.table.len())
+			room += b.table.len()
 		}
-		return uint64(k)
 	}
-	appendTerms := func(b []byte, terms []lp.Term) []byte {
-		b = binary.AppendUvarint(b, uint64(len(terms)))
-		for _, t := range terms {
-			at := len(coefs)
-			coefs = envelope.AppendF64(coefs, t.Coef)
-			b = binary.AppendUvarint(b, uint64(t.Var))
-			b = binary.AppendUvarint(b, number(coefNums, &coefs, at))
+	counts := func(b *flowBlock) [5]int { return [5]int{b.countA, b.countB, b.countC, b.skipped, b.n()} }
+	// Most terms repeat the coefficient before them.
+	coefNums := map[uint64]int{}
+	lastBits, lastNum := uint64(0), -1
+	encode := func(b []byte, con lp.Constraint) []byte {
+		for _, side := range [2][]lp.Term{con.LHS, con.RHS} {
+			b = binary.AppendUvarint(b, uint64(len(side)))
+			for _, t := range side {
+				if bits := math.Float64bits(t.Coef); bits != lastBits || lastNum < 0 {
+					k, ok := coefNums[bits]
+					if !ok {
+						k = len(coefNums)
+						coefNums[bits] = k
+					}
+					lastBits, lastNum = bits, k
+				}
+				b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(t.Var)), uint64(lastNum))
+			}
 		}
 		return b
 	}
-	for _, f := range files {
-		blk := c.blocks[f]
-		blocks = envelope.AppendBytesV(blocks, f)
-		blocks = append(blocks, blk.fp[:]...)
-		for _, n := range []int{blk.countA, blk.countB, blk.countC, blk.skipped, len(blk.cons)} {
-			blocks = binary.AppendUvarint(blocks, uint64(n))
+
+	// Number the constraints by first use: nums holds each one's number in
+	// file order, firsts the block and place of each number's first use.
+	// seen finds an equal earlier constraint by its encoding's hash.
+	type use struct{ block, at int32 }
+	firsts := make([]use, 0, room)
+	first := func(k int32) lp.Constraint { return blocks[firsts[k].block].at(int(firsts[k].at)) }
+	nums := make([]int32, 0, total)
+	seen, seed := newIndexSet(room), maphash.MakeSeed()
+	var enc []byte
+	size := 128
+	for i, b := range blocks {
+		size += uvarintLen(uint64(len(files[i]))) + len(files[i]) + len(b.fp)
+		for _, n := range counts(b) {
+			size += uvarintLen(uint64(n))
 		}
-		for i := range blk.cons {
-			at := len(table)
-			table = appendTerms(appendTerms(table, blk.cons[i].LHS), blk.cons[i].RHS)
-			blocks = binary.AppendUvarint(blocks, number(consNums, &table, at))
+		remap := remaps[b.table]
+		for j := range b.n() {
+			var k int32
+			if remap != nil && remap[b.refs[j]] != 0 {
+				k = remap[b.refs[j]] - 1
+			} else {
+				con := b.at(j)
+				enc = encode(enc[:0], con)
+				var fresh bool
+				k, fresh = seen.add(maphash.Bytes(seed, enc), int32(len(firsts)), func(k int32) bool {
+					return sameConstraint(first(k), con)
+				})
+				if fresh {
+					firsts = append(firsts, use{int32(i), int32(j)})
+					size += len(enc)
+				}
+				if remap != nil {
+					remap[b.refs[j]] = k + 1
+				}
+			}
+			nums = append(nums, k)
+			size += uvarintLen(uint64(k))
 		}
 	}
-	b := make([]byte, 0, 128+len(coefs)+len(table)+len(blocks))
-	b = append(b, flowCacheMagic...)
-	b = envelope.AppendU64(b, flowCacheVersion)
-	b = envelope.AppendBytes64(b, fpcache.AnalyzerVersion)
-	b = envelope.AppendF64(b, opts.C)
-	b = envelope.AppendF64(b, opts.Lambda)
-	b = envelope.AppendU64(b, uint64(opts.BackoffCutoff))
-	b = append(binary.AppendUvarint(b, uint64(coefNums.len())), coefs...)
-	b = append(binary.AppendUvarint(b, uint64(consNums.len())), table...)
-	b = append(binary.AppendUvarint(b, uint64(len(files))), blocks...)
-	if err := envelope.WriteFile(path, envelope.Seal(b)); err != nil {
+
+	// size is the body's, with room for the header and the checksum.
+	out := make([]byte, 0, size+8*len(coefNums))
+	out = append(out, flowCacheMagic...)
+	out = envelope.AppendU64(out, flowCacheVersion)
+	out = envelope.AppendBytes64(out, fpcache.AnalyzerVersion)
+	out = envelope.AppendF64(out, opts.C)
+	out = envelope.AppendF64(out, opts.Lambda)
+	out = envelope.AppendU64(out, uint64(opts.BackoffCutoff))
+	coefs := make([]uint64, len(coefNums))
+	for bits, k := range coefNums {
+		coefs[k] = bits
+	}
+	out = binary.AppendUvarint(out, uint64(len(coefs)))
+	for _, bits := range coefs {
+		out = envelope.AppendU64(out, bits)
+	}
+	out = binary.AppendUvarint(out, uint64(len(firsts)))
+	for k := range firsts {
+		out = encode(out, first(int32(k)))
+	}
+	out = binary.AppendUvarint(out, uint64(len(files)))
+	for i, f := range files {
+		b := blocks[i]
+		out = envelope.AppendBytesV(out, f)
+		out = append(out, b.fp[:]...)
+		for _, n := range counts(b) {
+			out = binary.AppendUvarint(out, uint64(n))
+		}
+		for _, k := range nums[:b.n()] {
+			out = binary.AppendUvarint(out, uint64(k))
+		}
+		nums = nums[b.n():]
+	}
+	if err := envelope.WriteFile(path, envelope.Seal(out)); err != nil {
 		return fmt.Errorf("flowcache: %w", err)
 	}
 	return nil
@@ -128,8 +198,9 @@ func LoadFlowCache(path string, opts Options) (*FlowCache, bool) {
 // a coefficient or constraint listed twice, or numbered out of first-use
 // order, or never used.
 func loadFlowCache(path string, opts Options) *FlowCache {
+	// Indices into the tables, each smaller than the file, are int32s.
 	data, err := os.ReadFile(path)
-	if err != nil {
+	if err != nil || len(data) > math.MaxInt32 {
 		return nil
 	}
 	body, err := envelope.Open(data, flowCacheMagic)
@@ -148,59 +219,69 @@ func loadFlowCache(path string, opts Options) *FlowCache {
 	// four counts and a constraint count.
 	const minCoef, minTerm, minCons, minBlock = 8, 1 + 1, 1 + 1, 1 + 32 + 4 + 1
 	at := func() int { return len(body) - len(r.Rest()) }
+	seed := maphash.MakeSeed()
 
 	// Each table holds no entry twice, and every index into it names an
 	// entry already used or the next one: entries are numbered by first
 	// use. At the end every entry has been used.
 	coefs := make([]float64, r.Count(r.Uvarint(), minCoef))
-	coefNums := newEncodings(at(), len(coefs))
+	seen := newIndexSet(len(coefs))
 	for i := range coefs {
-		coefs[i] = r.F64()
-		if _, fresh := coefNums.add(body[:at()]); !fresh {
+		raw := r.Take(minCoef)
+		bits := binary.LittleEndian.Uint64(raw)
+		coefs[i] = math.Float64frombits(bits)
+		if _, fresh := seen.add(maphash.Bytes(seed, raw), int32(i), func(j int32) bool {
+			return math.Float64bits(coefs[j]) == bits
+		}); !fresh {
 			return nil
 		}
 	}
 	usedCoefs, usedCons := 0, 0
 
-	// Term lists, two a constraint and mostly of a term or two, are carved
-	// from slabs no larger than the terms the bytes left can hold.
-	var slab []lp.Term
-	terms := func() []lp.Term {
-		n := r.Count(r.Uvarint(), minTerm)
-		if n == 0 {
-			return nil // as the flow pass leaves an empty side
+	// The distinct constraints are read twice: once to count their terms,
+	// and then into a table of that size.
+	n := r.Count(r.Uvarint(), minCons)
+	scan, terms := *r, 0
+	for range 2 * n {
+		m := scan.Count(scan.Uvarint(), minTerm)
+		terms += m
+		for range 2 * m {
+			scan.Uvarint()
 		}
-		if len(slab) < n {
-			slab = make([]lp.Term, max(n, min(len(r.Rest())/minTerm, 4096)))
-		}
-		ts := slab[:n:n]
-		slab = slab[n:]
-		for i := range ts {
-			ts[i].Var = int(r.Uvarint())
-			k := r.Uvarint()
-			if !firstUse(k, &usedCoefs, len(coefs)) {
-				r.Fail(fmt.Errorf("coefficient %d of %d, %d used so far", k, len(coefs), usedCoefs))
-				return nil
-			}
-			ts[i].Coef = coefs[k]
-		}
-		return ts
 	}
-	table := make([]lp.Constraint, r.Count(r.Uvarint(), minCons))
-	consNums := newEncodings(at(), len(table))
-	for i := range table {
-		table[i] = lp.Constraint{LHS: terms(), RHS: terms()}
-		if _, fresh := consNums.add(body[:at()]); !fresh {
+	if scan.Err() != nil {
+		return nil
+	}
+	t := &flowTable{terms: make([]lp.Term, 0, terms), ends: make([]int32, 1, 2*n+1)}
+	seen = newIndexSet(n)
+	for k := range int32(n) {
+		from := at()
+		for range 2 {
+			for range r.Uvarint() {
+				v, i := r.Uvarint(), r.Uvarint()
+				if !firstUse(i, &usedCoefs, len(coefs)) {
+					return nil
+				}
+				t.terms = append(t.terms, lp.Term{Var: int(v), Coef: coefs[i]})
+			}
+			t.ends = append(t.ends, int32(len(t.terms)))
+		}
+		// Under one coefficient numbering, and with no padded varint, two
+		// constraints are equal exactly when their encodings are.
+		con := t.constraint(k)
+		if _, fresh := seen.add(maphash.Bytes(seed, body[from:at()]), k, func(j int32) bool {
+			return sameConstraint(t.constraint(j), con)
+		}); !fresh {
 			return nil
 		}
 	}
-	if r.Err() != nil || usedCoefs != len(coefs) {
+	if usedCoefs != len(coefs) {
 		return nil
 	}
 
-	// A block's constraints share the table's term slices; they are carved
-	// from slabs like the terms.
-	var cons []lp.Constraint
+	// A block's references are carved from slabs no larger than the
+	// references the bytes left can hold.
+	var refs []int32
 	c := NewFlowCache()
 	for n, prev := r.Count(r.Uvarint(), minBlock), ""; n > 0 && r.Err() == nil; n-- {
 		f := r.StringV()
@@ -209,28 +290,28 @@ func loadFlowCache(path string, opts Options) *FlowCache {
 			return nil
 		}
 		prev = f
-		blk := &flowBlock{}
+		blk := &flowBlock{table: t}
 		copy(blk.fp[:], r.Take(len(blk.fp)))
 		blk.countA = int(r.Uvarint())
 		blk.countB = int(r.Uvarint())
 		blk.countC = int(r.Uvarint())
 		blk.skipped = int(r.Uvarint())
 		m := r.Count(r.Uvarint(), 1)
-		if len(cons) < m {
-			cons = make([]lp.Constraint, max(m, min(len(r.Rest()), 4096)))
+		if len(refs) < m {
+			refs = make([]int32, max(m, min(len(r.Rest()), 4096)))
 		}
-		blk.cons = cons[:m:m]
-		cons = cons[m:]
-		for i := range blk.cons {
+		blk.refs = refs[:m:m]
+		refs = refs[m:]
+		for i := range blk.refs {
 			k := r.Uvarint()
-			if !firstUse(k, &usedCons, len(table)) {
+			if !firstUse(k, &usedCons, t.len()) {
 				return nil
 			}
-			blk.cons[i] = table[k]
+			blk.refs[i] = int32(k)
 		}
 		c.blocks[f] = blk
 	}
-	if r.Close() != nil || usedCons != len(table) {
+	if r.Close() != nil || usedCons != t.len() {
 		return nil
 	}
 	return c
@@ -249,61 +330,45 @@ func firstUse(k uint64, used *int, n int) bool {
 	return true
 }
 
-// encodings numbers the distinct encodings — of coefficients, or of
-// constraints — that lie back to back in a buffer from start, the ith at
-// buf[ends[i]:ends[i+1]]. An open-addressed table of their numbers keyed
-// by maphash finds an equal earlier one. Two coefficients are equal
-// exactly when their bits are; under one coefficient numbering, and with
-// no padded varint, two constraints are equal exactly when their
-// encodings are.
-type encodings struct {
-	seed  maphash.Seed
-	ends  []int
-	slots []int32 // an encoding's number plus one; 0 is empty
-}
-
-// newEncodings returns a numbering with room for n encodings from start.
-func newEncodings(start, n int) *encodings {
-	e := &encodings{seed: maphash.MakeSeed(), ends: append(make([]int, 0, n+1), start)}
-	e.rehash(nil, n)
-	return e
-}
-
-func (e *encodings) len() int { return len(e.ends) - 1 }
-
-// add numbers the encoding that ends buf, right after the last one it
-// numbered: it returns the number of an equal earlier encoding and false,
-// or the next number and true.
-func (e *encodings) add(buf []byte) (int, bool) {
-	if 2*(e.len()+1) > len(e.slots) {
-		e.rehash(buf, 2*(e.len()+1))
+// sameConstraint reports whether a and b have the same terms, their
+// coefficients compared bit for bit.
+func sameConstraint(a, b lp.Constraint) bool {
+	same := func(x, y lp.Term) bool {
+		return x.Var == y.Var && math.Float64bits(x.Coef) == math.Float64bits(y.Coef)
 	}
-	s := buf[e.ends[e.len()]:]
-	for h := maphash.Bytes(e.seed, s); ; h++ {
-		at := &e.slots[h&uint64(len(e.slots)-1)]
-		if *at == 0 {
-			*at = int32(len(e.ends))
-			e.ends = append(e.ends, len(buf))
-			return e.len() - 1, true
-		}
-		if j := int(*at) - 1; bytes.Equal(buf[e.ends[j]:e.ends[j+1]], s) {
-			return j, false
-		}
-	}
+	return slices.EqualFunc(a.LHS, b.LHS, same) && slices.EqualFunc(a.RHS, b.RHS, same)
 }
 
-// rehash gives the table room for n encodings at half load and enters
-// the ones numbered so far, which lie in buf.
-func (e *encodings) rehash(buf []byte, n int) {
-	size := 16
+// uvarintLen returns the length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// An indexSet finds an item equal to a new one among the items added
+// before it, of which there are at most as many as it was made for. It is
+// an open-addressed table of the items' indices, at least half empty,
+// probed from an item's hash; unlike a map keyed by the items it costs
+// one int32 a slot and copies no item.
+type indexSet []int32 // an index plus one; 0 is empty
+
+func newIndexSet(n int) indexSet {
+	size := 1
 	for size < 2*n {
 		size *= 2
 	}
-	e.slots = make([]int32, size)
-	for i := range e.len() {
-		h := maphash.Bytes(e.seed, buf[e.ends[i]:e.ends[i+1]])
-		for ; e.slots[h&uint64(size-1)] != 0; h++ {
+	return make(indexSet, size)
+}
+
+// add returns the index of an item equal to the one with hash h, as
+// equal reports it, and false; or it enters the item's index v and
+// returns it and true.
+func (s indexSet) add(h uint64, v int32, equal func(int32) bool) (int32, bool) {
+	for ; ; h++ {
+		at := &s[h&uint64(len(s)-1)]
+		if *at == 0 {
+			*at = v + 1
+			return v, true
 		}
-		e.slots[h&uint64(size-1)] = int32(i + 1)
+		if equal(*at - 1) {
+			return *at - 1, false
+		}
 	}
 }

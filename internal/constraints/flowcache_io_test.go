@@ -3,6 +3,7 @@ package constraints_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"seldon/internal/constraints"
 	"seldon/internal/corpus"
+	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 )
 
@@ -108,6 +110,93 @@ func TestFlowCacheFileListsRepeatsOnce(t *testing.T) {
 	t.Logf("%d bytes for %d constraints, %d distinct: %.1f a constraint", info.Size(), total, len(distinct), perCons)
 	if perCons > 12 {
 		t.Errorf("%d bytes for %d constraints: %.1f a constraint, want at most 12", info.Size(), total, perCons)
+	}
+	// A cache of real size keeps FuzzLoadFlowCache's allocation bound.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !checkLoadSave(t, t.TempDir(), data[len("SFLC"):len(data)-envelope.ChecksumSize]) {
+		t.Fatal("the saved cache's body does not load")
+	}
+}
+
+// TestFlowCacheDenseBodiesKeepTheBound holds FuzzLoadFlowCache's property
+// and allocation bound (checkLoadSave) on bodies of tens of kilobytes that
+// are each as dense in one thing as the format allows — where fuzzing from
+// the seeds does not reach: one constraint listed 20,000 times, 20,000
+// distinct constraints listed once, 5,000 coefficients used once each,
+// and 2,000 blocks with no constraints.
+func TestFlowCacheDenseBodiesKeepTheBound(t *testing.T) {
+	// An empty cache's body is the header and three zero counts.
+	empty := filepath.Join(t.TempDir(), "empty.bin")
+	if err := constraints.NewFlowCache().Save(empty, constraints.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := data[len("SFLC") : len(data)-envelope.ChecksumSize-3]
+	uv := binary.AppendUvarint
+	// body lists k coefficients 1..k, the constraints made by cons (each
+	// appended to the bytes it is given), and one block a.py with the
+	// constraint indices refs, then empty blocks more empty blocks.
+	body := func(k int, cons []func([]byte) []byte, refs []int, empty int) []byte {
+		b := uv(bytes.Clone(head), uint64(k))
+		for i := range k {
+			b = envelope.AppendF64(b, float64(i+1))
+		}
+		b = uv(b, uint64(len(cons)))
+		for _, c := range cons {
+			b = c(b)
+		}
+		b = uv(b, uint64(1+empty))
+		block := func(name string, refs []int) {
+			b = append(envelope.AppendBytesV(b, name), make([]byte, 32)...)
+			b = uv(append(b, 0, 0, 0, 0), uint64(len(refs)))
+			for _, r := range refs {
+				b = uv(b, uint64(r))
+			}
+		}
+		block("a.py", refs)
+		for i := range empty {
+			block(fmt.Sprintf("b%06d.py", i), nil)
+		}
+		return b
+	}
+	// term is the constraint whose LHS is the term (x_v, coefficient i)
+	// and whose RHS is empty.
+	term := func(v, i int) func([]byte) []byte {
+		return func(b []byte) []byte { return append(uv(uv(append(b, 1), uint64(v)), uint64(i)), 0) }
+	}
+	const n = 20000
+	upTo := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	distinct, coefs := make([]func([]byte) []byte, n), make([]func([]byte) []byte, n/4)
+	for i := range distinct {
+		distinct[i] = term(i, 0)
+	}
+	for i := range coefs {
+		coefs[i] = term(0, i)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"one constraint listed often", body(1, distinct[:1], make([]int, n), 0)},
+		{"distinct constraints", body(1, distinct, upTo(n), 0)},
+		{"coefficients", body(n/4, coefs, upTo(n/4), 0)},
+		{"empty blocks", body(0, nil, nil, n/10)},
+	} {
+		if !checkLoadSave(t, t.TempDir(), c.body) {
+			t.Errorf("%s: the %d-byte body does not load", c.name, len(c.body))
+		}
 	}
 }
 

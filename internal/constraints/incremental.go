@@ -64,9 +64,10 @@ func AppendSpan(spans []Span, file string, events int, hash [32]byte) []Span {
 
 // FlowCache holds per-file flow-constraint blocks across incremental
 // builds. It is not safe for concurrent use; the owning session
-// serializes builds. The blocks of a loaded cache share the term slices
-// of the distinct constraints its file lists once, as a built system
-// shares its blocks' terms: nothing writes a term in place.
+// serializes builds. The blocks of a loaded cache index one table of the
+// distinct constraints its file lists once, and a built system shares
+// their term slices as it shares a built block's: nothing writes a term
+// in place.
 type FlowCache struct {
 	blocks map[string]*flowBlock
 	// numbering is the numbering digest of the last build that checked
@@ -167,7 +168,7 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 			sp := &spans[i]
 			if b := blocks[i]; b != nil && b.fp == fps[i] {
 				b.hash = sp.Hash
-				st.ConstraintsReused += len(b.cons)
+				st.ConstraintsReused += b.n()
 				continue
 			}
 			stale = append(stale, i)

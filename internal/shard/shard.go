@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
@@ -167,12 +168,12 @@ func (a *Artifact) Encode() []byte {
 
 // ReadFile reads the artifact at path; a fault names the path.
 func ReadFile(path string, opts ReadOptions) (*Artifact, error) {
-	f, err := os.Open(path)
+	start := time.Now()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	a, err := ReadArtifact(f, opts)
+	a, err := parseArtifact(data, opts, start)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

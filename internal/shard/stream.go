@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"time"
 
 	"seldon/internal/envelope"
@@ -83,52 +82,35 @@ func readHeader(r *envelope.Reader) *Artifact {
 	return a
 }
 
-// readAll reads src to its end. A source that knows its size — a file's
-// Stat, a bytes or strings reader's Len — is read into one buffer of that
-// size and a byte to see the end by, as os.ReadFile does; any other grows
-// its buffer through io.ReadAll, from 512 bytes.
-func readAll(src io.Reader) ([]byte, error) {
-	size := -1
-	switch s := src.(type) {
-	case interface{ Len() int }:
-		size = s.Len()
-	case interface{ Stat() (fs.FileInfo, error) }:
-		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
-			size = int(fi.Size())
-		}
-	}
-	if size < 0 {
-		return io.ReadAll(src)
-	}
-	b := make([]byte, 0, size+1)
-	for {
-		n, err := src.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)] // longer than it said: grow
-		}
-	}
-}
-
-// ReadArtifact reads one artifact from src to its end, checks its frame
-// (openFrame), and only then parses the payload: its file sections are a
-// record list (fpcache.ReadRecords), whose graphs are decoded on every
-// processor and kept per file for the merge to union. The frame's faults
-// keep their sentinels; a verified payload that does not parse is
-// ErrEncoding with the fault a front-to-back reader meets first at any
-// processor count.
+// ReadArtifact reads one artifact from src to its end, and parseArtifact
+// parses it. A source that knows its length, as a bytes.Reader does, is
+// read into one buffer of that size, as ReadFile's os.ReadFile reads a
+// file; any other through io.ReadAll.
 func ReadArtifact(src io.Reader, opts ReadOptions) (*Artifact, error) {
 	start := time.Now()
-	data, err := readAll(src)
+	var data []byte
+	var err error
+	if l, ok := src.(interface{ Len() int }); ok {
+		buf := bytes.NewBuffer(make([]byte, 0, l.Len()+bytes.MinRead))
+		_, err = buf.ReadFrom(src)
+		data = buf.Bytes()
+	} else {
+		data, err = io.ReadAll(src)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
 	}
+	return parseArtifact(data, opts, start)
+}
+
+// parseArtifact checks an artifact's frame (openFrame), and only then
+// parses the payload: its file sections are a record list
+// (fpcache.ReadRecords), whose graphs are decoded on every processor and
+// kept per file for the merge to union. The frame's faults keep their
+// sentinels; a verified payload that does not parse is ErrEncoding with
+// the fault a front-to-back reader meets first at any processor count.
+// start is when reading began.
+func parseArtifact(data []byte, opts ReadOptions, start time.Time) (*Artifact, error) {
 	payload, err := openFrame(data)
 	if err != nil {
 		return nil, err
