@@ -44,7 +44,7 @@ loc:
 
 # Race-check the packages with concurrency-sensitive surfaces: the
 # parallel-loop helper every fan-out below runs on, the metrics
-# registry, the sharded solver kernel, the parallel corpus front-end and
+# registry, the solver kernel, the parallel corpus front-end and
 # the lexer, parser, analyzer and arenas its workers run with
 # per-goroutine scratch state, the analysis cache, the HTTP service
 # (worker pool, backpressure, drain, hot reload) and the sharded
@@ -79,19 +79,25 @@ fuzzsmoke:
 # architectures that do fuse, disassembles the packages a store is
 # computed in, and fails naming every function holding a floating fused
 # opcode (arm64's integer MADD/MSUB and loong64's atomic AMADD are not).
+# It does the same for lp's test binary, where the oracles the kernel is
+# held to bit for bit live.
 FMA_ARCHS = arm64 ppc64le s390x riscv64 loong64
 FMA_PKGS = seldon/internal/(lp|constraints|core|incr|spec)\.
+FMA_TEST_PKGS = seldon/internal/lp\.
 FMA_OPS = ^(FN?M(ADD|SUB)[DSF]?|XSN?M(ADD|SUB)[AM][DS]P|M[AS][DE]BR?|WFN?M[AS][DS]B)$$
+FMA_FIND = awk '$$1 == "TEXT" { fn = $$2; sub(/^seldon\/internal\//, "", fn); sub(/\(SB\)$$/, "", fn); next } \
+	$$4 ~ /$(FMA_OPS)/ { print fn }' | sort -u
 fmacheck:
 	@d=$$(mktemp -d); st=0; \
 	for a in $(FMA_ARCHS); do \
 		GOOS=linux GOARCH=$$a $(GO) build -o $$d/seldon-$$a ./cmd/seldon || { st=1; continue; }; \
-		found=$$($(GO) tool objdump -s '$(FMA_PKGS)' $$d/seldon-$$a | \
-			awk '$$1 == "TEXT" { fn = $$2; sub(/^seldon\/internal\//, "", fn); sub(/\(SB\)$$/, "", fn); next } \
-				$$4 ~ /$(FMA_OPS)/ { print fn }' | sort -u); \
+		GOOS=linux GOARCH=$$a $(GO) test -c -o $$d/lp-$$a.test ./internal/lp || { st=1; continue; }; \
+		found=$$($(GO) tool objdump -s '$(FMA_PKGS)' $$d/seldon-$$a | $(FMA_FIND)); \
 		for f in $$found; do echo "fmacheck: $$a: fused multiply-add in $$f"; st=1; done; \
+		found=$$($(GO) tool objdump -s '$(FMA_TEST_PKGS)' $$d/lp-$$a.test | $(FMA_FIND)); \
+		for f in $$found; do echo "fmacheck: $$a: fused multiply-add in $$f (lp test binary)"; st=1; done; \
 	done; rm -rf $$d; \
-	[ $$st = 0 ] && echo "fmacheck OK: no fused multiply-add in lp, constraints, core, incr, spec on $(FMA_ARCHS)"; \
+	[ $$st = 0 ] && echo "fmacheck OK: no fused multiply-add in lp, constraints, core, incr, spec or lp's tests on $(FMA_ARCHS)"; \
 	exit $$st
 
 # verify = tier-1 (build + full tests) plus gofmt, vet, the race checks

@@ -360,8 +360,8 @@ type RelearnStats struct {
 	// symbols differently) or "compaction" (too much dead space).
 	UnionRebuilt string
 	// RowsReused counts the constraints whose solver row came from the
-	// standing row table without hashing, RowsDead the rows the table
-	// carries that no constraint maps to any more.
+	// standing row table without a probe of its trie, RowsDead the trie
+	// nodes the table carries that no row runs through any more.
 	RowsReused int
 	RowsDead   int
 	// WarmStarted reports that the solve resumed from a previous

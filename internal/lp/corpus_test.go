@@ -1,7 +1,6 @@
 package lp_test
 
 import (
-	"fmt"
 	"testing"
 
 	"seldon/internal/constraints"
@@ -61,16 +60,14 @@ func TestWarmStartFromOptimumConvergesFaster(t *testing.T) {
 // TestKernelMatchesReferenceOnCorpusSystem runs the oracle over the corpus
 // system: the kernel and the interpreted solver of the folded problem must
 // agree on the epoch count and on every bit of the solution, the objective
-// and the violation, cold and warm, at one shard, two and five.
+// and the violation, cold and warm; and the trie must have the shape the
+// system's term lists give it.
 func TestKernelMatchesReferenceOnCorpusSystem(t *testing.T) {
 	p := corpusSystem()
+	lp.AssertTrieShape(t, "corpus system", p)
 	check := func(name string, opts lp.Options) *lp.Result {
-		ref := lp.MinimizeReference(p, opts)
-		var ker *lp.Result
-		for _, shards := range []int{1, 2, 5} {
-			ker = lp.Minimize(p, lp.WithShards(opts, shards))
-			lp.SameBits(t, fmt.Sprintf("%s, shards=%d", name, shards), ker, ref)
-		}
+		ker := lp.Minimize(p, opts)
+		lp.SameBits(t, name, ker, lp.MinimizeReference(p, opts))
 		return ker
 	}
 	cold := check("cold", lp.Options{})

@@ -8,10 +8,5 @@ var (
 	MinimizeUnfolded     = minimizeUnfolded
 	SameBits             = sameBits
 	AssertWithinRounding = assertWithinRounding
+	AssertTrieShape      = assertTrieShape
 )
-
-// WithShards is opts solving on the given number of shards.
-func WithShards(opts Options, shards int) Options {
-	opts.shards = shards
-	return opts
-}

@@ -91,14 +91,14 @@ func sameFloat(a, b float64) bool {
 // FuzzKernelMatchesReference reads its input as a small problem — forced
 // duplicates and near-duplicates, coefficients from {1, ½, ⅓} and raw float
 // bits, non-finite ones included — and a way to solve it: 0–60 epochs, cold
-// or from a warm vector that need not lie in the box, one shard or three,
-// and optionally cut into keyed blocks and solved through a standing
-// RowTable, then once more through the same table with the blocks rotated,
-// so that the table's row numbers are not the problem's first-occurrence
-// order. The kernel must return what the interpreted solver of the folded
+// or from a warm vector that need not lie in the box, and optionally cut
+// into keyed blocks and solved through a standing RowTable, then once more
+// through the same table with the blocks rotated, so that the table's row
+// numbers are not the problem's first-occurrence order. The kernel must return what the interpreted solver of the folded
 // problem returns: the same epoch count, the same violated-constraint count
 // in every epoch, and the same bits in every coordinate, the objective and
-// the violation.
+// the violation; and the trie must pass the shape oracle. Bit 1 of the
+// first byte is unused.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add([]byte{7, 2, 0, 4, 3, 0, 30, 0x3a, 0, 0, 1, 1, 2, 2, 0x00, 0, 0x3a, 3, 1, 4, 0, 5, 2, 0x09, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -108,11 +108,12 @@ func FuzzKernelMatchesReference(f *testing.F) {
 		if mode&1 != 0 {
 			warm = make([]float64, 64)
 			for i := range warm {
-				warm[i] = float64(in.byte())/128 - 0.5
+				warm[i] = float64(float64(in.byte())/128) - 0.5
 			}
 		}
 		p := fuzzProblem(in)
-		opts := Options{Iterations: epochs, shards: 1 + int(mode&2), Patience: int(mode >> 4)}
+		assertTrieShape(t, "fuzz problem", p)
+		opts := Options{Iterations: epochs, Patience: int(mode >> 4)}
 		if epochs == 0 {
 			opts.Iterations = -1 // 0 would select the default budget
 		}

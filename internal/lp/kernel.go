@@ -3,15 +3,14 @@ package lp
 import (
 	"math"
 	"slices"
-
-	"seldon/internal/par"
 )
 
-// This file holds the compiled solver kernel. compile hash-conses a
-// Problem's constraints into distinct CSR rows — big code repeats the same
-// API triples, so a learned system carries each row several times over —
+// This file holds the compiled solver kernel. compile folds a Problem's
+// constraints into a prefix trie of their flattened term lists — big code
+// repeats the same API triples, so a learned system carries each row
+// several times over, and distinct rows often start with the same terms —
 // and precomputes the free-variable mask and pinned-L1 constant; the
-// per-epoch work is then one dot product per distinct row, one branch-free
+// per-epoch work is then one multiply-add per trie node, one branch-free
 // sweep over the live rows that compacts the violated ones, and a hinge
 // fold and gradient scatter over that compacted list only, each row
 // weighted by the number of constraints that fell on it. One pass yields
@@ -28,116 +27,114 @@ import (
 //
 // Determinism contract: the result is a pure function of the Problem — of
 // its multiset of constraints and the order in which the distinct ones
-// first occur — bit-for-bit equal at every shard count, through a standing
-// RowTable or a fresh one, and bit-for-bit what the interpreted solver of
-// the folded problem (the minimizeReference oracle in reference_test.go)
-// computes, objective included. Rows are evaluated independently, so
-// sharding the pass cannot change them, and a row's dot product does not
-// depend on where the table keeps it. Every floating-point reduction
-// (hinge fold, L1 fold, gradient scatter, Adam update) runs sequentially,
-// the compacted list holds the violated rows in first-occurrence order, and
-// every product that meets a sum is converted — float64(n·value) — so that
-// no architecture fuses it into the add (`make fmacheck` holds that). The
-// only terms the scatter skips are those on pinned variables, whose
-// gradient entries nobody reads. Moving a copy of a constraint that is not
-// its first therefore changes nothing; moving a first occurrence reorders
-// the sums and may move the result in its last bits.
+// first occur — bit-for-bit equal through a standing RowTable or a fresh
+// one, and bit-for-bit what the interpreted solver of the folded problem
+// (the minimizeReference oracle in reference_test.go) computes, objective
+// included. A row's violation is the left-to-right sum −C + c₀x₀ + c₁x₁ +
+// …, and a trie node holds exactly that sum over the terms on its path, so
+// sharing a prefix shares bit-identical partial sums and a node's value
+// does not depend on its number. Every floating-point reduction (hinge
+// fold, L1 fold, gradient scatter, Adam update) runs sequentially, the
+// compacted list holds the violated rows in first-occurrence order, the
+// scatter adds a row's terms in term order, and every product that meets
+// a sum is converted — float64(n·value) — so that no architecture fuses
+// it into the add (`make fmacheck` holds that). The only terms the
+// scatter skips are those on pinned variables, whose gradient entries
+// nobody reads. Moving a copy of a constraint that is not its first
+// therefore changes nothing; moving a first occurrence reorders the sums
+// and may move the result in its last bits.
 
-// kernelChunk is the fixed number of rows one pass task covers. Chunk
-// boundaries depend only on the problem — never on Options.shards — so the
-// work decomposition is stable across shard counts; since chunks share no
-// outputs it only affects scheduling.
-const kernelChunk = 2048
+// node is one trie node: the prefix of node par followed by the term
+// coef·x[v]. Node 0 is the root, the empty prefix, and every other node's
+// parent has a lower number.
+type node struct {
+	par, v int32
+	coef   float64
+}
 
 // kernel is the compiled form of a Problem.
 type kernel struct {
 	c      float64
 	lambda float64
 
-	// Distinct rows, the table's: row r owns
-	// termVar/termCoef[rowStart[r]:rowStart[r+1]], LHS terms first and RHS
-	// terms after with negated coefficients, so one fused dot product
-	// (minus C) reproduces Constraint.Violation exactly. rowOf maps each
-	// constraint to its row; order lists the rows constraints map to (the
+	// The table's trie. rowOf maps each constraint to its row, the node
+	// where its flattened term list — LHS, then RHS with negated
+	// coefficients — ends; order lists the rows constraints map to (the
 	// live ones; a standing table may hold more, see RowTable) by first
 	// occurrence in rowOf, and mult[r] counts the constraints on live row r.
-	rowStart []int32
-	termVar  []int32
-	termCoef []float64
-	rowOf    []int32
-	order    []int32
-	mult     []int32
+	nodes []node
+	rowOf []int32
+	order []int32
+	mult  []int32
 	// reused counts the constraints that took their row from a remembered
-	// block, dead the rows nothing maps to.
+	// block, dead the nodes no live row runs through.
 	reused, dead int
 
-	// The same rows restricted to free variables, term order kept: what
-	// the gradient scatter walks.
+	// The terms of row order[j] on free variables, in term order:
+	// freeVar/freeCoef[freeStart[j]:freeStart[j+1]], what the gradient
+	// scatter walks.
 	freeStart []int32
 	freeVar   []int32
 	freeCoef  []float64
 
 	masks *problemMask // free mask, pinned indices, pinned-L1 constant
 
-	// Per-pass state. viol[r] caches L_r − R_r − C and hot[r] is 1 when it
-	// is positive; active[:nActive] lists the violated live rows in the
-	// order of order, and violated is how many constraints sit on them. The
-	// hinge fold and the scatter read these instead of re-walking rows.
-	viol     []float64
-	hot      []uint8
+	// Per-pass state. partial[i] is −C plus the terms on node i's path, so
+	// L_r − R_r − C at row r; active[:nActive] lists the indices into order
+	// of the violated rows, and violated is how many constraints sit on
+	// them. The hinge fold and the scatter read these instead of re-walking
+	// rows.
+	partial  []float64
 	active   []int32
 	nActive  int
 	violated int
 }
 
-// RowTable is what compile builds: the distinct rows of the problems it
-// has compiled, their hash table, and the kernel's arrays. Minimize makes
-// one per solve unless it is handed a standing one (Options.Rows), which
-// then carries over to the next solve whatever the next problem shares
-// with this one:
+// RowTable is what compile builds: the trie of the problems it has
+// compiled, its child table, and the kernel's arrays. Minimize makes one
+// per solve unless it is handed a standing one (Options.Rows), which then
+// carries over to the next solve whatever the next problem shares with
+// this one:
 //
 //   - A block of constraints the problem says it took whole from a keyed
-//     source (Problem.Blocks) is hash-consed once. The rows its
-//     constraints fell on are remembered under the key, and a later
-//     problem showing the key gets them back as one copy, with no
-//     hashing and no term compare.
-//   - Rows stay. A row no constraint of the current problem maps to is
-//     dead: every pass still takes its dot product, nothing reads it.
-//     Once the dead rows pass 1/deadRowShare of the table, or the problem
-//     has fewer variables than some row may mention, compile empties the
-//     table and compiles the problem as the first.
+//     source (Problem.Blocks) is inserted once. The rows its constraints
+//     fell on are remembered under the key, and a later problem showing
+//     the key gets them back as one copy, with no probe of the trie.
+//   - Nodes stay. A node no row of the current problem runs through is
+//     dead: every pass still evaluates it, nothing reads it. Once the dead
+//     nodes pass 1/deadRowShare of the trie, or the problem has fewer
+//     variables than some node may mention, compile empties the table and
+//     compiles the problem as the first.
 //   - The kernel's arrays are reused, so a compile allocates only what a
 //     larger problem makes them grow by.
 //
-// Row numbers therefore depend on what the table has seen; nothing else
+// Node numbers therefore depend on what the table has seen; nothing else
 // does. Every floating-point fold runs over order, the live rows by first
 // occurrence in the problem at hand (see the determinism contract above),
-// and a row's dot product does not depend on its number, so a solve
-// through a standing table is bit-identical to one through a fresh table,
-// whatever either holds.
+// and a node's value does not depend on its number, so a solve through a
+// standing table is bit-identical to one through a fresh table, whatever
+// either holds.
 //
 // A RowTable is not safe for concurrent use, and a Result computed
 // through it does not refer to it.
 type RowTable struct {
-	rowStart []int32
-	termVar  []int32
-	termCoef []float64
-	// hashes[r] is row r's hash; slots is the open-addressed table of
-	// row+1 (0 = empty) over them, doubled whenever it gets half full so
-	// that it stays as small as the distinct rows, not the constraints,
-	// require.
-	hashes []uint64
-	slots  []int32
+	nodes []node
+	// slots is the open-addressed child table over nodes: a node's slot
+	// is found from (parent, variable, coefficient bits), 0 marks an empty
+	// one (the root is nobody's child), and it is doubled whenever it gets
+	// half full.
+	slots []int32
 	// numVars is the largest NumVars of the problems whose rows the table
-	// holds: no row mentions a variable from there on.
+	// holds: no node mentions a variable from there on.
 	numVars int
 
 	// runs remembers, per block key, the rows of the block's constraints;
-	// gen numbers the compiles, and a run or a row last seen in this one is
-	// part of the current problem.
-	runs map[[32]byte]*rowRun
-	gen  uint32
-	seen []uint32
+	// gen numbers the compiles, and a run, a row (seen) or a node (alive)
+	// last stamped with it is part of the current problem.
+	runs  map[[32]byte]*rowRun
+	gen   uint32
+	seen  []uint32
+	alive []uint32
 
 	// k is the kernel of the last compile; its arrays are what the next
 	// one reuses.
@@ -149,21 +146,19 @@ type rowRun struct {
 	gen  uint32
 }
 
-// deadRowShare bounds the dead rows of a standing table at
-// 1/deadRowShare of all its rows. A dead row costs its dot product in
-// every epoch; emptying the table costs one cold compile (≈ 30 ms at 6000
-// files, against ≈ 3 ms for a compile that remembers its blocks). A
-// six-file edit kills ≈ 20 of the 38.8k rows, an edit that renumbers
-// variables thousands at once — all of them or, when only late variables
-// move, some 3.5k, which is the case the share decides: carry them or
-// start over. Measured over 200 re-learns of a 6000-file session (six
-// files flipped each time, 30 of the edits renumbering), three rounds each:
-// 1/8 empties the table 20 times, carries 835 dead rows on average and
-// takes 54.7 / 52.4 / 51.1 ms a re-learn; 1/4 empties it 15 times, carries
-// 3101 and takes 53.4 / 53.4 / 51.0 ms; 1/32 empties it 27 times, carries
-// 287 and takes 54.2 / 53.4 / 52.3 ms. With the reduction folded an epoch
-// is cheap enough that the three no longer differ by more than the rounds
-// do (they were 76.5, 80.5 and 83 ms when 1/8 was chosen), so 1/8 stays.
+// deadRowShare bounds the dead nodes of a standing table at
+// 1/deadRowShare of all its nodes. A dead node costs its multiply-add in
+// every epoch; emptying the table costs one cold compile (≈ 25 ms at 6000
+// files, against ≈ 4 ms for a compile that remembers its blocks).
+// Measured over 200 re-learns of a 6000-file session (six files flipped
+// each time), three rounds each: 1/4 empties the table 17 times, carries
+// 4241 dead nodes of ≈ 69k on average and takes 50.4 / 56.4 / 51.9 ms a
+// re-learn; 1/8 empties it 22 times, carries 1556 and takes 52.9 / 58.2 /
+// 51.8 ms; 1/32 empties it 31 times, carries 369 and takes 56.0 / 61.9 /
+// 49.2 ms. At 25 warm epochs of ≈ 4 ns a node, even 1/4's dead nodes cost
+// under half a millisecond a re-learn, about what its five fewer resets
+// in 200 save, so the three do not differ by more than the rounds do and
+// 1/8 stays.
 const deadRowShare = 8
 
 // NewRowTable returns an empty standing table for Options.Rows.
@@ -171,23 +166,22 @@ func NewRowTable() *RowTable { return &RowTable{} }
 
 // reset empties the table, keeping its arrays.
 func (t *RowTable) reset() {
-	t.rowStart, t.termVar, t.termCoef = t.rowStart[:0], t.termVar[:0], t.termCoef[:0]
-	t.hashes = t.hashes[:0]
+	t.nodes = t.nodes[:0]
 	clear(t.slots)
 	clear(t.runs)
 	t.numVars = 0
 }
 
-// compile folds p's constraints into distinct rows of t (of a table of
-// its own when t is nil) and returns the kernel over them. Two constraints
-// share a row only when their flattened term lists are equal term by term
-// — same variables, same coefficient bits, same order — the hash merely
-// picks the bucket. Into an empty table that costs about two walks over
-// the terms plus a table probe per constraint (≈ 20 ms for the 193k
-// constraints of a 6000-file corpus, where an epoch over the 38.8k rows
-// then takes ≈ 0.3 ms); into a standing one it costs that for the blocks
-// the table has not seen (≈ 5 % of them after a six-file edit) and a copy
-// of row numbers for the rest, ≈ 3 ms in all.
+// compile folds p's constraints into the trie of t (of a table of its own
+// when t is nil) and returns the kernel over it. Two constraints share a
+// row only when their flattened term lists are equal term by term — same
+// variables, same coefficient bits, same order — and two rows share a node
+// exactly as far as their lists agree from the start. Into an empty table
+// that costs a probe of the child table per term (≈ 25 ms for the 193k
+// constraints of a 6000-file corpus, whose 38.8k rows come to 68.8k
+// nodes); into a standing one it costs that for the blocks the table has
+// not seen (≈ 5 % of them after a six-file edit) and a copy of row numbers
+// for the rest.
 func compile(p *Problem, t *RowTable) *kernel {
 	standing := t != nil
 	if !standing {
@@ -204,7 +198,7 @@ func compile(p *Problem, t *RowTable) *kernel {
 		t.reset()
 	}
 	t.fold(p, blocks, standing)
-	if t.k.dead*deadRowShare > len(t.hashes) {
+	if t.k.dead*deadRowShare > len(t.nodes)-1 {
 		t.reset()
 		t.fold(p, blocks, standing)
 	}
@@ -218,22 +212,26 @@ func compile(p *Problem, t *RowTable) *kernel {
 	}
 
 	k := &t.k
-	nRows := len(t.hashes)
 	k.c, k.lambda = p.C, p.Lambda
-	k.rowStart, k.termVar, k.termCoef = t.rowStart, t.termVar, t.termCoef
+	k.nodes = t.nodes
 	k.masks = p.masks()
-	k.viol, k.hot = resized(k.viol, nRows), resized(k.hot, nRows)
+	k.partial = resized(k.partial, len(t.nodes))
 	k.active = resized(k.active, len(k.order))
-	k.freeStart = append(resized(k.freeStart, nRows+1)[:0], 0)
-	k.freeVar = resized(k.freeVar, len(k.termVar))[:0]
-	k.freeCoef = resized(k.freeCoef, len(k.termVar))[:0]
+	k.freeStart = append(resized(k.freeStart, len(k.order)+1)[:0], 0)
+	// A learned row holds four terms on average.
+	k.freeVar, k.freeCoef = slices.Grow(k.freeVar[:0], 4*len(k.order)), slices.Grow(k.freeCoef[:0], 4*len(k.order))
 	free := k.masks.free
-	for r := 0; r < nRows; r++ {
-		for i := k.rowStart[r]; i < k.rowStart[r+1]; i++ {
-			if v := k.termVar[i]; free[v] {
-				k.freeVar, k.freeCoef = append(k.freeVar, v), append(k.freeCoef, k.termCoef[i])
+	for _, r := range k.order {
+		// A row's path runs from its last term up; the scatter wants the
+		// first term first.
+		s := len(k.freeVar)
+		for i := r; i != 0; i = t.nodes[i].par {
+			if nd := &t.nodes[i]; free[nd.v] {
+				k.freeVar, k.freeCoef = append(k.freeVar, nd.v), append(k.freeCoef, nd.coef)
 			}
 		}
+		slices.Reverse(k.freeVar[s:])
+		slices.Reverse(k.freeCoef[s:])
 		k.freeStart = append(k.freeStart, int32(len(k.freeVar)))
 	}
 	return k
@@ -245,38 +243,27 @@ func compile(p *Problem, t *RowTable) *kernel {
 func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // fold maps every constraint of p to its row in t, k.rowOf, adding the
-// rows t lacks, lists the rows so used by first occurrence (k.order) with
+// nodes t lacks, lists the rows so used by first occurrence (k.order) with
 // the number of constraints on each (k.mult), and counts the constraints
-// that took their row from memory (k.reused) and the rows of t that nothing
-// maps to (k.dead). A block whose key has a remembered run takes the run;
-// any other is hash-consed constraint by constraint and, in a standing
-// table, remembered.
+// that took their row from memory (k.reused) and the nodes of t that no
+// live row runs through (k.dead). A block whose key has a remembered run
+// takes the run; any other is inserted constraint by constraint and, in a
+// standing table, remembered.
 func (t *RowTable) fold(p *Problem, blocks []Block, standing bool) {
-	nCons := len(p.Constraints)
-	empty := len(t.rowStart) == 0
-	if empty {
-		// Every constraint is staged at the tail of the term arrays and a
-		// duplicate truncated away again, so an empty table is sized for no
-		// folding at all and cut down to the distinct rows afterwards.
-		nTerms := 0
-		for i := range p.Constraints {
-			nTerms += len(p.Constraints[i].LHS) + len(p.Constraints[i].RHS)
-		}
-		t.termVar, t.termCoef = slices.Grow(t.termVar, nTerms), slices.Grow(t.termCoef, nTerms)
-		t.rowStart = append(t.rowStart, 0)
+	if len(t.nodes) == 0 {
+		t.nodes = append(t.nodes, node{}) // the root
 		if len(t.slots) == 0 {
 			t.slots = make([]int32, 1024)
 		}
 	}
-	staged := cap(t.termVar)
 	t.numVars = max(t.numVars, p.NumVars)
 	t.gen++
 	k := &t.k
 	k.reused, k.dead = 0, 0
-	rowOf := resized(k.rowOf, nCons)
+	rowOf := resized(k.rowOf, len(p.Constraints))
 	k.rowOf = rowOf
 	if blocks == nil {
-		t.hashIn(p.Constraints, rowOf)
+		t.insert(p.Constraints, rowOf)
 	}
 	at := 0
 	for _, b := range blocks {
@@ -288,7 +275,7 @@ func (t *RowTable) fold(p *Problem, blocks []Block, standing bool) {
 			k.reused += b.N
 			continue
 		}
-		t.hashIn(cons, rows)
+		t.insert(cons, rows)
 		if standing {
 			if t.runs == nil {
 				t.runs = make(map[[32]byte]*rowRun, len(blocks))
@@ -296,97 +283,78 @@ func (t *RowTable) fold(p *Problem, blocks []Block, standing bool) {
 			t.runs[b.Key] = &rowRun{rows: slices.Clone(rows), gen: t.gen}
 		}
 	}
-	if len(t.termVar) < staged/2 {
-		t.termVar, t.termCoef = slices.Clone(t.termVar), slices.Clone(t.termCoef)
-	}
 
-	nRows := len(t.hashes)
-	t.seen = slices.Grow(t.seen, max(nRows-len(t.seen), 0))[:nRows]
-	order, mult := resized(k.order, nRows)[:0], resized(k.mult, nRows)
+	nNodes := len(t.nodes)
+	t.seen, t.alive = resized(t.seen, nNodes), resized(t.alive, nNodes)
+	order, mult := k.order[:0], resized(k.mult, nNodes)
+	live := 0
 	for _, r := range rowOf {
 		if t.seen[r] != t.gen {
 			t.seen[r] = t.gen
 			mult[r] = 0
 			order = append(order, r)
+			for i := r; i != 0 && t.alive[i] != t.gen; i = t.nodes[i].par {
+				t.alive[i] = t.gen
+				live++
+			}
 		}
 		mult[r]++
 	}
 	k.order, k.mult = order, mult
-	k.dead = nRows - len(order)
+	k.dead = nNodes - 1 - live
 }
 
-// hashIn finds or adds the row of each of cons and writes it to rowOf.
-func (t *RowTable) hashIn(cons []Constraint, rowOf []int32) {
-	// Locals, not fields: the appends below are the hot loop.
-	termVar, termCoef, rowStart, hashes, table := t.termVar, t.termCoef, t.rowStart, t.hashes, t.slots
+// insert finds or adds the row of each of cons and writes it to rowOf.
+func (t *RowTable) insert(cons []Constraint, rowOf []int32) {
 	for i := range cons {
 		c := &cons[i]
-		tail := len(termVar)
-		h := uint64(14695981039346656037)
-		for _, t := range c.LHS {
-			termVar, termCoef = append(termVar, int32(t.Var)), append(termCoef, t.Coef)
-			h = mixTerm(h, t.Var, t.Coef)
+		r := int32(0)
+		for _, tm := range c.LHS {
+			r = t.child(r, tm.Var, tm.Coef)
 		}
-		for _, t := range c.RHS {
-			termVar, termCoef = append(termVar, int32(t.Var)), append(termCoef, -t.Coef)
-			h = mixTerm(h, t.Var, -t.Coef)
+		for _, tm := range c.RHS {
+			r = t.child(r, tm.Var, -tm.Coef)
 		}
-		slot := tableSlot(h, table)
-		for ; table[slot] != 0; slot = (slot + 1) & (len(table) - 1) {
-			r := table[slot] - 1
-			if hashes[r] == h && sameTerms(termVar, termCoef, int(rowStart[r]), int(rowStart[r+1]), tail) {
-				break
+		rowOf[i] = r
+	}
+}
+
+// child finds or adds the node that extends node par by coef·x[v].
+func (t *RowTable) child(par int32, v int, coef float64) int32 {
+	bits := math.Float64bits(coef)
+	mask := len(t.slots) - 1
+	s := childSlot(par, int32(v), bits, mask)
+	for n := t.slots[s]; n != 0; n = t.slots[s] {
+		if nd := &t.nodes[n]; nd.par == par && nd.v == int32(v) && math.Float64bits(nd.coef) == bits {
+			return n
+		}
+		s = (s + 1) & mask
+	}
+	n := int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{par: par, v: int32(v), coef: coef})
+	t.slots[s] = n
+	if 2*len(t.nodes) > len(t.slots) {
+		t.slots = make([]int32, 2*len(t.slots))
+		mask = len(t.slots) - 1
+		for n := 1; n < len(t.nodes); n++ {
+			nd := &t.nodes[n]
+			s := childSlot(nd.par, nd.v, math.Float64bits(nd.coef), mask)
+			for t.slots[s] != 0 {
+				s = (s + 1) & mask
 			}
-		}
-		if table[slot] != 0 {
-			rowOf[i] = table[slot] - 1
-			termVar, termCoef = termVar[:tail], termCoef[:tail]
-			continue
-		}
-		rowOf[i] = int32(len(hashes))
-		hashes = append(hashes, h)
-		table[slot] = int32(len(hashes))
-		rowStart = append(rowStart, int32(len(termVar)))
-		if 2*len(hashes) > len(table) {
-			table = make([]int32, 2*len(table))
-			for r, rh := range hashes {
-				slot := tableSlot(rh, table)
-				for table[slot] != 0 {
-					slot = (slot + 1) & (len(table) - 1)
-				}
-				table[slot] = int32(r + 1)
-			}
+			t.slots[s] = int32(n)
 		}
 	}
-	t.termVar, t.termCoef, t.rowStart, t.hashes, t.slots = termVar, termCoef, rowStart, hashes, table
+	return n
 }
 
-// mixTerm folds one term into a row hash (FNV-1a over the two words).
-func mixTerm(h uint64, v int, coef float64) uint64 {
-	h = (h ^ uint64(v)) * 1099511628211
-	return (h ^ math.Float64bits(coef)) * 1099511628211
+// childSlot is the home slot of the child (par, v, coefficient bits) in a
+// child table of mask+1 slots.
+func childSlot(par, v int32, bits uint64, mask int) int {
+	h := (uint64(uint32(par))<<32 | uint64(uint32(v))) * 0x9e3779b97f4a7c15
+	h = (h ^ bits) * 0xbf58476d1ce4e5b9
+	return int(h>>32^h) & mask
 }
-
-// tableSlot is the home slot of hash h in a power-of-two table.
-func tableSlot(h uint64, table []int32) int { return int(h>>32^h) & (len(table) - 1) }
-
-// sameTerms reports whether the committed row [lo, hi) equals the row
-// staged at [tail, len).
-func sameTerms(vars []int32, coefs []float64, lo, hi, tail int) bool {
-	if hi-lo != len(vars)-tail {
-		return false
-	}
-	for t := lo; t < hi; t++ {
-		s := tail + t - lo
-		if vars[t] != vars[s] || math.Float64bits(coefs[t]) != math.Float64bits(coefs[s]) {
-			return false
-		}
-	}
-	return true
-}
-
-// rows is the number of distinct rows.
-func (k *kernel) rows() int { return len(k.rowStart) - 1 }
 
 // pin resets the known variables to their pinned values.
 func (k *kernel) pin(x []float64) {
@@ -395,48 +363,35 @@ func (k *kernel) pin(x []float64) {
 	}
 }
 
-// passChunk computes viol[r] and hot[r] for the rows of one chunk.
-func (k *kernel) passChunk(ci int, x []float64) {
-	lo := ci * kernelChunk
-	hi := lo + kernelChunk
-	if hi > k.rows() {
-		hi = k.rows()
+// pass recomputes every node's partial sum at x, rebuilds the active list,
+// and returns the total hinge violation. A parent's number is lower than
+// its child's, so one sweep in node order evaluates the trie; the
+// compaction and the fold run in first-occurrence order.
+func (k *kernel) pass(x []float64) float64 {
+	nodes := k.nodes
+	partial := k.partial[:len(nodes)]
+	partial[0] = -k.c
+	for i := 1; i < len(nodes); i++ {
+		nd := &nodes[i]
+		partial[i] = partial[nd.par] + float64(nd.coef*x[nd.v])
 	}
-	for r := lo; r < hi; r++ {
-		s, e := k.rowStart[r], k.rowStart[r+1]
-		vars, coefs := k.termVar[s:e], k.termCoef[s:e]
-		v := -k.c
-		for t, tv := range vars {
-			v += float64(coefs[t] * x[tv])
-		}
-		k.viol[r] = v
-		var h uint8
-		if v > 0 {
-			h = 1
-		}
-		k.hot[r] = h
-	}
-}
-
-// pass recomputes every row's violation at x, dealing the row chunks to
-// up to `shards` goroutines, rebuilds the active list, and returns the
-// total hinge violation. The compaction and the fold run sequentially in
-// first-occurrence order, so the result does not depend on shards.
-func (k *kernel) pass(x []float64, shards int) float64 {
-	nChunks := (k.rows() + kernelChunk - 1) / kernelChunk
-	par.For(shards, nChunks, func(_, ci int) { k.passChunk(ci, x) })
 	// Branch-free compaction: every live row is written at the cursor, and
 	// only a violated one advances it.
-	active, hot := k.active, k.hot
+	active := k.active
 	n := 0
-	for _, r := range k.order {
-		active[n] = r
-		n += int(hot[r])
+	for j, r := range k.order {
+		active[n] = int32(j)
+		var hot int
+		if partial[r] > 0 {
+			hot = 1
+		}
+		n += hot
 	}
 	k.nActive = n
 	hinge, violated := 0.0, 0
-	for _, r := range active[:n] {
-		hinge += float64(float64(k.mult[r]) * k.viol[r])
+	for _, j := range active[:n] {
+		r := k.order[j]
+		hinge += float64(float64(k.mult[r]) * partial[r])
 		violated += int(k.mult[r])
 	}
 	k.violated = violated
@@ -457,10 +412,10 @@ func (k *kernel) objectiveAt(hinge float64, x []float64) float64 {
 
 // scatter rebuilds the subgradient from the active list of the last pass,
 // over free-variable terms only: pinned entries of grad stay 0 and are
-// never read. A row adds each coefficient once, times its multiplicity. It
-// always runs sequentially in first-occurrence order, which keeps the free
-// gradient bit-identical at every shard count (and to the reference
-// solver).
+// never read. A row adds each coefficient once, times its multiplicity,
+// in term order; rows come in first-occurrence order, which keeps the free
+// gradient bit-identical to the reference solver's even where a row names
+// one variable twice.
 func (k *kernel) scatter(grad []float64) {
 	free := k.masks.free
 	for i := range grad {
@@ -470,10 +425,10 @@ func (k *kernel) scatter(grad []float64) {
 			grad[i] = 0
 		}
 	}
-	for _, r := range k.active[:k.nActive] {
-		s, e := k.freeStart[r], k.freeStart[r+1]
+	for _, j := range k.active[:k.nActive] {
+		s, e := k.freeStart[j], k.freeStart[j+1]
 		vars, coefs := k.freeVar[s:e], k.freeCoef[s:e]
-		n := float64(k.mult[r])
+		n := float64(k.mult[k.order[j]])
 		for t, tv := range vars {
 			grad[tv] += float64(n * coefs[t])
 		}
@@ -484,9 +439,11 @@ func (k *kernel) scatter(grad []float64) {
 // pass per epoch, and the previous epoch's objective reused instead of
 // recomputed. The iterate/best/stopping bookkeeping is re-timed — epoch
 // t's post-update objective is evaluated by epoch t+1's pass (or by one
-// trailing pass after the loop) — but the computed sequence of iterates,
-// objectives, and stopping decisions is exactly that of the interpreted
-// loop over the folded problem (minimizeReference, reference_test.go).
+// trailing pass after the loop), and the violation returned is the hinge
+// of the pass that evaluated the returned iterate — but the computed
+// sequence of iterates, objectives, and stopping decisions is exactly that
+// of the interpreted loop over the folded problem (minimizeReference,
+// reference_test.go).
 func minimizeKernel(p *Problem, opts Options) *Result {
 	k := compile(p, opts.Rows)
 	n := p.NumVars
@@ -507,7 +464,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	k.pin(x)
 
 	if opts.Iterations < 1 {
-		hinge := k.pass(x, opts.shards)
+		hinge := k.pass(x)
 		return &Result{X: x, Objective: k.objectiveAt(hinge, x), Violation: hinge, Stop: StopCap,
 			Rows: len(k.order), RowsReused: k.reused, RowsDead: k.dead}
 	}
@@ -518,7 +475,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	free := k.masks.free
 
 	best := append([]float64(nil), x...)
-	bestObj := math.Inf(1)
+	bestObj, bestHinge := math.Inf(1), 0.0
 	prevObj := math.Inf(1)
 	iters := 0
 	stale := 0
@@ -531,13 +488,13 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	for t := 1; t <= opts.Iterations; t++ {
 		// One fused pass: the violations drive this epoch's gradient AND
 		// deliver the objective of the previous epoch's iterate.
-		hinge := k.pass(x, opts.shards)
+		hinge := k.pass(x)
 		if t == 1 {
-			bestObj = k.objectiveAt(hinge, x) // objective of the start point
+			bestObj, bestHinge = k.objectiveAt(hinge, x), hinge // the start point
 		} else {
 			obj := k.objectiveAt(hinge, x)
 			if obj < bestObj {
-				bestObj = obj
+				bestObj, bestHinge = obj, hinge
 				copy(best, x)
 				stale = 0
 			} else {
@@ -593,10 +550,10 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	if pending {
 		// The loop exhausted its budget with the last update unevaluated:
 		// one trailing violation-only pass settles its objective.
-		hinge := k.pass(x, opts.shards)
+		hinge := k.pass(x)
 		obj := k.objectiveAt(hinge, x)
 		if obj < bestObj {
-			bestObj = obj
+			bestObj, bestHinge = obj, hinge
 			copy(best, x)
 		}
 		tel.emitPrecomputed(iters, obj, bestObj, hinge, k.violated, gradSq, stepSq)
@@ -604,7 +561,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	return &Result{
 		X:          best,
 		Objective:  bestObj,
-		Violation:  k.pass(best, opts.shards),
+		Violation:  bestHinge,
 		Iterations: iters,
 		Stop:       stop,
 		Rows:       len(k.order),

@@ -4,21 +4,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // kernelProblems are the shapes the equivalence and determinism tests run
-// over: tiny, multi-chunk (more than three chunks of distinct rows,
-// forcing the sharded pass), unpinned, and the two built to exercise row
-// folding. randomishProblem only ever repeats a row as a whole block
-// (constraint i equals constraint i+nVars), with two coefficients and no
-// near misses, so on its own it says little about the row table.
+// over: tiny, large (6161 distinct rows), unpinned, and the two built to
+// exercise row folding. randomishProblem only ever repeats a row as a
+// whole block (constraint i equals constraint i+nVars), with two
+// coefficients and no near misses, so on its own it says little about the
+// row table.
 func kernelProblems() map[string]*Problem {
 	return map[string]*Problem{
 		"small":      randomishProblem(60, 300),
-		"multichunk": randomishProblem(3*kernelChunk+17, 4*kernelChunk),
+		"multichunk": randomishProblem(3*2048+17, 4*2048),
 		"nopin": {
 			NumVars: 50, C: 0.75, Lambda: 0.1, Known: map[int]float64{},
 			Constraints: randomishProblem(50, 200).Constraints,
@@ -44,10 +45,10 @@ func randTerms(rng *rand.Rand, n, nVars int) []Term {
 }
 
 // dupHeavyProblem has the duplication a learned system has: 2600 distinct
-// rows (more than one kernel chunk), each repeated 1–9× and the copies
-// shuffled apart, coefficients from {1, ½, ⅓}, a third of the variables
-// pinned (so about a third of all terms sit on pinned variables) and
-// forty rows over pinned variables only.
+// rows, each repeated 1–9× and the copies shuffled apart, coefficients
+// from {1, ½, ⅓}, a third of the variables pinned (so about a third of all
+// terms sit on pinned variables) and forty rows over pinned variables
+// only.
 func dupHeavyProblem() *Problem { return dupHeavy(120, 40, 2600) }
 
 // dupHeavy draws nRows rows over nVars variables, the first nPinned of
@@ -130,11 +131,67 @@ func flatRow(c *Constraint) string {
 	return b.String()
 }
 
+// rowTerms walks row r of the trie up to the root and returns its terms
+// in term order, as one flattened LHS.
+func rowTerms(nodes []node, r int32) Constraint {
+	var row Constraint
+	for i := r; i != 0; i = nodes[i].par {
+		row.LHS = append(row.LHS, Term{int(nodes[i].v), nodes[i].coef})
+	}
+	slices.Reverse(row.LHS)
+	return row
+}
+
+// assertTrieShape compiles p into a fresh table and checks the trie against
+// map-based counts over the encoded term lists: one node per distinct
+// non-empty prefix, one row per distinct list, every parent numbered below
+// its child, and every constraint's row walking back to its own terms.
+func assertTrieShape(t *testing.T, label string, p *Problem) {
+	t.Helper()
+	k := compile(p, nil)
+	prefixes, lists := map[string]bool{}, map[string]bool{}
+	for i := range p.Constraints {
+		c := &p.Constraints[i]
+		prefix := ""
+		for _, term := range append(append([]Term(nil), c.LHS...), negated(c.RHS)...) {
+			prefix += fmt.Sprintf("%d:%x ", term.Var, math.Float64bits(term.Coef))
+			prefixes[prefix] = true
+		}
+		lists[prefix] = true
+	}
+	if nodes := len(k.nodes) - 1; nodes != len(prefixes) {
+		t.Fatalf("%s: %d nodes for %d distinct non-empty prefixes", label, nodes, len(prefixes))
+	}
+	if len(k.order) != len(lists) || k.dead != 0 {
+		t.Fatalf("%s: %d rows (%d dead nodes) for %d distinct term lists", label, len(k.order), k.dead, len(lists))
+	}
+	for i := 1; i < len(k.nodes); i++ {
+		if par := k.nodes[i].par; par < 0 || int(par) >= i {
+			t.Fatalf("%s: node %d has parent %d", label, i, par)
+		}
+	}
+	for i := range p.Constraints {
+		row := rowTerms(k.nodes, k.rowOf[i])
+		if flatRow(&row) != flatRow(&p.Constraints[i]) {
+			t.Fatalf("%s: constraint %d maps to row %d holding %s, want %s", label, i, k.rowOf[i], flatRow(&row), flatRow(&p.Constraints[i]))
+		}
+	}
+}
+
+// TestTrieShape runs the shape oracle over every kernel shape; the fuzz
+// target and the corpus-system test run it over theirs.
+func TestTrieShape(t *testing.T) {
+	for name, p := range kernelProblems() {
+		assertTrieShape(t, name, p)
+	}
+}
+
 // TestCompileFoldsExactDuplicatesOnly checks the row table itself against
 // a map-based oracle: as many rows as there are distinct flattened
 // constraints (so every exact duplicate merged and no near-duplicate
 // did), each constraint mapped to a row holding exactly its terms, and
-// the free-term list equal to that row minus its pinned variables.
+// the free-term list of each live row equal to that row minus its pinned
+// variables.
 func TestCompileFoldsExactDuplicatesOnly(t *testing.T) {
 	for name, p := range kernelProblems() {
 		t.Run(name, func(t *testing.T) {
@@ -143,25 +200,24 @@ func TestCompileFoldsExactDuplicatesOnly(t *testing.T) {
 			for i := range p.Constraints {
 				distinct[flatRow(&p.Constraints[i])] = true
 			}
-			if k.rows() != len(distinct) {
+			if len(k.order) != len(distinct) {
 				t.Fatalf("compile kept %d rows for %d constraints, want %d distinct",
-					k.rows(), len(p.Constraints), len(distinct))
+					len(k.order), len(p.Constraints), len(distinct))
 			}
 			for i := range p.Constraints {
-				r := k.rowOf[i]
-				var row, freeRow Constraint
-				for j := k.rowStart[r]; j < k.rowStart[r+1]; j++ {
-					row.LHS = append(row.LHS, Term{int(k.termVar[j]), k.termCoef[j]})
-					if _, pinned := p.Known[int(k.termVar[j])]; !pinned {
-						freeRow.LHS = append(freeRow.LHS, Term{int(k.termVar[j]), k.termCoef[j]})
+				if row := rowTerms(k.nodes, k.rowOf[i]); flatRow(&row) != flatRow(&p.Constraints[i]) {
+					t.Fatalf("constraint %d mapped to row %d with different terms", i, k.rowOf[i])
+				}
+			}
+			for j, r := range k.order {
+				var freeRow, gotFree Constraint
+				for _, term := range rowTerms(k.nodes, r).LHS {
+					if _, pinned := p.Known[term.Var]; !pinned {
+						freeRow.LHS = append(freeRow.LHS, term)
 					}
 				}
-				var gotFree Constraint
-				for j := k.freeStart[r]; j < k.freeStart[r+1]; j++ {
-					gotFree.LHS = append(gotFree.LHS, Term{int(k.freeVar[j]), k.freeCoef[j]})
-				}
-				if flatRow(&row) != flatRow(&p.Constraints[i]) {
-					t.Fatalf("constraint %d mapped to row %d with different terms", i, r)
+				for i := k.freeStart[j]; i < k.freeStart[j+1]; i++ {
+					gotFree.LHS = append(gotFree.LHS, Term{int(k.freeVar[i]), k.freeCoef[i]})
 				}
 				if flatRow(&gotFree) != flatRow(&freeRow) {
 					t.Fatalf("row %d: free terms %v, want %v", r, gotFree.LHS, freeRow.LHS)
@@ -177,54 +233,71 @@ func TestCompileFoldsExactDuplicatesOnly(t *testing.T) {
 func TestFoldingShapesAreWhatTheyClaim(t *testing.T) {
 	p := dupHeavyProblem()
 	k := compile(p, nil)
-	if ratio := float64(len(p.Constraints)) / float64(k.rows()); ratio < 4 || k.rows() <= kernelChunk {
-		t.Errorf("dupheavy: %d constraints over %d rows (%.1f×), want ≥4× and more than one chunk of rows",
-			len(p.Constraints), k.rows(), ratio)
+	rows := len(k.order)
+	if ratio := float64(len(p.Constraints)) / float64(rows); ratio < 4 || rows <= 2048 {
+		t.Errorf("dupheavy: %d constraints over %d rows (%.1f×), want ≥4× and more than 2048 rows",
+			len(p.Constraints), rows, ratio)
 	}
-	if pinned := len(k.termVar) - len(k.freeVar); 4*pinned < len(k.termVar) {
-		t.Errorf("dupheavy: %d of %d terms on pinned variables, want ≥ 25%%", pinned, len(k.termVar))
+	terms := 0
+	for _, r := range k.order {
+		terms += len(rowTerms(k.nodes, r).LHS)
+	}
+	if pinned := terms - len(k.freeVar); 4*pinned < terms {
+		t.Errorf("dupheavy: %d of %d terms on pinned variables, want ≥ 25%%", pinned, terms)
 	}
 	allPinned := 0
-	for r := 0; r < k.rows(); r++ {
-		if k.freeStart[r] == k.freeStart[r+1] {
+	for j := range k.order {
+		if k.freeStart[j] == k.freeStart[j+1] {
 			allPinned++
 		}
 	}
 	if allPinned < 10 {
 		t.Errorf("dupheavy: %d all-pinned rows, want ≥ 10", allPinned)
 	}
-	if res := Minimize(p, Options{Iterations: 5}); res.Rows != k.rows() {
-		t.Errorf("Result.Rows = %d, want %d", res.Rows, k.rows())
+	if res := Minimize(p, Options{Iterations: 5}); res.Rows != rows {
+		t.Errorf("Result.Rows = %d, want %d", res.Rows, rows)
 	}
 
 	q := nearDupProblem()
-	if rows, n := compile(q, nil).rows(), len(q.Constraints); rows < 4*n/5-8 || rows > 4*n/5 {
+	if rows, n := len(compile(q, nil).order), len(q.Constraints); rows < 4*n/5-8 || rows > 4*n/5 {
 		t.Errorf("neardup: %d rows for %d constraints, want the 1-in-5 exact copies folded and nothing else", rows, n)
 	}
 }
 
-// TestMinimizeDeterministicAcrossShards is the solver half of the PR's
-// determinism guarantee: the same problem solved at any shard count must
-// yield bit-for-bit identical results. Runs under -race in `make verify`.
+// TestMinimizeDeterministicAcrossShards: the solve of a problem whose
+// constraints arrive as the keyed blocks of k shards is bit-for-bit the
+// fresh solve, through a standing table that first saw those blocks with
+// the shards in reverse order — so that the trie numbers their nodes, and
+// shares their prefixes, in another order than the problem at hand would.
+// Runs under -race in `make verify`.
 func TestMinimizeDeterministicAcrossShards(t *testing.T) {
 	for name, p := range kernelProblems() {
 		t.Run(name, func(t *testing.T) {
-			base := Minimize(p, Options{Iterations: 120, shards: 1})
+			opts := Options{Iterations: 120}
+			base := Minimize(p, opts)
 			for _, shards := range []int{2, 3, 8, 32} {
 				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					r := Minimize(p, Options{Iterations: 120, shards: shards})
-					if r.Iterations != base.Iterations {
-						t.Fatalf("iterations = %d, want %d", r.Iterations, base.Iterations)
+					var blocks []Block
+					for s := 0; s < shards; s++ {
+						lo, hi := s*len(p.Constraints)/shards, (s+1)*len(p.Constraints)/shards
+						blocks = append(blocks, Block{Key: [32]byte{byte(s), byte(shards)}, N: hi - lo})
 					}
-					if r.Objective != base.Objective || r.Violation != base.Violation {
-						t.Fatalf("objective/violation = %v/%v, want %v/%v",
-							r.Objective, r.Violation, base.Objective, base.Violation)
+					reversed := withBlocks(p, slices.Clone(blocks))
+					reversed.Constraints = nil
+					lo := len(p.Constraints)
+					for s := shards - 1; s >= 0; s-- {
+						hi := lo
+						lo -= blocks[s].N
+						reversed.Constraints = append(reversed.Constraints, p.Constraints[lo:hi]...)
+						reversed.Blocks[shards-1-s] = blocks[s]
 					}
-					for i := range r.X {
-						if r.X[i] != base.X[i] {
-							t.Fatalf("x[%d] = %v, want %v (bit-for-bit)", i, r.X[i], base.X[i])
-						}
+					opts.Rows = NewRowTable()
+					Minimize(reversed, opts)
+					r := Minimize(withBlocks(p, blocks), opts)
+					if r.RowsReused != len(p.Constraints) {
+						t.Fatalf("%d of %d constraints took their rows from the shards' blocks", r.RowsReused, len(p.Constraints))
 					}
+					sameBits(t, "shards in order after reverse", r, base)
 				})
 			}
 		})
@@ -255,14 +328,11 @@ func sameBits(t *testing.T, label string, got, want *Result) {
 // TestKernelMatchesReference pins the kernel to the interpreted solver of
 // the folded problem: same violations, same multiplicity-weighted sums in
 // the same order, so the iterate sequence, the epoch count, the objective
-// and the final violation must match to the bit at every shard count.
+// and the final violation must match to the bit.
 func TestKernelMatchesReference(t *testing.T) {
 	for name, p := range kernelProblems() {
 		t.Run(name, func(t *testing.T) {
-			ref := minimizeReference(p, Options{Iterations: 150})
-			for _, shards := range []int{1, 2, 5} {
-				sameBits(t, fmt.Sprintf("shards=%d", shards), Minimize(p, Options{Iterations: 150, shards: shards}), ref)
-			}
+			sameBits(t, "kernel", Minimize(p, Options{Iterations: 150}), minimizeReference(p, Options{Iterations: 150}))
 		})
 	}
 }
@@ -303,7 +373,7 @@ func assertWithinRounding(t *testing.T, got, want *Result) {
 
 // TestKernelTelemetryMatchesReference checks that the re-timed epoch
 // bookkeeping still emits one EpochStats per epoch with the same
-// convergence story as the reference solver, at every shard count: the
+// convergence story as the reference solver: the
 // objective and the best so far to the bit, Active — the violated
 // constraints, which the reference counts one by one over the problem as
 // written and the kernel as the multiplicities of its active rows —
@@ -314,16 +384,12 @@ func TestKernelTelemetryMatchesReference(t *testing.T) {
 	problems["midsize"] = randomishProblem(80, 500)
 	for name, p := range problems {
 		t.Run(name, func(t *testing.T) {
-			collect := func(run func(*Problem, Options) *Result, shards int) []EpochStats {
+			collect := func(run func(*Problem, Options) *Result) []EpochStats {
 				var out []EpochStats
-				opts := Options{Iterations: 60, shards: shards, OnEpoch: func(s EpochStats) { out = append(out, s) }}
-				run(p, opts)
+				run(p, Options{Iterations: 60, OnEpoch: func(s EpochStats) { out = append(out, s) }})
 				return out
 			}
-			ref := collect(minimizeReference, 0)
-			for _, shards := range []int{1, 2, 5} {
-				assertSameStory(t, collect(Minimize, shards), ref)
-			}
+			assertSameStory(t, collect(Minimize), collect(minimizeReference))
 		})
 	}
 }
@@ -356,7 +422,7 @@ func assertSameStory(t *testing.T, ker, ref []EpochStats) {
 // budget after withDefaults is bypassed) aligned with the reference.
 func TestMinimizeZeroIterationBudget(t *testing.T) {
 	p := randomishProblem(40, 100)
-	r := minimizeKernel(p, Options{Iterations: -1, shards: 1})
+	r := minimizeKernel(p, Options{Iterations: -1})
 	if r.Iterations != 0 {
 		t.Fatalf("iterations = %d, want 0", r.Iterations)
 	}
@@ -390,9 +456,9 @@ func rearranged(p *Problem, rng *rand.Rand, reverse bool) *Problem {
 			r = len(rank)
 			rank[row] = r
 		}
-		keys[i] = sign * float64(r)
+		keys[i] = float64(sign * float64(r))
 		if copied {
-			keys[i] += (1 - rng.Float64()) * (past - keys[i])
+			keys[i] += float64((1 - float64(rng.Float64())) * (past - keys[i]))
 		}
 	}
 	at := make([]int, len(keys))

@@ -49,10 +49,10 @@ type Constraint struct {
 func (c *Constraint) Violation(x []float64, C float64) float64 {
 	v := -C
 	for _, t := range c.LHS {
-		v += t.Coef * x[t.Var]
+		v += float64(t.Coef * x[t.Var])
 	}
 	for _, t := range c.RHS {
-		v -= t.Coef * x[t.Var]
+		v -= float64(t.Coef * x[t.Var])
 	}
 	if v < 0 {
 		return 0
@@ -163,7 +163,7 @@ func (p *Problem) Objective(x []float64) float64 {
 	}
 	for v := 0; v < p.NumVars; v++ {
 		if free[v] {
-			obj += p.Lambda * x[v]
+			obj += float64(p.Lambda * x[v])
 		}
 	}
 	return obj
@@ -213,18 +213,10 @@ type Options struct {
 	Patience int
 	// Rows, when non-nil, is a standing row table the kernel compiles the
 	// problem into and leaves for the next solve (see RowTable): the blocks
-	// of Problem.Blocks it has already seen cost a lookup instead of a
-	// hash-consing pass. The result is bit-for-bit the one a nil Rows
+	// of Problem.Blocks it has already seen cost a lookup instead of an
+	// insertion into the trie. The result is bit-for-bit the one a nil Rows
 	// gives. The table must not be shared by concurrent solves.
 	Rows *RowTable
-	// shards bounds the goroutines the compiled kernel uses for the
-	// per-epoch constraint pass (par.Workers: 0, the only count outside
-	// this package's tests, selects GOMAXPROCS; 1 keeps the pass on the
-	// calling goroutine). Results are bit-for-bit identical at every shard
-	// count: the work decomposition is fixed by the problem, and every
-	// floating-point reduction runs sequentially over the distinct
-	// constraints in first-occurrence order (see kernel.go).
-	shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -263,8 +255,9 @@ type Result struct {
 	// duplication.
 	Rows int
 	// RowsReused counts the constraints whose row came from a block the
-	// standing table (Options.Rows) remembered, RowsDead the rows of that
-	// table no constraint of this problem maps to; both 0 without one.
+	// standing table (Options.Rows) remembered, RowsDead the trie nodes of
+	// that table no row of this problem runs through (each still costs a
+	// multiply-add an epoch); both 0 without one.
 	RowsReused int
 	RowsDead   int
 }
@@ -273,10 +266,11 @@ type Result struct {
 // assignment found. The start point is all zeros with known variables
 // pinned (so an empty seed yields the trivial all-zero optimum, matching
 // the paper's Q6 observation). The solve runs on the compiled kernel of
-// kernel.go — duplicate constraints folded into distinct CSR rows that
-// count for as many as they stand for, violation, gradient, and objective
-// fused into one sharded pass per epoch — and is bit-for-bit reproducible
-// at any shard count, with or without Options.Rows.
+// kernel.go — duplicate constraints folded into distinct rows that count
+// for as many as they stand for, rows sharing a prefix of terms sharing
+// its partial sum, violation, gradient, and objective fused into one pass
+// per epoch — and is bit-for-bit reproducible with or without
+// Options.Rows.
 func Minimize(p *Problem, opts Options) *Result {
 	return minimizeKernel(p, opts.withDefaults())
 }

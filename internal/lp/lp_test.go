@@ -135,7 +135,7 @@ func TestAveragedBackoffTerms(t *testing.T) {
 		Known: map[int]float64{0: 1},
 	}
 	r := solve(t, p, Options{Iterations: 3000})
-	if avg := 0.5*r.X[1] + 0.5*r.X[2]; avg < 0.2 {
+	if avg := float64(0.5*r.X[1]) + float64(0.5*r.X[2]); avg < 0.2 {
 		t.Errorf("averaged RHS = %v, want >= 0.2", avg)
 	}
 }

@@ -48,10 +48,10 @@ func MinimizeWith(p *Problem, opts Options, method Method, rate float64) *Result
 			switch method {
 			case SGD:
 				// 1/sqrt(t) step decay for convergence of subgradient descent.
-				x[i] -= rate / math.Sqrt(float64(t)) * g
+				x[i] -= float64(rate / math.Sqrt(float64(t)) * g)
 			case AdaGrad:
-				accum[i] += g * g
-				x[i] -= rate / (math.Sqrt(accum[i]) + eps) * g
+				accum[i] += float64(g * g)
+				x[i] -= float64(rate / (math.Sqrt(accum[i]) + eps) * g)
 			}
 			if x[i] < 0 {
 				x[i] = 0
@@ -83,7 +83,7 @@ func TestAllMethodsReachSimilarObjectives(t *testing.T) {
 	sgd := MinimizeWith(p, Options{Iterations: 3000}, SGD, 0.2)
 	ada := MinimizeWith(p, Options{Iterations: 3000}, AdaGrad, 0.3)
 	for name, r := range map[string]*Result{"adam": adam, "sgd": sgd, "adagrad": ada} {
-		if r.Objective > adam.Objective*1.5+0.5 {
+		if r.Objective > float64(adam.Objective*1.5)+0.5 {
 			t.Errorf("%s objective = %v, far from adam's %v", name, r.Objective, adam.Objective)
 		}
 		for i, v := range r.X {

@@ -37,7 +37,9 @@ func withBlocks(p *Problem, blocks []Block) *Problem {
 
 // assertTableHoldsProblem checks the kernel the table last compiled
 // against the problem: every constraint maps to a row holding exactly its
-// flattened terms, and live rows are the distinct flattened constraints.
+// flattened terms, live rows are the distinct flattened constraints, every
+// parent is numbered below its child, and the nodes no live row runs
+// through are the dead ones, each still in the child table.
 func assertTableHoldsProblem(t *testing.T, label string, tab *RowTable, p *Problem) {
 	t.Helper()
 	k := &tab.k
@@ -48,18 +50,33 @@ func assertTableHoldsProblem(t *testing.T, label string, tab *RowTable, p *Probl
 	for i := range p.Constraints {
 		c := &p.Constraints[i]
 		r := k.rowOf[i]
-		row := Constraint{}
-		for j := k.rowStart[r]; j < k.rowStart[r+1]; j++ {
-			row.LHS = append(row.LHS, Term{Var: int(k.termVar[j]), Coef: k.termCoef[j]})
-		}
-		flat := Constraint{LHS: append(append([]Term(nil), c.LHS...), negated(c.RHS)...)}
-		if flatRow(&row) != flatRow(&flat) {
-			t.Fatalf("%s: constraint %d maps to row %d holding %s, want %s", label, i, r, flatRow(&row), flatRow(&flat))
+		if row := rowTerms(k.nodes, r); flatRow(&row) != flatRow(c) {
+			t.Fatalf("%s: constraint %d maps to row %d holding %s, want %s", label, i, r, flatRow(&row), flatRow(c))
 		}
 		distinct[flatRow(c)] = true
 	}
-	if live := len(k.order); live != len(distinct) || live+k.dead != k.rows() {
-		t.Fatalf("%s: %d live + %d dead of %d rows, want %d live", label, live, k.dead, k.rows(), len(distinct))
+	onPath := make([]bool, len(k.nodes))
+	for _, r := range k.order {
+		for i := r; i != 0; i = k.nodes[i].par {
+			onPath[i] = true
+		}
+	}
+	live := 0
+	for i := 1; i < len(k.nodes); i++ {
+		nd := k.nodes[i]
+		if nd.par < 0 || int(nd.par) >= i {
+			t.Fatalf("%s: node %d has parent %d", label, i, nd.par)
+		}
+		if got := tab.child(nd.par, int(nd.v), nd.coef); got != int32(i) || len(tab.nodes) != len(k.nodes) {
+			t.Fatalf("%s: node %d is found as %d in the child table", label, i, got)
+		}
+		if onPath[i] {
+			live++
+		}
+	}
+	if len(k.order) != len(distinct) || live+k.dead != len(k.nodes)-1 {
+		t.Fatalf("%s: %d live rows over %d live + %d dead of %d nodes, want %d live rows",
+			label, len(k.order), live, k.dead, len(k.nodes)-1, len(distinct))
 	}
 }
 
@@ -99,20 +116,20 @@ func assertSameSolve(t *testing.T, label string, tab *RowTable, p *Problem, opts
 // pin added and removed, segments replaced a few at a time until the dead
 // rows force a recompile, variables renumbered, variables dropped — and
 // at every step requires the solve to be bit-identical to one compiled
-// from nothing, warm-started or not, at one shard and at three.
+// from nothing, warm-started or not.
 func TestRowTableMatchesFreshCompile(t *testing.T) {
 	for name, base := range kernelProblems() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			tab := NewRowTable()
-			opts := Options{Iterations: 40, shards: 1}
+			opts := Options{Iterations: 40}
 			p := withBlocks(base, cutBlocks(base, rng))
 
 			first := assertSameSolve(t, "first", tab, p, opts)
 			if first.RowsReused != 0 || first.RowsDead != 0 {
 				t.Fatalf("first compile reused %d constraints and left %d rows dead", first.RowsReused, first.RowsDead)
 			}
-			opts.WarmStart, opts.Patience, opts.shards = first.X, 25, 3
+			opts.WarmStart, opts.Patience = first.X, 25
 			again := assertSameSolve(t, "again", tab, p, opts)
 			if again.RowsReused != len(p.Constraints) || again.RowsDead != 0 {
 				t.Fatalf("unchanged problem: %d of %d constraints reused, %d rows dead", again.RowsReused, len(p.Constraints), again.RowsDead)
@@ -135,9 +152,10 @@ func TestRowTableMatchesFreshCompile(t *testing.T) {
 			assertSameSolve(t, "unpinned", tab, p, opts)
 
 			// Churn: every round replaces a twentieth of the segments by new
-			// constraints. Their rows go dead a few at a time, until a compile
+			// constraints. Their nodes go dead a few at a time, until a compile
 			// empties the table instead of carrying them.
-			recompiles, rows := 0, tab.k.rows()
+			nodes := func() int { return len(tab.k.nodes) - 1 }
+			recompiles, size := 0, nodes()
 			cur := p
 			for round := 0; round < 24; round++ {
 				next := &Problem{NumVars: cur.NumVars, C: cur.C, Lambda: cur.Lambda, Known: cur.Known}
@@ -156,16 +174,16 @@ func TestRowTableMatchesFreshCompile(t *testing.T) {
 				next.Blocks = cutBlocks(next, rand.New(rand.NewSource(int64(round))))
 				cur = next
 				res := assertSameSolve(t, fmt.Sprintf("churn %d", round), tab, cur, opts)
-				if tab.k.rows() < rows && res.RowsDead == 0 && res.RowsReused == 0 {
+				if nodes() < size && res.RowsDead == 0 && res.RowsReused == 0 {
 					recompiles++
 				}
-				if tab.k.dead*deadRowShare > tab.k.rows() {
-					t.Fatalf("churn %d: %d of %d rows dead, over the share", round, tab.k.dead, tab.k.rows())
+				if tab.k.dead*deadRowShare > nodes() {
+					t.Fatalf("churn %d: %d of %d nodes dead, over the share", round, tab.k.dead, nodes())
 				}
-				rows = tab.k.rows()
+				size = nodes()
 			}
 			if recompiles == 0 {
-				t.Fatalf("24 rounds of churn never emptied the table (%d rows, %d dead)", tab.k.rows(), tab.k.dead)
+				t.Fatalf("24 rounds of churn never emptied the table (%d nodes, %d dead)", nodes(), tab.k.dead)
 			}
 
 			// Renumbered variables: same shape, every term elsewhere. Content
@@ -183,7 +201,7 @@ func TestRowTableMatchesFreshCompile(t *testing.T) {
 			assertSameSolve(t, "renumbered", tab, renum, opts)
 
 			// One variable fewer, and only the constraints that mention it gone:
-			// nearly every row is still live, so it is not the dead rows that
+			// nearly every row is still live, so it is not the dead nodes that
 			// empty the table, and the dead ones mention a variable the
 			// iterate no longer has — the table may not evaluate them.
 			top := cur.NumVars - 1
@@ -207,7 +225,7 @@ func TestRowTableMatchesFreshCompile(t *testing.T) {
 			fewer.Blocks = cutBlocks(fewer, rng)
 			assertSameSolve(t, "before fewer variables", tab, cur, opts)
 			if res := assertSameSolve(t, "fewer variables", tab, fewer, opts); res.RowsDead != 0 {
-				t.Fatalf("fewer variables: %d dead rows survived", res.RowsDead)
+				t.Fatalf("fewer variables: %d dead nodes survived", res.RowsDead)
 			}
 			// A key that comes back with a run of another length vouches for
 			// nothing.

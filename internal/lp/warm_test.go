@@ -88,28 +88,24 @@ func TestPinInvalidatesMask(t *testing.T) {
 // TestWarmStartMatchesReference holds the warm re-solve — previous
 // solution in, plateau stop on — to the same oracle as the cold one, on
 // every kernel shape including the two with folded rows: same epoch count
-// and bit-identical iterate as the interpreted loop, at two shard counts.
+// and bit-identical iterate as the interpreted loop.
 func TestWarmStartMatchesReference(t *testing.T) {
 	for name, p := range kernelProblems() {
 		t.Run(name, func(t *testing.T) {
 			cold := Minimize(p, Options{Iterations: 100})
 			opts := Options{Iterations: 100, WarmStart: cold.X, Patience: 25}
 			ref := minimizeReference(p, opts)
-			for _, shards := range []int{1, 3} {
-				opts.shards = shards
-				warm := Minimize(p, opts)
-				if warm.Iterations != ref.Iterations {
-					t.Fatalf("shards=%d: warm solve ran %d epochs, reference %d", shards, warm.Iterations, ref.Iterations)
+			warm := Minimize(p, opts)
+			if warm.Iterations != ref.Iterations {
+				t.Fatalf("warm solve ran %d epochs, reference %d", warm.Iterations, ref.Iterations)
+			}
+			for i := range ref.X {
+				if warm.X[i] != ref.X[i] {
+					t.Fatalf("x[%d] = %v, reference %v", i, warm.X[i], ref.X[i])
 				}
-				for i := range ref.X {
-					if warm.X[i] != ref.X[i] {
-						t.Fatalf("shards=%d: x[%d] = %v, reference %v", shards, i, warm.X[i], ref.X[i])
-					}
-				}
-				if warm.Objective > cold.Objective+1e-9 {
-					t.Errorf("shards=%d: warm objective %g worse than the cold one it started from (%g)",
-						shards, warm.Objective, cold.Objective)
-				}
+			}
+			if warm.Objective > cold.Objective+1e-9 {
+				t.Errorf("warm objective %g worse than the cold one it started from (%g)", warm.Objective, cold.Objective)
 			}
 		})
 	}

@@ -189,9 +189,9 @@ const (
 	GaugeSolverActive      = "solver.active"
 	// With a standing row table (lp.Options.Rows, the session's):
 	// solver.rows_reused is how many constraints took their row from a
-	// block the table remembered instead of being hash-consed,
-	// solver.rows_dead how many rows the table carries that no constraint
-	// maps to; both 0 for a one-shot solve.
+	// block the table remembered instead of being inserted into its trie,
+	// solver.rows_dead how many trie nodes the table carries that no row
+	// runs through; both 0 for a one-shot solve.
 	GaugeSolverRowsReused  = "solver.rows_reused"
 	GaugeSolverRowsDead    = "solver.rows_dead"
 	GaugeSelectPredictions = "select.predictions"
