@@ -51,6 +51,8 @@ var benchOnly = map[string]string{
 	"pyast.Inspect":                "bench/stages.go counts pyparse.nodes by walking each module",
 	"shard.BuildFromCorpus":        "bench/ingest.go builds its worker artifacts in process",
 	"shard.ReadArtifact":           "bench/ingest.go decodes its in-memory artifacts; seldon coordinate reads files through shard.ReadFile",
+	"constraints.LoadFlowCache":    "bench/ingest.go loads the flow cache ingest_warm is defined by; bench/ changes only with the benchmark",
+	"constraints.FlowCache.Save":   "bench/ingest.go persists the flow cache ingest_warm loads; bench/ changes only with the benchmark",
 }
 
 // testSupport is what two or more test packages share and cannot inline,

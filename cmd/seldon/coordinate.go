@@ -4,12 +4,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 
-	"seldon/internal/constraints"
 	"seldon/internal/core"
 	"seldon/internal/fpcache"
 	"seldon/internal/obs"
@@ -27,7 +25,6 @@ func coordinate(args []string) error {
 	fs := flag.NewFlagSet("seldon coordinate", flag.ExitOnError)
 	workers, lf, out, cache, of := addWorkersFlag(fs), addLearnFlags(fs), addOutputFlags(fs), addCacheFlags(fs), addObsFlags(fs)
 	shardsIn := fs.String("shards-in", "", "glob of shard artifacts (from seldon shard) to merge and learn from")
-	flowCache := fs.String("flowcache", "", "persistent flow-constraint block cache file (loaded before the build, saved after; stale or corrupt files load as empty)")
 	fs.Parse(args)
 	if err := noArgs(fs); err != nil {
 		return err
@@ -69,33 +66,8 @@ func coordinate(args []string) error {
 		return err
 	}
 
-	// The constraint build takes the merge's file spans and a flow-block
-	// cache: the -flowcache file's, loaded and saved back, or an empty one
-	// nobody keeps. Reuse is fingerprint-gated, so the system is the full
-	// build's byte for byte either way.
-	copts := cfg.ConstraintOptions()
-	fc, warm := constraints.NewFlowCache(), false
-	if *flowCache != "" {
-		fc, warm = constraints.LoadFlowCache(*flowCache, copts)
-	}
-	var (
-		sys   *constraints.System
-		delta constraints.DeltaStats
-	)
-	core.RunStage(cfg, obs.StageConstraints, func() {
-		sys, delta = constraints.BuildIncremental(mres.Graph, seedSpec, copts, mres.Spans, fc)
-	})
-	res := core.LearnPrepared(mres.Graph, sys, cfg)
+	res := core.Learn(mres.Graph, seedSpec, cfg)
 	res.ParseErrorFiles = fpcache.ParseErrorFiles(slices.Values(mres.Files))
-	if *flowCache != "" {
-		cfg.Log.Log("flowcache", "path", *flowCache, "warm", warm,
-			"spans", delta.Spans, "reused", delta.SpansReused, "rebuilt", delta.SpansRebuilt)
-		if err := fc.Save(*flowCache, copts); err != nil {
-			// The run's result is already in hand; a failed save only costs
-			// the next run its warm start.
-			fmt.Fprintln(os.Stderr, "seldon: flowcache save:", err)
-		}
-	}
 
 	summary := fmt.Sprintf("coordinated %d shards: %d files", mres.Slices, len(mres.Files))
 	return r.finish(res, seedSpec, summary, len(mres.Files), mres.CorpusFingerprint, out)

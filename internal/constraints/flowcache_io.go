@@ -15,9 +15,10 @@ import (
 	"seldon/internal/lp"
 )
 
-// FlowCache persistence: the per-file flow-constraint blocks survive the
-// process, so a fresh coordinator (or a new -session-dir run over the
-// same corpus) reuses pass-4 work instead of re-deriving it. The file
+// FlowCache persistence: the per-file flow-constraint blocks written to a
+// file and read back in another process. No product path persists them —
+// seldon coordinate and a session build their flow blocks from the
+// graph — and bench's ingest_warm is the one writer and reader. The file
 // follows the incr state.bin pattern — magic, format version, the
 // versions and knobs the contents depend on, deterministic body, sha256
 // trailer — and, like fpcache, loading is infallible: a missing,

@@ -54,7 +54,7 @@ func reseal(data []byte) []byte {
 // stateFixture is the session the state fixture holds, loaded once under
 // the seed and knobs it records.
 var stateFixture = sync.OnceValues(func() (*incr.Session, error) {
-	return incr.Load(filepath.Join("..", "incr", "testdata", incr.StateFile), nil, core.Config{Workers: 1})
+	return incr.LoadDir(filepath.Join("..", "incr", "testdata"), nil, core.Config{Workers: 1})
 })
 
 // loadState resumes a session from data under the fixture's own seed:
@@ -69,12 +69,13 @@ func loadState(t *testing.T, dir string, data []byte, skew bool) error {
 	if skew {
 		cfg.Threshold = 0.5
 	}
-	s, err := incr.Load(writeTemp(t, dir, incr.StateFile, data), pristine.Seed(), cfg)
+	writeTemp(t, dir, incr.StateFile, data)
+	s, err := incr.LoadDir(dir, pristine.Seed(), cfg)
 	if err != nil && s != nil {
-		t.Fatal("incr.Load returned a session with its error")
+		t.Fatal("incr.LoadDir returned a session with its error")
 	}
 	if err == nil && s.Len() != pristine.Len() {
-		t.Fatalf("incr.Load accepted a state of %d files, fixture has %d", s.Len(), pristine.Len())
+		t.Fatalf("incr.LoadDir accepted a state of %d files, fixture has %d", s.Len(), pristine.Len())
 	}
 	return err
 }
@@ -85,7 +86,7 @@ func loadFlowCache(t *testing.T, dir string, data []byte, skew bool) error {
 	if skew {
 		opts.Lambda = 0.5
 	}
-	c, ok := constraints.LoadFlowCache(writeTemp(t, dir, incr.FlowCacheFile, data), opts)
+	c, ok := constraints.LoadFlowCache(writeTemp(t, dir, "flowcache.bin", data), opts)
 	switch {
 	case c == nil:
 		t.Fatal("LoadFlowCache returned nil")

@@ -40,3 +40,11 @@ func (s *Session) Spans() []constraints.Span {
 	defer s.mu.Unlock()
 	return slices.Clone(s.spans)
 }
+
+// SaveFlowCache writes the session's flow-block cache to path, in the
+// flowcache.bin that older session directories hold beside state.bin.
+func (s *Session) SaveFlowCache(path string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache.Save(path, s.cfg.Constraints)
+}

@@ -16,11 +16,11 @@ import (
 
 // TestStateFixtureRoundTrip pins the state format: testdata/state.bin
 // (version 5: three files, one of them with a parse error, a solution,
-// one pin) must be what Save writes for that session today, load —
-// adopting its own seed and knobs — save back to the same bytes, and
-// re-learn reporting the parse error. UPDATE_GOLDEN=1 rewrites it and the
-// FuzzLoadState seeds made from it — only a format or analyzer version
-// bump should need that.
+// one pin) must be what SaveDir writes for that session today, load
+// through LoadDir — adopting its own seed and knobs — save back to the
+// same bytes, and re-learn reporting the parse error. UPDATE_GOLDEN=1
+// rewrites it and the FuzzLoadState seeds made from it — only a format or
+// analyzer version bump should need that.
 func TestStateFixtureRoundTrip(t *testing.T) {
 	path := filepath.Join("testdata", incr.StateFile)
 	cfg := core.Config{Workers: 1}
@@ -29,11 +29,11 @@ func TestStateFixtureRoundTrip(t *testing.T) {
 	fresh := sessionFrom(t, files, cfg)
 	fresh.Pin("shellrun.invoke()", propgraph.Sink, 0)
 	fresh.Relearn()
-	freshPath := filepath.Join(t.TempDir(), incr.StateFile)
-	if err := fresh.Save(freshPath); err != nil {
+	freshDir := t.TempDir()
+	if err := fresh.SaveDir(freshDir); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(freshPath)
+	want, err := os.ReadFile(filepath.Join(freshDir, incr.StateFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,18 +50,18 @@ func TestStateFixtureRoundTrip(t *testing.T) {
 	if !bytes.Equal(want, data) {
 		t.Fatal("the code writes another state than testdata/state.bin: run make fixtures if the format moved on purpose")
 	}
-	s, err := incr.Load(path, nil, cfg)
+	s, err := incr.LoadDir("testdata", nil, cfg)
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
 	if s.Len() != 3 || s.Pins() != 1 {
 		t.Fatalf("fixture holds %d files and %d pins, want 3 and 1", s.Len(), s.Pins())
 	}
-	out := filepath.Join(t.TempDir(), incr.StateFile)
-	if err := s.Save(out); err != nil {
+	out := t.TempDir()
+	if err := s.SaveDir(out); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := os.ReadFile(out); !bytes.Equal(got, data) {
+	if got, _ := os.ReadFile(filepath.Join(out, incr.StateFile)); !bytes.Equal(got, data) {
 		t.Fatal("fixture does not save back to its own bytes")
 	}
 	if res, _ := s.Relearn(); !slices.Equal(res.ParseErrorFiles, names[:1]) {

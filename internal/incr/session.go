@@ -31,11 +31,10 @@
 // each rebuilt from nothing, by that routine, when a patch cannot be
 // exact — the union when an edit would renumber symbols or has left too
 // much dead space, the flow cache's fingerprint memory when the numbering
-// moved, the rows when too many have gone dead. Only the flow cache's
-// blocks are persisted (flowcache.bin, without the memory); the first
-// Relearn after Load builds the rest. In return a core.Result is good
-// only until its session's next Relearn, which edits the graph and the
-// constraint slice the result points to.
+// moved, the rows when too many have gone dead. None of it is persisted:
+// the first Relearn after LoadDir builds all three from the files. In
+// return a core.Result is good only until its session's next Relearn,
+// which edits the graph and the constraint slice the result points to.
 //
 // Determinism contract: the session's union is byte-identical to
 // propgraph.Union over the current file set, the incrementally built
@@ -48,11 +47,11 @@
 // so after an edit its store can sit a few entries from the cold store
 // of the same corpus (0–10 in ROADMAP item 2(c)'s measurements).
 //
-// Sessions persist: Save writes the full state (per-file graphs, seed,
-// knobs, previous solution, pins) to one self-checking binary file and
-// Load restores it, so corpus evolution across CLI runs — and feedback
-// served by a long-running seldond — re-learns incrementally instead of
-// cold.
+// Sessions persist: SaveDir writes the full state (per-file graphs, seed,
+// knobs, previous solution, pins) to one self-checking binary file,
+// state.bin in the session directory, and LoadDir restores it, so corpus
+// evolution across CLI runs — and feedback served by a long-running
+// seldond — re-learns incrementally instead of cold.
 package incr
 
 import (
@@ -102,7 +101,6 @@ type Session struct {
 	cfg  core.Config
 
 	files map[string]*fileState
-	cache *constraints.FlowCache
 	pins  map[PinKey]float64
 
 	// prev is the last solution keyed by (rep, role).
@@ -110,11 +108,13 @@ type Session struct {
 
 	result *core.Result
 
-	// Standing state of Relearn, nil until the first one and never
-	// persisted: the union, the spans of its inputs as the last Relearn
-	// handed them to the constraint build (file name and encoding hash, in
-	// union order: what the union was last brought up to date with), and
-	// the solver's row table.
+	// Standing state of Relearn, never persisted: the flow-block cache,
+	// empty until the first Relearn, and, nil until then, the union, the
+	// spans of its inputs as the last Relearn handed them to the
+	// constraint build (file name and encoding hash, in union order: what
+	// the union was last brought up to date with), and the solver's row
+	// table.
+	cache *constraints.FlowCache
 	union *propgraph.UnionBuilder
 	spans []constraints.Span
 	rows  *lp.RowTable

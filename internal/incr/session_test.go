@@ -470,8 +470,11 @@ func TestSessionPinRefusesSeed(t *testing.T) {
 }
 
 // TestSessionSaveLoadRoundTrip: a persisted session resumes with the
-// same corpus, solution, and pins — the first relearn after Load
-// warm-starts and reproduces the pre-save store byte for byte.
+// same corpus, solution, and pins — the first relearn after LoadDir
+// warm-starts and reproduces the pre-save store byte for byte. A session
+// directory holds state.bin alone: a flowcache.bin left beside it, as
+// older directories hold one, is not read, so that relearn builds every
+// flow block from nothing.
 func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	files, _ := testCorpus(t, 10, 31)
 	cfg := core.Config{Workers: 1}
@@ -486,6 +489,16 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	if err := s.SaveDir(dir); err != nil {
 		t.Fatalf("save: %v", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != incr.StateFile {
+		t.Fatalf("session directory holds %v (%v), want %s alone", ents, err, incr.StateFile)
+	}
+	leftover := filepath.Join(dir, "flowcache.bin")
+	if err := s.SaveFlowCache(leftover); err != nil {
+		t.Fatal(err)
+	}
+	if fc, ok := constraints.LoadFlowCache(leftover, cfg.Constraints); !ok || fc.Len() != s.Len() {
+		t.Fatal("the leftover flowcache.bin does not load with a block per file")
 	}
 
 	s2, err := incr.LoadDir(dir, corpus.ExperimentSeed(), cfg)
@@ -511,58 +524,12 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	if !st.WarmStarted {
 		t.Fatal("restored session did not warm-start")
 	}
+	if st.Delta.SpansReused != 0 || st.Delta.SpansHashed != s2.Len() {
+		t.Fatalf("restored relearn reused %d and hashed %d of %d spans, want 0 and all",
+			st.Delta.SpansReused, st.Delta.SpansHashed, s2.Len())
+	}
 	if got := storeBytes(t, s2.LearnedSpec()); !bytes.Equal(got, want) {
 		t.Fatal("restored session store differs from pre-save store")
-	}
-}
-
-// TestSessionFlowCachePersistence: SaveDir writes the flow-constraint
-// cache beside the state, and a restored session's first Relearn reuses
-// every unchanged file's flow block — cross-process pass-4 warmth. A
-// deleted flowcache.bin degrades to a rebuild, never a failure.
-func TestSessionFlowCachePersistence(t *testing.T) {
-	files, _ := testCorpus(t, 10, 41)
-	cfg := core.Config{Workers: 1}
-	s := sessionFrom(t, files, cfg)
-	s.Relearn() // populates the in-memory flow cache
-	want := storeBytes(t, s.LearnedSpec())
-
-	dir := t.TempDir()
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if fi, err := os.Stat(filepath.Join(dir, incr.FlowCacheFile)); err != nil || fi.Size() == 0 {
-		t.Fatalf("SaveDir did not write %s: %v", incr.FlowCacheFile, err)
-	}
-
-	s2, err := incr.LoadDir(dir, corpus.ExperimentSeed(), cfg)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	_, st := s2.Relearn()
-	if st.Delta.SpansReused != s2.Len() || st.Delta.SpansRebuilt != 0 {
-		t.Fatalf("restored relearn reused %d/%d spans, rebuilt %d — flow cache did not survive",
-			st.Delta.SpansReused, s2.Len(), st.Delta.SpansRebuilt)
-	}
-	if got := storeBytes(t, s2.LearnedSpec()); !bytes.Equal(got, want) {
-		t.Fatal("flow-cache-warm store differs from pre-save store")
-	}
-
-	// Without the sidecar file the session still loads; the first relearn
-	// just pays the rebuild.
-	if err := os.Remove(filepath.Join(dir, incr.FlowCacheFile)); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := incr.LoadDir(dir, corpus.ExperimentSeed(), cfg)
-	if err != nil {
-		t.Fatalf("load without flow cache: %v", err)
-	}
-	_, st3 := s3.Relearn()
-	if st3.Delta.SpansReused != 0 {
-		t.Fatalf("relearn without the cache file reused %d spans, want 0", st3.Delta.SpansReused)
-	}
-	if got := storeBytes(t, s3.LearnedSpec()); !bytes.Equal(got, want) {
-		t.Fatal("cold-cache store differs from pre-save store")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"seldon/internal/constraints"
 	"seldon/internal/core"
 	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
@@ -17,23 +16,16 @@ import (
 	"seldon/internal/specio"
 )
 
-// Session persistence. One self-delimiting binary file ("state.bin" in
-// the session directory) carries everything a later process needs to
-// resume incrementally: the seed store, the learning knobs, every
+// Session persistence. A session directory holds one self-delimiting
+// binary file, state.bin, which carries everything a later process needs
+// to resume incrementally: the seed store, the learning knobs, every
 // corpus file's record (an fpcache record list), the previous solution
 // keyed by (rep, role) and the feedback pins. A sha256 trailer
 // self-checks the payload; any corruption, version skew, or
 // analyzer-version skew surfaces as an error so the caller falls back to
-// a cold session.
-//
-// The flow-constraint cache is persisted beside the state as its own
-// checksummed file (constraints.FlowCache Save/Load), so a resumed
-// session's first Relearn reuses the flow blocks of unchanged files
-// instead of paying one full flow pass. It is kept out of state.bin
-// because its failure mode is different: a missing, stale, or corrupt
-// flow cache is a silent empty cache (the blocks are fingerprint-gated
-// derived data), never the cold-session fallback a state.bin problem
-// forces.
+// a cold session. The standing state — union, flow cache, row table — is
+// derived data and is not persisted: the first Relearn after LoadDir
+// builds it from the files.
 
 const (
 	stateMagic = "SINC"
@@ -42,13 +34,11 @@ const (
 	stateVersion = 5
 	// StateFile is the session state file name inside a session directory.
 	StateFile = "state.bin"
-	// FlowCacheFile is the persisted flow-constraint cache beside it.
-	FlowCacheFile = "flowcache.bin"
 )
 
 // sessionKnobs are the learning parameters a persisted session is bound
 // to. Resuming under different knobs would silently re-learn a
-// different optimization problem, so Load rejects a mismatch.
+// different optimization problem, so LoadDir rejects a mismatch.
 type sessionKnobs struct {
 	C         float64
 	Lambda    float64
@@ -56,8 +46,12 @@ type sessionKnobs struct {
 	Cutoff    int
 }
 
-// Save writes the session state to path atomically.
-func (s *Session) Save(path string) error {
+// SaveDir persists the session into dir (created if missing): it writes
+// dir/state.bin atomically.
+func (s *Session) SaveDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -88,7 +82,7 @@ func (s *Session) Save(path string) error {
 			b = envelope.AppendF64(b, m[pk])
 		}
 	}
-	return envelope.WriteFile(path, envelope.Seal(b))
+	return envelope.WriteFile(filepath.Join(dir, StateFile), envelope.Seal(b))
 }
 
 // encodeSeed is the seed store as a state file carries it.
@@ -100,25 +94,26 @@ func encodeSeed(seed *spec.Spec) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// errNotCanonical is a state file that passes its checksum but that Save
+// errNotCanonical is a state file that passes its checksum but that SaveDir
 // cannot have written: no two files load as the same session.
-var errNotCanonical = errors.New("incr: state file is not one Save writes")
+var errNotCanonical = errors.New("incr: state file is not one SaveDir writes")
 
-// Load restores a session from path. seed and cfg are the *current*
-// run's seed and configuration; Load fails when the stored seed or
-// learning knobs disagree with them (the resumed state would answer a
-// different problem), when the analyzer version moved (stored graphs
-// may no longer match what the front-end produces), or when the file is
-// corrupt or not in the one form Save writes (file names and score keys
-// strictly ascending, the seed in Save's encoding).
+// LoadDir restores the session SaveDir persisted in dir, from
+// dir/state.bin; any other file there is ignored. seed and cfg are the
+// *current* run's seed and configuration; LoadDir fails when the stored
+// seed or learning knobs disagree with them (the resumed state would
+// answer a different problem), when the analyzer version moved (stored
+// graphs may no longer match what the front-end produces), or when the
+// file is corrupt or not in the one form SaveDir writes (file names and
+// score keys strictly ascending, the seed in SaveDir's encoding).
 // On any error the caller should start a cold session.
 //
 // A nil seed selects adopt mode: the session resumes under the seed and
 // learning knobs recorded in the state file (cfg supplies everything
 // else — workers, metrics, log). This is how a server with no learning
 // configuration of its own (seldond -session-dir) picks a session up.
-func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
-	data, err := os.ReadFile(path)
+func LoadDir(dir string, seed *spec.Spec, cfg core.Config) (*Session, error) {
+	data, err := os.ReadFile(filepath.Join(dir, StateFile))
 	if err != nil {
 		return nil, err
 	}
@@ -198,36 +193,6 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 	return s, nil
 }
 
-// LoadDir restores the session persisted in dir (via SaveDir): Load on
-// dir/state.bin, plus the persisted flow-constraint cache
-// (dir/flowcache.bin) when one is present and matches this session's
-// analyzer version and knobs — a missing or skewed flow cache is simply
-// empty, never an error.
-func LoadDir(dir string, seed *spec.Spec, cfg core.Config) (*Session, error) {
-	s, err := Load(filepath.Join(dir, StateFile), seed, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if fc, ok := constraints.LoadFlowCache(filepath.Join(dir, FlowCacheFile), s.cfg.Constraints); ok {
-		s.cache = fc
-	}
-	return s, nil
-}
-
-// SaveDir persists the session into dir (created if missing) as
-// dir/state.bin plus dir/flowcache.bin. A failed flow-cache write is
-// reported but the state itself is already safe — the next LoadDir just
-// starts with an empty flow cache.
-func (s *Session) SaveDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := s.Save(filepath.Join(dir, StateFile)); err != nil {
-		return err
-	}
-	return s.cache.Save(filepath.Join(dir, FlowCacheFile), s.cfg.Constraints)
-}
-
 func sortedKeys(m map[PinKey]float64) []PinKey {
 	keys := make([]PinKey, 0, len(m))
 	for k := range m {
@@ -237,8 +202,8 @@ func sortedKeys(m map[PinKey]float64) []PinKey {
 	return keys
 }
 
-// keyLess is the order Save writes score and pin keys in, and the only
-// one Load takes them in.
+// keyLess is the order SaveDir writes score and pin keys in, and the only
+// one LoadDir takes them in.
 func keyLess(a, b PinKey) bool {
 	if a.Rep != b.Rep {
 		return a.Rep < b.Rep

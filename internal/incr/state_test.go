@@ -78,7 +78,7 @@ func (p stateParts) body() []byte {
 }
 
 // uncanonical are the ways a sealed state file's records can fail to be
-// in the one order and form Save writes, each with the FuzzLoadState seed
+// in the one order and form SaveDir writes, each with the FuzzLoadState seed
 // that holds it.
 var uncanonical = []struct {
 	name, seed string
@@ -92,59 +92,60 @@ var uncanonical = []struct {
 }
 
 // TestLoadRejectsWhatSaveCannotWrite: a sealed state file whose records
-// are not in the one order and form Save writes — a file name or a score
-// key repeated or out of order — is the error every other fault is, not a session that
-// quietly keeps the last copy and saves back as different bytes.
+// are not in the one order and form SaveDir writes — a file name or a
+// score key repeated or out of order — is the error every other fault is,
+// not a session that quietly keeps the last copy and saves back as
+// different bytes.
 func TestLoadRejectsWhatSaveCannotWrite(t *testing.T) {
 	for _, tc := range uncanonical {
 		t.Run(tc.name, func(t *testing.T) {
 			p := fixtureParts(t)
-			path := filepath.Join(t.TempDir(), incr.StateFile)
+			dir := t.TempDir()
+			path := filepath.Join(dir, incr.StateFile)
 			write := func() {
 				if err := os.WriteFile(path, envelope.Seal(append([]byte("SINC"), p.body()...)), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
 			write()
-			if _, err := incr.Load(path, nil, core.Config{Workers: 1}); err != nil {
+			if _, err := incr.LoadDir(dir, nil, core.Config{Workers: 1}); err != nil {
 				t.Fatalf("the fixture, cut and reassembled, does not load: %v", err)
 			}
 			tc.damage(&p)
 			write()
-			if s, err := incr.Load(path, nil, core.Config{Workers: 1}); err == nil {
+			if s, err := incr.LoadDir(dir, nil, core.Config{Workers: 1}); err == nil {
 				t.Fatalf("loaded as a session of %d files and %d pins", s.Len(), s.Pins())
 			}
 		})
 	}
 }
 
-// FuzzLoadState holds the state loader to the files Save writes. The
+// FuzzLoadState holds the state loader to the files SaveDir writes. The
 // input is a body — everything between the magic and the checksum — which
-// the target frames and seals, so that mutations reach the parser. Load in
-// adopt mode (nil seed: the file's own seed and knobs) errors, or Save of
-// what loaded writes the sealed bytes back: no two files load as the same
-// session, so a repeated or unsorted file name or score key or a seed in
-// another JSON spelling, none of which Save can have written, is an error
-// like every other fault. There is never a panic,
-// and load and save together allocate at most 64 bytes per body byte —
-// the graph decoder's own bound — whatever counts the body declares. The
-// seeds (testdata/fuzz, written with testdata/state.bin) are the body of
+// the target frames and seals, so that mutations reach the parser. LoadDir
+// in adopt mode (nil seed: the file's own seed and knobs) errors, or
+// SaveDir of what loaded writes the sealed bytes back: no two files load
+// as the same session, so a repeated or unsorted file name or score key or
+// a seed in another JSON spelling, none of which SaveDir can have written,
+// is an error like every other fault. There is never a panic, and load
+// and save together allocate at most 64 bytes per body byte — the graph
+// decoder's own bound — whatever counts the body declares. The seeds
+// (testdata/fuzz, written with testdata/state.bin) are the body of
 // testdata/state.bin, a file name twice, two names out of order, a score
 // key twice, and a file count larger than the bytes left.
 func FuzzLoadState(f *testing.F) {
-	dir := f.TempDir()
-	in, out := filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.bin")
+	in, out := f.TempDir(), f.TempDir()
 	cfg := core.Config{Workers: 1}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		sealed := envelope.Seal(append([]byte("SINC"), body...))
-		if err := os.WriteFile(in, sealed, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(in, incr.StateFile), sealed, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s, err := incr.Load(in, nil, cfg)
+		s, err := incr.LoadDir(in, nil, cfg)
 		if err == nil {
-			err = s.Save(out)
+			err = s.SaveDir(out)
 		}
 		runtime.ReadMemStats(&after)
 		// The slack covers an empty session, the files' names and handles
@@ -158,7 +159,7 @@ func FuzzLoadState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := os.ReadFile(out); !bytes.Equal(got, sealed) {
+		if got, _ := os.ReadFile(filepath.Join(out, incr.StateFile)); !bytes.Equal(got, sealed) {
 			t.Fatalf("loaded %d bytes that save back as %d different ones", len(sealed), len(got))
 		}
 	})

@@ -139,9 +139,9 @@ const (
 	CounterShardStreamBytes  = "shard.stream.bytes"
 	GaugeShardMergePeakBytes = "shard.merge.peak_bytes"
 
-	// The persistent flow-constraint block cache
-	// (constraints.FlowCache): spans whose cached block was reused vs
-	// rebuilt on delta-aware constraint builds.
+	// The in-memory flow-constraint block cache (constraints.FlowCache)
+	// an incremental session keeps between re-learns: spans whose cached
+	// block was reused vs rebuilt on delta-aware constraint builds.
 	CounterFlowCacheHits   = "flowcache.hits"
 	CounterFlowCacheMisses = "flowcache.misses"
 

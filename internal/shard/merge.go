@@ -57,7 +57,7 @@ type MergeResult struct {
 	CorpusFingerprint string
 	// Spans maps each corpus file to its contiguous event range in
 	// Graph, in order — ready for constraints.BuildIncremental against a
-	// persisted flow cache.
+	// flow cache (bench's ingest_warm builds with a loaded one).
 	Spans []constraints.Span
 	// Bytes totals the encoded artifact sizes (0 for artifacts built
 	// in-process). The time spent in validation + union is the
