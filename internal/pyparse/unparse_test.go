@@ -16,7 +16,11 @@ import (
 // source.
 func Unparse(e pyast.Expr) string {
 	var b strings.Builder
-	unparse(&b, e)
+	if y, ok := e.(*pyast.Yield); ok {
+		writeYield(&b, y) // parenthesized everywhere but at the top
+	} else {
+		unparse(&b, e)
+	}
 	return b.String()
 }
 
@@ -29,21 +33,36 @@ func unparse(b *strings.Builder, e pyast.Expr) {
 	case *pyast.Num:
 		b.WriteString(x.Lit)
 	case *pyast.Str:
-		b.WriteString(x.Lit)
+		writeLiteral(b, x.Lit)
 	case *pyast.JoinedStr:
-		b.WriteString(x.Lit)
+		writeLiteral(b, x.Lit)
 	case *pyast.NameConst:
 		b.WriteString(x.Value)
 	case *pyast.EllipsisLit:
 		b.WriteString("...")
 	case *pyast.Attribute:
-		unparse(b, x.Value)
+		if _, ok := x.Value.(*pyast.Num); ok {
+			// 1..real would scan as 1 then two dots.
+			b.WriteByte('(')
+			unparse(b, x.Value)
+			b.WriteByte(')')
+		} else {
+			postfixBase(b, x.Value)
+		}
 		b.WriteByte('.')
 		b.WriteString(x.Attr)
 	case *pyast.Subscript:
-		unparse(b, x.Value)
+		postfixBase(b, x.Value)
 		b.WriteByte('[')
-		unparse(b, x.Index)
+		if tup, ok := x.Index.(*pyast.Tuple); ok && holdsSlice(tup) {
+			// A slice cannot stand inside parentheses.
+			writeList(b, tup.Elts)
+			if len(tup.Elts) == 1 {
+				b.WriteByte(',')
+			}
+		} else {
+			unparse(b, x.Index)
+		}
 		b.WriteByte(']')
 	case *pyast.Slice:
 		unparse(b, x.Lo)
@@ -54,7 +73,7 @@ func unparse(b *strings.Builder, e pyast.Expr) {
 			unparse(b, x.Step)
 		}
 	case *pyast.Call:
-		unparse(b, x.Func)
+		postfixBase(b, x.Func)
 		b.WriteByte('(')
 		for i, a := range x.Args {
 			if i > 0 {
@@ -76,9 +95,19 @@ func unparse(b *strings.Builder, e pyast.Expr) {
 		}
 		b.WriteByte(')')
 	case *pyast.BinOp:
-		maybeParen(b, x.Left)
+		// Chains print flat, as they are written: a left operand at its
+		// operator's level, and ** and unary operators right of **.
+		if l, ok := x.Left.(*pyast.BinOp); ok && x.Op != pytoken.DOUBLESTAR && binLevel(l.Op) == binLevel(x.Op) {
+			unparse(b, x.Left)
+		} else {
+			maybeParen(b, x.Left)
+		}
 		fmt.Fprintf(b, " %s ", x.Op)
-		maybeParen(b, x.Right)
+		if x.Op == pytoken.DOUBLESTAR && flatPower(x.Right) {
+			unparse(b, x.Right)
+		} else {
+			maybeParen(b, x.Right)
+		}
 	case *pyast.BoolOp:
 		for i, v := range x.Values {
 			if i > 0 {
@@ -92,7 +121,11 @@ func unparse(b *strings.Builder, e pyast.Expr) {
 		} else {
 			fmt.Fprintf(b, "%s", x.Op)
 		}
-		maybeParen(b, x.Operand)
+		if _, ok := x.Operand.(*pyast.UnaryOp); ok || flatPower(x.Operand) {
+			unparse(b, x.Operand)
+		} else {
+			maybeParen(b, x.Operand)
+		}
 	case *pyast.Compare:
 		maybeParen(b, x.Left)
 		for i, op := range x.Ops {
@@ -113,7 +146,11 @@ func unparse(b *strings.Builder, e pyast.Expr) {
 		b.WriteString(" if ")
 		maybeParen(b, x.Cond)
 		b.WriteString(" else ")
-		maybeParen(b, x.Else)
+		if _, ok := x.Else.(*pyast.IfExp); ok {
+			unparse(b, x.Else)
+		} else {
+			maybeParen(b, x.Else)
+		}
 	case *pyast.Lambda:
 		b.WriteString("lambda")
 		for i, p := range x.Params {
@@ -171,7 +208,7 @@ func unparse(b *strings.Builder, e pyast.Expr) {
 		}
 		for _, c := range x.Clauses {
 			b.WriteString(" for ")
-			unparse(b, c.Target)
+			maybeParen(b, c.Target)
 			b.WriteString(" in ")
 			maybeParen(b, c.Iter)
 			for _, cond := range c.Ifs {
@@ -182,19 +219,14 @@ func unparse(b *strings.Builder, e pyast.Expr) {
 		b.WriteString(close)
 	case *pyast.Starred:
 		b.WriteByte('*')
-		unparse(b, x.Value)
+		maybeParen(b, x.Value) // **x would be one token
 	case *pyast.Await:
 		b.WriteString("await ")
 		maybeParen(b, x.Value)
 	case *pyast.Yield:
-		b.WriteString("yield")
-		if x.From {
-			b.WriteString(" from")
-		}
-		if x.Value != nil {
-			b.WriteByte(' ')
-			unparse(b, x.Value)
-		}
+		b.WriteByte('(')
+		writeYield(b, x)
+		b.WriteByte(')')
 	case *pyast.NamedExpr:
 		b.WriteByte('(')
 		unparse(b, x.Target)
@@ -244,13 +276,136 @@ func writeParam(b *strings.Builder, p *pyast.Param) {
 // is unambiguous without tracking precedence.
 func maybeParen(b *strings.Builder, e pyast.Expr) {
 	switch e.(type) {
-	case *pyast.BinOp, *pyast.BoolOp, *pyast.Compare, *pyast.IfExp, *pyast.Lambda, *pyast.UnaryOp, *pyast.Yield:
+	case *pyast.BinOp, *pyast.BoolOp, *pyast.Compare, *pyast.IfExp, *pyast.Lambda, *pyast.UnaryOp, *pyast.Starred:
 		b.WriteByte('(')
 		unparse(b, e)
 		b.WriteByte(')')
 	default:
 		unparse(b, e)
 	}
+}
+
+// binLevel ranks a binary operator among the left-associative levels.
+func binLevel(k pytoken.Kind) int {
+	switch k {
+	case pytoken.PIPE:
+		return 1
+	case pytoken.CARET:
+		return 2
+	case pytoken.AMPER:
+		return 3
+	case pytoken.LSHIFT, pytoken.RSHIFT:
+		return 4
+	case pytoken.PLUS, pytoken.MINUS:
+		return 5
+	}
+	return 6
+}
+
+// flatPower reports whether e needs no parentheses as the operand of a
+// unary operator or right of **: a unary operation other than not, or
+// a power.
+func flatPower(e pyast.Expr) bool {
+	switch x := e.(type) {
+	case *pyast.UnaryOp:
+		return x.Op != pytoken.KwNot
+	case *pyast.BinOp:
+		return x.Op == pytoken.DOUBLESTAR
+	}
+	return false
+}
+
+// postfixBase writes the value a call, attribute or subscript applies
+// to, parenthesized where the suffix would otherwise bind inside it.
+func postfixBase(b *strings.Builder, e pyast.Expr) {
+	if _, ok := e.(*pyast.Await); ok {
+		b.WriteByte('(')
+		unparse(b, e)
+		b.WriteByte(')')
+		return
+	}
+	maybeParen(b, e)
+}
+
+func holdsSlice(t *pyast.Tuple) bool {
+	for _, e := range t.Elts {
+		if _, ok := e.(*pyast.Slice); ok {
+			return true
+		}
+	}
+	return false
+}
+
+func writeYield(b *strings.Builder, y *pyast.Yield) {
+	b.WriteString("yield")
+	if y.From {
+		b.WriteString(" from")
+	}
+	if y.Value != nil {
+		b.WriteByte(' ')
+		unparse(b, y.Value)
+	}
+}
+
+// writeLiteral writes a string literal's text. The parser joins adjacent
+// literals into one text, which need not scan back as one token (two
+// empty literals join to the opening quotes of a triple-quoted one), so
+// such a text is written as the literals it splits into, a blank apart.
+func writeLiteral(b *strings.Builder, lit string) {
+	if oneLiteral(lit) {
+		b.WriteString(lit)
+		return
+	}
+	// next[i] is where the first literal of a split of lit[i:] ends:
+	// 0 while unknown, -1 if lit[i:] does not split.
+	next := make([]int, len(lit))
+	var splits func(i int) bool
+	splits = func(i int) bool {
+		if i == len(lit) {
+			return true
+		}
+		if next[i] == 0 {
+			next[i] = -1
+			for _, n := range literalEnds(lit[i:]) {
+				if splits(i + n) {
+					next[i] = i + n
+					break
+				}
+			}
+		}
+		return next[i] > 0
+	}
+	if !splits(0) {
+		b.WriteString(lit) // not joined from literals: nothing to split
+		return
+	}
+	for i := 0; i < len(lit); i = next[i] {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(lit[i:next[i]])
+	}
+}
+
+// literalEnds lists the lengths a literal at the start of s can have:
+// where the scanner ends it, and, when it opens with three quotes, just
+// past an empty literal made of the first two.
+func literalEnds(s string) []int {
+	var ends []int
+	sc := pytoken.NewScanner("lit.py", s)
+	if tok := sc.Scan(); tok.Kind == pytoken.STRING && sc.Err() == nil {
+		ends = append(ends, len(tok.Lit))
+	}
+	if q := strings.IndexAny(s, `'"`); q >= 0 && q <= 2 && strings.HasPrefix(s[q:], strings.Repeat(s[q:q+1], 3)) {
+		ends = append(ends, q+2)
+	}
+	return ends
+}
+
+// oneLiteral reports whether s scans as exactly one terminated string.
+func oneLiteral(s string) bool {
+	toks, err := pytoken.ScanAll("lit.py", s)
+	return err == nil && len(toks) == 3 && toks[0].Kind == pytoken.STRING && toks[0].Lit == s
 }
 
 func name(s string) *pyast.Name { return &pyast.Name{Ident: s, NamePos: pytoken.Pos{Line: 1}} }

@@ -125,6 +125,95 @@ func TestOperatorTablesMatchMapOracle(t *testing.T) {
 	}
 }
 
+// keywordOracle maps each reserved word's spelling, from kindNames, to
+// its kind: the map Lookup once read, kept as the keyword table's oracle.
+var keywordOracle = func() map[string]Kind {
+	m := make(map[string]Kind)
+	for k := keywordBeg + 1; k < keywordEnd; k++ {
+		m[kindNames[k]] = k
+	}
+	return m
+}()
+
+// oracleLookup is Lookup as it was written over the map.
+func oracleLookup(ident string) Kind {
+	if k, ok := keywordOracle[ident]; ok {
+		return k
+	}
+	return NAME
+}
+
+// DiffKeywordOracle scans src and holds the kind of every identifier and
+// keyword token to the map oracle's for its spelling; it returns the
+// first disagreement. It is exported for the corpus test, as
+// DiffOperatorOracle is.
+func DiffKeywordOracle(file, src string) error {
+	toks, _ := ScanAll(file, src)
+	for _, t := range toks {
+		if t.Kind != NAME && !t.Kind.IsKeyword() {
+			continue
+		}
+		if want := oracleLookup(t.Lit); t.Kind != want {
+			return fmt.Errorf("%s:%s: %q scans as %v, the map says %v", file, t.Pos, t.Lit, t.Kind, want)
+		}
+	}
+	return nil
+}
+
+// TestLookupMatchesMapOracle holds Lookup to the map on every keyword;
+// on the soft and former keywords, which are names; on every lower-case
+// string of up to four bytes; on every lower-case first and last byte
+// around a filler middle of each length up to six and around each
+// keyword's middle, so on every table slot a lower-case word of two to
+// eight bytes reaches; and on every one-byte change of a keyword.
+func TestLookupMatchesMapOracle(t *testing.T) {
+	check := func(s string) {
+		if got, want := Lookup(s), oracleLookup(s); got != want {
+			t.Fatalf("Lookup(%q) = %v, the map says %v", s, got, want)
+		}
+	}
+	for w := range keywordOracle {
+		check(w)
+	}
+	for _, w := range []string{"match", "case", "type", "_", "print", "exec", "", "a", "self", "continues", "nonlocals"} {
+		if Lookup(w) != NAME {
+			t.Errorf("Lookup(%q) = %v, want NAME", w, Lookup(w))
+		}
+	}
+	const lower = "abcdefghijklmnopqrstuvwxyz"
+	words := []string{""}
+	for n := 1; n <= 4; n++ {
+		var longer []string
+		for _, w := range words {
+			for i := range len(lower) {
+				longer = append(longer, w+lower[i:i+1])
+			}
+		}
+		for _, w := range longer {
+			check(w)
+		}
+		words = longer
+	}
+	middles := []string{"", "x", "xx", "xxx", "xxxx", "xxxxx", "xxxxxx"}
+	for w := range keywordOracle {
+		if len(w) > 2 {
+			middles = append(middles, w[1:len(w)-1])
+		}
+		for i := range len(w) {
+			for c := range 128 {
+				check(w[:i] + string(rune(c)) + w[i+1:])
+			}
+		}
+	}
+	for _, mid := range middles {
+		for f := range len(lower) {
+			for l := range len(lower) {
+				check(lower[f:f+1] + mid + lower[l:l+1])
+			}
+		}
+	}
+}
+
 // kinds collects the token kinds for src, excluding the trailing EOF.
 func kinds(t *testing.T, src string) []Kind {
 	t.Helper()
@@ -270,7 +359,7 @@ func TestOperators(t *testing.T) {
 }
 
 func TestKeywordsRecognized(t *testing.T) {
-	for word, kind := range keywords {
+	for word, kind := range keywordOracle {
 		toks, err := ScanAll("test.py", word+"\n")
 		if err != nil {
 			t.Fatalf("ScanAll(%q): %v", word, err)
