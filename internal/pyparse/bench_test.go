@@ -29,10 +29,11 @@ class View(MethodView):
 
 func BenchmarkScan(b *testing.B) {
 	b.SetBytes(int64(len(benchSource)))
+	var sc pytoken.Scanner
+	var toks []pytoken.Token
 	for i := 0; i < b.N; i++ {
-		sc := pytoken.NewScanner("bench.py", benchSource)
-		for sc.Scan().Kind != pytoken.EOF {
-		}
+		sc.Init("bench.py", benchSource)
+		toks, _ = sc.ScanAllInto(toks)
 	}
 }
 

@@ -16,11 +16,23 @@ func (p *parser) parseNamedExprOrExpr() pyast.Expr {
 }
 
 // parseExpr parses a `test`: lambda, conditional expression, or or-expr.
+// Most expressions are one operand (a call argument, a subscript, an
+// assigned value), so the operand comes first, and the levels from or
+// down to the binary operators run only when the token after it can
+// continue an expression.
 func (p *parser) parseExpr() pyast.Expr {
-	if p.at(pytoken.KwLambda) {
+	var e pyast.Expr
+	switch p.cur().Kind {
+	case pytoken.KwLambda:
 		return p.parseLambda()
+	case pytoken.KwNot:
+		e = p.parseOr()
+	default:
+		if e = p.parseUnary(); prec[p.cur().Kind] == 0 {
+			return e
+		}
+		e = p.orFrom(p.andFrom(p.compareFrom(p.climb(e, 1))))
 	}
-	e := p.parseOr()
 	if p.at(pytoken.KwIf) {
 		p.next()
 		cond := p.parseOr()
@@ -43,21 +55,24 @@ func (p *parser) parseLambda() pyast.Expr {
 	return e
 }
 
-func (p *parser) parseOr() pyast.Expr {
-	e := p.parseAnd()
+// parseOr parses an or-expression.
+func (p *parser) parseOr() pyast.Expr { return p.orFrom(p.andFrom(p.parseNot())) }
+
+// orFrom and andFrom parse the rest of an or- and an and-expression
+// whose first operand is e.
+func (p *parser) orFrom(e pyast.Expr) pyast.Expr {
 	if !p.at(pytoken.KwOr) {
 		return e
 	}
 	mark := p.sc.exprs.mark()
 	p.sc.exprs.push(e)
 	for p.accept(pytoken.KwOr) {
-		p.sc.exprs.push(p.parseAnd())
+		p.sc.exprs.push(p.andFrom(p.parseNot()))
 	}
 	return &pyast.BoolOp{Op: pytoken.KwOr, Values: p.sc.exprs.carve(mark)}
 }
 
-func (p *parser) parseAnd() pyast.Expr {
-	e := p.parseNot()
+func (p *parser) andFrom(e pyast.Expr) pyast.Expr {
 	if !p.at(pytoken.KwAnd) {
 		return e
 	}
@@ -77,11 +92,11 @@ func (p *parser) parseNot() pyast.Expr {
 		p.depth--
 		return e
 	}
-	return p.parseComparison()
+	return p.compareFrom(p.climb(p.parseUnary(), 1))
 }
 
-func (p *parser) parseComparison() pyast.Expr {
-	left := p.parseBitOr()
+// compareFrom parses the rest of a comparison whose left operand is left.
+func (p *parser) compareFrom(left pyast.Expr) pyast.Expr {
 	var ops []pyast.CompareOp
 	mark := p.sc.exprs.mark()
 	for {
@@ -113,45 +128,39 @@ func (p *parser) parseComparison() pyast.Expr {
 			return &pyast.Compare{Left: left, Ops: ops, Comparators: p.sc.exprs.carve(mark)}
 		}
 		ops = append(ops, op)
-		p.sc.exprs.push(p.parseBitOr())
+		p.sc.exprs.push(p.climb(p.parseUnary(), 1))
 	}
 }
 
-// Binary operator precedence climbing for | ^ & << >> + - * / // % @.
-func (p *parser) parseBitOr() pyast.Expr {
-	return p.parseBinary(0)
+// prec is what a token means right after an operand: the precedence of
+// a binary operator, from | (1) up to * / // % @ (6); continues for a
+// token that goes on with the expression at a lower level (a comparison
+// operator, and, or, not, in, is, if); and 0 for one that ends it. **
+// is absent: parsePower takes it.
+var prec = [256]int8{
+	pytoken.PIPE: 1, pytoken.CARET: 2, pytoken.AMPER: 3,
+	pytoken.LSHIFT: 4, pytoken.RSHIFT: 4, pytoken.PLUS: 5, pytoken.MINUS: 5,
+	pytoken.STAR: 6, pytoken.SLASH: 6, pytoken.DOUBLESLASH: 6, pytoken.PERCENT: 6, pytoken.AT: 6,
+	pytoken.LT: continues, pytoken.GT: continues, pytoken.LE: continues, pytoken.GE: continues,
+	pytoken.EQ: continues, pytoken.NE: continues, pytoken.KwIn: continues, pytoken.KwIs: continues,
+	pytoken.KwNot: continues, pytoken.KwAnd: continues, pytoken.KwOr: continues, pytoken.KwIf: continues,
 }
 
-// binLevels lists binary operators from lowest to highest precedence.
-var binLevels = [][]pytoken.Kind{
-	{pytoken.PIPE},
-	{pytoken.CARET},
-	{pytoken.AMPER},
-	{pytoken.LSHIFT, pytoken.RSHIFT},
-	{pytoken.PLUS, pytoken.MINUS},
-	{pytoken.STAR, pytoken.SLASH, pytoken.DOUBLESLASH, pytoken.PERCENT, pytoken.AT},
-}
+const continues = -1
 
-func (p *parser) parseBinary(level int) pyast.Expr {
-	if level == len(binLevels) {
-		return p.parseUnary()
-	}
-	e := p.parseBinary(level + 1)
-	for contains(binLevels[level], p.cur().Kind) {
+// climb parses the binary operators of precedence lowest and up that follow
+// left, by precedence climbing: each builds a left-associative BinOp, and
+// a tighter operator after its right operand is climbed into first.
+func (p *parser) climb(left pyast.Expr, lowest int8) pyast.Expr {
+	for level := prec[p.cur().Kind]; level >= lowest; level = prec[p.cur().Kind] {
 		op := p.next().Kind
-		right := p.parseBinary(level + 1)
-		e = &pyast.BinOp{Left: e, Op: op, Right: right, Start: e.Pos()}
-	}
-	return e
-}
-
-func contains(ks []pytoken.Kind, k pytoken.Kind) bool {
-	for _, x := range ks {
-		if x == k {
-			return true
+		right := p.parseUnary()
+		if prec[p.cur().Kind] > level {
+			right = p.climb(right, level+1)
 		}
+		left = &pyast.BinOp{Left: left, Op: op, Right: right, Start: left.Pos()}
 	}
-	return false
+	return left
 }
 
 func (p *parser) parseUnary() pyast.Expr {

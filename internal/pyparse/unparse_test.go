@@ -392,9 +392,8 @@ func writeLiteral(b *strings.Builder, lit string) {
 // past an empty literal made of the first two.
 func literalEnds(s string) []int {
 	var ends []int
-	sc := pytoken.NewScanner("lit.py", s)
-	if tok := sc.Scan(); tok.Kind == pytoken.STRING && sc.Err() == nil {
-		ends = append(ends, len(tok.Lit))
+	if toks, _ := pytoken.ScanAll("lit.py", s); toks[0].Kind == pytoken.STRING && oneLiteral(toks[0].Lit) {
+		ends = append(ends, len(toks[0].Lit))
 	}
 	if q := strings.IndexAny(s, `'"`); q >= 0 && q <= 2 && strings.HasPrefix(s[q:], strings.Repeat(s[q:q+1], 3)) {
 		ends = append(ends, q+2)

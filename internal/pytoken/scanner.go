@@ -26,8 +26,8 @@ const (
 
 // Scanner converts Python source text into a stream of tokens.
 //
-// A zero Scanner is not usable; call NewScanner or Init. Scan returns EOF
-// forever once the input is exhausted. Lexical errors are reported both via
+// A zero Scanner is not usable; call NewScanner or Init, then ScanAllInto,
+// which ends the tokens with EOF. Lexical errors are reported both via
 // an ILLEGAL token and through Err, and the scanner recovers by skipping the
 // offending byte so a parse can proceed for error reporting. Past maxParen
 // or maxIndent it does not recover: the input ends there.
@@ -125,16 +125,18 @@ func (s *Scanner) advance() byte {
 	return c
 }
 
-// Scan returns the next token. At end of input it first drains pending
-// DEDENTs (and a final NEWLINE if the last line lacked one), then returns EOF.
-func (s *Scanner) Scan() Token {
+// scan writes the next token to *t, which ScanAllInto points at its
+// buffer's next slot: a token is not copied out through the scanning
+// frames. At end of input it first drains pending DEDENTs (and a final
+// NEWLINE if the last line lacked one), then writes EOF.
+func (s *Scanner) scan(t *Token) {
 	for {
 		if s.head < len(s.pending) {
-			t := s.pending[s.head]
+			*t = s.pending[s.head]
 			if s.head++; s.head == len(s.pending) {
 				s.pending, s.head = s.pending[:0], 0
 			}
-			return t
+			return
 		}
 		if s.atLineStart && s.paren == 0 {
 			if done := s.handleIndentation(); done {
@@ -143,7 +145,8 @@ func (s *Scanner) Scan() Token {
 		}
 		s.skipSpacesAndComments()
 		if s.off >= len(s.src) {
-			return s.finish()
+			*t = s.finish()
+			return
 		}
 		c := s.peek()
 		switch {
@@ -155,7 +158,8 @@ func (s *Scanner) Scan() Token {
 			s.atLineStart = true
 			if s.sawToken {
 				s.sawToken = false
-				return Token{Kind: NEWLINE, Pos: Pos{Line: s.line - 1, Col: 0}}
+				*t = Token{Kind: NEWLINE, Pos: Pos{Line: s.line - 1, Col: 0}}
+				return
 			}
 			continue // blank line: no NEWLINE token
 		case c == '\\' && s.peekAt(1) == '\n':
@@ -163,13 +167,17 @@ func (s *Scanner) Scan() Token {
 			s.advance()
 			continue // explicit line joining
 		case isIdentStart(c):
-			return s.scanNameOrString()
+			*t = s.scanNameOrString()
+			return
 		case isDigit(c) || (c == '.' && isDigit(s.peekAt(1))):
-			return s.scanNumber()
+			*t = s.scanNumber()
+			return
 		case c == '\'' || c == '"':
-			return s.scanString("")
+			*t = s.scanString("")
+			return
 		default:
-			return s.scanOperator()
+			*t = s.scanOperator()
+			return
 		}
 	}
 }
@@ -270,7 +278,14 @@ func isIdentStart(c byte) bool {
 	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c >= 0x80
 }
 
-func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) }
+// identByte marks the bytes an identifier goes on with: letters, digits,
+// '_' and every byte of a multi-byte UTF-8 sequence.
+var identByte = func() (t [256]bool) {
+	for c := range t {
+		t[c] = isIdentStart(byte(c)) || isDigit(byte(c))
+	}
+	return t
+}()
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
@@ -279,10 +294,13 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 func (s *Scanner) scanNameOrString() Token {
 	start := s.off
 	pos := s.pos()
-	for s.off < len(s.src) && isIdentCont(s.peek()) {
-		s.advance()
+	// No identifier byte is a newline, so the line does not change.
+	end := start + 1
+	for end < len(s.src) && identByte[s.src[end]] {
+		end++
 	}
-	word := s.src[start:s.off]
+	s.off = end
+	word := s.src[start:end]
 	if len(word) <= 2 && (s.peek() == '\'' || s.peek() == '"') && isStringPrefix(word) {
 		return s.scanString(word)
 	}
@@ -429,7 +447,7 @@ var ops = [256]struct{ alone, eq, double, doubleEq Kind }{
 
 // scanOperator scans the longest operator at the current byte, or an
 // ILLEGAL token for a byte that starts none. No operator holds a
-// newline, and Scan has taken '\n' itself, so the line does not change.
+// newline, and scan has taken '\n' itself, so the line does not change.
 func (s *Scanner) scanOperator() Token {
 	pos := s.pos()
 	s.sawToken = true
@@ -492,8 +510,9 @@ func (s *Scanner) ScanAllInto(buf []Token) ([]Token, error) {
 		toks = make([]Token, 0, want)
 	}
 	for {
-		t := s.Scan()
-		toks = append(toks, t)
+		toks = append(toks, Token{})
+		t := &toks[len(toks)-1]
+		s.scan(t)
 		if t.Kind == EOF {
 			return toks, s.Err()
 		}

@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// Scan returns the next token: scan for tests that walk the tokens one
+// at a time.
+func (s *Scanner) Scan() Token {
+	var t Token
+	s.scan(&t)
+	return t
+}
+
 // The map-based operator lexer that the tables in scanner.go replaced,
 // kept as their oracle: three maps, longest match first.
 var op3 = map[string]Kind{

@@ -149,19 +149,29 @@ func (k Kind) String() string {
 // IsKeyword reports whether k is a reserved word.
 func (k Kind) IsKeyword() bool { return k > keywordBeg && k < keywordEnd }
 
-// keywords maps reserved-word spellings to their kinds.
-var keywords = func() map[string]Kind {
-	m := make(map[string]Kind)
+// keywordSlots holds each reserved word at slot(word): 35 words in 128
+// slots, none sharing one (TestLookupMatchesMapOracle holds it to a map).
+var keywordSlots = func() (t [128]struct {
+	word string
+	kind Kind
+}) {
 	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		m[kindNames[k]] = k
+		w := kindNames[k]
+		t[slot(w)].word, t[slot(w)].kind = w, k
 	}
-	return m
+	return t
 }()
 
+func slot(w string) int { return (int(w[0]) + 11*int(w[len(w)-1]) + len(w)) & 127 }
+
 // Lookup returns the keyword kind for an identifier spelling, or NAME.
+// Reserved words are two to eight bytes long.
 func Lookup(ident string) Kind {
-	if k, ok := keywords[ident]; ok {
-		return k
+	if len(ident) < 2 || len(ident) > 8 {
+		return NAME
+	}
+	if e := &keywordSlots[slot(ident)]; e.word == ident {
+		return e.kind
 	}
 	return NAME
 }
@@ -177,7 +187,7 @@ func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col+1) }
 // Token is a single lexical token with its source position.
 type Token struct {
 	Kind Kind
-	Lit  string // literal text for NAME, NUMBER, STRING; empty otherwise
+	Lit  string // source text of a NAME, NUMBER, STRING or keyword; empty otherwise
 	Pos  Pos
 }
 
