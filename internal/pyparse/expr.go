@@ -16,10 +16,9 @@ func (p *parser) parseNamedExprOrExpr() pyast.Expr {
 }
 
 // parseExpr parses a `test`: lambda, conditional expression, or or-expr.
-// Most expressions are one operand (a call argument, a subscript, an
-// assigned value), so the operand comes first, and the levels from or
-// down to the binary operators run only when the token after it can
-// continue an expression.
+// Most are one operand (a call argument, an assigned value), so that
+// comes first, and the levels from or down run only when a token follows
+// that can continue an expression.
 func (p *parser) parseExpr() pyast.Expr {
 	var e pyast.Expr
 	switch p.cur().Kind {
@@ -31,7 +30,7 @@ func (p *parser) parseExpr() pyast.Expr {
 		if e = p.parseUnary(); prec[p.cur().Kind] == 0 {
 			return e
 		}
-		e = p.orFrom(p.andFrom(p.compareFrom(p.climb(e, 1))))
+		e = p.orFrom(p.compareFrom(p.climb(e, 1)))
 	}
 	if p.at(pytoken.KwIf) {
 		p.next()
@@ -56,32 +55,27 @@ func (p *parser) parseLambda() pyast.Expr {
 }
 
 // parseOr parses an or-expression.
-func (p *parser) parseOr() pyast.Expr { return p.orFrom(p.andFrom(p.parseNot())) }
+func (p *parser) parseOr() pyast.Expr { return p.orFrom(p.parseNot()) }
 
-// orFrom and andFrom parse the rest of an or- and an and-expression
-// whose first operand is e.
+// orFrom parses the rest of an or-expression whose first not-level
+// operand is e; boolFrom, of an op (or, and) expression.
 func (p *parser) orFrom(e pyast.Expr) pyast.Expr {
-	if !p.at(pytoken.KwOr) {
-		return e
-	}
-	mark := p.sc.exprs.mark()
-	p.sc.exprs.push(e)
-	for p.accept(pytoken.KwOr) {
-		p.sc.exprs.push(p.andFrom(p.parseNot()))
-	}
-	return &pyast.BoolOp{Op: pytoken.KwOr, Values: p.sc.exprs.carve(mark)}
+	return p.boolFrom(pytoken.KwOr, p.boolFrom(pytoken.KwAnd, e))
 }
 
-func (p *parser) andFrom(e pyast.Expr) pyast.Expr {
-	if !p.at(pytoken.KwAnd) {
+func (p *parser) boolFrom(op pytoken.Kind, e pyast.Expr) pyast.Expr {
+	if !p.at(op) {
 		return e
 	}
 	mark := p.sc.exprs.mark()
 	p.sc.exprs.push(e)
-	for p.accept(pytoken.KwAnd) {
-		p.sc.exprs.push(p.parseNot())
+	for p.accept(op) {
+		if e = p.parseNot(); op == pytoken.KwOr {
+			e = p.boolFrom(pytoken.KwAnd, e)
+		}
+		p.sc.exprs.push(e)
 	}
-	return &pyast.BoolOp{Op: pytoken.KwAnd, Values: p.sc.exprs.carve(mark)}
+	return &pyast.BoolOp{Op: op, Values: p.sc.exprs.carve(mark)}
 }
 
 func (p *parser) parseNot() pyast.Expr {
@@ -102,25 +96,16 @@ func (p *parser) compareFrom(left pyast.Expr) pyast.Expr {
 	for {
 		var op pyast.CompareOp
 		switch p.cur().Kind {
-		case pytoken.LT, pytoken.GT, pytoken.LE, pytoken.GE, pytoken.EQ, pytoken.NE:
+		case pytoken.LT, pytoken.GT, pytoken.LE, pytoken.GE, pytoken.EQ, pytoken.NE, pytoken.KwIn:
 			op.Kind = p.next().Kind
-		case pytoken.KwIn:
-			p.next()
-			op.Kind = pytoken.KwIn
 		case pytoken.KwIs:
-			p.next()
-			op.Kind = pytoken.KwIs
-			if p.accept(pytoken.KwNot) {
-				op.Not = true
-			}
+			op.Kind, op.Not = p.next().Kind, p.accept(pytoken.KwNot)
 		case pytoken.KwNot:
 			if p.peekKind(1) != pytoken.KwIn {
 				p.errorf("expected 'in' after 'not' in comparison")
 			}
 			p.next()
-			p.next()
-			op.Kind = pytoken.KwIn
-			op.Not = true
+			op.Kind, op.Not = p.next().Kind, true
 		default:
 			if len(ops) == 0 {
 				return left

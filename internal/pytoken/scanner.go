@@ -148,37 +148,31 @@ func (s *Scanner) scan(t *Token) {
 			*t = s.finish()
 			return
 		}
-		c := s.peek()
-		switch {
+		switch c := s.peek(); {
 		case c == '\n':
 			s.advance()
 			if s.paren > 0 {
 				continue // implicit line joining
 			}
-			s.atLineStart = true
-			if s.sawToken {
-				s.sawToken = false
-				*t = Token{Kind: NEWLINE, Pos: Pos{Line: s.line - 1, Col: 0}}
-				return
+			if s.atLineStart = true; !s.sawToken {
+				continue // blank line: no NEWLINE token
 			}
-			continue // blank line: no NEWLINE token
+			s.sawToken = false
+			*t = Token{Kind: NEWLINE, Pos: Pos{Line: s.line - 1, Col: 0}}
 		case c == '\\' && s.peekAt(1) == '\n':
 			s.advance()
 			s.advance()
 			continue // explicit line joining
-		case isIdentStart(c):
-			*t = s.scanNameOrString()
-			return
 		case isDigit(c) || (c == '.' && isDigit(s.peekAt(1))):
 			*t = s.scanNumber()
-			return
+		case identByte[c]:
+			*t = s.scanNameOrString()
 		case c == '\'' || c == '"':
 			*t = s.scanString("")
-			return
 		default:
 			*t = s.scanOperator()
-			return
 		}
+		return
 	}
 }
 
@@ -274,15 +268,11 @@ func (s *Scanner) skipSpacesAndComments() {
 	}
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c >= 0x80
-}
-
-// identByte marks the bytes an identifier goes on with: letters, digits,
-// '_' and every byte of a multi-byte UTF-8 sequence.
+// identByte marks the bytes an identifier holds: letters, digits, '_'
+// and every byte of a multi-byte UTF-8 sequence. All but a digit start one.
 var identByte = func() (t [256]bool) {
 	for c := range t {
-		t[c] = isIdentStart(byte(c)) || isDigit(byte(c))
+		t[c] = c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c >= 0x80 || isDigit(byte(c))
 	}
 	return t
 }()
@@ -305,10 +295,7 @@ func (s *Scanner) scanNameOrString() Token {
 		return s.scanString(word)
 	}
 	s.sawToken = true
-	if k := Lookup(word); k != NAME {
-		return Token{Kind: k, Lit: word, Pos: pos}
-	}
-	return Token{Kind: NAME, Lit: word, Pos: pos}
+	return Token{Kind: Lookup(word), Lit: word, Pos: pos}
 }
 
 func isStringPrefix(w string) bool {
@@ -336,17 +323,11 @@ func (s *Scanner) scanString(prefix string) Token {
 		triple = true
 	}
 	start := s.off
-	raw := strings.ContainsAny(strings.ToLower(prefix), "r")
 	for s.off < len(s.src) {
 		c := s.peek()
-		if c == '\\' && !raw && s.off+1 < len(s.src) {
-			s.advance()
-			s.advance()
-			continue
-		}
-		if c == '\\' && raw && s.off+1 < len(s.src) {
-			// In raw strings a backslash still escapes the quote for
-			// the purpose of finding the literal's end.
+		if c == '\\' && s.off+1 < len(s.src) {
+			// In raw strings too a backslash escapes the quote for the
+			// purpose of finding the literal's end.
 			s.advance()
 			s.advance()
 			continue
@@ -397,7 +378,7 @@ func (s *Scanner) scanNumber() Token {
 		}
 	}
 	digits()
-	if s.peek() == '.' && isDigit(s.peekAt(1)) || s.peek() == '.' && !isIdentStart(s.peekAt(1)) && s.peekAt(1) != '.' {
+	if s.peek() == '.' && isDigit(s.peekAt(1)) || s.peek() == '.' && !identByte[s.peekAt(1)] && s.peekAt(1) != '.' {
 		s.advance()
 		digits()
 	}

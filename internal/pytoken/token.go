@@ -113,7 +113,7 @@ const (
 	keywordEnd
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	EOF: "EOF", ILLEGAL: "ILLEGAL", NEWLINE: "NEWLINE", INDENT: "INDENT",
 	DEDENT: "DEDENT", NAME: "NAME", NUMBER: "NUMBER", STRING: "STRING",
 	LPAREN: "(", RPAREN: ")", LBRACKET: "[", RBRACKET: "]", LBRACE: "{",
@@ -140,8 +140,8 @@ var kindNames = map[Kind]string{
 // String returns a human-readable name for the kind: the literal spelling
 // for operators and keywords, an upper-case class name otherwise.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -149,15 +149,11 @@ func (k Kind) String() string {
 // IsKeyword reports whether k is a reserved word.
 func (k Kind) IsKeyword() bool { return k > keywordBeg && k < keywordEnd }
 
-// keywordSlots holds each reserved word at slot(word): 35 words in 128
-// slots, none sharing one (TestLookupMatchesMapOracle holds it to a map).
-var keywordSlots = func() (t [128]struct {
-	word string
-	kind Kind
-}) {
+// keywordSlots holds each reserved word's kind at slot(word): 35 words in
+// 128 slots, none sharing one (TestLookupMatchesMapOracle holds it to a map).
+var keywordSlots = func() (t [128]Kind) {
 	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		w := kindNames[k]
-		t[slot(w)].word, t[slot(w)].kind = w, k
+		t[slot(kindNames[k])] = k
 	}
 	return t
 }()
@@ -167,11 +163,10 @@ func slot(w string) int { return (int(w[0]) + 11*int(w[len(w)-1]) + len(w)) & 12
 // Lookup returns the keyword kind for an identifier spelling, or NAME.
 // Reserved words are two to eight bytes long.
 func Lookup(ident string) Kind {
-	if len(ident) < 2 || len(ident) > 8 {
-		return NAME
-	}
-	if e := &keywordSlots[slot(ident)]; e.word == ident {
-		return e.kind
+	if len(ident) >= 2 && len(ident) <= 8 {
+		if k := keywordSlots[slot(ident)]; k.IsKeyword() && kindNames[k] == ident {
+			return k
+		}
 	}
 	return NAME
 }
