@@ -149,22 +149,22 @@ func (k Kind) String() string {
 // IsKeyword reports whether k is a reserved word.
 func (k Kind) IsKeyword() bool { return k > keywordBeg && k < keywordEnd }
 
-// keywordSlots holds each reserved word's kind at slot(word): 35 words in
-// 128 slots, none sharing one (TestLookupMatchesMapOracle holds it to a map).
+// keywordSlots holds each reserved word's kind at keywordSlot(word), no
+// two of the 35 on one slot (TestLookupMatchesMapOracle holds it to a map).
 var keywordSlots = func() (t [128]Kind) {
 	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		t[slot(kindNames[k])] = k
+		t[keywordSlot(kindNames[k])] = k
 	}
 	return t
 }()
 
-func slot(w string) int { return (int(w[0]) + 11*int(w[len(w)-1]) + len(w)) & 127 }
+func keywordSlot(w string) int { return (int(w[0]) + 11*int(w[len(w)-1]) + len(w)) & 127 }
 
 // Lookup returns the keyword kind for an identifier spelling, or NAME.
 // Reserved words are two to eight bytes long.
 func Lookup(ident string) Kind {
 	if len(ident) >= 2 && len(ident) <= 8 {
-		if k := keywordSlots[slot(ident)]; k.IsKeyword() && kindNames[k] == ident {
+		if k := keywordSlots[keywordSlot(ident)]; k.IsKeyword() && kindNames[k] == ident {
 			return k
 		}
 	}
@@ -182,7 +182,7 @@ func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col+1) }
 // Token is a single lexical token with its source position.
 type Token struct {
 	Kind Kind
-	Lit  string // source text of a NAME, NUMBER, STRING or keyword; empty otherwise
+	Lit  string // source text of a NAME, NUMBER, STRING, keyword or ILLEGAL byte; empty otherwise
 	Pos  Pos
 }
 
