@@ -97,7 +97,7 @@ func unparse(b *strings.Builder, e pyast.Expr) {
 	case *pyast.BinOp:
 		// Chains print flat, as they are written: a left operand at its
 		// operator's level, and ** and unary operators right of **.
-		if l, ok := x.Left.(*pyast.BinOp); ok && x.Op != pytoken.DOUBLESTAR && binLevel(l.Op) == binLevel(x.Op) {
+		if l, ok := x.Left.(*pyast.BinOp); ok && x.Op != pytoken.DOUBLESTAR && prec[l.Op] == prec[x.Op] {
 			unparse(b, x.Left)
 		} else {
 			maybeParen(b, x.Left)
@@ -283,23 +283,6 @@ func maybeParen(b *strings.Builder, e pyast.Expr) {
 	default:
 		unparse(b, e)
 	}
-}
-
-// binLevel ranks a binary operator among the left-associative levels.
-func binLevel(k pytoken.Kind) int {
-	switch k {
-	case pytoken.PIPE:
-		return 1
-	case pytoken.CARET:
-		return 2
-	case pytoken.AMPER:
-		return 3
-	case pytoken.LSHIFT, pytoken.RSHIFT:
-		return 4
-	case pytoken.PLUS, pytoken.MINUS:
-		return 5
-	}
-	return 6
 }
 
 // flatPower reports whether e needs no parentheses as the operand of a
