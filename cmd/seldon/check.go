@@ -21,7 +21,7 @@ import (
 func check(args []string) error {
 	fs := flag.NewFlagSet("seldon check", flag.ExitOnError)
 	in, workers, cf, of := addInputFlags(fs), addWorkersFlag(fs), addCacheFlags(fs), addObsFlags(fs)
-	specFile := fs.String("spec", "", "specification file (o:/a:/i:/b: lines, as seldon learn -out writes); default: the paper's App. B seed")
+	specFile := fs.String("spec", "", "specification: a spec store (seldon learn -o) or o:/a:/i:/b: lines; default: the paper's App. B seed")
 	dedupe := fs.Bool("dedupe", false, "collapse reports sharing (source, sink) representations")
 	fs.Parse(args)
 	in.paths = fs.Args()

@@ -7,7 +7,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"seldon/internal/core"
+	"seldon/internal/corpus"
+	"seldon/internal/specio"
+	"seldon/internal/taint"
 )
 
 // buildSeldon compiles this package into a temp dir, so main, its flag
@@ -93,5 +99,69 @@ func TestCheckGolden(t *testing.T) {
 				t.Errorf("seldon check %v:\n--- got\n%s--- want\n%s", tc.args, got, want)
 			}
 		})
+	}
+}
+
+// TestCheckReadsTheLearnedStore: the store `seldon learn -o` writes is the
+// file `seldon check -spec` reads, and o:/a:/i:/b: lines, the way seeds
+// are written by hand, still work for -spec and -seedfile. The committed
+// learned.spec saved as a store checks testdata/check as dir.golden pins;
+// as a -seedfile either form learns the same store; and checking with
+// that store reports what the taint analyzer finds with it in-process.
+func TestCheckReadsTheLearnedStore(t *testing.T) {
+	bin, dir := buildSeldon(t), t.TempDir()
+	text, err := filepath.Abs(filepath.Join("testdata", "check", "learned.spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := readSpec(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A store's first non-space byte is '{', whatever precedes it.
+	store := filepath.Join(dir, "learned.json")
+	var buf bytes.Buffer
+	buf.WriteString("\n  ")
+	if err := specio.Encode(&buf, sp, specio.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := os.ReadFile(filepath.Join("testdata", "check", "dir.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{text, store} {
+		stdout, stderr, status := seldonIn(t, bin, filepath.Join("testdata", "check"), "check", "-spec", f, "-dir", "corpus")
+		if got := fmt.Sprintf("%sexit status %d\n", stdout, status); got != string(want) {
+			t.Errorf("check -spec %s:\n--- got\n%s--- want\n%s%s", filepath.Base(f), got, want, stderr)
+		}
+	}
+
+	learned := make([][]byte, 2)
+	for i, f := range []string{text, store} {
+		out := filepath.Join(dir, fmt.Sprintf("s%d.json", i))
+		if _, stderr, status := seldonIn(t, bin, dir, "learn", "-generate", "60", "-seedfile", f, "-o", out); status != 0 {
+			t.Fatalf("learn -seedfile %s: exit %d\n%s", filepath.Base(f), status, stderr)
+		}
+		if learned[i], err = os.ReadFile(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(learned[0], learned[1]) {
+		t.Error("learn -seedfile wrote different stores from the same seed as lines and as a store")
+	}
+
+	stdout, stderr, status := seldonIn(t, bin, dir, "check", "-generate", "60", "-spec", "s0.json")
+	s, _, err := specio.Load(filepath.Join(dir, "s0.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	union := core.AnalyzeFiles(corpus.Generate(corpus.Config{Files: 60}).FileMap(), core.Config{}).Union()
+	n := len(taint.Analyze(union, s))
+	if status != 1 || n == 0 || !strings.Contains(stdout, fmt.Sprintf("\n%d reports in ", n)) {
+		t.Errorf("check -spec of a learned store: exit %d, want 1 and %d reports:\n%s%s", status, n, stdout, stderr)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"seldon/internal/core"
 	"seldon/internal/corpus"
 	"seldon/internal/shard"
+	"seldon/internal/specio"
 )
 
 // TestShardedLearnIsSingleProcessLearn is the distributed-learning
@@ -40,7 +41,7 @@ func TestShardedLearnIsSingleProcessLearn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "seed.spec"), []byte(corpus.ExperimentSeed().Format()), 0o644); err != nil {
+	if err := specio.Save(filepath.Join(dir, "seed.json"), corpus.ExperimentSeed(), specio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	// start runs seldon in dir with extra environment; wait fails the test
@@ -73,12 +74,12 @@ func TestShardedLearnIsSingleProcessLearn(t *testing.T) {
 	}
 	learn := func(out string, extra ...string) string {
 		t.Helper()
-		stdout, _ := run(nil, append([]string{"learn", "-dir", "corpus", "-seedfile", "seed.spec", "-o", out}, extra...)...)
+		stdout, _ := run(nil, append([]string{"learn", "-dir", "corpus", "-seedfile", "seed.json", "-o", out}, extra...)...)
 		return stdout
 	}
 	coordinate := func(env []string, out string, extra ...string) {
 		t.Helper()
-		run(env, append([]string{"coordinate", "-shards-in", "p*.shard", "-seedfile", "seed.spec", "-o", out}, extra...)...)
+		run(env, append([]string{"coordinate", "-shards-in", "p*.shard", "-seedfile", "seed.json", "-o", out}, extra...)...)
 	}
 	same := func(a, b string) {
 		t.Helper()

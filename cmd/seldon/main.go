@@ -1,12 +1,12 @@
 // Command seldon is every program that reads a directory of Python: it
 // learns taint specifications from a corpus — likely sources, sanitizers
 // and sinks inferred from a seed specification, printed by confidence and
-// optionally saved — and checks code against one. It is one program with
+// optionally saved as a spec store — and checks code against one. It is one program with
 // five ways in, each a subcommand whose flags (-h lists them) are drawn
 // from the same groups:
 //
-//	seldon learn -dir repo [-seedfile seed.spec] -out learned.spec
-//	seldon learn -generate 240 -o specs.json          # synthetic corpus, store for seldond
+//	seldon learn -dir repo [-seedfile seed.spec] -o specs.json
+//	seldon learn -generate 240 -o specs.json          # synthetic corpus
 //	seldon learn -dir repo -session-dir .session -o specs.json
 //	seldon learn -dir repo -session-dir .session -feedback verdicts.json -o specs.json
 //
@@ -25,9 +25,13 @@
 // Whichever way in, the store is byte-identical to `seldon learn` over the
 // whole corpus.
 //
-//	seldon check -spec learned.spec file1.py file2.py ...
+//	seldon check -spec specs.json file1.py file2.py ...
 //	seldon check -dir repo                  # the App. B seed by default
 //	seldon graph -dir repo -o graph.json
+//
+// The store -o writes is the one file a learned specification lives in:
+// check -spec, -seedfile and seldond -specs read it. check -spec and
+// -seedfile also read o:/a:/i:/b: lines, the way seeds are written by hand.
 //
 // check reports the unsanitized source→sink flows a specification finds
 // (exit 0 clean, 1 flows found, 2 could not run); graph writes the union
@@ -43,6 +47,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,6 +57,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unicode"
 
 	"seldon/internal/core"
 	"seldon/internal/corpus"
@@ -173,11 +179,25 @@ type learnFlags struct {
 
 func addLearnFlags(fs *flag.FlagSet) *learnFlags {
 	l := &learnFlags{}
-	fs.StringVar(&l.seedFile, "seedfile", "", "seed specification (o:/a:/i:/b: lines); default: the generator's for a -generate corpus, else the paper's App. B seed")
+	fs.StringVar(&l.seedFile, "seedfile", "", "seed specification: a spec store (seldon learn -o) or o:/a:/i:/b: lines; default: the generator's for a -generate corpus, else the paper's App. B seed")
 	fs.Float64Var(&l.threshold, "threshold", 0.1, "score threshold for selecting roles")
 	fs.Float64Var(&l.lambda, "lambda", 0.1, "L1 regularization weight")
 	fs.Float64Var(&l.c, "c", 0.75, "implication-strength constant C")
 	return l
+}
+
+// knobs refuses a learning parameter that is not positive: the pipeline
+// reads 0 as "use the default", so -threshold 0 would run at 0.1.
+func (l *learnFlags) knobs() error {
+	for _, k := range []struct {
+		name  string
+		value float64
+	}{{"threshold", l.threshold}, {"lambda", l.lambda}, {"c", l.c}} {
+		if !(k.value > 0) {
+			return fmt.Errorf("%w: -%s must be positive, got %v", errUsage, k.name, k.value)
+		}
+	}
+	return nil
 }
 
 // seed resolves the seed specification: -seedfile, or else the
@@ -193,26 +213,31 @@ func (l *learnFlags) seed(generated bool) (*spec.Spec, error) {
 	return spec.Seed(), nil
 }
 
-// readSpec parses a specification file (o:/a:/i:/b: lines).
+// readSpec reads a specification file: a spec store, as seldon learn -o
+// writes, when its first non-space byte is '{', and o:/a:/i:/b: lines
+// otherwise.
 func readSpec(path string) (*spec.Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return spec.Parse(string(data))
+	if !bytes.HasPrefix(bytes.TrimLeftFunc(data, unicode.IsSpace), []byte("{")) {
+		return spec.Parse(string(data))
+	}
+	s, _, err := specio.Decode(bytes.NewReader(data))
+	return s, err
 }
 
 // outputFlags say what to print and where to save what was learned.
 type outputFlags struct {
-	top        int
-	out, store string
+	top   int
+	store string
 }
 
 func addOutputFlags(fs *flag.FlagSet) *outputFlags {
 	o := &outputFlags{}
 	fs.IntVar(&o.top, "top", 50, "print at most this many inferred specs per role")
-	fs.StringVar(&o.out, "out", "", "write the merged (seed + learned) specification to this file, for seldon check -spec")
-	fs.StringVar(&o.store, "o", "", "write the merged specification as a versioned JSON spec store (with provenance metadata), for seldond -specs")
+	fs.StringVar(&o.store, "o", "", "write the merged (seed + learned) specification as a versioned JSON spec store with provenance metadata, for seldon check -spec, -seedfile and seldond -specs")
 	return o
 }
 
@@ -333,6 +358,9 @@ type learnRun struct {
 }
 
 func startLearnRun(rootName string, workers int, l *learnFlags, o *obsFlags) (*learnRun, error) {
+	if err := l.knobs(); err != nil {
+		return nil, err
+	}
 	ob, err := o.start()
 	if err != nil {
 		return nil, err
@@ -347,7 +375,7 @@ func startLearnRun(rootName string, workers int, l *learnFlags, o *obsFlags) (*l
 
 // finish closes the run and writes everything a learn writes: summary
 // line, stage breakdown, front-end and cache lines — all read from the
-// run's registry — -out and -o, and the inferred specifications by role.
+// run's registry — the -o store, and the inferred specifications by role.
 // nFiles and fingerprint are the corpus identity the store's provenance
 // records.
 func (r *learnRun) finish(res *core.Result, seedSpec *spec.Spec, summary string, nFiles int, fingerprint string, out *outputFlags) error {
@@ -390,14 +418,8 @@ func (r *learnRun) finish(res *core.Result, seedSpec *spec.Spec, summary string,
 		return err
 	}
 
-	merged := res.LearnedSpec(seedSpec)
-	if out.out != "" {
-		if err := os.WriteFile(out.out, []byte(merged.Format()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d specification entries to %s\n", merged.Len(), out.out)
-	}
 	if out.store != "" {
+		merged := res.LearnedSpec(seedSpec)
 		meta := specio.Meta{
 			CorpusFingerprint: fingerprint,
 			CorpusFiles:       nFiles,

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -10,6 +9,7 @@ import (
 	"testing"
 
 	"seldon/internal/corpus"
+	"seldon/internal/specio"
 )
 
 // stageRows returns the stage names of the "stage timings:" table in a
@@ -66,10 +66,10 @@ func TestReportReadsTheRegistry(t *testing.T) {
 	for _, i := range []string{"0", "1"} {
 		run("shard", "-generate", "40", "-slices", "2", "-slice", i, "-o", "p"+i+".shard")
 	}
-	if err := os.WriteFile(filepath.Join(dir, "seed.spec"), []byte(corpus.ExperimentSeed().Format()), 0o644); err != nil {
+	if err := specio.Save(filepath.Join(dir, "seed.json"), corpus.ExperimentSeed(), specio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	coord := run("coordinate", "-seedfile", "seed.spec", "-shards-in", "p*.shard", "-top", "1")
+	coord := run("coordinate", "-seedfile", "seed.json", "-shards-in", "p*.shard", "-top", "1")
 	if got, want := stageRows(t, coord), []string{"shard.decode", "constraints", "solve", "select"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("coordinator's stage table lists %v, want %v", got, want)
 	}

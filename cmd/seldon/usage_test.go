@@ -43,3 +43,19 @@ func TestCoordinateRefusesDir(t *testing.T) {
 		t.Fatalf("coordinate -dir: exit %d, stderr %q; want 2 and flag's refusal of -dir", status, stderr)
 	}
 }
+
+// TestLearnRefusesNonPositiveKnobs: the pipeline reads a learning
+// parameter of 0 as "use the default", so learn and coordinate refuse a
+// value that is not positive rather than run with another one.
+func TestLearnRefusesNonPositiveKnobs(t *testing.T) {
+	for _, knob := range []struct{ flag, value string }{
+		{"-threshold", "0"},
+		{"-lambda", "-0.5"},
+		{"-c", "0"},
+	} {
+		t.Run(knob.flag[1:], func(t *testing.T) {
+			refused(t, learn, knob.flag, "-generate", "40", knob.flag, knob.value)
+			refused(t, coordinate, knob.flag, "-shards-in", "s*.shard", knob.flag, knob.value)
+		})
+	}
+}

@@ -2,6 +2,7 @@ package seldon_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"seldon/internal/core"
@@ -10,14 +11,14 @@ import (
 	"seldon/internal/eval"
 	"seldon/internal/propgraph"
 	"seldon/internal/pyparse"
-	"seldon/internal/spec"
+	"seldon/internal/specio"
 	"seldon/internal/taint"
 )
 
 // TestEndToEndPipeline drives the full production flow the binaries
 // compose: generate a corpus, extract per-file propagation graphs,
 // serialize and reload the union (the shard artifact hand-off), learn
-// specifications, persist and reload them (the seldon learn -out / seldon check
+// specifications, persist and reload them (the seldon learn -o / seldon check
 // -spec hand-off), run the taint analyzer, and classify the reports.
 func TestEndToEndPipeline(t *testing.T) {
 	c := corpus.Generate(corpus.Config{Files: 160, Seed: 21})
@@ -51,14 +52,18 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("nothing learned")
 	}
 
-	// Specification hand-off through the textual format.
+	// Specification hand-off through the spec store.
 	merged := res.LearnedSpec(seed)
-	parsed, err := spec.Parse(merged.Format())
+	path := filepath.Join(t.TempDir(), "specs.json")
+	if err := specio.Save(path, merged, specio.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	parsed, _, err := specio.Load(path)
 	if err != nil {
 		t.Fatalf("spec round trip: %v", err)
 	}
-	if parsed.Len() != merged.Len() {
-		t.Fatalf("spec round trip lost entries: %d vs %d", parsed.Len(), merged.Len())
+	if !specio.Equal(parsed, merged) {
+		t.Fatal("spec round trip changed the specification")
 	}
 
 	// Analysis phase with the reloaded spec on the reloaded graph.

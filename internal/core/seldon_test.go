@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"seldon/internal/constraints"
@@ -143,9 +142,6 @@ func TestLearnedSpecKeepsSinkArgs(t *testing.T) {
 	learned := res.LearnedSpec(seed)
 	if got := learned.SinkArgsOf("flask_render()"); len(got) != 1 || got[0] != 0 {
 		t.Errorf("learned sink args of flask_render() = %v, want [0]", got)
-	}
-	if !strings.Contains(learned.Format(), "i: flask_render() @0\n") {
-		t.Errorf("learned spec text lost the restriction:\n%s", learned.Format())
 	}
 }
 

@@ -472,9 +472,8 @@ func TestSessionPinRefusesSeed(t *testing.T) {
 // TestSessionSaveLoadRoundTrip: a persisted session resumes with the
 // same corpus, solution, and pins — the first relearn after LoadDir
 // warm-starts and reproduces the pre-save store byte for byte. A session
-// directory holds state.bin alone: a flowcache.bin left beside it, as
-// older directories hold one, is not read, so that relearn builds every
-// flow block from nothing.
+// directory holds state.bin alone: SaveDir removes the flowcache.bin older
+// directories hold, and that relearn builds every flow block from nothing.
 func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	files, _ := testCorpus(t, 10, 31)
 	cfg := core.Config{Workers: 1}
@@ -487,18 +486,18 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	want := storeBytes(t, s.LearnedSpec())
 
 	dir := t.TempDir()
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != incr.StateFile {
-		t.Fatalf("session directory holds %v (%v), want %s alone", ents, err, incr.StateFile)
-	}
 	leftover := filepath.Join(dir, "flowcache.bin")
 	if err := s.SaveFlowCache(leftover); err != nil {
 		t.Fatal(err)
 	}
 	if fc, ok := constraints.LoadFlowCache(leftover, cfg.Constraints); !ok || fc.Len() != s.Len() {
 		t.Fatal("the leftover flowcache.bin does not load with a block per file")
+	}
+	if err := s.SaveDir(dir); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != incr.StateFile {
+		t.Fatalf("session directory holds %v (%v), want %s alone", ents, err, incr.StateFile)
 	}
 
 	s2, err := incr.LoadDir(dir, corpus.ExperimentSeed(), cfg)

@@ -47,7 +47,8 @@ type sessionKnobs struct {
 }
 
 // SaveDir persists the session into dir (created if missing): it writes
-// dir/state.bin atomically.
+// dir/state.bin atomically and removes the flowcache.bin an older binary
+// left there, which nothing reads.
 func (s *Session) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -82,7 +83,13 @@ func (s *Session) SaveDir(dir string) error {
 			b = envelope.AppendF64(b, m[pk])
 		}
 	}
-	return envelope.WriteFile(filepath.Join(dir, StateFile), envelope.Seal(b))
+	if err := envelope.WriteFile(filepath.Join(dir, StateFile), envelope.Seal(b)); err != nil {
+		return err
+	}
+	if err := os.Remove(filepath.Join(dir, "flowcache.bin")); !os.IsNotExist(err) {
+		return err
+	}
+	return nil
 }
 
 // encodeSeed is the seed store as a state file carries it.

@@ -138,10 +138,9 @@ func TestMergeLearnsIdentically(t *testing.T) {
 	}
 	dist := core.Learn(res.Graph, seed, cfg)
 
-	a := single.LearnedSpec(seed).Format()
-	b := dist.LearnedSpec(seed).Format()
-	if a != b {
-		t.Errorf("learned specs differ:\nsingle:\n%s\ndistributed:\n%s", a, b)
+	a, b := single.LearnedSpec(seed), dist.LearnedSpec(seed)
+	if !specio.Equal(a, b) {
+		t.Errorf("learned specs differ:\nsingle:      %+v\ndistributed: %+v", a.Entries(), b.Entries())
 	}
 }
 

@@ -214,36 +214,6 @@ func Parse(text string) (*Spec, error) {
 	return s, sc.Err()
 }
 
-// Format renders the specification back to the textual format.
-func (s *Spec) Format() string {
-	var b strings.Builder
-	write := func(prefix string, reps []string) {
-		for _, r := range reps {
-			b.WriteString(prefix)
-			b.WriteString(r)
-			if prefix == "i: " {
-				if args := s.sinkArgs[r]; len(args) > 0 {
-					parts := make([]string, len(args))
-					for i, a := range args {
-						parts[i] = strconv.Itoa(a)
-					}
-					b.WriteString(" @" + strings.Join(parts, ","))
-				}
-			}
-			b.WriteByte('\n')
-		}
-	}
-	write("o: ", s.Sources)
-	write("a: ", s.Sanitizers)
-	write("i: ", s.Sinks)
-	for _, p := range s.Blacklist {
-		b.WriteString("b: ")
-		b.WriteString(p.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Pattern is a compiled glob where '*' matches any substring.
 type Pattern struct {
 	raw   string

@@ -8,7 +8,7 @@ import (
 	"seldon/internal/propgraph"
 )
 
-func TestParseRoundTrip(t *testing.T) {
+func TestParse(t *testing.T) {
 	text := `# comment
 o: request.args.get()
 a: flask.escape()
@@ -22,12 +22,9 @@ b: *.append()
 	if len(s.Sources) != 1 || len(s.Sanitizers) != 1 || len(s.Sinks) != 1 || len(s.Blacklist) != 1 {
 		t.Fatalf("parsed = %+v", s)
 	}
-	s2, err := Parse(s.Format())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Format() != s.Format() {
-		t.Errorf("round trip mismatch:\n%s\nvs\n%s", s.Format(), s2.Format())
+	if s.Sources[0] != "request.args.get()" || s.Sanitizers[0] != "flask.escape()" ||
+		s.Sinks[0] != "flask.Response()" || s.Blacklist[0].String() != "*.append()" {
+		t.Errorf("parsed = %+v", s)
 	}
 }
 

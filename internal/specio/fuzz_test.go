@@ -44,7 +44,7 @@ func FuzzSpecioDecode(f *testing.F) {
 			t.Fatalf("Decode of Encode's output: %v\n%s", err, first.Bytes())
 		}
 		if !Equal(s, again) || againMeta != meta {
-			t.Fatalf("store changed through Encode:\n in  %s %+v\n out %s %+v", s.Format(), meta, again.Format(), againMeta)
+			t.Fatalf("store changed through Encode:\n in  %+v %+v\n out %+v %+v", s.Entries(), meta, again.Entries(), againMeta)
 		}
 		var second bytes.Buffer
 		if err := Encode(&second, again, againMeta); err != nil {

@@ -154,13 +154,15 @@ func Decode(r io.Reader) (*spec.Spec, Meta, error) {
 	return s, st.Meta, nil
 }
 
-// Save writes the store to path (0644).
+// Save writes the store to path through a temp file renamed into place,
+// so a server reloading path reads the old store or the new one, never
+// part of one.
 func Save(path string, s *spec.Spec, meta Meta) error {
 	var buf bytes.Buffer
 	if err := Encode(&buf, s, meta); err != nil {
 		return err
 	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return envelope.WriteFile(path, buf.Bytes())
 }
 
 // Load reads a store from path.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"seldon/internal/envelope"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
 )
@@ -53,7 +54,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !Equal(s, got) {
-		t.Errorf("round trip changed the spec:\nin:  %s\nout: %s", s.Format(), got.Format())
+		t.Errorf("round trip changed the spec:\nin:  %+v\nout: %+v", s.Entries(), got.Entries())
 	}
 	if meta != sampleMeta() {
 		t.Errorf("meta round trip: got %+v", meta)
@@ -141,6 +142,54 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
+// TestSaveReplacesTheFile: Save renames a new file into place rather
+// than rewriting the old one, so a reader that opened the old store —
+// seldond mid-reload — reads all of it.
+func TestSaveReplacesTheFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "specs.json")
+	if err := Save(path, sampleSpec(), sampleMeta()); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := Save(path, spec.New(), Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	s, meta, err := Decode(old)
+	if err != nil || !Equal(s, sampleSpec()) || meta != sampleMeta() {
+		t.Errorf("the store opened before a Save reads back %v, %+v", err, meta)
+	}
+}
+
+// TestSaveFailureLeavesNoTemp: a Save whose rename fails — the target is
+// a non-empty directory, which no user may replace — returns the error
+// and leaves no temp file beside the target.
+func TestSaveFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "specs.json")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(path, sampleSpec(), sampleMeta()); err == nil {
+		t.Fatal("Save over a non-empty directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if envelope.IsTemp(e.Name()) {
+			t.Errorf("Save left %s behind", e.Name())
+		}
+	}
+	if len(ents) != 1 {
+		t.Errorf("directory holds %v, want specs.json alone", ents)
+	}
+}
+
 func TestDecodeRejectsBadInput(t *testing.T) {
 	cases := map[string]string{
 		"not json":       "o: flask.request.args.get()\n",
@@ -174,7 +223,7 @@ func TestDecodeRejectsNonCanonicalStores(t *testing.T) {
 	for _, tc := range nonCanonicalStores {
 		s, _, err := Decode(strings.NewReader(tc.in))
 		if err == nil {
-			t.Errorf("%s: Decode accepted a store Encode cannot write:\n%s", tc.name, s.Format())
+			t.Errorf("%s: Decode accepted a store Encode cannot write: %+v", tc.name, s.Entries())
 		} else if !errors.Is(err, tc.want) {
 			t.Errorf("%s: Decode = %v, want %v", tc.name, err, tc.want)
 		}
@@ -186,7 +235,7 @@ func TestDecodeRejectsNonCanonicalStores(t *testing.T) {
 		t.Fatalf("hand-formatted store: %v", err)
 	}
 	if len(s.Sources) != 1 || len(s.Sinks) != 1 || len(s.SinkArgsOf("k()")) != 1 {
-		t.Errorf("hand-formatted store decoded to:\n%s", s.Format())
+		t.Errorf("hand-formatted store decoded to %+v", s.Entries())
 	}
 }
 

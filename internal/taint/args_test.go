@@ -1,11 +1,13 @@
 package taint
 
 import (
+	"bytes"
 	"testing"
 
 	"seldon/internal/dataflow"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
+	"seldon/internal/specio"
 )
 
 const wrongParamApp = `from flask import request
@@ -112,11 +114,15 @@ func TestSpecArgSyntaxRoundTrip(t *testing.T) {
 	if s.SinkArgsOf("os.system()") != nil {
 		t.Error("unrestricted sink has args")
 	}
-	s2, err := spec.Parse(s.Format())
-	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, s.Format())
+	var store bytes.Buffer
+	if err := specio.Encode(&store, s, specio.Meta{}); err != nil {
+		t.Fatal(err)
 	}
-	if got := s2.SinkArgsOf("webdb.runquery()"); len(got) != 2 {
+	s2, _, err := specio.Decode(&store)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got := s2.SinkArgsOf("webdb.runquery()"); len(got) != 2 || !specio.Equal(s2, s) {
 		t.Errorf("round-trip args = %v", got)
 	}
 }
