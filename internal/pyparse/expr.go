@@ -171,11 +171,13 @@ func (p *parser) parsePower() pyast.Expr {
 	return e
 }
 
+// parseAwait parses `[await] primary`: what await takes is a primary, so
+// `await await y` is an error, as in CPython.
 func (p *parser) parseAwait() pyast.Expr {
 	if p.at(pytoken.KwAwait) {
 		tok := p.next()
 		p.nest()
-		e := &pyast.Await{AwaitPos: tok.Pos, Value: p.parseAwait()}
+		e := &pyast.Await{AwaitPos: tok.Pos, Value: p.parsePostfix(p.parseAtom())}
 		p.depth--
 		return e
 	}
@@ -330,16 +332,6 @@ func (p *parser) parseAtom() pyast.Expr {
 		return p.parseListForm()
 	case pytoken.LBRACE:
 		return p.parseBraceForm()
-	case pytoken.KwYield:
-		return p.parseYield()
-	case pytoken.KwLambda:
-		return p.parseLambda()
-	case pytoken.KwAwait:
-		return p.parseAwait()
-	case pytoken.KwNot:
-		return p.parseNot()
-	case pytoken.PLUS, pytoken.MINUS, pytoken.TILDE:
-		return p.parseUnary()
 	default:
 		p.errorf("unexpected %s in expression", tok)
 		return nil
@@ -398,6 +390,9 @@ func (p *parser) parseParenForm() pyast.Expr {
 		p.expect(pytoken.RPAREN)
 		return &pyast.Tuple{TuplePos: open.Pos, Elts: p.sc.exprs.carve(mark)}
 	default:
+		if _, ok := first.(*pyast.Starred); ok {
+			p.errorf("cannot use starred expression here")
+		}
 		p.expect(pytoken.RPAREN)
 		return first
 	}

@@ -529,6 +529,8 @@ func (p *parser) parseSimpleStatement() pyast.Stmt {
 			a.Msg = p.parseExpr()
 		}
 		return a
+	case pytoken.KwYield:
+		return node(&p.sc.exprStmts, pyast.ExprStmt{Value: p.parseYield()})
 	default:
 		return p.parseExprOrAssign()
 	}

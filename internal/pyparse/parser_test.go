@@ -402,6 +402,62 @@ func TestYieldForms(t *testing.T) {
 	}
 }
 
+// TestOperandFormsCPythonRefuses: not, await, lambda and yield each have
+// one way into an expression, and a starred expression needs a tuple, a
+// list or a call around it, so what CPython 3.11 refuses is a parse error
+// here too, while the forms it accepts beside them still parse.
+func TestOperandFormsCPythonRefuses(t *testing.T) {
+	for _, src := range []string{
+		"x = a + not b", "x = a < not b", "x = ~not a", "x = not lambda: 1",
+		"x = await await y", "x = await -y", "x = (*a)", "0(0%(*()))",
+		"f(yield)", "yield = 1", "[x for x in lambda: y]",
+	} {
+		if _, err := Parse("t.py", src+"\n"); err == nil {
+			t.Errorf("%s: parsed, but CPython refuses it", src)
+		}
+	}
+	for src, want := range map[string]string{
+		"x = a + (not b)":     "a + (not b)",
+		"x = a[not b]":        "a[not b]",
+		"x = -await y":        "-await y",
+		"x = await a ** b":    "await a ** b",
+		"x = await (yield)":   "await (yield)",
+		"x = (*a,)":           "(*a,)",
+		"x = lambda: (yield)": "lambda: (yield)",
+	} {
+		mod := mustParse(t, src+"\n")
+		if got := Unparse(mod.Body[0].(*pyast.Assign).Value); got != want {
+			t.Errorf("%s: value %s, want %s", src, got, want)
+		}
+	}
+	if y, ok := exprOf(t, "yield x").(*pyast.Yield); !ok || Unparse(y.Value) != "x" {
+		t.Errorf("yield x: %#v", y)
+	}
+}
+
+// TestNumberTakesItsDot: a '.' after decimal digits belongs to the number,
+// as CPython 3.11's tokenizer reads it: 1.e5 and 1.j are literals, 1..real
+// is the attribute of 1., and 1.real is an error, not (1).real.
+func TestNumberTakesItsDot(t *testing.T) {
+	for src, want := range map[string]string{
+		"1.e5":          "1.e5",
+		"1.j":           "1.j",
+		"1.E+3j":        "1.E+3j",
+		"1_0.e1_0":      "1_0.e1_0",
+		"1..real":       "(1.).real",
+		"1.5.real":      "(1.5).real",
+		"1 .real":       "(1).real",
+		"1.if c else 2": "1. if c else 2",
+	} {
+		if got := Unparse(exprOf(t, src)); got != want {
+			t.Errorf("%s: %s, want %s", src, got, want)
+		}
+	}
+	if _, err := Parse("t.py", "x = 1.real\n"); err == nil {
+		t.Error("x = 1.real parsed, but CPython refuses it")
+	}
+}
+
 func TestAsyncForms(t *testing.T) {
 	src := `async def handler(req):
     async with session.get(url) as resp:
@@ -584,10 +640,11 @@ func TestParseModuleStatementCount(t *testing.T) {
 // while the statements around it still parse.
 func TestNestingBudget(t *testing.T) {
 	forms := map[string]func(n int) string{
-		"power":  func(n int) string { return "y" + strings.Repeat("**y", n) },
-		"unary":  func(n int) string { return strings.Repeat("-", n) + "y" },
-		"not":    func(n int) string { return strings.Repeat("not ", n) + "y" },
-		"await":  func(n int) string { return strings.Repeat("await ", n) + "y" },
+		"power": func(n int) string { return "y" + strings.Repeat("**y", n) },
+		"unary": func(n int) string { return strings.Repeat("-", n) + "y" },
+		"not":   func(n int) string { return strings.Repeat("not ", n) + "y" },
+		// await takes a primary, so awaits nest through their powers.
+		"await":  func(n int) string { return strings.Repeat("await y ** ", n) + "y" },
 		"lambda": func(n int) string { return strings.Repeat("lambda: ", n) + "y" },
 		"ifexp":  func(n int) string { return strings.Repeat("y if y else ", n) + "y" },
 	}

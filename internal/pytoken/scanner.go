@@ -357,7 +357,9 @@ func (s *Scanner) scanString(prefix string) Token {
 }
 
 // scanNumber scans integer, float, imaginary, hex, octal, and binary
-// literals, including underscores as digit separators.
+// literals, including underscores as digit separators. A '.' after
+// decimal digits is the number's, as in CPython: 1.e5 and 1.j are
+// literals and 1..real is (1.).real.
 func (s *Scanner) scanNumber() Token {
 	pos := s.pos()
 	start := s.off
@@ -378,7 +380,7 @@ func (s *Scanner) scanNumber() Token {
 		}
 	}
 	digits()
-	if s.peek() == '.' && isDigit(s.peekAt(1)) || s.peek() == '.' && !identByte[s.peekAt(1)] && s.peekAt(1) != '.' {
+	if s.peek() == '.' {
 		s.advance()
 		digits()
 	}
