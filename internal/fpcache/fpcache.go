@@ -50,7 +50,7 @@ import (
 // (pytoken + pyparse + dataflow + the propgraph binary codec). Bump it
 // whenever any of those changes observable output: every existing cache
 // entry then misses and is rebuilt, instead of replaying stale results.
-const AnalyzerVersion = "seldon-frontend-v4"
+const AnalyzerVersion = "seldon-frontend-v5"
 
 const (
 	magic = "SFPC"
