@@ -1,7 +1,7 @@
 // Command seldon is every program that reads a directory of Python: it
 // learns taint specifications from a corpus — likely sources, sanitizers
 // and sinks inferred from a seed specification, printed by confidence and
-// optionally saved as a spec store — and checks code against one. It is one program with
+// optionally saved — and checks code against one. It is one program with
 // five ways in, each a subcommand whose flags (-h lists them) are drawn
 // from the same groups:
 //
@@ -25,13 +25,9 @@
 // Whichever way in, the store is byte-identical to `seldon learn` over the
 // whole corpus.
 //
-//	seldon check -spec specs.json file1.py file2.py ...
+//	seldon check -spec specs.json a.py b.py ...  # a store, or o:/a:/i:/b: lines
 //	seldon check -dir repo                  # the App. B seed by default
 //	seldon graph -dir repo -o graph.json
-//
-// The store -o writes is the one file a learned specification lives in:
-// check -spec, -seedfile and seldond -specs read it. check -spec and
-// -seedfile also read o:/a:/i:/b: lines, the way seeds are written by hand.
 //
 // check reports the unsanitized source→sink flows a specification finds
 // (exit 0 clean, 1 flows found, 2 could not run); graph writes the union
@@ -57,7 +53,6 @@ import (
 	"slices"
 	"strings"
 	"time"
-	"unicode"
 
 	"seldon/internal/core"
 	"seldon/internal/corpus"
@@ -186,20 +181,6 @@ func addLearnFlags(fs *flag.FlagSet) *learnFlags {
 	return l
 }
 
-// knobs refuses a learning parameter that is not positive: the pipeline
-// reads 0 as "use the default", so -threshold 0 would run at 0.1.
-func (l *learnFlags) knobs() error {
-	for _, k := range []struct {
-		name  string
-		value float64
-	}{{"threshold", l.threshold}, {"lambda", l.lambda}, {"c", l.c}} {
-		if !(k.value > 0) {
-			return fmt.Errorf("%w: -%s must be positive, got %v", errUsage, k.name, k.value)
-		}
-	}
-	return nil
-}
-
 // seed resolves the seed specification: -seedfile, or else the
 // generator's for a generated corpus and the paper's App. B seed for any
 // other.
@@ -213,19 +194,18 @@ func (l *learnFlags) seed(generated bool) (*spec.Spec, error) {
 	return spec.Seed(), nil
 }
 
-// readSpec reads a specification file: a spec store, as seldon learn -o
-// writes, when its first non-space byte is '{', and o:/a:/i:/b: lines
-// otherwise.
+// readSpec reads a specification file: the store seldon learn -o writes
+// when its first non-space byte is '{', else o:/a:/i:/b: lines.
 func readSpec(path string) (*spec.Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.HasPrefix(bytes.TrimLeftFunc(data, unicode.IsSpace), []byte("{")) {
-		return spec.Parse(string(data))
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("{")) {
+		s, _, err := specio.Decode(bytes.NewReader(data))
+		return s, err
 	}
-	s, _, err := specio.Decode(bytes.NewReader(data))
-	return s, err
+	return spec.Parse(string(data))
 }
 
 // outputFlags say what to print and where to save what was learned.
@@ -358,8 +338,12 @@ type learnRun struct {
 }
 
 func startLearnRun(rootName string, workers int, l *learnFlags, o *obsFlags) (*learnRun, error) {
-	if err := l.knobs(); err != nil {
-		return nil, err
+	// The pipeline reads a knob of 0 as "use the default": refuse what is
+	// not positive rather than learn with another value.
+	for i, v := range []float64{l.threshold, l.lambda, l.c} {
+		if !(v > 0) {
+			return nil, fmt.Errorf("%w: -%s must be positive, got %v", errUsage, []string{"threshold", "lambda", "c"}[i], v)
+		}
 	}
 	ob, err := o.start()
 	if err != nil {

@@ -53,6 +53,9 @@ func (s *Session) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	if err := os.Remove(filepath.Join(dir, "flowcache.bin")); err != nil && !os.IsNotExist(err) {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -83,13 +86,7 @@ func (s *Session) SaveDir(dir string) error {
 			b = envelope.AppendF64(b, m[pk])
 		}
 	}
-	if err := envelope.WriteFile(filepath.Join(dir, StateFile), envelope.Seal(b)); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(dir, "flowcache.bin")); !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return envelope.WriteFile(filepath.Join(dir, StateFile), envelope.Seal(b))
 }
 
 // encodeSeed is the seed store as a state file carries it.

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"seldon/internal/envelope"
@@ -233,47 +234,15 @@ func FingerprintHashes(names, hashes []string) string {
 // entries in the same order, same sink argument restrictions, and the
 // same blacklist patterns. It is the round-trip oracle for this package.
 func Equal(a, b *spec.Spec) bool {
-	if !stringsEqual(a.Sources, b.Sources) ||
-		!stringsEqual(a.Sanitizers, b.Sanitizers) ||
-		!stringsEqual(a.Sinks, b.Sinks) {
+	if !slices.Equal(a.Sources, b.Sources) ||
+		!slices.Equal(a.Sanitizers, b.Sanitizers) ||
+		!slices.Equal(a.Sinks, b.Sinks) {
 		return false
 	}
 	for _, rep := range a.Sinks {
-		if !intsEqual(a.SinkArgsOf(rep), b.SinkArgsOf(rep)) {
+		if !slices.Equal(a.SinkArgsOf(rep), b.SinkArgsOf(rep)) {
 			return false
 		}
 	}
-	if len(a.Blacklist) != len(b.Blacklist) {
-		return false
-	}
-	for i := range a.Blacklist {
-		if a.Blacklist[i].String() != b.Blacklist[i].String() {
-			return false
-		}
-	}
-	return true
-}
-
-func stringsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a.Blacklist, b.Blacklist, func(p, q spec.Pattern) bool { return p.String() == q.String() })
 }
