@@ -371,14 +371,15 @@ func writeLiteral(b *strings.Builder, lit string) {
 }
 
 // literalEnds lists the lengths a literal at the start of s can have:
-// where the scanner ends it, and, when it opens with three quotes, just
-// past an empty literal made of the first two.
+// where the scanner ends it, and, when it opens with three quotes after
+// its prefix letters, just past an empty literal made of the first two.
 func literalEnds(s string) []int {
 	var ends []int
 	if toks, _ := pytoken.ScanAll("lit.py", s); toks[0].Kind == pytoken.STRING && oneLiteral(toks[0].Lit) {
 		ends = append(ends, len(toks[0].Lit))
 	}
-	if q := strings.IndexAny(s, `'"`); q >= 0 && q <= 2 && strings.HasPrefix(s[q:], strings.Repeat(s[q:q+1], 3)) {
+	if q := strings.IndexAny(s, `'"`); q >= 0 && q <= 2 && strings.Trim(s[:q], "rRbBuUfF") == "" &&
+		strings.HasPrefix(s[q:], strings.Repeat(s[q:q+1], 3)) {
 		ends = append(ends, q+2)
 	}
 	return ends
