@@ -201,16 +201,11 @@ func readSpec(path string) (*spec.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	var s *spec.Spec
 	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("{")) {
-		s, _, err = specio.Decode(bytes.NewReader(data))
-	} else {
-		s, err = spec.Parse(string(data))
+		s, _, err := specio.Decode(bytes.NewReader(data))
+		return s, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
+	return spec.Parse(string(data))
 }
 
 // outputFlags say what to print and where to save what was learned.
