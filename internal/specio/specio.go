@@ -157,13 +157,17 @@ func Decode(r io.Reader) (*spec.Spec, Meta, error) {
 
 // Save writes the store to path through a temp file renamed into place,
 // so a server reloading path reads the old store or the new one, never
-// part of one.
+// part of one. The store is readable by all (0644), as seldond may run
+// as another user than the learn that wrote it.
 func Save(path string, s *spec.Spec, meta Meta) error {
 	var buf bytes.Buffer
 	if err := Encode(&buf, s, meta); err != nil {
 		return err
 	}
-	return envelope.WriteFile(path, buf.Bytes())
+	if err := envelope.WriteFile(path, buf.Bytes()); err != nil {
+		return err
+	}
+	return os.Chmod(path, 0o644)
 }
 
 // Load reads a store from path.

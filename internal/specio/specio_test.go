@@ -144,11 +144,18 @@ func TestSaveLoadFile(t *testing.T) {
 
 // TestSaveReplacesTheFile: Save renames a new file into place rather
 // than rewriting the old one, so a reader that opened the old store —
-// seldond mid-reload — reads all of it.
+// seldond mid-reload — reads all of it, and the store is readable by all.
 func TestSaveReplacesTheFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "specs.json")
 	if err := Save(path, sampleSpec(), sampleMeta()); err != nil {
 		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o644 {
+		t.Errorf("saved store has mode %v, want 0644", fi.Mode().Perm())
 	}
 	old, err := os.Open(path)
 	if err != nil {
