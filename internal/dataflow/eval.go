@@ -90,15 +90,16 @@ func (a *analyzer) eval(fe *funcEnv, e pyast.Expr) ([]*object, *sympath) {
 	case *pyast.Set:
 		return a.container(fe, x.Elts), nil
 	case *pyast.Dict:
-		o := a.sc.newObject(-1)
+		o, mark := a.sc.newObject(-1), len(a.sc.operands)
 		for i := range x.Keys {
 			if x.Keys[i] != nil {
 				k, _ := a.eval(fe, x.Keys[i])
-				o.addField(a.sc, elemKey, k)
+				a.sc.operands = append(a.sc.operands, k)
 			}
 			v, _ := a.eval(fe, x.Values[i])
-			o.addField(a.sc, elemKey, v)
+			a.sc.operands = append(a.sc.operands, v)
 		}
+		o.addPending(a.sc, elemKey, mark)
 		return a.sc.one(o), nil
 
 	case *pyast.Comp:
@@ -165,12 +166,16 @@ func (fe *funcEnv) lookupVar(name string) []*object {
 	return nil
 }
 
+// container evaluates a tuple, list or set display into one fresh object
+// whose elements are every element's objects, merged in one union: a
+// union per element would copy a set that grows by one each time.
 func (a *analyzer) container(fe *funcEnv, elts []pyast.Expr) []*object {
-	o := a.sc.newObject(-1)
+	o, mark := a.sc.newObject(-1), len(a.sc.operands)
 	for _, el := range elts {
 		v, _ := a.eval(fe, el)
-		o.addField(a.sc, elemKey, v)
+		a.sc.operands = append(a.sc.operands, v)
 	}
+	o.addPending(a.sc, elemKey, mark)
 	return a.sc.one(o)
 }
 

@@ -49,7 +49,7 @@ type Scratch struct {
 	events    []int    // collectEvents result
 	names     []string // collect's stack of sorted field names
 	tmp       []*object
-	operands  [][]*object // object sets of binary operands awaiting one union
+	operands  [][]*object // object sets of binary operands or display elements awaiting one union
 	reps      []string    // representations of the event being added
 }
 

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -59,6 +60,50 @@ func TestScratchResetCaps(t *testing.T) {
 	for _, p := range []int{len(sc.vars.maps), len(sc.bound.maps), len(sc.funcs.maps), len(sc.fieldMaps.maps)} {
 		if p > maxPooledMaps {
 			t.Fatalf("a map pool retains %d maps, cap %d", p, maxPooledMaps)
+		}
+	}
+}
+
+// A literal display costs the scratch linear room in its length: tuple,
+// list, set and dict displays of n and 4n elements may grow what the
+// scratch holds after the analysis by at most 4.5×. A union per element,
+// which copies the set built so far, grows it 12–17× (and holds 1.2 GB for
+// the 8000-pair dict).
+func TestDisplayScratchIsLinear(t *testing.T) {
+	const n = 2000
+	display := func(open, close string, m int, elem func(i int) string) string {
+		var src strings.Builder
+		src.WriteString("x = " + open)
+		for i := 0; i < m; i++ {
+			src.WriteString(elem(i) + ", ")
+		}
+		return src.String() + close + "\n"
+	}
+	str := func(i int) string { return fmt.Sprintf("'s%d'", i) }
+	pair := func(i int) string { return fmt.Sprintf("'k%d': 'v%d'", i, i) }
+	for _, shape := range []struct {
+		name, open, close string
+		elem              func(int) string
+	}{
+		{"tuple", "(", ")", str},
+		{"list", "[", "]", str},
+		{"set", "{", "}", str},
+		{"dict", "{", "}", pair},
+	} {
+		retained := func(m int) int {
+			mod, err := pyparse.Parse("table.py", display(shape.open, shape.close, m, shape.elem))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := new(Scratch)
+			AnalyzeModule(mod, Options{Scratch: sc})
+			return sc.Retained()
+		}
+		small, large := retained(n), retained(4*n)
+		t.Logf("%s: %d bytes at %d elements, %d at %d", shape.name, small, n, large, 4*n)
+		if float64(large) > 4.5*float64(small) {
+			t.Errorf("%s display: scratch holds %d bytes at %d elements, %d at %d: more than 4.5×",
+				shape.name, small, n, large, 4*n)
 		}
 	}
 }

@@ -31,14 +31,22 @@ type object struct {
 
 func (o *object) field(name string) []*object { return o.fields[name] }
 
-func (o *object) addField(sc *Scratch, name string, vals []*object) {
-	if len(vals) == 0 {
-		return
+// addField merges the object sets vals into field name, in one union.
+func (o *object) addField(sc *Scratch, name string, vals ...[]*object) {
+	if set := sc.union(o.fields[name], vals...); len(set) > 0 {
+		if o.fields == nil {
+			o.fields = sc.fieldMaps.get()
+		}
+		o.fields[name] = set
 	}
-	if o.fields == nil {
-		o.fields = sc.fieldMaps.get()
-	}
-	o.fields[name] = sc.union(o.fields[name], vals)
+}
+
+// addPending adds the object sets pushed onto sc.operands from mark on to
+// field name and pops them.
+func (o *object) addPending(sc *Scratch, name string, mark int) {
+	o.addField(sc, name, sc.operands[mark:]...)
+	clear(sc.operands[mark:])
+	sc.operands = sc.operands[:mark]
 }
 
 // Object sets are immutable once built: union returns x itself or a new

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -108,7 +109,10 @@ func TestCheckTaintedFlow(t *testing.T) {
 // memory) — are answered as parse errors with a position by the one
 // worker there is, and that worker answers the next request. Left-nested
 // chains of the same length — a sum and a call of a call — are not deep
-// where the parser recurses, so they parse clean.
+// where the parser recurses, so they parse clean. A dict display of
+// 16,000 string pairs, which once held the worker past its deadline while
+// dataflow copied the growing element set once per entry, parses clean
+// and is answered in time.
 func TestCheckHostileBodies(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, body := range []struct{ src, err string }{
@@ -118,6 +122,7 @@ func TestCheckHostileBodies(t *testing.T) {
 			"app.py:1:3008: expression nested too deeply"},
 		{"x = 1" + strings.Repeat(" + 1", 199999) + "\n", ""},
 		{"x = f" + strings.Repeat("()", 200000) + "\n", ""},
+		{literalTable(16000), ""},
 	} {
 		resp, out := postCheck(t, ts.URL, body.src)
 		want := out.ParseError == ""
@@ -132,6 +137,17 @@ func TestCheckHostileBodies(t *testing.T) {
 			t.Errorf("after %.12s…: status %d, %d findings, want 200 and 1", body.src, next.StatusCode, out.Total)
 		}
 	}
+}
+
+// literalTable is a module holding one dict display of n string pairs,
+// the shape of a vendored encoding or entity table.
+func literalTable(n int) string {
+	var src strings.Builder
+	src.WriteString("table = {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "    'key%d': 'value%d',\n", i, i)
+	}
+	return src.String() + "}\n"
 }
 
 func TestCheckSanitizedFlow(t *testing.T) {
