@@ -195,17 +195,25 @@ func (l *learnFlags) seed(generated bool) (*spec.Spec, error) {
 }
 
 // readSpec reads a specification file: the store seldon learn -o writes
-// when its first non-space byte is '{', else o:/a:/i:/b: lines.
+// when its first non-space byte is '{', else o:/a:/i:/b: lines. A file
+// with no role entry and no blacklist pattern — a truncated copy,
+// /dev/null — is refused: checked with, it would report nothing; learned
+// from, it would seed nothing.
 func readSpec(path string) (*spec.Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	var s *spec.Spec
 	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("{")) {
-		s, _, err := specio.Decode(bytes.NewReader(data))
-		return s, err
+		s, _, err = specio.Decode(bytes.NewReader(data))
+	} else {
+		s, err = spec.Parse(string(data))
 	}
-	return spec.Parse(string(data))
+	if err == nil && s.Len() == 0 && len(s.Blacklist) == 0 {
+		return nil, fmt.Errorf("%s: no role entry and no blacklist pattern", path)
+	}
+	return s, err
 }
 
 // outputFlags say what to print and where to save what was learned.
@@ -367,7 +375,6 @@ func (r *learnRun) finish(res *core.Result, seedSpec *spec.Spec, summary string,
 	r.cfg.Metrics.Set(obs.GaugePipelineWall, time.Since(r.begun).Seconds())
 	snap := r.cfg.Metrics.Snapshot()
 
-	st := res.Graph.ComputeStats()
 	errNote := ""
 	switch n := len(res.ParseErrorFiles); n {
 	case 0:
@@ -377,7 +384,7 @@ func (r *learnRun) finish(res *core.Result, seedSpec *spec.Spec, summary string,
 		errNote = fmt.Sprintf(" (%d parse errors)", n)
 	}
 	fmt.Printf("%s%s: %d events, %d candidate events, %d constraints, solved in %s (%d epochs)\n",
-		summary, errNote, st.Events, len(res.System.EventInfos),
+		summary, errNote, len(res.Graph.Events), len(res.System.EventInfos),
 		len(res.System.Problem.Constraints), seconds(snap.Timers[obs.StageSolve].Sum).Round(time.Millisecond),
 		res.SolverEpochs)
 	fmt.Print(stageBreakdown(snap))
@@ -407,7 +414,7 @@ func (r *learnRun) finish(res *core.Result, seedSpec *spec.Spec, summary string,
 		meta := specio.Meta{
 			CorpusFingerprint: fingerprint,
 			CorpusFiles:       nFiles,
-			Events:            st.Events,
+			Events:            len(res.Graph.Events),
 			SeedEntries:       seedSpec.Len(),
 			LearnedEntries:    merged.Len() - seedSpec.Len(),
 			Generator:         "seldon",

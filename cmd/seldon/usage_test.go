@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -57,5 +59,33 @@ func TestLearnRefusesNonPositiveKnobs(t *testing.T) {
 			refused(t, learn, knob.flag, "-generate", "40", knob.flag, knob.value)
 			refused(t, coordinate, knob.flag, "-shards-in", "s*.shard", knob.flag, knob.value)
 		})
+	}
+}
+
+// emptyFile is a zero-byte file in a fresh temporary directory.
+func emptyFile(t *testing.T) string {
+	path := filepath.Join(t.TempDir(), "empty.spec")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCheckRefusesEmptySpec: a zero-byte -spec has no role entry to check
+// against, so check refuses it, naming the file, rather than report no
+// flow and exit 0 as a clean check does.
+func TestCheckRefusesEmptySpec(t *testing.T) {
+	path := emptyFile(t)
+	if err := check([]string{"-generate", "3", "-spec", path}); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("check -spec of a zero-byte file: %v, want an error naming %s", err, path)
+	}
+}
+
+// TestLearnRefusesEmptySeedfile: a zero-byte -seedfile seeds nothing, so
+// learn refuses it, naming the file, rather than learn with no seed.
+func TestLearnRefusesEmptySeedfile(t *testing.T) {
+	path := emptyFile(t)
+	if err := learn([]string{"-generate", "40", "-seedfile", path}); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("learn -seedfile of a zero-byte file: %v, want an error naming %s", err, path)
 	}
 }
