@@ -233,11 +233,13 @@ type flowScratch struct {
 	sanMid  []int
 }
 
-// resized returns s with length n, reallocated when its capacity is short;
-// the contents are unspecified.
+// resized returns s with length n, reallocated with a sixteenth more room
+// when its capacity is short, so that a size drifting up by a few edits'
+// worth does not reallocate it each time, and never nil; the contents are
+// unspecified.
 func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+	if cap(s) < n || s == nil {
+		return make([]T, n, n+n/16)
 	}
 	return s[:n]
 }

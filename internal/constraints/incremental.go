@@ -76,9 +76,11 @@ type FlowCache struct {
 	numbering  [32]byte
 	remembered bool
 	// The last build's constraint slice and the flow blocks laid out in
-	// it, in order: the next build writes over it (see assemble).
-	cons []lp.Constraint
-	laid []*flowBlock
+	// it, in order, and its event tables: the next build writes over them
+	// (see assemble and buildCore).
+	cons   []lp.Constraint
+	laid   []*flowBlock
+	tables buildTables
 }
 
 // NewFlowCache returns an empty cache.
@@ -120,19 +122,22 @@ type DeltaStats struct {
 // calls and is updated in place (stale files pruned, rebuilt files
 // replaced). A nil cache or invalid spans degrade to a full build.
 //
-// A System built through a cache shares its constraint slice with the
-// cache, and the next build through that cache writes over it: the
-// System is valid until then — the lifetime a session's core.Result
+// A System built through a cache shares its constraint slice and its
+// event tables (EventInfos and the symbols they hold, InfoFor's index)
+// with the cache, and the next build through that cache writes over them:
+// the System is valid until then — the lifetime a session's core.Result
 // already has. Build, which has no cache, is unaffected.
 func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	spans []Span, cache *FlowCache) (*System, DeltaStats) {
 	opts = opts.WithDefaults()
 	var numbering [32]byte
-	digest := &numbering
+	digest, tables := &numbering, (*buildTables)(nil)
 	if cache == nil {
 		digest = nil
+	} else {
+		tables = &cache.tables
 	}
-	s, workers := buildCore(g, seed, opts, digest)
+	s, workers := buildCore(g, seed, opts, tables, digest)
 	m := opts.Metrics
 	st := DeltaStats{Spans: len(spans)}
 

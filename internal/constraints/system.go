@@ -15,6 +15,8 @@
 package constraints
 
 import (
+	"math/bits"
+	"slices"
 	"time"
 
 	"seldon/internal/lp"
@@ -140,17 +142,30 @@ func Build(g *propgraph.Graph, seed *spec.Spec, opts Options) *System {
 	return s
 }
 
+// buildTables are buildCore's per-build tables: the event table and the
+// event → table index a System keeps, and per filter range the arena its
+// events' surviving symbols are carved from and the roles each symbol
+// survived under. A build through a FlowCache takes them from the cache
+// and leaves them there for the next build to overwrite; any other build
+// makes its own.
+type buildTables struct {
+	infos       []EventInfo
+	infoByEvent []int
+	arenas      [][]propgraph.Sym
+	marks       [][]propgraph.RoleSet
+}
+
 // buildCore runs passes 1–3 (frequencies, candidate filter, variables +
 // seed pins) and returns the system ready for flow-constraint
 // generation, plus the resolved worker count. It is shared by Build and
-// BuildIncremental so both produce bit-identical variable tables. When
+// BuildIncremental so both produce bit-identical variable tables. The
+// system's event tables are t's, nil for tables of its own. When
 // numbering is non-nil it also receives the system's numbering digest.
-func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options, numbering *[32]byte) (*System, int) {
-	s := &System{
-		Syms:        g.Syms,
-		infoByEvent: make([]int, len(g.Events)),
-		Opts:        opts,
+func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options, t *buildTables, numbering *[32]byte) (*System, int) {
+	if t == nil {
+		t = new(buildTables)
 	}
+	s := &System{Syms: g.Syms, Opts: opts}
 	m := opts.Metrics
 	strs := g.Syms.Strings()
 	nsyms := len(strs)
@@ -191,80 +206,109 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options, numbering *[32
 			repCount[i] += c
 		}
 	}
+	if m != nil {
+		// The interning summary (propgraph.Stats' figures): every
+		// occurrence carried by value would cost its string's length, so
+		// the counts sum to what walking the occurrences would.
+		var occurrence int64
+		for sym, c := range repCount {
+			occurrence += int64(c) * int64(len(strs[sym]))
+		}
+		m.Set(obs.GaugeInternSymbols, float64(g.Syms.Len()))
+		m.Set(obs.GaugeInternBytesSaved, float64(occurrence-g.Syms.Bytes()))
+	}
 	m.ObserveDuration(obs.StageConstraintsFreq, time.Since(t0))
 
 	// Pass 2: candidate events and their surviving representations. Seed
 	// roles and the glob blacklist are evaluated once per distinct symbol
 	// (spec.SymIndex), then each range is filtered into its own arena and
 	// into the event table from the range's first slot on (a range keeps
-	// at most one event per slot it spans). Moving each range's events
+	// at most one event per slot it spans), marking the roles each
+	// surviving symbol is a candidate for. Moving each range's events
 	// down behind the previous range's, in range order, leaves exactly
 	// the sequential order.
 	t0 = time.Now()
 	ix := seed.IndexStrings(strs)
 	cutoff := int32(opts.BackoffCutoff)
-	infos := make([]EventInfo, len(g.Events))
-	kept := make([]int, workers)
+	infos := resized(t.infos, len(g.Events))
+	for len(t.arenas) < workers {
+		t.arenas, t.marks = append(t.arenas, nil), append(t.marks, nil)
+	}
+	kept, grew := make([]int, workers), make([]bool, workers)
 	par.For(workers, workers, func(_, r int) {
 		lo, hi := ranges(r)
 		// Pre-size to upper bounds (every occurrence surviving) so the
-		// filter loop never reallocates.
+		// filter loop never reallocates: an event's symbols are carved as
+		// soon as they are in.
 		occ := 0
 		for id := lo; id < hi; id++ {
 			occ += g.NumReps(id)
 		}
 		out := infos[lo:lo:hi]
-		starts := make([]int, 0, hi-lo)
-		arena := make([]propgraph.Sym, 0, occ)
+		arena := resized(t.arenas[r], occ)[:0]
+		grew[r] = cap(arena) > cap(t.arenas[r])
+		mark := resized(t.marks[r], nsyms)
+		clear(mark)
 		for id := lo; id < hi; id++ {
 			start := len(arena)
+			roles := g.Events[id].Roles
 			for _, sym := range g.RepIDs(id) {
 				if ix.Blacklisted(sym) {
 					continue
 				}
 				if repCount[sym] >= cutoff || ix.Roles(sym) != 0 {
 					arena = append(arena, sym)
+					mark[sym] |= roles
 				}
 			}
-			if len(arena) == start {
-				continue
+			if end := len(arena); end > start {
+				out = append(out, EventInfo{EventID: id, RepIDs: arena[start:end:end], Roles: roles})
 			}
-			out = append(out, EventInfo{EventID: id, Roles: g.Events[id].Roles})
-			starts = append(starts, start)
-		}
-		// The arena no longer grows; carve the per-event slices.
-		for i := range out {
-			end := len(arena)
-			if i+1 < len(out) {
-				end = starts[i+1]
-			}
-			out[i].RepIDs = arena[starts[i]:end:end]
 		}
 		kept[r] = len(out)
+		t.arenas[r], t.marks[r] = arena, mark
 	})
 	n := 0
 	for r, k := range kept {
 		lo, _ := ranges(r)
 		n += copy(infos[n:], infos[lo:lo+k])
 	}
-	s.EventInfos = infos[:n]
+	if slices.Contains(grew, true) {
+		// Past n the table holds the previous build's events, whose
+		// symbols may be in an arena no range holds any more.
+		clear(infos[n:cap(infos)])
+	}
+	s.EventInfos, t.infos = infos[:n], infos
+	s.infoByEvent = resized(t.infoByEvent, len(g.Events))
+	t.infoByEvent = s.infoByEvent
 	for i := range s.infoByEvent {
 		s.infoByEvent[i] = -1
 	}
 	for i := range s.EventInfos {
 		s.infoByEvent[s.EventInfos[i].EventID] = i
 	}
+	// Every (symbol, role) a range marked gets a variable in pass 3.
+	pairs := 0
+	for sym := range nsyms {
+		var roles propgraph.RoleSet
+		for _, mark := range t.marks[:workers] {
+			roles |= mark[sym]
+		}
+		pairs += bits.OnesCount8(uint8(roles))
+	}
 	m.ObserveDuration(obs.StageConstraintsFilter, time.Since(t0))
 
 	// Pass 3: variables, one per surviving (rep, role), assigned in
 	// first-seen order over (event, role, backoff) — the same order the
-	// string-keyed implementation produced.
+	// string-keyed implementation produced. It stops at the event that
+	// gives the last marked pair its variable: no later one has a pair
+	// without.
 	t0 = time.Now()
 	s.varIDs = make([]int32, nsyms*int(propgraph.NumRoles))
 	for i := range s.varIDs {
 		s.varIDs[i] = -1
 	}
-	for i := range s.EventInfos {
+	for i := 0; i < len(s.EventInfos) && len(s.Vars) < pairs; i++ {
 		info := &s.EventInfos[i]
 		for _, role := range propgraph.Roles() {
 			if !info.Roles.Has(role) {

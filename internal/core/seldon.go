@@ -115,6 +115,9 @@ type Result struct {
 
 	// Predictions lists every selected (event, role), event-ID order.
 	Predictions []Prediction
+	// selected lists the (rep, role) pairs of Predictions, each once, in
+	// the order of its first prediction, with its score.
+	selected []spec.Entry
 }
 
 // RunStage times f as one pipeline stage: the duration goes to the
@@ -158,15 +161,8 @@ func LearnPrepared(g *propgraph.Graph, sys *constraints.System, cfg Config) *Res
 }
 
 // solveAndSelect finishes a learning run whose System is already in
-// place: interning summary (only for a registry to report it to),
-// projected-Adam solve, and role selection.
+// place: projected-Adam solve and role selection.
 func (res *Result) solveAndSelect(cfg Config) {
-	if cfg.Metrics != nil {
-		st := res.Graph.ComputeStats()
-		cfg.Metrics.Set(obs.GaugeInternSymbols, float64(st.Symbols))
-		cfg.Metrics.Set(obs.GaugeInternBytesSaved, float64(st.OccurrenceBytes-st.SymbolBytes))
-	}
-
 	solverOpts := cfg.Solver
 	lastActive := 0
 	if cfg.Metrics != nil {
@@ -246,11 +242,19 @@ func LearnFromSources(files map[string]string, seed *spec.Spec, cfg Config) *Res
 
 // selectRoles applies §7.1: for each candidate event and allowed role,
 // walk the backoff options from most to least specific and select the
-// role if decay^i * score_i passes the threshold. One walk appends the
-// predictions as it finds them, into room for half the candidate events:
-// the share predicted is 0.46–0.49 on the corpora from 400 to 6000
-// files, and starting there spares the copies and the zeroed memory of
-// growing a slice of ≈ 50k predictions from nothing.
+// role at the first option i where decay^i * score passes the threshold.
+// Whether it passes depends on the option's (rep, role) variable and on i
+// alone, so it is worked out once per variable, before the walk: reach is
+// the number of leading depths at which decay[i]*score >= threshold. A
+// score lies in the solver's box [0, 1], where decay[i]*score falls with
+// i, so the depths that pass are exactly those below reach. Every (rep,
+// role) of a candidate event has a variable (the constraint build gives
+// it one). One walk appends the predictions as it finds them, into room
+// for half the candidate events: the share predicted is 0.46–0.49 on the
+// corpora from 400 to 6000 files, and starting there spares the copies
+// and the zeroed memory of growing a slice of ≈ 50k predictions from
+// nothing. It records each selected variable once, as LearnedSpec and
+// LearnedEntries read it.
 func (r *Result) selectRoles(cfg Config) {
 	sys := r.System
 	strs := sys.Syms.Strings()
@@ -262,6 +266,14 @@ func (r *Result) selectRoles(cfg Config) {
 	for i := range decay {
 		decay[i] = math.Pow(backoffDecay, float64(i))
 	}
+	reach := make([]int32, len(r.Solution))
+	for id, score := range r.Solution {
+		for int(reach[id]) < deepest && decay[reach[id]]*score >= cfg.Threshold {
+			reach[id]++
+		}
+	}
+	picked := make([]bool, len(r.Solution))
+	r.Predictions, r.selected = nil, nil
 	if half := len(sys.EventInfos) / 2; half > 0 {
 		r.Predictions = make([]Prediction, 0, half)
 	}
@@ -272,17 +284,20 @@ func (r *Result) selectRoles(cfg Config) {
 				continue
 			}
 			for i, sym := range info.RepIDs {
-				var score float64
-				if id := sys.VarIDSym(sym, role); id >= 0 {
-					score = r.Solution[id]
+				id := sys.VarIDSym(sym, role)
+				if id < 0 || i >= int(reach[id]) {
+					continue
 				}
-				if decay[i]*score >= cfg.Threshold {
-					r.Predictions = append(r.Predictions, Prediction{
-						EventID: info.EventID, Role: role, Rep: strs[sym],
-						Score: score, Backoff: i,
-					})
-					break
+				score := r.Solution[id]
+				r.Predictions = append(r.Predictions, Prediction{
+					EventID: info.EventID, Role: role, Rep: strs[sym],
+					Score: score, Backoff: i,
+				})
+				if !picked[id] {
+					picked[id] = true
+					r.selected = append(r.selected, spec.Entry{Rep: strs[sym], Role: role, Score: score})
 				}
+				break
 			}
 		}
 	}
@@ -312,33 +327,22 @@ func (r *Result) LearnedSpec(seed *spec.Spec) *spec.Spec {
 		}
 	}
 	s.Blacklist = seed.Blacklist
-	for _, p := range r.Predictions {
-		s.Add(p.Role, p.Rep)
+	for _, e := range r.selected {
+		s.Add(e.Role, e.Rep)
 	}
 	return s
 }
 
 // LearnedEntries returns the predictions that are NOT in the seed,
-// deduplicated by (rep, role) with maximal score, sorted by descending
-// score then rep. These are the paper's "inferred specifications".
+// deduplicated by (rep, role) — every prediction of one carries its
+// variable's score — and scoring above 0, sorted by descending score,
+// then role, then rep. These are the paper's "inferred specifications".
 func (r *Result) LearnedEntries(seed *spec.Spec) []spec.Entry {
-	type key struct {
-		rep  string
-		role propgraph.Role
-	}
-	best := make(map[key]float64)
-	for _, p := range r.Predictions {
-		if seed.RolesOf(p.Rep).Has(p.Role) {
-			continue
+	out := make([]spec.Entry, 0, len(r.selected))
+	for _, e := range r.selected {
+		if e.Score > 0 && !seed.RolesOf(e.Rep).Has(e.Role) {
+			out = append(out, e)
 		}
-		k := key{p.Rep, p.Role}
-		if p.Score > best[k] {
-			best[k] = p.Score
-		}
-	}
-	out := make([]spec.Entry, 0, len(best))
-	for k, sc := range best {
-		out = append(out, spec.Entry{Rep: k.rep, Role: k.role, Score: sc})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"seldon/internal/constraints"
+	"seldon/internal/corpus"
 	"seldon/internal/obs"
+	"seldon/internal/propgraph"
 )
 
 func TestLearnFromSourcesCountsParseErrors(t *testing.T) {
@@ -103,4 +105,32 @@ func TestNilTelemetryKeepsWorking(t *testing.T) {
 	if len(res.ParseErrorFiles) != 0 {
 		t.Errorf("ParseErrorFiles = %v, want none", res.ParseErrorFiles)
 	}
+}
+
+// TestInternGaugesAreGraphStats: the interning summary a registered learn
+// publishes, counted from the constraint build's frequency pass, is the
+// learned-on graph's own (propgraph.Graph.ComputeStats), from a cold learn
+// and from a prepared one.
+func TestInternGaugesAreGraphStats(t *testing.T) {
+	files := corpus.Generate(corpus.Config{Files: 60, Seed: 3}).FileMap()
+	reg := obs.New()
+	cfg := Config{Workers: 2, Metrics: reg}
+	check := func(how string, g *propgraph.Graph) {
+		t.Helper()
+		st, gauges := g.ComputeStats(), reg.Snapshot().Gauges
+		if got, want := gauges[obs.GaugeInternSymbols], float64(st.Symbols); got != want {
+			t.Errorf("%s: %s = %v, want %v", how, obs.GaugeInternSymbols, got, want)
+		}
+		if got, want := gauges[obs.GaugeInternBytesSaved], float64(st.OccurrenceBytes-st.SymbolBytes); got != want || want <= 0 {
+			t.Errorf("%s: %s = %v, want %v (> 0)", how, obs.GaugeInternBytesSaved, got, want)
+		}
+	}
+	res := LearnFromSources(files, corpus.ExperimentSeed(), cfg)
+	check("learn", res.Graph)
+
+	// A smaller graph through LearnPrepared overwrites both gauges.
+	fe := AnalyzeFiles(files, Config{Workers: 1})
+	half := propgraph.Union(fe.Graphs[:len(fe.Graphs)/2]...)
+	sys := constraints.Build(half, corpus.ExperimentSeed(), cfg.ConstraintOptions())
+	check("prepared", LearnPrepared(half, sys, cfg).Graph)
 }

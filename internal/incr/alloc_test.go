@@ -13,8 +13,9 @@ import (
 // TestRelearnAllocBudget pins what the standing state is for: once a
 // session has re-learned a few times, a re-learn after a one-file edit
 // allocates no block of the union, no staging array of the solver's
-// compile and no constraint slice — what it still allocates is the
-// constraint build's per-build tables and the selection's output. The
+// compile, no constraint slice and no event table of the constraint build
+// — what it still allocates is the variable table and the selection's
+// output. The
 // session holds a vocabulary file (see TestRandomEditsOracle) so that no
 // edit renumbers symbols.
 func TestRelearnAllocBudget(t *testing.T) {
@@ -71,19 +72,22 @@ func TestRelearnAllocBudget(t *testing.T) {
 		}
 	}) / runs
 
-	// Measured at this size (16.8k events, 27.9k constraints): 21.7 MB for
-	// the first re-learn, 1.7 MB for a steady one (5.6 MB while every
-	// re-learn hashed every span, allocated its own constraint slice and
-	// counted its predictions before making them). The union's event block
-	// alone is 88 bytes an event (1.5 MB), the constraint slice 48 bytes a
-	// constraint (1.3 MB) and compile's staging 12 bytes a term at three or
-	// more terms a constraint (1.0 MB): the budget leaves less room than
-	// any of them, so none can come back unnoticed.
-	const budget = 2_100_000
+	// Measured at this size (16.8k events, 27.9k constraints): 19.3 MB for
+	// the first re-learn, 0.64 MB for a steady one (1.7 MB while every
+	// constraint build allocated its own event tables, 5.6 MB while every
+	// re-learn also hashed every span, allocated its own constraint slice
+	// and counted its predictions before making them). The union's event
+	// block alone is 88 bytes an event (1.5 MB), the constraint slice 48
+	// bytes a constraint (1.3 MB), compile's staging 12 bytes a term at
+	// three or more terms a constraint (1.0 MB) and the constraint build's
+	// event → table index 8 bytes an event (0.13 MB): the budget leaves less
+	// room than any of them, so none can come back unnoticed.
+	const budget = 760_000
 	unionBlock, slice, staging := uint64(unionEvents)*88, uint64(constraints)*48, uint64(constraints)*3*12
-	smallest := min(unionBlock, slice, staging)
-	t.Logf("first re-learn %d bytes, steady re-learn %d; union event block %d, constraint slice %d, compile staging at least %d",
-		cold, steady, unionBlock, slice, staging)
+	index := uint64(unionEvents) * 8
+	smallest := min(unionBlock, slice, staging, index)
+	t.Logf("first re-learn %d bytes, steady re-learn %d; union event block %d, constraint slice %d, compile staging at least %d, event index %d",
+		cold, steady, unionBlock, slice, staging, index)
 	if steady > budget {
 		t.Errorf("steady re-learn allocates %d bytes, budget %d", steady, budget)
 	} else if slack := budget - steady; slack >= smallest {

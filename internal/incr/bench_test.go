@@ -8,6 +8,7 @@ import (
 	"seldon/internal/core"
 	"seldon/internal/corpus"
 	"seldon/internal/incr"
+	"seldon/internal/obs"
 )
 
 // deltaDriver is the benchmark harness's relearn_delta in small: a primed
@@ -57,13 +58,32 @@ func (d *deltaDriver) edit(n int) incr.RelearnStats {
 // Beside ms/op, MB/op and allocs/op, patched/op is the share of re-learns that patched the union rather than
 // rebuilding it, reused/op the share of constraints whose solver row came
 // from the table's memory, and hashed/op the share of spans whose
-// fingerprint the constraint build computed rather than remembered.
+// fingerprint the constraint build computed rather than remembered. The
+// session reports to a registry, as a served one does, and the four
+// stages a re-learn runs are reported as their ms/op: union-ms/op,
+// constraints-ms/op, solve-ms/op and select-ms/op.
 func BenchmarkSessionRelearnDelta(b *testing.B) {
-	d := newDeltaDriver(1500, core.Config{})
+	reg := obs.New()
+	d := newDeltaDriver(1500, core.Config{Metrics: reg})
 	d.edit(6) // the first patch grows the standing buffers
 	b.ReportAllocs()
+	stages := []struct{ timer, unit string }{
+		{obs.StageIncrRebuildUnion, "union-ms/op"},
+		{obs.StageIncrRebuildConstraints, "constraints-ms/op"},
+		{obs.StageSolve, "solve-ms/op"},
+		{obs.StageSelect, "select-ms/op"},
+	}
+	spent := func() []float64 {
+		timers := reg.Snapshot().Timers
+		s := make([]float64, len(stages))
+		for i, st := range stages {
+			s[i] = timers[st.timer].Sum
+		}
+		return s
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	stagesBefore := spent()
 	patched, reused, hashed := 0, 0.0, 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,6 +97,9 @@ func BenchmarkSessionRelearnDelta(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	n := float64(b.N)
+	for i, s := range spent() {
+		b.ReportMetric((s-stagesBefore[i])*1000/n, stages[i].unit)
+	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/n, "ms/op")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n/(1<<20), "MB/op")
 	b.ReportMetric(float64(patched)/n, "patched/op")

@@ -3,6 +3,7 @@ package incr_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -16,8 +17,10 @@ import (
 	"seldon/internal/incr"
 	"seldon/internal/lp"
 	"seldon/internal/propgraph"
+	"seldon/internal/pyparse"
 	"seldon/internal/pytoken"
 	"seldon/internal/spec"
+	"seldon/internal/specio"
 )
 
 // oracle checks a session against the one-shot public functions after
@@ -330,6 +333,13 @@ func TestEditSequenceOracle(t *testing.T) {
 // holds every graph of both corpora is spliced in; from then on no edit
 // introduces anything, every one is patched, and the dead space they
 // leave is compacted a few times.
+//
+// Between the two stretches come the edits that move names: an identical
+// re-splice, a file that does not parse, a retraction, a rename, the
+// broken file's retraction and a save and LoadDir. After every edit and
+// every re-learn the session's file list, corpus fingerprint and
+// parse-error files must equal their recomputation from the corpus the
+// test has spliced.
 func TestRandomEditsOracle(t *testing.T) {
 	ca := corpus.Generate(corpus.Config{Files: 300, Seed: 11})
 	cb := corpus.Generate(corpus.Config{Files: 300, Seed: 12})
@@ -339,14 +349,27 @@ func TestRandomEditsOracle(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		plain, stable = 4, 8
 	}
+	const broken = "broken.py"
 	forEachParallelism(t, func(t *testing.T, cfg core.Config) {
 		o := newOracle(corpus.ExperimentSeed(), cfg)
+		m := newCorpusModel()
 		for _, f := range a {
-			o.s.SpliceSource(f.Name, f.Source)
+			m.splice(o.s, f.Name, f.Source)
 		}
-		if _, err := o.relearn("first"); err != nil {
-			t.Fatal(err)
+		relearn := func(label string) incr.RelearnStats {
+			t.Helper()
+			m.check(t, o.s, label)
+			st, err := o.relearn(label)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := o.s.Result().ParseErrorFiles, m.parseErrorFiles(); !slices.Equal(got, want) {
+				t.Fatalf("%s: ParseErrorFiles %q, want %q", label, got, want)
+			}
+			m.check(t, o.s, label+", re-learned")
+			return st
 		}
+		relearn("first")
 		rng := rand.New(rand.NewSource(3))
 		onB := make([]bool, len(a))
 		reasons := map[string]int{}
@@ -357,12 +380,9 @@ func TestRandomEditsOracle(t *testing.T) {
 				if onB[i] {
 					src = b[i].Source
 				}
-				o.s.SpliceSource(a[i].Name, src)
+				m.splice(o.s, a[i].Name, src)
 			}
-			st, err := o.relearn(label)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := relearn(label)
 			if st.FilesChanged != 6 {
 				t.Fatalf("%s: %d files changed", label, st.FilesChanged)
 			}
@@ -372,15 +392,45 @@ func TestRandomEditsOracle(t *testing.T) {
 			flip(fmt.Sprintf("edit %d", e))
 		}
 
+		perm := rng.Perm(len(a))
+		for _, i := range perm[:6] {
+			m.splice(o.s, a[i].Name, m.src[a[i].Name])
+		}
+		if st := relearn("identical re-splice"); st.FilesChanged != 0 {
+			t.Fatalf("identical re-splice: %d files changed", st.FilesChanged)
+		}
+		m.splice(o.s, broken, "def broken(:\n    return request.args.get('x')\n")
+		relearn("parse error")
+		for _, i := range perm[6:9] {
+			m.retract(o.s, a[i].Name)
+		}
+		relearn("retract")
+		renamed := a[perm[9]].Name
+		src := m.src[renamed]
+		m.retract(o.s, renamed)
+		m.splice(o.s, renamed+".renamed.py", src)
+		relearn("rename")
+		m.retract(o.s, broken)
+		relearn("parse error fixed")
+		dir := t.TempDir()
+		if err := o.s.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := incr.LoadDir(dir, o.seed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.s = loaded
+		relearn("LoadDir")
+
 		var every []*propgraph.Graph
 		for _, c := range []*corpus.Corpus{ca, cb} {
 			fe := core.AnalyzeFiles(c.FileMap(), core.Config{Workers: 1})
 			every = append(every, fe.Graphs...)
 		}
 		o.s.Splice("!vocabulary", propgraph.Union(every...))
-		if _, err := o.relearn("vocabulary"); err != nil {
-			t.Fatal(err)
-		}
+		m.graphOnly("!vocabulary")
+		relearn("vocabulary")
 		clear(reasons)
 		for e := 0; e < stable; e++ {
 			flip(fmt.Sprintf("stable edit %d", e))
@@ -389,4 +439,70 @@ func TestRandomEditsOracle(t *testing.T) {
 			t.Fatalf("with every symbol introduced up front, %d edits went %v", stable, reasons)
 		}
 	})
+}
+
+// corpusModel is the corpus a test has spliced into a session, kept
+// beside it: each file's source, or none for a file spliced as a graph,
+// and whether the source parses.
+type corpusModel struct {
+	src    map[string]string
+	graph  map[string]bool
+	broken map[string]bool
+}
+
+func newCorpusModel() *corpusModel {
+	return &corpusModel{src: map[string]string{}, graph: map[string]bool{}, broken: map[string]bool{}}
+}
+
+func (m *corpusModel) splice(s *incr.Session, name, src string) {
+	s.SpliceSource(name, src)
+	_, err := pyparse.Parse(name, src)
+	m.src[name], m.broken[name] = src, err != nil
+	delete(m.graph, name)
+}
+
+func (m *corpusModel) graphOnly(name string) {
+	delete(m.src, name)
+	delete(m.broken, name)
+	m.graph[name] = true
+}
+
+func (m *corpusModel) retract(s *incr.Session, name string) {
+	s.Retract(name)
+	delete(m.src, name)
+	delete(m.broken, name)
+	delete(m.graph, name)
+}
+
+func (m *corpusModel) parseErrorFiles() []string {
+	var names []string
+	for n, bad := range m.broken {
+		if bad {
+			names = append(names, n)
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+// check requires the session's file list and corpus fingerprint to be
+// recomputed from the model: its names sorted, and specio.Fingerprint of
+// its sources, or none once a file came as a graph.
+func (m *corpusModel) check(t *testing.T, s *incr.Session, label string) {
+	t.Helper()
+	names := slices.Sorted(maps.Keys(m.src))
+	for n := range m.graph {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	if got := s.Files(); !slices.Equal(got, names) {
+		t.Fatalf("%s: session holds %d files, the model %d", label, len(got), len(names))
+	}
+	want := specio.Fingerprint(m.src)
+	if len(m.graph) > 0 {
+		want = ""
+	}
+	if got := s.CorpusFingerprint(); got != want {
+		t.Fatalf("%s: corpus fingerprint %q, want %q", label, got, want)
+	}
 }

@@ -59,7 +59,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"iter"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -80,11 +81,13 @@ type PinKey struct {
 
 // fileState is one corpus file inside the session: its record, without a
 // cost, the sha256 of its graph encoding, which keys the flow-constraint
-// cache spans, and the decoded graph.
+// cache spans, the decoded graph, and its index in the session's name
+// order while that order stands.
 type fileState struct {
 	fpcache.Record
 	encHash [32]byte
 	decoded *propgraph.Graph
+	at      int
 }
 
 // newFileState wraps a record and its decoded graph, hashing the encoding
@@ -100,8 +103,17 @@ type Session struct {
 	seed *spec.Spec
 	cfg  core.Config
 
-	files map[string]*fileState
-	pins  map[PinKey]float64
+	// files holds the corpus by name and ordered the same states in name
+	// order — the union order — while sorted is set. An edit that adds or
+	// removes a name clears sorted, and the next reader of the order sorts
+	// once; replacing a file's state keeps its place. parseErrs counts the
+	// files whose record carries a parse error.
+	files     map[string]*fileState
+	ordered   []*fileState
+	sorted    bool
+	parseErrs int
+
+	pins map[PinKey]float64
 
 	// prev is the last solution keyed by (rep, role).
 	prev map[PinKey]float64
@@ -151,16 +163,54 @@ func (s *Session) Len() int {
 func (s *Session) Files() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sortedNames()
+	order := s.inOrder()
+	names := make([]string, len(order))
+	for i, fs := range order {
+		names[i] = fs.Name
+	}
+	return names
 }
 
-func (s *Session) sortedNames() []string {
-	names := make([]string, 0, len(s.files))
-	for n := range s.files {
-		names = append(names, n)
+// inOrder returns the files in name order, sorting them only when a name
+// was added or removed since the last call. The caller holds s.mu or has
+// s to itself.
+func (s *Session) inOrder() []*fileState {
+	if !s.sorted {
+		s.ordered = make([]*fileState, 0, len(s.files))
+		for _, fs := range s.files {
+			s.ordered = append(s.ordered, fs)
+		}
+		slices.SortFunc(s.ordered, func(a, b *fileState) int { return strings.Compare(a.Name, b.Name) })
+		for i, fs := range s.ordered {
+			fs.at = i
+		}
+		s.sorted = true
 	}
-	sort.Strings(names)
-	return names
+	return s.ordered
+}
+
+// put makes fs the state of its file. A file already present keeps its
+// place in the name order; a new one unsettles the order. The caller
+// holds s.mu or has s to itself.
+func (s *Session) put(fs *fileState) {
+	old := s.files[fs.Name]
+	s.files[fs.Name] = fs
+	s.parseErrs += hasParseError(fs) - hasParseError(old)
+	switch {
+	case old == nil:
+		s.sorted = false
+	case s.sorted:
+		fs.at = old.at
+		s.ordered[fs.at] = fs
+	}
+}
+
+// hasParseError is 1 for a file whose parse reported an error, else 0.
+func hasParseError(fs *fileState) int {
+	if fs != nil && fs.ParseError != "" {
+		return 1
+	}
+	return 0
 }
 
 // CorpusFingerprint is specio.Fingerprint of the session's corpus,
@@ -170,15 +220,14 @@ func (s *Session) sortedNames() []string {
 func (s *Session) CorpusFingerprint() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return fpcache.Fingerprint(s.records(s.sortedNames()))
+	return fpcache.Fingerprint(s.records())
 }
 
-// records yields the records of the named files, in order. The caller
-// holds s.mu.
-func (s *Session) records(names []string) iter.Seq[fpcache.Record] {
+// records yields the files' records in name order. The caller holds s.mu.
+func (s *Session) records() iter.Seq[fpcache.Record] {
 	return func(yield func(fpcache.Record) bool) {
-		for _, n := range names {
-			if !yield(s.files[n].Record) {
+		for _, fs := range s.inOrder() {
+			if !yield(fs.Record) {
 				return
 			}
 		}
@@ -202,9 +251,11 @@ func (s *Session) EncodedGraph(name string) []byte {
 func (s *Session) Retract(name string) bool {
 	t0 := time.Now()
 	s.mu.Lock()
-	_, ok := s.files[name]
+	old, ok := s.files[name]
 	if ok {
 		delete(s.files, name)
+		s.parseErrs -= hasParseError(old)
+		s.sorted = false
 	}
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrRetract, time.Since(t0))
@@ -220,7 +271,7 @@ func (s *Session) Splice(name string, g *propgraph.Graph) {
 	enc := g.AppendBinary(nil)
 	s.mu.Lock()
 	if old := s.files[name]; old == nil || !bytes.Equal(old.Graph, enc) {
-		s.files[name] = newFileState(fpcache.Record{Name: name, Graph: enc}, g)
+		s.put(newFileState(fpcache.Record{Name: name, Graph: enc}, g))
 	}
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
@@ -258,8 +309,8 @@ func (s *Session) SpliceSources(files map[string]string) (spliced, unchanged int
 		states[i] = newFileState(fe.Record(i, changed[name]), fe.Graphs[i])
 	}
 	s.mu.Lock()
-	for i, name := range fe.Names {
-		s.files[name] = states[i]
+	for _, fs := range states {
+		s.put(fs)
 	}
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
@@ -370,22 +421,22 @@ type RelearnStats struct {
 }
 
 // syncUnion brings the standing union up to date with the current files,
-// names being their sorted names and s.spans still those of the last
+// order being them in name order and s.spans still those of the last
 // Relearn, and returns the number of names whose graph changed since then
 // and, when the union had to be built from nothing, why.
-func (s *Session) syncUnion(names []string) (changed int, rebuilt string) {
+func (s *Session) syncUnion(order []*fileState) (changed int, rebuilt string) {
 	rebuilt = "first"
-	changed = len(names)
+	changed = len(order)
 	if s.union != nil {
 		// Both lists are sorted: one merge finds what was removed, replaced
 		// and inserted, as edits against the union's current inputs.
 		var edits []propgraph.UnionEdit
 		old, i := s.spans, 0
-		for _, n := range names {
+		for _, fs := range order {
+			n := fs.Name
 			for ; i < len(old) && old[i].File < n; i++ {
 				edits = append(edits, propgraph.UnionEdit{At: i, Del: 1})
 			}
-			fs := s.files[n]
 			switch {
 			case i == len(old) || old[i].File != n:
 				edits = append(edits, propgraph.UnionEdit{At: i, Ins: []*propgraph.Graph{fs.decoded}})
@@ -403,9 +454,9 @@ func (s *Session) syncUnion(names []string) (changed int, rebuilt string) {
 		rebuilt = s.union.Splice(edits)
 	}
 	if rebuilt != "" {
-		graphs := make([]*propgraph.Graph, len(names))
-		for i, n := range names {
-			graphs[i] = s.files[n].decoded
+		graphs := make([]*propgraph.Graph, len(order))
+		for i, fs := range order {
+			graphs[i] = fs.decoded
 		}
 		s.union = propgraph.NewUnionBuilder()
 		s.union.Splice([]propgraph.UnionEdit{{Ins: graphs}})
@@ -429,13 +480,12 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 
 	// Union + delta-aware constraint build.
 	t0 := time.Now()
-	names := s.sortedNames()
-	st.FilesChanged, st.UnionRebuilt = s.syncUnion(names)
+	order := s.inOrder()
+	st.FilesChanged, st.UnionRebuilt = s.syncUnion(order)
 	union := s.union.Graph()
 	spans := s.spans[:0]
-	for _, n := range names {
-		fs := s.files[n]
-		spans = constraints.AppendSpan(spans, n, len(fs.decoded.Events), fs.encHash)
+	for _, fs := range order {
+		spans = constraints.AppendSpan(spans, fs.Name, len(fs.decoded.Events), fs.encHash)
 	}
 	s.spans = spans
 	tUnion := time.Now()
@@ -482,7 +532,9 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 		st.WarmStarted = true
 	}
 	res := core.LearnPrepared(union, sys, cfg)
-	res.ParseErrorFiles = fpcache.ParseErrorFiles(s.records(names))
+	if s.parseErrs > 0 {
+		res.ParseErrorFiles = fpcache.ParseErrorFiles(s.records())
+	}
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrResolve, time.Since(t0))
 	st.RowsReused, st.RowsDead = res.SolverRowsReused, res.SolverRowsDead
 

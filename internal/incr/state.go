@@ -75,8 +75,8 @@ func (s *Session) SaveDir(dir string) error {
 	}
 	b = envelope.AppendBytes64(b, seedBytes)
 
-	names := s.sortedNames()
-	b = fpcache.AppendRecords(b, len(names), func(i int) *fpcache.Record { return &s.files[names[i]].Record })
+	order := s.inOrder()
+	b = fpcache.AppendRecords(b, len(order), func(i int) *fpcache.Record { return &order[i].Record })
 
 	for _, m := range []map[PinKey]float64{s.prev, s.pins} {
 		b = envelope.AppendU64(b, uint64(len(m)))
@@ -169,7 +169,7 @@ func LoadDir(dir string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
 		rec.Graph = bytes.Clone(rec.Graph)
-		s.files[rec.Name] = newFileState(rec, graphs[i])
+		s.put(newFileState(rec, graphs[i]))
 	}
 	// A solution or pin is a name length, a role and a value.
 	const minScore = 8 + 8 + 8
