@@ -196,9 +196,8 @@ func (l *learnFlags) seed(generated bool) (*spec.Spec, error) {
 
 // readSpec reads a specification file: the store seldon learn -o writes
 // when its first non-space byte is '{', else o:/a:/i:/b: lines. A file
-// with no role entry and no blacklist pattern — a truncated copy,
-// /dev/null — is refused: checked with, it would report nothing; learned
-// from, it would seed nothing.
+// with no role entry and no blacklist pattern (a truncated copy,
+// /dev/null) is refused: it would check clean and seed nothing.
 func readSpec(path string) (*spec.Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -207,9 +207,8 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options, t *buildTables
 		}
 	}
 	if m != nil {
-		// The interning summary (propgraph.Stats' figures): every
-		// occurrence carried by value would cost its string's length, so
-		// the counts sum to what walking the occurrences would.
+		// propgraph.Stats' interning figures: an occurrence carried by
+		// value would cost its string's length.
 		var occurrence int64
 		for sym, c := range repCount {
 			occurrence += int64(c) * int64(len(strs[sym]))
@@ -231,9 +230,7 @@ func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options, t *buildTables
 	ix := seed.IndexStrings(strs)
 	cutoff := int32(opts.BackoffCutoff)
 	infos := resized(t.infos, len(g.Events))
-	for len(t.arenas) < workers {
-		t.arenas, t.marks = append(t.arenas, nil), append(t.marks, nil)
-	}
+	t.arenas, t.marks = resized(t.arenas, workers), resized(t.marks, workers)
 	kept, grew := make([]int, workers), make([]bool, workers)
 	par.For(workers, workers, func(_, r int) {
 		lo, hi := ranges(r)

@@ -243,18 +243,14 @@ func LearnFromSources(files map[string]string, seed *spec.Spec, cfg Config) *Res
 // selectRoles applies §7.1: for each candidate event and allowed role,
 // walk the backoff options from most to least specific and select the
 // role at the first option i where decay^i * score passes the threshold.
-// Whether it passes depends on the option's (rep, role) variable and on i
-// alone, so it is worked out once per variable, before the walk: reach is
-// the number of leading depths at which decay[i]*score >= threshold. A
-// score lies in the solver's box [0, 1], where decay[i]*score falls with
-// i, so the depths that pass are exactly those below reach. Every (rep,
-// role) of a candidate event has a variable (the constraint build gives
-// it one). One walk appends the predictions as it finds them, into room
-// for half the candidate events: the share predicted is 0.46–0.49 on the
-// corpora from 400 to 6000 files, and starting there spares the copies
-// and the zeroed memory of growing a slice of ≈ 50k predictions from
-// nothing. It records each selected variable once, as LearnedSpec and
-// LearnedEntries read it.
+// That depends on the option's (rep, role) variable and on i alone, so
+// reach[id] counts the leading depths where decay[i]*score >= threshold
+// holds; scores lie in the solver's box [0, 1], where decay[i]*score
+// falls with i, so exactly the depths below reach pass. Every (rep, role)
+// of a candidate event has a variable. One walk appends the predictions
+// into room for half the candidate events (0.46–0.49 of them are
+// predicted from 400 to 6000 files), and records each selected variable
+// once for LearnedSpec and LearnedEntries.
 func (r *Result) selectRoles(cfg Config) {
 	sys := r.System
 	strs := sys.Syms.Strings()
@@ -273,7 +269,6 @@ func (r *Result) selectRoles(cfg Config) {
 		}
 	}
 	picked := make([]bool, len(r.Solution))
-	r.Predictions, r.selected = nil, nil
 	if half := len(sys.EventInfos) / 2; half > 0 {
 		r.Predictions = make([]Prediction, 0, half)
 	}

@@ -110,6 +110,7 @@ func TestSelectRolesMatchesPerEventLoop(t *testing.T) {
 		}
 	}
 	for _, th := range thresholds {
+		res := &Result{Graph: res.Graph, System: res.System, Solution: res.Solution}
 		res.selectRoles(Config{Threshold: th})
 		preds := referenceSelect(res, th)
 		if !reflect.DeepEqual(res.Predictions, preds) && (len(res.Predictions) != 0 || len(preds) != 0) {

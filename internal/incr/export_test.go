@@ -27,7 +27,7 @@ func (s *Session) Unpin(rep string, role propgraph.Role) bool {
 func (s *Session) Record(name string) (fpcache.Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fs := s.files[name]
+	fs := s.file(name)
 	if fs == nil {
 		return fpcache.Record{}, false
 	}

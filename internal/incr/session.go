@@ -81,13 +81,11 @@ type PinKey struct {
 
 // fileState is one corpus file inside the session: its record, without a
 // cost, the sha256 of its graph encoding, which keys the flow-constraint
-// cache spans, the decoded graph, and its index in the session's name
-// order while that order stands.
+// cache spans, and the decoded graph.
 type fileState struct {
 	fpcache.Record
 	encHash [32]byte
 	decoded *propgraph.Graph
-	at      int
 }
 
 // newFileState wraps a record and its decoded graph, hashing the encoding
@@ -103,14 +101,9 @@ type Session struct {
 	seed *spec.Spec
 	cfg  core.Config
 
-	// files holds the corpus by name and ordered the same states in name
-	// order — the union order — while sorted is set. An edit that adds or
-	// removes a name clears sorted, and the next reader of the order sorts
-	// once; replacing a file's state keeps its place. parseErrs counts the
-	// files whose record carries a parse error.
-	files     map[string]*fileState
-	ordered   []*fileState
-	sorted    bool
+	// files holds the corpus in name order, the union order, as files
+	// come and go; parseErrs counts those whose parse reported an error.
+	files     []*fileState
 	parseErrs int
 
 	pins map[PinKey]float64
@@ -138,7 +131,6 @@ func NewSession(seed *spec.Spec, cfg core.Config) *Session {
 	s := &Session{
 		seed:  seed,
 		cfg:   cfg,
-		files: make(map[string]*fileState),
 		cache: constraints.NewFlowCache(),
 		pins:  make(map[PinKey]float64),
 	}
@@ -163,51 +155,44 @@ func (s *Session) Len() int {
 func (s *Session) Files() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	order := s.inOrder()
-	names := make([]string, len(order))
-	for i, fs := range order {
+	names := make([]string, len(s.files))
+	for i, fs := range s.files {
 		names[i] = fs.Name
 	}
 	return names
 }
 
-// inOrder returns the files in name order, sorting them only when a name
-// was added or removed since the last call. The caller holds s.mu or has
-// s to itself.
-func (s *Session) inOrder() []*fileState {
-	if !s.sorted {
-		s.ordered = make([]*fileState, 0, len(s.files))
-		for _, fs := range s.files {
-			s.ordered = append(s.ordered, fs)
-		}
-		slices.SortFunc(s.ordered, func(a, b *fileState) int { return strings.Compare(a.Name, b.Name) })
-		for i, fs := range s.ordered {
-			fs.at = i
-		}
-		s.sorted = true
-	}
-	return s.ordered
+// find returns the named file's index in s.files, or the index it would
+// take, and whether it is there. The caller holds s.mu or has s to itself.
+func (s *Session) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.files, name, func(fs *fileState, name string) int {
+		return strings.Compare(fs.Name, name)
+	})
 }
 
-// put makes fs the state of its file. A file already present keeps its
-// place in the name order; a new one unsettles the order. The caller
-// holds s.mu or has s to itself.
-func (s *Session) put(fs *fileState) {
-	old := s.files[fs.Name]
-	s.files[fs.Name] = fs
-	s.parseErrs += hasParseError(fs) - hasParseError(old)
-	switch {
-	case old == nil:
-		s.sorted = false
-	case s.sorted:
-		fs.at = old.at
-		s.ordered[fs.at] = fs
+// file returns the named file's state, or nil.
+func (s *Session) file(name string) *fileState {
+	if i, ok := s.find(name); ok {
+		return s.files[i]
 	}
+	return nil
+}
+
+// put makes fs the state of its file, in its place in the name order.
+func (s *Session) put(fs *fileState) {
+	i, ok := s.find(fs.Name)
+	if ok {
+		s.parseErrs -= hasParseError(s.files[i])
+		s.files[i] = fs
+	} else {
+		s.files = slices.Insert(s.files, i, fs)
+	}
+	s.parseErrs += hasParseError(fs)
 }
 
 // hasParseError is 1 for a file whose parse reported an error, else 0.
 func hasParseError(fs *fileState) int {
-	if fs != nil && fs.ParseError != "" {
+	if fs.ParseError != "" {
 		return 1
 	}
 	return 0
@@ -226,7 +211,7 @@ func (s *Session) CorpusFingerprint() string {
 // records yields the files' records in name order. The caller holds s.mu.
 func (s *Session) records() iter.Seq[fpcache.Record] {
 	return func(yield func(fpcache.Record) bool) {
-		for _, fs := range s.inOrder() {
+		for _, fs := range s.files {
 			if !yield(fs.Record) {
 				return
 			}
@@ -240,7 +225,7 @@ func (s *Session) records() iter.Seq[fpcache.Record] {
 func (s *Session) EncodedGraph(name string) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if fs := s.files[name]; fs != nil {
+	if fs := s.file(name); fs != nil {
 		return fs.Graph
 	}
 	return nil
@@ -251,11 +236,10 @@ func (s *Session) EncodedGraph(name string) []byte {
 func (s *Session) Retract(name string) bool {
 	t0 := time.Now()
 	s.mu.Lock()
-	old, ok := s.files[name]
+	i, ok := s.find(name)
 	if ok {
-		delete(s.files, name)
-		s.parseErrs -= hasParseError(old)
-		s.sorted = false
+		s.parseErrs -= hasParseError(s.files[i])
+		s.files = slices.Delete(s.files, i, i+1)
 	}
 	s.mu.Unlock()
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrRetract, time.Since(t0))
@@ -270,7 +254,7 @@ func (s *Session) Splice(name string, g *propgraph.Graph) {
 	t0 := time.Now()
 	enc := g.AppendBinary(nil)
 	s.mu.Lock()
-	if old := s.files[name]; old == nil || !bytes.Equal(old.Graph, enc) {
+	if old := s.file(name); old == nil || !bytes.Equal(old.Graph, enc) {
 		s.put(newFileState(fpcache.Record{Name: name, Graph: enc}, g))
 	}
 	s.mu.Unlock()
@@ -291,7 +275,7 @@ func (s *Session) SpliceSources(files map[string]string) (spliced, unchanged int
 	changed := make(map[string]string)
 	s.mu.Lock()
 	for name, src := range files {
-		if old := s.files[name]; old == nil || old.Source != hashes[name] {
+		if old := s.file(name); old == nil || old.Source != hashes[name] {
 			changed[name] = src
 		}
 	}
@@ -421,18 +405,18 @@ type RelearnStats struct {
 }
 
 // syncUnion brings the standing union up to date with the current files,
-// order being them in name order and s.spans still those of the last
-// Relearn, and returns the number of names whose graph changed since then
-// and, when the union had to be built from nothing, why.
-func (s *Session) syncUnion(order []*fileState) (changed int, rebuilt string) {
+// s.spans being still those of the last Relearn, and returns the number
+// of names whose graph changed since then and, when the union had to be
+// built from nothing, why.
+func (s *Session) syncUnion() (changed int, rebuilt string) {
 	rebuilt = "first"
-	changed = len(order)
+	changed = len(s.files)
 	if s.union != nil {
 		// Both lists are sorted: one merge finds what was removed, replaced
 		// and inserted, as edits against the union's current inputs.
 		var edits []propgraph.UnionEdit
 		old, i := s.spans, 0
-		for _, fs := range order {
+		for _, fs := range s.files {
 			n := fs.Name
 			for ; i < len(old) && old[i].File < n; i++ {
 				edits = append(edits, propgraph.UnionEdit{At: i, Del: 1})
@@ -454,8 +438,8 @@ func (s *Session) syncUnion(order []*fileState) (changed int, rebuilt string) {
 		rebuilt = s.union.Splice(edits)
 	}
 	if rebuilt != "" {
-		graphs := make([]*propgraph.Graph, len(order))
-		for i, fs := range order {
+		graphs := make([]*propgraph.Graph, len(s.files))
+		for i, fs := range s.files {
 			graphs[i] = fs.decoded
 		}
 		s.union = propgraph.NewUnionBuilder()
@@ -480,11 +464,10 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 
 	// Union + delta-aware constraint build.
 	t0 := time.Now()
-	order := s.inOrder()
-	st.FilesChanged, st.UnionRebuilt = s.syncUnion(order)
+	st.FilesChanged, st.UnionRebuilt = s.syncUnion()
 	union := s.union.Graph()
 	spans := s.spans[:0]
-	for _, fs := range order {
+	for _, fs := range s.files {
 		spans = constraints.AppendSpan(spans, fs.Name, len(fs.decoded.Events), fs.encHash)
 	}
 	s.spans = spans

@@ -75,8 +75,7 @@ func (s *Session) SaveDir(dir string) error {
 	}
 	b = envelope.AppendBytes64(b, seedBytes)
 
-	order := s.inOrder()
-	b = fpcache.AppendRecords(b, len(order), func(i int) *fpcache.Record { return &order[i].Record })
+	b = fpcache.AppendRecords(b, len(s.files), func(i int) *fpcache.Record { return &s.files[i].Record })
 
 	for _, m := range []map[PinKey]float64{s.prev, s.pins} {
 		b = envelope.AppendU64(b, uint64(len(m)))
@@ -169,7 +168,7 @@ func LoadDir(dir string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		// Keep the stored encoding verbatim — the span hash and the
 		// identical-splice check key off these exact bytes.
 		rec.Graph = bytes.Clone(rec.Graph)
-		s.put(newFileState(rec, graphs[i]))
+		s.put(newFileState(rec, graphs[i])) // in name order: an append
 	}
 	// A solution or pin is a name length, a role and a value.
 	const minScore = 8 + 8 + 8
